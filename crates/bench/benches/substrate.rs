@@ -1,18 +1,16 @@
-//! Microbenches of the simulated substrate itself: FP16
-//! conversion/arithmetic, the functional GEMM engine (clean, faulted,
-//! and under every protected scheme), and the timing model. These
-//! quantify the simulator, not the paper's GPU numbers.
+//! Microbenches of the substrate itself: FP16 conversion/arithmetic,
+//! the functional GEMM engine (clean, faulted, and under every
+//! protected scheme), and the timing model. These quantify this host's
+//! engine, not the paper's GPU numbers.
 //!
 //! Engine results are also written to `BENCH_engine.json` (median/mean
 //! ns, iteration counts, git rev) so the perf trajectory of the hot
 //! path is tracked as data, not just console text.
 
 use aiga_bench::harness::{bench, Recorder};
-use aiga_core::schemes::{
-    OneSidedThreadAbft, ReplicationSingleAcc, ReplicationTraditional, TwoSidedThreadAbft,
-};
+use aiga_core::schemes::Scheme;
 use aiga_fp16::F16;
-use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix, NoScheme};
+use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix, TileScheme};
 use aiga_gpu::timing::{estimate, Calibration, KernelProfile};
 use aiga_gpu::{DeviceSpec, GemmShape};
 use std::hint::black_box;
@@ -76,7 +74,7 @@ fn main() {
         let eng = GemmEngine::with_default_tiling(shape);
         let med = rec
             .bench(&format!("engine/functional_gemm_{size}"), || {
-                black_box(eng.run(&a, &b, || NoScheme, None));
+                black_box(eng.run(&a, &b, TileScheme::NONE, None));
             })
             .median_ns;
         rec.record_value(
@@ -95,10 +93,10 @@ fn main() {
         let b = Matrix::random(size, size, 2);
         let eng = GemmEngine::with_default_tiling(shape);
         let mut ws = Workspace::new();
-        eng.run_multi_into(&a, &b, || NoScheme, &[], &mut ws); // warm
+        eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
         let med = rec
             .bench(&format!("engine/functional_gemm_{size}"), || {
-                black_box(eng.run_multi_into(&a, &b, || NoScheme, &[], &mut ws));
+                black_box(eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws));
             })
             .median_ns;
         rec.record_value(
@@ -120,28 +118,72 @@ fn main() {
             kind: FaultKind::AddValue(100.0),
         };
         rec.bench("engine/functional_gemm_64_faulted", || {
-            black_box(eng.run(&a, &b, || NoScheme, Some(fault)));
+            black_box(eng.run(&a, &b, TileScheme::NONE, Some(fault)));
         });
-        rec.bench("engine/gemm_64_one_sided", || {
-            black_box(eng.run(&a, &b, OneSidedThreadAbft::new, None));
-        });
-        rec.bench("engine/gemm_64_two_sided", || {
-            black_box(eng.run(&a, &b, TwoSidedThreadAbft::new, None));
-        });
-        rec.bench("engine/gemm_64_replication_single_acc", || {
-            black_box(eng.run(&a, &b, ReplicationSingleAcc::new, None));
-        });
-        rec.bench("engine/gemm_64_replication_traditional", || {
-            black_box(eng.run(&a, &b, ReplicationTraditional::new, None));
-        });
+        // The thread-level schemes through the zero-alloc workspace
+        // entry (what serving runs), beside a clean row on the same
+        // entry so the ratios mean something.
+        let mut ws = aiga_gpu::engine::Workspace::new();
+        for (name, scheme) in [
+            ("clean", Scheme::Unprotected),
+            ("one_sided", Scheme::ThreadLevelOneSided),
+            ("two_sided", Scheme::ThreadLevelTwoSided),
+            ("replication_single_acc", Scheme::ReplicationSingleAcc),
+            ("replication_traditional", Scheme::ReplicationTraditional),
+        ] {
+            let tile = scheme.tile_scheme(size);
+            eng.run_multi_into(&a, &b, tile, &[], &mut ws); // warm
+            rec.bench(&format!("engine/gemm_64_{name}"), || {
+                black_box(eng.run_multi_into(&a, &b, tile, &[], &mut ws));
+            });
+        }
         // Global ABFT runs the unmodified kernel plus its epilogue +
         // reduce-and-compare; bench it through its bound kernel.
         let global = aiga_core::registry::shared()
-            .resolve(aiga_core::schemes::Scheme::GlobalAbft)
+            .resolve(Scheme::GlobalAbft)
             .bind(&b);
         rec.bench("engine/gemm_64_global_abft", || {
             black_box(global.run(&eng, &a, &[]));
         });
+    }
+
+    // The thread-level overhead gate: checksum lanes ride in the
+    // microkernel's register tile, so at 256³ one-sided ABFT must stay
+    // within 1.5× of the clean kernel and two-sided within 2×. Rounds
+    // interleave the three kernels and each takes its fastest time, so
+    // the gate holds under the smoke run's iteration cap and a noisy
+    // runner; it is enforced on the AVX2 path only (the scalar oracle
+    // is not a performance path).
+    {
+        use aiga_gpu::engine::{simd, Workspace};
+        let size = 256usize;
+        let a = Matrix::random(size, size, 1);
+        let b = Matrix::random(size, size, 2);
+        let eng = GemmEngine::with_default_tiling(GemmShape::square(size as u64));
+        let schemes = [
+            Scheme::Unprotected,
+            Scheme::ThreadLevelOneSided,
+            Scheme::ThreadLevelTwoSided,
+        ];
+        let mut ws = Workspace::new();
+        let mut best = [f64::INFINITY; 3];
+        for _ in 0..12 {
+            for (scheme, best) in schemes.iter().zip(&mut best) {
+                let tile = scheme.tile_scheme(size);
+                let t = std::time::Instant::now();
+                black_box(eng.run_multi_into(&a, &b, tile, &[], &mut ws));
+                *best = best.min(t.elapsed().as_secs_f64() * 1e9);
+            }
+        }
+        rec.record_ns("engine/gemm_256_clean_best", best[0]);
+        for (name, ns, limit) in [("one_sided", best[1], 1.5), ("two_sided", best[2], 2.0)] {
+            let x = ns / best[0];
+            rec.record_value(&format!("engine/gemm_256_{name}_overhead"), x, "x");
+            assert!(
+                !simd::active_path().is_simd() || x <= limit,
+                "{name} ABFT costs {x:.2}x the clean kernel at 256^3 (limit {limit}x)"
+            );
+        }
     }
 
     // Correction-path overhead: a faulted run through the corrected
@@ -151,7 +193,6 @@ fn main() {
     // kernel — across all three localizer families.
     {
         use aiga_core::protected::ProtectedGemm;
-        use aiga_core::schemes::Scheme;
         use aiga_gpu::engine::Workspace;
 
         let shape = GemmShape::square(64);
@@ -187,7 +228,6 @@ fn main() {
     // under each family's strongest scheme, the cross-precision
     // comparison the paper never measured.
     {
-        use aiga_core::schemes::Scheme;
         use aiga_faults::Campaign;
         use aiga_gpu::engine::{Dtype, Workspace};
 
@@ -198,10 +238,10 @@ fn main() {
             let b = Matrix::random_dtype(size, size, 2, dtype);
             let eng = GemmEngine::with_default_tiling(shape);
             let mut ws = Workspace::new();
-            eng.run_multi_into(&a, &b, || NoScheme, &[], &mut ws); // warm
+            eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
             let med = rec
                 .bench(&format!("engine/gemm_{size}_clean_{dtype}"), || {
-                    black_box(eng.run_multi_into(&a, &b, || NoScheme, &[], &mut ws));
+                    black_box(eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws));
                 })
                 .median_ns;
             rec.record_value(

@@ -6,7 +6,7 @@
 
 use aiga_bench::Table;
 use aiga_core::schemes::MultiChecksumAbft;
-use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix, NoScheme};
+use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix, TileScheme};
 use aiga_gpu::GemmShape;
 use aiga_util::rng::Rng64;
 
@@ -50,7 +50,7 @@ fn main() {
                     kind: FaultKind::AddValue(-delta),
                 },
             ];
-            let out = eng.run_multi(&a, &b, || NoScheme, &faults);
+            let out = eng.run_multi(&a, &b, TileScheme::NONE, &faults);
             if abft.verify(&a, &out).fault_detected() {
                 detected += 1;
             }

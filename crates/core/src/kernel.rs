@@ -20,13 +20,8 @@
 //! [`crate::registry::SchemeRegistry`]; the selector, pipeline, and
 //! serving session never enumerate schemes again.
 
-use crate::schemes::{
-    GlobalAbft, MultiChecksumAbft, OneSidedThreadAbft, ReplicationSingleAcc,
-    ReplicationTraditional, Scheme, TwoSidedThreadAbft,
-};
-use aiga_gpu::engine::{
-    FaultPlan, GemmEngine, GemmOutput, Matrix, NoScheme, ThreadLocalScheme, Workspace,
-};
+use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
+use aiga_gpu::engine::{FaultPlan, GemmEngine, GemmOutput, Matrix, TileScheme, Workspace};
 use aiga_gpu::timing::{AuxKernel, Calibration, KernelProfile};
 
 /// Tensor-Core FLOPs represented by one per-thread MMA participation.
@@ -41,20 +36,21 @@ pub const FLOPS_PER_CHECKSUM_OP: u64 = 1;
 /// Where a localizing scheme pinned a detected fault.
 ///
 /// Each checksum scheme localizes at the granularity its redundancy
-/// affords: a thread-level detection names the lane whose `Mt × Nt`
-/// fragment is implicated; global ABFT's per-column residual comparison
-/// names one output column; the multi-checksum round-residual ratio
-/// names one output row.
+/// affords: a thread-level detection names the register tile (or the
+/// one column of it) whose check failed; global ABFT's per-column
+/// residual comparison names one output column; the multi-checksum
+/// round-residual ratio names one output row.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultSite {
-    /// A simulated lane flagged; every cell of its fragment is suspect.
-    Lane {
+    /// A register tile's check flagged; the cells it compared are
+    /// suspect (see `aiga_gpu::engine::Detection`).
+    Tile {
         /// Threadblock coordinates.
         block: (u64, u64),
-        /// Warp index within the block.
-        warp: u64,
-        /// Lane within the warp.
-        lane: usize,
+        /// First global row of the flagged `MICRO_MR`-row strip.
+        row: usize,
+        /// First flagged global column.
+        col: usize,
     },
     /// One output column implicated by the kernel-level checksum.
     Column {
@@ -123,7 +119,7 @@ pub struct RunReport {
     /// The detection verdict.
     pub verdict: Verdict,
     /// The (possibly corrupted) FP32 output. Thread-level schemes also
-    /// leave their per-thread detections in `output.detections`.
+    /// leave their per-tile detections in `output.detections`.
     pub output: GemmOutput,
 }
 
@@ -161,7 +157,7 @@ pub trait BoundKernel: Send + Sync {
 
     /// Runs `activations · weights` on `engine` under this scheme,
     /// injecting `faults`, entirely inside `ws`. The (possibly
-    /// corrupted) output — including per-thread detections for
+    /// corrupted) output — including per-tile detections for
     /// thread-level schemes — is left in `ws` for the caller to read;
     /// the returned [`Verdict`] is the scheme's overall judgement.
     fn run_into(
@@ -319,12 +315,12 @@ impl BoundKernel for UnprotectedBound {
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        engine.run_multi_into(activations, &self.weights, || NoScheme, faults, ws);
+        engine.run_multi_into(activations, &self.weights, TileScheme::NONE, faults, ws);
         Verdict::Clean
     }
 
     fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let output = engine.run_multi(activations, &self.weights, || NoScheme, faults);
+        let output = engine.run_multi(activations, &self.weights, TileScheme::NONE, faults);
         RunReport {
             verdict: Verdict::Clean,
             output,
@@ -377,7 +373,7 @@ impl BoundKernel for GlobalBound {
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        engine.run_multi_into(activations, &self.weights, || NoScheme, faults, ws);
+        engine.run_multi_into(activations, &self.weights, TileScheme::NONE, faults, ws);
         // The deferred reduce-and-compare (§2.5 step 5) runs off the
         // workspace's checksum scratch — no per-request allocation.
         let (output, check) = ws.output_and_check();
@@ -386,7 +382,7 @@ impl BoundKernel for GlobalBound {
     }
 
     fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let output = engine.run_multi(activations, &self.weights, || NoScheme, faults);
+        let output = engine.run_multi(activations, &self.weights, TileScheme::NONE, faults);
         let verdict = verdict_from_global(self.abft.verify(activations, &output));
         RunReport { verdict, output }
     }
@@ -427,6 +423,12 @@ impl BoundKernel for GlobalBound {
                     observed += output.get(i, j) as f64;
                 }
                 let diff = (expected - observed).abs();
+                if diff.is_nan() {
+                    // A cell struck to NaN or ±Inf: no larger deviation
+                    // exists.
+                    best = j;
+                    break;
+                }
                 if diff > best_diff {
                     best_diff = diff;
                     best = j;
@@ -465,25 +467,26 @@ fn verdict_from_global(v: crate::schemes::GlobalVerdict) -> Verdict {
 }
 
 // ---------------------------------------------------------------------
-// Thread-level schemes (one generic kernel over `ThreadLocalScheme`)
+// Thread-level schemes (one kernel over the engine's tile check)
 // ---------------------------------------------------------------------
 
-/// Adapter turning any [`ThreadLocalScheme`] factory into a
-/// [`SchemeKernel`]: the engine runs the scheme inside every simulated
-/// thread and the verdict comes from the threads' own final checks.
-pub struct ThreadKernel<S: ThreadLocalScheme + 'static> {
+/// The four thread-level schemes as [`SchemeKernel`]s: the engine
+/// carries the scheme's lanes in every register tile
+/// ([`Scheme::tile_scheme`]) and the verdict comes from the tiles' own
+/// epilogue checks.
+pub struct ThreadKernel {
     scheme: Scheme,
-    make: fn() -> S,
 }
 
-impl<S: ThreadLocalScheme + 'static> ThreadKernel<S> {
-    /// Wraps a thread-local scheme constructor under a scheme id.
-    pub fn new(scheme: Scheme, make: fn() -> S) -> Self {
-        ThreadKernel { scheme, make }
+impl ThreadKernel {
+    /// The kernel for one of the thread-level scheme ids.
+    pub fn new(scheme: Scheme) -> Self {
+        assert!(scheme.is_thread_level(), "{scheme} is not thread-level");
+        ThreadKernel { scheme }
     }
 }
 
-impl<S: ThreadLocalScheme + 'static> SchemeKernel for ThreadKernel<S> {
+impl SchemeKernel for ThreadKernel {
     fn scheme(&self) -> Scheme {
         self.scheme
     }
@@ -495,19 +498,23 @@ impl<S: ThreadLocalScheme + 'static> SchemeKernel for ThreadKernel<S> {
     fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
         Box::new(ThreadBound {
             scheme: self.scheme,
-            make: self.make,
             weights: weights.clone(),
         })
     }
 }
 
-struct ThreadBound<S: ThreadLocalScheme + 'static> {
+struct ThreadBound {
     scheme: Scheme,
-    make: fn() -> S,
     weights: Matrix,
 }
 
-impl<S: ThreadLocalScheme + 'static> BoundKernel for ThreadBound<S> {
+impl ThreadBound {
+    fn tile_scheme(&self, engine: &GemmEngine) -> TileScheme {
+        self.scheme.tile_scheme(engine.shape().k as usize)
+    }
+}
+
+impl BoundKernel for ThreadBound {
     fn scheme(&self) -> Scheme {
         self.scheme
     }
@@ -523,27 +530,29 @@ impl<S: ThreadLocalScheme + 'static> BoundKernel for ThreadBound<S> {
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        let output = engine.run_multi_into(activations, &self.weights, self.make, faults, ws);
+        let scheme = self.tile_scheme(engine);
+        let output = engine.run_multi_into(activations, &self.weights, scheme, faults, ws);
         verdict_from_detections(output)
     }
 
     fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let output = engine.run_multi(activations, &self.weights, self.make, faults);
+        let scheme = self.tile_scheme(engine);
+        let output = engine.run_multi(activations, &self.weights, scheme, faults);
         RunReport {
             verdict: verdict_from_detections(&output),
             output,
         }
     }
 
-    /// Lane localization: every per-thread detection names the
-    /// `(block, warp, lane)` whose fragment is implicated, so repair
-    /// recomputes exactly those `Mt × Nt` cells from the staged panels.
-    /// For the replication schemes this is the majority-vote resolution
-    /// — the disagreeing accumulator is simply overwritten with the
-    /// recomputed (clean) value instead of merely flagged.
+    /// Tile localization: every detection names the strip rows and
+    /// columns its failed compare covered, so repair recomputes exactly
+    /// those cells from the staged panels. For the replication schemes
+    /// this is the majority-vote resolution — the disagreeing
+    /// accumulator is simply overwritten with the recomputed (clean)
+    /// value instead of merely flagged.
     fn correct_into(
         &self,
-        engine: &GemmEngine,
+        _engine: &GemmEngine,
         _activations: &Matrix,
         ws: &mut Workspace,
         verdict: Verdict,
@@ -555,25 +564,20 @@ impl<S: ThreadLocalScheme + 'static> BoundKernel for ThreadBound<S> {
         else {
             return verdict;
         };
-        if ws.output().detections.is_empty() {
+        let Some(first) = ws.output().detections.first() else {
             return verdict;
-        }
-        let site = {
-            let d = &ws.output().detections[0];
-            FaultSite::Lane {
-                block: d.block,
-                warp: d.warp,
-                lane: d.lane,
-            }
+        };
+        let site = FaultSite::Tile {
+            block: first.block,
+            row: first.row,
+            col: first.col,
         };
         // Detections live inside the output we are about to repair:
-        // copy each lane's coordinates out before mutating cells.
+        // copy each one's coordinates out before mutating cells.
         for i in 0..ws.output().detections.len() {
-            let (block, warp, lane) = {
-                let d = &ws.output().detections[i];
-                (d.block, d.warp, d.lane)
-            };
-            engine.recompute_lane_into(block, warp, lane, ws);
+            let d = &ws.output().detections[i];
+            let (row, col, cols) = (d.row, d.col, d.cols);
+            ws.recompute_strip(row, col, cols);
         }
         ws.output_mut().detections.clear();
         Verdict::Corrected {
@@ -649,7 +653,8 @@ impl BoundKernel for MultiChecksumBound {
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        let output = engine.run_multi_into(activations, &self.weights, || NoScheme, faults, ws);
+        let output =
+            engine.run_multi_into(activations, &self.weights, TileScheme::NONE, faults, ws);
         // Walk the rounds directly (no collected MultiVerdict) so the
         // hot path honors run_into's zero-allocation contract.
         for r in 0..self.rounds as usize {
@@ -665,7 +670,7 @@ impl BoundKernel for MultiChecksumBound {
     }
 
     fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let output = engine.run_multi(activations, &self.weights, || NoScheme, faults);
+        let output = engine.run_multi(activations, &self.weights, TileScheme::NONE, faults);
         let v = self.abft.verify(activations, &output);
         let verdict = match v.first_failing_round() {
             Some(round) => Verdict::Detected {
@@ -740,22 +745,10 @@ pub fn builtin_kernels() -> Vec<std::sync::Arc<dyn SchemeKernel>> {
     vec![
         std::sync::Arc::new(UnprotectedKernel),
         std::sync::Arc::new(GlobalKernel),
-        std::sync::Arc::new(ThreadKernel::new(
-            Scheme::ThreadLevelOneSided,
-            OneSidedThreadAbft::new,
-        )),
-        std::sync::Arc::new(ThreadKernel::new(
-            Scheme::ThreadLevelTwoSided,
-            TwoSidedThreadAbft::new,
-        )),
-        std::sync::Arc::new(ThreadKernel::new(
-            Scheme::ReplicationSingleAcc,
-            ReplicationSingleAcc::new,
-        )),
-        std::sync::Arc::new(ThreadKernel::new(
-            Scheme::ReplicationTraditional,
-            ReplicationTraditional::new,
-        )),
+        std::sync::Arc::new(ThreadKernel::new(Scheme::ThreadLevelOneSided)),
+        std::sync::Arc::new(ThreadKernel::new(Scheme::ThreadLevelTwoSided)),
+        std::sync::Arc::new(ThreadKernel::new(Scheme::ReplicationSingleAcc)),
+        std::sync::Arc::new(ThreadKernel::new(Scheme::ReplicationTraditional)),
     ]
 }
 

@@ -8,16 +8,17 @@
 //! provide: its analytical cost profile (Table 1 per-thread work or the
 //! §2.5 epilogue + reduce-and-compare kernel, feeding the timing model)
 //! and its functional protected execution (run + verdict on the
-//! simulated engine). Kernels live in a [`registry::SchemeRegistry`];
+//! engine). Kernels live in a [`registry::SchemeRegistry`];
 //! new schemes plug in by registering — the selector, pipeline, and
 //! session never enumerate schemes.
 //!
 //! - [`schemes`]: the scheme *mechanisms* — [`schemes::GlobalAbft`]
-//!   (kernel-level baseline of Hari et al., §2.5),
-//!   [`schemes::OneSidedThreadAbft`] / [`schemes::TwoSidedThreadAbft`]
-//!   (§5.1–5.2), [`schemes::ReplicationSingleAcc`] /
-//!   [`schemes::ReplicationTraditional`] (§4), and the §2.4
-//!   [`schemes::MultiChecksumAbft`] extension.
+//!   (kernel-level baseline of Hari et al., §2.5), the §2.4
+//!   [`schemes::MultiChecksumAbft`] extension, and the four
+//!   thread-level schemes (one-/two-sided ABFT §5.1–5.2, the two
+//!   replication variants §4) in the form the engine executes them:
+//!   checksum lanes in the microkernel's register tile plus a tile
+//!   epilogue compare ([`schemes::Scheme::tile_scheme`]).
 //! - [`tolerance`]: floating-point-aware checksum comparison with a
 //!   running analytical error bound, so fault detection never false-
 //!   positives on rounding noise.

@@ -1251,7 +1251,7 @@ fn record_gemm_outcome(
     corrections: &mut Vec<LayerCorrection>,
 ) {
     // Thread-level detections come out of the kernel itself, with
-    // per-thread provenance.
+    // per-tile provenance.
     for d in kernel_detections {
         detections.push(LayerDetection {
             layer: gemm_idx,
@@ -1272,7 +1272,7 @@ fn record_gemm_outcome(
             });
         }
     }
-    // A repaired layer records the correction (its per-thread
+    // A repaired layer records the correction (its per-tile
     // detections, if any, were cleared by the repair, so none were
     // pushed above).
     if let Verdict::Corrected {

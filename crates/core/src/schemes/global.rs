@@ -16,7 +16,7 @@
 //! The **weight checksum** (`rowsum B`) is computed once offline because
 //! weights never change between inference requests.
 
-use crate::tolerance::Tolerance;
+use crate::tolerance::{exceeds, Tolerance};
 use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix};
 
 /// Sums a slice of FP32 values pairwise (tree order), as the fused
@@ -150,7 +150,7 @@ impl GlobalAbft {
             + ((out_m * out_n) as f64).log2().ceil();
         let threshold = self.tolerance.threshold(0.0, 1.5 * (logs + 8.0), magnitude);
         GlobalVerdict {
-            fault_detected: residual > threshold,
+            fault_detected: exceeds(residual, threshold),
             residual,
             threshold,
         }
@@ -181,7 +181,7 @@ impl GlobalAbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, NoScheme};
+    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, TileScheme};
     use aiga_gpu::GemmShape;
 
     fn run(
@@ -194,7 +194,7 @@ mod tests {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let eng = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
-        let out = eng.run(&a, &b, || NoScheme, fault);
+        let out = eng.run(&a, &b, TileScheme::NONE, fault);
         (a, out)
     }
 
@@ -204,7 +204,7 @@ mod tests {
         let abft = GlobalAbft::prepare(&b);
         let a = Matrix::random(56, 64, 60);
         let eng = GemmEngine::with_default_tiling(GemmShape::new(56, 48, 64));
-        let out = eng.run(&a, &b, || NoScheme, None);
+        let out = eng.run(&a, &b, TileScheme::NONE, None);
         let v = abft.verify(&a, &out);
         assert!(!v.fault_detected, "{v:?}");
     }
@@ -221,7 +221,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::AddValue(50.0),
         };
-        let out = eng.run(&a, &b, || NoScheme, Some(fault));
+        let out = eng.run(&a, &b, TileScheme::NONE, Some(fault));
         let v = abft.verify(&a, &out);
         assert!(v.fault_detected, "{v:?}");
         assert!((v.residual - 50.0).abs() < 1.0);
@@ -240,7 +240,7 @@ mod tests {
                 after_step: u64::MAX,
                 kind: FaultKind::BitFlip(29),
             };
-            let out = eng.run(&a, &b, || NoScheme, Some(fault));
+            let out = eng.run(&a, &b, TileScheme::NONE, Some(fault));
             assert!(abft.verify(&a, &out).fault_detected, "({r},{c})");
         }
     }
@@ -253,7 +253,7 @@ mod tests {
             let (a, out) = {
                 let a = Matrix::random(24, 32, seed);
                 let eng = GemmEngine::with_default_tiling(GemmShape::new(24, 32, 32));
-                let out = eng.run(&a, &b, || NoScheme, None);
+                let out = eng.run(&a, &b, TileScheme::NONE, None);
                 (a, out)
             };
             assert!(!abft.verify(&a, &out).fault_detected, "seed {seed}");

@@ -1,6 +1,9 @@
 //! All redundant-execution schemes the paper designs or compares.
 //!
-//! Table 1 summarizes the per-K-step costs each thread pays:
+//! Table 1 summarizes the per-K-step costs each GPU thread pays — the
+//! analytic model ([`Scheme::extra_mmas_per_step`],
+//! [`Scheme::checksum_ops_per_step`]) the timing model and the
+//! reproduction bins price:
 //!
 //! | scheme            | extra Tensor Core MMAs | checksum ops    |
 //! |-------------------|------------------------|-----------------|
@@ -10,6 +13,22 @@
 //!
 //! Global ABFT pays none of these in the main kernel; its costs are a
 //! fused epilogue plus a separate reduce-and-compare kernel (§2.5).
+//!
+//! On the host the four thread-level schemes execute as
+//! [`TileScheme`]s ([`Scheme::tile_scheme`]): redundant accumulators
+//! the engine's microkernel carries per `MICRO_MR × MICRO_NR` register
+//! tile — the unit that plays the GPU thread's role here — and a tile
+//! epilogue compare. Per K element of one register tile (64 data
+//! FMAs):
+//!
+//! | scheme            | redundant FMAs | staged once per run | compare per tile |
+//! |-------------------|----------------|---------------------|------------------|
+//! | one-sided ABFT    | 16 (+16 magnitude) | A strip sums    | 16 column sums   |
+//! | two-sided ABFT    | 1 (+1 magnitude)   | A strip + B tile sums | 1 tile sum |
+//! | replication       | 64 (second pass)   | —               | 64 cells / 1 sum |
+//!
+//! Each module documents its scheme's host form and derives its
+//! threshold; this module maps scheme ids onto them.
 
 mod global;
 mod multi;
@@ -19,10 +38,28 @@ mod thread_two_sided;
 
 pub use global::{GlobalAbft, GlobalVerdict};
 pub use multi::{MultiChecksumAbft, MultiVerdict};
-pub use replication::{ReplicationSingleAcc, ReplicationTraditional};
-pub use thread_one_sided::OneSidedThreadAbft;
-pub use thread_two_sided::TwoSidedThreadAbft;
 
+use crate::tolerance::{Tolerance, U32};
+use aiga_gpu::engine::{Redundancy, TileScheme};
+
+/// `lanes` under the analytical tolerance with `rounds32` f32 roundings
+/// charged against the check's magnitude.
+fn analytical(lanes: Redundancy, rounds32: f64) -> TileScheme {
+    let (slope, floor) = Tolerance::Analytical.linear_lp(0.0, 0.0, rounds32);
+    TileScheme {
+        lanes,
+        slope,
+        floor,
+    }
+}
+
+/// Higham's `γ_n = n·u / (1 − n·u)` in units of `u = 2⁻²⁴`: the
+/// round count that makes an `n`-rounding first-order bound hold to all
+/// orders.
+fn gamma_rounds(n: usize) -> f64 {
+    let n = n as f64;
+    n / (1.0 - n * U32)
+}
 use aiga_gpu::TilingConfig;
 
 /// Identifier for every scheme the evaluation compares.
@@ -145,6 +182,22 @@ impl Scheme {
             Scheme::ReplicationSingleAcc => 4,
             Scheme::ReplicationTraditional => 5,
             Scheme::MultiChecksum(rounds) => 6 + rounds as u64,
+        }
+    }
+
+    /// The scheme as the engine executes it, for a GEMM whose padded
+    /// inner dimension is `k`: the lanes its register tiles carry and
+    /// the threshold their epilogue compares against. Schemes that do no
+    /// thread-level work (the baseline, and the kernel-level ABFT
+    /// family, whose checks run outside the engine) map to
+    /// [`TileScheme::NONE`].
+    pub fn tile_scheme(self, k: usize) -> TileScheme {
+        match self {
+            Scheme::Unprotected | Scheme::GlobalAbft | Scheme::MultiChecksum(_) => TileScheme::NONE,
+            Scheme::ThreadLevelOneSided => thread_one_sided::tile_scheme(k),
+            Scheme::ThreadLevelTwoSided => thread_two_sided::tile_scheme(k),
+            Scheme::ReplicationSingleAcc => replication::single_acc_tile_scheme(),
+            Scheme::ReplicationTraditional => replication::traditional_tile_scheme(),
         }
     }
 

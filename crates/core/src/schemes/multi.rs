@@ -21,7 +21,7 @@
 //! because `C` itself is FP32.
 
 use crate::schemes::GlobalVerdict;
-use crate::tolerance::Tolerance;
+use crate::tolerance::{exceeds, Tolerance};
 use aiga_gpu::engine::{GemmOutput, Matrix};
 
 /// Multi-round weighted global ABFT state for one layer.
@@ -132,7 +132,7 @@ impl MultiChecksumAbft {
         let rounds32 = (a.cols as f64).log2().ceil() + 24.0;
         let threshold = self.tolerance.threshold(0.0, rounds32, magnitude);
         GlobalVerdict {
-            fault_detected: residual > threshold,
+            fault_detected: exceeds(residual, threshold),
             residual,
             threshold,
         }
@@ -172,7 +172,7 @@ impl MultiChecksumAbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, NoScheme};
+    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, TileScheme};
     use aiga_gpu::GemmShape;
 
     fn setup(seed: u64) -> (Matrix, Matrix, GemmEngine) {
@@ -196,7 +196,7 @@ mod tests {
         for seed in [100, 200, 300] {
             let (a, b, eng) = setup(seed);
             let abft = MultiChecksumAbft::prepare(&b, 3);
-            let out = eng.run(&a, &b, || NoScheme, None);
+            let out = eng.run(&a, &b, TileScheme::NONE, None);
             let v = abft.verify(&a, &out);
             assert!(!v.fault_detected(), "seed {seed}: {:?}", v.rounds);
         }
@@ -210,7 +210,7 @@ mod tests {
         let out = eng.run_multi(
             &a,
             &b,
-            || NoScheme,
+            TileScheme::NONE,
             &[fault(3, 5, 250.0), fault(20, 9, -250.0)],
         );
         let single = MultiChecksumAbft::prepare(&b, 1);
@@ -228,7 +228,7 @@ mod tests {
         let out = eng.run_multi(
             &a,
             &b,
-            || NoScheme,
+            TileScheme::NONE,
             &[fault(3, 5, 250.0), fault(20, 9, -250.0)],
         );
         let dual = MultiChecksumAbft::prepare(&b, 2);
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn single_faults_are_still_caught_by_round_zero() {
         let (a, b, eng) = setup(600);
-        let out = eng.run(&a, &b, || NoScheme, Some(fault(7, 7, 99.0)));
+        let out = eng.run(&a, &b, TileScheme::NONE, Some(fault(7, 7, 99.0)));
         let dual = MultiChecksumAbft::prepare(&b, 2);
         let v = dual.verify(&a, &out);
         assert_eq!(v.first_failing_round(), Some(0));
@@ -257,7 +257,7 @@ mod tests {
             let out = eng.run_multi(
                 &a,
                 &b,
-                || NoScheme,
+                TileScheme::NONE,
                 &[fault(r1, 0, 300.0), fault(r2, 39, -300.0)],
             );
             assert!(

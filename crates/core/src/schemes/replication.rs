@@ -12,168 +12,42 @@
 //! the sum of those four equals the sum of the thread's `Mt·Nt` original
 //! accumulators. Register pressure stays flat at the cost of a coarser,
 //! tolerance-based check.
+//!
+//! On the host both are a second microkernel pass over the same packed
+//! panels into a shadow tile — the register file has no room for a
+//! second 4×16 accumulator set, which is the same cliff in miniature —
+//! and differ only in the epilogue: traditional compares the two tiles
+//! bit for bit (a detection names one strip column), single-accumulation
+//! compares only the two register-tile *sums* (a detection names the
+//! tile), so a fault small enough to vanish in the sum's rounding
+//! escapes it.
 
-use crate::tolerance::Tolerance;
-use aiga_gpu::engine::{KStep, SchemeCounters, ThreadCtx, ThreadLocalScheme, ThreadVerdict};
-use aiga_gpu::tiling::MAX_THREAD_ACC;
+use super::analytical;
+use aiga_gpu::engine::{Redundancy, TileScheme};
 
-/// Traditional thread-level replication: full duplicate accumulators,
-/// exact element-wise comparison.
-///
-/// The shadow accumulators are a fixed-size array bounded by the
-/// register-file limit on thread tiles ([`MAX_THREAD_ACC`]) — the exact
-/// register doubling that causes the §4 occupancy cliff — so per-thread
-/// construction never allocates.
-#[derive(Clone, Debug)]
-pub struct ReplicationTraditional {
-    shadow: [f32; MAX_THREAD_ACC],
-    counters: SchemeCounters,
-}
-
-impl ReplicationTraditional {
-    /// Creates a scheme instance.
-    pub fn new() -> Self {
-        ReplicationTraditional {
-            shadow: [0.0; MAX_THREAD_ACC],
-            counters: SchemeCounters::default(),
-        }
+/// Traditional replication's engine-side scheme: bitwise compare, no
+/// threshold.
+pub fn traditional_tile_scheme() -> TileScheme {
+    TileScheme {
+        lanes: Redundancy::ShadowExact,
+        slope: 0.0,
+        floor: 0.0,
     }
 }
 
-impl Default for ReplicationTraditional {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThreadLocalScheme for ReplicationTraditional {
-    fn begin(&mut self, ctx: &ThreadCtx) {
-        debug_assert!(ctx.rows.len() * ctx.cols.len() <= MAX_THREAD_ACC);
-        self.shadow.fill(0.0);
-        self.counters = SchemeCounters::default();
-    }
-
-    fn on_k_step(&mut self, step: &KStep<'_>) {
-        let (mt, nt) = (step.mt, step.nt);
-        // Replays the engine's canonical accumulation order bit-for-bit,
-        // straight off the pre-decoded fragments: one correctly-rounded
-        // FMA per K element, in K order (decoding is exact, so the
-        // shadow sequence matches the microkernel's exactly).
-        for i in 0..mt {
-            let a0 = step.a_f32[i * 2];
-            let a1 = step.a_f32[i * 2 + 1];
-            for j in 0..nt {
-                let s = a0.mul_add(step.b_f32[j], self.shadow[i * nt + j]);
-                self.shadow[i * nt + j] = a1.mul_add(step.b_f32[nt + j], s);
-            }
-        }
-        self.counters.extra_mmas += (mt * nt / 2) as u64;
-    }
-
-    fn finalize(&mut self, _ctx: &ThreadCtx, acc: &[f32], mt: usize, nt: usize) -> ThreadVerdict {
-        let mut worst = ThreadVerdict::clean();
-        #[allow(clippy::needless_range_loop)] // acc and shadow indexed in lockstep
-        for idx in 0..mt * nt {
-            let residual = (acc[idx] as f64 - self.shadow[idx] as f64).abs();
-            if Tolerance::Exact.flags(residual, 0.0, 0.0, 0.0) && residual >= worst.residual {
-                worst = ThreadVerdict {
-                    fault_detected: true,
-                    residual,
-                    threshold: 0.0,
-                };
-            }
-        }
-        worst
-    }
-
-    fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
-}
-
-/// Replicated-MMA, single-accumulation replication: redundant MMA results
-/// fold into four shared registers (§4).
-#[derive(Clone, Debug)]
-pub struct ReplicationSingleAcc {
-    tolerance: Tolerance,
-    racc: [f32; 4],
-    magnitude: f64,
-    steps: u64,
-    counters: SchemeCounters,
-}
-
-impl ReplicationSingleAcc {
-    /// Creates a scheme instance with the default analytical tolerance.
-    pub fn new() -> Self {
-        Self::with_tolerance(Tolerance::Analytical)
-    }
-
-    /// Creates a scheme instance with an explicit tolerance policy.
-    pub fn with_tolerance(tolerance: Tolerance) -> Self {
-        ReplicationSingleAcc {
-            tolerance,
-            racc: [0.0; 4],
-            magnitude: 0.0,
-            steps: 0,
-            counters: SchemeCounters::default(),
-        }
-    }
-}
-
-impl Default for ReplicationSingleAcc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThreadLocalScheme for ReplicationSingleAcc {
-    fn begin(&mut self, _ctx: &ThreadCtx) {
-        self.racc = [0.0; 4];
-        self.magnitude = 0.0;
-        self.steps = 0;
-        self.counters = SchemeCounters::default();
-    }
-
-    fn on_k_step(&mut self, step: &KStep<'_>) {
-        let (mt, nt) = (step.mt, step.nt);
-        for i in 0..mt {
-            let a0 = step.a_f32[i * 2];
-            let a1 = step.a_f32[i * 2 + 1];
-            for j in 0..nt {
-                let partial = a0 * step.b_f32[j] + a1 * step.b_f32[nt + j];
-                // All redundant MMA outputs land in the same four regs.
-                self.racc[(i * nt + j) & 3] += partial;
-                self.magnitude += (a0.abs() as f64) * (step.b_f32[j].abs() as f64)
-                    + (a1.abs() as f64) * (step.b_f32[nt + j].abs() as f64);
-            }
-        }
-        self.steps += 1;
-        self.counters.extra_mmas += (mt * nt / 2) as u64;
-    }
-
-    fn finalize(&mut self, _ctx: &ThreadCtx, acc: &[f32], mt: usize, nt: usize) -> ThreadVerdict {
-        let redundant: f64 = self.racc.iter().map(|&v| v as f64).sum();
-        let original: f64 = acc[..mt * nt].iter().map(|&v| v as f64).sum();
-        let residual = (original - redundant).abs();
-        // Both sides are FP32-only; the add orders differ completely, so
-        // charge both accumulation chains.
-        let rounds32 = (2 * self.steps) as f64 * (mt * nt) as f64 / 4.0 + (mt * nt) as f64;
-        let threshold = self.tolerance.threshold(0.0, rounds32, self.magnitude);
-        ThreadVerdict {
-            fault_detected: residual > threshold,
-            residual,
-            threshold,
-        }
-    }
-
-    fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
+/// Single-accumulation replication's engine-side scheme. The two tile
+/// sums run the same operations on (when clean) the same bits, so any
+/// threshold is free of false alarms; this one charges the 6 roundings
+/// of each sum against `Σ |shadow cell|` — the resolution a fold into
+/// shared registers keeps.
+pub fn single_acc_tile_scheme() -> TileScheme {
+    analytical(Redundancy::ShadowSum, 12.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::Scheme;
     use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix};
     use aiga_gpu::{GemmShape, TilingConfig};
 
@@ -194,14 +68,14 @@ mod tests {
     fn traditional_is_exactly_clean_without_faults() {
         let a = Matrix::random(32, 32, 41);
         let b = Matrix::random(32, 32, 42);
-        let out = engine().run(&a, &b, ReplicationTraditional::new, None);
+        let out = engine().run(&a, &b, traditional_tile_scheme(), None);
         assert!(!out.fault_detected());
     }
 
     #[test]
     fn traditional_detects_even_one_ulp_faults() {
         // Exact comparison catches the smallest possible corruption —
-        // the advantage replication buys with its register cost.
+        // the advantage replication buys with its doubled work.
         let a = Matrix::random(32, 32, 43);
         let b = Matrix::random(32, 32, 44);
         let fault = FaultPlan {
@@ -210,7 +84,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::BitFlip(0), // LSB of the mantissa
         };
-        let out = engine().run(&a, &b, ReplicationTraditional::new, Some(fault));
+        let out = engine().run(&a, &b, traditional_tile_scheme(), Some(fault));
         assert!(out.fault_detected());
     }
 
@@ -218,7 +92,7 @@ mod tests {
     fn single_acc_is_clean_without_faults() {
         let a = Matrix::random(32, 32, 45);
         let b = Matrix::random(32, 32, 46);
-        let out = engine().run(&a, &b, ReplicationSingleAcc::new, None);
+        let out = engine().run(&a, &b, single_acc_tile_scheme(), None);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -226,23 +100,36 @@ mod tests {
     fn single_acc_detects_large_faults_only() {
         let a = Matrix::random(32, 32, 47);
         let b = Matrix::random(32, 32, 48);
-        let big = FaultPlan {
+        let at = |kind| FaultPlan {
             row: 1,
             col: 1,
             after_step: 4,
-            kind: FaultKind::AddValue(500.0),
+            kind,
         };
-        let out = engine().run(&a, &b, ReplicationSingleAcc::new, Some(big));
+        let big = at(FaultKind::AddValue(500.0));
+        let out = engine().run(&a, &b, single_acc_tile_scheme(), Some(big));
         assert!(out.fault_detected());
+        // A one-ulp flip is absorbed by the tile sum's rounding budget.
+        let ulp = FaultPlan {
+            after_step: u64::MAX,
+            ..at(FaultKind::BitFlip(0))
+        };
+        let out = engine().run(&a, &b, single_acc_tile_scheme(), Some(ulp));
+        assert!(!out.fault_detected());
     }
 
     #[test]
     fn both_variants_double_the_mma_count() {
+        let t = engine().tiling();
         let a = Matrix::random(32, 32, 49);
         let b = Matrix::random(32, 32, 50);
-        let out = engine().run(&a, &b, ReplicationTraditional::new, None);
-        assert_eq!(out.counters.scheme.extra_mmas, out.counters.baseline_mmas);
-        let out2 = engine().run(&a, &b, ReplicationSingleAcc::new, None);
-        assert_eq!(out2.counters.scheme.extra_mmas, out2.counters.baseline_mmas);
+        for (scheme, tile) in [
+            (Scheme::ReplicationTraditional, traditional_tile_scheme()),
+            (Scheme::ReplicationSingleAcc, single_acc_tile_scheme()),
+        ] {
+            assert_eq!(scheme.extra_mmas_per_step(&t), t.mmas_per_thread_step());
+            let c = engine().run(&a, &b, tile, None).counters;
+            assert_eq!(c.checksum_fmas, c.data_fmas, "{scheme}");
+        }
     }
 }

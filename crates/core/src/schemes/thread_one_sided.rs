@@ -1,311 +1,58 @@
 //! One-sided thread-level ABFT (§5.2.2) — the scheme intensity-guided
 //! ABFT deploys on bandwidth-bound layers.
 //!
-//! Per K-step, the thread generates a checksum only for its `Bt` chunk
-//! (one FP16 row-sum per k-lane, on traditional ALUs) and multiplies the
-//! *entirety* of its `At` chunk by that checksum on Tensor Cores —
-//! `Mt/2` extra MMAs and `O(Nt)` checksum ops per step (Table 1). The
-//! running ABFT results are `Mt` per-row sums; at the end the thread
-//! compares each against the row sum of its own accumulators. Everything
-//! reuses the loads the thread already performed: zero extra memory
-//! traffic (the §3.5 design principle).
+//! On the GPU a thread checksums its `Bt` chunk per K-step and
+//! multiplies its whole `At` chunk by that checksum on Tensor Cores
+//! (`Mt/2` extra MMAs, `O(Nt)` checksum ops — Table 1), reusing loads it
+//! already made. The host's "thread" is the `MICRO_MR × MICRO_NR`
+//! register tile, whose cheap side is the other one: the A strip is
+//! broadcast a scalar at a time, so the strip's column sum
+//! `s[k] = Σ_i a[i][k]` (summed once at staging) rides as a fifth
+//! broadcast row against the two B vectors the tile already loaded.
+//! Per K element that is [`MICRO_NR`] checksum FMAs beside
+//! `MICRO_MR·MICRO_NR` data FMAs (¼ more), plus the same again for the
+//! magnitude lanes `Σ_k s_abs[k]·|b[k][j]|` with
+//! `s_abs[k] = Σ_i |a[i][k]|` — and no memory traffic the data walk
+//! does not already make (the §3.5 design principle). The epilogue
+//! compares each column sum of the stored tile against its checksum
+//! lane, so a detection names one strip column: `MICRO_MR` cells.
+//!
+//! [`MICRO_NR`]: aiga_gpu::tiling::MICRO_NR
 
-use crate::tolerance::Tolerance;
-use aiga_dtype::Dtype;
-use aiga_gpu::engine::{
-    KStep, LaneWalk, SchemeCounters, ThreadCtx, ThreadLocalScheme, ThreadVerdict,
-};
-use aiga_gpu::tiling::{MAX_THREAD_MT, MAX_THREAD_NT};
+use super::{analytical, gamma_rounds};
+use aiga_gpu::engine::{Redundancy, TileScheme};
+use aiga_gpu::tiling::MICRO_MR;
 
-/// Per-thread state of one-sided thread-level ABFT.
+/// The engine-side scheme for a GEMM whose padded inner dimension is
+/// `k`.
 ///
-/// The running checksums live in fixed-size arrays bounded by the
-/// register-file limit on thread tiles ([`MAX_THREAD_MT`]) — exactly as
-/// the real kernel keeps them in registers — so constructing one
-/// instance per simulated thread never touches the heap.
-#[derive(Clone, Debug)]
-pub struct OneSidedThreadAbft {
-    tolerance: Tolerance,
-    /// Running ABFT outputs: `abft[i] ≈ Σ_k At[i][k] · (Σ_j Bt[k][j])`.
-    abft: [f32; MAX_THREAD_MT],
-    /// Running `Σ_k |At[i][k]| · Σ_j |Bt[k][j]|` for the error bound.
-    magnitude: [f64; MAX_THREAD_MT],
-    steps: u64,
-    /// Storage dtype of the GEMM being verified, captured per K-step —
-    /// selects the checksum chain's arithmetic ([`Dtype::chain_add`]) and
-    /// its unit roundoff in the detection threshold.
-    dtype: Dtype,
-    counters: SchemeCounters,
-}
-
-impl OneSidedThreadAbft {
-    /// Creates a scheme instance with the default analytical tolerance.
-    pub fn new() -> Self {
-        Self::with_tolerance(Tolerance::Analytical)
-    }
-
-    /// Creates a scheme instance with an explicit tolerance policy.
-    pub fn with_tolerance(tolerance: Tolerance) -> Self {
-        OneSidedThreadAbft {
-            tolerance,
-            abft: [0.0; MAX_THREAD_MT],
-            magnitude: [0.0; MAX_THREAD_MT],
-            steps: 0,
-            dtype: Dtype::F16,
-            counters: SchemeCounters::default(),
-        }
-    }
-}
-
-impl Default for OneSidedThreadAbft {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OneSidedThreadAbft {
-    /// The scalar K-step walk over `[first, last)` — the portable body
-    /// of the fused lane walk, also finishing the remainder the SIMD
-    /// path leaves (it runs whole 4-step blocks only).
-    fn scalar_steps(&mut self, rows: &[&[f32]], cols: &[&[f32]], first: usize, last: usize) {
-        let dt = self.dtype;
-        for step in first..last {
-            let k0 = step * 2;
-            let mut w = [0.0f32; 2];
-            let mut w_abs = [0.0f64; 2];
-            for (lane, (w, w_abs)) in w.iter_mut().zip(w_abs.iter_mut()).enumerate() {
-                let mut sum = 0.0f32;
-                for col in cols {
-                    let v = col[k0 + lane];
-                    sum = dt.chain_add(sum, v);
-                    *w_abs += (v as f64).abs();
-                }
-                *w = sum;
-            }
-            let (w0, w1) = (w[0], w[1]);
-            for (i, row) in rows.iter().enumerate() {
-                let a0 = row[k0];
-                let a1 = row[k0 + 1];
-                self.abft[i] += a0 * w0 + a1 * w1;
-                self.magnitude[i] += (a0 as f64).abs() * w_abs[0] + (a1 as f64).abs() * w_abs[1];
-            }
-        }
-    }
-}
-
-/// The F16C-vectorized fp16 checksum chain. Each K-step's chain is a
-/// serial `chain_add` recurrence, but *steps* are independent of each
-/// other, so the walk packs 4 consecutive steps × 2 k-lanes into one
-/// 8-wide register — exactly the interleaving the panels store — and
-/// rounds all 8 running sums per chain element with one `vcvtps2ph`/
-/// `vcvtph2ps` pair. Every individual f32/f64 operation and its order
-/// match the scalar walk, so results are bit-identical:
-/// `vcvtps2ph(RNE)` *is* the correctly-rounded f32→fp16 conversion
-/// `Dtype::chain_add` applies (`aiga-fp16`'s oracle-tested software
-/// rounding), and the per-step pair sums / accumulator adds are
-/// extracted and applied in the scalar order.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// Runs whole 4-step blocks of the fp16-chain lane walk and returns
-    /// the index of the first unprocessed step (the caller finishes the
-    /// `k_steps % 4` tail with the scalar walk).
-    ///
-    /// # Safety
-    /// The host must support F16C (which implies AVX).
-    #[target_feature(enable = "avx", enable = "f16c")]
-    pub(super) unsafe fn walk_f16_chain(
-        cols: &[&[f32]],
-        rows: &[&[f32]],
-        k_steps: usize,
-        abft: &mut [f32],
-        magnitude: &mut [f64],
-    ) -> usize {
-        let blocks = k_steps / 4;
-        let sign_mask32 = _mm256_set1_ps(-0.0);
-        for blk in 0..blocks {
-            let base = blk * 8; // 4 steps × 2 k-lanes of interleaved f32
-                                // Chain over the owned columns: slot j of `sum` is the
-                                // running checksum of (step blk·4 + j/2, k-lane j%2).
-            let mut sum = _mm256_setzero_ps();
-            let mut wa_lo = _mm256_setzero_pd(); // |v| sums, slots 0..4
-            let mut wa_hi = _mm256_setzero_pd(); // |v| sums, slots 4..8
-            for col in cols {
-                debug_assert!(base + 8 <= col.len());
-                let v = _mm256_loadu_ps(col.as_ptr().add(base));
-                sum = _mm256_add_ps(sum, v);
-                sum = _mm256_cvtph_ps(_mm256_cvtps_ph(sum, _MM_FROUND_TO_NEAREST_INT));
-                let va = _mm256_andnot_ps(sign_mask32, v);
-                wa_lo = _mm256_add_pd(wa_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(va)));
-                wa_hi = _mm256_add_pd(wa_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)));
-            }
-            let mut wa = [0.0f64; 8];
-            _mm256_storeu_pd(wa.as_mut_ptr(), wa_lo);
-            _mm256_storeu_pd(wa.as_mut_ptr().add(4), wa_hi);
-            // The redundant MMAs, four steps at a time: the products are
-            // one vector multiply (each slot a single f32 multiply, as in
-            // the scalar walk); the per-step pair sums and the running
-            // accumulator adds happen in scalar step order.
-            for (i, row) in rows.iter().enumerate() {
-                debug_assert!(base + 8 <= row.len());
-                let a = _mm256_loadu_ps(row.as_ptr().add(base));
-                let mut t = [0.0f32; 8];
-                _mm256_storeu_ps(t.as_mut_ptr(), _mm256_mul_ps(a, sum));
-                let mut acc = abft[i];
-                let mut mag = magnitude[i];
-                for s in 0..4 {
-                    acc += t[2 * s] + t[2 * s + 1];
-                    mag += (row[base + 2 * s] as f64).abs() * wa[2 * s]
-                        + (row[base + 2 * s + 1] as f64).abs() * wa[2 * s + 1];
-                }
-                abft[i] = acc;
-                magnitude[i] = mag;
-            }
-        }
-        blocks * 4
-    }
-}
-
-impl ThreadLocalScheme for OneSidedThreadAbft {
-    fn begin(&mut self, ctx: &ThreadCtx) {
-        debug_assert!(ctx.rows.len() <= MAX_THREAD_MT);
-        self.abft.fill(0.0);
-        self.magnitude.fill(0.0);
-        self.steps = 0;
-        self.counters = SchemeCounters::default();
-    }
-
-    fn on_k_step(&mut self, step: &KStep<'_>) {
-        let (mt, nt) = (step.mt, step.nt);
-        self.dtype = step.dtype;
-        // Row checksums of the Bt chunk, one per k-lane, generated with
-        // sequential adds in the dtype's checksum-chain format (the HADD2
-        // path for fp16) — [`Dtype::chain_add`] rounds each partial sum
-        // exactly as the hardware chain would; the magnitude bound reads
-        // the engine's pre-decoded values.
-        let mut w = [0.0f32; 2];
-        let mut w_abs = [0.0f64; 2];
-        for lane in 0..2 {
-            let row_f32 = &step.b_f32[lane * nt..(lane + 1) * nt];
-            let mut sum = 0.0f32;
-            for &v in row_f32 {
-                sum = self.dtype.chain_add(sum, v);
-                w_abs[lane] += (v as f64).abs();
-            }
-            w[lane] = sum;
-        }
-        // The redundant MMAs: multiply the whole At chunk by the checksum
-        // (low-precision products, FP32 accumulation — same datapath as
-        // the MMA).
-        let w0 = w[0];
-        let w1 = w[1];
-        for i in 0..mt {
-            let a0 = step.a_f32[i * 2];
-            let a1 = step.a_f32[i * 2 + 1];
-            self.abft[i] += a0 * w0 + a1 * w1;
-            self.magnitude[i] += (a0 as f64).abs() * w_abs[0] + (a1 as f64).abs() * w_abs[1];
-        }
-        self.steps += 1;
-        self.counters.extra_mmas += (mt as u64) / 2;
-        self.counters.checksum_ops += (nt as u64) / 2;
-    }
-
-    // Only the pre-decoded views are consumed, so the engine never
-    // stages the raw FP16 panels for this scheme.
-    fn uses_raw_fragments(&self) -> bool {
-        false
-    }
-
-    /// Fused whole-lane walk: performs exactly the arithmetic
-    /// [`Self::on_k_step`] would perform over the step-ordered replay —
-    /// the same `chain_add` sequence, FP32 accumulations, and f64
-    /// magnitude updates, in the same order — but streams the panel
-    /// slices directly instead of paying a fragment gather and a virtual
-    /// call per K-step. On hosts with F16C the fp16 chain vectorizes
-    /// across K-steps (steps are independent; only the within-step chain
-    /// is serial) with `vcvtps2ph`, whose round-to-nearest-even is the
-    /// same single rounding [`Dtype::chain_add`] applies. Verdicts,
-    /// residuals, and counters are bit-identical to the default replay
-    /// path on every host (pinned by test).
-    fn walk_lane(&mut self, walk: &LaneWalk<'_>) {
-        let (mt, nt, k) = (walk.rows.len(), walk.cols.len(), walk.k);
-        self.dtype = walk.dtype;
-        // One contiguous K-walk slice per owned row/column.
-        let mut rows: [&[f32]; MAX_THREAD_MT] = [&[]; MAX_THREAD_MT];
-        for (ri, &r) in walk.rows.iter().enumerate() {
-            rows[ri] = &walk.a_f32[r * k..r * k + k];
-        }
-        let mut cols: [&[f32]; MAX_THREAD_NT] = [&[]; MAX_THREAD_NT];
-        for (ci, &c) in walk.cols.iter().enumerate() {
-            cols[ci] = &walk.b_f32_t[c * k..c * k + k];
-        }
-        let mut first_step = 0usize;
-        #[cfg(target_arch = "x86_64")]
-        if matches!(self.dtype, Dtype::F16 | Dtype::Fp8E4M3)
-            && aiga_gpu::engine::simd::active_path().is_simd()
-            && std::arch::is_x86_feature_detected!("f16c")
-        {
-            // SAFETY: the F16C (and the AVX it implies) requirement was
-            // just verified at runtime.
-            first_step = unsafe {
-                x86::walk_f16_chain(
-                    &cols[..nt],
-                    &rows[..mt],
-                    walk.k_steps as usize,
-                    &mut self.abft,
-                    &mut self.magnitude,
-                )
-            };
-        }
-        self.scalar_steps(&rows[..mt], &cols[..nt], first_step, walk.k_steps as usize);
-        self.steps += walk.k_steps;
-        self.counters.extra_mmas += walk.k_steps * ((mt as u64) / 2);
-        self.counters.checksum_ops += walk.k_steps * ((nt as u64) / 2);
-    }
-
-    fn finalize(&mut self, _ctx: &ThreadCtx, acc: &[f32], mt: usize, nt: usize) -> ThreadVerdict {
-        let mut worst = ThreadVerdict::clean();
-        for i in 0..mt {
-            let row_sum: f64 = acc[i * nt..(i + 1) * nt].iter().map(|&v| v as f64).sum();
-            let residual = (row_sum - self.abft[i] as f64).abs();
-            // Low-precision rounds: Nt-term B-checksum per step at the
-            // chain's unit roundoff; FP32 rounds: the two running
-            // accumulations plus the final row sum.
-            let rounds_lp = nt as f64;
-            let rounds32 = (2 * self.steps) as f64 + nt as f64;
-            let threshold = self.tolerance.threshold_lp(
-                rounds_lp,
-                self.dtype.chain_unit(),
-                rounds32,
-                self.magnitude[i],
-            );
-            if residual > threshold && residual > worst.residual {
-                worst = ThreadVerdict {
-                    fault_detected: true,
-                    residual,
-                    threshold,
-                };
-            } else if !worst.fault_detected && residual > worst.residual {
-                worst = ThreadVerdict {
-                    fault_detected: false,
-                    residual,
-                    threshold,
-                };
-            }
-        }
-        worst
-    }
-
-    fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
+/// Threshold derivation, all in f32 (`u = 2⁻²⁴`), against the magnitude
+/// `M = Σ_k s_abs[k]·|b[k][j]|`, which bounds every partial sum below:
+///
+/// - each of the `MICRO_MR` data accumulators is a `k`-step FMA chain:
+///   together at most `γ_k·M`;
+/// - the checksum lane is a `k`-step FMA chain over `s[k]`, itself a
+///   pairwise sum of `MICRO_MR` values (2 roundings): `γ_{k+2}·M`;
+/// - the epilogue's pairwise column sum of the tile: `γ_2·M`;
+/// - the magnitude lane is a chain of non-negative terms, so it
+///   under-reads `M` by at most `γ_{k+2}`.
+///
+/// `n = 2k + 4·MICRO_MR` roundings cover the first three with slack, and
+/// `n/(1 − n·u)` (Higham's `γ_n`) absorbs the fourth and every
+/// second-order term — a worst-case forward bound, so a clean run can
+/// never flag, with every rounding charged at `2⁻²⁴` where the modelled
+/// fp16 HADD2 chain charged `2⁻¹¹`.
+pub fn tile_scheme(k: usize) -> TileScheme {
+    analytical(
+        Redundancy::ColumnChecksum,
+        gamma_rounds(2 * k + 4 * MICRO_MR),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::Scheme;
     use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix};
     use aiga_gpu::{GemmShape, TilingConfig};
 
@@ -326,7 +73,7 @@ mod tests {
     fn clean_run_raises_no_detection() {
         let a = Matrix::random(32, 64, 21);
         let b = Matrix::random(64, 32, 22);
-        let out = engine().run(&a, &b, OneSidedThreadAbft::new, None);
+        let out = engine().run(&a, &b, tile_scheme(64), None);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -340,9 +87,10 @@ mod tests {
             after_step: 7,
             kind: FaultKind::AddValue(64.0),
         };
-        let out = engine().run(&a, &b, OneSidedThreadAbft::new, Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
         assert!(out.fault_detected());
-        // Exactly one thread owns the element, so exactly one detection.
+        // Exactly one strip column owns the element, so exactly one
+        // detection.
         assert_eq!(out.detections.len(), 1);
         assert!(out.detections[0].residual > out.detections[0].threshold);
     }
@@ -358,143 +106,31 @@ mod tests {
                 after_step: u64::MAX,
                 kind: FaultKind::BitFlip(bit),
             };
-            let out = engine().run(&a, &b, OneSidedThreadAbft::new, Some(fault));
+            let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
             assert!(out.fault_detected(), "bit {bit} escaped detection");
         }
     }
 
     #[test]
     fn counters_match_table_1() {
+        // Table 1's per-thread counts are the analytic model's; the
+        // engine reports what the host ran instead — a quarter more
+        // FMAs than the data walk.
+        let t = engine().tiling();
+        let one = Scheme::ThreadLevelOneSided;
+        assert_eq!(one.extra_mmas_per_step(&t), t.thread_mt() / 2);
+        assert_eq!(one.checksum_ops_per_step(&t), t.thread_nt() / 2);
         let a = Matrix::random(32, 64, 27);
         let b = Matrix::random(64, 32, 28);
-        let out = engine().run(&a, &b, OneSidedThreadAbft::new, None);
-        let t = engine().tiling();
-        let steps = out.counters.threads * out.counters.k_steps;
-        assert_eq!(out.counters.scheme.extra_mmas, steps * t.thread_mt() / 2);
-        assert_eq!(out.counters.scheme.checksum_ops, steps * t.thread_nt() / 2);
-    }
-
-    #[test]
-    fn fused_walk_is_bit_identical_to_the_replayed_walk() {
-        // A wrapper that inherits the trait's default `walk_lane` (the
-        // per-step fragment replay) while delegating every hook to a
-        // real one-sided instance: running both against the same GEMM
-        // pins the fused override to the replay bit for bit — verdicts,
-        // residuals, thresholds, and counters.
-        struct ReplayOnly(OneSidedThreadAbft);
-        impl ThreadLocalScheme for ReplayOnly {
-            fn begin(&mut self, ctx: &ThreadCtx) {
-                self.0.begin(ctx)
-            }
-            fn on_k_step(&mut self, step: &KStep<'_>) {
-                self.0.on_k_step(step)
-            }
-            fn finalize(
-                &mut self,
-                ctx: &ThreadCtx,
-                acc: &[f32],
-                mt: usize,
-                nt: usize,
-            ) -> ThreadVerdict {
-                self.0.finalize(ctx, acc, mt, nt)
-            }
-            fn counters(&self) -> SchemeCounters {
-                self.0.counters()
-            }
-        }
-        let a = Matrix::random(32, 64, 31);
-        let b = Matrix::random(64, 32, 32);
-        for fault in [
-            None,
-            Some(FaultPlan {
-                row: 5,
-                col: 11,
-                after_step: 3,
-                kind: FaultKind::AddValue(48.0),
-            }),
-        ] {
-            let fused = engine().run(&a, &b, OneSidedThreadAbft::new, fault);
-            let replayed = engine().run(&a, &b, || ReplayOnly(OneSidedThreadAbft::new()), fault);
-            assert_eq!(fused.c, replayed.c);
-            assert_eq!(fused.detections.len(), replayed.detections.len());
-            for (f, r) in fused.detections.iter().zip(&replayed.detections) {
-                assert_eq!(f.residual.to_bits(), r.residual.to_bits());
-                assert_eq!(f.threshold.to_bits(), r.threshold.to_bits());
-                assert_eq!((f.block, f.warp, f.lane), (r.block, r.warp, r.lane));
-            }
-            assert_eq!(fused.counters.scheme, replayed.counters.scheme);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn f16c_chain_walk_is_bit_identical_on_adversarial_values() {
-        // The vectorized chain must agree with the scalar `chain_add`
-        // walk on the values where an incorrect rounding would hide:
-        // fp16 subnormals, quantum-boundary ties, the 65504/65520
-        // overflow edge, signed zeros, and sign cancellations.
-        if !std::arch::is_x86_feature_detected!("f16c") {
-            return;
-        }
-        use aiga_fp16::F16;
-        let specials = [
-            0x0000u16, 0x8000, // ±0
-            0x0001, 0x03ff, 0x8001, // subnormals
-            0x0400, 0x8400, // smallest normals
-            0x3c00, 0xbc00, 0x3c01, // ±1, 1+ulp
-            0x57ff, 0xd800, // near the 128 quantum step
-            0x7bff, 0xfbff, // ±65504
-            0x7800, 0xf800, // ±32768 (chains toward overflow)
-        ];
-        let k = 64usize; // 32 steps: exercises both SIMD blocks and tail
-        let (mt, nt) = (4usize, 8usize);
-        let mut state = 12345u32;
-        let mut fill = |len: usize| -> Vec<f32> {
-            (0..len)
-                .map(|i| {
-                    state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                    if i % 3 == 0 {
-                        F16::from_bits(specials[(state >> 8) as usize % specials.len()]).to_f32()
-                    } else {
-                        F16::from_f32(((state >> 16) as f32 - 32768.0) / 256.0).to_f32()
-                    }
-                })
-                .collect()
-        };
-        let col_data: Vec<Vec<f32>> = (0..nt).map(|_| fill(k)).collect();
-        let row_data: Vec<Vec<f32>> = (0..mt).map(|_| fill(k)).collect();
-        let cols: Vec<&[f32]> = col_data.iter().map(|c| c.as_slice()).collect();
-        let rows: Vec<&[f32]> = row_data.iter().map(|r| r.as_slice()).collect();
-        let k_steps = k / 2;
-
-        let mut simd = OneSidedThreadAbft::new();
-        // SAFETY: f16c support verified above.
-        let first = unsafe {
-            super::x86::walk_f16_chain(&cols, &rows, k_steps, &mut simd.abft, &mut simd.magnitude)
-        };
-        simd.scalar_steps(&rows, &cols, first, k_steps);
-
-        let mut scalar = OneSidedThreadAbft::new();
-        scalar.scalar_steps(&rows, &cols, 0, k_steps);
-
-        for i in 0..mt {
-            assert_eq!(
-                simd.abft[i].to_bits(),
-                scalar.abft[i].to_bits(),
-                "abft[{i}] drifted"
-            );
-            assert_eq!(
-                simd.magnitude[i].to_bits(),
-                scalar.magnitude[i].to_bits(),
-                "magnitude[{i}] drifted"
-            );
-        }
+        let c = engine().run(&a, &b, tile_scheme(64), None).counters;
+        assert_eq!(c.data_fmas, 32 * 32 * 64);
+        assert_eq!(c.checksum_fmas * 4, c.data_fmas);
     }
 
     #[test]
     fn detection_localizes_to_the_owning_thread_rows() {
-        // One-sided ABFT checks per accumulator row: a fault in row r is
-        // flagged by the thread owning row r.
+        // One-sided ABFT checks per strip column: a fault at (r, c) is
+        // flagged by the register tile owning it, at exactly column c.
         let a = Matrix::random(32, 64, 29);
         let b = Matrix::random(64, 32, 30);
         let fault = FaultPlan {
@@ -503,10 +139,9 @@ mod tests {
             after_step: 0,
             kind: FaultKind::SetValue(1000.0),
         };
-        let out = engine().run(&a, &b, OneSidedThreadAbft::new, Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
         assert_eq!(out.detections.len(), 1);
         let d = &out.detections[0];
-        // Row 9: group = 9 - 8 = 1 in the upper-half granule => lanes 4..8.
-        assert!(d.lane / 4 == 1, "lane {}", d.lane);
+        assert_eq!((d.row, d.col, d.cols), (8, 20, 1));
     }
 }

@@ -1,131 +1,43 @@
 //! Two-sided thread-level ABFT (§5.2.2).
 //!
-//! Per K-step the thread checksums *both* its `At` chunk (column sums)
-//! and its `Bt` chunk (row sums) and performs a single MMA across the
-//! checksums — the minimum possible redundant Tensor-Core work, but
+//! On the GPU a thread checksums *both* its `At` chunk (column sums)
+//! and its `Bt` chunk (row sums) per K-step and performs a single MMA
+//! across the checksums — the minimum redundant Tensor-Core work, but
 //! `O(Mt + Nt)` checksum operations on the traditional ALUs, which is
-//! what makes it lose to one-sided ABFT in practice (§6.5).
+//! what makes it lose to one-sided ABFT there (§6.5).
+//!
+//! On the host both checksums are summed once at staging — the strip
+//! column sum `s[k]` one-sided ABFT also uses, and a B row sum
+//! `t[k] = Σ_j b[k][j]` per register-tile column group — so the K loop
+//! carries just one scalar chain per tile, `Σ_k s[k]·t[k]`, and its
+//! magnitude `Σ_k s_abs[k]·t_abs[k]` (one xmm FMA per K element beside
+//! the tile's eight ymm FMAs). The price is paid at staging (one more
+//! pass over B per run) and in resolution: the epilogue makes one
+//! comparison per tile, against the sum of all its
+//! `MICRO_MR·MICRO_NR` cells, so the detectability floor is
+//! `MICRO_NR`× one-sided's and a detection names the whole tile.
 
-use crate::tolerance::Tolerance;
-use aiga_dtype::Dtype;
-use aiga_gpu::engine::{KStep, SchemeCounters, ThreadCtx, ThreadLocalScheme, ThreadVerdict};
+use super::{analytical, gamma_rounds};
+use aiga_gpu::engine::{Redundancy, TileScheme};
+use aiga_gpu::tiling::MICRO_NR;
 
-/// Per-thread state of two-sided thread-level ABFT.
-#[derive(Clone, Debug)]
-pub struct TwoSidedThreadAbft {
-    tolerance: Tolerance,
-    /// Running scalar ABFT output: `≈ Σ_k (Σ_i At[i][k]) · (Σ_j Bt[k][j])`.
-    abft: f32,
-    /// Running `Σ_k (Σ_i |At[i][k]|) · (Σ_j |Bt[k][j]|)`.
-    magnitude: f64,
-    steps: u64,
-    mt: usize,
-    nt: usize,
-    /// Storage dtype of the GEMM being verified, captured per K-step.
-    dtype: Dtype,
-    counters: SchemeCounters,
-}
-
-impl TwoSidedThreadAbft {
-    /// Creates a scheme instance with the default analytical tolerance.
-    pub fn new() -> Self {
-        Self::with_tolerance(Tolerance::Analytical)
-    }
-
-    /// Creates a scheme instance with an explicit tolerance policy.
-    pub fn with_tolerance(tolerance: Tolerance) -> Self {
-        TwoSidedThreadAbft {
-            tolerance,
-            abft: 0.0,
-            magnitude: 0.0,
-            steps: 0,
-            mt: 0,
-            nt: 0,
-            dtype: Dtype::F16,
-            counters: SchemeCounters::default(),
-        }
-    }
-}
-
-impl Default for TwoSidedThreadAbft {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThreadLocalScheme for TwoSidedThreadAbft {
-    fn begin(&mut self, _ctx: &ThreadCtx) {
-        self.abft = 0.0;
-        self.magnitude = 0.0;
-        self.steps = 0;
-        self.counters = SchemeCounters::default();
-    }
-
-    fn on_k_step(&mut self, step: &KStep<'_>) {
-        let (mt, nt) = (step.mt, step.nt);
-        self.mt = mt;
-        self.nt = nt;
-        self.dtype = step.dtype;
-        // Column checksums of At (one per k-lane) in the dtype's
-        // checksum-chain format — [`Dtype::chain_add`] rounds each
-        // partial sum exactly as the hardware add chain would; the
-        // magnitude bounds read the engine's pre-decoded values.
-        let mut a_sum = [0.0f32; 2];
-        let mut a_abs = [0.0f64; 2];
-        for i in 0..mt {
-            for lane in 0..2 {
-                let v = step.a_f32[i * 2 + lane];
-                a_sum[lane] = self.dtype.chain_add(a_sum[lane], v);
-                a_abs[lane] += (v as f64).abs();
-            }
-        }
-        // Row checksums of Bt (one per k-lane) in the same chain format.
-        let mut b_sum = [0.0f32; 2];
-        let mut b_abs = [0.0f64; 2];
-        for lane in 0..2 {
-            for j in 0..nt {
-                let v = step.b_f32[lane * nt + j];
-                b_sum[lane] = self.dtype.chain_add(b_sum[lane], v);
-                b_abs[lane] += (v as f64).abs();
-            }
-        }
-        // The single redundant MMA across the checksums.
-        self.abft += a_sum[0] * b_sum[0] + a_sum[1] * b_sum[1];
-        self.magnitude += a_abs[0] * b_abs[0] + a_abs[1] * b_abs[1];
-        self.steps += 1;
-        self.counters.extra_mmas += 1;
-        self.counters.checksum_ops += (mt + nt) as u64;
-    }
-
-    fn finalize(&mut self, _ctx: &ThreadCtx, acc: &[f32], mt: usize, nt: usize) -> ThreadVerdict {
-        let total: f64 = acc[..mt * nt].iter().map(|&v| v as f64).sum();
-        let residual = (total - self.abft as f64).abs();
-        // Low-precision rounds: both checksum chains (Mt + Nt terms per
-        // step) at the chain's unit roundoff; FP32 rounds: the running
-        // ABFT accumulation plus the MtNt-term output summation.
-        let rounds_lp = (mt + nt) as f64;
-        let rounds32 = (2 * self.steps) as f64 + (mt * nt) as f64;
-        let threshold = self.tolerance.threshold_lp(
-            rounds_lp,
-            self.dtype.chain_unit(),
-            rounds32,
-            self.magnitude,
-        );
-        ThreadVerdict {
-            fault_detected: residual > threshold,
-            residual,
-            threshold,
-        }
-    }
-
-    fn counters(&self) -> SchemeCounters {
-        self.counters
-    }
+/// The engine-side scheme for a GEMM whose padded inner dimension is
+/// `k`.
+///
+/// Same derivation as [`super::thread_one_sided::tile_scheme`] against
+/// `M = Σ_k s_abs[k]·t_abs[k]`: `γ_k·M` for the data chains, `γ_{k+17}·M`
+/// for the corner chain (`s[k]` is a 2-rounding pairwise sum, `t[k]` a
+/// 15-rounding running sum), `γ_6·M` for the epilogue's tile sum (column
+/// sums, then a 4-level tree) — `n = 2k + 2·MICRO_NR` with slack, taken
+/// as `γ_n`.
+pub fn tile_scheme(k: usize) -> TileScheme {
+    analytical(Redundancy::TileChecksum, gamma_rounds(2 * k + 2 * MICRO_NR))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schemes::Scheme;
     use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix};
     use aiga_gpu::{GemmShape, TilingConfig};
 
@@ -146,7 +58,7 @@ mod tests {
     fn clean_run_raises_no_detection() {
         let a = Matrix::random(32, 64, 31);
         let b = Matrix::random(64, 32, 32);
-        let out = engine().run(&a, &b, TwoSidedThreadAbft::new, None);
+        let out = engine().run(&a, &b, tile_scheme(64), None);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -160,30 +72,35 @@ mod tests {
             after_step: 2,
             kind: FaultKind::AddValue(128.0),
         };
-        let out = engine().run(&a, &b, TwoSidedThreadAbft::new, Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
         assert!(out.fault_detected());
         assert_eq!(out.detections.len(), 1);
+        let d = &out.detections[0];
+        assert_eq!((d.row, d.col, d.cols), (4, 0, MICRO_NR));
     }
 
     #[test]
     fn single_mma_per_step_in_counters() {
+        // Table 1: one redundant MMA and O(Mt + Nt) checksum ops per
+        // thread-step in the analytic model; on the host, one redundant
+        // FMA per register tile per K element.
+        let t = engine().tiling();
+        let two = Scheme::ThreadLevelTwoSided;
+        assert_eq!(two.extra_mmas_per_step(&t), 1);
+        assert_eq!(two.checksum_ops_per_step(&t), t.thread_mt() + t.thread_nt());
         let a = Matrix::random(32, 64, 35);
         let b = Matrix::random(64, 32, 36);
-        let out = engine().run(&a, &b, TwoSidedThreadAbft::new, None);
-        let steps = out.counters.threads * out.counters.k_steps;
-        assert_eq!(out.counters.scheme.extra_mmas, steps);
-        // O(Mt+Nt) checksum ops.
-        let t = engine().tiling();
-        let per_step = t.thread_mt() + t.thread_nt();
-        assert_eq!(out.counters.scheme.checksum_ops, steps * per_step);
+        let c = engine().run(&a, &b, tile_scheme(64), None).counters;
+        assert_eq!(c.checksum_fmas, c.tiles * 64);
     }
 
     #[test]
     fn coarse_scalar_check_still_detects_significant_corruption() {
-        // Two-sided ABFT makes ONE comparison per thread over the sum of
-        // all MtNt accumulators, so its detectability floor is higher
-        // than one-sided's per-row checks — but significant corruption
-        // (e.g. a high-exponent flip driving the value to 1e4) is caught.
+        // Two-sided ABFT makes ONE comparison per tile over the sum of
+        // all its accumulators, so its detectability floor is higher
+        // than one-sided's per-column checks — but significant
+        // corruption (e.g. a high-exponent flip driving the value to
+        // 1e4) is caught.
         let a = Matrix::random(32, 64, 37);
         let b = Matrix::random(64, 32, 38);
         let fault = FaultPlan {
@@ -192,7 +109,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::SetValue(1e4),
         };
-        let out = engine().run(&a, &b, TwoSidedThreadAbft::new, Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
         assert!(out.fault_detected());
     }
 }

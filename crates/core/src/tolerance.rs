@@ -53,16 +53,25 @@ impl Tolerance {
     /// magnitude `magnitude`. [`Self::threshold`] is the `u_lp = `[`U16`]
     /// case; an exact chain passes `u_lp = 0`.
     pub fn threshold_lp(self, rounds_lp: f64, u_lp: f64, rounds32: f64, magnitude: f64) -> f64 {
+        let (slope, floor) = self.linear_lp(rounds_lp, u_lp, rounds32);
+        slope * magnitude + floor
+    }
+
+    /// [`Self::threshold_lp`] as the `(slope, floor)` of a linear
+    /// function of the magnitude — the form the engine's tile check
+    /// evaluates per compare (`aiga_gpu::engine::TileScheme`), since the
+    /// round counts are fixed per run and only the magnitude varies.
+    pub fn linear_lp(self, rounds_lp: f64, u_lp: f64, rounds32: f64) -> (f64, f64) {
         match self {
-            Tolerance::Analytical => (rounds_lp * u_lp + rounds32 * U32) * magnitude + ABS_FLOOR,
-            Tolerance::Relative(rel) => rel * magnitude + ABS_FLOOR,
-            Tolerance::Exact => 0.0,
+            Tolerance::Analytical => (rounds_lp * u_lp + rounds32 * U32, ABS_FLOOR),
+            Tolerance::Relative(rel) => (rel, ABS_FLOOR),
+            Tolerance::Exact => (0.0, 0.0),
         }
     }
 
     /// Compares a residual against the bound; `true` means "fault".
     pub fn flags(self, residual: f64, rounds16: f64, rounds32: f64, magnitude: f64) -> bool {
-        residual > self.threshold(rounds16, rounds32, magnitude)
+        exceeds(residual, self.threshold(rounds16, rounds32, magnitude))
     }
 
     /// [`Self::flags`] at an explicit low-precision unit roundoff.
@@ -74,8 +83,21 @@ impl Tolerance {
         rounds32: f64,
         magnitude: f64,
     ) -> bool {
-        residual > self.threshold_lp(rounds_lp, u_lp, rounds32, magnitude)
+        exceeds(
+            residual,
+            self.threshold_lp(rounds_lp, u_lp, rounds32, magnitude),
+        )
     }
+}
+
+/// The one comparison every check makes: `true` means "fault". Written
+/// as `!(residual <= threshold)` rather than `residual > threshold` so
+/// a non-finite residual or threshold — an accumulator struck to NaN or
+/// Inf poisons both — flags instead of comparing false and passing.
+#[inline]
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub fn exceeds(residual: f64, threshold: f64) -> bool {
+    !(residual <= threshold)
 }
 
 #[cfg(test)]
@@ -102,6 +124,37 @@ mod tests {
         let t = Tolerance::Relative(1e-3);
         assert_eq!(t.threshold(1.0, 1.0, 50.0), t.threshold(999.0, 999.0, 50.0));
         assert!((t.threshold(0.0, 0.0, 50.0) - (0.05 + ABS_FLOOR)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn non_finite_residuals_and_thresholds_flag() {
+        for t in [
+            Tolerance::Analytical,
+            Tolerance::Relative(1e-3),
+            Tolerance::Exact,
+        ] {
+            assert!(t.flags(f64::NAN, 4.0, 64.0, 100.0), "{t:?}");
+            assert!(t.flags(f64::INFINITY, 4.0, 64.0, 100.0), "{t:?}");
+            assert!(t.flags_lp(f64::NAN, 4.0, U16, 64.0, 100.0), "{t:?}");
+        }
+        // A magnitude struck to NaN poisons the threshold, not the residual.
+        assert!(Tolerance::Analytical.flags(0.0, 4.0, 64.0, f64::NAN));
+        assert!(!Tolerance::Analytical.flags(0.0, 4.0, 64.0, 100.0));
+    }
+
+    #[test]
+    fn linear_form_reproduces_the_threshold() {
+        for t in [
+            Tolerance::Analytical,
+            Tolerance::Relative(1e-3),
+            Tolerance::Exact,
+        ] {
+            let (slope, floor) = t.linear_lp(3.0, U16, 70.0);
+            assert_eq!(
+                (slope * 123.5 + floor).to_bits(),
+                t.threshold_lp(3.0, U16, 70.0, 123.5).to_bits()
+            );
+        }
     }
 
     #[test]

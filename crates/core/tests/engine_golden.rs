@@ -4,8 +4,8 @@
 //! order**: per output element, one FP32 accumulator updated by one
 //! correctly-rounded FMA per K element, in K order
 //! (`acc = a[kk].mul_add(b[kk], acc)`). Every execution path — the
-//! AVX2+FMA microkernel, the scalar oracle, the hooked step-ordered
-//! replay, sequential and block-parallel workspace runs — is required to
+//! AVX2+FMA microkernel with or without checksum lanes, the scalar
+//! oracle, sequential and block-parallel workspace runs — is required to
 //! produce exactly this sequence per element, so any hash drift is a
 //! real numerics regression, not tolerable noise. The hashes were
 //! produced by the scalar reference walk; the SIMD sweep below proves
@@ -112,10 +112,28 @@ fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
                 let sb: Vec<u32> = s.output.c.iter().map(|x| x.to_bits()).collect();
                 let vb: Vec<u32> = v.output.c.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(sb, vb, "{scheme} paths diverged on {m}x{n}x{k}");
+                // Checksum and magnitude lanes obey the same order
+                // contract, so detections agree to the bit: coordinates,
+                // residuals, thresholds.
+                let key = |d: &aiga_gpu::engine::Detection| {
+                    (
+                        d.block,
+                        d.row,
+                        d.col,
+                        d.cols,
+                        d.residual.to_bits(),
+                        d.threshold.to_bits(),
+                    )
+                };
                 assert_eq!(
-                    s.output.detections.len(),
-                    v.output.detections.len(),
-                    "{scheme} detection count diverged on {m}x{n}x{k}"
+                    s.output.detections.iter().map(key).collect::<Vec<_>>(),
+                    v.output.detections.iter().map(key).collect::<Vec<_>>(),
+                    "{scheme} detections diverged on {m}x{n}x{k}"
+                );
+                assert_eq!(
+                    !faults.is_empty() && scheme.is_thread_level(),
+                    !v.output.detections.is_empty(),
+                    "{scheme} verdict on {m}x{n}x{k}"
                 );
             }
         }
@@ -124,19 +142,18 @@ fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
 
 #[test]
 fn fast_and_hooked_walks_are_byte_identical() {
-    // The engine takes the fused per-accumulator fast path for schemes
-    // without K-step hooks and the step-ordered replay otherwise; both
-    // must produce identical bytes. Replication's hooked walk shares
-    // loads with the engine, so comparing its output (hooked path)
-    // against the unprotected output (fast path) covers the seam,
-    // including with a mid-kernel fault.
+    // The plain microkernel pass and the redundancy-carrying passes
+    // (replication's second pass into a shadow tile, one-sided's
+    // checksum lanes) must leave identical bytes in the data tile,
+    // including with a mid-kernel exponent flip.
     for &(m, n, k) in &[(48usize, 40usize, 64usize), (33, 65, 40)] {
         let a = Matrix::random(m, k, 7);
         let b = Matrix::random(k, n, 8);
         let engine = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
         let reg = registry::shared();
         let fast = reg.resolve(Scheme::Unprotected).bind(&b);
-        let hooked = reg.resolve(Scheme::ReplicationTraditional).bind(&b);
+        let shadowed = reg.resolve(Scheme::ReplicationTraditional).bind(&b);
+        let laned = reg.resolve(Scheme::ThreadLevelOneSided).bind(&b);
         for faults in [
             &[][..],
             &[FaultPlan {
@@ -146,11 +163,13 @@ fn fast_and_hooked_walks_are_byte_identical() {
                 kind: FaultKind::BitFlip(30),
             }][..],
         ] {
-            let f = fast.run(&engine, &a, faults);
-            let h = hooked.run(&engine, &a, faults);
-            let fb: Vec<u32> = f.output.c.iter().map(|v| v.to_bits()).collect();
-            let hb: Vec<u32> = h.output.c.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, hb, "paths diverged on {m}x{n}x{k}");
+            let bits = |k: &dyn aiga_core::BoundKernel| -> Vec<u32> {
+                let out = k.run(&engine, &a, faults).output;
+                out.c.iter().map(|v| v.to_bits()).collect()
+            };
+            let want = bits(fast.as_ref());
+            assert_eq!(want, bits(shadowed.as_ref()), "shadow pass on {m}x{n}x{k}");
+            assert_eq!(want, bits(laned.as_ref()), "checksum lanes on {m}x{n}x{k}");
         }
     }
 }

@@ -1,0 +1,285 @@
+//! The thread-level tile check, pinned from the outside: what flags,
+//! what must never flag, and what a detection names.
+//!
+//! Tests that flip the process-global [`GemmPath`] override take
+//! `PATH_LOCK`, so the legs of one sweep never run on a path another
+//! test forced.
+
+use aiga_core::registry;
+use aiga_core::schemes::Scheme;
+use aiga_core::tolerance::exceeds;
+use aiga_gpu::engine::{
+    simd, Dtype, FaultKind, FaultPlan, Matrix, Redundancy, TileScheme, Workspace,
+};
+use aiga_gpu::tiling::{MICRO_MR, MICRO_NR};
+use aiga_gpu::{GemmEngine, GemmPath, GemmShape};
+use aiga_util::rng::Rng64;
+use std::sync::Mutex;
+
+static PATH_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `f` once per path this host can execute, with the override set.
+fn on_each_path(mut f: impl FnMut(GemmPath)) {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut paths = vec![GemmPath::Scalar];
+    if simd::detect_path().is_simd() {
+        paths.push(GemmPath::Avx2Fma);
+    }
+    for path in paths {
+        simd::force_path(Some(path));
+        f(path);
+    }
+    simd::force_path(None);
+}
+
+fn engine(m: usize, n: usize, k: usize) -> GemmEngine {
+    GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64))
+}
+
+const PROTECTED: [Scheme; 6] = [
+    Scheme::GlobalAbft,
+    Scheme::ThreadLevelOneSided,
+    Scheme::ThreadLevelTwoSided,
+    Scheme::ReplicationSingleAcc,
+    Scheme::ReplicationTraditional,
+    Scheme::MultiChecksum(2),
+];
+
+#[test]
+fn non_finite_faults_flag_under_every_scheme_on_every_path() {
+    // `residual > threshold` is false for NaN, so a check written that
+    // way passes an accumulator struck to NaN as clean. One NaN and one
+    // Inf per scheme × path, striking mid-walk and in the epilogue.
+    let (m, n, k) = (48, 40, 56);
+    let a = Matrix::random(m, k, 11);
+    let b = Matrix::random(k, n, 12);
+    let eng = engine(m, n, k);
+    let reg = registry::SchemeRegistry::builtin().with(std::sync::Arc::new(
+        aiga_core::kernel::MultiChecksumKernel::new(2),
+    ));
+    on_each_path(|path| {
+        let mut ws = Workspace::new();
+        for scheme in PROTECTED {
+            let bound = reg.resolve(scheme).bind(&b);
+            for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for after_step in [3, u64::MAX] {
+                    let fault = FaultPlan {
+                        row: 13,
+                        col: 21,
+                        after_step,
+                        kind: FaultKind::SetValue(value),
+                    };
+                    let verdict = bound.run_into(&eng, &a, &[fault], &mut ws);
+                    assert!(
+                        verdict.is_detected(),
+                        "{scheme} passed {value} (step {after_step}) on {path:?}"
+                    );
+                }
+            }
+            // The flip the issue names: bit 30 of a value in [1, 2)
+            // lands on the all-ones exponent.
+            assert!(FaultKind::BitFlip(30).apply(1.5).is_nan());
+        }
+    });
+}
+
+/// The scheme with a floor no residual reaches, so every compare
+/// "flags" and reports its clean residual and (shifted) threshold.
+fn reporting(scheme: TileScheme) -> TileScheme {
+    TileScheme {
+        floor: f64::NEG_INFINITY,
+        ..scheme
+    }
+}
+
+#[test]
+fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
+    // Every output cell × {AddValue, BitFlip, SetValue} × {mid-walk,
+    // epilogue}, on a ragged shape and an aligned one, under one-sided
+    // ABFT. A fault moves its column sum by exactly `delta`, so with the
+    // column's clean residual `r0` known the verdict is determined
+    // outside the band `threshold ± r0`.
+    for &(m, n, k, seed) in &[(33usize, 65usize, 40usize, 5u64), (32, 32, 32, 6)] {
+        let a = Matrix::random(m, k, seed);
+        let b = Matrix::random(k, n, seed + 1);
+        let eng = engine(m, n, k);
+        let scheme = Scheme::ThreadLevelOneSided.tile_scheme(eng.shape().k as usize);
+        let mut ws = Workspace::new();
+
+        let clean = eng.run_multi(&a, &b, scheme, &[]);
+        assert!(!clean.fault_detected());
+        // Clean residual and magnitude of every (strip, column).
+        let probe = eng.run_multi(&a, &b, reporting(scheme), &[]);
+        let strips = m.div_ceil(MICRO_MR);
+        let mut r0 = vec![f64::NAN; strips * n];
+        for d in &probe.detections {
+            if d.row < m && d.col < n {
+                r0[d.row / MICRO_MR * n + d.col] = d.residual;
+            }
+        }
+        // Thresholds are not reported for compares that pass; recompute
+        // them from the definition (f64 magnitude; the engine's f32 lane
+        // differs in the last digits, well inside the band).
+        let threshold = |row: usize, col: usize| {
+            let strip = row / MICRO_MR * MICRO_MR;
+            let magnitude: f64 = (0..k)
+                .map(|kk| {
+                    let s_abs: f64 = (strip..(strip + MICRO_MR).min(m))
+                        .map(|i| a.get_f64(i, kk).abs())
+                        .sum();
+                    s_abs * b.get_f64(kk, col).abs()
+                })
+                .sum();
+            scheme.slope * magnitude + scheme.floor
+        };
+
+        let mut flagged = 0usize;
+        let mut passed = 0usize;
+        for row in 0..m {
+            for col in 0..n {
+                let i = row * n + col;
+                let kinds = [
+                    FaultKind::AddValue([1e-6, 1e-4, 1e-2, 8.0][i % 4] * [1.0, -1.0][i / 4 % 2]),
+                    FaultKind::BitFlip((i % 32) as u8),
+                    FaultKind::SetValue([0.0, 1e3, -0.5, f32::NAN][i % 4]),
+                ];
+                for kind in kinds {
+                    for after_step in [(i % 4) as u64, u64::MAX] {
+                        let fault = FaultPlan {
+                            row,
+                            col,
+                            after_step,
+                            kind,
+                        };
+                        let out = eng.run_multi_into(&a, &b, scheme, &[fault], &mut ws);
+                        let delta = (out.get(row, col) as f64 - clean.get(row, col) as f64).abs();
+                        let (thr, noise) = (threshold(row, col), r0[row / MICRO_MR * n + col]);
+                        let ctx = format!("{m}x{n}x{k} {fault:?}: delta {delta:e}, thr {thr:e}");
+                        if delta.is_nan() || delta > thr + noise + 1e-9 * thr {
+                            assert_eq!(out.detections.len(), 1, "missed {ctx}");
+                        } else if delta < thr - noise - 1e-9 * thr {
+                            assert!(out.detections.is_empty(), "false alarm {ctx}");
+                        }
+                        match out.detections.as_slice() {
+                            [] => passed += 1,
+                            [d] => {
+                                flagged += 1;
+                                assert_eq!(
+                                    (d.row, d.col, d.cols),
+                                    (row / MICRO_MR * MICRO_MR, col, 1)
+                                );
+                                assert!((d.threshold - thr).abs() <= 1e-5 * thr, "{ctx}");
+                                assert!(exceeds(d.residual, d.threshold), "{ctx}");
+                            }
+                            more => panic!("{} detections for one fault: {ctx}", more.len()),
+                        }
+                    }
+                }
+            }
+        }
+        // The fault mix straddles the threshold: both outcomes occur.
+        assert!(flagged > m * n && passed > m * n, "{flagged} / {passed}");
+    }
+}
+
+#[test]
+fn per_tile_checks_name_the_tile_containing_the_fault() {
+    // Two-sided ABFT and single-accumulation replication compare whole
+    // register tiles; traditional replication compares cells. Each
+    // detection must cover the faulted cell, on a ragged shape.
+    let (m, n, k) = (33, 65, 40);
+    let a = Matrix::random(m, k, 5);
+    let b = Matrix::random(k, n, 6);
+    let eng = engine(m, n, k);
+    let mut ws = Workspace::new();
+    for (scheme, cols) in [
+        (Scheme::ThreadLevelTwoSided, MICRO_NR),
+        (Scheme::ReplicationSingleAcc, MICRO_NR),
+        (Scheme::ReplicationTraditional, 1),
+    ] {
+        let tile = scheme.tile_scheme(eng.shape().k as usize);
+        for row in 0..m {
+            for col in 0..n {
+                let fault = FaultPlan {
+                    row,
+                    col,
+                    after_step: [2, u64::MAX][(row + col) % 2],
+                    kind: FaultKind::AddValue(64.0),
+                };
+                let out = eng.run_multi_into(&a, &b, tile, &[fault], &mut ws);
+                assert_eq!(out.detections.len(), 1, "{scheme} at ({row},{col})");
+                let d = &out.detections[0];
+                assert_eq!(
+                    (d.row, d.col, d.cols),
+                    (row / MICRO_MR * MICRO_MR, col / cols * cols, cols),
+                    "{scheme} at ({row},{col})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn clean_gemms_never_flag_in_any_dtype_on_either_path() {
+    // The benchmark counts any detection on a clean request as a failed
+    // request, and the f32-chain threshold is far tighter than the
+    // fp16-chain one it replaced: 200 seeded clean GEMMs per dtype, K up
+    // to 1152 (the zoo's deepest 3×3 conv), both ABFT lane kinds, both
+    // paths — zero detections. Every fourth problem is adversarial for a
+    // magnitude taken as |Σ a| instead of Σ |a|: its strips hold ±pairs,
+    // so every strip sum cancels to zero while the data accumulators
+    // still round.
+    let mut rng = Rng64::seed_from_u64(0x7115);
+    let mut problems = Vec::new();
+    for i in 0..200u64 {
+        let m = rng.range_usize(1, 41);
+        let n = rng.range_usize(1, 49);
+        let k = [8, 24, 72, 144, 288, 576, 1152][rng.range_usize(0, 7)];
+        problems.push((m, n, k, 1000 + i, i % 4 == 3));
+    }
+    on_each_path(|path| {
+        let mut ws = Workspace::new();
+        for dtype in Dtype::ALL {
+            for &(m, n, k, seed, cancelling) in &problems {
+                let mut a = Matrix::random_dtype(m, k, seed, dtype);
+                if cancelling {
+                    for r in (1..m).step_by(2) {
+                        for c in 0..k {
+                            let above = dtype.decode(a.get(r - 1, c).to_bits());
+                            a.set(r, c, aiga_fp16::F16(dtype.encode(-above)));
+                        }
+                    }
+                }
+                let b = Matrix::random_dtype(k, n, seed + 7, dtype);
+                let eng = engine(m, n, k);
+                for scheme in [Scheme::ThreadLevelOneSided, Scheme::ThreadLevelTwoSided] {
+                    let tile = scheme.tile_scheme(eng.shape().k as usize);
+                    let out = eng.run_multi_into(&a, &b, tile, &[], &mut ws);
+                    assert!(
+                        out.detections.is_empty(),
+                        "{scheme} {dtype} {m}x{n}x{k} seed {seed} on {path:?}: {:?}",
+                        out.detections[0]
+                    );
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn replication_checks_cannot_false_alarm_by_construction() {
+    // Both copies run one instruction sequence: clean tiles are
+    // bit-identical, whatever the threshold.
+    let (m, n, k) = (33, 65, 1152);
+    let a = Matrix::random(m, k, 1);
+    let b = Matrix::random(k, n, 2);
+    let eng = engine(m, n, k);
+    for lanes in [Redundancy::ShadowExact, Redundancy::ShadowSum] {
+        let strict = TileScheme {
+            lanes,
+            slope: 0.0,
+            floor: 0.0,
+        };
+        assert!(!eng.run(&a, &b, strict, None).fault_detected(), "{lanes:?}");
+    }
+}

@@ -193,11 +193,19 @@ impl Campaign {
             self.gemm.run_into(&[fault], ws)
         };
         let out = &ws.output().c;
+        // A cell struck to NaN deviates without bound (`f64::max` would
+        // drop it and grade the trial as uncorrupted).
         let max_abs_delta = out
             .iter()
             .zip(&self.clean)
             .map(|(&x, &y)| (x as f64 - y as f64).abs())
-            .fold(0.0f64, f64::max);
+            .fold(0.0f64, |worst, d| {
+                if d.is_nan() {
+                    f64::INFINITY
+                } else {
+                    worst.max(d)
+                }
+            });
         let outcome = if verdict.is_corrected() {
             // The repair oracle is bitwise, not tolerance-based: a
             // "corrected" output that differs in any bit from the clean
@@ -309,6 +317,31 @@ mod tests {
         assert_eq!(stats.sdc, 0, "{stats:?}");
         assert_eq!(stats.false_positives, 0);
         assert!(stats.detection_rate() == 1.0);
+    }
+
+    #[test]
+    fn nan_corruption_is_graded_as_corruption() {
+        // Bit 30 of an accumulator in [1, 2) lands on the all-ones
+        // exponent: the output cell becomes NaN. That is corruption —
+        // caught under a protecting scheme, silent without one — never
+        // "masked" or a false positive.
+        let nan = aiga_gpu::engine::FaultPlan {
+            row: 3,
+            col: 5,
+            after_step: u64::MAX,
+            kind: aiga_gpu::engine::FaultKind::SetValue(f32::NAN),
+        };
+        for scheme in [Scheme::ThreadLevelOneSided, Scheme::GlobalAbft] {
+            let c = Campaign::new(shape(), scheme, 23);
+            assert_eq!(c.classify(nan), Outcome::Detected, "{scheme}");
+        }
+        let c = Campaign::new(shape(), Scheme::Unprotected, 23);
+        assert_eq!(
+            c.classify(nan),
+            Outcome::SilentDataCorruption {
+                max_abs_delta: f64::INFINITY
+            }
+        );
     }
 
     #[test]

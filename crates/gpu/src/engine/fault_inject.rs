@@ -40,15 +40,22 @@ pub struct FaultPlan {
     pub kind: FaultKind,
 }
 
-/// One thread's positive detection, with provenance.
+/// One register tile's positive detection, in tile coordinates: the
+/// flagged cells are rows `row..row + MICRO_MR`, columns
+/// `col..col + cols` of the output (global indices; cells beyond the
+/// cropped output are grid padding).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Detection {
     /// Threadblock coordinates.
     pub block: (u64, u64),
-    /// Warp index within the block.
-    pub warp: u64,
-    /// Lane within the warp.
-    pub lane: usize,
+    /// First global row of the flagged `MICRO_MR`-row strip.
+    pub row: usize,
+    /// First flagged global column.
+    pub col: usize,
+    /// Flagged columns: 1 when the check compares one tile column
+    /// (one-sided ABFT, traditional replication), `MICRO_NR` when it
+    /// compares the whole register tile.
+    pub cols: usize,
     /// Check residual that tripped the detection.
     pub residual: f64,
     /// Threshold it exceeded.

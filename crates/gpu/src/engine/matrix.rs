@@ -101,7 +101,7 @@ impl Im2colView {
 /// input row is in bounds, `run(row, col0, src0, len)` describes `len`
 /// consecutive lowered columns starting at `col0` backed by `len`
 /// consecutive NCHW elements starting at `src0`. Both the staging
-/// decode and the raw-panel copy gather through this one walk, so the
+/// decode and the raw-code copy gather through this one walk, so the
 /// fused path produces panels byte-identical to a materialized
 /// lowering.
 #[inline]
@@ -319,8 +319,8 @@ impl Matrix {
         out.data.resize(rows * cols, F16::ZERO);
         match self.layout {
             MatrixLayout::NchwLowered { .. } => {
-                // General gather for the non-row-major view (cold: only
-                // hooked schemes stage raw panels from a lowered view).
+                // General gather for the non-row-major view (cold: the
+                // engine stages from the decoding gather instead).
                 for r in 0..self.rows {
                     for c in 0..self.cols {
                         out.data[r * cols + c] = self.get(r, c);
@@ -485,33 +485,6 @@ impl Matrix {
             }
         }
     }
-
-    /// Raw-code sibling of [`Self::decode_padded_transposed_into`]: the
-    /// zero-padded `rows × cols` panel stored transposed (`cols × rows`
-    /// row-major) without decoding. Hooked schemes replay per-thread
-    /// K-walks against this panel, and the walk strides along a fixed
-    /// column — storing it transposed makes that replay stream linearly
-    /// instead of hopping a full row width per K-step.
-    pub(crate) fn copy_padded_transposed_into(&self, rows: usize, cols: usize, out: &mut Matrix) {
-        assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
-        debug_assert_eq!(
-            self.layout,
-            MatrixLayout::RowMajor,
-            "only the B operand (always row-major) is staged transposed"
-        );
-        out.rows = cols;
-        out.cols = rows;
-        out.layout = MatrixLayout::RowMajor;
-        out.dtype = self.dtype;
-        out.data.clear();
-        out.data.resize(rows * cols, F16::ZERO);
-        for r in 0..self.rows {
-            let src = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (c, v) in src.iter().enumerate() {
-                out.data[c * rows + r] = *v;
-            }
-        }
-    }
 }
 
 /// Reference GEMM in FP64, decoding each operand through its dtype
@@ -604,19 +577,6 @@ mod tests {
             for c in 0..8 {
                 assert_eq!(t[c * 4 + r].to_bits(), buf[r * 8 + c].to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn copy_padded_transposed_matches_decoded_transpose() {
-        let m = Matrix::random(5, 7, 11);
-        let mut raw = Matrix::default();
-        m.copy_padded_transposed_into(8, 8, &mut raw);
-        assert_eq!((raw.rows, raw.cols), (8, 8));
-        let mut dec = Vec::new();
-        m.decode_padded_transposed_into(8, 8, &mut dec);
-        for (i, v) in raw.data.iter().enumerate() {
-            assert_eq!(v.to_f32().to_bits(), dec[i].to_bits(), "elem {i}");
         }
     }
 

@@ -1,35 +1,38 @@
-//! The functional GEMM engine: a software model of a CUTLASS-style FP16
-//! Tensor Core kernel.
+//! The functional GEMM engine: `C = A · B` over FP16-class operands with
+//! FP32 accumulation, executed the way a host GEMM library does it and
+//! protected the way the paper's thread-level schemes are.
 //!
-//! The engine executes `C = A · B` through the full hierarchy of Figure 2:
-//! the grid is split into threadblock tiles, threadblocks into warp tiles,
-//! and warp tiles into per-thread fragments following the `m16n8k8` PTX
-//! layout (each lane owns 2 rows per 16-row MMA granule and 2 columns per
-//! 8-column granule). Each simulated thread walks the K dimension in
-//! steps of 2, loading an `Mt × 2` chunk of `At` and a `2 × Nt` chunk of
-//! `Bt` exactly as Figure 3 describes, accumulating into FP32 registers.
+//! The grid is split into threadblock tiles (the unit of work fan-out
+//! and of `Detection::block`); each block tile is computed in
+//! [`tiling::MICRO_MR`]`×`[`tiling::MICRO_NR`] register tiles by the
+//! microkernel. That register tile is the host's "thread" in the sense
+//! of §5: the place where operands sit in registers, so the place where
+//! redundant work is free of extra memory traffic. A thread-level
+//! scheme is therefore a [`TileScheme`]: extra accumulators the
+//! microkernel carries through the same K loop, plus an epilogue
+//! compare over the tile it just produced.
+//!
+//! [`tiling::MICRO_MR`]: crate::tiling::MICRO_MR
+//! [`tiling::MICRO_NR`]: crate::tiling::MICRO_NR
 //!
 //! # Module map
 //!
-//! The engine is decomposed into focused modules:
-//!
 //! - [`matrix`] — the row-major FP16 [`Matrix`] plus the `*_into`
 //!   staging primitives and the FP64 reference GEMM;
-//! - [`scheme`] — the [`ThreadLocalScheme`] seam where redundancy
-//!   schemes plug into the thread-level inner loop, with the
-//!   [`KStep`]/[`ThreadCtx`]/[`ThreadVerdict`] types that cross it;
+//! - [`scheme`] — [`TileScheme`]/[`Redundancy`]: which lanes a scheme
+//!   carries and the threshold its tile check compares against;
 //! - [`fault_inject`] — the §2.3 fault model ([`FaultPlan`],
-//!   [`FaultKind`]) and per-thread [`Detection`] provenance;
+//!   [`FaultKind`]) and tile-addressed [`Detection`] provenance;
 //! - [`panels`] — per-run operand staging (decoded + microkernel-packed
-//!   panels) and the reusable [`Workspace`] that owns all scratch
-//!   (panels, block tile, thread buffers, output, activation staging,
+//!   panels, checksum rows) and the reusable [`Workspace`] that owns all
+//!   scratch (panels, block tile and lanes, output, activation staging,
 //!   checksum scratch, the block-parallel stripe pool);
-//! - [`simd`] — the register-tiled AVX2+FMA microkernel, the scalar
-//!   oracle, the canonical accumulation-order contract, and the runtime
-//!   dispatch between them ([`GemmPath`], `AIGA_FORCE_SCALAR`);
-//! - [`walk`] (private) — block execution: microkernel tile fill, then
-//!   the per-lane epilogue (scheme hooks, fault targeting, verdicts)
-//!   with a step-ordered fragment replay for hooked schemes;
+//! - [`simd`] — the register-tiled AVX2+FMA microkernel with its
+//!   checksum-lane variants, the scalar oracle, the canonical
+//!   accumulation-order contract, and the runtime dispatch between them
+//!   ([`GemmPath`], `AIGA_FORCE_SCALAR`);
+//! - [`walk`] (private) — block execution: microkernel fill, targeted
+//!   fault injection, tile epilogue;
 //! - this module — [`GemmEngine`] itself with the two execution entry
 //!   points and output assembly.
 //!
@@ -60,13 +63,11 @@ pub use aiga_dtype::Dtype;
 pub use fault_inject::{Detection, FaultKind, FaultPlan};
 pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout};
 pub use panels::{CheckScratch, Workspace};
-pub use scheme::{
-    KStep, LaneWalk, NoScheme, SchemeCounters, ThreadCtx, ThreadLocalScheme, ThreadVerdict,
-};
+pub use scheme::{Redundancy, TileScheme};
 pub use simd::GemmPath;
 
 use crate::shape::GemmShape;
-use crate::tiling::TilingConfig;
+use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR};
 use panels::{BlockScratch, Panels};
 
 /// Minimum covered FLOP count (`2·cov_m·cov_n·k`) before
@@ -83,17 +84,19 @@ pub const BLOCK_PAR_MIN_FLOPS: u128 = 32 * 1024 * 1024;
 #[cfg(test)]
 static FORCE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-/// Aggregated execution statistics of one engine run.
-#[derive(Clone, Copy, Debug, Default)]
+/// Host work of one engine run, in scalar FMAs. `checksum_fmas /
+/// data_fmas` is the redundant share a scheme added to the K loop
+/// (0.25 for one-sided ABFT, 1/64 two-sided, 1.0 replication);
+/// magnitude lanes are not counted (see
+/// [`Redundancy::checksum_fmas_per_step`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Simulated threads executed.
-    pub threads: u64,
-    /// K-steps per thread.
-    pub k_steps: u64,
-    /// Baseline MMA participations (Table 1: `Mt·Nt/2` per thread-step).
-    pub baseline_mmas: u64,
-    /// Scheme-reported extras, summed over threads.
-    pub scheme: SchemeCounters,
+    /// Register tiles executed (grid padding included).
+    pub tiles: u64,
+    /// FMAs into data accumulators.
+    pub data_fmas: u64,
+    /// FMAs into checksum lanes or the shadow tile.
+    pub checksum_fmas: u64,
 }
 
 /// Output of one simulated GEMM kernel.
@@ -105,7 +108,7 @@ pub struct GemmOutput {
     pub m: usize,
     /// Output columns.
     pub n: usize,
-    /// Threads that flagged a fault.
+    /// Register tiles (or tile columns) that flagged a fault.
     pub detections: Vec<Detection>,
     /// Execution statistics.
     pub counters: EngineCounters,
@@ -118,7 +121,7 @@ impl GemmOutput {
         self.c[r * self.n + c]
     }
 
-    /// True if any thread flagged a fault.
+    /// True if any tile check flagged a fault.
     pub fn fault_detected(&self) -> bool {
         !self.detections.is_empty()
     }
@@ -175,22 +178,29 @@ impl GemmEngine {
         (gm, gn, cov_m, cov_n, self.shape.k as usize)
     }
 
-    /// Runs the kernel: multiplies `a` (`m × k`) by `b` (`k × n`),
-    /// executing `make_scheme()` inside every simulated thread and
-    /// applying `fault` if given. Returns the unpadded `m × n` output.
-    pub fn run<S, F>(
+    /// Host work of one run under `lanes`.
+    fn counters(&self, lanes: Redundancy) -> EngineCounters {
+        let (_, _, cov_m, cov_n, k) = self.coverage();
+        let tiles = (cov_m / MICRO_MR * (cov_n / MICRO_NR)) as u64;
+        let steps = tiles * k as u64;
+        EngineCounters {
+            tiles,
+            data_fmas: steps * (MICRO_MR * MICRO_NR) as u64,
+            checksum_fmas: steps * lanes.checksum_fmas_per_step(),
+        }
+    }
+
+    /// Runs the kernel: multiplies `a` (`m × k`) by `b` (`k × n`) under
+    /// `scheme`, applying `fault` if given. Returns the unpadded `m × n`
+    /// output.
+    pub fn run(
         &self,
         a: &Matrix,
         b: &Matrix,
-        make_scheme: F,
+        scheme: TileScheme,
         fault: Option<FaultPlan>,
-    ) -> GemmOutput
-    where
-        S: ThreadLocalScheme,
-        F: Fn() -> S + Sync,
-    {
-        let faults: Vec<FaultPlan> = fault.into_iter().collect();
-        self.run_multi(a, b, make_scheme, &faults)
+    ) -> GemmOutput {
+        self.run_multi(a, b, scheme, fault.as_slice())
     }
 
     /// Like [`Self::run`] but injecting any number of simultaneous faults
@@ -200,32 +210,19 @@ impl GemmEngine {
     /// This is the allocating convenience: it stages fresh panels and
     /// executes blocks in parallel. The serving hot path uses
     /// [`Self::run_multi_into`] instead.
-    pub fn run_multi<S, F>(
+    pub fn run_multi(
         &self,
         a: &Matrix,
         b: &Matrix,
-        make_scheme: F,
+        scheme: TileScheme,
         faults: &[FaultPlan],
-    ) -> GemmOutput
-    where
-        S: ThreadLocalScheme,
-        F: Fn() -> S + Sync,
-    {
+    ) -> GemmOutput {
         assert_eq!(a.cols, b.rows, "inner dimensions must agree");
         let (out_m, out_n) = (a.rows, b.cols);
         let (gm, gn, cov_m, cov_n, k) = self.coverage();
-        let k_steps = self.tiling.k_steps(self.shape);
-
-        // Capability probe: schemes that never consume K-step fragments
-        // (the serving common case) let the engine skip both the raw
-        // FP16 panel staging and the per-step virtual call; fragment
-        // consumers that only read the decoded views skip the raw
-        // staging too.
-        let probe = make_scheme();
-        let needs16 = probe.needs_k_steps() && probe.uses_raw_fragments();
         let path = simd::active_path();
         let mut panels = Panels::default();
-        panels.stage(a, b, needs16, path.is_simd(), cov_m, cov_n, k);
+        panels.stage(a, b, scheme.lanes, path.is_simd(), cov_m, cov_n, k);
 
         let blocks: Vec<(u64, u64)> = (0..gm)
             .flat_map(|br| (0..gn).map(move |bc| (br, bc)))
@@ -233,34 +230,28 @@ impl GemmEngine {
 
         let results = aiga_util::par_map(&blocks, |&(br, bc)| {
             let mut scratch = BlockScratch::default();
-            scratch.prepare(&self.tiling);
+            scratch.prepare(&self.tiling, scheme.lanes);
             let mut detections = Vec::new();
-            let mut counters = EngineCounters::default();
             walk::run_block(
                 &self.tiling,
-                k_steps,
                 br,
                 bc,
                 path,
                 &panels,
-                &make_scheme,
+                scheme,
                 faults,
                 &mut scratch,
                 &mut detections,
-                &mut counters,
             );
-            (br, bc, scratch.tile, detections, counters)
+            (br, bc, scratch.tile, detections)
         });
 
         let mut out = GemmOutput::default();
         out.reset(out_m, out_n);
-        for (br, bc, tile, detections, counters) in results {
+        out.counters = self.counters(scheme.lanes);
+        for (br, bc, tile, detections) in results {
             scatter_tile(&tile, &self.tiling, br, bc, 0, out_m, out_n, &mut out.c);
             out.detections.extend(detections);
-            out.counters.threads += counters.threads;
-            out.counters.baseline_mmas += counters.baseline_mmas;
-            out.counters.scheme.merge(counters.scheme);
-            out.counters.k_steps = counters.k_steps;
         }
         out
     }
@@ -285,29 +276,22 @@ impl GemmEngine {
     /// allocation-free. Results are byte-identical to
     /// [`Self::run_multi`] in either regime, detections in the same
     /// block-major order.
-    pub fn run_multi_into<'w, S, F>(
+    pub fn run_multi_into<'w>(
         &self,
         a: &Matrix,
         b: &Matrix,
-        make_scheme: F,
+        scheme: TileScheme,
         faults: &[FaultPlan],
         ws: &'w mut Workspace,
-    ) -> &'w GemmOutput
-    where
-        S: ThreadLocalScheme,
-        F: Fn() -> S + Sync,
-    {
+    ) -> &'w GemmOutput {
         assert_eq!(a.cols, b.rows, "inner dimensions must agree");
         let (out_m, out_n) = (a.rows, b.cols);
         let (gm, gn, cov_m, cov_n, k) = self.coverage();
-        let k_steps = self.tiling.k_steps(self.shape);
-
-        let probe = make_scheme();
-        let needs16 = probe.needs_k_steps() && probe.uses_raw_fragments();
         let path = simd::active_path();
         ws.panels
-            .stage(a, b, needs16, path.is_simd(), cov_m, cov_n, k);
+            .stage(a, b, scheme.lanes, path.is_simd(), cov_m, cov_n, k);
         ws.out.reset(out_m, out_n);
+        ws.out.counters = self.counters(scheme.lanes);
 
         let stripes = gm as usize;
         let flops = 2 * cov_m as u128 * cov_n as u128 * k as u128;
@@ -324,21 +308,19 @@ impl GemmEngine {
         };
 
         if workers <= 1 {
-            ws.block.prepare(&self.tiling);
+            ws.block.prepare(&self.tiling, scheme.lanes);
             for br in 0..gm {
                 for bc in 0..gn {
                     walk::run_block(
                         &self.tiling,
-                        k_steps,
                         br,
                         bc,
                         path,
                         &ws.panels,
-                        &make_scheme,
+                        scheme,
                         faults,
                         &mut ws.block,
                         &mut ws.out.detections,
-                        &mut ws.out.counters,
                     );
                     scatter_tile(
                         &ws.block.tile,
@@ -359,7 +341,7 @@ impl GemmEngine {
         // worker. Stripe s owns output rows [s·block_m, (s+1)·block_m),
         // so each worker scatters into a disjoint row slice of the
         // output carved off with split_at_mut.
-        ws.ensure_stripe_pool(workers, &self.tiling);
+        ws.ensure_stripe_pool(workers, &self.tiling, scheme.lanes);
         let bm = self.tiling.block_m as usize;
         let per = stripes.div_ceil(workers);
         let tiling = &self.tiling;
@@ -378,7 +360,6 @@ impl GemmEngine {
                 rest = rem;
                 let base = row_base;
                 row_base += rows;
-                let make_scheme = &make_scheme;
                 scope.spawn(move || {
                     // Workers obey the no-nested-fan-out discipline of
                     // `par_map` (a scheme or campaign above us may
@@ -388,16 +369,14 @@ impl GemmEngine {
                             for bc in 0..gn {
                                 walk::run_block(
                                     tiling,
-                                    k_steps,
                                     br,
                                     bc,
                                     path,
                                     panels,
-                                    make_scheme,
+                                    scheme,
                                     faults,
                                     &mut scr.block,
                                     &mut scr.detections,
-                                    &mut scr.counters,
                                 );
                                 scatter_tile(
                                     &scr.block.tile,
@@ -419,52 +398,8 @@ impl GemmEngine {
         // block-major order the sequential walk produces.
         for scr in &mut ws.stripe_pool[..workers] {
             ws.out.detections.append(&mut scr.detections);
-            ws.out.counters.threads += scr.counters.threads;
-            ws.out.counters.baseline_mmas += scr.counters.baseline_mmas;
-            ws.out.counters.scheme.merge(scr.counters.scheme);
         }
-        ws.out.counters.k_steps = k_steps;
         &ws.out
-    }
-
-    /// Recomputes every output cell owned by one simulated lane,
-    /// reading the operand panels still staged in `ws` from the most
-    /// recent run. This is the targeted-recompute primitive behind
-    /// thread-level fault correction: a `Detection` names the
-    /// `(block, warp, lane)` that flagged, and the `m16n8k8` fragment
-    /// layout determines exactly which `Mt × Nt` cells that lane owns.
-    ///
-    /// Returns the number of cells rewritten (cells falling in the
-    /// cropped-away padding are skipped). Allocation-free.
-    pub fn recompute_lane_into(
-        &self,
-        block: (u64, u64),
-        warp: u64,
-        lane: usize,
-        ws: &mut Workspace,
-    ) -> u32 {
-        let t = &self.tiling;
-        let (br, bc) = block;
-        let warps_n = t.block_n / t.warp_n;
-        let wr = warp / warps_n;
-        let wc = warp % warps_n;
-        let group = lane / 4;
-        let quad = lane % 4;
-        let mut repaired = 0u32;
-        for rgran in 0..(t.warp_m / 16) {
-            let rbase = (br * t.block_m + wr * t.warp_m + rgran * 16) as usize + group;
-            for &r in &[rbase, rbase + 8] {
-                for cgran in 0..(t.warp_n / 8) {
-                    let cbase = (bc * t.block_n + wc * t.warp_n + cgran * 8) as usize + 2 * quad;
-                    for &c in &[cbase, cbase + 1] {
-                        if ws.recompute_cell(r, c) {
-                            repaired += 1;
-                        }
-                    }
-                }
-            }
-        }
-        repaired
     }
 }
 

@@ -1,37 +1,28 @@
 //! Operand staging and the reusable [`Workspace`].
 //!
 //! [`Panels`] holds the per-run operand form the engine executes from:
-//! pre-decoded f32 panels (B transposed so a thread's K-walk streams
-//! both operands linearly) plus the raw padded FP16 panels, staged only
-//! when a scheme consumes per-step fragments.
+//! pre-decoded f32 panels (B transposed so one output column's K-walk
+//! streams linearly), their microkernel pack layouts, and — only when
+//! the run's scheme carries checksum lanes — the per-strip A column
+//! sums and per-tile B row sums those lanes multiply.
 //!
 //! [`Workspace`] owns *all* per-run scratch — panels, the per-block
-//! accumulator tile, per-thread chunk buffers, the output buffer, and
+//! accumulator tile and its checksum lanes, the output buffer, and
 //! staging space the layers above lend out (pipeline activations,
 //! scheme-check scratch). Callers that hold a workspace across runs get
 //! a steady state in which the whole execution path performs **zero
 //! heap allocations**: every buffer is resized in place and capacities
 //! only ratchet up to the high-water mark of the shapes served.
 
-use super::fault_inject::{Detection, FaultKind};
+use super::fault_inject::Detection;
 use super::matrix::Matrix;
-use super::scheme::ThreadCtx;
-use super::{simd, EngineCounters, GemmOutput};
-use crate::tiling::TilingConfig;
-use aiga_dtype::Dtype;
+use super::scheme::Redundancy;
+use super::{simd, GemmOutput};
+use crate::tiling::{TilingConfig, MICRO_MR};
 
 /// Operand panels staged once per engine run.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Panels {
-    /// Raw padded FP16 A panel (`cov_m × k`), staged only when a scheme
-    /// consumes K-step fragments.
-    pub(crate) a16: Matrix,
-    /// Raw padded FP16 B panel, ditto — stored transposed (`cov_n × k`
-    /// row-major, like `b_f32_t`) so each thread's K-step replay streams
-    /// it linearly instead of striding a full row width per step.
-    pub(crate) b16_t: Matrix,
-    /// Whether the raw FP16 panels above are staged for this run.
-    pub(crate) staged16: bool,
     /// Padded A decoded to f32, `cov_m × k` row-major.
     pub(crate) a_f32: Vec<f32>,
     /// Padded B decoded to f32 and transposed, `cov_n × k` row-major
@@ -43,81 +34,90 @@ pub(crate) struct Panels {
     /// B re-packed into `MICRO_PANEL`-wide K-major panels
     /// (see [`simd::pack_b`]); empty when the scalar path is active.
     pub(crate) b_pack: Vec<f32>,
+    /// Per-strip A checksum rows (see [`simd::stage_a_chk`]): strip `s`,
+    /// step `kk` holds `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` at
+    /// `(s·k + kk)·2`. Staged only for the two ABFT lane kinds.
+    pub(crate) a_chk: Vec<f32>,
+    /// Per-tile-column-group B checksum columns (see
+    /// [`simd::stage_b_chk`]): group `g` (columns `g·NR..g·NR+NR`), step
+    /// `kk` holds `(Σ_j b[kk][j], Σ_j |b[kk][j]|)` at `(g·k + kk)·2`.
+    /// Staged only for [`Redundancy::TileChecksum`].
+    pub(crate) b_chk: Vec<f32>,
     /// Shared inner dimension (the engine's padded K).
     pub(crate) k: usize,
-    /// Storage format of the staged operands (both must agree); K-step
-    /// fragments replayed to schemes carry this tag.
-    pub(crate) dtype: Dtype,
 }
 
 impl Panels {
     /// Stages `a`/`b` for one run, reusing this instance's buffers.
-    /// FP16 → f32 is exact, so every downstream product and
-    /// accumulation is bit-identical to decoding inside the K-loop.
-    /// `pack` additionally stages the microkernel pack layouts (skipped
-    /// on the scalar path, which reads the decoded panels directly).
+    /// Decoding to f32 is exact for every storage format, so every
+    /// downstream product and accumulation is bit-identical to decoding
+    /// inside the K-loop. `pack` additionally stages the microkernel
+    /// pack layouts (skipped on the scalar path, which reads the decoded
+    /// panels directly); `lanes` selects which checksum rows to stage.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage(
         &mut self,
         a: &Matrix,
         b: &Matrix,
-        needs16: bool,
+        lanes: Redundancy,
         pack: bool,
         cov_m: usize,
         cov_n: usize,
         k: usize,
     ) {
         assert_eq!(a.dtype, b.dtype, "GEMM operands must share one dtype");
-        self.dtype = a.dtype;
-        self.staged16 = needs16;
-        if needs16 {
-            a.copy_padded_into(cov_m, k, &mut self.a16);
-            b.copy_padded_transposed_into(k, cov_n, &mut self.b16_t);
-        }
         a.decode_padded_into(cov_m, k, &mut self.a_f32);
         b.decode_padded_transposed_into(k, cov_n, &mut self.b_f32_t);
         if pack {
             simd::pack_a(&self.a_f32, cov_m, k, &mut self.a_pack);
             simd::pack_b(&self.b_f32_t, cov_n, k, &mut self.b_pack);
         }
+        if matches!(lanes, Redundancy::ColumnChecksum | Redundancy::TileChecksum) {
+            simd::stage_a_chk(&self.a_f32, cov_m, k, &mut self.a_chk);
+        }
+        if lanes == Redundancy::TileChecksum {
+            simd::stage_b_chk(&self.b_f32_t, cov_n, k, &mut self.b_chk);
+        }
         self.k = k;
     }
 }
 
-/// Per-block execution scratch: the accumulator tile plus every
-/// loop-carried buffer of the simulated thread loop. One instance is
-/// reused by every thread of every block — the thread loop itself
-/// allocates nothing.
+/// Per-block execution scratch: the accumulator tile plus whatever the
+/// run's scheme carries beside it. One instance is reused by every
+/// block of a run — block execution allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BlockScratch {
     /// `block_m × block_n` FP32 accumulator tile.
     pub(crate) tile: Vec<f32>,
-    /// The thread's `Mt × Nt` FP32 accumulators.
-    pub(crate) acc: Vec<f32>,
-    /// `(accumulator index, after_step, kind)` of faults aimed at the
-    /// current thread.
-    pub(crate) fault_targets: Vec<(usize, u64, FaultKind)>,
-    /// Reused thread identity (rows/cols vectors keep their capacity).
-    pub(crate) ctx: ThreadCtx,
+    /// Checksum lanes as the microkernel left them: one value per
+    /// (strip, column) for [`Redundancy::ColumnChecksum`] (`strip·bn +
+    /// col`), one per register tile for [`Redundancy::TileChecksum`]
+    /// (`strip·bn/NR + group`).
+    pub(crate) chk: Vec<f32>,
+    /// Magnitude lanes, laid out like `chk`.
+    pub(crate) mag: Vec<f32>,
+    /// The second copy of the tile for the replication schemes.
+    pub(crate) shadow: Vec<f32>,
 }
 
 impl BlockScratch {
-    /// Sizes every buffer for one run under `tiling`. Shrinks never
-    /// release capacity, so repeated runs at the same tiling do not
-    /// allocate.
-    pub(crate) fn prepare(&mut self, tiling: &TilingConfig) {
-        let mt = tiling.thread_mt() as usize;
-        let nt = tiling.thread_nt() as usize;
-        let tile_len = (tiling.block_m * tiling.block_n) as usize;
-        self.tile.clear();
-        self.tile.resize(tile_len, 0.0);
-        self.acc.clear();
-        self.acc.resize(mt * nt, 0.0);
-        self.fault_targets.clear();
-        self.ctx.rows.clear();
-        self.ctx.rows.reserve(mt);
-        self.ctx.cols.clear();
-        self.ctx.cols.reserve(nt);
+    /// Sizes every buffer for one run under `tiling` and `lanes`.
+    /// Shrinks never release capacity, so repeated runs at the same
+    /// tiling do not allocate.
+    pub(crate) fn prepare(&mut self, tiling: &TilingConfig, lanes: Redundancy) {
+        let (bm, bn) = (tiling.block_m as usize, tiling.block_n as usize);
+        let resize = |v: &mut Vec<f32>, len: usize| {
+            v.clear();
+            v.resize(len, 0.0);
+        };
+        resize(&mut self.tile, bm * bn);
+        let lane_len = lanes.lane_len(bm, bn);
+        resize(&mut self.chk, lane_len);
+        resize(&mut self.mag, lane_len);
+        resize(
+            &mut self.shadow,
+            if lanes.is_shadow() { bm * bn } else { 0 },
+        );
     }
 }
 
@@ -132,10 +132,8 @@ pub(crate) struct StripeScratch {
     pub(crate) block: BlockScratch,
     /// Detections flagged by this worker's stripes, in stripe order
     /// (drained into the output after the join, preserving the global
-    /// `(block, warp, lane)` order).
+    /// block-major order).
     pub(crate) detections: Vec<Detection>,
-    /// This worker's counter contribution.
-    pub(crate) counters: EngineCounters,
 }
 
 /// Reusable scratch for kernel-level checksum verification (global
@@ -295,16 +293,20 @@ impl Workspace {
     }
 
     /// Arms the block-parallel scratch pool for `n` workers under
-    /// `tiling`: grows the pool if this is a new high-water mark, then
-    /// re-prepares each worker's scratch in place.
-    pub(crate) fn ensure_stripe_pool(&mut self, n: usize, tiling: &TilingConfig) {
+    /// `tiling` and `lanes`: grows the pool if this is a new high-water
+    /// mark, then re-prepares each worker's scratch in place.
+    pub(crate) fn ensure_stripe_pool(
+        &mut self,
+        n: usize,
+        tiling: &TilingConfig,
+        lanes: Redundancy,
+    ) {
         if self.stripe_pool.len() < n {
             self.stripe_pool.resize_with(n, StripeScratch::default);
         }
         for s in &mut self.stripe_pool[..n] {
-            s.block.prepare(tiling);
+            s.block.prepare(tiling, lanes);
             s.detections.clear();
-            s.counters = EngineCounters::default();
         }
     }
 
@@ -313,8 +315,8 @@ impl Workspace {
     ///
     /// The recompute replays the canonical accumulation order (one FMA
     /// per K element, in order — see [`super::simd`]) that the SIMD
-    /// microkernel, the scalar oracle, and the hooked walk all share, so
-    /// a recomputed cell is bit-exact with a clean run. Faults are never
+    /// microkernel and the scalar oracle share, so a recomputed cell is
+    /// bit-exact with a clean run. Faults are never
     /// re-applied: the panels hold only operands. Returns `false` (no
     /// write) when the cell lies outside the cropped output — padded
     /// rows/columns have no output cell to repair.
@@ -329,6 +331,21 @@ impl Workspace {
         let b_col = &self.panels.b_f32_t[c * k..c * k + k];
         self.out.c[r * self.out.n + c] = simd::dot(a_row, b_col);
         true
+    }
+
+    /// Recomputes the cells a [`Detection`] names — the `MICRO_MR` rows
+    /// of its strip across its flagged columns — and returns how many
+    /// were rewritten (cells in the cropped-away padding are skipped).
+    /// This is the targeted-recompute primitive behind thread-level
+    /// fault correction.
+    pub fn recompute_strip(&mut self, row: usize, col: usize, cols: usize) -> u32 {
+        let mut repaired = 0;
+        for r in row..row + MICRO_MR {
+            for c in col..col + cols {
+                repaired += self.recompute_cell(r, c) as u32;
+            }
+        }
+        repaired
     }
 
     /// Recomputes every cell of output row `r` (see

@@ -1,17 +1,17 @@
 //! SIMD register-tiled GEMM microkernels and their runtime dispatch.
 //!
-//! The functional engine models a CUTLASS kernel's *semantics* (the
-//! warp/lane fragment layout, the scheme hooks, the fault targeting),
-//! but the arithmetic that fills a block tile is plain FP32 math — so it
-//! can run on whatever the host does fastest. This module supplies that
-//! substrate in the same pack→microkernel→epilogue decomposition real
-//! GEMM libraries use:
+//! The arithmetic that fills a block tile is plain FP32 math, so it runs
+//! on whatever the host does fastest, in the same
+//! pack→microkernel→epilogue decomposition real GEMM libraries use:
 //!
 //! - [`pack_a`]/[`pack_b`] re-lay the decoded f32 panels into
-//!   microkernel-friendly strips/panels (done once per run in
-//!   `Panels::stage`);
-//! - [`fill_block_tile`] computes one threadblock tile through either
-//!   the AVX2+FMA register-tiled microkernel or the scalar oracle;
+//!   microkernel-friendly strips/panels, and [`stage_a_chk`]/
+//!   [`stage_b_chk`] add the checksum rows a thread-level ABFT scheme
+//!   multiplies (all done once per run in `Panels::stage`);
+//! - [`fill_block_tile`] computes one threadblock tile — and, when the
+//!   run's scheme asks for them, the checksum and magnitude lanes of
+//!   every register tile in it — through either the AVX2+FMA
+//!   register-tiled microkernel or the scalar oracle;
 //! - [`active_path`] picks between them at runtime
 //!   (`is_x86_feature_detected!`), honouring the `AIGA_FORCE_SCALAR=1`
 //!   override so CI can exercise the oracle on any machine.
@@ -33,8 +33,16 @@
 //! scalar oracle, the targeted-recompute repair path, and the faulted
 //! cold walk are all byte-identical by construction. The golden tests in
 //! `crates/core/tests/engine_golden.rs` pin this contract.
+//!
+//! Checksum and magnitude lanes obey the same contract: each is one
+//! more in-order FMA chain (`chk = fma(s[kk], b[kk][col], chk)`,
+//! `mag = fma(s_abs[kk], |b[kk][col]|, mag)`, and the two-sided corner
+//! `fma(s[kk], t[kk], corner)`), mirrored operation for operation by
+//! [`chk_dot`]/[`corner_dot`] on the scalar path — so residuals and
+//! thresholds, not just outputs, are byte-identical across paths.
 
 use super::panels::Panels;
+use super::scheme::Redundancy;
 use crate::tiling::{MICRO_MR, MICRO_NR, MICRO_PANEL};
 
 // The main microkernel drives two B panels at once.
@@ -165,6 +173,52 @@ pub(crate) fn pack_b(b_f32_t: &[f32], cov_n: usize, k: usize, out: &mut Vec<f32>
     }
 }
 
+/// Stages the per-strip A checksum rows: for strip `s` and step `kk`,
+/// `out[(s·k + kk)·2..][..2] = (Σ_i a[i][kk], Σ_i |a[i][kk]|)` over the
+/// strip's [`MICRO_MR`] rows, both summed pairwise in f32. The second is
+/// the *sum of magnitudes*, not the magnitude of the sum: the error
+/// bound it feeds must cover the data accumulators' rounding even where
+/// the strip's values cancel.
+pub(crate) fn stage_a_chk(a_f32: &[f32], cov_m: usize, k: usize, out: &mut Vec<f32>) {
+    const _: () = assert!(MICRO_MR == 4);
+    let strips = cov_m / MICRO_MR;
+    out.clear();
+    out.resize(strips * k * 2, 0.0);
+    for (rows, dst) in a_f32
+        .chunks_exact(MICRO_MR * k)
+        .zip(out.chunks_exact_mut(k * 2))
+    {
+        let (r0, rest) = rows.split_at(k);
+        let (r1, rest) = rest.split_at(k);
+        let (r2, r3) = rest.split_at(k);
+        for (kk, d) in dst.chunks_exact_mut(2).enumerate() {
+            d[0] = (r0[kk] + r1[kk]) + (r2[kk] + r3[kk]);
+            d[1] = (r0[kk].abs() + r1[kk].abs()) + (r2[kk].abs() + r3[kk].abs());
+        }
+    }
+}
+
+/// Stages the per-tile B checksum columns: for column group `g`
+/// (columns `g·NR..g·NR+NR`) and step `kk`,
+/// `out[(g·k + kk)·2..][..2] = (Σ_j b[kk][j], Σ_j |b[kk][j]|)`, summed
+/// in column order in f32.
+pub(crate) fn stage_b_chk(b_f32_t: &[f32], cov_n: usize, k: usize, out: &mut Vec<f32>) {
+    debug_assert_eq!(cov_n % MICRO_NR, 0, "coverage is register-tile-aligned");
+    out.clear();
+    out.resize(cov_n / MICRO_NR * k * 2, 0.0);
+    for (cols, dst) in b_f32_t
+        .chunks_exact(MICRO_NR * k)
+        .zip(out.chunks_exact_mut(k * 2))
+    {
+        for col in cols.chunks_exact(k) {
+            for (d, &v) in dst.chunks_exact_mut(2).zip(col) {
+                d[0] += v;
+                d[1] += v.abs();
+            }
+        }
+    }
+}
+
 /// The canonical dot product: one FMA per K element, in order (see the
 /// module docs). This is the scalar oracle's inner loop and the shared
 /// primitive behind targeted recompute and faulted-accumulator replay.
@@ -198,81 +252,217 @@ fn dot_generic(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
+/// The scalar mirror of one column's checksum and magnitude lanes
+/// ([`Redundancy::ColumnChecksum`]): `a_chk` is one strip's
+/// [`stage_a_chk`] row, `b` one output column's K-walk.
+#[inline(always)]
+fn chk_dot(a_chk: &[f32], b: &[f32]) -> (f32, f32) {
+    let (mut chk, mut mag) = (0.0f32, 0.0f32);
+    for (s, &v) in a_chk.chunks_exact(2).zip(b) {
+        chk = s[0].mul_add(v, chk);
+        mag = s[1].mul_add(v.abs(), mag);
+    }
+    (chk, mag)
+}
+
+/// The scalar mirror of one register tile's corner chain and its
+/// magnitude ([`Redundancy::TileChecksum`]): `a_chk` is the strip's
+/// [`stage_a_chk`] row, `b_chk` the column group's [`stage_b_chk`] row.
+#[inline(always)]
+fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
+    let (mut chk, mut mag) = (0.0f32, 0.0f32);
+    for (s, t) in a_chk.chunks_exact(2).zip(b_chk.chunks_exact(2)) {
+        chk = s[0].mul_add(t[0], chk);
+        mag = s[1].mul_add(t[1], mag);
+    }
+    (chk, mag)
+}
+
 /// Fills one `bm × bn` block tile (global origin `(row0, col0)`) from
-/// the staged panels, through the dispatched microkernel. The tile
-/// covers grid padding too (padded rows/columns are zero in the panels),
-/// exactly like the simulated thread loop it replaces.
+/// the staged panels, through the dispatched microkernel, leaving the
+/// data in `tile` and — for the two ABFT lane kinds — every register
+/// tile's checksum and magnitude lanes in `chk`/`mag` (laid out as
+/// `BlockScratch` documents). The tile covers grid padding too (padded
+/// rows/columns are zero in the panels, so computing them is harmless
+/// and branch-free). Any other `lanes` runs the plain kernel — the
+/// replication kinds call this twice, once per copy.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_block_tile(
     path: GemmPath,
     panels: &Panels,
+    lanes: Redundancy,
     row0: usize,
     col0: usize,
     bm: usize,
     bn: usize,
     tile: &mut [f32],
+    chk: &mut [f32],
+    mag: &mut [f32],
 ) {
-    debug_assert!(tile.len() >= bm * bn);
+    assert!(tile.len() >= bm * bn);
+    assert!(row0.is_multiple_of(MICRO_MR) && bm.is_multiple_of(MICRO_MR));
+    assert!(col0.is_multiple_of(MICRO_NR) && bn.is_multiple_of(MICRO_NR));
+    let lane_len = lanes.lane_len(bm, bn);
+    assert!(chk.len() >= lane_len && mag.len() >= lane_len);
     match path {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the dispatcher only selects Avx2Fma when AVX2 and FMA
-        // are present (detect_path / force_path enforce it).
+        // are present (detect_path / force_path enforce it); the asserts
+        // above and in the callee bound every pointer offset.
         GemmPath::Avx2Fma => unsafe {
-            fill_block_tile_avx2(panels, row0, col0, bm, bn, tile);
+            match lanes {
+                Redundancy::ColumnChecksum => {
+                    fill_avx2::<LANES_COLUMN>(panels, row0, col0, bm, bn, tile, chk, mag)
+                }
+                Redundancy::TileChecksum => {
+                    fill_avx2::<LANES_TILE>(panels, row0, col0, bm, bn, tile, chk, mag)
+                }
+                _ => fill_avx2::<LANES_NONE>(panels, row0, col0, bm, bn, tile, chk, mag),
+            }
         },
         #[cfg(not(target_arch = "x86_64"))]
         GemmPath::Avx2Fma => unreachable!("AVX2 path dispatched on non-x86_64"),
         GemmPath::Scalar => {
-            let k = panels.k;
-            for lr in 0..bm {
-                let a_row = &panels.a_f32[(row0 + lr) * k..][..k];
-                let trow = &mut tile[lr * bn..(lr + 1) * bn];
-                for (lc, out) in trow.iter_mut().enumerate() {
-                    *out = dot(a_row, &panels.b_f32_t[(col0 + lc) * k..][..k]);
-                }
+            #[cfg(target_arch = "x86_64")]
+            if detect_path().is_simd() {
+                // SAFETY: FMA support was verified by detect_path.
+                return unsafe {
+                    fill_scalar_fma(panels, lanes, row0, col0, bm, bn, tile, chk, mag)
+                };
             }
+            fill_scalar(panels, lanes, row0, col0, bm, bn, tile, chk, mag)
         }
     }
 }
 
+/// [`fill_scalar`] compiled with the FMA target feature (see
+/// [`dot_fma`]) — same bytes, hardware `mul_add`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fill_scalar_fma(
+    panels: &Panels,
+    lanes: Redundancy,
+    row0: usize,
+    col0: usize,
+    bm: usize,
+    bn: usize,
+    tile: &mut [f32],
+    chk: &mut [f32],
+    mag: &mut [f32],
+) {
+    fill_scalar(panels, lanes, row0, col0, bm, bn, tile, chk, mag)
+}
+
+/// The scalar oracle: every data cell and every lane is its own
+/// in-order FMA chain over the decoded panels.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn fill_scalar(
+    panels: &Panels,
+    lanes: Redundancy,
+    row0: usize,
+    col0: usize,
+    bm: usize,
+    bn: usize,
+    tile: &mut [f32],
+    chk: &mut [f32],
+    mag: &mut [f32],
+) {
+    let k = panels.k;
+    let b_col = |c: usize| &panels.b_f32_t[(col0 + c) * k..][..k];
+    for lr in 0..bm {
+        let a_row = &panels.a_f32[(row0 + lr) * k..][..k];
+        for (lc, out) in tile[lr * bn..(lr + 1) * bn].iter_mut().enumerate() {
+            *out = dot_generic(a_row, b_col(lc));
+        }
+    }
+    let a_chk = |s: usize| &panels.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
+    match lanes {
+        Redundancy::ColumnChecksum => {
+            for s in 0..bm / MICRO_MR {
+                for lc in 0..bn {
+                    (chk[s * bn + lc], mag[s * bn + lc]) = chk_dot(a_chk(s), b_col(lc));
+                }
+            }
+        }
+        Redundancy::TileChecksum => {
+            let groups = bn / MICRO_NR;
+            for s in 0..bm / MICRO_MR {
+                for g in 0..groups {
+                    let b_chk = &panels.b_chk[(col0 / MICRO_NR + g) * k * 2..][..k * 2];
+                    (chk[s * groups + g], mag[s * groups + g]) = corner_dot(a_chk(s), b_chk);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+const LANES_NONE: u8 = 0;
+#[cfg(target_arch = "x86_64")]
+const LANES_COLUMN: u8 = 1;
+#[cfg(target_arch = "x86_64")]
+const LANES_TILE: u8 = 2;
+
 /// The AVX2+FMA register-tiled microkernel: walks the block tile in
 /// `MICRO_MR × MICRO_NR` register tiles. Each register tile keeps 8 ymm
-/// accumulators live (4 broadcast rows × 2 column vectors) across the
-/// *entire* K extent — accumulators never spill, so each output element
-/// is one in-order FMA chain, exactly the canonical order. Per K step:
-/// 2 vector loads of B, 4 broadcasts of A, 8 FMAs.
+/// data accumulators live (4 broadcast rows × 2 column vectors) across
+/// the *entire* K extent — accumulators never spill, so each output
+/// element is one in-order FMA chain, exactly the canonical order. Per
+/// K step: 2 vector loads of B, 4 broadcasts of A, 8 FMAs.
+///
+/// `LANES_COLUMN` adds, on the two B vectors already loaded, a checksum
+/// accumulator pair fed by the strip's column sum and a magnitude pair
+/// fed by its magnitude sum and `|b|` (2 broadcasts, 2 `andnot`, 4 FMAs
+/// — 12 of 16 ymm live). `LANES_TILE` adds one xmm FMA whose low two
+/// lanes are the tile's corner chain and its magnitude (two 8-byte
+/// loads). Neither touches memory the data walk does not already
+/// stream except those few floats per step.
+///
+/// # Safety
+/// The host must support AVX2 and FMA. `panels` must be staged with the
+/// pack layouts (and `a_chk`/`b_chk` for the lane kind) covering
+/// `row0 + bm` rows and `col0 + bn` columns; `tile`, `chk`, `mag` must
+/// hold the block's extents (checked by [`fill_block_tile`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fill_block_tile_avx2(
+#[allow(clippy::too_many_arguments)]
+unsafe fn fill_avx2<const LANES: u8>(
     panels: &Panels,
     row0: usize,
     col0: usize,
     bm: usize,
     bn: usize,
     tile: &mut [f32],
+    chk: &mut [f32],
+    mag: &mut [f32],
 ) {
     use std::arch::x86_64::*;
     let k = panels.k;
-    debug_assert_eq!(row0 % MICRO_MR, 0);
-    debug_assert_eq!(col0 % MICRO_PANEL, 0);
-    debug_assert_eq!(bm % MICRO_MR, 0);
-    debug_assert_eq!(bn % MICRO_PANEL, 0);
-    debug_assert!(panels.a_pack.len() >= (row0 + bm) * k);
-    debug_assert!(panels.b_pack.len() >= (col0 + bn) * k);
     let strips = bm / MICRO_MR;
-    let npanels = bn / MICRO_PANEL;
+    let groups = bn / MICRO_NR;
     let s0 = row0 / MICRO_MR;
-    let p0 = col0 / MICRO_PANEL;
+    let g0 = col0 / MICRO_NR;
+    assert!(panels.a_pack.len() >= (row0 + bm) * k);
+    assert!(panels.b_pack.len() >= (col0 + bn) * k);
+    assert!(LANES == LANES_NONE || panels.a_chk.len() >= (s0 + strips) * k * 2);
+    assert!(LANES != LANES_TILE || panels.b_chk.len() >= (g0 + groups) * k * 2);
     let a_pack = panels.a_pack.as_ptr();
     let b_pack = panels.b_pack.as_ptr();
+    let a_chk = panels.a_chk.as_ptr();
+    let b_chk = panels.b_chk.as_ptr();
     let tile = tile.as_mut_ptr();
+    let sign = _mm256_set1_ps(-0.0);
 
     for s in 0..strips {
         let a_strip = a_pack.add((s0 + s) * MICRO_MR * k);
-        let mut p = 0;
-        // Main 4×16 tiles: two adjacent B panels at once.
-        while p + 1 < npanels {
-            let b_lo = b_pack.add((p0 + p) * MICRO_PANEL * k);
-            let b_hi = b_pack.add((p0 + p + 1) * MICRO_PANEL * k);
+        let a_sum = a_chk.wrapping_add((s0 + s) * k * 2);
+        for g in 0..groups {
+            let b_lo = b_pack.add((g0 + g) * MICRO_NR * k);
+            let b_hi = b_lo.add(MICRO_PANEL * k);
+            let b_sum = b_chk.wrapping_add((g0 + g) * k * 2);
             let mut acc0l = _mm256_setzero_ps();
             let mut acc0h = _mm256_setzero_ps();
             let mut acc1l = _mm256_setzero_ps();
@@ -281,6 +471,11 @@ unsafe fn fill_block_tile_avx2(
             let mut acc2h = _mm256_setzero_ps();
             let mut acc3l = _mm256_setzero_ps();
             let mut acc3h = _mm256_setzero_ps();
+            let mut chk_l = _mm256_setzero_ps();
+            let mut chk_h = _mm256_setzero_ps();
+            let mut mag_l = _mm256_setzero_ps();
+            let mut mag_h = _mm256_setzero_ps();
+            let mut corner = _mm_setzero_ps();
             for kk in 0..k {
                 let vb_lo = _mm256_loadu_ps(b_lo.add(kk * MICRO_PANEL));
                 let vb_hi = _mm256_loadu_ps(b_hi.add(kk * MICRO_PANEL));
@@ -297,8 +492,23 @@ unsafe fn fill_block_tile_avx2(
                 let va3 = _mm256_set1_ps(*a_step.add(3));
                 acc3l = _mm256_fmadd_ps(va3, vb_lo, acc3l);
                 acc3h = _mm256_fmadd_ps(va3, vb_hi, acc3h);
+                if LANES == LANES_COLUMN {
+                    let vs = _mm256_set1_ps(*a_sum.add(kk * 2));
+                    chk_l = _mm256_fmadd_ps(vs, vb_lo, chk_l);
+                    chk_h = _mm256_fmadd_ps(vs, vb_hi, chk_h);
+                    let vm = _mm256_set1_ps(*a_sum.add(kk * 2 + 1));
+                    mag_l = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_lo), mag_l);
+                    mag_h = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_hi), mag_h);
+                }
+                if LANES == LANES_TILE {
+                    // (sum, magnitude) pairs in the low two lanes; the
+                    // upper lanes stay 0·0 + 0.
+                    let st = _mm_castpd_ps(_mm_load_sd(a_sum.add(kk * 2) as *const f64));
+                    let tt = _mm_castpd_ps(_mm_load_sd(b_sum.add(kk * 2) as *const f64));
+                    corner = _mm_fmadd_ps(st, tt, corner);
+                }
             }
-            let col = p * MICRO_PANEL;
+            let col = g * MICRO_NR;
             let t0 = tile.add((s * MICRO_MR) * bn + col);
             _mm256_storeu_ps(t0, acc0l);
             _mm256_storeu_ps(t0.add(MICRO_PANEL), acc0h);
@@ -311,28 +521,20 @@ unsafe fn fill_block_tile_avx2(
             let t3 = tile.add((s * MICRO_MR + 3) * bn + col);
             _mm256_storeu_ps(t3, acc3l);
             _mm256_storeu_ps(t3.add(MICRO_PANEL), acc3h);
-            p += 2;
-        }
-        // 4×8 tail when the block is an odd number of panels wide.
-        if p < npanels {
-            let b_lo = b_pack.add((p0 + p) * MICRO_PANEL * k);
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            for kk in 0..k {
-                let vb = _mm256_loadu_ps(b_lo.add(kk * MICRO_PANEL));
-                let a_step = a_strip.add(kk * MICRO_MR);
-                acc0 = _mm256_fmadd_ps(_mm256_set1_ps(*a_step), vb, acc0);
-                acc1 = _mm256_fmadd_ps(_mm256_set1_ps(*a_step.add(1)), vb, acc1);
-                acc2 = _mm256_fmadd_ps(_mm256_set1_ps(*a_step.add(2)), vb, acc2);
-                acc3 = _mm256_fmadd_ps(_mm256_set1_ps(*a_step.add(3)), vb, acc3);
+            if LANES == LANES_COLUMN {
+                let c = chk.as_mut_ptr().add(s * bn + col);
+                _mm256_storeu_ps(c, chk_l);
+                _mm256_storeu_ps(c.add(MICRO_PANEL), chk_h);
+                let m = mag.as_mut_ptr().add(s * bn + col);
+                _mm256_storeu_ps(m, mag_l);
+                _mm256_storeu_ps(m.add(MICRO_PANEL), mag_h);
             }
-            let col = p * MICRO_PANEL;
-            _mm256_storeu_ps(tile.add((s * MICRO_MR) * bn + col), acc0);
-            _mm256_storeu_ps(tile.add((s * MICRO_MR + 1) * bn + col), acc1);
-            _mm256_storeu_ps(tile.add((s * MICRO_MR + 2) * bn + col), acc2);
-            _mm256_storeu_ps(tile.add((s * MICRO_MR + 3) * bn + col), acc3);
+            if LANES == LANES_TILE {
+                let mut pair = [0.0f32; 4];
+                _mm_storeu_ps(pair.as_mut_ptr(), corner);
+                chk[s * groups + g] = pair[0];
+                mag[s * groups + g] = pair[1];
+            }
         }
     }
 }
@@ -341,19 +543,19 @@ unsafe fn fill_block_tile_avx2(
 mod tests {
     use super::*;
 
-    fn staged_panels(m: usize, n: usize, k: usize, seed: u64) -> Panels {
+    fn staged_panels(m: usize, n: usize, k: usize, seed: u64, lanes: Redundancy) -> Panels {
         use super::super::matrix::Matrix;
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let mut p = Panels::default();
-        p.stage(&a, &b, false, true, m, n, k);
+        p.stage(&a, &b, lanes, true, m, n, k);
         p
     }
 
     #[test]
     fn packed_layouts_round_trip_the_panels() {
-        let (m, n, k) = (16, 24, 8);
-        let p = staged_panels(m, n, k, 42);
+        let (m, n, k) = (16, 32, 8);
+        let p = staged_panels(m, n, k, 42, Redundancy::TileChecksum);
         for r in 0..m {
             for kk in 0..k {
                 let s = r / MICRO_MR;
@@ -366,6 +568,26 @@ mod tests {
                 let pan = c / MICRO_PANEL;
                 let packed = p.b_pack[pan * MICRO_PANEL * k + kk * MICRO_PANEL + (c % MICRO_PANEL)];
                 assert_eq!(packed.to_bits(), p.b_f32_t[c * k + kk].to_bits());
+            }
+        }
+        // Checksum rows: plain sums and sums of magnitudes, per strip
+        // and per register-tile column group.
+        for s in 0..m / MICRO_MR {
+            for kk in 0..k {
+                let col = |i: usize| p.a_f32[(s * MICRO_MR + i) * k + kk] as f64;
+                let want: f64 = (0..MICRO_MR).map(col).sum();
+                let want_abs: f64 = (0..MICRO_MR).map(|i| col(i).abs()).sum();
+                assert!((p.a_chk[(s * k + kk) * 2] as f64 - want).abs() < 1e-5);
+                assert!((p.a_chk[(s * k + kk) * 2 + 1] as f64 - want_abs).abs() < 1e-5);
+            }
+        }
+        for g in 0..n / MICRO_NR {
+            for kk in 0..k {
+                let row = |j: usize| p.b_f32_t[(g * MICRO_NR + j) * k + kk] as f64;
+                let want: f64 = (0..MICRO_NR).map(row).sum();
+                let want_abs: f64 = (0..MICRO_NR).map(|j| row(j).abs()).sum();
+                assert!((p.b_chk[(g * k + kk) * 2] as f64 - want).abs() < 1e-4);
+                assert!((p.b_chk[(g * k + kk) * 2 + 1] as f64 - want_abs).abs() < 1e-4);
             }
         }
     }
@@ -386,16 +608,32 @@ mod tests {
         if !detect_path().is_simd() {
             return; // nothing to compare on this host
         }
-        // Odd-ish extents exercise the 4×8 tail (bn = 24 ⇒ 3 panels).
-        for &(bm, bn, k) in &[(16usize, 16usize, 32usize), (32, 24, 56), (8, 40, 10)] {
-            let p = staged_panels(bm, bn, k, 7 + (bm + bn + k) as u64);
-            let mut simd = vec![0.0f32; bm * bn];
-            let mut scalar = vec![0.0f32; bm * bn];
-            fill_block_tile(GemmPath::Avx2Fma, &p, 0, 0, bm, bn, &mut simd);
-            fill_block_tile(GemmPath::Scalar, &p, 0, 0, bm, bn, &mut scalar);
-            let sb: Vec<u32> = simd.iter().map(|v| v.to_bits()).collect();
-            let cb: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, cb, "bm={bm} bn={bn} k={k}");
+        // Data tile, checksum lanes and magnitude lanes, under every
+        // lane kind, at a block origin away from zero.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for lanes in [
+            Redundancy::None,
+            Redundancy::ColumnChecksum,
+            Redundancy::TileChecksum,
+        ] {
+            for &(bm, bn, k) in &[(16usize, 16usize, 32usize), (32, 48, 56), (8, 32, 10)] {
+                let (row0, col0) = (MICRO_MR * 2, MICRO_NR);
+                let p = staged_panels(row0 + bm, col0 + bn, k, 7 + (bm + bn + k) as u64, lanes);
+                let run = |path| {
+                    let mut tile = vec![0.0; bm * bn];
+                    let mut chk = vec![0.0; lanes.lane_len(bm, bn)];
+                    let mut mag = chk.clone();
+                    fill_block_tile(
+                        path, &p, lanes, row0, col0, bm, bn, &mut tile, &mut chk, &mut mag,
+                    );
+                    (bits(&tile), bits(&chk), bits(&mag))
+                };
+                assert_eq!(
+                    run(GemmPath::Avx2Fma),
+                    run(GemmPath::Scalar),
+                    "{lanes:?} bm={bm} bn={bn} k={k}"
+                );
+            }
         }
     }
 

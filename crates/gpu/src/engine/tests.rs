@@ -5,6 +5,24 @@
 use super::*;
 use aiga_fp16::F16;
 
+const ALL_LANES: [Redundancy; 5] = [
+    Redundancy::None,
+    Redundancy::ColumnChecksum,
+    Redundancy::TileChecksum,
+    Redundancy::ShadowExact,
+    Redundancy::ShadowSum,
+];
+
+/// `lanes` under a threshold no rounding noise reaches and every
+/// injected test fault exceeds (`aiga-core` owns the real derivation).
+fn loose(lanes: Redundancy) -> TileScheme {
+    TileScheme {
+        lanes,
+        slope: 1e-4,
+        floor: 1e-6,
+    }
+}
+
 fn engine_for(m: u64, n: u64, k: u64) -> GemmEngine {
     GemmEngine::new(
         GemmShape::new(m, n, k),
@@ -23,7 +41,7 @@ fn matches_f64_reference_within_fp32_accumulation_error() {
     let (m, n, k) = (48, 40, 64);
     let a = Matrix::random(m, k, 1);
     let b = Matrix::random(k, n, 2);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, || NoScheme, None);
+    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, None);
     let reference = gemm_reference_f64(&a, &b);
     for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
         let err = (got as f64 - want).abs();
@@ -38,7 +56,7 @@ fn identity_multiplication_is_exact() {
     let n = 32;
     let ident = Matrix::from_fn(n, n, |r, c| if r == c { F16::ONE } else { F16::ZERO });
     let b = Matrix::random(n, n, 3);
-    let out = engine_for(n as u64, n as u64, n as u64).run(&ident, &b, || NoScheme, None);
+    let out = engine_for(n as u64, n as u64, n as u64).run(&ident, &b, TileScheme::NONE, None);
     for r in 0..n {
         for c in 0..n {
             assert_eq!(out.get(r, c), b.get(r, c).to_f32());
@@ -51,7 +69,7 @@ fn unaligned_shapes_are_padded_and_cropped() {
     let (m, n, k) = (17, 9, 11);
     let a = Matrix::random(m, k, 4);
     let b = Matrix::random(k, n, 5);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, || NoScheme, None);
+    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, None);
     assert_eq!((out.m, out.n), (m, n));
     let reference = gemm_reference_f64(&a, &b);
     for (&got, &want) in out.c.iter().zip(&reference) {
@@ -67,24 +85,34 @@ fn every_output_element_is_written_exactly_once() {
     let (m, n, k) = (64, 64, 32);
     let ones = Matrix::from_fn(m, k, |_, _| F16::ONE);
     let ones_b = Matrix::from_fn(k, n, |_, _| F16::ONE);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&ones, &ones_b, || NoScheme, None);
+    let out = engine_for(m as u64, n as u64, k as u64).run(&ones, &ones_b, TileScheme::NONE, None);
     assert!(out.c.iter().all(|&v| v == k as f32));
 }
 
 #[test]
 fn counters_match_tiling_formulas() {
+    // Host work, not simulated GPU work: register tiles over the
+    // covered grid, MR·NR data FMAs per tile per K element, and the
+    // scheme's redundant FMAs on top.
     let eng = engine_for(64, 64, 64);
     let a = Matrix::random(64, 64, 6);
     let b = Matrix::random(64, 64, 7);
-    let out = eng.run(&a, &b, || NoScheme, None);
-    let t = eng.tiling();
-    let threads = t.total_blocks(eng.shape()) * t.threads_per_block();
-    assert_eq!(out.counters.threads, threads);
-    assert_eq!(out.counters.k_steps, 32);
-    assert_eq!(
-        out.counters.baseline_mmas,
-        threads * 32 * t.mmas_per_thread_step()
-    );
+    let tiles = (64 / MICRO_MR * (64 / MICRO_NR)) as u64;
+    for (lanes, share) in [
+        (Redundancy::None, 0.0),
+        (Redundancy::ColumnChecksum, 0.25),
+        (Redundancy::TileChecksum, 1.0 / 64.0),
+        (Redundancy::ShadowExact, 1.0),
+    ] {
+        let out = eng.run(&a, &b, loose(lanes), None);
+        assert_eq!(out.counters.tiles, tiles);
+        assert_eq!(out.counters.data_fmas, 64 * 64 * 64);
+        assert_eq!(
+            out.counters.checksum_fmas as f64 / out.counters.data_fmas as f64,
+            share,
+            "{lanes:?}"
+        );
+    }
 }
 
 #[test]
@@ -93,14 +121,14 @@ fn injected_fault_corrupts_exactly_one_element() {
     let a = Matrix::random(m, k, 8);
     let b = Matrix::random(k, n, 9);
     let eng = engine_for(m as u64, n as u64, k as u64);
-    let clean = eng.run(&a, &b, || NoScheme, None);
+    let clean = eng.run(&a, &b, TileScheme::NONE, None);
     let fault = FaultPlan {
         row: 5,
         col: 7,
         after_step: u64::MAX,
         kind: FaultKind::AddValue(100.0),
     };
-    let dirty = eng.run(&a, &b, || NoScheme, Some(fault));
+    let dirty = eng.run(&a, &b, TileScheme::NONE, Some(fault));
     let mut diffs = 0;
     for i in 0..m * n {
         if clean.c[i] != dirty.c[i] {
@@ -110,7 +138,7 @@ fn injected_fault_corrupts_exactly_one_element() {
         }
     }
     assert_eq!(diffs, 1);
-    // NoScheme never detects anything.
+    // The unprotected kernel never detects anything.
     assert!(!dirty.fault_detected());
 }
 
@@ -120,14 +148,14 @@ fn mid_kernel_fault_still_lands() {
     let a = Matrix::random(m, k, 10);
     let b = Matrix::random(k, n, 11);
     let eng = engine_for(m as u64, n as u64, k as u64);
-    let clean = eng.run(&a, &b, || NoScheme, None);
+    let clean = eng.run(&a, &b, TileScheme::NONE, None);
     let fault = FaultPlan {
         row: 0,
         col: 0,
         after_step: 3,
         kind: FaultKind::SetValue(1e4),
     };
-    let dirty = eng.run(&a, &b, || NoScheme, Some(fault));
+    let dirty = eng.run(&a, &b, TileScheme::NONE, Some(fault));
     // The corrupted accumulator keeps accumulating afterwards, so the
     // output differs from clean but is not exactly 1e4.
     assert_ne!(clean.get(0, 0), dirty.get(0, 0));
@@ -164,7 +192,7 @@ fn output_is_byte_identical_to_an_oracle_conversion_walk() {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let eng = engine_for(m as u64, n as u64, k as u64);
-        let out = eng.run(&a, &b, || NoScheme, None);
+        let out = eng.run(&a, &b, TileScheme::NONE, None);
         let kp = eng.shape().k as usize; // padded K (zeros beyond k)
         let at = |r: usize, c: usize| {
             if c < k {
@@ -200,15 +228,7 @@ fn output_is_byte_identical_to_an_oracle_conversion_walk() {
 fn workspace_path_is_byte_identical_to_the_allocating_path() {
     // One workspace reused across shapes and schemes — the pooled
     // serving regime — must reproduce `run_multi`'s bytes exactly,
-    // clean and faulted, hooked and fast path.
-    struct Echo; // minimal hooked scheme: forces the step-ordered walk
-    impl ThreadLocalScheme for Echo {
-        fn begin(&mut self, _ctx: &ThreadCtx) {}
-        fn on_k_step(&mut self, _step: &KStep<'_>) {}
-        fn finalize(&mut self, _c: &ThreadCtx, _a: &[f32], _m: usize, _n: usize) -> ThreadVerdict {
-            ThreadVerdict::clean()
-        }
-    }
+    // clean and faulted, under every lane kind.
     let mut ws = Workspace::new();
     for &(m, n, k, seed) in &[
         (17usize, 9usize, 11usize, 40u64),
@@ -225,13 +245,13 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
             kind: FaultKind::AddValue(32.0),
         };
         for faults in [&[][..], &[fault][..]] {
-            let alloc_fast = eng.run_multi(&a, &b, || NoScheme, faults);
-            let ws_fast = eng.run_multi_into(&a, &b, || NoScheme, faults, &mut ws);
-            assert_eq!(alloc_fast.c, ws_fast.c);
-            assert_eq!(alloc_fast.counters.threads, ws_fast.counters.threads);
-            let alloc_hooked = eng.run_multi(&a, &b, || Echo, faults);
-            let ws_hooked = eng.run_multi_into(&a, &b, || Echo, faults, &mut ws);
-            assert_eq!(alloc_hooked.c, ws_hooked.c);
+            for lanes in ALL_LANES {
+                let alloc = eng.run_multi(&a, &b, loose(lanes), faults);
+                let into = eng.run_multi_into(&a, &b, loose(lanes), faults, &mut ws);
+                assert_eq!(alloc.c, into.c);
+                assert_eq!(alloc.detections, into.detections);
+                assert_eq!(alloc.counters, into.counters);
+            }
         }
     }
 }
@@ -241,27 +261,14 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
     // 256³ sits exactly at BLOCK_PAR_MIN_FLOPS; a single-core runner
     // would still serialize via `effective_workers`, so force a worker
     // count (3 over 8 stripes — deliberately uneven) to exercise the
-    // stripe-parallel arm deterministically. Hooked scheme + detections
-    // cover the replay epilogue and the merge ordering; the faulted
-    // NoScheme run covers the cold recompute path.
-    struct FlagAll; // hooked (default needs_k_steps) and flags every thread
-    impl ThreadLocalScheme for FlagAll {
-        fn begin(&mut self, _ctx: &ThreadCtx) {}
-        fn on_k_step(&mut self, _step: &KStep<'_>) {}
-        fn finalize(
-            &mut self,
-            ctx: &ThreadCtx,
-            acc: &[f32],
-            mt: usize,
-            nt: usize,
-        ) -> ThreadVerdict {
-            ThreadVerdict {
-                fault_detected: true,
-                residual: acc[..mt * nt].iter().map(|&v| v.abs() as f64).sum(),
-                threshold: ctx.lane as f64,
-            }
-        }
-    }
+    // stripe-parallel arm deterministically. A threshold below any
+    // residual makes every tile column flag, covering the merge
+    // ordering; the faulted run covers the cold recompute path.
+    let flag_all = TileScheme {
+        lanes: Redundancy::ColumnChecksum,
+        slope: 0.0,
+        floor: -1.0,
+    };
     let (m, n, k) = (256usize, 256, 256);
     let a = Matrix::random(m, k, 70);
     let b = Matrix::random(k, n, 71);
@@ -272,21 +279,22 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
         after_step: 5,
         kind: FaultKind::AddValue(96.0),
     }];
-    let seq_clean = eng.run_multi(&a, &b, || FlagAll, &[]);
-    let seq_fault = eng.run_multi(&a, &b, || NoScheme, &faults);
+    let seq_clean = eng.run_multi(&a, &b, flag_all, &[]);
+    assert_eq!(seq_clean.detections.len(), m / MICRO_MR * n);
+    let seq_fault = eng.run_multi(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
+    assert_eq!(seq_fault.detections.len(), 1);
     let mut ws = Workspace::new();
     super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
     {
-        let par = eng.run_multi_into(&a, &b, || FlagAll, &[], &mut ws);
+        let par = eng.run_multi_into(&a, &b, flag_all, &[], &mut ws);
         assert_eq!(seq_clean.c, par.c);
         assert_eq!(seq_clean.detections, par.detections);
-        assert_eq!(seq_clean.counters.threads, par.counters.threads);
-        assert_eq!(seq_clean.counters.k_steps, par.counters.k_steps);
-        assert_eq!(seq_clean.counters.baseline_mmas, par.counters.baseline_mmas);
+        assert_eq!(seq_clean.counters, par.counters);
     }
     {
-        let par = eng.run_multi_into(&a, &b, || NoScheme, &faults, &mut ws);
+        let par = eng.run_multi_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
         assert_eq!(seq_fault.c, par.c);
+        assert_eq!(seq_fault.detections, par.detections);
     }
     super::FORCE_WORKERS.store(0, std::sync::atomic::Ordering::Relaxed);
 }
@@ -308,7 +316,7 @@ fn every_dtype_runs_the_engine_against_its_f64_reference() {
         for &(m, n, k, seed) in &[(32usize, 32usize, 32usize, 60u64), (17, 9, 11, 61)] {
             let a = Matrix::random_dtype(m, k, seed, dtype);
             let b = Matrix::random_dtype(k, n, seed + 1, dtype);
-            let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, || NoScheme, None);
+            let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, None);
             let reference = gemm_reference_f64(&a, &b);
             for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
                 assert!(
@@ -325,7 +333,7 @@ fn mixed_dtype_operands_are_rejected() {
     let a = Matrix::random_dtype(16, 16, 1, Dtype::Bf16);
     let b = Matrix::random_dtype(16, 16, 2, Dtype::Fp8E4M3);
     let eng = engine_for(16, 16, 16);
-    let res = std::panic::catch_unwind(|| eng.run(&a, &b, || NoScheme, None));
+    let res = std::panic::catch_unwind(|| eng.run(&a, &b, TileScheme::NONE, None));
     assert!(res.is_err(), "mismatched operand dtypes must panic");
 }
 
@@ -335,9 +343,9 @@ fn workspace_take_output_leaves_a_reusable_workspace() {
     let b = Matrix::random(16, 16, 51);
     let eng = engine_for(16, 16, 16);
     let mut ws = Workspace::new();
-    eng.run_multi_into(&a, &b, || NoScheme, &[], &mut ws);
+    eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws);
     let first = ws.take_output();
     assert_eq!((first.m, first.n), (16, 16));
-    let second = eng.run_multi_into(&a, &b, || NoScheme, &[], &mut ws);
+    let second = eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws);
     assert_eq!(first.c, second.c);
 }

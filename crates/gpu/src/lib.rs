@@ -15,10 +15,12 @@
 //! - [`tiling`]: the kernel → threadblock → warp → thread decomposition of
 //!   §2.1 (Figure 2), including per-thread tile sizes `Mt × Nt` and the
 //!   per-K-step MMA/fragment accounting of Figure 3.
-//! - [`engine`]: a functional simulator that executes a GEMM through that
-//!   hierarchy with `m16n8k8` Tensor Core semantics, calling back into a
-//!   pluggable [`engine::ThreadLocalScheme`] exactly where CUTLASS's
-//!   thread-level inner loop was modified by the paper — this is where
+//! - [`engine`]: the functional GEMM engine — block tiles computed by a
+//!   register-tiled host microkernel (AVX2+FMA, with a byte-identical
+//!   scalar oracle). A thread-level scheme is an [`engine::TileScheme`]:
+//!   checksum lanes the microkernel carries beside its accumulators and
+//!   a per-register-tile epilogue compare — the host analogue of the
+//!   thread-level inner loop the paper modified in CUTLASS, and where
 //!   `aiga-core`'s thread-level ABFT schemes run.
 //! - [`occupancy`]: the register-pressure / resident-warp model that
 //!   explains why traditional thread-level replication is slow (§4).
@@ -39,8 +41,7 @@ pub mod traffic;
 
 pub use device::DeviceSpec;
 pub use engine::{
-    GemmEngine, GemmOutput, GemmPath, Im2colView, Matrix, MatrixLayout, ThreadLocalScheme,
-    ThreadVerdict, Workspace,
+    GemmEngine, GemmOutput, GemmPath, Im2colView, Matrix, MatrixLayout, TileScheme, Workspace,
 };
 pub use roofline::{Bound, Roofline};
 pub use shape::GemmShape;

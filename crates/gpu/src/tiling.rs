@@ -20,20 +20,18 @@ pub const STEP_K: u64 = 2;
 /// Largest per-thread tile rows (`Mt`) any valid tiling can produce:
 /// warp tiles cap at 64 rows (the register file bounds warp tiles in
 /// real CUTLASS configurations too), so `Mt = 2·(64/16) = 8`.
-/// Thread-level schemes size their inline per-thread state from these
-/// bounds, which is what lets them run without heap allocation.
 pub const MAX_THREAD_MT: usize = 8;
 /// Largest per-thread tile columns (`Nt`): `2·(64/8) = 16`.
 pub const MAX_THREAD_NT: usize = 16;
-/// Largest per-thread accumulator count (`Mt·Nt`).
-pub const MAX_THREAD_ACC: usize = MAX_THREAD_MT * MAX_THREAD_NT;
 
-/// Host-microkernel register-tile rows: the SIMD fast path computes the
-/// block tile in `MICRO_MR × MICRO_NR` register tiles (4 broadcast rows
-/// of A against two 8-lane B vectors — 8 independent FMA chains, enough
-/// to hide the FMA latency on two issue ports). Every valid
-/// [`TilingConfig`] block is a whole number of microkernel tiles:
-/// `block_m` is a multiple of 16 and `block_n` a multiple of 8 (see
+/// Host-microkernel register-tile rows: the engine computes the block
+/// tile in `MICRO_MR × MICRO_NR` register tiles (4 broadcast rows of A
+/// against two 8-lane B vectors — 8 independent FMA chains, enough to
+/// hide the FMA latency on two issue ports). The register tile is also
+/// the unit thread-level redundancy schemes check and the unit
+/// detections name. Every valid [`TilingConfig`] block is a whole
+/// number of register tiles: `block_m` is a multiple of 16 and
+/// `block_n` a multiple of [`MICRO_NR`] (see
 /// [`TilingConfig::validate`]), so the packed-panel layouts in
 /// `engine::panels` never need edge handling.
 pub const MICRO_MR: usize = 4;
@@ -67,6 +65,10 @@ impl TilingConfig {
         assert!(
             self.warp_m.is_multiple_of(16) && self.warp_n.is_multiple_of(8),
             "warp tile must be a whole number of m16n8k8 tiles"
+        );
+        assert!(
+            self.block_n.is_multiple_of(MICRO_NR as u64),
+            "block tile must be a whole number of host register tiles"
         );
         assert!(
             self.block_k.is_multiple_of(8),

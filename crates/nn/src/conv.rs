@@ -258,7 +258,7 @@ pub fn gemm_to_nchw(row: usize, col: usize, ho: usize, wo: usize) -> (usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{gemm_reference_f64, GemmEngine, NoScheme};
+    use aiga_gpu::engine::{gemm_reference_f64, GemmEngine, TileScheme};
     use aiga_gpu::GemmShape;
 
     fn params(c_out: usize, kernel: usize, stride: usize, padding: usize) -> ConvParams {
@@ -328,8 +328,8 @@ mod tests {
             b.cols as u64,
             b.rows as u64,
         ));
-        let from_copy = eng.run(&copied, &b, || NoScheme, None);
-        let from_view = eng.run(&view, &b, || NoScheme, None);
+        let from_copy = eng.run(&copied, &b, TileScheme::NONE, None);
+        let from_view = eng.run(&view, &b, TileScheme::NONE, None);
         assert_eq!(from_copy.c, from_view.c);
     }
 
@@ -366,8 +366,8 @@ mod tests {
                 b.cols as u64,
                 b.rows as u64,
             ));
-            let from_copy = eng.run(&copied, &b, || NoScheme, None);
-            let from_view = eng.run(&view, &b, || NoScheme, None);
+            let from_copy = eng.run(&copied, &b, TileScheme::NONE, None);
+            let from_view = eng.run(&view, &b, TileScheme::NONE, None);
             assert_eq!(from_copy.c, from_view.c, "k{kernel}s{stride}p{padding}");
         }
     }
@@ -408,7 +408,7 @@ mod tests {
             b.cols as u64,
             a.cols as u64,
         ));
-        let out = eng.run(&a, &b, || NoScheme, None);
+        let out = eng.run(&a, &b, TileScheme::NONE, None);
         let direct = conv_reference_f64(&input, &filters, p);
         for (i, &d) in direct.iter().enumerate() {
             // NCHW index i maps to (row, col) with n=0: i = (co*ho+oy)*wo+ox.

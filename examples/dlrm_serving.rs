@@ -253,7 +253,7 @@ fn main() {
     );
 
     // In-place correction: a *recovery* session goes one step further —
-    // the scheme localizes the fault (lane / column / row), recomputes
+    // the scheme localizes the fault (tile / column / row), recomputes
     // only the implicated slice mid-pass, and re-verifies. No retry
     // pass needed; the output is byte-equal to a clean run.
     let recovering = Session::builder(

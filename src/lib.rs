@@ -2,9 +2,10 @@
 //!
 //! A from-scratch Rust reproduction of *"Arithmetic-Intensity-Guided
 //! Fault Tolerance for Neural Network Inference on GPUs"* (Kosaian &
-//! Rashmi, SC '21). The paper's CUDA/CUTLASS system is rebuilt on a
-//! simulated GPU substrate: a functional hierarchical-GEMM engine with
-//! Tensor-Core MMA semantics plus a calibrated analytical timing model.
+//! Rashmi, SC '21). The paper's CUDA/CUTLASS system is rebuilt on two
+//! substrates: a functional GEMM engine that runs on the host (a
+//! register-tiled microkernel whose tiles carry the thread-level
+//! checksums) and a calibrated analytical timing model of the GPU.
 //!
 //! The public API is organized in three layers (see `ARCHITECTURE.md`):
 //!
@@ -185,8 +186,8 @@
 //! ```
 //!
 //! Go from detection to *correction*: a recovery session localizes a
-//! flagged fault (column / row / lane, per scheme), recomputes only the
-//! implicated slice mid-pass, and re-verifies; a server can
+//! flagged fault (column / row / register tile, per scheme), recomputes
+//! only the implicated slice mid-pass, and re-verifies; a server can
 //! transparently retry any verdict that survives; and an adaptive
 //! controller escalates or relaxes per-layer schemes online as the
 //! observed fault rate moves:
@@ -249,7 +250,7 @@ pub mod prelude {
     pub use aiga_core::session::{PlanCache, ServeReport, Session, SessionError, SessionStats};
     pub use aiga_faults::{Campaign, CampaignStats, FaultModel, Outcome, Trial};
     pub use aiga_gpu::engine::{
-        Dtype, FaultKind, FaultPlan, GemmEngine, Matrix, NoScheme, Workspace,
+        Dtype, FaultKind, FaultPlan, GemmEngine, Matrix, TileScheme, Workspace,
     };
     pub use aiga_gpu::timing::Calibration;
     pub use aiga_gpu::{Bound, DeviceSpec, GemmShape, Roofline, TilingConfig};

@@ -84,7 +84,6 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 fn steady_state_hot_paths_do_not_allocate() {
     use aiga::prelude::*;
     use aiga_core::registry;
-    use aiga_core::schemes::OneSidedThreadAbft;
 
     // --- 1. Engine level: every bound kernel's hot path is zero-alloc.
     let shape = GemmShape::new(48, 40, 56);
@@ -93,10 +92,12 @@ fn steady_state_hot_paths_do_not_allocate() {
     let engine = GemmEngine::with_default_tiling(shape);
     let reg = registry::shared();
     for scheme in [
-        Scheme::Unprotected,            // fused fast path
-        Scheme::GlobalAbft,             // fast path + checksum verification
-        Scheme::ThreadLevelOneSided,    // hooked step-ordered walk
-        Scheme::ReplicationTraditional, // hooked walk, shadow accumulators
+        Scheme::Unprotected,            // plain microkernel
+        Scheme::GlobalAbft,             // plain microkernel + checksum verification
+        Scheme::ThreadLevelOneSided,    // column checksum + magnitude lanes
+        Scheme::ThreadLevelTwoSided,    // corner chain, B tile sums staged per run
+        Scheme::ReplicationSingleAcc,   // shadow tile, sum compare
+        Scheme::ReplicationTraditional, // shadow tile, bitwise compare
     ] {
         let bound = reg.resolve(scheme).bind(&b);
         let mut ws = Workspace::new();
@@ -116,13 +117,14 @@ fn steady_state_hot_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "multi-checksum hot path allocated {n} times");
 
-    // Raw engine entry, hooked scheme, same guarantee.
+    // Raw engine entry under a lane-carrying scheme, same guarantee.
+    let one_sided = Scheme::ThreadLevelOneSided.tile_scheme(engine.shape().k as usize);
     let mut ws = Workspace::new();
-    engine.run_multi_into(&a, &b, OneSidedThreadAbft::new, &[], &mut ws);
+    engine.run_multi_into(&a, &b, one_sided, &[], &mut ws);
     let n = allocs_during(|| {
-        engine.run_multi_into(&a, &b, OneSidedThreadAbft::new, &[], &mut ws);
+        engine.run_multi_into(&a, &b, one_sided, &[], &mut ws);
     });
-    assert_eq!(n, 0, "raw hooked engine path allocated {n} times");
+    assert_eq!(n, 0, "raw checksum-lane engine path allocated {n} times");
 
     // --- 2. Serving level: steady-state serve allocates only the
     // returned report (a small constant, stable across requests).
@@ -233,17 +235,17 @@ fn steady_state_hot_paths_do_not_allocate() {
     // pool, every subsequent run costs the same constant (and exactly
     // zero wherever `effective_workers` serializes, e.g. single-core).
     {
-        use aiga_gpu::engine::NoScheme;
+        use aiga_gpu::engine::TileScheme;
         let big_a = Matrix::random(256, 256, 61);
         let big_b = Matrix::random(256, 256, 62);
         let big_engine = GemmEngine::with_default_tiling(GemmShape::square(256));
         let mut ws = Workspace::new();
-        big_engine.run_multi_into(&big_a, &big_b, || NoScheme, &[], &mut ws);
+        big_engine.run_multi_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws);
         let first = allocs_during(|| {
             std::hint::black_box(big_engine.run_multi_into(
                 &big_a,
                 &big_b,
-                || NoScheme,
+                TileScheme::NONE,
                 &[],
                 &mut ws,
             ));
@@ -252,7 +254,7 @@ fn steady_state_hot_paths_do_not_allocate() {
             std::hint::black_box(big_engine.run_multi_into(
                 &big_a,
                 &big_b,
-                || NoScheme,
+                TileScheme::NONE,
                 &[],
                 &mut ws,
             ));

@@ -27,10 +27,16 @@ fn session() -> Session {
     .build()
 }
 
-/// A request large enough to pin a single worker for a while: 160 rows
-/// over a largest bucket of 32 splits into five chunked passes.
+/// Rows of the plug request, sized to pin a worker for ~100 ms in the
+/// profile under test: thread-level schemes now cost about what the
+/// clean kernel does, so an optimized build needs 20× the rows a debug
+/// build does.
+const PLUG_ROWS: usize = if cfg!(debug_assertions) { 160 } else { 3200 };
+
+/// A request large enough to pin a single worker for a while: over a
+/// largest bucket of 32 it splits into `PLUG_ROWS / 32` chunked passes.
 fn plug(client: &Client) -> Pending {
-    client.submit(&Matrix::random(160, 13, 4242)).unwrap()
+    client.submit(&Matrix::random(PLUG_ROWS, 13, 4242)).unwrap()
 }
 
 #[test]
@@ -82,7 +88,7 @@ fn overaged_queues_shed_promptly_with_overloaded() {
     };
     assert!(queue_age >= shed_after);
 
-    assert_eq!(plugged.wait().unwrap().rows, 160);
+    assert_eq!(plugged.wait().unwrap().rows, PLUG_ROWS);
     assert_eq!(high.wait().unwrap().rows, 4);
 
     let stats = server.shutdown();

@@ -10,8 +10,8 @@ use aiga::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Every scheme that can localize, across all three localizer families
-/// (column for global ABFT, lane for thread-level + replication, row
-/// for the weighted multi-checksum).
+/// (column for global ABFT, register tile for thread-level +
+/// replication, row for the weighted multi-checksum).
 fn localizing_schemes() -> [Scheme; 6] {
     [
         Scheme::GlobalAbft,
@@ -67,6 +67,44 @@ fn every_localizing_scheme_repairs_to_byte_equality() {
 }
 
 #[test]
+fn non_finite_faults_are_repaired_from_tile_coordinates() {
+    // An accumulator struck to NaN or Inf poisons every sum it enters;
+    // the flagged tile coordinates still pin it, and the recompute
+    // restores the clean bytes. On the ragged fringe too: the last
+    // strip of 33 rows is mostly grid padding.
+    let shape = GemmShape::new(33, 65, 40);
+    let mut ws = Workspace::new();
+    for scheme in [
+        Scheme::GlobalAbft,
+        Scheme::ThreadLevelOneSided,
+        Scheme::ThreadLevelTwoSided,
+        Scheme::ReplicationSingleAcc,
+        Scheme::ReplicationTraditional,
+    ] {
+        let gemm = ProtectedGemm::random(shape, scheme, 11);
+        let clean = gemm.run_with(&[]);
+        for (row, col, after_step, value) in [
+            (32usize, 64usize, 2u64, f32::NAN),
+            (7, 30, u64::MAX, f32::INFINITY),
+        ] {
+            let fault = FaultPlan {
+                row,
+                col,
+                after_step,
+                kind: FaultKind::SetValue(value),
+            };
+            let verdict = gemm.run_corrected_into(&[fault], &mut ws);
+            assert!(verdict.is_corrected(), "{scheme} {value}: {verdict:?}");
+            assert_eq!(
+                bits(&ws.output().c),
+                bits(&clean.output.c),
+                "{scheme} {value}: repair not byte-equal"
+            );
+        }
+    }
+}
+
+#[test]
 fn corrected_verdicts_carry_the_right_site_family() {
     let shape = GemmShape::new(48, 40, 56);
     let fault = FaultPlan {
@@ -91,19 +129,19 @@ fn corrected_verdicts_carry_the_right_site_family() {
     let (site, vote) = site_of(Scheme::MultiChecksum(2));
     assert_eq!(site, FaultSite::Row { row: 3 });
     assert!(!vote);
-    // Lane localizers name the flagged lane; replication resolves by vote.
-    assert!(matches!(
-        site_of(Scheme::ThreadLevelOneSided),
-        (FaultSite::Lane { .. }, false)
-    ));
-    assert!(matches!(
-        site_of(Scheme::ReplicationTraditional),
-        (FaultSite::Lane { .. }, true)
-    ));
-    assert!(matches!(
-        site_of(Scheme::ReplicationSingleAcc),
-        (FaultSite::Lane { .. }, true)
-    ));
+    // Tile localizers name the strip and column(s) whose compare failed
+    // — the fault at (3, 5) sits in strip row 0; per-column checks pin
+    // column 5, per-tile checks the tile's first column — and
+    // replication resolves by vote.
+    let tile = |col| FaultSite::Tile {
+        block: (0, 0),
+        row: 0,
+        col,
+    };
+    assert_eq!(site_of(Scheme::ThreadLevelOneSided), (tile(5), false));
+    assert_eq!(site_of(Scheme::ThreadLevelTwoSided), (tile(0), false));
+    assert_eq!(site_of(Scheme::ReplicationTraditional), (tile(5), true));
+    assert_eq!(site_of(Scheme::ReplicationSingleAcc), (tile(0), true));
 }
 
 #[test]
@@ -169,7 +207,7 @@ fn mid_pipeline_fault_recomputes_one_stage_only() {
     assert_eq!(c.layer, 1);
     assert!(matches!(
         c.site,
-        FaultSite::Lane { .. } | FaultSite::Column { .. }
+        FaultSite::Tile { .. } | FaultSite::Column { .. }
     ));
     assert_eq!(bits(&repaired.report.output), bits(&clean.report.output));
 
