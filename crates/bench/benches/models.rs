@@ -100,7 +100,6 @@ fn main() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([32])
-    .seed(9)
     .build();
     bench_session(
         &mut rec,
@@ -116,7 +115,6 @@ fn main() {
         zoo::dlrm_mlp_top,
     )
     .buckets([32])
-    .seed(9)
     .build();
     bench_session(
         &mut rec,

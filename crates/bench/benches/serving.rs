@@ -24,7 +24,7 @@ use aiga_bench::harness::Recorder;
 use aiga_core::{Planner, ProtectedPipeline, Server, Session};
 use aiga_gpu::engine::{Matrix, Workspace};
 use aiga_gpu::DeviceSpec;
-use aiga_nn::zoo;
+use aiga_nn::{zoo, Network};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -38,7 +38,6 @@ fn main() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8, 32])
-    .seed(9)
     .build();
     let req8 = Matrix::random(8, 13, 1);
     let req32 = Matrix::random(32, 13, 2);
@@ -60,7 +59,8 @@ fn main() {
     // which builds (and drops) a cold workspace per request.
     let model = zoo::dlrm_mlp_bottom(32);
     let plan = Planner::new(DeviceSpec::t4()).plan(&model);
-    let pipeline = ProtectedPipeline::new(&model, &plan.chosen_schemes(), 9);
+    let pipeline =
+        ProtectedPipeline::compile(&Network::from_mlp(&model, 9), &plan.chosen_schemes());
     let mut ws = Workspace::new();
     pipeline.infer_into(&req32, None, &mut ws); // warm up
     rec.bench("serving/infer_b32_reused_workspace", || {
@@ -87,7 +87,6 @@ fn main() {
             zoo::dlrm_mlp_bottom,
         )
         .buckets([8, 32])
-        .seed(9)
         .build();
         let server = Server::builder(session)
             .workers(hw_workers.min(clients))
@@ -151,7 +150,6 @@ fn main() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8, 32])
-    .seed(9)
     .build();
     let server = Server::builder(session)
         .workers(hw_workers)

@@ -74,7 +74,7 @@ fn main() {
         let eng = GemmEngine::with_default_tiling(shape);
         let med = rec
             .bench(&format!("engine/functional_gemm_{size}"), || {
-                black_box(eng.run(&a, &b, TileScheme::NONE, None));
+                black_box(eng.run(&a, &b, TileScheme::NONE, &[]));
             })
             .median_ns;
         rec.record_value(
@@ -118,7 +118,7 @@ fn main() {
             kind: FaultKind::AddValue(100.0),
         };
         rec.bench("engine/functional_gemm_64_faulted", || {
-            black_box(eng.run(&a, &b, TileScheme::NONE, Some(fault)));
+            black_box(eng.run(&a, &b, TileScheme::NONE, &[fault]));
         });
         // The thread-level schemes through the zero-alloc workspace
         // entry (what serving runs), beside a clean row on the same
@@ -143,7 +143,7 @@ fn main() {
             .resolve(Scheme::GlobalAbft)
             .bind(&b);
         rec.bench("engine/gemm_64_global_abft", || {
-            black_box(global.run(&eng, &a, &[]));
+            black_box(global.run(&eng, a.view(), &[]));
         });
     }
 

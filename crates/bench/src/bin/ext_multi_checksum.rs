@@ -50,7 +50,7 @@ fn main() {
                     kind: FaultKind::AddValue(-delta),
                 },
             ];
-            let out = eng.run_multi(&a, &b, TileScheme::NONE, &faults);
+            let out = eng.run(&a, &b, TileScheme::NONE, &faults);
             if abft.verify(&a, &out).fault_detected() {
                 detected += 1;
             }

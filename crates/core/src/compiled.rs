@@ -31,7 +31,7 @@ use crate::planner::Planner;
 use crate::schemes::Scheme;
 use crate::selector::ModelPlan;
 use aiga_gpu::engine::{Matrix, Workspace};
-use aiga_nn::{Model, Network};
+use aiga_nn::Network;
 use std::sync::Arc;
 
 /// An executable network compiled against an intensity-guided plan.
@@ -44,83 +44,29 @@ pub struct CompiledModel {
 impl CompiledModel {
     /// Compiles an executable [`Network`]: plans its analytic model with
     /// `planner`, then binds each conv/fc node's real FP16 weights under
-    /// the plan's chosen scheme.
-    pub fn compile(planner: &Planner, net: &Network) -> Self {
+    /// the plan's chosen scheme — or, when `schemes` is given, under
+    /// that explicit per-layer list (the adaptive controller's and the
+    /// degrade ladder's recompile path; the plan is kept with its
+    /// `chosen` fields overwritten, so cost introspection still works).
+    pub fn compile(planner: &Planner, net: &Network, schemes: Option<&[Scheme]>) -> Self {
         let model = net.to_model();
         // Plan at the network's storage dtype: a bf16/fp8 network's
         // layers sit at different arithmetic intensities than fp16's,
         // so scheme selection must see the dtype the executor runs.
-        let plan = planner.clone().dtype(net.dtype).plan(&model);
-        let schemes: Arc<[Scheme]> = plan.chosen_schemes().into();
-        let pipeline =
-            ProtectedPipeline::compile_with_registry(planner.scheme_registry(), net, &schemes);
-        CompiledModel {
-            plan,
-            schemes,
-            pipeline,
-        }
-    }
-
-    /// Compiles an analytic MLP [`Model`] with synthesized weights (the
-    /// chained fully-connected path `Session` serves for model families
-    /// without executable graphs).
-    pub fn compile_mlp(planner: &Planner, model: &Model, seed: u64) -> Self {
-        let plan = planner.plan(model);
-        let schemes: Arc<[Scheme]> = plan.chosen_schemes().into();
-        let pipeline =
-            ProtectedPipeline::with_registry(planner.scheme_registry(), model, &schemes, seed);
-        CompiledModel {
-            plan,
-            schemes,
-            pipeline,
-        }
-    }
-
-    /// Like [`Self::compile`] but binding an explicit per-layer scheme
-    /// list in place of the plan's choices — the adaptive controller's
-    /// recompile path (the plan is kept, with its `chosen` fields
-    /// overwritten, so cost introspection still works).
-    pub fn compile_overridden(planner: &Planner, net: &Network, schemes: &[Scheme]) -> Self {
-        let model = net.to_model();
         let mut plan = planner.clone().dtype(net.dtype).plan(&model);
-        assert_eq!(
-            plan.layers.len(),
-            schemes.len(),
-            "one override scheme per planned layer"
-        );
-        for (layer, &s) in plan.layers.iter_mut().zip(schemes) {
-            layer.chosen = s;
+        if let Some(schemes) = schemes {
+            assert_eq!(
+                plan.layers.len(),
+                schemes.len(),
+                "one override scheme per planned layer"
+            );
+            for (layer, &s) in plan.layers.iter_mut().zip(schemes) {
+                layer.chosen = s;
+            }
         }
-        let schemes: Arc<[Scheme]> = schemes.into();
+        let schemes: Arc<[Scheme]> = plan.chosen_schemes().into();
         let pipeline =
             ProtectedPipeline::compile_with_registry(planner.scheme_registry(), net, &schemes);
-        CompiledModel {
-            plan,
-            schemes,
-            pipeline,
-        }
-    }
-
-    /// Like [`Self::compile_mlp`] but binding an explicit per-layer
-    /// scheme list in place of the plan's choices.
-    pub fn compile_mlp_overridden(
-        planner: &Planner,
-        model: &Model,
-        seed: u64,
-        schemes: &[Scheme],
-    ) -> Self {
-        let mut plan = planner.plan(model);
-        assert_eq!(
-            plan.layers.len(),
-            schemes.len(),
-            "one override scheme per planned layer"
-        );
-        for (layer, &s) in plan.layers.iter_mut().zip(schemes) {
-            layer.chosen = s;
-        }
-        let schemes: Arc<[Scheme]> = schemes.into();
-        let pipeline =
-            ProtectedPipeline::with_registry(planner.scheme_registry(), model, &schemes, seed);
         CompiledModel {
             plan,
             schemes,
@@ -193,7 +139,7 @@ mod tests {
     #[test]
     fn compile_plans_on_the_real_zoo_conv_shapes() {
         let net = zoo::resnet_block_net(2, 16, 16, 3);
-        let compiled = CompiledModel::compile(&Planner::new(DeviceSpec::t4()), &net);
+        let compiled = CompiledModel::compile(&Planner::new(DeviceSpec::t4()), &net, None);
         let analytic = net.to_model();
         assert_eq!(compiled.plan().layers.len(), analytic.layers.len());
         for (pl, al) in compiled.plan().layers.iter().zip(&analytic.layers) {
@@ -207,21 +153,33 @@ mod tests {
         );
     }
 
+    /// FNV-1a over the output bits — the `engine_golden.rs` hash.
+    fn fnv1a(c: &[f32]) -> u64 {
+        c.iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf29ce484222325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100000001b3)
+            })
+    }
+
     #[test]
-    fn compiled_mlp_matches_the_session_legacy_path() {
-        let model = zoo::dlrm_mlp_bottom(8);
+    fn lowered_mlps_reproduce_the_chain_pipeline_bytes() {
+        // Recorded at the parent commit through the since-retired
+        // FC-chain constructor (model, planned schemes, seed):
+        // `from_mlp` must synthesize the same weights, plan and chain.
         let planner = Planner::new(DeviceSpec::t4());
-        let compiled = CompiledModel::compile_mlp(&planner, &model, 7);
-        let direct = ProtectedPipeline::with_registry(
-            planner.scheme_registry(),
-            &model,
-            &planner.plan(&model).chosen_schemes(),
-            7,
-        );
-        let input = Matrix::random(8, 13, 5);
-        let a = compiled.infer(&input, None);
-        let b = direct.infer(&input, None);
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&a.output), bits(&b.output));
+        for (model, seed, features, golden) in [
+            (zoo::dlrm_mlp_bottom(8), 7, 13, 0xc12b81dd21be3dfe_u64),
+            (zoo::dlrm_mlp_top(8), 3, 512, 0x5fca4e95a91f7368),
+        ] {
+            let net = Network::from_mlp(&model, seed);
+            let schemes = planner.plan(&model).chosen_schemes();
+            let direct = ProtectedPipeline::compile(&net, &schemes);
+            let compiled = planner.compile(&net);
+            assert_eq!(compiled.schemes()[..], schemes[..], "{}", model.name);
+            let input = Matrix::random(5, features, 42);
+            assert_eq!(fnv1a(&direct.infer(&input, None).output), golden);
+            assert_eq!(fnv1a(&compiled.infer(&input, None).output), golden);
+        }
     }
 }

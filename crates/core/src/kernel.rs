@@ -21,7 +21,9 @@
 //! serving session never enumerate schemes again.
 
 use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
-use aiga_gpu::engine::{FaultPlan, GemmEngine, GemmOutput, Matrix, TileScheme, Workspace};
+use aiga_gpu::engine::{
+    FaultPlan, GemmEngine, GemmOutput, Matrix, MatrixView, TileScheme, Workspace,
+};
 use aiga_gpu::timing::{AuxKernel, Calibration, KernelProfile};
 
 /// Tensor-Core FLOPs represented by one per-thread MMA participation.
@@ -163,17 +165,19 @@ pub trait BoundKernel: Send + Sync {
     fn run_into(
         &self,
         engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict;
 
     /// Allocating convenience over [`Self::run_into`]: runs in a fresh
-    /// workspace and returns an owned report. The built-in kernels
-    /// override this with the engine's block-parallel path
-    /// (byte-identical output); the default serves custom kernels that
-    /// only implement `run_into`.
-    fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
+    /// workspace and returns an owned report.
+    fn run(
+        &self,
+        engine: &GemmEngine,
+        activations: MatrixView<'_>,
+        faults: &[FaultPlan],
+    ) -> RunReport {
         let mut ws = Workspace::new();
         let verdict = self.run_into(engine, activations, faults, &mut ws);
         RunReport {
@@ -196,7 +200,7 @@ pub trait BoundKernel: Send + Sync {
     fn correct_into(
         &self,
         _engine: &GemmEngine,
-        _activations: &Matrix,
+        _activations: MatrixView<'_>,
         _ws: &mut Workspace,
         verdict: Verdict,
     ) -> Verdict {
@@ -208,7 +212,7 @@ pub trait BoundKernel: Send + Sync {
     fn run_corrected_into(
         &self,
         engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
@@ -311,20 +315,12 @@ impl BoundKernel for UnprotectedBound {
     fn run_into(
         &self,
         engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
         engine.run_multi_into(activations, &self.weights, TileScheme::NONE, faults, ws);
         Verdict::Clean
-    }
-
-    fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let output = engine.run_multi(activations, &self.weights, TileScheme::NONE, faults);
-        RunReport {
-            verdict: Verdict::Clean,
-            output,
-        }
     }
 }
 
@@ -369,7 +365,7 @@ impl BoundKernel for GlobalBound {
     fn run_into(
         &self,
         engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
@@ -379,12 +375,6 @@ impl BoundKernel for GlobalBound {
         let (output, check) = ws.output_and_check();
         let v = self.abft.verify_with(activations, output, check);
         verdict_from_global(v)
-    }
-
-    fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let output = engine.run_multi(activations, &self.weights, TileScheme::NONE, faults);
-        let verdict = verdict_from_global(self.abft.verify(activations, &output));
-        RunReport { verdict, output }
     }
 
     /// Column localization: the weight checksum gives the *expected*
@@ -397,7 +387,7 @@ impl BoundKernel for GlobalBound {
     fn correct_into(
         &self,
         _engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         ws: &mut Workspace,
         verdict: Verdict,
     ) -> Verdict {
@@ -526,22 +516,13 @@ impl BoundKernel for ThreadBound {
     fn run_into(
         &self,
         engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
         let scheme = self.tile_scheme(engine);
         let output = engine.run_multi_into(activations, &self.weights, scheme, faults, ws);
         verdict_from_detections(output)
-    }
-
-    fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let scheme = self.tile_scheme(engine);
-        let output = engine.run_multi(activations, &self.weights, scheme, faults);
-        RunReport {
-            verdict: verdict_from_detections(&output),
-            output,
-        }
     }
 
     /// Tile localization: every detection names the strip rows and
@@ -553,7 +534,7 @@ impl BoundKernel for ThreadBound {
     fn correct_into(
         &self,
         _engine: &GemmEngine,
-        _activations: &Matrix,
+        _activations: MatrixView<'_>,
         ws: &mut Workspace,
         verdict: Verdict,
     ) -> Verdict {
@@ -649,7 +630,7 @@ impl BoundKernel for MultiChecksumBound {
     fn run_into(
         &self,
         engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
@@ -669,19 +650,6 @@ impl BoundKernel for MultiChecksumBound {
         Verdict::Clean
     }
 
-    fn run(&self, engine: &GemmEngine, activations: &Matrix, faults: &[FaultPlan]) -> RunReport {
-        let output = engine.run_multi(activations, &self.weights, TileScheme::NONE, faults);
-        let v = self.abft.verify(activations, &output);
-        let verdict = match v.first_failing_round() {
-            Some(round) => Verdict::Detected {
-                residual: v.rounds[round].residual,
-                threshold: v.rounds[round].threshold,
-            },
-            None => Verdict::Clean,
-        };
-        RunReport { verdict, output }
-    }
-
     /// Row localization via the Vandermonde weights: a single fault `δ`
     /// in row `ρ` leaves signed residual `w_r(ρ)·δ = (ρ+1)^r·δ` in
     /// every round, so round 1 over round 0 recovers `ρ+1` exactly.
@@ -691,7 +659,7 @@ impl BoundKernel for MultiChecksumBound {
     fn correct_into(
         &self,
         _engine: &GemmEngine,
-        activations: &Matrix,
+        activations: MatrixView<'_>,
         ws: &mut Workspace,
         verdict: Verdict,
     ) -> Verdict {
@@ -765,7 +733,7 @@ mod tests {
         let engine = GemmEngine::with_default_tiling(shape);
         let bound = kernel.bind(&b);
         let faults: Vec<FaultPlan> = fault.into_iter().collect();
-        bound.run(&engine, &a, &faults)
+        bound.run(&engine, a.view(), &faults)
     }
 
     #[test]
@@ -819,10 +787,10 @@ mod tests {
                 kind: FaultKind::AddValue(-250.0),
             },
         ];
-        assert!(bound.run(&engine, &a, &pair).verdict.is_detected());
+        assert!(bound.run(&engine, a.view(), &pair).verdict.is_detected());
         // Plain global ABFT is blind to the same pair.
         let global = GlobalKernel.bind(&b);
-        assert!(global.run(&engine, &a, &pair).verdict.is_clean());
+        assert!(global.run(&engine, a.view(), &pair).verdict.is_clean());
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //! [`pipeline::ProtectedPipeline`] stage graph, where conv stages lower
 //! through workspace-threaded im2col before their protected GEMM.
 //!
-//! **Serving** — [`Session`] turns a planner plus a model family —
-//! analytic MLPs or executable networks ([`Session::builder_network`])
-//! — into a request-serving front-end: per-request batch-bucket
+//! **Serving** — [`Session`] turns a planner plus a family of
+//! executable networks ([`Session::builder_network`]; analytic MLPs
+//! lower through `Network::from_mlp`) into a request-serving front-end: per-request batch-bucket
 //! dispatch, lazy compilation cached per bucket, and aggregated
 //! detection statistics. [`protected::ProtectedGemm`] and
 //! [`pipeline::ProtectedPipeline`] are the single-GEMM and single-model

@@ -29,38 +29,35 @@
 //! pair and ResNet's residual/shortcut convs overlap instead of
 //! serializing. The join merges verdicts, detections, and slot
 //! write-backs in stage order, so a parallel pass is byte- and
-//! report-identical to the sequential schedule; `AIGA_BRANCH_WORKERS`
-//! (read at construction) or
+//! report-identical to the sequential schedule;
 //! [`ProtectedPipeline::with_branch_workers`] caps or disables the
 //! fan-out.
 //!
-//! Two construction paths exist:
+//! There is one construction path: [`ProtectedPipeline::compile`]
+//! builds the stage graph from an [`aiga_nn::Network`] whose conv/fc
+//! nodes carry their FP16 weights — the execution half of the
+//! `Model → ModelPlan → CompiledModel` path (see
+//! [`crate::compiled::CompiledModel`]). An analytic MLP chain gets
+//! there through [`Network::from_mlp`].
 //!
-//! - [`ProtectedPipeline::new`]/[`ProtectedPipeline::uniform`] build the
-//!   classic chained-MLP pipeline from an analytic [`Model`] with
-//!   synthesized weights (layer `i+1`'s `K` must equal layer `i`'s `N`,
-//!   as in DLRM's MLPs);
-//! - [`ProtectedPipeline::compile`] builds an executable graph from an
-//!   [`aiga_nn::Network`] whose conv/fc nodes carry real FP16 weights —
-//!   the execution half of the `Model → ModelPlan → CompiledModel`
-//!   path (see [`crate::compiled::CompiledModel`]).
-//!
-//! Every GEMM stage executes through its scheme's
-//! [`crate::kernel::BoundKernel`] (weights bound once at construction —
-//! global ABFT's offline checksums included), so the pipeline contains
-//! no per-scheme dispatch and serves extension schemes like
-//! `Scheme::MultiChecksum` unchanged.
+//! Every GEMM stage — fc or conv, alone on the calling thread or as one
+//! branch of a parallel level — executes through one function
+//! (`run_gemm`) and its scheme's [`crate::kernel::BoundKernel`]
+//! (weights bound once at construction — global ABFT's offline
+//! checksums included), so the pipeline contains no per-scheme dispatch
+//! and serves extension schemes like `Scheme::MultiChecksum` unchanged.
 
 use crate::kernel::{BoundKernel, FaultSite, Verdict};
 use crate::registry::{self, SchemeRegistry};
 use crate::schemes::Scheme;
 use aiga_dtype::Dtype;
 use aiga_fp16::F16;
-use aiga_gpu::engine::{Detection, FaultPlan, GemmEngine, GemmOutput, Matrix, Workspace};
+use aiga_gpu::engine::{FaultPlan, GemmEngine, GemmOutput, Matrix, MatrixView, Workspace};
 use aiga_gpu::GemmShape;
 use aiga_nn::conv::filters_to_matrix;
 use aiga_nn::graph::{embedding_index, Network, NodeOp, NodeRef, PoolKind, PoolParams};
-use aiga_nn::{ConvParams, Model};
+use aiga_nn::ConvParams;
+use std::ops::Range;
 
 /// Widest stage level the branch-parallel executor fans out (wider
 /// levels run sequentially; no real network in the zoo branches wider).
@@ -163,20 +160,21 @@ struct ConvLowering {
     in_dims: (usize, usize, usize),
     /// Output spatial dims `(ho, wo)`.
     out_hw: (usize, usize),
-    /// 1×1 stride-1 unpadded conv: skip im2col and run the GEMM on a
-    /// zero-copy [`aiga_gpu::MatrixLayout::NchwLowered`] view of the
-    /// activation buffer (decided once at compile time).
-    pointwise: bool,
+}
+
+/// A protected GEMM stage: fc directly, or conv as an implicit GEMM.
+struct GemmStage {
+    bound: Box<dyn BoundKernel>,
+    engine: GemmEngine,
+    lowering: Option<ConvLowering>,
+    relu: bool,
+    /// Index among the conv/fc layers in execution order (the
+    /// fault-targeting and detection-report numbering).
+    layer: usize,
 }
 
 enum StageOp {
-    /// A protected GEMM: fc directly, or conv via im2col.
-    Gemm {
-        bound: Box<dyn BoundKernel>,
-        engine: GemmEngine,
-        lowering: Option<ConvLowering>,
-        relu: bool,
-    },
+    Gemm(GemmStage),
     /// Spatial pooling.
     Pool {
         params: PoolParams,
@@ -184,18 +182,28 @@ enum StageOp {
         out_hw: (usize, usize),
     },
     /// Global average pooling to `1 × 1`.
-    GlobalAvgPool { in_dims: (usize, usize, usize) },
+    GlobalAvgPool {
+        in_dims: (usize, usize, usize),
+    },
     /// Channel concatenation; `part_features` holds each input's
     /// flattened per-image width.
-    Concat { part_features: Vec<usize> },
+    Concat {
+        part_features: Vec<usize>,
+    },
     /// Element-wise residual addition.
-    Add { relu: bool },
+    Add {
+        relu: bool,
+    },
     /// Feature-range slice (codes copied verbatim).
-    Slice { offset: usize },
+    Slice {
+        offset: usize,
+    },
     /// Embedding-bag gathers: feature `t` of the source indexes
     /// `tables[t]`; table values live on the network dtype's grid (the
     /// graph snapped them) so re-encoding to slot codes is lossless.
-    EmbeddingBag { tables: Vec<Matrix> },
+    EmbeddingBag {
+        tables: Vec<Matrix>,
+    },
     /// DLRM pairwise-interaction epilogue; `dim` is the shared vector
     /// width and `part_features` each input's flattened per-image width.
     Interact {
@@ -213,9 +221,15 @@ struct Stage {
     /// Physical workspace slot this stage writes (assigned by
     /// [`assign_slots`]; slots are reused once every consumer has run).
     out_slot: usize,
-    /// For GEMM stages: index among the conv/fc layers in execution
-    /// order (the fault-targeting and detection-report numbering).
-    gemm_idx: Option<usize>,
+}
+
+impl Stage {
+    fn gemm(&self) -> Option<&GemmStage> {
+        match &self.op {
+            StageOp::Gemm(g) => Some(g),
+            _ => None,
+        }
+    }
 }
 
 /// Dependency level of every stage: `Input` is level 0's ancestor, and
@@ -326,12 +340,9 @@ fn build_schedule(stages: &[Stage], levels: &[usize]) -> Vec<LevelGroup> {
         let n = end - start;
         let flops: Option<u128> = stages[start..end]
             .iter()
-            .map(|s| match &s.op {
-                StageOp::Gemm { engine, .. } => {
-                    let sh = engine.shape();
-                    Some(2 * sh.m as u128 * sh.n as u128 * sh.k as u128)
-                }
-                _ => None,
+            .map(|s| {
+                let sh = s.gemm()?.engine.shape();
+                Some(2 * sh.m as u128 * sh.n as u128 * sh.k as u128)
             })
             .sum();
         let parallel = (2..=MAX_BRANCH).contains(&n)
@@ -345,16 +356,6 @@ fn build_schedule(stages: &[Stage], levels: &[usize]) -> Vec<LevelGroup> {
         start = end;
     }
     schedule
-}
-
-/// Construction-time read of the branch-parallelism override: the hot
-/// path never touches the environment. `AIGA_BRANCH_WORKERS=1` forces
-/// every level sequential; higher values cap the fan-out.
-fn env_branch_workers() -> Option<usize> {
-    std::env::var("AIGA_BRANCH_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|w| w.max(1))
 }
 
 /// A protected inference pipeline over GEMM and epilogue stages.
@@ -371,13 +372,11 @@ pub struct ProtectedPipeline {
     slot_count: usize,
     /// Worker-thread cap for branch-parallel levels. `None` defers to
     /// [`aiga_util::effective_workers`] at run time; `Some(1)` forces
-    /// sequential execution. Resolved at construction from
-    /// `AIGA_BRANCH_WORKERS` or [`Self::with_branch_workers`].
+    /// sequential execution (see [`Self::with_branch_workers`]).
     branch_workers: Option<usize>,
     /// Storage dtype of activations and weights: slot write-backs
     /// encode into this format's codes and epilogue stages decode
-    /// through it. Set from the compiled [`Network::dtype`]; MLP-chain
-    /// pipelines are fp16.
+    /// through it. Set from the compiled [`Network::dtype`].
     dtype: Dtype,
     /// When set, a detected fault triggers localization + targeted
     /// recompute *at the flagging stage* (the pass never re-runs), and
@@ -387,94 +386,6 @@ pub struct ProtectedPipeline {
 }
 
 impl ProtectedPipeline {
-    /// Builds a chained-MLP pipeline from a model and a per-layer scheme
-    /// assignment (one scheme per layer), resolving schemes through the
-    /// shared built-in registry. Weights are deterministic
-    /// pseudo-random, scaled like normalized NN weights. Panics if the
-    /// model's layers do not chain (`K[i+1] != N[i]`) or
-    /// `schemes.len() != layers`.
-    pub fn new(model: &Model, schemes: &[Scheme], seed: u64) -> Self {
-        Self::with_registry(registry::shared(), model, schemes, seed)
-    }
-
-    /// [`Self::new`] with an explicit scheme registry.
-    pub fn with_registry(
-        registry: &SchemeRegistry,
-        model: &Model,
-        schemes: &[Scheme],
-        seed: u64,
-    ) -> Self {
-        assert_eq!(
-            schemes.len(),
-            model.layers.len(),
-            "one scheme per layer required"
-        );
-        for pair in model.layers.windows(2) {
-            assert_eq!(
-                pair[1].shape.k, pair[0].shape.n,
-                "layers {} -> {} do not chain",
-                pair[0].name, pair[1].name
-            );
-        }
-        let batch = model.layers[0].shape.m as usize;
-        let depth = model.layers.len();
-        let mut stages: Vec<Stage> = model
-            .layers
-            .iter()
-            .zip(schemes)
-            .enumerate()
-            .map(|(i, (l, &scheme))| {
-                let k = l.shape.k as usize;
-                let n = l.shape.n as usize;
-                // Weight scale ~ 1/sqrt(K) keeps activations O(1) through
-                // depth, like trained networks.
-                let raw = Matrix::random(k, n, seed.wrapping_add(i as u64 * 7919));
-                let scale = F16::from_f64(1.0 / (k as f64).sqrt());
-                let weights = Matrix::from_fn(k, n, |r, c| raw.get(r, c) * scale);
-                let engine = GemmEngine::with_default_tiling(GemmShape::new(
-                    l.shape.m, l.shape.n, l.shape.k,
-                ));
-                Stage {
-                    name: l.name.clone(),
-                    op: StageOp::Gemm {
-                        bound: registry.resolve(scheme).bind(&weights),
-                        engine,
-                        lowering: None,
-                        relu: i + 1 < depth,
-                    },
-                    srcs: vec![if i == 0 {
-                        Src::Input
-                    } else {
-                        Src::Stage(i - 1)
-                    }],
-                    out_features: n,
-                    out_slot: 0,
-                    gemm_idx: Some(i),
-                }
-            })
-            .collect();
-        let levels = compute_levels(&stages);
-        let slot_count = assign_slots(&mut stages, &levels);
-        let schedule = build_schedule(&stages, &levels);
-        ProtectedPipeline {
-            batch,
-            input_features: model.layers[0].shape.k as usize,
-            output_features: model.layers[depth - 1].shape.n as usize,
-            stages,
-            schedule,
-            gemm_count: depth,
-            slot_count,
-            branch_workers: env_branch_workers(),
-            dtype: Dtype::F16,
-            recovery: false,
-        }
-    }
-
-    /// Builds a pipeline protecting every layer with one fixed scheme.
-    pub fn uniform(model: &Model, scheme: Scheme, seed: u64) -> Self {
-        Self::new(model, &vec![scheme; model.layers.len()], seed)
-    }
-
     /// Compiles an executable [`Network`] — real FP16 weights, conv and
     /// epilogue nodes — against a per-GEMM-layer scheme assignment
     /// (`schemes[i]` protects the `i`-th conv/fc node in execution
@@ -511,8 +422,22 @@ impl ProtectedPipeline {
         };
         let mut node_src: Vec<Src> = Vec::with_capacity(net.nodes.len());
         let mut stages: Vec<Stage> = Vec::new();
-        let mut next_scheme = schemes.iter().copied();
-        let mut next_gemm = 0usize;
+        let mut next_layer = 0usize;
+        let mut gemm_stage = |m: u64, wmat: &Matrix, lowering: Option<ConvLowering>, relu: bool| {
+            let layer = next_layer;
+            next_layer += 1;
+            StageOp::Gemm(GemmStage {
+                bound: registry.resolve(schemes[layer]).bind(wmat),
+                engine: GemmEngine::with_default_tiling(GemmShape::new(
+                    m,
+                    wmat.cols as u64,
+                    wmat.rows as u64,
+                )),
+                lowering,
+                relu,
+                layer,
+            })
+        };
         for node in &net.nodes {
             let srcs: Vec<Src> = node
                 .inputs
@@ -538,37 +463,16 @@ impl ProtectedPipeline {
                     let in_dims = net.dims_of(node.inputs[0]);
                     let (ho, wo) = params.out_dims(in_dims.1, in_dims.2);
                     let wmat = encode_weights(filters_to_matrix(weights));
-                    let shape = GemmShape::new(
-                        (batch * ho * wo) as u64,
-                        params.c_out as u64,
-                        wmat.rows as u64,
-                    );
-                    StageOp::Gemm {
-                        bound: registry
-                            .resolve(next_scheme.next().expect("scheme per layer"))
-                            .bind(&wmat),
-                        engine: GemmEngine::with_default_tiling(shape),
-                        lowering: Some(ConvLowering {
-                            params: *params,
-                            in_dims,
-                            out_hw: (ho, wo),
-                            pointwise: params.is_pointwise(),
-                        }),
-                        relu: *relu,
-                    }
+                    let m = (batch * ho * wo) as u64;
+                    let lowering = ConvLowering {
+                        params: *params,
+                        in_dims,
+                        out_hw: (ho, wo),
+                    };
+                    gemm_stage(m, &wmat, Some(lowering), *relu)
                 }
                 NodeOp::Fc { weights, relu } => {
-                    let shape =
-                        GemmShape::new(batch as u64, weights.cols as u64, weights.rows as u64);
-                    let wmat = encode_weights(weights.clone());
-                    StageOp::Gemm {
-                        bound: registry
-                            .resolve(next_scheme.next().expect("scheme per layer"))
-                            .bind(&wmat),
-                        engine: GemmEngine::with_default_tiling(shape),
-                        lowering: None,
-                        relu: *relu,
-                    }
+                    gemm_stage(batch as u64, &encode_weights(weights.clone()), None, *relu)
                 }
                 NodeOp::Pool(p) => StageOp::Pool {
                     params: *p,
@@ -608,17 +512,12 @@ impl ProtectedPipeline {
                     }
                 }
             };
-            let gemm_idx = matches!(op, StageOp::Gemm { .. }).then(|| {
-                next_gemm += 1;
-                next_gemm - 1
-            });
             stages.push(Stage {
                 name: node.name.clone(),
                 op,
                 srcs,
                 out_features,
                 out_slot: 0,
-                gemm_idx,
             });
             node_src.push(Src::Stage(stages.len() - 1));
         }
@@ -633,7 +532,7 @@ impl ProtectedPipeline {
             schedule,
             gemm_count: net.gemm_count(),
             slot_count,
-            branch_workers: env_branch_workers(),
+            branch_workers: None,
             dtype,
             recovery: false,
         }
@@ -656,8 +555,7 @@ impl ProtectedPipeline {
     /// Caps how many worker threads a branch-parallel level may fan out
     /// to (`1` forces sequential execution; values are clamped to at
     /// least 1). Levels below the FLOPs gate run sequentially
-    /// regardless. Overrides the `AIGA_BRANCH_WORKERS` environment
-    /// variable read at construction.
+    /// regardless.
     pub fn with_branch_workers(mut self, workers: usize) -> Self {
         self.branch_workers = Some(workers.max(1));
         self
@@ -684,8 +582,7 @@ impl ProtectedPipeline {
         self.batch
     }
 
-    /// Input feature width (flattened `C·H·W`, or `K` of the first
-    /// layer for MLP chains).
+    /// Input feature width (flattened `C·H·W`).
     pub fn input_features(&self) -> usize {
         self.input_features
     }
@@ -699,10 +596,7 @@ impl ProtectedPipeline {
     pub fn schemes(&self) -> Vec<Scheme> {
         self.stages
             .iter()
-            .filter_map(|s| match &s.op {
-                StageOp::Gemm { bound, .. } => Some(bound.scheme()),
-                _ => None,
-            })
+            .filter_map(|s| Some(s.gemm()?.bound.scheme()))
             .collect()
     }
 
@@ -715,7 +609,7 @@ impl ProtectedPipeline {
 
     /// Runs protected inference entirely inside `ws` — the serving hot
     /// path. One workspace is reused across all stages of this request:
-    /// GEMM scratch, conv `im2col` lowering, and the per-stage FP16
+    /// GEMM scratch (its child workspaces) and the per-stage FP16
     /// value slots all live in `ws`, so callers that hold it across
     /// requests (the `Session` checkout pool) reach a steady state
     /// where the only per-request allocation is the returned report's
@@ -745,18 +639,17 @@ impl ProtectedPipeline {
             input.dtype, self.dtype,
             "request dtype must match the pipeline's storage dtype"
         );
-        let rows = input.rows;
-        let batch = self.batch;
         // Stage the (padded) input into the workspace's activation
-        // buffer. The buffer is moved out around each engine call so it
-        // can be the engine's input while the engine mutably borrows
-        // the same workspace; the moves shuffle pointers, not data.
+        // buffer, moved out for the pass so stages can read it while
+        // the workspace is mutably borrowed (a pointer move, not a copy).
         let mut act = std::mem::take(ws.activations_mut());
-        input.copy_padded_into(batch, input.cols, &mut act);
+        input.copy_padded_into(self.batch, input.cols, &mut act);
         ws.ensure_slots(self.slot_count);
-        let mut detections = Vec::new();
-        let mut corrections = Vec::new();
-        let mut final_output = Vec::new();
+        let mut report = InferenceReport {
+            output: Vec::new(),
+            detections: Vec::new(),
+            corrections: Vec::new(),
+        };
         for group in &self.schedule {
             let n = group.end - group.start;
             // Fan-out decision: compile time marked the level safe and
@@ -771,505 +664,303 @@ impl ProtectedPipeline {
             } else {
                 1
             };
-            if workers >= 2 {
-                self.run_group_parallel(
-                    group.start,
-                    group.end,
-                    fault,
-                    ws,
-                    &act,
-                    &mut detections,
-                    &mut corrections,
-                );
-            } else {
-                for si in group.start..group.end {
-                    self.run_stage_sequential(
-                        si,
-                        fault,
-                        ws,
-                        &mut act,
-                        &mut detections,
-                        &mut corrections,
-                        &mut final_output,
-                        rows,
-                    );
+            // A fanned-out level (all GEMMs by construction) executes
+            // as one unit; otherwise stages go one at a time.
+            let step = if workers >= 2 { n } else { 1 };
+            for si in (group.start..group.end).step_by(step) {
+                if self.stages[si].gemm().is_some() {
+                    self.run_gemm_stages(si..si + step, fault, ws, &act, input.rows, &mut report);
+                } else {
+                    self.run_epilogue_stage(si, ws, &act, input.rows, &mut report.output);
                 }
             }
         }
-
         *ws.activations_mut() = act;
-        InferenceReport {
-            output: final_output,
-            detections,
-            corrections,
+        report
+    }
+
+    /// Executes the mutually independent GEMM stages `range` — a single
+    /// stage on the calling thread, or a whole parallel level with one
+    /// scoped worker thread per branch. Either way each stage runs on
+    /// its own child workspace, reading its source value (a slot or the
+    /// staged request) in place through a borrowed view; the join
+    /// merges verdicts, detections, and slot write-backs in stage
+    /// order, so reports and slot bytes do not depend on the regime.
+    fn run_gemm_stages(
+        &self,
+        range: Range<usize>,
+        fault: Option<PipelineFault>,
+        ws: &mut Workspace,
+        act: &Matrix,
+        rows: usize,
+        report: &mut InferenceReport,
+    ) {
+        let last = self.stages.len() - 1;
+        // Take each stage's destination slot out of the workspace
+        // before splitting the borrow: the slot table then holds
+        // exactly the stages' inputs, which they share read-only
+        // (assign_slots defers intra-level frees, so no destination
+        // aliases a sibling's source).
+        let mut dsts: [Matrix; MAX_BRANCH] = std::array::from_fn(|_| Matrix::default());
+        for (dst, si) in dsts.iter_mut().zip(range.clone()) {
+            *dst = ws.take_slot(self.stages[si].out_slot);
+        }
+        let mut verdicts = [Verdict::Clean; MAX_BRANCH];
+        let (slots, pool) = ws.branch_split(range.len());
+        let run = |si: usize, dst: &mut Matrix, verdict: &mut Verdict, bws: &mut Workspace| {
+            let src = match self.stages[si].srcs[0] {
+                Src::Input => act,
+                Src::Stage(j) => &slots[j],
+            };
+            // The final stage's output is read raw off the workspace.
+            let dst = (si != last).then_some(dst);
+            *verdict = self.run_gemm(&self.stages[si], src, fault, bws, dst);
+        };
+        let jobs = range
+            .clone()
+            .zip(&mut dsts)
+            .zip(&mut verdicts)
+            .zip(pool.iter_mut());
+        if range.len() == 1 {
+            jobs.for_each(|(((si, dst), verdict), bws)| run(si, dst, verdict, bws));
+        } else {
+            std::thread::scope(|scope| {
+                for (((si, dst), verdict), bws) in jobs {
+                    // Branch bodies run as workers so the engine's own
+                    // stripe parallelism collapses to sequential inside
+                    // them — one thread per branch, no nested fan-out.
+                    scope.spawn(move || aiga_util::as_worker(|| run(si, dst, verdict, bws)));
+                }
+            });
+        }
+        for ((si, bws), verdict) in range.clone().zip(pool.iter()).zip(verdicts) {
+            let stage = &self.stages[si];
+            let g = stage.gemm().expect("GEMM stage");
+            record_gemm_outcome(g, &stage.name, bws.output(), verdict, report);
+            if si == last {
+                // Crop to the request rows; the final output stays raw
+                // f32 (ReLU only if the layer fuses one).
+                report.output.reserve_exact(rows * stage.out_features);
+                emit_gemm_output(bws.output(), g, rows, |v| report.output.push(v));
+            }
+        }
+        for (si, dst) in range.zip(dsts) {
+            ws.put_slot(self.stages[si].out_slot, dst);
         }
     }
 
-    /// Executes one stage on the calling thread — the sequential
-    /// regime. A GEMM stage moves its source value out of the
-    /// workspace around the engine call (exclusive workspace access
-    /// makes that safe here, unlike inside a parallel level).
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage_sequential(
+    /// Runs one protected GEMM stage inside the (child) workspace `ws` —
+    /// the one place the pipeline invokes a [`BoundKernel`]. The source
+    /// value is viewed as the stage's activation matrix without a copy:
+    /// row-major for fc; for convs the implicit-GEMM lowering of the
+    /// NCHW slot (the engine's panel staging gathers straight from it,
+    /// so the lowered matrix never exists; padding taps are the zero
+    /// code in every dtype). In recovery mode a detected fault is
+    /// repaired in place; `dst`, when given, receives the encoded
+    /// output with the ReLU epilogue fused into the down-conversion.
+    fn run_gemm(
         &self,
-        si: usize,
+        stage: &Stage,
+        src: &Matrix,
         fault: Option<PipelineFault>,
         ws: &mut Workspace,
-        act: &mut Matrix,
-        detections: &mut Vec<LayerDetection>,
-        corrections: &mut Vec<LayerCorrection>,
-        final_output: &mut Vec<f32>,
+        dst: Option<&mut Matrix>,
+    ) -> Verdict {
+        let g = stage.gemm().expect("GEMM stage");
+        let a = match &g.lowering {
+            None => src.view(),
+            Some(low) => {
+                let (c, h, w) = low.in_dims;
+                if low.params.is_pointwise() {
+                    // A 1×1 stride-1 unpadded conv's lowering is a pure
+                    // relabeling of the NCHW buffer.
+                    MatrixView::nchw_lowered(self.batch, c, h * w, &src.data, self.dtype)
+                } else {
+                    let view = low.params.im2col_view(c, h, w);
+                    MatrixView::im2col_lowered(self.batch, view, &src.data, self.dtype)
+                }
+            }
+        };
+        let layer_fault = fault.and_then(|f| (f.layer == g.layer).then_some(f.fault));
+        let faults = layer_fault.as_slice();
+        let verdict = if self.recovery {
+            g.bound.run_corrected_into(&g.engine, a, faults, ws)
+        } else {
+            g.bound.run_into(&g.engine, a, faults, ws)
+        };
+        if let Some(dst) = dst {
+            // Full batch: padded images stay zero through every op.
+            let dt = self.dtype;
+            dst.rows = self.batch;
+            dst.cols = stage.out_features;
+            dst.dtype = dt;
+            dst.data.clear();
+            dst.data.reserve_exact(self.batch * stage.out_features);
+            emit_gemm_output(ws.output(), g, self.batch, |v| {
+                dst.data.push(F16::from_bits(dt.encode(v)))
+            });
+        }
+        verdict
+    }
+
+    /// Executes one epilogue stage — pure FP16 slot-to-slot computation
+    /// on the calling thread.
+    fn run_epilogue_stage(
+        &self,
+        si: usize,
+        ws: &mut Workspace,
+        act: &Matrix,
         rows: usize,
+        final_output: &mut Vec<f32>,
     ) {
         let stage = &self.stages[si];
         let is_last = si + 1 == self.stages.len();
         let dt = self.dtype;
         let batch = self.batch;
-        match &stage.op {
-            StageOp::Gemm {
-                bound,
-                engine,
-                lowering,
-                relu,
-            } => {
-                let gemm_idx = stage.gemm_idx.expect("GEMM stages carry a layer index");
-                // Borrow the (at most one) fault aimed at this GEMM
-                // layer as a slice; no per-layer allocation.
-                let layer_fault: Option<FaultPlan> =
-                    fault.and_then(|f| (f.layer == gemm_idx).then_some(f.fault));
-                // Move the source value out of the workspace so the
-                // engine can mutably borrow `ws` while reading it.
-                let (src_slot, mut src) = match stage.srcs[0] {
-                    Src::Input => (None, std::mem::take(act)),
-                    Src::Stage(j) => (Some(j), ws.take_slot(j)),
-                };
-                let verdict = match lowering {
-                    None => {
-                        let mut v = bound.run_into(engine, &src, layer_fault.as_slice(), ws);
-                        if self.recovery && v.is_detected() {
-                            v = bound.correct_into(engine, &src, ws, v);
-                        }
-                        v
-                    }
-                    Some(low) if low.pointwise => {
-                        // 1×1 stride-1 unpadded conv: the lowered
-                        // activation matrix is a pure relabeling of
-                        // the NCHW buffer, so run the protected GEMM
-                        // on a zero-copy view of it — no im2col.
-                        let (c, h, w) = low.in_dims;
-                        debug_assert_eq!(src.data.len(), batch * c * h * w);
-                        let a =
-                            Matrix::nchw_lowered(batch, c, h * w, std::mem::take(&mut src.data))
-                                .with_dtype(dt);
-                        let mut v = bound.run_into(engine, &a, layer_fault.as_slice(), ws);
-                        if self.recovery && v.is_detected() {
-                            v = bound.correct_into(engine, &a, ws, v);
-                        }
-                        src.data = a.data;
-                        v
-                    }
-                    Some(low) => {
-                        // Implicit GEMM: the engine's panel staging
-                        // gathers straight from the NCHW buffer
-                        // through a zero-copy im2col view, so the
-                        // lowered matrix never exists. The view
-                        // reads raw storage codes (padding taps are
-                        // the zero code in every dtype), so it
-                        // carries the tag over.
-                        let (c, h, w) = low.in_dims;
-                        debug_assert_eq!(src.data.len(), batch * c * h * w);
-                        let a = Matrix::im2col_lowered(
-                            batch,
-                            low.params.im2col_view(c, h, w),
-                            std::mem::take(&mut src.data),
-                        )
-                        .with_dtype(dt);
-                        let mut v = bound.run_into(engine, &a, layer_fault.as_slice(), ws);
-                        if self.recovery && v.is_detected() {
-                            v = bound.correct_into(engine, &a, ws, v);
-                        }
-                        src.data = a.data;
-                        v
-                    }
-                };
-                match src_slot {
-                    None => *act = src,
-                    Some(j) => ws.put_slot(j, src),
-                }
-
-                record_gemm_outcome(
-                    gemm_idx,
-                    &stage.name,
-                    bound.scheme(),
-                    &ws.output().detections,
-                    verdict,
-                    detections,
-                    corrections,
-                );
-
-                if is_last {
-                    let out = ws.output();
-                    match lowering {
-                        None => {
-                            // Crop to the request rows; final fc
-                            // output stays raw f32 (ReLU only if the
-                            // layer fuses one).
-                            final_output.reserve_exact(rows * out.n);
-                            for &v in &out.c[..rows * out.n] {
-                                final_output.push(if *relu { v.max(0.0) } else { v });
-                            }
-                        }
-                        Some(low) => {
-                            final_output.reserve_exact(rows * out.n * low.out_hw.0 * low.out_hw.1);
-                            conv_output_nchw(out.c.as_slice(), rows, out.n, low, *relu, |v| {
-                                final_output.push(v)
-                            });
-                        }
-                    }
-                } else {
-                    // Write back to this stage's FP16 value slot,
-                    // fusing the ReLU epilogue into the
-                    // down-conversion (full batch: padded images
-                    // stay zero through every op).
-                    let mut dst = ws.take_slot(stage.out_slot);
-                    encode_gemm_output(
-                        ws.output(),
-                        lowering.as_ref(),
-                        *relu,
-                        batch,
-                        stage.out_features,
-                        dt,
-                        &mut dst,
-                    );
-                    ws.put_slot(stage.out_slot, dst);
-                }
-            }
-
-            // Epilogue stages: pure FP16 slot-to-slot computation.
-            _ => {
-                let mut dst = ws.take_slot(stage.out_slot);
-                dst.rows = batch;
-                dst.cols = stage.out_features;
-                dst.dtype = dt;
-                dst.data.clear();
-                {
-                    let get = |r: Src| -> &Matrix {
-                        match r {
-                            Src::Input => &*act,
-                            Src::Stage(j) => ws.slot(j),
-                        }
-                    };
-                    match &stage.op {
-                        StageOp::Pool {
-                            params,
-                            in_dims,
-                            out_hw,
-                        } => pool_stage(
-                            get(stage.srcs[0]),
-                            batch,
-                            *in_dims,
-                            params,
-                            *out_hw,
-                            dt,
-                            &mut dst,
-                        ),
-                        StageOp::GlobalAvgPool { in_dims } => {
-                            global_avg_stage(get(stage.srcs[0]), batch, *in_dims, dt, &mut dst)
-                        }
-                        StageOp::Concat { part_features } => {
-                            for n in 0..batch {
-                                for (&r, &f) in stage.srcs.iter().zip(part_features) {
-                                    let src = get(r);
-                                    dst.data.extend_from_slice(&src.data[n * f..(n + 1) * f]);
-                                }
-                            }
-                        }
-                        StageOp::Add { relu } => {
-                            let a = get(stage.srcs[0]);
-                            let b = get(stage.srcs[1]);
-                            dst.data.extend(a.data.iter().zip(&b.data).map(|(x, y)| {
-                                let v = dt.decode(x.to_bits()) + dt.decode(y.to_bits());
-                                F16::from_bits(dt.encode(if *relu { v.max(0.0) } else { v }))
-                            }));
-                        }
-                        StageOp::Slice { offset } => {
-                            let src = get(stage.srcs[0]);
-                            let f = src.cols;
-                            for n in 0..batch {
-                                dst.data.extend_from_slice(
-                                    &src.data[n * f + offset..n * f + offset + stage.out_features],
-                                );
-                            }
-                        }
-                        StageOp::EmbeddingBag { tables } => {
-                            let src = get(stage.srcs[0]);
-                            let t_count = tables.len();
-                            for n in 0..batch {
-                                for (t, table) in tables.iter().enumerate() {
-                                    let idx = embedding_index(
-                                        dt.decode(src.data[n * t_count + t].to_bits()),
-                                        table.rows,
-                                    );
-                                    dst.data.extend(
-                                        table.data[idx * table.cols..(idx + 1) * table.cols]
-                                            .iter()
-                                            .map(|w| F16::from_bits(dt.encode(w.to_f32()))),
-                                    );
-                                }
-                            }
-                        }
-                        StageOp::Interact { dim, part_features } => {
-                            let total: usize = part_features.iter().sum();
-                            let m = total / dim;
-                            for n in 0..batch {
-                                // Value `f` of the virtual concatenation
-                                // of the inputs for image `n`.
-                                let feat = |f: usize| -> f32 {
-                                    let mut rem = f;
-                                    for (&r, &pf) in stage.srcs.iter().zip(part_features) {
-                                        if rem < pf {
-                                            return dt.decode(get(r).data[n * pf + rem].to_bits());
-                                        }
-                                        rem -= pf;
-                                    }
-                                    unreachable!("interact feature index in range")
-                                };
-                                // First vector's codes pass through
-                                // verbatim (they are already on-grid).
-                                let first = get(stage.srcs[0]);
-                                let pf0 = part_features[0];
-                                dst.data
-                                    .extend_from_slice(&first.data[n * pf0..n * pf0 + dim]);
-                                for vi in 0..m {
-                                    for vj in vi + 1..m {
-                                        let mut dot = 0.0f32;
-                                        for x in 0..*dim {
-                                            dot += feat(vi * dim + x) * feat(vj * dim + x);
-                                        }
-                                        dst.data.push(F16::from_bits(dt.encode(dot)));
-                                    }
-                                }
-                            }
-                        }
-                        StageOp::Gemm { .. } => unreachable!("handled above"),
-                    }
-                }
-                if is_last {
-                    final_output.reserve_exact(rows * stage.out_features);
-                    final_output.extend(
-                        dst.data[..rows * stage.out_features]
-                            .iter()
-                            .map(|v| dt.decode(v.to_bits())),
-                    );
-                }
-                ws.put_slot(stage.out_slot, dst);
-            }
-        }
-    }
-
-    /// Executes one independence level's GEMM branches concurrently —
-    /// one scoped worker thread per branch, each on a private child
-    /// workspace from the pool, all reading the level's input slots
-    /// (and the staged request) immutably. The join merges verdicts,
-    /// detections, and slot write-backs in stage order, so reports and
-    /// slot bytes are identical to sequential execution.
-    #[allow(clippy::too_many_arguments)]
-    fn run_group_parallel(
-        &self,
-        start: usize,
-        end: usize,
-        fault: Option<PipelineFault>,
-        ws: &mut Workspace,
-        act: &Matrix,
-        detections: &mut Vec<LayerDetection>,
-        corrections: &mut Vec<LayerCorrection>,
-    ) {
-        let n = end - start;
-        let batch = self.batch;
-        let dt = self.dtype;
-        let recovery = self.recovery;
-        // Take each branch's destination slot out of the workspace
-        // before splitting the borrow: the slot table then holds
-        // exactly the level's inputs, which the branches share
-        // read-only (assign_slots defers intra-level frees, so no
-        // branch's destination aliases a sibling's source).
-        let mut dsts: [Matrix; MAX_BRANCH] = std::array::from_fn(|_| Matrix::default());
-        for (dst, si) in dsts.iter_mut().zip(start..end) {
-            *dst = ws.take_slot(self.stages[si].out_slot);
-        }
-        let mut verdicts: [Option<Verdict>; MAX_BRANCH] = [None; MAX_BRANCH];
+        let mut dst = ws.take_slot(stage.out_slot);
+        dst.rows = batch;
+        dst.cols = stage.out_features;
+        dst.dtype = dt;
+        dst.data.clear();
         {
-            let (slots, pool) = ws.branch_split(n);
-            std::thread::scope(|scope| {
-                for (((si, dst), verdict), bws) in (start..end)
-                    .zip(dsts[..n].iter_mut())
-                    .zip(verdicts[..n].iter_mut())
-                    .zip(pool.iter_mut())
-                {
-                    let stage = &self.stages[si];
-                    let gemm_idx = stage
-                        .gemm_idx
-                        .expect("parallel levels contain only GEMM stages");
-                    let layer_fault: Option<FaultPlan> =
-                        fault.and_then(|f| (f.layer == gemm_idx).then_some(f.fault));
-                    let src: &Matrix = match stage.srcs[0] {
-                        Src::Input => act,
-                        Src::Stage(j) => &slots[j],
-                    };
-                    scope.spawn(move || {
-                        // Branch bodies run as workers so the engine's
-                        // own stripe parallelism collapses to
-                        // sequential inside them — one thread per
-                        // branch, no nested fan-out.
-                        aiga_util::as_worker(|| {
-                            *verdict = Some(run_branch_gemm(
-                                stage,
-                                src,
-                                layer_fault,
-                                recovery,
-                                batch,
-                                dt,
-                                bws,
-                                dst,
-                            ));
-                        });
-                    });
+            let get = |r: Src| -> &Matrix {
+                match r {
+                    Src::Input => &*act,
+                    Src::Stage(j) => ws.slot(j),
                 }
-            });
-        }
-        // Join in stage order: identical report and slot state to the
-        // sequential schedule, independent of thread timing.
-        for (gi, si) in (start..end).enumerate() {
-            let stage = &self.stages[si];
-            let StageOp::Gemm { bound, .. } = &stage.op else {
-                unreachable!("parallel levels contain only GEMM stages");
             };
-            let verdict = verdicts[gi].expect("every branch ran to completion");
-            {
-                let (_, pool) = ws.branch_split(n);
-                record_gemm_outcome(
-                    stage.gemm_idx.expect("GEMM stages carry a layer index"),
-                    &stage.name,
-                    bound.scheme(),
-                    &pool[gi].output().detections,
-                    verdict,
-                    detections,
-                    corrections,
-                );
+            match &stage.op {
+                StageOp::Pool {
+                    params,
+                    in_dims,
+                    out_hw,
+                } => pool_stage(
+                    get(stage.srcs[0]),
+                    batch,
+                    *in_dims,
+                    params,
+                    *out_hw,
+                    dt,
+                    &mut dst,
+                ),
+                StageOp::GlobalAvgPool { in_dims } => {
+                    global_avg_stage(get(stage.srcs[0]), batch, *in_dims, dt, &mut dst)
+                }
+                StageOp::Concat { part_features } => {
+                    for n in 0..batch {
+                        for (&r, &f) in stage.srcs.iter().zip(part_features) {
+                            let src = get(r);
+                            dst.data.extend_from_slice(&src.data[n * f..(n + 1) * f]);
+                        }
+                    }
+                }
+                StageOp::Add { relu } => {
+                    let a = get(stage.srcs[0]);
+                    let b = get(stage.srcs[1]);
+                    dst.data.extend(a.data.iter().zip(&b.data).map(|(x, y)| {
+                        let v = dt.decode(x.to_bits()) + dt.decode(y.to_bits());
+                        F16::from_bits(dt.encode(if *relu { v.max(0.0) } else { v }))
+                    }));
+                }
+                StageOp::Slice { offset } => {
+                    let src = get(stage.srcs[0]);
+                    let f = src.cols;
+                    for n in 0..batch {
+                        dst.data.extend_from_slice(
+                            &src.data[n * f + offset..n * f + offset + stage.out_features],
+                        );
+                    }
+                }
+                StageOp::EmbeddingBag { tables } => {
+                    let src = get(stage.srcs[0]);
+                    let t_count = tables.len();
+                    for n in 0..batch {
+                        for (t, table) in tables.iter().enumerate() {
+                            let idx = embedding_index(
+                                dt.decode(src.data[n * t_count + t].to_bits()),
+                                table.rows,
+                            );
+                            dst.data.extend(
+                                table.data[idx * table.cols..(idx + 1) * table.cols]
+                                    .iter()
+                                    .map(|w| F16::from_bits(dt.encode(w.to_f32()))),
+                            );
+                        }
+                    }
+                }
+                StageOp::Interact { dim, part_features } => {
+                    let total: usize = part_features.iter().sum();
+                    let m = total / dim;
+                    for n in 0..batch {
+                        // Value `f` of the virtual concatenation
+                        // of the inputs for image `n`.
+                        let feat = |f: usize| -> f32 {
+                            let mut rem = f;
+                            for (&r, &pf) in stage.srcs.iter().zip(part_features) {
+                                if rem < pf {
+                                    return dt.decode(get(r).data[n * pf + rem].to_bits());
+                                }
+                                rem -= pf;
+                            }
+                            unreachable!("interact feature index in range")
+                        };
+                        // First vector's codes pass through
+                        // verbatim (they are already on-grid).
+                        let first = get(stage.srcs[0]);
+                        let pf0 = part_features[0];
+                        dst.data
+                            .extend_from_slice(&first.data[n * pf0..n * pf0 + dim]);
+                        for vi in 0..m {
+                            for vj in vi + 1..m {
+                                let mut dot = 0.0f32;
+                                for x in 0..*dim {
+                                    dot += feat(vi * dim + x) * feat(vj * dim + x);
+                                }
+                                dst.data.push(F16::from_bits(dt.encode(dot)));
+                            }
+                        }
+                    }
+                }
+                StageOp::Gemm { .. } => unreachable!("handled above"),
             }
-            ws.put_slot(stage.out_slot, std::mem::take(&mut dsts[gi]));
         }
+        if is_last {
+            final_output.reserve_exact(rows * stage.out_features);
+            final_output.extend(
+                dst.data[..rows * stage.out_features]
+                    .iter()
+                    .map(|v| dt.decode(v.to_bits())),
+            );
+        }
+        ws.put_slot(stage.out_slot, dst);
     }
 }
 
-/// The body one branch worker runs inside a parallel level: the
-/// protected GEMM (with optional recovery) on a private child
-/// workspace, then the FP16 slot encode into `dst`. Returns the
-/// kernel's verdict for the stage-order merge.
-#[allow(clippy::too_many_arguments)]
-fn run_branch_gemm(
-    stage: &Stage,
-    src: &Matrix,
-    layer_fault: Option<FaultPlan>,
-    recovery: bool,
-    batch: usize,
-    dt: Dtype,
-    bws: &mut Workspace,
-    dst: &mut Matrix,
-) -> Verdict {
-    let StageOp::Gemm {
-        bound,
-        engine,
-        lowering,
-        relu,
-    } = &stage.op
-    else {
-        unreachable!("parallel levels contain only GEMM stages");
-    };
-    let verdict = match lowering {
-        None => {
-            let mut v = bound.run_into(engine, src, layer_fault.as_slice(), bws);
-            if recovery && v.is_detected() {
-                v = bound.correct_into(engine, src, bws, v);
-            }
-            v
-        }
-        Some(low) => {
-            // Sequential execution moves the shared slot's buffer into
-            // the lowered view; a parallel branch cannot, because its
-            // siblings read the same slot concurrently. It stages a
-            // byte-identical copy into its private lowering scratch
-            // instead (the buffer ratchets, so the steady state
-            // allocates nothing) and wraps the same zero-copy view
-            // around the copy.
-            let (c, h, w) = low.in_dims;
-            debug_assert_eq!(src.data.len(), batch * c * h * w);
-            let mut scratch = bws.take_lowering();
-            scratch.data.clear();
-            scratch.data.extend_from_slice(&src.data);
-            let a = if low.pointwise {
-                Matrix::nchw_lowered(batch, c, h * w, std::mem::take(&mut scratch.data))
-            } else {
-                Matrix::im2col_lowered(
-                    batch,
-                    low.params.im2col_view(c, h, w),
-                    std::mem::take(&mut scratch.data),
-                )
-            }
-            .with_dtype(dt);
-            let mut v = bound.run_into(engine, &a, layer_fault.as_slice(), bws);
-            if recovery && v.is_detected() {
-                v = bound.correct_into(engine, &a, bws, v);
-            }
-            scratch.data = a.data;
-            bws.put_lowering(scratch);
-            v
-        }
-    };
-    encode_gemm_output(
-        bws.output(),
-        lowering.as_ref(),
-        *relu,
-        batch,
-        stage.out_features,
-        dt,
-        dst,
-    );
-    verdict
-}
-
-/// Records one GEMM stage's outcome into the report vectors — shared
-/// verbatim by the sequential and branch-parallel regimes so the two
-/// schedules produce identical reports.
+/// Records one GEMM stage's outcome into the report.
 fn record_gemm_outcome(
-    gemm_idx: usize,
+    g: &GemmStage,
     name: &str,
-    scheme: Scheme,
-    kernel_detections: &[Detection],
+    out: &GemmOutput,
     verdict: Verdict,
-    detections: &mut Vec<LayerDetection>,
-    corrections: &mut Vec<LayerCorrection>,
+    report: &mut InferenceReport,
 ) {
-    // Thread-level detections come out of the kernel itself, with
-    // per-tile provenance.
-    for d in kernel_detections {
-        detections.push(LayerDetection {
-            layer: gemm_idx,
+    let scheme = g.bound.scheme();
+    let mut detected = |residual: f64| {
+        report.detections.push(LayerDetection {
+            layer: g.layer,
             name: name.to_string(),
             scheme,
-            residual: d.residual,
-        });
-    }
+            residual,
+        })
+    };
+    // Thread-level detections come out of the kernel itself, with
+    // per-tile provenance.
+    out.detections.iter().for_each(|d| detected(d.residual));
     // Kernel-level verdicts (global ABFT's deferred reduce-and-compare,
     // §2.5 step 5) have no thread provenance; record them once.
-    if kernel_detections.is_empty() {
+    if out.detections.is_empty() {
         if let Verdict::Detected { residual, .. } = verdict {
-            detections.push(LayerDetection {
-                layer: gemm_idx,
-                name: name.to_string(),
-                scheme,
-                residual,
-            });
+            detected(residual);
         }
     }
     // A repaired layer records the correction (its per-tile
@@ -1282,8 +973,8 @@ fn record_gemm_outcome(
         ..
     } = verdict
     {
-        corrections.push(LayerCorrection {
-            layer: gemm_idx,
+        report.corrections.push(LayerCorrection {
+            layer: g.layer,
             name: name.to_string(),
             scheme,
             site,
@@ -1293,57 +984,26 @@ fn record_gemm_outcome(
     }
 }
 
-/// Encodes a GEMM output into a stage's FP16 value slot, fusing the
-/// ReLU epilogue into the down-conversion (full batch: padded images
-/// stay zero through every op). Shared by the sequential and
-/// branch-parallel write-back paths.
-fn encode_gemm_output(
-    out: &GemmOutput,
-    lowering: Option<&ConvLowering>,
-    relu: bool,
-    batch: usize,
-    out_features: usize,
-    dt: Dtype,
-    dst: &mut Matrix,
-) {
-    dst.rows = batch;
-    dst.cols = out_features;
-    dst.dtype = dt;
-    dst.data.clear();
-    match lowering {
-        None => {
-            dst.data.extend(out.c.iter().map(|&v| {
-                let v = if relu { v.max(0.0) } else { v };
-                F16::from_bits(dt.encode(v))
-            }));
-        }
+/// Walks a GEMM stage's output for `images` images in the stage's
+/// flattened emission order — row-major for fc; NCHW for a lowered conv
+/// (GEMM rows are `(n, oy, ox)`-major, columns `c_out`) — applying the
+/// fused ReLU, and hands each value to `emit`: the one place the
+/// GEMM→NCHW transpose lives, shared by the final-output and slot
+/// write-back paths.
+fn emit_gemm_output(out: &GemmOutput, g: &GemmStage, images: usize, mut emit: impl FnMut(f32)) {
+    // Locals, so the inner loops keep them in registers across `emit`.
+    let (c, out_n, fuse_relu) = (out.c.as_slice(), out.n, g.relu);
+    let relu = |v: f32| if fuse_relu { v.max(0.0) } else { v };
+    match &g.lowering {
+        None => c[..images * out_n].iter().for_each(|&v| emit(relu(v))),
         Some(low) => {
-            conv_output_nchw(out.c.as_slice(), batch, out.n, low, relu, |v| {
-                dst.data.push(F16::from_bits(dt.encode(v)))
-            });
-        }
-    }
-}
-
-/// Walks a lowered-conv GEMM output (rows `(n, oy, ox)`-major, columns
-/// `c_out`) in flattened-NCHW emission order for `images` images,
-/// applying the fused ReLU, and hands each value to `emit` — the one
-/// place the GEMM→NCHW transpose lives, shared by the final-output and
-/// slot write-back paths.
-fn conv_output_nchw(
-    c: &[f32],
-    images: usize,
-    out_n: usize,
-    low: &ConvLowering,
-    relu: bool,
-    mut emit: impl FnMut(f32),
-) {
-    let spatial = low.out_hw.0 * low.out_hw.1;
-    for n in 0..images {
-        for co in 0..out_n {
-            for s in 0..spatial {
-                let v = c[(n * spatial + s) * out_n + co];
-                emit(if relu { v.max(0.0) } else { v });
+            let spatial = low.out_hw.0 * low.out_hw.1;
+            for n in 0..images {
+                for co in 0..out_n {
+                    for s in 0..spatial {
+                        emit(relu(c[(n * spatial + s) * out_n + co]));
+                    }
+                }
             }
         }
     }
@@ -1440,11 +1100,17 @@ mod tests {
         Matrix::random(batch, features, 4242)
     }
 
+    /// An MLP chain lowered to a network, one scheme on every layer.
+    fn uniform(model: &aiga_nn::Model, scheme: Scheme, seed: u64) -> ProtectedPipeline {
+        let net = Network::from_mlp(model, seed);
+        ProtectedPipeline::compile(&net, &vec![scheme; net.gemm_count()])
+    }
+
     #[test]
     fn clean_dlrm_bottom_inference_raises_nothing() {
         let model = zoo::dlrm_mlp_bottom(16);
         for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
-            let p = ProtectedPipeline::uniform(&model, scheme, 1);
+            let p = uniform(&model, scheme, 1);
             let r = p.infer(&input(16, 13), None);
             assert!(!r.fault_detected(), "{scheme}: {:?}", r.detections.first());
             assert_eq!(r.output.len(), 16 * 64);
@@ -1454,7 +1120,7 @@ mod tests {
     #[test]
     fn fault_in_a_middle_layer_is_caught_at_that_layer() {
         let model = zoo::dlrm_mlp_bottom(16);
-        let p = ProtectedPipeline::uniform(&model, Scheme::ThreadLevelOneSided, 2);
+        let p = uniform(&model, Scheme::ThreadLevelOneSided, 2);
         let fault = PipelineFault {
             layer: 1,
             fault: FaultPlan {
@@ -1478,7 +1144,7 @@ mod tests {
             Scheme::ThreadLevelOneSided,
             Scheme::GlobalAbft,
         ];
-        let p = ProtectedPipeline::new(&model, &schemes, 3);
+        let p = ProtectedPipeline::compile(&Network::from_mlp(&model, 3), &schemes);
         assert_eq!(p.schemes(), schemes);
         // Fault in layer 0 must be detected by global ABFT.
         let fault = PipelineFault {
@@ -1498,7 +1164,7 @@ mod tests {
     #[test]
     fn unprotected_pipeline_silently_corrupts() {
         let model = zoo::dlrm_mlp_bottom(8);
-        let p = ProtectedPipeline::uniform(&model, Scheme::Unprotected, 4);
+        let p = uniform(&model, Scheme::Unprotected, 4);
         let clean = p.infer(&input(8, 13), None);
         let fault = PipelineFault {
             layer: 0,
@@ -1518,7 +1184,7 @@ mod tests {
     #[test]
     fn multi_checksum_extension_serves_through_the_pipeline() {
         let model = zoo::dlrm_mlp_bottom(8);
-        let p = ProtectedPipeline::uniform(&model, Scheme::MultiChecksum(2), 6);
+        let p = uniform(&model, Scheme::MultiChecksum(2), 6);
         let clean = p.infer(&input(8, 13), None);
         assert!(!clean.fault_detected());
         let fault = PipelineFault {
@@ -1533,19 +1199,6 @@ mod tests {
         let dirty = p.infer(&input(8, 13), Some(fault));
         assert!(dirty.fault_detected());
         assert_eq!(dirty.detections[0].scheme, Scheme::MultiChecksum(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "do not chain")]
-    fn non_chaining_models_are_rejected() {
-        let model = aiga_nn::Model::new(
-            "broken",
-            vec![
-                aiga_nn::LinearLayer::fc("a", 8, 16, 32),
-                aiga_nn::LinearLayer::fc("b", 8, 64, 32), // K != previous N
-            ],
-        );
-        ProtectedPipeline::uniform(&model, Scheme::GlobalAbft, 0);
     }
 
     mod compiled {
@@ -1602,7 +1255,7 @@ mod tests {
         fn slot_assignment_recycles_dead_values() {
             // A chain ping-pongs two physical slots no matter its depth
             // (the pre-graph memory footprint).
-            let chain = ProtectedPipeline::uniform(&zoo::dlrm_mlp_bottom(8), Scheme::GlobalAbft, 1);
+            let chain = uniform(&zoo::dlrm_mlp_bottom(8), Scheme::GlobalAbft, 1);
             assert_eq!(chain.slot_count, 2);
             // Branchy graphs keep only the values that are still live:
             // SqueezeNet's 34 stages need a handful of slots, not 34.
@@ -1736,8 +1389,7 @@ mod tests {
             // Parallel levels only ever contain GEMM stages.
             for g in p.schedule.iter().filter(|g| g.parallel) {
                 for s in &p.stages[g.start..g.end] {
-                    assert!(matches!(s.op, StageOp::Gemm { .. }), "{}", s.name);
-                    assert!(s.gemm_idx.is_some(), "{}", s.name);
+                    assert!(s.gemm().is_some(), "{}", s.name);
                 }
             }
             // The final stage never joins a parallel level (it owns the
@@ -1772,7 +1424,7 @@ mod tests {
                 .iter()
                 .filter(|g| g.parallel)
                 .flat_map(|g| par.stages[g.start..g.end].iter())
-                .map(|s| s.gemm_idx.unwrap())
+                .map(|s| s.gemm().unwrap().layer)
                 .next_back()
                 .expect("a parallel level exists");
             let fault = PipelineFault {
@@ -1807,7 +1459,7 @@ mod tests {
                 .iter()
                 .filter(|g| g.parallel)
                 .flat_map(|g| par.stages[g.start..g.end].iter())
-                .map(|s| s.gemm_idx.unwrap())
+                .map(|s| s.gemm().unwrap().layer)
                 .next()
                 .expect("a parallel level exists");
             let input = Matrix::random(2, 3 * 32 * 32, 79);
@@ -1830,7 +1482,7 @@ mod tests {
 
         #[test]
         fn chains_never_form_parallel_levels() {
-            let p = ProtectedPipeline::uniform(&zoo::dlrm_mlp_bottom(16), Scheme::GlobalAbft, 1);
+            let p = uniform(&zoo::dlrm_mlp_bottom(16), Scheme::GlobalAbft, 1);
             assert_eq!(p.parallel_level_count(), 0);
         }
     }

@@ -202,7 +202,7 @@ impl Planner {
     /// bind every conv/fc node under its chosen scheme. Convenience
     /// over [`crate::compiled::CompiledModel::compile`].
     pub fn compile(&self, net: &aiga_nn::Network) -> crate::compiled::CompiledModel {
-        crate::compiled::CompiledModel::compile(self, net)
+        crate::compiled::CompiledModel::compile(self, net, None)
     }
 
     /// Builds the §7.3 multi-input-size deployment: one plan per key,

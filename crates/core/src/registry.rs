@@ -93,7 +93,7 @@ impl SchemeRegistry {
 }
 
 /// The process-wide shared built-in registry used by default API entry
-/// points (`ProtectedGemm::new`, `ProtectedPipeline::new`, `Planner`).
+/// points (`ProtectedGemm::new`, `ProtectedPipeline::compile`, `Planner`).
 pub fn shared() -> &'static Arc<SchemeRegistry> {
     static SHARED: OnceLock<Arc<SchemeRegistry>> = OnceLock::new();
     SHARED.get_or_init(|| Arc::new(SchemeRegistry::builtin()))

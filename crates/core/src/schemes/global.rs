@@ -17,7 +17,7 @@
 //! weights never change between inference requests.
 
 use crate::tolerance::{exceeds, Tolerance};
-use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix};
+use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixView};
 
 /// Sums a slice of FP32 values pairwise (tree order), as the fused
 /// epilogue + CUB-style reduce kernel would.
@@ -86,7 +86,7 @@ impl GlobalAbft {
     /// into the epilogue of the layer that *produced* `a`.
     pub fn activation_checksum(a: &Matrix) -> (Vec<f32>, Vec<f64>) {
         let mut scratch = CheckScratch::default();
-        Self::activation_checksum_into(a, &mut scratch);
+        Self::activation_checksum_into(a.view(), &mut scratch);
         (scratch.chk, scratch.abs)
     }
 
@@ -94,7 +94,7 @@ impl GlobalAbft {
     /// (`scratch.chk` = checksums, `scratch.abs` = absolute sums,
     /// `scratch.col` = the per-column gather buffer). Steady-state
     /// verification through a warm [`CheckScratch`] allocates nothing.
-    pub fn activation_checksum_into(a: &Matrix, scratch: &mut CheckScratch) {
+    pub fn activation_checksum_into(a: MatrixView<'_>, scratch: &mut CheckScratch) {
         scratch.chk.clear();
         scratch.chk.resize(a.cols, 0.0);
         scratch.abs.clear();
@@ -160,7 +160,7 @@ impl GlobalAbft {
     /// activation checksum over `a`, output summation over `out`, then
     /// the comparison.
     pub fn verify(&self, a: &Matrix, out: &GemmOutput) -> GlobalVerdict {
-        self.verify_with(a, out, &mut CheckScratch::default())
+        self.verify_with(a.view(), out, &mut CheckScratch::default())
     }
 
     /// [`Self::verify`] through caller-owned scratch — the serving hot
@@ -168,7 +168,7 @@ impl GlobalAbft {
     /// never allocates.
     pub fn verify_with(
         &self,
-        a: &Matrix,
+        a: MatrixView<'_>,
         out: &GemmOutput,
         scratch: &mut CheckScratch,
     ) -> GlobalVerdict {
@@ -194,7 +194,7 @@ mod tests {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let eng = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
-        let out = eng.run(&a, &b, TileScheme::NONE, fault);
+        let out = eng.run(&a, &b, TileScheme::NONE, fault.as_slice());
         (a, out)
     }
 
@@ -204,7 +204,7 @@ mod tests {
         let abft = GlobalAbft::prepare(&b);
         let a = Matrix::random(56, 64, 60);
         let eng = GemmEngine::with_default_tiling(GemmShape::new(56, 48, 64));
-        let out = eng.run(&a, &b, TileScheme::NONE, None);
+        let out = eng.run(&a, &b, TileScheme::NONE, &[]);
         let v = abft.verify(&a, &out);
         assert!(!v.fault_detected, "{v:?}");
     }
@@ -221,7 +221,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::AddValue(50.0),
         };
-        let out = eng.run(&a, &b, TileScheme::NONE, Some(fault));
+        let out = eng.run(&a, &b, TileScheme::NONE, &[fault]);
         let v = abft.verify(&a, &out);
         assert!(v.fault_detected, "{v:?}");
         assert!((v.residual - 50.0).abs() < 1.0);
@@ -240,7 +240,7 @@ mod tests {
                 after_step: u64::MAX,
                 kind: FaultKind::BitFlip(29),
             };
-            let out = eng.run(&a, &b, TileScheme::NONE, Some(fault));
+            let out = eng.run(&a, &b, TileScheme::NONE, &[fault]);
             assert!(abft.verify(&a, &out).fault_detected, "({r},{c})");
         }
     }
@@ -253,7 +253,7 @@ mod tests {
             let (a, out) = {
                 let a = Matrix::random(24, 32, seed);
                 let eng = GemmEngine::with_default_tiling(GemmShape::new(24, 32, 32));
-                let out = eng.run(&a, &b, TileScheme::NONE, None);
+                let out = eng.run(&a, &b, TileScheme::NONE, &[]);
                 (a, out)
             };
             assert!(!abft.verify(&a, &out).fault_detected, "seed {seed}");

@@ -22,7 +22,7 @@
 
 use crate::schemes::GlobalVerdict;
 use crate::tolerance::{exceeds, Tolerance};
-use aiga_gpu::engine::{GemmOutput, Matrix};
+use aiga_gpu::engine::{GemmOutput, Matrix, MatrixView};
 
 /// Multi-round weighted global ABFT state for one layer.
 #[derive(Clone, Debug)]
@@ -91,7 +91,7 @@ impl MultiChecksumAbft {
     /// Runs all checksum rounds for one layer.
     pub fn verify(&self, a: &Matrix, out: &GemmOutput) -> MultiVerdict {
         let rounds = (0..self.rounds)
-            .map(|r| self.verify_round(a, out, r))
+            .map(|r| self.verify_round(a.view(), out, r))
             .collect();
         MultiVerdict { rounds }
     }
@@ -99,7 +99,7 @@ impl MultiChecksumAbft {
     /// Runs checksum round `r` alone. Allocation-free — the serving hot
     /// path walks rounds with this directly instead of collecting a
     /// [`MultiVerdict`].
-    pub fn verify_round(&self, a: &Matrix, out: &GemmOutput, r: usize) -> GlobalVerdict {
+    pub fn verify_round(&self, a: MatrixView<'_>, out: &GemmOutput, r: usize) -> GlobalVerdict {
         assert_eq!(a.cols, self.weight_checksum.len(), "K mismatch");
         assert!(r < self.rounds, "round out of range");
         // Weighted activation checksum: u_k = Σ_i w_r(i)·A[i][k].
@@ -147,7 +147,7 @@ impl MultiChecksumAbft {
     /// the localization primitive behind the correction path — the
     /// signs must survive, which is why [`Self::verify_round`]'s
     /// absolute residual cannot serve.
-    pub fn round_residual_signed(&self, a: &Matrix, out: &GemmOutput, r: usize) -> f64 {
+    pub fn round_residual_signed(&self, a: MatrixView<'_>, out: &GemmOutput, r: usize) -> f64 {
         assert_eq!(a.cols, self.weight_checksum.len(), "K mismatch");
         assert!(r < self.rounds, "round out of range");
         let mut dot = 0.0f64;
@@ -196,7 +196,7 @@ mod tests {
         for seed in [100, 200, 300] {
             let (a, b, eng) = setup(seed);
             let abft = MultiChecksumAbft::prepare(&b, 3);
-            let out = eng.run(&a, &b, TileScheme::NONE, None);
+            let out = eng.run(&a, &b, TileScheme::NONE, &[]);
             let v = abft.verify(&a, &out);
             assert!(!v.fault_detected(), "seed {seed}: {:?}", v.rounds);
         }
@@ -207,7 +207,7 @@ mod tests {
         // Two faults of +δ and −δ in different rows cancel in the plain
         // summation: round 0 alone is blind to them.
         let (a, b, eng) = setup(400);
-        let out = eng.run_multi(
+        let out = eng.run(
             &a,
             &b,
             TileScheme::NONE,
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn second_round_catches_the_cancelling_pair() {
         let (a, b, eng) = setup(500);
-        let out = eng.run_multi(
+        let out = eng.run(
             &a,
             &b,
             TileScheme::NONE,
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn single_faults_are_still_caught_by_round_zero() {
         let (a, b, eng) = setup(600);
-        let out = eng.run(&a, &b, TileScheme::NONE, Some(fault(7, 7, 99.0)));
+        let out = eng.run(&a, &b, TileScheme::NONE, &[fault(7, 7, 99.0)]);
         let dual = MultiChecksumAbft::prepare(&b, 2);
         let v = dual.verify(&a, &out);
         assert_eq!(v.first_failing_round(), Some(0));
@@ -254,7 +254,7 @@ mod tests {
         let (a, b, eng) = setup(700);
         let triple = MultiChecksumAbft::prepare(&b, 3);
         for (r1, r2) in [(0usize, 47usize), (1, 2), (10, 40)] {
-            let out = eng.run_multi(
+            let out = eng.run(
                 &a,
                 &b,
                 TileScheme::NONE,

@@ -68,7 +68,7 @@ mod tests {
     fn traditional_is_exactly_clean_without_faults() {
         let a = Matrix::random(32, 32, 41);
         let b = Matrix::random(32, 32, 42);
-        let out = engine().run(&a, &b, traditional_tile_scheme(), None);
+        let out = engine().run(&a, &b, traditional_tile_scheme(), &[]);
         assert!(!out.fault_detected());
     }
 
@@ -84,7 +84,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::BitFlip(0), // LSB of the mantissa
         };
-        let out = engine().run(&a, &b, traditional_tile_scheme(), Some(fault));
+        let out = engine().run(&a, &b, traditional_tile_scheme(), &[fault]);
         assert!(out.fault_detected());
     }
 
@@ -92,7 +92,7 @@ mod tests {
     fn single_acc_is_clean_without_faults() {
         let a = Matrix::random(32, 32, 45);
         let b = Matrix::random(32, 32, 46);
-        let out = engine().run(&a, &b, single_acc_tile_scheme(), None);
+        let out = engine().run(&a, &b, single_acc_tile_scheme(), &[]);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -107,14 +107,14 @@ mod tests {
             kind,
         };
         let big = at(FaultKind::AddValue(500.0));
-        let out = engine().run(&a, &b, single_acc_tile_scheme(), Some(big));
+        let out = engine().run(&a, &b, single_acc_tile_scheme(), &[big]);
         assert!(out.fault_detected());
         // A one-ulp flip is absorbed by the tile sum's rounding budget.
         let ulp = FaultPlan {
             after_step: u64::MAX,
             ..at(FaultKind::BitFlip(0))
         };
-        let out = engine().run(&a, &b, single_acc_tile_scheme(), Some(ulp));
+        let out = engine().run(&a, &b, single_acc_tile_scheme(), &[ulp]);
         assert!(!out.fault_detected());
     }
 
@@ -128,7 +128,7 @@ mod tests {
             (Scheme::ReplicationSingleAcc, single_acc_tile_scheme()),
         ] {
             assert_eq!(scheme.extra_mmas_per_step(&t), t.mmas_per_thread_step());
-            let c = engine().run(&a, &b, tile, None).counters;
+            let c = engine().run(&a, &b, tile, &[]).counters;
             assert_eq!(c.checksum_fmas, c.data_fmas, "{scheme}");
         }
     }

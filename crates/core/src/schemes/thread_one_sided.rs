@@ -73,7 +73,7 @@ mod tests {
     fn clean_run_raises_no_detection() {
         let a = Matrix::random(32, 64, 21);
         let b = Matrix::random(64, 32, 22);
-        let out = engine().run(&a, &b, tile_scheme(64), None);
+        let out = engine().run(&a, &b, tile_scheme(64), &[]);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -87,7 +87,7 @@ mod tests {
             after_step: 7,
             kind: FaultKind::AddValue(64.0),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
         assert!(out.fault_detected());
         // Exactly one strip column owns the element, so exactly one
         // detection.
@@ -106,7 +106,7 @@ mod tests {
                 after_step: u64::MAX,
                 kind: FaultKind::BitFlip(bit),
             };
-            let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
+            let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
             assert!(out.fault_detected(), "bit {bit} escaped detection");
         }
     }
@@ -122,7 +122,7 @@ mod tests {
         assert_eq!(one.checksum_ops_per_step(&t), t.thread_nt() / 2);
         let a = Matrix::random(32, 64, 27);
         let b = Matrix::random(64, 32, 28);
-        let c = engine().run(&a, &b, tile_scheme(64), None).counters;
+        let c = engine().run(&a, &b, tile_scheme(64), &[]).counters;
         assert_eq!(c.data_fmas, 32 * 32 * 64);
         assert_eq!(c.checksum_fmas * 4, c.data_fmas);
     }
@@ -139,7 +139,7 @@ mod tests {
             after_step: 0,
             kind: FaultKind::SetValue(1000.0),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
         assert_eq!(out.detections.len(), 1);
         let d = &out.detections[0];
         assert_eq!((d.row, d.col, d.cols), (8, 20, 1));

@@ -58,7 +58,7 @@ mod tests {
     fn clean_run_raises_no_detection() {
         let a = Matrix::random(32, 64, 31);
         let b = Matrix::random(64, 32, 32);
-        let out = engine().run(&a, &b, tile_scheme(64), None);
+        let out = engine().run(&a, &b, tile_scheme(64), &[]);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -72,7 +72,7 @@ mod tests {
             after_step: 2,
             kind: FaultKind::AddValue(128.0),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
         assert!(out.fault_detected());
         assert_eq!(out.detections.len(), 1);
         let d = &out.detections[0];
@@ -90,7 +90,7 @@ mod tests {
         assert_eq!(two.checksum_ops_per_step(&t), t.thread_mt() + t.thread_nt());
         let a = Matrix::random(32, 64, 35);
         let b = Matrix::random(64, 32, 36);
-        let c = engine().run(&a, &b, tile_scheme(64), None).counters;
+        let c = engine().run(&a, &b, tile_scheme(64), &[]).counters;
         assert_eq!(c.checksum_fmas, c.tiles * 64);
     }
 
@@ -109,7 +109,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::SetValue(1e4),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), Some(fault));
+        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
         assert!(out.fault_detected());
     }
 }

@@ -17,7 +17,7 @@
 use super::{AtomicServerStats, PendingShared, Priority, ServeError, Shared, Slo};
 use crate::pipeline::{InferenceReport, PipelineFault};
 use crate::session::{ServeReport, Session};
-use aiga_gpu::engine::Matrix;
+use aiga_gpu::engine::{Dtype, Matrix};
 use aiga_util::Rng64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -133,14 +133,15 @@ fn should_degrade(shared: &Shared, first: &Request) -> bool {
             .is_some_and(|d| first.enqueued.elapsed() >= d)
 }
 
-/// True when `candidate` may share a pass with a batch of `cols`-wide
-/// requests currently holding `rows` rows. Cancelled and poison
+/// True when `candidate` may share a pass with a batch whose head is
+/// `head` = (feature width, storage dtype) — the stacked rows are one
+/// matrix under one dtype tag — currently holding `rows` rows. Cancelled and poison
 /// requests never coalesce (the worker triages them solo), and a
 /// *degraded* batch never absorbs a `High`-priority request (those are
 /// exempt from degradation).
 fn compatible(
     candidate: &Request,
-    cols: usize,
+    head: (usize, Dtype),
     rows: usize,
     largest: usize,
     degraded: bool,
@@ -149,7 +150,9 @@ fn compatible(
         || candidate.poison
         || candidate.is_cancelled()
         || (degraded && candidate.slo.priority == Priority::High);
-    !runs_solo && candidate.input.cols == cols && rows + candidate.input.rows <= largest
+    !runs_solo
+        && (candidate.input.cols, candidate.input.dtype) == head
+        && rows + candidate.input.rows <= largest
 }
 
 /// Starting from the popped `first` request, drains compatible
@@ -163,7 +166,7 @@ fn collect_batch(
 ) {
     members.clear();
     let largest = shared.largest_bucket;
-    let cols = first.input.cols;
+    let head = (first.input.cols, first.input.dtype);
     let mut rows = first.input.rows;
     // Faulted requests run solo (fault coordinates address one launch);
     // bucket-filling or oversized requests have no room to share.
@@ -177,7 +180,7 @@ fn collect_batch(
     loop {
         if let Some(next) = shared
             .queue
-            .try_pop_if(|r| compatible(r, cols, rows, largest, degraded))
+            .try_pop_if(|r| compatible(r, head, rows, largest, degraded))
         {
             rows += next.input.rows;
             members.push(next);
@@ -199,7 +202,7 @@ fn collect_batch(
             return;
         }
         match shared.queue.pop_timeout_if(deadline - now, |r| {
-            compatible(r, cols, rows, largest, degraded)
+            compatible(r, head, rows, largest, degraded)
         }) {
             Some(next) => {
                 rows += next.input.rows;
@@ -252,6 +255,7 @@ fn execute_batch(
     let total_rows: usize = members.iter().map(|r| r.input.rows).sum();
     stacked.rows = total_rows;
     stacked.cols = members[0].input.cols;
+    stacked.dtype = members[0].input.dtype;
     stacked.data.clear();
     for member in members.iter() {
         stacked.data.extend_from_slice(&member.input.data);
@@ -294,7 +298,7 @@ fn execute_batch(
             }
         }
         Err(e) => {
-            // All members share the feature width, so a session error
+            // All members share the feature width and dtype, so a session error
             // for the stack is the same error each would get alone.
             for member in members.drain(..) {
                 finish(
@@ -391,12 +395,12 @@ mod tests {
             zoo::dlrm_mlp_bottom,
         )
         .buckets([8, 32])
-        .seed(7)
         .build()
     }
 
     #[test]
     fn compatibility_respects_cols_rows_and_faults() {
+        const HEAD: (usize, Dtype) = (13, Dtype::F16);
         let req = |rows: usize, cols: usize| Request {
             input: Matrix::zeros(rows, cols),
             fault: None,
@@ -405,21 +409,27 @@ mod tests {
             enqueued: Instant::now(),
             state: Some(Arc::new(PendingShared::default())),
         };
-        assert!(compatible(&req(4, 13), 13, 8, 32, false));
+        assert!(compatible(&req(4, 13), HEAD, 8, 32, false));
         assert!(
-            !compatible(&req(4, 9), 13, 8, 32, false),
+            !compatible(&req(4, 9), HEAD, 8, 32, false),
             "feature width differs"
         );
+        let mut bf16 = req(4, 13);
+        bf16.input.dtype = Dtype::Bf16;
+        assert!(!compatible(&bf16, HEAD, 8, 32, false), "dtype differs");
         assert!(
-            !compatible(&req(25, 13), 13, 8, 32, false),
+            !compatible(&req(25, 13), HEAD, 8, 32, false),
             "overflows the bucket"
         );
-        assert!(compatible(&req(24, 13), 13, 8, 32, false), "exactly fills");
+        assert!(
+            compatible(&req(24, 13), HEAD, 8, 32, false),
+            "exactly fills"
+        );
         let mut high = req(4, 13);
         high.slo.priority = Priority::High;
-        assert!(compatible(&high, 13, 8, 32, false));
+        assert!(compatible(&high, HEAD, 8, 32, false));
         assert!(
-            !compatible(&high, 13, 8, 32, true),
+            !compatible(&high, HEAD, 8, 32, true),
             "high priority never joins a degraded batch"
         );
         let cancelled = req(4, 13);
@@ -430,12 +440,12 @@ mod tests {
             .cancelled
             .store(true, std::sync::atomic::Ordering::Relaxed);
         assert!(
-            !compatible(&cancelled, 13, 8, 32, false),
+            !compatible(&cancelled, HEAD, 8, 32, false),
             "cancelled requests never coalesce"
         );
         let mut poison = req(1, 13);
         poison.poison = true;
-        assert!(!compatible(&poison, 13, 8, 32, false), "poison runs solo");
+        assert!(!compatible(&poison, HEAD, 8, 32, false), "poison runs solo");
         let mut faulted = req(4, 13);
         faulted.fault = Some(PipelineFault {
             layer: 0,
@@ -447,7 +457,7 @@ mod tests {
             },
         });
         assert!(
-            !compatible(&faulted, 13, 8, 32, false),
+            !compatible(&faulted, HEAD, 8, 32, false),
             "faulted requests run solo"
         );
     }

@@ -2,13 +2,12 @@
 //! first-class API.
 //!
 //! A [`Session`] wraps a [`Planner`] and a model *family* — a
-//! constructor from input-size key to an analytic [`Model`]
-//! (`|b| zoo::dlrm_mlp_top(b)`, synthesized weights) or, via
-//! [`Session::builder_network`], to an executable [`Network`]
-//! (`|b| zoo::squeezenet_net(b, 64, 64, 7)`, real FP16 weights, conv
-//! layers lowered to protected GEMMs). Requests arrive as activation
-//! matrices of any batch size (flattened NCHW rows for networks); the
-//! session
+//! constructor from input-size key to an executable [`Network`]
+//! (`|b| zoo::squeezenet_net(b, 64, 64, 7)`: real FP16 weights, conv
+//! layers lowered to protected GEMMs; [`Session::builder`] lowers an
+//! analytic MLP [`Model`] family through [`Network::from_mlp`]).
+//! Requests arrive as activation matrices of any batch size (flattened
+//! NCHW rows); the session
 //!
 //! 1. dispatches the request to the nearest pre-declared batch bucket
 //!    (padding the batch up with zero rows, as batching serving systems
@@ -46,7 +45,7 @@ use crate::pipeline::{InferenceReport, PipelineFault};
 use crate::planner::Planner;
 use crate::schemes::Scheme;
 use crate::selector::ModelPlan;
-use aiga_gpu::engine::{Matrix, Workspace};
+use aiga_gpu::engine::{Dtype, Matrix, Workspace};
 use aiga_nn::{Model, Network};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -61,6 +60,13 @@ pub enum SessionError {
         /// Expected input features.
         expected: usize,
     },
+    /// The request's storage dtype does not match the model family's.
+    DtypeMismatch {
+        /// Dtype tag of the request matrix.
+        observed: Dtype,
+        /// Storage dtype the family executes in.
+        expected: Dtype,
+    },
 }
 
 impl std::fmt::Display for SessionError {
@@ -69,6 +75,10 @@ impl std::fmt::Display for SessionError {
             SessionError::FeatureMismatch { observed, expected } => write!(
                 f,
                 "request has {observed} features but the model family expects {expected}"
+            ),
+            SessionError::DtypeMismatch { observed, expected } => write!(
+                f,
+                "request is {observed} but the model family executes in {expected}"
             ),
         }
     }
@@ -159,15 +169,6 @@ pub struct ServeReport {
     pub report: InferenceReport,
 }
 
-/// How a session instantiates the model served at a batch-size key:
-/// an analytic MLP family with synthesized weights, or an executable
-/// network family compiled into protected stage graphs (conv models
-/// from the zoo serve through exactly the same buckets and pool).
-enum Family {
-    Mlp(Box<dyn Fn(u64) -> Model + Send + Sync>),
-    Network(Box<dyn Fn(u64) -> Network + Send + Sync>),
-}
-
 /// Adaptive-control state: one controller and one model overlay per
 /// declared bucket. A controller spins up lazily against its bucket's
 /// static plan on first serve; an overlay, when present, supersedes the
@@ -182,9 +183,9 @@ struct AdaptState {
 pub struct SessionBuilder {
     planner: Planner,
     family_name: String,
-    family: Family,
+    /// Instantiates the network served at a batch-size key.
+    family: Box<dyn Fn(u64) -> Network + Send + Sync>,
     buckets: Vec<u64>,
-    seed: u64,
     recovery: bool,
     adaptive: Option<AdaptConfig>,
 }
@@ -198,22 +199,6 @@ impl SessionBuilder {
         self.buckets.dedup();
         assert!(!self.buckets.is_empty(), "at least one bucket required");
         assert!(self.buckets[0] >= 1, "buckets must be >= 1");
-        self
-    }
-
-    /// Seed for the deterministic *synthesized* pipeline weights of
-    /// analytic MLP families ([`Session::builder`]). Executable network
-    /// families ([`Session::builder_network`]) carry their own weights
-    /// — seed them where the network is built (e.g. the seed argument
-    /// of `zoo::squeezenet_net`); calling this on a network-family
-    /// builder panics rather than silently doing nothing.
-    pub fn seed(mut self, seed: u64) -> Self {
-        assert!(
-            matches!(self.family, Family::Mlp(_)),
-            "seed() only applies to MLP families; network families carry \
-             their own weights — seed them where the Network is built"
-        );
-        self.seed = seed;
         self
     }
 
@@ -254,7 +239,6 @@ impl SessionBuilder {
                 family_name: self.family_name,
                 family: self.family,
                 buckets: self.buckets,
-                seed: self.seed,
                 recovery: self.recovery,
                 adapt,
                 entries,
@@ -278,9 +262,8 @@ impl SessionBuilder {
 pub struct PlanCache {
     planner: Planner,
     family_name: String,
-    family: Family,
+    family: Box<dyn Fn(u64) -> Network + Send + Sync>,
     buckets: Vec<u64>,
-    seed: u64,
     recovery: bool,
     /// Adaptive-control state, present when the builder (or planner)
     /// requested it.
@@ -326,6 +309,14 @@ impl PlanCache {
             .expect("bucket not declared for this session")
     }
 
+    /// Compiles bucket `index`'s network under the plan's schemes, or
+    /// under an explicit per-layer override (degraded and adaptive
+    /// recompiles).
+    fn compile(&self, index: usize, schemes: Option<&[Scheme]>) -> Arc<CompiledModel> {
+        let net = (self.family)(self.buckets[index]);
+        Arc::new(CompiledModel::compile(&self.planner, &net, schemes).with_recovery(self.recovery))
+    }
+
     /// Fetches (compiling if needed) the bucket's model. Returns
     /// `(entry, built)` where `built` is true when this call won the
     /// build. The steady-state path is one lock-free `OnceLock::get`;
@@ -336,13 +327,7 @@ impl PlanCache {
         if let Some(entry) = slot.get() {
             return (entry.clone(), false);
         }
-        let bucket = self.buckets[index];
-        let compiled = match &self.family {
-            Family::Mlp(f) => CompiledModel::compile_mlp(&self.planner, &f(bucket), self.seed),
-            Family::Network(f) => CompiledModel::compile(&self.planner, &f(bucket)),
-        }
-        .with_recovery(self.recovery);
-        let built = slot.set(Arc::new(compiled)).is_ok();
+        let built = slot.set(self.compile(index, None)).is_ok();
         (slot.get().expect("just initialized").clone(), built)
     }
 
@@ -356,21 +341,7 @@ impl PlanCache {
         self.degraded[index]
             .get_or_init(|| match degrade_step(base.schemes()) {
                 None => base.clone(),
-                Some(schemes) => {
-                    let bucket = self.buckets[index];
-                    let compiled = match &self.family {
-                        Family::Mlp(f) => CompiledModel::compile_mlp_overridden(
-                            &self.planner,
-                            &f(bucket),
-                            self.seed,
-                            &schemes,
-                        ),
-                        Family::Network(f) => {
-                            CompiledModel::compile_overridden(&self.planner, &f(bucket), &schemes)
-                        }
-                    };
-                    Arc::new(compiled.with_recovery(self.recovery))
-                }
+                Some(schemes) => self.compile(index, Some(&schemes)),
             })
             .clone()
     }
@@ -409,20 +380,7 @@ impl PlanCache {
         let overlay = if ctrl.current() == ctrl.baseline() {
             None // fully relaxed: the static entry serves again
         } else {
-            let schemes = ctrl.current().to_vec();
-            let bucket = self.buckets[index];
-            let compiled = match &self.family {
-                Family::Mlp(f) => CompiledModel::compile_mlp_overridden(
-                    &self.planner,
-                    &f(bucket),
-                    self.seed,
-                    &schemes,
-                ),
-                Family::Network(f) => {
-                    CompiledModel::compile_overridden(&self.planner, &f(bucket), &schemes)
-                }
-            };
-            Some(Arc::new(compiled.with_recovery(self.recovery)))
+            Some(self.compile(index, Some(ctrl.current())))
         };
         drop(ctrl);
         *adapt.overlays[index].write().unwrap() = overlay;
@@ -462,27 +420,23 @@ impl PlanCache {
 }
 
 impl Session {
-    /// Starts building a session for a model family. `family_name` names
-    /// the session in diagnostics; `family` maps a batch-size key to the
-    /// model served at that size.
+    /// Starts building a session for an analytic MLP family (e.g.
+    /// `zoo::dlrm_mlp_top`): sugar over [`Self::builder_network`] with
+    /// each bucket's [`Model`] lowered by [`Network::from_mlp`] at weight
+    /// seed 0 — call `from_mlp` yourself to pick another seed.
     pub fn builder(
         planner: Planner,
         family_name: impl Into<String>,
         family: impl Fn(u64) -> Model + Send + Sync + 'static,
     ) -> SessionBuilder {
-        SessionBuilder {
-            planner,
-            family_name: family_name.into(),
-            family: Family::Mlp(Box::new(family)),
-            buckets: vec![1],
-            seed: 0,
-            recovery: false,
-            adaptive: None,
-        }
+        Self::builder_network(planner, family_name, move |b| {
+            Network::from_mlp(&family(b), 0)
+        })
     }
 
-    /// [`Self::builder`] for an *executable* network family: `family`
-    /// maps a batch-size key to an [`aiga_nn::Network`] (e.g.
+    /// Starts building a session for a network family. `family_name`
+    /// names the session in diagnostics; `family` maps a batch-size key
+    /// to the [`aiga_nn::Network`] served at that size (e.g.
     /// `|b| zoo::squeezenet_net(b, 64, 64, 7)`), and each bucket is
     /// compiled — planned on its real conv shapes, real FP16 weights
     /// bound per layer — on first use. Requests are flattened-NCHW
@@ -495,9 +449,8 @@ impl Session {
         SessionBuilder {
             planner,
             family_name: family_name.into(),
-            family: Family::Network(Box::new(family)),
+            family: Box::new(family),
             buckets: vec![1],
-            seed: 0,
             recovery: false,
             adaptive: None,
         }
@@ -686,6 +639,13 @@ impl Session {
                 expected,
             });
         }
+        let expected = entry.pipeline().dtype();
+        if input.dtype != expected {
+            return Err(SessionError::DtypeMismatch {
+                observed: input.dtype,
+                expected,
+            });
+        }
 
         // Check a warm workspace out of the pool (or warm a new one up),
         // run the whole pipeline inside it, and return it.
@@ -731,7 +691,6 @@ mod tests {
             zoo::dlrm_mlp_bottom,
         )
         .buckets([8, 32])
-        .seed(7)
         .build()
     }
 
@@ -964,15 +923,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "seed() only applies to MLP families")]
-    fn seeding_a_network_family_is_rejected() {
-        Session::builder_network(Planner::new(DeviceSpec::t4()), "resnet-block", |b| {
-            zoo::resnet_block_net(b, 8, 8, 7)
-        })
-        .seed(42);
-    }
-
-    #[test]
     fn network_feature_mismatch_is_rejected() {
         let s = Session::builder_network(Planner::new(DeviceSpec::t4()), "resnet-block", |b| {
             zoo::resnet_block_net(b, 8, 8, 7)
@@ -987,6 +937,26 @@ mod tests {
                 expected: 16 * 8 * 8
             }
         );
+    }
+
+    #[test]
+    fn dtype_mismatch_is_a_typed_error_not_a_panic() {
+        use aiga_gpu::engine::Dtype;
+        let s = Session::builder_network(Planner::new(DeviceSpec::t4()), "resnet-bf16", |b| {
+            zoo::resnet_block_net(b, 8, 8, 7).with_dtype(Dtype::Bf16)
+        })
+        .buckets([2])
+        .build();
+        let err = s.serve(&Matrix::random(1, 16 * 8 * 8, 52)).unwrap_err();
+        assert_eq!(
+            err,
+            SessionError::DtypeMismatch {
+                observed: Dtype::F16,
+                expected: Dtype::Bf16
+            }
+        );
+        let ok = Matrix::random_dtype(1, 16 * 8 * 8, 52, Dtype::Bf16);
+        assert!(s.serve(&ok).is_ok());
     }
 
     #[test]

@@ -66,13 +66,13 @@ fn every_scheme_reproduces_the_canonical_outputs() {
         let fault = mid_fault(m, n);
         for &scheme in &ALL_SCHEMES {
             let bound = reg.resolve(scheme).bind(&b);
-            let clean = bound.run(&engine, &a, &[]);
+            let clean = bound.run(&engine, a.view(), &[]);
             assert_eq!(
                 fnv1a_of_c(&clean.output.c),
                 clean_hash,
                 "{scheme} clean output drifted on {m}x{n}x{k}"
             );
-            let dirty = bound.run(&engine, &a, &[fault]);
+            let dirty = bound.run(&engine, a.view(), &[fault]);
             assert_eq!(
                 fnv1a_of_c(&dirty.output.c),
                 dirty_hash,
@@ -105,9 +105,9 @@ fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
             let bound = reg.resolve(scheme).bind(&b);
             for faults in [&[][..], &[fault][..]] {
                 simd::force_path(Some(GemmPath::Scalar));
-                let s = bound.run(&engine, &a, faults);
+                let s = bound.run(&engine, a.view(), faults);
                 simd::force_path(Some(GemmPath::Avx2Fma));
-                let v = bound.run(&engine, &a, faults);
+                let v = bound.run(&engine, a.view(), faults);
                 simd::force_path(None);
                 let sb: Vec<u32> = s.output.c.iter().map(|x| x.to_bits()).collect();
                 let vb: Vec<u32> = v.output.c.iter().map(|x| x.to_bits()).collect();
@@ -164,7 +164,7 @@ fn fast_and_hooked_walks_are_byte_identical() {
             }][..],
         ] {
             let bits = |k: &dyn aiga_core::BoundKernel| -> Vec<u32> {
-                let out = k.run(&engine, &a, faults).output;
+                let out = k.run(&engine, a.view(), faults).output;
                 out.c.iter().map(|v| v.to_bits()).collect()
             };
             let want = bits(fast.as_ref());
@@ -217,13 +217,13 @@ fn every_scheme_family_reproduces_the_canonical_outputs_per_dtype() {
         let fault = mid_fault(m, n);
         for &scheme in &FAMILY_REPS {
             let bound = reg.resolve(scheme).bind(&b);
-            let clean = bound.run(&engine, &a, &[]);
+            let clean = bound.run(&engine, a.view(), &[]);
             assert_eq!(
                 fnv1a_of_c(&clean.output.c),
                 clean_hash,
                 "{scheme} clean {dtype} output drifted on {m}x{n}x{k}"
             );
-            let dirty = bound.run(&engine, &a, &[fault]);
+            let dirty = bound.run(&engine, a.view(), &[fault]);
             assert_eq!(
                 fnv1a_of_c(&dirty.output.c),
                 dirty_hash,

@@ -69,7 +69,7 @@ fn non_finite_faults_flag_under_every_scheme_on_every_path() {
                         after_step,
                         kind: FaultKind::SetValue(value),
                     };
-                    let verdict = bound.run_into(&eng, &a, &[fault], &mut ws);
+                    let verdict = bound.run_into(&eng, a.view(), &[fault], &mut ws);
                     assert!(
                         verdict.is_detected(),
                         "{scheme} passed {value} (step {after_step}) on {path:?}"
@@ -106,10 +106,10 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
         let scheme = Scheme::ThreadLevelOneSided.tile_scheme(eng.shape().k as usize);
         let mut ws = Workspace::new();
 
-        let clean = eng.run_multi(&a, &b, scheme, &[]);
+        let clean = eng.run(&a, &b, scheme, &[]);
         assert!(!clean.fault_detected());
         // Clean residual and magnitude of every (strip, column).
-        let probe = eng.run_multi(&a, &b, reporting(scheme), &[]);
+        let probe = eng.run(&a, &b, reporting(scheme), &[]);
         let strips = m.div_ceil(MICRO_MR);
         let mut r0 = vec![f64::NAN; strips * n];
         for d in &probe.detections {
@@ -280,6 +280,6 @@ fn replication_checks_cannot_false_alarm_by_construction() {
             slope: 0.0,
             floor: 0.0,
         };
-        assert!(!eng.run(&a, &b, strict, None).fault_detected(), "{lanes:?}");
+        assert!(!eng.run(&a, &b, strict, &[]).fault_detected(), "{lanes:?}");
     }
 }

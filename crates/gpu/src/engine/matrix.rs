@@ -11,11 +11,11 @@ use aiga_dtype::Dtype;
 use aiga_fp16::F16;
 use aiga_util::rng::Rng64;
 
-/// Logical-to-physical element layout of a [`Matrix`].
+/// Logical-to-physical element layout of a [`MatrixView`].
 ///
-/// Almost every matrix in the system is [`MatrixLayout::RowMajor`]. The
-/// exceptions are the zero-copy views a convolution's GEMM takes of an
-/// NCHW activation tensor: tagging the tensor's own buffer with
+/// Every owned [`Matrix`] is [`MatrixLayout::RowMajor`]. The exceptions
+/// are the borrowed views a convolution's GEMM takes of an NCHW
+/// activation tensor: viewing the tensor's own buffer as
 /// [`MatrixLayout::NchwLowered`] (1×1 stride-1 unpadded convs) or
 /// [`MatrixLayout::Im2col`] (every other conv geometry) makes it
 /// *logically* identical to the im2col-lowered matrix (same
@@ -100,10 +100,9 @@ impl Im2colView {
 /// order as maximal contiguous runs: for each (row, channel, ky) whose
 /// input row is in bounds, `run(row, col0, src0, len)` describes `len`
 /// consecutive lowered columns starting at `col0` backed by `len`
-/// consecutive NCHW elements starting at `src0`. Both the staging
-/// decode and the raw-code copy gather through this one walk, so the
-/// fused path produces panels byte-identical to a materialized
-/// lowering.
+/// consecutive NCHW elements starting at `src0`. The staging decode
+/// gathers through this walk, so the fused path produces panels
+/// byte-identical to a materialized lowering.
 #[inline]
 fn im2col_runs(v: &Im2colView, images: usize, mut run: impl FnMut(usize, usize, usize, usize)) {
     let kk = v.kernel * v.kernel;
@@ -133,144 +132,111 @@ fn im2col_runs(v: &Im2colView, images: usize, mut run: impl FnMut(usize, usize, 
     }
 }
 
-/// A row-major FP16 matrix (see [`MatrixLayout`] for the one
-/// alternative storage layout).
+/// An owned row-major FP16 matrix.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Matrix {
     /// Number of rows.
     pub rows: usize,
     /// Number of columns.
     pub cols: usize,
-    /// Element storage, `rows * cols` elements, addressed per `layout`.
+    /// Element storage, `rows * cols` elements, `data[r * cols + c]`.
     ///
     /// Elements are opaque 16-bit *storage codes* interpreted per
     /// `dtype`; 8-bit formats (fp8, int8) occupy the low byte. For the
     /// default [`Dtype::F16`] the codes are literal `F16` values, so the
     /// pre-dtype engine is byte-for-byte this type with `dtype = F16`.
     pub data: Vec<F16>,
+    /// The storage format `data`'s codes decode through.
+    pub dtype: Dtype,
+}
+
+/// A borrowed GEMM operand: some buffer of storage codes read as a
+/// `rows × cols` matrix through `layout`. The engine and every bound
+/// kernel take their activation operand in this form, so a conv stage
+/// multiplies straight out of the NCHW value slot it reads — shared by
+/// any number of concurrent branches — and an owned [`Matrix`] converts
+/// for free (`From<&Matrix>`).
+#[derive(Clone, Copy, Debug)]
+pub struct MatrixView<'a> {
+    /// Number of (logical) rows.
+    pub rows: usize,
+    /// Number of (logical) columns.
+    pub cols: usize,
+    /// The viewed storage codes, addressed per `layout`.
+    pub data: &'a [F16],
     /// How `(row, col)` maps into `data`.
     pub layout: MatrixLayout,
     /// The storage format `data`'s codes decode through.
     pub dtype: Dtype,
 }
 
-impl Matrix {
-    /// All-zeros matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![F16::ZERO; rows * cols],
+impl<'a> From<&'a Matrix> for MatrixView<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        MatrixView {
+            rows: m.rows,
+            cols: m.cols,
+            data: &m.data,
             layout: MatrixLayout::RowMajor,
-            dtype: Dtype::F16,
+            dtype: m.dtype,
         }
     }
+}
 
-    /// Re-tags the storage format (every format encodes zero as `0x0000`
-    /// and existing codes are reinterpreted, so this is only meaningful
-    /// on fresh/zeroed matrices or codes already produced by `dtype`).
-    pub fn with_dtype(mut self, dtype: Dtype) -> Self {
-        self.dtype = dtype;
-        self
-    }
-
-    /// Builds a matrix element-wise from `f(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F16) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
-        Matrix {
-            rows,
-            cols,
-            data,
-            layout: MatrixLayout::RowMajor,
-            dtype: Dtype::F16,
-        }
-    }
-
-    /// Wraps an NCHW tensor buffer as the activation matrix of a 1×1
+impl<'a> MatrixView<'a> {
+    /// Views an NCHW tensor buffer as the activation matrix of a 1×1
     /// stride-1 unpadded convolution — `images·spatial` rows (one per
-    /// output pixel), `channels` columns — without copying. The caller
-    /// gets the buffer back via `.data` when done.
-    pub fn nchw_lowered(images: usize, channels: usize, spatial: usize, data: Vec<F16>) -> Self {
+    /// output pixel), `channels` columns — without copying.
+    pub fn nchw_lowered(
+        images: usize,
+        channels: usize,
+        spatial: usize,
+        data: &'a [F16],
+        dtype: Dtype,
+    ) -> Self {
         assert_eq!(data.len(), images * channels * spatial, "NCHW extent");
-        Matrix {
+        MatrixView {
             rows: images * spatial,
             cols: channels,
             data,
             layout: MatrixLayout::NchwLowered { spatial },
-            dtype: Dtype::F16,
+            dtype,
         }
     }
 
-    /// Wraps an NCHW tensor buffer as the im2col-lowered activation
+    /// Views an NCHW tensor buffer as the im2col-lowered activation
     /// matrix of an arbitrary convolution geometry — `images·out_h·out_w`
     /// rows (one per output pixel), `channels·kernel²` columns — without
-    /// copying. Taps in the zero padding read as zero. The caller gets
-    /// the buffer back via `.data` when done.
-    pub fn im2col_lowered(images: usize, view: Im2colView, data: Vec<F16>) -> Self {
+    /// copying. Taps in the zero padding read as zero (the zero code in
+    /// every dtype).
+    pub fn im2col_lowered(images: usize, view: Im2colView, data: &'a [F16], dtype: Dtype) -> Self {
         assert_eq!(
             data.len(),
             images * view.channels * view.height * view.width,
             "NCHW extent"
         );
-        Matrix {
+        MatrixView {
             rows: view.rows(images),
             cols: view.cols(),
             data,
             layout: MatrixLayout::Im2col(view),
-            dtype: Dtype::F16,
+            dtype,
         }
     }
 
-    /// Physical index of logical element `(r, c)`, or `None` when the
-    /// element is a zero-padding tap of an im2col view (no storage).
+    /// Element accessor (layout-aware); the raw storage *code* for
+    /// non-F16 dtypes, like [`Matrix::get`]. Zero-padding taps of an
+    /// im2col view have no storage and read as the zero code — exactly
+    /// what a materialized lowering stores.
     #[inline]
-    fn index(&self, r: usize, c: usize) -> Option<usize> {
-        match self.layout {
+    pub fn get(&self, r: usize, c: usize) -> F16 {
+        let i = match self.layout {
             MatrixLayout::RowMajor => Some(r * self.cols + c),
             MatrixLayout::NchwLowered { spatial } => {
                 Some(((r / spatial) * self.cols + c) * spatial + (r % spatial))
             }
             MatrixLayout::Im2col(v) => v.tap(r, c),
-        }
-    }
-
-    /// Deterministic pseudo-random matrix with entries in `[-2, 2]`
-    /// quantized to FP16 — the magnitude regime of normalized NN
-    /// activations and weights.
-    pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut rng = Rng64::seed_from_u64(seed);
-        Self::from_fn(rows, cols, |_, _| F16::from_f32(rng.range_f32(-2.0, 2.0)))
-    }
-
-    /// Like [`Self::random`], but quantizing the same pseudo-random
-    /// sample stream into `dtype`'s codes — for `Dtype::F16` this is
-    /// byte-identical to [`Self::random`], so cross-dtype campaigns and
-    /// golden tests compare runs over the same underlying values.
-    pub fn random_dtype(rows: usize, cols: usize, seed: u64, dtype: Dtype) -> Self {
-        let mut rng = Rng64::seed_from_u64(seed);
-        let mut m = Self::from_fn(rows, cols, |_, _| {
-            F16(dtype.encode(rng.range_f32(-2.0, 2.0)))
-        });
-        m.dtype = dtype;
-        m
-    }
-
-    /// Element accessor (layout-aware). For non-F16 dtypes the returned
-    /// value is the raw storage *code* in an `F16` wrapper — use
-    /// [`Self::get_f32`]/[`Self::get_f64`] for the decoded value.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> F16 {
-        // Zero-padding taps read as the zero code, which every dtype
-        // decodes to 0.0 — exactly what a materialized lowering stores.
-        match self.index(r, c) {
-            Some(i) => self.data[i],
-            None => F16::ZERO,
-        }
+        };
+        i.map_or(F16::ZERO, |i| self.data[i])
     }
 
     /// Decoded element value (layout- and dtype-aware).
@@ -283,87 +249,6 @@ impl Matrix {
     #[inline]
     pub fn get_f64(&self, r: usize, c: usize) -> f64 {
         self.get_f32(r, c) as f64
-    }
-
-    /// Element mutator (layout-aware). Panics on a zero-padding tap of
-    /// an im2col view — those elements have no storage.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: F16) {
-        let i = self
-            .index(r, c)
-            .expect("cannot write through a zero-padding tap of an im2col view");
-        self.data[i] = v;
-    }
-
-    /// Copies into a larger zero-padded matrix. Already-fitting matrices
-    /// take a no-op fast path (one bulk copy, no per-row loop).
-    pub fn padded(&self, rows: usize, cols: usize) -> Matrix {
-        if rows == self.rows && cols == self.cols {
-            return self.clone();
-        }
-        let mut out = Matrix::default();
-        self.copy_padded_into(rows, cols, &mut out);
-        out
-    }
-
-    /// Like [`Self::padded`] but writing into a reusable destination:
-    /// `out` is resized to `rows × cols` (reusing its buffer), zeroed,
-    /// and the source is copied into its top-left corner.
-    pub fn copy_padded_into(&self, rows: usize, cols: usize, out: &mut Matrix) {
-        assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
-        out.rows = rows;
-        out.cols = cols;
-        out.layout = MatrixLayout::RowMajor;
-        out.dtype = self.dtype;
-        out.data.clear();
-        out.data.resize(rows * cols, F16::ZERO);
-        match self.layout {
-            MatrixLayout::NchwLowered { .. } => {
-                // General gather for the non-row-major view (cold: the
-                // engine stages from the decoding gather instead).
-                for r in 0..self.rows {
-                    for c in 0..self.cols {
-                        out.data[r * cols + c] = self.get(r, c);
-                    }
-                }
-                return;
-            }
-            MatrixLayout::Im2col(v) => {
-                let images = self.rows / (v.out_h * v.out_w);
-                im2col_runs(&v, images, |r, c0, s0, len| {
-                    out.data[r * cols + c0..r * cols + c0 + len]
-                        .copy_from_slice(&self.data[s0..s0 + len]);
-                });
-                return;
-            }
-            MatrixLayout::RowMajor => {}
-        }
-        if cols == self.cols {
-            out.data[..self.data.len()].copy_from_slice(&self.data);
-            return;
-        }
-        for r in 0..self.rows {
-            let src = &self.data[r * self.cols..(r + 1) * self.cols];
-            out.data[r * cols..r * cols + self.cols].copy_from_slice(src);
-        }
-    }
-
-    /// Copies `rows` rows starting at `start` into a new matrix — the
-    /// chunking primitive behind oversized-batch splitting.
-    pub fn row_block(&self, start: usize, rows: usize) -> Matrix {
-        assert!(start + rows <= self.rows, "row block out of range");
-        assert_eq!(
-            self.layout,
-            MatrixLayout::RowMajor,
-            "row_block requires a row-major matrix"
-        );
-        Matrix {
-            rows,
-            cols: self.cols,
-            data: self.data[start * self.cols..(start + rows) * self.cols].to_vec(),
-            layout: MatrixLayout::RowMajor,
-            dtype: self.dtype,
-        }
     }
 
     /// Decodes into a zero-padded row-major `f32` buffer of size
@@ -449,9 +334,140 @@ impl Matrix {
             }
         }
     }
+}
 
-    /// Like [`Self::decode_padded_into`] but transposed: the result is
-    /// `cols × rows` row-major, so one *column* of `self` is contiguous.
+impl Matrix {
+    /// All-zeros matrix.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Matrix {
+            rows,
+            cols,
+            data: vec![F16::ZERO; rows * cols],
+            dtype: Dtype::F16,
+        }
+    }
+
+    /// Re-tags the storage format (every format encodes zero as `0x0000`
+    /// and existing codes are reinterpreted, so this is only meaningful
+    /// on fresh/zeroed matrices or codes already produced by `dtype`).
+    pub fn with_dtype(mut self, dtype: Dtype) -> Self {
+        self.dtype = dtype;
+        self
+    }
+
+    /// Builds a matrix element-wise from `f(row, col)`.
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F16) -> Self {
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                data.push(f(r, c));
+            }
+        }
+        Matrix {
+            rows,
+            cols,
+            data,
+            dtype: Dtype::F16,
+        }
+    }
+
+    /// Deterministic pseudo-random matrix with entries in `[-2, 2]`
+    /// quantized to FP16 — the magnitude regime of normalized NN
+    /// activations and weights.
+    pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
+        let mut rng = Rng64::seed_from_u64(seed);
+        Self::from_fn(rows, cols, |_, _| F16::from_f32(rng.range_f32(-2.0, 2.0)))
+    }
+
+    /// Like [`Self::random`], but quantizing the same pseudo-random
+    /// sample stream into `dtype`'s codes — for `Dtype::F16` this is
+    /// byte-identical to [`Self::random`], so cross-dtype campaigns and
+    /// golden tests compare runs over the same underlying values.
+    pub fn random_dtype(rows: usize, cols: usize, seed: u64, dtype: Dtype) -> Self {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut m = Self::from_fn(rows, cols, |_, _| {
+            F16(dtype.encode(rng.range_f32(-2.0, 2.0)))
+        });
+        m.dtype = dtype;
+        m
+    }
+
+    /// This matrix as a borrowed GEMM operand.
+    pub fn view(&self) -> MatrixView<'_> {
+        self.into()
+    }
+
+    /// Element accessor. For non-F16 dtypes the returned value is the
+    /// raw storage *code* in an `F16` wrapper — use
+    /// [`Self::get_f32`]/[`Self::get_f64`] for the decoded value.
+    #[inline]
+    pub fn get(&self, r: usize, c: usize) -> F16 {
+        self.data[r * self.cols + c]
+    }
+
+    /// Decoded element value.
+    #[inline]
+    pub fn get_f32(&self, r: usize, c: usize) -> f32 {
+        self.dtype.decode(self.get(r, c).to_bits())
+    }
+
+    /// Decoded element value in f64 (exact widening of [`Self::get_f32`]).
+    #[inline]
+    pub fn get_f64(&self, r: usize, c: usize) -> f64 {
+        self.get_f32(r, c) as f64
+    }
+
+    /// Element mutator.
+    #[inline]
+    pub fn set(&mut self, r: usize, c: usize, v: F16) {
+        self.data[r * self.cols + c] = v;
+    }
+
+    /// Copies into a larger zero-padded matrix. Already-fitting matrices
+    /// take a no-op fast path (one bulk copy, no per-row loop).
+    pub fn padded(&self, rows: usize, cols: usize) -> Matrix {
+        if rows == self.rows && cols == self.cols {
+            return self.clone();
+        }
+        let mut out = Matrix::default();
+        self.copy_padded_into(rows, cols, &mut out);
+        out
+    }
+
+    /// Like [`Self::padded`] but writing into a reusable destination:
+    /// `out` is resized to `rows × cols` (reusing its buffer), zeroed,
+    /// and the source is copied into its top-left corner.
+    pub fn copy_padded_into(&self, rows: usize, cols: usize, out: &mut Matrix) {
+        assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
+        out.rows = rows;
+        out.cols = cols;
+        out.dtype = self.dtype;
+        out.data.clear();
+        out.data.resize(rows * cols, F16::ZERO);
+        if cols == self.cols {
+            out.data[..self.data.len()].copy_from_slice(&self.data);
+            return;
+        }
+        for r in 0..self.rows {
+            let src = &self.data[r * self.cols..(r + 1) * self.cols];
+            out.data[r * cols..r * cols + self.cols].copy_from_slice(src);
+        }
+    }
+
+    /// Copies `rows` rows starting at `start` into a new matrix — the
+    /// chunking primitive behind oversized-batch splitting.
+    pub fn row_block(&self, start: usize, rows: usize) -> Matrix {
+        assert!(start + rows <= self.rows, "row block out of range");
+        Matrix {
+            rows,
+            cols: self.cols,
+            data: self.data[start * self.cols..(start + rows) * self.cols].to_vec(),
+            dtype: self.dtype,
+        }
+    }
+
+    /// Like [`MatrixView::decode_padded_into`] but transposed: the result
+    /// is `cols × rows` row-major, so one *column* of `self` is contiguous.
     /// The engine stores the B panel this way so each thread's K-walk
     /// streams both operands linearly.
     pub(crate) fn decode_padded_transposed_into(
@@ -461,11 +477,6 @@ impl Matrix {
         out: &mut Vec<f32>,
     ) {
         assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
-        debug_assert_eq!(
-            self.layout,
-            MatrixLayout::RowMajor,
-            "only the B operand (always row-major) is staged transposed"
-        );
         out.clear();
         out.resize(rows * cols, 0.0);
         if self.dtype == Dtype::F16 {
@@ -489,7 +500,8 @@ impl Matrix {
 
 /// Reference GEMM in FP64, decoding each operand through its dtype
 /// (exact for 16-bit-or-narrower inputs up to K ≈ 2^40 terms).
-pub fn gemm_reference_f64(a: &Matrix, b: &Matrix) -> Vec<f64> {
+pub fn gemm_reference_f64<'a>(a: impl Into<MatrixView<'a>>, b: &Matrix) -> Vec<f64> {
+    let a = a.into();
     assert_eq!(a.cols, b.rows);
     let mut c = vec![0.0f64; a.rows * b.cols];
     for i in 0..a.rows {
@@ -559,7 +571,7 @@ mod tests {
     fn decode_padded_into_is_exact_and_zero_padded() {
         let m = Matrix::random(3, 5, 7);
         let mut buf = vec![f32::NAN; 2]; // must be fully overwritten
-        m.decode_padded_into(4, 8, &mut buf);
+        m.view().decode_padded_into(4, 8, &mut buf);
         assert_eq!(buf.len(), 32);
         for r in 0..4 {
             for c in 0..8 {
@@ -582,11 +594,16 @@ mod tests {
 
     /// Materializes an im2col view element-by-element through `get` —
     /// the oracle the run-based gathers must match bit-for-bit.
-    fn materialize(view: &Matrix) -> Matrix {
+    fn materialize(view: MatrixView<'_>) -> Matrix {
         Matrix::from_fn(view.rows, view.cols, |r, c| view.get(r, c)).with_dtype(view.dtype)
     }
 
-    fn sample_view(kernel: usize, stride: usize, padding: usize) -> Matrix {
+    fn sample_view(
+        tensor: &Matrix,
+        kernel: usize,
+        stride: usize,
+        padding: usize,
+    ) -> MatrixView<'_> {
         let (channels, height, width, images) = (3, 9, 9, 2);
         let out_h = (height + 2 * padding - kernel) / stride + 1;
         let out_w = (width + 2 * padding - kernel) / stride + 1;
@@ -600,40 +617,34 @@ mod tests {
             out_h,
             out_w,
         };
-        let t = Matrix::random(1, images * channels * height * width, 17);
-        Matrix::im2col_lowered(images, v, t.data)
+        MatrixView::im2col_lowered(images, v, &tensor.data, tensor.dtype)
     }
 
     #[test]
     fn im2col_view_gathers_match_elementwise_materialization() {
+        let tensor = Matrix::random(1, 2 * 3 * 9 * 9, 17);
         for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 1), (5, 2, 2), (1, 1, 0), (7, 2, 3)] {
-            let view = sample_view(kernel, stride, padding);
-            let dense = materialize(&view);
+            let view = sample_view(&tensor, kernel, stride, padding);
+            let dense = materialize(view);
             let (pr, pc) = (view.rows + 3, view.cols + 5);
 
             let mut from_view = Vec::new();
             let mut from_dense = Vec::new();
             view.decode_padded_into(pr, pc, &mut from_view);
-            dense.decode_padded_into(pr, pc, &mut from_dense);
+            dense.view().decode_padded_into(pr, pc, &mut from_dense);
             assert_eq!(from_view, from_dense, "decode k{kernel}s{stride}p{padding}");
-
-            let mut raw_view = Matrix::default();
-            let mut raw_dense = Matrix::default();
-            view.copy_padded_into(pr, pc, &mut raw_view);
-            dense.copy_padded_into(pr, pc, &mut raw_dense);
-            assert_eq!(raw_view, raw_dense, "raw copy k{kernel}s{stride}p{padding}");
         }
     }
 
     #[test]
     fn im2col_view_padding_taps_read_zero_in_every_dtype() {
         for dtype in Dtype::ALL {
-            let mut view = sample_view(3, 1, 1).with_dtype(dtype);
+            let tensor = Matrix::random(1, 2 * 3 * 9 * 9, 17).with_dtype(dtype);
+            let view = sample_view(&tensor, 3, 1, 1);
             // Row 0 is output pixel (0,0): tap (ch=0, ky=0, kx=0) lands at
             // input (-1,-1), firmly in the padding.
             assert_eq!(view.get(0, 0), F16::ZERO);
             assert_eq!(view.get_f32(0, 0).to_bits(), 0.0f32.to_bits(), "{dtype:?}");
-            view.dtype = Dtype::F16;
         }
     }
 }

@@ -17,8 +17,9 @@
 //!
 //! # Module map
 //!
-//! - [`matrix`] — the row-major FP16 [`Matrix`] plus the `*_into`
-//!   staging primitives and the FP64 reference GEMM;
+//! - [`matrix`] — the row-major FP16 [`Matrix`], the borrowed
+//!   [`MatrixView`] operand (row-major or a zero-copy conv lowering),
+//!   the `*_into` staging primitives and the FP64 reference GEMM;
 //! - [`scheme`] — [`TileScheme`]/[`Redundancy`]: which lanes a scheme
 //!   carries and the threshold its tile check compares against;
 //! - [`fault_inject`] — the §2.3 fault model ([`FaultPlan`],
@@ -33,12 +34,12 @@
 //!   ([`GemmPath`], `AIGA_FORCE_SCALAR`);
 //! - [`walk`] (private) — block execution: microkernel fill, targeted
 //!   fault injection, tile epilogue;
-//! - this module — [`GemmEngine`] itself with the two execution entry
-//!   points and output assembly.
+//! - this module — [`GemmEngine`] itself: the execution entry point
+//!   and output assembly.
 //!
 //! # Execution contract
 //!
-//! [`GemmEngine::run_multi_into`] is the hot-path entry: the caller
+//! [`GemmEngine::run_multi_into`] is the execution entry: the caller
 //! supplies a [`Workspace`] and the engine stages, executes, and leaves
 //! the [`GemmOutput`] inside it — zero heap allocations once the
 //! workspace is warm. Large multi-stripe problems fan out across
@@ -46,11 +47,11 @@
 //! [`Workspace`] stripe scratch; small problems (the serving common
 //! case, where concurrency comes from many requests each holding a warm
 //! workspace) stay sequential and allocation-free.
-//! [`GemmEngine::run`]/[`GemmEngine::run_multi`] are the allocating
-//! conveniences (block-parallel via `aiga_util::par_map`) that return an
-//! owned output. All paths produce byte-identical results;
-//! `crates/core/tests/engine_golden.rs` pins them to the canonical
-//! accumulation order's bytes on both [`GemmPath`]s.
+//! [`GemmEngine::run`] is the allocating convenience: the same call on
+//! a throwaway workspace, returning the owned output. Both regimes
+//! produce byte-identical results; `crates/core/tests/engine_golden.rs`
+//! pins them to the canonical accumulation order's bytes on both
+//! [`GemmPath`]s.
 
 pub mod fault_inject;
 pub mod matrix;
@@ -61,14 +62,13 @@ mod walk;
 
 pub use aiga_dtype::Dtype;
 pub use fault_inject::{Detection, FaultKind, FaultPlan};
-pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout};
+pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout, MatrixView};
 pub use panels::{CheckScratch, Workspace};
 pub use scheme::{Redundancy, TileScheme};
 pub use simd::GemmPath;
 
 use crate::shape::GemmShape;
 use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR};
-use panels::{BlockScratch, Panels};
 
 /// Minimum covered FLOP count (`2·cov_m·cov_n·k`) before
 /// [`GemmEngine::run_multi_into`] fans block-row stripes out across
@@ -190,70 +190,19 @@ impl GemmEngine {
         }
     }
 
-    /// Runs the kernel: multiplies `a` (`m × k`) by `b` (`k × n`) under
-    /// `scheme`, applying `fault` if given. Returns the unpadded `m × n`
-    /// output.
-    pub fn run(
+    /// Allocating convenience over [`Self::run_multi_into`]: multiplies
+    /// `a` (`m × k`) by `b` (`k × n`) under `scheme`, injecting `faults`,
+    /// in a throwaway workspace, and returns the unpadded `m × n` output.
+    pub fn run<'a>(
         &self,
-        a: &Matrix,
-        b: &Matrix,
-        scheme: TileScheme,
-        fault: Option<FaultPlan>,
-    ) -> GemmOutput {
-        self.run_multi(a, b, scheme, fault.as_slice())
-    }
-
-    /// Like [`Self::run`] but injecting any number of simultaneous faults
-    /// — used to exercise the multi-checksum extension of §2.4 (single-
-    /// checksum ABFT only guarantees detection of one fault).
-    ///
-    /// This is the allocating convenience: it stages fresh panels and
-    /// executes blocks in parallel. The serving hot path uses
-    /// [`Self::run_multi_into`] instead.
-    pub fn run_multi(
-        &self,
-        a: &Matrix,
+        a: impl Into<MatrixView<'a>>,
         b: &Matrix,
         scheme: TileScheme,
         faults: &[FaultPlan],
     ) -> GemmOutput {
-        assert_eq!(a.cols, b.rows, "inner dimensions must agree");
-        let (out_m, out_n) = (a.rows, b.cols);
-        let (gm, gn, cov_m, cov_n, k) = self.coverage();
-        let path = simd::active_path();
-        let mut panels = Panels::default();
-        panels.stage(a, b, scheme.lanes, path.is_simd(), cov_m, cov_n, k);
-
-        let blocks: Vec<(u64, u64)> = (0..gm)
-            .flat_map(|br| (0..gn).map(move |bc| (br, bc)))
-            .collect();
-
-        let results = aiga_util::par_map(&blocks, |&(br, bc)| {
-            let mut scratch = BlockScratch::default();
-            scratch.prepare(&self.tiling, scheme.lanes);
-            let mut detections = Vec::new();
-            walk::run_block(
-                &self.tiling,
-                br,
-                bc,
-                path,
-                &panels,
-                scheme,
-                faults,
-                &mut scratch,
-                &mut detections,
-            );
-            (br, bc, scratch.tile, detections)
-        });
-
-        let mut out = GemmOutput::default();
-        out.reset(out_m, out_n);
-        out.counters = self.counters(scheme.lanes);
-        for (br, bc, tile, detections) in results {
-            scatter_tile(&tile, &self.tiling, br, bc, 0, out_m, out_n, &mut out.c);
-            out.detections.extend(detections);
-        }
-        out
+        let mut ws = Workspace::new();
+        self.run_multi_into(a, b, scheme, faults, &mut ws);
+        ws.take_output()
     }
 
     /// The workspace-threaded execution entry: runs the kernel entirely
@@ -273,17 +222,19 @@ impl GemmEngine {
     /// `ws` (output rows are disjoint per stripe, so workers share only
     /// the read-only panels); the stripe pool ratchets like every other
     /// workspace buffer, though thread spawning itself is not
-    /// allocation-free. Results are byte-identical to
-    /// [`Self::run_multi`] in either regime, detections in the same
-    /// block-major order.
-    pub fn run_multi_into<'w>(
+    /// allocation-free. Results are byte-identical in either regime,
+    /// detections in the same block-major order. Any number of
+    /// simultaneous `faults` may be injected (the multi-checksum
+    /// extension of §2.4 needs more than one).
+    pub fn run_multi_into<'w, 'a>(
         &self,
-        a: &Matrix,
+        a: impl Into<MatrixView<'a>>,
         b: &Matrix,
         scheme: TileScheme,
         faults: &[FaultPlan],
         ws: &'w mut Workspace,
     ) -> &'w GemmOutput {
+        let a = a.into();
         assert_eq!(a.cols, b.rows, "inner dimensions must agree");
         let (out_m, out_n) = (a.rows, b.cols);
         let (gm, gn, cov_m, cov_n, k) = self.coverage();

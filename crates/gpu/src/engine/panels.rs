@@ -15,7 +15,7 @@
 //! only ratchet up to the high-water mark of the shapes served.
 
 use super::fault_inject::Detection;
-use super::matrix::Matrix;
+use super::matrix::{Matrix, MatrixView};
 use super::scheme::Redundancy;
 use super::{simd, GemmOutput};
 use crate::tiling::{TilingConfig, MICRO_MR};
@@ -57,7 +57,7 @@ impl Panels {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn stage(
         &mut self,
-        a: &Matrix,
+        a: MatrixView<'_>,
         b: &Matrix,
         lanes: Redundancy,
         pack: bool,
@@ -181,10 +181,10 @@ pub struct Workspace {
     /// until a run actually fans out; ratchets to the worker high-water
     /// mark afterwards).
     pub(crate) stripe_pool: Vec<StripeScratch>,
-    /// Per-branch child workspaces for branch-parallel graph execution:
-    /// a pipeline level whose stages run concurrently gives each branch
-    /// its own engine scratch here while every branch reads the shared
-    /// value [`Self::slots`]. Empty until a request actually fans out;
+    /// Child workspaces for graph execution: every GEMM stage of a
+    /// pipeline runs in one of these — a lone stage in the first, the
+    /// branches of a concurrent level in one each — while reading the
+    /// shared value [`Self::slots`]. Empty until a graph executes;
     /// ratchets to the branch high-water mark afterwards.
     branch_pool: Vec<Workspace>,
 }
@@ -222,9 +222,8 @@ impl Workspace {
     }
 
     /// The activation staging matrix lent to pipeline layers. Intended
-    /// use is `std::mem::take` / reassign around an engine call, so the
-    /// staged activations can be the engine's input while the engine
-    /// borrows the workspace mutably.
+    /// use is `std::mem::take` / reassign around a pass, so the staged
+    /// request can be read while the workspace is borrowed mutably.
     pub fn activations_mut(&mut self) -> &mut Matrix {
         &mut self.act
     }
@@ -265,8 +264,8 @@ impl Workspace {
     }
 
     /// Moves value slot `i` out of the workspace (growing the table if
-    /// needed). Graph executors take a stage's input and output slots,
-    /// compute, and [`Self::put_slot`] them back — moves, never copies.
+    /// needed). Graph executors take a stage's output slot, compute
+    /// into it, and [`Self::put_slot`] it back — moves, never copies.
     pub fn take_slot(&mut self, i: usize) -> Matrix {
         self.ensure_slots(i + 1);
         std::mem::take(&mut self.slots[i])
@@ -278,13 +277,12 @@ impl Workspace {
         self.slots[i] = m;
     }
 
-    /// Split borrow for branch-parallel graph execution: the shared
-    /// value slots (read-only, so concurrent branches can gather from a
-    /// common producer) together with `n` mutable child workspaces, one
-    /// per branch, each giving its branch a private engine scratch and
-    /// output. The pool only ratchets up, so steady-state fan-out does
-    /// not allocate here; call again after the branches join to read
-    /// each child's [`Self::output`] back on the merging thread.
+    /// Split borrow for graph execution: the shared value slots
+    /// (read-only, so a GEMM stage — or several concurrent branches —
+    /// can view a producer's slot in place as the engine operand)
+    /// together with `n` mutable child workspaces, one per stage, each
+    /// a private engine scratch and output. The pool only ratchets up,
+    /// so steady-state execution does not allocate here.
     pub fn branch_split(&mut self, n: usize) -> (&[Matrix], &mut [Workspace]) {
         if self.branch_pool.len() < n {
             self.branch_pool.resize_with(n, Workspace::default);

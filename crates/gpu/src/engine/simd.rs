@@ -548,7 +548,7 @@ mod tests {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let mut p = Panels::default();
-        p.stage(&a, &b, lanes, true, m, n, k);
+        p.stage(a.view(), &b, lanes, true, m, n, k);
         p
     }
 

@@ -41,7 +41,7 @@ fn matches_f64_reference_within_fp32_accumulation_error() {
     let (m, n, k) = (48, 40, 64);
     let a = Matrix::random(m, k, 1);
     let b = Matrix::random(k, n, 2);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, None);
+    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, &[]);
     let reference = gemm_reference_f64(&a, &b);
     for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
         let err = (got as f64 - want).abs();
@@ -56,7 +56,7 @@ fn identity_multiplication_is_exact() {
     let n = 32;
     let ident = Matrix::from_fn(n, n, |r, c| if r == c { F16::ONE } else { F16::ZERO });
     let b = Matrix::random(n, n, 3);
-    let out = engine_for(n as u64, n as u64, n as u64).run(&ident, &b, TileScheme::NONE, None);
+    let out = engine_for(n as u64, n as u64, n as u64).run(&ident, &b, TileScheme::NONE, &[]);
     for r in 0..n {
         for c in 0..n {
             assert_eq!(out.get(r, c), b.get(r, c).to_f32());
@@ -69,7 +69,7 @@ fn unaligned_shapes_are_padded_and_cropped() {
     let (m, n, k) = (17, 9, 11);
     let a = Matrix::random(m, k, 4);
     let b = Matrix::random(k, n, 5);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, None);
+    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, &[]);
     assert_eq!((out.m, out.n), (m, n));
     let reference = gemm_reference_f64(&a, &b);
     for (&got, &want) in out.c.iter().zip(&reference) {
@@ -85,7 +85,7 @@ fn every_output_element_is_written_exactly_once() {
     let (m, n, k) = (64, 64, 32);
     let ones = Matrix::from_fn(m, k, |_, _| F16::ONE);
     let ones_b = Matrix::from_fn(k, n, |_, _| F16::ONE);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&ones, &ones_b, TileScheme::NONE, None);
+    let out = engine_for(m as u64, n as u64, k as u64).run(&ones, &ones_b, TileScheme::NONE, &[]);
     assert!(out.c.iter().all(|&v| v == k as f32));
 }
 
@@ -104,7 +104,7 @@ fn counters_match_tiling_formulas() {
         (Redundancy::TileChecksum, 1.0 / 64.0),
         (Redundancy::ShadowExact, 1.0),
     ] {
-        let out = eng.run(&a, &b, loose(lanes), None);
+        let out = eng.run(&a, &b, loose(lanes), &[]);
         assert_eq!(out.counters.tiles, tiles);
         assert_eq!(out.counters.data_fmas, 64 * 64 * 64);
         assert_eq!(
@@ -121,14 +121,14 @@ fn injected_fault_corrupts_exactly_one_element() {
     let a = Matrix::random(m, k, 8);
     let b = Matrix::random(k, n, 9);
     let eng = engine_for(m as u64, n as u64, k as u64);
-    let clean = eng.run(&a, &b, TileScheme::NONE, None);
+    let clean = eng.run(&a, &b, TileScheme::NONE, &[]);
     let fault = FaultPlan {
         row: 5,
         col: 7,
         after_step: u64::MAX,
         kind: FaultKind::AddValue(100.0),
     };
-    let dirty = eng.run(&a, &b, TileScheme::NONE, Some(fault));
+    let dirty = eng.run(&a, &b, TileScheme::NONE, &[fault]);
     let mut diffs = 0;
     for i in 0..m * n {
         if clean.c[i] != dirty.c[i] {
@@ -148,14 +148,14 @@ fn mid_kernel_fault_still_lands() {
     let a = Matrix::random(m, k, 10);
     let b = Matrix::random(k, n, 11);
     let eng = engine_for(m as u64, n as u64, k as u64);
-    let clean = eng.run(&a, &b, TileScheme::NONE, None);
+    let clean = eng.run(&a, &b, TileScheme::NONE, &[]);
     let fault = FaultPlan {
         row: 0,
         col: 0,
         after_step: 3,
         kind: FaultKind::SetValue(1e4),
     };
-    let dirty = eng.run(&a, &b, TileScheme::NONE, Some(fault));
+    let dirty = eng.run(&a, &b, TileScheme::NONE, &[fault]);
     // The corrupted accumulator keeps accumulating afterwards, so the
     // output differs from clean but is not exactly 1e4.
     assert_ne!(clean.get(0, 0), dirty.get(0, 0));
@@ -192,7 +192,7 @@ fn output_is_byte_identical_to_an_oracle_conversion_walk() {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let eng = engine_for(m as u64, n as u64, k as u64);
-        let out = eng.run(&a, &b, TileScheme::NONE, None);
+        let out = eng.run(&a, &b, TileScheme::NONE, &[]);
         let kp = eng.shape().k as usize; // padded K (zeros beyond k)
         let at = |r: usize, c: usize| {
             if c < k {
@@ -227,8 +227,8 @@ fn output_is_byte_identical_to_an_oracle_conversion_walk() {
 #[test]
 fn workspace_path_is_byte_identical_to_the_allocating_path() {
     // One workspace reused across shapes and schemes — the pooled
-    // serving regime — must reproduce `run_multi`'s bytes exactly,
-    // clean and faulted, under every lane kind.
+    // serving regime — must reproduce a fresh workspace's bytes
+    // exactly, clean and faulted, under every lane kind.
     let mut ws = Workspace::new();
     for &(m, n, k, seed) in &[
         (17usize, 9usize, 11usize, 40u64),
@@ -246,7 +246,7 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
         };
         for faults in [&[][..], &[fault][..]] {
             for lanes in ALL_LANES {
-                let alloc = eng.run_multi(&a, &b, loose(lanes), faults);
+                let alloc = eng.run(&a, &b, loose(lanes), faults);
                 let into = eng.run_multi_into(&a, &b, loose(lanes), faults, &mut ws);
                 assert_eq!(alloc.c, into.c);
                 assert_eq!(alloc.detections, into.detections);
@@ -258,10 +258,10 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
 
 #[test]
 fn block_parallel_stripes_are_byte_identical_to_sequential() {
-    // 256³ sits exactly at BLOCK_PAR_MIN_FLOPS; a single-core runner
-    // would still serialize via `effective_workers`, so force a worker
-    // count (3 over 8 stripes — deliberately uneven) to exercise the
-    // stripe-parallel arm deterministically. A threshold below any
+    // 256³ sits exactly at BLOCK_PAR_MIN_FLOPS, where the regime would
+    // follow `effective_workers`; force the worker count instead — 1 for
+    // the sequential baseline, then 3 over 8 stripes (deliberately
+    // uneven) — to exercise both arms deterministically. A threshold below any
     // residual makes every tile column flag, covering the merge
     // ordering; the faulted run covers the cold recompute path.
     let flag_all = TileScheme {
@@ -279,9 +279,10 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
         after_step: 5,
         kind: FaultKind::AddValue(96.0),
     }];
-    let seq_clean = eng.run_multi(&a, &b, flag_all, &[]);
+    super::FORCE_WORKERS.store(1, std::sync::atomic::Ordering::Relaxed);
+    let seq_clean = eng.run(&a, &b, flag_all, &[]);
     assert_eq!(seq_clean.detections.len(), m / MICRO_MR * n);
-    let seq_fault = eng.run_multi(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
+    let seq_fault = eng.run(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
     assert_eq!(seq_fault.detections.len(), 1);
     let mut ws = Workspace::new();
     super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
@@ -316,7 +317,7 @@ fn every_dtype_runs_the_engine_against_its_f64_reference() {
         for &(m, n, k, seed) in &[(32usize, 32usize, 32usize, 60u64), (17, 9, 11, 61)] {
             let a = Matrix::random_dtype(m, k, seed, dtype);
             let b = Matrix::random_dtype(k, n, seed + 1, dtype);
-            let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, None);
+            let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, &[]);
             let reference = gemm_reference_f64(&a, &b);
             for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
                 assert!(
@@ -333,7 +334,7 @@ fn mixed_dtype_operands_are_rejected() {
     let a = Matrix::random_dtype(16, 16, 1, Dtype::Bf16);
     let b = Matrix::random_dtype(16, 16, 2, Dtype::Fp8E4M3);
     let eng = engine_for(16, 16, 16);
-    let res = std::panic::catch_unwind(|| eng.run(&a, &b, TileScheme::NONE, None));
+    let res = std::panic::catch_unwind(|| eng.run(&a, &b, TileScheme::NONE, &[]));
     assert!(res.is_err(), "mismatched operand dtypes must panic");
 }
 

@@ -264,7 +264,7 @@ mod tests {
                     warp_n: warp,
                 },
             )
-            .run(&a, &b, TileScheme::NONE, None)
+            .run(&a, &b, TileScheme::NONE, &[])
         };
         // Same K-walk order per element => bit-identical FP32 outputs.
         assert_eq!(run(32, 16).c, run(128, 64).c);

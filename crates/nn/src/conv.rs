@@ -10,7 +10,7 @@
 
 use crate::layer::conv_out;
 use aiga_fp16::F16;
-use aiga_gpu::engine::{Im2colView, Matrix, MatrixLayout, Workspace};
+use aiga_gpu::engine::{Im2colView, Matrix, Workspace};
 
 /// A batched FP16 feature map in NCHW layout.
 #[derive(Clone, Debug, PartialEq)]
@@ -167,7 +167,6 @@ pub fn im2col_into(input: &Tensor, p: ConvParams, ws: &mut Workspace) {
     let out = ws.lowering_mut();
     out.rows = input.batch * ho * wo;
     out.cols = k_dim;
-    out.layout = MatrixLayout::RowMajor;
     out.data.clear();
     out.data.resize(out.rows * k_dim, F16::ZERO);
     for n in 0..input.batch {
@@ -258,7 +257,7 @@ pub fn gemm_to_nchw(row: usize, col: usize, ho: usize, wo: usize) -> (usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{gemm_reference_f64, GemmEngine, TileScheme};
+    use aiga_gpu::engine::{gemm_reference_f64, Dtype, GemmEngine, MatrixView, TileScheme};
     use aiga_gpu::GemmShape;
 
     fn params(c_out: usize, kernel: usize, stride: usize, padding: usize) -> ConvParams {
@@ -313,7 +312,7 @@ mod tests {
         assert!(!params(6, 1, 2, 0).is_pointwise());
         assert!(!params(6, 1, 1, 1).is_pointwise());
         let copied = im2col(&input, p);
-        let view = Matrix::nchw_lowered(3, 5, 7 * 4, input.data.clone());
+        let view = MatrixView::nchw_lowered(3, 5, 7 * 4, &input.data, Dtype::F16);
         assert_eq!((view.rows, view.cols), (copied.rows, copied.cols));
         for r in 0..view.rows {
             for c in 0..view.cols {
@@ -328,8 +327,8 @@ mod tests {
             b.cols as u64,
             b.rows as u64,
         ));
-        let from_copy = eng.run(&copied, &b, TileScheme::NONE, None);
-        let from_view = eng.run(&view, &b, TileScheme::NONE, None);
+        let from_copy = eng.run(&copied, &b, TileScheme::NONE, &[]);
+        let from_view = eng.run(view, &b, TileScheme::NONE, &[]);
         assert_eq!(from_copy.c, from_view.c);
     }
 
@@ -343,10 +342,11 @@ mod tests {
             let input = Tensor::random(2, 3, 15, 13, 70 + kernel as u64);
             let p = params(4, kernel, stride, padding);
             let copied = im2col(&input, p);
-            let view = Matrix::im2col_lowered(
+            let view = MatrixView::im2col_lowered(
                 input.batch,
                 p.im2col_view(input.channels, input.height, input.width),
-                input.data.clone(),
+                &input.data,
+                Dtype::F16,
             );
             assert_eq!((view.rows, view.cols), (copied.rows, copied.cols));
             for r in 0..view.rows {
@@ -366,8 +366,8 @@ mod tests {
                 b.cols as u64,
                 b.rows as u64,
             ));
-            let from_copy = eng.run(&copied, &b, TileScheme::NONE, None);
-            let from_view = eng.run(&view, &b, TileScheme::NONE, None);
+            let from_copy = eng.run(&copied, &b, TileScheme::NONE, &[]);
+            let from_view = eng.run(view, &b, TileScheme::NONE, &[]);
             assert_eq!(from_copy.c, from_view.c, "k{kernel}s{stride}p{padding}");
         }
     }
@@ -408,7 +408,7 @@ mod tests {
             b.cols as u64,
             a.cols as u64,
         ));
-        let out = eng.run(&a, &b, TileScheme::NONE, None);
+        let out = eng.run(&a, &b, TileScheme::NONE, &[]);
         let direct = conv_reference_f64(&input, &filters, p);
         for (i, &d) in direct.iter().enumerate() {
             // NCHW index i maps to (row, col) with n=0: i = (co*ho+oy)*wo+ox.

@@ -189,6 +189,32 @@ fn features(dims: (usize, usize, usize)) -> usize {
 }
 
 impl Network {
+    /// Lowers an analytic fully-connected chain (DLRM's MLPs) to an
+    /// executable network with synthesized weights: one
+    /// [`NetworkBuilder::fc`] per layer, ReLU between layers, batch and
+    /// input width from the first layer. Panics if the layers do not
+    /// chain (`K[i+1] != N[i]`).
+    pub fn from_mlp(model: &Model, seed: u64) -> Network {
+        for pair in model.layers.windows(2) {
+            assert_eq!(
+                pair[1].shape.k, pair[0].shape.n,
+                "layers {} -> {} do not chain",
+                pair[0].name, pair[1].name
+            );
+        }
+        let first = &model.layers[0].shape;
+        let (batch, k) = (first.m as usize, first.k as usize);
+        let mut b = NetworkBuilder::new(model.name.clone(), batch, k, 1, 1, seed);
+        for (i, l) in model.layers.iter().enumerate() {
+            b.fc(
+                l.name.clone(),
+                l.shape.n as usize,
+                i + 1 < model.layers.len(),
+            );
+        }
+        b.build()
+    }
+
     /// Re-targets the network to a storage dtype: every conv/fc weight
     /// is snapped to the dtype's value grid (encode → decode, kept in
     /// the FP16 weight containers — every fp8/int8 value and every
@@ -890,6 +916,37 @@ mod tests {
         b.flatten("flat");
         b.fc("fc", 3, false);
         b.build()
+    }
+
+    #[test]
+    fn from_mlp_lowers_a_chain_to_fc_nodes() {
+        let model = crate::zoo::dlrm_mlp_bottom(8);
+        let net = Network::from_mlp(&model, 7);
+        assert_eq!((net.batch, net.input_features()), (8, 13));
+        let lowered = net.to_model();
+        assert_eq!(lowered.name, model.name);
+        for (a, b) in lowered.layers.iter().zip(&model.layers) {
+            assert_eq!((&a.name, a.shape), (&b.name, b.shape));
+        }
+        let relus: Vec<bool> = net
+            .nodes
+            .iter()
+            .map(|n| matches!(n.op, NodeOp::Fc { relu: true, .. }))
+            .collect();
+        assert_eq!(relus, [true, true, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not chain")]
+    fn non_chaining_models_are_rejected() {
+        let model = Model::new(
+            "broken",
+            vec![
+                LinearLayer::fc("a", 8, 16, 32),
+                LinearLayer::fc("b", 8, 64, 32), // K != previous N
+            ],
+        );
+        Network::from_mlp(&model, 0);
     }
 
     #[test]

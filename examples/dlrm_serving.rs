@@ -91,7 +91,6 @@ fn main() {
     // single padded bucket pass.
     let session = Session::builder(planner, "dlrm-mlp-bottom", zoo::dlrm_mlp_bottom)
         .buckets([8, 32, 128])
-        .seed(99)
         .build();
     let server = Server::builder(session)
         .workers(2)
@@ -230,7 +229,6 @@ fn main() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([32])
-    .seed(99)
     .build();
     let server = Server::builder(retrying)
         .workers(1)
@@ -262,7 +260,6 @@ fn main() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([32])
-    .seed(99)
     .recovery(true)
     .build();
     let repaired = recovering.serve_with_fault(&request, Some(fault)).unwrap();

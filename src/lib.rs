@@ -54,7 +54,9 @@
 //! let plan = planner.plan(&zoo::dlrm_mlp_bottom(32));
 //! assert!(plan.intensity_guided_s() <= plan.fixed_scheme_s(Scheme::GlobalAbft));
 //!
-//! // Serve many requests: batch-bucket dispatch + plan caching.
+//! // Serve many requests: batch-bucket dispatch + plan caching. An
+//! // analytic MLP family is lowered per bucket to an executable
+//! // `Network` (`Network::from_mlp`), the one form sessions compile.
 //! let session = Session::builder(planner, "dlrm-bottom", zoo::dlrm_mlp_bottom)
 //!     .buckets([8, 32])
 //!     .build();

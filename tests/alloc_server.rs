@@ -57,7 +57,6 @@ fn steady_state_server_round_trip_allocates_a_small_stable_constant() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8])
-    .seed(7)
     .build();
     let server = Server::builder(session)
         .workers(1)

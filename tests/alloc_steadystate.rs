@@ -82,6 +82,7 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
+    use aiga::gpu::engine::MatrixView;
     use aiga::prelude::*;
     use aiga_core::registry;
 
@@ -101,9 +102,9 @@ fn steady_state_hot_paths_do_not_allocate() {
     ] {
         let bound = reg.resolve(scheme).bind(&b);
         let mut ws = Workspace::new();
-        bound.run_into(&engine, &a, &[], &mut ws); // warm the workspace
+        bound.run_into(&engine, a.view(), &[], &mut ws); // warm the workspace
         let n = allocs_during(|| {
-            bound.run_into(&engine, &a, &[], &mut ws);
+            bound.run_into(&engine, a.view(), &[], &mut ws);
         });
         assert_eq!(n, 0, "{scheme}: engine hot path allocated {n} times");
     }
@@ -111,9 +112,9 @@ fn steady_state_hot_paths_do_not_allocate() {
     // The §2.4 multi-checksum extension honors the contract too.
     let multi = MultiChecksumKernel::new(2).bind(&b);
     let mut ws = Workspace::new();
-    multi.run_into(&engine, &a, &[], &mut ws);
+    multi.run_into(&engine, a.view(), &[], &mut ws);
     let n = allocs_during(|| {
-        multi.run_into(&engine, &a, &[], &mut ws);
+        multi.run_into(&engine, a.view(), &[], &mut ws);
     });
     assert_eq!(n, 0, "multi-checksum hot path allocated {n} times");
 
@@ -134,7 +135,6 @@ fn steady_state_hot_paths_do_not_allocate() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8])
-    .seed(7)
     .build();
     let request = Matrix::random(8, 13, 42);
     for _ in 0..3 {
@@ -175,7 +175,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         let conv_pass = |ws: &mut Workspace| {
             im2col_into(&input, params, ws);
             let a = ws.take_lowering();
-            bound.run_into(&conv_engine, &a, &[], ws);
+            bound.run_into(&conv_engine, a.view(), &[], ws);
             ws.put_lowering(a);
         };
         conv_pass(&mut ws); // warm the lowering buffer + panels
@@ -292,14 +292,12 @@ fn steady_state_hot_paths_do_not_allocate() {
         for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
             let bound = reg.resolve(scheme).bind(&weights);
             let mut ws = Workspace::new();
-            let mut data = Some(input.data.clone());
-            let fused_pass = |ws: &mut Workspace, data: &mut Option<Vec<_>>| {
-                let a = Matrix::im2col_lowered(2, view, data.take().unwrap());
-                bound.run_into(&conv_engine, &a, &[], ws);
-                *data = Some(a.data);
+            let a = MatrixView::im2col_lowered(2, view, &input.data, Dtype::F16);
+            let fused_pass = |ws: &mut Workspace| {
+                bound.run_into(&conv_engine, a, &[], ws);
             };
-            fused_pass(&mut ws, &mut data); // warm the panels
-            let n = allocs_during(|| fused_pass(&mut ws, &mut data));
+            fused_pass(&mut ws); // warm the panels
+            let n = allocs_during(|| fused_pass(&mut ws));
             assert_eq!(n, 0, "{scheme}: fused conv path allocated {n} times");
         }
     }

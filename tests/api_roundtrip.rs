@@ -36,7 +36,6 @@ fn session_serves_with_the_reloaded_plans_choices() {
     let planner = Planner::new(DeviceSpec::t4());
     let session = Session::builder(planner.clone(), "dlrm-mlp-top", zoo::dlrm_mlp_top)
         .buckets([8, 32])
-        .seed(5)
         .build();
 
     for (bucket, rows) in [(8u64, 5usize), (32, 20)] {

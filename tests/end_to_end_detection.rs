@@ -5,7 +5,7 @@ use aiga::core::pipeline::{PipelineFault, ProtectedPipeline};
 use aiga::core::{Planner, ProtectedGemm, Scheme};
 use aiga::gpu::engine::{FaultKind, FaultPlan, Matrix};
 use aiga::gpu::{DeviceSpec, GemmShape};
-use aiga::nn::zoo;
+use aiga::nn::{zoo, Network};
 
 /// Every protected scheme detects an exponent-bit corruption at every
 /// strike time (early, middle, late, epilogue).
@@ -61,7 +61,7 @@ fn intensity_guided_pipeline_catches_faults_in_every_layer() {
     let model = zoo::dlrm_mlp_bottom(32);
     let plan = Planner::new(DeviceSpec::t4()).plan(&model);
     let schemes: Vec<Scheme> = plan.chosen_schemes();
-    let pipeline = ProtectedPipeline::new(&model, &schemes, 5);
+    let pipeline = ProtectedPipeline::compile(&Network::from_mlp(&model, 5), &schemes);
     let input = Matrix::random(32, 13, 555);
 
     for layer in 0..pipeline.depth() {
@@ -90,12 +90,12 @@ fn intensity_guided_pipeline_catches_faults_in_every_layer() {
 /// math at all.
 #[test]
 fn protection_is_transparent_to_the_computed_result() {
-    let model = zoo::dlrm_mlp_top(16);
+    let net = Network::from_mlp(&zoo::dlrm_mlp_top(16), 9);
     let input = Matrix::random(16, 512, 777);
-    let unprotected =
-        ProtectedPipeline::uniform(&model, Scheme::Unprotected, 9).infer(&input, None);
+    let uniform = |scheme| ProtectedPipeline::compile(&net, &vec![scheme; net.gemm_count()]);
+    let unprotected = uniform(Scheme::Unprotected).infer(&input, None);
     for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
-        let protected = ProtectedPipeline::uniform(&model, scheme, 9).infer(&input, None);
+        let protected = uniform(scheme).infer(&input, None);
         assert_eq!(
             protected.output, unprotected.output,
             "{scheme} altered the computation"

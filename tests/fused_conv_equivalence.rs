@@ -16,6 +16,7 @@
 //! (`AIGA_FORCE_SCALAR=1`) so both the AVX2 and scalar packers are
 //! covered.
 
+use aiga::gpu::engine::MatrixView;
 use aiga::prelude::*;
 use aiga_core::registry;
 use aiga_nn::conv::filters_to_matrix;
@@ -39,13 +40,13 @@ fn assert_paths_match(
     bound: &dyn BoundKernel,
     engine: &GemmEngine,
     materialized: &Matrix,
-    fused: &Matrix,
+    fused: MatrixView<'_>,
     faults: &[FaultPlan],
     what: &str,
 ) {
     let mut ws_m = Workspace::new();
     let mut ws_f = Workspace::new();
-    let v_m = bound.run_into(engine, materialized, faults, &mut ws_m);
+    let v_m = bound.run_into(engine, materialized.view(), faults, &mut ws_m);
     let v_f = bound.run_into(engine, fused, faults, &mut ws_f);
     assert_eq!(v_m, v_f, "{what}: verdict diverged");
     assert_eq!(
@@ -91,7 +92,7 @@ fn fused_im2col_view_is_byte_identical_to_materialized_lowering() {
 
         let materialized = im2col(&input, params);
         let view = params.im2col_view(c_in, h, w);
-        let fused = Matrix::im2col_lowered(batch, view, input.data.clone());
+        let fused = MatrixView::im2col_lowered(batch, view, &input.data, Dtype::F16);
         assert_eq!(fused.rows, materialized.rows, "case {ci}: row mismatch");
         assert_eq!(fused.cols, materialized.cols, "case {ci}: col mismatch");
 
@@ -118,7 +119,7 @@ fn fused_im2col_view_is_byte_identical_to_materialized_lowering() {
                         "faulted"
                     }
                 );
-                assert_paths_match(&*bound, &engine, &materialized, &fused, faults, &label);
+                assert_paths_match(&*bound, &engine, &materialized, fused, faults, &label);
             }
         }
     }
@@ -139,7 +140,7 @@ fn pointwise_nchw_view_is_byte_identical_to_materialized_lowering() {
     assert!(params.is_pointwise());
 
     let materialized = im2col(&input, params);
-    let fused = Matrix::nchw_lowered(batch, c_in, h * w, input.data.clone());
+    let fused = MatrixView::nchw_lowered(batch, c_in, h * w, &input.data, Dtype::F16);
     assert_eq!(fused.rows, materialized.rows);
     assert_eq!(fused.cols, materialized.cols);
 
@@ -167,7 +168,7 @@ fn pointwise_nchw_view_is_byte_identical_to_materialized_lowering() {
                     "faulted"
                 }
             );
-            assert_paths_match(&*bound, &engine, &materialized, &fused, faults, &label);
+            assert_paths_match(&*bound, &engine, &materialized, fused, faults, &label);
         }
     }
 }

@@ -23,7 +23,6 @@ fn session() -> Session {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8, 32])
-    .seed(7)
     .build()
 }
 

@@ -98,7 +98,7 @@ fn engine_matches_reference() {
         let seed = rng.range_u64(0, 100);
         let a = Matrix::random(m as usize, k as usize, seed);
         let b = Matrix::random(k as usize, n as usize, seed + 1);
-        let out = GemmEngine::new(shape, tiling).run(&a, &b, TileScheme::NONE, None);
+        let out = GemmEngine::new(shape, tiling).run(&a, &b, TileScheme::NONE, &[]);
         let reference = aiga::gpu::engine::gemm_reference_f64(&a, &b);
         for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
             let err = (got as f64 - want).abs();

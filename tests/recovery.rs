@@ -172,7 +172,6 @@ fn mid_pipeline_fault_recomputes_one_stage_only() {
     let session = |recovery: bool| {
         Session::builder(planner.clone(), "dlrm-mlp-bottom", zoo::dlrm_mlp_bottom)
             .buckets([8])
-            .seed(7)
             .recovery(recovery)
             .build()
     };
@@ -222,7 +221,6 @@ fn recovery_pipeline_is_inert_on_clean_traffic() {
     let mk = |recovery: bool| {
         Session::builder(planner.clone(), "dlrm-mlp-bottom", zoo::dlrm_mlp_bottom)
             .buckets([8])
-            .seed(7)
             .recovery(recovery)
             .build()
     };
@@ -243,7 +241,6 @@ fn server_retry_hides_verdicts_under_concurrent_load() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8, 32])
-    .seed(7)
     .build();
     let reference = Session::builder(
         Planner::new(DeviceSpec::t4()),
@@ -251,7 +248,6 @@ fn server_retry_hides_verdicts_under_concurrent_load() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8, 32])
-    .seed(7)
     .build();
     let server = Server::builder(session)
         .workers(2)
@@ -311,7 +307,6 @@ fn recovery_through_the_server_is_byte_equal_under_concurrent_load() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8])
-    .seed(7)
     .recovery(true)
     .build();
     let reference = Session::builder(
@@ -320,7 +315,6 @@ fn recovery_through_the_server_is_byte_equal_under_concurrent_load() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8])
-    .seed(7)
     .build();
     let server = Server::builder(session).workers(2).build();
 
@@ -412,7 +406,6 @@ fn adaptive_session_escalates_under_faults_and_relaxes_when_clean() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8])
-    .seed(7)
     .adaptive(cfg)
     .build();
     let request = Matrix::random(8, 13, 42);
@@ -461,7 +454,6 @@ fn adaptive_session_escalates_under_faults_and_relaxes_when_clean() {
         zoo::dlrm_mlp_bottom,
     )
     .buckets([8])
-    .seed(7)
     .build();
     assert_eq!(
         bits(&r.report.output),

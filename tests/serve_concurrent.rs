@@ -17,7 +17,6 @@ fn session(buckets: impl IntoIterator<Item = u64>) -> Session {
         zoo::dlrm_mlp_bottom,
     )
     .buckets(buckets)
-    .seed(7)
     .build()
 }
 
@@ -229,4 +228,108 @@ fn faulted_requests_run_solo_and_detect() {
     // The faulted request never shares a pass.
     assert_eq!(stats.coalesced_requests, 0);
     assert_eq!(stats.session.faulty_requests, 1);
+}
+
+/// The DLRM bottom MLP served in bf16 (requests must carry bf16 codes).
+fn bf16_session() -> Session {
+    Session::builder_network(Planner::new(DeviceSpec::t4()), "mlp-bf16", |b| {
+        Network::from_mlp(&zoo::dlrm_mlp_bottom(b), 7).with_dtype(Dtype::Bf16)
+    })
+    .buckets([8, 32])
+    .build()
+}
+
+/// Pins the single worker on a many-pass request so everything
+/// submitted next queues up behind it and is batched together.
+fn plug_worker(server: &Server, client: &Client) -> Pending {
+    let giant = client
+        .submit(&Matrix::random_dtype(256, 13, 1, Dtype::Bf16))
+        .unwrap();
+    wait_for_empty_queue(server);
+    giant
+}
+
+#[test]
+fn dtype_bf16_requests_coalesce_and_match_solo_serves() {
+    let server = Server::builder(bf16_session())
+        .workers(1)
+        .queue_capacity(16)
+        .coalesce_window(Duration::from_millis(50))
+        .build();
+    let client = server.client();
+    let reference = bf16_session();
+
+    let giant = plug_worker(&server, &client);
+    let smalls: Vec<Matrix> = (0..4)
+        .map(|i| Matrix::random_dtype(2, 13, 20 + i, Dtype::Bf16))
+        .collect();
+    let pendings: Vec<Pending> = smalls.iter().map(|m| client.submit(m).unwrap()).collect();
+    assert_eq!(giant.wait().unwrap().rows, 256);
+    for (input, pending) in smalls.iter().zip(pendings) {
+        // The stacked pass must carry the members' dtype tag, not the
+        // stacking buffer's fp16 default.
+        let reply = pending.wait().expect("coalesced bf16 request");
+        let direct = reference.serve(input).unwrap();
+        assert_eq!(bits(&reply.report.output), bits(&direct.report.output));
+    }
+    let stats = server.shutdown();
+    assert!(stats.coalesced_requests >= 2, "{stats:?}");
+    assert_eq!(stats.worker_restarts, 0);
+}
+
+#[test]
+fn dtype_mismatched_requests_get_a_session_error_not_a_dead_worker() {
+    let server = Server::builder(bf16_session()).workers(1).build();
+    let client = server.client();
+    let err = client
+        .submit(&Matrix::random(2, 13, 30))
+        .unwrap()
+        .wait()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        ServeError::Session(SessionError::DtypeMismatch {
+            observed: Dtype::F16,
+            expected: Dtype::Bf16
+        })
+    );
+    // The worker survived the bad request and keeps serving.
+    let ok = Matrix::random_dtype(2, 13, 31, Dtype::Bf16);
+    assert_eq!(client.submit(&ok).unwrap().wait().unwrap().rows, 2);
+    assert_eq!(server.shutdown().worker_restarts, 0);
+}
+
+#[test]
+fn dtype_mixed_requests_never_share_a_pass() {
+    let server = Server::builder(bf16_session())
+        .workers(1)
+        .queue_capacity(16)
+        .build();
+    let client = server.client();
+    let reference = bf16_session();
+
+    // Equal widths, alternating dtypes: stacking any two neighbours
+    // would misread one of them under the other's tag.
+    let giant = plug_worker(&server, &client);
+    let inputs = [
+        Matrix::random_dtype(2, 13, 40, Dtype::Bf16),
+        Matrix::random(2, 13, 41),
+        Matrix::random_dtype(2, 13, 42, Dtype::Bf16),
+    ];
+    let pendings: Vec<Pending> = inputs.iter().map(|m| client.submit(m).unwrap()).collect();
+    giant.wait().unwrap();
+    for (input, pending) in inputs.iter().zip(pendings) {
+        match (input.dtype, pending.wait()) {
+            (Dtype::Bf16, Ok(reply)) => {
+                let direct = reference.serve(input).unwrap();
+                assert_eq!(bits(&reply.report.output), bits(&direct.report.output));
+            }
+            (Dtype::F16, Err(ServeError::Session(SessionError::DtypeMismatch { .. }))) => {}
+            (dtype, other) => panic!("{dtype} request resolved to {other:?}"),
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.coalesced_requests, 0);
+    assert_eq!(stats.max_batch_requests, 1);
+    assert_eq!(stats.worker_restarts, 0);
 }

@@ -11,7 +11,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 #[test]
 fn pipeline_reports_are_identical_across_workspace_regimes() {
-    let model = zoo::dlrm_mlp_bottom(16);
+    let net = Network::from_mlp(&zoo::dlrm_mlp_bottom(16), 2);
     let input = Matrix::random(16, 13, 4242);
     let fault = PipelineFault {
         layer: 1,
@@ -23,7 +23,7 @@ fn pipeline_reports_are_identical_across_workspace_regimes() {
         },
     };
     for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
-        let p = ProtectedPipeline::uniform(&model, scheme, 2);
+        let p = ProtectedPipeline::compile(&net, &vec![scheme; net.gemm_count()]);
         let mut shared = Workspace::new();
         for fault in [None, Some(fault)] {
             // Same request served three ways: allocating convenience,
@@ -57,7 +57,6 @@ fn session_serves_identically_from_cold_and_warm_workspaces() {
             zoo::dlrm_mlp_bottom,
         )
         .buckets([8, 32])
-        .seed(7)
         .build()
     };
     let warm = make_session();
