@@ -10,7 +10,9 @@
 use aiga_bench::harness::{bench, Recorder};
 use aiga_core::schemes::Scheme;
 use aiga_fp16::F16;
-use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix, TileScheme};
+use aiga_gpu::engine::{
+    FaultKind, FaultPlan, GemmEngine, Matrix, PackedWeights, Redundancy, TileScheme,
+};
 use aiga_gpu::timing::{estimate, Calibration, KernelProfile};
 use aiga_gpu::{DeviceSpec, GemmShape};
 use std::hint::black_box;
@@ -90,7 +92,7 @@ fn main() {
         use aiga_gpu::engine::Workspace;
         let shape = GemmShape::square(size as u64);
         let a = Matrix::random(size, size, 1);
-        let b = Matrix::random(size, size, 2);
+        let b = PackedWeights::pack(&Matrix::random(size, size, 2), Redundancy::None);
         let eng = GemmEngine::with_default_tiling(shape);
         let mut ws = Workspace::new();
         eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
@@ -132,9 +134,10 @@ fn main() {
             ("replication_traditional", Scheme::ReplicationTraditional),
         ] {
             let tile = scheme.tile_scheme(size);
-            eng.run_multi_into(&a, &b, tile, &[], &mut ws); // warm
+            let packed = PackedWeights::pack(&b, tile.lanes);
+            eng.run_multi_into(&a, &packed, tile, &[], &mut ws); // warm
             rec.bench(&format!("engine/gemm_64_{name}"), || {
-                black_box(eng.run_multi_into(&a, &b, tile, &[], &mut ws));
+                black_box(eng.run_multi_into(&a, &packed, tile, &[], &mut ws));
             });
         }
         // Global ABFT runs the unmodified kernel plus its epilogue +
@@ -160,18 +163,21 @@ fn main() {
         let a = Matrix::random(size, size, 1);
         let b = Matrix::random(size, size, 2);
         let eng = GemmEngine::with_default_tiling(GemmShape::square(size as u64));
-        let schemes = [
+        let kernels = [
             Scheme::Unprotected,
             Scheme::ThreadLevelOneSided,
             Scheme::ThreadLevelTwoSided,
-        ];
+        ]
+        .map(|scheme| {
+            let tile = scheme.tile_scheme(size);
+            (tile, PackedWeights::pack(&b, tile.lanes))
+        });
         let mut ws = Workspace::new();
         let mut best = [f64::INFINITY; 3];
         for _ in 0..12 {
-            for (scheme, best) in schemes.iter().zip(&mut best) {
-                let tile = scheme.tile_scheme(size);
+            for ((tile, packed), best) in kernels.iter().zip(&mut best) {
                 let t = std::time::Instant::now();
-                black_box(eng.run_multi_into(&a, &b, tile, &[], &mut ws));
+                black_box(eng.run_multi_into(&a, packed, *tile, &[], &mut ws));
                 *best = best.min(t.elapsed().as_secs_f64() * 1e9);
             }
         }
@@ -221,9 +227,46 @@ fn main() {
             });
         }
     }
+    // Where a bandwidth-bound layer's time goes once its weights are
+    // bound: the one-time pack of a 1024×1024 layer, a batch-1 request
+    // against the packed panels (clean, and with one-sided ABFT's lanes
+    // riding the same stream), and global ABFT's per-request check at
+    // batch 256 (activation checksum over 256×1024, output summation
+    // over 256×1024, the dot and compare).
+    {
+        use aiga_core::schemes::GlobalAbft;
+        use aiga_gpu::engine::{CheckScratch, Workspace};
+        let weights = Matrix::random(1024, 1024, 2);
+        rec.bench("engine/bind_pack_1024", || {
+            black_box(PackedWeights::pack(&weights, Redundancy::None));
+        });
+        let request = Matrix::random(1, 1024, 1);
+        let eng = GemmEngine::with_default_tiling(GemmShape::new(1, 1024, 1024));
+        let mut ws = Workspace::new();
+        for (name, scheme) in [
+            ("clean", Scheme::Unprotected),
+            ("one_sided", Scheme::ThreadLevelOneSided),
+        ] {
+            let tile = scheme.tile_scheme(1024);
+            let packed = PackedWeights::pack(&weights, tile.lanes);
+            eng.run_multi_into(&request, &packed, tile, &[], &mut ws); // warm
+            rec.bench(&format!("engine/gemm_m1_k1024_n1024_{name}"), || {
+                black_box(eng.run_multi_into(&request, &packed, tile, &[], &mut ws));
+            });
+        }
+        let batch = Matrix::random(256, 1024, 3);
+        let eng = GemmEngine::with_default_tiling(GemmShape::new(256, 1024, 1024));
+        let out = eng.run(&batch, &weights, TileScheme::NONE, &[]);
+        let abft = GlobalAbft::prepare(&weights);
+        let mut scratch = CheckScratch::default();
+        rec.bench("engine/global_check_256x1024", || {
+            black_box(abft.verify_with(batch.view(), &out, &mut scratch));
+        });
+    }
     // The precision-substrate suite: clean GEMM throughput with
-    // operands stored in each dtype (format decode rides in panel
-    // staging, so these rows price it directly), then per-dtype fault
+    // operands stored in each dtype (the activation decode rides in
+    // per-run staging, the weight decode in the bind-time pack, so
+    // these rows price the former), then per-dtype fault
     // campaigns — detection coverage and protected-vs-clean overhead
     // under each family's strongest scheme, the cross-precision
     // comparison the paper never measured.
@@ -235,7 +278,10 @@ fn main() {
         let shape = GemmShape::square(size as u64);
         for dtype in Dtype::ALL {
             let a = Matrix::random_dtype(size, size, 1, dtype);
-            let b = Matrix::random_dtype(size, size, 2, dtype);
+            let b = PackedWeights::pack(
+                &Matrix::random_dtype(size, size, 2, dtype),
+                Redundancy::None,
+            );
             let eng = GemmEngine::with_default_tiling(shape);
             let mut ws = Workspace::new();
             eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm

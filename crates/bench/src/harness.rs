@@ -6,8 +6,11 @@
 //! results and writes them as machine-readable JSON (`BENCH_<suite>.json`
 //! at the workspace root), seeding the repo's performance trajectory:
 //! each run records
-//! per-bench median/mean nanoseconds, iteration counts, and the git
-//! revision, so before/after comparisons are a `diff` away.
+//! per-bench median/mean nanoseconds, iteration counts, the git
+//! revision (`-dirty` when the tree has uncommitted changes — the
+//! numbers then belong to the *next* commit, not the named one) and the
+//! host they were measured on, so before/after comparisons are a `diff`
+//! away.
 //!
 //! The `AIGA_BENCH_MAX_ITERS` environment variable caps the calibrated
 //! iteration count — CI's smoke run sets it low so every bench target
@@ -140,6 +143,21 @@ impl Recorder {
             ("suite", Json::str(self.suite.clone())),
             ("git_rev", Json::str(git_rev())),
             (
+                "host",
+                Json::obj([
+                    (
+                        "cores",
+                        Json::num(
+                            std::thread::available_parallelism().map_or(1, |n| n.get()) as f64
+                        ),
+                    ),
+                    (
+                        "gemm_path",
+                        Json::str(aiga_gpu::engine::simd::active_path().as_str()),
+                    ),
+                ]),
+            ),
+            (
                 "results",
                 Json::Arr(
                     self.results
@@ -197,15 +215,24 @@ fn output_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(manifest)
 }
 
+/// The short revision the numbers were built from, with `-dirty`
+/// appended when `git status --porcelain` reports local changes: a
+/// bench recorded before its commit exists would otherwise carry the
+/// parent's name and hide the edits it measured.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let dirty = git(&["status", "--porcelain"]).is_some_and(|s| !s.trim().is_empty());
+    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
 }
 
 fn format_time(seconds: f64) -> String {
@@ -245,6 +272,14 @@ mod tests {
         let text = rec.to_json().render();
         let parsed = Json::parse(&text).expect("round-trips");
         assert_eq!(parsed.field("suite").unwrap().as_str().unwrap(), "selftest");
+        let host = parsed.field("host").unwrap();
+        assert!(host.field("cores").unwrap().as_f64().unwrap() >= 1.0);
+        assert!(!host
+            .field("gemm_path")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .is_empty());
         let results = parsed.field("results").unwrap().as_arr().unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].field("name").unwrap().as_str().unwrap(), "a");

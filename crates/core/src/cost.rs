@@ -51,8 +51,10 @@ pub fn apply_scheme_with(
     registry.resolve(scheme).apply_cost(p, calib);
 }
 
-/// Coarse wall-clock estimate, in seconds, of executing `shape` once on
-/// the **host** functional substrate via `path`.
+/// Coarse wall-clock estimate, in seconds, of one request through a
+/// bound `shape` layer on the **host** functional substrate via `path`,
+/// with operands stored as `dtype` and `a_src_elems` activation
+/// elements actually read from storage.
 ///
 /// Everything else in this module prices schemes on the *simulated*
 /// device; this prices the simulation itself. Campaign planners and
@@ -64,41 +66,24 @@ pub fn apply_scheme_with(
 /// The throughput constants are effective rates, not peaks: the SIMD
 /// figure is the ballpark a warm 256³ run of the AVX2+FMA microkernel
 /// reaches on one ~2 GHz reference core; the scalar figure reflects the
-/// one-FMA-chain-per-element oracle walk. The staging term charges the
-/// FP16 decode + pack passes over both operands. Deliberately coarse —
+/// one-FMA-chain-per-element oracle walk. Deliberately coarse —
 /// relative ordering and order-of-magnitude are what callers rely on.
-pub fn host_substrate_estimate(shape: GemmShape, path: GemmPath) -> f64 {
-    host_substrate_estimate_dtype(shape, path, Dtype::F16)
-}
-
-/// [`host_substrate_estimate`] for an explicit storage dtype. The GEMM
-/// flops are dtype-independent (the panels are decoded f32 either way),
-/// but the staging term scales with the storage width — `dtype.bytes()`
-/// read per element plus the 4 B f32 panel write — and each GEMM touches
-/// the dtype's decode table once, charged as a cache-warm pass over
-/// [`Dtype::decode_table_bytes`].
-pub fn host_substrate_estimate_dtype(shape: GemmShape, path: GemmPath, dtype: Dtype) -> f64 {
-    // A dense GEMM stages every A element from storage: the activation
-    // footprint equals m·k.
-    host_substrate_estimate_conv_dtype(shape, path, dtype, shape.m * shape.k)
-}
-
-/// [`host_substrate_estimate`] for a convolution on the fused
-/// im2col→panel-pack path: the lowered `m × k` matrix never exists, so
-/// its storage-width bytes drop out of the traffic model. `a_src_elems`
-/// is the activation-tensor footprint actually read
-/// (`batch · C_in · H · W`); window overlap re-reads the same elements
-/// through the zero-copy view, but those hits are cache-resident and
-/// not charged. The f32 panel write still covers the full `m · k`
-/// decoded panel volume. For a 3×3 stride-1 conv this cuts the staged
-/// A-read bytes ~9×, which is exactly the bandwidth tax the fused path
-/// removes.
-pub fn host_substrate_estimate_conv(shape: GemmShape, path: GemmPath, a_src_elems: u64) -> f64 {
-    host_substrate_estimate_conv_dtype(shape, path, Dtype::F16, a_src_elems)
-}
-
-/// [`host_substrate_estimate_conv`] for an explicit storage dtype.
-pub fn host_substrate_estimate_conv_dtype(
+///
+/// The traffic term follows what a request moves:
+///
+/// - **A** is staged per run: `a_src_elems` read at the storage width,
+///   plus the 4 B f32 panel write over the full `m · k` volume, plus
+///   one cache-warm pass over the dtype's decode table
+///   ([`Dtype::decode_table_bytes`]). A dense GEMM reads every element
+///   (`a_src_elems = m · k`); a convolution on the fused im2col→panel
+///   path reads only the activation tensor (`batch · C_in · H · W` —
+///   window overlap re-reads hit cache and are not charged), which for
+///   a 3×3 stride-1 conv cuts the A-read bytes ~9×.
+/// - **B** was decoded and packed when the layer was bound, so a
+///   request streams it once as f32: 4 B per element whatever the
+///   storage format. Narrow weights no longer make a request cheaper on
+///   the host; narrow activations still do.
+pub fn host_substrate_estimate(
     shape: GemmShape,
     path: GemmPath,
     dtype: Dtype,
@@ -108,19 +93,16 @@ pub fn host_substrate_estimate_conv_dtype(
     const SCALAR_FLOPS_PER_S: f64 = 2.0e9;
     const STAGE_BYTES_PER_S: f64 = 4.0e9;
     let flops = 2.0 * shape.m as f64 * shape.n as f64 * shape.k as f64;
-    // A: read once from its source at the storage width, written
-    // decoded/packed as f32 (4 B) over the full panel volume. B: each
-    // element read at storage width and written as f32.
-    let staged_bytes = dtype.bytes() as f64 * a_src_elems as f64
+    let bytes = dtype.bytes() as f64 * a_src_elems as f64
         + 4.0 * (shape.m * shape.k) as f64
-        + (dtype.bytes() + 4) as f64 * (shape.k * shape.n) as f64
-        + dtype.decode_table_bytes() as f64;
+        + dtype.decode_table_bytes() as f64
+        + 4.0 * (shape.k * shape.n) as f64;
     let rate = if path.is_simd() {
         SIMD_FLOPS_PER_S
     } else {
         SCALAR_FLOPS_PER_S
     };
-    flops / rate + staged_bytes / STAGE_BYTES_PER_S
+    flops / rate + bytes / STAGE_BYTES_PER_S
 }
 
 /// Arithmetic intensity of a conv layer on the fused implicit-GEMM
@@ -322,36 +304,55 @@ mod tests {
         assert_eq!(ts[0].overhead_pct, 0.0);
     }
 
+    /// A dense layer: every activation element is read from storage.
+    fn dense(shape: GemmShape, path: GemmPath, dtype: Dtype) -> f64 {
+        host_substrate_estimate(shape, path, dtype, shape.m * shape.k)
+    }
+
     #[test]
     fn host_substrate_estimate_orders_paths_and_sizes() {
         for s in [64u64, 256, 1024] {
             let shape = GemmShape::square(s);
-            let simd = host_substrate_estimate(shape, GemmPath::Avx2Fma);
-            let scalar = host_substrate_estimate(shape, GemmPath::Scalar);
+            let simd = dense(shape, GemmPath::Avx2Fma, Dtype::F16);
+            let scalar = dense(shape, GemmPath::Scalar, Dtype::F16);
             assert!(simd > 0.0 && simd < scalar, "size {s}: {simd} !< {scalar}");
         }
         // Monotone in problem size on either path.
         for path in [GemmPath::Avx2Fma, GemmPath::Scalar] {
-            let small = host_substrate_estimate(GemmShape::square(128), path);
-            let large = host_substrate_estimate(GemmShape::square(512), path);
+            let small = dense(GemmShape::square(128), path, Dtype::F16);
+            let large = dense(GemmShape::square(512), path, Dtype::F16);
             assert!(small < large);
         }
     }
 
     #[test]
     fn host_substrate_estimate_prices_storage_width_and_tables() {
+        let simd = GemmPath::Avx2Fma;
+        // Narrower activations stage fewer bytes: fp8 < fp16 at 512³.
         let shape = GemmShape::square(512);
-        // Narrower storage stages fewer bytes: fp8 < fp16 on the same path.
-        let fp16 = host_substrate_estimate_dtype(shape, GemmPath::Avx2Fma, Dtype::F16);
-        let fp8 = host_substrate_estimate_dtype(shape, GemmPath::Avx2Fma, Dtype::Fp8E4M3);
+        let fp16 = dense(shape, simd, Dtype::F16);
+        let fp8 = dense(shape, simd, Dtype::Fp8E4M3);
         assert!(fp8 < fp16, "fp8 {fp8} !< fp16 {fp16}");
-        // The f16 variant is the delegating default.
-        assert_eq!(fp16, host_substrate_estimate(shape, GemmPath::Avx2Fma));
+        // ...and by exactly the activation bytes plus the smaller decode
+        // table: the weights are bound as f32 panels, so their storage
+        // width is no longer part of a request's price.
+        let table = |d: Dtype| d.decode_table_bytes() as f64;
+        let saved = (512.0 * 512.0 + table(Dtype::F16) - table(Dtype::Fp8E4M3)) / 4.0e9;
+        assert!(
+            (fp16 - fp8 - saved).abs() < 1e-12,
+            "{} vs {saved}",
+            fp16 - fp8
+        );
+        // The paper's bandwidth-bound case, a batch-1 fc layer, is all
+        // weight stream: fp8 storage buys it next to nothing per request.
+        let fc = GemmShape::new(1, 1024, 1024);
+        let (fc16, fc8) = (dense(fc, simd, Dtype::F16), dense(fc, simd, Dtype::Fp8E4M3));
+        assert!(fc8 < fc16 && fc8 > 0.9 * fc16, "{fc8} vs {fc16}");
         // On a tiny GEMM the 256 KiB decode table dominates the staging
         // term, so the tableless int8 estimate undercuts bf16.
         let tiny = GemmShape::square(16);
-        let bf16 = host_substrate_estimate_dtype(tiny, GemmPath::Avx2Fma, Dtype::Bf16);
-        let int8 = host_substrate_estimate_dtype(tiny, GemmPath::Avx2Fma, Dtype::Int8);
+        let bf16 = dense(tiny, simd, Dtype::Bf16);
+        let int8 = dense(tiny, simd, Dtype::Int8);
         assert!(int8 < bf16, "int8 {int8} !< bf16 {bf16}");
     }
 
@@ -364,21 +365,13 @@ mod tests {
         let shape = GemmShape::new(56 * 56, 64, 64 * 9);
         let a_src = 64 * 56 * 56;
         for path in [GemmPath::Avx2Fma, GemmPath::Scalar] {
-            let dense = host_substrate_estimate(shape, path);
-            let fused = host_substrate_estimate_conv(shape, path, a_src);
-            assert!(fused < dense, "{path:?}: {fused} !< {dense}");
+            let fused = host_substrate_estimate(shape, path, Dtype::F16, a_src);
+            let materialized = dense(shape, path, Dtype::F16);
+            assert!(fused < materialized, "{path:?}: {fused} !< {materialized}");
         }
-        // An fc-shaped layer (activation footprint == m·k) prices
-        // identically through either entry point.
-        let fc = GemmShape::new(32, 512, 512);
-        assert_eq!(
-            host_substrate_estimate(fc, GemmPath::Avx2Fma),
-            host_substrate_estimate_conv(fc, GemmPath::Avx2Fma, fc.m * fc.k),
-        );
         // Narrower storage still stages fewer bytes on the fused path.
-        let fp8 =
-            host_substrate_estimate_conv_dtype(shape, GemmPath::Avx2Fma, Dtype::Fp8E4M3, a_src);
-        let fp16 = host_substrate_estimate_conv_dtype(shape, GemmPath::Avx2Fma, Dtype::F16, a_src);
+        let fp8 = host_substrate_estimate(shape, GemmPath::Avx2Fma, Dtype::Fp8E4M3, a_src);
+        let fp16 = host_substrate_estimate(shape, GemmPath::Avx2Fma, Dtype::F16, a_src);
         assert!(fp8 < fp16);
     }
 

@@ -13,18 +13,26 @@
 //! The seed code dispatched both faces through per-scheme `match` blocks
 //! duplicated across `cost.rs`, `protected.rs`, and `pipeline.rs`. Here
 //! they are unified: a [`SchemeKernel`] supplies the cost side directly
-//! and [`SchemeKernel::bind`]s the layer's weights once (the offline step
-//! — global ABFT's weight checksums are computed here and reused for
-//! every request) to produce a [`BoundKernel`] that serves requests.
+//! and [`SchemeKernel::bind`]s the layer's weights once — the offline
+//! step: the weights are decoded and packed into the microkernel's
+//! panel layout ([`PackedWeights`], with two-sided ABFT's B checksum
+//! columns when that is the scheme), and global ABFT's weight checksums
+//! are summed — to produce a [`BoundKernel`] that serves requests. The
+//! packed panels are the bound kernel's *only* copy of the weights (no
+//! storage-format clone beside them): every request, worker and shard
+//! streams the same `Arc`, and a request stages nothing but its own
+//! rows.
 //! New schemes implement this trait and register with
 //! [`crate::registry::SchemeRegistry`]; the selector, pipeline, and
 //! serving session never enumerate schemes again.
 
 use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::{
-    FaultPlan, GemmEngine, GemmOutput, Matrix, MatrixView, TileScheme, Workspace,
+    FaultPlan, GemmEngine, GemmOutput, Matrix, MatrixView, PackedWeights, Redundancy, TileScheme,
+    Workspace,
 };
 use aiga_gpu::timing::{AuxKernel, Calibration, KernelProfile};
+use std::sync::Arc;
 
 /// Tensor-Core FLOPs represented by one per-thread MMA participation.
 pub const FLOPS_PER_MMA_PARTICIPATION: u64 = 8;
@@ -136,8 +144,9 @@ pub trait SchemeKernel: Send + Sync {
     fn apply_cost(&self, profile: &mut KernelProfile, calib: &Calibration);
 
     /// Performs the scheme's offline preparation against a layer's
-    /// weights (`B` of `C = A·B`) — e.g. global ABFT's weight checksums —
-    /// and returns an executor bound to those weights.
+    /// weights (`B` of `C = A·B`) — packing them into the engine's panel
+    /// form, plus e.g. global ABFT's weight checksums — and returns an
+    /// executor bound to those weights.
     fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel>;
 }
 
@@ -153,9 +162,6 @@ pub trait SchemeKernel: Send + Sync {
 pub trait BoundKernel: Send + Sync {
     /// The scheme id.
     fn scheme(&self) -> Scheme;
-
-    /// The weights this kernel was bound to.
-    fn weights(&self) -> &Matrix;
 
     /// Runs `activations · weights` on `engine` under this scheme,
     /// injecting `faults`, entirely inside `ws`. The (possibly
@@ -188,8 +194,8 @@ pub trait BoundKernel: Send + Sync {
 
     /// Attempts to localize and repair the fault behind a `Detected`
     /// verdict, recomputing only the implicated cells of the output
-    /// still sitting in `ws` (the operand panels from the run are still
-    /// staged there). On success returns [`Verdict::Corrected`] and the
+    /// still sitting in `ws` (the run's activation panels are still
+    /// staged there; the weights are this kernel's own). On success returns [`Verdict::Corrected`] and the
     /// workspace output is byte-equal to a clean run; schemes that
     /// cannot localize — and repairs that fail re-verification — return
     /// the verdict unchanged. Allocation-free once the workspace is
@@ -268,6 +274,12 @@ fn apply_global_cost(rounds: u64, p: &mut KernelProfile) {
     });
 }
 
+/// The bind-time pack: a layer's weights in the engine's panel form,
+/// with the checksum columns `lanes` multiplies.
+fn pack(weights: &Matrix, lanes: Redundancy) -> Arc<PackedWeights> {
+    Arc::new(PackedWeights::pack(weights, lanes))
+}
+
 fn verdict_from_detections(output: &GemmOutput) -> Verdict {
     match output.detections.first() {
         Some(d) => Verdict::Detected {
@@ -294,22 +306,18 @@ impl SchemeKernel for UnprotectedKernel {
 
     fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
         Box::new(UnprotectedBound {
-            weights: weights.clone(),
+            weights: pack(weights, Redundancy::None),
         })
     }
 }
 
 struct UnprotectedBound {
-    weights: Matrix,
+    weights: Arc<PackedWeights>,
 }
 
 impl BoundKernel for UnprotectedBound {
     fn scheme(&self) -> Scheme {
         Scheme::Unprotected
-    }
-
-    fn weights(&self) -> &Matrix {
-        &self.weights
     }
 
     fn run_into(
@@ -343,23 +351,19 @@ impl SchemeKernel for GlobalKernel {
     fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
         Box::new(GlobalBound {
             abft: GlobalAbft::prepare(weights),
-            weights: weights.clone(),
+            weights: pack(weights, Redundancy::None),
         })
     }
 }
 
 struct GlobalBound {
     abft: GlobalAbft,
-    weights: Matrix,
+    weights: Arc<PackedWeights>,
 }
 
 impl BoundKernel for GlobalBound {
     fn scheme(&self) -> Scheme {
         Scheme::GlobalAbft
-    }
-
-    fn weights(&self) -> &Matrix {
-        &self.weights
     }
 
     fn run_into(
@@ -405,8 +409,8 @@ impl BoundKernel for GlobalBound {
             let mut best_diff = f64::NEG_INFINITY;
             for j in 0..output.n {
                 let mut expected = 0.0f64;
-                for (k, &chk) in check.chk.iter().enumerate() {
-                    expected += chk as f64 * self.weights.get_f64(k, j);
+                for (&chk, w) in check.chk.iter().zip(self.weights.col(j)) {
+                    expected += chk as f64 * w as f64;
                 }
                 let mut observed = 0.0f64;
                 for i in 0..output.m {
@@ -426,7 +430,7 @@ impl BoundKernel for GlobalBound {
             }
             best
         };
-        ws.recompute_col(col);
+        ws.recompute_col(&self.weights, col);
         let (output, check) = ws.output_and_check();
         if self
             .abft
@@ -486,31 +490,26 @@ impl SchemeKernel for ThreadKernel {
     }
 
     fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
+        // The threshold depends on the K the lanes accumulate over —
+        // the packed (padded) K, which is also the engine's.
+        let tile = self.scheme.tile_scheme(weights.rows.next_multiple_of(8));
         Box::new(ThreadBound {
             scheme: self.scheme,
-            weights: weights.clone(),
+            tile,
+            weights: pack(weights, tile.lanes),
         })
     }
 }
 
 struct ThreadBound {
     scheme: Scheme,
-    weights: Matrix,
-}
-
-impl ThreadBound {
-    fn tile_scheme(&self, engine: &GemmEngine) -> TileScheme {
-        self.scheme.tile_scheme(engine.shape().k as usize)
-    }
+    tile: TileScheme,
+    weights: Arc<PackedWeights>,
 }
 
 impl BoundKernel for ThreadBound {
     fn scheme(&self) -> Scheme {
         self.scheme
-    }
-
-    fn weights(&self) -> &Matrix {
-        &self.weights
     }
 
     fn run_into(
@@ -520,14 +519,13 @@ impl BoundKernel for ThreadBound {
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        let scheme = self.tile_scheme(engine);
-        let output = engine.run_multi_into(activations, &self.weights, scheme, faults, ws);
+        let output = engine.run_multi_into(activations, &self.weights, self.tile, faults, ws);
         verdict_from_detections(output)
     }
 
     /// Tile localization: every detection names the strip rows and
     /// columns its failed compare covered, so repair recomputes exactly
-    /// those cells from the staged panels. For the replication schemes
+    /// those cells from the staged activations and the packed weights. For the replication schemes
     /// this is the majority-vote resolution — the disagreeing
     /// accumulator is simply overwritten with the recomputed (clean)
     /// value instead of merely flagged.
@@ -558,7 +556,7 @@ impl BoundKernel for ThreadBound {
         for i in 0..ws.output().detections.len() {
             let d = &ws.output().detections[i];
             let (row, col, cols) = (d.row, d.col, d.cols);
-            ws.recompute_strip(row, col, cols);
+            ws.recompute_strip(&self.weights, row, col, cols);
         }
         ws.output_mut().detections.clear();
         Verdict::Corrected {
@@ -607,7 +605,7 @@ impl SchemeKernel for MultiChecksumKernel {
         Box::new(MultiChecksumBound {
             rounds: self.rounds,
             abft: MultiChecksumAbft::prepare(weights, self.rounds as usize),
-            weights: weights.clone(),
+            weights: pack(weights, Redundancy::None),
         })
     }
 }
@@ -615,16 +613,12 @@ impl SchemeKernel for MultiChecksumKernel {
 struct MultiChecksumBound {
     rounds: u8,
     abft: MultiChecksumAbft,
-    weights: Matrix,
+    weights: Arc<PackedWeights>,
 }
 
 impl BoundKernel for MultiChecksumBound {
     fn scheme(&self) -> Scheme {
         Scheme::MultiChecksum(self.rounds)
-    }
-
-    fn weights(&self) -> &Matrix {
-        &self.weights
     }
 
     fn run_into(
@@ -687,7 +681,7 @@ impl BoundKernel for MultiChecksumBound {
             }
             row as usize - 1
         };
-        ws.recompute_row(row);
+        ws.recompute_row(&self.weights, row);
         let output = ws.output();
         for r in 0..self.rounds as usize {
             if self
@@ -741,7 +735,6 @@ mod tests {
         for kernel in builtin_kernels() {
             let bound = kernel.bind(&Matrix::random(16, 16, 1));
             assert_eq!(bound.scheme(), kernel.scheme());
-            assert_eq!(bound.weights().rows, 16);
         }
     }
 

@@ -43,9 +43,13 @@
 //! Every GEMM stage — fc or conv, alone on the calling thread or as one
 //! branch of a parallel level — executes through one function
 //! (`run_gemm`) and its scheme's [`crate::kernel::BoundKernel`]
-//! (weights bound once at construction — global ABFT's offline
-//! checksums included), so the pipeline contains no per-scheme dispatch
-//! and serves extension schemes like `Scheme::MultiChecksum` unchanged.
+//! (weights bound once at construction: packed into the engine's panel
+//! form, global ABFT's offline checksums summed — the compiled stage
+//! keeps no other copy of them, and every request, branch worker and
+//! session shard reads that one), so the pipeline contains no
+//! per-scheme dispatch and serves extension schemes like
+//! `Scheme::MultiChecksum` unchanged. A pass stages only the request's
+//! own rows per layer.
 
 use crate::kernel::{BoundKernel, FaultSite, Verdict};
 use crate::registry::{self, SchemeRegistry};
@@ -753,7 +757,7 @@ impl ProtectedPipeline {
     /// the one place the pipeline invokes a [`BoundKernel`]. The source
     /// value is viewed as the stage's activation matrix without a copy:
     /// row-major for fc; for convs the implicit-GEMM lowering of the
-    /// NCHW slot (the engine's panel staging gathers straight from it,
+    /// NCHW slot (the engine's A-panel staging gathers straight from it,
     /// so the lowered matrix never exists; padding taps are the zero
     /// code in every dtype). In recovery mode a detected fault is
     /// repaired in place; `dst`, when given, receives the encoded

@@ -15,20 +15,85 @@
 //!
 //! The **weight checksum** (`rowsum B`) is computed once offline because
 //! weights never change between inference requests.
+//!
+//! # Summation order
+//!
+//! Every f32 reduction here is the same fixed tree — split the `n`
+//! values at `n/2`, sum each half the same way, add the halves — and
+//! every f64 magnitude sum runs in index order, so verdicts, residuals
+//! and thresholds are a pure function of the operands. The per-request
+//! reductions keep that order per *column* but run it over whole
+//! *rows*: the activation checksum decodes one activation row at a time
+//! and combines row buffers up the tree (a ⌈log₂ rows⌉-deep stack in
+//! [`CheckScratch`]), so each activation is read once, in storage
+//! order, instead of once per column through a strided gather.
 
 use crate::tolerance::{exceeds, Tolerance};
-use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixView};
+use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixLayout, MatrixView};
 
-/// Sums a slice of FP32 values pairwise (tree order), as the fused
-/// epilogue + CUB-style reduce kernel would.
+/// Sums a slice of FP32 values pairwise (tree order: split at `n/2`),
+/// as the fused epilogue + CUB-style reduce kernel would. Runs of up to
+/// eight values are summed in place — the same tree, written out — so
+/// the recursion bottoms out an eighth as often.
 pub fn pairwise_sum_f32(values: &[f32]) -> f32 {
-    match values.len() {
-        0 => 0.0,
-        1 => values[0],
-        n => {
-            let (lo, hi) = values.split_at(n / 2);
+    match *values {
+        [] => 0.0,
+        [a] => a,
+        [a, b] => a + b,
+        [a, b, c] => a + (b + c),
+        [a, b, c, d] => (a + b) + (c + d),
+        [a, b, c, d, e] => (a + b) + (c + (d + e)),
+        [a, b, c, d, e, f] => (a + (b + c)) + (d + (e + f)),
+        [a, b, c, d, e, f, g] => (a + (b + c)) + ((d + e) + (f + g)),
+        [a, b, c, d, e, f, g, h] => ((a + b) + (c + d)) + ((e + f) + (g + h)),
+        _ => {
+            let (lo, hi) = values.split_at(values.len() / 2);
             pairwise_sum_f32(lo) + pairwise_sum_f32(hi)
         }
+    }
+}
+
+/// Decodes row `r` of `a` into `out` (`a.cols` values).
+fn decode_row(a: MatrixView<'_>, r: usize, out: &mut [f32]) {
+    match a.layout {
+        MatrixLayout::RowMajor => {
+            let src = &a.data[r * a.cols..][..a.cols];
+            for (o, v) in out.iter_mut().zip(src) {
+                *o = a.dtype.decode(v.to_bits());
+            }
+        }
+        _ => {
+            for (c, o) in out.iter_mut().enumerate() {
+                *o = a.get_f32(r, c);
+            }
+        }
+    }
+}
+
+/// Column sums of rows `r0..r1` of `a` into `out`, every column summed
+/// in [`pairwise_sum_f32`]'s tree order over its rows, with `abs`
+/// accumulating each column's magnitudes in row order. `stack` holds
+/// one row buffer per level of the tree below this one.
+fn column_sums(
+    a: MatrixView<'_>,
+    (r0, r1): (usize, usize),
+    out: &mut [f32],
+    stack: &mut [f32],
+    abs: &mut [f64],
+) {
+    if r1 - r0 == 1 {
+        decode_row(a, r0, out);
+        for (m, v) in abs.iter_mut().zip(out.iter()) {
+            *m += (*v as f64).abs();
+        }
+        return;
+    }
+    let mid = r0 + (r1 - r0) / 2;
+    let (hi, deeper) = stack.split_at_mut(a.cols);
+    column_sums(a, (r0, mid), out, deeper, abs);
+    column_sums(a, (mid, r1), hi, deeper, abs);
+    for (lo, hi) in out.iter_mut().zip(hi.iter()) {
+        *lo += *hi;
     }
 }
 
@@ -92,24 +157,27 @@ impl GlobalAbft {
 
     /// [`Self::activation_checksum`] writing into reusable scratch
     /// (`scratch.chk` = checksums, `scratch.abs` = absolute sums,
-    /// `scratch.col` = the per-column gather buffer). Steady-state
-    /// verification through a warm [`CheckScratch`] allocates nothing.
+    /// `scratch.col` = the row-buffer stack of the reduction tree).
+    /// Steady-state verification through a warm [`CheckScratch`]
+    /// allocates nothing.
     pub fn activation_checksum_into(a: MatrixView<'_>, scratch: &mut CheckScratch) {
         scratch.chk.clear();
         scratch.chk.resize(a.cols, 0.0);
         scratch.abs.clear();
         scratch.abs.resize(a.cols, 0.0);
-        scratch.col.clear();
-        scratch.col.resize(a.rows, 0.0);
-        for k in 0..a.cols {
-            #[allow(clippy::needless_range_loop)] // col buffer indexed in lockstep
-            for i in 0..a.rows {
-                let v = a.get_f32(i, k);
-                scratch.col[i] = v;
-                scratch.abs[k] += (v as f64).abs();
-            }
-            scratch.chk[k] = pairwise_sum_f32(&scratch.col);
+        if a.rows == 0 {
+            return;
         }
+        let depth = a.rows.next_power_of_two().trailing_zeros() as usize;
+        scratch.col.clear();
+        scratch.col.resize(depth * a.cols, 0.0);
+        column_sums(
+            a,
+            (0, a.rows),
+            &mut scratch.chk,
+            &mut scratch.col,
+            &mut scratch.abs,
+        );
     }
 
     /// The fused output summation `Σ C` over the kernel's FP32

@@ -9,7 +9,7 @@ use aiga_core::registry;
 use aiga_core::schemes::Scheme;
 use aiga_core::tolerance::exceeds;
 use aiga_gpu::engine::{
-    simd, Dtype, FaultKind, FaultPlan, Matrix, Redundancy, TileScheme, Workspace,
+    simd, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy, TileScheme, Workspace,
 };
 use aiga_gpu::tiling::{MICRO_MR, MICRO_NR};
 use aiga_gpu::{GemmEngine, GemmPath, GemmShape};
@@ -105,6 +105,7 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
         let eng = engine(m, n, k);
         let scheme = Scheme::ThreadLevelOneSided.tile_scheme(eng.shape().k as usize);
         let mut ws = Workspace::new();
+        let packed = PackedWeights::pack(&b, scheme.lanes);
 
         let clean = eng.run(&a, &b, scheme, &[]);
         assert!(!clean.fault_detected());
@@ -151,7 +152,7 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
                             after_step,
                             kind,
                         };
-                        let out = eng.run_multi_into(&a, &b, scheme, &[fault], &mut ws);
+                        let out = eng.run_multi_into(&a, &packed, scheme, &[fault], &mut ws);
                         let delta = (out.get(row, col) as f64 - clean.get(row, col) as f64).abs();
                         let (thr, noise) = (threshold(row, col), r0[row / MICRO_MR * n + col]);
                         let ctx = format!("{m}x{n}x{k} {fault:?}: delta {delta:e}, thr {thr:e}");
@@ -198,6 +199,7 @@ fn per_tile_checks_name_the_tile_containing_the_fault() {
         (Scheme::ReplicationTraditional, 1),
     ] {
         let tile = scheme.tile_scheme(eng.shape().k as usize);
+        let packed = PackedWeights::pack(&b, tile.lanes);
         for row in 0..m {
             for col in 0..n {
                 let fault = FaultPlan {
@@ -206,7 +208,7 @@ fn per_tile_checks_name_the_tile_containing_the_fault() {
                     after_step: [2, u64::MAX][(row + col) % 2],
                     kind: FaultKind::AddValue(64.0),
                 };
-                let out = eng.run_multi_into(&a, &b, tile, &[fault], &mut ws);
+                let out = eng.run_multi_into(&a, &packed, tile, &[fault], &mut ws);
                 assert_eq!(out.detections.len(), 1, "{scheme} at ({row},{col})");
                 let d = &out.detections[0];
                 assert_eq!(
@@ -254,7 +256,8 @@ fn clean_gemms_never_flag_in_any_dtype_on_either_path() {
                 let eng = engine(m, n, k);
                 for scheme in [Scheme::ThreadLevelOneSided, Scheme::ThreadLevelTwoSided] {
                     let tile = scheme.tile_scheme(eng.shape().k as usize);
-                    let out = eng.run_multi_into(&a, &b, tile, &[], &mut ws);
+                    let packed = PackedWeights::pack(&b, tile.lanes);
+                    let out = eng.run_multi_into(&a, &packed, tile, &[], &mut ws);
                     assert!(
                         out.detections.is_empty(),
                         "{scheme} {dtype} {m}x{n}x{k} seed {seed} on {path:?}: {:?}",

@@ -465,37 +465,6 @@ impl Matrix {
             dtype: self.dtype,
         }
     }
-
-    /// Like [`MatrixView::decode_padded_into`] but transposed: the result
-    /// is `cols × rows` row-major, so one *column* of `self` is contiguous.
-    /// The engine stores the B panel this way so each thread's K-walk
-    /// streams both operands linearly.
-    pub(crate) fn decode_padded_transposed_into(
-        &self,
-        rows: usize,
-        cols: usize,
-        out: &mut Vec<f32>,
-    ) {
-        assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
-        out.clear();
-        out.resize(rows * cols, 0.0);
-        if self.dtype == Dtype::F16 {
-            for r in 0..self.rows {
-                let src = &self.data[r * self.cols..(r + 1) * self.cols];
-                for (c, v) in src.iter().enumerate() {
-                    out[c * rows + r] = v.to_f32();
-                }
-            }
-        } else {
-            let dt = self.dtype;
-            for r in 0..self.rows {
-                let src = &self.data[r * self.cols..(r + 1) * self.cols];
-                for (c, v) in src.iter().enumerate() {
-                    out[c * rows + r] = dt.decode(v.to_bits());
-                }
-            }
-        }
-    }
 }
 
 /// Reference GEMM in FP64, decoding each operand through its dtype
@@ -581,13 +550,6 @@ mod tests {
                     0.0
                 };
                 assert_eq!(buf[r * 8 + c].to_bits(), want.to_bits());
-            }
-        }
-        let mut t = Vec::new();
-        m.decode_padded_transposed_into(4, 8, &mut t);
-        for r in 0..4 {
-            for c in 0..8 {
-                assert_eq!(t[c * 4 + r].to_bits(), buf[r * 8 + c].to_bits());
             }
         }
     }

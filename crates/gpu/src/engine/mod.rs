@@ -24,31 +24,36 @@
 //!   carries and the threshold its tile check compares against;
 //! - [`fault_inject`] — the §2.3 fault model ([`FaultPlan`],
 //!   [`FaultKind`]) and tile-addressed [`Detection`] provenance;
-//! - [`panels`] — per-run operand staging (decoded + microkernel-packed
-//!   panels, checksum rows) and the reusable [`Workspace`] that owns all
-//!   scratch (panels, block tile and lanes, output, activation staging,
-//!   checksum scratch, the block-parallel stripe pool);
+//! - [`panels`] — the operand forms: [`PackedWeights`] (B, packed once
+//!   when a layer is bound and shared by every run), the per-run A
+//!   staging (decoded + strip-packed rows, checksum rows), and the
+//!   reusable [`Workspace`] that owns all per-run scratch (A panels,
+//!   block tile and lanes, output, activation staging, checksum
+//!   scratch, the block-parallel stripe pool);
 //! - [`simd`] — the register-tiled AVX2+FMA microkernel with its
 //!   checksum-lane variants, the scalar oracle, the canonical
 //!   accumulation-order contract, and the runtime dispatch between them
 //!   ([`GemmPath`], `AIGA_FORCE_SCALAR`);
-//! - [`walk`] (private) — block execution: microkernel fill, targeted
-//!   fault injection, tile epilogue;
+//! - [`walk`] (private) — block execution over the live extent:
+//!   microkernel fill, targeted fault injection, tile epilogue;
 //! - this module — [`GemmEngine`] itself: the execution entry point
 //!   and output assembly.
 //!
 //! # Execution contract
 //!
 //! [`GemmEngine::run_multi_into`] is the execution entry: the caller
-//! supplies a [`Workspace`] and the engine stages, executes, and leaves
-//! the [`GemmOutput`] inside it — zero heap allocations once the
-//! workspace is warm. Large multi-stripe problems fan out across
-//! block-row stripes onto scoped worker threads, each driving private
-//! [`Workspace`] stripe scratch; small problems (the serving common
-//! case, where concurrency comes from many requests each holding a warm
-//! workspace) stay sequential and allocation-free.
-//! [`GemmEngine::run`] is the allocating convenience: the same call on
-//! a throwaway workspace, returning the owned output. Both regimes
+//! supplies the weights already packed ([`PackedWeights`]) and a
+//! [`Workspace`]; the engine stages the request's rows, executes, and
+//! leaves the [`GemmOutput`] inside the workspace — zero heap
+//! allocations once it is warm, and nothing per request that scales
+//! with the layer rather than with the request. Large multi-stripe
+//! problems fan out across block-row stripes onto scoped worker
+//! threads, each driving private [`Workspace`] stripe scratch; small
+//! problems (the serving common case, where concurrency comes from many
+//! requests each holding a warm workspace) stay sequential and
+//! allocation-free. [`GemmEngine::run`] is the allocating convenience:
+//! it packs a plain [`Matrix`] of weights and makes the same call on a
+//! throwaway workspace, returning the owned output. Both regimes
 //! produce byte-identical results; `crates/core/tests/engine_golden.rs`
 //! pins them to the canonical accumulation order's bytes on both
 //! [`GemmPath`]s.
@@ -63,14 +68,14 @@ mod walk;
 pub use aiga_dtype::Dtype;
 pub use fault_inject::{Detection, FaultKind, FaultPlan};
 pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout, MatrixView};
-pub use panels::{CheckScratch, Workspace};
+pub use panels::{CheckScratch, PackedWeights, Workspace};
 pub use scheme::{Redundancy, TileScheme};
 pub use simd::GemmPath;
 
 use crate::shape::GemmShape;
 use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR};
 
-/// Minimum covered FLOP count (`2·cov_m·cov_n·k`) before
+/// Minimum live FLOP count (`2·m·n·k` over whole register tiles) before
 /// [`GemmEngine::run_multi_into`] fans block-row stripes out across
 /// worker threads. Below this, spawn overhead dwarfs the win and the
 /// sequential regime keeps its zero-allocation guarantee; 2·256³ (a
@@ -91,7 +96,8 @@ static FORCE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::Atomic
 /// [`Redundancy::checksum_fmas_per_step`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Register tiles executed (grid padding included).
+    /// Register tiles executed: the live ones, covering a row of the
+    /// request or a column of the weights (grid padding is not walked).
     pub tiles: u64,
     /// FMAs into data accumulators.
     pub data_fmas: u64,
@@ -160,7 +166,9 @@ impl GemmEngine {
         Self::new(shape, tiling)
     }
 
-    /// The padded shape this engine executes.
+    /// The padded shape this engine was built for: its K is the inner
+    /// dimension every run walks, and its M and N picked the tiling (a
+    /// run's grid follows the operands it is handed).
     pub fn shape(&self) -> GemmShape {
         self.shape
     }
@@ -170,29 +178,10 @@ impl GemmEngine {
         self.tiling
     }
 
-    /// Covered (grid-padded) output extent and the padded K.
-    fn coverage(&self) -> (u64, u64, usize, usize, usize) {
-        let (gm, gn) = self.tiling.grid(self.shape);
-        let cov_m = (gm * self.tiling.block_m) as usize;
-        let cov_n = (gn * self.tiling.block_n) as usize;
-        (gm, gn, cov_m, cov_n, self.shape.k as usize)
-    }
-
-    /// Host work of one run under `lanes`.
-    fn counters(&self, lanes: Redundancy) -> EngineCounters {
-        let (_, _, cov_m, cov_n, k) = self.coverage();
-        let tiles = (cov_m / MICRO_MR * (cov_n / MICRO_NR)) as u64;
-        let steps = tiles * k as u64;
-        EngineCounters {
-            tiles,
-            data_fmas: steps * (MICRO_MR * MICRO_NR) as u64,
-            checksum_fmas: steps * lanes.checksum_fmas_per_step(),
-        }
-    }
-
-    /// Allocating convenience over [`Self::run_multi_into`]: multiplies
-    /// `a` (`m × k`) by `b` (`k × n`) under `scheme`, injecting `faults`,
-    /// in a throwaway workspace, and returns the unpadded `m × n` output.
+    /// Allocating convenience over [`Self::run_multi_into`]: packs `b`
+    /// (`k × n`) for `scheme`, multiplies `a` (`m × k`) by it, injecting
+    /// `faults`, in a throwaway workspace, and returns the unpadded
+    /// `m × n` output.
     pub fn run<'a>(
         &self,
         a: impl Into<MatrixView<'a>>,
@@ -201,15 +190,19 @@ impl GemmEngine {
         faults: &[FaultPlan],
     ) -> GemmOutput {
         let mut ws = Workspace::new();
-        self.run_multi_into(a, b, scheme, faults, &mut ws);
+        let b = PackedWeights::pack(b, scheme.lanes);
+        self.run_multi_into(a, &b, scheme, faults, &mut ws);
         ws.take_output()
     }
 
-    /// The workspace-threaded execution entry: runs the kernel entirely
-    /// inside `ws`, leaving the result in [`Workspace::output`] (also
-    /// returned by reference). After one warm-up run at a given shape,
-    /// subsequent runs perform **zero heap allocations** — panels,
-    /// block scratch, and the output buffer are all resized in place.
+    /// The workspace-threaded execution entry: multiplies `a` by the
+    /// packed weights `b` entirely inside `ws`, leaving the result in
+    /// [`Workspace::output`] (also returned by reference). After one
+    /// warm-up run at a given shape, subsequent runs perform **zero
+    /// heap allocations** — the A panels, block scratch, and the output
+    /// buffer are all resized in place — and per-run staging, compute
+    /// and checks cover only the live extent: the register tiles holding
+    /// a row of `a` or a column of `b`.
     ///
     /// Small problems execute their blocks sequentially on the calling
     /// thread: the intended serving concurrency regime is many
@@ -220,32 +213,49 @@ impl GemmEngine {
     /// [`BLOCK_PAR_MIN_FLOPS`] of work fan the stripes out across scoped
     /// worker threads, each executing from private stripe scratch in
     /// `ws` (output rows are disjoint per stripe, so workers share only
-    /// the read-only panels); the stripe pool ratchets like every other
-    /// workspace buffer, though thread spawning itself is not
+    /// the read-only operands); the stripe pool ratchets like every
+    /// other workspace buffer, though thread spawning itself is not
     /// allocation-free. Results are byte-identical in either regime,
     /// detections in the same block-major order. Any number of
     /// simultaneous `faults` may be injected (the multi-checksum
-    /// extension of §2.4 needs more than one).
+    /// extension of §2.4 needs more than one); one aimed outside the
+    /// `m × n` output has no accumulator to strike and is a no-op.
     pub fn run_multi_into<'w, 'a>(
         &self,
         a: impl Into<MatrixView<'a>>,
-        b: &Matrix,
+        b: &PackedWeights,
         scheme: TileScheme,
         faults: &[FaultPlan],
         ws: &'w mut Workspace,
     ) -> &'w GemmOutput {
         let a = a.into();
-        assert_eq!(a.cols, b.rows, "inner dimensions must agree");
-        let (out_m, out_n) = (a.rows, b.cols);
-        let (gm, gn, cov_m, cov_n, k) = self.coverage();
+        assert_eq!(a.cols, b.rows(), "inner dimensions must agree");
+        assert_eq!(a.dtype, b.dtype(), "GEMM operands must share one dtype");
+        let k = self.shape.k as usize;
+        assert_eq!(b.k(), k, "weights packed for another K");
+        assert!(
+            scheme.lanes != Redundancy::TileChecksum || b.has_tile_checksums(),
+            "two-sided ABFT needs weights packed with their checksum columns"
+        );
+        let (out_m, out_n) = (a.rows, b.cols());
+        let bm = self.tiling.block_m as usize;
+        let (gm, gn) = (
+            out_m.div_ceil(bm) as u64,
+            out_n.div_ceil(self.tiling.block_n as usize) as u64,
+        );
         let path = simd::active_path();
-        ws.panels
-            .stage(a, b, scheme.lanes, path.is_simd(), cov_m, cov_n, k);
+        ws.panels.stage(a, scheme.lanes, path.is_simd(), k);
         ws.out.reset(out_m, out_n);
-        ws.out.counters = self.counters(scheme.lanes);
+        let tiles = (out_m.div_ceil(MICRO_MR) * out_n.div_ceil(MICRO_NR)) as u64;
+        let steps = tiles * k as u64;
+        ws.out.counters = EngineCounters {
+            tiles,
+            data_fmas: steps * (MICRO_MR * MICRO_NR) as u64,
+            checksum_fmas: steps * scheme.lanes.checksum_fmas_per_step(),
+        };
 
         let stripes = gm as usize;
-        let flops = 2 * cov_m as u128 * cov_n as u128 * k as u128;
+        let flops = 2 * ws.out.counters.data_fmas as u128;
         let workers = if stripes >= 2 && flops >= BLOCK_PAR_MIN_FLOPS {
             aiga_util::effective_workers(stripes)
         } else {
@@ -260,22 +270,27 @@ impl GemmEngine {
 
         if workers <= 1 {
             ws.block.prepare(&self.tiling, scheme.lanes);
+        } else {
+            ws.ensure_stripe_pool(workers, &self.tiling, scheme.lanes);
+        }
+        let tiling = &self.tiling;
+        let run = &walk::Run {
+            tiling,
+            path,
+            a: &ws.panels,
+            b,
+            scheme,
+            faults,
+            out_m,
+            out_n,
+        };
+        if workers <= 1 {
             for br in 0..gm {
                 for bc in 0..gn {
-                    walk::run_block(
-                        &self.tiling,
-                        br,
-                        bc,
-                        path,
-                        &ws.panels,
-                        scheme,
-                        faults,
-                        &mut ws.block,
-                        &mut ws.out.detections,
-                    );
+                    walk::run_block(run, br, bc, &mut ws.block, &mut ws.out.detections);
                     scatter_tile(
                         &ws.block.tile,
-                        &self.tiling,
+                        tiling,
                         br,
                         bc,
                         0,
@@ -292,11 +307,7 @@ impl GemmEngine {
         // worker. Stripe s owns output rows [s·block_m, (s+1)·block_m),
         // so each worker scatters into a disjoint row slice of the
         // output carved off with split_at_mut.
-        ws.ensure_stripe_pool(workers, &self.tiling, scheme.lanes);
-        let bm = self.tiling.block_m as usize;
         let per = stripes.div_ceil(workers);
-        let tiling = &self.tiling;
-        let panels = &ws.panels;
         std::thread::scope(|scope| {
             let mut rest: &mut [f32] = &mut ws.out.c;
             let mut row_base = 0usize;
@@ -318,17 +329,7 @@ impl GemmEngine {
                     aiga_util::as_worker(|| {
                         for br in s0 as u64..s1 as u64 {
                             for bc in 0..gn {
-                                walk::run_block(
-                                    tiling,
-                                    br,
-                                    bc,
-                                    path,
-                                    panels,
-                                    scheme,
-                                    faults,
-                                    &mut scr.block,
-                                    &mut scr.detections,
-                                );
+                                walk::run_block(run, br, bc, &mut scr.block, &mut scr.detections);
                                 scatter_tile(
                                     &scr.block.tile,
                                     tiling,
@@ -354,7 +355,7 @@ impl GemmEngine {
     }
 }
 
-/// Copies one block tile into the cropped output buffer. `c` holds
+/// Copies one block tile's live cells into the output buffer. `c` holds
 /// output rows starting at `row_base` (the whole output for the
 /// sequential path, one worker's disjoint row slice for the
 /// block-parallel path).

@@ -1,14 +1,23 @@
-//! Operand staging and the reusable [`Workspace`].
+//! Operand forms the engine executes from, and the reusable
+//! [`Workspace`].
 //!
-//! [`Panels`] holds the per-run operand form the engine executes from:
-//! pre-decoded f32 panels (B transposed so one output column's K-walk
-//! streams linearly), their microkernel pack layouts, and — only when
-//! the run's scheme carries checksum lanes — the per-strip A column
-//! sums and per-tile B row sums those lanes multiply.
+//! The two operands have different lifetimes, so they are staged in
+//! different places:
 //!
-//! [`Workspace`] owns *all* per-run scratch — panels, the per-block
-//! accumulator tile and its checksum lanes, the output buffer, and
-//! staging space the layers above lend out (pipeline activations,
+//! - **B (weights)** never changes between requests. [`PackedWeights`]
+//!   is its one resident form: decoded to f32 and laid out in the
+//!   [`MICRO_PANEL`]-wide K-major panels the microkernel streams, built
+//!   once — `aiga-core`'s `SchemeKernel::bind` does it — and shared
+//!   read-only by every run, worker and shard. When the bound scheme is
+//!   two-sided ABFT it also carries the per-tile B checksum columns.
+//! - **A (activations)** is the request. [`Panels`] decodes and packs it
+//!   per run, into buffers the [`Workspace`] keeps warm, covering only
+//!   the request's own rows (rounded up to one register-tile strip) —
+//!   a batch-1 request stages one strip, whatever the block tiling.
+//!
+//! [`Workspace`] owns *all* per-run scratch — the A panels, the
+//! per-block accumulator tile and its checksum lanes, the output buffer,
+//! and staging space the layers above lend out (pipeline activations,
 //! scheme-check scratch). Callers that hold a workspace across runs get
 //! a steady state in which the whole execution path performs **zero
 //! heap allocations**: every buffer is resized in place and capacities
@@ -18,65 +27,171 @@ use super::fault_inject::Detection;
 use super::matrix::{Matrix, MatrixView};
 use super::scheme::Redundancy;
 use super::{simd, GemmOutput};
-use crate::tiling::{TilingConfig, MICRO_MR};
+use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR, MICRO_PANEL};
+use aiga_dtype::Dtype;
+use aiga_fp16::F16;
 
-/// Operand panels staged once per engine run.
+/// A layer's weights (`B` of `C = A·B`) in the form the microkernel
+/// consumes: decoded to f32 — exact for every storage format, so every
+/// product is bit-identical to decoding inside the K loop — with K
+/// zero-padded to the MMA granule (8) and N to a whole register tile
+/// ([`MICRO_NR`]), laid out as [`MICRO_PANEL`]-wide K-major panels:
+/// panel `p` holds columns `p·P .. p·P+P`, element `(kk, j)` at
+/// `(p·k + kk)·P + j`, so one K step of a panel is one SIMD vector.
+///
+/// This is the only resident copy of a bound layer's weights: the SIMD
+/// microkernel streams the panels, and the scalar oracle, targeted
+/// recompute and the faulted cold walk read one column of the same
+/// panels with stride [`MICRO_PANEL`] — one layout, one set of bytes.
+#[derive(Clone, Debug)]
+pub struct PackedWeights {
+    rows: usize,
+    cols: usize,
+    k: usize,
+    dtype: Dtype,
+    panels: Vec<f32>,
+    /// Per-column-group B checksum columns for
+    /// [`Redundancy::TileChecksum`]: group `g` (columns
+    /// `g·NR..g·NR+NR`), step `kk` holds
+    /// `(Σ_j b[kk][j], Σ_j |b[kk][j]|)` at `(g·k + kk)·2`, summed in
+    /// column order in f32. Empty for every other lane kind.
+    b_chk: Vec<f32>,
+}
+
+impl PackedWeights {
+    /// Packs row-major `b` (`k × n` storage codes) in one pass — every
+    /// 8-column run is contiguous in both the source row and its panel
+    /// — and, when `lanes` is [`Redundancy::TileChecksum`], sums the B
+    /// checksum columns that scheme's corner chain multiplies.
+    pub fn pack(b: &Matrix, lanes: Redundancy) -> Self {
+        let k = b.rows.next_multiple_of(8);
+        let n_pad = b.cols.next_multiple_of(MICRO_NR);
+        let mut panels = vec![0.0f32; n_pad * k];
+        // The dtype branch stays outside the element loops.
+        if b.dtype == Dtype::F16 {
+            Self::pack_with(b, k, &mut panels, |v| v.to_f32());
+        } else {
+            let dt = b.dtype;
+            Self::pack_with(b, k, &mut panels, |v| dt.decode(v.to_bits()));
+        }
+        let mut b_chk = Vec::new();
+        if lanes == Redundancy::TileChecksum {
+            b_chk.resize(n_pad / MICRO_NR * k * 2, 0.0);
+            for (group, dst) in panels
+                .chunks_exact(MICRO_NR * k)
+                .zip(b_chk.chunks_exact_mut(k * 2))
+            {
+                let (lo, hi) = group.split_at(MICRO_PANEL * k);
+                let steps = lo
+                    .chunks_exact(MICRO_PANEL)
+                    .zip(hi.chunks_exact(MICRO_PANEL));
+                for (d, (lo, hi)) in dst.chunks_exact_mut(2).zip(steps) {
+                    for &v in lo.iter().chain(hi) {
+                        d[0] += v;
+                        d[1] += v.abs();
+                    }
+                }
+            }
+        }
+        PackedWeights {
+            rows: b.rows,
+            cols: b.cols,
+            k,
+            dtype: b.dtype,
+            panels,
+            b_chk,
+        }
+    }
+
+    fn pack_with(b: &Matrix, k: usize, panels: &mut [f32], decode: impl Fn(F16) -> f32) {
+        for (kk, src) in b.data.chunks_exact(b.cols).enumerate() {
+            for (p, run) in src.chunks(MICRO_PANEL).enumerate() {
+                let at = (p * k + kk) * MICRO_PANEL;
+                for (d, &s) in panels[at..at + run.len()].iter_mut().zip(run) {
+                    *d = decode(s);
+                }
+            }
+        }
+    }
+
+    /// Rows of the source matrix (the unpadded inner dimension).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the source matrix (the unpadded output width).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The padded inner dimension every K walk over the panels covers.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// The storage format the weights were decoded from.
+    pub fn dtype(&self) -> Dtype {
+        self.dtype
+    }
+
+    /// Whether the two-sided B checksum columns were packed.
+    pub fn has_tile_checksums(&self) -> bool {
+        !self.b_chk.is_empty()
+    }
+
+    /// The packed panels, for the microkernel.
+    pub(crate) fn panels(&self) -> &[f32] {
+        &self.panels
+    }
+
+    /// The B checksum columns (empty unless packed for two-sided ABFT).
+    pub(crate) fn b_chk(&self) -> &[f32] {
+        &self.b_chk
+    }
+
+    /// Column `c`'s K walk (`k` decoded values, zero past the source's
+    /// rows): one panel lane read with stride [`MICRO_PANEL`]. `c` may
+    /// be a padding column of the last register tile (all zeros).
+    pub fn col(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
+        let base = c / MICRO_PANEL * self.k * MICRO_PANEL + c % MICRO_PANEL;
+        self.panels[base..]
+            .iter()
+            .step_by(MICRO_PANEL)
+            .take(self.k)
+            .copied()
+    }
+}
+
+/// The activation operand staged once per engine run, over the
+/// request's live rows only (rounded up to whole [`MICRO_MR`] strips).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Panels {
-    /// Padded A decoded to f32, `cov_m × k` row-major.
+    /// A decoded to f32 and zero-padded, `live_m × k` row-major.
     pub(crate) a_f32: Vec<f32>,
-    /// Padded B decoded to f32 and transposed, `cov_n × k` row-major
-    /// (one output column's K-walk is contiguous).
-    pub(crate) b_f32_t: Vec<f32>,
     /// A re-packed into `MICRO_MR`-row strips for the SIMD microkernel
     /// (see [`simd::pack_a`]); empty when the scalar path is active.
     pub(crate) a_pack: Vec<f32>,
-    /// B re-packed into `MICRO_PANEL`-wide K-major panels
-    /// (see [`simd::pack_b`]); empty when the scalar path is active.
-    pub(crate) b_pack: Vec<f32>,
     /// Per-strip A checksum rows (see [`simd::stage_a_chk`]): strip `s`,
     /// step `kk` holds `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` at
     /// `(s·k + kk)·2`. Staged only for the two ABFT lane kinds.
     pub(crate) a_chk: Vec<f32>,
-    /// Per-tile-column-group B checksum columns (see
-    /// [`simd::stage_b_chk`]): group `g` (columns `g·NR..g·NR+NR`), step
-    /// `kk` holds `(Σ_j b[kk][j], Σ_j |b[kk][j]|)` at `(g·k + kk)·2`.
-    /// Staged only for [`Redundancy::TileChecksum`].
-    pub(crate) b_chk: Vec<f32>,
     /// Shared inner dimension (the engine's padded K).
     pub(crate) k: usize,
 }
 
 impl Panels {
-    /// Stages `a`/`b` for one run, reusing this instance's buffers.
-    /// Decoding to f32 is exact for every storage format, so every
-    /// downstream product and accumulation is bit-identical to decoding
-    /// inside the K-loop. `pack` additionally stages the microkernel
-    /// pack layouts (skipped on the scalar path, which reads the decoded
-    /// panels directly); `lanes` selects which checksum rows to stage.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn stage(
-        &mut self,
-        a: MatrixView<'_>,
-        b: &Matrix,
-        lanes: Redundancy,
-        pack: bool,
-        cov_m: usize,
-        cov_n: usize,
-        k: usize,
-    ) {
-        assert_eq!(a.dtype, b.dtype, "GEMM operands must share one dtype");
-        a.decode_padded_into(cov_m, k, &mut self.a_f32);
-        b.decode_padded_transposed_into(k, cov_n, &mut self.b_f32_t);
+    /// Stages `a` for one run, reusing this instance's buffers. `pack`
+    /// additionally stages the microkernel strip layout (skipped on the
+    /// scalar path, which reads the decoded rows directly); `lanes`
+    /// selects whether the checksum rows are staged.
+    pub(crate) fn stage(&mut self, a: MatrixView<'_>, lanes: Redundancy, pack: bool, k: usize) {
+        let live_m = a.rows.next_multiple_of(MICRO_MR);
+        a.decode_padded_into(live_m, k, &mut self.a_f32);
         if pack {
-            simd::pack_a(&self.a_f32, cov_m, k, &mut self.a_pack);
-            simd::pack_b(&self.b_f32_t, cov_n, k, &mut self.b_pack);
+            simd::pack_a(&self.a_f32, live_m, k, &mut self.a_pack);
         }
         if matches!(lanes, Redundancy::ColumnChecksum | Redundancy::TileChecksum) {
-            simd::stage_a_chk(&self.a_f32, cov_m, k, &mut self.a_chk);
-        }
-        if lanes == Redundancy::TileChecksum {
-            simd::stage_b_chk(&self.b_f32_t, cov_n, k, &mut self.b_chk);
+            simd::stage_a_chk(&self.a_f32, live_m, k, &mut self.a_chk);
         }
         self.k = k;
     }
@@ -123,7 +238,7 @@ impl BlockScratch {
 
 /// Per-stripe scratch for the block-parallel workspace path: one worker
 /// thread executes a contiguous range of block-row stripes from its own
-/// instance, so workers share nothing but the read-only panels. The
+/// instance, so workers share nothing but the read-only operands. The
 /// pool these live in ([`Workspace::stripe_pool`]) ratchets like every
 /// other workspace buffer.
 #[derive(Clone, Debug, Default)]
@@ -147,7 +262,8 @@ pub struct CheckScratch {
     pub chk: Vec<f32>,
     /// FP64 magnitude accumulator for the error bound.
     pub abs: Vec<f64>,
-    /// FP32 gather buffer (e.g. one column staged for a pairwise sum).
+    /// FP32 row buffers (the stack of partial row sums a pairwise
+    /// column reduction keeps, one per tree level).
     pub col: Vec<f32>,
 }
 
@@ -155,8 +271,10 @@ pub struct CheckScratch {
 /// place and reused across runs.
 ///
 /// The execution contract is workspace-threaded at every layer:
-/// [`crate::engine::GemmEngine::run_multi_into`] stages panels and
-/// writes its output here; `aiga-core`'s `BoundKernel::run_into`,
+/// [`crate::engine::GemmEngine::run_multi_into`] stages the activation
+/// panels and writes its output here (the weights arrive packed — see
+/// [`PackedWeights`] — so a cold workspace's first run allocates for
+/// the request's rows, not for the layer); `aiga-core`'s `BoundKernel::run_into`,
 /// `ProtectedPipeline::infer_into`, and `Session::serve` (via a
 /// checkout pool) all reuse one workspace so the steady-state hot path
 /// performs zero heap allocations. A fresh workspace warms up in one
@@ -308,8 +426,9 @@ impl Workspace {
         }
     }
 
-    /// Recomputes output cell `(r, c)` from the staged operand panels
-    /// of the most recent run, overwriting `out.c[r][c]` in place.
+    /// Recomputes output cell `(r, c)` from the activation panels the
+    /// most recent run staged and that run's weights `b`, overwriting
+    /// `out.c[r][c]` in place.
     ///
     /// The recompute replays the canonical accumulation order (one FMA
     /// per K element, in order — see [`super::simd`]) that the SIMD
@@ -319,15 +438,14 @@ impl Workspace {
     /// write) when the cell lies outside the cropped output — padded
     /// rows/columns have no output cell to repair.
     ///
-    /// Allocation-free: reads the staged panels, writes one f32.
-    pub fn recompute_cell(&mut self, r: usize, c: usize) -> bool {
+    /// Allocation-free: reads the panels, writes one f32.
+    pub fn recompute_cell(&mut self, b: &PackedWeights, r: usize, c: usize) -> bool {
         if r >= self.out.m || c >= self.out.n {
             return false;
         }
         let k = self.panels.k;
         let a_row = &self.panels.a_f32[r * k..r * k + k];
-        let b_col = &self.panels.b_f32_t[c * k..c * k + k];
-        self.out.c[r * self.out.n + c] = simd::dot(a_row, b_col);
+        self.out.c[r * self.out.n + c] = simd::dot(a_row, b.col(c));
         true
     }
 
@@ -336,11 +454,17 @@ impl Workspace {
     /// were rewritten (cells in the cropped-away padding are skipped).
     /// This is the targeted-recompute primitive behind thread-level
     /// fault correction.
-    pub fn recompute_strip(&mut self, row: usize, col: usize, cols: usize) -> u32 {
+    pub fn recompute_strip(
+        &mut self,
+        b: &PackedWeights,
+        row: usize,
+        col: usize,
+        cols: usize,
+    ) -> u32 {
         let mut repaired = 0;
         for r in row..row + MICRO_MR {
             for c in col..col + cols {
-                repaired += self.recompute_cell(r, c) as u32;
+                repaired += self.recompute_cell(b, r, c) as u32;
             }
         }
         repaired
@@ -349,12 +473,12 @@ impl Workspace {
     /// Recomputes every cell of output row `r` (see
     /// [`Self::recompute_cell`]). Returns `false` if the row is out of
     /// range.
-    pub fn recompute_row(&mut self, r: usize) -> bool {
+    pub fn recompute_row(&mut self, b: &PackedWeights, r: usize) -> bool {
         if r >= self.out.m {
             return false;
         }
         for c in 0..self.out.n {
-            self.recompute_cell(r, c);
+            self.recompute_cell(b, r, c);
         }
         true
     }
@@ -362,12 +486,12 @@ impl Workspace {
     /// Recomputes every cell of output column `c` (see
     /// [`Self::recompute_cell`]). Returns `false` if the column is out
     /// of range.
-    pub fn recompute_col(&mut self, c: usize) -> bool {
+    pub fn recompute_col(&mut self, b: &PackedWeights, c: usize) -> bool {
         if c >= self.out.n {
             return false;
         }
         for r in 0..self.out.m {
-            self.recompute_cell(r, c);
+            self.recompute_cell(b, r, c);
         }
         true
     }

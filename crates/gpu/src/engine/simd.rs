@@ -4,13 +4,14 @@
 //! on whatever the host does fastest, in the same
 //! pack→microkernel→epilogue decomposition real GEMM libraries use:
 //!
-//! - [`pack_a`]/[`pack_b`] re-lay the decoded f32 panels into
-//!   microkernel-friendly strips/panels, and [`stage_a_chk`]/
-//!   [`stage_b_chk`] add the checksum rows a thread-level ABFT scheme
-//!   multiplies (all done once per run in `Panels::stage`);
-//! - [`fill_block_tile`] computes one threadblock tile — and, when the
-//!   run's scheme asks for them, the checksum and magnitude lanes of
-//!   every register tile in it — through either the AVX2+FMA
+//! - B arrives packed ([`PackedWeights`], built once when a scheme is
+//!   bound to a layer); [`pack_a`] re-lays the request's decoded rows
+//!   into microkernel strips and [`stage_a_chk`] adds the checksum rows
+//!   a thread-level ABFT scheme multiplies (once per run, in
+//!   `Panels::stage`, over the request's live rows only);
+//! - [`fill_block_tile`] computes the live register tiles of one
+//!   threadblock tile — and, when the run's scheme asks for them, their
+//!   checksum and magnitude lanes — through either the AVX2+FMA
 //!   register-tiled microkernel or the scalar oracle;
 //! - [`active_path`] picks between them at runtime
 //!   (`is_x86_feature_detected!`), honouring the `AIGA_FORCE_SCALAR=1`
@@ -41,7 +42,7 @@
 //! [`chk_dot`]/[`corner_dot`] on the scalar path — so residuals and
 //! thresholds, not just outputs, are byte-identical across paths.
 
-use super::panels::Panels;
+use super::panels::{PackedWeights, Panels};
 use super::scheme::Redundancy;
 use crate::tiling::{MICRO_MR, MICRO_NR, MICRO_PANEL};
 
@@ -56,7 +57,7 @@ pub enum GemmPath {
     /// Register-tiled `MICRO_MR × MICRO_NR` microkernel using AVX2+FMA
     /// intrinsics over packed panels.
     Avx2Fma,
-    /// The per-element scalar walk over the decoded panels — the
+    /// The per-element scalar walk over the same operands — the
     /// bit-exact oracle (it may still use the hardware scalar FMA
     /// instruction; the contract fixes the *operation sequence*, and
     /// every correctly-rounded FMA computes the same bytes).
@@ -135,39 +136,20 @@ pub fn force_path(path: Option<GemmPath>) {
     FORCED.store(v, Ordering::Relaxed);
 }
 
-/// Packs the decoded A panel (`cov_m × k` row-major) into
+/// Packs the decoded A panel (`live_m × k` row-major) into
 /// [`MICRO_MR`]-row strips: strip `s` holds rows `s·MR .. s·MR+MR`,
 /// element `(r, kk)` at `kk·MR + r` — one K step of a strip is one
 /// contiguous broadcast group for the microkernel.
-pub(crate) fn pack_a(a_f32: &[f32], cov_m: usize, k: usize, out: &mut Vec<f32>) {
-    debug_assert_eq!(cov_m % MICRO_MR, 0, "coverage is strip-aligned");
+pub(crate) fn pack_a(a_f32: &[f32], live_m: usize, k: usize, out: &mut Vec<f32>) {
+    debug_assert_eq!(live_m % MICRO_MR, 0, "staging is strip-aligned");
     out.clear();
-    out.resize(cov_m * k, 0.0);
-    for s in 0..cov_m / MICRO_MR {
+    out.resize(live_m * k, 0.0);
+    for s in 0..live_m / MICRO_MR {
         let strip = &mut out[s * MICRO_MR * k..(s + 1) * MICRO_MR * k];
         for r in 0..MICRO_MR {
             let row = &a_f32[(s * MICRO_MR + r) * k..][..k];
             for (kk, &v) in row.iter().enumerate() {
                 strip[kk * MICRO_MR + r] = v;
-            }
-        }
-    }
-}
-
-/// Packs the decoded transposed B panel (`cov_n × k` row-major, one row
-/// per output column) into [`MICRO_PANEL`]-wide K-major panels: panel
-/// `p` holds columns `p·P .. p·P+P`, element `(kk, j)` at `kk·P + j` —
-/// one K step of a panel is one aligned SIMD vector.
-pub(crate) fn pack_b(b_f32_t: &[f32], cov_n: usize, k: usize, out: &mut Vec<f32>) {
-    debug_assert_eq!(cov_n % MICRO_PANEL, 0, "coverage is panel-aligned");
-    out.clear();
-    out.resize(cov_n * k, 0.0);
-    for p in 0..cov_n / MICRO_PANEL {
-        let panel = &mut out[p * MICRO_PANEL * k..(p + 1) * MICRO_PANEL * k];
-        for j in 0..MICRO_PANEL {
-            let col = &b_f32_t[(p * MICRO_PANEL + j) * k..][..k];
-            for (kk, &v) in col.iter().enumerate() {
-                panel[kk * MICRO_PANEL + j] = v;
             }
         }
     }
@@ -179,9 +161,9 @@ pub(crate) fn pack_b(b_f32_t: &[f32], cov_n: usize, k: usize, out: &mut Vec<f32>
 /// the *sum of magnitudes*, not the magnitude of the sum: the error
 /// bound it feeds must cover the data accumulators' rounding even where
 /// the strip's values cancel.
-pub(crate) fn stage_a_chk(a_f32: &[f32], cov_m: usize, k: usize, out: &mut Vec<f32>) {
+pub(crate) fn stage_a_chk(a_f32: &[f32], live_m: usize, k: usize, out: &mut Vec<f32>) {
     const _: () = assert!(MICRO_MR == 4);
-    let strips = cov_m / MICRO_MR;
+    let strips = live_m / MICRO_MR;
     out.clear();
     out.resize(strips * k * 2, 0.0);
     for (rows, dst) in a_f32
@@ -198,32 +180,12 @@ pub(crate) fn stage_a_chk(a_f32: &[f32], cov_m: usize, k: usize, out: &mut Vec<f
     }
 }
 
-/// Stages the per-tile B checksum columns: for column group `g`
-/// (columns `g·NR..g·NR+NR`) and step `kk`,
-/// `out[(g·k + kk)·2..][..2] = (Σ_j b[kk][j], Σ_j |b[kk][j]|)`, summed
-/// in column order in f32.
-pub(crate) fn stage_b_chk(b_f32_t: &[f32], cov_n: usize, k: usize, out: &mut Vec<f32>) {
-    debug_assert_eq!(cov_n % MICRO_NR, 0, "coverage is register-tile-aligned");
-    out.clear();
-    out.resize(cov_n / MICRO_NR * k * 2, 0.0);
-    for (cols, dst) in b_f32_t
-        .chunks_exact(MICRO_NR * k)
-        .zip(out.chunks_exact_mut(k * 2))
-    {
-        for col in cols.chunks_exact(k) {
-            for (d, &v) in dst.chunks_exact_mut(2).zip(col) {
-                d[0] += v;
-                d[1] += v.abs();
-            }
-        }
-    }
-}
-
 /// The canonical dot product: one FMA per K element, in order (see the
-/// module docs). This is the scalar oracle's inner loop and the shared
-/// primitive behind targeted recompute and faulted-accumulator replay.
+/// module docs), of one decoded A row against one B column's K walk
+/// ([`PackedWeights::col`]). This is the scalar oracle's inner loop and
+/// the shared primitive behind targeted recompute.
 #[inline]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
     #[cfg(target_arch = "x86_64")]
     {
         if detect_path().is_simd() {
@@ -239,26 +201,26 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// identical either way — both are correctly rounded.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn dot_fma(a: &[f32], b: &[f32]) -> f32 {
+unsafe fn dot_fma(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
     dot_generic(a, b)
 }
 
 #[inline(always)]
-fn dot_generic(a: &[f32], b: &[f32]) -> f32 {
+fn dot_generic(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
     let mut s = 0.0f32;
     for (x, y) in a.iter().zip(b) {
-        s = x.mul_add(*y, s);
+        s = x.mul_add(y, s);
     }
     s
 }
 
 /// The scalar mirror of one column's checksum and magnitude lanes
 /// ([`Redundancy::ColumnChecksum`]): `a_chk` is one strip's
-/// [`stage_a_chk`] row, `b` one output column's K-walk.
+/// [`stage_a_chk`] row, `b` one output column's K walk.
 #[inline(always)]
-fn chk_dot(a_chk: &[f32], b: &[f32]) -> (f32, f32) {
+fn chk_dot(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32) {
     let (mut chk, mut mag) = (0.0f32, 0.0f32);
-    for (s, &v) in a_chk.chunks_exact(2).zip(b) {
+    for (s, v) in a_chk.chunks_exact(2).zip(b) {
         chk = s[0].mul_add(v, chk);
         mag = s[1].mul_add(v.abs(), mag);
     }
@@ -267,7 +229,8 @@ fn chk_dot(a_chk: &[f32], b: &[f32]) -> (f32, f32) {
 
 /// The scalar mirror of one register tile's corner chain and its
 /// magnitude ([`Redundancy::TileChecksum`]): `a_chk` is the strip's
-/// [`stage_a_chk`] row, `b_chk` the column group's [`stage_b_chk`] row.
+/// [`stage_a_chk`] row, `b_chk` the column group's checksum columns
+/// (packed with the weights).
 #[inline(always)]
 fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
     let (mut chk, mut mag) = (0.0f32, 0.0f32);
@@ -278,32 +241,38 @@ fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
     (chk, mag)
 }
 
-/// Fills one `bm × bn` block tile (global origin `(row0, col0)`) from
-/// the staged panels, through the dispatched microkernel, leaving the
-/// data in `tile` and — for the two ABFT lane kinds — every register
-/// tile's checksum and magnitude lanes in `chk`/`mag` (laid out as
-/// `BlockScratch` documents). The tile covers grid padding too (padded
-/// rows/columns are zero in the panels, so computing them is harmless
-/// and branch-free). Any other `lanes` runs the plain kernel — the
-/// replication kinds call this twice, once per copy.
+/// Fills the live part of one block tile — `strips` register-tile rows
+/// by `groups` register-tile columns from global origin `(row0, col0)`,
+/// the ones that cover a row of the request or a column of the weights
+/// — through the dispatched microkernel, leaving the data in `tile`
+/// (row stride `bn`, the block width) and — for the two ABFT lane
+/// kinds — every live register tile's checksum and magnitude lanes in
+/// `chk`/`mag` (laid out as `BlockScratch` documents). Cells of `tile`
+/// outside the live extent are left as they were. Within a live
+/// register tile, rows and columns past the operands' edges are zero in
+/// the panels, so computing them is harmless and branch-free. Any other
+/// `lanes` runs the plain kernel — the replication kinds call this
+/// twice, once per copy.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_block_tile(
     path: GemmPath,
-    panels: &Panels,
+    a: &Panels,
+    b: &PackedWeights,
     lanes: Redundancy,
     row0: usize,
     col0: usize,
-    bm: usize,
+    strips: usize,
+    groups: usize,
     bn: usize,
     tile: &mut [f32],
     chk: &mut [f32],
     mag: &mut [f32],
 ) {
-    assert!(tile.len() >= bm * bn);
-    assert!(row0.is_multiple_of(MICRO_MR) && bm.is_multiple_of(MICRO_MR));
-    assert!(col0.is_multiple_of(MICRO_NR) && bn.is_multiple_of(MICRO_NR));
-    let lane_len = lanes.lane_len(bm, bn);
+    assert!(row0.is_multiple_of(MICRO_MR) && col0.is_multiple_of(MICRO_NR));
+    assert!(groups * MICRO_NR <= bn && tile.len() >= strips * MICRO_MR * bn);
+    let lane_len = lanes.lane_len(strips * MICRO_MR, bn);
     assert!(chk.len() >= lane_len && mag.len() >= lane_len);
+    assert_eq!(a.k, b.k(), "operands staged for different K");
     match path {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the dispatcher only selects Avx2Fma when AVX2 and FMA
@@ -312,12 +281,12 @@ pub(crate) fn fill_block_tile(
         GemmPath::Avx2Fma => unsafe {
             match lanes {
                 Redundancy::ColumnChecksum => {
-                    fill_avx2::<LANES_COLUMN>(panels, row0, col0, bm, bn, tile, chk, mag)
+                    fill_avx2::<LANES_COLUMN>(a, b, row0, col0, strips, groups, bn, tile, chk, mag)
                 }
                 Redundancy::TileChecksum => {
-                    fill_avx2::<LANES_TILE>(panels, row0, col0, bm, bn, tile, chk, mag)
+                    fill_avx2::<LANES_TILE>(a, b, row0, col0, strips, groups, bn, tile, chk, mag)
                 }
-                _ => fill_avx2::<LANES_NONE>(panels, row0, col0, bm, bn, tile, chk, mag),
+                _ => fill_avx2::<LANES_NONE>(a, b, row0, col0, strips, groups, bn, tile, chk, mag),
             }
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -327,10 +296,10 @@ pub(crate) fn fill_block_tile(
             if detect_path().is_simd() {
                 // SAFETY: FMA support was verified by detect_path.
                 return unsafe {
-                    fill_scalar_fma(panels, lanes, row0, col0, bm, bn, tile, chk, mag)
+                    fill_scalar_fma(a, b, lanes, row0, col0, strips, groups, bn, tile, chk, mag)
                 };
             }
-            fill_scalar(panels, lanes, row0, col0, bm, bn, tile, chk, mag)
+            fill_scalar(a, b, lanes, row0, col0, strips, groups, bn, tile, chk, mag)
         }
     }
 }
@@ -341,57 +310,62 @@ pub(crate) fn fill_block_tile(
 #[target_feature(enable = "fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn fill_scalar_fma(
-    panels: &Panels,
+    a: &Panels,
+    b: &PackedWeights,
     lanes: Redundancy,
     row0: usize,
     col0: usize,
-    bm: usize,
+    strips: usize,
+    groups: usize,
     bn: usize,
     tile: &mut [f32],
     chk: &mut [f32],
     mag: &mut [f32],
 ) {
-    fill_scalar(panels, lanes, row0, col0, bm, bn, tile, chk, mag)
+    fill_scalar(a, b, lanes, row0, col0, strips, groups, bn, tile, chk, mag)
 }
 
 /// The scalar oracle: every data cell and every lane is its own
-/// in-order FMA chain over the decoded panels.
+/// in-order FMA chain over the same operands the microkernel streams —
+/// the decoded A rows and, one lane at a time, the packed B panels.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fill_scalar(
-    panels: &Panels,
+    a: &Panels,
+    b: &PackedWeights,
     lanes: Redundancy,
     row0: usize,
     col0: usize,
-    bm: usize,
+    strips: usize,
+    groups: usize,
     bn: usize,
     tile: &mut [f32],
     chk: &mut [f32],
     mag: &mut [f32],
 ) {
-    let k = panels.k;
-    let b_col = |c: usize| &panels.b_f32_t[(col0 + c) * k..][..k];
-    for lr in 0..bm {
-        let a_row = &panels.a_f32[(row0 + lr) * k..][..k];
-        for (lc, out) in tile[lr * bn..(lr + 1) * bn].iter_mut().enumerate() {
-            *out = dot_generic(a_row, b_col(lc));
+    let k = a.k;
+    let cols = groups * MICRO_NR;
+    for lr in 0..strips * MICRO_MR {
+        let a_row = &a.a_f32[(row0 + lr) * k..][..k];
+        for (lc, out) in tile[lr * bn..][..cols].iter_mut().enumerate() {
+            *out = dot_generic(a_row, b.col(col0 + lc));
         }
     }
-    let a_chk = |s: usize| &panels.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
+    let a_chk = |s: usize| &a.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
     match lanes {
         Redundancy::ColumnChecksum => {
-            for s in 0..bm / MICRO_MR {
-                for lc in 0..bn {
-                    (chk[s * bn + lc], mag[s * bn + lc]) = chk_dot(a_chk(s), b_col(lc));
+            for s in 0..strips {
+                for lc in 0..cols {
+                    (chk[s * bn + lc], mag[s * bn + lc]) = chk_dot(a_chk(s), b.col(col0 + lc));
                 }
             }
         }
         Redundancy::TileChecksum => {
-            let groups = bn / MICRO_NR;
-            for s in 0..bm / MICRO_MR {
+            let per_row = bn / MICRO_NR;
+            for s in 0..strips {
                 for g in 0..groups {
-                    let b_chk = &panels.b_chk[(col0 / MICRO_NR + g) * k * 2..][..k * 2];
-                    (chk[s * groups + g], mag[s * groups + g]) = corner_dot(a_chk(s), b_chk);
+                    let b_chk = &b.b_chk()[(col0 / MICRO_NR + g) * k * 2..][..k * 2];
+                    (chk[s * per_row + g], mag[s * per_row + g]) = corner_dot(a_chk(s), b_chk);
                 }
             }
         }
@@ -419,40 +393,40 @@ const LANES_TILE: u8 = 2;
 /// — 12 of 16 ymm live). `LANES_TILE` adds one xmm FMA whose low two
 /// lanes are the tile's corner chain and its magnitude (two 8-byte
 /// loads). Neither touches memory the data walk does not already
-/// stream except those few floats per step.
+/// stream except those few floats per step. Only the `strips × groups`
+/// live register tiles are walked.
 ///
 /// # Safety
-/// The host must support AVX2 and FMA. `panels` must be staged with the
-/// pack layouts (and `a_chk`/`b_chk` for the lane kind) covering
-/// `row0 + bm` rows and `col0 + bn` columns; `tile`, `chk`, `mag` must
-/// hold the block's extents (checked by [`fill_block_tile`]).
+/// The host must support AVX2 and FMA. Every pointer offset is bounded
+/// by the asserts below and in [`fill_block_tile`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn fill_avx2<const LANES: u8>(
-    panels: &Panels,
+    a: &Panels,
+    b: &PackedWeights,
     row0: usize,
     col0: usize,
-    bm: usize,
+    strips: usize,
+    groups: usize,
     bn: usize,
     tile: &mut [f32],
     chk: &mut [f32],
     mag: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    let k = panels.k;
-    let strips = bm / MICRO_MR;
-    let groups = bn / MICRO_NR;
+    let k = a.k;
+    let per_row = bn / MICRO_NR;
     let s0 = row0 / MICRO_MR;
     let g0 = col0 / MICRO_NR;
-    assert!(panels.a_pack.len() >= (row0 + bm) * k);
-    assert!(panels.b_pack.len() >= (col0 + bn) * k);
-    assert!(LANES == LANES_NONE || panels.a_chk.len() >= (s0 + strips) * k * 2);
-    assert!(LANES != LANES_TILE || panels.b_chk.len() >= (g0 + groups) * k * 2);
-    let a_pack = panels.a_pack.as_ptr();
-    let b_pack = panels.b_pack.as_ptr();
-    let a_chk = panels.a_chk.as_ptr();
-    let b_chk = panels.b_chk.as_ptr();
+    assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
+    assert!(b.panels().len() >= (g0 + groups) * MICRO_NR * k);
+    assert!(LANES == LANES_NONE || a.a_chk.len() >= (s0 + strips) * k * 2);
+    assert!(LANES != LANES_TILE || b.b_chk().len() >= (g0 + groups) * k * 2);
+    let a_pack = a.a_pack.as_ptr();
+    let b_pack = b.panels().as_ptr();
+    let a_chk = a.a_chk.as_ptr();
+    let b_chk = b.b_chk().as_ptr();
     let tile = tile.as_mut_ptr();
     let sign = _mm256_set1_ps(-0.0);
 
@@ -532,8 +506,8 @@ unsafe fn fill_avx2<const LANES: u8>(
             if LANES == LANES_TILE {
                 let mut pair = [0.0f32; 4];
                 _mm_storeu_ps(pair.as_mut_ptr(), corner);
-                chk[s * groups + g] = pair[0];
-                mag[s * groups + g] = pair[1];
+                chk[s * per_row + g] = pair[0];
+                mag[s * per_row + g] = pair[1];
             }
         }
     }
@@ -541,55 +515,87 @@ unsafe fn fill_avx2<const LANES: u8>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::matrix::Matrix;
     use super::*;
 
-    fn staged_panels(m: usize, n: usize, k: usize, seed: u64, lanes: Redundancy) -> Panels {
-        use super::super::matrix::Matrix;
+    fn staged(
+        m: usize,
+        n: usize,
+        k: usize,
+        seed: u64,
+        lanes: Redundancy,
+    ) -> (Panels, PackedWeights, Matrix) {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let mut p = Panels::default();
-        p.stage(a.view(), &b, lanes, true, m, n, k);
-        p
+        p.stage(a.view(), lanes, true, k.next_multiple_of(8));
+        (p, PackedWeights::pack(&b, lanes), b)
     }
 
     #[test]
     fn packed_layouts_round_trip_the_panels() {
-        let (m, n, k) = (16, 32, 8);
-        let p = staged_panels(m, n, k, 42, Redundancy::TileChecksum);
+        // Ragged on purpose: 3 dead rows in the last strip, K padded by
+        // 6, a partial panel and a partial register tile on the right.
+        let (m, n, k) = (13, 27, 10);
+        let (p, w, b) = staged(m, n, k, 42, Redundancy::TileChecksum);
+        let kp = w.k();
+        assert_eq!((kp, w.rows(), w.cols()), (16, k, n));
         for r in 0..m {
-            for kk in 0..k {
+            for kk in 0..kp {
                 let s = r / MICRO_MR;
-                let packed = p.a_pack[s * MICRO_MR * k + kk * MICRO_MR + (r % MICRO_MR)];
-                assert_eq!(packed.to_bits(), p.a_f32[r * k + kk].to_bits());
+                let packed = p.a_pack[s * MICRO_MR * kp + kk * MICRO_MR + (r % MICRO_MR)];
+                assert_eq!(packed.to_bits(), p.a_f32[r * kp + kk].to_bits());
             }
         }
-        for c in 0..n {
-            for kk in 0..k {
-                let pan = c / MICRO_PANEL;
-                let packed = p.b_pack[pan * MICRO_PANEL * k + kk * MICRO_PANEL + (c % MICRO_PANEL)];
-                assert_eq!(packed.to_bits(), p.b_f32_t[c * k + kk].to_bits());
+        // Every source weight sits at its panel address; K and N padding
+        // is zero; `col` walks one lane.
+        let n_pad = n.next_multiple_of(MICRO_NR);
+        assert_eq!(w.panels().len(), n_pad * kp);
+        for c in 0..n_pad {
+            let walk: Vec<f32> = w.col(c).collect();
+            assert_eq!(walk.len(), kp);
+            for (kk, &got) in walk.iter().enumerate() {
+                let want = if c < n && kk < k {
+                    b.get_f32(kk, c)
+                } else {
+                    0.0
+                };
+                assert_eq!(got.to_bits(), want.to_bits(), "({kk},{c})");
+                let at = (c / MICRO_PANEL * kp + kk) * MICRO_PANEL + c % MICRO_PANEL;
+                assert_eq!(w.panels()[at].to_bits(), want.to_bits());
             }
         }
         // Checksum rows: plain sums and sums of magnitudes, per strip
         // and per register-tile column group.
-        for s in 0..m / MICRO_MR {
-            for kk in 0..k {
-                let col = |i: usize| p.a_f32[(s * MICRO_MR + i) * k + kk] as f64;
+        for s in 0..m.div_ceil(MICRO_MR) {
+            for kk in 0..kp {
+                let col = |i: usize| p.a_f32[(s * MICRO_MR + i) * kp + kk] as f64;
                 let want: f64 = (0..MICRO_MR).map(col).sum();
                 let want_abs: f64 = (0..MICRO_MR).map(|i| col(i).abs()).sum();
-                assert!((p.a_chk[(s * k + kk) * 2] as f64 - want).abs() < 1e-5);
-                assert!((p.a_chk[(s * k + kk) * 2 + 1] as f64 - want_abs).abs() < 1e-5);
+                assert!((p.a_chk[(s * kp + kk) * 2] as f64 - want).abs() < 1e-5);
+                assert!((p.a_chk[(s * kp + kk) * 2 + 1] as f64 - want_abs).abs() < 1e-5);
             }
         }
-        for g in 0..n / MICRO_NR {
-            for kk in 0..k {
-                let row = |j: usize| p.b_f32_t[(g * MICRO_NR + j) * k + kk] as f64;
-                let want: f64 = (0..MICRO_NR).map(row).sum();
-                let want_abs: f64 = (0..MICRO_NR).map(|j| row(j).abs()).sum();
-                assert!((p.b_chk[(g * k + kk) * 2] as f64 - want).abs() < 1e-4);
-                assert!((p.b_chk[(g * k + kk) * 2 + 1] as f64 - want_abs).abs() < 1e-4);
+        for g in 0..n_pad / MICRO_NR {
+            for kk in 0..kp {
+                // In column order, in f32, from zero — the bytes the
+                // corner chain has always multiplied.
+                let (mut want, mut want_abs) = (0.0f32, 0.0f32);
+                for v in (0..MICRO_NR).map(|j| w.col(g * MICRO_NR + j).nth(kk).unwrap()) {
+                    want += v;
+                    want_abs += v.abs();
+                }
+                assert_eq!(w.b_chk()[(g * kp + kk) * 2].to_bits(), want.to_bits());
+                assert_eq!(
+                    w.b_chk()[(g * kp + kk) * 2 + 1].to_bits(),
+                    want_abs.to_bits()
+                );
             }
         }
+        // Only two-sided ABFT pays for the checksum columns.
+        let plain = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
+        assert!(w.has_tile_checksums() && !plain.has_tile_checksums());
+        assert_eq!(plain.panels(), w.panels());
     }
 
     #[test]
@@ -600,7 +606,7 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             want = x.mul_add(*y, want);
         }
-        assert_eq!(dot(&a, &b).to_bits(), want.to_bits());
+        assert_eq!(dot(&a, b.iter().copied()).to_bits(), want.to_bits());
     }
 
     #[test]
@@ -609,29 +615,43 @@ mod tests {
             return; // nothing to compare on this host
         }
         // Data tile, checksum lanes and magnitude lanes, under every
-        // lane kind, at a block origin away from zero.
+        // lane kind, at a block origin away from zero, with the live
+        // extent both filling the block and stopping short of it.
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for lanes in [
             Redundancy::None,
             Redundancy::ColumnChecksum,
             Redundancy::TileChecksum,
         ] {
-            for &(bm, bn, k) in &[(16usize, 16usize, 32usize), (32, 48, 56), (8, 32, 10)] {
+            for &(bm, bn, k, live) in &[
+                (16usize, 16usize, 32usize, (4, 1)),
+                (32, 48, 56, (8, 3)),
+                (32, 48, 56, (1, 2)),
+                (8, 32, 10, (2, 2)),
+            ] {
                 let (row0, col0) = (MICRO_MR * 2, MICRO_NR);
-                let p = staged_panels(row0 + bm, col0 + bn, k, 7 + (bm + bn + k) as u64, lanes);
+                let (strips, groups) = live;
+                let (m, n) = (row0 + strips * MICRO_MR, col0 + groups * MICRO_NR);
+                let (p, w, _) = staged(m, n, k, 7 + (bm + bn + k) as u64, lanes);
                 let run = |path| {
-                    let mut tile = vec![0.0; bm * bn];
-                    let mut chk = vec![0.0; lanes.lane_len(bm, bn)];
+                    let mut tile = vec![f32::NAN; bm * bn];
+                    let mut chk = vec![f32::NAN; lanes.lane_len(bm, bn)];
                     let mut mag = chk.clone();
                     fill_block_tile(
-                        path, &p, lanes, row0, col0, bm, bn, &mut tile, &mut chk, &mut mag,
+                        path, &p, &w, lanes, row0, col0, strips, groups, bn, &mut tile, &mut chk,
+                        &mut mag,
                     );
+                    // Dead cells are never written.
+                    for (i, v) in tile.iter().enumerate() {
+                        let live = i / bn < strips * MICRO_MR && i % bn < groups * MICRO_NR;
+                        assert_eq!(v.is_nan(), !live, "cell {i}");
+                    }
                     (bits(&tile), bits(&chk), bits(&mag))
                 };
                 assert_eq!(
                     run(GemmPath::Avx2Fma),
                     run(GemmPath::Scalar),
-                    "{lanes:?} bm={bm} bn={bn} k={k}"
+                    "{lanes:?} bm={bm} bn={bn} k={k} live={live:?}"
                 );
             }
         }

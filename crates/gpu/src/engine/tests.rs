@@ -91,9 +91,9 @@ fn every_output_element_is_written_exactly_once() {
 
 #[test]
 fn counters_match_tiling_formulas() {
-    // Host work, not simulated GPU work: register tiles over the
-    // covered grid, MR·NR data FMAs per tile per K element, and the
-    // scheme's redundant FMAs on top.
+    // Host work, not simulated GPU work: the live register tiles,
+    // MR·NR data FMAs per tile per K element, and the scheme's
+    // redundant FMAs on top.
     let eng = engine_for(64, 64, 64);
     let a = Matrix::random(64, 64, 6);
     let b = Matrix::random(64, 64, 7);
@@ -113,6 +113,19 @@ fn counters_match_tiling_formulas() {
             "{lanes:?}"
         );
     }
+    // A batch-1 request pays for one strip of its 32-row block, and a
+    // 40-column layer for three column groups of its two 32-wide blocks.
+    let out = engine_for(1, 40, 64).run(
+        &Matrix::random(1, 64, 8),
+        &Matrix::random(64, 40, 9),
+        TileScheme::NONE,
+        &[],
+    );
+    assert_eq!(out.counters.tiles, 3);
+    assert_eq!(
+        out.counters.data_fmas,
+        3 * (MICRO_MR * MICRO_NR * 64) as u64
+    );
 }
 
 #[test]
@@ -247,7 +260,8 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
         for faults in [&[][..], &[fault][..]] {
             for lanes in ALL_LANES {
                 let alloc = eng.run(&a, &b, loose(lanes), faults);
-                let into = eng.run_multi_into(&a, &b, loose(lanes), faults, &mut ws);
+                let packed = PackedWeights::pack(&b, lanes);
+                let into = eng.run_multi_into(&a, &packed, loose(lanes), faults, &mut ws);
                 assert_eq!(alloc.c, into.c);
                 assert_eq!(alloc.detections, into.detections);
                 assert_eq!(alloc.counters, into.counters);
@@ -285,6 +299,7 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
     let seq_fault = eng.run(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
     assert_eq!(seq_fault.detections.len(), 1);
     let mut ws = Workspace::new();
+    let b = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
     super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
     {
         let par = eng.run_multi_into(&a, &b, flag_all, &[], &mut ws);
@@ -341,7 +356,7 @@ fn mixed_dtype_operands_are_rejected() {
 #[test]
 fn workspace_take_output_leaves_a_reusable_workspace() {
     let a = Matrix::random(16, 16, 50);
-    let b = Matrix::random(16, 16, 51);
+    let b = PackedWeights::pack(&Matrix::random(16, 16, 51), Redundancy::None);
     let eng = engine_for(16, 16, 16);
     let mut ws = Workspace::new();
     eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws);

@@ -1,7 +1,13 @@
-//! Threadblock execution: the microkernel fills the block tile and its
-//! checksum lanes (see [`super::simd`]), targeted faults are written
-//! into the tile, and the tile epilogue compares every register tile
-//! against what it carried.
+//! Threadblock execution: the microkernel fills the live part of the
+//! block tile and its checksum lanes (see [`super::simd`]), targeted
+//! faults are written into the tile, and the tile epilogue compares
+//! every live register tile against what it carried.
+//!
+//! *Live* means covering a row of the request or a column of the
+//! weights: strips below the request's last row and column groups right
+//! of the weights' last column are grid padding that would multiply
+//! zeros, so they are neither computed, nor faulted, nor checked — a
+//! batch-1 request walks one strip of its block, not eight.
 //!
 //! The epilogue is ordinary Rust shared by both [`GemmPath`]s — only
 //! correctly-rounded adds, multiplies and compares, which Rust never
@@ -14,30 +20,44 @@
 //! workspace-threaded execution path allocation-free after warmup.
 
 use super::fault_inject::{Detection, FaultPlan};
-use super::panels::{BlockScratch, Panels};
+use super::panels::{BlockScratch, PackedWeights, Panels};
 use super::scheme::{Redundancy, TileScheme};
 use super::simd::{self, GemmPath};
 use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR, STEP_K};
 
-/// Executes threadblock `(br, bc)` into `scratch.tile` and appends the
-/// tiles `scheme` flags to `detections` (strip-major, then by column).
-#[allow(clippy::too_many_arguments)]
+/// What every block of one engine run shares, read-only.
+pub(crate) struct Run<'a> {
+    pub(crate) tiling: &'a TilingConfig,
+    pub(crate) path: GemmPath,
+    /// The request's staged activation panels.
+    pub(crate) a: &'a Panels,
+    /// The layer's packed weights.
+    pub(crate) b: &'a PackedWeights,
+    pub(crate) scheme: TileScheme,
+    pub(crate) faults: &'a [FaultPlan],
+    /// Output rows (the request's rows).
+    pub(crate) out_m: usize,
+    /// Output columns (the weights' columns).
+    pub(crate) out_n: usize,
+}
+
+/// Executes threadblock `(br, bc)` of `run` into `scratch.tile` and
+/// appends the tiles the scheme flags to `detections` (strip-major,
+/// then by column).
 pub(crate) fn run_block(
-    tiling: &TilingConfig,
+    run: &Run<'_>,
     br: u64,
     bc: u64,
-    path: GemmPath,
-    panels: &Panels,
-    scheme: TileScheme,
-    faults: &[FaultPlan],
     scratch: &mut BlockScratch,
     detections: &mut Vec<Detection>,
 ) {
-    let bm = tiling.block_m as usize;
-    let bn = tiling.block_n as usize;
+    let bm = run.tiling.block_m as usize;
+    let bn = run.tiling.block_n as usize;
     let row0 = br as usize * bm;
     let col0 = bc as usize * bn;
-    let k = panels.k;
+    let strips = (run.out_m - row0).min(bm).div_ceil(MICRO_MR);
+    let groups = (run.out_n - col0).min(bn).div_ceil(MICRO_NR);
+    let lanes = run.scheme.lanes;
 
     {
         let BlockScratch {
@@ -46,56 +66,73 @@ pub(crate) fn run_block(
             mag,
             shadow,
         } = &mut *scratch;
-        let lanes = scheme.lanes;
-        simd::fill_block_tile(path, panels, lanes, row0, col0, bm, bn, tile, chk, mag);
+        let fill = |lanes, tile: &mut [f32], chk: &mut [f32], mag: &mut [f32]| {
+            simd::fill_block_tile(
+                run.path, run.a, run.b, lanes, row0, col0, strips, groups, bn, tile, chk, mag,
+            )
+        };
+        fill(lanes, tile, chk, mag);
         if lanes.is_shadow() {
             // The redundant pass: the same microkernel over the same
             // panels, into the second copy.
-            let plain = Redundancy::None;
-            simd::fill_block_tile(path, panels, plain, row0, col0, bm, bn, shadow, chk, mag);
+            fill(Redundancy::None, shadow, chk, mag);
         }
     }
 
     // Faults strike the data accumulators only — never the redundant
-    // lanes or the shadow — and land before the tile check reads them.
+    // lanes or the shadow — and land before the tile check reads them;
+    // one aimed at a padding row or column has no accumulator to strike.
     // Mid-walk faults first (each targeted accumulator is recomputed by
     // the cold walk with every corruption aimed at it applied at its
     // K-step; accumulators are independent, so this reproduces the
     // faulted value bit-exactly), then epilogue-datapath faults on top.
-    let in_block =
-        |f: &&FaultPlan| (row0..row0 + bm).contains(&f.row) && (col0..col0 + bn).contains(&f.col);
+    let in_block = |f: &&FaultPlan| {
+        (row0..(row0 + bm).min(run.out_m)).contains(&f.row)
+            && (col0..(col0 + bn).min(run.out_n)).contains(&f.col)
+    };
     let cell = |f: &FaultPlan| (f.row - row0) * bn + (f.col - col0);
-    for f in faults.iter().filter(in_block) {
+    let k = run.a.k;
+    for f in run.faults.iter().filter(in_block) {
         if f.after_step != u64::MAX {
             scratch.tile[cell(f)] = faulted_dot(
-                &panels.a_f32[f.row * k..][..k],
-                &panels.b_f32_t[f.col * k..][..k],
+                &run.a.a_f32[f.row * k..][..k],
+                run.b.col(f.col),
                 (f.row, f.col),
-                faults,
+                run.faults,
             );
         }
     }
-    for f in faults.iter().filter(in_block) {
+    for f in run.faults.iter().filter(in_block) {
         if f.after_step == u64::MAX {
             scratch.tile[cell(f)] = f.kind.apply(scratch.tile[cell(f)]);
         }
     }
 
-    check_block(scheme, (br, bc), row0, col0, bm, bn, scratch, detections);
+    check_block(
+        run.scheme,
+        (br, bc),
+        (row0, col0),
+        (strips, groups),
+        bn,
+        scratch,
+        detections,
+    );
 }
 
 /// The cold walk for a faulted accumulator: the canonical FMA chain
 /// with every fault aimed at `(row, col)` applied at its simulated
 /// K-step (one step consumes [`STEP_K`] = 2 elements, as in Figure 3).
-fn faulted_dot(a_row: &[f32], b_col: &[f32], at: (usize, usize), faults: &[FaultPlan]) -> f32 {
+fn faulted_dot(
+    a_row: &[f32],
+    mut b_col: impl Iterator<Item = f32>,
+    at: (usize, usize),
+    faults: &[FaultPlan],
+) -> f32 {
     let mut s = 0.0f32;
-    for (step, (aa, bb)) in a_row
-        .chunks_exact(STEP_K as usize)
-        .zip(b_col.chunks_exact(STEP_K as usize))
-        .enumerate()
-    {
-        s = aa[0].mul_add(bb[0], s);
-        s = aa[1].mul_add(bb[1], s);
+    for (step, aa) in a_row.chunks_exact(STEP_K as usize).enumerate() {
+        for &a in aa {
+            s = a.mul_add(b_col.next().expect("B column covers K"), s);
+        }
         for f in faults {
             if (f.row, f.col) == at && f.after_step == step as u64 {
                 s = f.kind.apply(s);
@@ -132,17 +169,16 @@ fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f3
     lane[0]
 }
 
-/// The tile epilogue: compares every register tile of the block against
-/// its redundant lanes. Each arm first reduces a strip (or the block) to
+/// The tile epilogue: compares every live register tile of the block
+/// (`live` = strips × column groups from `origin`) against its
+/// redundant lanes. Each arm first reduces a strip (or the block) to
 /// one flag with a branch-free loop the compiler vectorizes, and only
 /// walks cells again to build [`Detection`]s when something flagged.
-#[allow(clippy::too_many_arguments)]
 fn check_block(
     scheme: TileScheme,
     block: (u64, u64),
-    row0: usize,
-    col0: usize,
-    bm: usize,
+    origin: (usize, usize),
+    live: (usize, usize),
     bn: usize,
     scratch: &BlockScratch,
     detections: &mut Vec<Detection>,
@@ -153,13 +189,14 @@ fn check_block(
         mag,
         shadow,
     } = scratch;
-    let strips = bm / MICRO_MR;
-    let groups = bn / MICRO_NR;
+    let (strips, groups) = live;
+    let cols = groups * MICRO_NR;
+    let per_row = bn / MICRO_NR;
     let mut flag = |s: usize, col: usize, cols: usize, residual: f64, threshold: f64| {
         detections.push(Detection {
             block,
-            row: row0 + s * MICRO_MR,
-            col: col0 + col,
+            row: origin.0 + s * MICRO_MR,
+            col: origin.1 + col,
             cols,
             residual,
             threshold,
@@ -170,13 +207,13 @@ fn check_block(
         Redundancy::ColumnChecksum => {
             for s in 0..strips {
                 let rows = strip_rows(tile, s, bn);
-                let (chk, mag) = (&chk[s * bn..][..bn], &mag[s * bn..][..bn]);
+                let (chk, mag) = (&chk[s * bn..][..cols], &mag[s * bn..][..cols]);
                 let residual = |j: usize| (col_sum(&rows, j, |v| v) as f64 - chk[j] as f64).abs();
-                let any = (0..bn).fold(false, |any, j| {
+                let any = (0..cols).fold(false, |any, j| {
                     any | scheme.flags(residual(j), mag[j] as f64)
                 });
                 if any {
-                    for j in (0..bn).filter(|&j| scheme.flags(residual(j), mag[j] as f64)) {
+                    for j in (0..cols).filter(|&j| scheme.flags(residual(j), mag[j] as f64)) {
                         flag(s, j, 1, residual(j), scheme.threshold(mag[j] as f64));
                     }
                 }
@@ -187,8 +224,8 @@ fn check_block(
                 let rows = strip_rows(tile, s, bn);
                 for g in 0..groups {
                     let sum = tile_sum(&rows, g * MICRO_NR, |v| v);
-                    let residual = (sum as f64 - chk[s * groups + g] as f64).abs();
-                    let magnitude = mag[s * groups + g] as f64;
+                    let residual = (sum as f64 - chk[s * per_row + g] as f64).abs();
+                    let magnitude = mag[s * per_row + g] as f64;
                     if scheme.flags(residual, magnitude) {
                         flag(
                             s,
@@ -205,18 +242,23 @@ fn check_block(
             // Both copies ran the same instruction sequence, so a clean
             // block is bit-identical to its shadow.
             let differs = |a: f32, b: f32| a.to_bits() != b.to_bits();
-            if !tile
-                .iter()
-                .zip(shadow)
-                .fold(false, |any, (&a, &b)| any | differs(a, b))
-            {
+            let rows = tile
+                .chunks(bn)
+                .zip(shadow.chunks(bn))
+                .take(strips * MICRO_MR);
+            if !rows.fold(false, |any, (t, s)| {
+                t[..cols]
+                    .iter()
+                    .zip(&s[..cols])
+                    .fold(any, |any, (&a, &b)| any | differs(a, b))
+            }) {
                 return;
             }
             for s in 0..strips {
                 let rows = strip_rows(tile, s, bn);
                 let twin = strip_rows(shadow, s, bn);
                 if scheme.lanes == Redundancy::ShadowExact {
-                    for j in 0..bn {
+                    for j in 0..cols {
                         let residual = (0..MICRO_MR)
                             .filter(|&i| differs(rows[i][j], twin[i][j]))
                             .map(|i| (rows[i][j] as f64 - twin[i][j] as f64).abs())

@@ -252,7 +252,7 @@ pub mod prelude {
     pub use aiga_core::session::{PlanCache, ServeReport, Session, SessionError, SessionStats};
     pub use aiga_faults::{Campaign, CampaignStats, FaultModel, Outcome, Trial};
     pub use aiga_gpu::engine::{
-        Dtype, FaultKind, FaultPlan, GemmEngine, Matrix, TileScheme, Workspace,
+        Dtype, FaultKind, FaultPlan, GemmEngine, Matrix, PackedWeights, TileScheme, Workspace,
     };
     pub use aiga_gpu::timing::Calibration;
     pub use aiga_gpu::{Bound, DeviceSpec, GemmShape, Roofline, TilingConfig};

@@ -44,7 +44,13 @@
 //!    usual report-only constant;
 //!
 //! 7. the correction path (`run_corrected_into`) stays zero-alloc once
-//!    warm across the localizer families.
+//!    warm across the localizer families;
+//!
+//! 8. a request's memory scales with the request, not the layer: the
+//!    weights are packed once at bind time, so a *cold* workspace
+//!    serving a bound 1024×1024 layer at batch 1 allocates well under
+//!    1 MiB (it used to grow 8 MiB of B panels of its own), and the
+//!    warm pass allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,18 +58,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested (a `realloc` counts its whole new size).
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -78,6 +89,12 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.load(Ordering::SeqCst);
     f();
     ALLOCS.load(Ordering::SeqCst) - before
+}
+
+fn bytes_during(f: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::SeqCst);
+    f();
+    BYTES.load(Ordering::SeqCst) - before
 }
 
 #[test]
@@ -120,10 +137,11 @@ fn steady_state_hot_paths_do_not_allocate() {
 
     // Raw engine entry under a lane-carrying scheme, same guarantee.
     let one_sided = Scheme::ThreadLevelOneSided.tile_scheme(engine.shape().k as usize);
+    let packed = PackedWeights::pack(&b, one_sided.lanes);
     let mut ws = Workspace::new();
-    engine.run_multi_into(&a, &b, one_sided, &[], &mut ws);
+    engine.run_multi_into(&a, &packed, one_sided, &[], &mut ws);
     let n = allocs_during(|| {
-        engine.run_multi_into(&a, &b, one_sided, &[], &mut ws);
+        engine.run_multi_into(&a, &packed, one_sided, &[], &mut ws);
     });
     assert_eq!(n, 0, "raw checksum-lane engine path allocated {n} times");
 
@@ -235,9 +253,9 @@ fn steady_state_hot_paths_do_not_allocate() {
     // pool, every subsequent run costs the same constant (and exactly
     // zero wherever `effective_workers` serializes, e.g. single-core).
     {
-        use aiga_gpu::engine::TileScheme;
+        use aiga_gpu::engine::{Redundancy, TileScheme};
         let big_a = Matrix::random(256, 256, 61);
-        let big_b = Matrix::random(256, 256, 62);
+        let big_b = PackedWeights::pack(&Matrix::random(256, 256, 62), Redundancy::None);
         let big_engine = GemmEngine::with_default_tiling(GemmShape::square(256));
         let mut ws = Workspace::new();
         big_engine.run_multi_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws);
@@ -372,5 +390,39 @@ fn steady_state_hot_paths_do_not_allocate() {
             }
         });
         assert_eq!(n, 0, "{scheme}: warm correction path allocated {n} times");
+    }
+
+    // --- 8. A request pays for its own rows: the bound kernel holds the
+    // layer's packed panels, so the first pass through a cold workspace
+    // allocates for one strip of activations and one output row — not
+    // for 8 MiB of decoded, transposed and re-packed weights — and the
+    // second pass allocates nothing.
+    {
+        let weights = Matrix::random(1024, 1024, 91);
+        let request = Matrix::random(1, 1024, 92);
+        let fc_engine = GemmEngine::with_default_tiling(GemmShape::new(1, 1024, 1024));
+        for scheme in [
+            Scheme::Unprotected,
+            Scheme::GlobalAbft,
+            Scheme::ThreadLevelOneSided,
+            Scheme::ThreadLevelTwoSided,
+        ] {
+            let bound = reg.resolve(scheme).bind(&weights);
+            let mut ws = Workspace::new();
+            let cold = bytes_during(|| {
+                bound.run_into(&fc_engine, request.view(), &[], &mut ws);
+            });
+            assert!(
+                cold < 1 << 20,
+                "{scheme}: a cold workspace allocated {cold} bytes for a batch-1 request"
+            );
+            let warm = allocs_during(|| {
+                bound.run_into(&fc_engine, request.view(), &[], &mut ws);
+            });
+            assert_eq!(
+                warm, 0,
+                "{scheme}: warm batch-1 pass allocated {warm} times"
+            );
+        }
     }
 }

@@ -160,14 +160,28 @@ fn shutdown_drains_every_admitted_request() {
 
 #[test]
 fn bounded_queue_applies_backpressure() {
-    let server = Server::builder(session([8, 32]))
-        .workers(1)
-        .queue_capacity(2)
-        .build();
+    // Hold the worker on a gate rather than on how long 16 bucket
+    // passes happen to take: buckets compile lazily on the worker, so
+    // the giant request's first pass blocks inside the family closure
+    // until the test drops the sender (`recv` then errs at once, and
+    // later compiles pass straight through).
+    let (open_gate, gate) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Mutex::new(gate);
+    let gated = Session::builder(
+        Planner::new(DeviceSpec::t4()),
+        "dlrm-mlp-bottom",
+        move |b| {
+            let _ = gate.lock().unwrap().recv();
+            zoo::dlrm_mlp_bottom(b)
+        },
+    )
+    .buckets([8, 32])
+    .build();
+    let server = Server::builder(gated).workers(1).queue_capacity(2).build();
     let client = server.client();
 
-    // Keep the worker busy for a long time (16 bucket passes), then
-    // fill the two queue slots while it grinds.
+    // The worker takes the giant request and stalls; fill the two queue
+    // slots behind it.
     let giant = client.submit(&Matrix::random(512, 13, 1)).unwrap();
     wait_for_empty_queue(&server);
     let q1 = client.try_submit(&Matrix::random(4, 13, 2)).unwrap();
@@ -188,7 +202,8 @@ fn bounded_queue_applies_backpressure() {
     );
     assert!(t0.elapsed() >= Duration::from_millis(20));
 
-    // The admitted requests all complete.
+    // Open the gate: the admitted requests all complete.
+    drop(open_gate);
     assert_eq!(giant.wait().unwrap().rows, 512);
     assert_eq!(q1.wait().unwrap().rows, 4);
     assert_eq!(q2.wait().unwrap().rows, 4);
