@@ -263,6 +263,114 @@ fn main() {
             black_box(abft.verify_with(batch.view(), &out, &mut scratch));
         });
     }
+    // The between-GEMM movers at SqueezeNet-224's largest shapes: the
+    // conv write-back of the stem's 111×111×64 output (blocked
+    // transpose + ReLU + slice encode into a slot), one-pass A staging
+    // of fire2's squeeze (pointwise, K=64) and 3×3 expand (im2col,
+    // K=144) over 55×55 pixels with one-sided ABFT's checksum rows, and
+    // the stem's 3×3 stride-2 ceil-mode max-pool through a pipeline.
+    // Each row is ns per element moved (per input element for the
+    // pool). These are memory movers: on the AVX2+F16C path the
+    // write-back must stay under 2 ns/element (it was ~9 as a
+    // per-element walk); elsewhere the fallback is logged, not gated.
+    {
+        use aiga_core::pipeline::emit_gemm_output;
+        use aiga_core::ProtectedPipeline;
+        use aiga_gpu::engine::{simd, Dtype, GemmOutput, Im2colView, MatrixView, Workspace};
+        use aiga_nn::graph::NetworkBuilder;
+        let f16c = simd::active_path().is_simd() && aiga_dtype::f16c_active();
+        println!(
+            "engine/activation_path                       {}",
+            if f16c {
+                "avx2+f16c"
+            } else {
+                "scalar codec fallback"
+            }
+        );
+        rec.record_value("engine/activation_path_f16c", f64::from(f16c), "bool");
+        let per_elem = |rec: &mut Recorder, name: &str, elems: usize, f: &mut dyn FnMut()| {
+            let ns = rec.bench(&format!("engine/{name}"), f).median_ns / elems as f64;
+            rec.record_value(&format!("engine/{name}_ns_per_elem"), ns, "ns/elem");
+            ns
+        };
+
+        let (spatial, chans) = (111 * 111, 64);
+        let mut out = GemmOutput {
+            m: spatial,
+            n: chans,
+            ..GemmOutput::default()
+        };
+        out.c = (0..spatial * chans)
+            .map(|i| (i % 977) as f32 * 0.01 - 4.0)
+            .collect();
+        let mut slot = vec![F16::ZERO; spatial * chans];
+        let ns = per_elem(
+            &mut rec,
+            "emit_conv_12321x64_f16",
+            spatial * chans,
+            &mut || {
+                emit_gemm_output(&out, Some(spatial), true, 1, |at, run| {
+                    Dtype::F16.encode_slice(run, &mut slot[at..at + run.len()])
+                });
+                black_box(&slot);
+            },
+        );
+        assert!(
+            !f16c || ns <= 2.0,
+            "conv write-back costs {ns:.2} ns/element on the AVX2+F16C path (limit 2)"
+        );
+
+        let mut ws = Workspace::new();
+        let lanes = Redundancy::ColumnChecksum;
+        let squeeze = Matrix::random(1, 64 * 3025, 4);
+        let view = MatrixView::nchw_lowered(1, 64, 3025, &squeeze.data, Dtype::F16);
+        per_elem(
+            &mut rec,
+            "stage_a_pointwise_3025x64",
+            3025 * 64,
+            &mut || {
+                ws.stage_activations(view, lanes, 64);
+                black_box(&ws);
+            },
+        );
+        let squeezed = Matrix::random(1, 16 * 3025, 5);
+        let geom = Im2colView {
+            channels: 16,
+            height: 55,
+            width: 55,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+            out_h: 55,
+            out_w: 55,
+        };
+        let view = MatrixView::im2col_lowered(1, geom, &squeezed.data, Dtype::F16);
+        per_elem(
+            &mut rec,
+            "stage_a_im2col3x3_3025x144",
+            3025 * 144,
+            &mut || {
+                ws.stage_activations(view, lanes, 144);
+                black_box(&ws);
+            },
+        );
+
+        // A network needs a GEMM layer: a 1-channel 1×1 conv over the
+        // pooled 55×55 planes rides along (≈10% of the row).
+        let mut net = NetworkBuilder::new("pool", 1, 64, 111, 111, 7);
+        net.max_pool_ceil("pool", 3, 2, 0);
+        net.conv("tail", 1, 1, 1, 0, false);
+        let pool = ProtectedPipeline::compile(&net.build(), &[Scheme::Unprotected]);
+        let input = Matrix::random(1, 64 * 111 * 111, 6);
+        per_elem(
+            &mut rec,
+            "pool3x3s2_64x111x111",
+            64 * 111 * 111,
+            &mut || {
+                black_box(pool.infer_into(&input, None, &mut ws));
+            },
+        );
+    }
     // The precision-substrate suite: clean GEMM throughput with
     // operands stored in each dtype (the activation decode rides in
     // per-run staging, the weight decode in the bind-time pack, so

@@ -56,11 +56,12 @@ use crate::registry::{self, SchemeRegistry};
 use crate::schemes::Scheme;
 use aiga_dtype::Dtype;
 use aiga_fp16::F16;
-use aiga_gpu::engine::{FaultPlan, GemmEngine, GemmOutput, Matrix, MatrixView, Workspace};
+use aiga_gpu::engine::{
+    FaultPlan, GemmEngine, GemmOutput, Im2colView, Matrix, MatrixView, Workspace,
+};
 use aiga_gpu::GemmShape;
 use aiga_nn::conv::filters_to_matrix;
 use aiga_nn::graph::{embedding_index, Network, NodeOp, NodeRef, PoolKind, PoolParams};
-use aiga_nn::ConvParams;
 use std::ops::Range;
 
 /// Widest stage level the branch-parallel executor fans out (wider
@@ -156,21 +157,12 @@ enum Src {
     Stage(usize),
 }
 
-/// Conv-lowering metadata of a GEMM stage.
-#[derive(Clone, Copy, Debug)]
-struct ConvLowering {
-    params: ConvParams,
-    /// Input tensor dims `(c, h, w)`.
-    in_dims: (usize, usize, usize),
-    /// Output spatial dims `(ho, wo)`.
-    out_hw: (usize, usize),
-}
-
 /// A protected GEMM stage: fc directly, or conv as an implicit GEMM.
 struct GemmStage {
     bound: Box<dyn BoundKernel>,
     engine: GemmEngine,
-    lowering: Option<ConvLowering>,
+    /// The conv geometry its activation matrix is lowered through.
+    lowering: Option<Im2colView>,
     relu: bool,
     /// Index among the conv/fc layers in execution order (the
     /// fault-targeting and detection-report numbering).
@@ -183,7 +175,6 @@ enum StageOp {
     Pool {
         params: PoolParams,
         in_dims: (usize, usize, usize),
-        out_hw: (usize, usize),
     },
     /// Global average pooling to `1 × 1`.
     GlobalAvgPool {
@@ -225,6 +216,13 @@ struct Stage {
     /// Physical workspace slot this stage writes (assigned by
     /// [`assign_slots`]; slots are reused once every consumer has run).
     out_slot: usize,
+}
+
+impl GemmStage {
+    /// Output pixels per image of a conv stage (`None` for fc).
+    fn spatial(&self) -> Option<usize> {
+        self.lowering.map(|v| v.out_h * v.out_w)
+    }
 }
 
 impl Stage {
@@ -427,7 +425,7 @@ impl ProtectedPipeline {
         let mut node_src: Vec<Src> = Vec::with_capacity(net.nodes.len());
         let mut stages: Vec<Stage> = Vec::new();
         let mut next_layer = 0usize;
-        let mut gemm_stage = |m: u64, wmat: &Matrix, lowering: Option<ConvLowering>, relu: bool| {
+        let mut gemm_stage = |m: u64, wmat: &Matrix, lowering: Option<Im2colView>, relu: bool| {
             let layer = next_layer;
             next_layer += 1;
             StageOp::Gemm(GemmStage {
@@ -464,16 +462,10 @@ impl ProtectedPipeline {
                     weights,
                     relu,
                 } => {
-                    let in_dims = net.dims_of(node.inputs[0]);
-                    let (ho, wo) = params.out_dims(in_dims.1, in_dims.2);
+                    let (c, h, w) = net.dims_of(node.inputs[0]);
+                    let view = params.im2col_view(c, h, w);
                     let wmat = encode_weights(filters_to_matrix(weights));
-                    let m = (batch * ho * wo) as u64;
-                    let lowering = ConvLowering {
-                        params: *params,
-                        in_dims,
-                        out_hw: (ho, wo),
-                    };
-                    gemm_stage(m, &wmat, Some(lowering), *relu)
+                    gemm_stage(view.rows(batch) as u64, &wmat, Some(view), *relu)
                 }
                 NodeOp::Fc { weights, relu } => {
                     gemm_stage(batch as u64, &encode_weights(weights.clone()), None, *relu)
@@ -481,7 +473,6 @@ impl ProtectedPipeline {
                 NodeOp::Pool(p) => StageOp::Pool {
                     params: *p,
                     in_dims: net.dims_of(node.inputs[0]),
-                    out_hw: (node.out_dims.1, node.out_dims.2),
                 },
                 NodeOp::GlobalAvgPool => StageOp::GlobalAvgPool {
                     in_dims: net.dims_of(node.inputs[0]),
@@ -744,8 +735,10 @@ impl ProtectedPipeline {
             if si == last {
                 // Crop to the request rows; the final output stays raw
                 // f32 (ReLU only if the layer fuses one).
-                report.output.reserve_exact(rows * stage.out_features);
-                emit_gemm_output(bws.output(), g, rows, |v| report.output.push(v));
+                report.output.resize(rows * stage.out_features, 0.0);
+                emit_gemm_output(bws.output(), g.spatial(), g.relu, rows, |at, run| {
+                    report.output[at..at + run.len()].copy_from_slice(run)
+                });
             }
         }
         for (si, dst) in range.zip(dsts) {
@@ -771,19 +764,9 @@ impl ProtectedPipeline {
         dst: Option<&mut Matrix>,
     ) -> Verdict {
         let g = stage.gemm().expect("GEMM stage");
-        let a = match &g.lowering {
+        let a = match g.lowering {
             None => src.view(),
-            Some(low) => {
-                let (c, h, w) = low.in_dims;
-                if low.params.is_pointwise() {
-                    // A 1×1 stride-1 unpadded conv's lowering is a pure
-                    // relabeling of the NCHW buffer.
-                    MatrixView::nchw_lowered(self.batch, c, h * w, &src.data, self.dtype)
-                } else {
-                    let view = low.params.im2col_view(c, h, w);
-                    MatrixView::im2col_lowered(self.batch, view, &src.data, self.dtype)
-                }
-            }
+            Some(view) => MatrixView::im2col_lowered(self.batch, view, &src.data, self.dtype),
         };
         let layer_fault = fault.and_then(|f| (f.layer == g.layer).then_some(f.fault));
         let faults = layer_fault.as_slice();
@@ -798,10 +781,10 @@ impl ProtectedPipeline {
             dst.rows = self.batch;
             dst.cols = stage.out_features;
             dst.dtype = dt;
-            dst.data.clear();
-            dst.data.reserve_exact(self.batch * stage.out_features);
-            emit_gemm_output(ws.output(), g, self.batch, |v| {
-                dst.data.push(F16::from_bits(dt.encode(v)))
+            // Sized once, written by index: every code is overwritten.
+            dst.data.resize(self.batch * stage.out_features, F16::ZERO);
+            emit_gemm_output(ws.output(), g.spatial(), g.relu, self.batch, |at, run| {
+                dt.encode_slice(run, &mut dst.data[at..at + run.len()])
             });
         }
         verdict
@@ -822,6 +805,9 @@ impl ProtectedPipeline {
         let dt = self.dtype;
         let batch = self.batch;
         let mut dst = ws.take_slot(stage.out_slot);
+        // GEMM stages run in child workspaces: this one's output buffer
+        // is free to hold decoded planes.
+        let mut scratch = ws.take_output();
         dst.rows = batch;
         dst.cols = stage.out_features;
         dst.dtype = dt;
@@ -834,21 +820,15 @@ impl ProtectedPipeline {
                 }
             };
             match &stage.op {
-                StageOp::Pool {
-                    params,
-                    in_dims,
-                    out_hw,
-                } => pool_stage(
+                StageOp::Pool { params, in_dims } => pool_stage(
                     get(stage.srcs[0]),
-                    batch,
                     *in_dims,
                     params,
-                    *out_hw,
-                    dt,
                     &mut dst,
+                    &mut scratch.c,
                 ),
                 StageOp::GlobalAvgPool { in_dims } => {
-                    global_avg_stage(get(stage.srcs[0]), batch, *in_dims, dt, &mut dst)
+                    global_avg_stage(get(stage.srcs[0]), *in_dims, &mut dst, &mut scratch.c)
                 }
                 StageOp::Concat { part_features } => {
                     for n in 0..batch {
@@ -929,13 +909,10 @@ impl ProtectedPipeline {
             }
         }
         if is_last {
-            final_output.reserve_exact(rows * stage.out_features);
-            final_output.extend(
-                dst.data[..rows * stage.out_features]
-                    .iter()
-                    .map(|v| dt.decode(v.to_bits())),
-            );
+            final_output.resize(rows * stage.out_features, 0.0);
+            dt.decode_slice(&dst.data[..final_output.len()], final_output);
         }
+        *ws.output_mut() = scratch;
         ws.put_slot(stage.out_slot, dst);
     }
 }
@@ -988,110 +965,159 @@ fn record_gemm_outcome(
     }
 }
 
-/// Walks a GEMM stage's output for `images` images in the stage's
-/// flattened emission order — row-major for fc; NCHW for a lowered conv
-/// (GEMM rows are `(n, oy, ox)`-major, columns `c_out`) — applying the
-/// fused ReLU, and hands each value to `emit`: the one place the
-/// GEMM→NCHW transpose lives, shared by the final-output and slot
-/// write-back paths.
-fn emit_gemm_output(out: &GemmOutput, g: &GemmStage, images: usize, mut emit: impl FnMut(f32)) {
-    // Locals, so the inner loops keep them in registers across `emit`.
-    let (c, out_n, fuse_relu) = (out.c.as_slice(), out.n, g.relu);
+/// Walks a GEMM stage's output for `images` images and hands it to
+/// `emit(offset, run)` as contiguous runs of the stage's flattened
+/// emission order — row-major for fc (`conv_spatial` `None`); NCHW for
+/// a lowered conv of `conv_spatial` output pixels per image (GEMM rows
+/// are `(n, oy, ox)`-major, columns `c_out`) — with the fused ReLU
+/// applied: the one place the GEMM→NCHW transpose lives, shared by the
+/// final-output and slot write-back paths. It goes through an L1-sized
+/// block (8 KiB of stack), so reads and runs both stay in cache.
+pub fn emit_gemm_output(
+    out: &GemmOutput,
+    conv_spatial: Option<usize>,
+    fuse_relu: bool,
+    images: usize,
+    mut emit: impl FnMut(usize, &[f32]),
+) {
+    const ROWS: usize = 32;
+    const CHANS: usize = 64;
+    let (c, out_n) = (out.c.as_slice(), out.n);
     let relu = |v: f32| if fuse_relu { v.max(0.0) } else { v };
-    match &g.lowering {
-        None => c[..images * out_n].iter().for_each(|&v| emit(relu(v))),
-        Some(low) => {
-            let spatial = low.out_hw.0 * low.out_hw.1;
-            for n in 0..images {
-                for co in 0..out_n {
-                    for s in 0..spatial {
-                        emit(relu(c[(n * spatial + s) * out_n + co]));
+    let mut block = [0.0f32; ROWS * CHANS];
+    let Some(spatial) = conv_spatial else {
+        for (i, run) in c[..images * out_n].chunks(block.len()).enumerate() {
+            let staged = &mut block[..run.len()];
+            staged.iter_mut().zip(run).for_each(|(d, &v)| *d = relu(v));
+            emit(i * ROWS * CHANS, staged);
+        }
+        return;
+    };
+    for n in 0..images {
+        for s0 in (0..spatial).step_by(ROWS) {
+            let rows = (spatial - s0).min(ROWS);
+            for co0 in (0..out_n).step_by(CHANS) {
+                let chans = (out_n - co0).min(CHANS);
+                for r in 0..rows {
+                    let src = &c[(n * spatial + s0 + r) * out_n + co0..][..chans];
+                    for (co, &v) in src.iter().enumerate() {
+                        block[co * ROWS + r] = relu(v);
                     }
+                }
+                for (co, run) in block.chunks_exact(ROWS).take(chans).enumerate() {
+                    emit((n * out_n + co0 + co) * spatial + s0, &run[..rows]);
                 }
             }
         }
     }
 }
 
-/// One pooling stage over a flat NCHW FP16 value (max skips
+/// One pooling stage from a flat NCHW FP16 value into `dst` (max skips
 /// out-of-bounds cells; avg divides by the in-bounds cell count —
-/// mirrored exactly by `Network::reference_f64`).
+/// mirrored exactly by `Network::reference_f64`). Each plane is decoded
+/// once as a slice, and each output row folds its taps in `(ky, kx)`
+/// order *across* its columns, so every output sees the `max`/`+`
+/// sequence of a per-output tap loop, −0.0 and NaN included.
 fn pool_stage(
     src: &Matrix,
-    batch: usize,
-    in_dims: (usize, usize, usize),
+    (_, h, w): (usize, usize, usize),
     p: &PoolParams,
-    out_hw: (usize, usize),
-    dt: Dtype,
     dst: &mut Matrix,
+    scratch: &mut Vec<f32>,
 ) {
-    let (c, h, w) = in_dims;
-    let (ho, wo) = out_hw;
-    let in_features = c * h * w;
-    for n in 0..batch {
-        let img = &src.data[n * in_features..(n + 1) * in_features];
-        for ch in 0..c {
-            let plane = &img[ch * h * w..(ch + 1) * h * w];
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut acc = 0.0f32;
-                    let mut cells = 0u32;
-                    for ky in 0..p.kernel {
-                        for kx in 0..p.kernel {
-                            let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                            let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                            if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-                                continue;
-                            }
-                            let v = dt.decode(plane[iy as usize * w + ix as usize].to_bits());
-                            best = best.max(v);
-                            acc += v;
-                            cells += 1;
-                        }
+    let (ho, wo) = (p.out_extent(h), p.out_extent(w));
+    // One decoded plane (padded: the last tap heads a whole chunk), one
+    // row of outputs, each output column's in-bounds tap count along x.
+    scratch.resize(h * w + p.stride + 2 * wo, 0.0);
+    let (plane, rest) = scratch.split_at_mut(h * w + p.stride);
+    let (out, nx) = rest.split_at_mut(wo);
+    dst.data.resize(dst.rows * dst.cols, F16::ZERO);
+    // The in-bounds taps `lo..hi` of output `o` along an axis of extent
+    // `len`, and the input coordinate of its tap 0.
+    let taps = |o: usize, len: usize| {
+        let first = (o * p.stride) as isize - p.padding as isize;
+        let lo = (-first).clamp(0, p.kernel as isize);
+        let hi = (len as isize - first).clamp(lo, p.kernel as isize);
+        (first, lo as usize, hi as usize)
+    };
+    for (ox, n) in nx.iter_mut().enumerate() {
+        let (_, kx0, kx1) = taps(ox, w);
+        *n = (kx1 - kx0) as f32;
+    }
+    let planes = src.data.chunks_exact(h * w);
+    for (codes, dst) in planes.zip(dst.data.chunks_exact_mut(ho * wo)) {
+        src.dtype.decode_slice(codes, &mut plane[..h * w]);
+        for (oy, dst) in dst.chunks_exact_mut(wo).enumerate() {
+            let (iy0, ky0, ky1) = taps(oy, h);
+            out.fill(match p.kind {
+                PoolKind::Max => f32::NEG_INFINITY,
+                PoolKind::Avg => 0.0,
+            });
+            for ky in ky0..ky1 {
+                let row = &plane[(iy0 + ky as isize) as usize * w..];
+                for kx in 0..p.kernel {
+                    // Outputs whose tap `kx` lands inside the row.
+                    let ox0 = p.padding.saturating_sub(kx).div_ceil(p.stride);
+                    let ox1 = ((w + p.padding).saturating_sub(kx).div_ceil(p.stride)).min(wo);
+                    if ox0 < ox1 {
+                        let taps = &row[ox0 * p.stride + kx - p.padding..];
+                        fold_taps(&mut out[ox0..ox1], taps, p.stride, p.kind);
                     }
-                    let v = match p.kind {
-                        PoolKind::Max => {
-                            if cells == 0 {
-                                0.0
-                            } else {
-                                best
-                            }
-                        }
-                        PoolKind::Avg => {
-                            if cells == 0 {
-                                0.0
-                            } else {
-                                acc / cells as f32
-                            }
-                        }
-                    };
-                    dst.data.push(F16::from_bits(dt.encode(v)));
                 }
             }
+            for (o, nx) in out.iter_mut().zip(nx.iter()) {
+                // Small integers: the product is the exact cell count.
+                let cells = (ky1 - ky0) as f32 * nx;
+                *o = match p.kind {
+                    _ if cells == 0.0 => 0.0,
+                    PoolKind::Max => *o,
+                    PoolKind::Avg => *o / cells,
+                };
+            }
+            src.dtype.encode_slice(out, dst);
         }
     }
 }
 
-/// Global average pooling to `1 × 1` per channel.
-fn global_avg_stage(
-    src: &Matrix,
-    batch: usize,
-    in_dims: (usize, usize, usize),
-    dt: Dtype,
-    dst: &mut Matrix,
-) {
-    let (c, h, w) = in_dims;
-    let in_features = c * h * w;
-    for n in 0..batch {
-        let img = &src.data[n * in_features..(n + 1) * in_features];
-        for ch in 0..c {
-            let plane = &img[ch * h * w..(ch + 1) * h * w];
-            let acc: f32 = plane.iter().map(|v| dt.decode(v.to_bits())).sum();
-            dst.data
-                .push(F16::from_bits(dt.encode(acc / (h * w) as f32)));
+/// Folds one filter tap into a run of pooling outputs: output `j` takes
+/// `taps[j · stride]`. A call of its own, so the compiler sees `out` and
+/// `taps` cannot alias, with the loop inlined per literal stride: the
+/// common strides compile to unit- and two-strided vector loops.
+#[inline(never)]
+fn fold_taps(out: &mut [f32], taps: &[f32], stride: usize, kind: PoolKind) {
+    #[inline(always)]
+    fn fold(out: &mut [f32], taps: &[f32], stride: usize, kind: PoolKind) {
+        for (o, tap) in out.iter_mut().zip(taps.chunks_exact(stride)) {
+            *o = match kind {
+                PoolKind::Max => o.max(tap[0]),
+                PoolKind::Avg => *o + tap[0],
+            };
         }
     }
+    match stride {
+        1 => fold(out, taps, 1, kind),
+        2 => fold(out, taps, 2, kind),
+        s => fold(out, taps, s, kind),
+    }
+}
+
+/// Global average pooling to `1 × 1` per channel: each plane decoded as
+/// a slice and summed in storage order, the means encoded as one slice.
+fn global_avg_stage(
+    src: &Matrix,
+    (_, h, w): (usize, usize, usize),
+    dst: &mut Matrix,
+    scratch: &mut Vec<f32>,
+) {
+    let planes = dst.rows * dst.cols;
+    scratch.resize(h * w + planes, 0.0);
+    let (plane, out) = scratch.split_at_mut(h * w);
+    for (codes, o) in src.data.chunks_exact(h * w).zip(out.iter_mut()) {
+        src.dtype.decode_slice(codes, plane);
+        *o = plane.iter().sum::<f32>() / (h * w) as f32;
+    }
+    dst.data.resize(planes, F16::ZERO);
+    src.dtype.encode_slice(out, &mut dst.data);
 }
 
 #[cfg(test)]

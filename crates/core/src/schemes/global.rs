@@ -29,7 +29,8 @@
 //! order, instead of once per column through a strided gather.
 
 use crate::tolerance::{exceeds, Tolerance};
-use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixLayout, MatrixView};
+use aiga_fp16::F16;
+use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixView};
 
 /// Sums a slice of FP32 values pairwise (tree order: split at `n/2`),
 /// as the fused epilogue + CUB-style reduce kernel would. Runs of up to
@@ -53,36 +54,22 @@ pub fn pairwise_sum_f32(values: &[f32]) -> f32 {
     }
 }
 
-/// Decodes row `r` of `a` into `out` (`a.cols` values).
-fn decode_row(a: MatrixView<'_>, r: usize, out: &mut [f32]) {
-    match a.layout {
-        MatrixLayout::RowMajor => {
-            let src = &a.data[r * a.cols..][..a.cols];
-            for (o, v) in out.iter_mut().zip(src) {
-                *o = a.dtype.decode(v.to_bits());
-            }
-        }
-        _ => {
-            for (c, o) in out.iter_mut().enumerate() {
-                *o = a.get_f32(r, c);
-            }
-        }
-    }
-}
-
 /// Column sums of rows `r0..r1` of `a` into `out`, every column summed
 /// in [`pairwise_sum_f32`]'s tree order over its rows, with `abs`
 /// accumulating each column's magnitudes in row order. `stack` holds
-/// one row buffer per level of the tree below this one.
+/// one row buffer per level of the tree below this one, `codes` the
+/// row a conv lowering is gathered into ([`MatrixView::row_codes`])
+/// before it is decoded as one slice.
 fn column_sums(
     a: MatrixView<'_>,
     (r0, r1): (usize, usize),
     out: &mut [f32],
     stack: &mut [f32],
+    codes: &mut [F16],
     abs: &mut [f64],
 ) {
     if r1 - r0 == 1 {
-        decode_row(a, r0, out);
+        a.dtype.decode_slice(a.row_codes(r0, codes), out);
         for (m, v) in abs.iter_mut().zip(out.iter()) {
             *m += (*v as f64).abs();
         }
@@ -90,8 +77,8 @@ fn column_sums(
     }
     let mid = r0 + (r1 - r0) / 2;
     let (hi, deeper) = stack.split_at_mut(a.cols);
-    column_sums(a, (r0, mid), out, deeper, abs);
-    column_sums(a, (mid, r1), hi, deeper, abs);
+    column_sums(a, (r0, mid), out, deeper, codes, abs);
+    column_sums(a, (mid, r1), hi, deeper, codes, abs);
     for (lo, hi) in out.iter_mut().zip(hi.iter()) {
         *lo += *hi;
     }
@@ -157,7 +144,8 @@ impl GlobalAbft {
 
     /// [`Self::activation_checksum`] writing into reusable scratch
     /// (`scratch.chk` = checksums, `scratch.abs` = absolute sums,
-    /// `scratch.col` = the row-buffer stack of the reduction tree).
+    /// `scratch.col` = the row-buffer stack of the reduction tree,
+    /// `scratch.codes` = the gathered row of a conv lowering).
     /// Steady-state verification through a warm [`CheckScratch`]
     /// allocates nothing.
     pub fn activation_checksum_into(a: MatrixView<'_>, scratch: &mut CheckScratch) {
@@ -171,11 +159,13 @@ impl GlobalAbft {
         let depth = a.rows.next_power_of_two().trailing_zeros() as usize;
         scratch.col.clear();
         scratch.col.resize(depth * a.cols, 0.0);
+        scratch.codes.resize(a.cols, F16::ZERO);
         column_sums(
             a,
             (0, a.rows),
             &mut scratch.chk,
             &mut scratch.col,
+            &mut scratch.codes,
             &mut scratch.abs,
         );
     }

@@ -36,6 +36,7 @@
 
 use aiga_fp16::half::f32_to_f16_bits;
 use aiga_fp16::F16 as Half;
+use std::sync::OnceLock;
 
 /// The engine's int8 dequantization scale, `2^-6`. A power of two keeps
 /// every decoded value an exact multiple of the quantum, so f32 sums of
@@ -404,6 +405,40 @@ impl Dtype {
         }
     }
 
+    /// Decodes `src` into `dst` (equal lengths), bit for bit what
+    /// [`Self::decode`] gives per element, with the format dispatch
+    /// outside the loop: fp16 widens eight codes per `vcvtph2ps` on F16C
+    /// hosts, the other formats run their scalar codec monomorphised.
+    pub fn decode_slice(self, src: &[Half], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "codec slices must match");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: f16c_active verified AVX and F16C on this host.
+            Dtype::F16 if f16c_active() => unsafe { f16c::decode(src, dst) },
+            Dtype::F16 => decode_with::<F16>(src, dst),
+            Dtype::Bf16 => decode_with::<Bf16>(src, dst),
+            Dtype::Fp8E4M3 => decode_with::<Fp8E4M3>(src, dst),
+            Dtype::Int8 => decode_with::<Int8>(src, dst),
+        }
+    }
+
+    /// Encodes `src` into `dst` (equal lengths), bit for bit what
+    /// [`Self::encode`] gives per element. fp16 narrows eight values per
+    /// `vcvtps2ph` on F16C hosts; bf16's shift-and-round body is
+    /// branch-free, so the compiler vectorises its loop.
+    pub fn encode_slice(self, src: &[f32], dst: &mut [Half]) {
+        assert_eq!(src.len(), dst.len(), "codec slices must match");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: f16c_active verified AVX and F16C on this host.
+            Dtype::F16 if f16c_active() => unsafe { f16c::encode(src, dst) },
+            Dtype::F16 => encode_with::<F16>(src, dst),
+            Dtype::Bf16 => encode_with::<Bf16>(src, dst),
+            Dtype::Fp8E4M3 => encode_with::<Fp8E4M3>(src, dst),
+            Dtype::Int8 => encode_with::<Int8>(src, dst),
+        }
+    }
+
     /// Kebab-case name (the `FromStr`/CLI/CI spelling).
     pub const fn name(self) -> &'static str {
         match self {
@@ -412,6 +447,82 @@ impl Dtype {
             Dtype::Fp8E4M3 => "fp8e4m3",
             Dtype::Int8 => "int8",
         }
+    }
+}
+
+/// True when `AIGA_FORCE_SCALAR` is set (non-empty, not `"0"`): every
+/// runtime-dispatched vector body yields to its scalar oracle. Read once.
+pub fn scalar_forced() -> bool {
+    static FORCED: OnceLock<bool> = OnceLock::new();
+    *FORCED.get_or_init(|| {
+        std::env::var_os("AIGA_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0")
+    })
+}
+
+/// Whether fp16 conversion takes its F16C bodies, here and in the
+/// engine's strip staging: an AVX+F16C host, not forced scalar.
+pub fn f16c_active() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return !scalar_forced() && is_x86_feature_detected!("avx") && is_x86_feature_detected!("f16c");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
+fn decode_with<D: StorageDtype>(src: &[Half], dst: &mut [f32]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = D::decode(s.to_bits());
+    }
+}
+
+fn encode_with<D: StorageDtype>(src: &[f32], dst: &mut [Half]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = Half::from_bits(D::encode(*s));
+    }
+}
+
+/// The F16C bodies of the fp16 slice codecs. The hardware rounds and
+/// widens as the scalar codec does except that it keeps NaN payloads,
+/// so a vector holding a NaN goes through the scalar codec instead.
+#[cfg(target_arch = "x86_64")]
+mod f16c {
+    use super::{decode_with, encode_with, Half, F16};
+    use std::arch::x86_64::*;
+
+    /// # Safety
+    /// The host must support AVX and F16C.
+    #[target_feature(enable = "avx,f16c")]
+    pub(super) unsafe fn decode(src: &[Half], dst: &mut [f32]) {
+        let (mut s, mut d) = (src.chunks_exact(8), dst.chunks_exact_mut(8));
+        for (s, d) in (&mut s).zip(&mut d) {
+            // SAFETY: both chunks are exactly eight elements long.
+            let v = _mm256_cvtph_ps(_mm_loadu_si128(s.as_ptr().cast()));
+            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v)) == 0 {
+                _mm256_storeu_ps(d.as_mut_ptr(), v);
+            } else {
+                decode_with::<F16>(s, d);
+            }
+        }
+        decode_with::<F16>(s.remainder(), d.into_remainder());
+    }
+
+    /// # Safety
+    /// The host must support AVX and F16C.
+    #[target_feature(enable = "avx,f16c")]
+    pub(super) unsafe fn encode(src: &[f32], dst: &mut [Half]) {
+        let (mut s, mut d) = (src.chunks_exact(8), dst.chunks_exact_mut(8));
+        for (s, d) in (&mut s).zip(&mut d) {
+            // SAFETY: both chunks are exactly eight elements long.
+            let v = _mm256_loadu_ps(s.as_ptr());
+            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v)) == 0 {
+                _mm_storeu_si128(
+                    d.as_mut_ptr().cast(),
+                    _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v),
+                );
+            } else {
+                encode_with::<F16>(s, d);
+            }
+        }
+        encode_with::<F16>(s.remainder(), d.into_remainder());
     }
 }
 
@@ -693,6 +804,121 @@ mod tests {
         assert_eq!(Dtype::F16.chain_add(2048.0, 1.0), 2048.0);
         // int8 is exact.
         assert_eq!(Dtype::Int8.chain_add(1.984375, 0.015625), 2.0);
+    }
+
+    /// The f32 patterns the slice encoders are swept over: the dense
+    /// stride of `aiga-fp16`'s encode oracle (every 2^16-th pattern and
+    /// its neighbours — all exponents, both signs, f32 subnormals, every
+    /// NaN prefix with quiet and signalling payloads) plus the exact
+    /// ties, overflow boundaries and subnormal edges of each format.
+    fn encode_sweep() -> Vec<f32> {
+        let mut v = Vec::with_capacity(5 * 65536 + 64);
+        for hi in 0..=u16::MAX {
+            for lo in [0u32, 1, 0x7fff, 0x8000, 0xffff] {
+                v.push(f32::from_bits(((hi as u32) << 16) | lo));
+            }
+        }
+        let p = |e: i32| 2.0f32.powi(e);
+        v.extend([
+            0.0,
+            -0.0,
+            1.0 + p(-11),       // fp16 tie at 1.0's quantum
+            1.0 + 3.0 * p(-11), // … and the odd neighbour's
+            1.0 + p(-8),        // bf16 tie
+            65504.0,
+            65519.96,
+            65520.0, // fp16 tie → ∞
+            -65520.0,
+            65536.0,
+            f32::MAX,
+            448.0,
+            464.0, // fp8 tie at MAX
+            1.984375,
+            1.9921875, // int8 tie at the rail
+            f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 4.0,
+            p(-24),
+            p(-25), // half the smallest fp16 subnormal: ties to zero
+            p(-25) * 1.00001,
+            p(-14) - p(-25),
+            p(-10), // half the smallest fp8 subnormal
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling, minimal payload
+            f32::from_bits(0xffc1_2345), // negative quiet with payload
+            f32::from_bits(0x7fa5_5555), // signalling with payload
+        ]);
+        v
+    }
+
+    #[test]
+    fn slice_codecs_match_the_scalar_codec_bit_for_bit() {
+        // Runs natively and, in the scalar-oracle CI job, once more under
+        // AIGA_FORCE_SCALAR=1 (where both sides are the scalar codec and
+        // the sweep pins the generic slice bodies alone).
+        let values = encode_sweep();
+        let codes: Vec<Half> = (0..=u16::MAX).map(Half::from_bits).collect();
+        for dt in Dtype::ALL {
+            let mut enc = vec![Half::ZERO; values.len()];
+            dt.encode_slice(&values, &mut enc);
+            for (x, got) in values.iter().zip(&enc) {
+                assert_eq!(
+                    got.to_bits(),
+                    dt.encode(*x),
+                    "{dt} encode {:#010x}",
+                    x.to_bits()
+                );
+            }
+            let mut dec = vec![0.0f32; codes.len()];
+            dt.decode_slice(&codes, &mut dec);
+            for (c, got) in codes.iter().zip(&dec) {
+                let want = dt.decode(c.to_bits());
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{dt} decode {:#06x}",
+                    c.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slice_codecs_hold_at_every_length_and_offset() {
+        // Lengths 0..=33 cross the eight-wide vector body and its tail
+        // in every phase; offsets 0..3 start on odd elements; one NaN
+        // rides in each position of a vector so the per-vector scalar
+        // fallback and its neighbours are both exercised.
+        let base: Vec<f32> = (0..40).map(|i| (i as f32 - 17.5) * 0.37).collect();
+        for dt in Dtype::ALL {
+            for len in 0..=33usize {
+                for off in 0..3usize {
+                    for nan_at in [None, Some(len / 2), Some(len.saturating_sub(1))] {
+                        let mut src = base[off..off + len].to_vec();
+                        if let (Some(i), true) = (nan_at, len > 0) {
+                            src[i] = f32::from_bits(0xffc1_2345);
+                        }
+                        let mut enc = vec![Half::from_bits(0xdead); off + len + 1];
+                        dt.encode_slice(&src, &mut enc[off..off + len]);
+                        for (x, got) in src.iter().zip(&enc[off..]) {
+                            assert_eq!(got.to_bits(), dt.encode(*x), "{dt} len {len} off {off}");
+                        }
+                        // Neighbours of the destination window are untouched.
+                        assert_eq!(enc[off + len].to_bits(), 0xdead);
+                        assert!(enc[..off].iter().all(|c| c.to_bits() == 0xdead));
+                        let mut dec = vec![f32::from_bits(0xdead_beef); off + len + 1];
+                        dt.decode_slice(&enc[off..off + len], &mut dec[off..off + len]);
+                        for (c, got) in enc[off..].iter().zip(&dec[off..off + len]) {
+                            let want = dt.decode(c.to_bits());
+                            assert_eq!(got.to_bits(), want.to_bits(), "{dt} len {len} off {off}");
+                        }
+                        assert_eq!(dec[off + len].to_bits(), 0xdead_beef);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

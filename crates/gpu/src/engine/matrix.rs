@@ -13,12 +13,10 @@ use aiga_util::rng::Rng64;
 
 /// Logical-to-physical element layout of a [`MatrixView`].
 ///
-/// Every owned [`Matrix`] is [`MatrixLayout::RowMajor`]. The exceptions
-/// are the borrowed views a convolution's GEMM takes of an NCHW
-/// activation tensor: viewing the tensor's own buffer as
-/// [`MatrixLayout::NchwLowered`] (1×1 stride-1 unpadded convs) or
-/// [`MatrixLayout::Im2col`] (every other conv geometry) makes it
-/// *logically* identical to the im2col-lowered matrix (same
+/// Every owned [`Matrix`] is [`MatrixLayout::RowMajor`]. The exception
+/// is the borrowed view a convolution's GEMM takes of an NCHW activation
+/// tensor: viewing the tensor's own buffer as [`MatrixLayout::Im2col`]
+/// makes it *logically* identical to the im2col-lowered matrix (same
 /// `(row, col) → value` mapping, so checksums, reference oracles, and
 /// outputs are byte-identical) without materializing the copy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,20 +24,11 @@ pub enum MatrixLayout {
     /// `data[r * cols + c]` — the default.
     #[default]
     RowMajor,
-    /// An NCHW tensor viewed as the `(images·spatial) × channels`
-    /// activation matrix of a 1×1 stride-1 unpadded convolution: row
-    /// `r` is image `r / spatial`, pixel `r % spatial`; column `c` is a
-    /// channel; element `(r, c)` lives at
-    /// `((r / spatial)·cols + c)·spatial + (r % spatial)`.
-    NchwLowered {
-        /// Pixels per image plane (`height × width`).
-        spatial: usize,
-    },
     /// An NCHW tensor viewed as the im2col-lowered activation matrix of
-    /// an arbitrary convolution geometry — the implicit-GEMM view. Row
-    /// `r` is output pixel `(n, oy, ox)`, column `c` is filter tap
-    /// `(channel, ky, kx)`; taps that fall into the zero padding have no
-    /// physical element and read as zero.
+    /// a convolution — the implicit-GEMM view. Row `r` is output pixel
+    /// `(n, oy, ox)`, column `c` is filter tap `(channel, ky, kx)`; taps
+    /// that fall into the zero padding have no physical element and
+    /// read as zero.
     Im2col(Im2colView),
 }
 
@@ -67,22 +56,46 @@ pub struct Im2colView {
 }
 
 impl Im2colView {
+    /// Where lowered row `r` (output pixel `(n, oy, ox)`) reads from:
+    /// the index of image `n`'s first element and the input coordinate
+    /// `(iy, ix)` of the row's tap `(ky, kx) = (0, 0)` — negative inside
+    /// the leading zero padding.
+    #[inline]
+    fn origin(&self, r: usize) -> (usize, isize, isize) {
+        let (n, p) = (r / (self.out_h * self.out_w), r % (self.out_h * self.out_w));
+        let at = |o: usize| (o * self.stride) as isize - self.padding as isize;
+        let image = n * self.channels * self.height * self.width;
+        (image, at(p / self.out_w), at(p % self.out_w))
+    }
+
     /// Physical NCHW index of lowered element `(r, c)`, or `None` when
     /// the tap lands in the zero padding.
     #[inline]
     fn tap(&self, r: usize, c: usize) -> Option<usize> {
-        let spatial = self.out_h * self.out_w;
-        let (n, p) = (r / spatial, r % spatial);
-        let (oy, ox) = (p / self.out_w, p % self.out_w);
-        let kk = self.kernel * self.kernel;
-        let (ch, rem) = (c / kk, c % kk);
-        let (ky, kx) = (rem / self.kernel, rem % self.kernel);
-        let iy = (oy * self.stride + ky) as isize - self.padding as isize;
-        let ix = (ox * self.stride + kx) as isize - self.padding as isize;
-        if iy < 0 || ix < 0 || iy as usize >= self.height || ix as usize >= self.width {
-            return None;
-        }
-        Some(((n * self.channels + ch) * self.height + iy as usize) * self.width + ix as usize)
+        let (image, iy, ix) = self.origin(r);
+        let k = self.kernel;
+        let (ch, ky, kx) = (c / k / k, c / k % k, c % k);
+        let (iy, ix) = (iy + ky as isize, ix + kx as isize);
+        let inside =
+            iy >= 0 && ix >= 0 && (iy as usize) < self.height && (ix as usize) < self.width;
+        inside.then(|| image + (ch * self.height + iy as usize) * self.width + ix as usize)
+    }
+
+    /// When the `lanes` lowered rows from `r` on are consecutive pixels
+    /// of one output row at stride 1 with their windows inside the
+    /// image, each tap of theirs is `lanes` *contiguous* elements:
+    /// returns the index of row `r`'s tap `(0, 0, 0)`; tap `(ch, ky,
+    /// kx)` sits at `+ (ch·height + ky)·width + kx`.
+    #[inline]
+    pub(crate) fn contiguous_window(&self, r: usize, lanes: usize) -> Option<usize> {
+        let (image, iy, ix) = self.origin(r);
+        let fits = self.stride == 1
+            && r % self.out_w + lanes <= self.out_w
+            && iy >= 0
+            && ix >= 0
+            && iy as usize + self.kernel <= self.height
+            && ix as usize + self.kernel - 1 + lanes <= self.width;
+        fits.then(|| image + iy as usize * self.width + ix as usize)
     }
 
     /// Rows of the lowered matrix for `images` images.
@@ -93,42 +106,6 @@ impl Im2colView {
     /// Columns of the lowered matrix (`channels · kernel²`).
     pub fn cols(&self) -> usize {
         self.channels * self.kernel * self.kernel
-    }
-}
-
-/// Walks the in-bounds taps of an im2col view in lowered row-major
-/// order as maximal contiguous runs: for each (row, channel, ky) whose
-/// input row is in bounds, `run(row, col0, src0, len)` describes `len`
-/// consecutive lowered columns starting at `col0` backed by `len`
-/// consecutive NCHW elements starting at `src0`. The staging decode
-/// gathers through this walk, so the fused path produces panels
-/// byte-identical to a materialized lowering.
-#[inline]
-fn im2col_runs(v: &Im2colView, images: usize, mut run: impl FnMut(usize, usize, usize, usize)) {
-    let kk = v.kernel * v.kernel;
-    for n in 0..images {
-        for oy in 0..v.out_h {
-            for ox in 0..v.out_w {
-                let r = (n * v.out_h + oy) * v.out_w + ox;
-                let base_ix = (ox * v.stride) as isize - v.padding as isize;
-                let kx0 = (-base_ix).max(0) as usize;
-                let kx1 = (v.width as isize - base_ix).clamp(0, v.kernel as isize) as usize;
-                if kx0 >= kx1 {
-                    continue;
-                }
-                let ix0 = (base_ix + kx0 as isize) as usize;
-                for ch in 0..v.channels {
-                    for ky in 0..v.kernel {
-                        let iy = (oy * v.stride + ky) as isize - v.padding as isize;
-                        if iy < 0 || iy as usize >= v.height {
-                            continue;
-                        }
-                        let src0 = ((n * v.channels + ch) * v.height + iy as usize) * v.width + ix0;
-                        run(r, ch * kk + ky * v.kernel + kx0, src0, kx1 - kx0);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -193,32 +170,41 @@ impl<'a> MatrixView<'a> {
         data: &'a [F16],
         dtype: Dtype,
     ) -> Self {
-        assert_eq!(data.len(), images * channels * spatial, "NCHW extent");
-        MatrixView {
-            rows: images * spatial,
-            cols: channels,
-            data,
-            layout: MatrixLayout::NchwLowered { spatial },
-            dtype,
-        }
+        let view = Im2colView {
+            channels,
+            height: 1,
+            width: spatial,
+            kernel: 1,
+            stride: 1,
+            padding: 0,
+            out_h: 1,
+            out_w: spatial,
+        };
+        Self::im2col_lowered(images, view, data, dtype)
     }
 
     /// Views an NCHW tensor buffer as the im2col-lowered activation
     /// matrix of an arbitrary convolution geometry — `images·out_h·out_w`
     /// rows (one per output pixel), `channels·kernel²` columns — without
     /// copying. Taps in the zero padding read as zero (the zero code in
-    /// every dtype).
+    /// every dtype). A 1×1 stride-1 unpadded conv is viewed as one over a
+    /// `1 × height·width` image: the same mapping, each image one run.
     pub fn im2col_lowered(images: usize, view: Im2colView, data: &'a [F16], dtype: Dtype) -> Self {
-        assert_eq!(
-            data.len(),
-            images * view.channels * view.height * view.width,
-            "NCHW extent"
-        );
+        let spatial = view.height * view.width;
+        assert_eq!(data.len(), images * view.channels * spatial, "NCHW extent");
+        let pointwise = (view.kernel, view.stride, view.padding) == (1, 1, 0);
+        let flat = Im2colView {
+            height: 1,
+            width: spatial,
+            out_h: 1,
+            out_w: spatial,
+            ..view
+        };
         MatrixView {
             rows: view.rows(images),
             cols: view.cols(),
             data,
-            layout: MatrixLayout::Im2col(view),
+            layout: MatrixLayout::Im2col(if pointwise { flat } else { view }),
             dtype,
         }
     }
@@ -231,9 +217,6 @@ impl<'a> MatrixView<'a> {
     pub fn get(&self, r: usize, c: usize) -> F16 {
         let i = match self.layout {
             MatrixLayout::RowMajor => Some(r * self.cols + c),
-            MatrixLayout::NchwLowered { spatial } => {
-                Some(((r / spatial) * self.cols + c) * spatial + (r % spatial))
-            }
             MatrixLayout::Im2col(v) => v.tap(r, c),
         };
         i.map_or(F16::ZERO, |i| self.data[i])
@@ -251,88 +234,30 @@ impl<'a> MatrixView<'a> {
         self.get_f32(r, c) as f64
     }
 
-    /// Decodes into a zero-padded row-major `f32` buffer of size
-    /// `rows × cols` — the engine's pre-decoded panel form. Decoding is
-    /// exact (every finite F16 is representable in f32), so downstream
-    /// arithmetic is bit-identical to converting on the fly. The
-    /// destination buffer is reused (resized, not reallocated, once its
-    /// capacity covers the shape).
-    pub(crate) fn decode_padded_into(&self, rows: usize, cols: usize, out: &mut Vec<f32>) {
-        assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
-        out.clear();
-        out.resize(rows * cols, 0.0);
-        match self.layout {
-            MatrixLayout::NchwLowered { spatial } => {
-                // Gather the lowered view channel-plane by channel-plane:
-                // for a fixed (image, channel) the spatial run is contiguous
-                // in the source and strided by `cols` in the destination.
-                if self.dtype == Dtype::F16 {
-                    for n in 0..self.rows / spatial {
-                        for c in 0..self.cols {
-                            let src = &self.data[(n * self.cols + c) * spatial..][..spatial];
-                            for (s, v) in src.iter().enumerate() {
-                                out[(n * spatial + s) * cols + c] = v.to_f32();
-                            }
-                        }
-                    }
-                } else {
-                    let d = self.dtype;
-                    for n in 0..self.rows / spatial {
-                        for c in 0..self.cols {
-                            let src = &self.data[(n * self.cols + c) * spatial..][..spatial];
-                            for (s, v) in src.iter().enumerate() {
-                                out[(n * spatial + s) * cols + c] = d.decode(v.to_bits());
-                            }
-                        }
-                    }
-                }
-                return;
-            }
-            MatrixLayout::Im2col(v) => {
-                // Implicit-GEMM gather: each in-bounds filter-tap run is
-                // contiguous in both the NCHW source and the lowered
-                // destination row; padding taps stay at the zero fill.
-                let images = self.rows / (v.out_h * v.out_w);
-                if self.dtype == Dtype::F16 {
-                    im2col_runs(&v, images, |r, c0, s0, len| {
-                        let dst = &mut out[r * cols + c0..r * cols + c0 + len];
-                        for (d, s) in dst.iter_mut().zip(&self.data[s0..s0 + len]) {
-                            *d = s.to_f32();
-                        }
-                    });
-                } else {
-                    let dt = self.dtype;
-                    im2col_runs(&v, images, |r, c0, s0, len| {
-                        let dst = &mut out[r * cols + c0..r * cols + c0 + len];
-                        for (d, s) in dst.iter_mut().zip(&self.data[s0..s0 + len]) {
-                            *d = dt.decode(s.to_bits());
-                        }
-                    });
-                }
-                return;
-            }
-            MatrixLayout::RowMajor => {}
-        }
-        // The dtype branch stays outside the element loops; F16 keeps
-        // its original table-load loop untouched.
-        if self.dtype == Dtype::F16 {
-            for r in 0..self.rows {
-                let src = &self.data[r * self.cols..(r + 1) * self.cols];
-                let dst = &mut out[r * cols..r * cols + self.cols];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d = s.to_f32();
-                }
-            }
-        } else {
-            let dt = self.dtype;
-            for r in 0..self.rows {
-                let src = &self.data[r * self.cols..(r + 1) * self.cols];
-                let dst = &mut out[r * cols..r * cols + self.cols];
-                for (d, s) in dst.iter_mut().zip(src) {
-                    *d = dt.decode(s.to_bits());
-                }
+    /// Row `r`'s `cols` storage codes: borrowed in place from a
+    /// row-major buffer, gathered into `scratch` (at least `cols` long)
+    /// from a conv lowering, each `(channel, ky)` tap run as a run,
+    /// padding taps the zero code. The row gather behind strip staging
+    /// and global ABFT's activation checksum.
+    pub fn row_codes<'s>(&'s self, r: usize, scratch: &'s mut [F16]) -> &'s [F16] {
+        let MatrixLayout::Im2col(v) = self.layout else {
+            return &self.data[r * self.cols..][..self.cols];
+        };
+        let out = &mut scratch[..self.cols];
+        let (image, iy0, ix0) = v.origin(r);
+        // The in-bounds kx range is the same for every (channel, ky).
+        let kx0 = (-ix0).clamp(0, v.kernel as isize) as usize;
+        let kx1 = (v.width as isize - ix0).clamp(kx0 as isize, v.kernel as isize) as usize;
+        for (run, dst) in out.chunks_exact_mut(v.kernel).enumerate() {
+            let (ch, iy) = (run / v.kernel, iy0 + (run % v.kernel) as isize);
+            dst.fill(F16::ZERO);
+            if iy >= 0 && (iy as usize) < v.height && kx0 < kx1 {
+                let row = image + (ch * v.height + iy as usize) * v.width;
+                let src = &self.data[(row as isize + ix0 + kx0 as isize) as usize..];
+                dst[kx0..kx1].iter_mut().zip(src).for_each(|(d, s)| *d = *s);
             }
         }
+        out
     }
 }
 
@@ -491,6 +416,69 @@ pub fn gemm_reference_f64<'a>(a: impl Into<MatrixView<'a>>, b: &Matrix) -> Vec<f
 mod tests {
     use super::*;
 
+    /// Walks the in-bounds taps of an im2col view in lowered row-major
+    /// order as maximal contiguous runs: for each (row, channel, ky) whose
+    /// input row is in bounds, `run(row, col0, src0, len)` describes `len`
+    /// consecutive lowered columns starting at `col0` backed by `len`
+    /// consecutive NCHW elements starting at `src0`. The staging decode
+    /// gathers through this walk, so the fused path produces panels
+    /// byte-identical to a materialized lowering.
+    #[inline]
+    fn im2col_runs(v: &Im2colView, images: usize, mut run: impl FnMut(usize, usize, usize, usize)) {
+        let kk = v.kernel * v.kernel;
+        for n in 0..images {
+            for oy in 0..v.out_h {
+                for ox in 0..v.out_w {
+                    let r = (n * v.out_h + oy) * v.out_w + ox;
+                    let base_ix = (ox * v.stride) as isize - v.padding as isize;
+                    let kx0 = (-base_ix).max(0) as usize;
+                    let kx1 = (v.width as isize - base_ix).clamp(0, v.kernel as isize) as usize;
+                    if kx0 >= kx1 {
+                        continue;
+                    }
+                    let ix0 = (base_ix + kx0 as isize) as usize;
+                    for ch in 0..v.channels {
+                        for ky in 0..v.kernel {
+                            let iy = (oy * v.stride + ky) as isize - v.padding as isize;
+                            if iy < 0 || iy as usize >= v.height {
+                                continue;
+                            }
+                            let src0 =
+                                ((n * v.channels + ch) * v.height + iy as usize) * v.width + ix0;
+                            run(r, ch * kk + ky * v.kernel + kx0, src0, kx1 - kx0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The staging decode the engine used before strips were staged in
+    /// one pass, kept as the oracle the strip staging is pinned against
+    /// (`engine/tests.rs`): decodes into a zero-padded row-major `f32`
+    /// buffer of size `rows × cols`, gathering a conv lowering run by
+    /// run.
+    impl MatrixView<'_> {
+        pub(crate) fn decode_padded_into(&self, rows: usize, cols: usize, out: &mut Vec<f32>) {
+            assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
+            out.clear();
+            out.resize(rows * cols, 0.0);
+            let dt = self.dtype;
+            let mut run = |r: usize, c0: usize, s0: usize, len: usize| {
+                let dst = &mut out[r * cols + c0..r * cols + c0 + len];
+                for (d, s) in dst.iter_mut().zip(&self.data[s0..s0 + len]) {
+                    *d = dt.decode(s.to_bits());
+                }
+            };
+            match self.layout {
+                MatrixLayout::Im2col(v) => im2col_runs(&v, self.rows / (v.out_h * v.out_w), run),
+                MatrixLayout::RowMajor => {
+                    (0..self.rows).for_each(|r| run(r, 0, r * self.cols, self.cols))
+                }
+            }
+        }
+    }
+
     #[test]
     fn padded_matches_copy_padded_into() {
         let m = Matrix::random(5, 7, 3);
@@ -595,6 +583,37 @@ mod tests {
             view.decode_padded_into(pr, pc, &mut from_view);
             dense.view().decode_padded_into(pr, pc, &mut from_dense);
             assert_eq!(from_view, from_dense, "decode k{kernel}s{stride}p{padding}");
+        }
+    }
+
+    #[test]
+    fn row_codes_match_elementwise_reads_in_every_layout() {
+        let tensor = Matrix::random(1, 2 * 3 * 9 * 9, 19);
+        let mut views: Vec<MatrixView<'_>> =
+            [(3, 1, 1), (3, 2, 0), (5, 2, 2), (1, 1, 0), (7, 2, 3)]
+                .iter()
+                .map(|&(k, s, p)| sample_view(&tensor, k, s, p))
+                .collect();
+        views.push(MatrixView::nchw_lowered(
+            2,
+            3,
+            81,
+            &tensor.data,
+            tensor.dtype,
+        ));
+        views.push(MatrixView {
+            rows: 6,
+            cols: 81,
+            ..tensor.view()
+        });
+        for view in views {
+            // Stale scratch must be fully overwritten.
+            let mut scratch = vec![F16::from_bits(0x7e00); view.cols + 2];
+            for r in 0..view.rows {
+                let got = view.row_codes(r, &mut scratch);
+                let want: Vec<F16> = (0..view.cols).map(|c| view.get(r, c)).collect();
+                assert_eq!(got, &want[..], "{:?} row {r}", view.layout);
+            }
         }
     }
 

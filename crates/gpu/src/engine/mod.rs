@@ -244,7 +244,7 @@ impl GemmEngine {
             out_n.div_ceil(self.tiling.block_n as usize) as u64,
         );
         let path = simd::active_path();
-        ws.panels.stage(a, scheme.lanes, path.is_simd(), k);
+        ws.stage_activations(a, scheme.lanes, k);
         ws.out.reset(out_m, out_n);
         let tiles = (out_m.div_ceil(MICRO_MR) * out_n.div_ceil(MICRO_NR)) as u64;
         let steps = tiles * k as u64;

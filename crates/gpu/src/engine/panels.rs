@@ -10,10 +10,11 @@
 //!   once — `aiga-core`'s `SchemeKernel::bind` does it — and shared
 //!   read-only by every run, worker and shard. When the bound scheme is
 //!   two-sided ABFT it also carries the per-tile B checksum columns.
-//! - **A (activations)** is the request. [`Panels`] decodes and packs it
-//!   per run, into buffers the [`Workspace`] keeps warm, covering only
-//!   the request's own rows (rounded up to one register-tile strip) —
-//!   a batch-1 request stages one strip, whatever the block tiling.
+//! - **A (activations)** is the request. [`Panels`] gathers, decodes,
+//!   strip-packs and checksums it per run in one pass, into buffers the
+//!   [`Workspace`] keeps warm, covering only the request's own rows
+//!   (rounded up to one register-tile strip) — a batch-1 request stages
+//!   one strip, whatever the block tiling.
 //!
 //! [`Workspace`] owns *all* per-run scratch — the A panels, the
 //! per-block accumulator tile and its checksum lanes, the output buffer,
@@ -26,7 +27,8 @@
 use super::fault_inject::Detection;
 use super::matrix::{Matrix, MatrixView};
 use super::scheme::Redundancy;
-use super::{simd, GemmOutput};
+use super::simd::{self, GemmPath};
+use super::GemmOutput;
 use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR, MICRO_PANEL};
 use aiga_dtype::Dtype;
 use aiga_fp16::F16;
@@ -163,37 +165,51 @@ impl PackedWeights {
 }
 
 /// The activation operand staged once per engine run, over the
-/// request's live rows only (rounded up to whole [`MICRO_MR`] strips).
+/// request's live rows only (rounded up to whole [`MICRO_MR`] strips),
+/// in one form: the microkernel streams the strips, and the cold
+/// readers take one row of them ([`Self::row`]) as they take a B column
+/// out of [`PackedWeights`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Panels {
-    /// A decoded to f32 and zero-padded, `live_m × k` row-major.
-    pub(crate) a_f32: Vec<f32>,
-    /// A re-packed into `MICRO_MR`-row strips for the SIMD microkernel
-    /// (see [`simd::pack_a`]); empty when the scalar path is active.
+    /// A decoded to f32 in [`MICRO_MR`]-row strips: strip `s` holds rows
+    /// `s·MR .. s·MR+MR`, element `(r, kk)` at `(s·k + kk)·MR + r` — one
+    /// K step is one contiguous broadcast group. Rows past the request
+    /// and K steps past the operand are zero.
     pub(crate) a_pack: Vec<f32>,
-    /// Per-strip A checksum rows (see [`simd::stage_a_chk`]): strip `s`,
-    /// step `kk` holds `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` at
-    /// `(s·k + kk)·2`. Staged only for the two ABFT lane kinds.
+    /// Per-strip A checksum rows: strip `s`, step `kk` holds
+    /// `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` at `(s·k + kk)·2`. Staged only
+    /// for the two ABFT lane kinds.
     pub(crate) a_chk: Vec<f32>,
+    /// One strip's rows gathered as row-major codes ([`simd::stage_a`]).
+    pub(crate) rows: Vec<F16>,
     /// Shared inner dimension (the engine's padded K).
     pub(crate) k: usize,
 }
 
 impl Panels {
-    /// Stages `a` for one run, reusing this instance's buffers. `pack`
-    /// additionally stages the microkernel strip layout (skipped on the
-    /// scalar path, which reads the decoded rows directly); `lanes`
-    /// selects whether the checksum rows are staged.
-    pub(crate) fn stage(&mut self, a: MatrixView<'_>, lanes: Redundancy, pack: bool, k: usize) {
-        let live_m = a.rows.next_multiple_of(MICRO_MR);
-        a.decode_padded_into(live_m, k, &mut self.a_f32);
-        if pack {
-            simd::pack_a(&self.a_f32, live_m, k, &mut self.a_pack);
-        }
-        if matches!(lanes, Redundancy::ColumnChecksum | Redundancy::TileChecksum) {
-            simd::stage_a_chk(&self.a_f32, live_m, k, &mut self.a_chk);
-        }
+    /// Stages `a` for one run ([`simd::stage_a`]), reusing this
+    /// instance's buffers; `lanes` selects whether the checksum rows are
+    /// staged with it.
+    pub(crate) fn stage(&mut self, a: MatrixView<'_>, lanes: Redundancy, path: GemmPath, k: usize) {
+        let strips = a.rows.div_ceil(MICRO_MR);
+        let sums = matches!(lanes, Redundancy::ColumnChecksum | Redundancy::TileChecksum);
+        // Staging writes every element it sizes here: no clear.
+        self.a_pack.resize(strips * MICRO_MR * k, 0.0);
+        self.a_chk.resize(strips * k * 2 * sums as usize, 0.0);
+        self.rows.resize(MICRO_MR * a.cols, F16::ZERO);
         self.k = k;
+        simd::stage_a(path, a, self);
+    }
+
+    /// Row `r`'s K walk (`k` values): one strip lane read with stride
+    /// [`MICRO_MR`]. `r` may be a padding row of the last strip.
+    pub(crate) fn row(&self, r: usize) -> impl Iterator<Item = f32> + '_ {
+        let base = r / MICRO_MR * MICRO_MR * self.k + r % MICRO_MR;
+        self.a_pack[base..]
+            .iter()
+            .step_by(MICRO_MR)
+            .take(self.k)
+            .copied()
     }
 }
 
@@ -265,6 +281,8 @@ pub struct CheckScratch {
     /// FP32 row buffers (the stack of partial row sums a pairwise
     /// column reduction keeps, one per tree level).
     pub col: Vec<f32>,
+    /// One activation row gathered by [`MatrixView::row_codes`].
+    pub codes: Vec<F16>,
 }
 
 /// All per-run scratch of the protected execution path, owned in one
@@ -367,6 +385,13 @@ impl Workspace {
         self.lowering = m;
     }
 
+    /// Stages `a` as the next walk's activation operand — the first
+    /// half of `GemmEngine::run_multi_into`, callable alone so benches
+    /// can time it apart from the microkernel. `k` is the padded K.
+    pub fn stage_activations(&mut self, a: MatrixView<'_>, lanes: Redundancy, k: usize) {
+        self.panels.stage(a, lanes, simd::active_path(), k);
+    }
+
     /// Grows the slot table to at least `n` entries (a one-time
     /// allocation; subsequent calls at or below the high-water mark are
     /// free).
@@ -443,9 +468,7 @@ impl Workspace {
         if r >= self.out.m || c >= self.out.n {
             return false;
         }
-        let k = self.panels.k;
-        let a_row = &self.panels.a_f32[r * k..r * k + k];
-        self.out.c[r * self.out.n + c] = simd::dot(a_row, b.col(c));
+        self.out.c[r * self.out.n + c] = simd::dot(self.panels.row(r), b.col(c));
         true
     }
 

@@ -5,9 +5,9 @@
 //! pack→microkernel→epilogue decomposition real GEMM libraries use:
 //!
 //! - B arrives packed ([`PackedWeights`], built once when a scheme is
-//!   bound to a layer); [`pack_a`] re-lays the request's decoded rows
-//!   into microkernel strips and [`stage_a_chk`] adds the checksum rows
-//!   a thread-level ABFT scheme multiplies (once per run, in
+//!   bound to a layer); [`stage_a`] gathers, decodes and lays the
+//!   request's rows into microkernel strips, with the checksum rows a
+//!   thread-level ABFT scheme multiplies, in one pass (once per run, in
 //!   `Panels::stage`, over the request's live rows only);
 //! - [`fill_block_tile`] computes the live register tiles of one
 //!   threadblock tile — and, when the run's scheme asks for them, their
@@ -42,9 +42,12 @@
 //! [`chk_dot`]/[`corner_dot`] on the scalar path — so residuals and
 //! thresholds, not just outputs, are byte-identical across paths.
 
+use super::matrix::{MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
 use super::scheme::Redundancy;
 use crate::tiling::{MICRO_MR, MICRO_NR, MICRO_PANEL};
+use aiga_dtype::{Dtype, StorageDtype};
+use aiga_fp16::F16;
 
 // The main microkernel drives two B panels at once.
 const _: () = assert!(MICRO_NR == 2 * MICRO_PANEL);
@@ -82,7 +85,6 @@ impl GemmPath {
 /// Test/bench override: 0 = none, 1 = Avx2Fma, 2 = Scalar.
 static FORCED: AtomicU8 = AtomicU8::new(0);
 static DETECTED: OnceLock<GemmPath> = OnceLock::new();
-static ACTIVE: OnceLock<GemmPath> = OnceLock::new();
 
 /// The best path this host supports, ignoring every override.
 pub fn detect_path() -> GemmPath {
@@ -106,15 +108,11 @@ pub fn active_path() -> GemmPath {
         2 => return GemmPath::Scalar,
         _ => {}
     }
-    *ACTIVE.get_or_init(|| {
-        let forced_scalar =
-            std::env::var_os("AIGA_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
-        if forced_scalar {
-            GemmPath::Scalar
-        } else {
-            detect_path()
-        }
-    })
+    if aiga_dtype::scalar_forced() {
+        GemmPath::Scalar
+    } else {
+        detect_path()
+    }
 }
 
 /// Process-global dispatch override for tests and benches (`None`
@@ -136,46 +134,124 @@ pub fn force_path(path: Option<GemmPath>) {
     FORCED.store(v, Ordering::Relaxed);
 }
 
-/// Packs the decoded A panel (`live_m × k` row-major) into
-/// [`MICRO_MR`]-row strips: strip `s` holds rows `s·MR .. s·MR+MR`,
-/// element `(r, kk)` at `kk·MR + r` — one K step of a strip is one
-/// contiguous broadcast group for the microkernel.
-pub(crate) fn pack_a(a_f32: &[f32], live_m: usize, k: usize, out: &mut Vec<f32>) {
-    debug_assert_eq!(live_m % MICRO_MR, 0, "staging is strip-aligned");
-    out.clear();
-    out.resize(live_m * k, 0.0);
-    for s in 0..live_m / MICRO_MR {
-        let strip = &mut out[s * MICRO_MR * k..(s + 1) * MICRO_MR * k];
-        for r in 0..MICRO_MR {
-            let row = &a_f32[(s * MICRO_MR + r) * k..][..k];
-            for (kk, &v) in row.iter().enumerate() {
-                strip[kk * MICRO_MR + r] = v;
-            }
-        }
-    }
-}
-
-/// Stages the per-strip A checksum rows: for strip `s` and step `kk`,
-/// `out[(s·k + kk)·2..][..2] = (Σ_i a[i][kk], Σ_i |a[i][kk]|)` over the
-/// strip's [`MICRO_MR`] rows, both summed pairwise in f32. The second is
+/// Stages the activation operand `a` into `p` (sized by
+/// [`Panels::stage`]) in one pass over its codes: each [`MICRO_MR`]-row
+/// strip is gathered, decoded to f32 and written straight into the
+/// strip layout, K steps past the operand zero-filled, and — when
+/// `a_chk` is non-empty — each step's `(Σ_i a[i][kk], Σ_i |a[i][kk]|)`
+/// is taken from the same four values, pairwise in f32. The second is
 /// the *sum of magnitudes*, not the magnitude of the sum: the error
 /// bound it feeds must cover the data accumulators' rounding even where
 /// the strip's values cancel.
-pub(crate) fn stage_a_chk(a_f32: &[f32], live_m: usize, k: usize, out: &mut Vec<f32>) {
+///
+/// An NCHW source is already K-major: where a strip's rows are
+/// consecutive pixels of one output row with their windows inside the
+/// image, each K step is [`MICRO_MR`] contiguous codes. Any other strip
+/// (fc rows, image edges, strided convs, the ragged last strip) gathers
+/// its rows through [`MatrixView::row_codes`] and walks them in
+/// lockstep. The format dispatch is outside every loop.
+pub(crate) fn stage_a(path: GemmPath, a: MatrixView<'_>, p: &mut Panels) {
+    fn put<D: StorageDtype>(c: [F16; MICRO_MR], pack: &mut [f32], sums: Option<&mut [f32]>) {
+        let v = c.map(|c| D::decode(c.to_bits()));
+        pack.copy_from_slice(&v);
+        if let Some(sums) = sums {
+            sums[0] = (v[0] + v[1]) + (v[2] + v[3]);
+            sums[1] = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    if path.is_simd() && a.dtype == Dtype::F16 && aiga_dtype::f16c_active() {
+        // SAFETY: the SIMD path implies AVX2+FMA; F16C was just checked.
+        return unsafe { stage_strips_f16c(a, p) };
+    }
+    match a.dtype {
+        Dtype::F16 => stage_strips(a, p, put::<aiga_dtype::F16>),
+        Dtype::Bf16 => stage_strips(a, p, put::<aiga_dtype::Bf16>),
+        Dtype::Fp8E4M3 => stage_strips(a, p, put::<aiga_dtype::Fp8E4M3>),
+        Dtype::Int8 => stage_strips(a, p, put::<aiga_dtype::Int8>),
+    }
+}
+
+/// [`stage_strips`] with each step widened by `vcvtph2ps` (NaNs
+/// canonicalised as the scalar decode does) and summed by two
+/// horizontal adds — `(v0+v1)+(v2+v3)`, the scalar body's order.
+///
+/// # Safety
+/// The host must support AVX2, FMA and F16C.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
+unsafe fn stage_strips_f16c(a: MatrixView<'_>, p: &mut Panels) {
+    use std::arch::x86_64::*;
     const _: () = assert!(MICRO_MR == 4);
-    let strips = live_m / MICRO_MR;
-    out.clear();
-    out.resize(strips * k * 2, 0.0);
-    for (rows, dst) in a_f32
-        .chunks_exact(MICRO_MR * k)
-        .zip(out.chunks_exact_mut(k * 2))
-    {
-        let (r0, rest) = rows.split_at(k);
-        let (r1, rest) = rest.split_at(k);
-        let (r2, r3) = rest.split_at(k);
-        for (kk, d) in dst.chunks_exact_mut(2).enumerate() {
-            d[0] = (r0[kk] + r1[kk]) + (r2[kk] + r3[kk]);
-            d[1] = (r0[kk].abs() + r1[kk].abs()) + (r2[kk].abs() + r3[kk].abs());
+    stage_strips(a, p, |c, pack, sums| {
+        assert!(pack.len() == 4 && sums.as_ref().is_none_or(|s| s.len() == 2));
+        // SAFETY: `F16` is a transparent `u16`, so four of them are the
+        // eight bytes `vcvtph2ps` widens from the low half of an xmm;
+        // the stores cover the four and two floats asserted above.
+        unsafe {
+            let v = _mm_cvtph_ps(_mm_cvtsi64_si128(std::mem::transmute::<[F16; 4], i64>(c)));
+            let v = _mm_blendv_ps(v, _mm_set1_ps(f32::NAN), _mm_cmpunord_ps(v, v));
+            _mm_storeu_ps(pack.as_mut_ptr(), v);
+            if let Some(sums) = sums {
+                let pairs = _mm_hadd_ps(v, _mm_andnot_ps(_mm_set1_ps(-0.0), v));
+                _mm_storel_pd(
+                    sums.as_mut_ptr().cast(),
+                    _mm_castps_pd(_mm_hadd_ps(pairs, pairs)),
+                );
+            }
+        }
+    })
+}
+
+/// The body of [`stage_a`], generic over `put`: decode one step's codes
+/// into its strip slot and, when given one, its checksum pair.
+#[inline(always)]
+fn stage_strips(
+    a: MatrixView<'_>,
+    p: &mut Panels,
+    put: impl Fn([F16; MICRO_MR], &mut [f32], Option<&mut [f32]>),
+) {
+    let (k, cols) = (p.k, a.cols);
+    // Without checksum lanes `a_chk` is empty and every pair is `None`.
+    let mut chk = p.a_chk.chunks_exact_mut(2 * k);
+    for (s, strip) in p.a_pack.chunks_exact_mut(MICRO_MR * k).enumerate() {
+        let r0 = s * MICRO_MR;
+        let (pack, pad) = strip.split_at_mut(MICRO_MR * cols);
+        pad.fill(0.0);
+        let sums = chk.next().unwrap_or_default();
+        let (sums, pad) = sums.split_at_mut(sums.len().min(2 * cols));
+        pad.fill(0.0);
+        let (mut pack, mut sums) = (pack.chunks_exact_mut(MICRO_MR), sums.chunks_exact_mut(2));
+        let mut put = |c| put(c, pack.next().expect("one slot per K step"), sums.next());
+        let window = match a.layout {
+            MatrixLayout::Im2col(v) => Some(v).zip(v.contiguous_window(r0, MICRO_MR)),
+            MatrixLayout::RowMajor => None,
+        };
+        if let Some((v, tap0)) = window {
+            for plane_row in (0..v.channels * v.height).step_by(v.height) {
+                for ky in 0..v.kernel {
+                    let taps = &a.data[tap0 + (plane_row + ky) * v.width..];
+                    for step in taps[..v.kernel - 1 + MICRO_MR].windows(MICRO_MR) {
+                        put(step.try_into().expect("MICRO_MR-wide window"));
+                    }
+                }
+            }
+        } else {
+            let live = (a.rows - r0).min(MICRO_MR);
+            let mut scratch = p.rows.chunks_exact_mut(cols.max(1));
+            let lane: [&[F16]; MICRO_MR] = std::array::from_fn(|i| {
+                let scratch = scratch.next().expect("one scratch row per strip row");
+                if i < live {
+                    a.row_codes(r0 + i, scratch)
+                } else {
+                    scratch.fill(F16::ZERO);
+                    &*scratch
+                }
+            });
+            let [l0, l1, l2, l3] = lane;
+            for (((&a, &b), &c), &d) in l0.iter().zip(l1).zip(l2).zip(l3) {
+                put([a, b, c, d]);
+            }
         }
     }
 }
@@ -185,7 +261,7 @@ pub(crate) fn stage_a_chk(a_f32: &[f32], live_m: usize, k: usize, out: &mut Vec<
 /// ([`PackedWeights::col`]). This is the scalar oracle's inner loop and
 /// the shared primitive behind targeted recompute.
 #[inline]
-pub(crate) fn dot(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
+pub(crate) fn dot(a: impl Iterator<Item = f32>, b: impl Iterator<Item = f32>) -> f32 {
     #[cfg(target_arch = "x86_64")]
     {
         if detect_path().is_simd() {
@@ -201,14 +277,14 @@ pub(crate) fn dot(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
 /// identical either way — both are correctly rounded.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-unsafe fn dot_fma(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
+unsafe fn dot_fma(a: impl Iterator<Item = f32>, b: impl Iterator<Item = f32>) -> f32 {
     dot_generic(a, b)
 }
 
 #[inline(always)]
-fn dot_generic(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
+fn dot_generic(a: impl Iterator<Item = f32>, b: impl Iterator<Item = f32>) -> f32 {
     let mut s = 0.0f32;
-    for (x, y) in a.iter().zip(b) {
+    for (x, y) in a.zip(b) {
         s = x.mul_add(y, s);
     }
     s
@@ -216,7 +292,7 @@ fn dot_generic(a: &[f32], b: impl Iterator<Item = f32>) -> f32 {
 
 /// The scalar mirror of one column's checksum and magnitude lanes
 /// ([`Redundancy::ColumnChecksum`]): `a_chk` is one strip's
-/// [`stage_a_chk`] row, `b` one output column's K walk.
+/// checksum row ([`stage_a`]), `b` one output column's K walk.
 #[inline(always)]
 fn chk_dot(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32) {
     let (mut chk, mut mag) = (0.0f32, 0.0f32);
@@ -229,7 +305,7 @@ fn chk_dot(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32) {
 
 /// The scalar mirror of one register tile's corner chain and its
 /// magnitude ([`Redundancy::TileChecksum`]): `a_chk` is the strip's
-/// [`stage_a_chk`] row, `b_chk` the column group's checksum columns
+/// checksum row ([`stage_a`]), `b_chk` the column group's checksum columns
 /// (packed with the weights).
 #[inline(always)]
 fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
@@ -346,9 +422,8 @@ fn fill_scalar(
     let k = a.k;
     let cols = groups * MICRO_NR;
     for lr in 0..strips * MICRO_MR {
-        let a_row = &a.a_f32[(row0 + lr) * k..][..k];
         for (lc, out) in tile[lr * bn..][..cols].iter_mut().enumerate() {
-            *out = dot_generic(a_row, b.col(col0 + lc));
+            *out = dot_generic(a.row(row0 + lr), b.col(col0 + lc));
         }
     }
     let a_chk = |s: usize| &a.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
@@ -524,12 +599,12 @@ mod tests {
         k: usize,
         seed: u64,
         lanes: Redundancy,
-    ) -> (Panels, PackedWeights, Matrix) {
+    ) -> (Panels, PackedWeights, Matrix, Matrix) {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
         let mut p = Panels::default();
-        p.stage(a.view(), lanes, true, k.next_multiple_of(8));
-        (p, PackedWeights::pack(&b, lanes), b)
+        p.stage(a.view(), lanes, detect_path(), k.next_multiple_of(8));
+        (p, PackedWeights::pack(&b, lanes), a, b)
     }
 
     #[test]
@@ -537,14 +612,26 @@ mod tests {
         // Ragged on purpose: 3 dead rows in the last strip, K padded by
         // 6, a partial panel and a partial register tile on the right.
         let (m, n, k) = (13, 27, 10);
-        let (p, w, b) = staged(m, n, k, 42, Redundancy::TileChecksum);
+        let (p, w, a, b) = staged(m, n, k, 42, Redundancy::TileChecksum);
         let kp = w.k();
         assert_eq!((kp, w.rows(), w.cols()), (16, k, n));
-        for r in 0..m {
-            for kk in 0..kp {
-                let s = r / MICRO_MR;
-                let packed = p.a_pack[s * MICRO_MR * kp + kk * MICRO_MR + (r % MICRO_MR)];
-                assert_eq!(packed.to_bits(), p.a_f32[r * kp + kk].to_bits());
+        // Every activation sits at its strip address; dead rows and K
+        // padding are zero; `row` walks one lane.
+        let a_at = |r: usize, kk: usize| {
+            if r < m && kk < k {
+                a.get_f32(r, kk)
+            } else {
+                0.0
+            }
+        };
+        assert_eq!(p.a_pack.len(), m.next_multiple_of(MICRO_MR) * kp);
+        for r in 0..m.next_multiple_of(MICRO_MR) {
+            let walk: Vec<f32> = p.row(r).collect();
+            assert_eq!(walk.len(), kp);
+            for (kk, &got) in walk.iter().enumerate() {
+                assert_eq!(got.to_bits(), a_at(r, kk).to_bits(), "({r},{kk})");
+                let at = (r / MICRO_MR * kp + kk) * MICRO_MR + r % MICRO_MR;
+                assert_eq!(p.a_pack[at].to_bits(), got.to_bits());
             }
         }
         // Every source weight sits at its panel address; K and N padding
@@ -565,15 +652,15 @@ mod tests {
                 assert_eq!(w.panels()[at].to_bits(), want.to_bits());
             }
         }
-        // Checksum rows: plain sums and sums of magnitudes, per strip
-        // and per register-tile column group.
+        // Checksum rows: plain sums and sums of magnitudes, pairwise in
+        // f32, per strip and per register-tile column group.
         for s in 0..m.div_ceil(MICRO_MR) {
             for kk in 0..kp {
-                let col = |i: usize| p.a_f32[(s * MICRO_MR + i) * kp + kk] as f64;
-                let want: f64 = (0..MICRO_MR).map(col).sum();
-                let want_abs: f64 = (0..MICRO_MR).map(|i| col(i).abs()).sum();
-                assert!((p.a_chk[(s * kp + kk) * 2] as f64 - want).abs() < 1e-5);
-                assert!((p.a_chk[(s * kp + kk) * 2 + 1] as f64 - want_abs).abs() < 1e-5);
+                let v: [f32; MICRO_MR] = std::array::from_fn(|i| a_at(s * MICRO_MR + i, kk));
+                let want = (v[0] + v[1]) + (v[2] + v[3]);
+                let want_abs = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
+                assert_eq!(p.a_chk[(s * kp + kk) * 2].to_bits(), want.to_bits());
+                assert_eq!(p.a_chk[(s * kp + kk) * 2 + 1].to_bits(), want_abs.to_bits());
             }
         }
         for g in 0..n_pad / MICRO_NR {
@@ -606,7 +693,10 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             want = x.mul_add(*y, want);
         }
-        assert_eq!(dot(&a, b.iter().copied()).to_bits(), want.to_bits());
+        assert_eq!(
+            dot(a.iter().copied(), b.iter().copied()).to_bits(),
+            want.to_bits()
+        );
     }
 
     #[test]
@@ -632,7 +722,7 @@ mod tests {
                 let (row0, col0) = (MICRO_MR * 2, MICRO_NR);
                 let (strips, groups) = live;
                 let (m, n) = (row0 + strips * MICRO_MR, col0 + groups * MICRO_NR);
-                let (p, w, _) = staged(m, n, k, 7 + (bm + bn + k) as u64, lanes);
+                let (p, w, ..) = staged(m, n, k, 7 + (bm + bn + k) as u64, lanes);
                 let run = |path| {
                     let mut tile = vec![f32::NAN; bm * bn];
                     let mut chk = vec![f32::NAN; lanes.lane_len(bm, bn)];

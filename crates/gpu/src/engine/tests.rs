@@ -365,3 +365,107 @@ fn workspace_take_output_leaves_a_reusable_workspace() {
     let second = eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws);
     assert_eq!(first.c, second.c);
 }
+
+/// The three-pass staging the one-pass strip staging replaced — decode
+/// to padded row-major f32 (`MatrixView::decode_padded_into`, kept in
+/// `matrix.rs`'s tests), re-lay into strips, then sum the checksum rows
+/// — as the oracle for `Panels::stage`'s bits.
+fn stage_oracle(a: MatrixView<'_>, k: usize) -> (Vec<f32>, Vec<f32>) {
+    let live_m = a.rows.next_multiple_of(MICRO_MR);
+    let mut decoded = Vec::new();
+    a.decode_padded_into(live_m, k, &mut decoded);
+    let mut a_pack = vec![f32::NAN; live_m * k];
+    let mut a_chk = vec![f32::NAN; live_m / MICRO_MR * k * 2];
+    for s in 0..live_m / MICRO_MR {
+        for kk in 0..k {
+            let v: [f32; MICRO_MR] = std::array::from_fn(|i| decoded[(s * MICRO_MR + i) * k + kk]);
+            a_pack[(s * k + kk) * MICRO_MR..][..MICRO_MR].copy_from_slice(&v);
+            a_chk[(s * k + kk) * 2] = (v[0] + v[1]) + (v[2] + v[3]);
+            a_chk[(s * k + kk) * 2 + 1] = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
+        }
+    }
+    (a_pack, a_chk)
+}
+
+#[test]
+fn one_pass_staging_matches_the_three_pass_oracle_bit_for_bit() {
+    use crate::engine::panels::Panels;
+    // (kernel, stride, padding, h, w): pointwise, 3×3 s1 p1, 3×3 s2 p0
+    // with a ceil-mode edge (the last window hangs past the image),
+    // 7×7 s2 p3 — widths divisible by neither 4 nor 8, so strips
+    // straddle output rows and images.
+    let geometries = [
+        (1, 1, 0, 5, 7),
+        (3, 1, 1, 9, 11),
+        (3, 2, 0, 10, 13),
+        (7, 2, 3, 13, 9),
+    ];
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for dtype in Dtype::ALL {
+        for (kernel, stride, padding, h, w) in geometries {
+            for images in [1usize, 2] {
+                let channels = 3;
+                let mut tensor = Matrix::random_dtype(1, images * channels * h * w, 31, dtype);
+                // −0.0 and (where the format has one) NaN among the taps.
+                for (i, v) in [-0.0f32, f32::NAN, -f32::NAN].into_iter().enumerate() {
+                    tensor.data[7 + 13 * i] = F16::from_bits(dtype.encode(v));
+                }
+                let ceil = |x: usize| (x + 2 * padding - kernel).div_ceil(stride) + 1;
+                let geom = Im2colView {
+                    channels,
+                    height: h,
+                    width: w,
+                    kernel,
+                    stride,
+                    padding,
+                    out_h: ceil(h),
+                    out_w: ceil(w),
+                };
+                let mut views = vec![MatrixView::im2col_lowered(
+                    images,
+                    geom,
+                    &tensor.data,
+                    dtype,
+                )];
+                if kernel == 1 {
+                    views.push(MatrixView::nchw_lowered(
+                        images,
+                        channels,
+                        h * w,
+                        &tensor.data,
+                        dtype,
+                    ));
+                    views.push(MatrixView {
+                        rows: images * 5,
+                        cols: channels * h * w / 5,
+                        ..tensor.view()
+                    });
+                }
+                for view in views {
+                    let k = view.cols.next_multiple_of(8);
+                    let (want_pack, want_chk) = stage_oracle(view, k);
+                    for path in [simd::detect_path(), GemmPath::Scalar] {
+                        // Stale contents must be fully overwritten.
+                        let mut p = Panels::default();
+                        p.a_pack.resize(want_pack.len() + 5, f32::NAN);
+                        p.a_chk.resize(want_chk.len() + 5, f32::NAN);
+                        p.stage(view, Redundancy::ColumnChecksum, path, k);
+                        let what = format!(
+                            "{dtype} k{kernel}s{stride}p{padding} x{images} {:?} {path:?}",
+                            view.layout
+                        );
+                        assert_eq!(bits(&p.a_pack), bits(&want_pack), "a_pack {what}");
+                        assert_eq!(bits(&p.a_chk), bits(&want_chk), "a_chk {what}");
+                        p.stage(view, Redundancy::None, path, k);
+                        assert_eq!(
+                            bits(&p.a_pack),
+                            bits(&want_pack),
+                            "a_pack (no lanes) {what}"
+                        );
+                        assert!(p.a_chk.is_empty());
+                    }
+                }
+            }
+        }
+    }
+}

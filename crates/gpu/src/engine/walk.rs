@@ -91,11 +91,10 @@ pub(crate) fn run_block(
             && (col0..(col0 + bn).min(run.out_n)).contains(&f.col)
     };
     let cell = |f: &FaultPlan| (f.row - row0) * bn + (f.col - col0);
-    let k = run.a.k;
     for f in run.faults.iter().filter(in_block) {
         if f.after_step != u64::MAX {
             scratch.tile[cell(f)] = faulted_dot(
-                &run.a.a_f32[f.row * k..][..k],
+                run.a.row(f.row),
                 run.b.col(f.col),
                 (f.row, f.col),
                 run.faults,
@@ -123,19 +122,20 @@ pub(crate) fn run_block(
 /// with every fault aimed at `(row, col)` applied at its simulated
 /// K-step (one step consumes [`STEP_K`] = 2 elements, as in Figure 3).
 fn faulted_dot(
-    a_row: &[f32],
-    mut b_col: impl Iterator<Item = f32>,
+    a_row: impl Iterator<Item = f32>,
+    b_col: impl Iterator<Item = f32>,
     at: (usize, usize),
     faults: &[FaultPlan],
 ) -> f32 {
     let mut s = 0.0f32;
-    for (step, aa) in a_row.chunks_exact(STEP_K as usize).enumerate() {
-        for &a in aa {
-            s = a.mul_add(b_col.next().expect("B column covers K"), s);
-        }
-        for f in faults {
-            if (f.row, f.col) == at && f.after_step == step as u64 {
-                s = f.kind.apply(s);
+    for (kk, (a, b)) in a_row.zip(b_col).enumerate() {
+        s = a.mul_add(b, s);
+        let kk = kk as u64;
+        if kk % STEP_K == STEP_K - 1 {
+            for f in faults {
+                if (f.row, f.col) == at && f.after_step == kk / STEP_K {
+                    s = f.kind.apply(s);
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! bin's samples), so reported percentiles are meaningful numbers
 //! rather than the raw power-of-two bin edges (a bare log2 histogram
 //! can only ever answer 67.1 ms or 134.2 ms — useless for diffing
-//! `BENCH_serving.json` runs). The estimate stays inside the sample's
+//! benchmark runs). The estimate stays inside the sample's
 //! bin, so it is never more than 2× the true latency and never below
 //! the bin's lower edge — the right fidelity for serving dashboards at
 //! zero steady-state cost (no allocation, ever).

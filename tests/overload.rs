@@ -27,10 +27,11 @@ fn session() -> Session {
 }
 
 /// Rows of the plug request, sized to pin a worker for ~100 ms in the
-/// profile under test: thread-level schemes now cost about what the
-/// clean kernel does, so an optimized build needs 20× the rows a debug
-/// build does.
-const PLUG_ROWS: usize = if cfg!(debug_assertions) { 160 } else { 3200 };
+/// profile under test: thread-level schemes cost about what the clean
+/// kernel does and activations move between layers at vector speed, so
+/// an optimized build (≈5 µs a row) needs 120× the rows a debug build
+/// does.
+const PLUG_ROWS: usize = if cfg!(debug_assertions) { 160 } else { 19200 };
 
 /// A request large enough to pin a single worker for a while: over a
 /// largest bucket of 32 it splits into `PLUG_ROWS / 32` chunked passes.
