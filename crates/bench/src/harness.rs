@@ -86,7 +86,7 @@ fn max_iters_from_env() -> Option<usize> {
         .filter(|&n| n >= 1)
 }
 
-/// Collects [`bench`] results for one suite and writes them as
+/// Collects [`bench()`] results for one suite and writes them as
 /// `BENCH_<suite>.json`.
 pub struct Recorder {
     suite: String,

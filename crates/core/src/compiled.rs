@@ -133,6 +133,7 @@ impl CompiledModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::fnv1a;
     use aiga_gpu::DeviceSpec;
     use aiga_nn::zoo;
 
@@ -151,15 +152,6 @@ mod tests {
             compiled.schemes()[..],
             "bound schemes must match the plan"
         );
-    }
-
-    /// FNV-1a over the output bits — the `engine_golden.rs` hash.
-    fn fnv1a(c: &[f32]) -> u64 {
-        c.iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf29ce484222325, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x100000001b3)
-            })
     }
 
     #[test]

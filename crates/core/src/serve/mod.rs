@@ -580,13 +580,23 @@ impl ServerBuilder {
 }
 
 /// Spawns one worker thread over its own [`Session::shard`] (shared
-/// plan cache, private workspace pool).
+/// plan cache, private workspace pool). Two or more workers are the
+/// fan-out across cores, so each runs as an `aiga_util` parallel worker
+/// and its GEMMs stay on its own thread; a lone worker leaves the
+/// engine its intra-request stripe fan-out.
 fn spawn_worker(shared: &Arc<Shared>) -> std::thread::JoinHandle<()> {
     let id = shared.worker_seq.fetch_add(1, Ordering::Relaxed);
     let shared = shared.clone();
     std::thread::Builder::new()
         .name(format!("aiga-serve-{id}"))
-        .spawn(move || batch::worker_loop(&shared, id))
+        .spawn(move || {
+            let serve = || batch::worker_loop(&shared, id);
+            if shared.worker_target >= 2 {
+                aiga_util::as_worker(serve)
+            } else {
+                serve()
+            }
+        })
         .expect("spawn server worker")
 }
 

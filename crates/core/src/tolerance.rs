@@ -48,9 +48,8 @@ impl Tolerance {
     }
 
     /// Generalized threshold: `rounds_lp` low-precision rounding steps at
-    /// unit roundoff `u_lp` (the checksum chain's format — see
-    /// `aiga_dtype::Dtype::chain_unit`) plus `rounds32` FP32 steps over
-    /// magnitude `magnitude`. [`Self::threshold`] is the `u_lp = `[`U16`]
+    /// unit roundoff `u_lp` (the checksum chain's format) plus
+    /// `rounds32` FP32 steps over magnitude `magnitude`. [`Self::threshold`] is the `u_lp = `[`U16`]
     /// case; an exact chain passes `u_lp = 0`.
     pub fn threshold_lp(self, rounds_lp: f64, u_lp: f64, rounds32: f64, magnitude: f64) -> f64 {
         let (slope, floor) = self.linear_lp(rounds_lp, u_lp, rounds32);

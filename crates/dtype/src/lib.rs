@@ -27,12 +27,6 @@
 //! mirroring `aiga_fp16::f32_to_f16_bits`. Codes travel as `u16`
 //! (8-bit formats use the low byte) so `Matrix` storage stays one flat
 //! 16-bit lane regardless of format.
-//!
-//! Checksum chains keep their *hardware* precision per format (see
-//! [`Dtype::chain_add`]): fp16 sums in fp16, bf16 in bf16, and fp8 —
-//! which has no ALU add on real devices — widens exactly into fp16;
-//! int8 chains model exact integer-widening adds. [`Dtype::chain_unit`]
-//! exposes the matching unit roundoff for detection thresholds.
 
 use aiga_fp16::half::f32_to_f16_bits;
 use aiga_fp16::F16 as Half;
@@ -47,7 +41,7 @@ pub const INT8_SCALE: f32 = 1.0 / 64.0;
 /// The bf16 decode table: one `f32` per 16-bit pattern (256 KiB of
 /// rodata). bf16 is the top half of binary32, so each entry is just the
 /// pattern shifted left 16 — the table exists so 16-bit formats share
-/// one decode strategy (and one footprint line in the cost model).
+/// one decode strategy.
 static BF16_TO_F32: [f32; 1 << 16] = {
     let mut table = [0.0f32; 1 << 16];
     let mut bits = 0usize;
@@ -334,15 +328,6 @@ impl Dtype {
         (self.bits() / 8) as u64
     }
 
-    /// Host-side decode-table footprint in bytes (0 for affine int8).
-    pub const fn decode_table_bytes(self) -> u64 {
-        match self {
-            Dtype::F16 | Dtype::Bf16 => (1 << 16) * 4,
-            Dtype::Fp8E4M3 => (1 << 8) * 4,
-            Dtype::Int8 => 0,
-        }
-    }
-
     /// Decodes one stored code (low byte for 8-bit formats) to f32.
     #[inline]
     pub fn decode(self, code: u16) -> f32 {
@@ -362,46 +347,6 @@ impl Dtype {
             Dtype::Bf16 => Bf16::encode(x),
             Dtype::Fp8E4M3 => Fp8E4M3::encode(x),
             Dtype::Int8 => Int8::encode(x),
-        }
-    }
-
-    /// One step of a checksum chain at this format's *hardware* summing
-    /// precision: the f32 running sum `acc` plus the decoded element `v`,
-    /// rounded to the precision a real device's checksum accumulator
-    /// would hold.
-    ///
-    /// - fp16 sums in fp16 (tensor-core-era half ALUs). Both summands
-    ///   are always exact fp16 values, so the f32 add rounds the exact
-    ///   sum to 24 bits and 24 ≥ 2·11+2: rounding its result to fp16
-    ///   equals rounding the exact sum (innocuous double rounding) —
-    ///   byte-identical to the f64-widened add `aiga-fp16` uses, one
-    ///   rounding step cheaper.
-    /// - bf16 sums in bf16 (bf16 ALUs exist on Ampere+). The f32 add is
-    ///   correctly rounded to 24 bits and 24 ≥ 2·9+2, so rounding its
-    ///   result to bf16 equals rounding the exact sum (innocuous double
-    ///   rounding).
-    /// - fp8 has **no** ALU add on real hardware; every E4M3 value is
-    ///   exactly representable in fp16, so its chain widens into fp16.
-    /// - int8 chains model exact integer-widening adds: with the
-    ///   power-of-two scale every decoded value is a multiple of 2^-6,
-    ///   so the plain f32 add is exact.
-    #[inline]
-    pub fn chain_add(self, acc: f32, v: f32) -> f32 {
-        match self {
-            Dtype::F16 | Dtype::Fp8E4M3 => Half::from_f32(acc + v).to_f32(),
-            Dtype::Bf16 => Bf16::decode(Bf16::encode(acc + v)),
-            Dtype::Int8 => acc + v,
-        }
-    }
-
-    /// Unit roundoff of the chain precision used by [`Self::chain_add`]
-    /// — the `u` detection thresholds multiply per rounding step. Zero
-    /// for int8's exact chain.
-    pub const fn chain_unit(self) -> f64 {
-        match self {
-            Dtype::F16 | Dtype::Fp8E4M3 => 1.0 / 2048.0, // 2^-11 (fp16 chain)
-            Dtype::Bf16 => 1.0 / 512.0,                  // 2^-9
-            Dtype::Int8 => 0.0,
         }
     }
 
@@ -616,52 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn f16_chain_add_single_rounding_matches_the_widened_reference() {
-        // The fp16 chain arm adds in f32 and rounds once to fp16. The
-        // reference is the f64-widened correctly-rounded add (53 ≥ 24
-        // makes the f64 sum of two fp16 values exact, so its rounding
-        // IS the exact-sum rounding). Both summands are always exact
-        // fp16 values in a chain, so 24 ≥ 2·11+2 (innocuous double
-        // rounding) says the two must agree bit for bit — sweep every
-        // fp16 code for `v` against accumulators covering ties at
-        // quantum boundaries, the 65504 overflow edge, subnormals,
-        // zeros, and infinities.
-        let acc_codes: Vec<u16> = [
-            0x0000, 0x8000, // ±0
-            0x0001, 0x0002, 0x03ff, 0x8001, 0x83ff, // subnormals
-            0x0400, 0x0401, 0x8400, // smallest normals
-            0x3c00, 0x3c01, 0xbc00, // ±1 and 1+ulp
-            0x4248, 0xc248, // ±3.14…
-            0x57ff, 0x5800, 0xd7ff, // 127.9375 / 128 (quantum step)
-            0x7bff, 0xfbff, // ±65504 (overflow edge)
-            0x7800, 0xf800, // ±32768
-            0x7c00, 0xfc00, // ±inf
-        ]
-        .into_iter()
-        .chain((0..256).map(|i| i * 257)) // stratified sweep
-        .collect();
-        for &ac in &acc_codes {
-            let acc = Half::from_bits(ac).to_f32();
-            if acc.is_nan() {
-                continue;
-            }
-            for vb in 0..=u16::MAX {
-                let v = Half::from_bits(vb).to_f32();
-                if v.is_nan() {
-                    continue;
-                }
-                let got = Dtype::F16.chain_add(acc, v);
-                let want = Half::from_f64(acc as f64 + v as f64).to_f32();
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "fp16 chain drift: acc={ac:#06x} v={vb:#06x}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fp8_decode_matches_reference_for_all_256_codes() {
         for code in 0..=u8::MAX {
             let got = Dtype::Fp8E4M3.decode(code as u16) as f64;
@@ -733,7 +632,7 @@ mod tests {
     #[test]
     fn int8_engine_codes_round_trip_and_sum_exactly() {
         // Every storage code decodes to i·2^-6 and encodes back; the
-        // running f32 sum of all decoded values is exact (chain_unit 0).
+        // running f32 sum of all decoded values is exact.
         let mut sum = 0.0f32;
         let mut exact = 0i64;
         for i in -127i32..=127 {
@@ -741,7 +640,7 @@ mod tests {
             let v = Dtype::Int8.decode(code);
             assert_eq!(v, i as f32 / 64.0, "int8 decode at {i}");
             assert_eq!(Dtype::Int8.encode(v), code, "int8 round trip at {i}");
-            sum = Dtype::Int8.chain_add(sum, v);
+            sum += v;
             exact += i as i64;
         }
         assert_eq!(sum as f64 * 64.0, exact as f64);
@@ -775,35 +674,6 @@ mod tests {
             let v = int8_affine_decode(q, scale, zp);
             assert_eq!(int8_affine_encode(v, scale, zp), q, "affine sweep at {q}");
         }
-    }
-
-    #[test]
-    fn chain_add_matches_native_f16_chain() {
-        // The fp16 chain must be byte-identical to the pre-dtype
-        // `F16 + F16` fold the thread-level schemes used.
-        let vals = [0.5f32, -1.25, 3.75, 0.099976, -2.5, 1.0 / 3.0];
-        let mut acc = 0.0f32;
-        let mut native = Half::ZERO;
-        for &v in &vals {
-            let h = Half::from_f32(v);
-            acc = Dtype::F16.chain_add(acc, h.to_f32());
-            native = native + h;
-        }
-        assert_eq!(acc.to_bits(), native.to_f32().to_bits());
-    }
-
-    #[test]
-    fn chain_add_rounds_to_the_chain_format() {
-        // bf16: 256 + 1 is not representable (9-bit significand needed).
-        assert_eq!(Dtype::Bf16.chain_add(256.0, 1.0), 256.0);
-        assert_eq!(Dtype::Bf16.chain_add(256.0, 3.0), 260.0); // RNE up
-                                                              // fp8 chains in f16, NOT fp8: 32 + 1 survives (it would be lost
-                                                              // in a 4-bit-significand fp8 accumulator).
-        assert_eq!(Dtype::Fp8E4M3.chain_add(32.0, 1.0), 33.0);
-        // f16: 2048 + 1 is the first loss.
-        assert_eq!(Dtype::F16.chain_add(2048.0, 1.0), 2048.0);
-        // int8 is exact.
-        assert_eq!(Dtype::Int8.chain_add(1.984375, 0.015625), 2.0);
     }
 
     /// The f32 patterns the slice encoders are swept over: the dense
@@ -931,9 +801,6 @@ mod tests {
         assert_eq!("fp16".parse::<Dtype>().unwrap(), Dtype::F16);
         assert_eq!("fp8".parse::<Dtype>().unwrap(), Dtype::Fp8E4M3);
         assert!("fp64".parse::<Dtype>().is_err());
-        assert_eq!(Dtype::F16.decode_table_bytes(), 256 * 1024);
-        assert_eq!(Dtype::Fp8E4M3.decode_table_bytes(), 1024);
-        assert_eq!(Dtype::Int8.decode_table_bytes(), 0);
         assert_eq!(format!("{}", Dtype::Bf16), "bf16");
     }
 }

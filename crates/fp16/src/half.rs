@@ -196,16 +196,6 @@ impl F16 {
     pub fn neg(self) -> Self {
         F16(self.0 ^ SIGN_MASK)
     }
-
-    /// Correctly-rounded fused multiply-add: `self * b + c` with a single
-    /// rounding, as a Tensor Core's FP16 multiplier feeding an FP32
-    /// accumulator would before the final down-conversion.
-    pub fn fma(self, b: F16, c: F16) -> F16 {
-        // The product of two 11-bit significands is exact in f64 (<= 22
-        // bits) and the subsequent add is a single f64 rounding; 53 >= 24
-        // makes the final rounding to f16 innocuous.
-        F16::from_f64(self.to_f64() * b.to_f64() + c.to_f64())
-    }
 }
 
 /// Rounds `sig >> shift` to nearest, ties to even. `sig` holds an exact
@@ -665,20 +655,6 @@ mod tests {
         assert_eq!(big + F16::from_f32(0.5), big);
         assert_eq!(big + F16::ONE, big);
         assert_eq!((big + F16::from_f32(1.5)).to_f32(), 2050.0);
-    }
-
-    #[test]
-    fn fma_single_rounding_differs_from_two_roundings() {
-        // Pick a, b, c where a*b rounds in f16 but the fused version keeps
-        // the exact product: a = 1+2^-10, b = 1+2^-10 => a*b = 1 + 2^-9 +
-        // 2^-20. Plain mul rounds to 1+2^-9; fma(a, b, -1-2^-9) recovers
-        // the residual 2^-20 instead of 0.
-        let a = F16::from_f64(1.0 + 2.0_f64.powi(-10));
-        let c = F16::from_f64(-(1.0 + 2.0_f64.powi(-9)));
-        let fused = a.fma(a, c);
-        let unfused = a * a + c;
-        assert_eq!(fused.to_f64(), 2.0_f64.powi(-20));
-        assert_eq!(unfused.to_f64(), 0.0);
     }
 
     #[test]

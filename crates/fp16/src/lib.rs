@@ -1,26 +1,16 @@
 //! # aiga-fp16 — software half precision for the GPU substrate
 //!
-//! The paper's kernels run FP16 `m16n8k8` Tensor Core operations (MMAs) with
-//! FP32 accumulation (§2.1). This crate provides a bit-accurate software
-//! implementation of both pieces so the functional simulator in `aiga-gpu`
-//! computes exactly what the hardware datapath would:
+//! The paper's kernels multiply FP16 operands with FP32 accumulation
+//! (§2.1). This crate is the FP16 half of that: a bit-accurate software
+//! binary16, so the functional engine in `aiga-gpu` stores, rounds and
+//! widens operands exactly as the hardware datapath would (the FP32
+//! accumulation is the engine's own microkernel).
 //!
 //! - [`F16`]: IEEE 754 binary16 with round-to-nearest-even conversions and
 //!   correctly-rounded `+ - * /` (computed through `f64`, which is safe
 //!   because 53 ≥ 2·11 + 2 — double rounding through a format with at least
 //!   `2p + 2` significand bits is innocuous).
-//! - [`mma`]: the warp-wide `m16n8k8` matrix-multiply-accumulate with FP16
-//!   operands and FP32 accumulators, plus the PTX fragment layout that maps
-//!   each of the 32 lanes to the A/B/C elements it holds in registers. The
-//!   fragment layout is what fault injection uses to decide which simulated
-//!   thread's register a soft error lands in.
-//! - [`ops`]: the handful of non-MMA arithmetic idioms the paper calls out
-//!   (e.g. `HADD2`, the paired FP16 add used by checksum generation, §5.2.2).
 
 pub mod half;
-pub mod mma;
-pub mod ops;
 
 pub use half::F16;
-pub use mma::{mma_m16n8k8, FragmentLane, MmaTile, LANES_PER_WARP};
-pub use ops::hadd2;

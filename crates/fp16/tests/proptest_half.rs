@@ -1,8 +1,7 @@
 //! Randomized property tests for the software FP16 implementation
 //! (seeded deterministic case loops; no external crates).
 
-use aiga_fp16::ops::{hdot_f32, hsum, hsum_pairwise};
-use aiga_fp16::{mma_m16n8k8, MmaTile, F16};
+use aiga_fp16::F16;
 use aiga_util::Rng64;
 
 /// Arbitrary finite F16 values through their bit patterns (covers
@@ -14,17 +13,6 @@ fn finite_f16(rng: &mut Rng64) -> F16 {
             return h;
         }
     }
-}
-
-/// "Moderate" values where FP32 accumulation of 8-term dot products is
-/// exact enough to compare against f64.
-fn moderate_f16(rng: &mut Rng64) -> F16 {
-    let v = rng.range_u64(0, 481) as i32 - 240;
-    F16::from_f32(v as f32 / 8.0)
-}
-
-fn moderate_vec(rng: &mut Rng64, len: usize) -> Vec<F16> {
-    (0..len).map(|_| moderate_f16(rng)).collect()
 }
 
 #[test]
@@ -109,83 +97,5 @@ fn neg_is_involutive_and_sign_flipping() {
         if !a.is_zero() {
             assert!((-a).to_f64() == -(a.to_f64()));
         }
-    }
-}
-
-#[test]
-fn hsum_of_nonnegative_is_monotone_in_length() {
-    let mut rng = Rng64::seed_from_u64(0xF16_0007);
-    for _ in 0..200 {
-        // All values in [0, 1); appending more nonnegative terms never
-        // decreases the FP16 running sum.
-        let len = rng.range_usize(1, 40);
-        let vals: Vec<F16> = (0..len)
-            .map(|_| F16::from_bits(rng.range_u64(0, 0x3c00) as u16))
-            .collect();
-        let mut prev = F16::ZERO;
-        for n in 1..=vals.len() {
-            let s = hsum(&vals[..n]);
-            assert!(s.to_f64() >= prev.to_f64());
-            prev = s;
-        }
-    }
-}
-
-#[test]
-fn pairwise_sum_is_at_least_as_accurate() {
-    let mut rng = Rng64::seed_from_u64(0xF16_0008);
-    for _ in 0..400 {
-        let len = rng.range_usize(1, 64);
-        let vals = moderate_vec(&mut rng, len);
-        let exact: f64 = vals.iter().map(|v| v.to_f64()).sum();
-        let seq = hsum(&vals).to_f64();
-        let tree = hsum_pairwise(&vals).to_f64();
-        // Not asserting tree <= seq error pointwise (not a theorem), just
-        // that both stay within the coarse FP16 error envelope.
-        let bound = vals.len() as f64
-            * 0.5
-            * 2.0_f64.powi(-10)
-            * vals.iter().map(|v| v.to_f64().abs()).sum::<f64>().max(1.0);
-        assert!((seq - exact).abs() <= bound + 1.0);
-        assert!((tree - exact).abs() <= bound + 1.0);
-    }
-}
-
-#[test]
-fn mma_matches_f64_reference() {
-    let mut rng = Rng64::seed_from_u64(0xF16_0009);
-    for _ in 0..200 {
-        let a = moderate_vec(&mut rng, 128);
-        let b = moderate_vec(&mut rng, 64);
-        let mut c = vec![0.0f32; 128];
-        mma_m16n8k8(MmaTile::new(&a, 8), MmaTile::new(&b, 8), &mut c, 8);
-        for i in 0..16 {
-            for j in 0..8 {
-                let mut exact = 0.0f64;
-                let mut f32ref = 0.0f32;
-                for k in 0..8 {
-                    exact += a[i * 8 + k].to_f64() * b[k * 8 + j].to_f64();
-                    f32ref += a[i * 8 + k].to_f32() * b[k * 8 + j].to_f32();
-                }
-                // Bit-identical to the sequential FP32 reference and close
-                // to the exact value.
-                assert_eq!(c[i * 8 + j], f32ref);
-                assert!((c[i * 8 + j] as f64 - exact).abs() < 1e-1);
-            }
-        }
-    }
-}
-
-#[test]
-fn hdot_is_bilinear_in_scaling_by_powers_of_two() {
-    let mut rng = Rng64::seed_from_u64(0xF16_000A);
-    for _ in 0..1000 {
-        let a = moderate_vec(&mut rng, 8);
-        let b = moderate_vec(&mut rng, 8);
-        // Scaling by 2 is exact in FP16, so the dot product must scale
-        // exactly too.
-        let two = F16::from_f32(2.0);
-        let a2: Vec<F16> = a.iter().map(|&x| x * two).collect();
-        assert_eq!(hdot_f32(&a2, &b), 2.0 * hdot_f32(&a, &b));
     }
 }

@@ -28,13 +28,13 @@
 //!   when a layer is bound and shared by every run), the per-run A
 //!   staging (decoded + strip-packed rows, checksum rows), and the
 //!   reusable [`Workspace`] that owns all per-run scratch (A panels,
-//!   block tile and lanes, output, activation staging, checksum
-//!   scratch, the block-parallel stripe pool);
+//!   per-worker block tile and lanes, output, activation staging,
+//!   checksum scratch);
 //! - [`simd`] — the register-tiled AVX2+FMA microkernel with its
 //!   checksum-lane variants, the scalar oracle, the canonical
 //!   accumulation-order contract, and the runtime dispatch between them
 //!   ([`GemmPath`], `AIGA_FORCE_SCALAR`);
-//! - [`walk`] (private) — block execution over the live extent:
+//! - `walk` (private) — block execution over the live extent:
 //!   microkernel fill, targeted fault injection, tile epilogue;
 //! - this module — [`GemmEngine`] itself: the execution entry point
 //!   and output assembly.
@@ -239,10 +239,6 @@ impl GemmEngine {
         );
         let (out_m, out_n) = (a.rows, b.cols());
         let bm = self.tiling.block_m as usize;
-        let (gm, gn) = (
-            out_m.div_ceil(bm) as u64,
-            out_n.div_ceil(self.tiling.block_n as usize) as u64,
-        );
         let path = simd::active_path();
         ws.stage_activations(a, scheme.lanes, k);
         ws.out.reset(out_m, out_n);
@@ -254,7 +250,7 @@ impl GemmEngine {
             checksum_fmas: steps * scheme.lanes.checksum_fmas_per_step(),
         };
 
-        let stripes = gm as usize;
+        let stripes = out_m.div_ceil(bm);
         let flops = 2 * ws.out.counters.data_fmas as u128;
         let workers = if stripes >= 2 && flops >= BLOCK_PAR_MIN_FLOPS {
             aiga_util::effective_workers(stripes)
@@ -268,14 +264,9 @@ impl GemmEngine {
             _ => workers,
         };
 
-        if workers <= 1 {
-            ws.block.prepare(&self.tiling, scheme.lanes);
-        } else {
-            ws.ensure_stripe_pool(workers, &self.tiling, scheme.lanes);
-        }
-        let tiling = &self.tiling;
+        ws.ensure_stripe_pool(workers, &self.tiling, scheme.lanes);
         let run = &walk::Run {
-            tiling,
+            tiling: &self.tiling,
             path,
             a: &ws.panels,
             b,
@@ -284,70 +275,39 @@ impl GemmEngine {
             out_m,
             out_n,
         };
-        if workers <= 1 {
-            for br in 0..gm {
-                for bc in 0..gn {
-                    walk::run_block(run, br, bc, &mut ws.block, &mut ws.out.detections);
-                    scatter_tile(
-                        &ws.block.tile,
-                        tiling,
-                        br,
-                        bc,
-                        0,
-                        out_m,
-                        out_n,
-                        &mut ws.out.c,
-                    );
-                }
-            }
-            return &ws.out;
-        }
-
-        // Block-parallel regime: contiguous block-row stripe ranges per
-        // worker. Stripe s owns output rows [s·block_m, (s+1)·block_m),
-        // so each worker scatters into a disjoint row slice of the
-        // output carved off with split_at_mut.
-        let per = stripes.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = &mut ws.out.c;
-            let mut row_base = 0usize;
-            for (w, scr) in ws.stripe_pool[..workers].iter_mut().enumerate() {
-                let s0 = w * per;
-                let s1 = ((w + 1) * per).min(stripes);
-                if s0 >= s1 {
-                    break;
-                }
-                let rows = (s1 * bm).min(out_m) - row_base;
-                let (mine, rem) = std::mem::take(&mut rest).split_at_mut(rows * out_n);
-                rest = rem;
-                let base = row_base;
-                row_base += rows;
-                scope.spawn(move || {
+        if workers == 1 {
+            run_stripes(run, 0..stripes, &mut ws.stripe_pool[0], 0, &mut ws.out.c);
+        } else {
+            // Block-parallel regime: contiguous block-row stripe ranges
+            // per worker. Stripe s owns output rows [s·block_m,
+            // (s+1)·block_m), so each worker scatters into a disjoint
+            // row slice of the output carved off with split_at_mut.
+            let per = stripes.div_ceil(workers);
+            std::thread::scope(|scope| {
+                let mut rest: &mut [f32] = &mut ws.out.c;
+                let mut row_base = 0usize;
+                for (w, scr) in ws.stripe_pool[..workers].iter_mut().enumerate() {
+                    let s0 = w * per;
+                    let s1 = ((w + 1) * per).min(stripes);
+                    if s0 >= s1 {
+                        break;
+                    }
+                    let rows = (s1 * bm).min(out_m) - row_base;
+                    let (mine, rem) = std::mem::take(&mut rest).split_at_mut(rows * out_n);
+                    rest = rem;
+                    let base = row_base;
+                    row_base += rows;
                     // Workers obey the no-nested-fan-out discipline of
                     // `par_map` (a scheme or campaign above us may
                     // already be parallel).
-                    aiga_util::as_worker(|| {
-                        for br in s0 as u64..s1 as u64 {
-                            for bc in 0..gn {
-                                walk::run_block(run, br, bc, &mut scr.block, &mut scr.detections);
-                                scatter_tile(
-                                    &scr.block.tile,
-                                    tiling,
-                                    br,
-                                    bc,
-                                    base,
-                                    out_m,
-                                    out_n,
-                                    mine,
-                                );
-                            }
-                        }
+                    scope.spawn(move || {
+                        aiga_util::as_worker(|| run_stripes(run, s0..s1, scr, base, mine))
                     });
-                });
-            }
-        });
-        // Merge in worker (= stripe) order so detections keep the same
-        // block-major order the sequential walk produces.
+                }
+            });
+        }
+        // Merge in worker (= stripe) order, so detections come out in
+        // the same block-major order whatever the worker count.
         for scr in &mut ws.stripe_pool[..workers] {
             ws.out.detections.append(&mut scr.detections);
         }
@@ -355,21 +315,38 @@ impl GemmEngine {
     }
 }
 
-/// Copies one block tile's live cells into the output buffer. `c` holds
-/// output rows starting at `row_base` (the whole output for the
-/// sequential path, one worker's disjoint row slice for the
-/// block-parallel path).
-#[allow(clippy::too_many_arguments)]
+/// The stripe walk, shared by both regimes: executes every block of the
+/// block-row stripes `stripes` from the worker's private `scr` and
+/// scatters the tiles into `c`, which holds the output rows from
+/// `row_base` on (the whole output for a lone worker, one worker's
+/// disjoint row slice in a block-parallel run).
+fn run_stripes(
+    run: &walk::Run<'_>,
+    stripes: std::ops::Range<usize>,
+    scr: &mut panels::StripeScratch,
+    row_base: usize,
+    c: &mut [f32],
+) {
+    let gn = run.out_n.div_ceil(run.tiling.block_n as usize) as u64;
+    for br in stripes {
+        for bc in 0..gn {
+            walk::run_block(run, br as u64, bc, &mut scr.block, &mut scr.detections);
+            scatter_tile(&scr.block.tile, run, br as u64, bc, row_base, c);
+        }
+    }
+}
+
+/// Copies one block tile's live cells into `c`, which holds the output
+/// rows from `row_base` on.
 fn scatter_tile(
     tile: &[f32],
-    tiling: &TilingConfig,
+    run: &walk::Run<'_>,
     br: u64,
     bc: u64,
     row_base: usize,
-    out_m: usize,
-    out_n: usize,
     c: &mut [f32],
 ) {
+    let (tiling, out_m, out_n) = (run.tiling, run.out_m, run.out_n);
     let bm = tiling.block_m as usize;
     let bn = tiling.block_n as usize;
     let row0 = br as usize * bm;

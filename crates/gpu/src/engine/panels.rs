@@ -10,7 +10,7 @@
 //!   once — `aiga-core`'s `SchemeKernel::bind` does it — and shared
 //!   read-only by every run, worker and shard. When the bound scheme is
 //!   two-sided ABFT it also carries the per-tile B checksum columns.
-//! - **A (activations)** is the request. [`Panels`] gathers, decodes,
+//! - **A (activations)** is the request. `Panels` gathers, decodes,
 //!   strip-packs and checksums it per run in one pass, into buffers the
 //!   [`Workspace`] keeps warm, covering only the request's own rows
 //!   (rounded up to one register-tile strip) — a batch-1 request stages
@@ -252,11 +252,12 @@ impl BlockScratch {
     }
 }
 
-/// Per-stripe scratch for the block-parallel workspace path: one worker
-/// thread executes a contiguous range of block-row stripes from its own
-/// instance, so workers share nothing but the read-only operands. The
-/// pool these live in ([`Workspace::stripe_pool`]) ratchets like every
-/// other workspace buffer.
+/// Per-worker scratch of one engine run: a worker — the calling thread
+/// alone, or each scoped thread of a block-parallel run — executes a
+/// contiguous range of block-row stripes from its own instance, so
+/// workers share nothing but the read-only operands. The pool these
+/// live in (`Workspace::stripe_pool`) ratchets like every other
+/// workspace buffer.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct StripeScratch {
     /// The worker's private block-execution scratch.
@@ -300,7 +301,6 @@ pub struct CheckScratch {
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
     pub(crate) panels: Panels,
-    pub(crate) block: BlockScratch,
     pub(crate) out: GemmOutput,
     /// Activation staging for pipeline layers (padding + ReLU results).
     pub(crate) act: Matrix,
@@ -313,16 +313,14 @@ pub struct Workspace {
     /// slot's capacity only ratchet up, so steady-state graph execution
     /// allocates nothing.
     pub(crate) slots: Vec<Matrix>,
-    /// Per-worker scratch for the block-parallel engine path (empty
-    /// until a run actually fans out; ratchets to the worker high-water
-    /// mark afterwards).
+    /// Per-worker scratch of the engine's stripe walk: entry 0 serves
+    /// the calling thread, the rest the scoped workers of a
+    /// block-parallel run (ratchets to the worker high-water mark).
     pub(crate) stripe_pool: Vec<StripeScratch>,
-    /// Child workspaces for graph execution: every GEMM stage of a
-    /// pipeline runs in one of these — a lone stage in the first, the
-    /// branches of a concurrent level in one each — while reading the
-    /// shared value [`Self::slots`]. Empty until a graph executes;
-    /// ratchets to the branch high-water mark afterwards.
-    branch_pool: Vec<Workspace>,
+    /// The child workspace for graph execution: every GEMM stage of a
+    /// pipeline runs in it while reading its operand in place from
+    /// [`Self::slots`]. Created when a graph first executes.
+    child: Option<Box<Workspace>>,
 }
 
 impl Workspace {
@@ -420,22 +418,18 @@ impl Workspace {
         self.slots[i] = m;
     }
 
-    /// Split borrow for graph execution: the shared value slots
-    /// (read-only, so a GEMM stage — or several concurrent branches —
-    /// can view a producer's slot in place as the engine operand)
-    /// together with `n` mutable child workspaces, one per stage, each
-    /// a private engine scratch and output. The pool only ratchets up,
-    /// so steady-state execution does not allocate here.
-    pub fn branch_split(&mut self, n: usize) -> (&[Matrix], &mut [Workspace]) {
-        if self.branch_pool.len() < n {
-            self.branch_pool.resize_with(n, Workspace::default);
-        }
-        (&self.slots, &mut self.branch_pool[..n])
+    /// Split borrow for graph execution: the value slots, read-only, so
+    /// a GEMM stage can view a producer's slot in place as the engine
+    /// operand, together with the child workspace the stage runs in
+    /// (engine scratch and output). The child is allocated once, so
+    /// steady-state execution does not allocate here.
+    pub fn slots_and_child(&mut self) -> (&[Matrix], &mut Workspace) {
+        (&self.slots, self.child.get_or_insert_with(Box::default))
     }
 
-    /// Arms the block-parallel scratch pool for `n` workers under
-    /// `tiling` and `lanes`: grows the pool if this is a new high-water
-    /// mark, then re-prepares each worker's scratch in place.
+    /// Arms the stripe scratch pool for `n` workers under `tiling` and
+    /// `lanes`: grows the pool if this is a new high-water mark, then
+    /// re-prepares each worker's scratch in place.
     pub(crate) fn ensure_stripe_pool(
         &mut self,
         n: usize,

@@ -5,11 +5,11 @@
 //! pack→microkernel→epilogue decomposition real GEMM libraries use:
 //!
 //! - B arrives packed ([`PackedWeights`], built once when a scheme is
-//!   bound to a layer); [`stage_a`] gathers, decodes and lays the
+//!   bound to a layer); `stage_a` gathers, decodes and lays the
 //!   request's rows into microkernel strips, with the checksum rows a
 //!   thread-level ABFT scheme multiplies, in one pass (once per run, in
 //!   `Panels::stage`, over the request's live rows only);
-//! - [`fill_block_tile`] computes the live register tiles of one
+//! - `fill_block_tile` computes the live register tiles of one
 //!   threadblock tile — and, when the run's scheme asks for them, their
 //!   checksum and magnitude lanes — through either the AVX2+FMA
 //!   register-tiled microkernel or the scalar oracle;
@@ -39,7 +39,7 @@
 //! more in-order FMA chain (`chk = fma(s[kk], b[kk][col], chk)`,
 //! `mag = fma(s_abs[kk], |b[kk][col]|, mag)`, and the two-sided corner
 //! `fma(s[kk], t[kk], corner)`), mirrored operation for operation by
-//! [`chk_dot`]/[`corner_dot`] on the scalar path — so residuals and
+//! `chk_dot`/`corner_dot` on the scalar path — so residuals and
 //! thresholds, not just outputs, are byte-identical across paths.
 
 use super::matrix::{MatrixLayout, MatrixView};

@@ -119,9 +119,9 @@ impl ConvParams {
 
     /// True for 1×1 stride-1 unpadded convolutions. Their im2col
     /// lowering is a pure relabeling of the NCHW buffer (`K = Cin`, one
-    /// row per pixel), so the GEMM can take a zero-copy
-    /// [`aiga_gpu::MatrixLayout::NchwLowered`] view of the activation
-    /// tensor instead of materializing the lowered matrix.
+    /// row per pixel), which the GEMM's zero-copy
+    /// [`aiga_gpu::MatrixLayout::Im2col`] view of the activation tensor
+    /// reads as one contiguous run per image and channel.
     pub fn is_pointwise(&self) -> bool {
         self.kernel == 1 && self.stride == 1 && self.padding == 0
     }

@@ -41,12 +41,14 @@ pub fn effective_workers(items: usize) -> usize {
 
 /// Runs `f` with the current thread marked as a parallel worker, so any
 /// nested [`par_map`]/[`effective_workers`] call inside it stays
-/// sequential. For callers that spawn their own scoped threads but want
-/// them to obey the same no-nested-fan-out discipline.
+/// sequential. For callers that run their own threads — scoped ones, or
+/// a server's long-lived workers — but want them to obey the same
+/// no-nested-fan-out discipline. The mark nests: leaving an inner call
+/// leaves the outer one's in place.
 pub fn as_worker<R>(f: impl FnOnce() -> R) -> R {
-    INSIDE_PAR_MAP.with(|flag| flag.set(true));
+    let was = INSIDE_PAR_MAP.with(|flag| flag.replace(true));
     let out = f();
-    INSIDE_PAR_MAP.with(|flag| flag.set(false));
+    INSIDE_PAR_MAP.with(|flag| flag.set(was));
     out
 }
 
@@ -154,6 +156,12 @@ mod tests {
         // Inside a worker context the answer is always 1.
         let nested = as_worker(|| effective_workers(1024));
         assert_eq!(nested, 1);
+        // ...also after an inner worker context has come and gone.
+        let after_inner = as_worker(|| {
+            as_worker(|| ());
+            effective_workers(1024)
+        });
+        assert_eq!(after_inner, 1);
         // The marker is scoped to the closure.
         assert_eq!(effective_workers(1024), cores.min(1024));
     }

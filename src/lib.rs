@@ -68,12 +68,11 @@
 //! Compile an *executable* zoo network — real FP16 weights, every
 //! convolution executed as an implicit GEMM (the engine's panel packer
 //! reads activations through an `Im2colView`/NCHW view of the producing
-//! stage's buffer, so the lowered matrix never materializes),
-//! pooling/ReLU/residual epilogues between stages, and independent
-//! branch levels (Fire expands, residual/shortcut convs) running on
-//! scoped worker threads with a byte-identical stage-order join — all
-//! served through the same session front-end
-//! (`Model → ModelPlan → CompiledModel`):
+//! stage's buffer, so the lowered matrix never materializes) and
+//! pooling/ReLU/residual epilogues between stages, one stage after
+//! another (a GEMM large enough to pay for it splits its own rows
+//! across cores; nothing fans out between stages) — all served through
+//! the same session front-end (`Model → ModelPlan → CompiledModel`):
 //!
 //! ```
 //! use aiga::prelude::*;
@@ -212,7 +211,7 @@
 //! ```
 //!
 //! The facade re-exports the workspace sub-crates: [`fp16`] (software
-//! half precision and `m16n8k8` MMA semantics), [`dtype`] (the
+//! half precision), [`dtype`] (the
 //! f16/bf16/fp8/int8 storage formats), [`gpu`] (devices, roofline,
 //! tiling, functional engine, timing), [`nn`] (layer lowering and the
 //! model zoo), [`core`] (the paper's contribution), [`faults`]

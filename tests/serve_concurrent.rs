@@ -216,6 +216,33 @@ fn bounded_queue_applies_backpressure() {
 }
 
 #[test]
+fn multi_worker_servers_do_not_nest_the_engine_fan_out() {
+    // Two or more server workers are the fan-out across cores: a GEMM
+    // inside one must not spawn stripe threads of its own. Buckets
+    // compile lazily on the worker, so the family closure reports what
+    // a parallel region opened from the worker thread would fan out to.
+    let host = aiga_util::effective_workers(1024);
+    for (workers, want) in [(2, 1), (1, host)] {
+        let (report, seen) = std::sync::mpsc::channel::<usize>();
+        let probing = Session::builder(
+            Planner::new(DeviceSpec::t4()),
+            "dlrm-mlp-bottom",
+            move |b| {
+                let _ = report.send(aiga_util::effective_workers(1024));
+                zoo::dlrm_mlp_bottom(b)
+            },
+        )
+        .buckets([8])
+        .build();
+        let server = Server::builder(probing).workers(workers).build();
+        let reply = server.client().submit(&Matrix::random(4, 13, 9)).unwrap();
+        assert_eq!(reply.wait().unwrap().rows, 4);
+        assert_eq!(seen.recv().unwrap(), want, "{workers}-worker server");
+        server.shutdown();
+    }
+}
+
+#[test]
 fn faulted_requests_run_solo_and_detect() {
     let server = Server::builder(session([8, 32]))
         .workers(1)
