@@ -1,4 +1,4 @@
-//! Microbenches of the substrate itself: FP16 conversion/arithmetic,
+//! Microbenches of the substrate itself: FP16 conversion,
 //! the functional GEMM engine (clean, faulted, and under every
 //! protected scheme), and the timing model. These quantify this host's
 //! engine, not the paper's GPU numbers.
@@ -9,7 +9,7 @@
 
 use aiga_bench::harness::{bench, Recorder};
 use aiga_core::schemes::Scheme;
-use aiga_fp16::F16;
+use aiga_dtype::F16;
 use aiga_gpu::engine::{
     FaultKind, FaultPlan, GemmEngine, Matrix, PackedWeights, Redundancy, TileScheme,
 };
@@ -29,13 +29,6 @@ fn main() {
         for &h in &halves {
             black_box(h.to_f32());
         }
-    });
-    bench("fp16/add_chain_x1024", || {
-        let mut acc = F16::ZERO;
-        for &h in &halves {
-            acc = acc + h;
-        }
-        black_box(acc);
     });
 
     // The engine-throughput suite: the numbers that gate every figure

@@ -53,8 +53,7 @@
 use crate::kernel::{BoundKernel, FaultSite, Verdict};
 use crate::registry::{self, SchemeRegistry};
 use crate::schemes::Scheme;
-use aiga_dtype::Dtype;
-use aiga_fp16::F16;
+use aiga_dtype::{Dtype, F16};
 use aiga_gpu::engine::{
     FaultPlan, GemmEngine, GemmOutput, Im2colView, Matrix, MatrixView, Workspace,
 };
@@ -181,8 +180,8 @@ enum StageOp {
         offset: usize,
     },
     /// Embedding-bag gathers: feature `t` of the source indexes
-    /// `tables[t]`; table values live on the network dtype's grid (the
-    /// graph snapped them) so re-encoding to slot codes is lossless.
+    /// `tables[t]`, which hold the network dtype's codes (encoded once
+    /// at compile time, like conv/fc weights), so a gather is a copy.
     EmbeddingBag {
         tables: Vec<Matrix>,
     },
@@ -314,14 +313,13 @@ impl ProtectedPipeline {
         // Weight values sit on the dtype's grid already (Network::
         // with_dtype snapped them), so re-encoding into raw dtype codes
         // is lossless; fp16 networks keep their matrices untouched.
-        let encode_weights = |m: Matrix| -> Matrix {
-            if dtype == Dtype::F16 {
-                return m;
+        let encode_weights = |mut m: Matrix| -> Matrix {
+            if dtype != Dtype::F16 {
+                for v in &mut m.data {
+                    *v = F16::from_bits(dtype.encode(v.to_f32()));
+                }
             }
-            let coded = Matrix::from_fn(m.rows, m.cols, |r, c| {
-                F16::from_bits(dtype.encode(m.get(r, c).to_f32()))
-            });
-            coded.with_dtype(dtype)
+            m.with_dtype(dtype)
         };
         let mut node_src: Vec<Src> = Vec::with_capacity(net.nodes.len());
         let mut stages: Vec<Stage> = Vec::new();
@@ -391,7 +389,7 @@ impl ProtectedPipeline {
                 NodeOp::Add { relu } => StageOp::Add { relu: *relu },
                 NodeOp::Slice { offset } => StageOp::Slice { offset: *offset },
                 NodeOp::EmbeddingBag { tables } => StageOp::EmbeddingBag {
-                    tables: tables.clone(),
+                    tables: tables.iter().cloned().map(encode_weights).collect(),
                 },
                 NodeOp::Interact => {
                     let part_features: Vec<usize> = node
@@ -670,12 +668,17 @@ impl ProtectedPipeline {
                     }
                 }
                 StageOp::Add { relu } => {
-                    let a = get(stage.srcs[0]);
-                    let b = get(stage.srcs[1]);
-                    dst.data.extend(a.data.iter().zip(&b.data).map(|(x, y)| {
-                        let v = dt.decode(x.to_bits()) + dt.decode(y.to_bits());
-                        F16::from_bits(dt.encode(if *relu { v.max(0.0) } else { v }))
-                    }));
+                    let (a, b) = (get(stage.srcs[0]), get(stage.srcs[1]));
+                    let n = a.data.len();
+                    scratch.c.resize(2 * n, 0.0);
+                    let (sum, rhs) = scratch.c.split_at_mut(n);
+                    dt.decode_slice(&a.data, sum);
+                    dt.decode_slice(&b.data, rhs);
+                    for (x, y) in sum.iter_mut().zip(rhs.iter()) {
+                        *x = if *relu { (*x + y).max(0.0) } else { *x + y };
+                    }
+                    dst.data.resize(n, F16::ZERO);
+                    dt.encode_slice(sum, &mut dst.data);
                 }
                 StageOp::Slice { offset } => {
                     let src = get(stage.srcs[0]);
@@ -695,10 +698,8 @@ impl ProtectedPipeline {
                                 dt.decode(src.data[n * t_count + t].to_bits()),
                                 table.rows,
                             );
-                            dst.data.extend(
-                                table.data[idx * table.cols..(idx + 1) * table.cols]
-                                    .iter()
-                                    .map(|w| F16::from_bits(dt.encode(w.to_f32()))),
+                            dst.data.extend_from_slice(
+                                &table.data[idx * table.cols..(idx + 1) * table.cols],
                             );
                         }
                     }
@@ -1268,6 +1269,41 @@ pub(crate) mod tests {
                     let r = p.infer(&input, None);
                     assert!(!r.fault_detected(), "{} {scheme}", net.name);
                     assert_eq!(fnv1a(&r.output), golden, "{} {scheme}", net.name);
+                }
+            }
+        }
+
+        #[test]
+        fn gather_and_add_outputs_match_the_parent_commit_bytes() {
+            // Recorded at the parent commit, where the embedding gather
+            // re-encoded every table element on every request and `Add`
+            // decoded and encoded per element: tables encoded once at
+            // compile time and the slice codecs must not move a byte.
+            let dlrm = || zoo::dlrm_net(8, 8, 1000, 64, 11);
+            for (net, dtype, golden) in [
+                (dlrm(), Dtype::F16, 0x464e04c137dc0c1a_u64),
+                (dlrm(), Dtype::Bf16, 0x7e91bf7b9659ec95),
+                (
+                    zoo::resnet_block_net(2, 8, 8, 7),
+                    Dtype::Bf16,
+                    0x4f14837fb54191cf,
+                ),
+            ] {
+                let net = net.with_dtype(dtype);
+                let features = net.input_features();
+                let mut input = Matrix::random_dtype(net.batch, features, 77, dtype);
+                if net.name == "DLRM" {
+                    // Categorical indices after the 13 dense features.
+                    for (r, c) in (0..net.batch).flat_map(|r| (13..features).map(move |c| (r, c))) {
+                        let index = ((r * 131 + c * 17) % 1000) as f32;
+                        input.set(r, c, F16::from_bits(dtype.encode(index)));
+                    }
+                }
+                for scheme in [Scheme::ThreadLevelOneSided, Scheme::GlobalAbft] {
+                    let p = ProtectedPipeline::compile(&net, &vec![scheme; net.gemm_count()]);
+                    let r = p.infer(&input, None);
+                    assert!(!r.fault_detected(), "{} {dtype} {scheme}", net.name);
+                    assert_eq!(fnv1a(&r.output), golden, "{} {dtype} {scheme}", net.name);
                 }
             }
         }

@@ -29,7 +29,7 @@
 //! order, instead of once per column through a strided gather.
 
 use crate::tolerance::{exceeds, Tolerance};
-use aiga_fp16::F16;
+use aiga_dtype::F16;
 use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixView};
 
 /// Sums a slice of FP32 values pairwise (tree order: split at `n/2`),

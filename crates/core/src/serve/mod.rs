@@ -384,6 +384,10 @@ impl Client {
         admission: Admission,
     ) -> Result<Pending, ServeError> {
         let shared = &*self.shared;
+        // A malformed request never reaches the queue, where it could
+        // be stacked with a well-formed neighbour's rows.
+        SessionError::check_shape(input)
+            .inspect_err(|_| AtomicServerStats::bump(&shared.stats.rejected))?;
         // Admission-time shedding: when the head of the queue has
         // already aged past the shed threshold, adding more load only
         // deepens the overload — turn the request away *now* (an

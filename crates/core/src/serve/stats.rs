@@ -17,7 +17,8 @@ pub struct ServerStats {
     /// mismatch); their handles resolve to `Err`.
     pub failed: u64,
     /// Submissions turned away at admission (`QueueFull`, submit
-    /// deadline expiry, or submission after shutdown).
+    /// deadline expiry, submission after shutdown, or a request matrix
+    /// whose buffer disagrees with its shape).
     pub rejected: u64,
     /// Serve passes dispatched to the session — one per coalesced
     /// batch. An oversized request the session internally splits into

@@ -67,6 +67,28 @@ pub enum SessionError {
         /// Storage dtype the family executes in.
         expected: Dtype,
     },
+    /// The request matrix does not hold `rows × cols` codes (its fields
+    /// are public, so a caller can build one that does not).
+    MalformedInput {
+        /// Declared rows.
+        rows: usize,
+        /// Declared columns.
+        cols: usize,
+        /// Codes actually present.
+        len: usize,
+    },
+}
+
+impl SessionError {
+    /// Rejects a buffer that disagrees with its declared shape, before
+    /// anything copies, pads or stacks it by that shape.
+    pub(crate) fn check_shape(input: &Matrix) -> Result<(), SessionError> {
+        let (rows, cols, len) = (input.rows, input.cols, input.data.len());
+        if rows.checked_mul(cols) == Some(len) {
+            return Ok(());
+        }
+        Err(SessionError::MalformedInput { rows, cols, len })
+    }
 }
 
 impl std::fmt::Display for SessionError {
@@ -80,6 +102,9 @@ impl std::fmt::Display for SessionError {
                 f,
                 "request is {observed} but the model family executes in {expected}"
             ),
+            SessionError::MalformedInput { rows, cols, len } => {
+                write!(f, "request declares {rows}x{cols} but holds {len} codes")
+            }
         }
     }
 }
@@ -549,6 +574,7 @@ impl Session {
         fault: Option<PipelineFault>,
         degraded: bool,
     ) -> Result<ServeReport, SessionError> {
+        SessionError::check_shape(input)?;
         let largest = *self.cache.buckets.last().unwrap();
         if input.rows <= largest as usize {
             let (report, built) =
@@ -957,6 +983,31 @@ mod tests {
         );
         let ok = Matrix::random_dtype(1, 16 * 8 * 8, 52, Dtype::Bf16);
         assert!(s.serve(&ok).is_ok());
+    }
+
+    #[test]
+    fn malformed_input_is_a_typed_error_not_padding_or_a_panic() {
+        let s = session();
+        for len in [0, 20, 4 * 13 + 500] {
+            let mut bad = Matrix::random(4, 13, 53);
+            bad.data.resize(len, bad.data[0]);
+            let err = SessionError::MalformedInput {
+                rows: 4,
+                cols: 13,
+                len,
+            };
+            assert_eq!(s.serve(&bad).unwrap_err(), err);
+            assert_eq!(s.serve_degraded(&bad).unwrap_err(), err);
+        }
+        // A shape whose product overflows is malformed, not a panic.
+        let mut huge = Matrix::random(4, 13, 53);
+        huge.rows = usize::MAX;
+        assert!(matches!(
+            s.serve(&huge),
+            Err(SessionError::MalformedInput { .. })
+        ));
+        assert_eq!(s.stats().requests, 0);
+        assert!(s.serve(&Matrix::random(4, 13, 53)).is_ok());
     }
 
     #[test]

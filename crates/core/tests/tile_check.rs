@@ -248,7 +248,7 @@ fn clean_gemms_never_flag_in_any_dtype_on_either_path() {
                     for r in (1..m).step_by(2) {
                         for c in 0..k {
                             let above = dtype.decode(a.get(r - 1, c).to_bits());
-                            a.set(r, c, aiga_fp16::F16(dtype.encode(-above)));
+                            a.set(r, c, aiga_dtype::F16(dtype.encode(-above)));
                         }
                     }
                 }

@@ -1,217 +1,66 @@
-//! Storage-precision substrate: the formats a model's operands live in.
+//! Number formats: the operand value type and the storage codecs.
 //!
 //! The engine computes every GEMM in one currency — decoded `f32`
-//! panels, one FP32 accumulator per output element — but production
-//! models are *stored* and *served* in more than one precision: fp16,
-//! bf16, fp8 (E4M3), int8. This crate defines that storage axis as a
-//! sealed [`StorageDtype`] trait with one implementation per format and
-//! a runtime [`Dtype`] tag the rest of the stack dispatches on. Because
-//! decode-to-f32 is **exact** for every float format here (each
-//! representable value is also a binary32 value) and the int8 path uses
-//! a power-of-two scale, all downstream f32 arithmetic — the AVX2
-//! microkernel, checksum epilogues, recovery recompute — is shared
-//! byte-for-byte across formats by construction.
+//! panels, one FP32 accumulator per output element (the paper's FP16
+//! operands into FP32 accumulators, §2.1) — but models are *stored* and
+//! *served* in more than one precision. This crate is all the stack
+//! knows about those precisions:
 //!
-//! Per-format decode strategy (the hot direction):
-//! - 16-bit formats ([`F16`], [`Bf16`]): a 65,536-entry const `f32`
-//!   table — one indexed load per element. `F16` delegates to the
-//!   existing `aiga-fp16` table so its hot path and golden hashes are
-//!   untouched.
-//! - [`Fp8E4M3`]: a 256-entry const table.
-//! - [`Int8`]: affine scale (no table) — the engine's storage path
-//!   fixes `scale = 2^-6`, `zero_point = 0`, so decoded values are
-//!   exact multiples of 2^-6 and their f32 sums are exact.
-//!
-//! Encoding (quantization points: seeded weights, activation
-//! write-back) is round-to-nearest-even via direct bit manipulation,
-//! mirroring `aiga_fp16::f32_to_f16_bits`. Codes travel as `u16`
-//! (8-bit formats use the low byte) so `Matrix` storage stays one flat
-//! 16-bit lane regardless of format.
+//! - [`F16`], IEEE binary16 as a value type: the lane type of `Matrix`
+//!   storage and `Network` weights. Codes of every format travel in
+//!   `F16`-typed 16-bit lanes (8-bit formats in the low byte), told
+//!   apart by the runtime [`Dtype`] tag beside them.
+//! - The sealed [`Format`] trait, implemented by [`Binary16`], [`Bf16`],
+//!   [`Fp8E4M3`] and [`Int8`]. `decode` is **exact** (every value is a
+//!   binary32 value; int8's scale is a power of two), so all downstream
+//!   f32 arithmetic — microkernel, checksum epilogues, recovery
+//!   recompute — is shared byte for byte across formats; `encode` is
+//!   round-to-nearest-even.
+//! - One generic codec, `Minifloat<E, M, FINITE_ONLY>`, behind binary16
+//!   (`<5, 10, false>`) and E4M3FN (`<4, 3, true>`): its `const fn`
+//!   decoder generates their decode tables (one indexed load per
+//!   element) and its one RNE encoder takes `f32` and `f64` sources.
+//!   The policy is what the all-ones exponent means: IEEE — ±∞ and
+//!   NaNs, overflow rounds to ±∞; finite-only — an ordinary binade
+//!   whose last code is the one NaN, overflow saturates (±448).
+//! - Two formats stated directly, because that is all they are. bf16 is
+//!   the top half of binary32: decode is a shift (NaN payloads pass
+//!   through), encode one add-and-shift with NaNs canonicalised to
+//!   `0x7fc0` — several times faster than any generic body, and held to
+//!   `Minifloat<8, 7, false>` by the tests. int8 is the fixed symmetric
+//!   code `value = code · 2^-6`, clamped to ±127.
+//! - [`with_format!`], the one place a runtime [`Dtype`] becomes a
+//!   [`Format`] type. Every per-format loop in the stack — the slice
+//!   codecs here, the engine's strip staging and weight packing — is
+//!   written once over `F: Format` and entered through it, so the
+//!   dispatch sits outside the loop.
+//! - F16C: on AVX+F16C hosts ([`f16c_active`]) the fp16 slice codecs
+//!   convert eight lanes per instruction. That is a host capability,
+//!   not a format fork: the bytes are the scalar codec's (a vector
+//!   holding a NaN takes the scalar body), and `AIGA_FORCE_SCALAR=1`
+//!   turns the vector bodies off.
 
-use aiga_fp16::half::f32_to_f16_bits;
-use aiga_fp16::F16 as Half;
+pub mod half;
+mod minifloat;
+
+pub use half::F16;
+use minifloat::Minifloat;
 use std::sync::OnceLock;
-
-/// The engine's int8 dequantization scale, `2^-6`. A power of two keeps
-/// every decoded value an exact multiple of the quantum, so f32 sums of
-/// decoded int8 values are exact (the checksum chain has zero rounding
-/// error). Range: ±127/64 ≈ ±1.984.
-pub const INT8_SCALE: f32 = 1.0 / 64.0;
-
-/// The bf16 decode table: one `f32` per 16-bit pattern (256 KiB of
-/// rodata). bf16 is the top half of binary32, so each entry is just the
-/// pattern shifted left 16 — the table exists so 16-bit formats share
-/// one decode strategy.
-static BF16_TO_F32: [f32; 1 << 16] = {
-    let mut table = [0.0f32; 1 << 16];
-    let mut bits = 0usize;
-    while bits < (1 << 16) {
-        table[bits] = f32::from_bits((bits as u32) << 16);
-        bits += 1;
-    }
-    table
-};
-
-/// Decodes one FP8 E4M3FN code to the binary32 bit pattern of the same
-/// value, in pure integer arithmetic (usable in const context).
-///
-/// E4M3FN (OCP spec): 1 sign, 4 exponent (bias 7), 3 mantissa bits; no
-/// infinities; `S.1111.111` is NaN (canonicalized to `0x7fc0_0000` like
-/// the fp16 decode path); max finite is `S.1111.110` = ±448; subnormal
-/// value is `m · 2^-9`.
-const fn fp8_e4m3_bits_to_f32_bits(code: u8) -> u32 {
-    let sign = ((code & 0x80) as u32) << 24;
-    let e = ((code >> 3) & 0x0f) as u32;
-    let m = (code & 0x07) as u32;
-    if e == 15 && m == 7 {
-        return 0x7fc0_0000;
-    }
-    if e == 0 {
-        if m == 0 {
-            return sign; // signed zero
-        }
-        // Subnormal: value = m · 2^-9 with m in [1, 7]. Normalize: with
-        // l the index of m's leading 1 (0..=2), biased f32 exponent is
-        // (l - 9) + 127 = l + 118.
-        let l = 31 - m.leading_zeros();
-        return sign | ((l + 118) << 23) | ((m ^ (1 << l)) << (23 - l));
-    }
-    // Normal: (1 + m/8) · 2^(e-7); biased f32 exponent e - 7 + 127.
-    sign | ((e + 120) << 23) | (m << 20)
-}
-
-/// The full FP8 E4M3 → f32 decode table (1 KiB of rodata).
-static FP8_E4M3_TO_F32: [f32; 1 << 8] = {
-    let mut table = [0.0f32; 1 << 8];
-    let mut code = 0usize;
-    while code < (1 << 8) {
-        table[code] = f32::from_bits(fp8_e4m3_bits_to_f32_bits(code as u8));
-        code += 1;
-    }
-    table
-};
-
-/// Rounds `sig >> shift` to nearest, ties to even (same contract as the
-/// private helper in `aiga_fp16::half`).
-#[inline]
-fn rne_shift(sig: u64, shift: u32) -> u64 {
-    if shift == 0 {
-        return sig;
-    }
-    let shift = shift.min(63);
-    let floor = sig >> shift;
-    let rem = sig & ((1u64 << shift) - 1);
-    let half = 1u64 << (shift - 1);
-    if rem > half || (rem == half && floor & 1 == 1) {
-        floor + 1
-    } else {
-        floor
-    }
-}
-
-/// Converts an `f32` to bfloat16 bits with round-to-nearest-even.
-///
-/// bf16 is binary32 truncated to its top half, so RNE is one addition:
-/// `bits + 0x7fff + (lsb of the kept half)`; mantissa overflow carries
-/// into the exponent and on to infinity exactly as IEEE rounding
-/// requires. NaNs canonicalize to the quiet `0x7fc0` (payload and sign
-/// dropped, matching the fp16 path's canonicalization).
-pub fn f32_to_bf16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if (bits & 0x7fff_ffff) > 0x7f80_0000 {
-        return 0x7fc0;
-    }
-    let rounded = bits + 0x7fff + ((bits >> 16) & 1);
-    (rounded >> 16) as u16
-}
-
-/// Converts an `f32` to FP8 E4M3FN bits with round-to-nearest-even and
-/// saturation: the format has no infinities, so overflow (and ±∞)
-/// clamps to ±448 (`0x7e`/`0xfe`); NaN maps to the signed NaN code.
-pub fn f32_to_fp8_e4m3_bits(x: f32) -> u8 {
-    let b = x.to_bits();
-    let sign = ((b >> 24) & 0x80) as u8;
-    let abs = b & 0x7fff_ffff;
-    if abs > 0x7f80_0000 {
-        return sign | 0x7f; // NaN
-    }
-    let e = ((abs >> 23) & 0xff) as i32;
-    let m = abs & 0x007f_ffff;
-    if e == 0 && m == 0 {
-        return sign; // signed zero
-    }
-    // Express |x| = sig · 2^exp with sig in [2^23, 2^24) for normals
-    // (f32 subnormals are far below fp8's underflow threshold 2^-10 and
-    // flush to signed zero through the subnormal path).
-    let (sig, exp) = if e == 0 {
-        (m, -126 - 23)
-    } else {
-        (m | (1u32 << 23), e - 127 - 23)
-    };
-    let emag = exp + 23;
-    if emag >= 9 {
-        // |x| >= 512 > 464, the rounding boundary above MAX = 448.
-        return sign | 0x7e;
-    }
-    if emag >= -6 {
-        // Normal candidate: sig's leading bit sits at position 23, so we
-        // drop 20 bits; q in [2^3, 2^4] folds the implicit bit into the
-        // exponent field. The NaN slot (0x7f) and beyond saturate.
-        let q = rne_shift(sig as u64, 20);
-        let bits = (((emag + 6) as u32) << 3) + q as u32;
-        if bits >= 0x7f {
-            return sign | 0x7e;
-        }
-        return sign | bits as u8;
-    }
-    // Subnormal or underflow-to-zero: quantum is 2^-9, so we keep
-    // sig · 2^(exp+9) integral bits; q = 8 is MIN_POSITIVE normal and
-    // encodes correctly as e=1, m=0.
-    let shift = (-9 - exp) as u32;
-    let q = rne_shift(sig as u64, shift);
-    sign | q as u8
-}
-
-/// Affine int8 quantization with arbitrary `(scale, zero_point)`:
-/// `q = clamp(round_ties_even(x / scale) + zero_point, -127, 127)`.
-///
-/// This is the general calibration-time mapping; the engine's *storage*
-/// path fixes `scale = `[`INT8_SCALE`]` = 2^-6`, `zero_point = 0` (see
-/// [`Int8`]) so that decoded sums stay exact in f32. Non-finite inputs
-/// saturate (NaN quantizes to `zero_point`).
-pub fn int8_affine_encode(x: f32, scale: f32, zero_point: i8) -> i8 {
-    let q = (x / scale).round_ties_even() + zero_point as f32;
-    if q.is_nan() {
-        return zero_point;
-    }
-    q.clamp(-127.0, 127.0) as i8
-}
-
-/// Affine int8 dequantization: `x = (q - zero_point) · scale`.
-pub fn int8_affine_decode(q: i8, scale: f32, zero_point: i8) -> f32 {
-    (q as i32 - zero_point as i32) as f32 * scale
-}
 
 mod sealed {
     pub trait Sealed {}
-    impl Sealed for super::F16 {}
+    impl Sealed for super::Binary16 {}
     impl Sealed for super::Bf16 {}
     impl Sealed for super::Fp8E4M3 {}
     impl Sealed for super::Int8 {}
 }
 
 /// One storage format: how a model's operand bytes map to the engine's
-/// f32 currency. Sealed — the set of formats is closed over this crate
-/// so the engine can dispatch on [`Dtype`] exhaustively.
-///
-/// Codes travel as `u16` regardless of width; 8-bit formats use the low
-/// byte. `decode` is exact for every float format (all values are
-/// binary32-representable) and for int8's power-of-two scale; `encode`
-/// is round-to-nearest-even with each format's overflow semantics
+/// f32 currency. Sealed — [`with_format!`] turns a [`Dtype`] into one of
+/// the four. Codes travel as `u16` regardless of width (8-bit formats in
+/// the low byte); `encode` has each format's overflow semantics
 /// (fp16/bf16 → ±∞, fp8 → saturate at ±448, int8 → clamp at ±127).
-pub trait StorageDtype: sealed::Sealed + Copy + Send + Sync + 'static {
-    /// The runtime tag for this format.
-    const DTYPE: Dtype;
+pub trait Format: sealed::Sealed + 'static {
     /// Storage width in bits.
     const BITS: u32;
     /// Decodes one stored code to f32.
@@ -220,50 +69,58 @@ pub trait StorageDtype: sealed::Sealed + Copy + Send + Sync + 'static {
     fn encode(x: f32) -> u16;
 }
 
-/// IEEE 754 binary16 — the engine's native format, delegating to
-/// `aiga-fp16`'s decode table and bit-level encoder so the fp16 hot
-/// path (and its golden hashes) is byte-for-byte the pre-dtype code.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct F16;
+/// IEEE 754 binary16, the engine's native format: the codes are
+/// literal [`F16`] values.
+pub enum Binary16 {}
 
-impl StorageDtype for F16 {
-    const DTYPE: Dtype = Dtype::F16;
+impl Format for Binary16 {
     const BITS: u32 = 16;
     #[inline]
     fn decode(code: u16) -> f32 {
-        Half::from_bits(code).to_f32()
+        F16::from_bits(code).to_f32()
     }
     #[inline]
     fn encode(x: f32) -> u16 {
-        f32_to_f16_bits(x)
+        F16::from_f32(x).to_bits()
     }
 }
 
 /// bfloat16: 1 sign, 8 exponent (bias 127), 7 mantissa bits — binary32
 /// truncated to its top half, so decode is exact by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Bf16;
+pub enum Bf16 {}
 
-impl StorageDtype for Bf16 {
-    const DTYPE: Dtype = Dtype::Bf16;
+impl Format for Bf16 {
     const BITS: u32 = 16;
     #[inline]
     fn decode(code: u16) -> f32 {
-        BF16_TO_F32[code as usize]
+        f32::from_bits((code as u32) << 16)
     }
+    /// RNE is one addition, `bits + 0x7fff + (lsb of the kept half)`:
+    /// mantissa overflow carries into the exponent and on to infinity
+    /// exactly as IEEE rounding requires. NaNs canonicalize to the quiet
+    /// `0x7fc0` (payload and sign dropped).
     #[inline]
     fn encode(x: f32) -> u16 {
-        f32_to_bf16_bits(x)
+        let bits = x.to_bits();
+        if (bits & 0x7fff_ffff) > 0x7f80_0000 {
+            return 0x7fc0;
+        }
+        let rounded = bits + 0x7fff + ((bits >> 16) & 1);
+        (rounded >> 16) as u16
     }
 }
 
 /// FP8 E4M3FN (OCP): 1 sign, 4 exponent (bias 7), 3 mantissa bits; no
-/// infinities, one NaN per sign, max finite ±448.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Fp8E4M3;
+/// infinities, one NaN per sign (`S.1111.111`), max finite
+/// `S.1111.110` = ±448, subnormals `m · 2^-9`.
+pub enum Fp8E4M3 {}
 
-impl StorageDtype for Fp8E4M3 {
-    const DTYPE: Dtype = Dtype::Fp8E4M3;
+type E4M3Codec = Minifloat<4, 3, true>;
+
+/// The full FP8 E4M3 → f32 decode table (1 KiB of rodata).
+static FP8_E4M3_TO_F32: [f32; 1 << 8] = E4M3Codec::decode_table();
+
+impl Format for Fp8E4M3 {
     const BITS: u32 = 8;
     #[inline]
     fn decode(code: u16) -> f32 {
@@ -271,32 +128,36 @@ impl StorageDtype for Fp8E4M3 {
     }
     #[inline]
     fn encode(x: f32) -> u16 {
-        f32_to_fp8_e4m3_bits(x) as u16
+        E4M3Codec::from_f32(x)
     }
 }
 
 /// Symmetric int8 storage: `value = code · 2^-6`, zero-point 0, codes
-/// clamped to ±127 (the −128 slot is unused, keeping the range
-/// symmetric as TensorRT-style symmetric quantization does).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Int8;
+/// clamped to ±127 ≈ ±1.984 (the −128 slot is unused, as in
+/// TensorRT-style symmetric quantization). The power-of-two scale keeps
+/// f32 sums of decoded values exact: the checksum chain has zero
+/// rounding error.
+pub enum Int8 {}
 
-impl StorageDtype for Int8 {
-    const DTYPE: Dtype = Dtype::Int8;
+const INT8_SCALE: f32 = 1.0 / 64.0;
+
+impl Format for Int8 {
     const BITS: u32 = 8;
     #[inline]
     fn decode(code: u16) -> f32 {
         (code as u8 as i8) as f32 * INT8_SCALE
     }
+    /// `clamp(round_ties_even(x / 2^-6), -127, 127)`: ±∞ saturates, and
+    /// NaN — which `clamp` passes through — casts to 0.
     #[inline]
     fn encode(x: f32) -> u16 {
-        int8_affine_encode(x, INT8_SCALE, 0) as u8 as u16
+        (x / INT8_SCALE).round_ties_even().clamp(-127.0, 127.0) as i8 as u8 as u16
     }
 }
 
 /// Runtime storage-format tag. `Matrix`, panels, networks, the planner
-/// and the fault campaign all carry one of these; the engine dispatches
-/// decode/encode through it once per loop, not per element.
+/// and the fault campaign all carry one of these; code that loops over
+/// elements turns it into a [`Format`] once, through [`with_format!`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Dtype {
     /// IEEE binary16 (the default — the pre-dtype engine's format).
@@ -310,16 +171,40 @@ pub enum Dtype {
     Int8,
 }
 
+/// Evaluates `$body` with the type alias `$F` bound to the [`Format`]
+/// of the [`Dtype`] `$dtype` — the one place the runtime tag becomes a
+/// type. `$body` is monomorphised per format, so put the loop inside it:
+///
+/// ```
+/// use aiga_dtype::{with_format, Dtype, Format};
+/// let widest = |dt: Dtype, codes: &[u16]| -> f32 {
+///     with_format!(dt, F => codes.iter().map(|&c| F::decode(c)).fold(0.0, f32::max))
+/// };
+/// assert_eq!(widest(Dtype::Bf16, &[0x3f80, 0x4000]), 2.0);
+/// ```
+#[macro_export]
+macro_rules! with_format {
+    ($dtype:expr, $F:ident => $body:expr) => {
+        match $dtype {
+            $crate::Dtype::F16 => $crate::with_format!(@as Binary16, $F => $body),
+            $crate::Dtype::Bf16 => $crate::with_format!(@as Bf16, $F => $body),
+            $crate::Dtype::Fp8E4M3 => $crate::with_format!(@as Fp8E4M3, $F => $body),
+            $crate::Dtype::Int8 => $crate::with_format!(@as Int8, $F => $body),
+        }
+    };
+    (@as $format:ident, $F:ident => $body:expr) => {{
+        type $F = $crate::$format;
+        $body
+    }};
+}
+
 impl Dtype {
     /// Every supported format, in display order.
     pub const ALL: [Dtype; 4] = [Dtype::F16, Dtype::Bf16, Dtype::Fp8E4M3, Dtype::Int8];
 
     /// Storage width in bits.
     pub const fn bits(self) -> u32 {
-        match self {
-            Dtype::F16 | Dtype::Bf16 => 16,
-            Dtype::Fp8E4M3 | Dtype::Int8 => 8,
-        }
+        with_format!(self, F => F::BITS)
     }
 
     /// Storage bytes per element — what DRAM-traffic and arithmetic-
@@ -331,57 +216,41 @@ impl Dtype {
     /// Decodes one stored code (low byte for 8-bit formats) to f32.
     #[inline]
     pub fn decode(self, code: u16) -> f32 {
-        match self {
-            Dtype::F16 => F16::decode(code),
-            Dtype::Bf16 => Bf16::decode(code),
-            Dtype::Fp8E4M3 => Fp8E4M3::decode(code),
-            Dtype::Int8 => Int8::decode(code),
-        }
+        with_format!(self, F => F::decode(code))
     }
 
     /// Encodes an f32 to the nearest representable code (RNE).
     #[inline]
     pub fn encode(self, x: f32) -> u16 {
-        match self {
-            Dtype::F16 => F16::encode(x),
-            Dtype::Bf16 => Bf16::encode(x),
-            Dtype::Fp8E4M3 => Fp8E4M3::encode(x),
-            Dtype::Int8 => Int8::encode(x),
-        }
+        with_format!(self, F => F::encode(x))
     }
 
     /// Decodes `src` into `dst` (equal lengths), bit for bit what
     /// [`Self::decode`] gives per element, with the format dispatch
     /// outside the loop: fp16 widens eight codes per `vcvtph2ps` on F16C
-    /// hosts, the other formats run their scalar codec monomorphised.
-    pub fn decode_slice(self, src: &[Half], dst: &mut [f32]) {
+    /// hosts, otherwise each format runs its scalar codec monomorphised.
+    pub fn decode_slice(self, src: &[F16], dst: &mut [f32]) {
         assert_eq!(src.len(), dst.len(), "codec slices must match");
-        match self {
-            #[cfg(target_arch = "x86_64")]
+        #[cfg(target_arch = "x86_64")]
+        if self == Dtype::F16 && f16c_active() {
             // SAFETY: f16c_active verified AVX and F16C on this host.
-            Dtype::F16 if f16c_active() => unsafe { f16c::decode(src, dst) },
-            Dtype::F16 => decode_with::<F16>(src, dst),
-            Dtype::Bf16 => decode_with::<Bf16>(src, dst),
-            Dtype::Fp8E4M3 => decode_with::<Fp8E4M3>(src, dst),
-            Dtype::Int8 => decode_with::<Int8>(src, dst),
+            return unsafe { f16c::decode(src, dst) };
         }
+        with_format!(self, F => decode_with::<F>(src, dst))
     }
 
     /// Encodes `src` into `dst` (equal lengths), bit for bit what
     /// [`Self::encode`] gives per element. fp16 narrows eight values per
     /// `vcvtps2ph` on F16C hosts; bf16's shift-and-round body is
     /// branch-free, so the compiler vectorises its loop.
-    pub fn encode_slice(self, src: &[f32], dst: &mut [Half]) {
+    pub fn encode_slice(self, src: &[f32], dst: &mut [F16]) {
         assert_eq!(src.len(), dst.len(), "codec slices must match");
-        match self {
-            #[cfg(target_arch = "x86_64")]
+        #[cfg(target_arch = "x86_64")]
+        if self == Dtype::F16 && f16c_active() {
             // SAFETY: f16c_active verified AVX and F16C on this host.
-            Dtype::F16 if f16c_active() => unsafe { f16c::encode(src, dst) },
-            Dtype::F16 => encode_with::<F16>(src, dst),
-            Dtype::Bf16 => encode_with::<Bf16>(src, dst),
-            Dtype::Fp8E4M3 => encode_with::<Fp8E4M3>(src, dst),
-            Dtype::Int8 => encode_with::<Int8>(src, dst),
+            return unsafe { f16c::encode(src, dst) };
         }
+        with_format!(self, F => encode_with::<F>(src, dst))
     }
 
     /// Kebab-case name (the `FromStr`/CLI/CI spelling).
@@ -413,15 +282,15 @@ pub fn f16c_active() -> bool {
     false
 }
 
-fn decode_with<D: StorageDtype>(src: &[Half], dst: &mut [f32]) {
+fn decode_with<D: Format>(src: &[F16], dst: &mut [f32]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d = D::decode(s.to_bits());
     }
 }
 
-fn encode_with<D: StorageDtype>(src: &[f32], dst: &mut [Half]) {
+fn encode_with<D: Format>(src: &[f32], dst: &mut [F16]) {
     for (d, s) in dst.iter_mut().zip(src) {
-        *d = Half::from_bits(D::encode(*s));
+        *d = F16::from_bits(D::encode(*s));
     }
 }
 
@@ -430,13 +299,13 @@ fn encode_with<D: StorageDtype>(src: &[f32], dst: &mut [Half]) {
 /// so a vector holding a NaN goes through the scalar codec instead.
 #[cfg(target_arch = "x86_64")]
 mod f16c {
-    use super::{decode_with, encode_with, Half, F16};
+    use super::{decode_with, encode_with, Binary16, F16};
     use std::arch::x86_64::*;
 
     /// # Safety
     /// The host must support AVX and F16C.
     #[target_feature(enable = "avx,f16c")]
-    pub(super) unsafe fn decode(src: &[Half], dst: &mut [f32]) {
+    pub(super) unsafe fn decode(src: &[F16], dst: &mut [f32]) {
         let (mut s, mut d) = (src.chunks_exact(8), dst.chunks_exact_mut(8));
         for (s, d) in (&mut s).zip(&mut d) {
             // SAFETY: both chunks are exactly eight elements long.
@@ -444,16 +313,16 @@ mod f16c {
             if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v)) == 0 {
                 _mm256_storeu_ps(d.as_mut_ptr(), v);
             } else {
-                decode_with::<F16>(s, d);
+                decode_with::<Binary16>(s, d);
             }
         }
-        decode_with::<F16>(s.remainder(), d.into_remainder());
+        decode_with::<Binary16>(s.remainder(), d.into_remainder());
     }
 
     /// # Safety
     /// The host must support AVX and F16C.
     #[target_feature(enable = "avx,f16c")]
-    pub(super) unsafe fn encode(src: &[f32], dst: &mut [Half]) {
+    pub(super) unsafe fn encode(src: &[f32], dst: &mut [F16]) {
         let (mut s, mut d) = (src.chunks_exact(8), dst.chunks_exact_mut(8));
         for (s, d) in (&mut s).zip(&mut d) {
             // SAFETY: both chunks are exactly eight elements long.
@@ -464,10 +333,10 @@ mod f16c {
                     _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v),
                 );
             } else {
-                encode_with::<F16>(s, d);
+                encode_with::<Binary16>(s, d);
             }
         }
-        encode_with::<F16>(s.remainder(), d.into_remainder());
+        encode_with::<Binary16>(s.remainder(), d.into_remainder());
     }
 }
 
@@ -495,6 +364,7 @@ impl std::str::FromStr for Dtype {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minifloat::oracle::{by_magnitude, Reference};
 
     /// Independent bf16 reference: the top half of binary32, verbatim.
     fn bf16_ref_decode(bits: u16) -> f32 {
@@ -543,13 +413,12 @@ mod tests {
 
     #[test]
     fn f16_decode_and_encode_round_trip_all_2e16_patterns() {
-        // The dtype layer must be a transparent delegate: every pattern
-        // decodes through aiga-fp16's table and encodes back to itself
-        // (NaN payloads canonicalize to the quiet 0x7e00, like the F16
-        // type itself).
+        // The format is a transparent view of the value type: every
+        // pattern decodes through its table and encodes back to itself
+        // (NaN payloads canonicalize to the quiet 0x7e00).
         for bits in 0..=u16::MAX {
             let got = Dtype::F16.decode(bits);
-            let want = Half::from_bits(bits).to_f32();
+            let want = F16::from_bits(bits).to_f32();
             assert_eq!(got.to_bits(), want.to_bits(), "f16 decode at {bits:#06x}");
             let back = Dtype::F16.encode(got);
             if want.is_nan() {
@@ -647,38 +516,25 @@ mod tests {
     }
 
     #[test]
-    fn int8_affine_edge_cases() {
-        // Saturation at both rails, engine params.
-        assert_eq!(int8_affine_encode(10.0, INT8_SCALE, 0), 127);
-        assert_eq!(int8_affine_encode(-10.0, INT8_SCALE, 0), -127);
-        assert_eq!(int8_affine_encode(f32::INFINITY, INT8_SCALE, 0), 127);
-        assert_eq!(int8_affine_encode(f32::NEG_INFINITY, INT8_SCALE, 0), -127);
-        assert_eq!(int8_affine_encode(f32::NAN, INT8_SCALE, 0), 0);
-        // Ties to even on the integer grid: 0.5 quanta rounds to even.
-        assert_eq!(int8_affine_encode(1.5, 1.0, 0), 2);
-        assert_eq!(int8_affine_encode(2.5, 1.0, 0), 2);
-        assert_eq!(int8_affine_encode(-1.5, 1.0, 0), -2);
-        // Nonzero zero-point shifts the representable window.
-        let (scale, zp) = (0.05f32, 10i8);
-        assert_eq!(int8_affine_encode(0.0, scale, zp), 10);
-        assert_eq!(int8_affine_decode(10, scale, zp), 0.0);
-        let q = int8_affine_encode(1.0, scale, zp); // 1/0.05 + 10 = 30
-        assert_eq!(q, 30);
-        assert!((int8_affine_decode(q, scale, zp) - 1.0).abs() < 1e-6);
-        // Asymmetric saturation with a shifted zero-point.
-        assert_eq!(int8_affine_encode(100.0, scale, zp), 127);
-        assert_eq!(int8_affine_encode(-100.0, scale, zp), -127);
-        // Full sweep with arbitrary affine params: decode→encode is the
-        // identity on the valid code range.
-        for q in -127i8..=127 {
-            let v = int8_affine_decode(q, scale, zp);
-            assert_eq!(int8_affine_encode(v, scale, zp), q, "affine sweep at {q}");
-        }
+    fn int8_saturates_and_rounds_ties_to_even() {
+        let q = |x: f32| Dtype::Int8.encode(x) as u8 as i8;
+        // Saturation at both rails; NaN quantizes to zero.
+        assert_eq!(q(10.0), 127);
+        assert_eq!(q(-10.0), -127);
+        assert_eq!(q(f32::INFINITY), 127);
+        assert_eq!(q(f32::NEG_INFINITY), -127);
+        assert_eq!(q(f32::NAN), 0);
+        assert_eq!(q(-f32::NAN), 0);
+        // Ties to even on the 2^-6 grid: half a quantum rounds to even.
+        assert_eq!(q(1.5 / 64.0), 2);
+        assert_eq!(q(2.5 / 64.0), 2);
+        assert_eq!(q(-1.5 / 64.0), -2);
+        assert_eq!(q(126.5 / 64.0), 126);
+        assert_eq!(q(127.5 / 64.0), 127); // the rail, not the even 128
     }
 
-    /// The f32 patterns the slice encoders are swept over: the dense
-    /// stride of `aiga-fp16`'s encode oracle (every 2^16-th pattern and
-    /// its neighbours — all exponents, both signs, f32 subnormals, every
+    /// The f32 patterns the encoders are swept over: a dense stride
+    /// (every 2^16-th pattern and its neighbours — all exponents, both signs, f32 subnormals, every
     /// NaN prefix with quiet and signalling payloads) plus the exact
     /// ties, overflow boundaries and subnormal edges of each format.
     fn encode_sweep() -> Vec<f32> {
@@ -723,15 +579,71 @@ mod tests {
         v
     }
 
+    type Encoder = fn(f32) -> u16;
+
+    /// Every float format as the table-walk encode oracle sees it,
+    /// built on the arithmetic decode references, with its scalar
+    /// encoder: binary16; bf16 (`2^128` on the ∞ code, one unsigned
+    /// NaN); E4M3 (saturating at 448, NaNs keep their sign).
+    fn references() -> [(Reference, Encoder); 3] {
+        let bf16 = Reference {
+            values: (0..0x7f80)
+                .map(|c| bf16_ref_decode(c) as f64)
+                .chain([2.0f64.powi(128)])
+                .collect(),
+            sign: 0x8000,
+            nan: |_| 0x7fc0,
+        };
+        let e4m3 = Reference {
+            values: (0..=0x7e).map(fp8_ref_decode).collect(),
+            sign: 0x80,
+            nan: |negative| if negative { 0xff } else { 0x7f },
+        };
+        [
+            (half::oracle::reference(), Binary16::encode),
+            (bf16, Bf16::encode),
+            (e4m3, Fp8E4M3::encode),
+        ]
+    }
+
+    #[test]
+    fn encoders_match_the_table_walk_on_the_sweep() {
+        let sweep = by_magnitude(encode_sweep());
+        for (reference, encode) in references() {
+            reference.check(sweep.iter().copied(), encode);
+        }
+        // bf16's add-and-shift is the generic codec's answer wherever
+        // the two policies agree (they differ on NaN sign alone).
+        for x in sweep.into_iter().filter(|x| !x.is_nan()) {
+            assert_eq!(
+                Bf16::encode(x),
+                Minifloat::<8, 7, false>::from_f32(x),
+                "{x:e}"
+            );
+        }
+    }
+
+    /// All 2^32 `f32` patterns against the table walk — tens of seconds
+    /// per format in release; CI runs `--release -- --ignored exhaustive`.
+    #[test]
+    #[ignore = "2^32 patterns per format: run in release"]
+    fn exhaustive_f16_bf16_and_fp8e4m3_encoders_match_the_table_walk() {
+        std::thread::scope(|s| {
+            for (reference, encode) in references() {
+                s.spawn(move || reference.check_every_f32(encode));
+            }
+        });
+    }
+
     #[test]
     fn slice_codecs_match_the_scalar_codec_bit_for_bit() {
         // Runs natively and, in the scalar-oracle CI job, once more under
         // AIGA_FORCE_SCALAR=1 (where both sides are the scalar codec and
         // the sweep pins the generic slice bodies alone).
         let values = encode_sweep();
-        let codes: Vec<Half> = (0..=u16::MAX).map(Half::from_bits).collect();
+        let codes: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
         for dt in Dtype::ALL {
-            let mut enc = vec![Half::ZERO; values.len()];
+            let mut enc = vec![F16::ZERO; values.len()];
             dt.encode_slice(&values, &mut enc);
             for (x, got) in values.iter().zip(&enc) {
                 assert_eq!(
@@ -770,7 +682,7 @@ mod tests {
                         if let (Some(i), true) = (nan_at, len > 0) {
                             src[i] = f32::from_bits(0xffc1_2345);
                         }
-                        let mut enc = vec![Half::from_bits(0xdead); off + len + 1];
+                        let mut enc = vec![F16::from_bits(0xdead); off + len + 1];
                         dt.encode_slice(&src, &mut enc[off..off + len]);
                         for (x, got) in src.iter().zip(&enc[off..]) {
                             assert_eq!(got.to_bits(), dt.encode(*x), "{dt} len {len} off {off}");

@@ -1,7 +1,7 @@
-//! Randomized property tests for the software FP16 implementation
+//! Randomized property tests for the software FP16 value type
 //! (seeded deterministic case loops; no external crates).
 
-use aiga_fp16::F16;
+use aiga_dtype::F16;
 use aiga_util::Rng64;
 
 /// Arbitrary finite F16 values through their bit patterns (covers
@@ -57,30 +57,24 @@ fn conversion_error_is_within_half_ulp() {
 }
 
 #[test]
-fn addition_and_multiplication_are_commutative() {
+fn multiplication_is_commutative() {
     let mut rng = Rng64::seed_from_u64(0xF16_0004);
     for _ in 0..4000 {
         let a = finite_f16(&mut rng);
         let b = finite_f16(&mut rng);
-        let (ab, ba) = (a + b, b + a);
-        assert!(ab == ba || (ab.is_nan() && ba.is_nan()));
         let (ab, ba) = (a * b, b * a);
         assert!(ab == ba || (ab.is_nan() && ba.is_nan()));
     }
 }
 
 #[test]
-fn add_and_mul_are_correctly_rounded() {
+fn mul_is_correctly_rounded() {
     let mut rng = Rng64::seed_from_u64(0xF16_0005);
     for _ in 0..4000 {
         let a = finite_f16(&mut rng);
         let b = finite_f16(&mut rng);
-        // The exact sum/product of two f16 values is representable in
-        // f64, so rounding it once is the correctly-rounded answer.
-        assert_eq!(
-            (a + b).to_bits(),
-            F16::from_f64(a.to_f64() + b.to_f64()).to_bits()
-        );
+        // The exact product of two f16 values is representable in f64,
+        // so rounding it once is the correctly-rounded answer.
         assert_eq!(
             (a * b).to_bits(),
             F16::from_f64(a.to_f64() * b.to_f64()).to_bits()

@@ -7,8 +7,7 @@
 //! [`crate::engine::Workspace`] keeps the destination buffers warm
 //! across runs, so steady-state staging never touches the heap.
 
-use aiga_dtype::Dtype;
-use aiga_fp16::F16;
+use aiga_dtype::{Dtype, F16};
 use aiga_util::rng::Rng64;
 
 /// Logical-to-physical element layout of a [`MatrixView`].
@@ -300,21 +299,18 @@ impl Matrix {
     /// quantized to FP16 — the magnitude regime of normalized NN
     /// activations and weights.
     pub fn random(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut rng = Rng64::seed_from_u64(seed);
-        Self::from_fn(rows, cols, |_, _| F16::from_f32(rng.range_f32(-2.0, 2.0)))
+        Self::random_dtype(rows, cols, seed, Dtype::F16)
     }
 
     /// Like [`Self::random`], but quantizing the same pseudo-random
-    /// sample stream into `dtype`'s codes — for `Dtype::F16` this is
-    /// byte-identical to [`Self::random`], so cross-dtype campaigns and
+    /// sample stream into `dtype`'s codes, so cross-dtype campaigns and
     /// golden tests compare runs over the same underlying values.
     pub fn random_dtype(rows: usize, cols: usize, seed: u64, dtype: Dtype) -> Self {
         let mut rng = Rng64::seed_from_u64(seed);
-        let mut m = Self::from_fn(rows, cols, |_, _| {
+        Self::from_fn(rows, cols, |_, _| {
             F16(dtype.encode(rng.range_f32(-2.0, 2.0)))
-        });
-        m.dtype = dtype;
-        m
+        })
+        .with_dtype(dtype)
     }
 
     /// This matrix as a borrowed GEMM operand.

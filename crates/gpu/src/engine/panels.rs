@@ -30,8 +30,7 @@ use super::scheme::Redundancy;
 use super::simd::{self, GemmPath};
 use super::GemmOutput;
 use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR, MICRO_PANEL};
-use aiga_dtype::Dtype;
-use aiga_fp16::F16;
+use aiga_dtype::{with_format, Dtype, Format, F16};
 
 /// A layer's weights (`B` of `C = A·B`) in the form the microkernel
 /// consumes: decoded to f32 — exact for every storage format, so every
@@ -69,13 +68,17 @@ impl PackedWeights {
         let k = b.rows.next_multiple_of(8);
         let n_pad = b.cols.next_multiple_of(MICRO_NR);
         let mut panels = vec![0.0f32; n_pad * k];
-        // The dtype branch stays outside the element loops.
-        if b.dtype == Dtype::F16 {
-            Self::pack_with(b, k, &mut panels, |v| v.to_f32());
-        } else {
-            let dt = b.dtype;
-            Self::pack_with(b, k, &mut panels, |v| dt.decode(v.to_bits()));
-        }
+        // The format dispatch stays outside the element loops.
+        with_format!(b.dtype, F => {
+            for (kk, src) in b.data.chunks_exact(b.cols).enumerate() {
+                for (p, run) in src.chunks(MICRO_PANEL).enumerate() {
+                    let at = (p * k + kk) * MICRO_PANEL;
+                    for (d, &s) in panels[at..at + run.len()].iter_mut().zip(run) {
+                        *d = F::decode(s.to_bits());
+                    }
+                }
+            }
+        });
         let mut b_chk = Vec::new();
         if lanes == Redundancy::TileChecksum {
             b_chk.resize(n_pad / MICRO_NR * k * 2, 0.0);
@@ -102,17 +105,6 @@ impl PackedWeights {
             dtype: b.dtype,
             panels,
             b_chk,
-        }
-    }
-
-    fn pack_with(b: &Matrix, k: usize, panels: &mut [f32], decode: impl Fn(F16) -> f32) {
-        for (kk, src) in b.data.chunks_exact(b.cols).enumerate() {
-            for (p, run) in src.chunks(MICRO_PANEL).enumerate() {
-                let at = (p * k + kk) * MICRO_PANEL;
-                for (d, &s) in panels[at..at + run.len()].iter_mut().zip(run) {
-                    *d = decode(s);
-                }
-            }
         }
     }
 

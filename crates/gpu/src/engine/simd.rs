@@ -46,8 +46,7 @@ use super::matrix::{MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
 use super::scheme::Redundancy;
 use crate::tiling::{MICRO_MR, MICRO_NR, MICRO_PANEL};
-use aiga_dtype::{Dtype, StorageDtype};
-use aiga_fp16::F16;
+use aiga_dtype::{with_format, Dtype, Format, F16};
 
 // The main microkernel drives two B panels at once.
 const _: () = assert!(MICRO_NR == 2 * MICRO_PANEL);
@@ -151,25 +150,19 @@ pub fn force_path(path: Option<GemmPath>) {
 /// its rows through [`MatrixView::row_codes`] and walks them in
 /// lockstep. The format dispatch is outside every loop.
 pub(crate) fn stage_a(path: GemmPath, a: MatrixView<'_>, p: &mut Panels) {
-    fn put<D: StorageDtype>(c: [F16; MICRO_MR], pack: &mut [f32], sums: Option<&mut [f32]>) {
-        let v = c.map(|c| D::decode(c.to_bits()));
-        pack.copy_from_slice(&v);
-        if let Some(sums) = sums {
-            sums[0] = (v[0] + v[1]) + (v[2] + v[3]);
-            sums[1] = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
-        }
-    }
     #[cfg(target_arch = "x86_64")]
     if path.is_simd() && a.dtype == Dtype::F16 && aiga_dtype::f16c_active() {
         // SAFETY: the SIMD path implies AVX2+FMA; F16C was just checked.
         return unsafe { stage_strips_f16c(a, p) };
     }
-    match a.dtype {
-        Dtype::F16 => stage_strips(a, p, put::<aiga_dtype::F16>),
-        Dtype::Bf16 => stage_strips(a, p, put::<aiga_dtype::Bf16>),
-        Dtype::Fp8E4M3 => stage_strips(a, p, put::<aiga_dtype::Fp8E4M3>),
-        Dtype::Int8 => stage_strips(a, p, put::<aiga_dtype::Int8>),
-    }
+    with_format!(a.dtype, F => stage_strips(a, p, |c, pack, sums| {
+        let v = c.map(|c| F::decode(c.to_bits()));
+        pack.copy_from_slice(&v);
+        if let Some(sums) = sums {
+            sums[0] = (v[0] + v[1]) + (v[2] + v[3]);
+            sums[1] = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
+        }
+    }))
 }
 
 /// [`stage_strips`] with each step widened by `vcvtph2ps` (NaNs

@@ -3,7 +3,7 @@
 //! workspace-path equivalence.
 
 use super::*;
-use aiga_fp16::F16;
+use aiga_dtype::F16;
 
 const ALL_LANES: [Redundancy; 5] = [
     Redundancy::None,

@@ -9,7 +9,7 @@
 //! analytically.
 
 use crate::layer::conv_out;
-use aiga_fp16::F16;
+use aiga_dtype::F16;
 use aiga_gpu::engine::{Im2colView, Matrix, Workspace};
 
 /// A batched FP16 feature map in NCHW layout.

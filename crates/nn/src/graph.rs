@@ -25,8 +25,7 @@
 use crate::conv::{conv_reference_f64, ConvParams, Tensor};
 use crate::layer::{conv_out, LinearLayer};
 use crate::model::Model;
-use aiga_dtype::Dtype;
-use aiga_fp16::F16;
+use aiga_dtype::{Dtype, F16};
 use aiga_gpu::engine::Matrix;
 
 /// Max or average pooling.

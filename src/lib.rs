@@ -210,9 +210,9 @@
 //! assert_eq!(stats.session.corrections, 0);
 //! ```
 //!
-//! The facade re-exports the workspace sub-crates: [`fp16`] (software
-//! half precision), [`dtype`] (the
-//! f16/bf16/fp8/int8 storage formats), [`gpu`] (devices, roofline,
+//! The facade re-exports the workspace sub-crates: [`dtype`] (number
+//! formats: the binary16 value type `F16` and the f16/bf16/fp8/int8
+//! storage codecs behind one `Dtype` tag), [`gpu`] (devices, roofline,
 //! tiling, functional engine, timing), [`nn`] (layer lowering and the
 //! model zoo), [`core`] (the paper's contribution), [`faults`]
 //! (injection campaigns), and [`util`] (RNG/JSON/parallel helpers).
@@ -220,10 +220,18 @@
 pub use aiga_core as core;
 pub use aiga_dtype as dtype;
 pub use aiga_faults as faults;
-pub use aiga_fp16 as fp16;
 pub use aiga_gpu as gpu;
 pub use aiga_nn as nn;
 pub use aiga_util as util;
+
+/// Where `F16` lived while it had a crate of its own. Kept for the one
+/// thing that needs the path, `benchmark/src/serve.rs:14`, which no PR
+/// other than a `benchmark` one may edit; everything else imports
+/// [`dtype::F16`].
+#[doc(hidden)]
+pub mod fp16 {
+    pub use aiga_dtype::F16;
+}
 
 /// One-stop imports for the common API surface.
 ///

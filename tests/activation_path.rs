@@ -19,7 +19,7 @@
 //! conv must flag, and `recompute_strip` must repair them to the clean
 //! bytes.
 
-use aiga::fp16::F16;
+use aiga::dtype::F16;
 use aiga::gpu::engine::{Im2colView, MatrixView};
 use aiga::nn::conv::filters_to_matrix;
 use aiga::nn::graph::{NodeOp, PoolKind, PoolParams};

@@ -147,7 +147,7 @@ fn dlrm_input(batch: usize, tables: usize, rows_per_table: usize, seed: u64) -> 
         if c < 13 {
             base.get(r, c)
         } else {
-            aiga_fp16::F16::from_f32(((r * 31 + c * 17) % rows_per_table) as f32)
+            aiga_dtype::F16::from_f32(((r * 31 + c * 17) % rows_per_table) as f32)
         }
     })
 }

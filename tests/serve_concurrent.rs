@@ -375,3 +375,62 @@ fn dtype_mixed_requests_never_share_a_pass() {
     assert_eq!(stats.max_batch_requests, 1);
     assert_eq!(stats.worker_restarts, 0);
 }
+
+/// A 4×13 request whose buffer holds `len` codes instead of 52.
+fn malformed(len: usize) -> (Matrix, ServeError) {
+    let mut m = Matrix::random(4, 13, 90);
+    m.data.resize(len, m.data[0]);
+    let (rows, cols) = (m.rows, m.cols);
+    let err = ServeError::Session(SessionError::MalformedInput { rows, cols, len });
+    (m, err)
+}
+
+#[test]
+fn malformed_requests_are_turned_away_at_admission() {
+    // Truncated, the parent answered `Ok` with zero-filled rows; with
+    // extra codes it panicked the worker (`Aborted`, one restart).
+    let server = Server::builder(session([8, 32])).workers(1).build();
+    let client = server.client();
+    for len in [20, 4 * 13 + 500] {
+        let (bad, err) = malformed(len);
+        assert_eq!(client.submit(&bad).unwrap_err(), err);
+        assert_eq!(client.try_submit(&bad).unwrap_err(), err);
+    }
+    let ok = Matrix::random(4, 13, 91);
+    assert_eq!(client.submit(&ok).unwrap().wait().unwrap().rows, 4);
+    let stats = server.shutdown();
+    assert_eq!((stats.rejected, stats.submitted, stats.failed), (4, 1, 0));
+    assert_eq!(stats.worker_restarts, 0);
+}
+
+#[test]
+fn a_malformed_request_cannot_shift_a_coalesced_neighbours_rows() {
+    // At the parent the truncated request was stacked with its 3-row
+    // neighbour under `rows = 4 + 3`, and the neighbour's reply came
+    // back `Ok` with other bytes than its solo serve.
+    let server = Server::builder(session([8, 32]))
+        .workers(1)
+        .queue_capacity(16)
+        .coalesce_window(Duration::from_millis(50))
+        .build();
+    let client = server.client();
+    let giant = client.submit(&Matrix::random(256, 13, 1)).unwrap();
+    wait_for_empty_queue(&server);
+    let (bad, err) = malformed(20);
+    assert_eq!(client.submit(&bad).unwrap_err(), err);
+    let neighbours = [Matrix::random(3, 13, 92), Matrix::random(2, 13, 93)];
+    let pendings: Vec<Pending> = neighbours
+        .iter()
+        .map(|m| client.submit(m).unwrap())
+        .collect();
+    assert_eq!(giant.wait().unwrap().rows, 256);
+    let reference = session([8, 32]);
+    for (input, pending) in neighbours.iter().zip(pendings) {
+        let reply = pending.wait().expect("well-formed neighbour");
+        let solo = reference.serve(input).unwrap();
+        assert_eq!(bits(&reply.report.output), bits(&solo.report.output));
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.coalesced_requests, 2, "{stats:?}");
+    assert_eq!((stats.rejected, stats.worker_restarts), (1, 0));
+}
