@@ -11,7 +11,7 @@ use aiga_bench::harness::{bench, Recorder};
 use aiga_core::schemes::Scheme;
 use aiga_dtype::F16;
 use aiga_gpu::engine::{
-    FaultKind, FaultPlan, GemmEngine, Matrix, PackedWeights, Redundancy, TileScheme,
+    gemm, gemm_into, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy, TileScheme,
 };
 use aiga_gpu::timing::{estimate, Calibration, KernelProfile};
 use aiga_gpu::{DeviceSpec, GemmShape};
@@ -63,13 +63,11 @@ fn main() {
 
     let gflops_of = |size: usize, median_ns: f64| 2.0 * (size as f64).powi(3) / median_ns;
     for size in [64usize, 128] {
-        let shape = GemmShape::square(size as u64);
         let a = Matrix::random(size, size, 1);
         let b = Matrix::random(size, size, 2);
-        let eng = GemmEngine::with_default_tiling(shape);
         let med = rec
             .bench(&format!("engine/functional_gemm_{size}"), || {
-                black_box(eng.run(&a, &b, TileScheme::NONE, &[]));
+                black_box(gemm(&a, &b, TileScheme::NONE, &[]));
             })
             .median_ns;
         rec.record_value(
@@ -83,15 +81,13 @@ fn main() {
     // exactly at the block-parallel threshold; 512³ is beyond it.
     for size in [256usize, 512] {
         use aiga_gpu::engine::Workspace;
-        let shape = GemmShape::square(size as u64);
         let a = Matrix::random(size, size, 1);
         let b = PackedWeights::pack(&Matrix::random(size, size, 2), Redundancy::None);
-        let eng = GemmEngine::with_default_tiling(shape);
         let mut ws = Workspace::new();
-        eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
+        gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
         let med = rec
             .bench(&format!("engine/functional_gemm_{size}"), || {
-                black_box(eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws));
+                black_box(gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws));
             })
             .median_ns;
         rec.record_value(
@@ -102,10 +98,8 @@ fn main() {
     }
     {
         let size = 64usize;
-        let shape = GemmShape::square(size as u64);
         let a = Matrix::random(size, size, 1);
         let b = Matrix::random(size, size, 2);
-        let eng = GemmEngine::with_default_tiling(shape);
         let fault = FaultPlan {
             row: 17,
             col: 23,
@@ -113,7 +107,7 @@ fn main() {
             kind: FaultKind::AddValue(100.0),
         };
         rec.bench("engine/functional_gemm_64_faulted", || {
-            black_box(eng.run(&a, &b, TileScheme::NONE, &[fault]));
+            black_box(gemm(&a, &b, TileScheme::NONE, &[fault]));
         });
         // The thread-level schemes through the zero-alloc workspace
         // entry (what serving runs), beside a clean row on the same
@@ -128,18 +122,16 @@ fn main() {
         ] {
             let tile = scheme.tile_scheme(size);
             let packed = PackedWeights::pack(&b, tile.lanes);
-            eng.run_multi_into(&a, &packed, tile, &[], &mut ws); // warm
+            gemm_into(&a, &packed, tile, &[], &mut ws); // warm
             rec.bench(&format!("engine/gemm_64_{name}"), || {
-                black_box(eng.run_multi_into(&a, &packed, tile, &[], &mut ws));
+                black_box(gemm_into(&a, &packed, tile, &[], &mut ws));
             });
         }
         // Global ABFT runs the unmodified kernel plus its epilogue +
         // reduce-and-compare; bench it through its bound kernel.
-        let global = aiga_core::registry::shared()
-            .resolve(Scheme::GlobalAbft)
-            .bind(&b);
+        let global = Scheme::GlobalAbft.bind(&b);
         rec.bench("engine/gemm_64_global_abft", || {
-            black_box(global.run(&eng, a.view(), &[]));
+            black_box(global.run(a.view(), &[]));
         });
     }
 
@@ -155,7 +147,6 @@ fn main() {
         let size = 256usize;
         let a = Matrix::random(size, size, 1);
         let b = Matrix::random(size, size, 2);
-        let eng = GemmEngine::with_default_tiling(GemmShape::square(size as u64));
         let kernels = [
             Scheme::Unprotected,
             Scheme::ThreadLevelOneSided,
@@ -170,7 +161,7 @@ fn main() {
         for _ in 0..12 {
             for ((tile, packed), best) in kernels.iter().zip(&mut best) {
                 let t = std::time::Instant::now();
-                black_box(eng.run_multi_into(&a, packed, *tile, &[], &mut ws));
+                black_box(gemm_into(&a, packed, *tile, &[], &mut ws));
                 *best = best.min(t.elapsed().as_secs_f64() * 1e9);
             }
         }
@@ -234,7 +225,6 @@ fn main() {
             black_box(PackedWeights::pack(&weights, Redundancy::None));
         });
         let request = Matrix::random(1, 1024, 1);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(1, 1024, 1024));
         let mut ws = Workspace::new();
         for (name, scheme) in [
             ("clean", Scheme::Unprotected),
@@ -242,14 +232,13 @@ fn main() {
         ] {
             let tile = scheme.tile_scheme(1024);
             let packed = PackedWeights::pack(&weights, tile.lanes);
-            eng.run_multi_into(&request, &packed, tile, &[], &mut ws); // warm
+            gemm_into(&request, &packed, tile, &[], &mut ws); // warm
             rec.bench(&format!("engine/gemm_m1_k1024_n1024_{name}"), || {
-                black_box(eng.run_multi_into(&request, &packed, tile, &[], &mut ws));
+                black_box(gemm_into(&request, &packed, tile, &[], &mut ws));
             });
         }
         let batch = Matrix::random(256, 1024, 3);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(256, 1024, 1024));
-        let out = eng.run(&batch, &weights, TileScheme::NONE, &[]);
+        let out = gemm(&batch, &weights, TileScheme::NONE, &[]);
         let abft = GlobalAbft::prepare(&weights);
         let mut scratch = CheckScratch::default();
         rec.bench("engine/global_check_256x1024", || {
@@ -376,19 +365,17 @@ fn main() {
         use aiga_gpu::engine::{Dtype, Workspace};
 
         let size = 128usize;
-        let shape = GemmShape::square(size as u64);
         for dtype in Dtype::ALL {
             let a = Matrix::random_dtype(size, size, 1, dtype);
             let b = PackedWeights::pack(
                 &Matrix::random_dtype(size, size, 2, dtype),
                 Redundancy::None,
             );
-            let eng = GemmEngine::with_default_tiling(shape);
             let mut ws = Workspace::new();
-            eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
+            gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
             let med = rec
                 .bench(&format!("engine/gemm_{size}_clean_{dtype}"), || {
-                    black_box(eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws));
+                    black_box(gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws));
                 })
                 .median_ns;
             rec.record_value(

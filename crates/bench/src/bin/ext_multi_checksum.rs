@@ -6,8 +6,7 @@
 
 use aiga_bench::Table;
 use aiga_core::schemes::MultiChecksumAbft;
-use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix, TileScheme};
-use aiga_gpu::GemmShape;
+use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, Matrix, TileScheme};
 use aiga_util::rng::Rng64;
 
 fn main() {
@@ -18,7 +17,6 @@ fn main() {
     let (m, n, k) = (48usize, 40usize, 64usize);
     let a = Matrix::random(m, k, 1);
     let b = Matrix::random(k, n, 2);
-    let eng = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
     let mut rng = Rng64::seed_from_u64(99);
 
     println!(
@@ -50,7 +48,7 @@ fn main() {
                     kind: FaultKind::AddValue(-delta),
                 },
             ];
-            let out = eng.run(&a, &b, TileScheme::NONE, &faults);
+            let out = gemm(&a, &b, TileScheme::NONE, &faults);
             if abft.verify(&a, &out).fault_detected() {
                 detected += 1;
             }

@@ -65,8 +65,7 @@ impl CompiledModel {
             }
         }
         let schemes: Arc<[Scheme]> = plan.chosen_schemes().into();
-        let pipeline =
-            ProtectedPipeline::compile_with_registry(planner.scheme_registry(), net, &schemes);
+        let pipeline = ProtectedPipeline::compile(net, &schemes);
         CompiledModel {
             plan,
             schemes,

@@ -1,10 +1,9 @@
 //! Per-scheme kernel cost profiles for the timing model.
 //!
 //! This is where Table 1 meets the `aiga-gpu` timing model — but the
-//! per-scheme arithmetic itself lives with each scheme's
-//! [`crate::kernel::SchemeKernel`] implementation. The functions here are
-//! the evaluation loop: take a baseline profile, ask the registry's
-//! kernel for a scheme to add its costs, and estimate the result.
+//! per-scheme arithmetic itself is [`Scheme::apply_cost`]. The functions
+//! here are the evaluation loop: take a baseline profile, let each
+//! scheme add its costs, and estimate the result.
 //!
 //! Unit conventions: one MMA participation is 8 Tensor-Core FLOPs (a
 //! thread's share of one `m16n8k8` per K-step pair); one checksum op is
@@ -14,30 +13,12 @@
 //! [`crate::kernel::FLOPS_PER_MMA_PARTICIPATION`] and
 //! [`crate::kernel::FLOPS_PER_CHECKSUM_OP`].
 
-use crate::registry::{self, SchemeRegistry};
 use crate::schemes::Scheme;
 use aiga_dtype::Dtype;
 use aiga_gpu::timing::{self, Calibration, KernelProfile, TimeEstimate};
 use aiga_gpu::{DeviceSpec, GemmShape};
 
 pub use crate::kernel::{FLOPS_PER_CHECKSUM_OP, FLOPS_PER_MMA_PARTICIPATION};
-
-/// Adds a scheme's costs to an existing baseline profile (used by sweeps
-/// that pin the tiling across schemes), resolving the scheme through the
-/// shared built-in registry.
-pub fn apply_scheme(p: &mut KernelProfile, scheme: Scheme, calib: &Calibration) {
-    apply_scheme_with(registry::shared(), p, scheme, calib);
-}
-
-/// [`apply_scheme`] against an explicit registry (custom scheme sets).
-pub fn apply_scheme_with(
-    registry: &SchemeRegistry,
-    p: &mut KernelProfile,
-    scheme: Scheme,
-    calib: &Calibration,
-) {
-    registry.resolve(scheme).apply_cost(p, calib);
-}
 
 /// Timing of one scheme on one layer, with its overhead over the
 /// unprotected baseline.
@@ -51,37 +32,25 @@ pub struct SchemeTiming {
     pub overhead_pct: f64,
 }
 
-/// Evaluates a set of schemes on one GEMM shape, returning each scheme's
-/// estimated time and overhead (the pre-deployment profiling pass of
-/// §5.3), using the shared built-in registry.
+/// Evaluates a set of schemes on one fp16 GEMM shape, returning each
+/// scheme's estimated time and overhead (the pre-deployment profiling
+/// pass of §5.3).
 pub fn evaluate_layer(
     shape: GemmShape,
     schemes: &[Scheme],
     device: &DeviceSpec,
     calib: &Calibration,
 ) -> (TimeEstimate, Vec<SchemeTiming>) {
-    evaluate_layer_with(registry::shared(), shape, schemes, device, calib)
+    evaluate_layer_dtype(shape, schemes, device, calib, Dtype::F16)
 }
 
-/// [`evaluate_layer`] against an explicit registry.
-pub fn evaluate_layer_with(
-    registry: &SchemeRegistry,
-    shape: GemmShape,
-    schemes: &[Scheme],
-    device: &DeviceSpec,
-    calib: &Calibration,
-) -> (TimeEstimate, Vec<SchemeTiming>) {
-    evaluate_layer_dtype_with(registry, shape, schemes, device, calib, Dtype::F16)
-}
-
-/// [`evaluate_layer_with`] for an explicit storage dtype: the baseline
+/// [`evaluate_layer`] for an explicit storage dtype: the baseline
 /// profile prices operand and output traffic at `dtype.bytes()` per
 /// element, which moves the layer's position on the roofline — narrower
 /// storage raises arithmetic intensity, so layers near the crossover can
 /// flip from thread-level to global ABFT (the intensity-guided selection
 /// is dtype-dependent).
-pub fn evaluate_layer_dtype_with(
-    registry: &SchemeRegistry,
+pub fn evaluate_layer_dtype(
     shape: GemmShape,
     schemes: &[Scheme],
     device: &DeviceSpec,
@@ -94,7 +63,7 @@ pub fn evaluate_layer_dtype_with(
         .iter()
         .map(|&scheme| {
             let mut p = baseline_profile.clone();
-            apply_scheme_with(registry, &mut p, scheme, calib);
+            scheme.apply_cost(&mut p, calib);
             let estimate = timing::estimate(&p, device, calib);
             let overhead_pct = timing::overhead_percent(&baseline, &estimate);
             SchemeTiming {
@@ -226,41 +195,12 @@ mod tests {
     fn dtype_changes_the_baseline_estimate_on_bandwidth_bound_layers() {
         let calib = Calibration::default();
         let shape = GemmShape::square(256);
-        let (base16, _) = evaluate_layer_dtype_with(
-            registry::shared(),
-            shape,
-            &[Scheme::Unprotected],
-            &t4(),
-            &calib,
-            Dtype::F16,
-        );
-        let (base8, _) = evaluate_layer_dtype_with(
-            registry::shared(),
-            shape,
-            &[Scheme::Unprotected],
-            &t4(),
-            &calib,
-            Dtype::Fp8E4M3,
-        );
+        let (base16, _) =
+            evaluate_layer_dtype(shape, &[Scheme::Unprotected], &t4(), &calib, Dtype::F16);
+        let (base8, _) =
+            evaluate_layer_dtype(shape, &[Scheme::Unprotected], &t4(), &calib, Dtype::Fp8E4M3);
         // 256³ is bandwidth-bound on a T4, so halving bytes/element
         // must shorten the estimated kernel time.
         assert!(base8.total_s < base16.total_s);
-    }
-
-    #[test]
-    fn custom_registry_is_honored_by_evaluate_layer_with() {
-        use crate::kernel::MultiChecksumKernel;
-        use crate::registry::SchemeRegistry;
-        use std::sync::Arc;
-        let registry = SchemeRegistry::builtin().with(Arc::new(MultiChecksumKernel::new(4)));
-        let calib = Calibration::default();
-        let (_, ts) = evaluate_layer_with(
-            &registry,
-            GemmShape::square(256),
-            &[Scheme::GlobalAbft, Scheme::MultiChecksum(4)],
-            &t4(),
-            &calib,
-        );
-        assert!(ts[1].overhead_pct > ts[0].overhead_pct);
     }
 }

@@ -1,5 +1,6 @@
-//! The `SchemeKernel` trait: one object per redundancy scheme that owns
-//! *both* things a scheme must provide.
+//! A scheme binds itself: [`Scheme::apply_cost`] and [`Scheme::bind`],
+//! the two faces of every redundancy scheme, and the [`BoundKernel`] a
+//! bind returns.
 //!
 //! Every scheme the paper evaluates has two faces:
 //!
@@ -8,28 +9,27 @@
 //!    and reduce-and-compare kernel land on a [`KernelProfile`] for the
 //!    timing model, and
 //! 2. a **functional protected execution** — how the scheme actually runs
-//!    a GEMM on the simulated engine and reaches a fault [`Verdict`].
+//!    a GEMM on the host engine and reaches a fault [`Verdict`].
 //!
-//! The seed code dispatched both faces through per-scheme `match` blocks
-//! duplicated across `cost.rs`, `protected.rs`, and `pipeline.rs`. Here
-//! they are unified: a [`SchemeKernel`] supplies the cost side directly
-//! and [`SchemeKernel::bind`]s the layer's weights once — the offline
-//! step: the weights are decoded and packed into the microkernel's
-//! panel layout ([`PackedWeights`], with two-sided ABFT's B checksum
-//! columns when that is the scheme), and global ABFT's weight checksums
-//! are summed — to produce a [`BoundKernel`] that serves requests. The
-//! packed panels are the bound kernel's *only* copy of the weights (no
-//! storage-format clone beside them): every request, worker and shard
-//! streams the same `Arc`, and a request stages nothing but its own
-//! rows.
-//! New schemes implement this trait and register with
-//! [`crate::registry::SchemeRegistry`]; the selector, pipeline, and
-//! serving session never enumerate schemes again.
+//! [`Scheme`] is a closed enum, so both are closed matches over the
+//! families that exist: the schemes whose whole check is the engine's
+//! tile epilogue (the four thread-level ones — and the unprotected
+//! baseline, which carries no lanes), global ABFT, and its multi-checksum
+//! extension at any round count. [`Scheme::bind`] does the offline step
+//! once per layer — the weights are decoded and packed into the
+//! microkernel's panel layout ([`PackedWeights`], with two-sided ABFT's
+//! B checksum columns when that is the scheme), and the kernel-level
+//! schemes' weight checksums are summed — and returns a [`BoundKernel`]
+//! that serves requests and hides the family's check-and-repair
+//! algorithm. The packed panels are the bound kernel's *only* copy of
+//! the weights (no storage-format clone beside them): every request,
+//! worker and shard streams the same `Arc`, and a request stages nothing
+//! but its own rows. Every id that parses binds and runs; a new scheme
+//! is a new [`Scheme`] variant and an arm in these matches.
 
 use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::{
-    FaultPlan, GemmEngine, GemmOutput, Matrix, MatrixView, PackedWeights, Redundancy, TileScheme,
-    Workspace,
+    self, FaultPlan, GemmOutput, Matrix, MatrixView, PackedWeights, TileScheme, Workspace,
 };
 use aiga_gpu::timing::{AuxKernel, Calibration, KernelProfile};
 use std::sync::Arc;
@@ -55,8 +55,6 @@ pub enum FaultSite {
     /// A register tile's check flagged; the cells it compared are
     /// suspect (see `aiga_gpu::engine::Detection`).
     Tile {
-        /// Threadblock coordinates.
-        block: (u64, u64),
         /// First global row of the flagged `MICRO_MR`-row strip.
         row: usize,
         /// First flagged global column.
@@ -133,21 +131,52 @@ pub struct RunReport {
     pub output: GemmOutput,
 }
 
-/// One redundancy scheme, unifying its analytical cost profile and its
-/// functional protected execution.
-pub trait SchemeKernel: Send + Sync {
-    /// The scheme id this kernel implements.
-    fn scheme(&self) -> Scheme;
-
+impl Scheme {
     /// Adds the scheme's costs to a baseline kernel profile (Table 1
     /// scaled by the tiling, or §2.5's epilogue + auxiliary kernel).
-    fn apply_cost(&self, profile: &mut KernelProfile, calib: &Calibration);
+    pub fn apply_cost(self, profile: &mut KernelProfile, calib: &Calibration) {
+        match self {
+            Scheme::Unprotected => {}
+            Scheme::GlobalAbft => apply_global_cost(1, profile),
+            Scheme::MultiChecksum(rounds) => apply_global_cost(rounds as u64, profile),
+            Scheme::ThreadLevelOneSided
+            | Scheme::ThreadLevelTwoSided
+            | Scheme::ReplicationSingleAcc
+            | Scheme::ReplicationTraditional => apply_thread_level_cost(self, profile, calib),
+        }
+    }
 
     /// Performs the scheme's offline preparation against a layer's
     /// weights (`B` of `C = A·B`) — packing them into the engine's panel
-    /// form, plus e.g. global ABFT's weight checksums — and returns an
-    /// executor bound to those weights.
-    fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel>;
+    /// form, plus the kernel-level schemes' weight checksums — and
+    /// returns an executor bound to those weights. Panics on
+    /// `MultiChecksum(0)`: a check needs at least one round.
+    pub fn bind(self, weights: &Matrix) -> Box<dyn BoundKernel> {
+        // The threshold depends on the K the lanes accumulate over —
+        // the packed (padded) K the engine walks.
+        let tile = self.tile_scheme(weights.rows.next_multiple_of(8));
+        let packed = Arc::new(PackedWeights::pack(weights, tile.lanes));
+        match self {
+            Scheme::GlobalAbft => Box::new(GlobalBound {
+                abft: GlobalAbft::prepare(weights),
+                weights: packed,
+            }),
+            Scheme::MultiChecksum(rounds) => Box::new(MultiChecksumBound {
+                rounds,
+                abft: MultiChecksumAbft::prepare(weights, rounds as usize),
+                weights: packed,
+            }),
+            Scheme::Unprotected
+            | Scheme::ThreadLevelOneSided
+            | Scheme::ThreadLevelTwoSided
+            | Scheme::ReplicationSingleAcc
+            | Scheme::ReplicationTraditional => Box::new(TileBound {
+                scheme: self,
+                tile,
+                weights: packed,
+            }),
+        }
+    }
 }
 
 /// A scheme bound to one layer's weights, ready to serve requests.
@@ -163,14 +192,13 @@ pub trait BoundKernel: Send + Sync {
     /// The scheme id.
     fn scheme(&self) -> Scheme;
 
-    /// Runs `activations · weights` on `engine` under this scheme,
-    /// injecting `faults`, entirely inside `ws`. The (possibly
-    /// corrupted) output — including per-tile detections for
-    /// thread-level schemes — is left in `ws` for the caller to read;
-    /// the returned [`Verdict`] is the scheme's overall judgement.
+    /// Runs `activations · weights` under this scheme, injecting
+    /// `faults`, entirely inside `ws`. The (possibly corrupted) output —
+    /// including per-tile detections for thread-level schemes — is left
+    /// in `ws` for the caller to read; the returned [`Verdict`] is the
+    /// scheme's overall judgement.
     fn run_into(
         &self,
-        engine: &GemmEngine,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
@@ -178,14 +206,9 @@ pub trait BoundKernel: Send + Sync {
 
     /// Allocating convenience over [`Self::run_into`]: runs in a fresh
     /// workspace and returns an owned report.
-    fn run(
-        &self,
-        engine: &GemmEngine,
-        activations: MatrixView<'_>,
-        faults: &[FaultPlan],
-    ) -> RunReport {
+    fn run(&self, activations: MatrixView<'_>, faults: &[FaultPlan]) -> RunReport {
         let mut ws = Workspace::new();
-        let verdict = self.run_into(engine, activations, faults, &mut ws);
+        let verdict = self.run_into(activations, faults, &mut ws);
         RunReport {
             verdict,
             output: ws.take_output(),
@@ -195,17 +218,16 @@ pub trait BoundKernel: Send + Sync {
     /// Attempts to localize and repair the fault behind a `Detected`
     /// verdict, recomputing only the implicated cells of the output
     /// still sitting in `ws` (the run's activation panels are still
-    /// staged there; the weights are this kernel's own). On success returns [`Verdict::Corrected`] and the
-    /// workspace output is byte-equal to a clean run; schemes that
-    /// cannot localize — and repairs that fail re-verification — return
-    /// the verdict unchanged. Allocation-free once the workspace is
-    /// warm.
+    /// staged there; the weights are this kernel's own). On success
+    /// returns [`Verdict::Corrected`] and the workspace output is
+    /// byte-equal to a clean run; schemes that cannot localize — and
+    /// repairs that fail re-verification — return the verdict
+    /// unchanged. Allocation-free once the workspace is warm.
     ///
     /// Must be called directly after [`Self::run_into`] on the same
     /// workspace, with the same `activations`.
     fn correct_into(
         &self,
-        _engine: &GemmEngine,
         _activations: MatrixView<'_>,
         _ws: &mut Workspace,
         verdict: Verdict,
@@ -217,14 +239,13 @@ pub trait BoundKernel: Send + Sync {
     /// run flags a fault — the one-call recovery entry point.
     fn run_corrected_into(
         &self,
-        engine: &GemmEngine,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        let verdict = self.run_into(engine, activations, faults, ws);
+        let verdict = self.run_into(activations, faults, ws);
         if verdict.is_detected() {
-            self.correct_into(engine, activations, ws, verdict)
+            self.correct_into(activations, ws, verdict)
         } else {
             verdict
         }
@@ -274,88 +295,11 @@ fn apply_global_cost(rounds: u64, p: &mut KernelProfile) {
     });
 }
 
-/// The bind-time pack: a layer's weights in the engine's panel form,
-/// with the checksum columns `lanes` multiplies.
-fn pack(weights: &Matrix, lanes: Redundancy) -> Arc<PackedWeights> {
-    Arc::new(PackedWeights::pack(weights, lanes))
-}
-
-fn verdict_from_detections(output: &GemmOutput) -> Verdict {
-    match output.detections.first() {
-        Some(d) => Verdict::Detected {
-            residual: d.residual,
-            threshold: d.threshold,
-        },
-        None => Verdict::Clean,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Unprotected baseline
-// ---------------------------------------------------------------------
-
-/// The `To` baseline of §6.2: no redundancy, always-clean verdicts.
-pub struct UnprotectedKernel;
-
-impl SchemeKernel for UnprotectedKernel {
-    fn scheme(&self) -> Scheme {
-        Scheme::Unprotected
-    }
-
-    fn apply_cost(&self, _profile: &mut KernelProfile, _calib: &Calibration) {}
-
-    fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
-        Box::new(UnprotectedBound {
-            weights: pack(weights, Redundancy::None),
-        })
-    }
-}
-
-struct UnprotectedBound {
-    weights: Arc<PackedWeights>,
-}
-
-impl BoundKernel for UnprotectedBound {
-    fn scheme(&self) -> Scheme {
-        Scheme::Unprotected
-    }
-
-    fn run_into(
-        &self,
-        engine: &GemmEngine,
-        activations: MatrixView<'_>,
-        faults: &[FaultPlan],
-        ws: &mut Workspace,
-    ) -> Verdict {
-        engine.run_multi_into(activations, &self.weights, TileScheme::NONE, faults, ws);
-        Verdict::Clean
-    }
-}
-
 // ---------------------------------------------------------------------
 // Global (kernel-level) ABFT
 // ---------------------------------------------------------------------
 
-/// Kernel-level ABFT per Hari et al. (§2.5).
-pub struct GlobalKernel;
-
-impl SchemeKernel for GlobalKernel {
-    fn scheme(&self) -> Scheme {
-        Scheme::GlobalAbft
-    }
-
-    fn apply_cost(&self, profile: &mut KernelProfile, _calib: &Calibration) {
-        apply_global_cost(1, profile);
-    }
-
-    fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
-        Box::new(GlobalBound {
-            abft: GlobalAbft::prepare(weights),
-            weights: pack(weights, Redundancy::None),
-        })
-    }
-}
-
+/// Kernel-level ABFT per Hari et al. (§2.5), bound to one layer.
 struct GlobalBound {
     abft: GlobalAbft,
     weights: Arc<PackedWeights>,
@@ -368,12 +312,11 @@ impl BoundKernel for GlobalBound {
 
     fn run_into(
         &self,
-        engine: &GemmEngine,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        engine.run_multi_into(activations, &self.weights, TileScheme::NONE, faults, ws);
+        engine::gemm_into(activations, &self.weights, TileScheme::NONE, faults, ws);
         // The deferred reduce-and-compare (§2.5 step 5) runs off the
         // workspace's checksum scratch — no per-request allocation.
         let (output, check) = ws.output_and_check();
@@ -390,7 +333,6 @@ impl BoundKernel for GlobalBound {
     /// re-check, so the original verdict survives.
     fn correct_into(
         &self,
-        _engine: &GemmEngine,
         activations: MatrixView<'_>,
         ws: &mut Workspace,
         verdict: Verdict,
@@ -461,66 +403,39 @@ fn verdict_from_global(v: crate::schemes::GlobalVerdict) -> Verdict {
 }
 
 // ---------------------------------------------------------------------
-// Thread-level schemes (one kernel over the engine's tile check)
+// Tile-checked schemes (thread-level ABFT, replication, the baseline)
 // ---------------------------------------------------------------------
 
-/// The four thread-level schemes as [`SchemeKernel`]s: the engine
+/// A scheme whose whole check is the engine's tile epilogue: the engine
 /// carries the scheme's lanes in every register tile
 /// ([`Scheme::tile_scheme`]) and the verdict comes from the tiles' own
-/// epilogue checks.
-pub struct ThreadKernel {
-    scheme: Scheme,
-}
-
-impl ThreadKernel {
-    /// The kernel for one of the thread-level scheme ids.
-    pub fn new(scheme: Scheme) -> Self {
-        assert!(scheme.is_thread_level(), "{scheme} is not thread-level");
-        ThreadKernel { scheme }
-    }
-}
-
-impl SchemeKernel for ThreadKernel {
-    fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    fn apply_cost(&self, profile: &mut KernelProfile, calib: &Calibration) {
-        apply_thread_level_cost(self.scheme, profile, calib);
-    }
-
-    fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
-        // The threshold depends on the K the lanes accumulate over —
-        // the packed (padded) K, which is also the engine's.
-        let tile = self.scheme.tile_scheme(weights.rows.next_multiple_of(8));
-        Box::new(ThreadBound {
-            scheme: self.scheme,
-            tile,
-            weights: pack(weights, tile.lanes),
-        })
-    }
-}
-
-struct ThreadBound {
+/// compares. The unprotected baseline is the no-lanes case: nothing to
+/// compare, so always clean.
+struct TileBound {
     scheme: Scheme,
     tile: TileScheme,
     weights: Arc<PackedWeights>,
 }
 
-impl BoundKernel for ThreadBound {
+impl BoundKernel for TileBound {
     fn scheme(&self) -> Scheme {
         self.scheme
     }
 
     fn run_into(
         &self,
-        engine: &GemmEngine,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        let output = engine.run_multi_into(activations, &self.weights, self.tile, faults, ws);
-        verdict_from_detections(output)
+        let output = engine::gemm_into(activations, &self.weights, self.tile, faults, ws);
+        match output.detections.first() {
+            Some(d) => Verdict::Detected {
+                residual: d.residual,
+                threshold: d.threshold,
+            },
+            None => Verdict::Clean,
+        }
     }
 
     /// Tile localization: every detection names the strip rows and
@@ -531,7 +446,6 @@ impl BoundKernel for ThreadBound {
     /// value instead of merely flagged.
     fn correct_into(
         &self,
-        _engine: &GemmEngine,
         _activations: MatrixView<'_>,
         ws: &mut Workspace,
         verdict: Verdict,
@@ -547,7 +461,6 @@ impl BoundKernel for ThreadBound {
             return verdict;
         };
         let site = FaultSite::Tile {
-            block: first.block,
             row: first.row,
             col: first.col,
         };
@@ -575,41 +488,9 @@ impl BoundKernel for ThreadBound {
 // Multi-checksum extension (§2.4)
 // ---------------------------------------------------------------------
 
-/// The §2.4 multi-checksum extension as a pluggable kernel: `rounds`
+/// The §2.4 multi-checksum extension bound to one layer: `rounds`
 /// independent Vandermonde-weighted checksum rounds, detecting up to
-/// `rounds` faults in distinct rows. Registering this kernel is all it
-/// takes to make `Scheme::MultiChecksum(rounds)` selectable — the
-/// planner, pipeline, and session need no changes.
-pub struct MultiChecksumKernel {
-    rounds: u8,
-}
-
-impl MultiChecksumKernel {
-    /// Creates a kernel with `rounds ≥ 1` checksum rounds.
-    pub fn new(rounds: u8) -> Self {
-        assert!(rounds >= 1, "at least one checksum round required");
-        MultiChecksumKernel { rounds }
-    }
-}
-
-impl SchemeKernel for MultiChecksumKernel {
-    fn scheme(&self) -> Scheme {
-        Scheme::MultiChecksum(self.rounds)
-    }
-
-    fn apply_cost(&self, profile: &mut KernelProfile, _calib: &Calibration) {
-        apply_global_cost(self.rounds as u64, profile);
-    }
-
-    fn bind(&self, weights: &Matrix) -> Box<dyn BoundKernel> {
-        Box::new(MultiChecksumBound {
-            rounds: self.rounds,
-            abft: MultiChecksumAbft::prepare(weights, self.rounds as usize),
-            weights: pack(weights, Redundancy::None),
-        })
-    }
-}
-
+/// `rounds` faults in distinct rows.
 struct MultiChecksumBound {
     rounds: u8,
     abft: MultiChecksumAbft,
@@ -623,13 +504,11 @@ impl BoundKernel for MultiChecksumBound {
 
     fn run_into(
         &self,
-        engine: &GemmEngine,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
     ) -> Verdict {
-        let output =
-            engine.run_multi_into(activations, &self.weights, TileScheme::NONE, faults, ws);
+        let output = engine::gemm_into(activations, &self.weights, TileScheme::NONE, faults, ws);
         // Walk the rounds directly (no collected MultiVerdict) so the
         // hot path honors run_into's zero-allocation contract.
         for r in 0..self.rounds as usize {
@@ -652,7 +531,6 @@ impl BoundKernel for MultiChecksumBound {
     /// rows re-verify through every round before the verdict upgrades.
     fn correct_into(
         &self,
-        _engine: &GemmEngine,
         activations: MatrixView<'_>,
         ws: &mut Workspace,
         verdict: Verdict,
@@ -701,40 +579,31 @@ impl BoundKernel for MultiChecksumBound {
     }
 }
 
-/// The standard kernels for the paper's five schemes plus the baseline,
-/// in registry order.
-pub fn builtin_kernels() -> Vec<std::sync::Arc<dyn SchemeKernel>> {
-    vec![
-        std::sync::Arc::new(UnprotectedKernel),
-        std::sync::Arc::new(GlobalKernel),
-        std::sync::Arc::new(ThreadKernel::new(Scheme::ThreadLevelOneSided)),
-        std::sync::Arc::new(ThreadKernel::new(Scheme::ThreadLevelTwoSided)),
-        std::sync::Arc::new(ThreadKernel::new(Scheme::ReplicationSingleAcc)),
-        std::sync::Arc::new(ThreadKernel::new(Scheme::ReplicationTraditional)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aiga_gpu::engine::FaultKind;
     use aiga_gpu::GemmShape;
 
-    fn run_scheme(kernel: &dyn SchemeKernel, fault: Option<FaultPlan>) -> RunReport {
-        let shape = GemmShape::new(48, 40, 56);
+    /// The baseline, the paper's five schemes and two extension round
+    /// counts — one of them (4) beyond anything a table ever listed.
+    fn schemes() -> impl Iterator<Item = Scheme> {
+        [Scheme::Unprotected]
+            .into_iter()
+            .chain(Scheme::all_protected())
+            .chain([Scheme::MultiChecksum(2), Scheme::MultiChecksum(4)])
+    }
+
+    fn run_scheme(scheme: Scheme, fault: Option<FaultPlan>) -> RunReport {
         let a = Matrix::random(48, 56, 11);
         let b = Matrix::random(56, 40, 12);
-        let engine = GemmEngine::with_default_tiling(shape);
-        let bound = kernel.bind(&b);
-        let faults: Vec<FaultPlan> = fault.into_iter().collect();
-        bound.run(&engine, a.view(), &faults)
+        scheme.bind(&b).run(a.view(), fault.as_slice())
     }
 
     #[test]
     fn every_builtin_kernel_reports_its_scheme() {
-        for kernel in builtin_kernels() {
-            let bound = kernel.bind(&Matrix::random(16, 16, 1));
-            assert_eq!(bound.scheme(), kernel.scheme());
+        for scheme in schemes() {
+            assert_eq!(scheme.bind(&Matrix::random(16, 16, 1)).scheme(), scheme);
         }
     }
 
@@ -746,26 +615,22 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::AddValue(1e3),
         };
-        for kernel in builtin_kernels() {
-            let clean = run_scheme(kernel.as_ref(), None);
-            assert!(clean.verdict.is_clean(), "{}", kernel.scheme());
-            let dirty = run_scheme(kernel.as_ref(), Some(fault));
-            if kernel.scheme() == Scheme::Unprotected {
+        for scheme in schemes() {
+            assert!(run_scheme(scheme, None).verdict.is_clean(), "{scheme}");
+            let dirty = run_scheme(scheme, Some(fault));
+            if scheme == Scheme::Unprotected {
                 assert!(dirty.verdict.is_clean());
             } else {
-                assert!(dirty.verdict.is_detected(), "{}", kernel.scheme());
+                assert!(dirty.verdict.is_detected(), "{scheme}");
             }
         }
     }
 
     #[test]
     fn multi_checksum_kernel_detects_cancelling_pairs() {
-        let kernel = MultiChecksumKernel::new(2);
-        let shape = GemmShape::new(48, 40, 64);
         let a = Matrix::random(48, 64, 21);
         let b = Matrix::random(64, 40, 22);
-        let engine = GemmEngine::with_default_tiling(shape);
-        let bound = kernel.bind(&b);
+        let bound = Scheme::MultiChecksum(2).bind(&b);
         let pair = [
             FaultPlan {
                 row: 3,
@@ -780,10 +645,10 @@ mod tests {
                 kind: FaultKind::AddValue(-250.0),
             },
         ];
-        assert!(bound.run(&engine, a.view(), &pair).verdict.is_detected());
+        assert!(bound.run(a.view(), &pair).verdict.is_detected());
         // Plain global ABFT is blind to the same pair.
-        let global = GlobalKernel.bind(&b);
-        assert!(global.run(&engine, a.view(), &pair).verdict.is_clean());
+        let global = Scheme::GlobalAbft.bind(&b);
+        assert!(global.run(a.view(), &pair).verdict.is_clean());
     }
 
     #[test]
@@ -791,19 +656,19 @@ mod tests {
         let calib = Calibration::default();
         let dev = aiga_gpu::DeviceSpec::t4();
         let base = KernelProfile::baseline(GemmShape::square(256), &dev, &calib);
-        let cost_of = |kernel: &dyn SchemeKernel| {
+        let cost_of = |scheme: Scheme| {
             let mut p = base.clone();
-            kernel.apply_cost(&mut p, &calib);
+            scheme.apply_cost(&mut p, &calib);
             aiga_gpu::timing::estimate(&p, &dev, &calib).total_s
         };
-        let one = cost_of(&GlobalKernel);
-        let three = cost_of(&MultiChecksumKernel::new(3));
+        let one = cost_of(Scheme::GlobalAbft);
+        let three = cost_of(Scheme::MultiChecksum(3));
         assert!(three > one, "more rounds must cost more: {three} vs {one}");
     }
 
     #[test]
     #[should_panic(expected = "at least one checksum round")]
     fn zero_round_kernel_is_rejected() {
-        MultiChecksumKernel::new(0);
+        Scheme::MultiChecksum(0).bind(&Matrix::zeros(4, 4));
     }
 }

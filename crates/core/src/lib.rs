@@ -3,14 +3,13 @@
 //! The paper's contribution, rebuilt on the `aiga-gpu` substrate and
 //! organized around three layers:
 //!
-//! **Scheme kernels** — every redundancy scheme implements
-//! [`kernel::SchemeKernel`], which unifies the two things a scheme must
-//! provide: its analytical cost profile (Table 1 per-thread work or the
-//! §2.5 epilogue + reduce-and-compare kernel, feeding the timing model)
-//! and its functional protected execution (run + verdict on the
-//! engine). Kernels live in a [`registry::SchemeRegistry`];
-//! new schemes plug in by registering — the selector, pipeline, and
-//! session never enumerate schemes.
+//! **Schemes** — a [`Scheme`] id is all a caller holds: it prices
+//! itself ([`Scheme::apply_cost`]: Table 1 per-thread work or the §2.5
+//! epilogue + reduce-and-compare kernel, feeding the timing model) and
+//! binds itself to a layer's weights ([`Scheme::bind`]), returning the
+//! [`BoundKernel`] that runs the protected GEMM and reaches a verdict.
+//! Both are closed matches over a closed enum — the selector, pipeline,
+//! and session never enumerate schemes, and every id that parses runs.
 //!
 //! - [`schemes`]: the scheme *mechanisms* — [`schemes::GlobalAbft`]
 //!   (kernel-level baseline of Hari et al., §2.5), the §2.4
@@ -22,14 +21,15 @@
 //! - [`tolerance`]: floating-point-aware checksum comparison with a
 //!   running analytical error bound, so fault detection never false-
 //!   positives on rounding noise.
-//! - [`cost`]: the evaluation loop that turns registry kernels plus the
-//!   `aiga-gpu` timing model into per-scheme [`cost::SchemeTiming`]s.
+//! - [`cost`]: the evaluation loop that turns [`Scheme::apply_cost`]
+//!   plus the `aiga-gpu` timing model into per-scheme
+//!   [`cost::SchemeTiming`]s.
 //!
 //! **Planning** — [`Planner`] is the builder-style front-end for
 //! intensity-guided ABFT (§5.3): configure device, calibration,
-//! candidates, and mode; call [`Planner::plan`] for a [`ModelPlan`] or
-//! [`Planner::deployment`] for the §7.3 multi-input-size
-//! [`DeploymentPlan`].
+//! candidates, and mode; call [`Planner::plan`] for a [`ModelPlan`]
+//! (one per input size — the §7.3 dispatch among them is
+//! [`Session`]'s bucket cache).
 //!
 //! **Compilation** — [`compiled::CompiledModel`] is the typed path
 //! `Model → ModelPlan → CompiledModel`: an executable `aiga_nn::Network`
@@ -40,8 +40,8 @@
 //!
 //! **Serving** — [`Session`] turns a planner plus a family of
 //! executable networks ([`Session::builder_network`]; analytic MLPs
-//! lower through `Network::from_mlp`) into a request-serving front-end: per-request batch-bucket
-//! dispatch, lazy compilation cached per bucket, and aggregated
+//! lower through `Network::from_mlp`) into a request-serving
+//! front-end: per-request batch-bucket dispatch, lazy compilation cached per bucket, and aggregated
 //! detection statistics. [`protected::ProtectedGemm`] and
 //! [`pipeline::ProtectedPipeline`] are the single-GEMM and single-model
 //! execution layers underneath. `Session` is the single-caller core;
@@ -59,7 +59,6 @@ pub mod pipeline;
 pub mod plan_io;
 pub mod planner;
 pub mod protected;
-pub mod registry;
 pub mod schemes;
 pub mod selector;
 pub mod serve;
@@ -68,12 +67,11 @@ pub mod tolerance;
 
 pub use adapt::{degrade_step, weaker, AdaptConfig, AdaptiveController, Adjustment, Observation};
 pub use compiled::CompiledModel;
-pub use kernel::{BoundKernel, FaultSite, RunReport, SchemeKernel, Verdict};
+pub use kernel::{BoundKernel, FaultSite, RunReport, Verdict};
 pub use pipeline::{InferenceReport, LayerCorrection, PipelineFault, ProtectedPipeline};
 pub use planner::Planner;
 pub use protected::{ProtectedConv, ProtectedGemm};
-pub use registry::SchemeRegistry;
 pub use schemes::Scheme;
-pub use selector::{DeploymentPlan, LayerPlan, ModelPlan, SelectionMode};
+pub use selector::{LayerPlan, ModelPlan, SelectionMode};
 pub use serve::{Client, Pending, Priority, ServeError, Server, ServerBuilder, ServerStats, Slo};
 pub use session::{PlanCache, ServeReport, Session, SessionBuilder, SessionError, SessionStats};

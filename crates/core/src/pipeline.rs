@@ -51,13 +51,9 @@
 //! own rows per layer.
 
 use crate::kernel::{BoundKernel, FaultSite, Verdict};
-use crate::registry::{self, SchemeRegistry};
 use crate::schemes::Scheme;
 use aiga_dtype::{Dtype, F16};
-use aiga_gpu::engine::{
-    FaultPlan, GemmEngine, GemmOutput, Im2colView, Matrix, MatrixView, Workspace,
-};
-use aiga_gpu::GemmShape;
+use aiga_gpu::engine::{FaultPlan, GemmOutput, Im2colView, Matrix, MatrixView, Workspace};
 use aiga_nn::conv::filters_to_matrix;
 use aiga_nn::graph::{embedding_index, Network, NodeOp, NodeRef, PoolKind, PoolParams};
 
@@ -146,7 +142,6 @@ enum Src {
 /// A protected GEMM stage: fc directly, or conv as an implicit GEMM.
 struct GemmStage {
     bound: Box<dyn BoundKernel>,
-    engine: GemmEngine,
     /// The conv geometry its activation matrix is lowered through.
     lowering: Option<Im2colView>,
     relu: bool,
@@ -291,18 +286,8 @@ impl ProtectedPipeline {
     /// Compiles an executable [`Network`] — real FP16 weights, conv and
     /// epilogue nodes — against a per-GEMM-layer scheme assignment
     /// (`schemes[i]` protects the `i`-th conv/fc node in execution
-    /// order, matching [`Network::to_model`]'s layer order). Resolves
-    /// through the shared built-in registry.
+    /// order, matching [`Network::to_model`]'s layer order).
     pub fn compile(net: &Network, schemes: &[Scheme]) -> Self {
-        Self::compile_with_registry(registry::shared(), net, schemes)
-    }
-
-    /// [`Self::compile`] with an explicit scheme registry.
-    pub fn compile_with_registry(
-        registry: &SchemeRegistry,
-        net: &Network,
-        schemes: &[Scheme],
-    ) -> Self {
         assert_eq!(
             schemes.len(),
             net.gemm_count(),
@@ -324,16 +309,11 @@ impl ProtectedPipeline {
         let mut node_src: Vec<Src> = Vec::with_capacity(net.nodes.len());
         let mut stages: Vec<Stage> = Vec::new();
         let mut next_layer = 0usize;
-        let mut gemm_stage = |m: u64, wmat: &Matrix, lowering: Option<Im2colView>, relu: bool| {
+        let mut gemm_stage = |wmat: &Matrix, lowering: Option<Im2colView>, relu: bool| {
             let layer = next_layer;
             next_layer += 1;
             StageOp::Gemm(GemmStage {
-                bound: registry.resolve(schemes[layer]).bind(wmat),
-                engine: GemmEngine::with_default_tiling(GemmShape::new(
-                    m,
-                    wmat.cols as u64,
-                    wmat.rows as u64,
-                )),
+                bound: schemes[layer].bind(wmat),
                 lowering,
                 relu,
                 layer,
@@ -364,10 +344,10 @@ impl ProtectedPipeline {
                     let (c, h, w) = net.dims_of(node.inputs[0]);
                     let view = params.im2col_view(c, h, w);
                     let wmat = encode_weights(filters_to_matrix(weights));
-                    gemm_stage(view.rows(batch) as u64, &wmat, Some(view), *relu)
+                    gemm_stage(&wmat, Some(view), *relu)
                 }
                 NodeOp::Fc { weights, relu } => {
-                    gemm_stage(batch as u64, &encode_weights(weights.clone()), None, *relu)
+                    gemm_stage(&encode_weights(weights.clone()), None, *relu)
                 }
                 NodeOp::Pool(p) => StageOp::Pool {
                     params: *p,
@@ -600,9 +580,9 @@ impl ProtectedPipeline {
         let layer_fault = fault.and_then(|f| (f.layer == g.layer).then_some(f.fault));
         let faults = layer_fault.as_slice();
         let verdict = if self.recovery {
-            g.bound.run_corrected_into(&g.engine, a, faults, ws)
+            g.bound.run_corrected_into(a, faults, ws)
         } else {
-            g.bound.run_into(&g.engine, a, faults, ws)
+            g.bound.run_into(a, faults, ws)
         };
         if let Some(dst) = dst {
             // Full batch: padded images stay zero through every op.

@@ -1,10 +1,10 @@
 //! The builder-style planning front-end.
 //!
 //! `Planner` owns everything intensity-guided ABFT needs to decide a
-//! deployment — device, calibration, candidate schemes, selection mode,
-//! and the scheme registry — and produces [`ModelPlan`]s /
-//! [`DeploymentPlan`]s. It replaces the old `ModelPlan::build` /
-//! `ModelPlan::build_with` pair:
+//! deployment — device, calibration, candidate schemes and selection
+//! mode — and produces [`ModelPlan`]s (one per input size a deployment
+//! expects: [`crate::Session`] plans each batch bucket on first use,
+//! §7.3):
 //!
 //! ```
 //! use aiga_core::{Planner, SelectionMode, Scheme};
@@ -19,15 +19,13 @@
 //! ```
 
 use crate::adapt::AdaptConfig;
-use crate::cost::evaluate_layer_dtype_with;
-use crate::registry::{self, SchemeRegistry};
+use crate::cost::evaluate_layer_dtype;
 use crate::schemes::Scheme;
-use crate::selector::{DeploymentPlan, LayerPlan, ModelPlan, SelectionMode};
+use crate::selector::{LayerPlan, ModelPlan, SelectionMode};
 use aiga_dtype::Dtype;
 use aiga_gpu::timing::Calibration;
 use aiga_gpu::{Bound, DeviceSpec, Roofline};
 use aiga_nn::Model;
-use std::sync::Arc;
 
 /// Builder for intensity-guided deployment plans.
 #[derive(Clone)]
@@ -36,7 +34,6 @@ pub struct Planner {
     calib: Calibration,
     candidates: Vec<Scheme>,
     mode: SelectionMode,
-    registry: Arc<SchemeRegistry>,
     adapt: Option<AdaptConfig>,
     dtype: Dtype,
 }
@@ -44,15 +41,13 @@ pub struct Planner {
 impl Planner {
     /// A planner for `device` with the paper's defaults: default
     /// calibration, the §5.3 candidate pair (global + one-sided
-    /// thread-level ABFT), profiled selection, and the shared built-in
-    /// scheme registry.
+    /// thread-level ABFT) and profiled selection.
     pub fn new(device: DeviceSpec) -> Self {
         Planner {
             device,
             calib: Calibration::default(),
             candidates: Scheme::intensity_guided_candidates().to_vec(),
             mode: SelectionMode::Profiled,
-            registry: registry::shared().clone(),
             adapt: None,
             dtype: Dtype::F16,
         }
@@ -87,12 +82,6 @@ impl Planner {
     /// global ABFT — scheme selection is dtype-aware in both modes.
     pub fn dtype(mut self, dtype: Dtype) -> Self {
         self.dtype = dtype;
-        self
-    }
-
-    /// Replaces the scheme registry (to plan over custom scheme sets).
-    pub fn registry(mut self, registry: Arc<SchemeRegistry>) -> Self {
-        self.registry = registry;
         self
     }
 
@@ -132,26 +121,16 @@ impl Planner {
         self.dtype
     }
 
-    /// The scheme registry in use.
-    pub fn scheme_registry(&self) -> &Arc<SchemeRegistry> {
-        &self.registry
-    }
-
     /// Plans one model: profiles every layer under every candidate and
-    /// selects per layer (§5.3). Panics early with a clear message if a
-    /// candidate has no registered kernel.
+    /// selects per layer (§5.3).
     pub fn plan(&self, model: &Model) -> ModelPlan {
-        for &candidate in &self.candidates {
-            self.registry.resolve(candidate);
-        }
         let roofline = Roofline::new(self.device.clone());
         let layers = model
             .layers
             .iter()
             .map(|layer| {
                 let shape = layer.shape.padded_to_mma();
-                let (baseline, timings) = evaluate_layer_dtype_with(
-                    &self.registry,
+                let (baseline, timings) = evaluate_layer_dtype(
                     shape,
                     &self.candidates,
                     &self.device,
@@ -203,18 +182,6 @@ impl Planner {
     /// over [`crate::compiled::CompiledModel::compile`].
     pub fn compile(&self, net: &aiga_nn::Network) -> crate::compiled::CompiledModel {
         crate::compiled::CompiledModel::compile(self, net, None)
-    }
-
-    /// Builds the §7.3 multi-input-size deployment: one plan per key,
-    /// with `instantiate` producing the model for each key (e.g.
-    /// `|b| zoo::dlrm_mlp_bottom(b)`).
-    pub fn deployment(&self, keys: &[u64], instantiate: impl Fn(u64) -> Model) -> DeploymentPlan {
-        assert!(!keys.is_empty(), "at least one input size required");
-        DeploymentPlan::from_variants(
-            keys.iter()
-                .map(|&k| (k, self.plan(&instantiate(k))))
-                .collect(),
-        )
     }
 }
 
@@ -299,8 +266,8 @@ mod tests {
 
     #[test]
     fn extension_candidates_plan_without_selector_changes() {
-        // The §2.4 multi-checksum kernel participates in planning purely
-        // through its registry entry.
+        // The §2.4 multi-checksum extension participates in planning
+        // like any other id.
         let p = Planner::new(DeviceSpec::t4())
             .candidates([
                 Scheme::GlobalAbft,
@@ -349,72 +316,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no kernel registered")]
-    fn unregistered_candidates_fail_fast() {
-        Planner::new(DeviceSpec::t4())
-            .candidates([Scheme::MultiChecksum(9)])
-            .plan(&zoo::dlrm_mlp_bottom(1));
-    }
-
-    mod deployment {
-        use super::*;
-
-        fn plans() -> DeploymentPlan {
-            Planner::new(DeviceSpec::t4()).deployment(&[1, 256, 2048], zoo::dlrm_mlp_top)
-        }
-
-        #[test]
-        fn selection_changes_with_input_size() {
-            // §7.3 / §6.4.2: MLP-Top flips from all-thread-level at batch
-            // 1 to (partly) global at batch 2048 as intensity rises past
-            // the crossover.
-            let d = plans();
-            let small = d.plan_exact(1).unwrap();
-            let large = d.plan_exact(2048).unwrap();
-            assert_eq!(small.thread_level_layer_count(), small.layers.len());
-            assert!(
-                large.thread_level_layer_count() < large.layers.len(),
-                "batch 2048 should move some layers to global ABFT"
-            );
-        }
-
-        #[test]
-        fn dispatch_pads_up_to_the_smallest_fitting_bucket() {
-            let d = plans();
-            // Observed batch 300 pads up to the 2048 bucket (same rule
-            // as Session::bucket_for); 100 pads up to 256; oversized
-            // inputs fall back to the largest plan; 0 and exact keys use
-            // the smallest bucket that fits.
-            assert_eq!(
-                d.plan_for(300).layers[0].shape.m,
-                d.plan_exact(2048).unwrap().layers[0].shape.m
-            );
-            assert_eq!(
-                d.plan_for(100).layers[0].shape.m,
-                d.plan_exact(256).unwrap().layers[0].shape.m
-            );
-            assert_eq!(
-                d.plan_for(100_000).layers[0].shape.m,
-                d.plan_exact(2048).unwrap().layers[0].shape.m
-            );
-            assert_eq!(
-                d.plan_for(0).layers[0].shape.m,
-                d.plan_exact(1).unwrap().layers[0].shape.m
-            );
-            assert_eq!(
-                d.plan_for(256).layers[0].shape.m,
-                d.plan_exact(256).unwrap().layers[0].shape.m
-            );
-        }
-
-        #[test]
-        fn every_variant_remains_optimal_per_layer() {
-            let d = plans();
-            for (_, plan) in d.variants() {
-                assert!(
-                    plan.intensity_guided_s() <= plan.fixed_scheme_s(Scheme::GlobalAbft) + 1e-15
-                );
-            }
-        }
+    fn selection_changes_with_input_size() {
+        // §7.3 / §6.4.2: MLP-Top flips from all-thread-level at batch 1
+        // to (partly) global at batch 2048 as intensity rises past the
+        // crossover.
+        let small = plan(&zoo::dlrm_mlp_top(1));
+        let large = plan(&zoo::dlrm_mlp_top(2048));
+        assert_eq!(small.thread_level_layer_count(), small.layers.len());
+        assert!(
+            large.thread_level_layer_count() < large.layers.len(),
+            "batch 2048 should move some layers to global ABFT"
+        );
     }
 }

@@ -1,14 +1,12 @@
 //! Convenience API for protecting a single matrix multiplication.
 //!
-//! [`ProtectedGemm`] resolves its scheme through the
-//! [`crate::registry::SchemeRegistry`] (the shared built-in one by
-//! default), binds the weights once, and serves any number of runs —
-//! there is no per-scheme dispatch here at all.
+//! [`ProtectedGemm`] binds its scheme to the weights once
+//! ([`Scheme::bind`]) and serves any number of runs — there is no
+//! per-scheme dispatch here at all.
 
 use crate::kernel::BoundKernel;
-use crate::registry::{self, SchemeRegistry};
 use crate::schemes::Scheme;
-use aiga_gpu::engine::{FaultPlan, GemmEngine, Matrix, Workspace};
+use aiga_gpu::engine::{FaultPlan, Matrix, Workspace};
 use aiga_gpu::GemmShape;
 
 pub use crate::kernel::{RunReport, Verdict};
@@ -16,29 +14,17 @@ pub use crate::kernel::{RunReport, Verdict};
 /// A matrix multiplication protected by one redundancy scheme.
 pub struct ProtectedGemm {
     a: Matrix,
-    engine: GemmEngine,
     bound: Box<dyn BoundKernel>,
     fault: Option<FaultPlan>,
 }
 
 impl ProtectedGemm {
-    /// Protects `a · b` with `scheme`, resolved through the shared
-    /// built-in registry.
+    /// Protects `a · b` with `scheme`.
     pub fn new(a: Matrix, b: Matrix, scheme: Scheme) -> Self {
-        Self::with_registry(registry::shared(), a, b, scheme)
-    }
-
-    /// Protects `a · b` with `scheme` resolved through an explicit
-    /// registry (custom or extended scheme sets).
-    pub fn with_registry(registry: &SchemeRegistry, a: Matrix, b: Matrix, scheme: Scheme) -> Self {
         assert_eq!(a.cols, b.rows, "inner dimensions must agree");
-        let shape = GemmShape::new(a.rows as u64, b.cols as u64, a.cols as u64);
-        let engine = GemmEngine::with_default_tiling(shape);
-        let bound = registry.resolve(scheme).bind(&b);
         ProtectedGemm {
             a,
-            engine,
-            bound,
+            bound: scheme.bind(&b),
             fault: None,
         }
     }
@@ -73,7 +59,7 @@ impl ProtectedGemm {
     /// the entry point injection campaigns use, so one prepared GEMM can
     /// serve thousands of trials without re-binding.
     pub fn run_with(&self, faults: &[FaultPlan]) -> RunReport {
-        self.bound.run(&self.engine, self.a.view(), faults)
+        self.bound.run(self.a.view(), faults)
     }
 
     /// Like [`Self::run_with`] but executing inside a caller-supplied
@@ -82,7 +68,7 @@ impl ProtectedGemm {
     /// workspace makes repeated trials allocation-free — the
     /// fault-campaign hot path (one workspace per worker).
     pub fn run_into(&self, faults: &[FaultPlan], ws: &mut Workspace) -> Verdict {
-        self.bound.run_into(&self.engine, self.a.view(), faults, ws)
+        self.bound.run_into(self.a.view(), faults, ws)
     }
 
     /// Like [`Self::run_into`] but attempting localization + targeted
@@ -92,8 +78,7 @@ impl ProtectedGemm {
     /// clean run; schemes that cannot localize return the plain
     /// `Detected` verdict with the output untouched.
     pub fn run_corrected_into(&self, faults: &[FaultPlan], ws: &mut Workspace) -> Verdict {
-        self.bound
-            .run_corrected_into(&self.engine, self.a.view(), faults, ws)
+        self.bound.run_corrected_into(self.a.view(), faults, ws)
     }
 }
 
@@ -182,8 +167,7 @@ mod tests {
 
 /// A convolutional layer protected through its implicit-GEMM lowering —
 /// the exact path the paper protects (§2.1): im2col the input, multiply
-/// by the reshaped filters on the simulated Tensor Core kernel, check
-/// with the chosen scheme.
+/// by the reshaped filters, check with the chosen scheme.
 pub struct ProtectedConv {
     gemm: ProtectedGemm,
     out_dims: (usize, usize),

@@ -28,7 +28,7 @@
 //! [`CheckScratch`]), so each activation is read once, in storage
 //! order, instead of once per column through a strided gather.
 
-use crate::tolerance::{exceeds, Tolerance};
+use crate::tolerance::{self, exceeds};
 use aiga_dtype::F16;
 use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixView};
 
@@ -102,18 +102,12 @@ pub struct GlobalAbft {
     weight_checksum: Vec<f32>,
     /// `Σ_j |B[k][j]|` per `k`, for the error bound.
     weight_abs: Vec<f64>,
-    tolerance: Tolerance,
 }
 
 impl GlobalAbft {
     /// Offline preparation from the layer's weights (§2.5: computed once,
     /// reused for every inference request).
     pub fn prepare(b: &Matrix) -> Self {
-        Self::prepare_with_tolerance(b, Tolerance::Analytical)
-    }
-
-    /// Offline preparation with an explicit tolerance policy.
-    pub fn prepare_with_tolerance(b: &Matrix, tolerance: Tolerance) -> Self {
         let mut weight_checksum = vec![0.0f32; b.rows];
         let mut weight_abs = vec![0.0f64; b.rows];
         let mut row = vec![0.0f32; b.cols];
@@ -129,7 +123,6 @@ impl GlobalAbft {
         GlobalAbft {
             weight_checksum,
             weight_abs,
-            tolerance,
         }
     }
 
@@ -206,7 +199,7 @@ impl GlobalAbft {
             + (out_n as f64).log2().ceil()
             + (self.weight_checksum.len() as f64).log2().ceil()
             + ((out_m * out_n) as f64).log2().ceil();
-        let threshold = self.tolerance.threshold(0.0, 1.5 * (logs + 8.0), magnitude);
+        let threshold = tolerance::threshold(1.5 * (logs + 8.0), magnitude);
         GlobalVerdict {
             fault_detected: exceeds(residual, threshold),
             residual,
@@ -239,8 +232,7 @@ impl GlobalAbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, TileScheme};
-    use aiga_gpu::GemmShape;
+    use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, TileScheme};
 
     fn run(
         m: usize,
@@ -251,8 +243,7 @@ mod tests {
     ) -> (Matrix, GemmOutput) {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
-        let out = eng.run(&a, &b, TileScheme::NONE, fault.as_slice());
+        let out = gemm(&a, &b, TileScheme::NONE, fault.as_slice());
         (a, out)
     }
 
@@ -261,8 +252,7 @@ mod tests {
         let b = Matrix::random(64, 48, 61);
         let abft = GlobalAbft::prepare(&b);
         let a = Matrix::random(56, 64, 60);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(56, 48, 64));
-        let out = eng.run(&a, &b, TileScheme::NONE, &[]);
+        let out = gemm(&a, &b, TileScheme::NONE, &[]);
         let v = abft.verify(&a, &out);
         assert!(!v.fault_detected, "{v:?}");
     }
@@ -272,14 +262,13 @@ mod tests {
         let b = Matrix::random(64, 48, 63);
         let abft = GlobalAbft::prepare(&b);
         let a = Matrix::random(56, 64, 62);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(56, 48, 64));
         let fault = FaultPlan {
             row: 13,
             col: 21,
             after_step: u64::MAX,
             kind: FaultKind::AddValue(50.0),
         };
-        let out = eng.run(&a, &b, TileScheme::NONE, &[fault]);
+        let out = gemm(&a, &b, TileScheme::NONE, &[fault]);
         let v = abft.verify(&a, &out);
         assert!(v.fault_detected, "{v:?}");
         assert!((v.residual - 50.0).abs() < 1.0);
@@ -291,14 +280,13 @@ mod tests {
             let b = Matrix::random(64, 48, 65);
             let abft = GlobalAbft::prepare(&b);
             let a = Matrix::random(56, 64, 64);
-            let eng = GemmEngine::with_default_tiling(GemmShape::new(56, 48, 64));
             let fault = FaultPlan {
                 row: r,
                 col: c,
                 after_step: u64::MAX,
                 kind: FaultKind::BitFlip(29),
             };
-            let out = eng.run(&a, &b, TileScheme::NONE, &[fault]);
+            let out = gemm(&a, &b, TileScheme::NONE, &[fault]);
             assert!(abft.verify(&a, &out).fault_detected, "({r},{c})");
         }
     }
@@ -310,8 +298,7 @@ mod tests {
         for seed in 70..74 {
             let (a, out) = {
                 let a = Matrix::random(24, 32, seed);
-                let eng = GemmEngine::with_default_tiling(GemmShape::new(24, 32, 32));
-                let out = eng.run(&a, &b, TileScheme::NONE, &[]);
+                let out = gemm(&a, &b, TileScheme::NONE, &[]);
                 (a, out)
             };
             assert!(!abft.verify(&a, &out).fault_detected, "seed {seed}");

@@ -39,13 +39,14 @@ mod thread_two_sided;
 pub use global::{GlobalAbft, GlobalVerdict};
 pub use multi::{MultiChecksumAbft, MultiVerdict};
 
-use crate::tolerance::{Tolerance, U32};
+use crate::tolerance::{self, U32};
 use aiga_gpu::engine::{Redundancy, TileScheme};
+use aiga_gpu::TilingConfig;
 
 /// `lanes` under the analytical tolerance with `rounds32` f32 roundings
 /// charged against the check's magnitude.
 fn analytical(lanes: Redundancy, rounds32: f64) -> TileScheme {
-    let (slope, floor) = Tolerance::Analytical.linear_lp(0.0, 0.0, rounds32);
+    let (slope, floor) = tolerance::linear(rounds32);
     TileScheme {
         lanes,
         slope,
@@ -60,15 +61,14 @@ fn gamma_rounds(n: usize) -> f64 {
     let n = n as f64;
     n / (1.0 - n * U32)
 }
-use aiga_gpu::TilingConfig;
 
 /// Identifier for every scheme the evaluation compares.
 ///
 /// The closed set below covers the paper's schemes plus the §2.4
 /// multi-checksum extension; execution and cost behavior attach to these
-/// ids through [`crate::kernel::SchemeKernel`] implementations held in a
-/// [`crate::registry::SchemeRegistry`], so new behaviors plug in without
-/// touching the selector or the pipeline.
+/// ids as closed matches ([`Scheme::bind`], [`Scheme::apply_cost`], in
+/// [`crate::kernel`]), so the selector and the pipeline never enumerate
+/// schemes and every id that parses runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// No redundancy (the `To` baseline of §6.2).

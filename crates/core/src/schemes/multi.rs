@@ -21,7 +21,7 @@
 //! because `C` itself is FP32.
 
 use crate::schemes::GlobalVerdict;
-use crate::tolerance::{exceeds, Tolerance};
+use crate::tolerance::{self, exceeds};
 use aiga_gpu::engine::{GemmOutput, Matrix, MatrixView};
 
 /// Multi-round weighted global ABFT state for one layer.
@@ -33,7 +33,6 @@ pub struct MultiChecksumAbft {
     weight_abs: Vec<f64>,
     /// Number of independent checksum rounds.
     rounds: usize,
-    tolerance: Tolerance,
 }
 
 /// Verdict of a multi-round check.
@@ -72,7 +71,6 @@ impl MultiChecksumAbft {
             weight_checksum,
             weight_abs,
             rounds,
-            tolerance: Tolerance::Analytical,
         }
     }
 
@@ -130,7 +128,7 @@ impl MultiChecksumAbft {
         // scaled by its weight; the FP64 checksum arithmetic adds
         // nothing material.
         let rounds32 = (a.cols as f64).log2().ceil() + 24.0;
-        let threshold = self.tolerance.threshold(0.0, rounds32, magnitude);
+        let threshold = tolerance::threshold(rounds32, magnitude);
         GlobalVerdict {
             fault_detected: exceeds(residual, threshold),
             residual,
@@ -172,14 +170,12 @@ impl MultiChecksumAbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, TileScheme};
-    use aiga_gpu::GemmShape;
+    use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, TileScheme};
 
-    fn setup(seed: u64) -> (Matrix, Matrix, GemmEngine) {
+    fn setup(seed: u64) -> (Matrix, Matrix) {
         let a = Matrix::random(48, 64, seed);
         let b = Matrix::random(64, 40, seed + 1);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(48, 40, 64));
-        (a, b, eng)
+        (a, b)
     }
 
     fn fault(row: usize, col: usize, delta: f32) -> FaultPlan {
@@ -194,9 +190,9 @@ mod tests {
     #[test]
     fn clean_runs_pass_every_round() {
         for seed in [100, 200, 300] {
-            let (a, b, eng) = setup(seed);
+            let (a, b) = setup(seed);
             let abft = MultiChecksumAbft::prepare(&b, 3);
-            let out = eng.run(&a, &b, TileScheme::NONE, &[]);
+            let out = gemm(&a, &b, TileScheme::NONE, &[]);
             let v = abft.verify(&a, &out);
             assert!(!v.fault_detected(), "seed {seed}: {:?}", v.rounds);
         }
@@ -206,8 +202,8 @@ mod tests {
     fn cancelling_fault_pair_defeats_single_checksum() {
         // Two faults of +δ and −δ in different rows cancel in the plain
         // summation: round 0 alone is blind to them.
-        let (a, b, eng) = setup(400);
-        let out = eng.run(
+        let (a, b) = setup(400);
+        let out = gemm(
             &a,
             &b,
             TileScheme::NONE,
@@ -224,8 +220,8 @@ mod tests {
 
     #[test]
     fn second_round_catches_the_cancelling_pair() {
-        let (a, b, eng) = setup(500);
-        let out = eng.run(
+        let (a, b) = setup(500);
+        let out = gemm(
             &a,
             &b,
             TileScheme::NONE,
@@ -242,8 +238,8 @@ mod tests {
 
     #[test]
     fn single_faults_are_still_caught_by_round_zero() {
-        let (a, b, eng) = setup(600);
-        let out = eng.run(&a, &b, TileScheme::NONE, &[fault(7, 7, 99.0)]);
+        let (a, b) = setup(600);
+        let out = gemm(&a, &b, TileScheme::NONE, &[fault(7, 7, 99.0)]);
         let dual = MultiChecksumAbft::prepare(&b, 2);
         let v = dual.verify(&a, &out);
         assert_eq!(v.first_failing_round(), Some(0));
@@ -251,10 +247,10 @@ mod tests {
 
     #[test]
     fn three_rounds_catch_two_faults_in_any_distinct_rows() {
-        let (a, b, eng) = setup(700);
+        let (a, b) = setup(700);
         let triple = MultiChecksumAbft::prepare(&b, 3);
         for (r1, r2) in [(0usize, 47usize), (1, 2), (10, 40)] {
-            let out = eng.run(
+            let out = gemm(
                 &a,
                 &b,
                 TileScheme::NONE,

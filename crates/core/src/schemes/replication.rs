@@ -48,27 +48,14 @@ pub fn single_acc_tile_scheme() -> TileScheme {
 mod tests {
     use super::*;
     use crate::schemes::Scheme;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix};
-    use aiga_gpu::{GemmShape, TilingConfig};
-
-    fn engine() -> GemmEngine {
-        GemmEngine::new(
-            GemmShape::new(32, 32, 32),
-            TilingConfig {
-                block_m: 32,
-                block_n: 32,
-                block_k: 16,
-                warp_m: 16,
-                warp_n: 16,
-            },
-        )
-    }
+    use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, Matrix};
+    use aiga_gpu::TilingConfig;
 
     #[test]
     fn traditional_is_exactly_clean_without_faults() {
         let a = Matrix::random(32, 32, 41);
         let b = Matrix::random(32, 32, 42);
-        let out = engine().run(&a, &b, traditional_tile_scheme(), &[]);
+        let out = gemm(&a, &b, traditional_tile_scheme(), &[]);
         assert!(!out.fault_detected());
     }
 
@@ -84,7 +71,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::BitFlip(0), // LSB of the mantissa
         };
-        let out = engine().run(&a, &b, traditional_tile_scheme(), &[fault]);
+        let out = gemm(&a, &b, traditional_tile_scheme(), &[fault]);
         assert!(out.fault_detected());
     }
 
@@ -92,7 +79,7 @@ mod tests {
     fn single_acc_is_clean_without_faults() {
         let a = Matrix::random(32, 32, 45);
         let b = Matrix::random(32, 32, 46);
-        let out = engine().run(&a, &b, single_acc_tile_scheme(), &[]);
+        let out = gemm(&a, &b, single_acc_tile_scheme(), &[]);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -107,20 +94,20 @@ mod tests {
             kind,
         };
         let big = at(FaultKind::AddValue(500.0));
-        let out = engine().run(&a, &b, single_acc_tile_scheme(), &[big]);
+        let out = gemm(&a, &b, single_acc_tile_scheme(), &[big]);
         assert!(out.fault_detected());
         // A one-ulp flip is absorbed by the tile sum's rounding budget.
         let ulp = FaultPlan {
             after_step: u64::MAX,
             ..at(FaultKind::BitFlip(0))
         };
-        let out = engine().run(&a, &b, single_acc_tile_scheme(), &[ulp]);
+        let out = gemm(&a, &b, single_acc_tile_scheme(), &[ulp]);
         assert!(!out.fault_detected());
     }
 
     #[test]
     fn both_variants_double_the_mma_count() {
-        let t = engine().tiling();
+        let t = TilingConfig::candidates()[2];
         let a = Matrix::random(32, 32, 49);
         let b = Matrix::random(32, 32, 50);
         for (scheme, tile) in [
@@ -128,7 +115,7 @@ mod tests {
             (Scheme::ReplicationSingleAcc, single_acc_tile_scheme()),
         ] {
             assert_eq!(scheme.extra_mmas_per_step(&t), t.mmas_per_thread_step());
-            let c = engine().run(&a, &b, tile, &[]).counters;
+            let c = gemm(&a, &b, tile, &[]).counters;
             assert_eq!(c.checksum_fmas, c.data_fmas, "{scheme}");
         }
     }

@@ -17,11 +17,10 @@
 //! compares each column sum of the stored tile against its checksum
 //! lane, so a detection names one strip column: `MICRO_MR` cells.
 //!
-//! [`MICRO_NR`]: aiga_gpu::tiling::MICRO_NR
+//! [`MICRO_NR`]: aiga_gpu::engine::MICRO_NR
 
 use super::{analytical, gamma_rounds};
-use aiga_gpu::engine::{Redundancy, TileScheme};
-use aiga_gpu::tiling::MICRO_MR;
+use aiga_gpu::engine::{Redundancy, TileScheme, MICRO_MR};
 
 /// The engine-side scheme for a GEMM whose padded inner dimension is
 /// `k`.
@@ -53,27 +52,14 @@ pub fn tile_scheme(k: usize) -> TileScheme {
 mod tests {
     use super::*;
     use crate::schemes::Scheme;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix};
-    use aiga_gpu::{GemmShape, TilingConfig};
-
-    fn engine() -> GemmEngine {
-        GemmEngine::new(
-            GemmShape::new(32, 32, 64),
-            TilingConfig {
-                block_m: 32,
-                block_n: 32,
-                block_k: 16,
-                warp_m: 16,
-                warp_n: 16,
-            },
-        )
-    }
+    use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, Matrix};
+    use aiga_gpu::TilingConfig;
 
     #[test]
     fn clean_run_raises_no_detection() {
         let a = Matrix::random(32, 64, 21);
         let b = Matrix::random(64, 32, 22);
-        let out = engine().run(&a, &b, tile_scheme(64), &[]);
+        let out = gemm(&a, &b, tile_scheme(64), &[]);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -87,7 +73,7 @@ mod tests {
             after_step: 7,
             kind: FaultKind::AddValue(64.0),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
+        let out = gemm(&a, &b, tile_scheme(64), &[fault]);
         assert!(out.fault_detected());
         // Exactly one strip column owns the element, so exactly one
         // detection.
@@ -106,7 +92,7 @@ mod tests {
                 after_step: u64::MAX,
                 kind: FaultKind::BitFlip(bit),
             };
-            let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
+            let out = gemm(&a, &b, tile_scheme(64), &[fault]);
             assert!(out.fault_detected(), "bit {bit} escaped detection");
         }
     }
@@ -116,13 +102,13 @@ mod tests {
         // Table 1's per-thread counts are the analytic model's; the
         // engine reports what the host ran instead — a quarter more
         // FMAs than the data walk.
-        let t = engine().tiling();
+        let t = TilingConfig::candidates()[2];
         let one = Scheme::ThreadLevelOneSided;
         assert_eq!(one.extra_mmas_per_step(&t), t.thread_mt() / 2);
         assert_eq!(one.checksum_ops_per_step(&t), t.thread_nt() / 2);
         let a = Matrix::random(32, 64, 27);
         let b = Matrix::random(64, 32, 28);
-        let c = engine().run(&a, &b, tile_scheme(64), &[]).counters;
+        let c = gemm(&a, &b, tile_scheme(64), &[]).counters;
         assert_eq!(c.data_fmas, 32 * 32 * 64);
         assert_eq!(c.checksum_fmas * 4, c.data_fmas);
     }
@@ -139,7 +125,7 @@ mod tests {
             after_step: 0,
             kind: FaultKind::SetValue(1000.0),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
+        let out = gemm(&a, &b, tile_scheme(64), &[fault]);
         assert_eq!(out.detections.len(), 1);
         let d = &out.detections[0];
         assert_eq!((d.row, d.col, d.cols), (8, 20, 1));

@@ -18,8 +18,7 @@
 //! `MICRO_NR`× one-sided's and a detection names the whole tile.
 
 use super::{analytical, gamma_rounds};
-use aiga_gpu::engine::{Redundancy, TileScheme};
-use aiga_gpu::tiling::MICRO_NR;
+use aiga_gpu::engine::{Redundancy, TileScheme, MICRO_NR};
 
 /// The engine-side scheme for a GEMM whose padded inner dimension is
 /// `k`.
@@ -38,27 +37,14 @@ pub fn tile_scheme(k: usize) -> TileScheme {
 mod tests {
     use super::*;
     use crate::schemes::Scheme;
-    use aiga_gpu::engine::{FaultKind, FaultPlan, GemmEngine, Matrix};
-    use aiga_gpu::{GemmShape, TilingConfig};
-
-    fn engine() -> GemmEngine {
-        GemmEngine::new(
-            GemmShape::new(32, 32, 64),
-            TilingConfig {
-                block_m: 32,
-                block_n: 32,
-                block_k: 16,
-                warp_m: 16,
-                warp_n: 16,
-            },
-        )
-    }
+    use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, Matrix};
+    use aiga_gpu::TilingConfig;
 
     #[test]
     fn clean_run_raises_no_detection() {
         let a = Matrix::random(32, 64, 31);
         let b = Matrix::random(64, 32, 32);
-        let out = engine().run(&a, &b, tile_scheme(64), &[]);
+        let out = gemm(&a, &b, tile_scheme(64), &[]);
         assert!(!out.fault_detected(), "{:?}", out.detections.first());
     }
 
@@ -72,7 +58,7 @@ mod tests {
             after_step: 2,
             kind: FaultKind::AddValue(128.0),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
+        let out = gemm(&a, &b, tile_scheme(64), &[fault]);
         assert!(out.fault_detected());
         assert_eq!(out.detections.len(), 1);
         let d = &out.detections[0];
@@ -84,13 +70,13 @@ mod tests {
         // Table 1: one redundant MMA and O(Mt + Nt) checksum ops per
         // thread-step in the analytic model; on the host, one redundant
         // FMA per register tile per K element.
-        let t = engine().tiling();
+        let t = TilingConfig::candidates()[2];
         let two = Scheme::ThreadLevelTwoSided;
         assert_eq!(two.extra_mmas_per_step(&t), 1);
         assert_eq!(two.checksum_ops_per_step(&t), t.thread_mt() + t.thread_nt());
         let a = Matrix::random(32, 64, 35);
         let b = Matrix::random(64, 32, 36);
-        let c = engine().run(&a, &b, tile_scheme(64), &[]).counters;
+        let c = gemm(&a, &b, tile_scheme(64), &[]).counters;
         assert_eq!(c.checksum_fmas, c.tiles * 64);
     }
 
@@ -109,7 +95,7 @@ mod tests {
             after_step: u64::MAX,
             kind: FaultKind::SetValue(1e4),
         };
-        let out = engine().run(&a, &b, tile_scheme(64), &[fault]);
+        let out = gemm(&a, &b, tile_scheme(64), &[fault]);
         assert!(out.fault_detected());
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! Planning itself lives in [`crate::planner::Planner`] — a builder that
 //! replaces the old `ModelPlan::build`/`build_with` pair. This module
-//! holds the plan data structures, their aggregation metrics (the §6.2
-//! whole-model overheads), and the §7.3 multi-input-size
-//! [`DeploymentPlan`].
+//! holds the plan data structures and their aggregation metrics (the
+//! §6.2 whole-model overheads).
 
 use crate::cost::SchemeTiming;
 use crate::schemes::Scheme;
@@ -165,67 +164,6 @@ impl ModelPlan {
     /// Per-layer chosen schemes, in execution order.
     pub fn chosen_schemes(&self) -> Vec<Scheme> {
         self.layers.iter().map(|l| l.chosen).collect()
-    }
-}
-
-/// §7.3: input-size-dependent deployment.
-///
-/// Arithmetic intensity — and therefore the per-layer ABFT selection —
-/// depends on the input size (batch, resolution). Deployments that
-/// expect several input sizes build one [`ModelPlan`] per size ahead of
-/// time (via [`crate::planner::Planner::deployment`]) and dispatch among
-/// them at inference time; this is cheap because planning is a
-/// pre-deployment step. [`crate::Session`] wraps this with caching and
-/// per-request dispatch.
-#[derive(Clone, Debug)]
-pub struct DeploymentPlan {
-    /// `(input-size key, plan)` pairs, e.g. keyed by batch size.
-    variants: Vec<(u64, ModelPlan)>,
-}
-
-impl DeploymentPlan {
-    /// Assembles a deployment from pre-built `(key, plan)` variants.
-    pub fn from_variants(variants: Vec<(u64, ModelPlan)>) -> Self {
-        assert!(!variants.is_empty(), "at least one input size required");
-        DeploymentPlan { variants }
-    }
-
-    /// Number of pre-planned input sizes.
-    pub fn len(&self) -> usize {
-        self.variants.len()
-    }
-
-    /// True if no variants exist (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.variants.is_empty()
-    }
-
-    /// The pre-planned `(key, plan)` variants.
-    pub fn variants(&self) -> &[(u64, ModelPlan)] {
-        &self.variants
-    }
-
-    /// The plan for the smallest pre-planned key that can hold the
-    /// observed input size — inputs are padded *up* to a planned size,
-    /// as serving systems do with batch buckets (the same dispatch rule
-    /// [`crate::Session`] uses). Oversized inputs fall back to the
-    /// largest plan (a server would split such a request).
-    pub fn plan_for(&self, observed: u64) -> &ModelPlan {
-        self.variants
-            .iter()
-            .filter(|(k, _)| *k >= observed)
-            .min_by_key(|(k, _)| *k)
-            .or_else(|| self.variants.iter().max_by_key(|(k, _)| *k))
-            .map(|(_, p)| p)
-            .expect("at least one variant by construction")
-    }
-
-    /// The exact-key plan, if one was built.
-    pub fn plan_exact(&self, key: u64) -> Option<&ModelPlan> {
-        self.variants
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, p)| p)
     }
 }
 

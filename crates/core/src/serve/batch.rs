@@ -273,7 +273,14 @@ fn execute_batch(
             if degraded {
                 AtomicServerStats::add(&stats.degraded, members.len() as u64);
             }
-            let features_out = batch_report.report.output.len() / total_rows;
+            // A stack of empty requests has no rows to divide by and
+            // an empty output: every member's share is the empty slice.
+            let features_out = batch_report
+                .report
+                .output
+                .len()
+                .checked_div(total_rows)
+                .unwrap_or(0);
             let mut row = 0;
             for member in members.drain(..) {
                 let rows = member.input.rows;

@@ -760,6 +760,7 @@ mod tests {
     #[test]
     fn requests_dispatch_to_the_smallest_fitting_bucket() {
         let s = session();
+        assert_eq!(s.bucket_for(0), 8);
         assert_eq!(s.bucket_for(1), 8);
         assert_eq!(s.bucket_for(8), 8);
         assert_eq!(s.bucket_for(9), 32);

@@ -5,19 +5,16 @@
 //! stages, computes and checks only the register tiles its own rows
 //! touch. None of that may move a byte: outputs, detections, residuals
 //! and thresholds must equal what a fresh pack on a throwaway workspace
-//! produces, under any tiling, on both [`GemmPath`]s, shared across
-//! threads, and the sums global ABFT compares must equal the
+//! produces, on both [`GemmPath`]s, shared across threads, and the sums global ABFT compares must equal the
 //! per-column reductions they replaced.
 
-use aiga_core::kernel::{FaultSite, MultiChecksumKernel, Verdict};
-use aiga_core::registry::SchemeRegistry;
+use aiga_core::kernel::{FaultSite, Verdict};
 use aiga_core::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::{
-    simd, CheckScratch, Detection, Dtype, FaultKind, FaultPlan, GemmOutput, Im2colView, Matrix,
-    MatrixView, PackedWeights, Workspace,
+    gemm, gemm_into, simd, CheckScratch, Dtype, FaultKind, FaultPlan, GemmOutput, Im2colView,
+    Matrix, MatrixView, PackedWeights, Workspace, MICRO_MR, MICRO_NR,
 };
-use aiga_gpu::tiling::{MICRO_MR, MICRO_NR};
-use aiga_gpu::{GemmEngine, GemmPath, GemmShape, TilingConfig};
+use aiga_gpu::GemmPath;
 use aiga_util::rng::Rng64;
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -47,24 +44,8 @@ const SCHEMES: [Scheme; 7] = [
     Scheme::MultiChecksum(2),
 ];
 
-fn registry() -> SchemeRegistry {
-    SchemeRegistry::builtin().with(Arc::new(MultiChecksumKernel::new(2)))
-}
-
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
-}
-
-/// A detection without its block coordinates (which name the tiling,
-/// not the cells).
-fn cells(d: &Detection) -> (usize, usize, usize, u64, u64) {
-    (
-        d.row,
-        d.col,
-        d.cols,
-        d.residual.to_bits(),
-        d.threshold.to_bits(),
-    )
 }
 
 /// The kernel-level verdict the scheme's own check reaches on `out`.
@@ -101,13 +82,11 @@ fn kernel_verdict(scheme: Scheme, a: &Matrix, b: &Matrix, out: &GemmOutput) -> V
 #[test]
 fn bound_panels_equal_a_fresh_pack_byte_for_byte() {
     // One workspace serves every shape, scheme and dtype in turn — the
-    // pooled-serving regime — against `GemmEngine::run` packing the
-    // plain matrix into a throwaway each time, under the default tiling
-    // and under the largest one (where a 1-row request covers 1 of 32
-    // strips). K = 27 pads to 32; n = 1000 leaves a partial panel.
+    // pooled-serving regime — against `engine::gemm` packing the plain
+    // matrix into a throwaway each time (a 1-row request covers 1 of
+    // its block's 16 strips). K = 27 pads to 32; n = 1000 leaves a
+    // partial panel.
     let k = 27;
-    let big = TilingConfig::candidates()[0];
-    let reg = registry();
     on_each_path(|path| {
         let mut ws = Workspace::new();
         for dtype in Dtype::ALL {
@@ -116,9 +95,6 @@ fn bound_panels_equal_a_fresh_pack_byte_for_byte() {
                     let seed = (m * 31 + n) as u64;
                     let a = Matrix::random_dtype(m, k, seed, dtype);
                     let b = Matrix::random_dtype(k, n, seed + 1, dtype);
-                    let shape = GemmShape::new(m as u64, n as u64, k as u64);
-                    let eng = GemmEngine::with_default_tiling(shape);
-                    let other = GemmEngine::new(shape, big);
                     let fault = FaultPlan {
                         row: m - 1,
                         col: n - 1,
@@ -126,12 +102,12 @@ fn bound_panels_equal_a_fresh_pack_byte_for_byte() {
                         kind: FaultKind::AddValue(4096.0),
                     };
                     for scheme in SCHEMES {
-                        let bound = reg.resolve(scheme).bind(&b);
-                        let tile = scheme.tile_scheme(eng.shape().k as usize);
+                        let bound = scheme.bind(&b);
+                        let tile = scheme.tile_scheme(k.next_multiple_of(8));
                         for faults in [&[][..], &[fault][..]] {
                             let ctx = format!("{scheme} {dtype} {m}x{n} {path:?} {faults:?}");
-                            let verdict = bound.run_into(&eng, a.view(), faults, &mut ws);
-                            let fresh = eng.run(&a, &b, tile, faults);
+                            let verdict = bound.run_into(a.view(), faults, &mut ws);
+                            let fresh = gemm(&a, &b, tile, faults);
                             let got = ws.output();
                             assert_eq!(bits(&got.c), bits(&fresh.c), "{ctx}");
                             assert_eq!(got.detections, fresh.detections, "{ctx}");
@@ -142,14 +118,6 @@ fn bound_panels_equal_a_fresh_pack_byte_for_byte() {
                                 !faults.is_empty() && scheme != Scheme::Unprotected,
                                 "{ctx}"
                             );
-                            let tiled = other.run(&a, &b, tile, faults);
-                            assert_eq!(bits(&tiled.c), bits(&fresh.c), "{ctx}");
-                            assert_eq!(
-                                tiled.detections.iter().map(cells).collect::<Vec<_>>(),
-                                fresh.detections.iter().map(cells).collect::<Vec<_>>(),
-                                "{ctx}"
-                            );
-                            assert_eq!(tiled.counters, fresh.counters, "{ctx}");
                         }
                     }
                 }
@@ -168,7 +136,6 @@ fn one_packed_layer_serves_two_threads() {
     let (m, n, k) = (5usize, 1000usize, 1024usize);
     let a = [Matrix::random(m, k, 1), Matrix::random(m, k, 2)];
     let b = Matrix::random(k, n, 3);
-    let eng = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
     let tile = Scheme::ThreadLevelTwoSided.tile_scheme(k);
     let fault = FaultPlan {
         row: 2,
@@ -177,17 +144,17 @@ fn one_packed_layer_serves_two_threads() {
         kind: FaultKind::AddValue(512.0),
     };
     let packed = Arc::new(PackedWeights::pack(&b, tile.lanes));
-    let want: Vec<GemmOutput> = a.iter().map(|a| eng.run(a, &b, tile, &[fault])).collect();
+    let want: Vec<GemmOutput> = a.iter().map(|a| gemm(a, &b, tile, &[fault])).collect();
     assert!(want.iter().all(|w| w.detections.len() == 1));
     let barrier = Barrier::new(2);
     std::thread::scope(|scope| {
         for (a, want) in a.iter().zip(&want) {
-            let (packed, eng, barrier) = (Arc::clone(&packed), &eng, &barrier);
+            let (packed, barrier) = (Arc::clone(&packed), &barrier);
             scope.spawn(move || {
                 let mut ws = Workspace::new();
                 for round in 0..8 {
                     barrier.wait();
-                    let got = eng.run_multi_into(a, &packed, tile, &[fault], &mut ws);
+                    let got = gemm_into(a, &packed, tile, &[fault], &mut ws);
                     assert_eq!(bits(&got.c), bits(&want.c), "round {round}");
                     assert_eq!(got.detections, want.detections, "round {round}");
                     assert_eq!(got.counters, want.counters, "round {round}");
@@ -199,19 +166,17 @@ fn one_packed_layer_serves_two_threads() {
 
 #[test]
 fn a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops() {
-    // m = 1: one live row in a 4-row strip of a 32-row (or taller)
-    // block; n = 40: the last register tile holds 8 live columns and 8
-    // padding ones, and the block grid pads further still.
+    // m = 1: one live row in a 4-row strip of a 64-row block; n = 40:
+    // the last register tile holds 8 live columns and 8 padding ones,
+    // and the block pads further still.
     let (m, n, k) = (1usize, 40usize, 64usize);
     let a = Matrix::random(m, k, 21);
     let b = Matrix::random(k, n, 22);
-    let eng = GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64));
-    let reg = registry();
     on_each_path(|path| {
         let mut ws = Workspace::new();
         for scheme in SCHEMES {
-            let bound = reg.resolve(scheme).bind(&b);
-            assert!(bound.run_into(&eng, a.view(), &[], &mut ws).is_clean());
+            let bound = scheme.bind(&b);
+            assert!(bound.run_into(a.view(), &[], &mut ws).is_clean());
             let clean = bits(&ws.output().c);
 
             if scheme != Scheme::Unprotected {
@@ -223,10 +188,10 @@ fn a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops() {
                         kind: FaultKind::AddValue(300.0),
                     };
                     let ctx = format!("{scheme} {fault:?} on {path:?}");
-                    let verdict = bound.run_into(&eng, a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_into(a.view(), &[fault], &mut ws);
                     assert!(verdict.is_detected(), "{ctx}: {verdict:?}");
                     assert_ne!(bits(&ws.output().c), clean, "{ctx}");
-                    let verdict = bound.run_corrected_into(&eng, a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_corrected_into(a.view(), &[fault], &mut ws);
                     let Verdict::Corrected { site, .. } = verdict else {
                         panic!("{ctx}: {verdict:?}");
                     };
@@ -266,7 +231,7 @@ fn a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops() {
                         kind: FaultKind::SetValue(f32::NAN),
                     };
                     let ctx = format!("{scheme} {fault:?} on {path:?}");
-                    let verdict = bound.run_corrected_into(&eng, a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_corrected_into(a.view(), &[fault], &mut ws);
                     assert!(verdict.is_clean(), "{ctx}: {verdict:?}");
                     assert_eq!(bits(&ws.output().c), clean, "{ctx}");
                     assert!(ws.output().detections.is_empty(), "{ctx}");

@@ -5,14 +5,13 @@
 //! `PATH_LOCK`, so the legs of one sweep never run on a path another
 //! test forced.
 
-use aiga_core::registry;
 use aiga_core::schemes::Scheme;
 use aiga_core::tolerance::exceeds;
 use aiga_gpu::engine::{
-    simd, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy, TileScheme, Workspace,
+    gemm, gemm_into, simd, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy,
+    TileScheme, Workspace, MICRO_MR, MICRO_NR,
 };
-use aiga_gpu::tiling::{MICRO_MR, MICRO_NR};
-use aiga_gpu::{GemmEngine, GemmPath, GemmShape};
+use aiga_gpu::GemmPath;
 use aiga_util::rng::Rng64;
 use std::sync::Mutex;
 
@@ -32,10 +31,6 @@ fn on_each_path(mut f: impl FnMut(GemmPath)) {
     simd::force_path(None);
 }
 
-fn engine(m: usize, n: usize, k: usize) -> GemmEngine {
-    GemmEngine::with_default_tiling(GemmShape::new(m as u64, n as u64, k as u64))
-}
-
 const PROTECTED: [Scheme; 6] = [
     Scheme::GlobalAbft,
     Scheme::ThreadLevelOneSided,
@@ -53,14 +48,10 @@ fn non_finite_faults_flag_under_every_scheme_on_every_path() {
     let (m, n, k) = (48, 40, 56);
     let a = Matrix::random(m, k, 11);
     let b = Matrix::random(k, n, 12);
-    let eng = engine(m, n, k);
-    let reg = registry::SchemeRegistry::builtin().with(std::sync::Arc::new(
-        aiga_core::kernel::MultiChecksumKernel::new(2),
-    ));
     on_each_path(|path| {
         let mut ws = Workspace::new();
         for scheme in PROTECTED {
-            let bound = reg.resolve(scheme).bind(&b);
+            let bound = scheme.bind(&b);
             for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
                 for after_step in [3, u64::MAX] {
                     let fault = FaultPlan {
@@ -69,7 +60,7 @@ fn non_finite_faults_flag_under_every_scheme_on_every_path() {
                         after_step,
                         kind: FaultKind::SetValue(value),
                     };
-                    let verdict = bound.run_into(&eng, a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_into(a.view(), &[fault], &mut ws);
                     assert!(
                         verdict.is_detected(),
                         "{scheme} passed {value} (step {after_step}) on {path:?}"
@@ -102,15 +93,14 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
     for &(m, n, k, seed) in &[(33usize, 65usize, 40usize, 5u64), (32, 32, 32, 6)] {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
-        let eng = engine(m, n, k);
-        let scheme = Scheme::ThreadLevelOneSided.tile_scheme(eng.shape().k as usize);
+        let scheme = Scheme::ThreadLevelOneSided.tile_scheme(k.next_multiple_of(8));
         let mut ws = Workspace::new();
         let packed = PackedWeights::pack(&b, scheme.lanes);
 
-        let clean = eng.run(&a, &b, scheme, &[]);
+        let clean = gemm(&a, &b, scheme, &[]);
         assert!(!clean.fault_detected());
         // Clean residual and magnitude of every (strip, column).
-        let probe = eng.run(&a, &b, reporting(scheme), &[]);
+        let probe = gemm(&a, &b, reporting(scheme), &[]);
         let strips = m.div_ceil(MICRO_MR);
         let mut r0 = vec![f64::NAN; strips * n];
         for d in &probe.detections {
@@ -152,7 +142,7 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
                             after_step,
                             kind,
                         };
-                        let out = eng.run_multi_into(&a, &packed, scheme, &[fault], &mut ws);
+                        let out = gemm_into(&a, &packed, scheme, &[fault], &mut ws);
                         let delta = (out.get(row, col) as f64 - clean.get(row, col) as f64).abs();
                         let (thr, noise) = (threshold(row, col), r0[row / MICRO_MR * n + col]);
                         let ctx = format!("{m}x{n}x{k} {fault:?}: delta {delta:e}, thr {thr:e}");
@@ -187,35 +177,42 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
 fn per_tile_checks_name_the_tile_containing_the_fault() {
     // Two-sided ABFT and single-accumulation replication compare whole
     // register tiles; traditional replication compares cells. Each
-    // detection must cover the faulted cell, on a ragged shape.
-    let (m, n, k) = (33, 65, 40);
-    let a = Matrix::random(m, k, 5);
-    let b = Matrix::random(k, n, 6);
-    let eng = engine(m, n, k);
-    let mut ws = Workspace::new();
-    for (scheme, cols) in [
-        (Scheme::ThreadLevelTwoSided, MICRO_NR),
-        (Scheme::ReplicationSingleAcc, MICRO_NR),
-        (Scheme::ReplicationTraditional, 1),
+    // detection must cover the faulted cell: every cell of a ragged
+    // shape, then — across two block rows and three block columns —
+    // every column of the rows on either side of the block edge and of
+    // the ragged last strip.
+    for ((m, n, k), rows) in [
+        ((33, 65, 40), (0..33).collect::<Vec<usize>>()),
+        ((70, 131, 24), vec![0, 63, 64, 69]),
     ] {
-        let tile = scheme.tile_scheme(eng.shape().k as usize);
-        let packed = PackedWeights::pack(&b, tile.lanes);
-        for row in 0..m {
-            for col in 0..n {
-                let fault = FaultPlan {
-                    row,
-                    col,
-                    after_step: [2, u64::MAX][(row + col) % 2],
-                    kind: FaultKind::AddValue(64.0),
-                };
-                let out = eng.run_multi_into(&a, &packed, tile, &[fault], &mut ws);
-                assert_eq!(out.detections.len(), 1, "{scheme} at ({row},{col})");
-                let d = &out.detections[0];
-                assert_eq!(
-                    (d.row, d.col, d.cols),
-                    (row / MICRO_MR * MICRO_MR, col / cols * cols, cols),
-                    "{scheme} at ({row},{col})"
-                );
+        let a = Matrix::random(m, k, 5);
+        let b = Matrix::random(k, n, 6);
+        let mut ws = Workspace::new();
+        for (scheme, cols) in [
+            (Scheme::ThreadLevelTwoSided, MICRO_NR),
+            (Scheme::ReplicationSingleAcc, MICRO_NR),
+            (Scheme::ReplicationTraditional, 1),
+        ] {
+            let tile = scheme.tile_scheme(k.next_multiple_of(8));
+            let packed = PackedWeights::pack(&b, tile.lanes);
+            for &row in &rows {
+                for col in 0..n {
+                    let fault = FaultPlan {
+                        row,
+                        col,
+                        after_step: [2, u64::MAX][(row + col) % 2],
+                        kind: FaultKind::AddValue(64.0),
+                    };
+                    let out = gemm_into(&a, &packed, tile, &[fault], &mut ws);
+                    let at = format!("{scheme} at ({row},{col}) of {m}x{n}");
+                    assert_eq!(out.detections.len(), 1, "{at}");
+                    let d = &out.detections[0];
+                    assert_eq!(
+                        (d.row, d.col, d.cols),
+                        (row / MICRO_MR * MICRO_MR, col / cols * cols, cols),
+                        "{at}"
+                    );
+                }
             }
         }
     }
@@ -253,11 +250,10 @@ fn clean_gemms_never_flag_in_any_dtype_on_either_path() {
                     }
                 }
                 let b = Matrix::random_dtype(k, n, seed + 7, dtype);
-                let eng = engine(m, n, k);
                 for scheme in [Scheme::ThreadLevelOneSided, Scheme::ThreadLevelTwoSided] {
-                    let tile = scheme.tile_scheme(eng.shape().k as usize);
+                    let tile = scheme.tile_scheme(k.next_multiple_of(8));
                     let packed = PackedWeights::pack(&b, tile.lanes);
-                    let out = eng.run_multi_into(&a, &packed, tile, &[], &mut ws);
+                    let out = gemm_into(&a, &packed, tile, &[], &mut ws);
                     assert!(
                         out.detections.is_empty(),
                         "{scheme} {dtype} {m}x{n}x{k} seed {seed} on {path:?}: {:?}",
@@ -276,13 +272,12 @@ fn replication_checks_cannot_false_alarm_by_construction() {
     let (m, n, k) = (33, 65, 1152);
     let a = Matrix::random(m, k, 1);
     let b = Matrix::random(k, n, 2);
-    let eng = engine(m, n, k);
     for lanes in [Redundancy::ShadowExact, Redundancy::ShadowSum] {
         let strict = TileScheme {
             lanes,
             slope: 0.0,
             floor: 0.0,
         };
-        assert!(!eng.run(&a, &b, strict, &[]).fault_detected(), "{lanes:?}");
+        assert!(!gemm(&a, &b, strict, &[]).fault_detected(), "{lanes:?}");
     }
 }

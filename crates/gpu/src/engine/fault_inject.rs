@@ -26,6 +26,10 @@ impl FaultKind {
     }
 }
 
+/// K elements one simulated K-step consumes (Figure 3: a thread step
+/// advances `k` by 2) — the unit [`FaultPlan::after_step`] counts in.
+pub const STEP_K: u64 = 2;
+
 /// A single injected fault targeting output element `(row, col)` of `C`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultPlan {
@@ -33,8 +37,9 @@ pub struct FaultPlan {
     pub row: usize,
     /// Global column of the corrupted output element.
     pub col: usize,
-    /// K-step after which the corruption strikes; `u64::MAX` means after
-    /// the final step (a fault in the epilogue datapath).
+    /// K-step (of [`STEP_K`] elements) after which the corruption
+    /// strikes; `u64::MAX` means after the final step (a fault in the
+    /// epilogue datapath).
     pub after_step: u64,
     /// Corruption applied.
     pub kind: FaultKind,
@@ -46,8 +51,6 @@ pub struct FaultPlan {
 /// cropped output are grid padding).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Detection {
-    /// Threadblock coordinates.
-    pub block: (u64, u64),
     /// First global row of the flagged `MICRO_MR`-row strip.
     pub row: usize,
     /// First flagged global column.

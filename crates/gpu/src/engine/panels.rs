@@ -7,14 +7,14 @@
 //! - **B (weights)** never changes between requests. [`PackedWeights`]
 //!   is its one resident form: decoded to f32 and laid out in the
 //!   [`MICRO_PANEL`]-wide K-major panels the microkernel streams, built
-//!   once — `aiga-core`'s `SchemeKernel::bind` does it — and shared
+//!   once — `aiga-core`'s `Scheme::bind` does it — and shared
 //!   read-only by every run, worker and shard. When the bound scheme is
 //!   two-sided ABFT it also carries the per-tile B checksum columns.
 //! - **A (activations)** is the request. `Panels` gathers, decodes,
 //!   strip-packs and checksums it per run in one pass, into buffers the
 //!   [`Workspace`] keeps warm, covering only the request's own rows
 //!   (rounded up to one register-tile strip) — a batch-1 request stages
-//!   one strip, whatever the block tiling.
+//!   one strip of its block.
 //!
 //! [`Workspace`] owns *all* per-run scratch — the A panels, the
 //! per-block accumulator tile and its checksum lanes, the output buffer,
@@ -28,8 +28,7 @@ use super::fault_inject::Detection;
 use super::matrix::{Matrix, MatrixView};
 use super::scheme::Redundancy;
 use super::simd::{self, GemmPath};
-use super::GemmOutput;
-use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR, MICRO_PANEL};
+use super::{GemmOutput, BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR, MICRO_PANEL};
 use aiga_dtype::{with_format, Dtype, Format, F16};
 
 /// A layer's weights (`B` of `C = A·B`) in the form the microkernel
@@ -210,7 +209,7 @@ impl Panels {
 /// block of a run — block execution allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BlockScratch {
-    /// `block_m × block_n` FP32 accumulator tile.
+    /// [`BLOCK_M`]` × `[`BLOCK_N`] FP32 accumulator tile.
     pub(crate) tile: Vec<f32>,
     /// Checksum lanes as the microkernel left them: one value per
     /// (strip, column) for [`Redundancy::ColumnChecksum`] (`strip·bn +
@@ -224,23 +223,19 @@ pub(crate) struct BlockScratch {
 }
 
 impl BlockScratch {
-    /// Sizes every buffer for one run under `tiling` and `lanes`.
-    /// Shrinks never release capacity, so repeated runs at the same
-    /// tiling do not allocate.
-    pub(crate) fn prepare(&mut self, tiling: &TilingConfig, lanes: Redundancy) {
-        let (bm, bn) = (tiling.block_m as usize, tiling.block_n as usize);
+    /// Sizes every buffer for one run under `lanes`. Shrinks never
+    /// release capacity, so repeated runs do not allocate.
+    pub(crate) fn prepare(&mut self, lanes: Redundancy) {
         let resize = |v: &mut Vec<f32>, len: usize| {
             v.clear();
             v.resize(len, 0.0);
         };
-        resize(&mut self.tile, bm * bn);
-        let lane_len = lanes.lane_len(bm, bn);
+        let cells = BLOCK_M * BLOCK_N;
+        resize(&mut self.tile, cells);
+        let lane_len = lanes.lane_len(BLOCK_M, BLOCK_N);
         resize(&mut self.chk, lane_len);
         resize(&mut self.mag, lane_len);
-        resize(
-            &mut self.shadow,
-            if lanes.is_shadow() { bm * bn } else { 0 },
-        );
+        resize(&mut self.shadow, cells * lanes.is_shadow() as usize);
     }
 }
 
@@ -282,7 +277,7 @@ pub struct CheckScratch {
 /// place and reused across runs.
 ///
 /// The execution contract is workspace-threaded at every layer:
-/// [`crate::engine::GemmEngine::run_multi_into`] stages the activation
+/// [`crate::engine::gemm_into`] stages the activation
 /// panels and writes its output here (the weights arrive packed — see
 /// [`PackedWeights`] — so a cold workspace's first run allocates for
 /// the request's rows, not for the layer); `aiga-core`'s `BoundKernel::run_into`,
@@ -376,7 +371,7 @@ impl Workspace {
     }
 
     /// Stages `a` as the next walk's activation operand — the first
-    /// half of `GemmEngine::run_multi_into`, callable alone so benches
+    /// half of [`super::gemm_into`], callable alone so benches
     /// can time it apart from the microkernel. `k` is the padded K.
     pub fn stage_activations(&mut self, a: MatrixView<'_>, lanes: Redundancy, k: usize) {
         self.panels.stage(a, lanes, simd::active_path(), k);
@@ -419,20 +414,15 @@ impl Workspace {
         (&self.slots, self.child.get_or_insert_with(Box::default))
     }
 
-    /// Arms the stripe scratch pool for `n` workers under `tiling` and
-    /// `lanes`: grows the pool if this is a new high-water mark, then
-    /// re-prepares each worker's scratch in place.
-    pub(crate) fn ensure_stripe_pool(
-        &mut self,
-        n: usize,
-        tiling: &TilingConfig,
-        lanes: Redundancy,
-    ) {
+    /// Arms the stripe scratch pool for `n` workers under `lanes`: grows
+    /// the pool if this is a new high-water mark, then re-prepares each
+    /// worker's scratch in place.
+    pub(crate) fn ensure_stripe_pool(&mut self, n: usize, lanes: Redundancy) {
         if self.stripe_pool.len() < n {
             self.stripe_pool.resize_with(n, StripeScratch::default);
         }
         for s in &mut self.stripe_pool[..n] {
-            s.block.prepare(tiling, lanes);
+            s.block.prepare(lanes);
             s.detections.clear();
         }
     }

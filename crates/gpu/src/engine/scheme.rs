@@ -9,8 +9,10 @@
 //! in the same K loop, on the same loaded vectors, and its check is an
 //! epilogue over the tile it just produced.
 //!
-//! [`MICRO_MR`]: crate::tiling::MICRO_MR
-//! [`MICRO_NR`]: crate::tiling::MICRO_NR
+//! [`MICRO_MR`]: super::MICRO_MR
+//! [`MICRO_NR`]: super::MICRO_NR
+
+use super::{MICRO_MR, MICRO_NR};
 
 /// The redundant work one register tile carries through its K walk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,7 +43,6 @@ impl Redundancy {
     /// error bound) are bookkeeping, not redundancy, and are not
     /// counted.
     pub fn checksum_fmas_per_step(self) -> u64 {
-        use crate::tiling::{MICRO_MR, MICRO_NR};
         match self {
             Redundancy::None => 0,
             Redundancy::ColumnChecksum => MICRO_NR as u64,
@@ -53,7 +54,6 @@ impl Redundancy {
     /// Checksum (and magnitude) lane values one `bm × bn` block tile
     /// produces: one per strip column, or one per register tile.
     pub(crate) fn lane_len(self, bm: usize, bn: usize) -> usize {
-        use crate::tiling::{MICRO_MR, MICRO_NR};
         match self {
             Redundancy::ColumnChecksum => bm / MICRO_MR * bn,
             Redundancy::TileChecksum => bm / MICRO_MR * (bn / MICRO_NR),
@@ -71,7 +71,7 @@ impl Redundancy {
 /// A thread-level scheme as the engine sees it: which lanes to carry
 /// and the comparison threshold as a linear function of the running
 /// magnitude, `threshold = slope · magnitude + floor`. `aiga-core`
-/// derives `slope`/`floor` from its `Tolerance` policy and the round
+/// derives `slope`/`floor` from its analytical tolerance and the round
 /// counts of the check; the engine only evaluates them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TileScheme {

@@ -10,7 +10,7 @@
 //!   thread-level ABFT scheme multiplies, in one pass (once per run, in
 //!   `Panels::stage`, over the request's live rows only);
 //! - `fill_block_tile` computes the live register tiles of one
-//!   threadblock tile — and, when the run's scheme asks for them, their
+//!   block tile — and, when the run's scheme asks for them, their
 //!   checksum and magnitude lanes — through either the AVX2+FMA
 //!   register-tiled microkernel or the scalar oracle;
 //! - [`active_path`] picks between them at runtime
@@ -45,7 +45,7 @@
 use super::matrix::{MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
 use super::scheme::Redundancy;
-use crate::tiling::{MICRO_MR, MICRO_NR, MICRO_PANEL};
+use super::{MICRO_MR, MICRO_NR, MICRO_PANEL};
 use aiga_dtype::{with_format, Dtype, Format, F16};
 
 // The main microkernel drives two B panels at once.
@@ -584,6 +584,7 @@ unsafe fn fill_avx2<const LANES: u8>(
 #[cfg(test)]
 mod tests {
     use super::super::matrix::Matrix;
+    use super::super::{BLOCK_M, BLOCK_N};
     use super::*;
 
     fn staged(
@@ -711,6 +712,13 @@ mod tests {
                 (32, 48, 56, (8, 3)),
                 (32, 48, 56, (1, 2)),
                 (8, 32, 10, (2, 2)),
+                // The engine's own block, every register tile live.
+                (
+                    BLOCK_M,
+                    BLOCK_N,
+                    24,
+                    (BLOCK_M / MICRO_MR, BLOCK_N / MICRO_NR),
+                ),
             ] {
                 let (row0, col0) = (MICRO_MR * 2, MICRO_NR);
                 let (strips, groups) = live;

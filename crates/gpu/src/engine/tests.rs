@@ -23,25 +23,12 @@ fn loose(lanes: Redundancy) -> TileScheme {
     }
 }
 
-fn engine_for(m: u64, n: u64, k: u64) -> GemmEngine {
-    GemmEngine::new(
-        GemmShape::new(m, n, k),
-        TilingConfig {
-            block_m: 32,
-            block_n: 32,
-            block_k: 16,
-            warp_m: 16,
-            warp_n: 16,
-        },
-    )
-}
-
 #[test]
 fn matches_f64_reference_within_fp32_accumulation_error() {
     let (m, n, k) = (48, 40, 64);
     let a = Matrix::random(m, k, 1);
     let b = Matrix::random(k, n, 2);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, &[]);
+    let out = gemm(&a, &b, TileScheme::NONE, &[]);
     let reference = gemm_reference_f64(&a, &b);
     for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
         let err = (got as f64 - want).abs();
@@ -56,7 +43,7 @@ fn identity_multiplication_is_exact() {
     let n = 32;
     let ident = Matrix::from_fn(n, n, |r, c| if r == c { F16::ONE } else { F16::ZERO });
     let b = Matrix::random(n, n, 3);
-    let out = engine_for(n as u64, n as u64, n as u64).run(&ident, &b, TileScheme::NONE, &[]);
+    let out = gemm(&ident, &b, TileScheme::NONE, &[]);
     for r in 0..n {
         for c in 0..n {
             assert_eq!(out.get(r, c), b.get(r, c).to_f32());
@@ -69,7 +56,7 @@ fn unaligned_shapes_are_padded_and_cropped() {
     let (m, n, k) = (17, 9, 11);
     let a = Matrix::random(m, k, 4);
     let b = Matrix::random(k, n, 5);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, &[]);
+    let out = gemm(&a, &b, TileScheme::NONE, &[]);
     assert_eq!((out.m, out.n), (m, n));
     let reference = gemm_reference_f64(&a, &b);
     for (&got, &want) in out.c.iter().zip(&reference) {
@@ -85,7 +72,7 @@ fn every_output_element_is_written_exactly_once() {
     let (m, n, k) = (64, 64, 32);
     let ones = Matrix::from_fn(m, k, |_, _| F16::ONE);
     let ones_b = Matrix::from_fn(k, n, |_, _| F16::ONE);
-    let out = engine_for(m as u64, n as u64, k as u64).run(&ones, &ones_b, TileScheme::NONE, &[]);
+    let out = gemm(&ones, &ones_b, TileScheme::NONE, &[]);
     assert!(out.c.iter().all(|&v| v == k as f32));
 }
 
@@ -94,7 +81,6 @@ fn counters_match_tiling_formulas() {
     // Host work, not simulated GPU work: the live register tiles,
     // MR·NR data FMAs per tile per K element, and the scheme's
     // redundant FMAs on top.
-    let eng = engine_for(64, 64, 64);
     let a = Matrix::random(64, 64, 6);
     let b = Matrix::random(64, 64, 7);
     let tiles = (64 / MICRO_MR * (64 / MICRO_NR)) as u64;
@@ -104,7 +90,7 @@ fn counters_match_tiling_formulas() {
         (Redundancy::TileChecksum, 1.0 / 64.0),
         (Redundancy::ShadowExact, 1.0),
     ] {
-        let out = eng.run(&a, &b, loose(lanes), &[]);
+        let out = gemm(&a, &b, loose(lanes), &[]);
         assert_eq!(out.counters.tiles, tiles);
         assert_eq!(out.counters.data_fmas, 64 * 64 * 64);
         assert_eq!(
@@ -113,9 +99,9 @@ fn counters_match_tiling_formulas() {
             "{lanes:?}"
         );
     }
-    // A batch-1 request pays for one strip of its 32-row block, and a
-    // 40-column layer for three column groups of its two 32-wide blocks.
-    let out = engine_for(1, 40, 64).run(
+    // A batch-1 request pays for one strip of its block, and a
+    // 40-column layer for three of the block's four column groups.
+    let out = gemm(
         &Matrix::random(1, 64, 8),
         &Matrix::random(64, 40, 9),
         TileScheme::NONE,
@@ -133,15 +119,14 @@ fn injected_fault_corrupts_exactly_one_element() {
     let (m, n, k) = (32, 32, 32);
     let a = Matrix::random(m, k, 8);
     let b = Matrix::random(k, n, 9);
-    let eng = engine_for(m as u64, n as u64, k as u64);
-    let clean = eng.run(&a, &b, TileScheme::NONE, &[]);
+    let clean = gemm(&a, &b, TileScheme::NONE, &[]);
     let fault = FaultPlan {
         row: 5,
         col: 7,
         after_step: u64::MAX,
         kind: FaultKind::AddValue(100.0),
     };
-    let dirty = eng.run(&a, &b, TileScheme::NONE, &[fault]);
+    let dirty = gemm(&a, &b, TileScheme::NONE, &[fault]);
     let mut diffs = 0;
     for i in 0..m * n {
         if clean.c[i] != dirty.c[i] {
@@ -160,15 +145,14 @@ fn mid_kernel_fault_still_lands() {
     let (m, n, k) = (16, 16, 64);
     let a = Matrix::random(m, k, 10);
     let b = Matrix::random(k, n, 11);
-    let eng = engine_for(m as u64, n as u64, k as u64);
-    let clean = eng.run(&a, &b, TileScheme::NONE, &[]);
+    let clean = gemm(&a, &b, TileScheme::NONE, &[]);
     let fault = FaultPlan {
         row: 0,
         col: 0,
         after_step: 3,
         kind: FaultKind::SetValue(1e4),
     };
-    let dirty = eng.run(&a, &b, TileScheme::NONE, &[fault]);
+    let dirty = gemm(&a, &b, TileScheme::NONE, &[fault]);
     // The corrupted accumulator keeps accumulating afterwards, so the
     // output differs from clean but is not exactly 1e4.
     assert_ne!(clean.get(0, 0), dirty.get(0, 0));
@@ -204,9 +188,8 @@ fn output_is_byte_identical_to_an_oracle_conversion_walk() {
     for &(m, n, k, seed) in &[(17usize, 9usize, 11usize, 90u64), (48, 40, 64, 91)] {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
-        let eng = engine_for(m as u64, n as u64, k as u64);
-        let out = eng.run(&a, &b, TileScheme::NONE, &[]);
-        let kp = eng.shape().k as usize; // padded K (zeros beyond k)
+        let out = gemm(&a, &b, TileScheme::NONE, &[]);
+        let kp = k.next_multiple_of(8); // padded K (zeros beyond k)
         let at = |r: usize, c: usize| {
             if c < k {
                 oracle_f32(a.get(r, c))
@@ -250,7 +233,6 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
     ] {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
-        let eng = engine_for(m as u64, n as u64, k as u64);
         let fault = FaultPlan {
             row: m / 2,
             col: n / 2,
@@ -259,9 +241,9 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
         };
         for faults in [&[][..], &[fault][..]] {
             for lanes in ALL_LANES {
-                let alloc = eng.run(&a, &b, loose(lanes), faults);
+                let alloc = gemm(&a, &b, loose(lanes), faults);
                 let packed = PackedWeights::pack(&b, lanes);
-                let into = eng.run_multi_into(&a, &packed, loose(lanes), faults, &mut ws);
+                let into = gemm_into(&a, &packed, loose(lanes), faults, &mut ws);
                 assert_eq!(alloc.c, into.c);
                 assert_eq!(alloc.detections, into.detections);
                 assert_eq!(alloc.counters, into.counters);
@@ -272,43 +254,50 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
 
 #[test]
 fn block_parallel_stripes_are_byte_identical_to_sequential() {
-    // 256³ sits exactly at BLOCK_PAR_MIN_FLOPS, where the regime would
-    // follow `effective_workers`; force the worker count instead — 1 for
-    // the sequential baseline, then 3 over 8 stripes (deliberately
-    // uneven) — to exercise both arms deterministically. A threshold below any
-    // residual makes every tile column flag, covering the merge
-    // ordering; the faulted run covers the cold recompute path.
+    // Just past BLOCK_PAR_MIN_FLOPS, where the regime would follow
+    // `effective_workers`; force the worker count instead — 1 for the
+    // sequential baseline, then 3 over 5 stripes (deliberately uneven)
+    // — to exercise both arms deterministically. Five block rows by
+    // four block columns, the last of each ragged: 270 rows end two
+    // live rows into a strip, 250 columns ten into a register tile. A
+    // threshold below any residual makes every tile column flag,
+    // covering the merge ordering; the faulted run covers the cold
+    // recompute path.
     let flag_all = TileScheme {
         lanes: Redundancy::ColumnChecksum,
         slope: 0.0,
         floor: -1.0,
     };
-    let (m, n, k) = (256usize, 256, 256);
+    let (m, n, k) = (270usize, 250usize, 256usize);
+    assert!(m.div_ceil(BLOCK_M) == 5 && n.div_ceil(BLOCK_N) == 4);
     let a = Matrix::random(m, k, 70);
     let b = Matrix::random(k, n, 71);
-    let eng = engine_for(m as u64, n as u64, k as u64);
     let faults = [FaultPlan {
-        row: 200,
-        col: 17,
+        row: 269,
+        col: 249,
         after_step: 5,
         kind: FaultKind::AddValue(96.0),
     }];
     super::FORCE_WORKERS.store(1, std::sync::atomic::Ordering::Relaxed);
-    let seq_clean = eng.run(&a, &b, flag_all, &[]);
-    assert_eq!(seq_clean.detections.len(), m / MICRO_MR * n);
-    let seq_fault = eng.run(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
+    let seq_clean = gemm(&a, &b, flag_all, &[]);
+    // Padding columns of the last register tile carry lanes too.
+    assert_eq!(
+        seq_clean.detections.len(),
+        m.div_ceil(MICRO_MR) * n.next_multiple_of(MICRO_NR)
+    );
+    let seq_fault = gemm(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
     assert_eq!(seq_fault.detections.len(), 1);
     let mut ws = Workspace::new();
     let b = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
     super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
     {
-        let par = eng.run_multi_into(&a, &b, flag_all, &[], &mut ws);
+        let par = gemm_into(&a, &b, flag_all, &[], &mut ws);
         assert_eq!(seq_clean.c, par.c);
         assert_eq!(seq_clean.detections, par.detections);
         assert_eq!(seq_clean.counters, par.counters);
     }
     {
-        let par = eng.run_multi_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
+        let par = gemm_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
         assert_eq!(seq_fault.c, par.c);
         assert_eq!(seq_fault.detections, par.detections);
     }
@@ -332,7 +321,7 @@ fn every_dtype_runs_the_engine_against_its_f64_reference() {
         for &(m, n, k, seed) in &[(32usize, 32usize, 32usize, 60u64), (17, 9, 11, 61)] {
             let a = Matrix::random_dtype(m, k, seed, dtype);
             let b = Matrix::random_dtype(k, n, seed + 1, dtype);
-            let out = engine_for(m as u64, n as u64, k as u64).run(&a, &b, TileScheme::NONE, &[]);
+            let out = gemm(&a, &b, TileScheme::NONE, &[]);
             let reference = gemm_reference_f64(&a, &b);
             for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
                 assert!(
@@ -348,8 +337,7 @@ fn every_dtype_runs_the_engine_against_its_f64_reference() {
 fn mixed_dtype_operands_are_rejected() {
     let a = Matrix::random_dtype(16, 16, 1, Dtype::Bf16);
     let b = Matrix::random_dtype(16, 16, 2, Dtype::Fp8E4M3);
-    let eng = engine_for(16, 16, 16);
-    let res = std::panic::catch_unwind(|| eng.run(&a, &b, TileScheme::NONE, &[]));
+    let res = std::panic::catch_unwind(|| gemm(&a, &b, TileScheme::NONE, &[]));
     assert!(res.is_err(), "mismatched operand dtypes must panic");
 }
 
@@ -357,12 +345,11 @@ fn mixed_dtype_operands_are_rejected() {
 fn workspace_take_output_leaves_a_reusable_workspace() {
     let a = Matrix::random(16, 16, 50);
     let b = PackedWeights::pack(&Matrix::random(16, 16, 51), Redundancy::None);
-    let eng = engine_for(16, 16, 16);
     let mut ws = Workspace::new();
-    eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws);
+    gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws);
     let first = ws.take_output();
     assert_eq!((first.m, first.n), (16, 16));
-    let second = eng.run_multi_into(&a, &b, TileScheme::NONE, &[], &mut ws);
+    let second = gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws);
     assert_eq!(first.c, second.c);
 }
 

@@ -1,4 +1,4 @@
-//! Threadblock execution: the microkernel fills the live part of the
+//! Block execution: the microkernel fills the live part of the
 //! block tile and its checksum lanes (see [`super::simd`]), targeted
 //! faults are written into the tile, and the tile epilogue compares
 //! every live register tile against what it carried.
@@ -19,15 +19,14 @@
 //! ([`BlockScratch`]) — nothing allocates, which is what makes the
 //! workspace-threaded execution path allocation-free after warmup.
 
-use super::fault_inject::{Detection, FaultPlan};
+use super::fault_inject::{Detection, FaultPlan, STEP_K};
 use super::panels::{BlockScratch, PackedWeights, Panels};
 use super::scheme::{Redundancy, TileScheme};
 use super::simd::{self, GemmPath};
-use crate::tiling::{TilingConfig, MICRO_MR, MICRO_NR, STEP_K};
+use super::{BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR};
 
 /// What every block of one engine run shares, read-only.
 pub(crate) struct Run<'a> {
-    pub(crate) tiling: &'a TilingConfig,
     pub(crate) path: GemmPath,
     /// The request's staged activation panels.
     pub(crate) a: &'a Panels,
@@ -41,22 +40,19 @@ pub(crate) struct Run<'a> {
     pub(crate) out_n: usize,
 }
 
-/// Executes threadblock `(br, bc)` of `run` into `scratch.tile` and
-/// appends the tiles the scheme flags to `detections` (strip-major,
-/// then by column).
+/// Executes block `(br, bc)` of `run` into `scratch.tile` and appends
+/// the tiles the scheme flags to `detections` (strip-major, then by
+/// column).
 pub(crate) fn run_block(
     run: &Run<'_>,
-    br: u64,
-    bc: u64,
+    br: usize,
+    bc: usize,
     scratch: &mut BlockScratch,
     detections: &mut Vec<Detection>,
 ) {
-    let bm = run.tiling.block_m as usize;
-    let bn = run.tiling.block_n as usize;
-    let row0 = br as usize * bm;
-    let col0 = bc as usize * bn;
-    let strips = (run.out_m - row0).min(bm).div_ceil(MICRO_MR);
-    let groups = (run.out_n - col0).min(bn).div_ceil(MICRO_NR);
+    let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
+    let strips = (run.out_m - row0).min(BLOCK_M).div_ceil(MICRO_MR);
+    let groups = (run.out_n - col0).min(BLOCK_N).div_ceil(MICRO_NR);
     let lanes = run.scheme.lanes;
 
     {
@@ -68,7 +64,7 @@ pub(crate) fn run_block(
         } = &mut *scratch;
         let fill = |lanes, tile: &mut [f32], chk: &mut [f32], mag: &mut [f32]| {
             simd::fill_block_tile(
-                run.path, run.a, run.b, lanes, row0, col0, strips, groups, bn, tile, chk, mag,
+                run.path, run.a, run.b, lanes, row0, col0, strips, groups, BLOCK_N, tile, chk, mag,
             )
         };
         fill(lanes, tile, chk, mag);
@@ -87,10 +83,10 @@ pub(crate) fn run_block(
     // K-step; accumulators are independent, so this reproduces the
     // faulted value bit-exactly), then epilogue-datapath faults on top.
     let in_block = |f: &&FaultPlan| {
-        (row0..(row0 + bm).min(run.out_m)).contains(&f.row)
-            && (col0..(col0 + bn).min(run.out_n)).contains(&f.col)
+        (row0..(row0 + BLOCK_M).min(run.out_m)).contains(&f.row)
+            && (col0..(col0 + BLOCK_N).min(run.out_n)).contains(&f.col)
     };
-    let cell = |f: &FaultPlan| (f.row - row0) * bn + (f.col - col0);
+    let cell = |f: &FaultPlan| (f.row - row0) * BLOCK_N + (f.col - col0);
     for f in run.faults.iter().filter(in_block) {
         if f.after_step != u64::MAX {
             scratch.tile[cell(f)] = faulted_dot(
@@ -109,10 +105,8 @@ pub(crate) fn run_block(
 
     check_block(
         run.scheme,
-        (br, bc),
         (row0, col0),
         (strips, groups),
-        bn,
         scratch,
         detections,
     );
@@ -142,9 +136,9 @@ fn faulted_dot(
     s
 }
 
-/// The four rows of strip `s` of a `bn`-wide tile.
-fn strip_rows(tile: &[f32], s: usize, bn: usize) -> [&[f32]; MICRO_MR] {
-    std::array::from_fn(|i| &tile[(s * MICRO_MR + i) * bn..][..bn])
+/// The four rows of strip `s` of a block tile.
+fn strip_rows(tile: &[f32], s: usize) -> [&[f32]; MICRO_MR] {
+    std::array::from_fn(|i| &tile[(s * MICRO_MR + i) * BLOCK_N..][..BLOCK_N])
 }
 
 /// Sum of `f` over one strip column, pairwise in f32.
@@ -176,10 +170,8 @@ fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f3
 /// walks cells again to build [`Detection`]s when something flagged.
 fn check_block(
     scheme: TileScheme,
-    block: (u64, u64),
     origin: (usize, usize),
     live: (usize, usize),
-    bn: usize,
     scratch: &BlockScratch,
     detections: &mut Vec<Detection>,
 ) {
@@ -191,10 +183,9 @@ fn check_block(
     } = scratch;
     let (strips, groups) = live;
     let cols = groups * MICRO_NR;
-    let per_row = bn / MICRO_NR;
+    let per_row = BLOCK_N / MICRO_NR;
     let mut flag = |s: usize, col: usize, cols: usize, residual: f64, threshold: f64| {
         detections.push(Detection {
-            block,
             row: origin.0 + s * MICRO_MR,
             col: origin.1 + col,
             cols,
@@ -206,8 +197,8 @@ fn check_block(
         Redundancy::None => {}
         Redundancy::ColumnChecksum => {
             for s in 0..strips {
-                let rows = strip_rows(tile, s, bn);
-                let (chk, mag) = (&chk[s * bn..][..cols], &mag[s * bn..][..cols]);
+                let rows = strip_rows(tile, s);
+                let (chk, mag) = (&chk[s * BLOCK_N..][..cols], &mag[s * BLOCK_N..][..cols]);
                 let residual = |j: usize| (col_sum(&rows, j, |v| v) as f64 - chk[j] as f64).abs();
                 let any = (0..cols).fold(false, |any, j| {
                     any | scheme.flags(residual(j), mag[j] as f64)
@@ -221,7 +212,7 @@ fn check_block(
         }
         Redundancy::TileChecksum => {
             for s in 0..strips {
-                let rows = strip_rows(tile, s, bn);
+                let rows = strip_rows(tile, s);
                 for g in 0..groups {
                     let sum = tile_sum(&rows, g * MICRO_NR, |v| v);
                     let residual = (sum as f64 - chk[s * per_row + g] as f64).abs();
@@ -243,8 +234,8 @@ fn check_block(
             // block is bit-identical to its shadow.
             let differs = |a: f32, b: f32| a.to_bits() != b.to_bits();
             let rows = tile
-                .chunks(bn)
-                .zip(shadow.chunks(bn))
+                .chunks(BLOCK_N)
+                .zip(shadow.chunks(BLOCK_N))
                 .take(strips * MICRO_MR);
             if !rows.fold(false, |any, (t, s)| {
                 t[..cols]
@@ -255,8 +246,8 @@ fn check_block(
                 return;
             }
             for s in 0..strips {
-                let rows = strip_rows(tile, s, bn);
-                let twin = strip_rows(shadow, s, bn);
+                let rows = strip_rows(tile, s);
+                let twin = strip_rows(shadow, s);
                 if scheme.lanes == Redundancy::ShadowExact {
                     for j in 0..cols {
                         let residual = (0..MICRO_MR)
@@ -281,34 +272,5 @@ fn check_block(
                 }
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::{GemmEngine, Matrix, TileScheme};
-    use super::*;
-    use crate::shape::GemmShape;
-
-    #[test]
-    fn larger_tiling_produces_identical_results() {
-        let (m, n, k) = (128, 128, 32);
-        let a = Matrix::random(m, k, 12);
-        let b = Matrix::random(k, n, 13);
-        let run = |block: u64, warp: u64| {
-            GemmEngine::new(
-                GemmShape::new(m as u64, n as u64, k as u64),
-                TilingConfig {
-                    block_m: block,
-                    block_n: block,
-                    block_k: 16,
-                    warp_m: warp,
-                    warp_n: warp,
-                },
-            )
-            .run(&a, &b, TileScheme::NONE, &[])
-        };
-        // Same K-walk order per element => bit-identical FP32 outputs.
-        assert_eq!(run(32, 16).c, run(128, 64).c);
     }
 }

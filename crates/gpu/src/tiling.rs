@@ -10,6 +10,11 @@
 //! Per Figure 3, one "step along the K dimension" advances `k` by 2: each
 //! thread loads an `Mt × 2` chunk of `At` and a `2 × Nt` chunk of `Bt`
 //! and participates in `Mt·Nt/2` MMAs.
+//!
+//! This is the analytic model of a GPU kernel: the timing, occupancy
+//! and traffic models price it and the `fig*/tab*` bins report it. The
+//! host engine does not read it — it blocks by its own constants
+//! (`engine::BLOCK_M`/`BLOCK_N`).
 
 use crate::device::DeviceSpec;
 use crate::shape::GemmShape;
@@ -23,22 +28,6 @@ pub const STEP_K: u64 = 2;
 pub const MAX_THREAD_MT: usize = 8;
 /// Largest per-thread tile columns (`Nt`): `2·(64/8) = 16`.
 pub const MAX_THREAD_NT: usize = 16;
-
-/// Host-microkernel register-tile rows: the engine computes the block
-/// tile in `MICRO_MR × MICRO_NR` register tiles (4 broadcast rows of A
-/// against two 8-lane B vectors — 8 independent FMA chains, enough to
-/// hide the FMA latency on two issue ports). The register tile is also
-/// the unit thread-level redundancy schemes check and the unit
-/// detections name. Every valid [`TilingConfig`] block is a whole
-/// number of register tiles: `block_m` is a multiple of 16 and
-/// `block_n` a multiple of [`MICRO_NR`] (see
-/// [`TilingConfig::validate`]), so the packed-panel layouts in
-/// `engine::panels` never need edge handling.
-pub const MICRO_MR: usize = 4;
-/// Host-microkernel register-tile columns (two 8-wide SIMD lanes).
-pub const MICRO_NR: usize = 16;
-/// Width of one packed B panel (one SIMD vector of f32).
-pub const MICRO_PANEL: usize = 8;
 
 /// One tiling configuration for the hierarchy of Figure 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,10 +54,6 @@ impl TilingConfig {
         assert!(
             self.warp_m.is_multiple_of(16) && self.warp_n.is_multiple_of(8),
             "warp tile must be a whole number of m16n8k8 tiles"
-        );
-        assert!(
-            self.block_n.is_multiple_of(MICRO_NR as u64),
-            "block tile must be a whole number of host register tiles"
         );
         assert!(
             self.block_k.is_multiple_of(8),

@@ -257,8 +257,7 @@ pub fn gemm_to_nchw(row: usize, col: usize, ho: usize, wo: usize) -> (usize, usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{gemm_reference_f64, Dtype, GemmEngine, MatrixView, TileScheme};
-    use aiga_gpu::GemmShape;
+    use aiga_gpu::engine::{gemm, gemm_reference_f64, Dtype, MatrixView, TileScheme};
 
     fn params(c_out: usize, kernel: usize, stride: usize, padding: usize) -> ConvParams {
         ConvParams {
@@ -322,13 +321,8 @@ mod tests {
         // And the engine produces byte-identical outputs from either.
         let filters = Tensor::random(6, 5, 1, 1, 10);
         let b = filters_to_matrix(&filters);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(
-            view.rows as u64,
-            b.cols as u64,
-            b.rows as u64,
-        ));
-        let from_copy = eng.run(&copied, &b, TileScheme::NONE, &[]);
-        let from_view = eng.run(view, &b, TileScheme::NONE, &[]);
+        let from_copy = gemm(&copied, &b, TileScheme::NONE, &[]);
+        let from_view = gemm(view, &b, TileScheme::NONE, &[]);
         assert_eq!(from_copy.c, from_view.c);
     }
 
@@ -361,13 +355,8 @@ mod tests {
             // And the engine produces byte-identical outputs from either.
             let filters = Tensor::random(4, 3, kernel, kernel, 80 + stride as u64);
             let b = filters_to_matrix(&filters);
-            let eng = GemmEngine::with_default_tiling(GemmShape::new(
-                view.rows as u64,
-                b.cols as u64,
-                b.rows as u64,
-            ));
-            let from_copy = eng.run(&copied, &b, TileScheme::NONE, &[]);
-            let from_view = eng.run(view, &b, TileScheme::NONE, &[]);
+            let from_copy = gemm(&copied, &b, TileScheme::NONE, &[]);
+            let from_view = gemm(view, &b, TileScheme::NONE, &[]);
             assert_eq!(from_copy.c, from_view.c, "k{kernel}s{stride}p{padding}");
         }
     }
@@ -403,12 +392,7 @@ mod tests {
         let p = params(16, 3, 1, 1);
         let a = im2col(&input, p);
         let b = filters_to_matrix(&filters);
-        let eng = GemmEngine::with_default_tiling(GemmShape::new(
-            a.rows as u64,
-            b.cols as u64,
-            a.cols as u64,
-        ));
-        let out = eng.run(&a, &b, TileScheme::NONE, &[]);
+        let out = gemm(&a, &b, TileScheme::NONE, &[]);
         let direct = conv_reference_f64(&input, &filters, p);
         for (i, &d) in direct.iter().enumerate() {
             // NCHW index i maps to (row, col) with n=0: i = (co*ho+oy)*wo+ox.

@@ -54,7 +54,7 @@ fn main() {
 
     // 3. The same fault under global ABFT is caught by the kernel-level
     //    checksum comparison instead. Schemes are interchangeable ids —
-    //    dispatch happens through the scheme registry.
+    //    each binds itself to the weights (`Scheme::bind`).
     let global = ProtectedGemm::random(shape, Scheme::GlobalAbft, 7)
         .with_fault(fault)
         .run();

@@ -3,18 +3,22 @@
 //! A from-scratch Rust reproduction of *"Arithmetic-Intensity-Guided
 //! Fault Tolerance for Neural Network Inference on GPUs"* (Kosaian &
 //! Rashmi, SC '21). The paper's CUDA/CUTLASS system is rebuilt on two
-//! substrates: a functional GEMM engine that runs on the host (a
-//! register-tiled microkernel whose tiles carry the thread-level
-//! checksums) and a calibrated analytical timing model of the GPU.
+//! substrates that do not import each other: a functional GEMM engine
+//! that runs on the host (a register-tiled microkernel whose tiles
+//! carry the thread-level checksums; a GEMM is a function of its
+//! operands, blocked by host constants) and a calibrated analytical
+//! timing model of the GPU, which selects schemes and reproduces the
+//! paper's figures but is on no execution path.
 //!
 //! The public API is organized in three layers (see `ARCHITECTURE.md`):
 //!
-//! 1. **Scheme kernels** — every redundancy scheme (global ABFT,
+//! 1. **Schemes** — every redundancy scheme (global ABFT,
 //!    one-/two-sided thread-level ABFT, the two replication variants,
-//!    the multi-checksum extension) implements
-//!    [`core::SchemeKernel`], which unifies its analytical cost profile
-//!    and its functional protected execution. Kernels live in a
-//!    [`core::SchemeRegistry`]; new schemes plug in by registering.
+//!    the multi-checksum extension at any round count) is a
+//!    [`core::Scheme`] id that prices itself
+//!    ([`core::Scheme::apply_cost`]) and binds itself to a layer's
+//!    weights ([`core::Scheme::bind`] → [`core::BoundKernel`]). A
+//!    protected GEMM needs the id and the weights, nothing else.
 //! 2. **Planning** — [`core::Planner`] is the builder-style front-end
 //!    for intensity-guided ABFT (§5.3): per-layer selection among the
 //!    candidate schemes by profiled execution time (or the §7.2
@@ -212,9 +216,9 @@
 //!
 //! The facade re-exports the workspace sub-crates: [`dtype`] (number
 //! formats: the binary16 value type `F16` and the f16/bf16/fp8/int8
-//! storage codecs behind one `Dtype` tag), [`gpu`] (devices, roofline,
-//! tiling, functional engine, timing), [`nn`] (layer lowering and the
-//! model zoo), [`core`] (the paper's contribution), [`faults`]
+//! storage codecs behind one `Dtype` tag), [`gpu`] (the analytic GPU
+//! model — devices, roofline, tiling, timing — and the host engine),
+//! [`nn`] (layer lowering and the model zoo), [`core`] (the paper's contribution), [`faults`]
 //! (injection campaigns), and [`util`] (RNG/JSON/parallel helpers).
 
 pub use aiga_core as core;
@@ -242,24 +246,21 @@ pub mod prelude {
     pub use aiga_core::adapt::{AdaptConfig, AdaptiveController, Adjustment, Observation};
     pub use aiga_core::compiled::CompiledModel;
     pub use aiga_core::cost::{evaluate_layer, SchemeTiming};
-    pub use aiga_core::kernel::{
-        BoundKernel, FaultSite, MultiChecksumKernel, RunReport, SchemeKernel, Verdict,
-    };
+    pub use aiga_core::kernel::{BoundKernel, FaultSite, RunReport, Verdict};
     pub use aiga_core::pipeline::{
         InferenceReport, LayerCorrection, LayerDetection, PipelineFault, ProtectedPipeline,
     };
     pub use aiga_core::planner::Planner;
     pub use aiga_core::protected::{ProtectedConv, ProtectedGemm};
-    pub use aiga_core::registry::SchemeRegistry;
     pub use aiga_core::schemes::Scheme;
-    pub use aiga_core::selector::{DeploymentPlan, LayerPlan, ModelPlan, SelectionMode};
+    pub use aiga_core::selector::{LayerPlan, ModelPlan, SelectionMode};
     pub use aiga_core::serve::{
         Client, Pending, Priority, ServeError, Server, ServerBuilder, ServerStats, Slo,
     };
     pub use aiga_core::session::{PlanCache, ServeReport, Session, SessionError, SessionStats};
     pub use aiga_faults::{Campaign, CampaignStats, FaultModel, Outcome, Trial};
     pub use aiga_gpu::engine::{
-        Dtype, FaultKind, FaultPlan, GemmEngine, Matrix, PackedWeights, TileScheme, Workspace,
+        Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, TileScheme, Workspace,
     };
     pub use aiga_gpu::timing::Calibration;
     pub use aiga_gpu::{Bound, DeviceSpec, GemmShape, Roofline, TilingConfig};

@@ -94,8 +94,7 @@ fn conv_gemm(net: &Network, input: &Matrix) -> (Vec<f32>, Im2colView) {
         F16::from_bits(dt.encode(w.get(r, c).to_f32()))
     })
     .with_dtype(dt);
-    let shape = GemmShape::new(lowered.rows as u64, w.cols as u64, w.rows as u64);
-    let out = GemmEngine::with_default_tiling(shape).run(&lowered, &w, TileScheme::NONE, &[]);
+    let out = aiga::gpu::engine::gemm(&lowered, &w, TileScheme::NONE, &[]);
     (out.c, geom)
 }
 

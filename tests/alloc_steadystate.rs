@@ -98,16 +98,12 @@ fn bytes_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
-    use aiga::gpu::engine::MatrixView;
+    use aiga::gpu::engine::{gemm_into, MatrixView};
     use aiga::prelude::*;
-    use aiga_core::registry;
 
     // --- 1. Engine level: every bound kernel's hot path is zero-alloc.
-    let shape = GemmShape::new(48, 40, 56);
     let a = Matrix::random(48, 56, 11);
     let b = Matrix::random(56, 40, 12);
-    let engine = GemmEngine::with_default_tiling(shape);
-    let reg = registry::shared();
     for scheme in [
         Scheme::Unprotected,            // plain microkernel
         Scheme::GlobalAbft,             // plain microkernel + checksum verification
@@ -116,31 +112,31 @@ fn steady_state_hot_paths_do_not_allocate() {
         Scheme::ReplicationSingleAcc,   // shadow tile, sum compare
         Scheme::ReplicationTraditional, // shadow tile, bitwise compare
     ] {
-        let bound = reg.resolve(scheme).bind(&b);
+        let bound = scheme.bind(&b);
         let mut ws = Workspace::new();
-        bound.run_into(&engine, a.view(), &[], &mut ws); // warm the workspace
+        bound.run_into(a.view(), &[], &mut ws); // warm the workspace
         let n = allocs_during(|| {
-            bound.run_into(&engine, a.view(), &[], &mut ws);
+            bound.run_into(a.view(), &[], &mut ws);
         });
         assert_eq!(n, 0, "{scheme}: engine hot path allocated {n} times");
     }
 
     // The §2.4 multi-checksum extension honors the contract too.
-    let multi = MultiChecksumKernel::new(2).bind(&b);
+    let multi = Scheme::MultiChecksum(2).bind(&b);
     let mut ws = Workspace::new();
-    multi.run_into(&engine, a.view(), &[], &mut ws);
+    multi.run_into(a.view(), &[], &mut ws);
     let n = allocs_during(|| {
-        multi.run_into(&engine, a.view(), &[], &mut ws);
+        multi.run_into(a.view(), &[], &mut ws);
     });
     assert_eq!(n, 0, "multi-checksum hot path allocated {n} times");
 
     // Raw engine entry under a lane-carrying scheme, same guarantee.
-    let one_sided = Scheme::ThreadLevelOneSided.tile_scheme(engine.shape().k as usize);
+    let one_sided = Scheme::ThreadLevelOneSided.tile_scheme(56);
     let packed = PackedWeights::pack(&b, one_sided.lanes);
     let mut ws = Workspace::new();
-    engine.run_multi_into(&a, &packed, one_sided, &[], &mut ws);
+    gemm_into(&a, &packed, one_sided, &[], &mut ws);
     let n = allocs_during(|| {
-        engine.run_multi_into(&a, &packed, one_sided, &[], &mut ws);
+        gemm_into(&a, &packed, one_sided, &[], &mut ws);
     });
     assert_eq!(n, 0, "raw checksum-lane engine path allocated {n} times");
 
@@ -184,15 +180,13 @@ fn steady_state_hot_paths_do_not_allocate() {
         padding: 1,
     };
     let weights = aiga_nn::conv::filters_to_matrix(&filters);
-    let conv_shape = GemmShape::new(2 * 12 * 12, 8, 27);
-    let conv_engine = GemmEngine::with_default_tiling(conv_shape);
     for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
-        let bound = reg.resolve(scheme).bind(&weights);
+        let bound = scheme.bind(&weights);
         let mut ws = Workspace::new();
         let conv_pass = |ws: &mut Workspace| {
             im2col_into(&input, params, ws);
             let a = ws.take_lowering();
-            bound.run_into(&conv_engine, a.view(), &[], ws);
+            bound.run_into(a.view(), &[], ws);
             ws.put_lowering(a);
         };
         conv_pass(&mut ws); // warm the lowering buffer + panels
@@ -255,26 +249,13 @@ fn steady_state_hot_paths_do_not_allocate() {
         use aiga_gpu::engine::{Redundancy, TileScheme};
         let big_a = Matrix::random(256, 256, 61);
         let big_b = PackedWeights::pack(&Matrix::random(256, 256, 62), Redundancy::None);
-        let big_engine = GemmEngine::with_default_tiling(GemmShape::square(256));
         let mut ws = Workspace::new();
-        big_engine.run_multi_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws);
+        gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws);
         let first = allocs_during(|| {
-            std::hint::black_box(big_engine.run_multi_into(
-                &big_a,
-                &big_b,
-                TileScheme::NONE,
-                &[],
-                &mut ws,
-            ));
+            std::hint::black_box(gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws));
         });
         let second = allocs_during(|| {
-            std::hint::black_box(big_engine.run_multi_into(
-                &big_a,
-                &big_b,
-                TileScheme::NONE,
-                &[],
-                &mut ws,
-            ));
+            std::hint::black_box(gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws));
         });
         assert_eq!(
             first, second,
@@ -303,15 +284,13 @@ fn steady_state_hot_paths_do_not_allocate() {
         };
         let filters = Tensor::random(8, 3, 3, 3, 84);
         let weights = aiga_nn::conv::filters_to_matrix(&filters);
-        let conv_shape = GemmShape::new(2 * 12 * 12, 8, 27);
-        let conv_engine = GemmEngine::with_default_tiling(conv_shape);
         let view = params.im2col_view(3, 12, 12);
         for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
-            let bound = reg.resolve(scheme).bind(&weights);
+            let bound = scheme.bind(&weights);
             let mut ws = Workspace::new();
             let a = MatrixView::im2col_lowered(2, view, &input.data, Dtype::F16);
             let fused_pass = |ws: &mut Workspace| {
-                bound.run_into(&conv_engine, a, &[], ws);
+                bound.run_into(a, &[], ws);
             };
             fused_pass(&mut ws); // warm the panels
             let n = allocs_during(|| fused_pass(&mut ws));
@@ -379,24 +358,23 @@ fn steady_state_hot_paths_do_not_allocate() {
     {
         let weights = Matrix::random(1024, 1024, 91);
         let request = Matrix::random(1, 1024, 92);
-        let fc_engine = GemmEngine::with_default_tiling(GemmShape::new(1, 1024, 1024));
         for scheme in [
             Scheme::Unprotected,
             Scheme::GlobalAbft,
             Scheme::ThreadLevelOneSided,
             Scheme::ThreadLevelTwoSided,
         ] {
-            let bound = reg.resolve(scheme).bind(&weights);
+            let bound = scheme.bind(&weights);
             let mut ws = Workspace::new();
             let cold = bytes_during(|| {
-                bound.run_into(&fc_engine, request.view(), &[], &mut ws);
+                bound.run_into(request.view(), &[], &mut ws);
             });
             assert!(
                 cold < 1 << 20,
                 "{scheme}: a cold workspace allocated {cold} bytes for a batch-1 request"
             );
             let warm = allocs_during(|| {
-                bound.run_into(&fc_engine, request.view(), &[], &mut ws);
+                bound.run_into(request.view(), &[], &mut ws);
             });
             assert_eq!(
                 warm, 0,

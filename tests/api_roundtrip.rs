@@ -9,9 +9,9 @@ use aiga::prelude::*;
 fn plans_round_trip_through_json() {
     // Planning is analytical, so large batches are cheap here.
     let planner = Planner::new(DeviceSpec::t4());
-    let deployment = planner.deployment(&[8, 2048], zoo::dlrm_mlp_top);
+    let plans = [8, 2048].map(|bucket| (bucket, planner.plan(&zoo::dlrm_mlp_top(bucket))));
 
-    for (bucket, plan) in deployment.variants() {
+    for (bucket, plan) in &plans {
         let text = plan.to_json();
         let reloaded = ModelPlan::from_json(&text).expect("plan reloads");
         assert_eq!(reloaded.model, plan.model);
@@ -25,10 +25,7 @@ fn plans_round_trip_through_json() {
 
     // The batch-8 and batch-2048 MLP-Top plans genuinely differ (§7.3),
     // so the round-trip equality above is not vacuous.
-    assert_ne!(
-        deployment.plan_exact(8).unwrap().chosen_schemes(),
-        deployment.plan_exact(2048).unwrap().chosen_schemes()
-    );
+    assert_ne!(plans[0].1.chosen_schemes(), plans[1].1.chosen_schemes());
 }
 
 #[test]
@@ -84,4 +81,34 @@ fn scheme_ids_round_trip_through_strings() {
         " Global-ABFT ".parse::<Scheme>().unwrap(),
         Scheme::GlobalAbft
     );
+}
+
+#[test]
+fn every_scheme_id_that_parses_plans_compiles_and_runs() {
+    // The id domain is the executable domain: a round count is a
+    // parameter of the scheme, not an entry some table has to hold.
+    let net = zoo::resnet_block_net(2, 8, 8, 7);
+    let fault = FaultPlan {
+        row: 3,
+        col: 5,
+        after_step: u64::MAX,
+        kind: FaultKind::AddValue(1e3),
+    };
+    for rounds in [1, 2, 4, 17] {
+        let scheme: Scheme = format!("multi-checksum-{rounds}").parse().unwrap();
+        let planner = Planner::new(DeviceSpec::t4()).candidates([scheme]);
+        let shipped = planner.plan(&net.to_model()).to_json();
+        let schemes = ModelPlan::from_json(&shipped).unwrap().chosen_schemes();
+        assert_eq!(schemes, vec![scheme; net.gemm_count()]);
+        let compiled = CompiledModel::compile(&planner, &net, Some(&schemes));
+        let clean = compiled.infer(&Matrix::random(2, 16 * 8 * 8, 1), None);
+        assert!(!clean.fault_detected(), "{scheme}");
+
+        let gemm = ProtectedGemm::random(GemmShape::new(48, 40, 56), scheme, 9);
+        assert!(gemm.run().verdict.is_clean(), "{scheme}");
+        assert!(
+            gemm.with_fault(fault).run().verdict.is_detected(),
+            "{scheme}"
+        );
+    }
 }

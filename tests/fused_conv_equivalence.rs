@@ -18,7 +18,6 @@
 
 use aiga::gpu::engine::MatrixView;
 use aiga::prelude::*;
-use aiga_core::registry;
 use aiga_nn::conv::filters_to_matrix;
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -38,7 +37,6 @@ const SCHEMES: [Scheme; 4] = [
 /// outputs, verdicts, and detection records are byte-identical.
 fn assert_paths_match(
     bound: &dyn BoundKernel,
-    engine: &GemmEngine,
     materialized: &Matrix,
     fused: MatrixView<'_>,
     faults: &[FaultPlan],
@@ -46,8 +44,8 @@ fn assert_paths_match(
 ) {
     let mut ws_m = Workspace::new();
     let mut ws_f = Workspace::new();
-    let v_m = bound.run_into(engine, materialized.view(), faults, &mut ws_m);
-    let v_f = bound.run_into(engine, fused, faults, &mut ws_f);
+    let v_m = bound.run_into(materialized.view(), faults, &mut ws_m);
+    let v_f = bound.run_into(fused, faults, &mut ws_f);
     assert_eq!(v_m, v_f, "{what}: verdict diverged");
     assert_eq!(
         bits(&ws_m.output().c),
@@ -76,7 +74,6 @@ fn fused_im2col_view_is_byte_identical_to_materialized_lowering() {
         (3, 4, 11, 4, 2, 23, 19), // AlexNet 11×11 stride-4 stem
         (1, 5, 3, 1, 1, 12, 10),  // depthwise-ish single input channel
     ];
-    let reg = registry::shared();
     for (ci, &(c_in, c_out, kernel, stride, padding, h, w)) in cases.iter().enumerate() {
         let batch = 2;
         let seed = 300 + ci as u64 * 2;
@@ -95,13 +92,6 @@ fn fused_im2col_view_is_byte_identical_to_materialized_lowering() {
         let fused = MatrixView::im2col_lowered(batch, view, &input.data, Dtype::F16);
         assert_eq!(fused.rows, materialized.rows, "case {ci}: row mismatch");
         assert_eq!(fused.cols, materialized.cols, "case {ci}: col mismatch");
-
-        let shape = GemmShape::new(
-            materialized.rows as u64,
-            c_out as u64,
-            materialized.cols as u64,
-        );
-        let engine = GemmEngine::with_default_tiling(shape);
         let fault = FaultPlan {
             row: materialized.rows - 1,
             col: c_out - 1,
@@ -109,7 +99,7 @@ fn fused_im2col_view_is_byte_identical_to_materialized_lowering() {
             kind: FaultKind::AddValue(500.0),
         };
         for scheme in SCHEMES {
-            let bound = reg.resolve(scheme).bind(&weights);
+            let bound = scheme.bind(&weights);
             for faults in [&[][..], &[fault][..]] {
                 let label = format!(
                     "case {ci} (k{kernel}s{stride}p{padding}) {scheme} {}",
@@ -119,7 +109,7 @@ fn fused_im2col_view_is_byte_identical_to_materialized_lowering() {
                         "faulted"
                     }
                 );
-                assert_paths_match(&*bound, &engine, &materialized, fused, faults, &label);
+                assert_paths_match(&*bound, &materialized, fused, faults, &label);
             }
         }
     }
@@ -143,22 +133,14 @@ fn pointwise_nchw_view_is_byte_identical_to_materialized_lowering() {
     let fused = MatrixView::nchw_lowered(batch, c_in, h * w, &input.data, Dtype::F16);
     assert_eq!(fused.rows, materialized.rows);
     assert_eq!(fused.cols, materialized.cols);
-
-    let shape = GemmShape::new(
-        materialized.rows as u64,
-        c_out as u64,
-        materialized.cols as u64,
-    );
-    let engine = GemmEngine::with_default_tiling(shape);
     let fault = FaultPlan {
         row: 0,
         col: 1,
         after_step: u64::MAX,
         kind: FaultKind::AddValue(400.0),
     };
-    let reg = registry::shared();
     for scheme in SCHEMES {
-        let bound = reg.resolve(scheme).bind(&weights);
+        let bound = scheme.bind(&weights);
         for faults in [&[][..], &[fault][..]] {
             let label = format!(
                 "pointwise {scheme} {}",
@@ -168,7 +150,7 @@ fn pointwise_nchw_view_is_byte_identical_to_materialized_lowering() {
                     "faulted"
                 }
             );
-            assert_paths_match(&*bound, &engine, &materialized, fused, faults, &label);
+            assert_paths_match(&*bound, &materialized, fused, faults, &label);
         }
     }
 }

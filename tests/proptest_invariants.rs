@@ -83,22 +83,20 @@ fn schemes_do_not_perturb_results() {
 }
 
 /// The functional engine agrees with the FP64 reference within FP32
-/// accumulation error for arbitrary shapes and tilings.
+/// accumulation error for arbitrary shapes, up to three blocks a side.
 #[test]
 fn engine_matches_reference() {
     let mut rng = Rng64::seed_from_u64(0x5EED_0004);
     for _ in 0..24 {
         let (m, n, k) = (
-            rng.range_u64(1, 40),
-            rng.range_u64(1, 40),
-            rng.range_u64(1, 64),
+            rng.range_usize(1, 150),
+            rng.range_usize(1, 150),
+            rng.range_usize(1, 64),
         );
-        let shape = GemmShape::new(m, n, k);
-        let tiling = TilingConfig::candidates()[rng.range_usize(0, 3)];
         let seed = rng.range_u64(0, 100);
-        let a = Matrix::random(m as usize, k as usize, seed);
-        let b = Matrix::random(k as usize, n as usize, seed + 1);
-        let out = GemmEngine::new(shape, tiling).run(&a, &b, TileScheme::NONE, &[]);
+        let a = Matrix::random(m, k, seed);
+        let b = Matrix::random(k, n, seed + 1);
+        let out = aiga::gpu::engine::gemm(&a, &b, TileScheme::NONE, &[]);
         let reference = aiga::gpu::engine::gemm_reference_f64(&a, &b);
         for (i, (&got, &want)) in out.c.iter().zip(&reference).enumerate() {
             let err = (got as f64 - want).abs();

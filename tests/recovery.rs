@@ -133,11 +133,7 @@ fn corrected_verdicts_carry_the_right_site_family() {
     // — the fault at (3, 5) sits in strip row 0; per-column checks pin
     // column 5, per-tile checks the tile's first column — and
     // replication resolves by vote.
-    let tile = |col| FaultSite::Tile {
-        block: (0, 0),
-        row: 0,
-        col,
-    };
+    let tile = |col| FaultSite::Tile { row: 0, col };
     assert_eq!(site_of(Scheme::ThreadLevelOneSided), (tile(5), false));
     assert_eq!(site_of(Scheme::ThreadLevelTwoSided), (tile(0), false));
     assert_eq!(site_of(Scheme::ReplicationTraditional), (tile(5), true));

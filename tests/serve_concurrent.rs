@@ -434,3 +434,39 @@ fn a_malformed_request_cannot_shift_a_coalesced_neighbours_rows() {
     assert_eq!(stats.coalesced_requests, 2, "{stats:?}");
     assert_eq!((stats.rejected, stats.worker_restarts), (1, 0));
 }
+
+#[test]
+fn empty_requests_coalesce_without_killing_the_worker() {
+    // A zero-row request is well-formed: solo `Session::serve` answers
+    // it `Ok` with an empty output. At the parent two of them stacked
+    // into a zero-row pass and the scatter divided the output length by
+    // the stack's row count — the worker died and both handles came
+    // back `Aborted`.
+    let server = Server::builder(session([8, 32]))
+        .workers(1)
+        .queue_capacity(16)
+        .coalesce_window(Duration::from_millis(50))
+        .build();
+    let client = server.client();
+    let reference = session([8, 32]);
+    let empty = Matrix::zeros(0, 13);
+    let neighbour = Matrix::random(3, 13, 94);
+    // Behind a busy worker: first the empties alone, then around a
+    // neighbour whose rows they must not shift.
+    for queued in [vec![&empty, &empty], vec![&empty, &neighbour, &empty]] {
+        let giant = client.submit(&Matrix::random(256, 13, 1)).unwrap();
+        wait_for_empty_queue(&server);
+        let pendings: Vec<Pending> = queued.iter().map(|m| client.submit(m).unwrap()).collect();
+        assert_eq!(giant.wait().unwrap().rows, 256);
+        for (input, pending) in queued.iter().zip(pendings) {
+            let reply = pending.wait().expect("an empty stack is still a reply");
+            let solo = reference.serve(input).unwrap();
+            assert_eq!(reply.rows, input.rows);
+            assert_eq!(reply.report.output.len(), input.rows * 64);
+            assert_eq!(bits(&reply.report.output), bits(&solo.report.output));
+        }
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.coalesced_requests, 5, "{stats:?}");
+    assert_eq!((stats.failed, stats.worker_restarts), (0, 0));
+}
