@@ -17,6 +17,26 @@ use aiga_gpu::timing::{estimate, Calibration, KernelProfile};
 use aiga_gpu::{DeviceSpec, GemmShape};
 use std::hint::black_box;
 
+/// The fastest of `rounds` runs of each kernel, in ns, with the kernels
+/// interleaved round by round so a noisy runner (or the smoke run's
+/// iteration cap) slows them alike — what the overhead gates divide.
+fn fastest_interleaved<const N: usize>(
+    rounds: usize,
+    a: &Matrix,
+    kernels: &[(TileScheme, PackedWeights); N],
+    ws: &mut aiga_gpu::engine::Workspace,
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for ((tile, packed), best) in kernels.iter().zip(&mut best) {
+            let t = std::time::Instant::now();
+            black_box(gemm_into(a, packed, *tile, &[], ws));
+            *best = best.min(t.elapsed().as_secs_f64() * 1e9);
+        }
+    }
+    best
+}
+
 fn main() {
     let values: Vec<f32> = (0..1024).map(|v| v as f32 * 0.37 - 200.0).collect();
     bench("fp16/from_f32_x1024", || {
@@ -156,15 +176,7 @@ fn main() {
             let tile = scheme.tile_scheme(size);
             (tile, PackedWeights::pack(&b, tile.lanes))
         });
-        let mut ws = Workspace::new();
-        let mut best = [f64::INFINITY; 3];
-        for _ in 0..12 {
-            for ((tile, packed), best) in kernels.iter().zip(&mut best) {
-                let t = std::time::Instant::now();
-                black_box(gemm_into(&a, packed, *tile, &[], &mut ws));
-                *best = best.min(t.elapsed().as_secs_f64() * 1e9);
-            }
-        }
+        let best = fastest_interleaved(12, &a, &kernels, &mut Workspace::new());
         rec.record_ns("engine/gemm_256_clean_best", best[0]);
         for (name, ns, limit) in [("one_sided", best[1], 1.5), ("two_sided", best[2], 2.0)] {
             let x = ns / best[0];
@@ -212,31 +224,58 @@ fn main() {
         }
     }
     // Where a bandwidth-bound layer's time goes once its weights are
-    // bound: the one-time pack of a 1024×1024 layer, a batch-1 request
-    // against the packed panels (clean, and with one-sided ABFT's lanes
-    // riding the same stream), and global ABFT's per-request check at
-    // batch 256 (activation checksum over 256×1024, output summation
-    // over 256×1024, the dot and compare).
+    // bound: the one-time pack of a 1024×1024 layer into resident codes,
+    // a batch-1 request against the packed panels (clean, and with
+    // one-sided ABFT's checksum chains riding the same stream) — each
+    // per storage format, since the stream is the format's resident
+    // bytes — and global ABFT's per-request check at batch 256
+    // (activation checksum over 256×1024, output summation over
+    // 256×1024, the dot and compare). The fp16 rows keep their
+    // unsuffixed names.
+    //
+    // The batch-1 gate: a one-live-row strip is bound by its weight
+    // stream, so one-sided ABFT's redundant FMAs on registers must stay
+    // within 1.35× of the clean kernel at 1×1024×1024. Rounds interleave
+    // the two kernels and each takes its fastest time, as the 256³ gate
+    // does; enforced on the AVX2 path only.
     {
         use aiga_core::schemes::GlobalAbft;
-        use aiga_gpu::engine::{CheckScratch, Workspace};
-        let weights = Matrix::random(1024, 1024, 2);
-        rec.bench("engine/bind_pack_1024", || {
-            black_box(PackedWeights::pack(&weights, Redundancy::None));
-        });
-        let request = Matrix::random(1, 1024, 1);
-        let mut ws = Workspace::new();
-        for (name, scheme) in [
-            ("clean", Scheme::Unprotected),
-            ("one_sided", Scheme::ThreadLevelOneSided),
-        ] {
-            let tile = scheme.tile_scheme(1024);
-            let packed = PackedWeights::pack(&weights, tile.lanes);
-            gemm_into(&request, &packed, tile, &[], &mut ws); // warm
-            rec.bench(&format!("engine/gemm_m1_k1024_n1024_{name}"), || {
-                black_box(gemm_into(&request, &packed, tile, &[], &mut ws));
+        use aiga_gpu::engine::{simd, CheckScratch, Dtype, Workspace};
+        for dtype in Dtype::ALL {
+            let suffix = match dtype {
+                Dtype::F16 => String::new(),
+                other => format!("_{other}"),
+            };
+            let weights = Matrix::random_dtype(1024, 1024, 2, dtype);
+            rec.bench(&format!("engine/bind_pack_1024{suffix}"), || {
+                black_box(PackedWeights::pack(&weights, Redundancy::None));
             });
+            let request = Matrix::random_dtype(1, 1024, 1, dtype);
+            let mut ws = Workspace::new();
+            let kernels = [Scheme::Unprotected, Scheme::ThreadLevelOneSided].map(|scheme| {
+                let tile = scheme.tile_scheme(1024);
+                (tile, PackedWeights::pack(&weights, tile.lanes))
+            });
+            for (name, (tile, packed)) in ["clean", "one_sided"].into_iter().zip(&kernels) {
+                gemm_into(&request, packed, *tile, &[], &mut ws); // warm
+                rec.bench(
+                    &format!("engine/gemm_m1_k1024_n1024_{name}{suffix}"),
+                    || {
+                        black_box(gemm_into(&request, packed, *tile, &[], &mut ws));
+                    },
+                );
+            }
+            if dtype == Dtype::F16 {
+                let best = fastest_interleaved(24, &request, &kernels, &mut ws);
+                let x = best[1] / best[0];
+                rec.record_value("engine/gemm_m1_k1024_n1024_one_sided_overhead", x, "x");
+                assert!(
+                    !simd::active_path().is_simd() || x <= 1.35,
+                    "one-sided ABFT costs {x:.2}x the clean kernel at 1x1024x1024 (limit 1.35x)"
+                );
+            }
         }
+        let weights = Matrix::random(1024, 1024, 2);
         let batch = Matrix::random(256, 1024, 3);
         let out = gemm(&batch, &weights, TileScheme::NONE, &[]);
         let abft = GlobalAbft::prepare(&weights);
@@ -355,8 +394,8 @@ fn main() {
     }
     // The precision-substrate suite: clean GEMM throughput with
     // operands stored in each dtype (the activation decode rides in
-    // per-run staging, the weight decode in the bind-time pack, so
-    // these rows price the former), then per-dtype fault
+    // per-run staging, the weight widening in the microkernel's B load,
+    // so these rows price both), then per-dtype fault
     // campaigns — detection coverage and protected-vs-clean overhead
     // under each family's strongest scheme, the cross-precision
     // comparison the paper never measured.

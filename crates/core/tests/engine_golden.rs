@@ -41,7 +41,12 @@ const ALL_SCHEMES: [Scheme; 6] = [
 /// last two rows span two or three 64×64 blocks in each dimension with
 /// ragged last blocks, strips and register tiles; their hashes were
 /// recorded under another blocking (per-shape, before the engine had
-/// one) — the accumulation order per cell does not depend on it.
+/// one) — the accumulation order per cell does not depend on it. The
+/// two after them end in a strip with one live row (a batch-1 fc layer
+/// of 63 column groups, the last ragged; a full strip plus one row over
+/// three groups) and were recorded when that strip still ran the
+/// four-row tile over f32 panels: the one-row tile and the widened
+/// codes compute the same chains.
 const GOLDEN: &[(usize, usize, usize, u64, u64, u64)] = &[
     (17, 9, 11, 1000, 0x8a50a5e47da48ca4, 0x86f3cef29ba2967d),
     (32, 32, 32, 1017, 0xc0ff88eed11fa61c, 0x582af8c42132cba5),
@@ -50,6 +55,8 @@ const GOLDEN: &[(usize, usize, usize, u64, u64, u64)] = &[
     (33, 65, 40, 1068, 0xda55a6ff30a49f7f, 0xe973d276aa8e6bc3),
     (130, 150, 24, 1085, 0xf3217a5ae8e70d7d, 0x98301baee5fa1519),
     (129, 67, 40, 1102, 0x8cfc2aa7101b2f52, 0x530e75fa5d49dda2),
+    (1, 1000, 1024, 1119, 0x5de852cd4f27312a, 0x3bc13769af8e2960),
+    (5, 40, 24, 1136, 0x7dbabae92c3bf615, 0x71f6efc4d1443129),
 ];
 
 fn mid_fault(m: usize, n: usize) -> FaultPlan {
@@ -176,8 +183,8 @@ fn fast_and_hooked_walks_are_byte_identical() {
 /// precision pins: one bf16 and one fp8 shape, hashed by the scalar
 /// reference walk over dtype-decoded operands. One scheme per family
 /// (thread-level, replication, global) must reproduce them, proving
-/// the decoded-f32 panel currency keeps every family's math identical
-/// across storage formats.
+/// that widening resident codes in the B load keeps every family's math
+/// identical across storage formats.
 const GOLDEN_DTYPE: &[(aiga_gpu::engine::Dtype, usize, usize, usize, u64, u64, u64)] = &[
     (
         aiga_gpu::engine::Dtype::Bf16,

@@ -1,9 +1,9 @@
 //! Number formats: the operand value type and the storage codecs.
 //!
-//! The engine computes every GEMM in one currency — decoded `f32`
-//! panels, one FP32 accumulator per output element (the paper's FP16
-//! operands into FP32 accumulators, §2.1) — but models are *stored* and
-//! *served* in more than one precision. This crate is all the stack
+//! The engine computes every GEMM in one currency — `f32` operands,
+//! one FP32 accumulator per output element (the paper's FP16 operands
+//! into FP32 accumulators, §2.1) — but models are *stored*, *served*
+//! and kept resident in more than one precision. This crate is all the stack
 //! knows about those precisions:
 //!
 //! - [`F16`], IEEE binary16 as a value type: the lane type of `Matrix`
@@ -31,9 +31,13 @@
 //!   code `value = code · 2^-6`, clamped to ±127.
 //! - [`with_format!`], the one place a runtime [`Dtype`] becomes a
 //!   [`Format`] type. Every per-format loop in the stack — the slice
-//!   codecs here, the engine's strip staging and weight packing — is
-//!   written once over `F: Format` and entered through it, so the
-//!   dispatch sits outside the loop.
+//!   codecs here, the engine's strip staging, weight packing and
+//!   microkernel — is written once over `F: Format` and entered
+//!   through it, so the dispatch sits outside the loop.
+//! - The resident form: each [`Format`] says how wide its weights stay
+//!   in memory and how eight of their codes become eight f32 lanes
+//!   ([`Format::widen`]), so the engine streams a layer at its storage
+//!   width and widens in the load — exactly, like `decode`.
 //! - F16C: on AVX+F16C hosts ([`f16c_active`]) the fp16 slice codecs
 //!   convert eight lanes per instruction. That is a host capability,
 //!   not a format fork: the bytes are the scalar codec's (a vector
@@ -60,13 +64,47 @@ mod sealed {
 /// the four. Codes travel as `u16` regardless of width (8-bit formats in
 /// the low byte); `encode` has each format's overflow semantics
 /// (fp16/bf16 → ±∞, fp8 → saturate at ±448, int8 → clamp at ±127).
+///
+/// A format also says how its *weights stay resident* for streaming:
+/// the engine keeps a layer's weights as [`Self::RESIDENT_BYTES`]-wide
+/// little-endian codes ([`Self::to_resident`]) and turns eight of them
+/// into eight f32 lanes inside its B load ([`Self::widen`]), so a weight
+/// costs its resident bytes per pass, not four. For binary16, bf16 and
+/// int8 the resident code is the storage code. E4M3 is resident as its
+/// bf16 image (every E4M3 value is a bf16 value): no exact 8 → 32-bit
+/// widening of E4M3 fits the B load's instruction budget on AVX2 (the
+/// `× 2¹²⁰` rebias multiplies subnormals, a microcode assist per vector;
+/// `vpgatherdd` and the F16C route both run the GEMM at half speed).
 pub trait Format: sealed::Sealed + 'static {
     /// Storage width in bits.
     const BITS: u32;
+    /// Bytes of one resident weight code.
+    const RESIDENT_BYTES: usize = (Self::BITS / 8) as usize;
     /// Decodes one stored code to f32.
     fn decode(code: u16) -> f32;
     /// Encodes an f32 to the nearest representable code.
     fn encode(x: f32) -> u16;
+    /// The resident code of stored `code` (its low
+    /// [`Self::RESIDENT_BYTES`] bytes): [`Self::decode_resident`] and
+    /// [`Self::widen`] of it are `decode(code)` bit for bit.
+    #[inline]
+    fn to_resident(code: u16) -> u16 {
+        code
+    }
+    /// Decodes one resident code to f32 — what the scalar readers of a
+    /// resident panel call.
+    #[inline]
+    fn decode_resident(resident: u16) -> f32 {
+        Self::decode(resident)
+    }
+    /// Widens the eight resident codes at `codes` to eight f32 lanes,
+    /// exactly.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and F16C, and `codes` must be valid
+    /// for reads of `8 * RESIDENT_BYTES` bytes (any alignment).
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn widen(codes: *const u8) -> std::arch::x86_64::__m256;
 }
 
 /// IEEE 754 binary16, the engine's native format: the codes are
@@ -82,6 +120,24 @@ impl Format for Binary16 {
     #[inline]
     fn encode(x: f32) -> u16 {
         F16::from_f32(x).to_bits()
+    }
+    /// Every NaN becomes the canonical `0x7e00`, the one NaN code
+    /// `vcvtph2ps` widens to `decode`'s `0x7fc0_0000` — so the K loop
+    /// needs no blend.
+    #[inline]
+    fn to_resident(code: u16) -> u16 {
+        if code & 0x7fff > 0x7c00 {
+            F16::NAN.to_bits()
+        } else {
+            code
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen(codes: *const u8) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller guarantees F16C and 16 readable bytes.
+        unsafe { _mm256_cvtph_ps(_mm_loadu_si128(codes.cast())) }
     }
 }
 
@@ -108,6 +164,26 @@ impl Format for Bf16 {
         let rounded = bits + 0x7fff + ((bits >> 16) & 1);
         (rounded >> 16) as u16
     }
+    /// A byte shuffle, not a shift: the sixteen bytes are broadcast to
+    /// both halves (a pure load) and one `vpshufb` drops code `i` into
+    /// the top half of lane `i` over zeros. Neither touches an FMA port,
+    /// which a zero-extend-and-shift does twice per vector — enough to
+    /// slow a compute-bound register tile by a tenth.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen(codes: *const u8) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller guarantees AVX2 and 16 readable bytes.
+        unsafe {
+            let both = _mm256_broadcastsi128_si256(_mm_loadu_si128(codes.cast()));
+            // Per half: lane j takes code 4·half + j; −1 selects zero.
+            let top_halves = _mm256_setr_epi8(
+                -1, -1, 0, 1, -1, -1, 2, 3, -1, -1, 4, 5, -1, -1, 6, 7, //
+                -1, -1, 8, 9, -1, -1, 10, 11, -1, -1, 12, 13, -1, -1, 14, 15,
+            );
+            _mm256_castsi256_ps(_mm256_shuffle_epi8(both, top_halves))
+        }
+    }
 }
 
 /// FP8 E4M3FN (OCP): 1 sign, 4 exponent (bias 7), 3 mantissa bits; no
@@ -122,6 +198,11 @@ static FP8_E4M3_TO_F32: [f32; 1 << 8] = E4M3Codec::decode_table();
 
 impl Format for Fp8E4M3 {
     const BITS: u32 = 8;
+    /// Resident as the bf16 code of the same value (see [`Format`]): at
+    /// most three mantissa bits and an exponent inside bf16's range, so
+    /// the top half of the decoded binary32 is all of it; both NaN codes
+    /// land on bf16's quiet `0x7fc0`.
+    const RESIDENT_BYTES: usize = Bf16::RESIDENT_BYTES;
     #[inline]
     fn decode(code: u16) -> f32 {
         FP8_E4M3_TO_F32[(code & 0xff) as usize]
@@ -129,6 +210,20 @@ impl Format for Fp8E4M3 {
     #[inline]
     fn encode(x: f32) -> u16 {
         E4M3Codec::from_f32(x)
+    }
+    #[inline]
+    fn to_resident(code: u16) -> u16 {
+        (Self::decode(code).to_bits() >> 16) as u16
+    }
+    #[inline]
+    fn decode_resident(resident: u16) -> f32 {
+        Bf16::decode(resident)
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen(codes: *const u8) -> std::arch::x86_64::__m256 {
+        // SAFETY: the caller's guarantees are `Bf16::widen`'s.
+        unsafe { Bf16::widen(codes) }
     }
 }
 
@@ -152,6 +247,26 @@ impl Format for Int8 {
     #[inline]
     fn encode(x: f32) -> u16 {
         (x / INT8_SCALE).round_ties_even().clamp(-127.0, 127.0) as i8 as u8 as u16
+    }
+    /// Zero-extends, flips the sign bit into an offset-binary `u` and
+    /// ORs it under the exponent of `2¹⁷` (whose ulp is the scale,
+    /// `2⁻⁶`) in one XOR, then subtracts `2¹⁷ + 128·2⁻⁶`: the difference
+    /// `(u − 128)·2⁻⁶` is exact, and none of it needs an FMA port.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen(codes: *const u8) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        const MAGIC: f32 = 131072.0;
+        const _: () = assert!(MAGIC * f32::EPSILON == INT8_SCALE);
+        // SAFETY: the caller guarantees AVX2 and 8 readable bytes.
+        unsafe {
+            let wide = _mm256_cvtepu8_epi32(_mm_loadl_epi64(codes.cast()));
+            let biased = _mm256_xor_si256(wide, _mm256_set1_epi32(MAGIC.to_bits() as i32 | 0x80));
+            _mm256_sub_ps(
+                _mm256_castsi256_ps(biased),
+                _mm256_set1_ps(MAGIC + 128.0 * INT8_SCALE),
+            )
+        }
     }
 }
 
@@ -701,6 +816,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `F::widen` over one vector of resident codes, as the engine's
+    /// microkernel calls it (inlined into an AVX2+F16C function).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,f16c")]
+    unsafe fn widen_lanes<F: Format>(resident: &[u8]) -> [f32; 8] {
+        assert_eq!(resident.len(), 8 * F::RESIDENT_BYTES);
+        let mut lanes = [0.0f32; 8];
+        // SAFETY: the caller checked AVX2+F16C; the slice holds the
+        // eight codes and `lanes` the eight floats.
+        unsafe {
+            std::arch::x86_64::_mm256_storeu_ps(lanes.as_mut_ptr(), F::widen(resident.as_ptr()));
+        }
+        lanes
+    }
+
+    /// Every code of `F` through the resident form: the scalar reader
+    /// and, on AVX2+F16C hosts, the eight-lane widen must both give
+    /// `decode(code)` bit for bit — NaN payloads and signs, −0, every
+    /// subnormal. Lanes are filled with consecutive codes so each code
+    /// also sits in each lane position across the sweep's phases.
+    fn resident_forms_match_decode<F: Format>(name: &str, vector: bool) {
+        let codes = 1u32 << F::BITS;
+        for code in 0..codes as u16 {
+            let resident = F::to_resident(code);
+            assert!(u32::from(resident) < 1 << (8 * F::RESIDENT_BYTES));
+            assert_eq!(
+                F::decode_resident(resident).to_bits(),
+                F::decode(code).to_bits(),
+                "{name} resident decode at {code:#06x}"
+            );
+        }
+        if !vector {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        for phase in 0..8u32 {
+            for base in (0..codes).step_by(8) {
+                let lane_code = |i: u32| ((base + i + phase) % codes) as u16;
+                let bytes: Vec<u8> = (0..8)
+                    .flat_map(|i| {
+                        F::to_resident(lane_code(i)).to_le_bytes()[..F::RESIDENT_BYTES].to_vec()
+                    })
+                    .collect();
+                // SAFETY: `vector` says the host has AVX2 and F16C.
+                let lanes = unsafe { widen_lanes::<F>(&bytes) };
+                for (i, got) in lanes.iter().enumerate() {
+                    let code = lane_code(i as u32);
+                    assert_eq!(
+                        got.to_bits(),
+                        F::decode(code).to_bits(),
+                        "{name} widen at {code:#06x} (lane {i})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn widen_matches_decode_on_every_code_of_every_format() {
+        #[cfg(target_arch = "x86_64")]
+        let vector = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c");
+        #[cfg(not(target_arch = "x86_64"))]
+        let vector = false;
+        if !vector {
+            eprintln!("host has no AVX2+F16C: checking the scalar resident decode only");
+        }
+        for dt in Dtype::ALL {
+            with_format!(dt, F => resident_forms_match_decode::<F>(dt.name(), vector));
+        }
+        // fp16 is resident with its NaNs canonicalised (the one change
+        // `to_resident` makes to a storage-width format); bf16 and int8
+        // are resident verbatim, E4M3 as its two-byte bf16 image.
+        for code in 0..=u16::MAX {
+            let want = if F16::from_bits(code).is_nan() {
+                0x7e00
+            } else {
+                code
+            };
+            assert_eq!(Binary16::to_resident(code), want);
+            assert_eq!(Bf16::to_resident(code), code);
+        }
+        assert_eq!(Int8::to_resident(0x81), 0x81);
+        assert_eq!(
+            (Int8::RESIDENT_BYTES, Fp8E4M3::RESIDENT_BYTES),
+            (1, Bf16::RESIDENT_BYTES)
+        );
     }
 
     #[test]

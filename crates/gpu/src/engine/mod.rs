@@ -21,14 +21,17 @@
 //!   carries and the threshold its tile check compares against;
 //! - [`fault_inject`] — the §2.3 fault model ([`FaultPlan`],
 //!   [`FaultKind`]) and tile-addressed [`Detection`] provenance;
-//! - [`panels`] — the operand forms: [`PackedWeights`] (B, packed once
-//!   when a layer is bound and shared by every run), the per-run A
+//! - [`panels`] — the operand forms: [`PackedWeights`] (B, resident as
+//!   the format's codes at storage width, packed once when a layer is
+//!   bound and shared by every run), the per-run A
 //!   staging (decoded + strip-packed rows, checksum rows), and the
 //!   reusable [`Workspace`] that owns all per-run scratch (A panels,
 //!   per-worker block tile and lanes, output, activation staging,
 //!   checksum scratch);
-//! - [`simd`] — the register-tiled AVX2+FMA microkernel with its
-//!   checksum-lane variants, the scalar oracle, the canonical
+//! - [`simd`] — the register-tiled AVX2+FMA microkernel (generic over
+//!   the format's B widening and the checksum lanes; a 4×16 tile, and a
+//!   one-row tile for a strip with one live row), the scalar oracle,
+//!   the canonical
 //!   accumulation-order contract, and the runtime dispatch between them
 //!   ([`GemmPath`], `AIGA_FORCE_SCALAR`);
 //! - `walk` (private) — block execution over the live extent:
@@ -107,17 +110,20 @@ pub const BLOCK_PAR_MIN_FLOPS: u128 = 32 * 1024 * 1024;
 #[cfg(test)]
 static FORCE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-/// Host work of one engine run, in scalar FMAs. `checksum_fmas /
-/// data_fmas` is the redundant share a scheme added to the K loop
-/// (0.25 for one-sided ABFT, 1/64 two-sided, 1.0 replication);
-/// magnitude lanes are not counted (see
-/// [`Redundancy::checksum_fmas_per_step`]).
+/// Host work of one engine run, in the scalar FMAs it executed.
+/// `checksum_fmas / data_fmas` is the redundant share a scheme added to
+/// the K loop: on full strips 0.25 for one-sided ABFT, 1/64 two-sided,
+/// 1.0 replication; a strip with one live row runs a one-row register
+/// tile (`MICRO_NR` data FMAs per K step, not `MICRO_MR·MICRO_NR`), so
+/// there one-sided's share is 1.0 and two-sided's 1/16. Magnitude lanes
+/// are not counted (see [`Redundancy::checksum_fmas_per_step`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Register tiles executed: the live ones, covering a row of the
     /// request or a column of the weights (grid padding is not walked).
     pub tiles: u64,
-    /// FMAs into data accumulators.
+    /// FMAs into data accumulators: per tile and K step
+    /// `MICRO_MR·MICRO_NR`, or `MICRO_NR` in a one-live-row strip.
     pub data_fmas: u64,
     /// FMAs into checksum lanes or the shadow tile.
     pub checksum_fmas: u64,
@@ -199,7 +205,10 @@ pub fn gemm<'a>(
 /// regime, detections in the same block-major order. Any number of
 /// simultaneous `faults` may be injected (the multi-checksum extension
 /// of §2.4 needs more than one); one aimed outside the `m × n` output
-/// has no accumulator to strike and is a no-op.
+/// has no accumulator to strike and is a no-op. Empty dimensions are
+/// well-defined: no rows or no columns give an `m × 0` / `0 × n` output,
+/// an empty inner dimension an `m × n` output of zeros, and none of
+/// them a detection.
 pub fn gemm_into<'w, 'a>(
     a: impl Into<MatrixView<'a>>,
     b: &PackedWeights,
@@ -216,14 +225,32 @@ pub fn gemm_into<'w, 'a>(
     );
     let k = b.k();
     let (out_m, out_n) = (a.rows, b.cols());
-    ws.stage_activations(a, scheme.lanes, k);
     ws.out.reset(out_m, out_n);
-    let tiles = (out_m.div_ceil(MICRO_MR) * out_n.div_ceil(MICRO_NR)) as u64;
-    let steps = tiles * k as u64;
+    if k == 0 || out_n == 0 {
+        // No inner dimension: every cell is the empty sum, and no chain
+        // ran that a check could compare. No columns: no cells.
+        return &ws.out;
+    }
+    ws.stage_activations(a, scheme.lanes, k);
+    // Blocks are whole strips, so only the request's last strip can be
+    // ragged; one live row there runs the one-row register tile.
+    let (strips, groups) = (out_m.div_ceil(MICRO_MR), out_n.div_ceil(MICRO_NR));
+    let one_row_strips = usize::from(out_m % MICRO_MR == 1);
+    let steps = |strips: usize, tile_rows: usize| {
+        let steps = (strips * groups * k) as u64;
+        (
+            steps * (tile_rows * MICRO_NR) as u64,
+            steps * scheme.lanes.checksum_fmas_per_step(tile_rows),
+        )
+    };
+    let (full, one_row) = (
+        steps(strips - one_row_strips, MICRO_MR),
+        steps(one_row_strips, 1),
+    );
     ws.out.counters = EngineCounters {
-        tiles,
-        data_fmas: steps * (MICRO_MR * MICRO_NR) as u64,
-        checksum_fmas: steps * scheme.lanes.checksum_fmas_per_step(),
+        tiles: (strips * groups) as u64,
+        data_fmas: full.0 + one_row.0,
+        checksum_fmas: full.1 + one_row.1,
     };
 
     let stripes = out_m.div_ceil(BLOCK_M);

@@ -5,11 +5,15 @@
 //! different places:
 //!
 //! - **B (weights)** never changes between requests. [`PackedWeights`]
-//!   is its one resident form: decoded to f32 and laid out in the
-//!   [`MICRO_PANEL`]-wide K-major panels the microkernel streams, built
-//!   once — `aiga-core`'s `Scheme::bind` does it — and shared
-//!   read-only by every run, worker and shard. When the bound scheme is
-//!   two-sided ABFT it also carries the per-tile B checksum columns.
+//!   is its one resident form: the format's codes — two bytes a weight
+//!   for fp16 and bf16, one for int8 (see `aiga_dtype::Format` for what
+//!   E4M3 is resident as) — laid out in the [`MICRO_PANEL`]-wide K-major
+//!   panels the microkernel streams and widens to f32 in its B load,
+//!   built once — `aiga-core`'s `Scheme::bind` does it — and shared
+//!   read-only by every run, worker and shard. A pass over a layer
+//!   therefore reads the layer's storage bytes, not four per weight.
+//!   When the bound scheme is two-sided ABFT it also carries the
+//!   per-tile B checksum columns.
 //! - **A (activations)** is the request. `Panels` gathers, decodes,
 //!   strip-packs and checksums it per run in one pass, into buffers the
 //!   [`Workspace`] keeps warm, covering only the request's own rows
@@ -32,24 +36,32 @@ use super::{GemmOutput, BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR, MICRO_PANEL};
 use aiga_dtype::{with_format, Dtype, Format, F16};
 
 /// A layer's weights (`B` of `C = A·B`) in the form the microkernel
-/// consumes: decoded to f32 — exact for every storage format, so every
-/// product is bit-identical to decoding inside the K loop — with K
-/// zero-padded to the MMA granule (8) and N to a whole register tile
-/// ([`MICRO_NR`]), laid out as [`MICRO_PANEL`]-wide K-major panels:
-/// panel `p` holds columns `p·P .. p·P+P`, element `(kk, j)` at
-/// `(p·k + kk)·P + j`, so one K step of a panel is one SIMD vector.
+/// consumes: the format's resident codes (`Format::to_resident`,
+/// little-endian, `Format::RESIDENT_BYTES` each) with K zero-padded to
+/// the MMA granule (8) and N to a whole register tile ([`MICRO_NR`]),
+/// laid out as [`MICRO_PANEL`]-wide K-major panels: panel `p` holds
+/// columns `p·P .. p·P+P`, code `(kk, j)` at `(p·k + kk)·P + j`, so one
+/// K step of a panel is one SIMD vector once widened. Widening is exact
+/// in every format, so every product is bit-identical to multiplying
+/// decoded f32 weights; padding is code 0, which is `+0.0` in all of
+/// them.
 ///
-/// This is the only resident copy of a bound layer's weights: the SIMD
-/// microkernel streams the panels, and the scalar oracle, targeted
-/// recompute and the faulted cold walk read one column of the same
-/// panels with stride [`MICRO_PANEL`] — one layout, one set of bytes.
+/// This is the only resident copy of a bound layer's weights, and it
+/// holds no f32 image of them: the SIMD microkernel widens the panels
+/// as it streams them, and the scalar oracle, targeted recompute and
+/// the faulted cold walk decode one column of the same codes with
+/// stride [`MICRO_PANEL`] ([`Self::col`]) — one layout, one set of
+/// bytes.
 #[derive(Clone, Debug)]
 pub struct PackedWeights {
     rows: usize,
     cols: usize,
     k: usize,
     dtype: Dtype,
-    panels: Vec<f32>,
+    /// The resident codes, `Format::RESIDENT_BYTES` of `dtype` each.
+    panels: Vec<u8>,
+    /// Whether the weights were packed for [`Redundancy::TileChecksum`].
+    tile_checksums: bool,
     /// Per-column-group B checksum columns for
     /// [`Redundancy::TileChecksum`]: group `g` (columns
     /// `g·NR..g·NR+NR`), step `kk` holds
@@ -58,51 +70,84 @@ pub struct PackedWeights {
     b_chk: Vec<f32>,
 }
 
+/// One resident code from its little-endian bytes (one or two).
+#[inline(always)]
+pub(crate) fn resident_code(bytes: &[u8]) -> u16 {
+    match *bytes {
+        [lo] => lo as u16,
+        [lo, hi] => u16::from_le_bytes([lo, hi]),
+        _ => unreachable!("resident codes are one or two bytes"),
+    }
+}
+
+/// Writes `b`'s resident codes into `panels` (zeroed, sized by
+/// [`PackedWeights::pack`]) in one pass — every 8-column run is
+/// contiguous in both the source row and its panel.
+fn pack_codes<F: Format>(b: &Matrix, k: usize, panels: &mut [u8]) {
+    let width = F::RESIDENT_BYTES;
+    // A matrix without columns has no rows to walk (and no chunk size).
+    for (kk, src) in b.data.chunks_exact(b.cols.max(1)).enumerate() {
+        for (p, run) in src.chunks(MICRO_PANEL).enumerate() {
+            let at = (p * k + kk) * MICRO_PANEL * width;
+            for (d, &s) in panels[at..].chunks_exact_mut(width).zip(run) {
+                d.copy_from_slice(&F::to_resident(s.to_bits()).to_le_bytes()[..width]);
+            }
+        }
+    }
+}
+
+/// Sums the B checksum columns two-sided ABFT's corner chain multiplies
+/// from the decoded codes of each register-tile column group, in column
+/// order, in f32, from zero.
+fn sum_checksum_columns<F: Format>(panels: &[u8], k: usize, b_chk: &mut [f32]) {
+    let panel_step = MICRO_PANEL * F::RESIDENT_BYTES;
+    for (group, dst) in panels
+        .chunks_exact(MICRO_NR * k * F::RESIDENT_BYTES)
+        .zip(b_chk.chunks_exact_mut(k * 2))
+    {
+        let (lo, hi) = group.split_at(panel_step * k);
+        let steps = lo.chunks_exact(panel_step).zip(hi.chunks_exact(panel_step));
+        for (d, (lo, hi)) in dst.chunks_exact_mut(2).zip(steps) {
+            for code in lo
+                .chunks_exact(F::RESIDENT_BYTES)
+                .chain(hi.chunks_exact(F::RESIDENT_BYTES))
+            {
+                let v = F::decode_resident(resident_code(code));
+                d[0] += v;
+                d[1] += v.abs();
+            }
+        }
+    }
+}
+
 impl PackedWeights {
-    /// Packs row-major `b` (`k × n` storage codes) in one pass — every
-    /// 8-column run is contiguous in both the source row and its panel
-    /// — and, when `lanes` is [`Redundancy::TileChecksum`], sums the B
-    /// checksum columns that scheme's corner chain multiplies.
+    /// Packs row-major `b` (`k × n` storage codes) and, when `lanes` is
+    /// [`Redundancy::TileChecksum`], sums the B checksum columns that
+    /// scheme's corner chain multiplies. Nothing is decoded to stay: the
+    /// pack moves codes (fp16 NaNs canonicalised, see
+    /// `Format::to_resident`). A matrix with no rows or no columns packs
+    /// to empty panels.
     pub fn pack(b: &Matrix, lanes: Redundancy) -> Self {
         let k = b.rows.next_multiple_of(8);
         let n_pad = b.cols.next_multiple_of(MICRO_NR);
-        let mut panels = vec![0.0f32; n_pad * k];
+        let tile_checksums = lanes == Redundancy::TileChecksum;
+        let mut b_chk = vec![0.0f32; n_pad / MICRO_NR * k * 2 * tile_checksums as usize];
         // The format dispatch stays outside the element loops.
-        with_format!(b.dtype, F => {
-            for (kk, src) in b.data.chunks_exact(b.cols).enumerate() {
-                for (p, run) in src.chunks(MICRO_PANEL).enumerate() {
-                    let at = (p * k + kk) * MICRO_PANEL;
-                    for (d, &s) in panels[at..at + run.len()].iter_mut().zip(run) {
-                        *d = F::decode(s.to_bits());
-                    }
-                }
+        let panels = with_format!(b.dtype, F => {
+            let mut panels = vec![0u8; n_pad * k * F::RESIDENT_BYTES];
+            pack_codes::<F>(b, k, &mut panels);
+            if !b_chk.is_empty() {
+                sum_checksum_columns::<F>(&panels, k, &mut b_chk);
             }
+            panels
         });
-        let mut b_chk = Vec::new();
-        if lanes == Redundancy::TileChecksum {
-            b_chk.resize(n_pad / MICRO_NR * k * 2, 0.0);
-            for (group, dst) in panels
-                .chunks_exact(MICRO_NR * k)
-                .zip(b_chk.chunks_exact_mut(k * 2))
-            {
-                let (lo, hi) = group.split_at(MICRO_PANEL * k);
-                let steps = lo
-                    .chunks_exact(MICRO_PANEL)
-                    .zip(hi.chunks_exact(MICRO_PANEL));
-                for (d, (lo, hi)) in dst.chunks_exact_mut(2).zip(steps) {
-                    for &v in lo.iter().chain(hi) {
-                        d[0] += v;
-                        d[1] += v.abs();
-                    }
-                }
-            }
-        }
         PackedWeights {
             rows: b.rows,
             cols: b.cols,
             k,
             dtype: b.dtype,
             panels,
+            tile_checksums,
             b_chk,
         }
     }
@@ -122,18 +167,18 @@ impl PackedWeights {
         self.k
     }
 
-    /// The storage format the weights were decoded from.
+    /// The storage format of the weights.
     pub fn dtype(&self) -> Dtype {
         self.dtype
     }
 
     /// Whether the two-sided B checksum columns were packed.
     pub fn has_tile_checksums(&self) -> bool {
-        !self.b_chk.is_empty()
+        self.tile_checksums
     }
 
-    /// The packed panels, for the microkernel.
-    pub(crate) fn panels(&self) -> &[f32] {
+    /// The resident code panels, for the microkernel.
+    pub(crate) fn panels(&self) -> &[u8] {
         &self.panels
     }
 
@@ -143,15 +188,16 @@ impl PackedWeights {
     }
 
     /// Column `c`'s K walk (`k` decoded values, zero past the source's
-    /// rows): one panel lane read with stride [`MICRO_PANEL`]. `c` may
-    /// be a padding column of the last register tile (all zeros).
+    /// rows): one panel lane read with stride [`MICRO_PANEL`] and
+    /// decoded code by code. `c` may be a padding column of the last
+    /// register tile (all zeros).
     pub fn col(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
-        let base = c / MICRO_PANEL * self.k * MICRO_PANEL + c % MICRO_PANEL;
-        self.panels[base..]
-            .iter()
-            .step_by(MICRO_PANEL)
-            .take(self.k)
-            .copied()
+        let (width, decode) = with_format!(self.dtype, F => {
+            (F::RESIDENT_BYTES, F::decode_resident as fn(u16) -> f32)
+        });
+        let step = MICRO_PANEL * width;
+        let base = (c / MICRO_PANEL * self.k * MICRO_PANEL + c % MICRO_PANEL) * width;
+        (0..self.k).map(move |kk| decode(resident_code(&self.panels[base + kk * step..][..width])))
     }
 }
 
@@ -189,7 +235,11 @@ impl Panels {
         self.a_chk.resize(strips * k * 2 * sums as usize, 0.0);
         self.rows.resize(MICRO_MR * a.cols, F16::ZERO);
         self.k = k;
-        simd::stage_a(path, a, self);
+        // An empty inner dimension stages nothing (and has no chunk
+        // size to stage by).
+        if k > 0 {
+            simd::stage_a(path, a, self);
+        }
     }
 
     /// Row `r`'s K walk (`k` values): one strip lane read with stride

@@ -38,16 +38,20 @@ pub enum Redundancy {
 }
 
 impl Redundancy {
-    /// Redundant-value FMAs per K step of one register tile, next to
-    /// its `MICRO_MR·MICRO_NR` data FMAs. Magnitude lanes (the running
-    /// error bound) are bookkeeping, not redundancy, and are not
-    /// counted.
-    pub fn checksum_fmas_per_step(self) -> u64 {
+    /// Redundant-value FMAs per K step of one register tile computing
+    /// `tile_rows` rows ([`MICRO_MR`], or 1 for a strip with one live
+    /// row), next to its `tile_rows·MICRO_NR` data FMAs: one-sided
+    /// ABFT's checksum row is a quarter of a full tile's work and as
+    /// much again as a one-row tile's — replication-priced there, and
+    /// still free, because that tile waits on its weight stream.
+    /// Magnitude lanes (the running error bound) are bookkeeping, not
+    /// redundancy, and are not counted.
+    pub fn checksum_fmas_per_step(self, tile_rows: usize) -> u64 {
         match self {
             Redundancy::None => 0,
             Redundancy::ColumnChecksum => MICRO_NR as u64,
             Redundancy::TileChecksum => 1,
-            Redundancy::ShadowExact | Redundancy::ShadowSum => (MICRO_MR * MICRO_NR) as u64,
+            Redundancy::ShadowExact | Redundancy::ShadowSum => (tile_rows * MICRO_NR) as u64,
         }
     }
 
@@ -104,5 +108,14 @@ impl TileScheme {
     #[inline(always)]
     pub(crate) fn threshold(&self, magnitude: f64) -> f64 {
         self.slope * magnitude + self.floor
+    }
+
+    /// Whether a residual of exactly zero passes at *every* magnitude —
+    /// the threshold is linear, so non-negative at both ends of
+    /// `[0, ∞]` is non-negative throughout. True of every scheme
+    /// `aiga-core` derives (positive slope, non-negative floor); where
+    /// it holds, a compare that came out exact needs no magnitude.
+    pub(crate) fn passes_zero_residual(&self) -> bool {
+        !self.flags(0.0, 0.0) && !self.flags(0.0, f64::INFINITY)
     }
 }

@@ -5,10 +5,13 @@
 //! pack→microkernel→epilogue decomposition real GEMM libraries use:
 //!
 //! - B arrives packed ([`PackedWeights`], built once when a scheme is
-//!   bound to a layer); `stage_a` gathers, decodes and lays the
-//!   request's rows into microkernel strips, with the checksum rows a
-//!   thread-level ABFT scheme multiplies, in one pass (once per run, in
-//!   `Panels::stage`, over the request's live rows only);
+//!   bound to a layer) as the format's resident codes, and is widened
+//!   to f32 in the microkernel's B load (`Format::widen`) — a weight is
+//!   read at its resident width every pass; `stage_a` gathers, decodes
+//!   and lays the request's rows into microkernel strips, with the
+//!   checksum rows a thread-level ABFT scheme multiplies, in one pass
+//!   (once per run, in `Panels::stage`, over the request's live rows
+//!   only);
 //! - `fill_block_tile` computes the live register tiles of one
 //!   block tile — and, when the run's scheme asks for them, their
 //!   checksum and magnitude lanes — through either the AVX2+FMA
@@ -29,18 +32,31 @@
 //! `fma` is the correctly-rounded fused multiply-add (`f32::mul_add` /
 //! `vfmadd`), so the sequence is a pure function of the operands — not
 //! of how it is compiled. The AVX2 microkernel gets its parallelism from
-//! computing [`MICRO_MR`]`×`[`MICRO_NR`] *independent* chains at once,
-//! never from splitting one chain, which is why the SIMD path, the
-//! scalar oracle, the targeted-recompute repair path, and the faulted
-//! cold walk are all byte-identical by construction. The golden tests in
+//! computing *independent* chains at once, never from splitting one
+//! chain, which is why the SIMD path, the scalar oracle, the
+//! targeted-recompute repair path, and the faulted cold walk are all
+//! byte-identical by construction. The golden tests in
 //! `crates/core/tests/engine_golden.rs` pin this contract.
+//!
+//! Which chains run together is the register tile's shape, and there
+//! are two. A strip with several live rows runs [`MICRO_MR`]`×`[`MICRO_NR`]
+//! tiles (four broadcast rows against two B vectors). A strip with
+//! **one** live row — a batch-1 request, or the ragged last strip of an
+//! `m ≡ 1 (mod 4)` layer — runs a one-row tile, 1×32 (one broadcast
+//! against four B vectors; 1×16 where an odd column group is left):
+//! the same chains for that row, none for the three dead rows, which
+//! are stored as the `+0.0` their chains of `0·b` would have left. The
+//! shape changes which chains share a loop, never a chain.
 //!
 //! Checksum and magnitude lanes obey the same contract: each is one
 //! more in-order FMA chain (`chk = fma(s[kk], b[kk][col], chk)`,
 //! `mag = fma(s_abs[kk], |b[kk][col]|, mag)`, and the two-sided corner
 //! `fma(s[kk], t[kk], corner)`), mirrored operation for operation by
 //! `chk_dot`/`corner_dot` on the scalar path — so residuals and
-//! thresholds, not just outputs, are byte-identical across paths.
+//! thresholds, not just outputs, are byte-identical across paths. The
+//! one-row tile carries one-sided ABFT's checksum chains and leaves
+//! that strip's column magnitudes to the epilogue, which takes them
+//! from the same mirror where it needs them (see `walk`).
 
 use super::matrix::{MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
@@ -56,7 +72,7 @@ use std::sync::OnceLock;
 /// Which GEMM substrate fills block tiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmPath {
-    /// Register-tiled `MICRO_MR × MICRO_NR` microkernel using AVX2+FMA
+    /// Register-tiled microkernel using AVX2+FMA (and F16C)
     /// intrinsics over packed panels.
     Avx2Fma,
     /// The per-element scalar walk over the same operands — the
@@ -90,7 +106,12 @@ pub fn detect_path() -> GemmPath {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            // F16C rides along for the fp16 B load; every AVX2 part has
+            // it, and without it the scalar path runs.
+            if is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("fma")
+                && is_x86_feature_detected!("f16c")
+            {
                 return GemmPath::Avx2Fma;
             }
         }
@@ -124,7 +145,7 @@ pub fn force_path(path: Option<GemmPath>) {
         Some(GemmPath::Avx2Fma) => {
             assert!(
                 detect_path().is_simd(),
-                "cannot force the AVX2 path on a host without AVX2+FMA"
+                "cannot force the AVX2 path on a host without AVX2+FMA+F16C"
             );
             1
         }
@@ -296,6 +317,29 @@ fn chk_dot(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32) {
     (chk, mag)
 }
 
+/// [`chk_dot`] compiled with the FMA target feature (see [`dot_fma`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn chk_dot_fma(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32) {
+    chk_dot(a_chk, b)
+}
+
+/// The magnitude lane of global strip `strip`, global column `col`
+/// under [`Redundancy::ColumnChecksum`], taken on demand with the
+/// scalar mirror — bit for bit the value the four-row microkernel
+/// carries for that column. The tile epilogue calls this for the
+/// columns of a one-live-row strip whose compare did not come out
+/// exact.
+pub(crate) fn column_magnitude(a: &Panels, b: &PackedWeights, strip: usize, col: usize) -> f32 {
+    let a_chk = &a.a_chk[strip * a.k * 2..][..a.k * 2];
+    #[cfg(target_arch = "x86_64")]
+    if detect_path().is_simd() {
+        // SAFETY: FMA support was verified by detect_path.
+        return unsafe { chk_dot_fma(a_chk, b.col(col)) }.1;
+    }
+    chk_dot(a_chk, b.col(col)).1
+}
+
 /// The scalar mirror of one register tile's corner chain and its
 /// magnitude ([`Redundancy::TileChecksum`]): `a_chk` is the strip's
 /// checksum row ([`stage_a`]), `b_chk` the column group's checksum columns
@@ -310,18 +354,28 @@ fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
     (chk, mag)
 }
 
-/// Fills the live part of one block tile — `strips` register-tile rows
-/// by `groups` register-tile columns from global origin `(row0, col0)`,
-/// the ones that cover a row of the request or a column of the weights
-/// — through the dispatched microkernel, leaving the data in `tile`
-/// (row stride `bn`, the block width) and — for the two ABFT lane
-/// kinds — every live register tile's checksum and magnitude lanes in
-/// `chk`/`mag` (laid out as `BlockScratch` documents). Cells of `tile`
-/// outside the live extent are left as they were. Within a live
+/// Whether strip `strip` of a block with `rows` live rows holds exactly
+/// one of them — the strips both paths run as one-row tiles.
+#[inline(always)]
+pub(crate) fn one_live_row(rows: usize, strip: usize) -> bool {
+    rows - strip * MICRO_MR == 1
+}
+
+/// Fills the live part of one block tile — the strips covering its
+/// `rows` live rows by `groups` register-tile columns from global origin
+/// `(row0, col0)`, the ones that cover a row of the request or a column
+/// of the weights — through the dispatched microkernel, leaving the data
+/// in `tile` (row stride `bn`, the block width) and — for the two ABFT
+/// lane kinds — every live register tile's checksum and magnitude lanes
+/// in `chk`/`mag` (laid out as `BlockScratch` documents). Cells of
+/// `tile` outside the live extent are left as they were. Within a live
 /// register tile, rows and columns past the operands' edges are zero in
-/// the panels, so computing them is harmless and branch-free. Any other
-/// `lanes` runs the plain kernel — the replication kinds call this
-/// twice, once per copy.
+/// the panels, so computing them is harmless and branch-free — except
+/// in a strip with [`one_live_row`], whose three dead rows are not
+/// computed but stored as `+0.0`, and whose [`Redundancy::ColumnChecksum`]
+/// magnitude lanes are not written ([`column_magnitude`] gives them on
+/// demand). Any other `lanes` runs the plain kernel — the replication
+/// kinds call this twice, once per copy.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_block_tile(
     path: GemmPath,
@@ -330,13 +384,14 @@ pub(crate) fn fill_block_tile(
     lanes: Redundancy,
     row0: usize,
     col0: usize,
-    strips: usize,
+    rows: usize,
     groups: usize,
     bn: usize,
     tile: &mut [f32],
     chk: &mut [f32],
     mag: &mut [f32],
 ) {
+    let strips = rows.div_ceil(MICRO_MR);
     assert!(row0.is_multiple_of(MICRO_MR) && col0.is_multiple_of(MICRO_NR));
     assert!(groups * MICRO_NR <= bn && tile.len() >= strips * MICRO_MR * bn);
     let lane_len = lanes.lane_len(strips * MICRO_MR, bn);
@@ -344,20 +399,20 @@ pub(crate) fn fill_block_tile(
     assert_eq!(a.k, b.k(), "operands staged for different K");
     match path {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the dispatcher only selects Avx2Fma when AVX2 and FMA
-        // are present (detect_path / force_path enforce it); the asserts
-        // above and in the callee bound every pointer offset.
-        GemmPath::Avx2Fma => unsafe {
+        // SAFETY: the dispatcher only selects Avx2Fma when AVX2, FMA and
+        // F16C are present (detect_path / force_path enforce it); the
+        // asserts above and in the callee bound every pointer offset.
+        GemmPath::Avx2Fma => with_format!(b.dtype(), F => unsafe {
             match lanes {
-                Redundancy::ColumnChecksum => {
-                    fill_avx2::<LANES_COLUMN>(a, b, row0, col0, strips, groups, bn, tile, chk, mag)
-                }
+                Redundancy::ColumnChecksum => fill_avx2::<F, LANES_COLUMN>(
+                    a, b, row0, col0, rows, groups, bn, tile, chk, mag,
+                ),
                 Redundancy::TileChecksum => {
-                    fill_avx2::<LANES_TILE>(a, b, row0, col0, strips, groups, bn, tile, chk, mag)
+                    fill_avx2::<F, LANES_TILE>(a, b, row0, col0, rows, groups, bn, tile, chk, mag)
                 }
-                _ => fill_avx2::<LANES_NONE>(a, b, row0, col0, strips, groups, bn, tile, chk, mag),
+                _ => fill_avx2::<F, LANES_NONE>(a, b, row0, col0, rows, groups, bn, tile, chk, mag),
             }
-        },
+        }),
         #[cfg(not(target_arch = "x86_64"))]
         GemmPath::Avx2Fma => unreachable!("AVX2 path dispatched on non-x86_64"),
         GemmPath::Scalar => {
@@ -365,10 +420,10 @@ pub(crate) fn fill_block_tile(
             if detect_path().is_simd() {
                 // SAFETY: FMA support was verified by detect_path.
                 return unsafe {
-                    fill_scalar_fma(a, b, lanes, row0, col0, strips, groups, bn, tile, chk, mag)
+                    fill_scalar_fma(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
                 };
             }
-            fill_scalar(a, b, lanes, row0, col0, strips, groups, bn, tile, chk, mag)
+            fill_scalar(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
         }
     }
 }
@@ -384,19 +439,21 @@ unsafe fn fill_scalar_fma(
     lanes: Redundancy,
     row0: usize,
     col0: usize,
-    strips: usize,
+    rows: usize,
     groups: usize,
     bn: usize,
     tile: &mut [f32],
     chk: &mut [f32],
     mag: &mut [f32],
 ) {
-    fill_scalar(a, b, lanes, row0, col0, strips, groups, bn, tile, chk, mag)
+    fill_scalar(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
 }
 
 /// The scalar oracle: every data cell and every lane is its own
 /// in-order FMA chain over the same operands the microkernel streams —
-/// the decoded A rows and, one lane at a time, the packed B panels.
+/// the decoded A rows and, one lane at a time, the packed B panels,
+/// decoded code by code. It makes the same exception the microkernel
+/// does for a strip with one live row.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fill_scalar(
@@ -405,7 +462,7 @@ fn fill_scalar(
     lanes: Redundancy,
     row0: usize,
     col0: usize,
-    strips: usize,
+    rows: usize,
     groups: usize,
     bn: usize,
     tile: &mut [f32],
@@ -414,33 +471,41 @@ fn fill_scalar(
 ) {
     let k = a.k;
     let cols = groups * MICRO_NR;
-    for lr in 0..strips * MICRO_MR {
-        for (lc, out) in tile[lr * bn..][..cols].iter_mut().enumerate() {
-            *out = dot_generic(a.row(row0 + lr), b.col(col0 + lc));
-        }
-    }
-    let a_chk = |s: usize| &a.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
-    match lanes {
-        Redundancy::ColumnChecksum => {
-            for s in 0..strips {
-                for lc in 0..cols {
-                    (chk[s * bn + lc], mag[s * bn + lc]) = chk_dot(a_chk(s), b.col(col0 + lc));
-                }
+    let per_row = bn / MICRO_NR;
+    for s in 0..rows.div_ceil(MICRO_MR) {
+        let one_row = one_live_row(rows, s);
+        for lr in s * MICRO_MR..(s + 1) * MICRO_MR {
+            let out = &mut tile[lr * bn..][..cols];
+            if one_row && lr > s * MICRO_MR {
+                out.fill(0.0);
+                continue;
+            }
+            for (lc, out) in out.iter_mut().enumerate() {
+                *out = dot_generic(a.row(row0 + lr), b.col(col0 + lc));
             }
         }
-        Redundancy::TileChecksum => {
-            let per_row = bn / MICRO_NR;
-            for s in 0..strips {
+        // Read under the two ABFT lane kinds only, which stage it.
+        let a_chk = || &a.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
+        match lanes {
+            Redundancy::ColumnChecksum => {
+                for lc in 0..cols {
+                    let lane = chk_dot(a_chk(), b.col(col0 + lc));
+                    chk[s * bn + lc] = lane.0;
+                    if !one_row {
+                        mag[s * bn + lc] = lane.1;
+                    }
+                }
+            }
+            Redundancy::TileChecksum => {
                 for g in 0..groups {
                     let b_chk = &b.b_chk()[(col0 / MICRO_NR + g) * k * 2..][..k * 2];
-                    (chk[s * per_row + g], mag[s * per_row + g]) = corner_dot(a_chk(s), b_chk);
+                    (chk[s * per_row + g], mag[s * per_row + g]) = corner_dot(a_chk(), b_chk);
                 }
             }
+            _ => {}
         }
-        _ => {}
     }
 }
-
 #[cfg(target_arch = "x86_64")]
 const LANES_NONE: u8 = 0;
 #[cfg(target_arch = "x86_64")]
@@ -448,12 +513,117 @@ const LANES_COLUMN: u8 = 1;
 #[cfg(target_arch = "x86_64")]
 const LANES_TILE: u8 = 2;
 
-/// The AVX2+FMA register-tiled microkernel: walks the block tile in
-/// `MICRO_MR × MICRO_NR` register tiles. Each register tile keeps 8 ymm
-/// data accumulators live (4 broadcast rows × 2 column vectors) across
-/// the *entire* K extent — accumulators never spill, so each output
-/// element is one in-order FMA chain, exactly the canonical order. Per
-/// K step: 2 vector loads of B, 4 broadcasts of A, 8 FMAs.
+/// Where one register tile reads its operands and leaves its results:
+/// what [`fill_avx2`] hands the tile bodies.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct TileArgs {
+    /// The shared inner dimension.
+    k: usize,
+    /// The strip's A values, `MICRO_MR` per K step.
+    a_strip: *const f32,
+    /// The strip's `(sum, magnitude sum)` pairs, one per K step.
+    a_sum: *const f32,
+    /// The first of the tile's B panels (resident codes; a tile's
+    /// panels are consecutive).
+    b_panels: *const u8,
+    /// The first of the tile's column groups' `(sum, magnitude sum)`
+    /// pairs, `2·k` floats per group.
+    b_sum: *const f32,
+    /// The tile's first cell in the block tile, row stride `bn`.
+    out: *mut f32,
+    bn: usize,
+    /// The tile's first checksum and magnitude lane: per column under
+    /// `LANES_COLUMN`, per column group under `LANES_TILE`.
+    chk: *mut f32,
+    mag: *mut f32,
+}
+
+/// The AVX2+FMA register-tiled microkernel: walks the block tile's live
+/// register tiles, widening B from its resident codes in the load
+/// (`F::widen` — the one line that differs between formats). A strip
+/// with several live rows runs [`tile_4x16`] per column group; a strip
+/// with [`one_live_row`] runs [`tile_1xn`] over pairs of groups (and
+/// once more, half as wide, over an odd last group), then stores `+0.0`
+/// in its dead rows. Only the live register tiles are walked.
+///
+/// # Safety
+/// The host must support AVX2, FMA and F16C. Every pointer offset is
+/// bounded by the asserts below and in [`fill_block_tile`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fill_avx2<F: Format, const LANES: u8>(
+    a: &Panels,
+    b: &PackedWeights,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    groups: usize,
+    bn: usize,
+    tile: &mut [f32],
+    chk: &mut [f32],
+    mag: &mut [f32],
+) {
+    let k = a.k;
+    let strips = rows.div_ceil(MICRO_MR);
+    let s0 = row0 / MICRO_MR;
+    let g0 = col0 / MICRO_NR;
+    let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
+    assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
+    assert!(b.panels().len() >= (g0 + groups) * group_bytes);
+    assert!(LANES == LANES_NONE || a.a_chk.len() >= (s0 + strips) * k * 2);
+    assert!(LANES != LANES_TILE || b.b_chk().len() >= (g0 + groups) * k * 2);
+    // One lane per column under LANES_COLUMN, per group under LANES_TILE.
+    let (lane_row, lane_group) = match LANES {
+        LANES_COLUMN => (bn, MICRO_NR),
+        _ => (bn / MICRO_NR, 1),
+    };
+    for s in 0..strips {
+        let one_row = one_live_row(rows, s);
+        let mut g = 0;
+        while g < groups {
+            // SAFETY: the asserts above and in `fill_block_tile` keep
+            // every offset inside its buffer (the lane and sum pointers
+            // are formed with wrapping arithmetic and only dereferenced
+            // under the `LANES` that sized them).
+            unsafe {
+                let args = TileArgs {
+                    k,
+                    a_strip: a.a_pack.as_ptr().add((s0 + s) * MICRO_MR * k),
+                    a_sum: a.a_chk.as_ptr().wrapping_add((s0 + s) * k * 2),
+                    b_panels: b.panels().as_ptr().add((g0 + g) * group_bytes),
+                    b_sum: b.b_chk().as_ptr().wrapping_add((g0 + g) * k * 2),
+                    out: tile.as_mut_ptr().add(s * MICRO_MR * bn + g * MICRO_NR),
+                    bn,
+                    chk: chk.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
+                    mag: mag.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
+                };
+                g += if !one_row {
+                    tile_4x16::<F, LANES>(args);
+                    1
+                } else if groups - g >= 2 {
+                    tile_1xn::<F, LANES, 4>(args);
+                    2
+                } else {
+                    tile_1xn::<F, LANES, 2>(args);
+                    1
+                };
+            }
+        }
+        if one_row {
+            for dead in s * MICRO_MR + 1..(s + 1) * MICRO_MR {
+                tile[dead * bn..][..groups * MICRO_NR].fill(0.0);
+            }
+        }
+    }
+}
+
+/// One `MICRO_MR × MICRO_NR` register tile: 8 ymm data accumulators (4
+/// broadcast rows × 2 column vectors) live across the *entire* K extent
+/// — accumulators never spill, so each output element is one in-order
+/// FMA chain, exactly the canonical order. Per K step: 2 widening loads
+/// of B, 4 broadcasts of A, 8 FMAs.
 ///
 /// `LANES_COLUMN` adds, on the two B vectors already loaded, a checksum
 /// accumulator pair fed by the strip's column sum and a magnitude pair
@@ -461,121 +631,153 @@ const LANES_TILE: u8 = 2;
 /// — 12 of 16 ymm live). `LANES_TILE` adds one xmm FMA whose low two
 /// lanes are the tile's corner chain and its magnitude (two 8-byte
 /// loads). Neither touches memory the data walk does not already
-/// stream except those few floats per step. Only the `strips × groups`
-/// live register tiles are walked.
+/// stream except those few floats per step.
 ///
 /// # Safety
-/// The host must support AVX2 and FMA. Every pointer offset is bounded
-/// by the asserts below and in [`fill_block_tile`].
+/// As [`fill_avx2`], which built `t`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fill_avx2<const LANES: u8>(
-    a: &Panels,
-    b: &PackedWeights,
-    row0: usize,
-    col0: usize,
-    strips: usize,
-    groups: usize,
-    bn: usize,
-    tile: &mut [f32],
-    chk: &mut [f32],
-    mag: &mut [f32],
-) {
+#[inline(always)]
+unsafe fn tile_4x16<F: Format, const LANES: u8>(t: TileArgs) {
     use std::arch::x86_64::*;
-    let k = a.k;
-    let per_row = bn / MICRO_NR;
-    let s0 = row0 / MICRO_MR;
-    let g0 = col0 / MICRO_NR;
-    assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
-    assert!(b.panels().len() >= (g0 + groups) * MICRO_NR * k);
-    assert!(LANES == LANES_NONE || a.a_chk.len() >= (s0 + strips) * k * 2);
-    assert!(LANES != LANES_TILE || b.b_chk().len() >= (g0 + groups) * k * 2);
-    let a_pack = a.a_pack.as_ptr();
-    let b_pack = b.panels().as_ptr();
-    let a_chk = a.a_chk.as_ptr();
-    let b_chk = b.b_chk().as_ptr();
-    let tile = tile.as_mut_ptr();
-    let sign = _mm256_set1_ps(-0.0);
-
-    for s in 0..strips {
-        let a_strip = a_pack.add((s0 + s) * MICRO_MR * k);
-        let a_sum = a_chk.wrapping_add((s0 + s) * k * 2);
-        for g in 0..groups {
-            let b_lo = b_pack.add((g0 + g) * MICRO_NR * k);
-            let b_hi = b_lo.add(MICRO_PANEL * k);
-            let b_sum = b_chk.wrapping_add((g0 + g) * k * 2);
-            let mut acc0l = _mm256_setzero_ps();
-            let mut acc0h = _mm256_setzero_ps();
-            let mut acc1l = _mm256_setzero_ps();
-            let mut acc1h = _mm256_setzero_ps();
-            let mut acc2l = _mm256_setzero_ps();
-            let mut acc2h = _mm256_setzero_ps();
-            let mut acc3l = _mm256_setzero_ps();
-            let mut acc3h = _mm256_setzero_ps();
-            let mut chk_l = _mm256_setzero_ps();
-            let mut chk_h = _mm256_setzero_ps();
-            let mut mag_l = _mm256_setzero_ps();
-            let mut mag_h = _mm256_setzero_ps();
-            let mut corner = _mm_setzero_ps();
-            for kk in 0..k {
-                let vb_lo = _mm256_loadu_ps(b_lo.add(kk * MICRO_PANEL));
-                let vb_hi = _mm256_loadu_ps(b_hi.add(kk * MICRO_PANEL));
-                let a_step = a_strip.add(kk * MICRO_MR);
-                let va0 = _mm256_set1_ps(*a_step);
-                acc0l = _mm256_fmadd_ps(va0, vb_lo, acc0l);
-                acc0h = _mm256_fmadd_ps(va0, vb_hi, acc0h);
-                let va1 = _mm256_set1_ps(*a_step.add(1));
-                acc1l = _mm256_fmadd_ps(va1, vb_lo, acc1l);
-                acc1h = _mm256_fmadd_ps(va1, vb_hi, acc1h);
-                let va2 = _mm256_set1_ps(*a_step.add(2));
-                acc2l = _mm256_fmadd_ps(va2, vb_lo, acc2l);
-                acc2h = _mm256_fmadd_ps(va2, vb_hi, acc2h);
-                let va3 = _mm256_set1_ps(*a_step.add(3));
-                acc3l = _mm256_fmadd_ps(va3, vb_lo, acc3l);
-                acc3h = _mm256_fmadd_ps(va3, vb_hi, acc3h);
-                if LANES == LANES_COLUMN {
-                    let vs = _mm256_set1_ps(*a_sum.add(kk * 2));
-                    chk_l = _mm256_fmadd_ps(vs, vb_lo, chk_l);
-                    chk_h = _mm256_fmadd_ps(vs, vb_hi, chk_h);
-                    let vm = _mm256_set1_ps(*a_sum.add(kk * 2 + 1));
-                    mag_l = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_lo), mag_l);
-                    mag_h = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_hi), mag_h);
-                }
-                if LANES == LANES_TILE {
-                    // (sum, magnitude) pairs in the low two lanes; the
-                    // upper lanes stay 0·0 + 0.
-                    let st = _mm_castpd_ps(_mm_load_sd(a_sum.add(kk * 2) as *const f64));
-                    let tt = _mm_castpd_ps(_mm_load_sd(b_sum.add(kk * 2) as *const f64));
-                    corner = _mm_fmadd_ps(st, tt, corner);
-                }
-            }
-            let col = g * MICRO_NR;
-            let t0 = tile.add((s * MICRO_MR) * bn + col);
-            _mm256_storeu_ps(t0, acc0l);
-            _mm256_storeu_ps(t0.add(MICRO_PANEL), acc0h);
-            let t1 = tile.add((s * MICRO_MR + 1) * bn + col);
-            _mm256_storeu_ps(t1, acc1l);
-            _mm256_storeu_ps(t1.add(MICRO_PANEL), acc1h);
-            let t2 = tile.add((s * MICRO_MR + 2) * bn + col);
-            _mm256_storeu_ps(t2, acc2l);
-            _mm256_storeu_ps(t2.add(MICRO_PANEL), acc2h);
-            let t3 = tile.add((s * MICRO_MR + 3) * bn + col);
-            _mm256_storeu_ps(t3, acc3l);
-            _mm256_storeu_ps(t3.add(MICRO_PANEL), acc3h);
+    let step = MICRO_PANEL * F::RESIDENT_BYTES;
+    // SAFETY: see `fill_avx2`.
+    unsafe {
+        let b_lo = t.b_panels;
+        let b_hi = b_lo.add(t.k * step);
+        let sign = _mm256_set1_ps(-0.0);
+        let mut acc0l = _mm256_setzero_ps();
+        let mut acc0h = _mm256_setzero_ps();
+        let mut acc1l = _mm256_setzero_ps();
+        let mut acc1h = _mm256_setzero_ps();
+        let mut acc2l = _mm256_setzero_ps();
+        let mut acc2h = _mm256_setzero_ps();
+        let mut acc3l = _mm256_setzero_ps();
+        let mut acc3h = _mm256_setzero_ps();
+        let mut chk_l = _mm256_setzero_ps();
+        let mut chk_h = _mm256_setzero_ps();
+        let mut mag_l = _mm256_setzero_ps();
+        let mut mag_h = _mm256_setzero_ps();
+        let mut corner = _mm_setzero_ps();
+        for kk in 0..t.k {
+            let vb_lo = F::widen(b_lo.add(kk * step));
+            let vb_hi = F::widen(b_hi.add(kk * step));
+            let a_step = t.a_strip.add(kk * MICRO_MR);
+            let va0 = _mm256_set1_ps(*a_step);
+            acc0l = _mm256_fmadd_ps(va0, vb_lo, acc0l);
+            acc0h = _mm256_fmadd_ps(va0, vb_hi, acc0h);
+            let va1 = _mm256_set1_ps(*a_step.add(1));
+            acc1l = _mm256_fmadd_ps(va1, vb_lo, acc1l);
+            acc1h = _mm256_fmadd_ps(va1, vb_hi, acc1h);
+            let va2 = _mm256_set1_ps(*a_step.add(2));
+            acc2l = _mm256_fmadd_ps(va2, vb_lo, acc2l);
+            acc2h = _mm256_fmadd_ps(va2, vb_hi, acc2h);
+            let va3 = _mm256_set1_ps(*a_step.add(3));
+            acc3l = _mm256_fmadd_ps(va3, vb_lo, acc3l);
+            acc3h = _mm256_fmadd_ps(va3, vb_hi, acc3h);
             if LANES == LANES_COLUMN {
-                let c = chk.as_mut_ptr().add(s * bn + col);
-                _mm256_storeu_ps(c, chk_l);
-                _mm256_storeu_ps(c.add(MICRO_PANEL), chk_h);
-                let m = mag.as_mut_ptr().add(s * bn + col);
-                _mm256_storeu_ps(m, mag_l);
-                _mm256_storeu_ps(m.add(MICRO_PANEL), mag_h);
+                let vs = _mm256_set1_ps(*t.a_sum.add(kk * 2));
+                chk_l = _mm256_fmadd_ps(vs, vb_lo, chk_l);
+                chk_h = _mm256_fmadd_ps(vs, vb_hi, chk_h);
+                let vm = _mm256_set1_ps(*t.a_sum.add(kk * 2 + 1));
+                mag_l = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_lo), mag_l);
+                mag_h = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_hi), mag_h);
             }
             if LANES == LANES_TILE {
+                // (sum, magnitude) pairs in the low two lanes; the
+                // upper lanes stay 0·0 + 0.
+                let st = _mm_castpd_ps(_mm_load_sd(t.a_sum.add(kk * 2) as *const f64));
+                let tt = _mm_castpd_ps(_mm_load_sd(t.b_sum.add(kk * 2) as *const f64));
+                corner = _mm_fmadd_ps(st, tt, corner);
+            }
+        }
+        _mm256_storeu_ps(t.out, acc0l);
+        _mm256_storeu_ps(t.out.add(MICRO_PANEL), acc0h);
+        let t1 = t.out.add(t.bn);
+        _mm256_storeu_ps(t1, acc1l);
+        _mm256_storeu_ps(t1.add(MICRO_PANEL), acc1h);
+        let t2 = t.out.add(2 * t.bn);
+        _mm256_storeu_ps(t2, acc2l);
+        _mm256_storeu_ps(t2.add(MICRO_PANEL), acc2h);
+        let t3 = t.out.add(3 * t.bn);
+        _mm256_storeu_ps(t3, acc3l);
+        _mm256_storeu_ps(t3.add(MICRO_PANEL), acc3h);
+        if LANES == LANES_COLUMN {
+            _mm256_storeu_ps(t.chk, chk_l);
+            _mm256_storeu_ps(t.chk.add(MICRO_PANEL), chk_h);
+            _mm256_storeu_ps(t.mag, mag_l);
+            _mm256_storeu_ps(t.mag.add(MICRO_PANEL), mag_h);
+        }
+        if LANES == LANES_TILE {
+            let mut pair = [0.0f32; 4];
+            _mm_storeu_ps(pair.as_mut_ptr(), corner);
+            *t.chk = pair[0];
+            *t.mag = pair[1];
+        }
+    }
+}
+
+/// The register tile of a strip with one live row: that row against
+/// `NV` B vectors (`NV / 2` column groups, whose panels are
+/// consecutive) — per K step one broadcast of A, `NV` widening loads of
+/// B, `NV` FMAs, each accumulator one in-order chain over the whole K
+/// extent as in [`tile_4x16`]. This is the shape of a batch-1 layer,
+/// whose time is its weight stream: four B vectors in flight keep the
+/// loads ahead of the FMAs, and no FMA is spent on the strip's three
+/// rows of zeros.
+///
+/// `LANES_COLUMN` adds `NV` checksum chains on the same B vectors, fed
+/// by the strip's column sum; the strip's magnitude lanes are not
+/// carried (see [`column_magnitude`]). `LANES_TILE` adds each column
+/// group's xmm corner chain, as [`tile_4x16`] does.
+///
+/// # Safety
+/// As [`fill_avx2`], which built `t`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile_1xn<F: Format, const LANES: u8, const NV: usize>(t: TileArgs) {
+    use std::arch::x86_64::*;
+    let step = MICRO_PANEL * F::RESIDENT_BYTES;
+    // SAFETY: see `fill_avx2`.
+    unsafe {
+        let mut acc = [_mm256_setzero_ps(); NV];
+        let mut chk = [_mm256_setzero_ps(); NV];
+        let mut corner = [_mm_setzero_ps(); NV];
+        for kk in 0..t.k {
+            let mut vb = [_mm256_setzero_ps(); NV];
+            for (j, vb) in vb.iter_mut().enumerate() {
+                *vb = F::widen(t.b_panels.add((j * t.k + kk) * step));
+            }
+            let va = _mm256_set1_ps(*t.a_strip.add(kk * MICRO_MR));
+            for j in 0..NV {
+                acc[j] = _mm256_fmadd_ps(va, vb[j], acc[j]);
+            }
+            if LANES == LANES_COLUMN {
+                let vs = _mm256_set1_ps(*t.a_sum.add(kk * 2));
+                for j in 0..NV {
+                    chk[j] = _mm256_fmadd_ps(vs, vb[j], chk[j]);
+                }
+            }
+            if LANES == LANES_TILE {
+                let st = _mm_castpd_ps(_mm_load_sd(t.a_sum.add(kk * 2) as *const f64));
+                for (g, corner) in corner.iter_mut().enumerate().take(NV / 2) {
+                    let b_sum = t.b_sum.add((g * t.k + kk) * 2);
+                    let tt = _mm_castpd_ps(_mm_load_sd(b_sum as *const f64));
+                    *corner = _mm_fmadd_ps(st, tt, *corner);
+                }
+            }
+        }
+        for j in 0..NV {
+            _mm256_storeu_ps(t.out.add(j * MICRO_PANEL), acc[j]);
+            if LANES == LANES_COLUMN {
+                _mm256_storeu_ps(t.chk.add(j * MICRO_PANEL), chk[j]);
+            }
+        }
+        if LANES == LANES_TILE {
+            for (g, corner) in corner.iter().enumerate().take(NV / 2) {
                 let mut pair = [0.0f32; 4];
-                _mm_storeu_ps(pair.as_mut_ptr(), corner);
-                chk[s * per_row + g] = pair[0];
-                mag[s * per_row + g] = pair[1];
+                _mm_storeu_ps(pair.as_mut_ptr(), *corner);
+                *t.chk.add(g) = pair[0];
+                *t.mag.add(g) = pair[1];
             }
         }
     }
@@ -584,6 +786,7 @@ unsafe fn fill_avx2<const LANES: u8>(
 #[cfg(test)]
 mod tests {
     use super::super::matrix::Matrix;
+    use super::super::panels::resident_code;
     use super::super::{BLOCK_M, BLOCK_N};
     use super::*;
 
@@ -593,9 +796,10 @@ mod tests {
         k: usize,
         seed: u64,
         lanes: Redundancy,
+        dtype: Dtype,
     ) -> (Panels, PackedWeights, Matrix, Matrix) {
-        let a = Matrix::random(m, k, seed);
-        let b = Matrix::random(k, n, seed + 1);
+        let a = Matrix::random_dtype(m, k, seed, dtype);
+        let b = Matrix::random_dtype(k, n, seed + 1, dtype);
         let mut p = Panels::default();
         p.stage(a.view(), lanes, detect_path(), k.next_multiple_of(8));
         (p, PackedWeights::pack(&b, lanes), a, b)
@@ -606,77 +810,107 @@ mod tests {
         // Ragged on purpose: 3 dead rows in the last strip, K padded by
         // 6, a partial panel and a partial register tile on the right.
         let (m, n, k) = (13, 27, 10);
-        let (p, w, a, b) = staged(m, n, k, 42, Redundancy::TileChecksum);
-        let kp = w.k();
-        assert_eq!((kp, w.rows(), w.cols()), (16, k, n));
-        // Every activation sits at its strip address; dead rows and K
-        // padding are zero; `row` walks one lane.
-        let a_at = |r: usize, kk: usize| {
-            if r < m && kk < k {
-                a.get_f32(r, kk)
-            } else {
-                0.0
-            }
-        };
-        assert_eq!(p.a_pack.len(), m.next_multiple_of(MICRO_MR) * kp);
-        for r in 0..m.next_multiple_of(MICRO_MR) {
-            let walk: Vec<f32> = p.row(r).collect();
-            assert_eq!(walk.len(), kp);
-            for (kk, &got) in walk.iter().enumerate() {
-                assert_eq!(got.to_bits(), a_at(r, kk).to_bits(), "({r},{kk})");
-                let at = (r / MICRO_MR * kp + kk) * MICRO_MR + r % MICRO_MR;
-                assert_eq!(p.a_pack[at].to_bits(), got.to_bits());
-            }
-        }
-        // Every source weight sits at its panel address; K and N padding
-        // is zero; `col` walks one lane.
-        let n_pad = n.next_multiple_of(MICRO_NR);
-        assert_eq!(w.panels().len(), n_pad * kp);
-        for c in 0..n_pad {
-            let walk: Vec<f32> = w.col(c).collect();
-            assert_eq!(walk.len(), kp);
-            for (kk, &got) in walk.iter().enumerate() {
-                let want = if c < n && kk < k {
-                    b.get_f32(kk, c)
+        for dtype in Dtype::ALL {
+            let (p, w, a, mut b) = staged(m, n, k, 42, Redundancy::TileChecksum, dtype);
+            let kp = w.k();
+            assert_eq!((kp, w.rows(), w.cols()), (16, k, n));
+            // Every activation sits at its strip address; dead rows and K
+            // padding are zero; `row` walks one lane.
+            let a_at = |r: usize, kk: usize| {
+                if r < m && kk < k {
+                    a.get_f32(r, kk)
                 } else {
                     0.0
-                };
-                assert_eq!(got.to_bits(), want.to_bits(), "({kk},{c})");
-                let at = (c / MICRO_PANEL * kp + kk) * MICRO_PANEL + c % MICRO_PANEL;
-                assert_eq!(w.panels()[at].to_bits(), want.to_bits());
-            }
-        }
-        // Checksum rows: plain sums and sums of magnitudes, pairwise in
-        // f32, per strip and per register-tile column group.
-        for s in 0..m.div_ceil(MICRO_MR) {
-            for kk in 0..kp {
-                let v: [f32; MICRO_MR] = std::array::from_fn(|i| a_at(s * MICRO_MR + i, kk));
-                let want = (v[0] + v[1]) + (v[2] + v[3]);
-                let want_abs = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
-                assert_eq!(p.a_chk[(s * kp + kk) * 2].to_bits(), want.to_bits());
-                assert_eq!(p.a_chk[(s * kp + kk) * 2 + 1].to_bits(), want_abs.to_bits());
-            }
-        }
-        for g in 0..n_pad / MICRO_NR {
-            for kk in 0..kp {
-                // In column order, in f32, from zero — the bytes the
-                // corner chain has always multiplied.
-                let (mut want, mut want_abs) = (0.0f32, 0.0f32);
-                for v in (0..MICRO_NR).map(|j| w.col(g * MICRO_NR + j).nth(kk).unwrap()) {
-                    want += v;
-                    want_abs += v.abs();
                 }
-                assert_eq!(w.b_chk()[(g * kp + kk) * 2].to_bits(), want.to_bits());
-                assert_eq!(
-                    w.b_chk()[(g * kp + kk) * 2 + 1].to_bits(),
-                    want_abs.to_bits()
-                );
+            };
+            assert_eq!(p.a_pack.len(), m.next_multiple_of(MICRO_MR) * kp);
+            for r in 0..m.next_multiple_of(MICRO_MR) {
+                let walk: Vec<f32> = p.row(r).collect();
+                assert_eq!(walk.len(), kp);
+                for (kk, &got) in walk.iter().enumerate() {
+                    assert_eq!(got.to_bits(), a_at(r, kk).to_bits(), "({r},{kk})");
+                    let at = (r / MICRO_MR * kp + kk) * MICRO_MR + r % MICRO_MR;
+                    assert_eq!(p.a_pack[at].to_bits(), got.to_bits());
+                }
+            }
+            // Every source weight's resident code sits at its panel
+            // address, at the format's resident width — no f32 image; K
+            // and N padding is code 0; `col` walks one lane and decodes
+            // it to the source value.
+            let (width, resident) = with_format!(dtype, F => {
+                (F::RESIDENT_BYTES, F::to_resident as fn(u16) -> u16)
+            });
+            let n_pad = n.next_multiple_of(MICRO_NR);
+            assert_eq!(w.panels().len(), n_pad * kp * width, "{dtype}");
+            for c in 0..n_pad {
+                let walk: Vec<f32> = w.col(c).collect();
+                assert_eq!(walk.len(), kp);
+                for (kk, &got) in walk.iter().enumerate() {
+                    let live = c < n && kk < k;
+                    let want = if live { b.get_f32(kk, c) } else { 0.0 };
+                    assert_eq!(got.to_bits(), want.to_bits(), "{dtype} ({kk},{c})");
+                    let code = if live {
+                        resident(b.get(kk, c).to_bits())
+                    } else {
+                        0
+                    };
+                    let at = (c / MICRO_PANEL * kp + kk) * MICRO_PANEL + c % MICRO_PANEL;
+                    let stored = resident_code(&w.panels()[at * width..][..width]);
+                    assert_eq!(stored, code, "{dtype} ({kk},{c})");
+                }
+            }
+            // Checksum rows: plain sums and sums of magnitudes, pairwise in
+            // f32, per strip and per register-tile column group.
+            for s in 0..m.div_ceil(MICRO_MR) {
+                for kk in 0..kp {
+                    let v: [f32; MICRO_MR] = std::array::from_fn(|i| a_at(s * MICRO_MR + i, kk));
+                    let want = (v[0] + v[1]) + (v[2] + v[3]);
+                    let want_abs = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
+                    assert_eq!(p.a_chk[(s * kp + kk) * 2].to_bits(), want.to_bits());
+                    assert_eq!(p.a_chk[(s * kp + kk) * 2 + 1].to_bits(), want_abs.to_bits());
+                }
+            }
+            for g in 0..n_pad / MICRO_NR {
+                for kk in 0..kp {
+                    // In column order, in f32, from zero, over the
+                    // source's decoded values — the bytes the corner
+                    // chain has always multiplied.
+                    let (mut want, mut want_abs) = (0.0f32, 0.0f32);
+                    for c in g * MICRO_NR..(g + 1) * MICRO_NR {
+                        let v = if c < n && kk < k {
+                            b.get_f32(kk, c)
+                        } else {
+                            0.0
+                        };
+                        want += v;
+                        want_abs += v.abs();
+                    }
+                    assert_eq!(w.b_chk()[(g * kp + kk) * 2].to_bits(), want.to_bits());
+                    assert_eq!(
+                        w.b_chk()[(g * kp + kk) * 2 + 1].to_bits(),
+                        want_abs.to_bits()
+                    );
+                }
+            }
+            // Only two-sided ABFT pays for the checksum columns.
+            let plain = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
+            assert!(w.has_tile_checksums() && !plain.has_tile_checksums());
+            assert!(plain.b_chk().is_empty());
+            assert_eq!(plain.panels(), w.panels());
+            // A NaN weight of any payload or sign reads back as the
+            // decode's NaN (fp16 keeps one NaN code resident).
+            if dtype.decode(dtype.encode(f32::NAN)).is_nan() {
+                let nan = dtype.encode(f32::NAN);
+                for (c, code) in [nan, nan | 1, nan | 0x8000].into_iter().enumerate() {
+                    b.set(3, c, F16::from_bits(code));
+                }
+                let w = PackedWeights::pack(&b, Redundancy::None);
+                for c in 0..3 {
+                    let got = w.col(c).nth(3).expect("k > 3");
+                    assert_eq!(got.to_bits(), b.get_f32(3, c).to_bits(), "{dtype} NaN {c}");
+                }
             }
         }
-        // Only two-sided ABFT pays for the checksum columns.
-        let plain = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
-        assert!(w.has_tile_checksums() && !plain.has_tile_checksums());
-        assert_eq!(plain.panels(), w.panels());
     }
 
     #[test]
@@ -696,54 +930,64 @@ mod tests {
     #[test]
     fn microkernel_matches_the_scalar_oracle_bit_for_bit() {
         if !detect_path().is_simd() {
-            return; // nothing to compare on this host
+            eprintln!("host has no AVX2+FMA+F16C; nothing to compare");
+            return;
         }
         // Data tile, checksum lanes and magnitude lanes, under every
-        // lane kind, at a block origin away from zero, with the live
-        // extent both filling the block and stopping short of it.
+        // lane kind and storage format, at a block origin away from
+        // zero, with the live extent both filling the block and
+        // stopping short of it — on a whole strip, and one, two and
+        // three live rows into the last one (one live row runs the
+        // one-row tile: over group pairs, and over an odd last group).
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        for lanes in [
-            Redundancy::None,
-            Redundancy::ColumnChecksum,
-            Redundancy::TileChecksum,
-        ] {
-            for &(bm, bn, k, live) in &[
-                (16usize, 16usize, 32usize, (4, 1)),
-                (32, 48, 56, (8, 3)),
-                (32, 48, 56, (1, 2)),
-                (8, 32, 10, (2, 2)),
-                // The engine's own block, every register tile live.
-                (
-                    BLOCK_M,
-                    BLOCK_N,
-                    24,
-                    (BLOCK_M / MICRO_MR, BLOCK_N / MICRO_NR),
-                ),
+        for dtype in Dtype::ALL {
+            for lanes in [
+                Redundancy::None,
+                Redundancy::ColumnChecksum,
+                Redundancy::TileChecksum,
             ] {
-                let (row0, col0) = (MICRO_MR * 2, MICRO_NR);
-                let (strips, groups) = live;
-                let (m, n) = (row0 + strips * MICRO_MR, col0 + groups * MICRO_NR);
-                let (p, w, ..) = staged(m, n, k, 7 + (bm + bn + k) as u64, lanes);
-                let run = |path| {
-                    let mut tile = vec![f32::NAN; bm * bn];
-                    let mut chk = vec![f32::NAN; lanes.lane_len(bm, bn)];
-                    let mut mag = chk.clone();
-                    fill_block_tile(
-                        path, &p, &w, lanes, row0, col0, strips, groups, bn, &mut tile, &mut chk,
-                        &mut mag,
+                for &(bm, bn, k, live) in &[
+                    (16usize, 16usize, 32usize, (16, 1)),
+                    (32, 48, 56, (32, 3)),
+                    (32, 48, 56, (4, 2)),
+                    (32, 48, 56, (1, 3)),
+                    (32, 64, 24, (5, 4)),
+                    (32, 64, 24, (13, 1)),
+                    (8, 32, 10, (6, 2)),
+                    (8, 32, 10, (7, 2)),
+                    // The engine's own block, every register tile live.
+                    (BLOCK_M, BLOCK_N, 24, (BLOCK_M, BLOCK_N / MICRO_NR)),
+                ] {
+                    let (row0, col0) = (MICRO_MR * 2, MICRO_NR);
+                    let (rows, groups) = live;
+                    let strips = rows.div_ceil(MICRO_MR);
+                    let (m, n) = (row0 + rows, col0 + groups * MICRO_NR);
+                    let (p, w, ..) = staged(m, n, k, 7 + (bm + bn + k) as u64, lanes, dtype);
+                    let run = |path| {
+                        let mut tile = vec![f32::NAN; bm * bn];
+                        let mut chk = vec![f32::NAN; lanes.lane_len(bm, bn)];
+                        let mut mag = chk.clone();
+                        fill_block_tile(
+                            path, &p, &w, lanes, row0, col0, rows, groups, bn, &mut tile, &mut chk,
+                            &mut mag,
+                        );
+                        // Dead cells are never written; the dead rows of
+                        // a one-live-row strip are written as +0.0.
+                        for (i, v) in tile.iter().enumerate() {
+                            let live = i / bn < strips * MICRO_MR && i % bn < groups * MICRO_NR;
+                            assert_eq!(v.is_nan(), !live, "cell {i}");
+                            if live && rows % MICRO_MR == 1 && i / bn > rows - 1 {
+                                assert_eq!(v.to_bits(), 0, "dead row cell {i}");
+                            }
+                        }
+                        (bits(&tile), bits(&chk), bits(&mag))
+                    };
+                    assert_eq!(
+                        run(GemmPath::Avx2Fma),
+                        run(GemmPath::Scalar),
+                        "{dtype} {lanes:?} bm={bm} bn={bn} k={k} live={live:?}"
                     );
-                    // Dead cells are never written.
-                    for (i, v) in tile.iter().enumerate() {
-                        let live = i / bn < strips * MICRO_MR && i % bn < groups * MICRO_NR;
-                        assert_eq!(v.is_nan(), !live, "cell {i}");
-                    }
-                    (bits(&tile), bits(&chk), bits(&mag))
-                };
-                assert_eq!(
-                    run(GemmPath::Avx2Fma),
-                    run(GemmPath::Scalar),
-                    "{lanes:?} bm={bm} bn={bn} k={k} live={live:?}"
-                );
+                }
             }
         }
     }

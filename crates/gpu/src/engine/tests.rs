@@ -13,6 +13,29 @@ const ALL_LANES: [Redundancy; 5] = [
     Redundancy::ShadowSum,
 ];
 
+/// Serialises the tests that flip the process-global path override.
+static PATH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Runs `f` on the scalar oracle and then, where the host has one, on
+/// the SIMD path, with the override set; returns the results in that
+/// order.
+fn on_each_path<T>(mut f: impl FnMut(GemmPath) -> T) -> Vec<T> {
+    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut paths = vec![GemmPath::Scalar];
+    if simd::detect_path().is_simd() {
+        paths.push(GemmPath::Avx2Fma);
+    }
+    let results = paths
+        .into_iter()
+        .map(|path| {
+            simd::force_path(Some(path));
+            f(path)
+        })
+        .collect();
+    simd::force_path(None);
+    results
+}
+
 /// `lanes` under a threshold no rounding noise reaches and every
 /// injected test fault exceeds (`aiga-core` owns the real derivation).
 fn loose(lanes: Redundancy) -> TileScheme {
@@ -78,9 +101,9 @@ fn every_output_element_is_written_exactly_once() {
 
 #[test]
 fn counters_match_tiling_formulas() {
-    // Host work, not simulated GPU work: the live register tiles,
-    // MR·NR data FMAs per tile per K element, and the scheme's
-    // redundant FMAs on top.
+    // Host work, not simulated GPU work: the live register tiles, the
+    // data FMAs they execute per K element, and the scheme's redundant
+    // FMAs on top.
     let a = Matrix::random(64, 64, 6);
     let b = Matrix::random(64, 64, 7);
     let tiles = (64 / MICRO_MR * (64 / MICRO_NR)) as u64;
@@ -99,19 +122,66 @@ fn counters_match_tiling_formulas() {
             "{lanes:?}"
         );
     }
-    // A batch-1 request pays for one strip of its block, and a
-    // 40-column layer for three of the block's four column groups.
-    let out = gemm(
-        &Matrix::random(1, 64, 8),
-        &Matrix::random(64, 40, 9),
-        TileScheme::NONE,
-        &[],
-    );
-    assert_eq!(out.counters.tiles, 3);
-    assert_eq!(
-        out.counters.data_fmas,
-        3 * (MICRO_MR * MICRO_NR * 64) as u64
-    );
+    // Counters say what ran. A 40-column layer walks three of its
+    // block's four column groups. m = 4 is one full strip: MR·NR data
+    // FMAs per tile and K step. m = 1 is one strip with one live row,
+    // which runs the one-row tile — NR data FMAs, so one-sided's
+    // checksum row is as much work again (and two-sided's corner 1/16).
+    // m = 5 is one of each.
+    let (k, groups) = (64u64, 3u64);
+    let b = Matrix::random(64, 40, 9);
+    let (mr, nr) = (MICRO_MR as u64, MICRO_NR as u64);
+    for (m, full, one_row) in [(1usize, 0u64, 1u64), (4, 1, 0), (5, 1, 1)] {
+        let a = Matrix::random(m, 64, 8);
+        let data = (full * mr + one_row) * nr * groups * k;
+        for (lanes, checksum) in [
+            (Redundancy::None, 0),
+            (
+                Redundancy::ColumnChecksum,
+                (full + one_row) * nr * groups * k,
+            ),
+            (Redundancy::TileChecksum, (full + one_row) * groups * k),
+            (Redundancy::ShadowExact, data),
+            (Redundancy::ShadowSum, data),
+        ] {
+            let out = gemm(&a, &b, loose(lanes), &[]);
+            let want = EngineCounters {
+                tiles: (full + one_row) * groups,
+                data_fmas: data,
+                checksum_fmas: checksum,
+            };
+            assert_eq!(out.counters, want, "m={m} {lanes:?}");
+        }
+    }
+}
+
+#[test]
+fn empty_dimensions_are_well_defined_on_both_paths() {
+    // No rows, no columns, no inner dimension: an output of the right
+    // shape (zeros where it has cells), no detections, nothing counted —
+    // under every lane kind, on both paths, with a fault aimed at a
+    // cell that (for k = 0) exists. Both used to panic on a zero chunk
+    // size: n = 0 in the weight pack, k = 0 in the strip staging.
+    let fault = FaultPlan {
+        row: 0,
+        col: 0,
+        after_step: u64::MAX,
+        kind: FaultKind::AddValue(9.0),
+    };
+    on_each_path(|path| {
+        for (m, k, n) in [(0usize, 8usize, 5usize), (3, 8, 0), (3, 0, 5), (0, 0, 0)] {
+            for lanes in ALL_LANES {
+                let a = Matrix::random(m, k, 1);
+                let b = Matrix::random(k, n, 2);
+                let out = gemm(&a, &b, loose(lanes), &[fault]);
+                let ctx = format!("{m}x{k}x{n} {lanes:?} {path:?}");
+                assert_eq!((out.m, out.n), (m, n), "{ctx}");
+                assert_eq!(out.c, vec![0.0f32; m * n], "{ctx}");
+                assert!(out.detections.is_empty(), "{ctx}");
+                assert_eq!(out.counters, EngineCounters::default(), "{ctx}");
+            }
+        }
+    });
 }
 
 #[test]
@@ -164,9 +234,9 @@ fn output_is_byte_identical_to_an_oracle_conversion_walk() {
     // Replays every accumulator's exact operation sequence — the
     // canonical order: one correctly-rounded FMA per K element, in K
     // order — but converts the FP16 operands through the pre-table
-    // arithmetic formulation instead of the decode table /
-    // pre-decoded panels. Byte equality proves panel pre-decoding
-    // changed no result bit.
+    // arithmetic formulation instead of the decode table (A strips) /
+    // the widening B load. Byte equality proves neither conversion
+    // changed a result bit.
     fn oracle_f32(h: F16) -> f32 {
         let bits = h.to_bits();
         let sign = if bits & 0x8000 != 0 { -1.0f64 } else { 1.0 };
@@ -258,50 +328,54 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
     // `effective_workers`; force the worker count instead — 1 for the
     // sequential baseline, then 3 over 5 stripes (deliberately uneven)
     // — to exercise both arms deterministically. Five block rows by
-    // four block columns, the last of each ragged: 270 rows end two
-    // live rows into a strip, 250 columns ten into a register tile. A
-    // threshold below any residual makes every tile column flag,
-    // covering the merge ordering; the faulted run covers the cold
-    // recompute path.
+    // four block columns, the last of each ragged: 250 columns end ten
+    // into a register tile; 270 rows end two live rows into a strip,
+    // and 261 rows leave the last stripe a full strip plus a strip with
+    // one live row (the one-row tile and its lazily taken magnitudes
+    // inside a worker). A threshold below any residual makes every tile
+    // column flag, covering the merge ordering; the faulted run covers
+    // the cold recompute path.
     let flag_all = TileScheme {
         lanes: Redundancy::ColumnChecksum,
         slope: 0.0,
         floor: -1.0,
     };
-    let (m, n, k) = (270usize, 250usize, 256usize);
-    assert!(m.div_ceil(BLOCK_M) == 5 && n.div_ceil(BLOCK_N) == 4);
-    let a = Matrix::random(m, k, 70);
-    let b = Matrix::random(k, n, 71);
-    let faults = [FaultPlan {
-        row: 269,
-        col: 249,
-        after_step: 5,
-        kind: FaultKind::AddValue(96.0),
-    }];
-    super::FORCE_WORKERS.store(1, std::sync::atomic::Ordering::Relaxed);
-    let seq_clean = gemm(&a, &b, flag_all, &[]);
-    // Padding columns of the last register tile carry lanes too.
-    assert_eq!(
-        seq_clean.detections.len(),
-        m.div_ceil(MICRO_MR) * n.next_multiple_of(MICRO_NR)
-    );
-    let seq_fault = gemm(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
-    assert_eq!(seq_fault.detections.len(), 1);
-    let mut ws = Workspace::new();
-    let b = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
-    super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
-    {
-        let par = gemm_into(&a, &b, flag_all, &[], &mut ws);
-        assert_eq!(seq_clean.c, par.c);
-        assert_eq!(seq_clean.detections, par.detections);
-        assert_eq!(seq_clean.counters, par.counters);
+    for m in [270usize, 261] {
+        let (n, k) = (250usize, 256usize);
+        assert!(m.div_ceil(BLOCK_M) == 5 && n.div_ceil(BLOCK_N) == 4);
+        let a = Matrix::random(m, k, 70);
+        let b = Matrix::random(k, n, 71);
+        let faults = [FaultPlan {
+            row: m - 1,
+            col: 249,
+            after_step: 5,
+            kind: FaultKind::AddValue(96.0),
+        }];
+        super::FORCE_WORKERS.store(1, std::sync::atomic::Ordering::Relaxed);
+        let seq_clean = gemm(&a, &b, flag_all, &[]);
+        // Padding columns of the last register tile carry lanes too.
+        assert_eq!(
+            seq_clean.detections.len(),
+            m.div_ceil(MICRO_MR) * n.next_multiple_of(MICRO_NR)
+        );
+        let seq_fault = gemm(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
+        assert_eq!(seq_fault.detections.len(), 1);
+        let mut ws = Workspace::new();
+        let b = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
+        super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
+        {
+            let par = gemm_into(&a, &b, flag_all, &[], &mut ws);
+            assert_eq!(seq_clean.c, par.c);
+            assert_eq!(seq_clean.detections, par.detections);
+            assert_eq!(seq_clean.counters, par.counters);
+        }
+        {
+            let par = gemm_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
+            assert_eq!(seq_fault.c, par.c);
+            assert_eq!(seq_fault.detections, par.detections);
+        }
+        super::FORCE_WORKERS.store(0, std::sync::atomic::Ordering::Relaxed);
     }
-    {
-        let par = gemm_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
-        assert_eq!(seq_fault.c, par.c);
-        assert_eq!(seq_fault.detections, par.detections);
-    }
-    super::FORCE_WORKERS.store(0, std::sync::atomic::Ordering::Relaxed);
 }
 
 #[test]
@@ -314,9 +388,9 @@ fn random_dtype_f16_is_byte_identical_to_random() {
 
 #[test]
 fn every_dtype_runs_the_engine_against_its_f64_reference() {
-    // Decoded-f32 panels are the common currency: each storage format's
-    // GEMM must match the dtype-aware f64 reference to FP32-accumulation
-    // error, on both an aligned and a padded shape.
+    // f32 is the common currency of the arithmetic: each storage
+    // format's GEMM must match the dtype-aware f64 reference to
+    // FP32-accumulation error, on both an aligned and a padded shape.
     for dtype in Dtype::ALL {
         for &(m, n, k, seed) in &[(32usize, 32usize, 32usize, 60u64), (17, 9, 11, 61)] {
             let a = Matrix::random_dtype(m, k, seed, dtype);
@@ -455,4 +529,196 @@ fn one_pass_staging_matches_the_three_pass_oracle_bit_for_bit() {
             }
         }
     }
+}
+
+/// Everything a run reports, with floats as bits so NaN compares.
+type Report = (
+    Vec<u32>,
+    Vec<(usize, usize, usize, u64, u64)>,
+    EngineCounters,
+);
+
+fn report(out: &GemmOutput) -> Report {
+    let detections = out
+        .detections
+        .iter()
+        .map(|d| {
+            (
+                d.row,
+                d.col,
+                d.cols,
+                d.residual.to_bits(),
+                d.threshold.to_bits(),
+            )
+        })
+        .collect();
+    (
+        out.c.iter().map(|v| v.to_bits()).collect(),
+        detections,
+        out.counters,
+    )
+}
+
+/// The one-row register tile against everything it must not change, in
+/// one storage format. Every `m` leaves one live row in its last strip;
+/// `n = 16` is a lone column group (the half-width tail tile), 40 three
+/// groups (a pair, then the tail), 1000 sixteen blocks whose last holds
+/// an odd group count and a ragged tile; K = 5 pads to 8 (the oracle
+/// is slow in debug builds).
+///
+/// Per shape × lane kind × fault set:
+/// - outputs, the full detection list (residual and threshold *bits*)
+///   and the counters are equal on both paths;
+/// - detections and outputs equal those of the same operands with the
+///   strip's three dead rows made explicit zero rows — four live rows,
+///   so the four-row tile and its eagerly carried magnitude lanes: the
+///   lazily taken threshold is the carried one, bit for bit;
+/// - faults in the live row at the first and last column flag (mid-walk
+///   and epilogue, finite, NaN and ±Inf), a fault aimed at a dead row
+///   is a no-op, and a non-finite weight still flags.
+fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
+    let k = 5;
+    let at = |row, col, after_step, kind| FaultPlan {
+        row,
+        col,
+        after_step,
+        kind,
+    };
+    for m in [1usize, 5, 13, 129] {
+        for n in [16usize, 40, 1000] {
+            // Three block rows by sixteen block columns is four fifths of
+            // this sweep's oracle time; unoptimised builds leave it to
+            // the release run (CI has one per dtype).
+            if cfg!(debug_assertions) && (m, n) == (129, 1000) {
+                continue;
+            }
+            let seed = (m * 1009 + n) as u64;
+            let a = Matrix::random_dtype(m, k, seed, dtype);
+            let b = Matrix::random_dtype(k, n, seed + 1, dtype);
+            let eager_a = a.padded(m + MICRO_MR - 1, k);
+            let live = m - 1;
+            let fault_sets = [
+                vec![],
+                vec![
+                    at(live, 0, 1, FaultKind::AddValue(96.0)),
+                    at(live, n - 1, u64::MAX, FaultKind::AddValue(-160.0)),
+                ],
+                vec![
+                    at(live, 0, u64::MAX, FaultKind::SetValue(f32::NAN)),
+                    at(live, n - 1, 2, FaultKind::SetValue(f32::NAN)),
+                ],
+                vec![
+                    at(live, 0, 0, FaultKind::SetValue(f32::INFINITY)),
+                    at(
+                        live,
+                        n - 1,
+                        u64::MAX,
+                        FaultKind::SetValue(f32::NEG_INFINITY),
+                    ),
+                ],
+                vec![
+                    at(m, 0, 1, FaultKind::AddValue(96.0)),
+                    at(m + 2, n - 1, u64::MAX, FaultKind::SetValue(f32::NAN)),
+                ],
+            ];
+            for lanes in ALL_LANES {
+                let scheme = loose(lanes);
+                let packed = PackedWeights::pack(&b, lanes);
+                let mut ws = Workspace::new();
+                let mut clean = None;
+                for (set, faults) in fault_sets.iter().enumerate() {
+                    let ctx = format!("{dtype} {m}x{n} {lanes:?} fault set {set}");
+                    // The eager twin runs on the host's best path only.
+                    let mut eager = None;
+                    let runs = on_each_path(|path| {
+                        if path == simd::detect_path() {
+                            let out = gemm_into(&eager_a, &packed, scheme, faults, &mut ws);
+                            eager = Some(report(out));
+                        }
+                        report(gemm_into(&a, &packed, scheme, faults, &mut ws))
+                    });
+                    let (lazy, eager) = (&runs[0], eager.expect("ran on a path"));
+                    assert!(runs.iter().all(|r| r == lazy), "paths differ: {ctx}");
+                    // (Set 4's rows exist in the eager operand: it has
+                    // accumulators there to strike.)
+                    if set != 4 {
+                        assert_eq!(lazy.0, eager.0[..m * n], "output vs eager: {ctx}");
+                        assert!(eager.0[m * n..].iter().all(|&v| v == 0), "{ctx}");
+                        assert_eq!(lazy.1, eager.1, "detections vs eager: {ctx}");
+                    }
+                    let flagged: Vec<usize> = lazy.1.iter().map(|d| d.1).collect();
+                    let want: Vec<usize> = match (set, lanes) {
+                        (1..=3, Redundancy::ColumnChecksum | Redundancy::ShadowExact) => {
+                            vec![0, n - 1]
+                        }
+                        (1..=3, Redundancy::TileChecksum | Redundancy::ShadowSum) => {
+                            let mut tiles = vec![0, (n - 1) / MICRO_NR * MICRO_NR];
+                            tiles.dedup();
+                            tiles
+                        }
+                        _ => vec![],
+                    };
+                    assert_eq!(flagged, want, "{ctx}");
+                    assert!(lazy.1.iter().all(|d| d.0 == live), "{ctx}");
+                    match set {
+                        0 => clean = Some(lazy.0.clone()),
+                        4 => assert_eq!(Some(&lazy.0), clean.as_ref(), "dead-row fault: {ctx}"),
+                        _ => assert_ne!(Some(&lazy.0), clean.as_ref(), "{ctx}"),
+                    }
+                }
+            }
+            // A non-finite weight (where the format has one) in the last
+            // column: the clean run flags that column under both ABFT
+            // kinds, identically on both paths and to the eager lanes.
+            for value in [f32::NAN, f32::INFINITY] {
+                let code = dtype.encode(value);
+                if dtype.decode(code).is_finite() {
+                    continue;
+                }
+                let mut b = b.clone();
+                b.set(k - 2, n - 1, F16::from_bits(code));
+                for lanes in [Redundancy::ColumnChecksum, Redundancy::TileChecksum] {
+                    let ctx = format!("{dtype} {m}x{n} {lanes:?} weight {value}");
+                    let packed = PackedWeights::pack(&b, lanes);
+                    let mut ws = Workspace::new();
+                    let runs = on_each_path(|_| {
+                        let lazy = report(gemm_into(&a, &packed, loose(lanes), &[], &mut ws));
+                        let eager =
+                            report(gemm_into(&eager_a, &packed, loose(lanes), &[], &mut ws));
+                        (lazy, eager)
+                    });
+                    assert!(runs.iter().all(|r| r == &runs[0]), "paths differ: {ctx}");
+                    let (lazy, eager) = &runs[0];
+                    assert_eq!(lazy.1, eager.1, "detections vs eager: {ctx}");
+                    let last_strip: Vec<_> = lazy.1.iter().filter(|d| d.0 == live).collect();
+                    assert_eq!(last_strip.len(), 1, "{ctx}");
+                    assert_eq!(
+                        last_strip[0].1 + last_strip[0].2,
+                        n.next_multiple_of(last_strip[0].2),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_live_row_strips_match_the_oracle_f16() {
+    one_live_row_strips_match_the_oracle(Dtype::F16);
+}
+
+#[test]
+fn one_live_row_strips_match_the_oracle_bf16() {
+    one_live_row_strips_match_the_oracle(Dtype::Bf16);
+}
+
+#[test]
+fn one_live_row_strips_match_the_oracle_fp8e4m3() {
+    one_live_row_strips_match_the_oracle(Dtype::Fp8E4M3);
+}
+
+#[test]
+fn one_live_row_strips_match_the_oracle_int8() {
+    one_live_row_strips_match_the_oracle(Dtype::Int8);
 }

@@ -7,13 +7,37 @@
 //! weights: strips below the request's last row and column groups right
 //! of the weights' last column are grid padding that would multiply
 //! zeros, so they are neither computed, nor faulted, nor checked — a
-//! batch-1 request walks one strip of its block, not eight.
+//! batch-1 request walks one strip of its block, not eight, and that
+//! strip's one live row as a one-row register tile.
 //!
 //! The epilogue is ordinary Rust shared by both [`GemmPath`]s — only
 //! correctly-rounded adds, multiplies and compares, which Rust never
 //! contracts or reorders — so detections (coordinates, residuals,
 //! thresholds) are byte-identical across the SIMD and scalar paths
 //! whenever the lanes are, which [`super::simd`] guarantees.
+//!
+//! # The magnitude of a one-live-row strip is taken lazily
+//!
+//! Under one-sided ABFT a column's compare is
+//! `!(|Σ_rows c − chk| <= slope·mag + floor)`. With one live row the
+//! strip's column sum *is* that row (`(a + 0) + (0 + 0)`; only a `−0`
+//! becomes `+0`, and `fma(±0, b, acc)` leaves the same `acc`), so the
+//! checksum chain repeats the data chain operation for operation and a
+//! clean column's residual is exactly `0.0` — which passes at every
+//! magnitude under any scheme with
+//! [`TileScheme::passes_zero_residual`]. Carrying the magnitude chains
+//! in the one-row tile would double its FMAs to compute thresholds that
+//! are then never the deciding operand, so that tile does not carry
+//! them, and the epilogue takes `mag` — with the scalar mirror, bit for
+//! bit the lane the four-row tile carries — only for a column whose
+//! residual is not `<= 0.0`: a fault, or a non-finite value. Those are
+//! the only columns whose verdict depends on the threshold, so no
+//! verdict, residual or reported threshold changes: a NaN magnitude
+//! needs a NaN or `0·∞` product in `Σ|s|·|b|`, the same product makes
+//! the data chain NaN and the residual with it, and that column takes
+//! the lazy path too. A scheme whose threshold can go negative (tests
+//! build them to make every compare report) gets every column's
+//! magnitude, as before.
 //!
 //! Everything here writes into caller-owned scratch
 //! ([`BlockScratch`]) — nothing allocates, which is what makes the
@@ -51,7 +75,7 @@ pub(crate) fn run_block(
     detections: &mut Vec<Detection>,
 ) {
     let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
-    let strips = (run.out_m - row0).min(BLOCK_M).div_ceil(MICRO_MR);
+    let rows = (run.out_m - row0).min(BLOCK_M);
     let groups = (run.out_n - col0).min(BLOCK_N).div_ceil(MICRO_NR);
     let lanes = run.scheme.lanes;
 
@@ -64,7 +88,7 @@ pub(crate) fn run_block(
         } = &mut *scratch;
         let fill = |lanes, tile: &mut [f32], chk: &mut [f32], mag: &mut [f32]| {
             simd::fill_block_tile(
-                run.path, run.a, run.b, lanes, row0, col0, strips, groups, BLOCK_N, tile, chk, mag,
+                run.path, run.a, run.b, lanes, row0, col0, rows, groups, BLOCK_N, tile, chk, mag,
             )
         };
         fill(lanes, tile, chk, mag);
@@ -103,13 +127,7 @@ pub(crate) fn run_block(
         }
     }
 
-    check_block(
-        run.scheme,
-        (row0, col0),
-        (strips, groups),
-        scratch,
-        detections,
-    );
+    check_block(run, (row0, col0), (rows, groups), scratch, detections);
 }
 
 /// The cold walk for a faulted accumulator: the canonical FMA chain
@@ -164,12 +182,12 @@ fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f3
 }
 
 /// The tile epilogue: compares every live register tile of the block
-/// (`live` = strips × column groups from `origin`) against its
+/// (`live` = live rows × column groups from `origin`) against its
 /// redundant lanes. Each arm first reduces a strip (or the block) to
 /// one flag with a branch-free loop the compiler vectorizes, and only
 /// walks cells again to build [`Detection`]s when something flagged.
 fn check_block(
-    scheme: TileScheme,
+    run: &Run<'_>,
     origin: (usize, usize),
     live: (usize, usize),
     scratch: &BlockScratch,
@@ -181,7 +199,9 @@ fn check_block(
         mag,
         shadow,
     } = scratch;
-    let (strips, groups) = live;
+    let scheme = run.scheme;
+    let (live_rows, groups) = live;
+    let strips = live_rows.div_ceil(MICRO_MR);
     let cols = groups * MICRO_NR;
     let per_row = BLOCK_N / MICRO_NR;
     let mut flag = |s: usize, col: usize, cols: usize, residual: f64, threshold: f64| {
@@ -200,6 +220,22 @@ fn check_block(
                 let rows = strip_rows(tile, s);
                 let (chk, mag) = (&chk[s * BLOCK_N..][..cols], &mag[s * BLOCK_N..][..cols]);
                 let residual = |j: usize| (col_sum(&rows, j, |v| v) as f64 - chk[j] as f64).abs();
+                if simd::one_live_row(live_rows, s) {
+                    // No magnitude lane was carried (see the module
+                    // docs): an exact compare needs none.
+                    let exact = scheme.passes_zero_residual();
+                    let inexact = |j: usize| !(exact && residual(j) <= 0.0);
+                    if (0..cols).fold(false, |any, j| any | inexact(j)) {
+                        let strip = origin.0 / MICRO_MR + s;
+                        for j in (0..cols).filter(|&j| inexact(j)) {
+                            let mag = simd::column_magnitude(run.a, run.b, strip, origin.1 + j);
+                            if scheme.flags(residual(j), mag as f64) {
+                                flag(s, j, 1, residual(j), scheme.threshold(mag as f64));
+                            }
+                        }
+                    }
+                    continue;
+                }
                 let any = (0..cols).fold(false, |any, j| {
                     any | scheme.flags(residual(j), mag[j] as f64)
                 });

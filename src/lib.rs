@@ -166,9 +166,10 @@
 //! dtype (bf16 here; fp8-e4m3 and int8 work the same way) and the
 //! whole stack follows — the planner prices the narrower format's
 //! higher arithmetic intensity (which can flip layers between
-//! thread-level and global ABFT), the executor carries the format's
-//! codes with decoded-f32 panels feeding the same protected kernels,
-//! and serving stays byte-deterministic:
+//! thread-level and global ABFT), the executor keeps each layer's
+//! weights resident as the format's codes and widens them to f32 in
+//! the microkernel's load, so the same protected kernels stream the
+//! narrower format's bytes, and serving stays byte-deterministic:
 //!
 //! ```
 //! use aiga::prelude::*;
