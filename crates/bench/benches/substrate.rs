@@ -11,30 +11,61 @@ use aiga_bench::harness::{bench, Recorder};
 use aiga_core::schemes::Scheme;
 use aiga_dtype::F16;
 use aiga_gpu::engine::{
-    gemm, gemm_into, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy, TileScheme,
+    gemm, gemm_into, simd, FaultKind, FaultPlan, GemmPath, Matrix, PackedWeights, Redundancy,
+    TileScheme, Workspace,
 };
 use aiga_gpu::timing::{estimate, Calibration, KernelProfile};
 use aiga_gpu::{DeviceSpec, GemmShape};
 use std::hint::black_box;
 
-/// The fastest of `rounds` runs of each kernel, in ns, with the kernels
-/// interleaved round by round so a noisy runner (or the smoke run's
-/// iteration cap) slows them alike — what the overhead gates divide.
+/// The SIMD paths this host runs, or the scalar path alone where it has
+/// none or `AIGA_FORCE_SCALAR` is set: the paths a per-path row is
+/// recorded for.
+fn bench_paths() -> &'static [GemmPath] {
+    let paths = simd::supported_paths();
+    if simd::active_path().is_simd() {
+        &paths[1..]
+    } else {
+        &paths[..1]
+    }
+}
+
+/// The fastest of `rounds` runs of each kernel on each of
+/// [`bench_paths`], in ns (`[path][kernel]`), with paths and kernels
+/// interleaved round by round through `force_path` so a noisy runner
+/// (or the smoke run's iteration cap) slows them alike — what the
+/// overhead gates divide, and what makes AVX2 ↔ AVX-512 a recorded row
+/// pair of one process rather than a diff across commits.
 fn fastest_interleaved<const N: usize>(
     rounds: usize,
     a: &Matrix,
     kernels: &[(TileScheme, PackedWeights); N],
-    ws: &mut aiga_gpu::engine::Workspace,
-) -> [f64; N] {
-    let mut best = [f64::INFINITY; N];
+    ws: &mut Workspace,
+) -> Vec<(GemmPath, [f64; N])> {
+    let mut best: Vec<_> = bench_paths()
+        .iter()
+        .map(|&path| (path, [f64::INFINITY; N]))
+        .collect();
     for _ in 0..rounds {
-        for ((tile, packed), best) in kernels.iter().zip(&mut best) {
-            let t = std::time::Instant::now();
-            black_box(gemm_into(a, packed, *tile, &[], ws));
-            *best = best.min(t.elapsed().as_secs_f64() * 1e9);
+        for (path, best) in &mut best {
+            simd::force_path(Some(*path));
+            for ((tile, packed), best) in kernels.iter().zip(best) {
+                let t = std::time::Instant::now();
+                black_box(gemm_into(a, packed, *tile, &[], ws));
+                *best = best.min(t.elapsed().as_secs_f64() * 1e9);
+            }
         }
     }
+    simd::force_path(None);
     best
+}
+
+/// The entry of `per_path` measured on the active path — the one the
+/// gates apply to.
+fn on_active_path<T: Copy>(per_path: &[(GemmPath, T)]) -> T {
+    let active = simd::active_path();
+    let found = per_path.iter().find(|(path, _)| *path == active);
+    found.expect("the active path is a bench path").1
 }
 
 fn main() {
@@ -56,23 +87,28 @@ fn main() {
     let mut rec = Recorder::new("engine");
 
     // Dispatch visibility: record which microkernel path this runner
-    // selected, and fail loudly if AVX2+FMA was detected but the
+    // selected, and fail loudly if a SIMD path was detected but the
     // dispatcher still fell back — a silent fallback would make every
     // number below quietly 5-10× worse.
     {
-        use aiga_gpu::engine::simd;
-        let active = simd::active_path();
+        let (active, detected) = (simd::active_path(), simd::detect_path());
         println!(
             "engine/gemm_path                             {}",
             active.as_str()
         );
-        if simd::detect_path().is_simd() && std::env::var_os("AIGA_FORCE_SCALAR").is_none() {
-            assert!(
-                active.is_simd(),
-                "AVX2+FMA detected but the dispatcher selected the scalar path"
+        if std::env::var_os("AIGA_FORCE_SCALAR").is_none() {
+            assert_eq!(
+                active,
+                detected,
+                "the {} path was detected but the dispatcher selected {}",
+                detected.as_str(),
+                active.as_str()
             );
-        } else if !active.is_simd() {
-            println!("engine/gemm_path: scalar fallback (no AVX2+FMA, or AIGA_FORCE_SCALAR set)");
+        }
+        if !active.is_simd() {
+            println!(
+                "engine/gemm_path: scalar fallback (no AVX2+FMA+F16C, or AIGA_FORCE_SCALAR set)"
+            );
         }
         rec.record_value(
             "engine/gemm_path_simd",
@@ -100,7 +136,6 @@ fn main() {
     // serving hot path — with derived arithmetic throughput. 256³ sits
     // exactly at the block-parallel threshold; 512³ is beyond it.
     for size in [256usize, 512] {
-        use aiga_gpu::engine::Workspace;
         let a = Matrix::random(size, size, 1);
         let b = PackedWeights::pack(&Matrix::random(size, size, 2), Redundancy::None);
         let mut ws = Workspace::new();
@@ -115,6 +150,13 @@ fn main() {
             gflops_of(size, med),
             "gflop/s",
         );
+        for (path, [ns]) in fastest_interleaved(12, &a, &[(TileScheme::NONE, b)], &mut ws) {
+            rec.record_value(
+                &format!("engine/functional_gemm_{size}_gflops_{}", path.as_str()),
+                gflops_of(size, ns),
+                "gflop/s",
+            );
+        }
     }
     {
         let size = 64usize;
@@ -132,7 +174,7 @@ fn main() {
         // The thread-level schemes through the zero-alloc workspace
         // entry (what serving runs), beside a clean row on the same
         // entry so the ratios mean something.
-        let mut ws = aiga_gpu::engine::Workspace::new();
+        let mut ws = Workspace::new();
         for (name, scheme) in [
             ("clean", Scheme::Unprotected),
             ("one_sided", Scheme::ThreadLevelOneSided),
@@ -160,10 +202,10 @@ fn main() {
     // within 1.5× of the clean kernel and two-sided within 2×. Rounds
     // interleave the three kernels and each takes its fastest time, so
     // the gate holds under the smoke run's iteration cap and a noisy
-    // runner; it is enforced on the AVX2 path only (the scalar oracle
-    // is not a performance path).
+    // runner; the overheads are recorded per SIMD path and gated on the
+    // active one (the scalar oracle is not a performance path), whose
+    // rows also keep the unsuffixed names.
     {
-        use aiga_gpu::engine::{simd, Workspace};
         let size = 256usize;
         let a = Matrix::random(size, size, 1);
         let b = Matrix::random(size, size, 2);
@@ -176,15 +218,27 @@ fn main() {
             let tile = scheme.tile_scheme(size);
             (tile, PackedWeights::pack(&b, tile.lanes))
         });
-        let best = fastest_interleaved(12, &a, &kernels, &mut Workspace::new());
-        rec.record_ns("engine/gemm_256_clean_best", best[0]);
-        for (name, ns, limit) in [("one_sided", best[1], 1.5), ("two_sided", best[2], 2.0)] {
-            let x = ns / best[0];
-            rec.record_value(&format!("engine/gemm_256_{name}_overhead"), x, "x");
-            assert!(
-                !simd::active_path().is_simd() || x <= limit,
-                "{name} ABFT costs {x:.2}x the clean kernel at 256^3 (limit {limit}x)"
-            );
+        let active = simd::active_path();
+        for (path, [clean, one_sided, two_sided]) in
+            fastest_interleaved(12, &a, &kernels, &mut Workspace::new())
+        {
+            if path == active {
+                rec.record_ns("engine/gemm_256_clean_best", clean);
+            }
+            for (name, ns, limit) in [("one_sided", one_sided, 1.5), ("two_sided", two_sided, 2.0)]
+            {
+                let x = ns / clean;
+                let row = format!("engine/gemm_256_{name}_overhead");
+                rec.record_value(&format!("{row}_{}", path.as_str()), x, "x");
+                if path == active {
+                    rec.record_value(&row, x, "x");
+                    assert!(
+                        !path.is_simd() || x <= limit,
+                        "{name} ABFT costs {x:.2}x the clean kernel at 256^3 on {} (limit {limit}x)",
+                        path.as_str()
+                    );
+                }
+            }
         }
     }
 
@@ -195,7 +249,6 @@ fn main() {
     // kernel — across all three localizer families.
     {
         use aiga_core::protected::ProtectedGemm;
-        use aiga_gpu::engine::Workspace;
 
         let shape = GemmShape::square(64);
         let fault = FaultPlan {
@@ -237,10 +290,11 @@ fn main() {
     // stream, so one-sided ABFT's redundant FMAs on registers must stay
     // within 1.35× of the clean kernel at 1×1024×1024. Rounds interleave
     // the two kernels and each takes its fastest time, as the 256³ gate
-    // does; enforced on the AVX2 path only.
+    // does; the clean time is recorded per SIMD path and the gate
+    // enforced on the active one.
     {
         use aiga_core::schemes::GlobalAbft;
-        use aiga_gpu::engine::{simd, CheckScratch, Dtype, Workspace};
+        use aiga_gpu::engine::{CheckScratch, Dtype};
         for dtype in Dtype::ALL {
             let suffix = match dtype {
                 Dtype::F16 => String::new(),
@@ -266,13 +320,21 @@ fn main() {
                 );
             }
             if dtype == Dtype::F16 {
-                let best = fastest_interleaved(24, &request, &kernels, &mut ws);
+                let best = on_active_path(&fastest_interleaved(24, &request, &kernels, &mut ws));
                 let x = best[1] / best[0];
                 rec.record_value("engine/gemm_m1_k1024_n1024_one_sided_overhead", x, "x");
                 assert!(
                     !simd::active_path().is_simd() || x <= 1.35,
                     "one-sided ABFT costs {x:.2}x the clean kernel at 1x1024x1024 (limit 1.35x)"
                 );
+                // The per-path rows alternate paths over one pack: two
+                // packs alternating evict each other from L2 and every
+                // path then reads at the next level's speed.
+                let [clean, _] = kernels;
+                for (path, [ns]) in fastest_interleaved(24, &request, &[clean], &mut ws) {
+                    let row = format!("engine/gemm_m1_k1024_n1024_clean_{}", path.as_str());
+                    rec.record_ns(&row, ns);
+                }
             }
         }
         let weights = Matrix::random(1024, 1024, 2);
@@ -291,19 +353,19 @@ fn main() {
     // K=144) over 55×55 pixels with one-sided ABFT's checksum rows, and
     // the stem's 3×3 stride-2 ceil-mode max-pool through a pipeline.
     // Each row is ns per element moved (per input element for the
-    // pool). These are memory movers: on the AVX2+F16C path the
+    // pool). These are memory movers: on a SIMD path with F16C the
     // write-back must stay under 2 ns/element (it was ~9 as a
     // per-element walk); elsewhere the fallback is logged, not gated.
     {
         use aiga_core::pipeline::emit_gemm_output;
         use aiga_core::ProtectedPipeline;
-        use aiga_gpu::engine::{simd, Dtype, GemmOutput, Im2colView, MatrixView, Workspace};
+        use aiga_gpu::engine::{Dtype, GemmOutput, Im2colView, MatrixView};
         use aiga_nn::graph::NetworkBuilder;
         let f16c = simd::active_path().is_simd() && aiga_dtype::f16c_active();
         println!(
             "engine/activation_path                       {}",
             if f16c {
-                "avx2+f16c"
+                "simd+f16c"
             } else {
                 "scalar codec fallback"
             }
@@ -338,7 +400,7 @@ fn main() {
         );
         assert!(
             !f16c || ns <= 2.0,
-            "conv write-back costs {ns:.2} ns/element on the AVX2+F16C path (limit 2)"
+            "conv write-back costs {ns:.2} ns/element on the SIMD+F16C path (limit 2)"
         );
 
         let mut ws = Workspace::new();
@@ -401,7 +463,7 @@ fn main() {
     // comparison the paper never measured.
     {
         use aiga_faults::Campaign;
-        use aiga_gpu::engine::{Dtype, Workspace};
+        use aiga_gpu::engine::Dtype;
 
         let size = 128usize;
         for dtype in Dtype::ALL {
@@ -422,6 +484,12 @@ fn main() {
                 gflops_of(size, med),
                 "gflop/s",
             );
+            for (path, [ns]) in fastest_interleaved(24, &a, &[(TileScheme::NONE, b)], &mut ws) {
+                rec.record_ns(
+                    &format!("engine/gemm_{size}_clean_{dtype}_{}", path.as_str()),
+                    ns,
+                );
+            }
         }
 
         let campaign_shape = GemmShape::square(48);

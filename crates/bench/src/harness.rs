@@ -18,6 +18,7 @@
 
 use std::time::{Duration, Instant};
 
+use aiga_gpu::engine::simd;
 use aiga_util::json::Json;
 
 /// One bench's measurements, in nanoseconds per iteration.
@@ -151,9 +152,13 @@ impl Recorder {
                             std::thread::available_parallelism().map_or(1, |n| n.get()) as f64
                         ),
                     ),
+                    ("gemm_path", Json::str(simd::active_path().as_str())),
+                    // What dispatch would pick unforced, and the CPU
+                    // features it picked from.
+                    ("detected_path", Json::str(simd::detect_path().as_str())),
                     (
-                        "gemm_path",
-                        Json::str(aiga_gpu::engine::simd::active_path().as_str()),
+                        "cpu_features",
+                        Json::Arr(simd::cpu_features().iter().map(|&f| Json::str(f)).collect()),
                     ),
                 ]),
             ),
@@ -274,12 +279,12 @@ mod tests {
         assert_eq!(parsed.field("suite").unwrap().as_str().unwrap(), "selftest");
         let host = parsed.field("host").unwrap();
         assert!(host.field("cores").unwrap().as_f64().unwrap() >= 1.0);
-        assert!(!host
-            .field("gemm_path")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .is_empty());
+        for path in ["gemm_path", "detected_path"] {
+            assert!(!host.field(path).unwrap().as_str().unwrap().is_empty());
+        }
+        // A SIMD path is only ever detected from a feature list.
+        let features = host.field("cpu_features").unwrap().as_arr().unwrap();
+        assert!(!simd::detect_path().is_simd() || !features.is_empty());
         let results = parsed.field("results").unwrap().as_arr().unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].field("name").unwrap().as_str().unwrap(), "a");

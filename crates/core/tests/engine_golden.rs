@@ -4,17 +4,17 @@
 //! order**: per output element, one FP32 accumulator updated by one
 //! correctly-rounded FMA per K element, in K order
 //! (`acc = a[kk].mul_add(b[kk], acc)`). Every execution path — the
-//! AVX2+FMA microkernel with or without checksum lanes, the scalar
-//! oracle, sequential and block-parallel workspace runs — is required to
-//! produce exactly this sequence per element, so any hash drift is a
-//! real numerics regression, not tolerable noise. The hashes were
-//! produced by the scalar reference walk; the SIMD sweep below proves
-//! the microkernel reproduces them byte for byte.
+//! AVX2 and AVX-512 microkernels with or without checksum lanes, the
+//! scalar oracle, sequential and block-parallel workspace runs — is
+//! required to produce exactly this sequence per element, so any hash
+//! drift is a real numerics regression, not tolerable noise. The hashes
+//! were produced by the scalar reference walk; every pin is checked on
+//! every path the host runs, and the SIMD sweep below proves the
+//! microkernels reproduce the oracle's detections byte for byte too.
 
 use aiga_core::schemes::Scheme;
 use aiga_gpu::engine::simd;
 use aiga_gpu::engine::{FaultKind, FaultPlan, Matrix};
-use aiga_gpu::GemmPath;
 
 fn fnv1a_of_c(c: &[f32]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -70,41 +70,39 @@ fn mid_fault(m: usize, n: usize) -> FaultPlan {
 
 #[test]
 fn every_scheme_reproduces_the_canonical_outputs() {
-    for &(m, n, k, seed, clean_hash, dirty_hash) in GOLDEN {
-        let a = Matrix::random(m, k, seed);
-        let b = Matrix::random(k, n, seed + 1);
-        let fault = mid_fault(m, n);
-        for &scheme in &ALL_SCHEMES {
-            let bound = scheme.bind(&b);
-            let clean = bound.run(a.view(), &[]);
-            assert_eq!(
-                fnv1a_of_c(&clean.output.c),
-                clean_hash,
-                "{scheme} clean output drifted on {m}x{n}x{k}"
-            );
-            let dirty = bound.run(a.view(), &[fault]);
-            assert_eq!(
-                fnv1a_of_c(&dirty.output.c),
-                dirty_hash,
-                "{scheme} faulted output drifted on {m}x{n}x{k}"
-            );
+    simd::on_each_path(|path| {
+        for &(m, n, k, seed, clean_hash, dirty_hash) in GOLDEN {
+            let a = Matrix::random(m, k, seed);
+            let b = Matrix::random(k, n, seed + 1);
+            let fault = mid_fault(m, n);
+            for &scheme in &ALL_SCHEMES {
+                let bound = scheme.bind(&b);
+                let clean = bound.run(a.view(), &[]);
+                assert_eq!(
+                    fnv1a_of_c(&clean.output.c),
+                    clean_hash,
+                    "{scheme} clean output drifted on {m}x{n}x{k} ({path:?})"
+                );
+                let dirty = bound.run(a.view(), &[fault]);
+                assert_eq!(
+                    fnv1a_of_c(&dirty.output.c),
+                    dirty_hash,
+                    "{scheme} faulted output drifted on {m}x{n}x{k} ({path:?})"
+                );
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
-    // The dispatcher's two paths must be indistinguishable: for every
+    // The dispatcher's paths must be indistinguishable: for every
     // scheme, every golden shape (odd/padded shapes included), clean and
-    // mid-kernel-faulted, the AVX2+FMA microkernel must reproduce the
-    // scalar oracle's bytes — outputs AND detection verdicts. All path
-    // flipping happens inside this one test body so concurrent tests
-    // (path-independent by this very guarantee) never observe a torn
-    // override.
-    if !simd::detect_path().is_simd() {
-        eprintln!("host has no AVX2+FMA; scalar-only — sweep is vacuous here");
-        return;
-    }
+    // mid-kernel-faulted, every SIMD microkernel the host runs must
+    // reproduce the scalar oracle's bytes — outputs AND detection
+    // verdicts. All path flipping happens inside `on_each_path` so
+    // concurrent tests (path-independent by this very guarantee) never
+    // observe a torn override; the legs the host cannot run are logged.
     for &(m, n, k, seed, _, _) in GOLDEN {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
@@ -112,14 +110,6 @@ fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
         for &scheme in &ALL_SCHEMES {
             let bound = scheme.bind(&b);
             for faults in [&[][..], &[fault][..]] {
-                simd::force_path(Some(GemmPath::Scalar));
-                let s = bound.run(a.view(), faults);
-                simd::force_path(Some(GemmPath::Avx2Fma));
-                let v = bound.run(a.view(), faults);
-                simd::force_path(None);
-                let sb: Vec<u32> = s.output.c.iter().map(|x| x.to_bits()).collect();
-                let vb: Vec<u32> = v.output.c.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(sb, vb, "{scheme} paths diverged on {m}x{n}x{k}");
                 // Checksum and magnitude lanes obey the same order
                 // contract, so detections agree to the bit: coordinates,
                 // residuals, thresholds.
@@ -132,16 +122,27 @@ fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
                         d.threshold.to_bits(),
                     )
                 };
-                assert_eq!(
-                    s.output.detections.iter().map(key).collect::<Vec<_>>(),
-                    v.output.detections.iter().map(key).collect::<Vec<_>>(),
-                    "{scheme} detections diverged on {m}x{n}x{k}"
-                );
-                assert_eq!(
-                    !faults.is_empty() && scheme.is_thread_level(),
-                    !v.output.detections.is_empty(),
-                    "{scheme} verdict on {m}x{n}x{k}"
-                );
+                let runs = simd::on_each_path(|path| {
+                    let out = bound.run(a.view(), faults).output;
+                    let bits: Vec<u32> = out.c.iter().map(|x| x.to_bits()).collect();
+                    (
+                        path,
+                        bits,
+                        out.detections.iter().map(key).collect::<Vec<_>>(),
+                    )
+                });
+                let (_, scalar_bits, scalar_detections) = &runs[0];
+                for (path, bits, detections) in &runs {
+                    let ctx =
+                        format!("{scheme} on {m}x{n}x{k}, {path:?} against the scalar oracle");
+                    assert_eq!(bits, scalar_bits, "outputs diverged: {ctx}");
+                    assert_eq!(detections, scalar_detections, "detections diverged: {ctx}");
+                    assert_eq!(
+                        !faults.is_empty() && scheme.is_thread_level(),
+                        !detections.is_empty(),
+                        "verdict: {ctx}"
+                    );
+                }
             }
         }
     }
@@ -214,24 +215,26 @@ fn every_scheme_family_reproduces_the_canonical_outputs_per_dtype() {
         Scheme::ReplicationTraditional,
         Scheme::GlobalAbft,
     ];
-    for &(dtype, m, n, k, seed, clean_hash, dirty_hash) in GOLDEN_DTYPE {
-        let a = Matrix::random_dtype(m, k, seed, dtype);
-        let b = Matrix::random_dtype(k, n, seed + 1, dtype);
-        let fault = mid_fault(m, n);
-        for &scheme in &FAMILY_REPS {
-            let bound = scheme.bind(&b);
-            let clean = bound.run(a.view(), &[]);
-            assert_eq!(
-                fnv1a_of_c(&clean.output.c),
-                clean_hash,
-                "{scheme} clean {dtype} output drifted on {m}x{n}x{k}"
-            );
-            let dirty = bound.run(a.view(), &[fault]);
-            assert_eq!(
-                fnv1a_of_c(&dirty.output.c),
-                dirty_hash,
-                "{scheme} faulted {dtype} output drifted on {m}x{n}x{k}"
-            );
+    simd::on_each_path(|path| {
+        for &(dtype, m, n, k, seed, clean_hash, dirty_hash) in GOLDEN_DTYPE {
+            let a = Matrix::random_dtype(m, k, seed, dtype);
+            let b = Matrix::random_dtype(k, n, seed + 1, dtype);
+            let fault = mid_fault(m, n);
+            for &scheme in &FAMILY_REPS {
+                let bound = scheme.bind(&b);
+                let clean = bound.run(a.view(), &[]);
+                assert_eq!(
+                    fnv1a_of_c(&clean.output.c),
+                    clean_hash,
+                    "{scheme} clean {dtype} output drifted on {m}x{n}x{k} ({path:?})"
+                );
+                let dirty = bound.run(a.view(), &[fault]);
+                assert_eq!(
+                    fnv1a_of_c(&dirty.output.c),
+                    dirty_hash,
+                    "{scheme} faulted {dtype} output drifted on {m}x{n}x{k} ({path:?})"
+                );
+            }
         }
-    }
+    });
 }

@@ -5,34 +5,19 @@
 //! stages, computes and checks only the register tiles its own rows
 //! touch. None of that may move a byte: outputs, detections, residuals
 //! and thresholds must equal what a fresh pack on a throwaway workspace
-//! produces, on both [`GemmPath`]s, shared across threads, and the sums global ABFT compares must equal the
-//! per-column reductions they replaced.
+//! produces, on every `GemmPath` the host runs, shared across threads,
+//! and the sums global ABFT compares must equal the per-column
+//! reductions they replaced.
 
 use aiga_core::kernel::{FaultSite, Verdict};
 use aiga_core::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
+use aiga_gpu::engine::simd::on_each_path;
 use aiga_gpu::engine::{
-    gemm, gemm_into, simd, CheckScratch, Dtype, FaultKind, FaultPlan, GemmOutput, Im2colView,
-    Matrix, MatrixView, PackedWeights, Workspace, MICRO_MR, MICRO_NR,
+    gemm, gemm_into, CheckScratch, Dtype, FaultKind, FaultPlan, GemmOutput, Im2colView, Matrix,
+    MatrixView, PackedWeights, Workspace, MICRO_MR, MICRO_NR,
 };
-use aiga_gpu::GemmPath;
 use aiga_util::rng::Rng64;
-use std::sync::{Arc, Barrier, Mutex};
-
-static PATH_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` once per path this host can execute, with the override set.
-fn on_each_path(mut f: impl FnMut(GemmPath)) {
-    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut paths = vec![GemmPath::Scalar];
-    if simd::detect_path().is_simd() {
-        paths.push(GemmPath::Avx2Fma);
-    }
-    for path in paths {
-        simd::force_path(Some(path));
-        f(path);
-    }
-    simd::force_path(None);
-}
+use std::sync::{Arc, Barrier};
 
 const SCHEMES: [Scheme; 7] = [
     Scheme::Unprotected,

@@ -1,35 +1,18 @@
 //! The thread-level tile check, pinned from the outside: what flags,
 //! what must never flag, and what a detection names.
 //!
-//! Tests that flip the process-global [`GemmPath`] override take
-//! `PATH_LOCK`, so the legs of one sweep never run on a path another
-//! test forced.
+//! Tests that flip the process-global `GemmPath` override go through
+//! `simd::on_each_path`, so the legs of one sweep never run on a path
+//! another test forced.
 
 use aiga_core::schemes::Scheme;
 use aiga_core::tolerance::exceeds;
+use aiga_gpu::engine::simd::on_each_path;
 use aiga_gpu::engine::{
-    gemm, gemm_into, simd, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy,
-    TileScheme, Workspace, MICRO_MR, MICRO_NR,
+    gemm, gemm_into, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy, TileScheme,
+    Workspace, MICRO_MR, MICRO_NR,
 };
-use aiga_gpu::GemmPath;
 use aiga_util::rng::Rng64;
-use std::sync::Mutex;
-
-static PATH_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` once per path this host can execute, with the override set.
-fn on_each_path(mut f: impl FnMut(GemmPath)) {
-    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut paths = vec![GemmPath::Scalar];
-    if simd::detect_path().is_simd() {
-        paths.push(GemmPath::Avx2Fma);
-    }
-    for path in paths {
-        simd::force_path(Some(path));
-        f(path);
-    }
-    simd::force_path(None);
-}
 
 const PROTECTED: [Scheme; 6] = [
     Scheme::GlobalAbft,

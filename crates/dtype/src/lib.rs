@@ -36,8 +36,9 @@
 //!   through it, so the dispatch sits outside the loop.
 //! - The resident form: each [`Format`] says how wide its weights stay
 //!   in memory and how eight of their codes become eight f32 lanes
-//!   ([`Format::widen`]), so the engine streams a layer at its storage
-//!   width and widens in the load — exactly, like `decode`.
+//!   ([`Format::widen`]; sixteen, [`Format::widen16`]), so the engine
+//!   streams a layer at its storage width and widens in the load —
+//!   exactly, like `decode`.
 //! - F16C: on AVX+F16C hosts ([`f16c_active`]) the fp16 slice codecs
 //!   convert eight lanes per instruction. That is a host capability,
 //!   not a format fork: the bytes are the scalar codec's (a vector
@@ -68,8 +69,9 @@ mod sealed {
 /// A format also says how its *weights stay resident* for streaming:
 /// the engine keeps a layer's weights as [`Self::RESIDENT_BYTES`]-wide
 /// little-endian codes ([`Self::to_resident`]) and turns eight of them
-/// into eight f32 lanes inside its B load ([`Self::widen`]), so a weight
-/// costs its resident bytes per pass, not four. For binary16, bf16 and
+/// into eight f32 lanes inside its B load ([`Self::widen`]; sixteen on
+/// the AVX-512 path, [`Self::widen16`]), so a weight costs its resident
+/// bytes per pass, not four. For binary16, bf16 and
 /// int8 the resident code is the storage code. E4M3 is resident as its
 /// bf16 image (every E4M3 value is a bf16 value): no exact 8 → 32-bit
 /// widening of E4M3 fits the B load's instruction budget on AVX2 (the
@@ -105,6 +107,14 @@ pub trait Format: sealed::Sealed + 'static {
     /// for reads of `8 * RESIDENT_BYTES` bytes (any alignment).
     #[cfg(target_arch = "x86_64")]
     unsafe fn widen(codes: *const u8) -> std::arch::x86_64::__m256;
+    /// The sixteen-lane twin of [`Self::widen`]: sixteen resident codes
+    /// to sixteen f32 lanes, exactly.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F, and `codes` must be valid for
+    /// reads of `16 * RESIDENT_BYTES` bytes (any alignment).
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn widen16(codes: *const u8) -> std::arch::x86_64::__m512;
 }
 
 /// IEEE 754 binary16, the engine's native format: the codes are
@@ -138,6 +148,13 @@ impl Format for Binary16 {
         use std::arch::x86_64::*;
         // SAFETY: the caller guarantees F16C and 16 readable bytes.
         unsafe { _mm256_cvtph_ps(_mm_loadu_si128(codes.cast())) }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen16(codes: *const u8) -> std::arch::x86_64::__m512 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller guarantees AVX-512F and 32 readable bytes.
+        unsafe { _mm512_cvtph_ps(_mm256_loadu_si256(codes.cast())) }
     }
 }
 
@@ -184,6 +201,19 @@ impl Format for Bf16 {
             _mm256_castsi256_ps(_mm256_shuffle_epi8(both, top_halves))
         }
     }
+    /// Zero-extend and shift. One masked `vpermw` is a µop fewer on
+    /// paper and measured 4–6 % slower on 128³ tiles (it needs its index
+    /// vector and cannot fold the load).
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen16(codes: *const u8) -> std::arch::x86_64::__m512 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller guarantees AVX-512F and 32 readable bytes.
+        unsafe {
+            let wide = _mm512_cvtepu16_epi32(_mm256_loadu_si256(codes.cast()));
+            _mm512_castsi512_ps(_mm512_slli_epi32::<16>(wide))
+        }
+    }
 }
 
 /// FP8 E4M3FN (OCP): 1 sign, 4 exponent (bias 7), 3 mantissa bits; no
@@ -225,6 +255,12 @@ impl Format for Fp8E4M3 {
         // SAFETY: the caller's guarantees are `Bf16::widen`'s.
         unsafe { Bf16::widen(codes) }
     }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen16(codes: *const u8) -> std::arch::x86_64::__m512 {
+        // SAFETY: the caller's guarantees are `Bf16::widen16`'s.
+        unsafe { Bf16::widen16(codes) }
+    }
 }
 
 /// Symmetric int8 storage: `value = code · 2^-6`, zero-point 0, codes
@@ -235,6 +271,9 @@ impl Format for Fp8E4M3 {
 pub enum Int8 {}
 
 const INT8_SCALE: f32 = 1.0 / 64.0;
+/// `2¹⁷`, the binade whose ulp is [`INT8_SCALE`] (see `Int8::widen`).
+const INT8_MAGIC: f32 = 131072.0;
+const _: () = assert!(INT8_MAGIC * f32::EPSILON == INT8_SCALE);
 
 impl Format for Int8 {
     const BITS: u32 = 8;
@@ -256,15 +295,29 @@ impl Format for Int8 {
     #[inline(always)]
     unsafe fn widen(codes: *const u8) -> std::arch::x86_64::__m256 {
         use std::arch::x86_64::*;
-        const MAGIC: f32 = 131072.0;
-        const _: () = assert!(MAGIC * f32::EPSILON == INT8_SCALE);
         // SAFETY: the caller guarantees AVX2 and 8 readable bytes.
         unsafe {
             let wide = _mm256_cvtepu8_epi32(_mm_loadl_epi64(codes.cast()));
-            let biased = _mm256_xor_si256(wide, _mm256_set1_epi32(MAGIC.to_bits() as i32 | 0x80));
+            let biased =
+                _mm256_xor_si256(wide, _mm256_set1_epi32(INT8_MAGIC.to_bits() as i32 | 0x80));
             _mm256_sub_ps(
                 _mm256_castsi256_ps(biased),
-                _mm256_set1_ps(MAGIC + 128.0 * INT8_SCALE),
+                _mm256_set1_ps(INT8_MAGIC + 128.0 * INT8_SCALE),
+            )
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn widen16(codes: *const u8) -> std::arch::x86_64::__m512 {
+        use std::arch::x86_64::*;
+        // SAFETY: the caller guarantees AVX-512F and 16 readable bytes.
+        unsafe {
+            let wide = _mm512_cvtepu8_epi32(_mm_loadu_si128(codes.cast()));
+            let biased =
+                _mm512_xor_si512(wide, _mm512_set1_epi32(INT8_MAGIC.to_bits() as i32 | 0x80));
+            _mm512_sub_ps(
+                _mm512_castsi512_ps(biased),
+                _mm512_set1_ps(INT8_MAGIC + 128.0 * INT8_SCALE),
             )
         }
     }
@@ -818,13 +871,17 @@ mod tests {
         }
     }
 
+    /// A vector widen under test: its lane count, and the body run over
+    /// that many resident codes.
+    type Widen = (u32, unsafe fn(&[u8]) -> Vec<f32>);
+
     /// `F::widen` over one vector of resident codes, as the engine's
     /// microkernel calls it (inlined into an AVX2+F16C function).
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,f16c")]
-    unsafe fn widen_lanes<F: Format>(resident: &[u8]) -> [f32; 8] {
+    unsafe fn widen_lanes<F: Format>(resident: &[u8]) -> Vec<f32> {
         assert_eq!(resident.len(), 8 * F::RESIDENT_BYTES);
-        let mut lanes = [0.0f32; 8];
+        let mut lanes = vec![0.0f32; 8];
         // SAFETY: the caller checked AVX2+F16C; the slice holds the
         // eight codes and `lanes` the eight floats.
         unsafe {
@@ -833,12 +890,26 @@ mod tests {
         lanes
     }
 
+    /// `F::widen16`, as [`widen_lanes`] (inlined into an AVX-512 function).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn widen16_lanes<F: Format>(resident: &[u8]) -> Vec<f32> {
+        assert_eq!(resident.len(), 16 * F::RESIDENT_BYTES);
+        let mut lanes = vec![0.0f32; 16];
+        // SAFETY: the caller checked AVX-512F; the slice holds the
+        // sixteen codes and `lanes` the sixteen floats.
+        unsafe {
+            std::arch::x86_64::_mm512_storeu_ps(lanes.as_mut_ptr(), F::widen16(resident.as_ptr()));
+        }
+        lanes
+    }
+
     /// Every code of `F` through the resident form: the scalar reader
-    /// and, on AVX2+F16C hosts, the eight-lane widen must both give
+    /// and each vector widen in `widens` (lane count, body) must give
     /// `decode(code)` bit for bit — NaN payloads and signs, −0, every
     /// subnormal. Lanes are filled with consecutive codes so each code
     /// also sits in each lane position across the sweep's phases.
-    fn resident_forms_match_decode<F: Format>(name: &str, vector: bool) {
+    fn resident_forms_match_decode<F: Format>(name: &str, widens: &[Widen]) {
         let codes = 1u32 << F::BITS;
         for code in 0..codes as u16 {
             let resident = F::to_resident(code);
@@ -849,27 +920,26 @@ mod tests {
                 "{name} resident decode at {code:#06x}"
             );
         }
-        if !vector {
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        for phase in 0..8u32 {
-            for base in (0..codes).step_by(8) {
-                let lane_code = |i: u32| ((base + i + phase) % codes) as u16;
-                let bytes: Vec<u8> = (0..8)
-                    .flat_map(|i| {
-                        F::to_resident(lane_code(i)).to_le_bytes()[..F::RESIDENT_BYTES].to_vec()
-                    })
-                    .collect();
-                // SAFETY: `vector` says the host has AVX2 and F16C.
-                let lanes = unsafe { widen_lanes::<F>(&bytes) };
-                for (i, got) in lanes.iter().enumerate() {
-                    let code = lane_code(i as u32);
-                    assert_eq!(
-                        got.to_bits(),
-                        F::decode(code).to_bits(),
-                        "{name} widen at {code:#06x} (lane {i})"
-                    );
+        for &(width, widen) in widens {
+            for phase in 0..width {
+                for base in (0..codes).step_by(width as usize) {
+                    let lane_code = |i: u32| ((base + i + phase) % codes) as u16;
+                    let bytes: Vec<u8> = (0..width)
+                        .flat_map(|i| {
+                            F::to_resident(lane_code(i)).to_le_bytes()[..F::RESIDENT_BYTES].to_vec()
+                        })
+                        .collect();
+                    // SAFETY: the caller lists a widen only where the
+                    // host has its instructions.
+                    let lanes = unsafe { widen(&bytes) };
+                    for (i, got) in lanes.iter().enumerate() {
+                        let code = lane_code(i as u32);
+                        assert_eq!(
+                            got.to_bits(),
+                            F::decode(code).to_bits(),
+                            "{name} {width}-lane widen at {code:#06x} (lane {i})"
+                        );
+                    }
                 }
             }
         }
@@ -878,14 +948,31 @@ mod tests {
     #[test]
     fn widen_matches_decode_on_every_code_of_every_format() {
         #[cfg(target_arch = "x86_64")]
-        let vector = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c");
+        let (avx2, avx512) = (
+            is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c"),
+            is_x86_feature_detected!("avx512f"),
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        let vector = false;
-        if !vector {
+        let (avx2, avx512) = (false, false);
+        if !avx2 {
             eprintln!("host has no AVX2+F16C: checking the scalar resident decode only");
+        } else if !avx512 {
+            eprintln!("host has no AVX-512F: skipping the 16-lane widen");
         }
         for dt in Dtype::ALL {
-            with_format!(dt, F => resident_forms_match_decode::<F>(dt.name(), vector));
+            with_format!(dt, F => {
+                let mut widens: Vec<Widen> = Vec::new();
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if avx2 {
+                        widens.push((8, widen_lanes::<F>));
+                    }
+                    if avx2 && avx512 {
+                        widens.push((16, widen16_lanes::<F>));
+                    }
+                }
+                resident_forms_match_decode::<F>(dt.name(), &widens)
+            });
         }
         // fp16 is resident with its NaNs canonicalised (the one change
         // `to_resident` makes to a storage-width format); bf16 and int8

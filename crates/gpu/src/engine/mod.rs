@@ -28,12 +28,12 @@
 //!   reusable [`Workspace`] that owns all per-run scratch (A panels,
 //!   per-worker block tile and lanes, output, activation staging,
 //!   checksum scratch);
-//! - [`simd`] — the register-tiled AVX2+FMA microkernel (generic over
-//!   the format's B widening and the checksum lanes; a 4×16 tile, and a
-//!   one-row tile for a strip with one live row), the scalar oracle,
-//!   the canonical
-//!   accumulation-order contract, and the runtime dispatch between them
-//!   ([`GemmPath`], `AIGA_FORCE_SCALAR`);
+//! - [`simd`] — the register-tiled microkernel (one multi-row and one
+//!   one-row tile body, generic over the vector width — ymm on AVX2,
+//!   zmm on AVX-512 — the format's B widening and the checksum lanes),
+//!   the scalar oracle, the canonical accumulation-order contract, and
+//!   the runtime dispatch between them ([`GemmPath`],
+//!   `AIGA_FORCE_SCALAR`);
 //! - `walk` (private) — block execution over the live extent:
 //!   microkernel fill, targeted fault injection, tile epilogue;
 //! - this module — [`gemm_into`] itself: the execution entry point,
@@ -56,7 +56,7 @@
 //! same call on a throwaway workspace, returning the owned output. Both
 //! regimes produce byte-identical results;
 //! `crates/core/tests/engine_golden.rs` pins them to the canonical
-//! accumulation order's bytes on both [`GemmPath`]s.
+//! accumulation order's bytes on every [`GemmPath`].
 
 pub mod fault_inject;
 pub mod matrix;
@@ -73,15 +73,17 @@ pub use scheme::{Redundancy, TileScheme};
 pub use simd::GemmPath;
 
 /// Register-tile rows: a block is computed in `MICRO_MR × MICRO_NR`
-/// register tiles (4 broadcast rows of A against two 8-lane B vectors —
-/// 8 independent FMA chains, enough to hide the FMA latency on two
-/// issue ports). The register tile is also the unit thread-level
-/// redundancy schemes check and the unit detections name.
+/// register-tile units (4 broadcast rows of A against 16 columns of B —
+/// on AVX2 one tile of 8 independent ymm FMA chains, enough to hide the
+/// FMA latency on two issue ports; the AVX-512 path computes up to four
+/// units in one 8×32 zmm tile). The unit is what thread-level
+/// redundancy schemes check and what detections name, whatever tile a
+/// path computes it in.
 pub const MICRO_MR: usize = 4;
-/// Register-tile columns (two 8-wide SIMD lanes).
+/// Register-tile columns, and the width of one packed B panel: a column
+/// group's K step is 16 contiguous codes (one zmm of f32 once widened,
+/// or two ymm).
 pub const MICRO_NR: usize = 16;
-/// Width of one packed B panel (one SIMD vector of f32).
-pub const MICRO_PANEL: usize = 8;
 
 /// Cache-block rows: one block's accumulator tile (`BLOCK_M × BLOCK_N`
 /// f32, 16 KiB) stays in L1 beside the operand strips that fill it, and
@@ -119,8 +121,11 @@ static FORCE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::Atomic
 /// are not counted (see [`Redundancy::checksum_fmas_per_step`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Register tiles executed: the live ones, covering a row of the
-    /// request or a column of the weights (grid padding is not walked).
+    /// `MICRO_MR × MICRO_NR` register-tile units executed, whatever
+    /// shape of tile the path computed them in (a zmm tile is two or
+    /// four units, the one-row tile one per column group): the live
+    /// ones, covering a row of the request or a column of the weights
+    /// (grid padding is not walked).
     pub tiles: u64,
     /// FMAs into data accumulators: per tile and K step
     /// `MICRO_MR·MICRO_NR`, or `MICRO_NR` in a one-live-row strip.

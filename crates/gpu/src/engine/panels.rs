@@ -7,8 +7,9 @@
 //! - **B (weights)** never changes between requests. [`PackedWeights`]
 //!   is its one resident form: the format's codes — two bytes a weight
 //!   for fp16 and bf16, one for int8 (see `aiga_dtype::Format` for what
-//!   E4M3 is resident as) — laid out in the [`MICRO_PANEL`]-wide K-major
-//!   panels the microkernel streams and widens to f32 in its B load,
+//!   E4M3 is resident as) — laid out in the [`MICRO_NR`]-wide K-major
+//!   panels (one per register-tile column group, the same on every
+//!   [`GemmPath`]) the microkernel streams and widens to f32 in its B load,
 //!   built once — `aiga-core`'s `Scheme::bind` does it — and shared
 //!   read-only by every run, worker and shard. A pass over a layer
 //!   therefore reads the layer's storage bytes, not four per weight.
@@ -32,25 +33,26 @@ use super::fault_inject::Detection;
 use super::matrix::{Matrix, MatrixView};
 use super::scheme::Redundancy;
 use super::simd::{self, GemmPath};
-use super::{GemmOutput, BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR, MICRO_PANEL};
+use super::{GemmOutput, BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR};
 use aiga_dtype::{with_format, Dtype, Format, F16};
 
 /// A layer's weights (`B` of `C = A·B`) in the form the microkernel
 /// consumes: the format's resident codes (`Format::to_resident`,
 /// little-endian, `Format::RESIDENT_BYTES` each) with K zero-padded to
 /// the MMA granule (8) and N to a whole register tile ([`MICRO_NR`]),
-/// laid out as [`MICRO_PANEL`]-wide K-major panels: panel `p` holds
-/// columns `p·P .. p·P+P`, code `(kk, j)` at `(p·k + kk)·P + j`, so one
-/// K step of a panel is one SIMD vector once widened. Widening is exact
-/// in every format, so every product is bit-identical to multiplying
-/// decoded f32 weights; padding is code 0, which is `+0.0` in all of
-/// them.
+/// laid out as one K-major panel per column group: panel `g` holds
+/// columns `g·NR .. g·NR+NR`, code `(kk, j)` at `(g·k + kk)·NR + j`, so
+/// one K step of a panel is sixteen contiguous codes — one zmm once
+/// widened, or two adjacent ymm halves. The layout is not a function of
+/// the path. Widening is exact in every format, so every product is
+/// bit-identical to multiplying decoded f32 weights; padding is code 0,
+/// which is `+0.0` in all of them.
 ///
 /// This is the only resident copy of a bound layer's weights, and it
 /// holds no f32 image of them: the SIMD microkernel widens the panels
 /// as it streams them, and the scalar oracle, targeted recompute and
 /// the faulted cold walk decode one column of the same codes with
-/// stride [`MICRO_PANEL`] ([`Self::col`]) — one layout, one set of
+/// stride [`MICRO_NR`] ([`Self::col`]) — one layout, one set of
 /// bytes.
 #[derive(Clone, Debug)]
 pub struct PackedWeights {
@@ -81,14 +83,14 @@ pub(crate) fn resident_code(bytes: &[u8]) -> u16 {
 }
 
 /// Writes `b`'s resident codes into `panels` (zeroed, sized by
-/// [`PackedWeights::pack`]) in one pass — every 8-column run is
+/// [`PackedWeights::pack`]) in one pass — every 16-column run is
 /// contiguous in both the source row and its panel.
 fn pack_codes<F: Format>(b: &Matrix, k: usize, panels: &mut [u8]) {
     let width = F::RESIDENT_BYTES;
     // A matrix without columns has no rows to walk (and no chunk size).
     for (kk, src) in b.data.chunks_exact(b.cols.max(1)).enumerate() {
-        for (p, run) in src.chunks(MICRO_PANEL).enumerate() {
-            let at = (p * k + kk) * MICRO_PANEL * width;
+        for (g, run) in src.chunks(MICRO_NR).enumerate() {
+            let at = (g * k + kk) * MICRO_NR * width;
             for (d, &s) in panels[at..].chunks_exact_mut(width).zip(run) {
                 d.copy_from_slice(&F::to_resident(s.to_bits()).to_le_bytes()[..width]);
             }
@@ -98,24 +100,15 @@ fn pack_codes<F: Format>(b: &Matrix, k: usize, panels: &mut [u8]) {
 
 /// Sums the B checksum columns two-sided ABFT's corner chain multiplies
 /// from the decoded codes of each register-tile column group, in column
-/// order, in f32, from zero.
-fn sum_checksum_columns<F: Format>(panels: &[u8], k: usize, b_chk: &mut [f32]) {
-    let panel_step = MICRO_PANEL * F::RESIDENT_BYTES;
-    for (group, dst) in panels
-        .chunks_exact(MICRO_NR * k * F::RESIDENT_BYTES)
-        .zip(b_chk.chunks_exact_mut(k * 2))
-    {
-        let (lo, hi) = group.split_at(panel_step * k);
-        let steps = lo.chunks_exact(panel_step).zip(hi.chunks_exact(panel_step));
-        for (d, (lo, hi)) in dst.chunks_exact_mut(2).zip(steps) {
-            for code in lo
-                .chunks_exact(F::RESIDENT_BYTES)
-                .chain(hi.chunks_exact(F::RESIDENT_BYTES))
-            {
-                let v = F::decode_resident(resident_code(code));
-                d[0] += v;
-                d[1] += v.abs();
-            }
+/// order, in f32, from zero. A group's K step is one panel step, so the
+/// pairs line up with the panels' 16-code runs one to one.
+fn sum_checksum_columns<F: Format>(panels: &[u8], b_chk: &mut [f32]) {
+    let steps = panels.chunks_exact(MICRO_NR * F::RESIDENT_BYTES);
+    for (d, step) in b_chk.chunks_exact_mut(2).zip(steps) {
+        for code in step.chunks_exact(F::RESIDENT_BYTES) {
+            let v = F::decode_resident(resident_code(code));
+            d[0] += v;
+            d[1] += v.abs();
         }
     }
 }
@@ -137,7 +130,7 @@ impl PackedWeights {
             let mut panels = vec![0u8; n_pad * k * F::RESIDENT_BYTES];
             pack_codes::<F>(b, k, &mut panels);
             if !b_chk.is_empty() {
-                sum_checksum_columns::<F>(&panels, k, &mut b_chk);
+                sum_checksum_columns::<F>(&panels, &mut b_chk);
             }
             panels
         });
@@ -188,15 +181,15 @@ impl PackedWeights {
     }
 
     /// Column `c`'s K walk (`k` decoded values, zero past the source's
-    /// rows): one panel lane read with stride [`MICRO_PANEL`] and
+    /// rows): one panel lane read with stride [`MICRO_NR`] and
     /// decoded code by code. `c` may be a padding column of the last
     /// register tile (all zeros).
     pub fn col(&self, c: usize) -> impl Iterator<Item = f32> + '_ {
         let (width, decode) = with_format!(self.dtype, F => {
             (F::RESIDENT_BYTES, F::decode_resident as fn(u16) -> f32)
         });
-        let step = MICRO_PANEL * width;
-        let base = (c / MICRO_PANEL * self.k * MICRO_PANEL + c % MICRO_PANEL) * width;
+        let step = MICRO_NR * width;
+        let base = (c / MICRO_NR * self.k * MICRO_NR + c % MICRO_NR) * width;
         (0..self.k).map(move |kk| decode(resident_code(&self.panels[base + kk * step..][..width])))
     }
 }

@@ -6,16 +6,16 @@
 //!
 //! - B arrives packed ([`PackedWeights`], built once when a scheme is
 //!   bound to a layer) as the format's resident codes, and is widened
-//!   to f32 in the microkernel's B load (`Format::widen`) — a weight is
-//!   read at its resident width every pass; `stage_a` gathers, decodes
-//!   and lays the request's rows into microkernel strips, with the
-//!   checksum rows a thread-level ABFT scheme multiplies, in one pass
-//!   (once per run, in `Panels::stage`, over the request's live rows
-//!   only);
+//!   to f32 in the microkernel's B load (`Format::widen`/`widen16`) — a
+//!   weight is read at its resident width every pass; `stage_a` gathers,
+//!   decodes and lays the request's rows into microkernel strips, with
+//!   the checksum rows a thread-level ABFT scheme multiplies, in one
+//!   pass (once per run, in `Panels::stage`, over the request's live
+//!   rows only);
 //! - `fill_block_tile` computes the live register tiles of one
 //!   block tile — and, when the run's scheme asks for them, their
-//!   checksum and magnitude lanes — through either the AVX2+FMA
-//!   register-tiled microkernel or the scalar oracle;
+//!   checksum and magnitude lanes — through the register-tiled
+//!   microkernel at the host's vector width or the scalar oracle;
 //! - [`active_path`] picks between them at runtime
 //!   (`is_x86_feature_detected!`), honouring the `AIGA_FORCE_SCALAR=1`
 //!   override so CI can exercise the oracle on any machine.
@@ -31,92 +31,142 @@
 //!
 //! `fma` is the correctly-rounded fused multiply-add (`f32::mul_add` /
 //! `vfmadd`), so the sequence is a pure function of the operands — not
-//! of how it is compiled. The AVX2 microkernel gets its parallelism from
+//! of how it is compiled. The microkernel gets its parallelism from
 //! computing *independent* chains at once, never from splitting one
-//! chain, which is why the SIMD path, the scalar oracle, the
+//! chain, which is why every SIMD path, the scalar oracle, the
 //! targeted-recompute repair path, and the faulted cold walk are all
 //! byte-identical by construction. The golden tests in
 //! `crates/core/tests/engine_golden.rs` pin this contract.
 //!
-//! Which chains run together is the register tile's shape, and there
-//! are two. A strip with several live rows runs [`MICRO_MR`]`×`[`MICRO_NR`]
-//! tiles (four broadcast rows against two B vectors). A strip with
-//! **one** live row — a batch-1 request, or the ragged last strip of an
-//! `m ≡ 1 (mod 4)` layer — runs a one-row tile, 1×32 (one broadcast
-//! against four B vectors; 1×16 where an odd column group is left):
-//! the same chains for that row, none for the three dead rows, which
-//! are stored as the `+0.0` their chains of `0·b` would have left. The
-//! shape changes which chains share a loop, never a chain.
+//! The register tile's shape — a tile family times a vector width —
+//! decides which chains share a loop, never a chain. Each family is one
+//! body generic over the vector (`Vector`: ymm on [`GemmPath::Avx2Fma`],
+//! zmm on [`GemmPath::Avx512`]), the format's B widening and the lane kind.
+//!
+//! - A strip with several live rows runs the multi-row `tile`:
+//!   [`MICRO_MR`] broadcast rows per strip against two B vectors — 4×16
+//!   on ymm (one column group), 4×32 on zmm (two). With thirty-two
+//!   registers the zmm tile takes **two strips per B load** (8×32, 16
+//!   accumulators) while two whole strips remain: widening a zmm of
+//!   codes (`vcvtph2ps`) costs as many 512-bit port slots as two FMAs,
+//!   so a 4×32 tile spends a third of its issue on the widen, and the
+//!   second strip's eight FMAs ride the same two widened vectors for
+//!   free. An odd strip runs 4×32, an odd last column group the ymm
+//!   instance.
+//! - A strip with **one** live row — a batch-1 request, or the ragged
+//!   last strip of an `m ≡ 1 (mod 4)` layer — runs the one-row
+//!   `tile_1xn`: one broadcast against four B vectors (1×32 on ymm,
+//!   1×64 on zmm), then two, then the ymm pair over an odd last group:
+//!   the same chains for that row, none for the three dead rows, which
+//!   are stored as the `+0.0` their chains of `0·b` would have left.
 //!
 //! Checksum and magnitude lanes obey the same contract: each is one
 //! more in-order FMA chain (`chk = fma(s[kk], b[kk][col], chk)`,
 //! `mag = fma(s_abs[kk], |b[kk][col]|, mag)`, and the two-sided corner
 //! `fma(s[kk], t[kk], corner)`), mirrored operation for operation by
 //! `chk_dot`/`corner_dot` on the scalar path — so residuals and
-//! thresholds, not just outputs, are byte-identical across paths. The
-//! one-row tile carries one-sided ABFT's checksum chains and leaves
-//! that strip's column magnitudes to the epilogue, which takes them
-//! from the same mirror where it needs them (see `walk`).
+//! thresholds, not just outputs, are byte-identical across paths. Lanes
+//! are per strip and corners per (strip, column group) whatever tile
+//! computed them. The one-row tile carries one-sided ABFT's checksum
+//! chains and leaves that strip's column magnitudes to the epilogue,
+//! which takes them from the same mirror where it needs them (see
+//! `walk`).
 
 use super::matrix::{MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
 use super::scheme::Redundancy;
-use super::{MICRO_MR, MICRO_NR, MICRO_PANEL};
+use super::{MICRO_MR, MICRO_NR};
 use aiga_dtype::{with_format, Dtype, Format, F16};
-
-// The main microkernel drives two B panels at once.
-const _: () = assert!(MICRO_NR == 2 * MICRO_PANEL);
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Which GEMM substrate fills block tiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmPath {
-    /// Register-tiled microkernel using AVX2+FMA (and F16C)
-    /// intrinsics over packed panels.
-    Avx2Fma,
     /// The per-element scalar walk over the same operands — the
     /// bit-exact oracle (it may still use the hardware scalar FMA
     /// instruction; the contract fixes the *operation sequence*, and
     /// every correctly-rounded FMA computes the same bytes).
     Scalar,
+    /// Register-tiled microkernel using AVX2+FMA (and F16C)
+    /// intrinsics over packed panels.
+    Avx2Fma,
+    /// The same microkernel on 512-bit vectors (AVX-512 F and VL on top
+    /// of [`Self::Avx2Fma`]'s set), two strips per B load.
+    Avx512,
 }
 
 impl GemmPath {
-    /// True for vectorized paths.
+    /// Every path, scalar first, widest last; each runs wherever the
+    /// one after it does.
+    const ALL: [GemmPath; 3] = [GemmPath::Scalar, GemmPath::Avx2Fma, GemmPath::Avx512];
+
+    /// True for the vectorized paths — which is also where the engine
+    /// knows the hardware FMA is present (`dot`, `column_magnitude` and
+    /// the scalar oracle compile their `mul_add` to it there).
     pub fn is_simd(self) -> bool {
-        matches!(self, GemmPath::Avx2Fma)
+        self != GemmPath::Scalar
     }
 
     /// Stable label for logs and bench records.
     pub fn as_str(self) -> &'static str {
         match self {
-            GemmPath::Avx2Fma => "avx2+fma",
             GemmPath::Scalar => "scalar",
+            GemmPath::Avx2Fma => "avx2+fma",
+            GemmPath::Avx512 => "avx512",
         }
     }
 }
 
-/// Test/bench override: 0 = none, 1 = Avx2Fma, 2 = Scalar.
+/// Test/bench override: 0 = none, else 1 + the path's index in
+/// [`GemmPath::ALL`].
 static FORCED: AtomicU8 = AtomicU8::new(0);
-static DETECTED: OnceLock<GemmPath> = OnceLock::new();
 
-/// The best path this host supports, ignoring every override.
-pub fn detect_path() -> GemmPath {
-    *DETECTED.get_or_init(|| {
+/// The CPU features dispatch asks for that this host has — what
+/// [`detect_path`] chose from, for bench provenance.
+pub fn cpu_features() -> &'static [&'static str] {
+    static FOUND: OnceLock<Vec<&'static str>> = OnceLock::new();
+    FOUND.get_or_init(|| {
+        #[allow(unused_mut)]
+        let mut found = Vec::new();
         #[cfg(target_arch = "x86_64")]
         {
-            // F16C rides along for the fp16 B load; every AVX2 part has
-            // it, and without it the scalar path runs.
-            if is_x86_feature_detected!("avx2")
-                && is_x86_feature_detected!("fma")
-                && is_x86_feature_detected!("f16c")
-            {
-                return GemmPath::Avx2Fma;
+            macro_rules! probe {
+                ($($feature:tt)*) => { $(if is_x86_feature_detected!($feature) { found.push($feature); })* };
             }
+            probe!("avx2" "fma" "f16c" "avx512f" "avx512vl");
         }
-        GemmPath::Scalar
+        found
     })
+}
+
+/// The best path this host supports, ignoring every override.
+///
+/// Chosen from feature bits alone: that AVX-512 beats AVX2 is measured
+/// only on a host with two 512-bit FMA ports and no licence downclock
+/// worth the name; on a one-port or downclocking part it is unverified
+/// (`BENCH_engine.json`'s per-path rows, recorded there, are the check).
+pub fn detect_path() -> GemmPath {
+    static DETECTED: OnceLock<GemmPath> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        let has = |features: &[&str]| features.iter().all(|f| cpu_features().contains(f));
+        // F16C rides along for the fp16 B load; every AVX2 part has it,
+        // and without it the scalar path runs. AVX-512 needs VL beside F
+        // because the zmm walk runs ymm instances (an odd column group)
+        // that count on thirty-two registers.
+        match (has(&["avx2", "fma", "f16c"]), has(&["avx512f", "avx512vl"])) {
+            (true, true) => GemmPath::Avx512,
+            (true, false) => GemmPath::Avx2Fma,
+            (false, _) => GemmPath::Scalar,
+        }
+    })
+}
+
+/// The paths this host can run, scalar first, [`detect_path`] last —
+/// what a path sweep iterates and [`force_path`] accepts.
+pub fn supported_paths() -> &'static [GemmPath] {
+    let widest = GemmPath::ALL.iter().position(|&p| p == detect_path());
+    &GemmPath::ALL[..=widest.expect("every path is listed")]
 }
 
 /// The path the engine dispatches to: a [`force_path`] override if one
@@ -124,34 +174,51 @@ pub fn detect_path() -> GemmPath {
 /// [`detect_path`].
 pub fn active_path() -> GemmPath {
     match FORCED.load(Ordering::Relaxed) {
-        1 => return GemmPath::Avx2Fma,
-        2 => return GemmPath::Scalar,
-        _ => {}
-    }
-    if aiga_dtype::scalar_forced() {
-        GemmPath::Scalar
-    } else {
-        detect_path()
+        0 if aiga_dtype::scalar_forced() => GemmPath::Scalar,
+        0 => detect_path(),
+        forced => GemmPath::ALL[forced as usize - 1],
     }
 }
 
 /// Process-global dispatch override for tests and benches (`None`
-/// restores normal dispatch). Forcing [`GemmPath::Avx2Fma`] on a host
-/// where [`detect_path`] reports scalar is illegal (the microkernel
-/// would execute unsupported instructions).
+/// restores normal dispatch). Forcing a path outside
+/// [`supported_paths`] is illegal (the microkernel would execute
+/// unsupported instructions).
 pub fn force_path(path: Option<GemmPath>) {
-    let v = match path {
-        None => 0,
-        Some(GemmPath::Avx2Fma) => {
-            assert!(
-                detect_path().is_simd(),
-                "cannot force the AVX2 path on a host without AVX2+FMA+F16C"
-            );
-            1
+    let forced = path.map_or(0, |path| {
+        let at = supported_paths().iter().position(|&p| p == path);
+        let at = at.unwrap_or_else(|| panic!("this host cannot run the {} path", path.as_str()));
+        at as u8 + 1
+    });
+    FORCED.store(forced, Ordering::Relaxed);
+}
+
+/// Runs `f` once per [`supported_paths`] entry with the override set,
+/// returning the results in that order — the one path sweep of the
+/// tests and benches. Sweeps are serialised process-wide, so no leg runs
+/// on a path another sweep forced, and the paths the host lacks are
+/// logged, not silently passed.
+pub fn on_each_path<T>(mut f: impl FnMut(GemmPath) -> T) -> Vec<T> {
+    static SWEEP: Mutex<()> = Mutex::new(());
+    /// Lifts the override when the sweep ends, by a leg's panic too.
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            force_path(None);
         }
-        Some(GemmPath::Scalar) => 2,
-    };
-    FORCED.store(v, Ordering::Relaxed);
+    }
+    // A panicking leg poisons nothing the next sweep reads; the override
+    // is lifted (declared last, dropped first) before the lock is released.
+    let _guard = SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = Restore;
+    for skipped in &GemmPath::ALL[supported_paths().len()..] {
+        eprintln!("host cannot run the {} path: leg skipped", skipped.as_str());
+    }
+    let legs = supported_paths().iter().map(|&path| {
+        force_path(Some(path));
+        f(path)
+    });
+    legs.collect()
 }
 
 /// Stages the activation operand `a` into `p` (sized by
@@ -355,7 +422,7 @@ fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
 }
 
 /// Whether strip `strip` of a block with `rows` live rows holds exactly
-/// one of them — the strips both paths run as one-row tiles.
+/// one of them — the strips every path runs as one-row tiles.
 #[inline(always)]
 pub(crate) fn one_live_row(rows: usize, strip: usize) -> bool {
     rows - strip * MICRO_MR == 1
@@ -397,35 +464,33 @@ pub(crate) fn fill_block_tile(
     let lane_len = lanes.lane_len(strips * MICRO_MR, bn);
     assert!(chk.len() >= lane_len && mag.len() >= lane_len);
     assert_eq!(a.k, b.k(), "operands staged for different K");
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the dispatcher only selects Avx2Fma when AVX2, FMA and
-        // F16C are present (detect_path / force_path enforce it); the
-        // asserts above and in the callee bound every pointer offset.
-        GemmPath::Avx2Fma => with_format!(b.dtype(), F => unsafe {
-            match lanes {
-                Redundancy::ColumnChecksum => fill_avx2::<F, LANES_COLUMN>(
-                    a, b, row0, col0, rows, groups, bn, tile, chk, mag,
-                ),
-                Redundancy::TileChecksum => {
-                    fill_avx2::<F, LANES_TILE>(a, b, row0, col0, rows, groups, bn, tile, chk, mag)
-                }
-                _ => fill_avx2::<F, LANES_NONE>(a, b, row0, col0, rows, groups, bn, tile, chk, mag),
-            }
-        }),
-        #[cfg(not(target_arch = "x86_64"))]
-        GemmPath::Avx2Fma => unreachable!("AVX2 path dispatched on non-x86_64"),
-        GemmPath::Scalar => {
-            #[cfg(target_arch = "x86_64")]
-            if detect_path().is_simd() {
-                // SAFETY: FMA support was verified by detect_path.
-                return unsafe {
-                    fill_scalar_fma(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
-                };
-            }
-            fill_scalar(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
-        }
+    #[cfg(target_arch = "x86_64")]
+    if path.is_simd() {
+        use {GemmPath::Avx512, Redundancy::ColumnChecksum, Redundancy::TileChecksum};
+        #[rustfmt::skip]
+        let f = Fill { a, b, row0, col0, rows, groups, bn, tile, chk, mag };
+        let fill: unsafe fn(Fill<'_>) = with_format!(b.dtype(), F => match (path, lanes) {
+            (Avx512, ColumnChecksum) => fill_avx512::<F, LANES_COLUMN>,
+            (Avx512, TileChecksum) => fill_avx512::<F, LANES_TILE>,
+            (Avx512, _) => fill_avx512::<F, LANES_NONE>,
+            (_, ColumnChecksum) => fill_avx2::<F, LANES_COLUMN>,
+            (_, TileChecksum) => fill_avx2::<F, LANES_TILE>,
+            (_, _) => fill_avx2::<F, LANES_NONE>,
+        });
+        // SAFETY: the dispatcher only selects a SIMD path the host
+        // supports (detect_path / force_path enforce it); the asserts
+        // above and in the callee bound every pointer offset.
+        return unsafe { fill(f) };
     }
+    assert_eq!(path, GemmPath::Scalar, "SIMD path dispatched off x86_64");
+    #[cfg(target_arch = "x86_64")]
+    if detect_path().is_simd() {
+        // SAFETY: FMA support was verified by detect_path.
+        return unsafe {
+            fill_scalar_fma(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
+        };
+    }
+    fill_scalar(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
 }
 
 /// [`fill_scalar`] compiled with the FMA target feature (see
@@ -513,19 +578,95 @@ const LANES_COLUMN: u8 = 1;
 #[cfg(target_arch = "x86_64")]
 const LANES_TILE: u8 = 2;
 
+/// The vector a register tile is made of: what the tile bodies need of
+/// an f32 SIMD register, implemented for ymm and zmm. Every method is
+/// one instruction the host must support (each caller's `# Safety`),
+/// except [`Self::widen`], which is the format's.
+#[cfg(target_arch = "x86_64")]
+trait Vector: Copy {
+    /// f32 lanes.
+    const LANES: usize;
+    /// Whether a multi-row tile takes two strips per B load while two
+    /// remain: that is 16 accumulators, so 32 registers.
+    const PAIRS_STRIPS: bool;
+    unsafe fn splat(x: f32) -> Self;
+    /// [`Self::LANES`] resident codes at `codes`, widened exactly.
+    unsafe fn widen<F: Format>(codes: *const u8) -> Self;
+    /// `a · b + c`, fused.
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    unsafe fn abs(self) -> Self;
+    unsafe fn store(self, at: *mut f32);
+}
+
+/// [`Vector`] for `$ty`, each method one intrinsic call.
+#[cfg(target_arch = "x86_64")]
+macro_rules! impl_vector {
+    ($ty:ident: $lanes:literal lanes, pairs strips: $pairs:literal, $splat:ident,
+     $widen:ident, $fma:ident, |$v:ident| $abs:expr, $store:ident) => {
+        impl Vector for std::arch::x86_64::$ty {
+            const LANES: usize = $lanes;
+            const PAIRS_STRIPS: bool = $pairs;
+            // SAFETY (each body): the caller's guarantee is the intrinsic's.
+            #[inline(always)]
+            unsafe fn splat(x: f32) -> Self {
+                unsafe { std::arch::x86_64::$splat(x) }
+            }
+            #[inline(always)]
+            unsafe fn widen<F: Format>(codes: *const u8) -> Self {
+                unsafe { F::$widen(codes) }
+            }
+            #[inline(always)]
+            unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+                unsafe { std::arch::x86_64::$fma(a, b, c) }
+            }
+            #[inline(always)]
+            unsafe fn abs(self) -> Self {
+                use std::arch::x86_64::*;
+                let $v = self;
+                unsafe { $abs }
+            }
+            #[inline(always)]
+            unsafe fn store(self, at: *mut f32) {
+                unsafe { std::arch::x86_64::$store(at, self) }
+            }
+        }
+    };
+}
+#[cfg(target_arch = "x86_64")]
+impl_vector!(__m256: 8 lanes, pairs strips: false, _mm256_set1_ps, widen,
+    _mm256_fmadd_ps, |v| _mm256_andnot_ps(_mm256_set1_ps(-0.0), v), _mm256_storeu_ps);
+#[cfg(target_arch = "x86_64")]
+impl_vector!(__m512: 16 lanes, pairs strips: true, _mm512_set1_ps, widen16,
+    _mm512_fmadd_ps, |v| _mm512_abs_ps(v), _mm512_storeu_ps);
+
+/// [`fill_block_tile`]'s parameters, as it hands them to a SIMD walk.
+#[cfg(target_arch = "x86_64")]
+struct Fill<'a> {
+    a: &'a Panels,
+    b: &'a PackedWeights,
+    row0: usize,
+    col0: usize,
+    rows: usize,
+    groups: usize,
+    bn: usize,
+    tile: &'a mut [f32],
+    chk: &'a mut [f32],
+    mag: &'a mut [f32],
+}
+
 /// Where one register tile reads its operands and leaves its results:
-/// what [`fill_avx2`] hands the tile bodies.
+/// what [`fill_simd`] hands the tile bodies. A tile's strips are
+/// consecutive in every buffer, and so are its column groups.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct TileArgs {
     /// The shared inner dimension.
     k: usize,
-    /// The strip's A values, `MICRO_MR` per K step.
+    /// The first strip's A values, `MICRO_MR` per K step.
     a_strip: *const f32,
-    /// The strip's `(sum, magnitude sum)` pairs, one per K step.
+    /// The first strip's `(sum, magnitude sum)` pairs, one per K step.
     a_sum: *const f32,
-    /// The first of the tile's B panels (resident codes; a tile's
-    /// panels are consecutive).
+    /// The first of the tile's B panels (resident codes).
     b_panels: *const u8,
     /// The first of the tile's column groups' `(sum, magnitude sum)`
     /// pairs, `2·k` floats per group.
@@ -533,42 +674,70 @@ struct TileArgs {
     /// The tile's first cell in the block tile, row stride `bn`.
     out: *mut f32,
     bn: usize,
-    /// The tile's first checksum and magnitude lane: per column under
-    /// `LANES_COLUMN`, per column group under `LANES_TILE`.
+    /// The tile's first checksum and magnitude lane — per column under
+    /// `LANES_COLUMN`, per column group under `LANES_TILE` — and the
+    /// distance to the next strip's.
     chk: *mut f32,
     mag: *mut f32,
+    lane_row: usize,
 }
 
-/// The AVX2+FMA register-tiled microkernel: walks the block tile's live
-/// register tiles, widening B from its resident codes in the load
-/// (`F::widen` — the one line that differs between formats). A strip
-/// with several live rows runs [`tile_4x16`] per column group; a strip
-/// with [`one_live_row`] runs [`tile_1xn`] over pairs of groups (and
-/// once more, half as wide, over an odd last group), then stores `+0.0`
-/// in its dead rows. Only the live register tiles are walked.
+#[cfg(target_arch = "x86_64")]
+impl TileArgs {
+    /// Step `kk` of the tile's column `col` in the panels: group
+    /// `col / NR`, code `col % NR` of its 16.
+    ///
+    /// # Safety
+    /// As [`fill_simd`], which built `self`.
+    #[inline(always)]
+    unsafe fn b_at<F: Format>(&self, col: usize, kk: usize) -> *const u8 {
+        let code = (col / MICRO_NR * self.k + kk) * MICRO_NR + col % MICRO_NR;
+        // SAFETY: inside the tile's panels.
+        unsafe { self.b_panels.add(code * F::RESIDENT_BYTES) }
+    }
+}
+
+/// # Safety
+/// The host must support AVX2, FMA and F16C; `f` is [`fill_simd`]'s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn fill_avx2<F: Format, const LANES: u8>(f: Fill<'_>) {
+    // SAFETY: the caller's guarantees.
+    unsafe { fill_simd::<std::arch::x86_64::__m256, F, LANES>(f) }
+}
+
+/// # Safety
+/// As [`fill_avx2`], and the host must support AVX-512 F and VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
+unsafe fn fill_avx512<F: Format, const LANES: u8>(f: Fill<'_>) {
+    // SAFETY: the caller's guarantees.
+    unsafe { fill_simd::<std::arch::x86_64::__m512, F, LANES>(f) }
+}
+
+/// The register-tiled microkernel walk at vector width `V`: covers the
+/// block tile's live register tiles with the widest tile that fits what
+/// is left, widening B from its resident codes in the load (`V::widen`
+/// — the one line that differs between formats). Strips with several
+/// live rows run [`tile`] — two at once where [`Vector::PAIRS_STRIPS`]
+/// and two remain — over as many column groups as two vectors span; a strip
+/// with [`one_live_row`] runs [`tile_1xn`] over four vectors' groups,
+/// then two, and has `+0.0` stored in its dead rows. An odd last column
+/// group runs the ymm instance of the same body.
 ///
 /// # Safety
-/// The host must support AVX2, FMA and F16C. Every pointer offset is
-/// bounded by the asserts below and in [`fill_block_tile`].
+/// The host must support AVX2, FMA and F16C, and `V`'s instruction set.
+/// Every pointer offset is bounded by the asserts below and in
+/// [`fill_block_tile`].
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fill_avx2<F: Format, const LANES: u8>(
-    a: &Panels,
-    b: &PackedWeights,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    groups: usize,
-    bn: usize,
-    tile: &mut [f32],
-    chk: &mut [f32],
-    mag: &mut [f32],
-) {
+#[inline(always)]
+unsafe fn fill_simd<V: Vector, F: Format, const LANES: u8>(f: Fill<'_>) {
+    use std::arch::x86_64::__m256;
+    #[rustfmt::skip]
+    let Fill { a, b, row0, col0, rows, groups, bn, tile: block, chk, mag } = f;
     let k = a.k;
     let strips = rows.div_ceil(MICRO_MR);
-    let s0 = row0 / MICRO_MR;
-    let g0 = col0 / MICRO_NR;
+    let (s0, g0) = (row0 / MICRO_MR, col0 / MICRO_NR);
     let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
     assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
     assert!(b.panels().len() >= (g0 + groups) * group_bytes);
@@ -579,205 +748,232 @@ unsafe fn fill_avx2<F: Format, const LANES: u8>(
         LANES_COLUMN => (bn, MICRO_NR),
         _ => (bn / MICRO_NR, 1),
     };
-    for s in 0..strips {
+    // Column groups under two vectors of `V`.
+    let wide = 2 * V::LANES / MICRO_NR;
+    let mut s = 0;
+    while s < strips {
         let one_row = one_live_row(rows, s);
+        let pair = V::PAIRS_STRIPS && s + 1 < strips && !one_live_row(rows, s + 1);
         let mut g = 0;
         while g < groups {
+            let left = groups - g;
             // SAFETY: the asserts above and in `fill_block_tile` keep
             // every offset inside its buffer (the lane and sum pointers
             // are formed with wrapping arithmetic and only dereferenced
             // under the `LANES` that sized them).
             unsafe {
-                let args = TileArgs {
+                let t = TileArgs {
                     k,
                     a_strip: a.a_pack.as_ptr().add((s0 + s) * MICRO_MR * k),
                     a_sum: a.a_chk.as_ptr().wrapping_add((s0 + s) * k * 2),
                     b_panels: b.panels().as_ptr().add((g0 + g) * group_bytes),
                     b_sum: b.b_chk().as_ptr().wrapping_add((g0 + g) * k * 2),
-                    out: tile.as_mut_ptr().add(s * MICRO_MR * bn + g * MICRO_NR),
+                    out: block.as_mut_ptr().add(s * MICRO_MR * bn + g * MICRO_NR),
                     bn,
                     chk: chk.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
                     mag: mag.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
+                    lane_row,
                 };
-                g += if !one_row {
-                    tile_4x16::<F, LANES>(args);
-                    1
-                } else if groups - g >= 2 {
-                    tile_1xn::<F, LANES, 4>(args);
-                    2
-                } else {
-                    tile_1xn::<F, LANES, 2>(args);
-                    1
+                g += match (one_row, pair) {
+                    (true, _) if left >= 2 * wide => {
+                        tile_1xn::<V, F, LANES, 4>(t);
+                        2 * wide
+                    }
+                    (true, _) if left >= wide => {
+                        tile_1xn::<V, F, LANES, 2>(t);
+                        wide
+                    }
+                    (true, _) => {
+                        tile_1xn::<__m256, F, LANES, 2>(t);
+                        1
+                    }
+                    (false, true) if left >= wide => {
+                        tile::<V, F, LANES, 2>(t);
+                        wide
+                    }
+                    (false, false) if left >= wide => {
+                        tile::<V, F, LANES, 1>(t);
+                        wide
+                    }
+                    (false, true) => {
+                        tile::<__m256, F, LANES, 2>(t);
+                        1
+                    }
+                    (false, false) => {
+                        tile::<__m256, F, LANES, 1>(t);
+                        1
+                    }
                 };
             }
         }
         if one_row {
             for dead in s * MICRO_MR + 1..(s + 1) * MICRO_MR {
-                tile[dead * bn..][..groups * MICRO_NR].fill(0.0);
+                block[dead * bn..][..groups * MICRO_NR].fill(0.0);
             }
         }
+        s += 1 + usize::from(pair);
     }
 }
 
-/// One `MICRO_MR × MICRO_NR` register tile: 8 ymm data accumulators (4
-/// broadcast rows × 2 column vectors) live across the *entire* K extent
-/// — accumulators never spill, so each output element is one in-order
-/// FMA chain, exactly the canonical order. Per K step: 2 widening loads
-/// of B, 4 broadcasts of A, 8 FMAs.
-///
-/// `LANES_COLUMN` adds, on the two B vectors already loaded, a checksum
-/// accumulator pair fed by the strip's column sum and a magnitude pair
-/// fed by its magnitude sum and `|b|` (2 broadcasts, 2 `andnot`, 4 FMAs
-/// — 12 of 16 ymm live). `LANES_TILE` adds one xmm FMA whose low two
-/// lanes are the tile's corner chain and its magnitude (two 8-byte
-/// loads). Neither touches memory the data walk does not already
-/// stream except those few floats per step.
+/// Stores a corner chain and its magnitude (`corner`'s low two lanes).
 ///
 /// # Safety
-/// As [`fill_avx2`], which built `t`.
+/// The host must support SSE; `chk` and `mag` must be valid for writes.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_4x16<F: Format, const LANES: u8>(t: TileArgs) {
-    use std::arch::x86_64::*;
-    let step = MICRO_PANEL * F::RESIDENT_BYTES;
-    // SAFETY: see `fill_avx2`.
+unsafe fn store_pair(corner: std::arch::x86_64::__m128, chk: *mut f32, mag: *mut f32) {
+    let mut pair = [0.0f32; 4];
+    // SAFETY: the caller's guarantees; `pair` holds the four lanes.
     unsafe {
-        let b_lo = t.b_panels;
-        let b_hi = b_lo.add(t.k * step);
-        let sign = _mm256_set1_ps(-0.0);
-        let mut acc0l = _mm256_setzero_ps();
-        let mut acc0h = _mm256_setzero_ps();
-        let mut acc1l = _mm256_setzero_ps();
-        let mut acc1h = _mm256_setzero_ps();
-        let mut acc2l = _mm256_setzero_ps();
-        let mut acc2h = _mm256_setzero_ps();
-        let mut acc3l = _mm256_setzero_ps();
-        let mut acc3h = _mm256_setzero_ps();
-        let mut chk_l = _mm256_setzero_ps();
-        let mut chk_h = _mm256_setzero_ps();
-        let mut mag_l = _mm256_setzero_ps();
-        let mut mag_h = _mm256_setzero_ps();
-        let mut corner = _mm_setzero_ps();
+        std::arch::x86_64::_mm_storeu_ps(pair.as_mut_ptr(), corner);
+        *chk = pair[0];
+        *mag = pair[1];
+    }
+}
+
+/// The multi-row register tile: `S` strips of [`MICRO_MR`] broadcast
+/// rows against two B vectors of `V` — `8·S` data accumulators live
+/// across the *entire* K extent. Accumulators never spill, so each
+/// output element is one in-order FMA chain, exactly the canonical
+/// order. Per K step: 2 widening loads of B, `4·S` broadcasts of A,
+/// `8·S` FMAs. Vector `j` covers the tile's columns `j·V::LANES ..`:
+/// the two halves of one column group on ymm, two groups on zmm.
+///
+/// `LANES_COLUMN` adds per strip, on the two B vectors already loaded, a
+/// checksum accumulator pair fed by the strip's column sum and a
+/// magnitude pair fed by its magnitude sum and `|b|` (2 broadcasts and
+/// 4 FMAs a strip — 12 of 16 ymm live at `S = 1`, 29 of 32 zmm at
+/// `S = 2`). `LANES_TILE` adds one xmm FMA per (strip, column group)
+/// whose low two lanes are that 4×16 tile's corner chain and its
+/// magnitude (two 8-byte loads). Neither touches memory the data walk
+/// does not already stream except those few floats per step.
+///
+/// # Safety
+/// As [`fill_simd`], which built `t`; the host supports `V`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArgs) {
+    use std::arch::x86_64::*;
+    let groups = 2 * V::LANES / MICRO_NR;
+    // SAFETY: see `fill_simd`.
+    unsafe {
+        // A `(sum, magnitude sum)` pair in the low two lanes of an xmm;
+        // the upper lanes of a corner chain stay `0·0 + 0`.
+        let pair = |at: *const f32| _mm_castpd_ps(_mm_load_sd(at.cast()));
+        let mut acc = [[[V::splat(0.0); 2]; MICRO_MR]; S];
+        let mut chk = [[V::splat(0.0); 2]; S];
+        let mut mag = [[V::splat(0.0); 2]; S];
+        let mut corner = [[_mm_setzero_ps(); 2]; S];
         for kk in 0..t.k {
-            let vb_lo = F::widen(b_lo.add(kk * step));
-            let vb_hi = F::widen(b_hi.add(kk * step));
-            let a_step = t.a_strip.add(kk * MICRO_MR);
-            let va0 = _mm256_set1_ps(*a_step);
-            acc0l = _mm256_fmadd_ps(va0, vb_lo, acc0l);
-            acc0h = _mm256_fmadd_ps(va0, vb_hi, acc0h);
-            let va1 = _mm256_set1_ps(*a_step.add(1));
-            acc1l = _mm256_fmadd_ps(va1, vb_lo, acc1l);
-            acc1h = _mm256_fmadd_ps(va1, vb_hi, acc1h);
-            let va2 = _mm256_set1_ps(*a_step.add(2));
-            acc2l = _mm256_fmadd_ps(va2, vb_lo, acc2l);
-            acc2h = _mm256_fmadd_ps(va2, vb_hi, acc2h);
-            let va3 = _mm256_set1_ps(*a_step.add(3));
-            acc3l = _mm256_fmadd_ps(va3, vb_lo, acc3l);
-            acc3h = _mm256_fmadd_ps(va3, vb_hi, acc3h);
+            let vb: [V; 2] = [0, 1].map(|j| V::widen::<F>(t.b_at::<F>(j * V::LANES, kk)));
+            for s in 0..S {
+                let a_step = t.a_strip.add((s * t.k + kk) * MICRO_MR);
+                for (i, acc) in acc[s].iter_mut().enumerate() {
+                    let va = V::splat(*a_step.add(i));
+                    acc[0] = V::fma(va, vb[0], acc[0]);
+                    acc[1] = V::fma(va, vb[1], acc[1]);
+                }
+                let a_sum = t.a_sum.wrapping_add((s * t.k + kk) * 2);
+                if LANES == LANES_COLUMN {
+                    // One broadcast live at a time: sixteen ymm hold
+                    // twelve accumulators, the sign mask and three more.
+                    let vs = V::splat(*a_sum);
+                    chk[s][0] = V::fma(vs, vb[0], chk[s][0]);
+                    chk[s][1] = V::fma(vs, vb[1], chk[s][1]);
+                    let vm = V::splat(*a_sum.add(1));
+                    mag[s][0] = V::fma(vm, vb[0].abs(), mag[s][0]);
+                    mag[s][1] = V::fma(vm, vb[1].abs(), mag[s][1]);
+                }
+                if LANES == LANES_TILE {
+                    let st = pair(a_sum);
+                    for (g, corner) in corner[s].iter_mut().enumerate().take(groups) {
+                        let tt = pair(t.b_sum.add((g * t.k + kk) * 2));
+                        *corner = _mm_fmadd_ps(st, tt, *corner);
+                    }
+                }
+            }
+        }
+        for s in 0..S {
+            for (i, acc) in acc[s].iter().enumerate() {
+                let row = t.out.add((s * MICRO_MR + i) * t.bn);
+                acc[0].store(row);
+                acc[1].store(row.add(V::LANES));
+            }
+            let chk_at = t.chk.wrapping_add(s * t.lane_row);
+            let mag_at = t.mag.wrapping_add(s * t.lane_row);
             if LANES == LANES_COLUMN {
-                let vs = _mm256_set1_ps(*t.a_sum.add(kk * 2));
-                chk_l = _mm256_fmadd_ps(vs, vb_lo, chk_l);
-                chk_h = _mm256_fmadd_ps(vs, vb_hi, chk_h);
-                let vm = _mm256_set1_ps(*t.a_sum.add(kk * 2 + 1));
-                mag_l = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_lo), mag_l);
-                mag_h = _mm256_fmadd_ps(vm, _mm256_andnot_ps(sign, vb_hi), mag_h);
+                for j in 0..2 {
+                    chk[s][j].store(chk_at.add(j * V::LANES));
+                    mag[s][j].store(mag_at.add(j * V::LANES));
+                }
             }
             if LANES == LANES_TILE {
-                // (sum, magnitude) pairs in the low two lanes; the
-                // upper lanes stay 0·0 + 0.
-                let st = _mm_castpd_ps(_mm_load_sd(t.a_sum.add(kk * 2) as *const f64));
-                let tt = _mm_castpd_ps(_mm_load_sd(t.b_sum.add(kk * 2) as *const f64));
-                corner = _mm_fmadd_ps(st, tt, corner);
+                for (g, &corner) in corner[s].iter().enumerate().take(groups) {
+                    store_pair(corner, chk_at.add(g), mag_at.add(g));
+                }
             }
-        }
-        _mm256_storeu_ps(t.out, acc0l);
-        _mm256_storeu_ps(t.out.add(MICRO_PANEL), acc0h);
-        let t1 = t.out.add(t.bn);
-        _mm256_storeu_ps(t1, acc1l);
-        _mm256_storeu_ps(t1.add(MICRO_PANEL), acc1h);
-        let t2 = t.out.add(2 * t.bn);
-        _mm256_storeu_ps(t2, acc2l);
-        _mm256_storeu_ps(t2.add(MICRO_PANEL), acc2h);
-        let t3 = t.out.add(3 * t.bn);
-        _mm256_storeu_ps(t3, acc3l);
-        _mm256_storeu_ps(t3.add(MICRO_PANEL), acc3h);
-        if LANES == LANES_COLUMN {
-            _mm256_storeu_ps(t.chk, chk_l);
-            _mm256_storeu_ps(t.chk.add(MICRO_PANEL), chk_h);
-            _mm256_storeu_ps(t.mag, mag_l);
-            _mm256_storeu_ps(t.mag.add(MICRO_PANEL), mag_h);
-        }
-        if LANES == LANES_TILE {
-            let mut pair = [0.0f32; 4];
-            _mm_storeu_ps(pair.as_mut_ptr(), corner);
-            *t.chk = pair[0];
-            *t.mag = pair[1];
         }
     }
 }
 
 /// The register tile of a strip with one live row: that row against
-/// `NV` B vectors (`NV / 2` column groups, whose panels are
-/// consecutive) — per K step one broadcast of A, `NV` widening loads of
-/// B, `NV` FMAs, each accumulator one in-order chain over the whole K
-/// extent as in [`tile_4x16`]. This is the shape of a batch-1 layer,
-/// whose time is its weight stream: four B vectors in flight keep the
-/// loads ahead of the FMAs, and no FMA is spent on the strip's three
-/// rows of zeros.
+/// `NV` B vectors of `V` (`NV·V::LANES / 16` column groups) — per K
+/// step one broadcast of A, `NV` widening loads of B, `NV` FMAs, each
+/// accumulator one in-order chain over the whole K extent as in
+/// [`tile`]. This is the shape of a batch-1 layer, whose time is its
+/// weight stream: four B vectors in flight keep the loads ahead of the
+/// FMAs, and no FMA is spent on the strip's three rows of zeros.
 ///
 /// `LANES_COLUMN` adds `NV` checksum chains on the same B vectors, fed
 /// by the strip's column sum; the strip's magnitude lanes are not
 /// carried (see [`column_magnitude`]). `LANES_TILE` adds each column
-/// group's xmm corner chain, as [`tile_4x16`] does.
+/// group's xmm corner chain, as [`tile`] does.
 ///
 /// # Safety
-/// As [`fill_avx2`], which built `t`.
+/// As [`fill_simd`], which built `t`; the host supports `V`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_1xn<F: Format, const LANES: u8, const NV: usize>(t: TileArgs) {
+unsafe fn tile_1xn<V: Vector, F: Format, const LANES: u8, const NV: usize>(t: TileArgs) {
     use std::arch::x86_64::*;
-    let step = MICRO_PANEL * F::RESIDENT_BYTES;
-    // SAFETY: see `fill_avx2`.
+    let groups = NV * V::LANES / MICRO_NR;
+    // SAFETY: see `fill_simd`.
     unsafe {
-        let mut acc = [_mm256_setzero_ps(); NV];
-        let mut chk = [_mm256_setzero_ps(); NV];
+        let pair = |at: *const f32| _mm_castpd_ps(_mm_load_sd(at.cast()));
+        let mut acc = [V::splat(0.0); NV];
+        let mut chk = [V::splat(0.0); NV];
         let mut corner = [_mm_setzero_ps(); NV];
         for kk in 0..t.k {
-            let mut vb = [_mm256_setzero_ps(); NV];
+            let mut vb = [V::splat(0.0); NV];
             for (j, vb) in vb.iter_mut().enumerate() {
-                *vb = F::widen(t.b_panels.add((j * t.k + kk) * step));
+                *vb = V::widen::<F>(t.b_at::<F>(j * V::LANES, kk));
             }
-            let va = _mm256_set1_ps(*t.a_strip.add(kk * MICRO_MR));
+            let va = V::splat(*t.a_strip.add(kk * MICRO_MR));
             for j in 0..NV {
-                acc[j] = _mm256_fmadd_ps(va, vb[j], acc[j]);
+                acc[j] = V::fma(va, vb[j], acc[j]);
             }
             if LANES == LANES_COLUMN {
-                let vs = _mm256_set1_ps(*t.a_sum.add(kk * 2));
+                let vs = V::splat(*t.a_sum.add(kk * 2));
                 for j in 0..NV {
-                    chk[j] = _mm256_fmadd_ps(vs, vb[j], chk[j]);
+                    chk[j] = V::fma(vs, vb[j], chk[j]);
                 }
             }
             if LANES == LANES_TILE {
-                let st = _mm_castpd_ps(_mm_load_sd(t.a_sum.add(kk * 2) as *const f64));
-                for (g, corner) in corner.iter_mut().enumerate().take(NV / 2) {
-                    let b_sum = t.b_sum.add((g * t.k + kk) * 2);
-                    let tt = _mm_castpd_ps(_mm_load_sd(b_sum as *const f64));
+                let st = pair(t.a_sum.add(kk * 2));
+                for (g, corner) in corner.iter_mut().enumerate().take(groups) {
+                    let tt = pair(t.b_sum.add((g * t.k + kk) * 2));
                     *corner = _mm_fmadd_ps(st, tt, *corner);
                 }
             }
         }
         for j in 0..NV {
-            _mm256_storeu_ps(t.out.add(j * MICRO_PANEL), acc[j]);
+            acc[j].store(t.out.add(j * V::LANES));
             if LANES == LANES_COLUMN {
-                _mm256_storeu_ps(t.chk.add(j * MICRO_PANEL), chk[j]);
+                chk[j].store(t.chk.add(j * V::LANES));
             }
         }
         if LANES == LANES_TILE {
-            for (g, corner) in corner.iter().enumerate().take(NV / 2) {
-                let mut pair = [0.0f32; 4];
-                _mm_storeu_ps(pair.as_mut_ptr(), *corner);
-                *t.chk.add(g) = pair[0];
-                *t.mag.add(g) = pair[1];
+            for (g, &corner) in corner.iter().enumerate().take(groups) {
+                store_pair(corner, t.chk.add(g), t.mag.add(g));
             }
         }
     }
@@ -854,7 +1050,7 @@ mod tests {
                     } else {
                         0
                     };
-                    let at = (c / MICRO_PANEL * kp + kk) * MICRO_PANEL + c % MICRO_PANEL;
+                    let at = (c / MICRO_NR * kp + kk) * MICRO_NR + c % MICRO_NR;
                     let stored = resident_code(&w.panels()[at * width..][..width]);
                     assert_eq!(stored, code, "{dtype} ({kk},{c})");
                 }
@@ -929,35 +1125,44 @@ mod tests {
 
     #[test]
     fn microkernel_matches_the_scalar_oracle_bit_for_bit() {
-        if !detect_path().is_simd() {
-            eprintln!("host has no AVX2+FMA+F16C; nothing to compare");
-            return;
-        }
         // Data tile, checksum lanes and magnitude lanes, under every
-        // lane kind and storage format, at a block origin away from
-        // zero, with the live extent both filling the block and
-        // stopping short of it — on a whole strip, and one, two and
-        // three live rows into the last one (one live row runs the
-        // one-row tile: over group pairs, and over an odd last group).
+        // lane kind and storage format, on every path the host runs, at
+        // a block origin away from zero, with the live extent both
+        // filling the block and stopping short of it. The named shapes
+        // are the AVX2 walk's cases (a whole strip, and one, two and
+        // three live rows into the last one); the sweep after them
+        // takes the zmm walk through every branch: one to four whole
+        // strips (a lone strip, a pair, a pair and an odd strip, two
+        // pairs), each with and without a one-live-row strip after it,
+        // by one to five column groups (the 4×32 pair tile and the ymm
+        // instance over an odd last group; 1×64, 1×32 and 1×16 on the
+        // one-row tile).
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut shapes = vec![
+            (16usize, 16usize, 32usize, (16usize, 1usize)),
+            (32, 48, 56, (32, 3)),
+            (32, 48, 56, (4, 2)),
+            (32, 48, 56, (1, 3)),
+            (32, 64, 24, (5, 4)),
+            (32, 64, 24, (13, 1)),
+            (8, 32, 10, (6, 2)),
+            (8, 32, 10, (7, 2)),
+            // The engine's own block, every register tile live.
+            (BLOCK_M, BLOCK_N, 24, (BLOCK_M, BLOCK_N / MICRO_NR)),
+        ];
+        for rows in [4, 8, 9, 12, 13, 16, 17] {
+            shapes.extend((1..=5).map(|groups| (20, 80, 16, (rows, groups))));
+        }
+        let paths = &supported_paths()[1..];
+        let skipped = &GemmPath::ALL[supported_paths().len()..];
+        eprintln!("comparing {paths:?} with the scalar oracle; the host cannot run {skipped:?}");
         for dtype in Dtype::ALL {
             for lanes in [
                 Redundancy::None,
                 Redundancy::ColumnChecksum,
                 Redundancy::TileChecksum,
             ] {
-                for &(bm, bn, k, live) in &[
-                    (16usize, 16usize, 32usize, (16, 1)),
-                    (32, 48, 56, (32, 3)),
-                    (32, 48, 56, (4, 2)),
-                    (32, 48, 56, (1, 3)),
-                    (32, 64, 24, (5, 4)),
-                    (32, 64, 24, (13, 1)),
-                    (8, 32, 10, (6, 2)),
-                    (8, 32, 10, (7, 2)),
-                    // The engine's own block, every register tile live.
-                    (BLOCK_M, BLOCK_N, 24, (BLOCK_M, BLOCK_N / MICRO_NR)),
-                ] {
+                for &(bm, bn, k, live) in &shapes {
                     let (row0, col0) = (MICRO_MR * 2, MICRO_NR);
                     let (rows, groups) = live;
                     let strips = rows.div_ceil(MICRO_MR);
@@ -982,11 +1187,14 @@ mod tests {
                         }
                         (bits(&tile), bits(&chk), bits(&mag))
                     };
-                    assert_eq!(
-                        run(GemmPath::Avx2Fma),
-                        run(GemmPath::Scalar),
-                        "{dtype} {lanes:?} bm={bm} bn={bn} k={k} live={live:?}"
-                    );
+                    let want = run(GemmPath::Scalar);
+                    for &path in paths {
+                        assert_eq!(
+                            run(path),
+                            want,
+                            "{path:?} {dtype} {lanes:?} bm={bm} bn={bn} k={k} live={live:?}"
+                        );
+                    }
                 }
             }
         }
@@ -994,9 +1202,15 @@ mod tests {
 
     #[test]
     fn dispatch_honours_the_forced_override() {
-        force_path(Some(GemmPath::Scalar));
-        assert_eq!(active_path(), GemmPath::Scalar);
-        force_path(None);
+        let paths = on_each_path(|path| {
+            assert_eq!(active_path(), path);
+            path
+        });
+        assert_eq!(paths, supported_paths());
+        assert_eq!(
+            (paths[0], paths.last()),
+            (GemmPath::Scalar, Some(&detect_path()))
+        );
         // Ambient dispatch (env or detection) — just has to be callable.
         let _ = active_path();
     }

@@ -13,28 +13,7 @@ const ALL_LANES: [Redundancy; 5] = [
     Redundancy::ShadowSum,
 ];
 
-/// Serialises the tests that flip the process-global path override.
-static PATH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Runs `f` on the scalar oracle and then, where the host has one, on
-/// the SIMD path, with the override set; returns the results in that
-/// order.
-fn on_each_path<T>(mut f: impl FnMut(GemmPath) -> T) -> Vec<T> {
-    let _guard = PATH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let mut paths = vec![GemmPath::Scalar];
-    if simd::detect_path().is_simd() {
-        paths.push(GemmPath::Avx2Fma);
-    }
-    let results = paths
-        .into_iter()
-        .map(|path| {
-            simd::force_path(Some(path));
-            f(path)
-        })
-        .collect();
-    simd::force_path(None);
-    results
-}
+use simd::on_each_path;
 
 /// `lanes` under a threshold no rounding noise reaches and every
 /// injected test fault exceeds (`aiga-core` owns the real derivation).
@@ -159,7 +138,7 @@ fn counters_match_tiling_formulas() {
 fn empty_dimensions_are_well_defined_on_both_paths() {
     // No rows, no columns, no inner dimension: an output of the right
     // shape (zeros where it has cells), no detections, nothing counted —
-    // under every lane kind, on both paths, with a fault aimed at a
+    // under every lane kind, on every path, with a fault aimed at a
     // cell that (for k = 0) exists. Both used to panic on a zero chunk
     // size: n = 0 in the weight pack, k = 0 in the strip staging.
     let fault = FaultPlan {
@@ -340,42 +319,45 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
         slope: 0.0,
         floor: -1.0,
     };
-    for m in [270usize, 261] {
-        let (n, k) = (250usize, 256usize);
-        assert!(m.div_ceil(BLOCK_M) == 5 && n.div_ceil(BLOCK_N) == 4);
-        let a = Matrix::random(m, k, 70);
-        let b = Matrix::random(k, n, 71);
-        let faults = [FaultPlan {
-            row: m - 1,
-            col: 249,
-            after_step: 5,
-            kind: FaultKind::AddValue(96.0),
-        }];
-        super::FORCE_WORKERS.store(1, std::sync::atomic::Ordering::Relaxed);
-        let seq_clean = gemm(&a, &b, flag_all, &[]);
-        // Padding columns of the last register tile carry lanes too.
-        assert_eq!(
-            seq_clean.detections.len(),
-            m.div_ceil(MICRO_MR) * n.next_multiple_of(MICRO_NR)
-        );
-        let seq_fault = gemm(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
-        assert_eq!(seq_fault.detections.len(), 1);
-        let mut ws = Workspace::new();
-        let b = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
-        super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
-        {
-            let par = gemm_into(&a, &b, flag_all, &[], &mut ws);
-            assert_eq!(seq_clean.c, par.c);
-            assert_eq!(seq_clean.detections, par.detections);
-            assert_eq!(seq_clean.counters, par.counters);
+    // On every path: the zmm walk pairs strips inside each worker's stripe.
+    on_each_path(|_| {
+        for m in [270usize, 261] {
+            let (n, k) = (250usize, 256usize);
+            assert!(m.div_ceil(BLOCK_M) == 5 && n.div_ceil(BLOCK_N) == 4);
+            let a = Matrix::random(m, k, 70);
+            let b = Matrix::random(k, n, 71);
+            let faults = [FaultPlan {
+                row: m - 1,
+                col: 249,
+                after_step: 5,
+                kind: FaultKind::AddValue(96.0),
+            }];
+            super::FORCE_WORKERS.store(1, std::sync::atomic::Ordering::Relaxed);
+            let seq_clean = gemm(&a, &b, flag_all, &[]);
+            // Padding columns of the last register tile carry lanes too.
+            assert_eq!(
+                seq_clean.detections.len(),
+                m.div_ceil(MICRO_MR) * n.next_multiple_of(MICRO_NR)
+            );
+            let seq_fault = gemm(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
+            assert_eq!(seq_fault.detections.len(), 1);
+            let mut ws = Workspace::new();
+            let b = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
+            super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
+            {
+                let par = gemm_into(&a, &b, flag_all, &[], &mut ws);
+                assert_eq!(seq_clean.c, par.c);
+                assert_eq!(seq_clean.detections, par.detections);
+                assert_eq!(seq_clean.counters, par.counters);
+            }
+            {
+                let par = gemm_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
+                assert_eq!(seq_fault.c, par.c);
+                assert_eq!(seq_fault.detections, par.detections);
+            }
+            super::FORCE_WORKERS.store(0, std::sync::atomic::Ordering::Relaxed);
         }
-        {
-            let par = gemm_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
-            assert_eq!(seq_fault.c, par.c);
-            assert_eq!(seq_fault.detections, par.detections);
-        }
-        super::FORCE_WORKERS.store(0, std::sync::atomic::Ordering::Relaxed);
-    }
+    });
 }
 
 #[test]
@@ -505,7 +487,7 @@ fn one_pass_staging_matches_the_three_pass_oracle_bit_for_bit() {
                 for view in views {
                     let k = view.cols.next_multiple_of(8);
                     let (want_pack, want_chk) = stage_oracle(view, k);
-                    for path in [simd::detect_path(), GemmPath::Scalar] {
+                    for &path in simd::supported_paths() {
                         // Stale contents must be fully overwritten.
                         let mut p = Panels::default();
                         p.a_pack.resize(want_pack.len() + 5, f32::NAN);
@@ -568,7 +550,7 @@ fn report(out: &GemmOutput) -> Report {
 ///
 /// Per shape × lane kind × fault set:
 /// - outputs, the full detection list (residual and threshold *bits*)
-///   and the counters are equal on both paths;
+///   and the counters are equal on every path;
 /// - detections and outputs equal those of the same operands with the
 ///   strip's three dead rows made explicit zero rows — four live rows,
 ///   so the four-row tile and its eagerly carried magnitude lanes: the
@@ -628,17 +610,15 @@ fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
                 let mut clean = None;
                 for (set, faults) in fault_sets.iter().enumerate() {
                     let ctx = format!("{dtype} {m}x{n} {lanes:?} fault set {set}");
-                    // The eager twin runs on the host's best path only.
-                    let mut eager = None;
-                    let runs = on_each_path(|path| {
-                        if path == simd::detect_path() {
-                            let out = gemm_into(&eager_a, &packed, scheme, faults, &mut ws);
-                            eager = Some(report(out));
-                        }
-                        report(gemm_into(&a, &packed, scheme, faults, &mut ws))
+                    let runs = on_each_path(|_| {
+                        let lazy = report(gemm_into(&a, &packed, scheme, faults, &mut ws));
+                        (
+                            lazy,
+                            report(gemm_into(&eager_a, &packed, scheme, faults, &mut ws)),
+                        )
                     });
-                    let (lazy, eager) = (&runs[0], eager.expect("ran on a path"));
-                    assert!(runs.iter().all(|r| r == lazy), "paths differ: {ctx}");
+                    assert!(runs.iter().all(|r| r == &runs[0]), "paths differ: {ctx}");
+                    let (lazy, eager) = &runs[0];
                     // (Set 4's rows exist in the eager operand: it has
                     // accumulators there to strike.)
                     if set != 4 {
@@ -669,7 +649,7 @@ fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
             }
             // A non-finite weight (where the format has one) in the last
             // column: the clean run flags that column under both ABFT
-            // kinds, identically on both paths and to the eager lanes.
+            // kinds, identically on every path and to the eager lanes.
             for value in [f32::NAN, f32::INFINITY] {
                 let code = dtype.encode(value);
                 if dtype.decode(code).is_finite() {
@@ -721,4 +701,77 @@ fn one_live_row_strips_match_the_oracle_fp8e4m3() {
 #[test]
 fn one_live_row_strips_match_the_oracle_int8() {
     one_live_row_strips_match_the_oracle(Dtype::Int8);
+}
+
+/// `(row, col, residual bits, threshold bits)` of one detection.
+type PinnedDetection = (usize, usize, u64, u64);
+
+#[test]
+fn faults_in_either_strip_of_a_pair_flag_with_pinned_bits() {
+    // Eight rows are one strip pair on the zmm walk; 48 columns are its
+    // 8×32 tile and the ymm instance over the odd third group. A
+    // mid-walk fault in one strip and a NaN in the other — in either
+    // tile, either way round — must flag their own strip, on every path,
+    // with the residual and threshold bits the four-row ymm tile
+    // reported before strips were paired (recorded at that commit).
+    let (m, n, k) = (8, 48, 24);
+    let a = Matrix::random(m, k, 300);
+    let b = Matrix::random(k, n, 301);
+    let at = |row, col, after_step, kind| FaultPlan {
+        row,
+        col,
+        after_step,
+        kind,
+    };
+    let mid = FaultKind::AddValue(96.0);
+    let nan = FaultKind::SetValue(f32::NAN);
+    let nan_bits = f64::NAN.to_bits();
+    let mid_then_nan = [at(1, 5, 2, mid), at(6, 40, u64::MAX, nan)];
+    let nan_then_mid = [at(2, 37, u64::MAX, nan), at(7, 20, 4, mid)];
+    let cases: [(Redundancy, [FaultPlan; 2], [PinnedDetection; 2]); 4] = [
+        (
+            Redundancy::ColumnChecksum,
+            mid_then_nan,
+            [
+                (0, 5, 0x4057ffffe2000000, 0x3f8776a6adb402d1),
+                (4, 40, nan_bits, 0x3f81cff32bdc26dd),
+            ],
+        ),
+        (
+            Redundancy::ColumnChecksum,
+            nan_then_mid,
+            [
+                (0, 37, nan_bits, 0x3f8683ee275ab7dc),
+                (4, 20, 0x4057fffff8000000, 0x3f85581929670197),
+            ],
+        ),
+        (
+            Redundancy::TileChecksum,
+            mid_then_nan,
+            [
+                (0, 0, 0x4058000000000000, 0x3fc2e797082491b0),
+                (4, 32, nan_bits, 0x3fc2c1bd1fe64f55),
+            ],
+        ),
+        (
+            Redundancy::TileChecksum,
+            nan_then_mid,
+            [
+                (0, 32, nan_bits, 0x3fc186f77e1b8ed2),
+                (4, 16, 0x4057ffffe0000000, 0x3fc2e7ebebe1650b),
+            ],
+        ),
+    ];
+    assert_eq!(nan_bits, 0x7ff8000000000000);
+    for (lanes, faults, want) in cases {
+        let packed = PackedWeights::pack(&b, lanes);
+        let mut ws = Workspace::new();
+        let runs = on_each_path(|_| report(gemm_into(&a, &packed, loose(lanes), &faults, &mut ws)));
+        assert!(
+            runs.iter().all(|r| r == &runs[0]),
+            "paths differ: {lanes:?}"
+        );
+        let got: Vec<_> = runs[0].1.iter().map(|d| (d.0, d.1, d.3, d.4)).collect();
+        assert_eq!(got, want, "{lanes:?} {faults:?}");
+    }
 }

@@ -10,7 +10,7 @@
 //! batch-1 request walks one strip of its block, not eight, and that
 //! strip's one live row as a one-row register tile.
 //!
-//! The epilogue is ordinary Rust shared by both [`GemmPath`]s — only
+//! The epilogue is ordinary Rust shared by every [`GemmPath`] — only
 //! correctly-rounded adds, multiplies and compares, which Rust never
 //! contracts or reorders — so detections (coordinates, residuals,
 //! thresholds) are byte-identical across the SIMD and scalar paths

@@ -28,7 +28,7 @@
 //!
 //! - [`engine`]: a GEMM as a function of its operands
 //!   ([`engine::gemm_into`]) — cache blocks of host-constant size
-//!   computed by a register-tiled microkernel (AVX2+FMA, with a
+//!   computed by a register-tiled microkernel (AVX-512 or AVX2+FMA, with a
 //!   byte-identical scalar oracle). A thread-level scheme is an
 //!   [`engine::TileScheme`]: checksum lanes the microkernel carries
 //!   beside its accumulators and a per-register-tile epilogue compare —

@@ -13,7 +13,7 @@
 //! 11×11 s4, a depthwise-ish single-input-channel conv, and a 1×1
 //! pointwise), crossed with clean and faulted runs under one scheme per
 //! protection family. The same file runs on the CI scalar-oracle leg
-//! (`AIGA_FORCE_SCALAR=1`) so both the AVX2 and scalar packers are
+//! (`AIGA_FORCE_SCALAR=1`) so both the SIMD and scalar packers are
 //! covered.
 
 use aiga::gpu::engine::MatrixView;
