@@ -106,31 +106,6 @@ fn stronger(s: Scheme) -> Option<Scheme> {
     l.get(rank(s) + 1).copied()
 }
 
-/// The next-weaker scheme on the [`ladder`], or `None` at the bottom
-/// rung (`Unprotected` has nothing cheaper below it). This is the
-/// *overload* direction: where the [`AdaptiveController`] escalates
-/// toward stronger protection as faults rise, an overloaded server
-/// walks the same ladder the other way, trading protection strength
-/// for execution time. Scheme choice never changes the GEMM output
-/// bytes — checksums ride in separate accumulators — so degrading is
-/// always output-transparent.
-pub fn weaker(s: Scheme) -> Option<Scheme> {
-    let r = rank(s);
-    (r > 0).then(|| ladder()[r - 1])
-}
-
-/// One degradation step over a whole per-layer scheme assignment: every
-/// layer steps one rung down the [`ladder`] (layers already at the
-/// bottom stay `Unprotected`). Returns `None` when nothing can step
-/// down — the assignment is already fully unprotected, so a degraded
-/// recompile would change nothing.
-pub fn degrade_step(schemes: &[Scheme]) -> Option<Vec<Scheme>> {
-    if schemes.iter().all(|&s| weaker(s).is_none()) {
-        return None;
-    }
-    Some(schemes.iter().map(|&s| weaker(s).unwrap_or(s)).collect())
-}
-
 /// One relaxation step toward `baseline` (never past it — stepping at
 /// or below the baseline's rung restores the baseline scheme itself,
 /// round count included).
@@ -374,39 +349,6 @@ mod tests {
             &[Scheme::MultiChecksum(2), Scheme::Unprotected]
         );
         assert_eq!(ctrl.fault_rate(1), 0.0);
-    }
-
-    #[test]
-    fn weaker_descends_the_ladder_and_stops_at_the_bottom() {
-        assert_eq!(
-            weaker(Scheme::ReplicationTraditional),
-            Some(Scheme::ReplicationSingleAcc)
-        );
-        assert_eq!(
-            weaker(Scheme::ThreadLevelOneSided),
-            Some(Scheme::MultiChecksum(2))
-        );
-        assert_eq!(weaker(Scheme::GlobalAbft), Some(Scheme::Unprotected));
-        assert_eq!(weaker(Scheme::Unprotected), None);
-    }
-
-    #[test]
-    fn degrade_step_steps_every_layer_once() {
-        let schemes = [
-            Scheme::ThreadLevelOneSided,
-            Scheme::GlobalAbft,
-            Scheme::Unprotected,
-        ];
-        assert_eq!(
-            degrade_step(&schemes).unwrap(),
-            vec![
-                Scheme::MultiChecksum(2),
-                Scheme::Unprotected,
-                Scheme::Unprotected,
-            ]
-        );
-        // A fully-unprotected assignment has nowhere to go.
-        assert_eq!(degrade_step(&[Scheme::Unprotected; 3]), None);
     }
 
     #[test]

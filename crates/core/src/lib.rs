@@ -65,7 +65,7 @@ pub mod serve;
 pub mod session;
 pub mod tolerance;
 
-pub use adapt::{degrade_step, weaker, AdaptConfig, AdaptiveController, Adjustment, Observation};
+pub use adapt::{AdaptConfig, AdaptiveController, Adjustment, Observation};
 pub use compiled::CompiledModel;
 pub use kernel::{BoundKernel, FaultSite, RunReport, Verdict};
 pub use pipeline::{InferenceReport, LayerCorrection, PipelineFault, ProtectedPipeline};

@@ -47,8 +47,13 @@
 //! keeps no other copy of them, and every request, stripe worker and
 //! session shard reads that one), so the pipeline contains no
 //! per-scheme dispatch and serves extension schemes like
-//! `Scheme::MultiChecksum` unchanged. A pass stages only the request's
-//! own rows per layer.
+//! `Scheme::MultiChecksum` unchanged.
+//!
+//! A pass runs at the request's own row count: every stage — GEMM,
+//! write-back, pool, gather — covers `input.rows` images, the first
+//! stage reads the caller's matrix where it lies, and the last stage's
+//! output is the reply. [`ProtectedPipeline::batch`] is only the row cap
+//! (and the shape the plan was priced at); nothing is padded up to it.
 
 use crate::kernel::{BoundKernel, FaultSite, Verdict};
 use crate::schemes::Scheme;
@@ -133,7 +138,7 @@ impl InferenceReport {
 /// Where a stage reads a value from.
 #[derive(Clone, Copy, Debug)]
 enum Src {
-    /// The (padded) request staged in the workspace's activation buffer.
+    /// The caller's request matrix, read in place.
     Input,
     /// The output slot of an earlier stage.
     Stage(usize),
@@ -442,7 +447,9 @@ impl ProtectedPipeline {
         self.gemm_count
     }
 
-    /// Batch size (rows of the input this pipeline expects).
+    /// The largest request (in rows) this instance accepts, and the
+    /// batch its plan was priced at. Smaller requests run as their own
+    /// rows.
     pub fn batch(&self) -> usize {
         self.batch
     }
@@ -480,10 +487,10 @@ impl ProtectedPipeline {
     /// checkout pool) reach a steady state where the only per-request
     /// allocation is the returned report's output vector.
     ///
-    /// Requests with fewer rows than the pipeline batch are padded up
-    /// with zero rows (batching serving systems dispatch to fixed
-    /// bucket sizes) and the report's output is cropped back to
-    /// `input.rows × output_features`.
+    /// Every stage runs at `input.rows` (at most [`Self::batch`]): the
+    /// first stage reads `input` in place and the report's output is
+    /// the last stage's, `input.rows × output_features`. A fault aimed
+    /// past the request's last row has no accumulator to strike.
     pub fn infer_into(
         &self,
         input: &Matrix,
@@ -504,20 +511,24 @@ impl ProtectedPipeline {
             input.dtype, self.dtype,
             "request dtype must match the pipeline's storage dtype"
         );
-        // Stage the (padded) input into the workspace's activation
-        // buffer, moved out for the pass so stages can read it while
-        // the workspace is mutably borrowed (a pointer move, not a copy).
-        let mut act = std::mem::take(ws.activations_mut());
-        input.copy_padded_into(self.batch, input.cols, &mut act);
-        ws.ensure_slots(self.slot_count);
+        assert_eq!(
+            input.data.len(),
+            input.rows * input.cols,
+            "request buffer must hold rows × cols codes"
+        );
         let mut report = InferenceReport {
             output: Vec::new(),
             detections: Vec::new(),
             corrections: Vec::new(),
         };
+        if input.rows == 0 {
+            // No rows, no work: nothing ran that a check could compare.
+            return report;
+        }
+        ws.ensure_slots(self.slot_count);
         for (si, stage) in self.stages.iter().enumerate() {
             let Some(g) = stage.gemm() else {
-                self.run_epilogue_stage(si, ws, &act, input.rows, &mut report.output);
+                self.run_epilogue_stage(si, ws, input, &mut report.output);
                 continue;
             };
             // The destination slot leaves the table for the stage, so
@@ -528,7 +539,7 @@ impl ProtectedPipeline {
             let mut dst = ws.take_slot(stage.out_slot);
             let (slots, child) = ws.slots_and_child();
             let src = match stage.srcs[0] {
-                Src::Input => &act,
+                Src::Input => input,
                 Src::Stage(j) => &slots[j],
             };
             // The final stage's output is read raw off the workspace.
@@ -537,8 +548,8 @@ impl ProtectedPipeline {
             let verdict = self.run_gemm(stage, src, fault, child, encoded);
             record_gemm_outcome(g, &stage.name, child.output(), verdict, &mut report);
             if is_last {
-                // Crop to the request rows; the final output stays raw
-                // f32 (ReLU only if the layer fuses one).
+                // The final output stays raw f32 (ReLU only if the
+                // layer fuses one).
                 let out = &mut report.output;
                 out.resize(input.rows * stage.out_features, 0.0);
                 emit_gemm_output(
@@ -551,15 +562,15 @@ impl ProtectedPipeline {
             }
             ws.put_slot(stage.out_slot, dst);
         }
-        *ws.activations_mut() = act;
         report
     }
 
     /// Runs one protected GEMM stage inside the (child) workspace `ws` —
     /// the one place the pipeline invokes a [`BoundKernel`]. The source
-    /// value is viewed as the stage's activation matrix without a copy:
-    /// row-major for fc; for convs the implicit-GEMM lowering of the
-    /// NCHW slot (the engine's A-panel staging gathers straight from it,
+    /// value (`src.rows` images) is viewed as the stage's activation
+    /// matrix without a copy: row-major for fc; for convs the
+    /// implicit-GEMM lowering of the NCHW slot (the engine's A-panel
+    /// staging gathers straight from it,
     /// so the lowered matrix never exists; padding taps are the zero
     /// code in every dtype). In recovery mode a detected fault is
     /// repaired in place; `dst`, when given, receives the encoded
@@ -575,7 +586,7 @@ impl ProtectedPipeline {
         let g = stage.gemm().expect("GEMM stage");
         let a = match g.lowering {
             None => src.view(),
-            Some(view) => MatrixView::im2col_lowered(self.batch, view, &src.data, self.dtype),
+            Some(view) => MatrixView::im2col_lowered(src.rows, view, &src.data, self.dtype),
         };
         let layer_fault = fault.and_then(|f| (f.layer == g.layer).then_some(f.fault));
         let faults = layer_fault.as_slice();
@@ -585,14 +596,13 @@ impl ProtectedPipeline {
             g.bound.run_into(a, faults, ws)
         };
         if let Some(dst) = dst {
-            // Full batch: padded images stay zero through every op.
             let dt = self.dtype;
-            dst.rows = self.batch;
+            dst.rows = src.rows;
             dst.cols = stage.out_features;
             dst.dtype = dt;
             // Sized once, written by index: every code is overwritten.
-            dst.data.resize(self.batch * stage.out_features, F16::ZERO);
-            emit_gemm_output(ws.output(), g.spatial(), g.relu, self.batch, |at, run| {
+            dst.data.resize(src.rows * stage.out_features, F16::ZERO);
+            emit_gemm_output(ws.output(), g.spatial(), g.relu, src.rows, |at, run| {
                 dt.encode_slice(run, &mut dst.data[at..at + run.len()])
             });
         }
@@ -605,26 +615,25 @@ impl ProtectedPipeline {
         &self,
         si: usize,
         ws: &mut Workspace,
-        act: &Matrix,
-        rows: usize,
+        input: &Matrix,
         final_output: &mut Vec<f32>,
     ) {
         let stage = &self.stages[si];
         let is_last = si + 1 == self.stages.len();
         let dt = self.dtype;
-        let batch = self.batch;
+        let rows = input.rows;
         let mut dst = ws.take_slot(stage.out_slot);
         // GEMM stages run in the child workspace: this one's output buffer
         // is free to hold decoded planes.
         let mut scratch = ws.take_output();
-        dst.rows = batch;
+        dst.rows = rows;
         dst.cols = stage.out_features;
         dst.dtype = dt;
         dst.data.clear();
         {
             let get = |r: Src| -> &Matrix {
                 match r {
-                    Src::Input => &*act,
+                    Src::Input => input,
                     Src::Stage(j) => ws.slot(j),
                 }
             };
@@ -640,7 +649,7 @@ impl ProtectedPipeline {
                     global_avg_stage(get(stage.srcs[0]), *in_dims, &mut dst, &mut scratch.c)
                 }
                 StageOp::Concat { part_features } => {
-                    for n in 0..batch {
+                    for n in 0..rows {
                         for (&r, &f) in stage.srcs.iter().zip(part_features) {
                             let src = get(r);
                             dst.data.extend_from_slice(&src.data[n * f..(n + 1) * f]);
@@ -663,7 +672,7 @@ impl ProtectedPipeline {
                 StageOp::Slice { offset } => {
                     let src = get(stage.srcs[0]);
                     let f = src.cols;
-                    for n in 0..batch {
+                    for n in 0..rows {
                         dst.data.extend_from_slice(
                             &src.data[n * f + offset..n * f + offset + stage.out_features],
                         );
@@ -672,7 +681,7 @@ impl ProtectedPipeline {
                 StageOp::EmbeddingBag { tables } => {
                     let src = get(stage.srcs[0]);
                     let t_count = tables.len();
-                    for n in 0..batch {
+                    for n in 0..rows {
                         for (t, table) in tables.iter().enumerate() {
                             let idx = embedding_index(
                                 dt.decode(src.data[n * t_count + t].to_bits()),
@@ -687,7 +696,7 @@ impl ProtectedPipeline {
                 StageOp::Interact { dim, part_features } => {
                     let total: usize = part_features.iter().sum();
                     let m = total / dim;
-                    for n in 0..batch {
+                    for n in 0..rows {
                         // Value `f` of the virtual concatenation
                         // of the inputs for image `n`.
                         let feat = |f: usize| -> f32 {
@@ -721,8 +730,8 @@ impl ProtectedPipeline {
             }
         }
         if is_last {
-            final_output.resize(rows * stage.out_features, 0.0);
-            dt.decode_slice(&dst.data[..final_output.len()], final_output);
+            final_output.resize(dst.data.len(), 0.0);
+            dt.decode_slice(&dst.data, final_output);
         }
         *ws.output_mut() = scratch;
         ws.put_slot(stage.out_slot, dst);
@@ -1200,7 +1209,7 @@ pub(crate) mod tests {
         }
 
         #[test]
-        fn padded_requests_crop_to_the_request_rows() {
+        fn partial_requests_reply_with_their_own_rows() {
             let net = conv_net(4);
             let p = ProtectedPipeline::compile(&net, &[Scheme::GlobalAbft; 3]);
             let full = Matrix::random(4, 2 * 8 * 8, 23);
@@ -1208,7 +1217,7 @@ pub(crate) mod tests {
             let shared = Matrix::from_fn(2, 2 * 8 * 8, |r, c| full.get(r, c));
             let rs = p.infer(&shared, None);
             assert_eq!(rs.output.len(), 2 * 5);
-            // Per-image outputs are padding-independent.
+            // Per-image outputs do not depend on the batch they ran in.
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&rs.output), bits(&rf.output[..2 * 5]));
         }

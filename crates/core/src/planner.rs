@@ -18,7 +18,6 @@
 //! assert_eq!(plan.layers.len(), 3);
 //! ```
 
-use crate::adapt::AdaptConfig;
 use crate::cost::evaluate_layer_dtype;
 use crate::schemes::Scheme;
 use crate::selector::{LayerPlan, ModelPlan, SelectionMode};
@@ -34,7 +33,6 @@ pub struct Planner {
     calib: Calibration,
     candidates: Vec<Scheme>,
     mode: SelectionMode,
-    adapt: Option<AdaptConfig>,
     dtype: Dtype,
 }
 
@@ -48,7 +46,6 @@ impl Planner {
             calib: Calibration::default(),
             candidates: Scheme::intensity_guided_candidates().to_vec(),
             mode: SelectionMode::Profiled,
-            adapt: None,
             dtype: Dtype::F16,
         }
     }
@@ -83,22 +80,6 @@ impl Planner {
     pub fn dtype(mut self, dtype: Dtype) -> Self {
         self.dtype = dtype;
         self
-    }
-
-    /// Requests adaptive protection control: sessions built from this
-    /// planner run an online [`crate::adapt::AdaptiveController`] per
-    /// batch bucket, escalating or relaxing each layer's scheme around
-    /// the static plan as the observed fault rate moves (a
-    /// [`crate::session::SessionBuilder::adaptive`] call overrides
-    /// this default).
-    pub fn adaptive(mut self, config: AdaptConfig) -> Self {
-        self.adapt = Some(config);
-        self
-    }
-
-    /// The adaptive-control configuration, if one was requested.
-    pub fn adaptive_config(&self) -> Option<AdaptConfig> {
-        self.adapt
     }
 
     /// The device this planner targets.

@@ -94,10 +94,11 @@ impl MultiChecksumAbft {
         MultiVerdict { rounds }
     }
 
-    /// Runs checksum round `r` alone. Allocation-free — the serving hot
-    /// path walks rounds with this directly instead of collecting a
-    /// [`MultiVerdict`].
-    pub fn verify_round(&self, a: MatrixView<'_>, out: &GemmOutput, r: usize) -> GlobalVerdict {
+    /// The one `M·K + M·N` f64 walk of round `r`: the checksum dot
+    /// product `(Σ_i w_r(i)·A[i,:])·(B·1)`, the magnitude `Σ|·|` that
+    /// bounds its error, and the weighted output summation
+    /// `Σ_ij w_r(i)·C[i][j]`.
+    fn round_sums(&self, a: MatrixView<'_>, out: &GemmOutput, r: usize) -> (f64, f64, f64) {
         assert_eq!(a.cols, self.weight_checksum.len(), "K mismatch");
         assert!(r < self.rounds, "round out of range");
         // Weighted activation checksum: u_k = Σ_i w_r(i)·A[i][k].
@@ -115,7 +116,6 @@ impl MultiChecksumAbft {
             dot += u * self.weight_checksum[k];
             magnitude += u_abs * self.weight_abs[k];
         }
-        // Weighted output summation: Σ_ij w_r(i)·C[i][j].
         let mut c_sum = 0.0f64;
         for i in 0..out.m {
             let w = Self::weight(i, r);
@@ -123,6 +123,14 @@ impl MultiChecksumAbft {
                 c_sum += w * out.get(i, j) as f64;
             }
         }
+        (dot, magnitude, c_sum)
+    }
+
+    /// Runs checksum round `r` alone. Allocation-free — the serving hot
+    /// path walks rounds with this directly instead of collecting a
+    /// [`MultiVerdict`].
+    pub fn verify_round(&self, a: MatrixView<'_>, out: &GemmOutput, r: usize) -> GlobalVerdict {
+        let (dot, magnitude, c_sum) = self.round_sums(a, out, r);
         let residual = (dot - c_sum).abs();
         // C is FP32: each element carries FP32 accumulation error
         // scaled by its weight; the FP64 checksum arithmetic adds
@@ -146,23 +154,7 @@ impl MultiChecksumAbft {
     /// signs must survive, which is why [`Self::verify_round`]'s
     /// absolute residual cannot serve.
     pub fn round_residual_signed(&self, a: MatrixView<'_>, out: &GemmOutput, r: usize) -> f64 {
-        assert_eq!(a.cols, self.weight_checksum.len(), "K mismatch");
-        assert!(r < self.rounds, "round out of range");
-        let mut dot = 0.0f64;
-        for k in 0..a.cols {
-            let mut u = 0.0f64;
-            for i in 0..a.rows {
-                u += Self::weight(i, r) * a.get_f64(i, k);
-            }
-            dot += u * self.weight_checksum[k];
-        }
-        let mut c_sum = 0.0f64;
-        for i in 0..out.m {
-            let w = Self::weight(i, r);
-            for j in 0..out.n {
-                c_sum += w * out.get(i, j) as f64;
-            }
-        }
+        let (dot, _, c_sum) = self.round_sums(a, out, r);
         c_sum - dot
     }
 }

@@ -6,12 +6,14 @@
 //! rows within the largest declared bucket) from the queue front until
 //! the bucket is full, the queue runs dry (plus an optional wait
 //! window), or an incompatible head is reached — FIFO order is never
-//! violated. The stacked rows run ONE `Session::serve` pass, and each
-//! member gets its row slice back as a private [`ServeReport`].
+//! violated. The stacked rows run ONE `Session::serve` pass — read in
+//! place from the worker's stacking buffer, at exactly their own row
+//! count — and each member gets its row slice back as a private
+//! [`ServeReport`].
 //!
 //! Correctness leans on an engine invariant the session's split path
 //! already depends on: per-row outputs are bit-identical across batch
-//! paddings and tilings (accumulators are row-independent), so a
+//! sizes and tilings (accumulators are row-independent), so a
 //! coalesced member's bytes equal a direct solo serve of it.
 
 use super::{AtomicServerStats, PendingShared, Priority, ServeError, Shared, Slo};
@@ -121,7 +123,7 @@ fn triage(shared: &Shared, mut request: Request) -> Option<Request> {
     Some(request)
 }
 
-/// Whether this batch should run under the degraded (one-rung-cheaper)
+/// Whether this batch should run under the degraded (unprotected)
 /// scheme assignment: the head request aged past `degrade_after`, is
 /// not `High` priority, and carries no injected fault (fault passes
 /// must keep their planned detection coverage).
@@ -168,7 +170,7 @@ fn collect_batch(
     let largest = shared.largest_bucket;
     let head = (first.input.cols, first.input.dtype);
     let mut rows = first.input.rows;
-    // Faulted requests run solo (fault coordinates address one launch);
+    // Faulted requests run solo (fault coordinates address one pass);
     // bucket-filling or oversized requests have no room to share.
     let solo = first.fault.is_some() || rows >= largest;
     members.push(first);
@@ -190,9 +192,9 @@ fn collect_batch(
             continue;
         }
         // Nothing compatible is queued right now. Optionally wait for
-        // late arrivals — but only while the *current* bucket still has
-        // spare padding rows to fill (growing past it is free: the pass
-        // would pad to that bucket anyway).
+        // late arrivals — but only while the *current* bucket (the
+        // instance this batch would run through) still has spare rows
+        // under its cap.
         let Some(deadline) = deadline else { return };
         if rows >= session.bucket_for(rows) as usize {
             return;
@@ -217,8 +219,8 @@ fn collect_batch(
     }
 }
 
-/// Runs one pipeline pass over the collected members — degraded (one
-/// scheme rung cheaper, identical output bytes) when the batch head
+/// Runs one pipeline pass over the collected members — degraded
+/// (unprotected, identical output bytes) when the batch head
 /// aged past `degrade_after` — and scatters the per-request reports.
 /// `members` is drained; `stacked` is the reused row-stacking buffer.
 fn execute_batch(

@@ -4,7 +4,7 @@
 //! [`Session::serve`], one protected pipeline pass runs. This module is
 //! the front door for *many* callers: a [`Server`] owns a session, a
 //! bounded admission queue, and N worker threads, and turns concurrent
-//! single/small requests into the batch-bucketed pipeline passes the
+//! single/small requests into passes through the bucket instances the
 //! planner priced (§7.3) via a dynamic batcher:
 //!
 //! ```text
@@ -14,9 +14,10 @@
 //!   Pending  ◄── scatter per-request reports ◄── one Session::serve
 //! ```
 //!
-//! Coalescing is *transparent*: a batch of stacked requests runs the
-//! same padded bucket pipeline each member would have run alone, and
-//! per-row outputs are bit-identical across paddings (the engine's
+//! Coalescing is *transparent*: a bucket is a plan key and a row cap,
+//! a pass runs exactly the rows it is handed — the stacked rows, read
+//! from the worker's stacking buffer where they lie — and every output
+//! row is a function of its own input row alone (the engine's
 //! accumulators are row-independent), so a coalesced reply is
 //! byte-identical to a direct `Session::serve` of the same request —
 //! `tests/serve_concurrent.rs` asserts this under multi-client stress.
@@ -278,8 +279,8 @@ pub(crate) struct Shared {
     /// Retry attempts per declared bucket, aligned with
     /// `session.buckets()`.
     pub retry_by_bucket: Box<[AtomicU64]>,
-    /// Queue age past which pending work is served *degraded* (one
-    /// scheme rung cheaper; see [`crate::session::Session::serve_degraded`]).
+    /// Queue age past which pending work is served *degraded*
+    /// (unprotected; see [`crate::session::Session::serve_degraded`]).
     pub degrade_after: Option<Duration>,
     /// Queue age past which non-`High` requests are shed with
     /// [`ServeError::Overloaded`].
@@ -365,9 +366,9 @@ impl Client {
 
     /// Submits a request with an injected fault (the §2.3 single-fault
     /// model, aimed at one layer of this request). Faulted requests are
-    /// never coalesced — the fault plan's coordinates address one
-    /// bucket-shaped kernel launch, so the request runs a pass of its
-    /// own. Blocking admission.
+    /// never coalesced — the fault plan's coordinates address rows of
+    /// this request's own pass, so it runs one of its own. Blocking
+    /// admission.
     pub fn submit_with_fault(
         &self,
         input: &Matrix,
@@ -512,12 +513,13 @@ impl ServerBuilder {
     }
 
     /// Queue age past which pending work is served *degraded*: every
-    /// layer one rung down the [`crate::adapt::ladder`] from the static
-    /// plan (see [`Session::serve_degraded`]). Output bytes are
-    /// unchanged — schemes compute checksums beside the GEMM, never in
-    /// it — so degradation trades detection coverage, not answer
-    /// quality, for execution time. `High`-priority and fault-injected
-    /// requests are never degraded. Off by default.
+    /// layer `Unprotected` (see [`Session::serve_degraded`]) — the one
+    /// assignment that is never dearer than the plan, whatever the
+    /// host. Output bytes are unchanged — schemes compute checksums
+    /// beside the GEMM, never in it — so degradation trades detection
+    /// coverage, not answer quality, for execution time.
+    /// `High`-priority and fault-injected requests are never degraded.
+    /// Off by default.
     pub fn degrade_after(mut self, age: Duration) -> Self {
         self.degrade_after = Some(age);
         self

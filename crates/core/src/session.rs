@@ -9,19 +9,21 @@
 //! Requests arrive as activation matrices of any batch size (flattened
 //! NCHW rows); the session
 //!
-//! 1. dispatches the request to the nearest pre-declared batch bucket
-//!    (padding the batch up with zero rows, as batching serving systems
-//!    do) — requests *larger* than the largest bucket are split into
-//!    largest-bucket chunks, served chunk by chunk, and the cropped
-//!    outputs concatenated;
+//! 1. dispatches the request to the smallest pre-declared batch bucket
+//!    that fits it — a bucket is a *plan key and a row cap*: it names
+//!    the compiled instance (planned at that batch) the request runs
+//!    through, and the request runs there as its own rows, never padded
+//!    up. Requests *larger* than the largest bucket are split into
+//!    largest-bucket chunks, served chunk by chunk, and the outputs
+//!    concatenated;
 //! 2. lazily compiles — and caches in a per-bucket slot — the
 //!    [`CompiledModel`] for that bucket: the intensity-guided
 //!    [`ModelPlan`] plus the bound executable stage graph (weights
 //!    bound once: global ABFT's offline checksums are computed on the
 //!    first request and reused forever);
 //! 3. checks a warm [`Workspace`] out of the session pool, runs
-//!    protected inference inside it, and returns the per-request
-//!    [`InferenceReport`] with the padding cropped away.
+//!    protected inference inside it over the caller's matrix where it
+//!    lies, and returns the per-request [`InferenceReport`].
 //!
 //! `Session` is deliberately the *single-caller* core of the serving
 //! stack: one call, one protected pass, caller-threaded. Multi-client
@@ -39,7 +41,7 @@
 //! allocation is the returned report's output vector —
 //! `tests/alloc_steadystate.rs` pins this with a counting allocator.
 
-use crate::adapt::{degrade_step, AdaptConfig, AdaptiveController};
+use crate::adapt::{AdaptConfig, AdaptiveController};
 use crate::compiled::CompiledModel;
 use crate::pipeline::{InferenceReport, PipelineFault};
 use crate::planner::Planner;
@@ -47,7 +49,7 @@ use crate::schemes::Scheme;
 use crate::selector::ModelPlan;
 use aiga_gpu::engine::{Dtype, Matrix, Workspace};
 use aiga_nn::{Model, Network};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 /// Why a request could not be served.
@@ -81,7 +83,7 @@ pub enum SessionError {
 
 impl SessionError {
     /// Rejects a buffer that disagrees with its declared shape, before
-    /// anything copies, pads or stacks it by that shape.
+    /// anything copies, stacks or reads it by that shape.
     pub(crate) fn check_shape(input: &Matrix) -> Result<(), SessionError> {
         let (rows, cols, len) = (input.rows, input.cols, input.data.len());
         if rows.checked_mul(cols) == Some(len) {
@@ -111,70 +113,100 @@ impl std::fmt::Display for SessionError {
 
 impl std::error::Error for SessionError {}
 
-/// Aggregate statistics over a session's lifetime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Requests served successfully.
-    pub requests: u64,
-    /// Requests answered from an already-built plan/pipeline.
-    pub cache_hits: u64,
-    /// Requests that triggered a plan + pipeline build (cache misses).
-    pub plan_builds: u64,
-    /// Requests on which at least one fault was detected.
-    pub faulty_requests: u64,
-    /// Total detection events across all requests.
-    pub detections: u64,
-    /// Requests larger than the largest bucket, served by splitting.
-    pub split_requests: u64,
-    /// In-place corrections applied across all requests: a localized
-    /// verdict whose implicated slice was recomputed mid-pass
-    /// (recovery sessions only).
-    pub corrections: u64,
-    /// The subset of corrections resolved by replication majority vote
-    /// rather than a checksum localizer.
-    pub vote_resolutions: u64,
-    /// Scheme switches (escalations + relaxations) committed by the
-    /// adaptive controller (adaptive sessions only).
-    pub adaptations: u64,
-    /// Requests served under a *degraded* scheme assignment — every
-    /// layer one rung down the [`crate::adapt::ladder`] from the static
-    /// plan's choice (an overloaded [`crate::serve::Server`] trades
-    /// protection strength for execution time; output bytes are
-    /// unaffected).
-    pub degraded_requests: u64,
-}
-
-/// Lock-free statistics counters; [`Session::stats`] snapshots them
-/// into a plain [`SessionStats`]. Replaces the former stats mutex so
-/// bookkeeping never contends with anything.
-#[derive(Default)]
-struct AtomicStats {
-    requests: AtomicU64,
-    cache_hits: AtomicU64,
-    plan_builds: AtomicU64,
-    faulty_requests: AtomicU64,
-    detections: AtomicU64,
-    split_requests: AtomicU64,
-    corrections: AtomicU64,
-    vote_resolutions: AtomicU64,
-    adaptations: AtomicU64,
-    degraded_requests: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> SessionStats {
-        SessionStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            plan_builds: self.plan_builds.load(Ordering::Relaxed),
-            faulty_requests: self.faulty_requests.load(Ordering::Relaxed),
-            detections: self.detections.load(Ordering::Relaxed),
-            split_requests: self.split_requests.load(Ordering::Relaxed),
-            corrections: self.corrections.load(Ordering::Relaxed),
-            vote_resolutions: self.vote_resolutions.load(Ordering::Relaxed),
-            adaptations: self.adaptations.load(Ordering::Relaxed),
-            degraded_requests: self.degraded_requests.load(Ordering::Relaxed),
+/// Declares a statistics snapshot struct and its lock-free mirror from
+/// one field list, so a counter is declared once. `counters` are `u64`
+/// fields each backed by a relaxed `AtomicU64` in `$Atomic` (bookkeeping
+/// never contends with anything), loaded by its `snapshot()`; `gauges`
+/// are `u64` fields the snapshot's caller fills in; `rest` are fields of
+/// other types. `$Stats::u64_fields()` names every counter and gauge,
+/// in declaration order, for `to_json`.
+macro_rules! stats_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $Stats:ident mirrored by $Atomic:ident {
+            counters { $($(#[$cdoc:meta])* $counter:ident,)* }
+            gauges { $($(#[$gdoc:meta])* $gauge:ident,)* }
+            rest { $($(#[$rdoc:meta])* $rest:ident: $rty:ty,)* }
         }
+    ) => {
+        $(#[$meta])*
+        pub struct $Stats {
+            $($(#[$cdoc])* pub $counter: u64,)*
+            $($(#[$gdoc])* pub $gauge: u64,)*
+            $($(#[$rdoc])* pub $rest: $rty,)*
+        }
+
+        #[derive(Default)]
+        pub(crate) struct $Atomic {
+            $(pub $counter: std::sync::atomic::AtomicU64,)*
+        }
+
+        impl $Atomic {
+            /// The counters as of now; gauges and the rest stay default
+            /// for the caller to fill.
+            #[allow(clippy::needless_update)]
+            pub fn snapshot(&self) -> $Stats {
+                $Stats {
+                    $($counter: self.$counter.load(std::sync::atomic::Ordering::Relaxed),)*
+                    ..Default::default()
+                }
+            }
+        }
+
+        impl $Stats {
+            fn u64_fields(&self) -> Vec<(&'static str, aiga_util::Json)> {
+                vec![
+                    $((stringify!($counter), aiga_util::Json::num(self.$counter as f64)),)*
+                    $((stringify!($gauge), aiga_util::Json::num(self.$gauge as f64)),)*
+                ]
+            }
+        }
+    };
+}
+pub(crate) use stats_struct;
+
+stats_struct! {
+    /// Aggregate statistics over a session's lifetime.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct SessionStats mirrored by AtomicStats {
+        counters {
+            /// Requests served successfully.
+            requests,
+            /// Requests answered from an already-built plan/pipeline.
+            cache_hits,
+            /// Requests that triggered a plan + pipeline build (cache misses).
+            plan_builds,
+            /// Requests on which at least one fault was detected.
+            faulty_requests,
+            /// Total detection events across all requests.
+            detections,
+            /// Requests larger than the largest bucket, served by splitting.
+            split_requests,
+            /// In-place corrections applied across all requests: a localized
+            /// verdict whose implicated slice was recomputed mid-pass
+            /// (recovery sessions only).
+            corrections,
+            /// The subset of corrections resolved by replication majority vote
+            /// rather than a checksum localizer.
+            vote_resolutions,
+            /// Scheme switches (escalations + relaxations) committed by the
+            /// adaptive controller (adaptive sessions only).
+            adaptations,
+            /// Requests served under the *degraded* scheme assignment — every
+            /// layer `Unprotected` (an overloaded [`crate::serve::Server`]
+            /// trades protection for execution time; output bytes are
+            /// unaffected).
+            degraded_requests,
+        }
+        gauges {}
+        rest {}
+    }
+}
+
+impl SessionStats {
+    /// Every counter by name, as one JSON object.
+    pub fn to_json(&self) -> aiga_util::Json {
+        aiga_util::Json::obj(self.u64_fields())
     }
 }
 
@@ -185,7 +217,7 @@ pub struct ServeReport {
     /// requests: the largest bucket, which every chunk — tail included —
     /// was served through).
     pub bucket: u64,
-    /// Rows of the original request (the report is cropped back to it).
+    /// Rows of the request (the report's output holds exactly these).
     pub rows: usize,
     /// Per-layer schemes that protected this request. Shared with the
     /// session's bucket cache — cloning a report never reallocates it.
@@ -240,7 +272,7 @@ impl SessionBuilder {
     /// Enables the online adaptive protection controller: per bucket
     /// and per layer, the observed fault rate over a sliding window
     /// escalates or relaxes the scheme around the static plan (see
-    /// [`crate::adapt`]). Overrides any [`Planner::adaptive`] default.
+    /// [`crate::adapt`]).
     pub fn adaptive(mut self, config: AdaptConfig) -> Self {
         self.adaptive = Some(config);
         self
@@ -250,14 +282,11 @@ impl SessionBuilder {
     pub fn build(self) -> Session {
         let entries = self.buckets.iter().map(|_| OnceLock::new()).collect();
         let degraded = self.buckets.iter().map(|_| OnceLock::new()).collect();
-        let adapt = self
-            .adaptive
-            .or(self.planner.adaptive_config())
-            .map(|config| AdaptState {
-                config,
-                controllers: self.buckets.iter().map(|_| OnceLock::new()).collect(),
-                overlays: self.buckets.iter().map(|_| RwLock::new(None)).collect(),
-            });
+        let adapt = self.adaptive.map(|config| AdaptState {
+            config,
+            controllers: self.buckets.iter().map(|_| OnceLock::new()).collect(),
+            overlays: self.buckets.iter().map(|_| RwLock::new(None)).collect(),
+        });
         Session {
             cache: Arc::new(PlanCache {
                 planner: self.planner,
@@ -290,8 +319,7 @@ pub struct PlanCache {
     family: Box<dyn Fn(u64) -> Network + Send + Sync>,
     buckets: Vec<u64>,
     recovery: bool,
-    /// Adaptive-control state, present when the builder (or planner)
-    /// requested it.
+    /// Adaptive-control state, present when the builder requested it.
     adapt: Option<AdaptState>,
     /// One lazily-compiled model per declared bucket, aligned with
     /// `buckets`. `OnceLock` gives lock-free reads after the build and
@@ -299,12 +327,10 @@ pub struct PlanCache {
     /// parallel.
     entries: Vec<OnceLock<Arc<CompiledModel>>>,
     /// The *degraded* sibling of each bucket entry: the same model
-    /// compiled with every layer one rung down the
-    /// [`crate::adapt::ladder`] from the static plan's choice (floored
-    /// at `Unprotected`). Built lazily on the first degraded pass; an
-    /// overloaded [`crate::serve::Server`] serves through these to
-    /// shed protection overhead — never output quality (all schemes
-    /// compute byte-identical GEMM results).
+    /// compiled with every layer `Unprotected`. Built lazily on the
+    /// first degraded pass; an overloaded [`crate::serve::Server`]
+    /// serves through these to shed protection overhead — never output
+    /// quality (all schemes compute byte-identical GEMM results).
     degraded: Vec<OnceLock<Arc<CompiledModel>>>,
     stats: AtomicStats,
 }
@@ -357,16 +383,24 @@ impl PlanCache {
     }
 
     /// The degraded sibling of a bucket entry: recompiled with every
-    /// layer one [`crate::adapt::weaker`] rung down from the base
-    /// plan's scheme. When the base plan is already fully unprotected
-    /// there is nothing cheaper — the base entry is reused as-is.
-    /// Degraded compiles are overload actions, not request cache
-    /// misses: they never count as `plan_builds`.
+    /// layer `Unprotected` — the one assignment that is no dearer than
+    /// the plan on any host, by construction (no checksum lane in the
+    /// microkernel, no kernel-level check after it), where a "weaker"
+    /// scheme can cost more than the planned one on the machine at
+    /// hand. When the base plan is already fully unprotected there is
+    /// nothing cheaper — the base entry is reused as-is. Degraded
+    /// compiles are overload actions, not request cache misses: they
+    /// never count as `plan_builds`.
     fn degraded_entry(&self, index: usize, base: &Arc<CompiledModel>) -> Arc<CompiledModel> {
         self.degraded[index]
-            .get_or_init(|| match degrade_step(base.schemes()) {
-                None => base.clone(),
-                Some(schemes) => self.compile(index, Some(&schemes)),
+            .get_or_init(|| {
+                if base.schemes().iter().all(|&s| s == Scheme::Unprotected) {
+                    return base.clone();
+                }
+                self.compile(
+                    index,
+                    Some(&vec![Scheme::Unprotected; base.schemes().len()]),
+                )
             })
             .clone()
     }
@@ -504,9 +538,9 @@ impl Session {
     }
 
     /// The bucket a request with `rows` rows dispatches to: the smallest
-    /// declared bucket that fits it (requests are padded *up*). Requests
-    /// beyond the largest bucket return the largest — `serve` splits
-    /// them into chunks of that size.
+    /// declared bucket that fits it (the instance planned nearest above
+    /// the request's size). Requests beyond the largest bucket return
+    /// the largest — `serve` splits them into chunks of that size.
     pub fn bucket_for(&self, rows: usize) -> u64 {
         self.cache
             .buckets
@@ -541,7 +575,8 @@ impl Session {
     /// single-fault model, aimed at one layer of this request). For
     /// oversized requests that get split, the fault is injected into the
     /// first chunk only — the fault plan's coordinates address one
-    /// bucket-shaped kernel launch.
+    /// pass's GEMM output, and one aimed past the request's last row
+    /// strikes nothing.
     pub fn serve_with_fault(
         &self,
         input: &Matrix,
@@ -551,13 +586,13 @@ impl Session {
     }
 
     /// Serves one request under the *degraded* scheme assignment: every
-    /// layer one rung down the [`crate::adapt::ladder`] from the static
-    /// plan (floored at `Unprotected`). Output bytes are identical to
+    /// layer `Unprotected`. Output bytes are identical to
     /// [`Session::serve`] — every scheme computes the same GEMM result,
-    /// checksums ride in separate accumulators — only detection
-    /// coverage is reduced in exchange for a cheaper pass. An
-    /// overloaded [`crate::serve::Server`] uses this to keep queue age
-    /// bounded before it starts shedding.
+    /// checksums ride in separate accumulators — detection coverage is
+    /// given up in exchange for a pass that executes no checksum FMA
+    /// and no kernel-level check. An overloaded
+    /// [`crate::serve::Server`] uses this to keep queue age bounded
+    /// before it starts shedding.
     pub fn serve_degraded(&self, input: &Matrix) -> Result<ServeReport, SessionError> {
         self.serve_inner(input, None, true)
     }
@@ -724,7 +759,7 @@ mod tests {
     fn bf16_squeezenet_serves_byte_deterministically_within_tolerance() {
         use aiga_gpu::engine::Dtype;
         // Quantized serving end to end: a bf16-compiled SqueezeNet
-        // behind the session's bucket/pad/pool machinery must be
+        // behind the session's bucket/pool machinery must be
         // byte-deterministic across repeat requests and track the
         // network's dtype-aware f64 reference.
         let s = Session::builder_network(Planner::new(DeviceSpec::t4()), "squeezenet-bf16", |b| {
@@ -745,7 +780,7 @@ mod tests {
             "bf16 serving must be byte-deterministic"
         );
         // Zoo families share weights across batch keys, so the batch-1
-        // network's reference covers the padded bucket-2 serve.
+        // network's reference covers the one-row serve through bucket 2.
         let net = zoo::squeezenet_net(1, 32, 32, 7).with_dtype(Dtype::Bf16);
         let want = net.reference_f64(&input);
         assert_eq!(r1.report.output.len(), want.len());
@@ -771,7 +806,7 @@ mod tests {
     }
 
     #[test]
-    fn serving_pads_and_crops_to_the_request_batch() {
+    fn partial_bucket_requests_run_as_their_own_rows() {
         let s = session();
         let small = Matrix::random(3, 13, 100);
         let r = s.serve(&small).unwrap();
@@ -779,8 +814,8 @@ mod tests {
         assert_eq!(r.rows, 3);
         assert_eq!(r.report.output.len(), 3 * 64);
         assert!(!r.report.fault_detected());
-        // The padded rows must not perturb the real rows: an exact-batch
-        // request computes the identical leading outputs.
+        // Rows are independent: an exact-batch request computes the
+        // identical leading outputs.
         let full = Matrix::random(8, 13, 100);
         let rf = s.serve(&full).unwrap();
         let shared = Matrix::from_fn(3, 13, |r, c| full.get(r, c));
@@ -799,7 +834,7 @@ mod tests {
         assert_eq!(r.report.output.len(), 70 * 64);
         // Split outputs must equal serving each chunk independently
         // (the zoo family shares weights across batch keys, and per-row
-        // results are bit-identical across paddings and tilings).
+        // results are bit-identical across batch sizes and tilings).
         for (start, rows) in [(0usize, 32usize), (32, 32), (64, 6)] {
             let chunk = big.row_block(start, rows);
             let rc = s.serve(&chunk).unwrap();
@@ -1038,13 +1073,15 @@ mod tests {
         // Byte-identical output: schemes change the checksums computed
         // alongside the GEMM, never the GEMM itself.
         assert_eq!(full.report.output, cheap.report.output);
-        // Every layer sits one rung below the static plan (or on the
-        // floor with it).
-        use crate::adapt::weaker;
-        for (f, c) in full.schemes.iter().zip(cheap.schemes.iter()) {
-            assert_eq!(*c, weaker(*f).unwrap_or(*f), "{f:?} -> {c:?}");
-        }
-        assert!(full.schemes[..] != cheap.schemes[..]);
+        // A degraded pass carries no checksum lane and runs no
+        // kernel-level check: every compiled stage is the bare GEMM.
+        assert!(full.schemes.iter().any(|&s| s != Scheme::Unprotected));
+        assert!(cheap.schemes.iter().all(|&s| s == Scheme::Unprotected));
+        let bare = vec![Scheme::Unprotected; full.schemes.len()];
+        assert_eq!(
+            s.cache.degraded[0].get().unwrap().pipeline().schemes(),
+            bare
+        );
         let stats = s.stats();
         assert_eq!(stats.degraded_requests, 1);
         assert_eq!(stats.requests, 2);

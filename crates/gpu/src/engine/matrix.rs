@@ -1,11 +1,7 @@
 //! The row-major FP16 matrix the engine (and every layer above it)
-//! traffics in, plus the FP64 reference GEMM used by correctness tests.
-//!
-//! Besides the allocating constructors, the type exposes `*_into`
-//! variants that write into caller-owned buffers. Those are the
-//! building blocks of the zero-allocation execution path: a
-//! [`crate::engine::Workspace`] keeps the destination buffers warm
-//! across runs, so steady-state staging never touches the heap.
+//! traffics in, the borrowed [`MatrixView`] every GEMM takes its
+//! activation operand as, and the FP64 reference GEMM used by
+//! correctness tests.
 
 use aiga_dtype::{Dtype, F16};
 use aiga_util::rng::Rng64;
@@ -344,37 +340,6 @@ impl Matrix {
         self.data[r * self.cols + c] = v;
     }
 
-    /// Copies into a larger zero-padded matrix. Already-fitting matrices
-    /// take a no-op fast path (one bulk copy, no per-row loop).
-    pub fn padded(&self, rows: usize, cols: usize) -> Matrix {
-        if rows == self.rows && cols == self.cols {
-            return self.clone();
-        }
-        let mut out = Matrix::default();
-        self.copy_padded_into(rows, cols, &mut out);
-        out
-    }
-
-    /// Like [`Self::padded`] but writing into a reusable destination:
-    /// `out` is resized to `rows × cols` (reusing its buffer), zeroed,
-    /// and the source is copied into its top-left corner.
-    pub fn copy_padded_into(&self, rows: usize, cols: usize, out: &mut Matrix) {
-        assert!(rows >= self.rows && cols >= self.cols, "padding must grow");
-        out.rows = rows;
-        out.cols = cols;
-        out.dtype = self.dtype;
-        out.data.clear();
-        out.data.resize(rows * cols, F16::ZERO);
-        if cols == self.cols {
-            out.data[..self.data.len()].copy_from_slice(&self.data);
-            return;
-        }
-        for r in 0..self.rows {
-            let src = &self.data[r * self.cols..(r + 1) * self.cols];
-            out.data[r * cols..r * cols + self.cols].copy_from_slice(src);
-        }
-    }
-
     /// Copies `rows` rows starting at `start` into a new matrix — the
     /// chunking primitive behind oversized-batch splitting.
     pub fn row_block(&self, start: usize, rows: usize) -> Matrix {
@@ -473,39 +438,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn padded_matches_copy_padded_into() {
-        let m = Matrix::random(5, 7, 3);
-        let p = m.padded(8, 10);
-        assert_eq!((p.rows, p.cols), (8, 10));
-        let mut reused = Matrix::zeros(1, 1);
-        m.copy_padded_into(8, 10, &mut reused);
-        assert_eq!(p, reused);
-        // Padding region is zero; source region is intact.
-        for r in 0..8 {
-            for c in 0..10 {
-                let want = if r < 5 && c < 7 {
-                    m.get(r, c)
-                } else {
-                    F16::ZERO
-                };
-                assert_eq!(p.get(r, c), want, "({r},{c})");
-            }
-        }
-    }
-
-    #[test]
-    fn copy_padded_into_reuses_without_stale_data() {
-        let big = Matrix::random(16, 16, 4);
-        let small = Matrix::random(2, 2, 5);
-        let mut buf = Matrix::default();
-        big.copy_padded_into(16, 16, &mut buf);
-        small.copy_padded_into(4, 4, &mut buf);
-        assert_eq!((buf.rows, buf.cols), (4, 4));
-        assert_eq!(buf.get(0, 0), small.get(0, 0));
-        assert_eq!(buf.get(3, 3), F16::ZERO, "stale data must be zeroed");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! - [`matrix`] — the row-major FP16 [`Matrix`], the borrowed
 //!   [`MatrixView`] operand (row-major or a zero-copy conv lowering),
-//!   the `*_into` staging primitives and the FP64 reference GEMM;
+//!   and the FP64 reference GEMM;
 //! - [`scheme`] — [`TileScheme`]/[`Redundancy`]: which lanes a scheme
 //!   carries and the threshold its tile check compares against;
 //! - [`fault_inject`] — the §2.3 fault model ([`FaultPlan`],
@@ -26,8 +26,7 @@
 //!   bound and shared by every run), the per-run A
 //!   staging (decoded + strip-packed rows, checksum rows), and the
 //!   reusable [`Workspace`] that owns all per-run scratch (A panels,
-//!   per-worker block tile and lanes, output, activation staging,
-//!   checksum scratch);
+//!   per-worker block tile and lanes, output, checksum scratch);
 //! - [`simd`] — the register-tiled microkernel (one multi-row and one
 //!   one-row tile body, generic over the vector width — ymm on AVX2,
 //!   zmm on AVX-512 — the format's B widening and the checksum lanes),

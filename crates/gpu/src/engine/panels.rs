@@ -332,8 +332,6 @@ pub struct CheckScratch {
 pub struct Workspace {
     pub(crate) panels: Panels,
     pub(crate) out: GemmOutput,
-    /// Activation staging for pipeline layers (padding + ReLU results).
-    pub(crate) act: Matrix,
     /// Checksum-verification scratch lent to bound kernels.
     pub(crate) check: CheckScratch,
     /// Staging for convolution lowering (the im2col activation matrix).
@@ -385,17 +383,10 @@ impl Workspace {
         (&self.out, &mut self.check)
     }
 
-    /// The activation staging matrix lent to pipeline layers. Intended
-    /// use is `std::mem::take` / reassign around a pass, so the staged
-    /// request can be read while the workspace is borrowed mutably.
-    pub fn activations_mut(&mut self) -> &mut Matrix {
-        &mut self.act
-    }
-
     /// The convolution-lowering staging matrix (`aiga-nn`'s
-    /// `im2col_into` writes here). Like [`Self::activations_mut`], the
-    /// intended pattern is [`Self::take_lowering`] / [`Self::put_lowering`]
-    /// around the engine call that consumes it.
+    /// `im2col_into` writes here). The intended pattern is
+    /// [`Self::take_lowering`] / [`Self::put_lowering`] around the
+    /// engine call that consumes it.
     pub fn lowering_mut(&mut self) -> &mut Matrix {
         &mut self.lowering
     }

@@ -577,7 +577,9 @@ fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
             let seed = (m * 1009 + n) as u64;
             let a = Matrix::random_dtype(m, k, seed, dtype);
             let b = Matrix::random_dtype(k, n, seed + 1, dtype);
-            let eager_a = a.padded(m + MICRO_MR - 1, k);
+            let mut eager_a = a.clone();
+            eager_a.rows += MICRO_MR - 1;
+            eager_a.data.resize(eager_a.rows * k, F16::ZERO);
             let live = m - 1;
             let fault_sets = [
                 vec![],

@@ -6,9 +6,10 @@
 //! global ABFT, then stands up a `Server` — worker threads, bounded
 //! admission, dynamic batching into the planner's buckets — and hits it
 //! from several concurrent client threads with mixed-size requests,
-//! finishing with an injected soft error and a statistics summary
-//! (throughput counters, coalescing high-water marks, p50/p95/p99
-//! end-to-end latency).
+//! finishing with an injected soft error and the server's statistics
+//! as one JSON object (`ServerStats::to_json`: throughput counters,
+//! coalescing high-water marks, p50/p95/p99 end-to-end latency, the
+//! session's counters nested).
 //!
 //! ```sh
 //! cargo run --release --example dlrm_serving
@@ -88,7 +89,7 @@ fn main() {
     // Serving: one session (three batch buckets, lazily planned), one
     // concurrent server in front of it. The coalesce window lets the
     // dynamic batcher merge requests that arrive close together into a
-    // single padded bucket pass.
+    // single pass over their stacked rows.
     let session = Session::builder(planner, "dlrm-mlp-bottom", zoo::dlrm_mlp_bottom)
         .buckets([8, 32, 128])
         .build();
@@ -161,47 +162,7 @@ fn main() {
 
     // Graceful shutdown: drain, join, final statistics.
     let stats = server.shutdown();
-    println!(
-        "\nserver stats: {} submitted, {} completed, {} failed, {} rejected",
-        stats.submitted, stats.completed, stats.failed, stats.rejected
-    );
-    println!(
-        "  batching: {} passes for {} requests ({} coalesced; largest pass {} requests / {} rows)",
-        stats.batches,
-        stats.completed,
-        stats.coalesced_requests,
-        stats.max_batch_requests,
-        stats.max_batch_rows
-    );
-    println!(
-        "  queue: depth high-water {} (capacity 128)",
-        stats.max_queue_depth
-    );
-    println!(
-        "  latency: p50 {:.2} ms | p95 {:.2} ms | p99 {:.2} ms (log2-bin interpolated)",
-        stats.p50_latency_ns as f64 / 1e6,
-        stats.p95_latency_ns as f64 / 1e6,
-        stats.p99_latency_ns as f64 / 1e6
-    );
-    println!(
-        "  session underneath: {} serves, {} plan builds, {} cache hits, {} split, {} faulty",
-        stats.session.requests,
-        stats.session.plan_builds,
-        stats.session.cache_hits,
-        stats.session.split_requests,
-        stats.session.faulty_requests
-    );
-    println!(
-        "  recovery: {} retries, {} corrections ({} by vote), {} adaptations",
-        stats.retries,
-        stats.session.corrections,
-        stats.session.vote_resolutions,
-        stats.session.adaptations
-    );
-    println!(
-        "  overload: {} degraded, {} shed, {} cancelled, {} worker restarts",
-        stats.degraded, stats.shed, stats.cancelled, stats.worker_restarts
-    );
+    println!("\nserver stats: {}", stats.to_json().render());
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64 + 1);
     // One build per *touched* bucket: 32 and 128 are always hit, but
     // whether any pass lands in bucket 8 depends on how the batcher

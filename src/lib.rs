@@ -100,8 +100,10 @@
 //!
 //! Stand a concurrent `Server` in front of the session for multi-client
 //! traffic — bounded admission, worker threads, and a dynamic batcher
-//! that coalesces concurrent requests into the planner's batch buckets
-//! (byte-identically to solo serving):
+//! that coalesces concurrent requests into one pass (byte-identically
+//! to solo serving). A batch bucket is a plan key and a row cap: it
+//! picks the compiled instance a pass runs through, and the pass
+//! executes exactly the rows it is handed:
 //!
 //! ```
 //! use aiga::prelude::*;
@@ -123,8 +125,8 @@
 //! Serve under *overload* without letting latency run away: requests
 //! carry an optional SLO (deadline + priority), the queue is
 //! age-tracked, and past configurable thresholds the server first
-//! *degrades* pending work one rung down the `core::adapt` strength
-//! ladder (cheaper protection, byte-identical output), then *sheds*
+//! *degrades* pending work to unprotected passes (no checksum work,
+//! byte-identical output), then *sheds*
 //! with an explicit `ServeError::Overloaded`. A supervisor respawns
 //! any worker that panics, so one bad pass never takes the server
 //! down:
@@ -138,7 +140,7 @@
 //!     .build();
 //! let server = Server::builder(session)
 //!     .workers(2)                                   // one session shard per worker
-//!     .degrade_after(Duration::from_millis(50))     // then: one scheme rung cheaper
+//!     .degrade_after(Duration::from_millis(50))     // then: unprotected passes
 //!     .shed_after(Duration::from_millis(200))       // then: explicit Overloaded
 //!     .retry_policy(3, Duration::from_micros(200))  // bounded, jittered backoff
 //!     .build();

@@ -40,7 +40,8 @@
 //! 6. a branchy compiled pipeline — SqueezeNet's Fire modules at
 //!    32×32, every GEMM below the engine's stripe fan-out threshold —
 //!    serves through its stage loop at the usual report-only constant,
-//!    stable from pass to pass, with no option set;
+//!    stable from pass to pass, with no option set, for a full batch
+//!    and for a partial-bucket request alike;
 //!
 //! 7. the correction path (`run_corrected_into`) stays zero-alloc once
 //!    warm across the localizer families;
@@ -300,11 +301,13 @@ fn steady_state_hot_paths_do_not_allocate() {
 
     // --- 6. A branchy graph through the stage loop: SqueezeNet's Fire
     // modules run one stage at a time in the workspace's one child, so
-    // the default pipeline pins the report-only constant.
-    {
-        let net = zoo::squeezenet_net(1, 32, 32, 3);
+    // the default pipeline pins the report-only constant — for a full
+    // batch and for a partial request, which runs as its own rows out
+    // of the caller's matrix (nothing is staged or padded for it).
+    for (batch, rows) in [(1, 1), (4, 3)] {
+        let net = zoo::squeezenet_net(batch, 32, 32, 3);
         let schemes = vec![Scheme::ThreadLevelOneSided; net.gemm_count()];
-        let request = Matrix::random(1, net.input_features(), 44);
+        let request = Matrix::random(rows, net.input_features(), 44);
         let pipeline = aiga_core::ProtectedPipeline::compile(&net, &schemes);
         let mut ws = Workspace::new();
         for _ in 0..3 {
@@ -319,7 +322,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         assert_eq!(first, second, "compiled infer must be stable");
         assert!(
             first <= 4,
-            "a warm branchy pass should only allocate the report (saw {first})"
+            "a warm branchy pass of {rows}/{batch} rows should only allocate the report (saw {first})"
         );
     }
 

@@ -109,7 +109,7 @@ fn conv_faults_are_detected_under_every_scheme() {
 fn squeezenet_serves_end_to_end_matching_the_reference() {
     // Full executable SqueezeNet (stem + 8 Fire modules + conv
     // classifier + GAP) at a trimmed 32×32 resolution, through the
-    // session's bucket/pad/crop path.
+    // session's bucket dispatch.
     let session = Session::builder_network(Planner::new(DeviceSpec::t4()), "squeezenet", |b| {
         zoo::squeezenet_net(b, 32, 32, 7)
     })
@@ -118,7 +118,7 @@ fn squeezenet_serves_end_to_end_matching_the_reference() {
     let net = zoo::squeezenet_net(4, 32, 32, 7);
     assert_eq!(net.gemm_count(), 26);
 
-    // A partial batch: served padded, cropped back to 3 images.
+    // A partial batch: three images run as three images.
     let input = Matrix::random(3, net.input_features(), 123);
     let reply = session.serve(&input).unwrap();
     assert_eq!(reply.bucket, 4);
@@ -142,14 +142,24 @@ fn squeezenet_serves_end_to_end_matching_the_reference() {
 /// A DLRM request matrix: 13 random dense features followed by exact
 /// integer categorical indices (representable losslessly in fp16).
 fn dlrm_input(batch: usize, tables: usize, rows_per_table: usize, seed: u64) -> Matrix {
-    let base = Matrix::random(batch, 13 + tables, seed);
-    Matrix::from_fn(batch, 13 + tables, |r, c| {
-        if c < 13 {
-            base.get(r, c)
-        } else {
-            aiga_dtype::F16::from_f32(((r * 31 + c * 17) % rows_per_table) as f32)
-        }
-    })
+    dlrm_input_dtype(batch, tables, rows_per_table, seed, Dtype::F16)
+}
+
+/// [`dlrm_input`] in `dtype`'s codes (a narrow format rounds or
+/// saturates the indices; the executor clamps them into the table).
+fn dlrm_input_dtype(
+    batch: usize,
+    tables: usize,
+    rows_per_table: usize,
+    seed: u64,
+    dtype: Dtype,
+) -> Matrix {
+    let mut input = Matrix::random_dtype(batch, 13 + tables, seed, dtype);
+    for (r, c) in (0..batch).flat_map(|r| (13..13 + tables).map(move |c| (r, c))) {
+        let index = ((r * 31 + c * 17) % rows_per_table) as f32;
+        input.set(r, c, aiga_dtype::F16::from_bits(dtype.encode(index)));
+    }
+    input
 }
 
 #[test]
@@ -393,4 +403,164 @@ fn coalesced_compiled_serving_is_byte_identical_to_solo() {
     let stats = server.shutdown();
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.failed + stats.rejected, 0);
+}
+
+/// `req` followed by zero rows up to `rows` — the request a padding
+/// pipeline would have run.
+fn zero_extended(req: &Matrix, rows: usize) -> Matrix {
+    let mut full = req.clone();
+    full.rows = rows;
+    full.data.resize(rows * req.cols, aiga_dtype::F16::ZERO);
+    full
+}
+
+/// conv → max pool → conv → residual add → GAP → fc: every stage kind a
+/// conv net moves images through.
+fn pool_add_net(batch: usize) -> Network {
+    let mut b = NetworkBuilder::new("pool-add", batch, 3, 8, 8, 23);
+    b.conv("c1", 4, 3, 1, 1, true);
+    let pooled = b.max_pool("p1", 2, 2, 0);
+    let c2 = b.conv("c2", 4, 3, 1, 1, false);
+    b.add("add", c2, pooled, true);
+    b.global_avg_pool("gap");
+    b.fc("fc", 5, false);
+    b.build()
+}
+
+#[test]
+fn a_request_runs_as_its_own_rows_with_the_full_bucket_bytes() {
+    // A partial request's reply is the first `rows` rows of the same
+    // request zero-extended to the whole bucket (rows are independent:
+    // one in-order FMA chain per output), and a fault on a live row is
+    // flagged — or, in recovery mode, repaired — at the same layer
+    // either way. One scheme per family, every dtype, every stage kind.
+    let schemes = [
+        Scheme::Unprotected,
+        Scheme::ThreadLevelOneSided,
+        Scheme::ThreadLevelTwoSided,
+        Scheme::GlobalAbft,
+        Scheme::ReplicationSingleAcc,
+    ];
+    for dtype in Dtype::ALL {
+        let dlrm = zoo::dlrm_net(8, 4, 50, 16, 11).with_dtype(dtype);
+        let conv = pool_add_net(2).with_dtype(dtype);
+        let cases = [(&dlrm, &[0usize, 1, 3, 5, 8][..]), (&conv, &[1, 2][..])];
+        for (net, row_counts) in cases {
+            let layers = net.gemm_count();
+            for scheme in schemes {
+                let compile = || aiga_core::ProtectedPipeline::compile(net, &vec![scheme; layers]);
+                let (detect, repair) = (compile(), compile().with_recovery(true));
+                for &rows in row_counts {
+                    let ctx = format!("{} {dtype} {scheme} rows {rows}", net.name);
+                    let req = if net.name == "DLRM" {
+                        dlrm_input_dtype(rows, 4, 50, 300 + rows as u64, dtype)
+                    } else {
+                        Matrix::random_dtype(rows, net.input_features(), 300 + rows as u64, dtype)
+                    };
+                    let full = zero_extended(&req, net.batch);
+                    let out = net.output_features();
+                    let clean = detect.infer(&req, None);
+                    assert!(!clean.fault_detected(), "{ctx}: {:?}", clean.detections);
+                    assert_eq!(
+                        bits(&clean.output),
+                        bits(&detect.infer(&full, None).output[..rows * out]),
+                        "{ctx}"
+                    );
+                    if rows == 0 {
+                        continue;
+                    }
+                    // The request's first and last row (a lone live row
+                    // in its strip when rows ≡ 1 mod 4).
+                    for (layer, row) in [(0, 0), (layers - 1, rows - 1)] {
+                        let fault = Some(PipelineFault {
+                            layer,
+                            fault: FaultPlan {
+                                row,
+                                col: 0,
+                                after_step: u64::MAX,
+                                kind: FaultKind::AddValue(500.0),
+                            },
+                        });
+                        let (own, whole) = (detect.infer(&req, fault), detect.infer(&full, fault));
+                        let flagged = |r: &InferenceReport| {
+                            r.detections.iter().map(|d| d.layer).collect::<Vec<_>>()
+                        };
+                        let want = if scheme == Scheme::Unprotected {
+                            vec![]
+                        } else {
+                            vec![layer]
+                        };
+                        assert_eq!(flagged(&own), want, "{ctx} layer {layer}");
+                        assert_eq!(flagged(&whole), want, "{ctx} layer {layer}");
+                        assert_eq!(
+                            bits(&own.output),
+                            bits(&whole.output[..rows * out]),
+                            "{ctx} layer {layer}: faulted bytes"
+                        );
+                        if scheme == Scheme::Unprotected {
+                            continue;
+                        }
+                        let (own, whole) = (repair.infer(&req, fault), repair.infer(&full, fault));
+                        for r in [&own, &whole] {
+                            assert!(!r.fault_detected(), "{ctx} layer {layer}");
+                            assert_eq!(r.corrections.len(), 1, "{ctx} layer {layer}");
+                            assert_eq!(r.corrections[0].layer, layer, "{ctx}");
+                        }
+                        assert_eq!(bits(&own.output), bits(&clean.output), "{ctx} repaired");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_fault_past_the_requests_last_row_strikes_nothing() {
+    // A 3-row request through a bucket-8 instance executes rows 0..3: a
+    // fault aimed at row 5 has no accumulator to strike, under every
+    // scheme family, through the compiled model and through the session
+    // (the engine's own pin is
+    // `a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops`).
+    let req = dlrm_input(3, 4, 50, 91);
+    let mut ws = Workspace::new();
+    let schemes = [Scheme::Unprotected, Scheme::MultiChecksum(2)]
+        .into_iter()
+        .chain(Scheme::all_protected());
+    for scheme in schemes {
+        let planner = Planner::new(DeviceSpec::t4()).candidates([scheme]);
+        let session =
+            Session::builder_network(planner.clone(), "dlrm", |b| zoo::dlrm_net(b, 4, 50, 16, 11))
+                .buckets([8])
+                .build();
+        let compiled = planner.compile(&zoo::dlrm_net(8, 4, 50, 16, 11));
+        assert!(compiled.schemes().iter().all(|&s| s == scheme));
+        let clean = compiled.infer_into(&req, None, &mut ws);
+        for layer in 0..compiled.pipeline().depth() {
+            let fault = Some(PipelineFault {
+                layer,
+                fault: FaultPlan {
+                    row: 5,
+                    col: 0,
+                    after_step: u64::MAX,
+                    kind: FaultKind::AddValue(500.0),
+                },
+            });
+            let direct = compiled.infer_into(&req, fault, &mut ws);
+            let served = session.serve_with_fault(&req, fault).unwrap().report;
+            for r in [&direct, &served] {
+                assert!(
+                    !r.fault_detected(),
+                    "{scheme} layer {layer}: {:?}",
+                    r.detections
+                );
+                assert!(!r.fault_corrected(), "{scheme} layer {layer}");
+                assert_eq!(
+                    bits(&r.output),
+                    bits(&clean.output),
+                    "{scheme} layer {layer}"
+                );
+            }
+        }
+        assert_eq!(session.stats().faulty_requests, 0, "{scheme}");
+    }
 }
