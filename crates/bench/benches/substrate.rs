@@ -30,6 +30,36 @@ fn bench_paths() -> &'static [GemmPath] {
     }
 }
 
+/// Who runs a measured GEMM: the calling thread alone (the region runs
+/// inline under `as_worker` — what a multi-worker server's GEMMs do, and
+/// what the kernel-quality gates divide), or every team member the host
+/// gives it.
+#[derive(Clone, Copy, PartialEq)]
+enum Members {
+    One,
+    All,
+}
+
+/// One timed `gemm_into` on `members`, in ns.
+fn timed_gemm(
+    members: Members,
+    a: &Matrix,
+    packed: &PackedWeights,
+    tile: TileScheme,
+    ws: &mut Workspace,
+) -> f64 {
+    let t = std::time::Instant::now();
+    match members {
+        Members::One => aiga_util::as_worker(|| {
+            black_box(gemm_into(a, packed, tile, &[], ws));
+        }),
+        Members::All => {
+            black_box(gemm_into(a, packed, tile, &[], ws));
+        }
+    }
+    t.elapsed().as_secs_f64() * 1e9
+}
+
 /// The fastest of `rounds` runs of each kernel on each of
 /// [`bench_paths`], in ns (`[path][kernel]`), with paths and kernels
 /// interleaved round by round through `force_path` so a noisy runner
@@ -38,6 +68,7 @@ fn bench_paths() -> &'static [GemmPath] {
 /// pair of one process rather than a diff across commits.
 fn fastest_interleaved<const N: usize>(
     rounds: usize,
+    members: Members,
     a: &Matrix,
     kernels: &[(TileScheme, PackedWeights); N],
     ws: &mut Workspace,
@@ -50,9 +81,7 @@ fn fastest_interleaved<const N: usize>(
         for (path, best) in &mut best {
             simd::force_path(Some(*path));
             for ((tile, packed), best) in kernels.iter().zip(best) {
-                let t = std::time::Instant::now();
-                black_box(gemm_into(a, packed, *tile, &[], ws));
-                *best = best.min(t.elapsed().as_secs_f64() * 1e9);
+                *best = best.min(timed_gemm(members, a, packed, *tile, ws));
             }
         }
     }
@@ -68,7 +97,151 @@ fn on_active_path<T: Copy>(per_path: &[(GemmPath, T)]) -> T {
     found.expect("the active path is a bench path").1
 }
 
+/// The median of `samples`.
+fn p50(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The one-vCPU start-up hazard, as a row: a team worker starts on the
+/// core of the thread that spawned it, and until the kernel moves it a
+/// waiter that never yields time-slices that core with the one thread
+/// that has work. The median of the first 20 fanned-out SqueezeNet-224
+/// passes of this process — the team starts inside the first — against
+/// the median inline pass: at most 1.1×. Must run before anything else opens a
+/// region.
+fn cold_start_row(rec: &mut Recorder) {
+    use aiga_core::ProtectedPipeline;
+    let net = aiga_nn::zoo::squeezenet_v11_net(1, 224, 224, 7);
+    let schemes = vec![Scheme::ThreadLevelOneSided; net.gemm_count()];
+    let pipeline = ProtectedPipeline::compile(&net, &schemes);
+    let input = Matrix::random(1, net.input_features(), 5);
+    let mut ws = Workspace::new();
+    let mut pass_ms = || {
+        let t = std::time::Instant::now();
+        black_box(pipeline.infer_into(&input, None, &mut ws));
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    // Buffers grow on one member; the team has not started.
+    aiga_util::as_worker(|| {
+        pass_ms();
+        pass_ms();
+    });
+    let first: Vec<f64> = (0..20).map(|_| pass_ms()).collect();
+    let inline = p50(aiga_util::as_worker(|| {
+        (0..20).map(|_| pass_ms()).collect()
+    }));
+    // Medians on both sides: the hazard slows every early pass, a
+    // neighbour's burst on this shared host only a few.
+    let first = p50(first);
+    let x = first / inline;
+    rec.record_value("team/cold_start_first20_pass_ms", first, "ms");
+    rec.record_value("team/inline_pass_ms", inline, "ms");
+    rec.record_value("team/cold_start_pass_x", x, "x");
+    rec.gate(
+        x <= 1.1,
+        format!("the first 20 passes of the process ran {x:.2}x the inline pass (limit 1.1x)"),
+    );
+}
+
+/// Fork-join cost rows: a region of one task per member in which every
+/// task waits for all of them (so the region cannot end before the
+/// workers have joined it — with trivial tasks the caller would take
+/// them all and never wait), hot (back to back, workers still polling)
+/// and parked (after a pause several times the 1 ms a worker polls
+/// before it parks), beside what the team replaced: two scoped threads
+/// spawned and joined.
+fn fork_join_rows(rec: &mut Recorder) {
+    use aiga_util::team;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let members = team::width();
+    let mut seats = vec![(); members];
+    let mut rendezvous = |pause: std::time::Duration| {
+        let samples = (0..200).map(|_| {
+            std::thread::sleep(pause);
+            let arrived = AtomicUsize::new(0);
+            let t = std::time::Instant::now();
+            team::run_with(&mut seats, members, &|_, _| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                while arrived.load(Ordering::SeqCst) < members {
+                    std::hint::spin_loop();
+                }
+            });
+            t.elapsed().as_secs_f64() * 1e6
+        });
+        p50(samples.collect())
+    };
+    rec.record_value("team/members", members as f64, "threads");
+    rendezvous(std::time::Duration::ZERO); // starts the team
+    rec.record_value(
+        "team/fork_join_hot_us",
+        rendezvous(std::time::Duration::ZERO),
+        "us",
+    );
+    rec.record_value(
+        "team/fork_join_parked_us",
+        rendezvous(std::time::Duration::from_millis(3)),
+        "us",
+    );
+    let spawned = (0..200).map(|_| {
+        let t = std::time::Instant::now();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| black_box(0));
+            }
+        });
+        t.elapsed().as_secs_f64() * 1e6
+    });
+    rec.record_value("team/scoped_spawn_2_us", p50(spawned.collect()), "us");
+}
+
+/// One member against all of them, per shape: the SqueezeNet-224 GEMMs
+/// (`m × n × k`, row-major activations) and the two fc1024 layers,
+/// clean and under one-sided ABFT, fastest of interleaved rounds. These
+/// are the rows `BLOCK_PAR_MIN_FLOPS` points at: every shape here
+/// clears it, and the all-member time should beat the one-member time
+/// on each.
+fn team_shape_rows(rec: &mut Recorder) {
+    for (m, n, k) in [
+        (12321usize, 64usize, 27usize),
+        (3025, 64, 144),
+        (3025, 16, 128),
+        (729, 128, 288),
+        (169, 256, 576),
+        (169, 1000, 512),
+        (1, 1024, 1024),
+        (256, 1024, 1024),
+    ] {
+        let a = Matrix::random(m, k, 1);
+        let b = Matrix::random(k, n, 2);
+        let mut ws = Workspace::new();
+        for (name, scheme) in [
+            ("clean", Scheme::Unprotected),
+            ("one_sided", Scheme::ThreadLevelOneSided),
+        ] {
+            let tile = scheme.tile_scheme(k.next_multiple_of(8));
+            let packed = PackedWeights::pack(&b, tile.lanes);
+            let mut best = [f64::INFINITY; 2];
+            for _ in 0..16 {
+                for (best, members) in best.iter_mut().zip([Members::One, Members::All]) {
+                    *best = best.min(timed_gemm(members, &a, &packed, tile, &mut ws));
+                }
+            }
+            let row = format!("engine/team_{m}x{n}x{k}_{name}");
+            rec.record_value(&format!("{row}_one_us"), best[0] / 1e3, "us");
+            rec.record_value(&format!("{row}_all_us"), best[1] / 1e3, "us");
+            rec.record_value(&format!("{row}_speedup"), best[0] / best[1], "x");
+        }
+    }
+}
+
 fn main() {
+    // First: it measures what a fresh process does.
+    let mut rec = Recorder::new("engine");
+    cold_start_row(&mut rec);
+    fork_join_rows(&mut rec);
+    team_shape_rows(&mut rec);
+
     let values: Vec<f32> = (0..1024).map(|v| v as f32 * 0.37 - 200.0).collect();
     bench("fp16/from_f32_x1024", || {
         for &v in &values {
@@ -84,7 +257,6 @@ fn main() {
 
     // The engine-throughput suite: the numbers that gate every figure
     // reproduction, fault campaign, and serving benchmark.
-    let mut rec = Recorder::new("engine");
 
     // Dispatch visibility: record which microkernel path this runner
     // selected, and fail loudly if a SIMD path was detected but the
@@ -150,7 +322,9 @@ fn main() {
             gflops_of(size, med),
             "gflop/s",
         );
-        for (path, [ns]) in fastest_interleaved(12, &a, &[(TileScheme::NONE, b)], &mut ws) {
+        for (path, [ns]) in
+            fastest_interleaved(12, Members::All, &a, &[(TileScheme::NONE, b)], &mut ws)
+        {
             rec.record_value(
                 &format!("engine/functional_gemm_{size}_gflops_{}", path.as_str()),
                 gflops_of(size, ns),
@@ -202,9 +376,16 @@ fn main() {
     // within 1.5× of the clean kernel and two-sided within 2×. Rounds
     // interleave the three kernels and each takes its fastest time, so
     // the gate holds under the smoke run's iteration cap and a noisy
-    // runner; the overheads are recorded per SIMD path and gated on the
-    // active one (the scalar oracle is not a performance path), whose
-    // rows also keep the unsuffixed names.
+    // runner, and each runs on one team member — the gate is about the
+    // kernel, not about who else was on the second core. The overheads
+    // are recorded per SIMD path and gated on the active one (the scalar
+    // oracle is not a performance path), whose rows also keep the
+    // unsuffixed names. On the zmm tile the one-sided row is over its
+    // limit (1.55–1.61×: the clean K loop sits at the port roof, so the
+    // lanes cost their full 1.5× before the strip sums and the
+    // epilogue) and this gate fails there until ROADMAP item 5 step 2
+    // moves it; it passed only while 35–75 µs of thread spawn and join
+    // sat in both terms of the ratio.
     {
         let size = 256usize;
         let a = Matrix::random(size, size, 1);
@@ -220,7 +401,7 @@ fn main() {
         });
         let active = simd::active_path();
         for (path, [clean, one_sided, two_sided]) in
-            fastest_interleaved(12, &a, &kernels, &mut Workspace::new())
+            fastest_interleaved(12, Members::One, &a, &kernels, &mut Workspace::new())
         {
             if path == active {
                 rec.record_ns("engine/gemm_256_clean_best", clean);
@@ -232,10 +413,12 @@ fn main() {
                 rec.record_value(&format!("{row}_{}", path.as_str()), x, "x");
                 if path == active {
                     rec.record_value(&row, x, "x");
-                    assert!(
+                    rec.gate(
                         !path.is_simd() || x <= limit,
-                        "{name} ABFT costs {x:.2}x the clean kernel at 256^3 on {} (limit {limit}x)",
-                        path.as_str()
+                        format!(
+                            "{name} ABFT costs {x:.2}x the clean kernel at 256^3 on {} (limit {limit}x)",
+                            path.as_str()
+                        ),
                     );
                 }
             }
@@ -320,18 +503,28 @@ fn main() {
                 );
             }
             if dtype == Dtype::F16 {
-                let best = on_active_path(&fastest_interleaved(24, &request, &kernels, &mut ws));
+                let best = on_active_path(&fastest_interleaved(
+                    24,
+                    Members::One,
+                    &request,
+                    &kernels,
+                    &mut ws,
+                ));
                 let x = best[1] / best[0];
                 rec.record_value("engine/gemm_m1_k1024_n1024_one_sided_overhead", x, "x");
-                assert!(
+                rec.gate(
                     !simd::active_path().is_simd() || x <= 1.35,
-                    "one-sided ABFT costs {x:.2}x the clean kernel at 1x1024x1024 (limit 1.35x)"
+                    format!(
+                        "one-sided ABFT costs {x:.2}x the clean kernel at 1x1024x1024 (limit 1.35x)"
+                    ),
                 );
                 // The per-path rows alternate paths over one pack: two
                 // packs alternating evict each other from L2 and every
                 // path then reads at the next level's speed.
                 let [clean, _] = kernels;
-                for (path, [ns]) in fastest_interleaved(24, &request, &[clean], &mut ws) {
+                for (path, [ns]) in
+                    fastest_interleaved(24, Members::One, &request, &[clean], &mut ws)
+                {
                     let row = format!("engine/gemm_m1_k1024_n1024_clean_{}", path.as_str());
                     rec.record_ns(&row, ns);
                 }
@@ -348,9 +541,12 @@ fn main() {
     }
     // The between-GEMM movers at SqueezeNet-224's largest shapes: the
     // conv write-back of the stem's 111×111×64 output (blocked
-    // transpose + ReLU + slice encode into a slot), one-pass A staging
-    // of fire2's squeeze (pointwise, K=64) and 3×3 expand (im2col,
-    // K=144) over 55×55 pixels with one-sided ABFT's checksum rows, and
+    // transpose + ReLU + slice encode into a slot), A staging of
+    // fire2's squeeze (pointwise, K=64) and 3×3 expand (im2col, K=144)
+    // over 55×55 pixels with one-sided ABFT's checksum rows — every
+    // stripe of the layer in turn into one member's stripe buffer, as a
+    // lone member stages them, so ns/element means what it did when the
+    // whole operand was staged at once — and
     // the stem's 3×3 stride-2 ceil-mode max-pool through a pipeline.
     // Each row is ns per element moved (per input element for the
     // pool). These are memory movers: on a SIMD path with F16C the
@@ -398,9 +594,9 @@ fn main() {
                 black_box(&slot);
             },
         );
-        assert!(
+        rec.gate(
             !f16c || ns <= 2.0,
-            "conv write-back costs {ns:.2} ns/element on the SIMD+F16C path (limit 2)"
+            format!("conv write-back costs {ns:.2} ns/element on the SIMD+F16C path (limit 2)"),
         );
 
         let mut ws = Workspace::new();
@@ -412,7 +608,9 @@ fn main() {
             "stage_a_pointwise_3025x64",
             3025 * 64,
             &mut || {
-                ws.stage_activations(view, lanes, 64);
+                for stripe in 0..3025usize.div_ceil(64) {
+                    ws.stage_stripe(view, lanes, 64, stripe);
+                }
                 black_box(&ws);
             },
         );
@@ -433,7 +631,9 @@ fn main() {
             "stage_a_im2col3x3_3025x144",
             3025 * 144,
             &mut || {
-                ws.stage_activations(view, lanes, 144);
+                for stripe in 0..3025usize.div_ceil(64) {
+                    ws.stage_stripe(view, lanes, 144, stripe);
+                }
                 black_box(&ws);
             },
         );
@@ -484,7 +684,9 @@ fn main() {
                 gflops_of(size, med),
                 "gflop/s",
             );
-            for (path, [ns]) in fastest_interleaved(24, &a, &[(TileScheme::NONE, b)], &mut ws) {
+            for (path, [ns]) in
+                fastest_interleaved(24, Members::One, &a, &[(TileScheme::NONE, b)], &mut ws)
+            {
                 rec.record_ns(
                     &format!("engine/gemm_{size}_clean_{dtype}_{}", path.as_str()),
                     ns,
@@ -547,6 +749,7 @@ fn main() {
         }
     }
     rec.write().expect("write BENCH_engine.json");
+    rec.enforce_gates();
 
     let dev = DeviceSpec::t4();
     let calib = Calibration::default();

@@ -92,6 +92,7 @@ fn max_iters_from_env() -> Option<usize> {
 pub struct Recorder {
     suite: String,
     results: Vec<BenchResult>,
+    over_limit: Vec<String>,
 }
 
 impl Recorder {
@@ -100,7 +101,29 @@ impl Recorder {
         Recorder {
             suite: suite.to_string(),
             results: Vec::new(),
+            over_limit: Vec::new(),
         }
+    }
+
+    /// A performance gate: a row that is over its limit fails the run,
+    /// but in [`enforce_gates`](Self::enforce_gates), after the file is
+    /// written — so the record shows by how much, and the rows behind
+    /// the failing one are not lost.
+    pub fn gate(&mut self, within_limit: bool, message: String) {
+        if !within_limit {
+            println!("GATE FAILED: {message}");
+            self.over_limit.push(message);
+        }
+    }
+
+    /// Panics if any [`gate`](Self::gate) failed.
+    pub fn enforce_gates(&self) {
+        assert!(
+            self.over_limit.is_empty(),
+            "{} gate(s) over their limit:\n{}",
+            self.over_limit.len(),
+            self.over_limit.join("\n")
+        );
     }
 
     /// Runs and records one bench, returning the measurement (e.g. to

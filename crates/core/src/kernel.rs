@@ -217,8 +217,8 @@ pub trait BoundKernel: Send + Sync {
 
     /// Attempts to localize and repair the fault behind a `Detected`
     /// verdict, recomputing only the implicated cells of the output
-    /// still sitting in `ws` (the run's activation panels are still
-    /// staged there; the weights are this kernel's own). On success
+    /// still sitting in `ws` (from `activations`, whose implicated
+    /// strips are staged again, and this kernel's own weights). On success
     /// returns [`Verdict::Corrected`] and the workspace output is
     /// byte-equal to a clean run; schemes that cannot localize — and
     /// repairs that fail re-verification — return the verdict
@@ -372,7 +372,7 @@ impl BoundKernel for GlobalBound {
             }
             best
         };
-        ws.recompute_col(&self.weights, col);
+        ws.recompute_col(activations, &self.weights, col);
         let (output, check) = ws.output_and_check();
         if self
             .abft
@@ -440,13 +440,14 @@ impl BoundKernel for TileBound {
 
     /// Tile localization: every detection names the strip rows and
     /// columns its failed compare covered, so repair recomputes exactly
-    /// those cells from the staged activations and the packed weights. For the replication schemes
+    /// those cells from the activations (their strip staged again) and
+    /// the packed weights. For the replication schemes
     /// this is the majority-vote resolution — the disagreeing
     /// accumulator is simply overwritten with the recomputed (clean)
     /// value instead of merely flagged.
     fn correct_into(
         &self,
-        _activations: MatrixView<'_>,
+        activations: MatrixView<'_>,
         ws: &mut Workspace,
         verdict: Verdict,
     ) -> Verdict {
@@ -469,7 +470,7 @@ impl BoundKernel for TileBound {
         for i in 0..ws.output().detections.len() {
             let d = &ws.output().detections[i];
             let (row, col, cols) = (d.row, d.col, d.cols);
-            ws.recompute_strip(&self.weights, row, col, cols);
+            ws.recompute_strip(activations, &self.weights, row, col, cols);
         }
         ws.output_mut().detections.clear();
         Verdict::Corrected {
@@ -559,7 +560,7 @@ impl BoundKernel for MultiChecksumBound {
             }
             row as usize - 1
         };
-        ws.recompute_row(&self.weights, row);
+        ws.recompute_row(activations, &self.weights, row);
         let output = ws.output();
         for r in 0..self.rounds as usize {
             if self

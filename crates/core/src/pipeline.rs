@@ -24,8 +24,9 @@
 //! A pass is a plain loop over the stages in stage order (a
 //! topological order of the graph): nothing fans out between stages.
 //! The one intra-request fan-out is the engine's — a GEMM heavy enough
-//! to pay for it splits its block-row stripes across scoped worker
-//! threads (`aiga_gpu::engine::BLOCK_PAR_MIN_FLOPS`) — because the
+//! to pay for it (`aiga_gpu::engine::BLOCK_PAR_MIN_FLOPS`) runs its
+//! stripe and block tasks as one region of the process's fork-join team
+//! (`aiga_util::team`) — because the
 //! paper selects a scheme *per layer GEMM*, so the GEMM is the unit
 //! that owns the cores. Running independent branches (a Fire module's
 //! 1×1/3×3 expand pair) side by side instead measured slower than this
@@ -44,7 +45,7 @@
 //! (`run_gemm`) and its scheme's [`crate::kernel::BoundKernel`]
 //! (weights bound once at construction: packed into the engine's panel
 //! form, global ABFT's offline checksums summed — the compiled stage
-//! keeps no other copy of them, and every request, stripe worker and
+//! keeps no other copy of them, and every request, team member and
 //! session shard reads that one), so the pipeline contains no
 //! per-scheme dispatch and serves extension schemes like
 //! `Scheme::MultiChecksum` unchanged.

@@ -2,8 +2,9 @@
 //! FP32 accumulation, executed the way a host GEMM library does it and
 //! protected the way the paper's thread-level schemes are.
 //!
-//! The output is walked in [`BLOCK_M`]`×`[`BLOCK_N`] cache blocks (the
-//! unit of work fan-out); each block is computed in
+//! The output is walked in [`BLOCK_M`]`×`[`BLOCK_N`] cache blocks (a
+//! block, or a block row of them, is the unit of work fan-out); each
+//! block is computed in
 //! [`MICRO_MR`]`×`[`MICRO_NR`] register tiles by the microkernel. That
 //! register tile is the host's "thread" in the sense of §5: the place
 //! where operands sit in registers, so the place where redundant work
@@ -23,10 +24,10 @@
 //!   [`FaultKind`]) and tile-addressed [`Detection`] provenance;
 //! - [`panels`] — the operand forms: [`PackedWeights`] (B, resident as
 //!   the format's codes at storage width, packed once when a layer is
-//!   bound and shared by every run), the per-run A
-//!   staging (decoded + strip-packed rows, checksum rows), and the
-//!   reusable [`Workspace`] that owns all per-run scratch (A panels,
-//!   per-worker block tile and lanes, output, checksum scratch);
+//!   bound and shared by every run), the per-stripe A staging (decoded
+//!   and strip-packed rows, checksum rows), and the reusable
+//!   [`Workspace`] that owns all per-run scratch (per team member: the
+//!   staged stripe, block tile and lanes; output, checksum scratch);
 //! - [`simd`] — the register-tiled microkernel (one multi-row and one
 //!   one-row tile body, generic over the vector width — ymm on AVX2,
 //!   zmm on AVX-512 — the format's B widening and the checksum lanes),
@@ -36,24 +37,29 @@
 //! - `walk` (private) — block execution over the live extent:
 //!   microkernel fill, targeted fault injection, tile epilogue;
 //! - this module — [`gemm_into`] itself: the execution entry point,
-//!   the host constants it blocks by, and output assembly.
+//!   the host constants it blocks by, the split into team tasks, and
+//!   output assembly.
 //!
 //! # Execution contract
 //!
 //! A GEMM is a function of its operands. [`gemm_into`] is the execution
 //! entry: the caller supplies the weights already packed
-//! ([`PackedWeights`]) and a [`Workspace`]; the engine stages the
-//! request's rows, executes, and leaves the [`GemmOutput`] inside the
-//! workspace — zero heap allocations once it is warm, and nothing per
-//! request that scales with the layer rather than with the request.
-//! Large multi-stripe problems fan out across block-row stripes onto
-//! scoped worker threads, each driving private [`Workspace`] stripe
-//! scratch; small problems (the serving common case, where concurrency
-//! comes from many requests each holding a warm workspace) stay
-//! sequential and allocation-free. [`gemm`] is the allocating
+//! ([`PackedWeights`]) and a [`Workspace`]; the engine executes and
+//! leaves the [`GemmOutput`] inside the workspace — zero heap
+//! allocations once it is warm, and nothing per request that scales
+//! with the layer rather than with the request. A run is one region of
+//! the process's fork-join team (`aiga_util::team`): its tasks are
+//! block-row stripes — single blocks when there are few stripes — and
+//! whichever member takes a task stages that stripe's rows of A into
+//! its own scratch and walks it. A run asks for one member beyond its
+//! caller per [`BLOCK_PAR_MIN_FLOPS`] of live work and the team's
+//! inline rule decides what it gets: a run below the floor, or one
+//! opened where its owner already spread requests across cores (a
+//! multi-worker server, a campaign under `par_map`), is the same tasks
+//! in order on the calling thread. [`gemm`] is the allocating
 //! convenience: it packs a plain [`Matrix`] of weights and makes the
-//! same call on a throwaway workspace, returning the owned output. Both
-//! regimes produce byte-identical results;
+//! same call on a throwaway workspace, returning the owned output.
+//! Results are byte-identical at every team width;
 //! `crates/core/tests/engine_golden.rs` pins them to the canonical
 //! accumulation order's bytes on every [`GemmPath`].
 
@@ -86,7 +92,7 @@ pub const MICRO_NR: usize = 16;
 
 /// Cache-block rows: one block's accumulator tile (`BLOCK_M × BLOCK_N`
 /// f32, 16 KiB) stays in L1 beside the operand strips that fill it, and
-/// a block-row stripe is the unit the parallel regime hands a worker.
+/// a block-row stripe is what a team member stages and walks at a time.
 /// A host constant — measured on the benchmark's four workloads against
 /// 32×32 — not a function of the shape or of any device model.
 pub const BLOCK_M: usize = 64;
@@ -97,19 +103,42 @@ pub const BLOCK_N: usize = 64;
 // lane layouts never handle a partial tile.
 const _: () = assert!(BLOCK_M.is_multiple_of(MICRO_MR) && BLOCK_N.is_multiple_of(MICRO_NR));
 
-/// Minimum live FLOP count (`2·m·n·k` over whole register tiles) before
-/// [`gemm_into`] fans block-row stripes out across worker threads.
-/// Below this, spawn overhead dwarfs the win and the sequential regime
-/// keeps its zero-allocation guarantee; 2·256³ (a 256³ GEMM) sits
-/// exactly at the threshold.
-pub const BLOCK_PAR_MIN_FLOPS: u128 = 32 * 1024 * 1024;
+/// Live FLOPs (`2·m·n·k` over whole register tiles) a run must bring
+/// per team member beyond its caller: [`gemm_into`] offers its tasks to
+/// `flops / BLOCK_PAR_MIN_FLOPS` more members, so below the floor a run
+/// is the caller's alone and a small layer wakes one worker however
+/// wide the host. A hot fork-join costs 1.1–1.6 µs and a parked
+/// member's wake-up 55–95 (`BENCH_engine.json`
+/// `team/fork_join_{hot,parked}_us`), so the floor sits where the
+/// caller alone would finish inside a wake-up: 2 MFLOP is 17 µs of this
+/// host's dense one-core kernel (`engine/gemm_256_clean_best`, 272 µs
+/// for 33.5 MFLOP) and 50–56 µs of a batch-1 layer's weight stream
+/// (`engine/team_1x1024x1024_clean_one_us`). Every SqueezeNet GEMM and
+/// the 1×1024×1024 layer clear it, and their all-member rows beat their
+/// one-member rows 1.6–1.9× on two members (`engine/team_*_speedup`;
+/// 1.3–2.0 over four recordings, once 1.0 on a row a neighbour's burst
+/// landed on). Tuned at width 2 only.
+pub const BLOCK_PAR_MIN_FLOPS: u128 = 2 * 1024 * 1024;
 
-/// Test seam: forces the stripe-parallel worker count (0 = off) so the
-/// block-parallel arm can be exercised on single-core runners, where
-/// `effective_workers` would otherwise always serialize. Only consulted
-/// when a problem already qualifies for the parallel regime.
-#[cfg(test)]
-static FORCE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// A task is a whole block-row stripe once every member has this many
+/// to take: each stripe is then staged once, by one member, which also
+/// leaves whole 64-row runs of the output in one core's cache for the
+/// reductions and the write-back that read it next. Below it (a 169-row
+/// layer's three stripes, a batch-256 layer's four, a batch-1 layer's
+/// one) a task is one block, and the members that share a stripe each
+/// stage it. The number buys steadiness, not speed: the counter gives
+/// the last task to whoever asks first, so a region ends up to one task
+/// late, and on a shared host the members do not run equally fast (a
+/// vCPU here runs at a quarter to a half of its speed for hundreds of
+/// milliseconds at a time) — a slowed member that takes the last of
+/// four 1.5 ms stripes holds the region for all of it. At two stripes a
+/// member `fc1024_b256` (256×1024×1024: four stripes, two members) was
+/// 5 % faster on a quiet host, 7.0 ms a pass against 7.6 as 64 blocks
+/// (each member stages every stripe), and twice as scattered: twelve
+/// interleaved pairs of 6 s benchmark runs read 93–116 req/s,
+/// inter-quartile 13.0, against 98–108 and 5.2; with one vCPU throttled
+/// to half speed 69 against 72–74.
+const STRIPES_PER_MEMBER: usize = 4;
 
 /// Host work of one engine run, in the scalar FMAs it executed.
 /// `checksum_fmas / data_fmas` is the redundant share a scheme added to
@@ -161,10 +190,11 @@ impl GemmOutput {
     }
 
     /// Re-arms this output for a fresh `m × n` run, reusing its buffers.
+    /// The cells keep what the last run left: a run scatters every live
+    /// cell, so only a buffer that grows is filled (with zeros).
     fn reset(&mut self, m: usize, n: usize) {
         self.m = m;
         self.n = n;
-        self.c.clear();
         self.c.resize(m * n, 0.0);
         self.detections.clear();
         self.counters = EngineCounters::default();
@@ -186,33 +216,61 @@ pub fn gemm<'a>(
     ws.take_output()
 }
 
+/// The output buffer as a region's tasks write it: each task scatters
+/// the cells of its own blocks, which no other task touches.
+struct OutCells {
+    cells: *mut f32,
+    len: usize,
+}
+
+// SAFETY: a raw view of a `&mut [f32]` that outlives the region; tasks
+// reach it only through `run`, whose contract keeps their cells apart.
+unsafe impl Sync for OutCells {}
+
+impl OutCells {
+    /// Cells `at..at + len`.
+    ///
+    /// # Safety
+    /// No other reference to any of those cells may be live: the caller
+    /// is the only task that owns them.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn run(&self, at: usize, len: usize) -> &mut [f32] {
+        assert!(at + len <= self.len, "run outside the output");
+        // SAFETY: in bounds (above) of the borrowed buffer; exclusive by
+        // the caller's contract.
+        unsafe { std::slice::from_raw_parts_mut(self.cells.add(at), len) }
+    }
+}
+
 /// The workspace-threaded execution entry: multiplies `a` by the
 /// packed weights `b` entirely inside `ws`, leaving the result in
 /// [`Workspace::output`] (also returned by reference). The inner
 /// dimension walked is `b`'s padded K. After one warm-up run at a given
-/// shape, subsequent runs perform **zero heap allocations** — the A
-/// panels, block scratch, and the output buffer are all resized in
-/// place — and per-run staging, compute and checks cover only the live
-/// extent: the register tiles holding a row of `a` or a column of `b`.
+/// shape, subsequent runs perform **zero heap allocations** — the
+/// members' stripe panels and block scratch and the output buffer are
+/// all resized in place, and a team region allocates nothing — and
+/// per-run staging, compute and checks cover only the live extent: the
+/// register tiles holding a row of `a` or a column of `b`.
 ///
-/// Small problems execute their blocks sequentially on the calling
-/// thread: the intended serving concurrency regime is many concurrent
-/// requests each holding a warm workspace (the `Session` checkout
-/// pool), not intra-GEMM fan-out per call, and the sequential regime is
-/// the one the allocation tests pin at zero. Problems spanning several
-/// block-row stripes with at least [`BLOCK_PAR_MIN_FLOPS`] of work fan
-/// the stripes out across scoped worker threads, each executing from
-/// private stripe scratch in `ws` (output rows are disjoint per stripe,
-/// so workers share only the read-only operands); the stripe pool
-/// ratchets like every other workspace buffer, though thread spawning
-/// itself is not allocation-free. Results are byte-identical in either
-/// regime, detections in the same block-major order. Any number of
-/// simultaneous `faults` may be injected (the multi-checksum extension
-/// of §2.4 needs more than one); one aimed outside the `m × n` output
-/// has no accumulator to strike and is a no-op. Empty dimensions are
-/// well-defined: no rows or no columns give an `m × 0` / `0 × n` output,
-/// an empty inner dimension an `m × n` output of zeros, and none of
-/// them a detection.
+/// The run is one list of tasks — block-row stripes, or single blocks
+/// when the request has few stripes — executed by one body: the member
+/// that takes a task stages the task's stripe of `a` into its own
+/// scratch (unless its last task left it there), fills and checks the
+/// task's blocks, and scatters them into the output (blocks are
+/// disjoint, so members share only the read-only operands). The tasks
+/// are a region of the process's fork-join team, sized by the work:
+/// one member beyond the caller per [`BLOCK_PAR_MIN_FLOPS`], at most
+/// the team's width. Whether the region gets them is the team's inline
+/// rule (`aiga_util::team`), not a choice made here — under a
+/// multi-worker server or a `par_map` campaign it is the calling
+/// thread alone, as it is below the floor. Results are byte-identical
+/// whoever ran which task, detections in the same block-major order.
+/// Any number of simultaneous `faults` may be injected (the
+/// multi-checksum extension of §2.4 needs more than one); one aimed
+/// outside the `m × n` output has no accumulator to strike and is a
+/// no-op. Empty dimensions are well-defined: no rows or no columns give
+/// an `m × 0` / `0 × n` output, an empty inner dimension an `m × n`
+/// output of zeros, and none of them a detection.
 pub fn gemm_into<'w, 'a>(
     a: impl Into<MatrixView<'a>>,
     b: &PackedWeights,
@@ -233,9 +291,9 @@ pub fn gemm_into<'w, 'a>(
     if k == 0 || out_n == 0 {
         // No inner dimension: every cell is the empty sum, and no chain
         // ran that a check could compare. No columns: no cells.
+        ws.out.c.fill(0.0);
         return &ws.out;
     }
-    ws.stage_activations(a, scheme.lanes, k);
     // Blocks are whole strips, so only the request's last strip can be
     // ragged; one live row there runs the one-row register tile.
     let (strips, groups) = (out_m.div_ceil(MICRO_MR), out_n.div_ceil(MICRO_NR));
@@ -257,105 +315,78 @@ pub fn gemm_into<'w, 'a>(
         checksum_fmas: full.1 + one_row.1,
     };
 
-    let stripes = out_m.div_ceil(BLOCK_M);
+    let (stripes, col_blocks) = (out_m.div_ceil(BLOCK_M), out_n.div_ceil(BLOCK_N));
     let flops = 2 * ws.out.counters.data_fmas as u128;
-    let workers = if stripes >= 2 && flops >= BLOCK_PAR_MIN_FLOPS {
-        aiga_util::effective_workers(stripes)
-    } else {
-        1
-    };
-    #[cfg(test)]
-    let workers = match FORCE_WORKERS.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => workers,
-        f if stripes >= 2 && flops >= BLOCK_PAR_MIN_FLOPS => f.min(stripes),
-        _ => workers,
-    };
-
-    ws.ensure_stripe_pool(workers, scheme.lanes);
+    let width = aiga_util::team::width().min((flops / BLOCK_PAR_MIN_FLOPS) as usize + 1);
+    let by_block = stripes < STRIPES_PER_MEMBER * width;
+    let tasks = stripes * if by_block { col_blocks } else { 1 };
+    let members = width.min(tasks);
+    ws.ensure_stripe_pool(members, scheme.lanes);
+    for scr in &mut ws.stripe_pool[..members] {
+        let strips = strips.min(BLOCK_M / MICRO_MR);
+        scr.panels.reserve(scheme.lanes, k, a.cols, strips);
+    }
     let run = &walk::Run {
         path: simd::active_path(),
-        a: &ws.panels,
+        a,
         b,
         scheme,
         faults,
         out_m,
         out_n,
     };
-    if workers == 1 {
-        run_stripes(run, 0..stripes, &mut ws.stripe_pool[0], 0, &mut ws.out.c);
-    } else {
-        // Block-parallel regime: contiguous block-row stripe ranges
-        // per worker. Stripe s owns output rows [s·BLOCK_M,
-        // (s+1)·BLOCK_M), so each worker scatters into a disjoint
-        // row slice of the output carved off with split_at_mut.
-        let per = stripes.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut rest: &mut [f32] = &mut ws.out.c;
-            let mut row_base = 0usize;
-            for (w, scr) in ws.stripe_pool[..workers].iter_mut().enumerate() {
-                let s0 = w * per;
-                let s1 = ((w + 1) * per).min(stripes);
-                if s0 >= s1 {
-                    break;
-                }
-                let rows = (s1 * BLOCK_M).min(out_m) - row_base;
-                let (mine, rem) = std::mem::take(&mut rest).split_at_mut(rows * out_n);
-                rest = rem;
-                let base = row_base;
-                row_base += rows;
-                // Workers obey the no-nested-fan-out discipline of
-                // `par_map` (a scheme or campaign above us may
-                // already be parallel).
-                scope.spawn(move || {
-                    aiga_util::as_worker(|| run_stripes(run, s0..s1, scr, base, mine))
-                });
-            }
-        });
-    }
-    // Merge in worker (= stripe) order, so detections come out in
-    // the same block-major order whatever the worker count.
-    for scr in &mut ws.stripe_pool[..workers] {
-        ws.out.detections.append(&mut scr.detections);
-    }
+    let c = &OutCells {
+        cells: ws.out.c.as_mut_ptr(),
+        len: ws.out.c.len(),
+    };
+    let pool = &mut ws.stripe_pool[..members];
+    aiga_util::team::run_with(pool, tasks, &|scr, task| {
+        let (br, blocks) = if by_block {
+            (task / col_blocks, task % col_blocks..task % col_blocks + 1)
+        } else {
+            (task, 0..col_blocks)
+        };
+        scr.stage_stripe(run.a, scheme.lanes, run.path, k, br);
+        for bc in blocks {
+            walk::run_block(run, br, bc, scr);
+            scatter_tile(&scr.block.tile, run, br, bc, c);
+        }
+        if scr.flagged.last().map_or(0, |&(_, end)| end) < scr.detections.len() {
+            scr.flagged.push((task, scr.detections.len()));
+        }
+    });
+    merge_detections(pool, &mut ws.out.detections);
     &ws.out
 }
 
-/// The stripe walk, shared by both regimes: executes every block of the
-/// block-row stripes `stripes` from the worker's private `scr` and
-/// scatters the tiles into `c`, which holds the output rows from
-/// `row_base` on (the whole output for a lone worker, one worker's
-/// disjoint row slice in a block-parallel run).
-fn run_stripes(
-    run: &walk::Run<'_>,
-    stripes: std::ops::Range<usize>,
-    scr: &mut panels::StripeScratch,
-    row_base: usize,
-    c: &mut [f32],
-) {
-    for br in stripes {
-        for bc in 0..run.out_n.div_ceil(BLOCK_N) {
-            walk::run_block(run, br, bc, &mut scr.block, &mut scr.detections);
-            scatter_tile(&scr.block.tile, run, br, bc, row_base, c);
-        }
+/// Moves the members' detections into `out` in task order — the
+/// block-major order a lone walker flags in, whatever the team's width.
+/// Each member's flagged tasks ascend, so the highest task among the
+/// members' last runs is the last of all: runs are popped latest first
+/// (the pop is the cursor; nothing is allocated) and the whole reversed.
+fn merge_detections(pool: &mut [panels::StripeScratch], out: &mut Vec<Detection>) {
+    let last_task = |scr: &panels::StripeScratch| scr.flagged.last().map(|&(task, _)| task);
+    while let Some(scr) = pool
+        .iter_mut()
+        .filter(|scr| !scr.flagged.is_empty())
+        .max_by_key(|scr| last_task(scr))
+    {
+        scr.flagged.pop();
+        let start = scr.flagged.last().map_or(0, |&(_, end)| end);
+        out.extend(scr.detections.drain(start..).rev());
     }
+    out.reverse();
 }
 
-/// Copies one block tile's live cells into `c`, which holds the output
-/// rows from `row_base` on.
-fn scatter_tile(
-    tile: &[f32],
-    run: &walk::Run<'_>,
-    br: usize,
-    bc: usize,
-    row_base: usize,
-    c: &mut [f32],
-) {
+/// Copies one block tile's live cells into the output.
+fn scatter_tile(tile: &[f32], run: &walk::Run<'_>, br: usize, bc: usize, c: &OutCells) {
     let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
-    debug_assert!(row0 >= row_base, "tile precedes the caller's row slice");
     let cols = BLOCK_N.min(run.out_n - col0);
     for (lr, gr) in (row0..run.out_m.min(row0 + BLOCK_M)).enumerate() {
-        let at = (gr - row_base) * run.out_n + col0;
-        c[at..at + cols].copy_from_slice(&tile[lr * BLOCK_N..][..cols]);
+        // SAFETY: the cells of block `(br, bc)`, which this task alone
+        // executes.
+        let cells = unsafe { c.run(gr * run.out_n + col0, cols) };
+        cells.copy_from_slice(&tile[lr * BLOCK_N..][..cols]);
     }
 }
 

@@ -15,19 +15,23 @@
 //!   therefore reads the layer's storage bytes, not four per weight.
 //!   When the bound scheme is two-sided ABFT it also carries the
 //!   per-tile B checksum columns.
-//! - **A (activations)** is the request. `Panels` gathers, decodes,
-//!   strip-packs and checksums it per run in one pass, into buffers the
-//!   [`Workspace`] keeps warm, covering only the request's own rows
-//!   (rounded up to one register-tile strip) — a batch-1 request stages
-//!   one strip of its block.
+//! - **A (activations)** is the request. `Panels` holds one block-row
+//!   *stripe* of it at a time — [`BLOCK_M`] rows gathered, decoded,
+//!   strip-packed and checksummed in one pass — in the scratch of the
+//!   team member that walks that stripe (`StripeScratch`): at most
+//!   `64·K` f32 and their strip sums, restaged when the member's next
+//!   task is another stripe and otherwise resident in its L2. No buffer
+//!   ever holds the whole staged operand, and a batch-1 request stages
+//!   one strip.
 //!
-//! [`Workspace`] owns *all* per-run scratch — the A panels, the
-//! per-block accumulator tile and its checksum lanes, the output buffer,
+//! [`Workspace`] owns *all* per-run scratch — the per-member stripe
+//! panels, accumulator tile and checksum lanes, the output buffer,
 //! and staging space the layers above lend out (pipeline activations,
 //! scheme-check scratch). Callers that hold a workspace across runs get
 //! a steady state in which the whole execution path performs **zero
-//! heap allocations**: every buffer is resized in place and capacities
-//! only ratchet up to the high-water mark of the shapes served.
+//! heap allocations**, fanned out or not: every buffer is resized in
+//! place and capacities only ratchet up to the high-water mark of the
+//! shapes served.
 
 use super::fault_inject::Detection;
 use super::matrix::{Matrix, MatrixView};
@@ -194,49 +198,75 @@ impl PackedWeights {
     }
 }
 
-/// The activation operand staged once per engine run, over the
-/// request's live rows only (rounded up to whole [`MICRO_MR`] strips),
-/// in one form: the microkernel streams the strips, and the cold
-/// readers take one row of them ([`Self::row`]) as they take a B column
-/// out of [`PackedWeights`].
+/// Grows `v` to at least `len` elements. Every reader of these buffers
+/// is told how much of them a run wrote, so nothing is cleared and a
+/// shape smaller than the last one re-zeroes nothing.
+fn grow<T: Clone>(v: &mut Vec<T>, len: usize, zero: T) {
+    if v.len() < len {
+        v.resize(len, zero);
+    }
+}
+
+/// A run of the activation operand's [`MICRO_MR`]-row strips, staged in
+/// the one form every reader takes: the microkernel streams the strips,
+/// and the cold readers take one row of them ([`Self::row`]) as they
+/// take a B column out of [`PackedWeights`]. The engine stages a
+/// block-row stripe at a time ([`Self::stage`]); strips and rows are
+/// numbered from the first staged one.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Panels {
-    /// A decoded to f32 in [`MICRO_MR`]-row strips: strip `s` holds rows
-    /// `s·MR .. s·MR+MR`, element `(r, kk)` at `(s·k + kk)·MR + r` — one
-    /// K step is one contiguous broadcast group. Rows past the request
-    /// and K steps past the operand are zero.
+    /// A decoded to f32 in [`MICRO_MR`]-row strips: staged strip `s`
+    /// holds its four rows, element `(r, kk)` at `(s·k + kk)·MR + r` —
+    /// one K step is one contiguous broadcast group. Rows past the
+    /// request and K steps past the operand are zero.
     pub(crate) a_pack: Vec<f32>,
     /// Per-strip A checksum rows: strip `s`, step `kk` holds
     /// `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` at `(s·k + kk)·2`. Staged only
-    /// for the two ABFT lane kinds.
+    /// for the two ABFT lane kinds ([`Self::sums`]).
     pub(crate) a_chk: Vec<f32>,
     /// One strip's rows gathered as row-major codes ([`simd::stage_a`]).
     pub(crate) rows: Vec<F16>,
     /// Shared inner dimension (the engine's padded K).
     pub(crate) k: usize,
+    /// Whether the last staging wrote the checksum rows.
+    pub(crate) sums: bool,
 }
 
 impl Panels {
-    /// Stages `a` for one run ([`simd::stage_a`]), reusing this
-    /// instance's buffers; `lanes` selects whether the checksum rows are
-    /// staged with it.
-    pub(crate) fn stage(&mut self, a: MatrixView<'_>, lanes: Redundancy, path: GemmPath, k: usize) {
-        let strips = a.rows.div_ceil(MICRO_MR);
-        let sums = matches!(lanes, Redundancy::ColumnChecksum | Redundancy::TileChecksum);
-        // Staging writes every element it sizes here: no clear.
-        self.a_pack.resize(strips * MICRO_MR * k, 0.0);
-        self.a_chk.resize(strips * k * 2 * sums as usize, 0.0);
-        self.rows.resize(MICRO_MR * a.cols, F16::ZERO);
+    /// Sizes the buffers for `strips` strips of an operand `cols` wide
+    /// under padded K `k`, with the checksum rows if `lanes` carries
+    /// them. The engine does this for every member on the calling
+    /// thread before a region, so no member's first stripe allocates.
+    pub(crate) fn reserve(&mut self, lanes: Redundancy, k: usize, cols: usize, strips: usize) {
+        self.sums = matches!(lanes, Redundancy::ColumnChecksum | Redundancy::TileChecksum);
         self.k = k;
+        // Staging writes every element it is about to hand out.
+        grow(&mut self.a_pack, strips * MICRO_MR * k, 0.0);
+        grow(&mut self.a_chk, strips * k * 2 * self.sums as usize, 0.0);
+        grow(&mut self.rows, MICRO_MR * cols, F16::ZERO);
+    }
+
+    /// Stages strips `strips` of `a` ([`simd::stage_a`]), reusing this
+    /// instance's buffers; `lanes` selects whether the checksum rows are
+    /// staged with them.
+    pub(crate) fn stage(
+        &mut self,
+        a: MatrixView<'_>,
+        lanes: Redundancy,
+        path: GemmPath,
+        k: usize,
+        strips: std::ops::Range<usize>,
+    ) {
+        self.reserve(lanes, k, a.cols, strips.len());
         // An empty inner dimension stages nothing (and has no chunk
         // size to stage by).
         if k > 0 {
-            simd::stage_a(path, a, self);
+            simd::stage_a(path, a, self, strips);
         }
     }
 
-    /// Row `r`'s K walk (`k` values): one strip lane read with stride
-    /// [`MICRO_MR`]. `r` may be a padding row of the last strip.
+    /// Staged row `r`'s K walk (`k` values): one strip lane read with
+    /// stride [`MICRO_MR`]. `r` may be a padding row of the last strip.
     pub(crate) fn row(&self, r: usize) -> impl Iterator<Item = f32> + '_ {
         let base = r / MICRO_MR * MICRO_MR * self.k + r % MICRO_MR;
         self.a_pack[base..]
@@ -266,36 +296,69 @@ pub(crate) struct BlockScratch {
 }
 
 impl BlockScratch {
-    /// Sizes every buffer for one run under `lanes`. Shrinks never
-    /// release capacity, so repeated runs do not allocate.
+    /// Sizes every buffer for one run under `lanes`; nothing is cleared.
+    /// A run reads exactly the cells it wrote — the live register tiles
+    /// of the block it just filled, their lanes, the `+0.0` a one-row
+    /// tile stores in its dead rows — so what an earlier block or run
+    /// left anywhere else is never seen (pinned by
+    /// `engine::tests::stale_scratch_never_reaches_a_result`).
     pub(crate) fn prepare(&mut self, lanes: Redundancy) {
-        let resize = |v: &mut Vec<f32>, len: usize| {
-            v.clear();
-            v.resize(len, 0.0);
-        };
         let cells = BLOCK_M * BLOCK_N;
-        resize(&mut self.tile, cells);
         let lane_len = lanes.lane_len(BLOCK_M, BLOCK_N);
-        resize(&mut self.chk, lane_len);
-        resize(&mut self.mag, lane_len);
-        resize(&mut self.shadow, cells * lanes.is_shadow() as usize);
+        grow(&mut self.tile, cells, 0.0);
+        grow(&mut self.chk, lane_len, 0.0);
+        grow(&mut self.mag, lane_len, 0.0);
+        grow(&mut self.shadow, cells * lanes.is_shadow() as usize, 0.0);
     }
 }
 
-/// Per-worker scratch of one engine run: a worker — the calling thread
-/// alone, or each scoped thread of a block-parallel run — executes a
-/// contiguous range of block-row stripes from its own instance, so
-/// workers share nothing but the read-only operands. The pool these
-/// live in (`Workspace::stripe_pool`) ratchets like every other
-/// workspace buffer.
+/// One team member's scratch for an engine run: the member — the
+/// calling thread alone, or each member of a fanned-out run — stages
+/// the stripe its task belongs to into `panels` and executes the task's
+/// blocks from `block`, so members share nothing but the read-only
+/// operands. The pool these live in (`Workspace::stripe_pool`, one per
+/// member) ratchets like every other workspace buffer.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct StripeScratch {
-    /// The worker's private block-execution scratch.
+    /// The member's private block-execution scratch.
     pub(crate) block: BlockScratch,
-    /// Detections flagged by this worker's stripes, in stripe order
-    /// (drained into the output after the join, preserving the global
-    /// block-major order).
+    /// The stripe the member is walking, staged by it.
+    pub(crate) panels: Panels,
+    /// Which stripe of the current run `panels` holds.
+    pub(crate) staged: Option<usize>,
+    /// Detections flagged by this member's tasks, in the order it ran
+    /// them.
     pub(crate) detections: Vec<Detection>,
+    /// `(task, detections.len() after it)` for each task that flagged,
+    /// ascending in both: the output takes the members' runs back in
+    /// task order, which is the block-major order of a lone walker.
+    pub(crate) flagged: Vec<(usize, usize)>,
+}
+
+impl StripeScratch {
+    /// Stages block-row stripe `stripe` of `a` unless the last task
+    /// left it here.
+    pub(crate) fn stage_stripe(
+        &mut self,
+        a: MatrixView<'_>,
+        lanes: Redundancy,
+        path: GemmPath,
+        k: usize,
+        stripe: usize,
+    ) {
+        if self.staged != Some(stripe) {
+            let strips = BLOCK_M / MICRO_MR;
+            let last = a.rows.div_ceil(MICRO_MR);
+            self.panels.stage(
+                a,
+                lanes,
+                path,
+                k,
+                stripe * strips..last.min((stripe + 1) * strips),
+            );
+            self.staged = Some(stripe);
+        }
+    }
 }
 
 /// Reusable scratch for kernel-level checksum verification (global
@@ -321,16 +384,15 @@ pub struct CheckScratch {
 ///
 /// The execution contract is workspace-threaded at every layer:
 /// [`crate::engine::gemm_into`] stages the activation
-/// panels and writes its output here (the weights arrive packed — see
+/// stripes and writes its output here (the weights arrive packed — see
 /// [`PackedWeights`] — so a cold workspace's first run allocates for
-/// the request's rows, not for the layer); `aiga-core`'s `BoundKernel::run_into`,
+/// a stripe of the request's rows, not for the layer); `aiga-core`'s `BoundKernel::run_into`,
 /// `ProtectedPipeline::infer_into`, and `Session::serve` (via a
 /// checkout pool) all reuse one workspace so the steady-state hot path
 /// performs zero heap allocations. A fresh workspace warms up in one
 /// run; mixed shapes ratchet each buffer to its high-water mark.
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
-    pub(crate) panels: Panels,
     pub(crate) out: GemmOutput,
     /// Checksum-verification scratch lent to bound kernels.
     pub(crate) check: CheckScratch,
@@ -341,9 +403,10 @@ pub struct Workspace {
     /// slot's capacity only ratchet up, so steady-state graph execution
     /// allocates nothing.
     pub(crate) slots: Vec<Matrix>,
-    /// Per-worker scratch of the engine's stripe walk: entry 0 serves
-    /// the calling thread, the rest the scoped workers of a
-    /// block-parallel run (ratchets to the worker high-water mark).
+    /// Per-member scratch of the engine's stripe walk: entry 0 serves
+    /// the calling thread (and the cold readers below), the rest the
+    /// other team members of a fanned-out run (ratchets to the member
+    /// high-water mark).
     pub(crate) stripe_pool: Vec<StripeScratch>,
     /// The child workspace for graph execution: every GEMM stage of a
     /// pipeline runs in it while reading its operand in place from
@@ -404,11 +467,13 @@ impl Workspace {
         self.lowering = m;
     }
 
-    /// Stages `a` as the next walk's activation operand — the first
-    /// half of [`super::gemm_into`], callable alone so benches
-    /// can time it apart from the microkernel. `k` is the padded K.
-    pub fn stage_activations(&mut self, a: MatrixView<'_>, lanes: Redundancy, k: usize) {
-        self.panels.stage(a, lanes, simd::active_path(), k);
+    /// Stages block-row stripe `stripe` of `a` into the calling
+    /// member's scratch, as a stripe task of [`super::gemm_into`] does
+    /// before it walks the stripe — callable alone so benches can time
+    /// it apart from the microkernel. `k` is the padded K.
+    pub fn stage_stripe(&mut self, a: MatrixView<'_>, lanes: Redundancy, k: usize, stripe: usize) {
+        self.ensure_stripe_pool(1, lanes);
+        self.stripe_pool[0].stage_stripe(a, lanes, simd::active_path(), k, stripe);
     }
 
     /// Grows the slot table to at least `n` entries (a one-time
@@ -448,84 +513,111 @@ impl Workspace {
         (&self.slots, self.child.get_or_insert_with(Box::default))
     }
 
-    /// Arms the stripe scratch pool for `n` workers under `lanes`: grows
-    /// the pool if this is a new high-water mark, then re-prepares each
-    /// worker's scratch in place.
+    /// Arms the stripe scratch pool for `n` members under `lanes`: grows
+    /// the pool if this is a new high-water mark, then re-arms each
+    /// member's scratch in place.
     pub(crate) fn ensure_stripe_pool(&mut self, n: usize, lanes: Redundancy) {
         if self.stripe_pool.len() < n {
             self.stripe_pool.resize_with(n, StripeScratch::default);
         }
         for s in &mut self.stripe_pool[..n] {
             s.block.prepare(lanes);
+            s.staged = None;
             s.detections.clear();
+            s.flagged.clear();
         }
     }
 
-    /// Recomputes output cell `(r, c)` from the activation panels the
-    /// most recent run staged and that run's weights `b`, overwriting
-    /// `out.c[r][c]` in place.
+    /// Recomputes the cells of the most recent run's output in `rows` ×
+    /// `cols` (clipped to the output) from that run's operands — the
+    /// activations `a` and the weights `b` — a strip at a time: the
+    /// strip's rows are staged again (the run kept no staged copy of
+    /// `a`; whatever stripe a member staged last is not trusted to be
+    /// this one) and each cell replays the canonical accumulation order
+    /// (one FMA per K element, in order — see [`super::simd`]) that the
+    /// SIMD microkernel and the scalar oracle share, so a recomputed
+    /// cell is bit-exact with a clean run. Faults are never re-applied:
+    /// the operands are all this reads. Returns the cells rewritten.
     ///
-    /// The recompute replays the canonical accumulation order (one FMA
-    /// per K element, in order — see [`super::simd`]) that the SIMD
-    /// microkernel and the scalar oracle share, so a recomputed cell is
-    /// bit-exact with a clean run. Faults are never
-    /// re-applied: the panels hold only operands. Returns `false` (no
-    /// write) when the cell lies outside the cropped output — padded
-    /// rows/columns have no output cell to repair.
-    ///
-    /// Allocation-free: reads the panels, writes one f32.
-    pub fn recompute_cell(&mut self, b: &PackedWeights, r: usize, c: usize) -> bool {
-        if r >= self.out.m || c >= self.out.n {
-            return false;
+    /// Allocation-free once the workspace has run: stages into the
+    /// calling member's stripe scratch.
+    fn recompute_cells(
+        &mut self,
+        a: MatrixView<'_>,
+        b: &PackedWeights,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+    ) -> u32 {
+        assert_eq!(
+            (a.rows, a.cols),
+            (self.out.m, b.rows()),
+            "not this run's operands"
+        );
+        let (rows, cols) = (
+            rows.start..rows.end.min(self.out.m),
+            cols.start..cols.end.min(self.out.n),
+        );
+        if rows.is_empty() || cols.is_empty() {
+            return 0;
         }
-        self.out.c[r * self.out.n + c] = simd::dot(self.panels.row(r), b.col(c));
-        true
+        self.ensure_stripe_pool(1, Redundancy::None);
+        let (scr, path) = (&mut self.stripe_pool[0], simd::active_path());
+        for strip in rows.start / MICRO_MR..rows.end.div_ceil(MICRO_MR) {
+            scr.panels
+                .stage(a, Redundancy::None, path, b.k(), strip..strip + 1);
+            for r in rows.start.max(strip * MICRO_MR)..rows.end.min((strip + 1) * MICRO_MR) {
+                for c in cols.clone() {
+                    self.out.c[r * self.out.n + c] =
+                        simd::dot(scr.panels.row(r % MICRO_MR), b.col(c));
+                }
+            }
+        }
+        (rows.len() * cols.len()) as u32
+    }
+
+    /// Recomputes output cell `(r, c)` of the run of `a` against `b`
+    /// that this workspace executed last, overwriting `out.c[r][c]` in
+    /// place (see [`Self::recompute_strip`] for how). Returns `false`
+    /// (no write) when the cell lies outside the output — padded
+    /// rows/columns have no output cell to repair.
+    pub fn recompute_cell(
+        &mut self,
+        a: MatrixView<'_>,
+        b: &PackedWeights,
+        r: usize,
+        c: usize,
+    ) -> bool {
+        self.recompute_cells(a, b, r..r + 1, c..c + 1) == 1
     }
 
     /// Recomputes the cells a [`Detection`] names — the `MICRO_MR` rows
     /// of its strip across its flagged columns — and returns how many
-    /// were rewritten (cells in the cropped-away padding are skipped).
-    /// This is the targeted-recompute primitive behind thread-level
-    /// fault correction.
+    /// were rewritten (cells in the grid padding are skipped). This is
+    /// the targeted-recompute primitive behind thread-level fault
+    /// correction: the strip is staged again from `a` and every cell is
+    /// one in-order FMA chain, bit-exact with a clean run.
     pub fn recompute_strip(
         &mut self,
+        a: MatrixView<'_>,
         b: &PackedWeights,
         row: usize,
         col: usize,
         cols: usize,
     ) -> u32 {
-        let mut repaired = 0;
-        for r in row..row + MICRO_MR {
-            for c in col..col + cols {
-                repaired += self.recompute_cell(b, r, c) as u32;
-            }
-        }
-        repaired
+        self.recompute_cells(a, b, row..row + MICRO_MR, col..col + cols)
     }
 
     /// Recomputes every cell of output row `r` (see
-    /// [`Self::recompute_cell`]). Returns `false` if the row is out of
+    /// [`Self::recompute_strip`]). Returns `false` if the row is out of
     /// range.
-    pub fn recompute_row(&mut self, b: &PackedWeights, r: usize) -> bool {
-        if r >= self.out.m {
-            return false;
-        }
-        for c in 0..self.out.n {
-            self.recompute_cell(b, r, c);
-        }
-        true
+    pub fn recompute_row(&mut self, a: MatrixView<'_>, b: &PackedWeights, r: usize) -> bool {
+        self.recompute_cells(a, b, r..r + 1, 0..usize::MAX) > 0
     }
 
     /// Recomputes every cell of output column `c` (see
-    /// [`Self::recompute_cell`]). Returns `false` if the column is out
-    /// of range.
-    pub fn recompute_col(&mut self, b: &PackedWeights, c: usize) -> bool {
-        if c >= self.out.n {
-            return false;
-        }
-        for r in 0..self.out.m {
-            self.recompute_cell(b, r, c);
-        }
-        true
+    /// [`Self::recompute_strip`]), restaging each strip of `a` once.
+    /// Returns `false` if the column is out of range.
+    pub fn recompute_col(&mut self, a: MatrixView<'_>, b: &PackedWeights, c: usize) -> bool {
+        self.recompute_cells(a, b, 0..usize::MAX, c..c + 1) > 0
     }
 }

@@ -8,10 +8,10 @@
 //!   bound to a layer) as the format's resident codes, and is widened
 //!   to f32 in the microkernel's B load (`Format::widen`/`widen16`) — a
 //!   weight is read at its resident width every pass; `stage_a` gathers,
-//!   decodes and lays the request's rows into microkernel strips, with
-//!   the checksum rows a thread-level ABFT scheme multiplies, in one
-//!   pass (once per run, in `Panels::stage`, over the request's live
-//!   rows only);
+//!   decodes and lays a run of the request's rows into microkernel
+//!   strips, with the checksum rows a thread-level ABFT scheme
+//!   multiplies, in one pass (once per block-row stripe, by the team
+//!   member about to walk it, in `Panels::stage`);
 //! - `fill_block_tile` computes the live register tiles of one
 //!   block tile — and, when the run's scheme asks for them, their
 //!   checksum and magnitude lanes — through the register-tiled
@@ -221,15 +221,16 @@ pub fn on_each_path<T>(mut f: impl FnMut(GemmPath) -> T) -> Vec<T> {
     legs.collect()
 }
 
-/// Stages the activation operand `a` into `p` (sized by
-/// [`Panels::stage`]) in one pass over its codes: each [`MICRO_MR`]-row
-/// strip is gathered, decoded to f32 and written straight into the
-/// strip layout, K steps past the operand zero-filled, and — when
-/// `a_chk` is non-empty — each step's `(Σ_i a[i][kk], Σ_i |a[i][kk]|)`
-/// is taken from the same four values, pairwise in f32. The second is
-/// the *sum of magnitudes*, not the magnitude of the sum: the error
-/// bound it feeds must cover the data accumulators' rounding even where
-/// the strip's values cancel.
+/// Stages strips `strips` of the activation operand `a` into `p`
+/// (sized by [`Panels::stage`]; the first staged strip lands at the
+/// start of its buffers) in one pass over their codes: each
+/// [`MICRO_MR`]-row strip is gathered, decoded to f32 and written
+/// straight into the strip layout, K steps past the operand
+/// zero-filled, and — when `p.sums` — each step's
+/// `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` is taken from the same four values,
+/// pairwise in f32. The second is the *sum of magnitudes*, not the
+/// magnitude of the sum: the error bound it feeds must cover the data
+/// accumulators' rounding even where the strip's values cancel.
 ///
 /// An NCHW source is already K-major: where a strip's rows are
 /// consecutive pixels of one output row with their windows inside the
@@ -237,13 +238,18 @@ pub fn on_each_path<T>(mut f: impl FnMut(GemmPath) -> T) -> Vec<T> {
 /// (fc rows, image edges, strided convs, the ragged last strip) gathers
 /// its rows through [`MatrixView::row_codes`] and walks them in
 /// lockstep. The format dispatch is outside every loop.
-pub(crate) fn stage_a(path: GemmPath, a: MatrixView<'_>, p: &mut Panels) {
+pub(crate) fn stage_a(
+    path: GemmPath,
+    a: MatrixView<'_>,
+    p: &mut Panels,
+    strips: std::ops::Range<usize>,
+) {
     #[cfg(target_arch = "x86_64")]
     if path.is_simd() && a.dtype == Dtype::F16 && aiga_dtype::f16c_active() {
         // SAFETY: the SIMD path implies AVX2+FMA; F16C was just checked.
-        return unsafe { stage_strips_f16c(a, p) };
+        return unsafe { stage_strips_f16c(a, p, strips) };
     }
-    with_format!(a.dtype, F => stage_strips(a, p, |c, pack, sums| {
+    with_format!(a.dtype, F => stage_strips(a, p, strips, |c, pack, sums| {
         let v = c.map(|c| F::decode(c.to_bits()));
         pack.copy_from_slice(&v);
         if let Some(sums) = sums {
@@ -261,10 +267,10 @@ pub(crate) fn stage_a(path: GemmPath, a: MatrixView<'_>, p: &mut Panels) {
 /// The host must support AVX2, FMA and F16C.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma", enable = "f16c")]
-unsafe fn stage_strips_f16c(a: MatrixView<'_>, p: &mut Panels) {
+unsafe fn stage_strips_f16c(a: MatrixView<'_>, p: &mut Panels, strips: std::ops::Range<usize>) {
     use std::arch::x86_64::*;
     const _: () = assert!(MICRO_MR == 4);
-    stage_strips(a, p, |c, pack, sums| {
+    stage_strips(a, p, strips, |c, pack, sums| {
         assert!(pack.len() == 4 && sums.as_ref().is_none_or(|s| s.len() == 2));
         // SAFETY: `F16` is a transparent `u16`, so four of them are the
         // eight bytes `vcvtph2ps` widens from the low half of an xmm;
@@ -290,12 +296,15 @@ unsafe fn stage_strips_f16c(a: MatrixView<'_>, p: &mut Panels) {
 fn stage_strips(
     a: MatrixView<'_>,
     p: &mut Panels,
+    strips: std::ops::Range<usize>,
     put: impl Fn([F16; MICRO_MR], &mut [f32], Option<&mut [f32]>),
 ) {
     let (k, cols) = (p.k, a.cols);
-    // Without checksum lanes `a_chk` is empty and every pair is `None`.
-    let mut chk = p.a_chk.chunks_exact_mut(2 * k);
-    for (s, strip) in p.a_pack.chunks_exact_mut(MICRO_MR * k).enumerate() {
+    // Without checksum lanes no strip has sums and every pair is `None`.
+    let sums = &mut p.a_chk[..strips.len() * 2 * k * p.sums as usize];
+    let mut chk = sums.chunks_exact_mut(2 * k);
+    let pack = p.a_pack[..strips.len() * MICRO_MR * k].chunks_exact_mut(MICRO_MR * k);
+    for (s, strip) in strips.zip(pack) {
         let r0 = s * MICRO_MR;
         let (pack, pad) = strip.split_at_mut(MICRO_MR * cols);
         pad.fill(0.0);
@@ -391,7 +400,7 @@ unsafe fn chk_dot_fma(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32)
     chk_dot(a_chk, b)
 }
 
-/// The magnitude lane of global strip `strip`, global column `col`
+/// The magnitude lane of staged strip `strip`, global column `col`
 /// under [`Redundancy::ColumnChecksum`], taken on demand with the
 /// scalar mirror — bit for bit the value the four-row microkernel
 /// carries for that column. The tile epilogue calls this for the
@@ -997,7 +1006,14 @@ mod tests {
         let a = Matrix::random_dtype(m, k, seed, dtype);
         let b = Matrix::random_dtype(k, n, seed + 1, dtype);
         let mut p = Panels::default();
-        p.stage(a.view(), lanes, detect_path(), k.next_multiple_of(8));
+        let strips = 0..m.div_ceil(MICRO_MR);
+        p.stage(
+            a.view(),
+            lanes,
+            detect_path(),
+            k.next_multiple_of(8),
+            strips,
+        );
         (p, PackedWeights::pack(&b, lanes), a, b)
     }
 

@@ -301,63 +301,214 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
     }
 }
 
+/// Runs `a · b` under `scheme` with `faults` at team widths 1, 2 and 3
+/// (through the width seam, so a single-core runner fans out too) and
+/// holds the three to the same output bytes, detection list — order,
+/// residual and threshold bits — and counters. Returns the width-1 run.
+fn at_every_team_width(
+    a: &Matrix,
+    b: &Matrix,
+    scheme: TileScheme,
+    faults: &[FaultPlan],
+) -> GemmOutput {
+    let packed = PackedWeights::pack(b, scheme.lanes);
+    // One workspace across the widths: a member's scratch left by a
+    // narrower run must not matter to a wider one.
+    let mut ws = Workspace::new();
+    let mut lone = None;
+    for width in [1usize, 2, 3] {
+        let out = aiga_util::team::with_width(width, || {
+            gemm_into(a, &packed, scheme, faults, &mut ws).clone()
+        });
+        let lone = lone.get_or_insert_with(|| out.clone());
+        assert_eq!(report(&out), report(lone), "team width {width}");
+    }
+    lone.expect("three widths ran")
+}
+
+/// A threshold below any residual: every tile column flags, so the
+/// detection list covers the merge order of every task.
+const FLAG_ALL: TileScheme = TileScheme {
+    lanes: Redundancy::ColumnChecksum,
+    slope: 0.0,
+    floor: -1.0,
+};
+
 #[test]
 fn block_parallel_stripes_are_byte_identical_to_sequential() {
-    // Just past BLOCK_PAR_MIN_FLOPS, where the regime would follow
-    // `effective_workers`; force the worker count instead — 1 for the
-    // sequential baseline, then 3 over 5 stripes (deliberately uneven)
-    // — to exercise both arms deterministically. Five block rows by
-    // four block columns, the last of each ragged: 250 columns end ten
-    // into a register tile; 270 rows end two live rows into a strip,
-    // and 261 rows leave the last stripe a full strip plus a strip with
-    // one live row (the one-row tile and its lazily taken magnitudes
-    // inside a worker). A threshold below any residual makes every tile
-    // column flag, covering the merge ordering; the faulted run covers
-    // the cold recompute path.
-    let flag_all = TileScheme {
-        lanes: Redundancy::ColumnChecksum,
-        slope: 0.0,
-        floor: -1.0,
-    };
-    // On every path: the zmm walk pairs strips inside each worker's stripe.
+    // Past BLOCK_PAR_MIN_FLOPS, at team widths 1, 2 and 3. Five block
+    // rows by four block columns, the last of each ragged: 250 columns
+    // end ten into a register tile; 270 rows end two live rows into a
+    // strip, and 261 rows leave the last stripe a full strip plus a
+    // strip with one live row (the one-row tile and its lazily taken
+    // magnitudes inside a member) — whole-stripe tasks at width 1, one
+    // block a task at widths 2 and 3.
+    // 781 × 100 × 16 is thirteen stripes by two column blocks: whole
+    // stripes at every width, and 2.8 MFLOP, which seats two members
+    // however wide the team. The faulted runs cover the cold walk.
+    // On every path: the zmm walk pairs strips inside a member's stripe.
     on_each_path(|_| {
-        for m in [270usize, 261] {
-            let (n, k) = (250usize, 256usize);
-            assert!(m.div_ceil(BLOCK_M) == 5 && n.div_ceil(BLOCK_N) == 4);
+        for (m, n, k) in [
+            (270usize, 250usize, 256usize),
+            (261, 250, 256),
+            (781, 100, 16),
+        ] {
             let a = Matrix::random(m, k, 70);
             let b = Matrix::random(k, n, 71);
             let faults = [FaultPlan {
                 row: m - 1,
-                col: 249,
+                col: n - 1,
                 after_step: 5,
                 kind: FaultKind::AddValue(96.0),
             }];
-            super::FORCE_WORKERS.store(1, std::sync::atomic::Ordering::Relaxed);
-            let seq_clean = gemm(&a, &b, flag_all, &[]);
+            let clean = at_every_team_width(&a, &b, FLAG_ALL, &[]);
             // Padding columns of the last register tile carry lanes too.
             assert_eq!(
-                seq_clean.detections.len(),
+                clean.detections.len(),
                 m.div_ceil(MICRO_MR) * n.next_multiple_of(MICRO_NR)
             );
-            let seq_fault = gemm(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
-            assert_eq!(seq_fault.detections.len(), 1);
-            let mut ws = Workspace::new();
-            let b = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
-            super::FORCE_WORKERS.store(3, std::sync::atomic::Ordering::Relaxed);
-            {
-                let par = gemm_into(&a, &b, flag_all, &[], &mut ws);
-                assert_eq!(seq_clean.c, par.c);
-                assert_eq!(seq_clean.detections, par.detections);
-                assert_eq!(seq_clean.counters, par.counters);
-            }
-            {
-                let par = gemm_into(&a, &b, loose(Redundancy::ColumnChecksum), &faults, &mut ws);
-                assert_eq!(seq_fault.c, par.c);
-                assert_eq!(seq_fault.detections, par.detections);
-            }
-            super::FORCE_WORKERS.store(0, std::sync::atomic::Ordering::Relaxed);
+            let faulted = at_every_team_width(&a, &b, loose(Redundancy::ColumnChecksum), &faults);
+            assert_eq!(faulted.detections.len(), 1);
         }
     });
+}
+
+#[test]
+fn block_parallel_stripes_restage_between_column_block_tasks() {
+    // SqueezeNet's conv10: three stripes by sixteen column blocks, so a
+    // task is one block and a member restages whenever the counter hands
+    // it a block of another stripe. Two epilogue faults in different
+    // tasks and one mid-walk fault in the last block of the last (ragged)
+    // stripe flag in task order at every width, under every lane kind.
+    // (Unoptimised builds keep the shape and shorten K.)
+    let (m, n, k) = (169, 1000, if cfg!(debug_assertions) { 40 } else { 512 });
+    let a = Matrix::random(m, k, 72);
+    let b = Matrix::random(k, n, 73);
+    let at = |row, col, after_step, kind| FaultPlan {
+        row,
+        col,
+        after_step,
+        kind,
+    };
+    let faults = [
+        at(100, 700, u64::MAX, FaultKind::AddValue(-160.0)),
+        at(3, 10, u64::MAX, FaultKind::AddValue(96.0)),
+        at(168, 999, 5, FaultKind::AddValue(96.0)),
+    ];
+    on_each_path(|_| {
+        for lanes in ALL_LANES {
+            let out = at_every_team_width(&a, &b, loose(lanes), &faults);
+            let rows: Vec<usize> = out.detections.iter().map(|d| d.row).collect();
+            let want = match lanes {
+                Redundancy::None => vec![],
+                _ => vec![0, 100, 168],
+            };
+            assert_eq!(rows, want, "{lanes:?}");
+        }
+        at_every_team_width(&a, &b, FLAG_ALL, &[]);
+    });
+}
+
+#[test]
+fn block_parallel_stripes_split_a_batch_1_layer_by_column_block() {
+    // One row, one strip, one stripe: exactly BLOCK_PAR_MIN_FLOPS (the
+    // caller and one member, at widths 2 and 3 alike), and sixteen
+    // one-block tasks whose members each stage the same strip.
+    let (a, b) = (Matrix::random(1, 1024, 74), Matrix::random(1024, 1024, 75));
+    let fault = FaultPlan {
+        row: 0,
+        col: 1023,
+        after_step: 9,
+        kind: FaultKind::AddValue(96.0),
+    };
+    on_each_path(|_| {
+        for lanes in [Redundancy::ColumnChecksum, Redundancy::TileChecksum] {
+            let out = at_every_team_width(&a, &b, loose(lanes), &[fault]);
+            assert_eq!(out.detections.len(), 1, "{lanes:?}");
+        }
+        let all = at_every_team_width(&a, &b, FLAG_ALL, &[]);
+        assert_eq!(all.detections.len(), 1024);
+    });
+}
+
+#[test]
+fn a_run_seats_one_member_per_floor_of_work_beyond_its_caller() {
+    // However wide the team: below BLOCK_PAR_MIN_FLOPS the caller
+    // alone, at the floor (1 × 1024 × 1024) one more, at 128 × 256 × 128
+    // (four floors, eight block tasks) five, and a 256³ run all eight.
+    for (m, n, k, seats) in [
+        (1usize, 1024usize, 512usize, 1usize),
+        (1, 1024, 1024, 2),
+        (128, 256, 128, 5),
+        (256, 256, 256, 8),
+    ] {
+        let packed = PackedWeights::pack(&Matrix::random(k, n, 77), Redundancy::None);
+        let mut ws = Workspace::new();
+        aiga_util::team::with_width(8, || {
+            gemm_into(
+                &Matrix::random(m, k, 76),
+                &packed,
+                TileScheme::NONE,
+                &[],
+                &mut ws,
+            );
+        });
+        assert_eq!(ws.stripe_pool.len(), seats, "{m}x{n}x{k}");
+    }
+}
+
+#[test]
+fn stale_scratch_never_reaches_a_result() {
+    // Nothing is cleared between runs: not the members' block tile,
+    // lanes, shadow or staged stripe, not the output. Poison all of it
+    // with NaN before every run of a large → small → large → k = 0
+    // sequence under every lane kind, at team widths 1 and 2, and hold
+    // each run to a fresh workspace's bytes.
+    let shapes = [
+        (200usize, 130usize, 72usize),
+        (5, 9, 16),
+        (200, 130, 72),
+        (7, 20, 0),
+    ];
+    let mut ws = Workspace::new();
+    for width in [1usize, 2] {
+        for lanes in ALL_LANES {
+            for (i, &(m, n, k)) in shapes.iter().enumerate() {
+                let a = Matrix::random(m, k, 80 + i as u64);
+                let b = Matrix::random(k, n, 90 + i as u64);
+                let fault = FaultPlan {
+                    row: m - 1,
+                    col: n / 2,
+                    after_step: 1,
+                    kind: FaultKind::AddValue(64.0),
+                };
+                let fresh = gemm(&a, &b, loose(lanes), &[fault]);
+                ws.out.c.fill(f32::NAN);
+                for scr in &mut ws.stripe_pool {
+                    let block = &mut scr.block;
+                    for v in [
+                        &mut block.tile,
+                        &mut block.chk,
+                        &mut block.mag,
+                        &mut block.shadow,
+                    ] {
+                        v.fill(f32::NAN);
+                    }
+                    scr.panels.a_pack.fill(f32::NAN);
+                    scr.panels.a_chk.fill(f32::NAN);
+                }
+                let packed = PackedWeights::pack(&b, lanes);
+                let reused = aiga_util::team::with_width(width, || {
+                    report(gemm_into(&a, &packed, loose(lanes), &[fault], &mut ws))
+                });
+                assert_eq!(
+                    reused,
+                    report(&fresh),
+                    "width {width} {lanes:?} {m}x{n}x{k}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -487,25 +638,49 @@ fn one_pass_staging_matches_the_three_pass_oracle_bit_for_bit() {
                 for view in views {
                     let k = view.cols.next_multiple_of(8);
                     let (want_pack, want_chk) = stage_oracle(view, k);
+                    let strips = view.rows.div_ceil(MICRO_MR);
+                    // The whole operand at once, then a block-row stripe
+                    // at a time as the engine's members stage it.
+                    let per_stripe = BLOCK_M / MICRO_MR;
+                    let stripes = (0..strips)
+                        .step_by(per_stripe)
+                        .map(|s| s..strips.min(s + per_stripe));
+                    let ranges: Vec<_> = std::iter::once(0..strips).chain(stripes).collect();
                     for &path in simd::supported_paths() {
-                        // Stale contents must be fully overwritten.
-                        let mut p = Panels::default();
-                        p.a_pack.resize(want_pack.len() + 5, f32::NAN);
-                        p.a_chk.resize(want_chk.len() + 5, f32::NAN);
-                        p.stage(view, Redundancy::ColumnChecksum, path, k);
-                        let what = format!(
-                            "{dtype} k{kernel}s{stride}p{padding} x{images} {:?} {path:?}",
-                            view.layout
-                        );
-                        assert_eq!(bits(&p.a_pack), bits(&want_pack), "a_pack {what}");
-                        assert_eq!(bits(&p.a_chk), bits(&want_chk), "a_chk {what}");
-                        p.stage(view, Redundancy::None, path, k);
-                        assert_eq!(
-                            bits(&p.a_pack),
-                            bits(&want_pack),
-                            "a_pack (no lanes) {what}"
-                        );
-                        assert!(p.a_chk.is_empty());
+                        for strips in ranges.iter().cloned() {
+                            let want_pack =
+                                &want_pack[strips.start * MICRO_MR * k..strips.end * MICRO_MR * k];
+                            let want_chk = &want_chk[strips.start * k * 2..strips.end * k * 2];
+                            // Stale contents must be fully overwritten.
+                            let mut p = Panels::default();
+                            p.a_pack.resize(want_pack.len() + 5, f32::NAN);
+                            p.a_chk.resize(want_chk.len() + 5, f32::NAN);
+                            p.stage(view, Redundancy::ColumnChecksum, path, k, strips.clone());
+                            let what = format!(
+                                "{dtype} k{kernel}s{stride}p{padding} x{images} {:?} {path:?} strips {strips:?}",
+                                view.layout
+                            );
+                            assert_eq!(
+                                bits(&p.a_pack[..want_pack.len()]),
+                                bits(want_pack),
+                                "a_pack {what}"
+                            );
+                            assert_eq!(
+                                bits(&p.a_chk[..want_chk.len()]),
+                                bits(want_chk),
+                                "a_chk {what}"
+                            );
+                            // Without lanes the sums are neither staged
+                            // nor touched.
+                            p.a_chk.fill(f32::NAN);
+                            p.stage(view, Redundancy::None, path, k, strips);
+                            assert_eq!(
+                                bits(&p.a_pack[..want_pack.len()]),
+                                bits(want_pack),
+                                "a_pack (no lanes) {what}"
+                            );
+                            assert!(!p.sums && p.a_chk.iter().all(|v| v.is_nan()));
+                        }
                     }
                 }
             }

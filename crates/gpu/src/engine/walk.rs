@@ -39,12 +39,14 @@
 //! build them to make every compare report) gets every column's
 //! magnitude, as before.
 //!
-//! Everything here writes into caller-owned scratch
-//! ([`BlockScratch`]) — nothing allocates, which is what makes the
-//! workspace-threaded execution path allocation-free after warmup.
+//! Everything here reads the stripe its team member staged and writes
+//! into that member's scratch ([`StripeScratch`]) — nothing allocates,
+//! which is what makes the workspace-threaded execution path
+//! allocation-free after warmup, fanned out or not.
 
 use super::fault_inject::{Detection, FaultPlan, STEP_K};
-use super::panels::{BlockScratch, PackedWeights, Panels};
+use super::matrix::MatrixView;
+use super::panels::{BlockScratch, PackedWeights, Panels, StripeScratch};
 use super::scheme::{Redundancy, TileScheme};
 use super::simd::{self, GemmPath};
 use super::{BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR};
@@ -52,8 +54,9 @@ use super::{BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR};
 /// What every block of one engine run shares, read-only.
 pub(crate) struct Run<'a> {
     pub(crate) path: GemmPath,
-    /// The request's staged activation panels.
-    pub(crate) a: &'a Panels,
+    /// The request's activations; each member stages the stripe it
+    /// walks from here.
+    pub(crate) a: MatrixView<'a>,
     /// The layer's packed weights.
     pub(crate) b: &'a PackedWeights,
     pub(crate) scheme: TileScheme,
@@ -64,20 +67,23 @@ pub(crate) struct Run<'a> {
     pub(crate) out_n: usize,
 }
 
-/// Executes block `(br, bc)` of `run` into `scratch.tile` and appends
-/// the tiles the scheme flags to `detections` (strip-major, then by
+/// Executes block `(br, bc)` of `run` into `scr.block.tile` from the
+/// stripe staged in `scr.panels` (block row `br`'s) and appends the
+/// tiles the scheme flags to `scr.detections` (strip-major, then by
 /// column).
-pub(crate) fn run_block(
-    run: &Run<'_>,
-    br: usize,
-    bc: usize,
-    scratch: &mut BlockScratch,
-    detections: &mut Vec<Detection>,
-) {
+pub(crate) fn run_block(run: &Run<'_>, br: usize, bc: usize, scr: &mut StripeScratch) {
     let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
     let rows = (run.out_m - row0).min(BLOCK_M);
     let groups = (run.out_n - col0).min(BLOCK_N).div_ceil(MICRO_NR);
     let lanes = run.scheme.lanes;
+    debug_assert_eq!(scr.staged, Some(br), "the block's stripe is staged");
+    let StripeScratch {
+        block: scratch,
+        panels,
+        detections,
+        ..
+    } = scr;
+    let panels = &*panels;
 
     {
         let BlockScratch {
@@ -86,9 +92,10 @@ pub(crate) fn run_block(
             mag,
             shadow,
         } = &mut *scratch;
+        // The staged stripe starts at the block's first row.
         let fill = |lanes, tile: &mut [f32], chk: &mut [f32], mag: &mut [f32]| {
             simd::fill_block_tile(
-                run.path, run.a, run.b, lanes, row0, col0, rows, groups, BLOCK_N, tile, chk, mag,
+                run.path, panels, run.b, lanes, 0, col0, rows, groups, BLOCK_N, tile, chk, mag,
             )
         };
         fill(lanes, tile, chk, mag);
@@ -114,7 +121,7 @@ pub(crate) fn run_block(
     for f in run.faults.iter().filter(in_block) {
         if f.after_step != u64::MAX {
             scratch.tile[cell(f)] = faulted_dot(
-                run.a.row(f.row),
+                panels.row(f.row - row0),
                 run.b.col(f.col),
                 (f.row, f.col),
                 run.faults,
@@ -127,7 +134,14 @@ pub(crate) fn run_block(
         }
     }
 
-    check_block(run, (row0, col0), (rows, groups), scratch, detections);
+    check_block(
+        run,
+        panels,
+        (row0, col0),
+        (rows, groups),
+        scratch,
+        detections,
+    );
 }
 
 /// The cold walk for a faulted accumulator: the canonical FMA chain
@@ -188,6 +202,7 @@ fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f3
 /// walks cells again to build [`Detection`]s when something flagged.
 fn check_block(
     run: &Run<'_>,
+    panels: &Panels,
     origin: (usize, usize),
     live: (usize, usize),
     scratch: &BlockScratch,
@@ -226,9 +241,8 @@ fn check_block(
                     let exact = scheme.passes_zero_residual();
                     let inexact = |j: usize| !(exact && residual(j) <= 0.0);
                     if (0..cols).fold(false, |any, j| any | inexact(j)) {
-                        let strip = origin.0 / MICRO_MR + s;
                         for j in (0..cols).filter(|&j| inexact(j)) {
-                            let mag = simd::column_magnitude(run.a, run.b, strip, origin.1 + j);
+                            let mag = simd::column_magnitude(panels, run.b, s, origin.1 + j);
                             if scheme.flags(residual(j), mag as f64) {
                                 flag(s, j, 1, residual(j), scheme.threshold(mag as f64));
                             }

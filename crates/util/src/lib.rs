@@ -8,7 +8,12 @@
 //!   (replaces `rand`). Everything that draws random matrices, fault
 //!   sites, or property-test cases seeds one of these, so every run is
 //!   reproducible.
-//! - [`par`]: a scoped-thread parallel map over slices (replaces
+//! - [`team`]: the process-wide fork-join team — the one owner of
+//!   compute threads below the serving front-end (replaces `rayon`'s
+//!   global pool): `run_with(states, tasks, f)` spreads a region's tasks
+//!   over the caller and the parked workers, one state each, or runs it
+//!   inline when nested.
+//! - [`par`]: a parallel map over slices on that team (replaces
 //!   `rayon`'s `par_iter().map().collect()` pattern).
 //! - [`json`]: a minimal JSON value type with a recursive-descent parser
 //!   and a round-trip-safe writer (replaces `serde`/`serde_json` for the
@@ -24,6 +29,7 @@ pub mod json;
 pub mod par;
 pub mod rng;
 pub mod sync;
+pub mod team;
 
 pub use hist::LatencyHistogram;
 pub use json::Json;

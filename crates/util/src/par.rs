@@ -1,61 +1,26 @@
-//! Scoped-thread parallel map.
+//! Parallel map over slices, on the process's fork-join team.
 //!
-//! Replaces the `items.par_iter().map(f).collect()` idiom with standard
-//! library scoped threads. Work is split into one contiguous chunk per
-//! worker — the workloads in this repo (simulated threadblocks, fault
-//! trials) are uniform enough that static chunking balances well.
+//! Replaces the `items.par_iter().map(f).collect()` idiom. The slice is
+//! cut into a few contiguous chunks per team member and the chunks are
+//! the tasks of one [`crate::team`] region — so a map obeys the team's
+//! inline rule (nested, under [`as_worker`], team busy: sequential on
+//! the caller) and starts no thread of its own.
 
-std::thread_local! {
-    /// True while the current thread is a `par_map` worker; nested
-    /// `par_map` calls then run sequentially instead of multiplying
-    /// thread counts (e.g. a parallel fault campaign whose every trial
-    /// runs the block-parallel GEMM engine).
-    static INSIDE_PAR_MAP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
+// The nesting mark lives with the team; `super::INSIDE_PAR_MAP` is what
+// this module's tests read.
+#[cfg(test)]
+use crate::team::INSIDE_PAR_MAP;
+pub use crate::team::{as_worker, effective_workers};
 
-/// Cached `available_parallelism`: the stdlib call re-reads cgroup/proc
-/// state (and allocates) on every invocation, which would put heap
-/// traffic on zero-allocation hot paths that merely *ask* about
-/// parallelism before staying sequential.
-fn hardware_parallelism() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// How many workers a parallel region over `items` units of work would
-/// fan out to *from the current thread*: the hardware parallelism capped
-/// by the item count, or 1 when the caller is itself a parallel worker
-/// (nested regions stay sequential). Callers that manage their own
-/// scoped threads (e.g. the block-parallel GEMM engine) use this to make
-/// the same sequential-fallback decision as [`par_map`].
-pub fn effective_workers(items: usize) -> usize {
-    if INSIDE_PAR_MAP.with(|flag| flag.get()) {
-        return 1;
-    }
-    hardware_parallelism().min(items)
-}
-
-/// Runs `f` with the current thread marked as a parallel worker, so any
-/// nested [`par_map`]/[`effective_workers`] call inside it stays
-/// sequential. For callers that run their own threads — scoped ones, or
-/// a server's long-lived workers — but want them to obey the same
-/// no-nested-fan-out discipline. The mark nests: leaving an inner call
-/// leaves the outer one's in place.
-pub fn as_worker<R>(f: impl FnOnce() -> R) -> R {
-    let was = INSIDE_PAR_MAP.with(|flag| flag.replace(true));
-    let out = f();
-    INSIDE_PAR_MAP.with(|flag| flag.set(was));
-    out
-}
+/// Chunks per member: enough that a member that joins the region late
+/// (a parked worker takes ~100 µs to wake) leaves the others something
+/// to take, few enough that a chunk amortises its result vector.
+const CHUNKS_PER_MEMBER: usize = 4;
 
 /// Maps `f` over `items` in parallel, preserving order.
 ///
 /// Falls back to a sequential map when the slice is small, only one
-/// hardware thread is available, or the caller is itself a `par_map`
+/// hardware thread is available, or the caller is itself a parallel
 /// worker (no nested fan-out).
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
@@ -67,7 +32,7 @@ where
 }
 
 /// Like [`par_map`], but each worker first builds private mutable state
-/// with `init` and threads it through every item of its chunk.
+/// with `init` and threads it through every item it maps.
 ///
 /// This is the workspace-reuse primitive: a fault campaign passes
 /// `init = Workspace::new` and every worker serves all of its trials
@@ -78,34 +43,39 @@ pub fn par_map_with<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
+    // A member's state is built and used on its thread and dropped on
+    // the caller's.
+    S: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let workers = hardware_parallelism().min(items.len());
-    if workers <= 1 || INSIDE_PAR_MAP.with(|flag| flag.get()) {
+    let members = effective_workers(items.len());
+    if members <= 1 {
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let (init, f) = (&init, &f);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    INSIDE_PAR_MAP.with(|flag| flag.set(true));
-                    let mut state = init();
-                    part.iter()
-                        .map(|item| f(&mut state, item))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
+    /// One member's state (built with its first chunk) and the chunks it
+    /// mapped, by chunk index.
+    struct Member<S, R> {
+        state: Option<S>,
+        mapped: Vec<(usize, Vec<R>)>,
+    }
+    let mut team: Vec<Member<S, R>> = (0..members)
+        .map(|_| Member {
+            state: None,
+            mapped: Vec::new(),
+        })
+        .collect();
+    let chunk = items.len().div_ceil(members * CHUNKS_PER_MEMBER);
+    crate::team::run_with(&mut team, items.len().div_ceil(chunk), &|member, at| {
+        let Member { state, mapped } = member;
+        let state = state.get_or_insert_with(&init);
+        let part = &items[at * chunk..items.len().min((at + 1) * chunk)];
+        mapped.push((at, part.iter().map(|item| f(state, item)).collect()));
+    });
+    let mut mapped: Vec<_> = team.into_iter().flat_map(|m| m.mapped).collect();
+    mapped.sort_unstable_by_key(|&(at, _)| at);
+    mapped.into_iter().flat_map(|(_, part)| part).collect()
 }
 
 #[cfg(test)]

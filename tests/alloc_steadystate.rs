@@ -2,9 +2,9 @@
 //! path.
 //!
 //! A custom `#[global_allocator]` counts every `alloc`/`realloc` in the
-//! process. This file holds exactly one `#[test]` so nothing else races
-//! the counter, and every measured section runs single-threaded (the
-//! workspace path executes blocks sequentially on the calling thread).
+//! process — the calling thread's and the fork-join team's workers'
+//! alike. This file holds exactly one `#[test]` so nothing else races
+//! the counter.
 //!
 //! Pinned guarantees, after warmup:
 //!
@@ -22,15 +22,12 @@
 //!    (conv stages, pooling/concat/residual epilogues, value slots)
 //!    stays at the same small report-only constant;
 //!
-//! 4. problems large enough for `run_multi_into`'s block-parallel
-//!    regime (≥ `BLOCK_PAR_MIN_FLOPS` across ≥ 2 block-row stripes)
-//!    have a *stable* per-run allocation count once warm: the stripe
-//!    scratch pool ratchets exactly once, leaving only the constant
-//!    `thread::scope` spawn overhead (zero on single-core runners,
-//!    where `effective_workers` keeps even large shapes sequential).
-//!    Every shape in sections 1–3 sits below the threshold, so the
-//!    exact-zero pins above are in the sequential regime by
-//!    construction, on any runner;
+//! 4. problems large enough to fan out (≥ `BLOCK_PAR_MIN_FLOPS`) are
+//!    exactly zero-alloc once warm too: the per-member stripe scratch
+//!    ratchets once and a team region allocates nothing — on a
+//!    multicore runner as a real region, and at a forced team width of
+//!    three on any runner. Most shapes in sections 1–3 sit below the
+//!    threshold and run on the calling thread alone;
 //!
 //! 5. the *fused* k>1 conv path — the GEMM reading an
 //!    `MatrixLayout::Im2col` view of the NCHW activation buffer, no
@@ -240,34 +237,35 @@ fn steady_state_hot_paths_do_not_allocate() {
     });
     assert_eq!(n, 0, "warm campaign trials allocated {n} times");
 
-    // --- 4. Block-parallel regime: 256³ sits exactly at
-    // BLOCK_PAR_MIN_FLOPS, so on multicore runners this exercises the
-    // stripe-parallel arm. Thread spawning is not allocation-free, so
-    // the pin here is stability: after the warm run ratchets the stripe
-    // pool, every subsequent run costs the same constant (and exactly
-    // zero wherever `effective_workers` serializes, e.g. single-core).
+    // --- 4. Fanned-out regime: 256³ is four stripe tasks on two
+    // members and sixteen block tasks on three, 169×1000×512 is the
+    // restaging shape. The warm run starts the team and ratchets
+    // the per-member scratch; after it a run allocates nothing, on this
+    // host's team and at a forced width of three.
     {
         use aiga_gpu::engine::{Redundancy, TileScheme};
-        let big_a = Matrix::random(256, 256, 61);
-        let big_b = PackedWeights::pack(&Matrix::random(256, 256, 62), Redundancy::None);
-        let mut ws = Workspace::new();
-        gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws);
-        let first = allocs_during(|| {
-            std::hint::black_box(gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws));
-        });
-        let second = allocs_during(|| {
-            std::hint::black_box(gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws));
-        });
-        assert_eq!(
-            first, second,
-            "block-parallel steady state must not ratchet ({first} vs {second})"
-        );
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            == 1
-        {
-            assert_eq!(first, 0, "single-core 256³ stays sequential and zero-alloc");
+        for (m, n, k) in [(256usize, 256usize, 256usize), (169, 1000, 512)] {
+            let big_a = Matrix::random(m, k, 61);
+            let big_b = PackedWeights::pack(&Matrix::random(k, n, 62), Redundancy::None);
+            for width in [None, Some(3)] {
+                let mut ws = Workspace::new();
+                let mut run = || {
+                    std::hint::black_box(gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws));
+                };
+                let mut pinned = || {
+                    run();
+                    // Twice: steady state, not a lucky schedule.
+                    let allocs = allocs_during(|| (0..2).for_each(|_| run()));
+                    assert_eq!(
+                        allocs, 0,
+                        "{m}x{n}x{k} fanned out ({width:?}) allocated {allocs} times"
+                    );
+                };
+                match width {
+                    None => pinned(),
+                    Some(width) => aiga::util::team::with_width(width, pinned),
+                }
+            }
         }
     }
 

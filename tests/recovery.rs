@@ -67,6 +67,42 @@ fn every_localizing_scheme_repairs_to_byte_equality() {
 }
 
 #[test]
+fn repairs_restage_the_strip_they_read_at_every_team_width() {
+    // A run keeps no staged copy of its activations: each team member
+    // holds whichever block-row stripe it walked last, and repair stages
+    // the implicated strip again. Five stripes, the last a single live
+    // row; faults in the first stripe (never the one a lone member
+    // staged last) and in the last (at widths 2 and 3, whichever member
+    // the counter gave its blocks to) repair to the clean bytes.
+    let shape = GemmShape::new(257, 72, 64);
+    for scheme in localizing_schemes() {
+        let gemm = ProtectedGemm::random(shape, scheme, 13);
+        let clean = gemm.run_with(&[]);
+        let mut ws = Workspace::new();
+        for width in [1usize, 2, 3] {
+            for (row, col, after_step) in [
+                (2usize, 70usize, u64::MAX),
+                (256, 3, 1),
+                (256, 71, u64::MAX),
+            ] {
+                let fault = FaultPlan {
+                    row,
+                    col,
+                    after_step,
+                    kind: FaultKind::AddValue(300.0),
+                };
+                let verdict = aiga::util::team::with_width(width, || {
+                    gemm.run_corrected_into(&[fault], &mut ws)
+                });
+                let ctx = format!("{scheme} width {width} at ({row},{col},{after_step})");
+                assert!(verdict.is_corrected(), "{ctx}: {verdict:?}");
+                assert_eq!(bits(&ws.output().c), bits(&clean.output.c), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
 fn non_finite_faults_are_repaired_from_tile_coordinates() {
     // An accumulator struck to NaN or Inf poisons every sum it enters;
     // the flagged tile coordinates still pin it, and the recompute

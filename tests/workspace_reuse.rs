@@ -10,6 +10,49 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 #[test]
+fn no_stale_cell_survives_a_change_of_shape() {
+    // The engine clears nothing between runs — not the output, not a
+    // member's stripe panels or block tile — so a large → small → large
+    // → empty-K sequence through one workspace is where a stale cell
+    // would show: each run must equal a fresh workspace's bytes. The
+    // large shapes fan out across the team; the k = 0 one must come
+    // back all zeros from a buffer full of the previous run's cells.
+    use aiga::gpu::engine::{gemm_into, PackedWeights};
+    let mut ws = Workspace::new();
+    for scheme in [Scheme::ThreadLevelOneSided, Scheme::ReplicationTraditional] {
+        for (i, (m, n, k)) in [
+            (300usize, 200usize, 96usize),
+            (3, 5, 8),
+            (300, 200, 96),
+            (300, 200, 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let a = Matrix::random(m, k, 7 + i as u64);
+            let b = Matrix::random(k, n, 8 + i as u64);
+            let tile = scheme.tile_scheme(k.next_multiple_of(8));
+            let packed = PackedWeights::pack(&b, tile.lanes);
+            let fault = FaultPlan {
+                row: m - 1,
+                col: n - 1,
+                after_step: 0,
+                kind: FaultKind::AddValue(77.0),
+            };
+            let fresh = gemm_into(&a, &packed, tile, &[fault], &mut Workspace::new()).clone();
+            let reused = gemm_into(&a, &packed, tile, &[fault], &mut ws);
+            let ctx = format!("{scheme} {m}x{n}x{k}");
+            assert_eq!(bits(&reused.c), bits(&fresh.c), "{ctx}");
+            assert_eq!(reused.detections, fresh.detections, "{ctx}");
+            assert_eq!(reused.detections.is_empty(), k == 0, "{ctx}");
+            if k == 0 {
+                assert!(reused.c.iter().all(|v| v.to_bits() == 0), "{ctx}");
+            }
+        }
+    }
+}
+
+#[test]
 fn pipeline_reports_are_identical_across_workspace_regimes() {
     let net = Network::from_mlp(&zoo::dlrm_mlp_bottom(16), 2);
     let input = Matrix::random(16, 13, 4242);
