@@ -197,11 +197,15 @@ fn fork_join_rows(rec: &mut Recorder) {
 
 /// One member against all of them, per shape: the SqueezeNet-224 GEMMs
 /// (`m × n × k`, row-major activations) and the two fc1024 layers,
-/// clean and under one-sided ABFT, fastest of interleaved rounds. These
-/// are the rows `BLOCK_PAR_MIN_FLOPS` points at: every shape here
-/// clears it, and the all-member time should beat the one-member time
-/// on each.
+/// clean and under one-sided ABFT, fastest of interleaved rounds — each
+/// run as its pipeline stage runs it: the conv shapes with their
+/// write-back in the tasks (`Dest::Codes`: NCHW + ReLU), the fc shapes
+/// without (an fc's slot is encoded after the walk, on the caller).
+/// These are the rows `BLOCK_PAR_MIN_FLOPS` points at: every
+/// shape here clears it, and the all-member time should beat the
+/// one-member time on each.
 fn team_shape_rows(rec: &mut Recorder) {
+    use aiga_gpu::engine::{gemm_emit_into, Dest, Dtype};
     for (m, n, k) in [
         (12321usize, 64usize, 27usize),
         (3025, 64, 144),
@@ -215,16 +219,38 @@ fn team_shape_rows(rec: &mut Recorder) {
         let a = Matrix::random(m, k, 1);
         let b = Matrix::random(k, n, 2);
         let mut ws = Workspace::new();
+        let mut slot = vec![F16::ZERO; m * n];
+        let conv = k != 1024;
         for (name, scheme) in [
             ("clean", Scheme::Unprotected),
             ("one_sided", Scheme::ThreadLevelOneSided),
         ] {
             let tile = scheme.tile_scheme(k.next_multiple_of(8));
             let packed = PackedWeights::pack(&b, tile.lanes);
+            let mut timed = |members| {
+                let dest = match conv {
+                    false => Dest::None,
+                    true => Dest::Codes {
+                        codes: &mut slot,
+                        dtype: Dtype::F16,
+                        spatial: m,
+                        relu: true,
+                    },
+                };
+                let t = std::time::Instant::now();
+                let run = || {
+                    black_box(gemm_emit_into(&a, &packed, tile, &[], dest, &mut ws));
+                };
+                match members {
+                    Members::One => aiga_util::as_worker(run),
+                    Members::All => run(),
+                }
+                t.elapsed().as_secs_f64() * 1e9
+            };
             let mut best = [f64::INFINITY; 2];
             for _ in 0..16 {
                 for (best, members) in best.iter_mut().zip([Members::One, Members::All]) {
-                    *best = best.min(timed_gemm(members, &a, &packed, tile, &mut ws));
+                    *best = best.min(timed(members));
                 }
             }
             let row = format!("engine/team_{m}x{n}x{k}_{name}");
@@ -540,8 +566,10 @@ fn main() {
         });
     }
     // The between-GEMM movers at SqueezeNet-224's largest shapes: the
-    // conv write-back of the stem's 111×111×64 output (blocked
-    // transpose + ReLU + slice encode into a slot), A staging of
+    // conv write-back of the stem's 111×111×64 output (the rectangle
+    // body the engine's tasks emit their blocks through — transpose +
+    // ReLU + slice encode into a slot — looped over the whole output
+    // as a repaired stage's re-emission does), A staging of
     // fire2's squeeze (pointwise, K=64) and 3×3 expand (im2col, K=144)
     // over 55×55 pixels with one-sided ABFT's checksum rows — every
     // stripe of the layer in turn into one member's stripe buffer, as a
@@ -553,9 +581,10 @@ fn main() {
     // write-back must stay under 2 ns/element (it was ~9 as a
     // per-element walk); elsewhere the fallback is logged, not gated.
     {
-        use aiga_core::pipeline::emit_gemm_output;
         use aiga_core::ProtectedPipeline;
-        use aiga_gpu::engine::{Dtype, GemmOutput, Im2colView, MatrixView};
+        use aiga_gpu::engine::{
+            emit_output, Dtype, EmitLayout, GemmOutput, Im2colView, MatrixView,
+        };
         use aiga_nn::graph::NetworkBuilder;
         let f16c = simd::active_path().is_simd() && aiga_dtype::f16c_active();
         println!(
@@ -583,12 +612,16 @@ fn main() {
             .map(|i| (i % 977) as f32 * 0.01 - 4.0)
             .collect();
         let mut slot = vec![F16::ZERO; spatial * chans];
+        let layout = EmitLayout {
+            conv_spatial: Some(spatial),
+            relu: true,
+        };
         let ns = per_elem(
             &mut rec,
             "emit_conv_12321x64_f16",
             spatial * chans,
             &mut || {
-                emit_gemm_output(&out, Some(spatial), true, 1, |at, run| {
+                emit_output(&out, layout, |at, run| {
                     Dtype::F16.encode_slice(run, &mut slot[at..at + run.len()])
                 });
                 black_box(&slot);
@@ -652,6 +685,51 @@ fn main() {
             &mut || {
                 black_box(pool.infer_into(&input, None, &mut ws));
             },
+        );
+        // The same pool on one member against all of them — the stage
+        // alone (`StageTimes::pool_ns`), fastest of interleaved rounds:
+        // what `POOL_PLANES_PER_TASK` and `POOL_PAR_MIN_ELEMS` in
+        // `pipeline.rs` point at.
+        let mut pool_us = |members| {
+            let mut pass = || pool.infer_timed_into(&input, None, &mut ws).1.pool_ns;
+            let ns = match members {
+                Members::One => aiga_util::as_worker(pass),
+                Members::All => pass(),
+            };
+            ns as f64 / 1e3
+        };
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..24 {
+            for (best, members) in best.iter_mut().zip([Members::One, Members::All]) {
+                *best = best.min(pool_us(members));
+            }
+        }
+        let row = "engine/pool3x3s2_64x111x111";
+        rec.record_value(&format!("{row}_one_us"), best[0], "us");
+        rec.record_value(&format!("{row}_all_us"), best[1], "us");
+        rec.record_value(&format!("{row}_speedup"), best[0] / best[1], "x");
+
+        // DLRM's pairwise interaction at the serving mix's widest pass:
+        // 8 rows of 9 vectors of 64 (one bottom-MLP output, eight
+        // embeddings), the stage alone (`StageTimes::gather_ns`; the
+        // two slices and the 100→1 tail a network needs around it are
+        // charged elsewhere), ns per input element.
+        let mut net = NetworkBuilder::new("interact", 8, 9 * 64, 1, 1, 7);
+        let input = net.cursor();
+        let bottom = net.slice("bottom", input, 0, 64);
+        let embeddings = net.slice("embeddings", input, 64, 8 * 64);
+        net.interact("interact", vec![bottom, embeddings]);
+        net.fc("tail", 1, false);
+        let interact = ProtectedPipeline::compile(&net.build(), &[Scheme::Unprotected]);
+        let input = Matrix::random(8, 9 * 64, 8);
+        let ns = (0..200)
+            .map(|_| interact.infer_timed_into(&input, None, &mut ws).1.gather_ns)
+            .min()
+            .expect("200 passes");
+        rec.record_value(
+            "engine/interact_8x9x64_ns_per_elem",
+            ns as f64 / (8 * 9 * 64) as f64,
+            "ns/elem",
         );
     }
     // The precision-substrate suite: clean GEMM throughput with

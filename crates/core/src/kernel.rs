@@ -29,7 +29,7 @@
 
 use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::{
-    self, FaultPlan, GemmOutput, Matrix, MatrixView, PackedWeights, TileScheme, Workspace,
+    self, Dest, FaultPlan, GemmOutput, Matrix, MatrixView, PackedWeights, TileScheme, Workspace,
 };
 use aiga_gpu::timing::{AuxKernel, Calibration, KernelProfile};
 use std::sync::Arc;
@@ -181,8 +181,9 @@ impl Scheme {
 
 /// A scheme bound to one layer's weights, ready to serve requests.
 ///
-/// The execution contract is workspace-threaded: [`Self::run_into`] is
-/// the required hot-path entry — the caller supplies a [`Workspace`],
+/// The execution contract is workspace-threaded: [`Self::run_emit_into`]
+/// is the required hot-path entry ([`Self::run_into`] the same without
+/// a destination) — the caller supplies a [`Workspace`],
 /// the kernel executes into it (output readable via
 /// [`Workspace::output`]) and returns only the verdict, allocating
 /// nothing once the workspace is warm. [`Self::run`] is the allocating
@@ -196,13 +197,29 @@ pub trait BoundKernel: Send + Sync {
     /// `faults`, entirely inside `ws`. The (possibly corrupted) output —
     /// including per-tile detections for thread-level schemes — is left
     /// in `ws` for the caller to read; the returned [`Verdict`] is the
-    /// scheme's overall judgement.
+    /// scheme's overall judgement. `dest` is where the engine's tasks
+    /// also hand the cells as they compute them (see
+    /// [`engine::gemm_emit_into`]): the cells of this run, so a caller
+    /// that goes on to [`Self::correct_into`] re-emits what the repair
+    /// rewrote.
+    fn run_emit_into(
+        &self,
+        activations: MatrixView<'_>,
+        faults: &[FaultPlan],
+        dest: Dest<'_>,
+        ws: &mut Workspace,
+    ) -> Verdict;
+
+    /// [`Self::run_emit_into`] with no destination: the output is read
+    /// from `ws`.
     fn run_into(
         &self,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
         ws: &mut Workspace,
-    ) -> Verdict;
+    ) -> Verdict {
+        self.run_emit_into(activations, faults, Dest::None, ws)
+    }
 
     /// Allocating convenience over [`Self::run_into`]: runs in a fresh
     /// workspace and returns an owned report.
@@ -310,13 +327,15 @@ impl BoundKernel for GlobalBound {
         Scheme::GlobalAbft
     }
 
-    fn run_into(
+    fn run_emit_into(
         &self,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
+        dest: Dest<'_>,
         ws: &mut Workspace,
     ) -> Verdict {
-        engine::gemm_into(activations, &self.weights, TileScheme::NONE, faults, ws);
+        let none = TileScheme::NONE;
+        engine::gemm_emit_into(activations, &self.weights, none, faults, dest, ws);
         // The deferred reduce-and-compare (§2.5 step 5) runs off the
         // workspace's checksum scratch — no per-request allocation.
         let (output, check) = ws.output_and_check();
@@ -422,13 +441,15 @@ impl BoundKernel for TileBound {
         self.scheme
     }
 
-    fn run_into(
+    fn run_emit_into(
         &self,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
+        dest: Dest<'_>,
         ws: &mut Workspace,
     ) -> Verdict {
-        let output = engine::gemm_into(activations, &self.weights, self.tile, faults, ws);
+        let output =
+            engine::gemm_emit_into(activations, &self.weights, self.tile, faults, dest, ws);
         match output.detections.first() {
             Some(d) => Verdict::Detected {
                 residual: d.residual,
@@ -503,13 +524,15 @@ impl BoundKernel for MultiChecksumBound {
         Scheme::MultiChecksum(self.rounds)
     }
 
-    fn run_into(
+    fn run_emit_into(
         &self,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
+        dest: Dest<'_>,
         ws: &mut Workspace,
     ) -> Verdict {
-        let output = engine::gemm_into(activations, &self.weights, TileScheme::NONE, faults, ws);
+        let none = TileScheme::NONE;
+        let output = engine::gemm_emit_into(activations, &self.weights, none, faults, dest, ws);
         // Walk the rounds directly (no collected MultiVerdict) so the
         // hot path honors run_into's zero-allocation contract.
         for r in 0..self.rounds as usize {

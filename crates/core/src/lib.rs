@@ -68,7 +68,9 @@ pub mod tolerance;
 pub use adapt::{AdaptConfig, AdaptiveController, Adjustment, Observation};
 pub use compiled::CompiledModel;
 pub use kernel::{BoundKernel, FaultSite, RunReport, Verdict};
-pub use pipeline::{InferenceReport, LayerCorrection, PipelineFault, ProtectedPipeline};
+pub use pipeline::{
+    InferenceReport, LayerCorrection, PipelineFault, ProtectedPipeline, StageTimes,
+};
 pub use planner::Planner;
 pub use protected::{ProtectedConv, ProtectedGemm};
 pub use schemes::Scheme;

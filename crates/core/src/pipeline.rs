@@ -22,17 +22,27 @@
 //! the engine path.
 //!
 //! A pass is a plain loop over the stages in stage order (a
-//! topological order of the graph): nothing fans out between stages.
-//! The one intra-request fan-out is the engine's — a GEMM heavy enough
-//! to pay for it (`aiga_gpu::engine::BLOCK_PAR_MIN_FLOPS`) runs its
-//! stripe and block tasks as one region of the process's fork-join team
-//! (`aiga_util::team`) — because the
-//! paper selects a scheme *per layer GEMM*, so the GEMM is the unit
-//! that owns the cores. Running independent branches (a Fire module's
-//! 1×1/3×3 expand pair) side by side instead measured slower than this
-//! loop: the pair shares `m` and `n` with `k = s` against `9s`, so
-//! overlapping them caps at 1.11×, and it took the stripe fan-out away
-//! from the 3×3, the layer large enough to use it.
+//! topological order of the graph): one stage at a time, never two side
+//! by side. What fans out is *inside* a stage, as a region of the
+//! process's fork-join team (`aiga_util::team`): a GEMM heavy enough to
+//! pay for it (`aiga_gpu::engine::BLOCK_PAR_MIN_FLOPS`) runs its stripe
+//! and block tasks there — because the paper selects a scheme *per
+//! layer GEMM*, so the GEMM is the unit that owns the cores — and a
+//! conv's tasks also write their blocks of the stage's slot (the NCHW
+//! transpose, fused ReLU, encode) as they finish them; a pooling stage
+//! large enough spreads its planes the same way (`pool_members`). An
+//! fc's write-back (a straight encode), concat, slice, gather, add and
+//! the interaction are copies and a few thousand flops, and stay on the
+//! calling thread. Running independent branches
+//! (a Fire module's 1×1/3×3 expand pair) side by side instead measured
+//! slower than this loop: the pair shares `m` and `n` with `k = s`
+//! against `9s`, so overlapping them caps at 1.11×, and it took the
+//! stripe fan-out away from the 3×3, the layer large enough to use it.
+//!
+//! Between two GEMMs a value crosses as slices: a slot is decoded and
+//! encoded a run at a time (`Dtype::decode_slice` / `encode_slice`),
+//! never a code at a time — the one per-element codec call left is the
+//! embedding gather's index, one per row and table (CI greps for it).
 //!
 //! There is one construction path: [`ProtectedPipeline::compile`]
 //! builds the stage graph from an [`aiga_nn::Network`] whose conv/fc
@@ -59,9 +69,14 @@
 use crate::kernel::{BoundKernel, FaultSite, Verdict};
 use crate::schemes::Scheme;
 use aiga_dtype::{Dtype, F16};
-use aiga_gpu::engine::{FaultPlan, GemmOutput, Im2colView, Matrix, MatrixView, Workspace};
+use aiga_gpu::engine::{
+    emit_output, encode_output, Dest, EmitLayout, FaultPlan, GemmOutput, Im2colView, Matrix,
+    MatrixView, Workspace,
+};
 use aiga_nn::conv::filters_to_matrix;
 use aiga_nn::graph::{embedding_index, Network, NodeOp, NodeRef, PoolKind, PoolParams};
+use aiga_util::team;
+use std::time::Instant;
 
 /// A fault targeted at one GEMM layer of the pipeline.
 ///
@@ -136,6 +151,36 @@ impl InferenceReport {
     }
 }
 
+/// Where one pass's wall time went, by kind of stage, in nanoseconds —
+/// one `Instant` pair around each stage of
+/// [`ProtectedPipeline::infer_timed_into`]. The four sum to the pass but
+/// for the loop's own bookkeeping.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageTimes {
+    /// Protected GEMMs (conv and fc), write-back included.
+    pub gemm_ns: u64,
+    /// Spatial and global pooling.
+    pub pool_ns: u64,
+    /// Embedding gathers and the pairwise interaction.
+    pub gather_ns: u64,
+    /// Concat, slice and residual add.
+    pub other_ns: u64,
+}
+
+impl StageTimes {
+    /// The counter `op`'s stages are charged to.
+    fn of(&mut self, op: &StageOp) -> &mut u64 {
+        match op {
+            StageOp::Gemm(_) => &mut self.gemm_ns,
+            StageOp::Pool { .. } | StageOp::GlobalAvgPool { .. } => &mut self.pool_ns,
+            StageOp::EmbeddingBag { .. } | StageOp::Interact { .. } => &mut self.gather_ns,
+            StageOp::Concat { .. } | StageOp::Add { .. } | StageOp::Slice { .. } => {
+                &mut self.other_ns
+            }
+        }
+    }
+}
+
 /// Where a stage reads a value from.
 #[derive(Clone, Copy, Debug)]
 enum Src {
@@ -206,9 +251,13 @@ struct Stage {
 }
 
 impl GemmStage {
-    /// Output pixels per image of a conv stage (`None` for fc).
-    fn spatial(&self) -> Option<usize> {
-        self.lowering.map(|v| v.out_h * v.out_w)
+    /// The order the next stage reads this one's output in — NCHW for a
+    /// conv, row-major for fc — with the layer's ReLU fused.
+    fn layout(&self) -> EmitLayout {
+        EmitLayout {
+            conv_spatial: self.lowering.map(|v| v.out_h * v.out_w),
+            relu: self.relu,
+        }
     }
 }
 
@@ -306,9 +355,8 @@ impl ProtectedPipeline {
         // is lossless; fp16 networks keep their matrices untouched.
         let encode_weights = |mut m: Matrix| -> Matrix {
             if dtype != Dtype::F16 {
-                for v in &mut m.data {
-                    *v = F16::from_bits(dtype.encode(v.to_f32()));
-                }
+                let values: Vec<f32> = m.data.iter().map(|v| v.to_f32()).collect();
+                dtype.encode_slice(&values, &mut m.data);
             }
             m.with_dtype(dtype)
         };
@@ -498,6 +546,17 @@ impl ProtectedPipeline {
         fault: Option<PipelineFault>,
         ws: &mut Workspace,
     ) -> InferenceReport {
+        self.infer_timed_into(input, fault, ws).0
+    }
+
+    /// [`Self::infer_into`], also returning where the pass's time went
+    /// ([`StageTimes`]; a `Session` adds them up into its statistics).
+    pub fn infer_timed_into(
+        &self,
+        input: &Matrix,
+        fault: Option<PipelineFault>,
+        ws: &mut Workspace,
+    ) -> (InferenceReport, StageTimes) {
         assert!(
             input.rows <= self.batch,
             "request batch {} exceeds pipeline batch {}",
@@ -522,48 +581,61 @@ impl ProtectedPipeline {
             detections: Vec::new(),
             corrections: Vec::new(),
         };
+        let mut times = StageTimes::default();
         if input.rows == 0 {
             // No rows, no work: nothing ran that a check could compare.
-            return report;
+            return (report, times);
         }
         ws.ensure_slots(self.slot_count);
         for (si, stage) in self.stages.iter().enumerate() {
-            let Some(g) = stage.gemm() else {
-                self.run_epilogue_stage(si, ws, input, &mut report.output);
-                continue;
-            };
-            // The destination slot leaves the table for the stage, so
-            // the table holds exactly what the stage may read — its
-            // source, viewed in place (assign_slots never hands a stage
-            // its own source's slot) — while the engine works in the
-            // child workspace.
-            let mut dst = ws.take_slot(stage.out_slot);
-            let (slots, child) = ws.slots_and_child();
-            let src = match stage.srcs[0] {
-                Src::Input => input,
-                Src::Stage(j) => &slots[j],
-            };
-            // The final stage's output is read raw off the workspace.
-            let is_last = si + 1 == self.stages.len();
-            let encoded = (!is_last).then_some(&mut dst);
-            let verdict = self.run_gemm(stage, src, fault, child, encoded);
-            record_gemm_outcome(g, &stage.name, child.output(), verdict, &mut report);
-            if is_last {
-                // The final output stays raw f32 (ReLU only if the
-                // layer fuses one).
-                let out = &mut report.output;
-                out.resize(input.rows * stage.out_features, 0.0);
-                emit_gemm_output(
-                    child.output(),
-                    g.spatial(),
-                    g.relu,
-                    input.rows,
-                    |at, run| out[at..at + run.len()].copy_from_slice(run),
-                );
+            let started = Instant::now();
+            match stage.gemm() {
+                Some(g) => self.run_gemm_stage(si, g, ws, input, fault, &mut report),
+                None => self.run_epilogue_stage(si, ws, input, &mut report.output),
             }
-            ws.put_slot(stage.out_slot, dst);
+            *times.of(&stage.op) += started.elapsed().as_nanos() as u64;
         }
-        report
+        (report, times)
+    }
+
+    /// Runs GEMM stage `si` out of its source's slot into its own, and
+    /// records what its scheme found.
+    fn run_gemm_stage(
+        &self,
+        si: usize,
+        g: &GemmStage,
+        ws: &mut Workspace,
+        input: &Matrix,
+        fault: Option<PipelineFault>,
+        report: &mut InferenceReport,
+    ) {
+        let stage = &self.stages[si];
+        // The destination slot leaves the table for the stage, so the
+        // table holds exactly what the stage may read — its source,
+        // viewed in place (assign_slots never hands a stage its own
+        // source's slot) — while the engine works in the child
+        // workspace.
+        let mut dst = ws.take_slot(stage.out_slot);
+        let (slots, child) = ws.slots_and_child();
+        let src = match stage.srcs[0] {
+            Src::Input => input,
+            Src::Stage(j) => &slots[j],
+        };
+        // The final stage's output is read raw off the workspace.
+        let is_last = si + 1 == self.stages.len();
+        let encoded = (!is_last).then_some(&mut dst);
+        let verdict = self.run_gemm(stage, src, fault, child, encoded);
+        record_gemm_outcome(g, &stage.name, child.output(), verdict, report);
+        if is_last {
+            // The final output stays raw f32 (ReLU only if the layer
+            // fuses one).
+            let out = &mut report.output;
+            out.resize(input.rows * stage.out_features, 0.0);
+            emit_output(child.output(), g.layout(), |at, run| {
+                out[at..at + run.len()].copy_from_slice(run)
+            });
+        }
+        ws.put_slot(stage.out_slot, dst);
     }
 
     /// Runs one protected GEMM stage inside the (child) workspace `ws` —
@@ -573,16 +645,21 @@ impl ProtectedPipeline {
     /// implicit-GEMM lowering of the NCHW slot (the engine's A-panel
     /// staging gathers straight from it,
     /// so the lowered matrix never exists; padding taps are the zero
-    /// code in every dtype). In recovery mode a detected fault is
-    /// repaired in place; `dst`, when given, receives the encoded
-    /// output with the ReLU epilogue fused into the down-conversion.
+    /// code in every dtype). `dst`, when given, receives the encoded
+    /// output with the ReLU epilogue fused into the down-conversion: a
+    /// conv's from the engine's tasks, block by block as they finish
+    /// each one (`Dest::Codes`); an fc's as one loop after the walk. In
+    /// recovery mode a detected fault is repaired in place, and — the
+    /// repair having rewritten cells after the walk emitted them — the
+    /// stage is emitted (again) from the repaired output, through the
+    /// same body.
     fn run_gemm(
         &self,
         stage: &Stage,
         src: &Matrix,
         fault: Option<PipelineFault>,
         ws: &mut Workspace,
-        dst: Option<&mut Matrix>,
+        mut dst: Option<&mut Matrix>,
     ) -> Verdict {
         let g = stage.gemm().expect("GEMM stage");
         let a = match g.lowering {
@@ -591,27 +668,49 @@ impl ProtectedPipeline {
         };
         let layer_fault = fault.and_then(|f| (f.layer == g.layer).then_some(f.fault));
         let faults = layer_fault.as_slice();
-        let verdict = if self.recovery {
-            g.bound.run_corrected_into(a, faults, ws)
-        } else {
-            g.bound.run_into(a, faults, ws)
-        };
-        if let Some(dst) = dst {
-            let dt = self.dtype;
+        let (dtype, layout) = (self.dtype, g.layout());
+        if let Some(dst) = dst.as_deref_mut() {
             dst.rows = src.rows;
             dst.cols = stage.out_features;
-            dst.dtype = dt;
+            dst.dtype = dtype;
             // Sized once, written by index: every code is overwritten.
             dst.data.resize(src.rows * stage.out_features, F16::ZERO);
-            emit_gemm_output(ws.output(), g.spatial(), g.relu, src.rows, |at, run| {
-                dt.encode_slice(run, &mut dst.data[at..at + run.len()])
-            });
+        }
+        // Who writes the slot. A conv's write-back is a transpose, bound
+        // by strided stores, and sharing it among the engine's tasks is
+        // worth 1.07–1.13× of a SqueezeNet pass. An fc's is a straight
+        // encode at memory speed, which two cores do no faster than one:
+        // in the tasks it made `fc1024_b256` 3–4 % *slower* (twelve
+        // interleaved rounds, ahead in 2 and 4) — the slot's lines end up
+        // spread over both caches for the checksum and the staging that
+        // read it next — so it stays a loop on the caller, after the
+        // walk.
+        let dest = match (dst.as_deref_mut(), layout.conv_spatial) {
+            (Some(dst), Some(spatial)) => Dest::Codes {
+                codes: &mut dst.data,
+                dtype,
+                spatial,
+                relu: layout.relu,
+            },
+            _ => Dest::None,
+        };
+        let mut emitted = matches!(dest, Dest::Codes { .. });
+        let mut verdict = g.bound.run_emit_into(a, faults, dest, ws);
+        if self.recovery && verdict.is_detected() {
+            verdict = g.bound.correct_into(a, ws, verdict);
+            emitted = false;
+        }
+        if let Some(dst) = dst.filter(|_| !emitted) {
+            encode_output(ws.output(), layout, dtype, &mut dst.data);
         }
         verdict
     }
 
-    /// Executes one epilogue stage — pure FP16 slot-to-slot computation
-    /// on the calling thread.
+    /// Executes one epilogue stage — pure FP16 slot-to-slot computation.
+    /// Pooling stages spread their planes over the fork-join team
+    /// ([`pool_members`]); the rest (concat, slice, gather, add, the
+    /// interaction) are copies and a few thousand flops and stay on the
+    /// calling thread.
     fn run_epilogue_stage(
         &self,
         si: usize,
@@ -624,9 +723,7 @@ impl ProtectedPipeline {
         let dt = self.dtype;
         let rows = input.rows;
         let mut dst = ws.take_slot(stage.out_slot);
-        // GEMM stages run in the child workspace: this one's output buffer
-        // is free to hold decoded planes.
-        let mut scratch = ws.take_output();
+        let mut glue = ws.take_glue();
         dst.rows = rows;
         dst.cols = stage.out_features;
         dst.dtype = dt;
@@ -639,15 +736,36 @@ impl ProtectedPipeline {
                 }
             };
             match &stage.op {
-                StageOp::Pool { params, in_dims } => pool_stage(
-                    get(stage.srcs[0]),
-                    *in_dims,
-                    params,
-                    &mut dst,
-                    &mut scratch.c,
-                ),
+                StageOp::Pool { params, in_dims } => {
+                    let (src, (_, h, w)) = (get(stage.srcs[0]), *in_dims);
+                    let per_plane = params.out_extent(h) * params.out_extent(w);
+                    // Every code is overwritten.
+                    dst.data.resize(rows * stage.out_features, F16::ZERO);
+                    let scratch = sized(
+                        &mut glue,
+                        pool_members(src.data.len()),
+                        pool_scratch_len(params, (h, w)),
+                    );
+                    let chunk = POOL_PLANES_PER_TASK * per_plane;
+                    team::run_chunks(scratch, &mut dst.data, chunk, &|scratch, task, out| {
+                        let first = task * POOL_PLANES_PER_TASK * h * w;
+                        let codes = &src.data[first..][..out.len() / per_plane * h * w];
+                        pool_planes(codes, dt, (h, w), params, out, scratch);
+                    });
+                }
                 StageOp::GlobalAvgPool { in_dims } => {
-                    global_avg_stage(get(stage.srcs[0]), *in_dims, &mut dst, &mut scratch.c)
+                    let (src, hw) = (get(stage.srcs[0]), in_dims.1 * in_dims.2);
+                    dst.data.resize(rows * stage.out_features, F16::ZERO);
+                    let scratch = sized(
+                        &mut glue,
+                        pool_members(src.data.len()),
+                        hw + POOL_PLANES_PER_TASK,
+                    );
+                    let chunk = POOL_PLANES_PER_TASK;
+                    team::run_chunks(scratch, &mut dst.data, chunk, &|scratch, task, out| {
+                        let codes = &src.data[task * chunk * hw..][..out.len() * hw];
+                        global_avg_planes(codes, dt, hw, out, scratch);
+                    });
                 }
                 StageOp::Concat { part_features } => {
                     for n in 0..rows {
@@ -660,8 +778,7 @@ impl ProtectedPipeline {
                 StageOp::Add { relu } => {
                     let (a, b) = (get(stage.srcs[0]), get(stage.srcs[1]));
                     let n = a.data.len();
-                    scratch.c.resize(2 * n, 0.0);
-                    let (sum, rhs) = scratch.c.split_at_mut(n);
+                    let (sum, rhs) = sized(&mut glue, 1, 2 * n)[0][..2 * n].split_at_mut(n);
                     dt.decode_slice(&a.data, sum);
                     dt.decode_slice(&b.data, rhs);
                     for (x, y) in sum.iter_mut().zip(rhs.iter()) {
@@ -695,36 +812,27 @@ impl ProtectedPipeline {
                     }
                 }
                 StageOp::Interact { dim, part_features } => {
+                    let dim = *dim;
                     let total: usize = part_features.iter().sum();
-                    let m = total / dim;
-                    for n in 0..rows {
-                        // Value `f` of the virtual concatenation
-                        // of the inputs for image `n`.
-                        let feat = |f: usize| -> f32 {
-                            let mut rem = f;
-                            for (&r, &pf) in stage.srcs.iter().zip(part_features) {
-                                if rem < pf {
-                                    return dt.decode(get(r).data[n * pf + rem].to_bits());
-                                }
-                                rem -= pf;
-                            }
-                            unreachable!("interact feature index in range")
-                        };
-                        // First vector's codes pass through
-                        // verbatim (they are already on-grid).
-                        let first = get(stage.srcs[0]);
-                        let pf0 = part_features[0];
-                        dst.data
-                            .extend_from_slice(&first.data[n * pf0..n * pf0 + dim]);
-                        for vi in 0..m {
-                            for vj in vi + 1..m {
-                                let mut dot = 0.0f32;
-                                for x in 0..*dim {
-                                    dot += feat(vi * dim + x) * feat(vj * dim + x);
-                                }
-                                dst.data.push(F16::from_bits(dt.encode(dot)));
-                            }
+                    let pairs = stage.out_features - dim;
+                    // One image's vectors — the concatenation of the
+                    // inputs, decoded once — then its pair products.
+                    let scratch = &mut sized(&mut glue, 1, total + pairs)[0];
+                    let (vectors, dots) = scratch[..total + pairs].split_at_mut(total);
+                    dst.data.resize(rows * stage.out_features, F16::ZERO);
+                    for (n, out) in dst.data.chunks_exact_mut(stage.out_features).enumerate() {
+                        let mut at = 0;
+                        for (&r, &pf) in stage.srcs.iter().zip(part_features) {
+                            let codes = &get(r).data[n * pf..(n + 1) * pf];
+                            dt.decode_slice(codes, &mut vectors[at..at + pf]);
+                            at += pf;
                         }
+                        // The first vector's codes pass through verbatim
+                        // (they are already on-grid).
+                        let first = &get(stage.srcs[0]).data[n * part_features[0]..][..dim];
+                        out[..dim].copy_from_slice(first);
+                        interact_dots(vectors, dim, dots);
+                        dt.encode_slice(dots, &mut out[dim..]);
                     }
                 }
                 StageOp::Gemm { .. } => unreachable!("handled above"),
@@ -734,7 +842,7 @@ impl ProtectedPipeline {
             final_output.resize(dst.data.len(), 0.0);
             dt.decode_slice(&dst.data, final_output);
         }
-        *ws.output_mut() = scratch;
+        ws.put_glue(glue);
         ws.put_slot(stage.out_slot, dst);
     }
 }
@@ -787,73 +895,96 @@ fn record_gemm_outcome(
     }
 }
 
-/// Walks a GEMM stage's output for `images` images and hands it to
-/// `emit(offset, run)` as contiguous runs of the stage's flattened
-/// emission order — row-major for fc (`conv_spatial` `None`); NCHW for
-/// a lowered conv of `conv_spatial` output pixels per image (GEMM rows
-/// are `(n, oy, ox)`-major, columns `c_out`) — with the fused ReLU
-/// applied: the one place the GEMM→NCHW transpose lives, shared by the
-/// final-output and slot write-back paths. It goes through an L1-sized
-/// block (8 KiB of stack), so reads and runs both stay in cache.
-pub fn emit_gemm_output(
-    out: &GemmOutput,
-    conv_spatial: Option<usize>,
-    fuse_relu: bool,
-    images: usize,
-    mut emit: impl FnMut(usize, &[f32]),
-) {
-    const ROWS: usize = 32;
-    const CHANS: usize = 64;
-    let (c, out_n) = (out.c.as_slice(), out.n);
-    let relu = |v: f32| if fuse_relu { v.max(0.0) } else { v };
-    let mut block = [0.0f32; ROWS * CHANS];
-    let Some(spatial) = conv_spatial else {
-        for (i, run) in c[..images * out_n].chunks(block.len()).enumerate() {
-            let staged = &mut block[..run.len()];
-            staged.iter_mut().zip(run).for_each(|(d, &v)| *d = relu(v));
-            emit(i * ROWS * CHANS, staged);
+/// Planes a pooling task covers. A task should outlast the fork-join's
+/// own costs many times over yet leave each member several to take, so
+/// a slowed member holds the region for one short task at most (the
+/// reasoning behind the engine's `STRIPES_PER_MEMBER`): SqueezeNet-224's
+/// pools are 64–256 planes of 2–14 µs each (`BENCH_engine.json`
+/// `engine/pool3x3s2_64x111x111_one_us` / 64), so eight planes are 8, 16
+/// and 32 tasks of 20–110 µs. The four pooling stages of a pass read
+/// 1.47–1.51 ms at 4, 8 and 16 planes a task on two members (twelve
+/// interleaved rounds of medians), 1.56–1.68 at 1–2, 2.76 on one.
+const POOL_PLANES_PER_TASK: usize = 8;
+
+/// Input elements under which a pooling stage stays on its caller. A
+/// pool costs 1.1–1.4 ns an input element on one member
+/// (`engine/pool3x3s2_64x111x111_one_us` over 788,544 elements), and a
+/// parked member's wake-up 55–95 µs (`team/fork_join_parked_us`) — so
+/// below 64 Ki elements the caller alone is done inside one wake-up.
+/// Every pool of SqueezeNet-224 (169 k elements and up) clears it; the
+/// 32×32 test nets' do not.
+const POOL_PAR_MIN_ELEMS: usize = 64 * 1024;
+
+/// How many team members a pooling stage over `elems` input elements
+/// offers its planes to; what it gets is the team's inline rule.
+fn pool_members(elems: usize) -> usize {
+    if elems < POOL_PAR_MIN_ELEMS {
+        1
+    } else {
+        team::width()
+    }
+}
+
+/// The first `members` entries of the workspace's between-GEMM scratch,
+/// each at least `len` long — grown here, on the calling thread, so no
+/// member of a fanned-out stage allocates. Nothing is cleared: a stage
+/// reads what it wrote.
+fn sized(glue: &mut Vec<Vec<f32>>, members: usize, len: usize) -> &mut [Vec<f32>] {
+    if glue.len() < members {
+        glue.resize_with(members, Vec::new);
+    }
+    for scratch in &mut glue[..members] {
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
         }
-        return;
-    };
-    for n in 0..images {
-        for s0 in (0..spatial).step_by(ROWS) {
-            let rows = (spatial - s0).min(ROWS);
-            for co0 in (0..out_n).step_by(CHANS) {
-                let chans = (out_n - co0).min(CHANS);
-                for r in 0..rows {
-                    let src = &c[(n * spatial + s0 + r) * out_n + co0..][..chans];
-                    for (co, &v) in src.iter().enumerate() {
-                        block[co * ROWS + r] = relu(v);
-                    }
-                }
-                for (co, run) in block.chunks_exact(ROWS).take(chans).enumerate() {
-                    emit((n * out_n + co0 + co) * spatial + s0, &run[..rows]);
-                }
+    }
+    &mut glue[..members]
+}
+
+/// The pairwise dot products `⟨vᵢ, vⱼ⟩`, `i < j`, `i`-major, of the
+/// `dim`-wide vectors in `vectors`: each one in-order `dot += x · y`
+/// chain from zero (multiply, then add — the per-element loop's
+/// rounding, not an FMA's).
+fn interact_dots(vectors: &[f32], dim: usize, dots: &mut [f32]) {
+    let m = vectors.len() / dim;
+    let mut dots = dots.iter_mut();
+    for vi in 0..m {
+        for vj in vi + 1..m {
+            let (x, y) = (&vectors[vi * dim..][..dim], &vectors[vj * dim..][..dim]);
+            let mut dot = 0.0f32;
+            for (x, y) in x.iter().zip(y) {
+                dot += x * y;
             }
+            *dots.next().expect("one slot per pair") = dot;
         }
     }
 }
 
-/// One pooling stage from a flat NCHW FP16 value into `dst` (max skips
-/// out-of-bounds cells; avg divides by the in-bounds cell count —
-/// mirrored exactly by `Network::reference_f64`). Each plane is decoded
-/// once as a slice, and each output row folds its taps in `(ky, kx)`
-/// order *across* its columns, so every output sees the `max`/`+`
-/// sequence of a per-output tap loop, −0.0 and NaN included.
-fn pool_stage(
-    src: &Matrix,
-    (_, h, w): (usize, usize, usize),
+/// f32 of scratch [`pool_planes`] needs for planes of `h × w`: one
+/// decoded plane (padded: the last tap heads a whole chunk), one row of
+/// outputs, each output column's in-bounds tap count along x.
+fn pool_scratch_len(p: &PoolParams, (h, w): (usize, usize)) -> usize {
+    h * w + p.stride + 2 * p.out_extent(w)
+}
+
+/// Pools the `h × w` planes in `codes` into `dst`, plane by plane (max
+/// skips out-of-bounds cells; avg divides by the in-bounds cell count —
+/// mirrored exactly by `Network::reference_f64`): one task's share of a
+/// pooling stage, or all of it. Each plane is decoded once as a slice,
+/// and each output row folds its taps in `(ky, kx)` order *across* its
+/// columns, so every output sees the `max`/`+` sequence of a per-output
+/// tap loop, −0.0 and NaN included.
+fn pool_planes(
+    codes: &[F16],
+    dt: Dtype,
+    (h, w): (usize, usize),
     p: &PoolParams,
-    dst: &mut Matrix,
-    scratch: &mut Vec<f32>,
+    dst: &mut [F16],
+    scratch: &mut [f32],
 ) {
     let (ho, wo) = (p.out_extent(h), p.out_extent(w));
-    // One decoded plane (padded: the last tap heads a whole chunk), one
-    // row of outputs, each output column's in-bounds tap count along x.
-    scratch.resize(h * w + p.stride + 2 * wo, 0.0);
-    let (plane, rest) = scratch.split_at_mut(h * w + p.stride);
+    let (plane, rest) = scratch[..pool_scratch_len(p, (h, w))].split_at_mut(h * w + p.stride);
     let (out, nx) = rest.split_at_mut(wo);
-    dst.data.resize(dst.rows * dst.cols, F16::ZERO);
     // The in-bounds taps `lo..hi` of output `o` along an axis of extent
     // `len`, and the input coordinate of its tap 0.
     let taps = |o: usize, len: usize| {
@@ -866,9 +997,9 @@ fn pool_stage(
         let (_, kx0, kx1) = taps(ox, w);
         *n = (kx1 - kx0) as f32;
     }
-    let planes = src.data.chunks_exact(h * w);
-    for (codes, dst) in planes.zip(dst.data.chunks_exact_mut(ho * wo)) {
-        src.dtype.decode_slice(codes, &mut plane[..h * w]);
+    let planes = codes.chunks_exact(h * w);
+    for (codes, dst) in planes.zip(dst.chunks_exact_mut(ho * wo)) {
+        dt.decode_slice(codes, &mut plane[..h * w]);
         for (oy, dst) in dst.chunks_exact_mut(wo).enumerate() {
             let (iy0, ky0, ky1) = taps(oy, h);
             out.fill(match p.kind {
@@ -896,7 +1027,7 @@ fn pool_stage(
                     PoolKind::Avg => *o / cells,
                 };
             }
-            src.dtype.encode_slice(out, dst);
+            dt.encode_slice(out, dst);
         }
     }
 }
@@ -923,23 +1054,17 @@ fn fold_taps(out: &mut [f32], taps: &[f32], stride: usize, kind: PoolKind) {
     }
 }
 
-/// Global average pooling to `1 × 1` per channel: each plane decoded as
-/// a slice and summed in storage order, the means encoded as one slice.
-fn global_avg_stage(
-    src: &Matrix,
-    (_, h, w): (usize, usize, usize),
-    dst: &mut Matrix,
-    scratch: &mut Vec<f32>,
-) {
-    let planes = dst.rows * dst.cols;
-    scratch.resize(h * w + planes, 0.0);
-    let (plane, out) = scratch.split_at_mut(h * w);
-    for (codes, o) in src.data.chunks_exact(h * w).zip(out.iter_mut()) {
-        src.dtype.decode_slice(codes, plane);
-        *o = plane.iter().sum::<f32>() / (h * w) as f32;
+/// Global average pooling to `1 × 1` per channel, for the `hw`-element
+/// planes in `codes` (at most [`POOL_PLANES_PER_TASK`] of them, one code
+/// of `dst` each): each plane decoded as a slice and summed in storage
+/// order, the means encoded as one slice.
+fn global_avg_planes(codes: &[F16], dt: Dtype, hw: usize, dst: &mut [F16], scratch: &mut [f32]) {
+    let (plane, means) = scratch[..hw + dst.len()].split_at_mut(hw);
+    for (codes, mean) in codes.chunks_exact(hw).zip(means.iter_mut()) {
+        dt.decode_slice(codes, plane);
+        *mean = plane.iter().sum::<f32>() / hw as f32;
     }
-    dst.data.resize(planes, F16::ZERO);
-    src.dtype.encode_slice(out, &mut dst.data);
+    dt.encode_slice(means, dst);
 }
 
 #[cfg(test)]
@@ -1224,7 +1349,7 @@ pub(crate) mod tests {
         }
     }
 
-    mod branch_parallel {
+    mod graphs {
         use super::*;
 
         fn bits(v: &[f32]) -> Vec<u32> {
@@ -1242,9 +1367,10 @@ pub(crate) mod tests {
 
         #[test]
         fn branchy_outputs_match_the_parent_commit_bytes() {
-            // Recorded at the parent commit, where the branch-parallel
-            // and the sequential schedule hashed equal: the stage loop
-            // and the immediate slot frees must not move a byte.
+            // Recorded where a pass still had a branch-parallel schedule
+            // beside the sequential one and the two hashed equal: the
+            // stage loop and the immediate slot frees must not move a
+            // byte.
             for (net, golden) in [
                 (zoo::squeezenet_net(2, 32, 32, 3), 0x38713c81c59f53f9_u64),
                 (zoo::resnet_block_net(2, 8, 8, 7), 0xd253253a4b4433fc),
@@ -1269,10 +1395,17 @@ pub(crate) mod tests {
             // re-encoded every table element on every request and `Add`
             // decoded and encoded per element: tables encoded once at
             // compile time and the slice codecs must not move a byte.
-            let dlrm = || zoo::dlrm_net(8, 8, 1000, 64, 11);
+            // The 1- and 26-table rows were recorded where the
+            // interaction still ran a codec per operand: 2 vectors are
+            // one pair, 27 are 351 — every length a sliced encode sees.
+            let dlrm = |tables| zoo::dlrm_net(8, tables, 1000, 64, 11);
             for (net, dtype, golden) in [
-                (dlrm(), Dtype::F16, 0x464e04c137dc0c1a_u64),
-                (dlrm(), Dtype::Bf16, 0x7e91bf7b9659ec95),
+                (dlrm(8), Dtype::F16, 0x464e04c137dc0c1a_u64),
+                (dlrm(8), Dtype::Bf16, 0x7e91bf7b9659ec95),
+                (dlrm(1), Dtype::F16, 0x663a9e4e7f8b9fc3),
+                (dlrm(1), Dtype::Bf16, 0xa874134306fac3af),
+                (dlrm(26), Dtype::F16, 0x737ecebbd19b5cf7),
+                (dlrm(26), Dtype::Bf16, 0x8f886999b3e90ae9),
                 (
                     zoo::resnet_block_net(2, 8, 8, 7),
                     Dtype::Bf16,
@@ -1299,7 +1432,7 @@ pub(crate) mod tests {
         }
 
         #[test]
-        fn faults_inside_a_parallel_level_report_identically() {
+        fn faults_in_a_fire_expand_report_identically_cold_and_warm() {
             let net = zoo::squeezenet_net(2, 32, 32, 3);
             let schemes = vec![Scheme::ThreadLevelOneSided; net.gemm_count()];
             let p = ProtectedPipeline::compile(&net, &schemes);
@@ -1328,7 +1461,7 @@ pub(crate) mod tests {
         }
 
         #[test]
-        fn recovery_inside_a_parallel_level_repairs_in_place() {
+        fn recovery_in_a_fire_expand_repairs_in_place() {
             let net = zoo::squeezenet_net(2, 32, 32, 3);
             let schemes = vec![Scheme::ThreadLevelOneSided; net.gemm_count()];
             let p = ProtectedPipeline::compile(&net, &schemes).with_recovery(true);

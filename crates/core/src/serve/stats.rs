@@ -137,6 +137,7 @@ mod tests {
         stats.retry_attempts_by_bucket = vec![(8, 2), (32, 1)];
         stats.session.requests = 5;
         stats.session.degraded_requests = 4;
+        stats.session.stage_gemm_ns = 9_000;
         let json = Json::parse(&stats.to_json().render()).unwrap();
         let Json::Obj(fields) = &json else {
             panic!("stats render as an object")
@@ -159,7 +160,9 @@ mod tests {
         let Json::Obj(session_fields) = session else {
             panic!("session stats nest as an object")
         };
-        assert_eq!(session_fields.len(), 10);
+        // Ten request counters and the four stage-time totals.
+        assert_eq!(session_fields.len(), 10 + 4);
+        assert_eq!(num(session, "stage_gemm_ns"), 9_000);
         assert_eq!(num(session, "requests"), 5);
         assert_eq!(num(session, "degraded_requests"), 4);
     }

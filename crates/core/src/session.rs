@@ -197,6 +197,17 @@ stats_struct! {
             /// trades protection for execution time; output bytes are
             /// unaffected).
             degraded_requests,
+            /// Nanoseconds the served passes spent in protected GEMM stages
+            /// (conv and fc, write-back included) — with the three below,
+            /// where the time between a request and its reply went
+            /// ([`crate::pipeline::StageTimes`], summed over every pass).
+            stage_gemm_ns,
+            /// Nanoseconds in spatial and global pooling stages.
+            stage_pool_ns,
+            /// Nanoseconds in embedding gathers and pairwise interactions.
+            stage_gather_ns,
+            /// Nanoseconds in concat, slice and residual-add stages.
+            stage_other_ns,
         }
         gauges {}
         rest {}
@@ -714,8 +725,17 @@ impl Session {
             let mut pool = self.pool.lock().unwrap();
             pool.pop().unwrap_or_default()
         };
-        let report = entry.infer_into(input, fault, &mut ws);
+        let (report, times) = entry.pipeline().infer_timed_into(input, fault, &mut ws);
         self.pool.lock().unwrap().push(ws);
+        let stats = &cache.stats;
+        for (total, ns) in [
+            (&stats.stage_gemm_ns, times.gemm_ns),
+            (&stats.stage_pool_ns, times.pool_ns),
+            (&stats.stage_gather_ns, times.gather_ns),
+            (&stats.stage_other_ns, times.other_ns),
+        ] {
+            total.fetch_add(ns, Ordering::Relaxed);
+        }
 
         // Degraded passes run *below* the plan's coverage by design —
         // feeding them to the adaptive controller would make overload

@@ -36,9 +36,12 @@
 //!   `AIGA_FORCE_SCALAR`);
 //! - `walk` (private) — block execution over the live extent:
 //!   microkernel fill, targeted fault injection, tile epilogue;
-//! - this module — [`gemm_into`] itself: the execution entry point,
-//!   the host constants it blocks by, the split into team tasks, and
-//!   output assembly.
+//! - [`emit`] — write-back: where a run's cells go besides the f32
+//!   output ([`Dest`]), and the one body that lays a rectangle of them
+//!   out for the next reader (NCHW transpose, fused ReLU, encode);
+//! - this module — [`gemm_into`] / [`gemm_emit_into`] themselves: the
+//!   execution entry point, the host constants it blocks by, the split
+//!   into team tasks, and output assembly.
 //!
 //! # Execution contract
 //!
@@ -51,7 +54,9 @@
 //! the process's fork-join team (`aiga_util::team`): its tasks are
 //! block-row stripes — single blocks when there are few stripes — and
 //! whichever member takes a task stages that stripe's rows of A into
-//! its own scratch and walks it. A run asks for one member beyond its
+//! its own scratch, walks it, and writes each block back — into the f32
+//! output, and into the run's [`Dest`] as the next reader's codes. A
+//! run asks for one member beyond its
 //! caller per [`BLOCK_PAR_MIN_FLOPS`] of live work and the team's
 //! inline rule decides what it gets: a run below the floor, or one
 //! opened where its owner already spread requests across cores (a
@@ -63,6 +68,7 @@
 //! `crates/core/tests/engine_golden.rs` pins them to the canonical
 //! accumulation order's bytes on every [`GemmPath`].
 
+pub mod emit;
 pub mod fault_inject;
 pub mod matrix;
 pub mod panels;
@@ -71,6 +77,7 @@ pub mod simd;
 mod walk;
 
 pub use aiga_dtype::Dtype;
+pub use emit::{emit_output, emit_rect, encode_output, Dest, EmitLayout};
 pub use fault_inject::{Detection, FaultKind, FaultPlan};
 pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout, MatrixView};
 pub use panels::{CheckScratch, PackedWeights, Workspace};
@@ -216,26 +223,36 @@ pub fn gemm<'a>(
     ws.take_output()
 }
 
-/// The output buffer as a region's tasks write it: each task scatters
-/// the cells of its own blocks, which no other task touches.
-struct OutCells {
-    cells: *mut f32,
+/// A buffer as a region's tasks write it — the f32 output, a
+/// destination's codes: each task writes the cells of its own blocks,
+/// which no other task touches.
+struct Cells<T> {
+    cells: *mut T,
     len: usize,
 }
 
-// SAFETY: a raw view of a `&mut [f32]` that outlives the region; tasks
-// reach it only through `run`, whose contract keeps their cells apart.
-unsafe impl Sync for OutCells {}
+// SAFETY: a raw view of a `&mut [T]` that outlives the region; tasks
+// reach it only through `run`, whose contract keeps their cells apart,
+// and `T: Send` lets another member's thread write them.
+unsafe impl<T: Send> Sync for Cells<T> {}
 
-impl OutCells {
+impl<T> Cells<T> {
+    fn new(buf: &mut [T]) -> Self {
+        Cells {
+            cells: buf.as_mut_ptr(),
+            len: buf.len(),
+        }
+    }
+
     /// Cells `at..at + len`.
     ///
     /// # Safety
-    /// No other reference to any of those cells may be live: the caller
-    /// is the only task that owns them.
+    /// The buffer must still be mutably borrowed for this view, and no
+    /// other reference to any of those cells may be live: the caller is
+    /// the only task that owns them.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn run(&self, at: usize, len: usize) -> &mut [f32] {
-        assert!(at + len <= self.len, "run outside the output");
+    unsafe fn run(&self, at: usize, len: usize) -> &mut [T] {
+        assert!(at + len <= self.len, "run outside the buffer");
         // SAFETY: in bounds (above) of the borrowed buffer; exclusive by
         // the caller's contract.
         unsafe { std::slice::from_raw_parts_mut(self.cells.add(at), len) }
@@ -278,6 +295,26 @@ pub fn gemm_into<'w, 'a>(
     faults: &[FaultPlan],
     ws: &'w mut Workspace,
 ) -> &'w GemmOutput {
+    gemm_emit_into(a, b, scheme, faults, Dest::None, ws)
+}
+
+/// [`gemm_into`] with a destination: beside scattering its blocks into
+/// the f32 output, each task hands their live cells to `dest` — for
+/// [`Dest::Codes`] the consumer's storage codes, transposed to NCHW for
+/// a lowered convolution and with the ReLU fused, encoded from the tile
+/// as the task that computed it leaves it (see [`emit`]). The codes are
+/// those of the cells as the walk left them, injected faults included;
+/// a caller that repairs cells afterwards re-emits ([`emit_output`]).
+/// The f32 output is complete either way: checks that reduce over it,
+/// repairs and the caller's own reads go there.
+pub fn gemm_emit_into<'w, 'a>(
+    a: impl Into<MatrixView<'a>>,
+    b: &PackedWeights,
+    scheme: TileScheme,
+    faults: &[FaultPlan],
+    dest: Dest<'_>,
+    ws: &'w mut Workspace,
+) -> &'w GemmOutput {
     let a = a.into();
     assert_eq!(a.cols, b.rows(), "inner dimensions must agree");
     assert_eq!(a.dtype, b.dtype(), "GEMM operands must share one dtype");
@@ -292,8 +329,12 @@ pub fn gemm_into<'w, 'a>(
         // No inner dimension: every cell is the empty sum, and no chain
         // ran that a check could compare. No columns: no cells.
         ws.out.c.fill(0.0);
+        if let Some((codes, dtype, layout)) = dest.codes() {
+            emit::encode_output(&ws.out, layout, dtype, codes);
+        }
         return &ws.out;
     }
+    let dest = emit::CodeCells::new(dest, out_m, out_n);
     // Blocks are whole strips, so only the request's last strip can be
     // ragged; one live row there runs the one-row register tile.
     let (strips, groups) = (out_m.div_ceil(MICRO_MR), out_n.div_ceil(MICRO_NR));
@@ -335,10 +376,8 @@ pub fn gemm_into<'w, 'a>(
         out_m,
         out_n,
     };
-    let c = &OutCells {
-        cells: ws.out.c.as_mut_ptr(),
-        len: ws.out.c.len(),
-    };
+    let c = &Cells::new(&mut ws.out.c);
+    let dest = &dest;
     let pool = &mut ws.stripe_pool[..members];
     aiga_util::team::run_with(pool, tasks, &|scr, task| {
         let (br, blocks) = if by_block {
@@ -349,7 +388,9 @@ pub fn gemm_into<'w, 'a>(
         scr.stage_stripe(run.a, scheme.lanes, run.path, k, br);
         for bc in blocks {
             walk::run_block(run, br, bc, scr);
-            scatter_tile(&scr.block.tile, run, br, bc, c);
+            // SAFETY: the cells of block `(br, bc)`, which this task
+            // alone executes.
+            unsafe { write_back(&scr.block.tile, run, br, bc, c, dest) };
         }
         if scr.flagged.last().map_or(0, |&(_, end)| end) < scr.detections.len() {
             scr.flagged.push((task, scr.detections.len()));
@@ -378,15 +419,29 @@ fn merge_detections(pool: &mut [panels::StripeScratch], out: &mut Vec<Detection>
     out.reverse();
 }
 
-/// Copies one block tile's live cells into the output.
-fn scatter_tile(tile: &[f32], run: &walk::Run<'_>, br: usize, bc: usize, c: &OutCells) {
+/// Copies one block tile's live cells into the output and, from the
+/// same tile, hands them to the run's destination.
+///
+/// # Safety
+/// The caller is the only task writing block `(br, bc)`'s cells.
+unsafe fn write_back(
+    tile: &[f32],
+    run: &walk::Run<'_>,
+    br: usize,
+    bc: usize,
+    c: &Cells<f32>,
+    dest: &Option<emit::CodeCells>,
+) {
     let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
-    let cols = BLOCK_N.min(run.out_n - col0);
-    for (lr, gr) in (row0..run.out_m.min(row0 + BLOCK_M)).enumerate() {
-        // SAFETY: the cells of block `(br, bc)`, which this task alone
-        // executes.
-        let cells = unsafe { c.run(gr * run.out_n + col0, cols) };
+    let (rows, cols) = (BLOCK_M.min(run.out_m - row0), BLOCK_N.min(run.out_n - col0));
+    for lr in 0..rows {
+        // SAFETY: cells of the caller's block.
+        let cells = unsafe { c.run((row0 + lr) * run.out_n + col0, cols) };
         cells.copy_from_slice(&tile[lr * BLOCK_N..][..cols]);
+    }
+    if let Some(dest) = dest {
+        // SAFETY: the codes of the caller's block.
+        unsafe { dest.emit(tile, BLOCK_N, (row0, rows), (col0, cols), run.out_n) };
     }
 }
 

@@ -408,6 +408,11 @@ pub struct Workspace {
     /// other team members of a fanned-out run (ratchets to the member
     /// high-water mark).
     pub(crate) stripe_pool: Vec<StripeScratch>,
+    /// Per-member f32 scratch lent to graph executors for the stages
+    /// between GEMMs (a decoded plane, a row of pooled outputs, two
+    /// addends): entry 0 serves the calling thread, the rest the other
+    /// team members of a stage that fans out. Lengths ratchet.
+    pub(crate) glue: Vec<Vec<f32>>,
     /// The child workspace for graph execution: every GEMM stage of a
     /// pipeline runs in it while reading its operand in place from
     /// [`Self::slots`]. Created when a graph first executes.
@@ -502,6 +507,18 @@ impl Workspace {
     /// buffer capacity for the next request.
     pub fn put_slot(&mut self, i: usize, m: Matrix) {
         self.slots[i] = m;
+    }
+
+    /// Moves the between-GEMM scratch out, so a stage can hand its
+    /// entries to team members while it reads the slots. Pair with
+    /// [`Self::put_glue`]; the swap moves pointers, not data.
+    pub fn take_glue(&mut self) -> Vec<Vec<f32>> {
+        std::mem::take(&mut self.glue)
+    }
+
+    /// Returns the scratch taken with [`Self::take_glue`].
+    pub fn put_glue(&mut self, glue: Vec<Vec<f32>>) {
+        self.glue = glue;
     }
 
     /// Split borrow for graph execution: the value slots, read-only, so

@@ -952,3 +952,77 @@ fn faults_in_either_strip_of_a_pair_flag_with_pinned_bits() {
         assert_eq!(got, want, "{lanes:?} {faults:?}");
     }
 }
+
+#[test]
+fn a_destination_holds_what_emitting_the_finished_output_would() {
+    // Codes written block by block from inside the tasks equal the
+    // codes of a loop over the finished f32 output — struck cells
+    // included — and both equal one scalar encode per cell in the
+    // consumer's order: NCHW with images of 53 pixels (so an image ends
+    // inside a segment of every stripe), ReLU on and off, every dtype,
+    // at team widths 1, 2 and 3 on every path; row-major has only the
+    // loop, and is held to the scalar encode the same way. 265
+    // rows (five images) by 250 columns: five stripes and four column
+    // blocks, the last of each ragged; K = 0 and N = 0 take the early
+    // exit.
+    let fault = FaultPlan {
+        row: 211,
+        col: 249,
+        after_step: u64::MAX,
+        kind: FaultKind::SetValue(-0.0),
+    };
+    for (m, n, k) in [(265usize, 250usize, 64usize), (106, 40, 0), (53, 0, 8)] {
+        for dtype in Dtype::ALL {
+            let a = Matrix::random_dtype(m, k, 5, dtype);
+            let b = Matrix::random_dtype(k, n, 6, dtype);
+            let packed = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
+            let scheme = loose(Redundancy::ColumnChecksum);
+            for (conv_spatial, relu) in [(None, true), (Some(53), true), (Some(53), false)] {
+                let layout = EmitLayout { conv_spatial, relu };
+                on_each_path(|path| {
+                    let mut ws = Workspace::new();
+                    for width in [1usize, 2, 3] {
+                        let mut codes = vec![F16::from_bits(0xffff); m * n];
+                        let dest = match conv_spatial {
+                            None => Dest::None,
+                            Some(spatial) => Dest::Codes {
+                                codes: &mut codes,
+                                dtype,
+                                spatial,
+                                relu,
+                            },
+                        };
+                        let out = aiga_util::team::with_width(width, || {
+                            gemm_emit_into(&a, &packed, scheme, &[fault], dest, &mut ws).clone()
+                        });
+                        let mut looped = vec![F16::from_bits(0xffff); m * n];
+                        emit_output(&out, layout, |at, run| {
+                            dtype.encode_slice(run, &mut looped[at..at + run.len()])
+                        });
+                        let mut scalar = vec![F16::ZERO; m * n];
+                        for (r, c) in (0..m).flat_map(|r| (0..n).map(move |c| (r, c))) {
+                            let v = if relu {
+                                out.get(r, c).max(0.0)
+                            } else {
+                                out.get(r, c)
+                            };
+                            let at = match conv_spatial {
+                                None => r * n + c,
+                                Some(s) => (r / s * n + c) * s + r % s,
+                            };
+                            scalar[at] = F16::from_bits(dtype.encode(v));
+                        }
+                        let what = format!(
+                            "{m}x{n}x{k} {dtype} {layout:?} {} width {width}",
+                            path.as_str()
+                        );
+                        if conv_spatial.is_some() {
+                            assert_eq!(codes, scalar, "{what}: in-task");
+                        }
+                        assert_eq!(looped, scalar, "{what}: looped");
+                    }
+                });
+            }
+        }
+    }
+}

@@ -429,3 +429,32 @@ pub fn run_with<S: Send>(states: &mut [S], count: usize, tasks: &(dyn Fn(&mut S,
         tasks(unsafe { &mut *base.0.add(member) }, task)
     });
 }
+
+/// [`run_with`] over an output cut into `chunk`-element pieces: task
+/// `i` gets `&mut out[i·chunk ..]` (the last piece may be short) beside
+/// its member's state, so the members of a region write one buffer
+/// without sharing a cell — a pooling stage's planes, eight to a task.
+pub fn run_chunks<S: Send, T: Send>(
+    states: &mut [S],
+    out: &mut [T],
+    chunk: usize,
+    tasks: &(dyn Fn(&mut S, usize, &mut [T]) + Sync),
+) {
+    struct Base<T>(*mut T);
+    // SAFETY: only used to reach disjoint pieces, below.
+    unsafe impl<T: Send> Sync for Base<T> {}
+    assert!(chunk > 0, "a piece holds at least one element");
+    let (base, len) = (Base(out.as_mut_ptr()), out.len());
+    run_with(states, len.div_ceil(chunk), &|state, task| {
+        let base = &base;
+        let at = task * chunk;
+        assert!(at < len);
+        // SAFETY: piece `task` of `out`, in bounds (asserted; its end is
+        // clamped). A region hands every task index out once, so no
+        // other reference to these elements exists while the task runs,
+        // `out` is borrowed mutably until the region has drained, and
+        // `T: Send` lets the member's thread write them.
+        let piece = unsafe { std::slice::from_raw_parts_mut(base.0.add(at), chunk.min(len - at)) };
+        tasks(state, task, piece)
+    });
+}

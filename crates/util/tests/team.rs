@@ -67,6 +67,29 @@ fn per_member_state_is_lent_to_one_member_at_a_time() {
 }
 
 #[test]
+fn chunked_regions_hand_every_piece_out_once() {
+    // 1003 elements in pieces of 8: 126 tasks, the last three long. Each
+    // task adds its index + 1 to its own piece; a piece handed out twice
+    // or a cell shared by two would show in the sums.
+    let mut out = vec![0u32; 1003];
+    let mut seen = [0usize; 3];
+    team::with_width(3, || {
+        for _ in 0..50 {
+            team::run_chunks(&mut seen, &mut out, 8, &|seen, task, piece| {
+                *seen += piece.len();
+                piece.iter_mut().for_each(|cell| *cell += task as u32 + 1);
+            });
+        }
+    });
+    assert_eq!(seen.iter().sum::<usize>(), 50 * 1003);
+    for (i, &cell) in out.iter().enumerate() {
+        assert_eq!(cell, 50 * (i as u32 / 8 + 1), "element {i}");
+    }
+    // Nothing to cut is no tasks.
+    team::run_chunks(&mut seen, &mut [0u32; 0], 8, &|_, _, _| unreachable!());
+}
+
+#[test]
 fn nested_and_marked_regions_run_inline_on_their_caller() {
     // Opened inside a task: on that task's thread, whichever member.
     team::with_width(3, || {

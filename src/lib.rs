@@ -252,6 +252,7 @@ pub mod prelude {
     pub use aiga_core::kernel::{BoundKernel, FaultSite, RunReport, Verdict};
     pub use aiga_core::pipeline::{
         InferenceReport, LayerCorrection, LayerDetection, PipelineFault, ProtectedPipeline,
+        StageTimes,
     };
     pub use aiga_core::planner::Planner;
     pub use aiga_core::protected::{ProtectedConv, ProtectedGemm};

@@ -47,7 +47,16 @@
 //!    weights are packed once at bind time, so a *cold* workspace
 //!    serving a bound 1024×1024 layer at batch 1 allocates well under
 //!    1 MiB (it used to grow 8 MiB of B panels of its own), and the
-//!    warm pass allocates nothing.
+//!    warm pass allocates nothing;
+//!
+//! 9. the stages between GEMMs keep the contract where they left the
+//!    calling thread: a warm SqueezeNet-1.1 pass at 96×96 — every conv's
+//!    slot written from inside the engine's tasks, the first pool's
+//!    planes spread over the team — and a warm DLRM pass (gather,
+//!    interaction through the workspace's scratch) allocate exactly the
+//!    report's output vector, on this host's team and at a forced width
+//!    of three: the per-member pooling scratch is the workspace's and
+//!    ratchets with it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -381,6 +390,46 @@ fn steady_state_hot_paths_do_not_allocate() {
                 warm, 0,
                 "{scheme}: warm batch-1 pass allocated {warm} times"
             );
+        }
+    }
+
+    // --- 9. Between the GEMMs, off the calling thread: the write-back
+    // in the engine's tasks, the first pool (64 planes of 47×47: past
+    // the size a pooling stage keeps to its caller) on the team, the
+    // interaction out of the workspace's scratch. The warm-up pass
+    // starts the team and ratchets every member's scratch; after it a
+    // pass allocates its report's output vector and nothing else.
+    {
+        let cnn = zoo::squeezenet_v11_net(1, 96, 96, 7);
+        let cnn_request = Matrix::random(1, cnn.input_features(), 45);
+        let dlrm = zoo::dlrm_net(8, 8, 1000, 64, 11);
+        let mut dlrm_request = Matrix::random(8, dlrm.input_features(), 46);
+        for (r, c) in (0..8).flat_map(|r| (13..21).map(move |c| (r, c))) {
+            dlrm_request.set(r, c, aiga::fp16::F16::from_f32((r * 131 + c * 17) as f32));
+        }
+        for (net, request) in [(cnn, cnn_request), (dlrm, dlrm_request)] {
+            let schemes = vec![Scheme::ThreadLevelOneSided; net.gemm_count()];
+            let pipeline = aiga_core::ProtectedPipeline::compile(&net, &schemes);
+            for width in [None, Some(3)] {
+                let mut ws = Workspace::new();
+                let mut pass = || {
+                    std::hint::black_box(pipeline.infer_into(&request, None, &mut ws));
+                };
+                let mut pinned = || {
+                    pass();
+                    // Twice: steady state, not a lucky schedule.
+                    let allocs = allocs_during(|| (0..2).for_each(|_| pass()));
+                    assert_eq!(
+                        allocs, 2,
+                        "two warm {} passes ({width:?}) allocated {allocs} times",
+                        net.name
+                    );
+                };
+                match width {
+                    None => pinned(),
+                    Some(width) => aiga::util::team::with_width(width, pinned),
+                }
+            }
         }
     }
 }

@@ -263,6 +263,133 @@ fn recovery_pipeline_is_inert_on_clean_traffic() {
     assert!(b.report.corrections.is_empty());
 }
 
+/// The slot stage 1 of `net` hands on, per element — one scalar encode
+/// of each cell of its GEMM output, ReLU applied, NCHW for a conv — with
+/// `fault` struck into that output: `src` is stage 0's slot, the GEMM
+/// runs apart from any pipeline.
+fn struck_slot_oracle(net: &Network, src: &Matrix, fault: FaultPlan) -> Vec<aiga::dtype::F16> {
+    use aiga::gpu::engine::{gemm, MatrixView};
+    use aiga::nn::graph::NodeOp;
+    let encode = |v: f32, relu: bool| {
+        let v = if relu { v.max(0.0) } else { v };
+        aiga::dtype::F16::from_bits(Dtype::F16.encode(v))
+    };
+    let none = TileScheme::NONE;
+    match &net.nodes[1].op {
+        NodeOp::Conv {
+            params,
+            weights,
+            relu,
+        } => {
+            let (c, h, w) = net.dims_of(net.nodes[1].inputs[0]);
+            let geom = params.im2col_view(c, h, w);
+            let a = MatrixView::im2col_lowered(src.rows, geom, &src.data, Dtype::F16);
+            let weights = aiga::nn::conv::filters_to_matrix(weights);
+            let out = gemm(a, &weights, none, &[fault]);
+            let spatial = geom.out_h * geom.out_w;
+            let cells = (0..src.rows)
+                .flat_map(|n| (0..out.n).flat_map(move |co| (0..spatial).map(move |s| (n, co, s))));
+            cells
+                .map(|(n, co, s)| encode(out.get(n * spatial + s, co), *relu))
+                .collect()
+        }
+        NodeOp::Fc { weights, relu } => {
+            let out = gemm(src, weights, none, &[fault]);
+            out.c.iter().map(|&v| encode(v, *relu)).collect()
+        }
+        other => panic!("stage 1 is a GEMM, not {other:?}"),
+    }
+}
+
+#[test]
+fn a_repaired_stage_hands_on_the_clean_slot_and_a_flagged_one_the_struck_slot() {
+    // A stage's slot is written by the engine's tasks as each block
+    // leaves the walk — before a repair can have touched a cell. So a
+    // `Corrected` stage must be emitted again (the slot equals the clean
+    // pass's), and a detect-only pass must hand on exactly the struck
+    // cells the check saw. Three GEMMs deep, the middle one struck: a
+    // conv of 162 rows × 70 columns and an fc of 130 × 70 — three
+    // stripes, the last ragged, two column blocks, enough work that up
+    // to three members share the blocks. The first stage's slot (the
+    // struck stage's source) and the struck stage's survive the pass.
+    let conv = {
+        let mut b = NetworkBuilder::new("mid-conv", 2, 4, 9, 9, 17);
+        b.conv("c0", 24, 3, 1, 1, true);
+        b.conv("c1", 70, 3, 1, 1, true);
+        b.conv("tail", 3, 1, 1, 0, false);
+        b.build()
+    };
+    let fc = {
+        let mut b = NetworkBuilder::new("mid-fc", 130, 24, 1, 1, 17);
+        b.fc("fc0", 256, true);
+        b.fc("fc1", 70, true);
+        b.fc("fc2", 5, false);
+        b.build()
+    };
+    for net in [conv, fc] {
+        let input = Matrix::random(net.batch, net.input_features(), 29);
+        let m = net.to_model().layers[1].shape.m as usize;
+        for scheme in localizing_schemes() {
+            let schemes = vec![scheme; net.gemm_count()];
+            let detect = ProtectedPipeline::compile(&net, &schemes);
+            let repair = ProtectedPipeline::compile(&net, &schemes).with_recovery(true);
+            let mut clean_ws = Workspace::new();
+            let clean = detect.infer_into(&input, None, &mut clean_ws);
+            assert!(!clean.fault_detected(), "{} {scheme}", net.name);
+            // First and last stripe, both column blocks, epilogue and
+            // mid-walk.
+            for (row, col, after_step) in [
+                (2usize, 1usize, u64::MAX),
+                (2, 69, 1),
+                (m - 1, 69, u64::MAX),
+                (m - 1, 1, 1),
+            ] {
+                let fault = FaultPlan {
+                    row,
+                    col,
+                    after_step,
+                    kind: FaultKind::AddValue(300.0),
+                };
+                let struck = Some(PipelineFault { layer: 1, fault });
+                for width in [1usize, 3] {
+                    let ctx = format!(
+                        "{} {scheme} ({row},{col},{after_step}) width {width}",
+                        net.name
+                    );
+                    let mut ws = Workspace::new();
+                    let repaired = aiga::util::team::with_width(width, || {
+                        repair.infer_into(&input, struck, &mut ws)
+                    });
+                    assert!(
+                        repaired.fault_corrected() && !repaired.fault_detected(),
+                        "{ctx}: {:?}",
+                        repaired.detections
+                    );
+                    assert_eq!(
+                        ws.slot(1).data,
+                        clean_ws.slot(1).data,
+                        "{ctx}: repaired slot"
+                    );
+                    assert_eq!(bits(&repaired.output), bits(&clean.output), "{ctx}");
+
+                    let mut ws = Workspace::new();
+                    let flagged = aiga::util::team::with_width(width, || {
+                        detect.infer_into(&input, struck, &mut ws)
+                    });
+                    assert!(flagged.fault_detected(), "{ctx}");
+                    let want = struck_slot_oracle(&net, clean_ws.slot(0), fault);
+                    assert_ne!(
+                        want,
+                        clean_ws.slot(1).data,
+                        "{ctx}: the fault reaches the slot"
+                    );
+                    assert_eq!(ws.slot(1).data, want, "{ctx}: struck slot");
+                }
+            }
+        }
+    }
+}
+
 // --- Server level -------------------------------------------------------
 
 #[test]
