@@ -11,7 +11,7 @@ use aiga_bench::harness::{bench, Recorder};
 use aiga_core::schemes::Scheme;
 use aiga_dtype::F16;
 use aiga_gpu::engine::{
-    gemm, gemm_into, simd, FaultKind, FaultPlan, GemmPath, Matrix, PackedWeights, Redundancy,
+    gemm, gemm_into, simd, Dest, FaultKind, FaultPlan, GemmPath, Matrix, PackedWeights, Redundancy,
     TileScheme, Workspace,
 };
 use aiga_gpu::timing::{estimate, Calibration, KernelProfile};
@@ -51,10 +51,10 @@ fn timed_gemm(
     let t = std::time::Instant::now();
     match members {
         Members::One => aiga_util::as_worker(|| {
-            black_box(gemm_into(a, packed, tile, &[], ws));
+            black_box(gemm_into(a, packed, tile, &[], Dest::None, ws));
         }),
         Members::All => {
-            black_box(gemm_into(a, packed, tile, &[], ws));
+            black_box(gemm_into(a, packed, tile, &[], Dest::None, ws));
         }
     }
     t.elapsed().as_secs_f64() * 1e9
@@ -205,7 +205,7 @@ fn fork_join_rows(rec: &mut Recorder) {
 /// shape here clears it, and the all-member time should beat the
 /// one-member time on each.
 fn team_shape_rows(rec: &mut Recorder) {
-    use aiga_gpu::engine::{gemm_emit_into, Dest, Dtype};
+    use aiga_gpu::engine::Dtype;
     for (m, n, k) in [
         (12321usize, 64usize, 27usize),
         (3025, 64, 144),
@@ -239,7 +239,7 @@ fn team_shape_rows(rec: &mut Recorder) {
                 };
                 let t = std::time::Instant::now();
                 let run = || {
-                    black_box(gemm_emit_into(&a, &packed, tile, &[], dest, &mut ws));
+                    black_box(gemm_into(&a, &packed, tile, &[], dest, &mut ws));
                 };
                 match members {
                     Members::One => aiga_util::as_worker(run),
@@ -337,10 +337,17 @@ fn main() {
         let a = Matrix::random(size, size, 1);
         let b = PackedWeights::pack(&Matrix::random(size, size, 2), Redundancy::None);
         let mut ws = Workspace::new();
-        gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
+        gemm_into(&a, &b, TileScheme::NONE, &[], Dest::None, &mut ws); // warm
         let med = rec
             .bench(&format!("engine/functional_gemm_{size}"), || {
-                black_box(gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws));
+                black_box(gemm_into(
+                    &a,
+                    &b,
+                    TileScheme::NONE,
+                    &[],
+                    Dest::None,
+                    &mut ws,
+                ));
             })
             .median_ns;
         rec.record_value(
@@ -384,16 +391,16 @@ fn main() {
         ] {
             let tile = scheme.tile_scheme(size);
             let packed = PackedWeights::pack(&b, tile.lanes);
-            gemm_into(&a, &packed, tile, &[], &mut ws); // warm
+            gemm_into(&a, &packed, tile, &[], Dest::None, &mut ws); // warm
             rec.bench(&format!("engine/gemm_64_{name}"), || {
-                black_box(gemm_into(&a, &packed, tile, &[], &mut ws));
+                black_box(gemm_into(&a, &packed, tile, &[], Dest::None, &mut ws));
             });
         }
         // Global ABFT runs the unmodified kernel plus its epilogue +
         // reduce-and-compare; bench it through its bound kernel.
         let global = Scheme::GlobalAbft.bind(&b);
         rec.bench("engine/gemm_64_global_abft", || {
-            black_box(global.run(a.view(), &[]));
+            black_box(global.run_into(a.view(), &[], Dest::None, &mut Workspace::new()));
         });
     }
 
@@ -520,11 +527,11 @@ fn main() {
                 (tile, PackedWeights::pack(&weights, tile.lanes))
             });
             for (name, (tile, packed)) in ["clean", "one_sided"].into_iter().zip(&kernels) {
-                gemm_into(&request, packed, *tile, &[], &mut ws); // warm
+                gemm_into(&request, packed, *tile, &[], Dest::None, &mut ws); // warm
                 rec.bench(
                     &format!("engine/gemm_m1_k1024_n1024_{name}{suffix}"),
                     || {
-                        black_box(gemm_into(&request, packed, *tile, &[], &mut ws));
+                        black_box(gemm_into(&request, packed, *tile, &[], Dest::None, &mut ws));
                     },
                 );
             }
@@ -751,10 +758,17 @@ fn main() {
                 Redundancy::None,
             );
             let mut ws = Workspace::new();
-            gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws); // warm
+            gemm_into(&a, &b, TileScheme::NONE, &[], Dest::None, &mut ws); // warm
             let med = rec
                 .bench(&format!("engine/gemm_{size}_clean_{dtype}"), || {
-                    black_box(gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws));
+                    black_box(gemm_into(
+                        &a,
+                        &b,
+                        TileScheme::NONE,
+                        &[],
+                        Dest::None,
+                        &mut ws,
+                    ));
                 })
                 .median_ns;
             rec.record_value(

@@ -37,7 +37,6 @@ use std::sync::Arc;
 /// An executable network compiled against an intensity-guided plan.
 pub struct CompiledModel {
     plan: ModelPlan,
-    schemes: Arc<[Scheme]>,
     pipeline: ProtectedPipeline,
 }
 
@@ -64,13 +63,8 @@ impl CompiledModel {
                 layer.chosen = s;
             }
         }
-        let schemes: Arc<[Scheme]> = plan.chosen_schemes().into();
-        let pipeline = ProtectedPipeline::compile(net, &schemes);
-        CompiledModel {
-            plan,
-            schemes,
-            pipeline,
-        }
+        let pipeline = ProtectedPipeline::compile(net, &plan.chosen_schemes());
+        CompiledModel { plan, pipeline }
     }
 
     /// Enables (or disables) in-pass correction on the underlying
@@ -87,9 +81,10 @@ impl CompiledModel {
         &self.plan
     }
 
-    /// Per-layer chosen schemes, shared (cloning never reallocates).
+    /// Per-layer chosen schemes, shared (cloning never reallocates):
+    /// the pipeline's own list ([`ProtectedPipeline::schemes`]).
     pub fn schemes(&self) -> &Arc<[Scheme]> {
-        &self.schemes
+        self.pipeline.schemes()
     }
 
     /// The underlying executable stage graph.

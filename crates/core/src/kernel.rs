@@ -1,5 +1,5 @@
 //! A scheme binds itself: [`Scheme::apply_cost`] and [`Scheme::bind`],
-//! the two faces of every redundancy scheme, and the [`BoundKernel`] a
+//! the two faces of every redundancy scheme, and the [`BoundGemm`] a
 //! bind returns.
 //!
 //! Every scheme the paper evaluates has two faces:
@@ -19,17 +19,19 @@
 //! once per layer — the weights are decoded and packed into the
 //! microkernel's panel layout ([`PackedWeights`], with two-sided ABFT's
 //! B checksum columns when that is the scheme), and the kernel-level
-//! schemes' weight checksums are summed — and returns a [`BoundKernel`]
-//! that serves requests and hides the family's check-and-repair
-//! algorithm. The packed panels are the bound kernel's *only* copy of
-//! the weights (no storage-format clone beside them): every request,
-//! worker and shard streams the same `Arc`, and a request stages nothing
-//! but its own rows. Every id that parses binds and runs; a new scheme
-//! is a new [`Scheme`] variant and an arm in these matches.
+//! schemes' weight checksums are summed — and returns a [`BoundGemm`]:
+//! one concrete value whatever the scheme, whose [`BoundGemm::run_into`]
+//! and [`BoundGemm::correct_into`] match on the family's check. The
+//! packed panels are the bound layer's *only* copy of the weights (no
+//! storage-format clone beside them): every request, worker and shard
+//! streams the same `Arc`, and a request stages nothing but its own
+//! rows. Every id that parses binds and runs; a new scheme is a new
+//! [`Scheme`] variant and an arm in these matches.
 
 use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::{
     self, Dest, FaultPlan, GemmOutput, Matrix, MatrixView, PackedWeights, TileScheme, Workspace,
+    MICRO_MR,
 };
 use aiga_gpu::timing::{AuxKernel, Calibration, KernelProfile};
 use std::sync::Arc;
@@ -149,49 +151,73 @@ impl Scheme {
     /// Performs the scheme's offline preparation against a layer's
     /// weights (`B` of `C = A·B`) — packing them into the engine's panel
     /// form, plus the kernel-level schemes' weight checksums — and
-    /// returns an executor bound to those weights. Panics on
-    /// `MultiChecksum(0)`: a check needs at least one round.
-    pub fn bind(self, weights: &Matrix) -> Box<dyn BoundKernel> {
+    /// returns the layer bound to them. Panics on `MultiChecksum(0)`: a
+    /// check needs at least one round.
+    pub fn bind(self, weights: &Matrix) -> BoundGemm {
         // The threshold depends on the K the lanes accumulate over —
         // the packed (padded) K the engine walks.
         let tile = self.tile_scheme(weights.rows.next_multiple_of(8));
         let packed = Arc::new(PackedWeights::pack(weights, tile.lanes));
-        match self {
-            Scheme::GlobalAbft => Box::new(GlobalBound {
-                abft: GlobalAbft::prepare(weights),
-                weights: packed,
-            }),
-            Scheme::MultiChecksum(rounds) => Box::new(MultiChecksumBound {
-                rounds,
-                abft: MultiChecksumAbft::prepare(weights, rounds as usize),
-                weights: packed,
-            }),
+        let check = match self {
+            Scheme::GlobalAbft => Check::Global(GlobalAbft::prepare(weights)),
+            Scheme::MultiChecksum(rounds) => {
+                Check::MultiChecksum(MultiChecksumAbft::prepare(weights, rounds as usize))
+            }
             Scheme::Unprotected
             | Scheme::ThreadLevelOneSided
             | Scheme::ThreadLevelTwoSided
             | Scheme::ReplicationSingleAcc
-            | Scheme::ReplicationTraditional => Box::new(TileBound {
-                scheme: self,
-                tile,
-                weights: packed,
-            }),
+            | Scheme::ReplicationTraditional => Check::Tile,
+        };
+        BoundGemm {
+            scheme: self,
+            tile,
+            weights: packed,
+            check,
         }
     }
 }
 
-/// A scheme bound to one layer's weights, ready to serve requests.
+/// A scheme bound to one layer's weights, ready to serve requests: the
+/// scheme, the lanes the engine carries for it, the packed weights and
+/// the check that runs after the engine. One concrete value whatever
+/// the scheme — the family is an arm of [`Self::run_into`] and
+/// [`Self::correct_into`], not a type.
 ///
-/// The execution contract is workspace-threaded: [`Self::run_emit_into`]
-/// is the required hot-path entry ([`Self::run_into`] the same without
-/// a destination) — the caller supplies a [`Workspace`],
-/// the kernel executes into it (output readable via
+/// The execution contract is workspace-threaded: the caller supplies a
+/// [`Workspace`], the run executes into it (output readable via
 /// [`Workspace::output`]) and returns only the verdict, allocating
-/// nothing once the workspace is warm. [`Self::run`] is the allocating
-/// convenience that wraps a throwaway workspace and returns an owned
-/// [`RunReport`].
-pub trait BoundKernel: Send + Sync {
+/// nothing once the workspace is warm. The conveniences over it — an
+/// allocating run, a run followed by its repair — are
+/// [`crate::ProtectedGemm`]'s, which owns its activations.
+pub struct BoundGemm {
+    scheme: Scheme,
+    tile: TileScheme,
+    weights: Arc<PackedWeights>,
+    check: Check,
+}
+
+/// The check a bound scheme runs after the engine.
+enum Check {
+    /// None: the engine's tile epilogue is the whole check — the
+    /// engine carries the scheme's lanes in every register tile
+    /// ([`Scheme::tile_scheme`]) and the verdict comes from the tiles'
+    /// own compares. The unprotected baseline is the no-lanes case:
+    /// nothing to compare, so always clean.
+    Tile,
+    /// Kernel-level ABFT per Hari et al. (§2.5).
+    Global(GlobalAbft),
+    /// The §2.4 multi-checksum extension: independent
+    /// Vandermonde-weighted checksum rounds, detecting up to that many
+    /// faults in distinct rows.
+    MultiChecksum(MultiChecksumAbft),
+}
+
+impl BoundGemm {
     /// The scheme id.
-    fn scheme(&self) -> Scheme;
+    pub fn scheme(&self) -> Scheme {
+        self.scheme
+    }
 
     /// Runs `activations · weights` under this scheme, injecting
     /// `faults`, entirely inside `ws`. The (possibly corrupted) output —
@@ -199,73 +225,207 @@ pub trait BoundKernel: Send + Sync {
     /// in `ws` for the caller to read; the returned [`Verdict`] is the
     /// scheme's overall judgement. `dest` is where the engine's tasks
     /// also hand the cells as they compute them (see
-    /// [`engine::gemm_emit_into`]): the cells of this run, so a caller
-    /// that goes on to [`Self::correct_into`] re-emits what the repair
-    /// rewrote.
-    fn run_emit_into(
+    /// [`engine::gemm_into`]; [`Dest::None`] for nowhere): the cells of
+    /// this run, so a caller that goes on to [`Self::correct_into`]
+    /// re-emits what the repair rewrote.
+    pub fn run_into(
         &self,
         activations: MatrixView<'_>,
         faults: &[FaultPlan],
         dest: Dest<'_>,
         ws: &mut Workspace,
-    ) -> Verdict;
-
-    /// [`Self::run_emit_into`] with no destination: the output is read
-    /// from `ws`.
-    fn run_into(
-        &self,
-        activations: MatrixView<'_>,
-        faults: &[FaultPlan],
-        ws: &mut Workspace,
     ) -> Verdict {
-        self.run_emit_into(activations, faults, Dest::None, ws)
-    }
-
-    /// Allocating convenience over [`Self::run_into`]: runs in a fresh
-    /// workspace and returns an owned report.
-    fn run(&self, activations: MatrixView<'_>, faults: &[FaultPlan]) -> RunReport {
-        let mut ws = Workspace::new();
-        let verdict = self.run_into(activations, faults, &mut ws);
-        RunReport {
-            verdict,
-            output: ws.take_output(),
+        let output = engine::gemm_into(activations, &self.weights, self.tile, faults, dest, ws);
+        match &self.check {
+            Check::Tile => match output.detections.first() {
+                Some(d) => Verdict::Detected {
+                    residual: d.residual,
+                    threshold: d.threshold,
+                },
+                None => Verdict::Clean,
+            },
+            Check::Global(abft) => {
+                // The deferred reduce-and-compare (§2.5 step 5) runs off
+                // the workspace's checksum scratch — no per-request
+                // allocation.
+                let (output, check) = ws.output_and_check();
+                let v = abft.verify_with(activations, output, check);
+                verdict_from_global(v)
+            }
+            Check::MultiChecksum(abft) => {
+                // Walk the rounds directly (no collected MultiVerdict) so
+                // the hot path honors the zero-allocation contract.
+                for r in 0..abft.rounds() {
+                    let v = abft.verify_round(activations, output, r);
+                    if v.fault_detected {
+                        return Verdict::Detected {
+                            residual: v.residual,
+                            threshold: v.threshold,
+                        };
+                    }
+                }
+                Verdict::Clean
+            }
         }
     }
 
     /// Attempts to localize and repair the fault behind a `Detected`
     /// verdict, recomputing only the implicated cells of the output
     /// still sitting in `ws` (from `activations`, whose implicated
-    /// strips are staged again, and this kernel's own weights). On success
-    /// returns [`Verdict::Corrected`] and the workspace output is
-    /// byte-equal to a clean run; schemes that cannot localize — and
+    /// strips are staged again, and this layer's own weights). On
+    /// success returns [`Verdict::Corrected`] and the workspace output
+    /// is byte-equal to a clean run; schemes that cannot localize — and
     /// repairs that fail re-verification — return the verdict
-    /// unchanged. Allocation-free once the workspace is warm.
+    /// unchanged, as does any verdict but `Detected`. Allocation-free
+    /// once the workspace is warm.
     ///
     /// Must be called directly after [`Self::run_into`] on the same
     /// workspace, with the same `activations`.
-    fn correct_into(
-        &self,
-        _activations: MatrixView<'_>,
-        _ws: &mut Workspace,
-        verdict: Verdict,
-    ) -> Verdict {
-        verdict
-    }
-
-    /// [`Self::run_into`] followed by [`Self::correct_into`] when the
-    /// run flags a fault — the one-call recovery entry point.
-    fn run_corrected_into(
+    pub fn correct_into(
         &self,
         activations: MatrixView<'_>,
-        faults: &[FaultPlan],
         ws: &mut Workspace,
+        verdict: Verdict,
     ) -> Verdict {
-        let verdict = self.run_into(activations, faults, ws);
-        if verdict.is_detected() {
-            self.correct_into(activations, ws, verdict)
-        } else {
-            verdict
+        let Verdict::Detected {
+            residual,
+            threshold,
+        } = verdict
+        else {
+            return verdict;
+        };
+        let site = match &self.check {
+            // Tile localization: every detection names the strip rows
+            // and columns its failed compare covered, so repair
+            // recomputes exactly those cells from the activations (their
+            // strip staged again) and the packed weights. For the
+            // replication schemes this is the majority-vote resolution —
+            // the disagreeing accumulator is simply overwritten with the
+            // recomputed (clean) value instead of merely flagged.
+            Check::Tile => {
+                let Some(first) = ws.output().detections.first() else {
+                    return verdict;
+                };
+                let site = FaultSite::Tile {
+                    row: first.row,
+                    col: first.col,
+                };
+                // Detections live inside the output we are about to
+                // repair: copy each one's coordinates out before mutating
+                // cells.
+                for i in 0..ws.output().detections.len() {
+                    let d = &ws.output().detections[i];
+                    let (rows, cols) = (d.row..d.row + MICRO_MR, d.col..d.col + d.cols);
+                    ws.recompute(activations, &self.weights, rows, cols);
+                }
+                ws.output_mut().detections.clear();
+                site
+            }
+            // Column localization: the weight checksum gives the
+            // *expected* column sum `Σ_k chk(A)[k]·B[k][j]` for every
+            // output column; the column whose observed sum deviates most
+            // is the faulted one (a single corrupted cell perturbs
+            // exactly one column sum by δ). Recompute that column, then
+            // re-verify the whole layer — a mislocalized repair rewrites
+            // identical bits and fails the re-check, so the original
+            // verdict survives.
+            Check::Global(abft) => {
+                let col = {
+                    let (output, check) = ws.output_and_check();
+                    GlobalAbft::activation_checksum_into(activations, check);
+                    let mut best = 0usize;
+                    let mut best_diff = f64::NEG_INFINITY;
+                    for j in 0..output.n {
+                        let mut expected = 0.0f64;
+                        for (&chk, w) in check.chk.iter().zip(self.weights.col(j)) {
+                            expected += chk as f64 * w as f64;
+                        }
+                        let mut observed = 0.0f64;
+                        for i in 0..output.m {
+                            observed += output.get(i, j) as f64;
+                        }
+                        let diff = (expected - observed).abs();
+                        if diff.is_nan() {
+                            // A cell struck to NaN or ±Inf: no larger
+                            // deviation exists.
+                            best = j;
+                            break;
+                        }
+                        if diff > best_diff {
+                            best_diff = diff;
+                            best = j;
+                        }
+                    }
+                    best
+                };
+                ws.recompute(
+                    activations,
+                    &self.weights,
+                    0..activations.rows,
+                    col..col + 1,
+                );
+                let (output, check) = ws.output_and_check();
+                if abft.verify_with(activations, output, check).fault_detected {
+                    return verdict;
+                }
+                FaultSite::Column { col }
+            }
+            // Row localization via the Vandermonde weights: a single
+            // fault `δ` in row `ρ` leaves signed residual `w_r(ρ)·δ =
+            // (ρ+1)^r·δ` in every round, so round 1 over round 0 recovers
+            // `ρ+1` exactly. Needs two rounds; a non-integral ratio
+            // (several faulted rows, or a round-0 cancellation) leaves
+            // the verdict unrepaired. Repaired rows re-verify through
+            // every round before the verdict upgrades.
+            Check::MultiChecksum(abft) => {
+                if abft.rounds() < 2 {
+                    return verdict;
+                }
+                let row = {
+                    let output = ws.output();
+                    let res0 = abft.round_residual_signed(activations, output, 0);
+                    let res1 = abft.round_residual_signed(activations, output, 1);
+                    let ratio = res1 / res0;
+                    if !ratio.is_finite() || !(0.5..output.m as f64 + 0.5).contains(&ratio) {
+                        return verdict;
+                    }
+                    let row = ratio.round();
+                    if (ratio - row).abs() > 0.25 {
+                        return verdict;
+                    }
+                    row as usize - 1
+                };
+                let cols = 0..self.weights.cols();
+                ws.recompute(activations, &self.weights, row..row + 1, cols);
+                let output = ws.output();
+                for r in 0..abft.rounds() {
+                    if abft.verify_round(activations, output, r).fault_detected {
+                        return verdict;
+                    }
+                }
+                FaultSite::Row { row }
+            }
+        };
+        Verdict::Corrected {
+            residual,
+            threshold,
+            site,
+            vote: matches!(
+                self.scheme,
+                Scheme::ReplicationSingleAcc | Scheme::ReplicationTraditional
+            ),
         }
+    }
+}
+
+fn verdict_from_global(v: crate::schemes::GlobalVerdict) -> Verdict {
+    if v.fault_detected {
+        Verdict::Detected {
+            residual: v.residual,
+            threshold: v.threshold,
+        }
+    } else {
+        Verdict::Clean
     }
 }
 
@@ -312,297 +472,6 @@ fn apply_global_cost(rounds: u64, p: &mut KernelProfile) {
     });
 }
 
-// ---------------------------------------------------------------------
-// Global (kernel-level) ABFT
-// ---------------------------------------------------------------------
-
-/// Kernel-level ABFT per Hari et al. (§2.5), bound to one layer.
-struct GlobalBound {
-    abft: GlobalAbft,
-    weights: Arc<PackedWeights>,
-}
-
-impl BoundKernel for GlobalBound {
-    fn scheme(&self) -> Scheme {
-        Scheme::GlobalAbft
-    }
-
-    fn run_emit_into(
-        &self,
-        activations: MatrixView<'_>,
-        faults: &[FaultPlan],
-        dest: Dest<'_>,
-        ws: &mut Workspace,
-    ) -> Verdict {
-        let none = TileScheme::NONE;
-        engine::gemm_emit_into(activations, &self.weights, none, faults, dest, ws);
-        // The deferred reduce-and-compare (§2.5 step 5) runs off the
-        // workspace's checksum scratch — no per-request allocation.
-        let (output, check) = ws.output_and_check();
-        let v = self.abft.verify_with(activations, output, check);
-        verdict_from_global(v)
-    }
-
-    /// Column localization: the weight checksum gives the *expected*
-    /// column sum `Σ_k chk(A)[k]·B[k][j]` for every output column; the
-    /// column whose observed sum deviates most is the faulted one (a
-    /// single corrupted cell perturbs exactly one column sum by δ).
-    /// Recompute that column, then re-verify the whole layer — a
-    /// mislocalized repair rewrites identical bits and fails the
-    /// re-check, so the original verdict survives.
-    fn correct_into(
-        &self,
-        activations: MatrixView<'_>,
-        ws: &mut Workspace,
-        verdict: Verdict,
-    ) -> Verdict {
-        let Verdict::Detected {
-            residual,
-            threshold,
-        } = verdict
-        else {
-            return verdict;
-        };
-        let col = {
-            let (output, check) = ws.output_and_check();
-            GlobalAbft::activation_checksum_into(activations, check);
-            let mut best = 0usize;
-            let mut best_diff = f64::NEG_INFINITY;
-            for j in 0..output.n {
-                let mut expected = 0.0f64;
-                for (&chk, w) in check.chk.iter().zip(self.weights.col(j)) {
-                    expected += chk as f64 * w as f64;
-                }
-                let mut observed = 0.0f64;
-                for i in 0..output.m {
-                    observed += output.get(i, j) as f64;
-                }
-                let diff = (expected - observed).abs();
-                if diff.is_nan() {
-                    // A cell struck to NaN or ±Inf: no larger deviation
-                    // exists.
-                    best = j;
-                    break;
-                }
-                if diff > best_diff {
-                    best_diff = diff;
-                    best = j;
-                }
-            }
-            best
-        };
-        ws.recompute_col(activations, &self.weights, col);
-        let (output, check) = ws.output_and_check();
-        if self
-            .abft
-            .verify_with(activations, output, check)
-            .fault_detected
-        {
-            verdict
-        } else {
-            Verdict::Corrected {
-                residual,
-                threshold,
-                site: FaultSite::Column { col },
-                vote: false,
-            }
-        }
-    }
-}
-
-fn verdict_from_global(v: crate::schemes::GlobalVerdict) -> Verdict {
-    if v.fault_detected {
-        Verdict::Detected {
-            residual: v.residual,
-            threshold: v.threshold,
-        }
-    } else {
-        Verdict::Clean
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tile-checked schemes (thread-level ABFT, replication, the baseline)
-// ---------------------------------------------------------------------
-
-/// A scheme whose whole check is the engine's tile epilogue: the engine
-/// carries the scheme's lanes in every register tile
-/// ([`Scheme::tile_scheme`]) and the verdict comes from the tiles' own
-/// compares. The unprotected baseline is the no-lanes case: nothing to
-/// compare, so always clean.
-struct TileBound {
-    scheme: Scheme,
-    tile: TileScheme,
-    weights: Arc<PackedWeights>,
-}
-
-impl BoundKernel for TileBound {
-    fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    fn run_emit_into(
-        &self,
-        activations: MatrixView<'_>,
-        faults: &[FaultPlan],
-        dest: Dest<'_>,
-        ws: &mut Workspace,
-    ) -> Verdict {
-        let output =
-            engine::gemm_emit_into(activations, &self.weights, self.tile, faults, dest, ws);
-        match output.detections.first() {
-            Some(d) => Verdict::Detected {
-                residual: d.residual,
-                threshold: d.threshold,
-            },
-            None => Verdict::Clean,
-        }
-    }
-
-    /// Tile localization: every detection names the strip rows and
-    /// columns its failed compare covered, so repair recomputes exactly
-    /// those cells from the activations (their strip staged again) and
-    /// the packed weights. For the replication schemes
-    /// this is the majority-vote resolution — the disagreeing
-    /// accumulator is simply overwritten with the recomputed (clean)
-    /// value instead of merely flagged.
-    fn correct_into(
-        &self,
-        activations: MatrixView<'_>,
-        ws: &mut Workspace,
-        verdict: Verdict,
-    ) -> Verdict {
-        let Verdict::Detected {
-            residual,
-            threshold,
-        } = verdict
-        else {
-            return verdict;
-        };
-        let Some(first) = ws.output().detections.first() else {
-            return verdict;
-        };
-        let site = FaultSite::Tile {
-            row: first.row,
-            col: first.col,
-        };
-        // Detections live inside the output we are about to repair:
-        // copy each one's coordinates out before mutating cells.
-        for i in 0..ws.output().detections.len() {
-            let d = &ws.output().detections[i];
-            let (row, col, cols) = (d.row, d.col, d.cols);
-            ws.recompute_strip(activations, &self.weights, row, col, cols);
-        }
-        ws.output_mut().detections.clear();
-        Verdict::Corrected {
-            residual,
-            threshold,
-            site,
-            vote: matches!(
-                self.scheme,
-                Scheme::ReplicationSingleAcc | Scheme::ReplicationTraditional
-            ),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Multi-checksum extension (§2.4)
-// ---------------------------------------------------------------------
-
-/// The §2.4 multi-checksum extension bound to one layer: `rounds`
-/// independent Vandermonde-weighted checksum rounds, detecting up to
-/// `rounds` faults in distinct rows.
-struct MultiChecksumBound {
-    rounds: u8,
-    abft: MultiChecksumAbft,
-    weights: Arc<PackedWeights>,
-}
-
-impl BoundKernel for MultiChecksumBound {
-    fn scheme(&self) -> Scheme {
-        Scheme::MultiChecksum(self.rounds)
-    }
-
-    fn run_emit_into(
-        &self,
-        activations: MatrixView<'_>,
-        faults: &[FaultPlan],
-        dest: Dest<'_>,
-        ws: &mut Workspace,
-    ) -> Verdict {
-        let none = TileScheme::NONE;
-        let output = engine::gemm_emit_into(activations, &self.weights, none, faults, dest, ws);
-        // Walk the rounds directly (no collected MultiVerdict) so the
-        // hot path honors run_into's zero-allocation contract.
-        for r in 0..self.rounds as usize {
-            let v = self.abft.verify_round(activations, output, r);
-            if v.fault_detected {
-                return Verdict::Detected {
-                    residual: v.residual,
-                    threshold: v.threshold,
-                };
-            }
-        }
-        Verdict::Clean
-    }
-
-    /// Row localization via the Vandermonde weights: a single fault `δ`
-    /// in row `ρ` leaves signed residual `w_r(ρ)·δ = (ρ+1)^r·δ` in
-    /// every round, so round 1 over round 0 recovers `ρ+1` exactly.
-    /// Needs two rounds; a non-integral ratio (several faulted rows, or
-    /// a round-0 cancellation) leaves the verdict unrepaired. Repaired
-    /// rows re-verify through every round before the verdict upgrades.
-    fn correct_into(
-        &self,
-        activations: MatrixView<'_>,
-        ws: &mut Workspace,
-        verdict: Verdict,
-    ) -> Verdict {
-        let Verdict::Detected {
-            residual,
-            threshold,
-        } = verdict
-        else {
-            return verdict;
-        };
-        if self.rounds < 2 {
-            return verdict;
-        }
-        let row = {
-            let output = ws.output();
-            let res0 = self.abft.round_residual_signed(activations, output, 0);
-            let res1 = self.abft.round_residual_signed(activations, output, 1);
-            let ratio = res1 / res0;
-            if !ratio.is_finite() || !(0.5..output.m as f64 + 0.5).contains(&ratio) {
-                return verdict;
-            }
-            let row = ratio.round();
-            if (ratio - row).abs() > 0.25 {
-                return verdict;
-            }
-            row as usize - 1
-        };
-        ws.recompute_row(activations, &self.weights, row);
-        let output = ws.output();
-        for r in 0..self.rounds as usize {
-            if self
-                .abft
-                .verify_round(activations, output, r)
-                .fault_detected
-            {
-                return verdict;
-            }
-        }
-        Verdict::Corrected {
-            residual,
-            threshold,
-            site: FaultSite::Row { row },
-            vote: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,10 +487,13 @@ mod tests {
             .chain([Scheme::MultiChecksum(2), Scheme::MultiChecksum(4)])
     }
 
-    fn run_scheme(scheme: Scheme, fault: Option<FaultPlan>) -> RunReport {
+    fn run_scheme(scheme: Scheme, fault: Option<FaultPlan>) -> Verdict {
         let a = Matrix::random(48, 56, 11);
         let b = Matrix::random(56, 40, 12);
-        scheme.bind(&b).run(a.view(), fault.as_slice())
+        let ws = &mut Workspace::new();
+        scheme
+            .bind(&b)
+            .run_into(a.view(), fault.as_slice(), Dest::None, ws)
     }
 
     #[test]
@@ -640,12 +512,12 @@ mod tests {
             kind: FaultKind::AddValue(1e3),
         };
         for scheme in schemes() {
-            assert!(run_scheme(scheme, None).verdict.is_clean(), "{scheme}");
+            assert!(run_scheme(scheme, None).is_clean(), "{scheme}");
             let dirty = run_scheme(scheme, Some(fault));
             if scheme == Scheme::Unprotected {
-                assert!(dirty.verdict.is_clean());
+                assert!(dirty.is_clean());
             } else {
-                assert!(dirty.verdict.is_detected(), "{scheme}");
+                assert!(dirty.is_detected(), "{scheme}");
             }
         }
     }
@@ -669,10 +541,13 @@ mod tests {
                 kind: FaultKind::AddValue(-250.0),
             },
         ];
-        assert!(bound.run(a.view(), &pair).verdict.is_detected());
+        let ws = &mut Workspace::new();
+        assert!(bound
+            .run_into(a.view(), &pair, Dest::None, ws)
+            .is_detected());
         // Plain global ABFT is blind to the same pair.
         let global = Scheme::GlobalAbft.bind(&b);
-        assert!(global.run(a.view(), &pair).verdict.is_clean());
+        assert!(global.run_into(a.view(), &pair, Dest::None, ws).is_clean());
     }
 
     #[test]

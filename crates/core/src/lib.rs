@@ -7,9 +7,12 @@
 //! itself ([`Scheme::apply_cost`]: Table 1 per-thread work or the §2.5
 //! epilogue + reduce-and-compare kernel, feeding the timing model) and
 //! binds itself to a layer's weights ([`Scheme::bind`]), returning the
-//! [`BoundKernel`] that runs the protected GEMM and reaches a verdict.
+//! [`BoundGemm`] that runs the protected GEMM and reaches a verdict.
 //! Both are closed matches over a closed enum — the selector, pipeline,
 //! and session never enumerate schemes, and every id that parses runs.
+//! Nothing is a trait object: a bound layer is one concrete value with
+//! one run entry ([`BoundGemm::run_into`]) and one repair entry
+//! ([`BoundGemm::correct_into`]).
 //!
 //! - [`schemes`]: the scheme *mechanisms* — [`schemes::GlobalAbft`]
 //!   (kernel-level baseline of Hari et al., §2.5), the §2.4
@@ -35,8 +38,10 @@
 //! `Model → ModelPlan → CompiledModel`: an executable `aiga_nn::Network`
 //! (real FP16 weights, conv + pooling/ReLU/concat/residual nodes) is
 //! planned on its real zoo shapes and bound layer by layer into a
-//! [`pipeline::ProtectedPipeline`] stage graph, where conv stages lower
-//! through workspace-threaded im2col before their protected GEMM.
+//! [`pipeline::ProtectedPipeline`] stage graph, where a conv stage's
+//! engine gathers its im2col lowering straight from the producer's
+//! NCHW slot. That pipeline is also how a single convolution is
+//! protected: a one-conv `Network` compiled the same way.
 //!
 //! **Serving** — [`Session`] turns a planner plus a family of
 //! executable networks ([`Session::builder_network`]; analytic MLPs
@@ -67,12 +72,12 @@ pub mod tolerance;
 
 pub use adapt::{AdaptConfig, AdaptiveController, Adjustment, Observation};
 pub use compiled::CompiledModel;
-pub use kernel::{BoundKernel, FaultSite, RunReport, Verdict};
+pub use kernel::{BoundGemm, FaultSite, RunReport, Verdict};
 pub use pipeline::{
     InferenceReport, LayerCorrection, PipelineFault, ProtectedPipeline, StageTimes,
 };
 pub use planner::Planner;
-pub use protected::{ProtectedConv, ProtectedGemm};
+pub use protected::ProtectedGemm;
 pub use schemes::Scheme;
 pub use selector::{LayerPlan, ModelPlan, SelectionMode};
 pub use serve::{Client, Pending, Priority, ServeError, Server, ServerBuilder, ServerStats, Slo};

@@ -9,8 +9,7 @@
 //!   matrix multiplications): the engine's panel staging gathers the
 //!   im2col lowering directly from the NCHW activations through a
 //!   zero-copy [`aiga_gpu::MatrixLayout`] view, then runs the layer's
-//!   [`crate::kernel::BoundKernel`], with an optional fused ReLU on the
-//!   write-back; or
+//!   [`BoundGemm`], with an optional fused ReLU on the write-back; or
 //! - **epilogue glue** between the GEMMs — max/avg pooling, global
 //!   average pooling, channel concatenation, residual addition — the
 //!   non-GEMM nodes of an executable [`Network`].
@@ -52,13 +51,17 @@
 //! there through [`Network::from_mlp`].
 //!
 //! Every GEMM stage — fc or conv — executes through one function
-//! (`run_gemm`) and its scheme's [`crate::kernel::BoundKernel`]
-//! (weights bound once at construction: packed into the engine's panel
-//! form, global ABFT's offline checksums summed — the compiled stage
-//! keeps no other copy of them, and every request, team member and
-//! session shard reads that one), so the pipeline contains no
-//! per-scheme dispatch and serves extension schemes like
-//! `Scheme::MultiChecksum` unchanged.
+//! (`run_gemm`) and the [`BoundGemm`] it holds inline (weights bound
+//! once at construction: packed into the engine's panel form, global
+//! ABFT's offline checksums summed — the compiled stage keeps no other
+//! copy of them, and every request, team member and session shard reads
+//! that one): one [`BoundGemm::run_into`], and [`BoundGemm::correct_into`]
+//! in recovery mode. The pipeline contains no per-scheme dispatch and
+//! serves extension schemes like `Scheme::MultiChecksum` unchanged.
+//!
+//! This is also the one convolution path: a single protected conv is a
+//! one-conv [`Network`] compiled here, and its faults are addressed as
+//! [`PipelineFault`] documents.
 //!
 //! A pass runs at the request's own row count: every stage — GEMM,
 //! write-back, pool, gather — covers `input.rows` images, the first
@@ -66,7 +69,7 @@
 //! output is the reply. [`ProtectedPipeline::batch`] is only the row cap
 //! (and the shape the plan was priced at); nothing is padded up to it.
 
-use crate::kernel::{BoundKernel, FaultSite, Verdict};
+use crate::kernel::{BoundGemm, FaultSite, Verdict};
 use crate::schemes::Scheme;
 use aiga_dtype::{Dtype, F16};
 use aiga_gpu::engine::{
@@ -76,6 +79,7 @@ use aiga_gpu::engine::{
 use aiga_nn::conv::filters_to_matrix;
 use aiga_nn::graph::{embedding_index, Network, NodeOp, NodeRef, PoolKind, PoolParams};
 use aiga_util::team;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A fault targeted at one GEMM layer of the pipeline.
@@ -192,7 +196,7 @@ enum Src {
 
 /// A protected GEMM stage: fc directly, or conv as an implicit GEMM.
 struct GemmStage {
-    bound: Box<dyn BoundKernel>,
+    bound: BoundGemm,
     /// The conv geometry its activation matrix is lowered through.
     lowering: Option<Im2colView>,
     relu: bool,
@@ -324,7 +328,9 @@ pub struct ProtectedPipeline {
     output_features: usize,
     /// In execution order: a topological order of the compiled graph.
     stages: Vec<Stage>,
-    gemm_count: usize,
+    /// The scheme of each GEMM layer, in execution order — the list the
+    /// stages were bound under, shared with every report.
+    schemes: Arc<[Scheme]>,
     slot_count: usize,
     /// Storage dtype of activations and weights: slot write-backs
     /// encode into this format's codes and epilogue stages decode
@@ -455,7 +461,7 @@ impl ProtectedPipeline {
             input_features: net.input_features(),
             output_features: net.output_features(),
             stages,
-            gemm_count: net.gemm_count(),
+            schemes: schemes.into(),
             slot_count,
             dtype,
             recovery: false,
@@ -493,7 +499,7 @@ impl ProtectedPipeline {
 
     /// Number of GEMM (conv/fc) layers.
     pub fn depth(&self) -> usize {
-        self.gemm_count
+        self.schemes.len()
     }
 
     /// The largest request (in rows) this instance accepts, and the
@@ -513,12 +519,10 @@ impl ProtectedPipeline {
         self.output_features
     }
 
-    /// Per-GEMM-layer scheme assignment, in execution order.
-    pub fn schemes(&self) -> Vec<Scheme> {
-        self.stages
-            .iter()
-            .filter_map(|s| Some(s.gemm()?.bound.scheme()))
-            .collect()
+    /// Per-GEMM-layer scheme assignment, in execution order, shared
+    /// (cloning never reallocates).
+    pub fn schemes(&self) -> &Arc<[Scheme]> {
+        &self.schemes
     }
 
     /// Runs protected inference on `input` (rows ≤ batch, flattened
@@ -639,7 +643,7 @@ impl ProtectedPipeline {
     }
 
     /// Runs one protected GEMM stage inside the (child) workspace `ws` —
-    /// the one place the pipeline invokes a [`BoundKernel`]. The source
+    /// the one place the pipeline runs a [`BoundGemm`]. The source
     /// value (`src.rows` images) is viewed as the stage's activation
     /// matrix without a copy: row-major for fc; for convs the
     /// implicit-GEMM lowering of the NCHW slot (the engine's A-panel
@@ -695,7 +699,7 @@ impl ProtectedPipeline {
             _ => Dest::None,
         };
         let mut emitted = matches!(dest, Dest::Codes { .. });
-        let mut verdict = g.bound.run_emit_into(a, faults, dest, ws);
+        let mut verdict = g.bound.run_into(a, faults, dest, ws);
         if self.recovery && verdict.is_detected() {
             verdict = g.bound.correct_into(a, ws, verdict);
             emitted = false;
@@ -1131,7 +1135,7 @@ pub(crate) mod tests {
             Scheme::GlobalAbft,
         ];
         let p = ProtectedPipeline::compile(&Network::from_mlp(&model, 3), &schemes);
-        assert_eq!(p.schemes(), schemes);
+        assert_eq!(p.schemes()[..], schemes);
         // Fault in layer 0 must be detected by global ABFT.
         let fault = PipelineFault {
             layer: 0,

@@ -2,11 +2,15 @@
 //!
 //! [`ProtectedGemm`] binds its scheme to the weights once
 //! ([`Scheme::bind`]) and serves any number of runs — there is no
-//! per-scheme dispatch here at all.
+//! per-scheme dispatch here at all. It owns its activations, so it is
+//! where the conveniences over [`BoundGemm`] live: an allocating run,
+//! a workspace-threaded run, and a run followed by its repair. A
+//! convolution is protected as the pipeline runs it, a one-conv
+//! `Network` through [`crate::ProtectedPipeline::compile`].
 
-use crate::kernel::BoundKernel;
+use crate::kernel::BoundGemm;
 use crate::schemes::Scheme;
-use aiga_gpu::engine::{FaultPlan, Matrix, Workspace};
+use aiga_gpu::engine::{Dest, FaultPlan, Matrix, Workspace};
 use aiga_gpu::GemmShape;
 
 pub use crate::kernel::{RunReport, Verdict};
@@ -14,7 +18,7 @@ pub use crate::kernel::{RunReport, Verdict};
 /// A matrix multiplication protected by one redundancy scheme.
 pub struct ProtectedGemm {
     a: Matrix,
-    bound: Box<dyn BoundKernel>,
+    bound: BoundGemm,
     fault: Option<FaultPlan>,
 }
 
@@ -59,7 +63,12 @@ impl ProtectedGemm {
     /// the entry point injection campaigns use, so one prepared GEMM can
     /// serve thousands of trials without re-binding.
     pub fn run_with(&self, faults: &[FaultPlan]) -> RunReport {
-        self.bound.run(self.a.view(), faults)
+        let mut ws = Workspace::new();
+        let verdict = self.run_into(faults, &mut ws);
+        RunReport {
+            verdict,
+            output: ws.take_output(),
+        }
     }
 
     /// Like [`Self::run_with`] but executing inside a caller-supplied
@@ -68,17 +77,18 @@ impl ProtectedGemm {
     /// workspace makes repeated trials allocation-free — the
     /// fault-campaign hot path (one workspace per worker).
     pub fn run_into(&self, faults: &[FaultPlan], ws: &mut Workspace) -> Verdict {
-        self.bound.run_into(self.a.view(), faults, ws)
+        self.bound.run_into(self.a.view(), faults, Dest::None, ws)
     }
 
     /// Like [`Self::run_into`] but attempting localization + targeted
-    /// recompute when the run flags a fault (see
-    /// [`BoundKernel::run_corrected_into`]). On
-    /// [`Verdict::Corrected`] the workspace output is byte-equal to a
-    /// clean run; schemes that cannot localize return the plain
-    /// `Detected` verdict with the output untouched.
+    /// recompute when the run flags a fault ([`BoundGemm::correct_into`])
+    /// — the one-call recovery entry point. On [`Verdict::Corrected`]
+    /// the workspace output is byte-equal to a clean run; schemes that
+    /// cannot localize return the plain `Detected` verdict with the
+    /// output untouched.
     pub fn run_corrected_into(&self, faults: &[FaultPlan], ws: &mut Workspace) -> Verdict {
-        self.bound.run_corrected_into(self.a.view(), faults, ws)
+        let verdict = self.run_into(faults, ws);
+        self.bound.correct_into(self.a.view(), ws, verdict)
     }
 }
 
@@ -162,127 +172,5 @@ mod tests {
         let a = Matrix::zeros(4, 5);
         let b = Matrix::zeros(6, 4);
         ProtectedGemm::new(a, b, Scheme::GlobalAbft);
-    }
-}
-
-/// A convolutional layer protected through its implicit-GEMM lowering —
-/// the exact path the paper protects (§2.1): im2col the input, multiply
-/// by the reshaped filters, check with the chosen scheme.
-pub struct ProtectedConv {
-    gemm: ProtectedGemm,
-    out_dims: (usize, usize),
-    c_out: usize,
-    batch: usize,
-}
-
-impl ProtectedConv {
-    /// Lowers and protects one convolution.
-    pub fn new(
-        input: &aiga_nn::Tensor,
-        filters: &aiga_nn::Tensor,
-        params: aiga_nn::ConvParams,
-        scheme: Scheme,
-    ) -> Self {
-        let a = aiga_nn::im2col(input, params);
-        let b = aiga_nn::conv::filters_to_matrix(filters);
-        let out_dims = params.out_dims(input.height, input.width);
-        ProtectedConv {
-            gemm: ProtectedGemm::new(a, b, scheme),
-            out_dims,
-            c_out: params.c_out,
-            batch: input.batch,
-        }
-    }
-
-    /// Injects a fault at output position `(n, c_out, oy, ox)`.
-    pub fn with_fault_at(
-        mut self,
-        n: usize,
-        c: usize,
-        oy: usize,
-        ox: usize,
-        after_step: u64,
-        kind: aiga_gpu::engine::FaultKind,
-    ) -> Self {
-        let (ho, wo) = self.out_dims;
-        self.gemm = self.gemm.with_fault(FaultPlan {
-            row: (n * ho + oy) * wo + ox,
-            col: c,
-            after_step,
-            kind,
-        });
-        self
-    }
-
-    /// Output spatial dimensions.
-    pub fn out_dims(&self) -> (usize, usize) {
-        self.out_dims
-    }
-
-    /// Runs the protected convolution; the report's output is the GEMM
-    /// view (`M × N` = `B·Ho·Wo × Cout`).
-    pub fn run(&self) -> RunReport {
-        self.gemm.run()
-    }
-
-    /// Reads one output activation from a report produced by [`Self::run`].
-    pub fn output_at(&self, report: &RunReport, n: usize, c: usize, oy: usize, ox: usize) -> f32 {
-        let (ho, wo) = self.out_dims;
-        assert!(n < self.batch && c < self.c_out && oy < ho && ox < wo);
-        report.output.get((n * ho + oy) * wo + ox, c)
-    }
-}
-
-#[cfg(test)]
-mod conv_tests {
-    use super::*;
-    use aiga_gpu::engine::FaultKind;
-    use aiga_nn::{ConvParams, Tensor};
-
-    fn setup() -> (Tensor, Tensor, ConvParams) {
-        let input = Tensor::random(1, 3, 16, 16, 31);
-        let filters = Tensor::random(8, 3, 3, 3, 32);
-        let params = ConvParams {
-            c_out: 8,
-            kernel: 3,
-            stride: 1,
-            padding: 1,
-        };
-        (input, filters, params)
-    }
-
-    #[test]
-    fn protected_conv_matches_direct_reference() {
-        let (input, filters, params) = setup();
-        let conv = ProtectedConv::new(&input, &filters, params, Scheme::ThreadLevelOneSided);
-        let report = conv.run();
-        assert!(report.verdict.is_clean());
-        let direct = aiga_nn::conv::conv_reference_f64(&input, &filters, params);
-        let (ho, wo) = conv.out_dims();
-        for c in 0..8 {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let got = conv.output_at(&report, 0, c, oy, ox) as f64;
-                    let want = direct[(c * ho + oy) * wo + ox];
-                    assert!((got - want).abs() < 2e-2, "({c},{oy},{ox})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn faults_in_feature_map_coordinates_are_detected() {
-        let (input, filters, params) = setup();
-        for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
-            let conv = ProtectedConv::new(&input, &filters, params, scheme).with_fault_at(
-                0,
-                5,
-                9,
-                12,
-                3,
-                FaultKind::AddValue(80.0),
-            );
-            assert!(conv.run().verdict.is_detected(), "{scheme}");
-        }
     }
 }

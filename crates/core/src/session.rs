@@ -1099,7 +1099,7 @@ mod tests {
         assert!(cheap.schemes.iter().all(|&s| s == Scheme::Unprotected));
         let bare = vec![Scheme::Unprotected; full.schemes.len()];
         assert_eq!(
-            s.cache.degraded[0].get().unwrap().pipeline().schemes(),
+            s.cache.degraded[0].get().unwrap().pipeline().schemes()[..],
             bare
         );
         let stats = s.stats();

@@ -13,8 +13,9 @@
 //! microkernels reproduce the oracle's detections byte for byte too.
 
 use aiga_core::schemes::Scheme;
+use aiga_core::BoundGemm;
 use aiga_gpu::engine::simd;
-use aiga_gpu::engine::{FaultKind, FaultPlan, Matrix};
+use aiga_gpu::engine::{Dest, FaultKind, FaultPlan, GemmOutput, Matrix, Workspace};
 
 fn fnv1a_of_c(c: &[f32]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
@@ -59,6 +60,13 @@ const GOLDEN: &[(usize, usize, usize, u64, u64, u64)] = &[
     (5, 40, 24, 1136, 0x7dbabae92c3bf615, 0x71f6efc4d1443129),
 ];
 
+/// One run of `bound` over `a` in a throwaway workspace: its output.
+fn run(bound: &BoundGemm, a: &Matrix, faults: &[FaultPlan]) -> GemmOutput {
+    let mut ws = Workspace::new();
+    bound.run_into(a.view(), faults, Dest::None, &mut ws);
+    ws.take_output()
+}
+
 fn mid_fault(m: usize, n: usize) -> FaultPlan {
     FaultPlan {
         row: (m - 1) / 2,
@@ -77,15 +85,15 @@ fn every_scheme_reproduces_the_canonical_outputs() {
             let fault = mid_fault(m, n);
             for &scheme in &ALL_SCHEMES {
                 let bound = scheme.bind(&b);
-                let clean = bound.run(a.view(), &[]);
+                let clean = run(&bound, &a, &[]);
                 assert_eq!(
-                    fnv1a_of_c(&clean.output.c),
+                    fnv1a_of_c(&clean.c),
                     clean_hash,
                     "{scheme} clean output drifted on {m}x{n}x{k} ({path:?})"
                 );
-                let dirty = bound.run(a.view(), &[fault]);
+                let dirty = run(&bound, &a, &[fault]);
                 assert_eq!(
-                    fnv1a_of_c(&dirty.output.c),
+                    fnv1a_of_c(&dirty.c),
                     dirty_hash,
                     "{scheme} faulted output drifted on {m}x{n}x{k} ({path:?})"
                 );
@@ -123,7 +131,7 @@ fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
                     )
                 };
                 let runs = simd::on_each_path(|path| {
-                    let out = bound.run(a.view(), faults).output;
+                    let out = run(&bound, &a, faults);
                     let bits: Vec<u32> = out.c.iter().map(|x| x.to_bits()).collect();
                     (
                         path,
@@ -169,13 +177,13 @@ fn fast_and_hooked_walks_are_byte_identical() {
                 kind: FaultKind::BitFlip(30),
             }][..],
         ] {
-            let bits = |k: &dyn aiga_core::BoundKernel| -> Vec<u32> {
-                let out = k.run(a.view(), faults).output;
+            let bits = |k: &BoundGemm| -> Vec<u32> {
+                let out = run(k, &a, faults);
                 out.c.iter().map(|v| v.to_bits()).collect()
             };
-            let want = bits(fast.as_ref());
-            assert_eq!(want, bits(shadowed.as_ref()), "shadow pass on {m}x{n}x{k}");
-            assert_eq!(want, bits(laned.as_ref()), "checksum lanes on {m}x{n}x{k}");
+            let want = bits(&fast);
+            assert_eq!(want, bits(&shadowed), "shadow pass on {m}x{n}x{k}");
+            assert_eq!(want, bits(&laned), "checksum lanes on {m}x{n}x{k}");
         }
     }
 }
@@ -222,15 +230,15 @@ fn every_scheme_family_reproduces_the_canonical_outputs_per_dtype() {
             let fault = mid_fault(m, n);
             for &scheme in &FAMILY_REPS {
                 let bound = scheme.bind(&b);
-                let clean = bound.run(a.view(), &[]);
+                let clean = run(&bound, &a, &[]);
                 assert_eq!(
-                    fnv1a_of_c(&clean.output.c),
+                    fnv1a_of_c(&clean.c),
                     clean_hash,
                     "{scheme} clean {dtype} output drifted on {m}x{n}x{k} ({path:?})"
                 );
-                let dirty = bound.run(a.view(), &[fault]);
+                let dirty = run(&bound, &a, &[fault]);
                 assert_eq!(
-                    fnv1a_of_c(&dirty.output.c),
+                    fnv1a_of_c(&dirty.c),
                     dirty_hash,
                     "{scheme} faulted {dtype} output drifted on {m}x{n}x{k} ({path:?})"
                 );

@@ -1,7 +1,7 @@
 //! Bind-time packed weights, the live-extent walk and the row-streamed
 //! global-ABFT sums, pinned from the outside.
 //!
-//! A bound kernel holds its layer as [`PackedWeights`] and a request
+//! A bound layer holds its weights as [`PackedWeights`] and a request
 //! stages, computes and checks only the register tiles its own rows
 //! touch. None of that may move a byte: outputs, detections, residuals
 //! and thresholds must equal what a fresh pack on a throwaway workspace
@@ -13,8 +13,8 @@ use aiga_core::kernel::{FaultSite, Verdict};
 use aiga_core::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::simd::on_each_path;
 use aiga_gpu::engine::{
-    gemm, gemm_into, CheckScratch, Dtype, FaultKind, FaultPlan, GemmOutput, Im2colView, Matrix,
-    MatrixView, PackedWeights, Workspace, MICRO_MR, MICRO_NR,
+    gemm, gemm_into, CheckScratch, Dest, Dtype, FaultKind, FaultPlan, GemmOutput, Im2colView,
+    Matrix, MatrixView, PackedWeights, Workspace, MICRO_MR, MICRO_NR,
 };
 use aiga_util::rng::Rng64;
 use std::sync::{Arc, Barrier};
@@ -91,7 +91,7 @@ fn bound_panels_equal_a_fresh_pack_byte_for_byte() {
                         let tile = scheme.tile_scheme(k.next_multiple_of(8));
                         for faults in [&[][..], &[fault][..]] {
                             let ctx = format!("{scheme} {dtype} {m}x{n} {path:?} {faults:?}");
-                            let verdict = bound.run_into(a.view(), faults, &mut ws);
+                            let verdict = bound.run_into(a.view(), faults, Dest::None, &mut ws);
                             let fresh = gemm(&a, &b, tile, faults);
                             let got = ws.output();
                             assert_eq!(bits(&got.c), bits(&fresh.c), "{ctx}");
@@ -139,7 +139,7 @@ fn one_packed_layer_serves_two_threads() {
                 let mut ws = Workspace::new();
                 for round in 0..8 {
                     barrier.wait();
-                    let got = gemm_into(a, &packed, tile, &[fault], &mut ws);
+                    let got = gemm_into(a, &packed, tile, &[fault], Dest::None, &mut ws);
                     assert_eq!(bits(&got.c), bits(&want.c), "round {round}");
                     assert_eq!(got.detections, want.detections, "round {round}");
                     assert_eq!(got.counters, want.counters, "round {round}");
@@ -161,7 +161,9 @@ fn a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops() {
         let mut ws = Workspace::new();
         for scheme in SCHEMES {
             let bound = scheme.bind(&b);
-            assert!(bound.run_into(a.view(), &[], &mut ws).is_clean());
+            assert!(bound
+                .run_into(a.view(), &[], Dest::None, &mut ws)
+                .is_clean());
             let clean = bits(&ws.output().c);
 
             if scheme != Scheme::Unprotected {
@@ -173,10 +175,11 @@ fn a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops() {
                         kind: FaultKind::AddValue(300.0),
                     };
                     let ctx = format!("{scheme} {fault:?} on {path:?}");
-                    let verdict = bound.run_into(a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_into(a.view(), &[fault], Dest::None, &mut ws);
                     assert!(verdict.is_detected(), "{ctx}: {verdict:?}");
                     assert_ne!(bits(&ws.output().c), clean, "{ctx}");
-                    let verdict = bound.run_corrected_into(a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_into(a.view(), &[fault], Dest::None, &mut ws);
+                    let verdict = bound.correct_into(a.view(), &mut ws, verdict);
                     let Verdict::Corrected { site, .. } = verdict else {
                         panic!("{ctx}: {verdict:?}");
                     };
@@ -216,7 +219,8 @@ fn a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops() {
                         kind: FaultKind::SetValue(f32::NAN),
                     };
                     let ctx = format!("{scheme} {fault:?} on {path:?}");
-                    let verdict = bound.run_corrected_into(a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_into(a.view(), &[fault], Dest::None, &mut ws);
+                    let verdict = bound.correct_into(a.view(), &mut ws, verdict);
                     assert!(verdict.is_clean(), "{ctx}: {verdict:?}");
                     assert_eq!(bits(&ws.output().c), clean, "{ctx}");
                     assert!(ws.output().detections.is_empty(), "{ctx}");

@@ -9,8 +9,8 @@ use aiga_core::schemes::Scheme;
 use aiga_core::tolerance::exceeds;
 use aiga_gpu::engine::simd::on_each_path;
 use aiga_gpu::engine::{
-    gemm, gemm_into, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy, TileScheme,
-    Workspace, MICRO_MR, MICRO_NR,
+    gemm, gemm_into, Dest, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, Redundancy,
+    TileScheme, Workspace, MICRO_MR, MICRO_NR,
 };
 use aiga_util::rng::Rng64;
 
@@ -43,7 +43,7 @@ fn non_finite_faults_flag_under_every_scheme_on_every_path() {
                         after_step,
                         kind: FaultKind::SetValue(value),
                     };
-                    let verdict = bound.run_into(a.view(), &[fault], &mut ws);
+                    let verdict = bound.run_into(a.view(), &[fault], Dest::None, &mut ws);
                     assert!(
                         verdict.is_detected(),
                         "{scheme} passed {value} (step {after_step}) on {path:?}"
@@ -125,7 +125,7 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
                             after_step,
                             kind,
                         };
-                        let out = gemm_into(&a, &packed, scheme, &[fault], &mut ws);
+                        let out = gemm_into(&a, &packed, scheme, &[fault], Dest::None, &mut ws);
                         let delta = (out.get(row, col) as f64 - clean.get(row, col) as f64).abs();
                         let (thr, noise) = (threshold(row, col), r0[row / MICRO_MR * n + col]);
                         let ctx = format!("{m}x{n}x{k} {fault:?}: delta {delta:e}, thr {thr:e}");
@@ -186,7 +186,7 @@ fn per_tile_checks_name_the_tile_containing_the_fault() {
                         after_step: [2, u64::MAX][(row + col) % 2],
                         kind: FaultKind::AddValue(64.0),
                     };
-                    let out = gemm_into(&a, &packed, tile, &[fault], &mut ws);
+                    let out = gemm_into(&a, &packed, tile, &[fault], Dest::None, &mut ws);
                     let at = format!("{scheme} at ({row},{col}) of {m}x{n}");
                     assert_eq!(out.detections.len(), 1, "{at}");
                     let d = &out.detections[0];
@@ -236,7 +236,7 @@ fn clean_gemms_never_flag_in_any_dtype_on_either_path() {
                 for scheme in [Scheme::ThreadLevelOneSided, Scheme::ThreadLevelTwoSided] {
                     let tile = scheme.tile_scheme(k.next_multiple_of(8));
                     let packed = PackedWeights::pack(&b, tile.lanes);
-                    let out = gemm_into(&a, &packed, tile, &[], &mut ws);
+                    let out = gemm_into(&a, &packed, tile, &[], Dest::None, &mut ws);
                     assert!(
                         out.detections.is_empty(),
                         "{scheme} {dtype} {m}x{n}x{k} seed {seed} on {path:?}: {:?}",

@@ -7,7 +7,7 @@
 //! bound by strided stores — a millisecond and a half of a SqueezeNet
 //! pass if one thread does it after the walk while the others wait — so
 //! a run takes a [`Dest`]: with [`Dest::Codes`] every task of
-//! [`super::gemm_emit_into`] emits its own block's live cells through
+//! [`super::gemm_into`] emits its own block's live cells through
 //! [`emit_rect`], from the tile, right after the tile check and the
 //! scatter, and the write-back is spread over the members with the
 //! walk. (Spread, not cheapened: a member spends as much on a block's

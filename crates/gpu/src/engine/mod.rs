@@ -39,9 +39,9 @@
 //! - [`emit`] — write-back: where a run's cells go besides the f32
 //!   output ([`Dest`]), and the one body that lays a rectangle of them
 //!   out for the next reader (NCHW transpose, fused ReLU, encode);
-//! - this module — [`gemm_into`] / [`gemm_emit_into`] themselves: the
-//!   execution entry point, the host constants it blocks by, the split
-//!   into team tasks, and output assembly.
+//! - this module — [`gemm_into`] itself: the execution entry point, the
+//!   host constants it blocks by, the split into team tasks, and output
+//!   assembly.
 //!
 //! # Execution contract
 //!
@@ -219,7 +219,7 @@ pub fn gemm<'a>(
 ) -> GemmOutput {
     let mut ws = Workspace::new();
     let b = PackedWeights::pack(b, scheme.lanes);
-    gemm_into(a, &b, scheme, faults, &mut ws);
+    gemm_into(a, &b, scheme, faults, Dest::None, &mut ws);
     ws.take_output()
 }
 
@@ -288,26 +288,17 @@ impl<T> Cells<T> {
 /// no-op. Empty dimensions are well-defined: no rows or no columns give
 /// an `m × 0` / `0 × n` output, an empty inner dimension an `m × n`
 /// output of zeros, and none of them a detection.
-pub fn gemm_into<'w, 'a>(
-    a: impl Into<MatrixView<'a>>,
-    b: &PackedWeights,
-    scheme: TileScheme,
-    faults: &[FaultPlan],
-    ws: &'w mut Workspace,
-) -> &'w GemmOutput {
-    gemm_emit_into(a, b, scheme, faults, Dest::None, ws)
-}
-
-/// [`gemm_into`] with a destination: beside scattering its blocks into
-/// the f32 output, each task hands their live cells to `dest` — for
-/// [`Dest::Codes`] the consumer's storage codes, transposed to NCHW for
-/// a lowered convolution and with the ReLU fused, encoded from the tile
+///
+/// `dest` is where the cells go besides the f32 output: [`Dest::None`]
+/// for nowhere; for [`Dest::Codes`] each task hands its blocks' live
+/// cells to the consumer's storage codes — transposed to NCHW for a
+/// lowered convolution and with the ReLU fused, encoded from the tile
 /// as the task that computed it leaves it (see [`emit`]). The codes are
 /// those of the cells as the walk left them, injected faults included;
 /// a caller that repairs cells afterwards re-emits ([`emit_output`]).
 /// The f32 output is complete either way: checks that reduce over it,
 /// repairs and the caller's own reads go there.
-pub fn gemm_emit_into<'w, 'a>(
+pub fn gemm_into<'w, 'a>(
     a: impl Into<MatrixView<'a>>,
     b: &PackedWeights,
     scheme: TileScheme,

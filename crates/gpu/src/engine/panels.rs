@@ -386,7 +386,7 @@ pub struct CheckScratch {
 /// [`crate::engine::gemm_into`] stages the activation
 /// stripes and writes its output here (the weights arrive packed — see
 /// [`PackedWeights`] — so a cold workspace's first run allocates for
-/// a stripe of the request's rows, not for the layer); `aiga-core`'s `BoundKernel::run_into`,
+/// a stripe of the request's rows, not for the layer); `aiga-core`'s `BoundGemm::run_into`,
 /// `ProtectedPipeline::infer_into`, and `Session::serve` (via a
 /// checkout pool) all reuse one workspace so the steady-state hot path
 /// performs zero heap allocations. A fresh workspace warms up in one
@@ -546,19 +546,22 @@ impl Workspace {
     }
 
     /// Recomputes the cells of the most recent run's output in `rows` ×
-    /// `cols` (clipped to the output) from that run's operands — the
-    /// activations `a` and the weights `b` — a strip at a time: the
-    /// strip's rows are staged again (the run kept no staged copy of
-    /// `a`; whatever stripe a member staged last is not trusted to be
-    /// this one) and each cell replays the canonical accumulation order
-    /// (one FMA per K element, in order — see [`super::simd`]) that the
-    /// SIMD microkernel and the scalar oracle share, so a recomputed
-    /// cell is bit-exact with a clean run. Faults are never re-applied:
-    /// the operands are all this reads. Returns the cells rewritten.
+    /// `cols` (clipped to the output — padded rows and columns have no
+    /// cell to repair) from that run's operands — the activations `a`
+    /// and the weights `b` — a strip at a time: the strip's rows are
+    /// staged again (the run kept no staged copy of `a`; whatever stripe
+    /// a member staged last is not trusted to be this one) and each cell
+    /// replays the canonical accumulation order (one FMA per K element,
+    /// in order — see [`super::simd`]) that the SIMD microkernel and the
+    /// scalar oracle share, so a recomputed cell is bit-exact with a
+    /// clean run. Faults are never re-applied: the operands are all this
+    /// reads. Returns the cells rewritten.
     ///
+    /// The one targeted-recompute primitive behind fault correction: a
+    /// tile detection's strip rows × flagged columns, a column, a row.
     /// Allocation-free once the workspace has run: stages into the
     /// calling member's stripe scratch.
-    fn recompute_cells(
+    pub fn recompute(
         &mut self,
         a: MatrixView<'_>,
         b: &PackedWeights,
@@ -590,51 +593,5 @@ impl Workspace {
             }
         }
         (rows.len() * cols.len()) as u32
-    }
-
-    /// Recomputes output cell `(r, c)` of the run of `a` against `b`
-    /// that this workspace executed last, overwriting `out.c[r][c]` in
-    /// place (see [`Self::recompute_strip`] for how). Returns `false`
-    /// (no write) when the cell lies outside the output — padded
-    /// rows/columns have no output cell to repair.
-    pub fn recompute_cell(
-        &mut self,
-        a: MatrixView<'_>,
-        b: &PackedWeights,
-        r: usize,
-        c: usize,
-    ) -> bool {
-        self.recompute_cells(a, b, r..r + 1, c..c + 1) == 1
-    }
-
-    /// Recomputes the cells a [`Detection`] names — the `MICRO_MR` rows
-    /// of its strip across its flagged columns — and returns how many
-    /// were rewritten (cells in the grid padding are skipped). This is
-    /// the targeted-recompute primitive behind thread-level fault
-    /// correction: the strip is staged again from `a` and every cell is
-    /// one in-order FMA chain, bit-exact with a clean run.
-    pub fn recompute_strip(
-        &mut self,
-        a: MatrixView<'_>,
-        b: &PackedWeights,
-        row: usize,
-        col: usize,
-        cols: usize,
-    ) -> u32 {
-        self.recompute_cells(a, b, row..row + MICRO_MR, col..col + cols)
-    }
-
-    /// Recomputes every cell of output row `r` (see
-    /// [`Self::recompute_strip`]). Returns `false` if the row is out of
-    /// range.
-    pub fn recompute_row(&mut self, a: MatrixView<'_>, b: &PackedWeights, r: usize) -> bool {
-        self.recompute_cells(a, b, r..r + 1, 0..usize::MAX) > 0
-    }
-
-    /// Recomputes every cell of output column `c` (see
-    /// [`Self::recompute_strip`]), restaging each strip of `a` once.
-    /// Returns `false` if the column is out of range.
-    pub fn recompute_col(&mut self, a: MatrixView<'_>, b: &PackedWeights, c: usize) -> bool {
-        self.recompute_cells(a, b, 0..usize::MAX, c..c + 1) > 0
     }
 }

@@ -292,7 +292,7 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
             for lanes in ALL_LANES {
                 let alloc = gemm(&a, &b, loose(lanes), faults);
                 let packed = PackedWeights::pack(&b, lanes);
-                let into = gemm_into(&a, &packed, loose(lanes), faults, &mut ws);
+                let into = gemm_into(&a, &packed, loose(lanes), faults, Dest::None, &mut ws);
                 assert_eq!(alloc.c, into.c);
                 assert_eq!(alloc.detections, into.detections);
                 assert_eq!(alloc.counters, into.counters);
@@ -318,7 +318,7 @@ fn at_every_team_width(
     let mut lone = None;
     for width in [1usize, 2, 3] {
         let out = aiga_util::team::with_width(width, || {
-            gemm_into(a, &packed, scheme, faults, &mut ws).clone()
+            gemm_into(a, &packed, scheme, faults, Dest::None, &mut ws).clone()
         });
         let lone = lone.get_or_insert_with(|| out.clone());
         assert_eq!(report(&out), report(lone), "team width {width}");
@@ -450,6 +450,7 @@ fn a_run_seats_one_member_per_floor_of_work_beyond_its_caller() {
                 &packed,
                 TileScheme::NONE,
                 &[],
+                Dest::None,
                 &mut ws,
             );
         });
@@ -499,7 +500,14 @@ fn stale_scratch_never_reaches_a_result() {
                 }
                 let packed = PackedWeights::pack(&b, lanes);
                 let reused = aiga_util::team::with_width(width, || {
-                    report(gemm_into(&a, &packed, loose(lanes), &[fault], &mut ws))
+                    report(gemm_into(
+                        &a,
+                        &packed,
+                        loose(lanes),
+                        &[fault],
+                        Dest::None,
+                        &mut ws,
+                    ))
                 });
                 assert_eq!(
                     reused,
@@ -553,10 +561,10 @@ fn workspace_take_output_leaves_a_reusable_workspace() {
     let a = Matrix::random(16, 16, 50);
     let b = PackedWeights::pack(&Matrix::random(16, 16, 51), Redundancy::None);
     let mut ws = Workspace::new();
-    gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws);
+    gemm_into(&a, &b, TileScheme::NONE, &[], Dest::None, &mut ws);
     let first = ws.take_output();
     assert_eq!((first.m, first.n), (16, 16));
-    let second = gemm_into(&a, &b, TileScheme::NONE, &[], &mut ws);
+    let second = gemm_into(&a, &b, TileScheme::NONE, &[], Dest::None, &mut ws);
     assert_eq!(first.c, second.c);
 }
 
@@ -788,10 +796,18 @@ fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
                 for (set, faults) in fault_sets.iter().enumerate() {
                     let ctx = format!("{dtype} {m}x{n} {lanes:?} fault set {set}");
                     let runs = on_each_path(|_| {
-                        let lazy = report(gemm_into(&a, &packed, scheme, faults, &mut ws));
+                        let lazy =
+                            report(gemm_into(&a, &packed, scheme, faults, Dest::None, &mut ws));
                         (
                             lazy,
-                            report(gemm_into(&eager_a, &packed, scheme, faults, &mut ws)),
+                            report(gemm_into(
+                                &eager_a,
+                                &packed,
+                                scheme,
+                                faults,
+                                Dest::None,
+                                &mut ws,
+                            )),
                         )
                     });
                     assert!(runs.iter().all(|r| r == &runs[0]), "paths differ: {ctx}");
@@ -839,9 +855,22 @@ fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
                     let packed = PackedWeights::pack(&b, lanes);
                     let mut ws = Workspace::new();
                     let runs = on_each_path(|_| {
-                        let lazy = report(gemm_into(&a, &packed, loose(lanes), &[], &mut ws));
-                        let eager =
-                            report(gemm_into(&eager_a, &packed, loose(lanes), &[], &mut ws));
+                        let lazy = report(gemm_into(
+                            &a,
+                            &packed,
+                            loose(lanes),
+                            &[],
+                            Dest::None,
+                            &mut ws,
+                        ));
+                        let eager = report(gemm_into(
+                            &eager_a,
+                            &packed,
+                            loose(lanes),
+                            &[],
+                            Dest::None,
+                            &mut ws,
+                        ));
                         (lazy, eager)
                     });
                     assert!(runs.iter().all(|r| r == &runs[0]), "paths differ: {ctx}");
@@ -943,7 +972,16 @@ fn faults_in_either_strip_of_a_pair_flag_with_pinned_bits() {
     for (lanes, faults, want) in cases {
         let packed = PackedWeights::pack(&b, lanes);
         let mut ws = Workspace::new();
-        let runs = on_each_path(|_| report(gemm_into(&a, &packed, loose(lanes), &faults, &mut ws)));
+        let runs = on_each_path(|_| {
+            report(gemm_into(
+                &a,
+                &packed,
+                loose(lanes),
+                &faults,
+                Dest::None,
+                &mut ws,
+            ))
+        });
         assert!(
             runs.iter().all(|r| r == &runs[0]),
             "paths differ: {lanes:?}"
@@ -993,7 +1031,7 @@ fn a_destination_holds_what_emitting_the_finished_output_would() {
                             },
                         };
                         let out = aiga_util::team::with_width(width, || {
-                            gemm_emit_into(&a, &packed, scheme, &[fault], dest, &mut ws).clone()
+                            gemm_into(&a, &packed, scheme, &[fault], dest, &mut ws).clone()
                         });
                         let mut looped = vec![F16::from_bits(0xffff); m * n];
                         emit_output(&out, layout, |at, run| {

@@ -1,5 +1,6 @@
-//! Protecting a convolution end to end: im2col lowering, Tensor Core
-//! GEMM on the simulated kernel, and fault detection in feature-map
+//! Protecting a convolution end to end: a one-conv network compiled
+//! into the protected pipeline — the engine gathers the im2col lowering
+//! straight from the NCHW input — and fault detection in feature-map
 //! coordinates.
 //!
 //! ```sh
@@ -10,36 +11,46 @@ use aiga::prelude::*;
 
 fn main() {
     // A 3x3, stride-1 convolution over a 32x32 RGB region — the shape of
-    // an early specialized-CNN layer.
-    let input = Tensor::random(1, 3, 32, 32, 11);
-    let filters = Tensor::random(16, 3, 3, 3, 12);
-    let params = ConvParams {
-        c_out: 16,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-    };
+    // an early specialized-CNN layer — with no ReLU, so the reply is the
+    // raw convolution output.
+    let (c_out, ho, wo) = (16, 32, 32);
+    let mut builder = NetworkBuilder::new("conv", 1, 3, 32, 32, 12);
+    builder.conv("conv3x3", c_out, 3, 1, 1, false);
+    let net = builder.build();
+    let conv = ProtectedPipeline::compile(&net, &[Scheme::ThreadLevelOneSided]);
+    // A request is one flattened NCHW image; the reply is NCHW too.
+    let input = Matrix::random(1, 3 * 32 * 32, 11);
 
-    let conv = ProtectedConv::new(&input, &filters, params, Scheme::ThreadLevelOneSided);
-    let clean = conv.run();
-    let (ho, wo) = conv.out_dims();
+    let clean = conv.infer(&input, None);
     println!(
         "conv 3->16, 3x3/s1/p1 over 32x32: output {ho}x{wo}, lowered GEMM \
-         M={} N=16 K=27, verdict {:?}",
+         M={} N=16 K=27, detections {:?}",
         ho * wo,
-        clean.verdict
+        clean.detections
     );
-    assert!(clean.verdict.is_clean());
+    assert!(!clean.fault_detected());
+    let (n, c, oy, ox) = (0, 5, 10, 10);
     println!(
-        "activation (0, 5, 10, 10) = {:.3}",
-        conv.output_at(&clean, 0, 5, 10, 10)
+        "activation ({n}, {c}, {oy}, {ox}) = {:.3}",
+        clean.output[((n * c_out + c) * ho + oy) * wo + ox]
     );
 
     // A soft error striking the accumulator of output pixel (channel 5,
-    // y=10, x=10) mid-kernel is caught by the thread-local check.
-    let faulty = ProtectedConv::new(&input, &filters, params, Scheme::ThreadLevelOneSided)
-        .with_fault_at(0, 5, 10, 10, 4, FaultKind::BitFlip(29))
-        .run();
-    println!("after injected bit flip: verdict {:?}", faulty.verdict);
-    assert!(faulty.verdict.is_detected());
+    // y=10, x=10) mid-kernel is caught by the thread-local check. The
+    // fault addresses the lowered GEMM: row (n·Ho + oy)·Wo + ox, column c.
+    let fault = PipelineFault {
+        layer: 0,
+        fault: FaultPlan {
+            row: (n * ho + oy) * wo + ox,
+            col: c,
+            after_step: 4,
+            kind: FaultKind::BitFlip(29),
+        },
+    };
+    let faulty = conv.infer(&input, Some(fault));
+    println!(
+        "after injected bit flip: detections {:?}",
+        faulty.detections
+    );
+    assert!(faulty.fault_detected());
 }

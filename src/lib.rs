@@ -17,8 +17,9 @@
 //!    the multi-checksum extension at any round count) is a
 //!    [`core::Scheme`] id that prices itself
 //!    ([`core::Scheme::apply_cost`]) and binds itself to a layer's
-//!    weights ([`core::Scheme::bind`] → [`core::BoundKernel`]). A
-//!    protected GEMM needs the id and the weights, nothing else.
+//!    weights ([`core::Scheme::bind`] → [`core::BoundGemm`], one
+//!    concrete value with one run entry). A protected GEMM needs the id
+//!    and the weights, nothing else.
 //! 2. **Planning** — [`core::Planner`] is the builder-style front-end
 //!    for intensity-guided ABFT (§5.3): per-layer selection among the
 //!    candidate schemes by profiled execution time (or the §7.2
@@ -249,13 +250,13 @@ pub mod prelude {
     pub use aiga_core::adapt::{AdaptConfig, AdaptiveController, Adjustment, Observation};
     pub use aiga_core::compiled::CompiledModel;
     pub use aiga_core::cost::{evaluate_layer, SchemeTiming};
-    pub use aiga_core::kernel::{BoundKernel, FaultSite, RunReport, Verdict};
+    pub use aiga_core::kernel::{BoundGemm, FaultSite, RunReport, Verdict};
     pub use aiga_core::pipeline::{
         InferenceReport, LayerCorrection, LayerDetection, PipelineFault, ProtectedPipeline,
         StageTimes,
     };
     pub use aiga_core::planner::Planner;
-    pub use aiga_core::protected::{ProtectedConv, ProtectedGemm};
+    pub use aiga_core::protected::ProtectedGemm;
     pub use aiga_core::schemes::Scheme;
     pub use aiga_core::selector::{LayerPlan, ModelPlan, SelectionMode};
     pub use aiga_core::serve::{
@@ -264,7 +265,7 @@ pub mod prelude {
     pub use aiga_core::session::{PlanCache, ServeReport, Session, SessionError, SessionStats};
     pub use aiga_faults::{Campaign, CampaignStats, FaultModel, Outcome, Trial};
     pub use aiga_gpu::engine::{
-        Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, TileScheme, Workspace,
+        Dest, Dtype, FaultKind, FaultPlan, Matrix, PackedWeights, TileScheme, Workspace,
     };
     pub use aiga_gpu::timing::Calibration;
     pub use aiga_gpu::{Bound, DeviceSpec, GemmShape, Roofline, TilingConfig};

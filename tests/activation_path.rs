@@ -22,7 +22,7 @@
 //!
 //! It also pins that the cold readers still work off the strips: a
 //! mid-walk and an epilogue fault aimed at the ragged last strip of a
-//! conv must flag, and `recompute_strip` must repair them to the clean
+//! conv must flag, and `Workspace::recompute` must repair them to the clean
 //! bytes.
 
 use aiga::dtype::F16;

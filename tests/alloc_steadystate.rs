@@ -8,7 +8,7 @@
 //!
 //! Pinned guarantees, after warmup:
 //!
-//! 1. the engine hot path (`BoundKernel::run_into` through a warm
+//! 1. the engine hot path (`BoundGemm::run_into` through a warm
 //!    `Workspace`) performs **exactly zero** heap allocations, for the
 //!    fused fast path, global ABFT's verified path, and the hooked
 //!    thread-level schemes;
@@ -121,9 +121,9 @@ fn steady_state_hot_paths_do_not_allocate() {
     ] {
         let bound = scheme.bind(&b);
         let mut ws = Workspace::new();
-        bound.run_into(a.view(), &[], &mut ws); // warm the workspace
+        bound.run_into(a.view(), &[], Dest::None, &mut ws); // warm the workspace
         let n = allocs_during(|| {
-            bound.run_into(a.view(), &[], &mut ws);
+            bound.run_into(a.view(), &[], Dest::None, &mut ws);
         });
         assert_eq!(n, 0, "{scheme}: engine hot path allocated {n} times");
     }
@@ -131,9 +131,9 @@ fn steady_state_hot_paths_do_not_allocate() {
     // The §2.4 multi-checksum extension honors the contract too.
     let multi = Scheme::MultiChecksum(2).bind(&b);
     let mut ws = Workspace::new();
-    multi.run_into(a.view(), &[], &mut ws);
+    multi.run_into(a.view(), &[], Dest::None, &mut ws);
     let n = allocs_during(|| {
-        multi.run_into(a.view(), &[], &mut ws);
+        multi.run_into(a.view(), &[], Dest::None, &mut ws);
     });
     assert_eq!(n, 0, "multi-checksum hot path allocated {n} times");
 
@@ -141,9 +141,9 @@ fn steady_state_hot_paths_do_not_allocate() {
     let one_sided = Scheme::ThreadLevelOneSided.tile_scheme(56);
     let packed = PackedWeights::pack(&b, one_sided.lanes);
     let mut ws = Workspace::new();
-    gemm_into(&a, &packed, one_sided, &[], &mut ws);
+    gemm_into(&a, &packed, one_sided, &[], Dest::None, &mut ws);
     let n = allocs_during(|| {
-        gemm_into(&a, &packed, one_sided, &[], &mut ws);
+        gemm_into(&a, &packed, one_sided, &[], Dest::None, &mut ws);
     });
     assert_eq!(n, 0, "raw checksum-lane engine path allocated {n} times");
 
@@ -193,7 +193,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         let conv_pass = |ws: &mut Workspace| {
             im2col_into(&input, params, ws);
             let a = ws.take_lowering();
-            bound.run_into(a.view(), &[], ws);
+            bound.run_into(a.view(), &[], Dest::None, ws);
             ws.put_lowering(a);
         };
         conv_pass(&mut ws); // warm the lowering buffer + panels
@@ -259,7 +259,14 @@ fn steady_state_hot_paths_do_not_allocate() {
             for width in [None, Some(3)] {
                 let mut ws = Workspace::new();
                 let mut run = || {
-                    std::hint::black_box(gemm_into(&big_a, &big_b, TileScheme::NONE, &[], &mut ws));
+                    std::hint::black_box(gemm_into(
+                        &big_a,
+                        &big_b,
+                        TileScheme::NONE,
+                        &[],
+                        Dest::None,
+                        &mut ws,
+                    ));
                 };
                 let mut pinned = || {
                     run();
@@ -298,7 +305,7 @@ fn steady_state_hot_paths_do_not_allocate() {
             let mut ws = Workspace::new();
             let a = MatrixView::im2col_lowered(2, view, &input.data, Dtype::F16);
             let fused_pass = |ws: &mut Workspace| {
-                bound.run_into(a, &[], ws);
+                bound.run_into(a, &[], Dest::None, ws);
             };
             fused_pass(&mut ws); // warm the panels
             let n = allocs_during(|| fused_pass(&mut ws));
@@ -377,14 +384,14 @@ fn steady_state_hot_paths_do_not_allocate() {
             let bound = scheme.bind(&weights);
             let mut ws = Workspace::new();
             let cold = bytes_during(|| {
-                bound.run_into(request.view(), &[], &mut ws);
+                bound.run_into(request.view(), &[], Dest::None, &mut ws);
             });
             assert!(
                 cold < 1 << 20,
                 "{scheme}: a cold workspace allocated {cold} bytes for a batch-1 request"
             );
             let warm = allocs_during(|| {
-                bound.run_into(request.view(), &[], &mut ws);
+                bound.run_into(request.view(), &[], Dest::None, &mut ws);
             });
             assert_eq!(
                 warm, 0,

@@ -106,6 +106,43 @@ fn conv_faults_are_detected_under_every_scheme() {
 }
 
 #[test]
+fn a_conv_fault_lands_at_its_documented_feature_map_coordinates() {
+    // `PipelineFault` addresses a conv's lowered GEMM output: row
+    // (n·Ho + oy)·Wo + ox, column c. Through an unprotected pipeline the
+    // struck accumulator is exactly the reply's NCHW activation
+    // (n, c, oy, ox); global and one-sided ABFT flag the same fault.
+    let (c_out, ho, wo) = (8, 16, 16);
+    let mut b = NetworkBuilder::new("conv-16x16", 2, 3, 16, 16, 32);
+    b.conv("conv", c_out, 3, 1, 1, false);
+    let net = b.build();
+    let input = Matrix::random(2, net.input_features(), 31);
+    let unprotected = ProtectedPipeline::compile(&net, &[Scheme::Unprotected]);
+    let clean = unprotected.infer(&input, None);
+    let (c, oy, ox) = (5, 9, 12);
+    for n in [0, 1] {
+        let fault = PipelineFault {
+            layer: 0,
+            fault: FaultPlan {
+                row: (n * ho + oy) * wo + ox,
+                col: c,
+                after_step: 3,
+                kind: FaultKind::AddValue(80.0),
+            },
+        };
+        let dirty = unprotected.infer(&input, Some(fault));
+        assert!(!dirty.fault_detected());
+        let (clean, dirty) = (bits(&clean.output), bits(&dirty.output));
+        let struck: Vec<usize> = (0..clean.len()).filter(|&i| clean[i] != dirty[i]).collect();
+        assert_eq!(struck, [((n * c_out + c) * ho + oy) * wo + ox], "n = {n}");
+        for scheme in [Scheme::GlobalAbft, Scheme::ThreadLevelOneSided] {
+            let p = ProtectedPipeline::compile(&net, &[scheme]);
+            let report = p.infer(&input, Some(fault));
+            assert!(report.fault_detected(), "{scheme} missed it at n = {n}");
+        }
+    }
+}
+
+#[test]
 fn squeezenet_serves_end_to_end_matching_the_reference() {
     // Full executable SqueezeNet (stem + 8 Fire modules + conv
     // classifier + GAP) at a trimmed 32×32 resolution, through the

@@ -36,7 +36,7 @@ const SCHEMES: [Scheme; 4] = [
 /// Runs `bound` over both lowerings of the same conv and asserts the
 /// outputs, verdicts, and detection records are byte-identical.
 fn assert_paths_match(
-    bound: &dyn BoundKernel,
+    bound: &BoundGemm,
     materialized: &Matrix,
     fused: MatrixView<'_>,
     faults: &[FaultPlan],
@@ -44,8 +44,8 @@ fn assert_paths_match(
 ) {
     let mut ws_m = Workspace::new();
     let mut ws_f = Workspace::new();
-    let v_m = bound.run_into(materialized.view(), faults, &mut ws_m);
-    let v_f = bound.run_into(fused, faults, &mut ws_f);
+    let v_m = bound.run_into(materialized.view(), faults, Dest::None, &mut ws_m);
+    let v_f = bound.run_into(fused, faults, Dest::None, &mut ws_f);
     assert_eq!(v_m, v_f, "{what}: verdict diverged");
     assert_eq!(
         bits(&ws_m.output().c),
@@ -109,7 +109,7 @@ fn fused_im2col_view_is_byte_identical_to_materialized_lowering() {
                         "faulted"
                     }
                 );
-                assert_paths_match(&*bound, &materialized, fused, faults, &label);
+                assert_paths_match(&bound, &materialized, fused, faults, &label);
             }
         }
     }
@@ -150,7 +150,7 @@ fn pointwise_nchw_view_is_byte_identical_to_materialized_lowering() {
                     "faulted"
                 }
             );
-            assert_paths_match(&*bound, &materialized, fused, faults, &label);
+            assert_paths_match(&bound, &materialized, fused, faults, &label);
         }
     }
 }

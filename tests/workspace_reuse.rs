@@ -39,8 +39,16 @@ fn no_stale_cell_survives_a_change_of_shape() {
                 after_step: 0,
                 kind: FaultKind::AddValue(77.0),
             };
-            let fresh = gemm_into(&a, &packed, tile, &[fault], &mut Workspace::new()).clone();
-            let reused = gemm_into(&a, &packed, tile, &[fault], &mut ws);
+            let fresh = gemm_into(
+                &a,
+                &packed,
+                tile,
+                &[fault],
+                Dest::None,
+                &mut Workspace::new(),
+            )
+            .clone();
+            let reused = gemm_into(&a, &packed, tile, &[fault], Dest::None, &mut ws);
             let ctx = format!("{scheme} {m}x{n}x{k}");
             assert_eq!(bits(&reused.c), bits(&fresh.c), "{ctx}");
             assert_eq!(reused.detections, fresh.detections, "{ctx}");
