@@ -197,13 +197,16 @@ fn fork_join_rows(rec: &mut Recorder) {
 
 /// One member against all of them, per shape: the SqueezeNet-224 GEMMs
 /// (`m × n × k`, row-major activations) and the two fc1024 layers,
-/// clean and under one-sided ABFT, fastest of interleaved rounds — each
-/// run as its pipeline stage runs it: the conv shapes with their
-/// write-back in the tasks (`Dest::Codes`: NCHW + ReLU), the fc shapes
-/// without (an fc's slot is encoded after the walk, on the caller).
-/// These are the rows `BLOCK_PAR_MIN_FLOPS` points at: every
-/// shape here clears it, and the all-member time should beat the
-/// one-member time on each.
+/// clean and under one-sided ABFT — and `fc1024_b256`'s layer under
+/// global ABFT too, engine and check — fastest of interleaved rounds,
+/// each run as its pipeline stage runs it: through the bound layer, the
+/// conv shapes with their write-back in the tasks (`Dest::Codes`: NCHW
+/// and ReLU), the fc shapes without (an fc's slot is encoded after the
+/// walk, on the caller). These are the rows `BLOCK_PAR_MIN_FLOPS`
+/// points at: every shape here clears it, and the all-member time
+/// should beat the one-member time on each. Gate: global ABFT within
+/// 1.15× of clean at 256×1024×1024 on all members — its sums ride in
+/// the tasks, and its check combines their partials.
 fn team_shape_rows(rec: &mut Recorder) {
     use aiga_gpu::engine::Dtype;
     for (m, n, k) in [
@@ -221,12 +224,16 @@ fn team_shape_rows(rec: &mut Recorder) {
         let mut ws = Workspace::new();
         let mut slot = vec![F16::ZERO; m * n];
         let conv = k != 1024;
+        let mut all_us = Vec::new();
         for (name, scheme) in [
             ("clean", Scheme::Unprotected),
             ("one_sided", Scheme::ThreadLevelOneSided),
+            ("global", Scheme::GlobalAbft),
         ] {
-            let tile = scheme.tile_scheme(k.next_multiple_of(8));
-            let packed = PackedWeights::pack(&b, tile.lanes);
+            if scheme == Scheme::GlobalAbft && (m, n, k) != (256, 1024, 1024) {
+                continue;
+            }
+            let bound = scheme.bind(&b);
             let mut timed = |members| {
                 let dest = match conv {
                     false => Dest::None,
@@ -239,7 +246,7 @@ fn team_shape_rows(rec: &mut Recorder) {
                 };
                 let t = std::time::Instant::now();
                 let run = || {
-                    black_box(gemm_into(&a, &packed, tile, &[], dest, &mut ws));
+                    black_box(bound.run_into(a.view(), &[], dest, &mut ws));
                 };
                 match members {
                     Members::One => aiga_util::as_worker(run),
@@ -257,6 +264,15 @@ fn team_shape_rows(rec: &mut Recorder) {
             rec.record_value(&format!("{row}_one_us"), best[0] / 1e3, "us");
             rec.record_value(&format!("{row}_all_us"), best[1] / 1e3, "us");
             rec.record_value(&format!("{row}_speedup"), best[0] / best[1], "x");
+            all_us.push(best[1]);
+        }
+        if let [clean, _, global] = all_us[..] {
+            let x = global / clean;
+            rec.record_value(&format!("engine/team_{m}x{n}x{k}_global_x"), x, "x");
+            rec.gate(
+                x <= 1.15,
+                format!("global ABFT costs {x:.2}x the clean run at {m}x{n}x{k} on all members (limit 1.15x)"),
+            );
         }
     }
 }
@@ -497,10 +513,7 @@ fn main() {
     // a batch-1 request against the packed panels (clean, and with
     // one-sided ABFT's checksum chains riding the same stream) — each
     // per storage format, since the stream is the format's resident
-    // bytes — and global ABFT's per-request check at batch 256
-    // (activation checksum over 256×1024, output summation over
-    // 256×1024, the dot and compare). The fp16 rows keep their
-    // unsuffixed names.
+    // bytes. The fp16 rows keep their unsuffixed names.
     //
     // The batch-1 gate: a one-live-row strip is bound by its weight
     // stream, so one-sided ABFT's redundant FMAs on registers must stay
@@ -509,8 +522,7 @@ fn main() {
     // does; the clean time is recorded per SIMD path and the gate
     // enforced on the active one.
     {
-        use aiga_core::schemes::GlobalAbft;
-        use aiga_gpu::engine::{CheckScratch, Dtype};
+        use aiga_gpu::engine::Dtype;
         for dtype in Dtype::ALL {
             let suffix = match dtype {
                 Dtype::F16 => String::new(),
@@ -563,14 +575,6 @@ fn main() {
                 }
             }
         }
-        let weights = Matrix::random(1024, 1024, 2);
-        let batch = Matrix::random(256, 1024, 3);
-        let out = gemm(&batch, &weights, TileScheme::NONE, &[]);
-        let abft = GlobalAbft::prepare(&weights);
-        let mut scratch = CheckScratch::default();
-        rec.bench("engine/global_check_256x1024", || {
-            black_box(abft.verify_with(batch.view(), &out, &mut scratch));
-        });
     }
     // The between-GEMM movers at SqueezeNet-224's largest shapes: the
     // conv write-back of the stem's 111×111×64 output (the rectangle

@@ -7,10 +7,11 @@
 //! at the workspace root), seeding the repo's performance trajectory:
 //! each run records
 //! per-bench median/mean nanoseconds, iteration counts, the git
-//! revision (`-dirty` when the tree has uncommitted changes — the
-//! numbers then belong to the *next* commit, not the named one) and the
-//! host they were measured on, so before/after comparisons are a `diff`
-//! away.
+//! revision (`<HEAD>+<hash of the edits>` when the tree has
+//! uncommitted changes or untracked files — the numbers then belong to
+//! those edits on top
+//! of the named commit) and the host they were measured on, so
+//! before/after comparisons are a `diff` away.
 //!
 //! The `AIGA_BENCH_MAX_ITERS` environment variable caps the calibrated
 //! iteration count — CI's smoke run sets it low so every bench target
@@ -243,24 +244,66 @@ fn output_dir() -> std::path::PathBuf {
     std::path::PathBuf::from(manifest)
 }
 
-/// The short revision the numbers were built from, with `-dirty`
-/// appended when `git status --porcelain` reports local changes: a
-/// bench recorded before its commit exists would otherwise carry the
-/// parent's name and hide the edits it measured.
+/// Runs `git args`, feeding it `stdin`, and returns its stdout if it
+/// succeeded.
+fn git(args: &[&str], stdin: &[u8]) -> Option<Vec<u8>> {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new("git")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .ok()?;
+    // Dropped at the end of the statement: git sees end of input.
+    child.stdin.take()?.write_all(stdin).ok()?;
+    let out = child.wait_with_output().ok()?;
+    out.status.success().then_some(out.stdout)
+}
+
+/// The short revision the numbers were built from. With uncommitted
+/// edits it is `<HEAD>+<diff>`, `<diff>` the short object name of `git
+/// diff HEAD` (`git diff HEAD | git hash-object --stdin | cut -c1-7`):
+/// a bench recorded before its commit exists names the parent it was
+/// built on and exactly the edits it measured, so two recordings of the
+/// same tree carry the same name. Untracked files (not ignored) are not
+/// in the diff, so their paths and their contents' object names are
+/// hashed after it: a new source file that is not `git add`ed yet still
+/// marks the tree as edited.
 fn git_rev() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"], &[]) else {
         return "unknown".to_string();
     };
-    let dirty = git(&["status", "--porcelain"]).is_some_and(|s| !s.trim().is_empty());
-    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
+    let rev = String::from_utf8_lossy(&rev).trim().to_string();
+    let mut edits = git(&["diff", "HEAD"], &[]).unwrap_or_default();
+    let untracked = git(
+        &[
+            "ls-files",
+            "-z",
+            "--others",
+            "--exclude-standard",
+            "--",
+            ":/",
+        ],
+        &[],
+    )
+    .unwrap_or_default();
+    if !untracked.is_empty() {
+        let listing = String::from_utf8_lossy(&untracked).into_owned();
+        let mut args = vec!["hash-object", "--"];
+        args.extend(listing.split('\0').filter(|p| !p.is_empty()));
+        edits.extend_from_slice(&untracked);
+        edits.extend(git(&args, &[]).unwrap_or_default());
+    }
+    if edits.is_empty() {
+        return rev;
+    }
+    let hash = git(&["hash-object", "--stdin"], &edits).unwrap_or_default();
+    match String::from_utf8_lossy(&hash).get(..7) {
+        Some(short) => format!("{rev}+{short}"),
+        None => format!("{rev}+unhashed"),
+    }
 }
 
 fn format_time(seconds: f64) -> String {
@@ -320,5 +363,19 @@ mod tests {
             results[1].field("unit").unwrap().as_str().unwrap(),
             "req_per_s"
         );
+    }
+
+    #[test]
+    fn git_rev_names_the_head_and_a_hash_of_the_edits() {
+        // Whatever state the tree is in: a bare short rev, or one with
+        // the diff's seven hex digits after a `+` (or no git at all).
+        let rev = git_rev();
+        let hex = |s: &str| !s.is_empty() && s.chars().all(|c| c.is_ascii_hexdigit());
+        match rev.split_once('+') {
+            _ if rev == "unknown" => {}
+            Some((head, diff)) => assert!(hex(head) && hex(diff) && diff.len() == 7, "{rev}"),
+            None => assert!(hex(&rev), "{rev}"),
+        }
+        assert_eq!(git_rev(), rev, "a tree names itself the same way twice");
     }
 }

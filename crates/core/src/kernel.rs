@@ -245,12 +245,11 @@ impl BoundGemm {
                 None => Verdict::Clean,
             },
             Check::Global(abft) => {
-                // The deferred reduce-and-compare (§2.5 step 5) runs off
-                // the workspace's checksum scratch — no per-request
-                // allocation.
-                let (output, check) = ws.output_and_check();
-                let v = abft.verify_with(activations, output, check);
-                verdict_from_global(v)
+                // The deferred reduce-and-compare (§2.5 step 5) combines
+                // the partials the run's tasks left — it reads neither
+                // the activations nor the output again.
+                let (output, sums) = ws.output_and_check();
+                verdict_from_global(abft.check(sums, output.m, output.n))
             }
             Check::MultiChecksum(abft) => {
                 // Walk the rounds directly (no collected MultiVerdict) so
@@ -323,22 +322,24 @@ impl BoundGemm {
             }
             // Column localization: the weight checksum gives the
             // *expected* column sum `Σ_k chk(A)[k]·B[k][j]` for every
-            // output column; the column whose observed sum deviates most
-            // is the faulted one (a single corrupted cell perturbs
-            // exactly one column sum by δ). Recompute that column, then
-            // re-verify the whole layer — a mislocalized repair rewrites
-            // identical bits and fails the re-check, so the original
-            // verdict survives.
+            // output column (`chk(A)` combined from the run's stripe
+            // partials — A is not read again); the column whose observed
+            // sum deviates most is the faulted one (a single corrupted
+            // cell perturbs exactly one column sum by δ). Recompute that
+            // column, re-sum the blocks holding it in the engine's order
+            // and re-check the whole layer — a mislocalized repair
+            // rewrites identical bits and fails the re-check, so the
+            // original verdict survives.
             Check::Global(abft) => {
                 let col = {
-                    let (output, check) = ws.output_and_check();
-                    GlobalAbft::activation_checksum_into(activations, check);
+                    let (output, sums) = ws.output_and_check();
+                    let a_sums = sums.activation_sums();
                     let mut best = 0usize;
                     let mut best_diff = f64::NEG_INFINITY;
                     for j in 0..output.n {
                         let mut expected = 0.0f64;
-                        for (&chk, w) in check.chk.iter().zip(self.weights.col(j)) {
-                            expected += chk as f64 * w as f64;
+                        for (s, w) in a_sums.chunks_exact(2).zip(self.weights.col(j)) {
+                            expected += s[0] as f64 * w as f64;
                         }
                         let mut observed = 0.0f64;
                         for i in 0..output.m {
@@ -364,8 +365,9 @@ impl BoundGemm {
                     0..activations.rows,
                     col..col + 1,
                 );
-                let (output, check) = ws.output_and_check();
-                if abft.verify_with(activations, output, check).fault_detected {
+                let (output, sums) = ws.output_and_check();
+                sums.resum_column(output, col);
+                if abft.check(sums, output.m, output.n).fault_detected {
                     return verdict;
                 }
                 FaultSite::Column { col }

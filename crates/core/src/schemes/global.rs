@@ -18,71 +18,40 @@
 //!
 //! # Summation order
 //!
-//! Every f32 reduction here is the same fixed tree — split the `n`
-//! values at `n/2`, sum each half the same way, add the halves — and
-//! every f64 magnitude sum runs in index order, so verdicts, residuals
-//! and thresholds are a pure function of the operands. The per-request
-//! reductions keep that order per *column* but run it over whole
-//! *rows*: the activation checksum decodes one activation row at a time
-//! and combines row buffers up the tree (a ⌈log₂ rows⌉-deep stack in
-//! [`CheckScratch`]), so each activation is read once, in storage
-//! order, instead of once per column through a strided gather.
+//! Every f32 reduction is a fixed tree — split the `n` values at `n/2`,
+//! sum each half the same way, add the halves — over boundaries that
+//! are host constants, so verdicts, residuals and thresholds are a pure
+//! function of the operands, the same bytes at every team width. The
+//! engine's tasks take the per-request sums where they already hold
+//! the data (`aiga_gpu::engine::sums`), and [`GlobalAbft::check`]
+//! combines only their partials:
+//!
+//! - **`A`'s column sums** (and their magnitudes `Σ|a|`, in f32 too):
+//!   each 4-row strip `(a₀ + a₁) + (a₂ + a₃)`, taken by the A staging;
+//!   a stripe's 16 strips in the tree; the stripes in the tree. Rows
+//!   past the request add `+0`, which rounds nothing, so no column sum
+//!   goes through more than `⌈log₂ m⌉` rounded adds — the depth of the
+//!   single tree over the rows it replaced.
+//! - **`Σ C`**: each 64×64 block's columns over its rows in the tree,
+//!   its columns in the tree, then the blocks in block-major order in
+//!   the tree. No cell goes through more than `⌈log₂ min(m, 64)⌉ +
+//!   ⌈log₂ min(n, 64)⌉ + ⌈log₂ blocks⌉ ≤ ⌈log₂ m⌉ + ⌈log₂ n⌉` rounded
+//!   adds — one more than a single tree's `⌈log₂ m·n⌉` for some shapes,
+//!   and equal to it at `fc1024_b256`'s 256 × 1024 and 256 × 1000.
+//! - **The weight checksum** `Σ_j b[k][j]`: one tree per row of `B`,
+//!   offline.
+//!
+//! The threshold charges one `u32` per level of each: `⌈log₂ m⌉` (A),
+//! `⌈log₂ n⌉` (B), `⌈log₂ K⌉` for the K-length dot — which runs in K
+//! order, so this term is the allowance the check has always carried,
+//! not a worst-case bound — and `⌈log₂ m⌉ + ⌈log₂ n⌉` (`Σ C`), plus
+//! eight, all with a 1.5× slack, against the f64 magnitude
+//! `Σ_k (Σ|a|)_k·(Σ|b|)_k`. An empty dimension contributes no level.
+//! [`GlobalAbft::verify_with`] is the serial reference: the same
+//! partials summed from `a` and the finished output in the same order.
 
 use crate::tolerance::{self, exceeds};
-use aiga_dtype::F16;
-use aiga_gpu::engine::{CheckScratch, GemmOutput, Matrix, MatrixView};
-
-/// Sums a slice of FP32 values pairwise (tree order: split at `n/2`),
-/// as the fused epilogue + CUB-style reduce kernel would. Runs of up to
-/// eight values are summed in place — the same tree, written out — so
-/// the recursion bottoms out an eighth as often.
-pub fn pairwise_sum_f32(values: &[f32]) -> f32 {
-    match *values {
-        [] => 0.0,
-        [a] => a,
-        [a, b] => a + b,
-        [a, b, c] => a + (b + c),
-        [a, b, c, d] => (a + b) + (c + d),
-        [a, b, c, d, e] => (a + b) + (c + (d + e)),
-        [a, b, c, d, e, f] => (a + (b + c)) + (d + (e + f)),
-        [a, b, c, d, e, f, g] => (a + (b + c)) + ((d + e) + (f + g)),
-        [a, b, c, d, e, f, g, h] => ((a + b) + (c + d)) + ((e + f) + (g + h)),
-        _ => {
-            let (lo, hi) = values.split_at(values.len() / 2);
-            pairwise_sum_f32(lo) + pairwise_sum_f32(hi)
-        }
-    }
-}
-
-/// Column sums of rows `r0..r1` of `a` into `out`, every column summed
-/// in [`pairwise_sum_f32`]'s tree order over its rows, with `abs`
-/// accumulating each column's magnitudes in row order. `stack` holds
-/// one row buffer per level of the tree below this one, `codes` the
-/// row a conv lowering is gathered into ([`MatrixView::row_codes`])
-/// before it is decoded as one slice.
-fn column_sums(
-    a: MatrixView<'_>,
-    (r0, r1): (usize, usize),
-    out: &mut [f32],
-    stack: &mut [f32],
-    codes: &mut [F16],
-    abs: &mut [f64],
-) {
-    if r1 - r0 == 1 {
-        a.dtype.decode_slice(a.row_codes(r0, codes), out);
-        for (m, v) in abs.iter_mut().zip(out.iter()) {
-            *m += (*v as f64).abs();
-        }
-        return;
-    }
-    let mid = r0 + (r1 - r0) / 2;
-    let (hi, deeper) = stack.split_at_mut(a.cols);
-    column_sums(a, (r0, mid), out, deeper, codes, abs);
-    column_sums(a, (mid, r1), hi, deeper, codes, abs);
-    for (lo, hi) in out.iter_mut().zip(hi.iter()) {
-        *lo += *hi;
-    }
-}
+use aiga_gpu::engine::{pairwise_sum_f32, CheckScratch, GemmOutput, Matrix, MatrixView};
 
 /// Result of the global ABFT reduce-and-compare kernel.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -126,79 +95,26 @@ impl GlobalAbft {
         }
     }
 
-    /// The activation checksum of `a` (column sums, `1 × K`) together
-    /// with the per-column absolute sums. In the §2.5 flow this is fused
-    /// into the epilogue of the layer that *produced* `a`.
-    pub fn activation_checksum(a: &Matrix) -> (Vec<f32>, Vec<f64>) {
-        let mut scratch = CheckScratch::default();
-        Self::activation_checksum_into(a.view(), &mut scratch);
-        (scratch.chk, scratch.abs)
-    }
-
-    /// [`Self::activation_checksum`] writing into reusable scratch
-    /// (`scratch.chk` = checksums, `scratch.abs` = absolute sums,
-    /// `scratch.col` = the row-buffer stack of the reduction tree,
-    /// `scratch.codes` = the gathered row of a conv lowering).
-    /// Steady-state verification through a warm [`CheckScratch`]
-    /// allocates nothing.
-    pub fn activation_checksum_into(a: MatrixView<'_>, scratch: &mut CheckScratch) {
-        scratch.chk.clear();
-        scratch.chk.resize(a.cols, 0.0);
-        scratch.abs.clear();
-        scratch.abs.resize(a.cols, 0.0);
-        if a.rows == 0 {
-            return;
-        }
-        let depth = a.rows.next_power_of_two().trailing_zeros() as usize;
-        scratch.col.clear();
-        scratch.col.resize(depth * a.cols, 0.0);
-        scratch.codes.resize(a.cols, F16::ZERO);
-        column_sums(
-            a,
-            (0, a.rows),
-            &mut scratch.chk,
-            &mut scratch.col,
-            &mut scratch.codes,
-            &mut scratch.abs,
-        );
-    }
-
-    /// The fused output summation `Σ C` over the kernel's FP32
-    /// accumulators (§2.5 step 2).
-    pub fn output_summation(out: &GemmOutput) -> f32 {
-        pairwise_sum_f32(&out.c)
-    }
-
-    /// The reduce-and-compare kernel (§2.5 step 5): dot the activation
-    /// checksum with the offline weight checksum and compare against the
-    /// output summation.
-    pub fn check(
-        &self,
-        activation_checksum: &[f32],
-        activation_abs: &[f64],
-        output_summation: f32,
-        out_m: usize,
-        out_n: usize,
-    ) -> GlobalVerdict {
-        assert_eq!(
-            activation_checksum.len(),
-            self.weight_checksum.len(),
-            "checksum length mismatch"
-        );
+    /// The reduce-and-compare kernel (§2.5 step 5) over the partials a
+    /// run left in `sums`: dot the activation checksum — the stripes'
+    /// column sums, combined — with the offline weight checksum and
+    /// compare it against the output summation — the blocks' sums,
+    /// combined. `out_m × out_n` is the run's output.
+    pub fn check(&self, sums: &mut CheckScratch, out_m: usize, out_n: usize) -> GlobalVerdict {
+        let k = self.weight_checksum.len();
+        assert_eq!(sums.cols(), k, "checksum length mismatch");
+        let output_sum = sums.output_sum();
         let mut dot = 0.0f32;
         let mut magnitude = 0.0f64;
-        for k in 0..self.weight_checksum.len() {
-            dot += activation_checksum[k] * self.weight_checksum[k];
-            magnitude += activation_abs[k] * self.weight_abs[k];
+        let columns = sums.activation_sums().chunks_exact(2);
+        for ((s, &w), &w_abs) in columns.zip(&self.weight_checksum).zip(&self.weight_abs) {
+            dot += s[0] * w;
+            magnitude += s[1] as f64 * w_abs;
         }
-        let residual = (dot as f64 - output_summation as f64).abs();
-        // Tree reductions round O(log) times per stage; charge each of
-        // the four reductions (A-colsum, B-rowsum, dot, ΣC) a log term,
-        // with a 1.5x slack factor over the first-order bound.
-        let logs = (out_m as f64).log2().ceil()
-            + (out_n as f64).log2().ceil()
-            + (self.weight_checksum.len() as f64).log2().ceil()
-            + ((out_m * out_n) as f64).log2().ceil();
+        let residual = (dot as f64 - output_sum as f64).abs();
+        // One round per tree level of each reduction (module docs).
+        let levels = |n: usize| (n.max(1) as f64).log2().ceil();
+        let logs = 2.0 * (levels(out_m) + levels(out_n)) + levels(k);
         let threshold = tolerance::threshold(1.5 * (logs + 8.0), magnitude);
         GlobalVerdict {
             fault_detected: exceeds(residual, threshold),
@@ -207,25 +123,17 @@ impl GlobalAbft {
         }
     }
 
-    /// Convenience wrapper running the whole §2.5 flow for one layer:
-    /// activation checksum over `a`, output summation over `out`, then
-    /// the comparison.
+    /// The serial reference for one layer: the partials a run over `a`
+    /// leaves, summed from `a` and the finished output `out` in the
+    /// engine's order, then [`Self::check`]. Allocates; the serving path
+    /// checks the run's own partials instead.
     pub fn verify(&self, a: &Matrix, out: &GemmOutput) -> GlobalVerdict {
-        self.verify_with(a.view(), out, &mut CheckScratch::default())
+        self.verify_with(a.view(), out)
     }
 
-    /// [`Self::verify`] through caller-owned scratch — the serving hot
-    /// path, fed by the request's `Workspace` so repeated verification
-    /// never allocates.
-    pub fn verify_with(
-        &self,
-        a: MatrixView<'_>,
-        out: &GemmOutput,
-        scratch: &mut CheckScratch,
-    ) -> GlobalVerdict {
-        Self::activation_checksum_into(a, scratch);
-        let sum = Self::output_summation(out);
-        self.check(&scratch.chk, &scratch.abs, sum, out.m, out.n)
+    /// [`Self::verify`] over a borrowed operand (a conv lowering too).
+    pub fn verify_with(&self, a: MatrixView<'_>, out: &GemmOutput) -> GlobalVerdict {
+        self.check(&mut CheckScratch::sum_serially(a, out), out.m, out.n)
     }
 }
 
@@ -233,19 +141,6 @@ impl GlobalAbft {
 mod tests {
     use super::*;
     use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, TileScheme};
-
-    fn run(
-        m: usize,
-        n: usize,
-        k: usize,
-        seed: u64,
-        fault: Option<FaultPlan>,
-    ) -> (Matrix, GemmOutput) {
-        let a = Matrix::random(m, k, seed);
-        let b = Matrix::random(k, n, seed + 1);
-        let out = gemm(&a, &b, TileScheme::NONE, fault.as_slice());
-        (a, out)
-    }
 
     #[test]
     fn clean_layer_passes_the_check() {
@@ -314,13 +209,12 @@ mod tests {
 
     #[test]
     fn checksum_lengths_are_validated() {
-        let (a, out) = run(16, 16, 32, 80, None);
-        let b2 = Matrix::random(16, 16, 81); // wrong K
-        let abft = GlobalAbft::prepare(&b2);
-        let (chk, abs) = GlobalAbft::activation_checksum(&a);
-        let sum = GlobalAbft::output_summation(&out);
+        let a = Matrix::random(16, 32, 80);
+        let out = gemm(&a, &Matrix::random(32, 16, 81), TileScheme::NONE, &[]);
+        let mut sums = CheckScratch::sum_serially(a.view(), &out);
+        let abft = GlobalAbft::prepare(&Matrix::random(16, 16, 82)); // wrong K
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            abft.check(&chk, &abs, sum, out.m, out.n)
+            abft.check(&mut sums, out.m, out.n)
         }));
         assert!(result.is_err());
     }

@@ -188,12 +188,17 @@ impl Scheme {
     /// The scheme as the engine executes it, for a GEMM whose padded
     /// inner dimension is `k`: the lanes its register tiles carry and
     /// the threshold their epilogue compares against. Schemes that do no
-    /// thread-level work (the baseline, and the kernel-level ABFT
-    /// family, whose checks run outside the engine) map to
-    /// [`TileScheme::NONE`].
+    /// thread-level work map to [`TileScheme::NONE`] — the baseline and
+    /// the multi-checksum extension, whose check reads the operands
+    /// after the run — except global ABFT, whose run leaves the partial
+    /// sums its check combines ([`Redundancy::GlobalSums`]).
     pub fn tile_scheme(self, k: usize) -> TileScheme {
         match self {
-            Scheme::Unprotected | Scheme::GlobalAbft | Scheme::MultiChecksum(_) => TileScheme::NONE,
+            Scheme::Unprotected | Scheme::MultiChecksum(_) => TileScheme::NONE,
+            Scheme::GlobalAbft => TileScheme {
+                lanes: Redundancy::GlobalSums,
+                ..TileScheme::NONE
+            },
             Scheme::ThreadLevelOneSided => thread_one_sided::tile_scheme(k),
             Scheme::ThreadLevelTwoSided => thread_two_sided::tile_scheme(k),
             Scheme::ReplicationSingleAcc => replication::single_acc_tile_scheme(),

@@ -84,7 +84,8 @@ mod tests {
         // invoked it — `Tolerance::Analytical` with no low-precision
         // rounds: `(0·u16 + n32·u32)·M + floor`. `0·u + x` is exact, so
         // dropping the term moves no bit. Round counts: the four
-        // schemes' and `GlobalAbft::check`'s, over a spread of K.
+        // schemes' and `GlobalAbft::check`'s — `2·⌈log₂ m⌉ + 2·⌈log₂ n⌉
+        // + ⌈log₂ K⌉` levels, here at m = n = K — over a spread of K.
         const U16: f64 = 4.8828125e-4; // 2^-11
         let before = |n32: f64, m: f64| (0.0 * U16 + n32 * U32) * m + ABS_FLOOR;
         let gamma = |n: f64| n / (1.0 - n * U32);
@@ -94,7 +95,7 @@ mod tests {
                 gamma(2.0 * k + 32.0),               // two-sided
                 12.0,                                // single-accumulation
                 k.log2().ceil() + 24.0,              // multi-checksum
-                1.5 * (4.0 * k.log2().ceil() + 8.0), // global
+                1.5 * (5.0 * k.log2().ceil() + 8.0), // global
             ] {
                 for m in [0.0, 1e-9, 3.7, 123.5, 6.5e4, 1e12, f64::INFINITY] {
                     assert_eq!(threshold(n32, m).to_bits(), before(n32, m).to_bits());

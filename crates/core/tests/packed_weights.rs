@@ -1,4 +1,4 @@
-//! Bind-time packed weights, the live-extent walk and the row-streamed
+//! Bind-time packed weights, the live-extent walk and the order of the
 //! global-ABFT sums, pinned from the outside.
 //!
 //! A bound layer holds its weights as [`PackedWeights`] and a request
@@ -6,15 +6,15 @@
 //! touch. None of that may move a byte: outputs, detections, residuals
 //! and thresholds must equal what a fresh pack on a throwaway workspace
 //! produces, on every `GemmPath` the host runs, shared across threads,
-//! and the sums global ABFT compares must equal the per-column
-//! reductions they replaced.
+//! and the sums global ABFT compares must follow the order its
+//! threshold is derived for, column by column and block by block.
 
 use aiga_core::kernel::{FaultSite, Verdict};
 use aiga_core::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::simd::on_each_path;
 use aiga_gpu::engine::{
-    gemm, gemm_into, CheckScratch, Dest, Dtype, FaultKind, FaultPlan, GemmOutput, Im2colView,
-    Matrix, MatrixView, PackedWeights, Workspace, MICRO_MR, MICRO_NR,
+    gemm, gemm_into, pairwise_sum_f32, CheckScratch, Dest, Dtype, FaultKind, FaultPlan, GemmOutput,
+    Im2colView, Matrix, MatrixView, PackedWeights, Workspace, BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR,
 };
 use aiga_util::rng::Rng64;
 use std::sync::{Arc, Barrier};
@@ -98,6 +98,18 @@ fn bound_panels_equal_a_fresh_pack_byte_for_byte() {
                             assert_eq!(got.detections, fresh.detections, "{ctx}");
                             assert_eq!(got.counters, fresh.counters, "{ctx}");
                             assert_eq!(verdict, kernel_verdict(scheme, &a, &b, &fresh), "{ctx}");
+                            if scheme == Scheme::GlobalAbft {
+                                // The run's own partials, not just the
+                                // verdict they reach, are the serial
+                                // reference's.
+                                let want = CheckScratch::sum_serially(a.view(), &fresh);
+                                let (_, got) = ws.output_and_check();
+                                assert_eq!(
+                                    (bits(got.stripe_sums()), bits(got.block_sums())),
+                                    (bits(want.stripe_sums()), bits(want.block_sums())),
+                                    "{ctx}"
+                                );
+                            }
                             assert_eq!(
                                 verdict.fault_flagged(),
                                 !faults.is_empty() && scheme != Scheme::Unprotected,
@@ -230,7 +242,7 @@ fn a_batch_one_fault_is_repaired_and_padding_faults_are_no_ops() {
     });
 }
 
-/// The reduction tree global ABFT has always used: split at `n/2`.
+/// The reduction tree global ABFT uses at every level: split at `n/2`.
 fn pairwise_oracle(values: &[f32]) -> f32 {
     match values.len() {
         0 => 0.0,
@@ -242,39 +254,75 @@ fn pairwise_oracle(values: &[f32]) -> f32 {
     }
 }
 
-/// The per-column activation checksum the row-streamed one replaced:
-/// gather one column, sum it pairwise, sum its magnitudes in row order.
-fn checksum_oracle(a: MatrixView<'_>) -> (Vec<u32>, Vec<u64>) {
-    let mut col = vec![0.0f32; a.rows];
+/// The activation checksum in the engine's order, from one gathered
+/// column at a time: rows padded with `+0` to whole 4-row strips, each
+/// strip `(a₀ + a₁) + (a₂ + a₃)`, each 64-row stripe's strips in the
+/// tree, the stripes in the tree; the magnitudes the same way.
+fn checksum_oracle(a: MatrixView<'_>) -> (Vec<u32>, Vec<u32>) {
     let (mut chk, mut abs) = (Vec::new(), Vec::new());
     for k in 0..a.cols {
-        let mut magnitude = 0.0f64;
-        for (i, slot) in col.iter_mut().enumerate() {
-            *slot = a.get_f32(i, k);
-            magnitude += (*slot as f64).abs();
-        }
-        chk.push(pairwise_oracle(&col).to_bits());
-        abs.push(magnitude.to_bits());
+        let mut col: Vec<f32> = (0..a.rows).map(|i| a.get_f32(i, k)).collect();
+        col.resize(a.rows.next_multiple_of(MICRO_MR), 0.0);
+        let tree = |f: fn(f32) -> f32| {
+            let strips: Vec<f32> = col
+                .chunks(MICRO_MR)
+                .map(|v| (f(v[0]) + f(v[1])) + (f(v[2]) + f(v[3])))
+                .collect();
+            let stripes: Vec<f32> = strips
+                .chunks(BLOCK_M / MICRO_MR)
+                .map(pairwise_oracle)
+                .collect();
+            pairwise_oracle(&stripes).to_bits()
+        };
+        chk.push(tree(|v| v));
+        abs.push(tree(f32::abs));
     }
     (chk, abs)
 }
 
+/// `Σ C` in the engine's order, from the flat output: per 64×64 block,
+/// each column over the block's rows in the tree, then the columns;
+/// then the blocks, block-major, in the tree.
+fn output_oracle(c: &[f32], m: usize, n: usize) -> u32 {
+    let mut blocks = Vec::new();
+    for r0 in (0..m).step_by(BLOCK_M) {
+        for c0 in (0..n).step_by(BLOCK_N) {
+            let cols: Vec<f32> = (c0..n.min(c0 + BLOCK_N))
+                .map(|j| {
+                    let col: Vec<f32> = (r0..m.min(r0 + BLOCK_M)).map(|i| c[i * n + j]).collect();
+                    pairwise_oracle(&col)
+                })
+                .collect();
+            blocks.push(pairwise_oracle(&cols));
+        }
+    }
+    pairwise_oracle(&blocks).to_bits()
+}
+
 #[test]
 fn row_streamed_sums_equal_the_per_column_reductions() {
-    // One scratch across every case, so stale stack contents from a
-    // deeper tree cannot leak into a shallower one.
-    let mut scratch = CheckScratch::default();
-    let mut check = |a: MatrixView<'_>, ctx: &str| {
-        GlobalAbft::activation_checksum_into(a, &mut scratch);
-        let got = (
-            bits(&scratch.chk),
-            scratch.abs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
-        assert_eq!(got, checksum_oracle(a), "{ctx}");
+    // The serial reference's activation checksum, combined from its
+    // stripe partials, against one gathered column at a time — for
+    // every storage format, across the stripe boundaries, in every
+    // operand layout.
+    let check = |a: MatrixView<'_>, ctx: &str| {
+        let out = GemmOutput {
+            c: vec![0.0; a.rows],
+            m: a.rows,
+            n: 1,
+            ..GemmOutput::default()
+        };
+        let mut sums = CheckScratch::sum_serially(a, &out);
+        let (chk, abs): (Vec<u32>, Vec<u32>) = sums
+            .activation_sums()
+            .chunks_exact(2)
+            .map(|s| (s[0].to_bits(), s[1].to_bits()))
+            .unzip();
+        assert_eq!((chk, abs), checksum_oracle(a), "{ctx}");
     };
     let channels = 5usize;
     for dtype in Dtype::ALL {
-        for rows in [1usize, 2, 3, 7, 256, 257] {
+        for rows in [1usize, 2, 3, 7, 63, 64, 65, 256, 257] {
             let ctx = format!("{dtype} rows {rows}");
             let dense = Matrix::random_dtype(rows, 37, rows as u64, dtype);
             check(dense.view(), &format!("row-major {ctx}"));
@@ -304,21 +352,44 @@ fn row_streamed_sums_equal_the_per_column_reductions() {
         }
     }
 
-    // The output summation is one flat tree over m·n accumulators; its
-    // unrolled leaves must keep the split-at-n/2 association at every
-    // length, not just the powers of two.
+    // The output summation over m × n accumulators: ragged blocks in
+    // both directions, one block, one cell, none.
     let mut rng = Rng64::seed_from_u64(9);
+    for (m, n) in [
+        (0usize, 5usize),
+        (1, 1),
+        (3, 7),
+        (64, 64),
+        (65, 1000),
+        (256, 1000),
+        (130, 129),
+    ] {
+        let c: Vec<f32> = (0..m * n).map(|_| rng.range_f32(-300.0, 300.0)).collect();
+        let out = GemmOutput {
+            c: c.clone(),
+            m,
+            n,
+            ..GemmOutput::default()
+        };
+        let sums = CheckScratch::sum_serially(Matrix::zeros(m, 0).view(), &out);
+        assert_eq!(
+            sums.output_sum().to_bits(),
+            output_oracle(&c, m, n),
+            "{m}x{n}"
+        );
+    }
+
+    // Every level of that order is `pairwise_sum_f32`; its unrolled
+    // leaves must keep the split-at-n/2 association at every length,
+    // not just the powers of two.
     let values: Vec<f32> = (0..256 * 1000 + 7)
         .map(|_| rng.range_f32(-300.0, 300.0))
         .collect();
     for len in (0..=40).chain([255, 256, 257, 1000, 4099, 256 * 1000, values.len()]) {
-        let want = pairwise_oracle(&values[..len]);
-        let out = GemmOutput {
-            c: values[..len].to_vec(),
-            m: 1,
-            n: len,
-            ..GemmOutput::default()
-        };
-        assert_eq!(GlobalAbft::output_summation(&out).to_bits(), want.to_bits());
+        assert_eq!(
+            pairwise_sum_f32(&values[..len]).to_bits(),
+            pairwise_oracle(&values[..len]).to_bits(),
+            "length {len}"
+        );
     }
 }

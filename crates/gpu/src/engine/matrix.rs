@@ -232,8 +232,7 @@ impl<'a> MatrixView<'a> {
     /// Row `r`'s `cols` storage codes: borrowed in place from a
     /// row-major buffer, gathered into `scratch` (at least `cols` long)
     /// from a conv lowering, each `(channel, ky)` tap run as a run,
-    /// padding taps the zero code. The row gather behind strip staging
-    /// and global ABFT's activation checksum.
+    /// padding taps the zero code. The row gather behind strip staging.
     pub fn row_codes<'s>(&'s self, r: usize, scratch: &'s mut [F16]) -> &'s [F16] {
         let MatrixLayout::Im2col(v) = self.layout else {
             return &self.data[r * self.cols..][..self.cols];

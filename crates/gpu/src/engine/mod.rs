@@ -27,7 +27,8 @@
 //!   bound and shared by every run), the per-stripe A staging (decoded
 //!   and strip-packed rows, checksum rows), and the reusable
 //!   [`Workspace`] that owns all per-run scratch (per team member: the
-//!   staged stripe, block tile and lanes; output, checksum scratch);
+//!   staged stripe, block tile and lanes; output, global ABFT's
+//!   partials);
 //! - [`simd`] — the register-tiled microkernel (one multi-row and one
 //!   one-row tile body, generic over the vector width — ymm on AVX2,
 //!   zmm on AVX-512 — the format's B widening and the checksum lanes),
@@ -39,6 +40,9 @@
 //! - [`emit`] — write-back: where a run's cells go besides the f32
 //!   output ([`Dest`]), and the one body that lays a rectangle of them
 //!   out for the next reader (NCHW transpose, fused ReLU, encode);
+//! - [`sums`] — global ABFT's partials ([`CheckScratch`]): `Σ C` per
+//!   block and `Σ A` per stripe, taken by the tasks from the tile and
+//!   the staged strip sums, and the serial reference for their order;
 //! - this module — [`gemm_into`] itself: the execution entry point, the
 //!   host constants it blocks by, the split into team tasks, and output
 //!   assembly.
@@ -74,15 +78,17 @@ pub mod matrix;
 pub mod panels;
 pub mod scheme;
 pub mod simd;
+pub mod sums;
 mod walk;
 
 pub use aiga_dtype::Dtype;
 pub use emit::{emit_output, emit_rect, encode_output, Dest, EmitLayout};
 pub use fault_inject::{Detection, FaultKind, FaultPlan};
 pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout, MatrixView};
-pub use panels::{CheckScratch, PackedWeights, Workspace};
+pub use panels::{PackedWeights, Workspace};
 pub use scheme::{Redundancy, TileScheme};
 pub use simd::GemmPath;
+pub use sums::{pairwise_sum_f32, CheckScratch};
 
 /// Register-tile rows: a block is computed in `MICRO_MR × MICRO_NR`
 /// register-tile units (4 broadcast rows of A against 16 columns of B —
@@ -296,8 +302,12 @@ impl<T> Cells<T> {
 /// as the task that computed it leaves it (see [`emit`]). The codes are
 /// those of the cells as the walk left them, injected faults included;
 /// a caller that repairs cells afterwards re-emits ([`emit_output`]).
-/// The f32 output is complete either way: checks that reduce over it,
-/// repairs and the caller's own reads go there.
+/// The f32 output is complete either way: repairs and the caller's own
+/// reads go there. Under [`Redundancy::GlobalSums`] the tasks also
+/// leave global ABFT's partials in the workspace's [`CheckScratch`]
+/// ([`Workspace::output_and_check`]): each block's `Σ C`, summed from
+/// its tile after the write-back, and each stripe's column sums of `a`,
+/// folded from the strip sums its staging took (see [`sums`]).
 pub fn gemm_into<'w, 'a>(
     a: impl Into<MatrixView<'a>>,
     b: &PackedWeights,
@@ -315,11 +325,19 @@ pub fn gemm_into<'w, 'a>(
     );
     let k = b.k();
     let (out_m, out_n) = (a.rows, b.cols());
+    let (stripes, col_blocks) = (out_m.div_ceil(BLOCK_M), out_n.div_ceil(BLOCK_N));
+    let global = scheme.lanes == Redundancy::GlobalSums;
     ws.out.reset(out_m, out_n);
+    if global {
+        ws.check.arm(stripes, a.cols, col_blocks);
+    }
     if k == 0 || out_n == 0 {
         // No inner dimension: every cell is the empty sum, and no chain
         // ran that a check could compare. No columns: no cells.
         ws.out.c.fill(0.0);
+        if global {
+            ws.check.zero();
+        }
         if let Some((codes, dtype, layout)) = dest.codes() {
             emit::encode_output(&ws.out, layout, dtype, codes);
         }
@@ -347,7 +365,6 @@ pub fn gemm_into<'w, 'a>(
         checksum_fmas: full.1 + one_row.1,
     };
 
-    let (stripes, col_blocks) = (out_m.div_ceil(BLOCK_M), out_n.div_ceil(BLOCK_N));
     let flops = 2 * ws.out.counters.data_fmas as u128;
     let width = aiga_util::team::width().min((flops / BLOCK_PAR_MIN_FLOPS) as usize + 1);
     let by_block = stripes < STRIPES_PER_MEMBER * width;
@@ -369,6 +386,11 @@ pub fn gemm_into<'w, 'a>(
     };
     let c = &Cells::new(&mut ws.out.c);
     let dest = &dest;
+    let partials = &global.then(|| Partials {
+        stripes: Cells::new(&mut ws.check.stripe_sums),
+        blocks: Cells::new(&mut ws.check.block_sums),
+        col_blocks,
+    });
     let pool = &mut ws.stripe_pool[..members];
     aiga_util::team::run_with(pool, tasks, &|scr, task| {
         let (br, blocks) = if by_block {
@@ -376,12 +398,31 @@ pub fn gemm_into<'w, 'a>(
         } else {
             (task, 0..col_blocks)
         };
-        scr.stage_stripe(run.a, scheme.lanes, run.path, k, br);
+        // Global ABFT's strip sums are staged for, and folded into the
+        // stripe's partial by, the task of the stripe's first block alone.
+        // Staging them on every task measured 1.3 points more global
+        // overhead over clean at 256×1024×1024 on two members (median
+        // 1.056 vs 1.043, worse in 10 of 10 interleaved pairs).
+        let first = blocks.start == 0;
+        let lanes = if global && !first {
+            Redundancy::None
+        } else {
+            scheme.lanes
+        };
+        scr.stage_stripe(run.a, lanes, run.path, k, br);
+        if let (Some(p), true) = (partials, first) {
+            // The last stripe may be short.
+            let strips = (out_m - br * BLOCK_M).min(BLOCK_M).div_ceil(MICRO_MR);
+            let row = 2 * run.a.cols;
+            let sums = sums::fold_rows(&mut scr.panels.a_chk, 2 * k, row, strips);
+            // SAFETY: stripe `br`'s partial, which this task alone writes.
+            unsafe { p.stripes.run(br * row, row) }.copy_from_slice(sums);
+        }
         for bc in blocks {
             walk::run_block(run, br, bc, scr);
             // SAFETY: the cells of block `(br, bc)`, which this task
             // alone executes.
-            unsafe { write_back(&scr.block.tile, run, br, bc, c, dest) };
+            unsafe { write_back(&mut scr.block.tile, run, br, bc, c, dest, partials) };
         }
         if scr.flagged.last().map_or(0, |&(_, end)| end) < scr.detections.len() {
             scr.flagged.push((task, scr.detections.len()));
@@ -410,18 +451,29 @@ fn merge_detections(pool: &mut [panels::StripeScratch], out: &mut Vec<Detection>
     out.reverse();
 }
 
+/// Global ABFT's partials as a region's tasks write them (see [`sums`]):
+/// a stripe's slot by the task that walks its first block, a block's by
+/// the task that computed it.
+struct Partials {
+    stripes: Cells<f32>,
+    blocks: Cells<f32>,
+    col_blocks: usize,
+}
+
 /// Copies one block tile's live cells into the output and, from the
-/// same tile, hands them to the run's destination.
+/// same tile, hands them to the run's destination and — last, since it
+/// consumes the tile — sums them into the block's partial.
 ///
 /// # Safety
 /// The caller is the only task writing block `(br, bc)`'s cells.
 unsafe fn write_back(
-    tile: &[f32],
+    tile: &mut [f32],
     run: &walk::Run<'_>,
     br: usize,
     bc: usize,
     c: &Cells<f32>,
     dest: &Option<emit::CodeCells>,
+    partials: &Option<Partials>,
 ) {
     let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
     let (rows, cols) = (BLOCK_M.min(run.out_m - row0), BLOCK_N.min(run.out_n - col0));
@@ -433,6 +485,11 @@ unsafe fn write_back(
     if let Some(dest) = dest {
         // SAFETY: the codes of the caller's block.
         unsafe { dest.emit(tile, BLOCK_N, (row0, rows), (col0, cols), run.out_n) };
+    }
+    if let Some(p) = partials {
+        // SAFETY: the caller's block's partial.
+        let slot = unsafe { p.blocks.run(br * p.col_blocks + bc, 1) };
+        slot[0] = sums::block_sum(tile, rows, cols);
     }
 }
 

@@ -26,8 +26,8 @@
 //!
 //! [`Workspace`] owns *all* per-run scratch — the per-member stripe
 //! panels, accumulator tile and checksum lanes, the output buffer,
-//! and staging space the layers above lend out (pipeline activations,
-//! scheme-check scratch). Callers that hold a workspace across runs get
+//! global ABFT's partials, and staging space the layers above lend out
+//! (pipeline activations). Callers that hold a workspace across runs get
 //! a steady state in which the whole execution path performs **zero
 //! heap allocations**, fanned out or not: every buffer is resized in
 //! place and capacities only ratchet up to the high-water mark of the
@@ -37,6 +37,7 @@ use super::fault_inject::Detection;
 use super::matrix::{Matrix, MatrixView};
 use super::scheme::Redundancy;
 use super::simd::{self, GemmPath};
+use super::sums::CheckScratch;
 use super::{GemmOutput, BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR};
 use aiga_dtype::{with_format, Dtype, Format, F16};
 
@@ -222,7 +223,8 @@ pub(crate) struct Panels {
     pub(crate) a_pack: Vec<f32>,
     /// Per-strip A checksum rows: strip `s`, step `kk` holds
     /// `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` at `(s·k + kk)·2`. Staged only
-    /// for the two ABFT lane kinds ([`Self::sums`]).
+    /// for the two ABFT lane kinds and global ABFT's partials
+    /// ([`Self::sums`]), whose stripe fold consumes them.
     pub(crate) a_chk: Vec<f32>,
     /// One strip's rows gathered as row-major codes ([`simd::stage_a`]).
     pub(crate) rows: Vec<F16>,
@@ -238,7 +240,7 @@ impl Panels {
     /// them. The engine does this for every member on the calling
     /// thread before a region, so no member's first stripe allocates.
     pub(crate) fn reserve(&mut self, lanes: Redundancy, k: usize, cols: usize, strips: usize) {
-        self.sums = matches!(lanes, Redundancy::ColumnChecksum | Redundancy::TileChecksum);
+        self.sums = lanes.stages_sums();
         self.k = k;
         // Staging writes every element it is about to hand out.
         grow(&mut self.a_pack, strips * MICRO_MR * k, 0.0);
@@ -337,7 +339,7 @@ pub(crate) struct StripeScratch {
 
 impl StripeScratch {
     /// Stages block-row stripe `stripe` of `a` unless the last task
-    /// left it here.
+    /// left it here with every row `lanes` reads.
     pub(crate) fn stage_stripe(
         &mut self,
         a: MatrixView<'_>,
@@ -346,7 +348,7 @@ impl StripeScratch {
         k: usize,
         stripe: usize,
     ) {
-        if self.staged != Some(stripe) {
+        if self.staged != Some(stripe) || (lanes.stages_sums() && !self.panels.sums) {
             let strips = BLOCK_M / MICRO_MR;
             let last = a.rows.div_ceil(MICRO_MR);
             self.panels.stage(
@@ -359,24 +361,6 @@ impl StripeScratch {
             self.staged = Some(stripe);
         }
     }
-}
-
-/// Reusable scratch for kernel-level checksum verification (global
-/// ABFT's activation checksum and friends). The engine itself never
-/// touches these; they are owned here so one [`Workspace`] covers the
-/// whole protected-execution path and `aiga-core`'s bound kernels can
-/// verify without allocating.
-#[derive(Clone, Debug, Default)]
-pub struct CheckScratch {
-    /// FP32 checksum accumulator (e.g. per-column activation checksums).
-    pub chk: Vec<f32>,
-    /// FP64 magnitude accumulator for the error bound.
-    pub abs: Vec<f64>,
-    /// FP32 row buffers (the stack of partial row sums a pairwise
-    /// column reduction keeps, one per tree level).
-    pub col: Vec<f32>,
-    /// One activation row gathered by [`MatrixView::row_codes`].
-    pub codes: Vec<F16>,
 }
 
 /// All per-run scratch of the protected execution path, owned in one
@@ -394,7 +378,7 @@ pub struct CheckScratch {
 #[derive(Clone, Debug, Default)]
 pub struct Workspace {
     pub(crate) out: GemmOutput,
-    /// Checksum-verification scratch lent to bound kernels.
+    /// Global ABFT's partials, left by the last run's tasks.
     pub(crate) check: CheckScratch,
     /// Staging for convolution lowering (the im2col activation matrix).
     pub(crate) lowering: Matrix,
@@ -445,8 +429,9 @@ impl Workspace {
     }
 
     /// Split borrow for verification: the engine output together with
-    /// the checksum scratch, so a bound kernel can verify the run it
-    /// just executed without cloning either.
+    /// global ABFT's partials of the run that produced it, so a bound
+    /// kernel can check — and after a repair re-sum — without cloning
+    /// either.
     pub fn output_and_check(&mut self) -> (&GemmOutput, &mut CheckScratch) {
         (&self.out, &mut self.check)
     }

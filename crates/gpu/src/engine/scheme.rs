@@ -17,10 +17,16 @@ use super::{MICRO_MR, MICRO_NR};
 /// The redundant work one register tile carries through its K walk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Redundancy {
-    /// Nothing — the unprotected kernel (also what kernel-level ABFT
-    /// runs; its check happens outside the engine).
+    /// Nothing — the unprotected kernel (also what the multi-checksum
+    /// extension runs; its check happens outside the engine).
     #[default]
     None,
+    /// Global ABFT: nothing in the register tile, but the run leaves the
+    /// partial sums its kernel-level check combines — `Σ C` per block,
+    /// taken from the tile after its write-back, and `A`'s column sums
+    /// per stripe, folded from the strip sums staging takes (see
+    /// [`super::sums`]).
+    GlobalSums,
     /// One-sided ABFT: a checksum accumulator per tile column,
     /// `Σ_k s[k]·b[k][j]` with `s[k] = Σ_i a[i][k]` the strip's column
     /// sum, compared against the column sum of the stored tile.
@@ -48,7 +54,7 @@ impl Redundancy {
     /// redundancy, and are not counted.
     pub fn checksum_fmas_per_step(self, tile_rows: usize) -> u64 {
         match self {
-            Redundancy::None => 0,
+            Redundancy::None | Redundancy::GlobalSums => 0,
             Redundancy::ColumnChecksum => MICRO_NR as u64,
             Redundancy::TileChecksum => 1,
             Redundancy::ShadowExact | Redundancy::ShadowSum => (tile_rows * MICRO_NR) as u64,
@@ -63,6 +69,15 @@ impl Redundancy {
             Redundancy::TileChecksum => bm / MICRO_MR * (bn / MICRO_NR),
             _ => 0,
         }
+    }
+
+    /// Whether A's staging takes the strips' column sums: the two ABFT
+    /// lane kinds multiply them, global ABFT's stripe fold adds them up.
+    pub(crate) fn stages_sums(self) -> bool {
+        matches!(
+            self,
+            Redundancy::ColumnChecksum | Redundancy::TileChecksum | Redundancy::GlobalSums
+        )
     }
 
     /// True for the two replication variants (a second microkernel pass

@@ -5,8 +5,9 @@
 use super::*;
 use aiga_dtype::F16;
 
-const ALL_LANES: [Redundancy; 5] = [
+const ALL_LANES: [Redundancy; 6] = [
     Redundancy::None,
+    Redundancy::GlobalSums,
     Redundancy::ColumnChecksum,
     Redundancy::TileChecksum,
     Redundancy::ShadowExact,
@@ -400,7 +401,7 @@ fn block_parallel_stripes_restage_between_column_block_tasks() {
             let out = at_every_team_width(&a, &b, loose(lanes), &faults);
             let rows: Vec<usize> = out.detections.iter().map(|d| d.row).collect();
             let want = match lanes {
-                Redundancy::None => vec![],
+                Redundancy::None | Redundancy::GlobalSums => vec![],
                 _ => vec![0, 100, 168],
             };
             assert_eq!(rows, want, "{lanes:?}");
@@ -1063,4 +1064,97 @@ fn a_destination_holds_what_emitting_the_finished_output_would() {
             }
         }
     }
+}
+
+#[test]
+fn in_task_global_partials_equal_the_serial_reference() {
+    // Global ABFT's partials as the tasks leave them — `Σ C` per block
+    // from the tile after its write-back, `Σ A` per stripe folded from
+    // the staged strip sums — against `CheckScratch::sum_serially` over
+    // the operand and the finished output, bit for bit: at team widths
+    // 1, 2 and 3 on every path, in every storage format, for row-major,
+    // NCHW-pointwise and im2col operands; on both sides of every stripe
+    // boundary (m), a lone column group and sixteen column blocks with a
+    // ragged last (n); clean, with a mid-walk and with an epilogue
+    // fault; and through the early exit (K = 0, N = 0). One workspace
+    // throughout, so a partial left by a larger run cannot stand in for
+    // a smaller one's. (Unoptimised builds keep every axis and drop the
+    // two largest m.)
+    let scheme = TileScheme {
+        lanes: Redundancy::GlobalSums,
+        ..TileScheme::NONE
+    };
+    let rows: &[usize] = if cfg!(debug_assertions) {
+        &[1, 3, 5, 63, 64, 65]
+    } else {
+        &[1, 3, 5, 63, 64, 65, 129, 256]
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut ws = Workspace::new();
+    let mut run = |a: MatrixView<'_>, b: &Matrix, faults: &[FaultPlan], ctx: &str| {
+        let packed = PackedWeights::pack(b, scheme.lanes);
+        for width in [1usize, 2, 3] {
+            aiga_util::team::with_width(width, || {
+                gemm_into(a, &packed, scheme, faults, Dest::None, &mut ws);
+            });
+            let (out, got) = ws.output_and_check();
+            let want = CheckScratch::sum_serially(a, out);
+            let ctx = format!("{ctx} {faults:?} width {width}");
+            assert_eq!(bits(got.stripe_sums()), bits(want.stripe_sums()), "{ctx}");
+            assert_eq!(bits(got.block_sums()), bits(want.block_sums()), "{ctx}");
+            assert_eq!(
+                got.output_sum().to_bits(),
+                want.output_sum().to_bits(),
+                "{ctx}"
+            );
+        }
+    };
+    on_each_path(|path| {
+        for dtype in Dtype::ALL {
+            for &m in rows {
+                for n in [8usize, 1000] {
+                    let ctx = format!("{dtype} {m}x{n} {path:?}");
+                    let tensor = Matrix::random_dtype(1, 3 * m, m as u64, dtype);
+                    let geometry = Im2colView {
+                        channels: 3,
+                        height: m,
+                        width: 1,
+                        kernel: 3,
+                        stride: 1,
+                        padding: 1,
+                        out_h: m,
+                        out_w: 1,
+                    };
+                    let dense = Matrix::random_dtype(m, 9, 7 + m as u64, dtype);
+                    for (view, a) in [
+                        ("row-major", dense.view()),
+                        (
+                            "nchw",
+                            MatrixView::nchw_lowered(1, 3, m, &tensor.data, dtype),
+                        ),
+                        (
+                            "im2col",
+                            MatrixView::im2col_lowered(1, geometry, &tensor.data, dtype),
+                        ),
+                    ] {
+                        let b = Matrix::random_dtype(a.cols, n, 11 + n as u64, dtype);
+                        let at = |after_step| FaultPlan {
+                            row: m / 2,
+                            col: n - 1,
+                            after_step,
+                            kind: FaultKind::AddValue(96.0),
+                        };
+                        for faults in [&[][..], &[at(1)], &[at(u64::MAX)]] {
+                            run(a, &b, faults, &format!("{view} {ctx}"));
+                        }
+                    }
+                }
+            }
+            for (m, n, k) in [(65usize, 1000usize, 0usize), (65, 0, 9)] {
+                let a = Matrix::random_dtype(m, k, 3, dtype);
+                let b = Matrix::random_dtype(k, n, 4, dtype);
+                run(a.view(), &b, &[], &format!("{dtype} {m}x{n}x{k} {path:?}"));
+            }
+        }
+    });
 }

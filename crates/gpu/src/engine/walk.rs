@@ -229,7 +229,7 @@ fn check_block(
         });
     };
     match scheme.lanes {
-        Redundancy::None => {}
+        Redundancy::None | Redundancy::GlobalSums => {}
         Redundancy::ColumnChecksum => {
             for s in 0..strips {
                 let rows = strip_rows(tile, s);
