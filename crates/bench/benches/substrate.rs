@@ -277,12 +277,42 @@ fn team_shape_rows(rec: &mut Recorder) {
     }
 }
 
+/// What an overloaded server pays to start shedding protection: the
+/// first degraded pass of a DLRM-bottom session whose two buckets (8
+/// and 32) have each served once, median over nine fresh sessions. It
+/// binds the all-`Unprotected` schemes over the session's packed
+/// weights, then runs.
+fn degraded_first_pass_row(rec: &mut Recorder) {
+    use aiga_core::{Planner, Session};
+    let req = Matrix::random(8, 13, 70);
+    let samples = (0..9).map(|_| {
+        let family = aiga_nn::zoo::dlrm_mlp_bottom;
+        let session = Session::builder(Planner::new(DeviceSpec::t4()), "dlrm-mlp-bottom", family)
+            .buckets([8, 32])
+            .build();
+        session.serve(&req).expect("bucket 8 serves");
+        session
+            .serve(&Matrix::random(20, 13, 71))
+            .expect("bucket 32 serves");
+        let t = std::time::Instant::now();
+        black_box(
+            session
+                .serve_degraded(&req)
+                .expect("a degraded pass serves"),
+        );
+        t.elapsed().as_secs_f64() * 1e6
+    });
+    let us = p50(samples.collect());
+    rec.record_value("session/degraded_first_pass_us", us, "us");
+}
+
 fn main() {
     // First: it measures what a fresh process does.
     let mut rec = Recorder::new("engine");
     cold_start_row(&mut rec);
     fork_join_rows(&mut rec);
     team_shape_rows(&mut rec);
+    degraded_first_pass_row(&mut rec);
 
     let values: Vec<f32> = (0..1024).map(|v| v as f32 * 0.37 - 200.0).collect();
     bench("fp16/from_f32_x1024", || {
@@ -351,7 +381,7 @@ fn main() {
     // exactly at the block-parallel threshold; 512³ is beyond it.
     for size in [256usize, 512] {
         let a = Matrix::random(size, size, 1);
-        let b = PackedWeights::pack(&Matrix::random(size, size, 2), Redundancy::None);
+        let b = PackedWeights::pack(&Matrix::random(size, size, 2));
         let mut ws = Workspace::new();
         gemm_into(&a, &b, TileScheme::NONE, &[], Dest::None, &mut ws); // warm
         let med = rec
@@ -406,7 +436,7 @@ fn main() {
             ("replication_traditional", Scheme::ReplicationTraditional),
         ] {
             let tile = scheme.tile_scheme(size);
-            let packed = PackedWeights::pack(&b, tile.lanes);
+            let packed = PackedWeights::pack(&b);
             gemm_into(&a, &packed, tile, &[], Dest::None, &mut ws); // warm
             rec.bench(&format!("engine/gemm_64_{name}"), || {
                 black_box(gemm_into(&a, &packed, tile, &[], Dest::None, &mut ws));
@@ -446,7 +476,7 @@ fn main() {
         ]
         .map(|scheme| {
             let tile = scheme.tile_scheme(size);
-            (tile, PackedWeights::pack(&b, tile.lanes))
+            (tile, PackedWeights::pack(&b))
         });
         let active = simd::active_path();
         for (path, [clean, one_sided, two_sided]) in
@@ -530,13 +560,13 @@ fn main() {
             };
             let weights = Matrix::random_dtype(1024, 1024, 2, dtype);
             rec.bench(&format!("engine/bind_pack_1024{suffix}"), || {
-                black_box(PackedWeights::pack(&weights, Redundancy::None));
+                black_box(PackedWeights::pack(&weights));
             });
             let request = Matrix::random_dtype(1, 1024, 1, dtype);
             let mut ws = Workspace::new();
             let kernels = [Scheme::Unprotected, Scheme::ThreadLevelOneSided].map(|scheme| {
                 let tile = scheme.tile_scheme(1024);
-                (tile, PackedWeights::pack(&weights, tile.lanes))
+                (tile, PackedWeights::pack(&weights))
             });
             for (name, (tile, packed)) in ["clean", "one_sided"].into_iter().zip(&kernels) {
                 gemm_into(&request, packed, *tile, &[], Dest::None, &mut ws); // warm
@@ -757,10 +787,7 @@ fn main() {
         let size = 128usize;
         for dtype in Dtype::ALL {
             let a = Matrix::random_dtype(size, size, 1, dtype);
-            let b = PackedWeights::pack(
-                &Matrix::random_dtype(size, size, 2, dtype),
-                Redundancy::None,
-            );
+            let b = PackedWeights::pack(&Matrix::random_dtype(size, size, 2, dtype));
             let mut ws = Workspace::new();
             gemm_into(&a, &b, TileScheme::NONE, &[], Dest::None, &mut ws); // warm
             let med = rec

@@ -6,7 +6,7 @@
 
 use aiga_bench::Table;
 use aiga_core::schemes::MultiChecksumAbft;
-use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, Matrix, TileScheme};
+use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, Matrix, PackedWeights, TileScheme};
 use aiga_util::rng::Rng64;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     );
     let mut t = Table::new(["checksum rounds", "detected", "missed", "detection rate"]);
     for rounds in 1..=3usize {
-        let abft = MultiChecksumAbft::prepare(&b, rounds);
+        let abft = MultiChecksumAbft::prepare(&PackedWeights::pack(&b), rounds);
         let mut detected = 0usize;
         for _ in 0..trials {
             let delta: f32 = rng.range_f32(50.0, 500.0);

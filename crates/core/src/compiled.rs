@@ -10,8 +10,8 @@
 //! execute between the protected GEMMs).
 //!
 //! `CompiledModel` is what a [`crate::session::Session`] caches per
-//! batch bucket; it can also be used directly for single-caller
-//! inference:
+//! batch bucket — each bucket's plan over one compiled network's
+//! weights; it can also be used directly for single-caller inference:
 //!
 //! ```
 //! use aiga_core::{CompiledModel, Planner};
@@ -43,37 +43,22 @@ pub struct CompiledModel {
 impl CompiledModel {
     /// Compiles an executable [`Network`]: plans its analytic model with
     /// `planner`, then binds each conv/fc node's real FP16 weights under
-    /// the plan's chosen scheme — or, when `schemes` is given, under
-    /// that explicit per-layer list (the adaptive controller's and the
-    /// degrade ladder's recompile path; the plan is kept with its
-    /// `chosen` fields overwritten, so cost introspection still works).
-    pub fn compile(planner: &Planner, net: &Network, schemes: Option<&[Scheme]>) -> Self {
-        let model = net.to_model();
+    /// the plan's chosen scheme.
+    pub fn compile(planner: &Planner, net: &Network) -> Self {
         // Plan at the network's storage dtype: a bf16/fp8 network's
         // layers sit at different arithmetic intensities than fp16's,
         // so scheme selection must see the dtype the executor runs.
-        let mut plan = planner.clone().dtype(net.dtype).plan(&model);
-        if let Some(schemes) = schemes {
-            assert_eq!(
-                plan.layers.len(),
-                schemes.len(),
-                "one override scheme per planned layer"
-            );
-            for (layer, &s) in plan.layers.iter_mut().zip(schemes) {
-                layer.chosen = s;
-            }
-        }
+        let plan = planner.clone().dtype(net.dtype).plan(&net.to_model());
         let pipeline = ProtectedPipeline::compile(net, &plan.chosen_schemes());
         CompiledModel { plan, pipeline }
     }
 
-    /// Enables (or disables) in-pass correction on the underlying
-    /// pipeline: localized verdicts recompute their implicated slice
-    /// instead of merely flagging (see
-    /// [`ProtectedPipeline::with_recovery`]).
-    pub fn with_recovery(mut self, on: bool) -> Self {
-        self.pipeline = self.pipeline.with_recovery(on);
-        self
+    /// `plan`'s chosen schemes over `pipeline`'s packed weights
+    /// ([`ProtectedPipeline::rebind`]): a plan for another batch of the
+    /// same network, served without compiling it again.
+    pub(crate) fn rebind(pipeline: &ProtectedPipeline, plan: ModelPlan) -> Self {
+        let pipeline = pipeline.rebind(&plan.chosen_schemes());
+        CompiledModel { plan, pipeline }
     }
 
     /// The intensity-guided plan this model was compiled against.
@@ -90,21 +75,6 @@ impl CompiledModel {
     /// The underlying executable stage graph.
     pub fn pipeline(&self) -> &ProtectedPipeline {
         &self.pipeline
-    }
-
-    /// Batch size this instance executes at.
-    pub fn batch(&self) -> usize {
-        self.pipeline.batch()
-    }
-
-    /// Flattened input feature width of one request row.
-    pub fn input_features(&self) -> usize {
-        self.pipeline.input_features()
-    }
-
-    /// Flattened output feature width per request row.
-    pub fn output_features(&self) -> usize {
-        self.pipeline.output_features()
     }
 
     /// Protected inference in a throwaway workspace.
@@ -134,7 +104,7 @@ mod tests {
     #[test]
     fn compile_plans_on_the_real_zoo_conv_shapes() {
         let net = zoo::resnet_block_net(2, 16, 16, 3);
-        let compiled = CompiledModel::compile(&Planner::new(DeviceSpec::t4()), &net, None);
+        let compiled = CompiledModel::compile(&Planner::new(DeviceSpec::t4()), &net);
         let analytic = net.to_model();
         assert_eq!(compiled.plan().layers.len(), analytic.layers.len());
         for (pl, al) in compiled.plan().layers.iter().zip(&analytic.layers) {

@@ -16,17 +16,18 @@
 //! tile epilogue (the four thread-level ones — and the unprotected
 //! baseline, which carries no lanes), global ABFT, and its multi-checksum
 //! extension at any round count. [`Scheme::bind`] does the offline step
-//! once per layer — the weights are decoded and packed into the
-//! microkernel's panel layout ([`PackedWeights`], with two-sided ABFT's
-//! B checksum columns when that is the scheme), and the kernel-level
-//! schemes' weight checksums are summed — and returns a [`BoundGemm`]:
-//! one concrete value whatever the scheme, whose [`BoundGemm::run_into`]
-//! and [`BoundGemm::correct_into`] match on the family's check. The
-//! packed panels are the bound layer's *only* copy of the weights (no
-//! storage-format clone beside them): every request, worker and shard
-//! streams the same `Arc`, and a request stages nothing but its own
-//! rows. Every id that parses binds and runs; a new scheme is a new
-//! [`Scheme`] variant and an arm in these matches.
+//! once per layer — the weights are packed into the microkernel's panel
+//! layout ([`PackedWeights`], the same for every scheme), and the
+//! kernel-level schemes' weight checksums are summed from the panels —
+//! and returns a [`BoundGemm`]: one concrete value whatever the scheme,
+//! whose [`BoundGemm::run_into`] and [`BoundGemm::correct_into`] match
+//! on the family's check. [`BoundGemm::rebind`] binds another scheme
+//! over the same panels without packing again. The packed panels are
+//! the layer's *only* copy of the weights (no storage-format clone
+//! beside them): every request, worker, shard and scheme streams the
+//! same `Arc`, and a request stages nothing but its own rows. Every id
+//! that parses binds and runs; a new scheme is a new [`Scheme`] variant
+//! and an arm in these matches.
 
 use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::{
@@ -154,14 +155,18 @@ impl Scheme {
     /// returns the layer bound to them. Panics on `MultiChecksum(0)`: a
     /// check needs at least one round.
     pub fn bind(self, weights: &Matrix) -> BoundGemm {
+        self.bind_packed(Arc::new(PackedWeights::pack(weights)))
+    }
+
+    /// [`Self::bind`] over weights already packed.
+    fn bind_packed(self, weights: Arc<PackedWeights>) -> BoundGemm {
         // The threshold depends on the K the lanes accumulate over —
         // the packed (padded) K the engine walks.
-        let tile = self.tile_scheme(weights.rows.next_multiple_of(8));
-        let packed = Arc::new(PackedWeights::pack(weights, tile.lanes));
+        let tile = self.tile_scheme(weights.k());
         let check = match self {
-            Scheme::GlobalAbft => Check::Global(GlobalAbft::prepare(weights)),
+            Scheme::GlobalAbft => Check::Global(GlobalAbft::prepare(&weights)),
             Scheme::MultiChecksum(rounds) => {
-                Check::MultiChecksum(MultiChecksumAbft::prepare(weights, rounds as usize))
+                Check::MultiChecksum(MultiChecksumAbft::prepare(&weights, rounds as usize))
             }
             Scheme::Unprotected
             | Scheme::ThreadLevelOneSided
@@ -172,7 +177,7 @@ impl Scheme {
         BoundGemm {
             scheme: self,
             tile,
-            weights: packed,
+            weights,
             check,
         }
     }
@@ -190,6 +195,7 @@ impl Scheme {
 /// nothing once the workspace is warm. The conveniences over it — an
 /// allocating run, a run followed by its repair — are
 /// [`crate::ProtectedGemm`]'s, which owns its activations.
+#[derive(Clone)]
 pub struct BoundGemm {
     scheme: Scheme,
     tile: TileScheme,
@@ -198,6 +204,7 @@ pub struct BoundGemm {
 }
 
 /// The check a bound scheme runs after the engine.
+#[derive(Clone)]
 enum Check {
     /// None: the engine's tile epilogue is the whole check — the
     /// engine carries the scheme's lanes in every register tile
@@ -217,6 +224,16 @@ impl BoundGemm {
     /// The scheme id.
     pub fn scheme(&self) -> Scheme {
         self.scheme
+    }
+
+    /// This layer's weights under `scheme`: the same panels — shared,
+    /// never packed again — with `scheme`'s lanes and check. Rebinding
+    /// to the bound scheme is a clone.
+    pub fn rebind(&self, scheme: Scheme) -> BoundGemm {
+        if scheme == self.scheme {
+            return self.clone();
+        }
+        scheme.bind_packed(Arc::clone(&self.weights))
     }
 
     /// Runs `activations · weights` under this scheme, injecting
@@ -475,10 +492,15 @@ fn apply_global_cost(rounds: u64, p: &mut KernelProfile) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aiga_gpu::engine::FaultKind;
     use aiga_gpu::GemmShape;
+
+    /// The packed weights `bound` runs on.
+    pub(crate) fn weights(bound: &BoundGemm) -> &Arc<PackedWeights> {
+        &bound.weights
+    }
 
     /// The baseline, the paper's five schemes and two extension round
     /// counts — one of them (4) beyond anything a table ever listed.
@@ -521,6 +543,29 @@ mod tests {
             } else {
                 assert!(dirty.is_detected(), "{scheme}");
             }
+        }
+    }
+
+    #[test]
+    fn a_rebound_layer_shares_its_panels_and_runs_like_a_fresh_bind() {
+        let fault = FaultPlan {
+            row: 3,
+            col: 5,
+            after_step: 2,
+            kind: FaultKind::AddValue(1e3),
+        };
+        let a = Matrix::random(48, 56, 11);
+        let b = Matrix::random(56, 40, 12);
+        let base = Scheme::Unprotected.bind(&b);
+        let ws = &mut Workspace::new();
+        for scheme in schemes() {
+            let rebound = base.rebind(scheme);
+            assert!(Arc::ptr_eq(weights(&rebound), weights(&base)), "{scheme}");
+            let mut run = |bound: &BoundGemm| {
+                let verdict = bound.run_into(a.view(), &[fault], Dest::None, ws);
+                (format!("{verdict:?}"), ws.output().c.clone())
+            };
+            assert_eq!(run(&rebound), run(&scheme.bind(&b)), "{scheme}");
         }
     }
 

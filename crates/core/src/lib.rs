@@ -46,7 +46,8 @@
 //! **Serving** — [`Session`] turns a planner plus a family of
 //! executable networks ([`Session::builder_network`]; analytic MLPs
 //! lower through `Network::from_mlp`) into a request-serving
-//! front-end: per-request batch-bucket dispatch, lazy compilation cached per bucket, and aggregated
+//! front-end: per-request batch-bucket dispatch, one lazy compilation
+//! whose weights every bucket's cached plan rebinds, and aggregated
 //! detection statistics. [`protected::ProtectedGemm`] and
 //! [`pipeline::ProtectedPipeline`] are the single-GEMM and single-model
 //! execution layers underneath. `Session` is the single-caller core;

@@ -48,7 +48,9 @@
 //! nodes carry their FP16 weights — the execution half of the
 //! `Model → ModelPlan → CompiledModel` path (see
 //! [`crate::compiled::CompiledModel`]). An analytic MLP chain gets
-//! there through [`Network::from_mlp`].
+//! there through [`Network::from_mlp`]. [`ProtectedPipeline::rebind`]
+//! binds other schemes over a compiled graph's weights without a
+//! second compile.
 //!
 //! Every GEMM stage — fc or conv — executes through one function
 //! (`run_gemm`) and the [`BoundGemm`] it holds inline (weights bound
@@ -66,8 +68,8 @@
 //! A pass runs at the request's own row count: every stage — GEMM,
 //! write-back, pool, gather — covers `input.rows` images, the first
 //! stage reads the caller's matrix where it lies, and the last stage's
-//! output is the reply. [`ProtectedPipeline::batch`] is only the row cap
-//! (and the shape the plan was priced at); nothing is padded up to it.
+//! output is the reply. The compiled network's batch is only the row
+//! cap (a rebind keeps it); nothing is padded up to it.
 
 use crate::kernel::{BoundGemm, FaultSite, Verdict};
 use crate::schemes::Scheme;
@@ -195,6 +197,7 @@ enum Src {
 }
 
 /// A protected GEMM stage: fc directly, or conv as an implicit GEMM.
+#[derive(Clone)]
 struct GemmStage {
     bound: BoundGemm,
     /// The conv geometry its activation matrix is lowered through.
@@ -205,6 +208,7 @@ struct GemmStage {
     layer: usize,
 }
 
+#[derive(Clone)]
 enum StageOp {
     Gemm(GemmStage),
     /// Spatial pooling.
@@ -231,9 +235,10 @@ enum StageOp {
     },
     /// Embedding-bag gathers: feature `t` of the source indexes
     /// `tables[t]`, which hold the network dtype's codes (encoded once
-    /// at compile time, like conv/fc weights), so a gather is a copy.
+    /// at compile time, like conv/fc weights, and shared by every
+    /// rebind), so a gather is a copy.
     EmbeddingBag {
-        tables: Vec<Matrix>,
+        tables: Arc<[Matrix]>,
     },
     /// DLRM pairwise-interaction epilogue; `dim` is the shared vector
     /// width and `part_features` each input's flattened per-image width.
@@ -243,6 +248,7 @@ enum StageOp {
     },
 }
 
+#[derive(Clone)]
 struct Stage {
     name: String,
     op: StageOp,
@@ -321,8 +327,11 @@ fn assign_slots(stages: &mut [Stage]) -> usize {
     count
 }
 
-/// A protected inference pipeline over GEMM and epilogue stages.
+/// A protected inference pipeline over GEMM and epilogue stages. A
+/// clone shares the packed weights and embedding tables.
+#[derive(Clone)]
 pub struct ProtectedPipeline {
+    /// The row cap: the compiled network's batch, kept by a rebind.
     batch: usize,
     input_features: usize,
     output_features: usize,
@@ -358,7 +367,7 @@ impl ProtectedPipeline {
         let dtype = net.dtype;
         // Weight values sit on the dtype's grid already (Network::
         // with_dtype snapped them), so re-encoding into raw dtype codes
-        // is lossless; fp16 networks keep their matrices untouched.
+        // is lossless; fp16 codes are kept as they are.
         let encode_weights = |mut m: Matrix| -> Matrix {
             if dtype != Dtype::F16 {
                 let values: Vec<f32> = m.data.iter().map(|v| v.to_f32()).collect();
@@ -405,6 +414,10 @@ impl ProtectedPipeline {
                     let view = params.im2col_view(c, h, w);
                     let wmat = encode_weights(filters_to_matrix(weights));
                     gemm_stage(&wmat, Some(view), *relu)
+                }
+                // An fp16 network's matrix is already the codes to pack.
+                NodeOp::Fc { weights, relu } if dtype == Dtype::F16 => {
+                    gemm_stage(weights, None, *relu)
                 }
                 NodeOp::Fc { weights, relu } => {
                     gemm_stage(&encode_weights(weights.clone()), None, *relu)
@@ -468,6 +481,26 @@ impl ProtectedPipeline {
         }
     }
 
+    /// The same stage graph with `schemes[i]` bound over the `i`-th
+    /// conv/fc layer's packed weights ([`BoundGemm::rebind`]): every
+    /// panel and embedding table is shared with `self`, so nothing is
+    /// packed or copied, and the row cap and recovery mode carry over.
+    pub fn rebind(&self, schemes: &[Scheme]) -> Self {
+        assert_eq!(
+            schemes.len(),
+            self.depth(),
+            "one scheme per conv/fc layer required"
+        );
+        let mut rebound = self.clone();
+        for stage in &mut rebound.stages {
+            if let StageOp::Gemm(g) = &mut stage.op {
+                g.bound = g.bound.rebind(schemes[g.layer]);
+            }
+        }
+        rebound.schemes = schemes.into();
+        rebound
+    }
+
     /// Enables (or disables) recovery mode: a detected fault is
     /// localized and repaired at the flagging stage by targeted
     /// recompute — one stage's implicated cells, never the whole pass —
@@ -502,13 +535,6 @@ impl ProtectedPipeline {
         self.schemes.len()
     }
 
-    /// The largest request (in rows) this instance accepts, and the
-    /// batch its plan was priced at. Smaller requests run as their own
-    /// rows.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
     /// Input feature width (flattened `C·H·W`).
     pub fn input_features(&self) -> usize {
         self.input_features
@@ -540,7 +566,7 @@ impl ProtectedPipeline {
     /// checkout pool) reach a steady state where the only per-request
     /// allocation is the returned report's output vector.
     ///
-    /// Every stage runs at `input.rows` (at most [`Self::batch`]): the
+    /// Every stage runs at `input.rows` (at most the row cap): the
     /// first stage reads `input` in place and the report's output is
     /// the last stage's, `input.rows × output_features`. A fault aimed
     /// past the request's last row has no accumulator to strike.
@@ -1090,6 +1116,14 @@ pub(crate) mod tests {
         Matrix::random(batch, features, 4242)
     }
 
+    /// Each GEMM layer's packed weights, in layer order.
+    pub(crate) fn panels(p: &ProtectedPipeline) -> Vec<Arc<aiga_gpu::engine::PackedWeights>> {
+        let layers = p.stages.iter().filter_map(Stage::gemm);
+        layers
+            .map(|g| Arc::clone(crate::kernel::tests::weights(&g.bound)))
+            .collect()
+    }
+
     /// An MLP chain lowered to a network, one scheme on every layer.
     fn uniform(model: &aiga_nn::Model, scheme: Scheme, seed: u64) -> ProtectedPipeline {
         let net = Network::from_mlp(model, seed);
@@ -1149,6 +1183,51 @@ pub(crate) mod tests {
         let r = p.infer(&input(16, 13), Some(fault));
         assert!(r.fault_detected());
         assert_eq!(r.detections[0].scheme, Scheme::GlobalAbft);
+    }
+
+    #[test]
+    fn a_rebind_runs_like_a_fresh_compile_over_the_same_panels() {
+        let net = zoo::resnet_block_net(2, 8, 8, 7);
+        let schemes = [
+            Scheme::GlobalAbft,
+            Scheme::ThreadLevelTwoSided,
+            Scheme::MultiChecksum(2),
+            Scheme::ThreadLevelOneSided,
+            Scheme::ReplicationTraditional,
+        ];
+        let bare = ProtectedPipeline::compile(&net, &[Scheme::Unprotected; 5]);
+        let (rebound, fresh) = (
+            bare.rebind(&schemes),
+            ProtectedPipeline::compile(&net, &schemes),
+        );
+        assert_eq!(rebound.schemes()[..], schemes);
+        let shared = panels(&rebound).into_iter().zip(panels(&bare));
+        assert!(shared.into_iter().all(|(a, b)| Arc::ptr_eq(&a, &b)));
+        let input = input(2, net.input_features());
+        for layer in 0..5 {
+            let fault = PipelineFault {
+                layer,
+                fault: FaultPlan {
+                    row: 1,
+                    col: 1,
+                    after_step: u64::MAX,
+                    kind: FaultKind::AddValue(40.0),
+                },
+            };
+            let (a, b) = (
+                rebound.infer(&input, Some(fault)),
+                fresh.infer(&input, Some(fault)),
+            );
+            assert_eq!(fnv1a(&a.output), fnv1a(&b.output), "layer {layer}");
+            let residuals = |r: &InferenceReport| -> Vec<(usize, u64)> {
+                r.detections
+                    .iter()
+                    .map(|d| (d.layer, d.residual.to_bits()))
+                    .collect()
+            };
+            assert!(a.fault_detected(), "layer {layer}");
+            assert_eq!(residuals(&a), residuals(&b), "layer {layer}");
+        }
     }
 
     #[test]

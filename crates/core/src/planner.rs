@@ -162,7 +162,7 @@ impl Planner {
     /// bind every conv/fc node under its chosen scheme. Convenience
     /// over [`crate::compiled::CompiledModel::compile`].
     pub fn compile(&self, net: &aiga_nn::Network) -> crate::compiled::CompiledModel {
-        crate::compiled::CompiledModel::compile(self, net, None)
+        crate::compiled::CompiledModel::compile(self, net)
     }
 }
 

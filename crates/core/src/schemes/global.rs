@@ -51,7 +51,9 @@
 //! partials summed from `a` and the finished output in the same order.
 
 use crate::tolerance::{self, exceeds};
-use aiga_gpu::engine::{pairwise_sum_f32, CheckScratch, GemmOutput, Matrix, MatrixView};
+use aiga_gpu::engine::{
+    pairwise_sum_f32, CheckScratch, GemmOutput, Matrix, MatrixView, PackedWeights,
+};
 
 /// Result of the global ABFT reduce-and-compare kernel.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -74,21 +76,16 @@ pub struct GlobalAbft {
 }
 
 impl GlobalAbft {
-    /// Offline preparation from the layer's weights (§2.5: computed once,
-    /// reused for every inference request).
-    pub fn prepare(b: &Matrix) -> Self {
-        let mut weight_checksum = vec![0.0f32; b.rows];
-        let mut weight_abs = vec![0.0f64; b.rows];
-        let mut row = vec![0.0f32; b.cols];
-        for k in 0..b.rows {
-            #[allow(clippy::needless_range_loop)] // row/abs are indexed in lockstep
-            for j in 0..b.cols {
-                let v = b.get_f32(k, j);
-                row[j] = v;
-                weight_abs[k] += (v as f64).abs();
-            }
-            weight_checksum[k] = pairwise_sum_f32(&row);
-        }
+    /// Offline preparation from the layer's packed weights (§2.5:
+    /// computed once, reused for every inference request), read back row
+    /// by row.
+    pub fn prepare(b: &PackedWeights) -> Self {
+        let mut weight_checksum = Vec::with_capacity(b.rows());
+        let mut weight_abs = Vec::with_capacity(b.rows());
+        b.for_each_row(|row| {
+            weight_checksum.push(pairwise_sum_f32(row));
+            weight_abs.push(row.iter().fold(0.0f64, |acc, &v| acc + (v as f64).abs()));
+        });
         GlobalAbft {
             weight_checksum,
             weight_abs,
@@ -140,12 +137,12 @@ impl GlobalAbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, TileScheme};
+    use aiga_gpu::engine::{gemm, Dtype, FaultKind, FaultPlan, TileScheme};
 
     #[test]
     fn clean_layer_passes_the_check() {
         let b = Matrix::random(64, 48, 61);
-        let abft = GlobalAbft::prepare(&b);
+        let abft = GlobalAbft::prepare(&PackedWeights::pack(&b));
         let a = Matrix::random(56, 64, 60);
         let out = gemm(&a, &b, TileScheme::NONE, &[]);
         let v = abft.verify(&a, &out);
@@ -155,7 +152,7 @@ mod tests {
     #[test]
     fn detects_a_single_corrupted_output() {
         let b = Matrix::random(64, 48, 63);
-        let abft = GlobalAbft::prepare(&b);
+        let abft = GlobalAbft::prepare(&PackedWeights::pack(&b));
         let a = Matrix::random(56, 64, 62);
         let fault = FaultPlan {
             row: 13,
@@ -173,7 +170,7 @@ mod tests {
     fn detects_exponent_bit_flips_anywhere() {
         for (r, c) in [(0usize, 0usize), (31, 17), (55, 47)] {
             let b = Matrix::random(64, 48, 65);
-            let abft = GlobalAbft::prepare(&b);
+            let abft = GlobalAbft::prepare(&PackedWeights::pack(&b));
             let a = Matrix::random(56, 64, 64);
             let fault = FaultPlan {
                 row: r,
@@ -189,7 +186,7 @@ mod tests {
     #[test]
     fn weight_checksum_is_reusable_across_requests() {
         let b = Matrix::random(32, 32, 67);
-        let abft = GlobalAbft::prepare(&b);
+        let abft = GlobalAbft::prepare(&PackedWeights::pack(&b));
         for seed in 70..74 {
             let (a, out) = {
                 let a = Matrix::random(24, 32, seed);
@@ -197,6 +194,27 @@ mod tests {
                 (a, out)
             };
             assert!(!abft.verify(&a, &out).fault_detected, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn weight_checksums_read_from_the_panels_equal_the_matrix_ones() {
+        // The checksums as they were summed straight off the matrix:
+        // each row in column order, the sum in the tree, the magnitude
+        // in f64 from zero.
+        for dtype in Dtype::ALL {
+            for (k, n) in [(1, 1), (13, 27), (64, 48), (100, 1000)] {
+                let b = Matrix::random_dtype(k, n, 83, dtype);
+                let abft = GlobalAbft::prepare(&PackedWeights::pack(&b));
+                assert_eq!(abft.weight_checksum.len(), k);
+                for r in 0..k {
+                    let row: Vec<f32> = (0..n).map(|j| b.get_f32(r, j)).collect();
+                    let abs = row.iter().fold(0.0f64, |acc, &v| acc + (v as f64).abs());
+                    let sum = pairwise_sum_f32(&row);
+                    assert_eq!(abft.weight_checksum[r].to_bits(), sum.to_bits(), "{dtype}");
+                    assert_eq!(abft.weight_abs[r].to_bits(), abs.to_bits(), "{dtype}");
+                }
+            }
         }
     }
 
@@ -212,7 +230,7 @@ mod tests {
         let a = Matrix::random(16, 32, 80);
         let out = gemm(&a, &Matrix::random(32, 16, 81), TileScheme::NONE, &[]);
         let mut sums = CheckScratch::sum_serially(a.view(), &out);
-        let abft = GlobalAbft::prepare(&Matrix::random(16, 16, 82)); // wrong K
+        let abft = GlobalAbft::prepare(&PackedWeights::pack(&Matrix::random(16, 16, 82))); // wrong K
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             abft.check(&mut sums, out.m, out.n)
         }));

@@ -22,7 +22,7 @@
 
 use crate::schemes::GlobalVerdict;
 use crate::tolerance::{self, exceeds};
-use aiga_gpu::engine::{GemmOutput, Matrix, MatrixView};
+use aiga_gpu::engine::{GemmOutput, Matrix, MatrixView, PackedWeights};
 
 /// Multi-round weighted global ABFT state for one layer.
 #[derive(Clone, Debug)]
@@ -55,18 +55,21 @@ impl MultiVerdict {
 }
 
 impl MultiChecksumAbft {
-    /// Prepares `rounds ≥ 1` independent checksums from the weights.
-    pub fn prepare(b: &Matrix, rounds: usize) -> Self {
+    /// Prepares `rounds ≥ 1` independent checksums from the packed
+    /// weights, read back row by row.
+    pub fn prepare(b: &PackedWeights, rounds: usize) -> Self {
         assert!(rounds >= 1, "at least one checksum round required");
-        let mut weight_checksum = vec![0.0f64; b.rows];
-        let mut weight_abs = vec![0.0f64; b.rows];
-        for k in 0..b.rows {
-            for j in 0..b.cols {
-                let v = b.get_f64(k, j);
-                weight_checksum[k] += v;
-                weight_abs[k] += v.abs();
+        let mut weight_checksum = Vec::with_capacity(b.rows());
+        let mut weight_abs = Vec::with_capacity(b.rows());
+        b.for_each_row(|row| {
+            let (mut sum, mut abs) = (0.0f64, 0.0f64);
+            for &v in row {
+                sum += v as f64;
+                abs += (v as f64).abs();
             }
-        }
+            weight_checksum.push(sum);
+            weight_abs.push(abs);
+        });
         MultiChecksumAbft {
             weight_checksum,
             weight_abs,
@@ -162,7 +165,7 @@ impl MultiChecksumAbft {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aiga_gpu::engine::{gemm, FaultKind, FaultPlan, TileScheme};
+    use aiga_gpu::engine::{gemm, Dtype, FaultKind, FaultPlan, TileScheme};
 
     fn setup(seed: u64) -> (Matrix, Matrix) {
         let a = Matrix::random(48, 64, seed);
@@ -183,7 +186,7 @@ mod tests {
     fn clean_runs_pass_every_round() {
         for seed in [100, 200, 300] {
             let (a, b) = setup(seed);
-            let abft = MultiChecksumAbft::prepare(&b, 3);
+            let abft = MultiChecksumAbft::prepare(&PackedWeights::pack(&b), 3);
             let out = gemm(&a, &b, TileScheme::NONE, &[]);
             let v = abft.verify(&a, &out);
             assert!(!v.fault_detected(), "seed {seed}: {:?}", v.rounds);
@@ -201,7 +204,7 @@ mod tests {
             TileScheme::NONE,
             &[fault(3, 5, 250.0), fault(20, 9, -250.0)],
         );
-        let single = MultiChecksumAbft::prepare(&b, 1);
+        let single = MultiChecksumAbft::prepare(&PackedWeights::pack(&b), 1);
         let v1 = single.verify(&a, &out);
         assert!(
             !v1.fault_detected(),
@@ -219,7 +222,7 @@ mod tests {
             TileScheme::NONE,
             &[fault(3, 5, 250.0), fault(20, 9, -250.0)],
         );
-        let dual = MultiChecksumAbft::prepare(&b, 2);
+        let dual = MultiChecksumAbft::prepare(&PackedWeights::pack(&b), 2);
         let v2 = dual.verify(&a, &out);
         assert!(v2.fault_detected());
         // Round 0 stays silent; round 1's row weighting breaks the
@@ -232,7 +235,7 @@ mod tests {
     fn single_faults_are_still_caught_by_round_zero() {
         let (a, b) = setup(600);
         let out = gemm(&a, &b, TileScheme::NONE, &[fault(7, 7, 99.0)]);
-        let dual = MultiChecksumAbft::prepare(&b, 2);
+        let dual = MultiChecksumAbft::prepare(&PackedWeights::pack(&b), 2);
         let v = dual.verify(&a, &out);
         assert_eq!(v.first_failing_round(), Some(0));
     }
@@ -240,7 +243,7 @@ mod tests {
     #[test]
     fn three_rounds_catch_two_faults_in_any_distinct_rows() {
         let (a, b) = setup(700);
-        let triple = MultiChecksumAbft::prepare(&b, 3);
+        let triple = MultiChecksumAbft::prepare(&PackedWeights::pack(&b), 3);
         for (r1, r2) in [(0usize, 47usize), (1, 2), (10, 40)] {
             let out = gemm(
                 &a,
@@ -256,9 +259,26 @@ mod tests {
     }
 
     #[test]
+    fn weight_checksums_read_from_the_panels_equal_the_matrix_ones() {
+        for dtype in Dtype::ALL {
+            let b = Matrix::random_dtype(13, 27, 84, dtype);
+            let abft = MultiChecksumAbft::prepare(&PackedWeights::pack(&b), 2);
+            for k in 0..b.rows {
+                let (mut sum, mut abs) = (0.0f64, 0.0f64);
+                for j in 0..b.cols {
+                    sum += b.get_f64(k, j);
+                    abs += b.get_f64(k, j).abs();
+                }
+                assert_eq!(abft.weight_checksum[k].to_bits(), sum.to_bits(), "{dtype}");
+                assert_eq!(abft.weight_abs[k].to_bits(), abs.to_bits(), "{dtype}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one checksum round")]
     fn zero_rounds_is_rejected() {
         let b = Matrix::zeros(4, 4);
-        MultiChecksumAbft::prepare(&b, 0);
+        MultiChecksumAbft::prepare(&PackedWeights::pack(&b), 0);
     }
 }

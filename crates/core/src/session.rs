@@ -11,16 +11,20 @@
 //!
 //! 1. dispatches the request to the smallest pre-declared batch bucket
 //!    that fits it — a bucket is a *plan key and a row cap*: it names
-//!    the compiled instance (planned at that batch) the request runs
-//!    through, and the request runs there as its own rows, never padded
-//!    up. Requests *larger* than the largest bucket are split into
-//!    largest-bucket chunks, served chunk by chunk, and the outputs
-//!    concatenated;
-//! 2. lazily compiles — and caches in a per-bucket slot — the
-//!    [`CompiledModel`] for that bucket: the intensity-guided
-//!    [`ModelPlan`] plus the bound executable stage graph (weights
-//!    bound once: global ABFT's offline checksums are computed on the
-//!    first request and reused forever);
+//!    the plan (priced at that batch) the request runs under, and the
+//!    request runs as its own rows, never padded up. Requests *larger*
+//!    than the largest bucket are split into largest-bucket chunks,
+//!    served chunk by chunk, and the outputs concatenated;
+//! 2. on the first request, whatever its bucket, calls the family once,
+//!    at the largest bucket, on that request's thread: plans every
+//!    bucket from the network's shapes at the bucket's batch
+//!    ([`Network::to_model_at`]), compiles the largest bucket's
+//!    pipeline — each weight layer packed once — and drops the network.
+//!    A bucket's [`CompiledModel`] (its [`ModelPlan`] bound over those
+//!    packed weights, cached in a per-bucket slot on the bucket's first
+//!    request), the degraded pass and each adaptive overlay are rebinds
+//!    of that one pipeline ([`ProtectedPipeline::rebind`]): one resident
+//!    copy of the weights, whatever the buckets, degrade or adaptation;
 //! 3. checks a warm [`Workspace`] out of the session pool, runs
 //!    protected inference inside it over the caller's matrix where it
 //!    lies, and returns the per-request [`InferenceReport`].
@@ -43,7 +47,7 @@
 
 use crate::adapt::{AdaptConfig, AdaptiveController};
 use crate::compiled::CompiledModel;
-use crate::pipeline::{InferenceReport, PipelineFault};
+use crate::pipeline::{InferenceReport, PipelineFault, ProtectedPipeline};
 use crate::planner::Planner;
 use crate::schemes::Scheme;
 use crate::selector::ModelPlan;
@@ -237,21 +241,22 @@ pub struct ServeReport {
     pub report: InferenceReport,
 }
 
-/// Adaptive-control state: one controller and one model overlay per
-/// declared bucket. A controller spins up lazily against its bucket's
-/// static plan on first serve; an overlay, when present, supersedes the
-/// static entry until the controller relaxes back to baseline.
+/// Adaptive-control state: one controller and one overlay per declared
+/// bucket. A controller spins up lazily against its bucket's static
+/// plan on first serve; an overlay — the controller's schemes rebound
+/// over the session's weights — when present, supersedes the static
+/// entry until the controller relaxes back to baseline.
 struct AdaptState {
     config: AdaptConfig,
     controllers: Vec<OnceLock<Mutex<AdaptiveController>>>,
-    overlays: Vec<RwLock<Option<Arc<CompiledModel>>>>,
+    overlays: Vec<RwLock<Option<Arc<ProtectedPipeline>>>>,
 }
 
 /// Builder for [`Session`]s.
 pub struct SessionBuilder {
     planner: Planner,
     family_name: String,
-    /// Instantiates the network served at a batch-size key.
+    /// Instantiates the network served, at the largest bucket.
     family: Box<dyn Fn(u64) -> Network + Send + Sync>,
     buckets: Vec<u64>,
     recovery: bool,
@@ -292,7 +297,6 @@ impl SessionBuilder {
     /// Finalizes the session.
     pub fn build(self) -> Session {
         let entries = self.buckets.iter().map(|_| OnceLock::new()).collect();
-        let degraded = self.buckets.iter().map(|_| OnceLock::new()).collect();
         let adapt = self.adaptive.map(|config| AdaptState {
             config,
             controllers: self.buckets.iter().map(|_| OnceLock::new()).collect(),
@@ -306,8 +310,9 @@ impl SessionBuilder {
                 buckets: self.buckets,
                 recovery: self.recovery,
                 adapt,
+                resident: OnceLock::new(),
                 entries,
-                degraded,
+                degraded: OnceLock::new(),
                 stats: AtomicStats::default(),
             }),
             pool: Mutex::new(Vec::new()),
@@ -317,9 +322,11 @@ impl SessionBuilder {
 
 /// The shared, immutable planning state behind one or more [`Session`]
 /// shards: the planner, the model family, the declared buckets, the
-/// per-bucket compiled-model slots (base + degraded), the adaptive
-/// overlays, and the aggregate statistics. Compilation happens exactly
-/// once per bucket no matter how many shards serve from the cache.
+/// one compiled network, the per-bucket compiled-model slots, the
+/// degraded pass, the adaptive overlays, and the aggregate statistics.
+/// The family is called and the weights packed exactly once, and each
+/// bucket entry built once, no matter how many shards serve from the
+/// cache.
 ///
 /// `PlanCache` is deliberately opaque — it is reached through
 /// [`Session::shard`], which hands each serving thread its own
@@ -332,22 +339,28 @@ pub struct PlanCache {
     recovery: bool,
     /// Adaptive-control state, present when the builder requested it.
     adapt: Option<AdaptState>,
-    /// One lazily-compiled model per declared bucket, aligned with
-    /// `buckets`. `OnceLock` gives lock-free reads after the build and
-    /// lets concurrent first requests for *different* buckets plan in
-    /// parallel.
+    /// The compiled network, built by the first request.
+    resident: OnceLock<Resident>,
+    /// One lazily-bound model per declared bucket, aligned with
+    /// `buckets`. `OnceLock` gives lock-free reads after the build.
     entries: Vec<OnceLock<Arc<CompiledModel>>>,
-    /// The *degraded* sibling of each bucket entry: the same model
-    /// compiled with every layer `Unprotected`. Built lazily on the
-    /// first degraded pass; an overloaded [`crate::serve::Server`]
-    /// serves through these to shed protection overhead — never output
-    /// quality (all schemes compute byte-identical GEMM results).
-    degraded: Vec<OnceLock<Arc<CompiledModel>>>,
+    /// The *degraded* pass ([`Session::serve_degraded`]): every layer
+    /// `Unprotected`, rebound on the first degraded request.
+    degraded: OnceLock<Arc<ProtectedPipeline>>,
     stats: AtomicStats,
 }
 
-/// A long-lived serving session: plan once per bucket, serve many
-/// requests, each from a warm pooled workspace.
+/// What the first request builds, once per session: every bucket's plan
+/// and the largest bucket's pipeline, whose packed weights and tables
+/// every bucket entry, the degraded pass and each overlay share.
+struct Resident {
+    /// One plan per declared bucket, aligned with `PlanCache::buckets`.
+    plans: Vec<ModelPlan>,
+    pipeline: ProtectedPipeline,
+}
+
+/// A long-lived serving session: compile once, plan once per bucket,
+/// serve many requests, each from a warm pooled workspace.
 ///
 /// A session is a *shard view* over an [`Arc<PlanCache>`]: the compiled
 /// plans, adaptive state, and statistics are shared (and built once),
@@ -371,56 +384,56 @@ impl PlanCache {
             .expect("bucket not declared for this session")
     }
 
-    /// Compiles bucket `index`'s network under the plan's schemes, or
-    /// under an explicit per-layer override (degraded and adaptive
-    /// recompiles).
-    fn compile(&self, index: usize, schemes: Option<&[Scheme]>) -> Arc<CompiledModel> {
-        let net = (self.family)(self.buckets[index]);
-        Arc::new(CompiledModel::compile(&self.planner, &net, schemes).with_recovery(self.recovery))
+    /// The session's compiled network: the family called once, at the
+    /// largest bucket, every bucket planned from its shapes at that
+    /// bucket's batch, the largest bucket's pipeline compiled, the
+    /// network dropped. Built by the first caller; the rest wait for it.
+    fn resident(&self) -> &Resident {
+        self.resident.get_or_init(|| {
+            let net = (self.family)(*self.buckets.last().expect("at least one bucket"));
+            // Plan at the network's storage dtype: a bf16/fp8 network's
+            // layers sit at different arithmetic intensities than fp16's.
+            let planner = self.planner.clone().dtype(net.dtype);
+            let plans: Vec<ModelPlan> = self
+                .buckets
+                .iter()
+                .map(|&b| planner.plan(&net.to_model_at(b as usize)))
+                .collect();
+            let schemes = plans.last().expect("one plan per bucket").chosen_schemes();
+            let pipeline = ProtectedPipeline::compile(&net, &schemes).with_recovery(self.recovery);
+            Resident { plans, pipeline }
+        })
     }
 
-    /// Fetches (compiling if needed) the bucket's model. Returns
-    /// `(entry, built)` where `built` is true when this call won the
-    /// build. The steady-state path is one lock-free `OnceLock::get`;
-    /// concurrent first requests may build concurrently, with one
-    /// winner.
+    /// Fetches (binding if needed) the bucket's model: its plan over the
+    /// session's weights. Returns `(entry, built)` where `built` is true
+    /// when this call did the build. The steady-state path is one
+    /// lock-free `OnceLock::get`.
     fn entry(&self, index: usize) -> (Arc<CompiledModel>, bool) {
-        let slot = &self.entries[index];
-        if let Some(entry) = slot.get() {
-            return (entry.clone(), false);
-        }
-        let built = slot.set(self.compile(index, None)).is_ok();
-        (slot.get().expect("just initialized").clone(), built)
+        let mut built = false;
+        let entry = self.entries[index].get_or_init(|| {
+            built = true;
+            let Resident { plans, pipeline } = self.resident();
+            Arc::new(CompiledModel::rebind(pipeline, plans[index].clone()))
+        });
+        (entry.clone(), built)
     }
 
-    /// The degraded sibling of a bucket entry: recompiled with every
-    /// layer `Unprotected` — the one assignment that is no dearer than
-    /// the plan on any host, by construction (no checksum lane in the
-    /// microkernel, no kernel-level check after it), where a "weaker"
-    /// scheme can cost more than the planned one on the machine at
-    /// hand. When the base plan is already fully unprotected there is
-    /// nothing cheaper — the base entry is reused as-is. Degraded
-    /// compiles are overload actions, not request cache misses: they
-    /// never count as `plan_builds`.
-    fn degraded_entry(&self, index: usize, base: &Arc<CompiledModel>) -> Arc<CompiledModel> {
-        self.degraded[index]
-            .get_or_init(|| {
-                if base.schemes().iter().all(|&s| s == Scheme::Unprotected) {
-                    return base.clone();
-                }
-                self.compile(
-                    index,
-                    Some(&vec![Scheme::Unprotected; base.schemes().len()]),
-                )
-            })
-            .clone()
+    /// The degraded pass, rebound on first use. An overload action, not
+    /// a request cache miss: it never counts as `plan_builds`.
+    fn degraded(&self) -> Arc<ProtectedPipeline> {
+        let pipeline = self.degraded.get_or_init(|| {
+            let pipeline = &self.resident().pipeline;
+            Arc::new(pipeline.rebind(&vec![Scheme::Unprotected; pipeline.depth()]))
+        });
+        pipeline.clone()
     }
 
     /// Feeds one served report into a bucket's adaptive controller and,
-    /// when it commits scheme switches, swaps the bucket's overlay model
-    /// — recompiled under the controller's current schemes, or back to
-    /// the static entry when fully relaxed. Overlay recompiles are
-    /// controller actions, not request cache misses: they count as
+    /// when it commits scheme switches, swaps the bucket's overlay — the
+    /// controller's current schemes rebound over the session's weights,
+    /// or back to the static entry when fully relaxed. Overlay rebinds
+    /// are controller actions, not request cache misses: they count as
     /// `adaptations`, never `plan_builds`.
     fn adapt_observe(
         &self,
@@ -450,7 +463,7 @@ impl PlanCache {
         let overlay = if ctrl.current() == ctrl.baseline() {
             None // fully relaxed: the static entry serves again
         } else {
-            Some(self.compile(index, Some(ctrl.current())))
+            Some(Arc::new(self.resident().pipeline.rebind(ctrl.current())))
         };
         drop(ctrl);
         *adapt.overlays[index].write().unwrap() = overlay;
@@ -492,7 +505,7 @@ impl PlanCache {
 impl Session {
     /// Starts building a session for an analytic MLP family (e.g.
     /// `zoo::dlrm_mlp_top`): sugar over [`Self::builder_network`] with
-    /// each bucket's [`Model`] lowered by [`Network::from_mlp`] at weight
+    /// the family's [`Model`] lowered by [`Network::from_mlp`] at weight
     /// seed 0 — call `from_mlp` yourself to pick another seed.
     pub fn builder(
         planner: Planner,
@@ -507,10 +520,13 @@ impl Session {
     /// Starts building a session for a network family. `family_name`
     /// names the session in diagnostics; `family` maps a batch-size key
     /// to the [`aiga_nn::Network`] served at that size (e.g.
-    /// `|b| zoo::squeezenet_net(b, 64, 64, 7)`), and each bucket is
-    /// compiled — planned on its real conv shapes, real FP16 weights
-    /// bound per layer — on first use. Requests are flattened-NCHW
-    /// rows (`C·H·W` features per image).
+    /// `|b| zoo::squeezenet_net(b, 64, 64, 7)`). It is called once, at
+    /// the largest bucket, on the first request's thread — nothing runs
+    /// at `build()` — so its weights must not depend on the key (the
+    /// zoo's do not). Every bucket is planned on that network's real
+    /// conv shapes at its own batch, and its real FP16 weights are
+    /// packed once per layer. Requests are flattened-NCHW rows (`C·H·W`
+    /// features per image).
     pub fn builder_network(
         planner: Planner,
         family_name: impl Into<String>,
@@ -562,8 +578,9 @@ impl Session {
     }
 
     /// The intensity-guided plan serving a given declared bucket (builds
-    /// and caches it if needed). Mostly useful for inspection and tests;
-    /// does not touch the request-oriented [`SessionStats`] counters.
+    /// and caches its entry if needed). Mostly useful for inspection and
+    /// tests; does not touch the request-oriented [`SessionStats`]
+    /// counters.
     /// Panics if `bucket` was not declared.
     pub fn plan_for_bucket(&self, bucket: u64) -> Arc<ModelPlan> {
         let (entry, _) = self.cache.entry(self.cache.bucket_index(bucket));
@@ -631,12 +648,10 @@ impl Session {
         }
 
         // Oversized request: split into largest-bucket chunks and serve
-        // every chunk — the tail included — through the largest-bucket
-        // pipeline, so the whole request runs under ONE model instance
-        // and ONE scheme plan (a model family may vary with the batch
-        // key). The split path allocates for the chunk copies and the
-        // concatenation — in-bucket requests remain the allocation-free
-        // steady state.
+        // every chunk — the tail included — through the largest bucket,
+        // so the whole request runs under ONE scheme plan. The split
+        // path allocates for the chunk copies and the concatenation —
+        // in-bucket requests remain the allocation-free steady state.
         let mut output = Vec::new();
         let mut detections = Vec::new();
         let mut corrections = Vec::new();
@@ -689,29 +704,24 @@ impl Session {
         let cache = &*self.cache;
         let index = cache.bucket_index(bucket);
         let (base, built) = cache.entry(index);
-        // A degraded pass serves the cheaper sibling entry; otherwise an
-        // adaptive overlay (escalated or relaxed recompile) supersedes
-        // the static entry while present.
-        let entry = if degraded {
-            cache.degraded_entry(index, &base)
+        // A degraded pass runs the session's all-`Unprotected` rebind;
+        // otherwise an adaptive overlay supersedes the static entry
+        // while present.
+        let variant = if degraded {
+            Some(cache.degraded())
         } else {
-            match &cache.adapt {
-                Some(adapt) => adapt.overlays[index]
-                    .read()
-                    .unwrap()
-                    .clone()
-                    .unwrap_or_else(|| base.clone()),
-                None => base.clone(),
-            }
+            let adapt = cache.adapt.as_ref();
+            adapt.and_then(|adapt| adapt.overlays[index].read().unwrap().clone())
         };
-        let expected = entry.input_features();
+        let pipeline = variant.as_deref().unwrap_or(base.pipeline());
+        let expected = pipeline.input_features();
         if input.cols != expected {
             return Err(SessionError::FeatureMismatch {
                 observed: input.cols,
                 expected,
             });
         }
-        let expected = entry.pipeline().dtype();
+        let expected = pipeline.dtype();
         if input.dtype != expected {
             return Err(SessionError::DtypeMismatch {
                 observed: input.dtype,
@@ -725,7 +735,7 @@ impl Session {
             let mut pool = self.pool.lock().unwrap();
             pool.pop().unwrap_or_default()
         };
-        let (report, times) = entry.pipeline().infer_timed_into(input, fault, &mut ws);
+        let (report, times) = pipeline.infer_timed_into(input, fault, &mut ws);
         self.pool.lock().unwrap().push(ws);
         let stats = &cache.stats;
         for (total, ns) in [
@@ -750,7 +760,7 @@ impl Session {
             ServeReport {
                 bucket,
                 rows: input.rows,
-                schemes: entry.schemes().clone(),
+                schemes: pipeline.schemes().clone(),
                 report,
             },
             built,
@@ -997,7 +1007,7 @@ mod tests {
         let compiled = s.compiled_for_bucket(2);
         assert_eq!(compiled.plan().layers.len(), 5);
         assert_eq!(r.schemes[..], compiled.plan().chosen_schemes()[..]);
-        // A second bucket compiles its own instance.
+        // A second bucket binds its own plan over the same weights.
         let r4 = s.serve(&Matrix::random(3, features, 51)).unwrap();
         assert_eq!(r4.bucket, 4);
         assert_eq!(r4.report.output.len(), 3 * 10);
@@ -1098,15 +1108,69 @@ mod tests {
         assert!(full.schemes.iter().any(|&s| s != Scheme::Unprotected));
         assert!(cheap.schemes.iter().all(|&s| s == Scheme::Unprotected));
         let bare = vec![Scheme::Unprotected; full.schemes.len()];
-        assert_eq!(
-            s.cache.degraded[0].get().unwrap().pipeline().schemes()[..],
-            bare
-        );
+        assert_eq!(s.cache.degraded.get().unwrap().schemes()[..], bare);
         let stats = s.stats();
         assert_eq!(stats.degraded_requests, 1);
         assert_eq!(stats.requests, 2);
         // The degraded compile is an overload action, not a cache miss.
         assert_eq!(stats.plan_builds, 1);
+    }
+
+    #[test]
+    fn one_family_call_and_one_pack_serve_every_bucket_and_variant() {
+        use std::sync::atomic::AtomicUsize;
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let family = move |b| {
+            counted.fetch_add(1, Ordering::Relaxed);
+            zoo::dlrm_mlp_bottom(b)
+        };
+        let s = Session::builder(Planner::new(DeviceSpec::t4()), "dlrm-mlp-bottom", family)
+            .buckets([8, 32])
+            .adaptive(AdaptConfig {
+                window: 2,
+                escalate_threshold: 0.5,
+                relax_threshold: 0.01,
+                min_dwell: 2,
+            })
+            .build();
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "build() calls nothing");
+        let req = Matrix::random(8, 13, 70);
+        s.serve(&req).unwrap();
+        s.serve(&Matrix::random(20, 13, 71)).unwrap();
+        s.serve_degraded(&req).unwrap();
+        // Faults on layer 1 until its controller switches an overlay in.
+        let fault = PipelineFault {
+            layer: 1,
+            fault: FaultPlan {
+                row: 2,
+                col: 50,
+                after_step: 4,
+                kind: FaultKind::AddValue(50.0),
+            },
+        };
+        let adapt = s.cache.adapt.as_ref().unwrap();
+        let overlay = (0..16)
+            .find_map(|_| {
+                s.serve_with_fault(&req, Some(fault)).unwrap();
+                adapt.overlays[0].read().unwrap().clone()
+            })
+            .expect("layer 1 escalates");
+        let escalated = s.serve(&req).unwrap().schemes;
+        assert_ne!(escalated[1], s.plan_for_bucket(8).chosen_schemes()[1]);
+
+        // Both buckets, the degraded pass and the overlay: one call of
+        // the family, and every layer's panels are the same allocation.
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        let panels = crate::pipeline::tests::panels;
+        let resident = panels(&s.cache.resident.get().unwrap().pipeline);
+        let (small, large) = (s.compiled_for_bucket(8), s.compiled_for_bucket(32));
+        let degraded = s.cache.degraded.get().unwrap();
+        for pipeline in [small.pipeline(), large.pipeline(), degraded, &overlay] {
+            let shared = panels(pipeline);
+            assert_eq!(shared.len(), resident.len());
+            assert!(shared.iter().zip(&resident).all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
     }
 
     #[test]

@@ -36,9 +36,10 @@ fn bits(v: &[f32]) -> Vec<u32> {
 /// The kernel-level verdict the scheme's own check reaches on `out`.
 fn kernel_verdict(scheme: Scheme, a: &Matrix, b: &Matrix, out: &GemmOutput) -> Verdict {
     let v = match scheme {
-        Scheme::GlobalAbft => GlobalAbft::prepare(b).verify(a, out),
+        Scheme::GlobalAbft => GlobalAbft::prepare(&PackedWeights::pack(b)).verify(a, out),
         Scheme::MultiChecksum(r) => {
-            let multi = MultiChecksumAbft::prepare(b, r as usize).verify(a, out);
+            let multi = MultiChecksumAbft::prepare(&PackedWeights::pack(b), r as usize);
+            let multi = multi.verify(a, out);
             match multi.first_failing_round() {
                 Some(round) => multi.rounds[round],
                 None => return Verdict::Clean,
@@ -140,7 +141,7 @@ fn one_packed_layer_serves_two_threads() {
         after_step: 9,
         kind: FaultKind::AddValue(512.0),
     };
-    let packed = Arc::new(PackedWeights::pack(&b, tile.lanes));
+    let packed = Arc::new(PackedWeights::pack(&b));
     let want: Vec<GemmOutput> = a.iter().map(|a| gemm(a, &b, tile, &[fault])).collect();
     assert!(want.iter().all(|w| w.detections.len() == 1));
     let barrier = Barrier::new(2);

@@ -78,7 +78,7 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
         let b = Matrix::random(k, n, seed + 1);
         let scheme = Scheme::ThreadLevelOneSided.tile_scheme(k.next_multiple_of(8));
         let mut ws = Workspace::new();
-        let packed = PackedWeights::pack(&b, scheme.lanes);
+        let packed = PackedWeights::pack(&b);
 
         let clean = gemm(&a, &b, scheme, &[]);
         assert!(!clean.fault_detected());
@@ -177,7 +177,7 @@ fn per_tile_checks_name_the_tile_containing_the_fault() {
             (Scheme::ReplicationTraditional, 1),
         ] {
             let tile = scheme.tile_scheme(k.next_multiple_of(8));
-            let packed = PackedWeights::pack(&b, tile.lanes);
+            let packed = PackedWeights::pack(&b);
             for &row in &rows {
                 for col in 0..n {
                     let fault = FaultPlan {
@@ -235,7 +235,7 @@ fn clean_gemms_never_flag_in_any_dtype_on_either_path() {
                 let b = Matrix::random_dtype(k, n, seed + 7, dtype);
                 for scheme in [Scheme::ThreadLevelOneSided, Scheme::ThreadLevelTwoSided] {
                     let tile = scheme.tile_scheme(k.next_multiple_of(8));
-                    let packed = PackedWeights::pack(&b, tile.lanes);
+                    let packed = PackedWeights::pack(&b);
                     let out = gemm_into(&a, &packed, tile, &[], Dest::None, &mut ws);
                     assert!(
                         out.detections.is_empty(),

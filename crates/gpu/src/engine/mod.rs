@@ -214,8 +214,8 @@ impl GemmOutput {
     }
 }
 
-/// Allocating convenience over [`gemm_into`]: packs `b` (`k × n`) for
-/// `scheme`, multiplies `a` (`m × k`) by it, injecting `faults`, in a
+/// Allocating convenience over [`gemm_into`]: packs `b` (`k × n`),
+/// multiplies `a` (`m × k`) by it, injecting `faults`, in a
 /// throwaway workspace, and returns the unpadded `m × n` output.
 pub fn gemm<'a>(
     a: impl Into<MatrixView<'a>>,
@@ -224,7 +224,7 @@ pub fn gemm<'a>(
     faults: &[FaultPlan],
 ) -> GemmOutput {
     let mut ws = Workspace::new();
-    let b = PackedWeights::pack(b, scheme.lanes);
+    let b = PackedWeights::pack(b);
     gemm_into(a, &b, scheme, faults, Dest::None, &mut ws);
     ws.take_output()
 }
@@ -319,10 +319,6 @@ pub fn gemm_into<'w, 'a>(
     let a = a.into();
     assert_eq!(a.cols, b.rows(), "inner dimensions must agree");
     assert_eq!(a.dtype, b.dtype(), "GEMM operands must share one dtype");
-    assert!(
-        scheme.lanes != Redundancy::TileChecksum || b.has_tile_checksums(),
-        "two-sided ABFT needs weights packed with their checksum columns"
-    );
     let k = b.k();
     let (out_m, out_n) = (a.rows, b.cols());
     let (stripes, col_blocks) = (out_m.div_ceil(BLOCK_M), out_n.div_ceil(BLOCK_N));

@@ -11,10 +11,11 @@
 //!   panels (one per register-tile column group, the same on every
 //!   [`GemmPath`]) the microkernel streams and widens to f32 in its B load,
 //!   built once — `aiga-core`'s `Scheme::bind` does it — and shared
-//!   read-only by every run, worker and shard. A pass over a layer
-//!   therefore reads the layer's storage bytes, not four per weight.
-//!   When the bound scheme is two-sided ABFT it also carries the
-//!   per-tile B checksum columns.
+//!   read-only by every run, worker, shard and scheme bound to the
+//!   layer. A pass over a layer therefore reads the layer's storage
+//!   bytes, not four per weight. The first two-sided ABFT run over it
+//!   also sums the per-tile B checksum columns that scheme multiplies,
+//!   and keeps them.
 //! - **A (activations)** is the request. `Panels` holds one block-row
 //!   *stripe* of it at a time — [`BLOCK_M`] rows gathered, decoded,
 //!   strip-packed and checksummed in one pass — in the scratch of the
@@ -40,6 +41,7 @@ use super::simd::{self, GemmPath};
 use super::sums::CheckScratch;
 use super::{GemmOutput, BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR};
 use aiga_dtype::{with_format, Dtype, Format, F16};
+use std::sync::OnceLock;
 
 /// A layer's weights (`B` of `C = A·B`) in the form the microkernel
 /// consumes: the format's resident codes (`Format::to_resident`,
@@ -57,8 +59,9 @@ use aiga_dtype::{with_format, Dtype, Format, F16};
 /// holds no f32 image of them: the SIMD microkernel widens the panels
 /// as it streams them, and the scalar oracle, targeted recompute and
 /// the faulted cold walk decode one column of the same codes with
-/// stride [`MICRO_NR`] ([`Self::col`]) — one layout, one set of
-/// bytes.
+/// stride [`MICRO_NR`] ([`Self::col`]), the kernel-level schemes' weight
+/// checksums one row at a time ([`Self::for_each_row`]) — one layout,
+/// one set of bytes, whatever scheme is bound over it.
 #[derive(Clone, Debug)]
 pub struct PackedWeights {
     rows: usize,
@@ -67,14 +70,13 @@ pub struct PackedWeights {
     dtype: Dtype,
     /// The resident codes, `Format::RESIDENT_BYTES` of `dtype` each.
     panels: Vec<u8>,
-    /// Whether the weights were packed for [`Redundancy::TileChecksum`].
-    tile_checksums: bool,
     /// Per-column-group B checksum columns for
     /// [`Redundancy::TileChecksum`]: group `g` (columns
     /// `g·NR..g·NR+NR`), step `kk` holds
     /// `(Σ_j b[kk][j], Σ_j |b[kk][j]|)` at `(g·k + kk)·2`, summed in
-    /// column order in f32. Empty for every other lane kind.
-    b_chk: Vec<f32>,
+    /// column order in f32. Summed from the panels on first use, so
+    /// weights no two-sided run reads never hold them.
+    b_chk: OnceLock<Vec<f32>>,
 }
 
 /// One resident code from its little-endian bytes (one or two).
@@ -103,40 +105,24 @@ fn pack_codes<F: Format>(b: &Matrix, k: usize, panels: &mut [u8]) {
     }
 }
 
-/// Sums the B checksum columns two-sided ABFT's corner chain multiplies
-/// from the decoded codes of each register-tile column group, in column
-/// order, in f32, from zero. A group's K step is one panel step, so the
-/// pairs line up with the panels' 16-code runs one to one.
-fn sum_checksum_columns<F: Format>(panels: &[u8], b_chk: &mut [f32]) {
-    let steps = panels.chunks_exact(MICRO_NR * F::RESIDENT_BYTES);
-    for (d, step) in b_chk.chunks_exact_mut(2).zip(steps) {
-        for code in step.chunks_exact(F::RESIDENT_BYTES) {
-            let v = F::decode_resident(resident_code(code));
-            d[0] += v;
-            d[1] += v.abs();
-        }
-    }
-}
+/// Source rows [`PackedWeights::for_each_row`] decodes per read: one
+/// K granule, so a block never runs past the padded K, and a block of a
+/// 1024-wide layer (32 KiB of f32) stays in L1 while it is summed.
+const ROWS_PER_READ: usize = 8;
 
 impl PackedWeights {
-    /// Packs row-major `b` (`k × n` storage codes) and, when `lanes` is
-    /// [`Redundancy::TileChecksum`], sums the B checksum columns that
-    /// scheme's corner chain multiplies. Nothing is decoded to stay: the
-    /// pack moves codes (fp16 NaNs canonicalised, see
-    /// `Format::to_resident`). A matrix with no rows or no columns packs
-    /// to empty panels.
-    pub fn pack(b: &Matrix, lanes: Redundancy) -> Self {
+    /// Packs row-major `b` (`k × n` storage codes). Nothing is decoded to
+    /// stay: the pack moves codes (fp16 NaNs canonicalised, see
+    /// `Format::to_resident`), and it is the same whatever scheme runs
+    /// over it. A matrix with no rows or no columns packs to empty
+    /// panels.
+    pub fn pack(b: &Matrix) -> Self {
         let k = b.rows.next_multiple_of(8);
         let n_pad = b.cols.next_multiple_of(MICRO_NR);
-        let tile_checksums = lanes == Redundancy::TileChecksum;
-        let mut b_chk = vec![0.0f32; n_pad / MICRO_NR * k * 2 * tile_checksums as usize];
         // The format dispatch stays outside the element loops.
         let panels = with_format!(b.dtype, F => {
             let mut panels = vec![0u8; n_pad * k * F::RESIDENT_BYTES];
             pack_codes::<F>(b, k, &mut panels);
-            if !b_chk.is_empty() {
-                sum_checksum_columns::<F>(&panels, &mut b_chk);
-            }
             panels
         });
         PackedWeights {
@@ -145,8 +131,7 @@ impl PackedWeights {
             k,
             dtype: b.dtype,
             panels,
-            tile_checksums,
-            b_chk,
+            b_chk: OnceLock::new(),
         }
     }
 
@@ -170,19 +155,61 @@ impl PackedWeights {
         self.dtype
     }
 
-    /// Whether the two-sided B checksum columns were packed.
-    pub fn has_tile_checksums(&self) -> bool {
-        self.tile_checksums
-    }
-
     /// The resident code panels, for the microkernel.
     pub(crate) fn panels(&self) -> &[u8] {
         &self.panels
     }
 
-    /// The B checksum columns (empty unless packed for two-sided ABFT).
+    /// The B checksum columns two-sided ABFT's corner chain multiplies,
+    /// summed by the first caller from the rows read back
+    /// ([`Self::for_each_row`]), each group's in column order, in f32,
+    /// from zero. Padding adds `+0.0` to a sum that cannot be `-0.0`, so
+    /// the live columns alone give the same bits.
     pub(crate) fn b_chk(&self) -> &[f32] {
-        &self.b_chk
+        self.b_chk.get_or_init(|| {
+            let mut b_chk = vec![0.0f32; self.cols.div_ceil(MICRO_NR) * self.k * 2];
+            let mut kk = 0;
+            self.for_each_row(|row| {
+                for (g, run) in row.chunks(MICRO_NR).enumerate() {
+                    let d = &mut b_chk[(g * self.k + kk) * 2..];
+                    for &v in run {
+                        d[0] += v;
+                        d[1] += v.abs();
+                    }
+                }
+                kk += 1;
+            });
+            b_chk
+        })
+    }
+
+    /// Calls `f` with each source row's `cols` decoded values, in row
+    /// order and column order: the values the source matrix decodes to,
+    /// bit for bit. The panels are read eight rows (one K granule) at a
+    /// time, column group by column group, so each group's share is one
+    /// contiguous run of codes.
+    pub fn for_each_row(&self, mut f: impl FnMut(&[f32])) {
+        // A row is at least one slot wide, so a matrix without columns
+        // still hands out its (empty) rows.
+        let stride = self.cols.next_multiple_of(MICRO_NR).max(1);
+        let mut block = vec![0.0f32; ROWS_PER_READ * stride];
+        with_format!(self.dtype, F => {
+            let step = MICRO_NR * F::RESIDENT_BYTES;
+            for kk0 in (0..self.rows).step_by(ROWS_PER_READ) {
+                for (g, panel) in self.panels.chunks_exact(self.k * step).enumerate() {
+                    let run = &panel[kk0 * step..][..ROWS_PER_READ * step];
+                    for (r, codes) in run.chunks_exact(step).enumerate() {
+                        let dst = &mut block[r * stride + g * MICRO_NR..][..MICRO_NR];
+                        for (d, code) in dst.iter_mut().zip(codes.chunks_exact(F::RESIDENT_BYTES)) {
+                            *d = F::decode_resident(resident_code(code));
+                        }
+                    }
+                }
+                for row in block.chunks_exact(stride).take(self.rows - kk0) {
+                    f(&row[..self.cols]);
+                }
+            }
+        });
     }
 
     /// Column `c`'s K walk (`k` decoded values, zero past the source's
@@ -578,5 +605,38 @@ impl Workspace {
             }
         }
         (rows.len() * cols.len()) as u32
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{gemm_into, Dest, TileScheme};
+
+    #[test]
+    fn only_a_two_sided_run_sums_the_checksum_columns() {
+        let a = Matrix::random(8, 24, 1);
+        let b = PackedWeights::pack(&Matrix::random(24, 40, 2));
+        let mut ws = Workspace::new();
+        let mut run = |lanes| {
+            let scheme = TileScheme {
+                lanes,
+                slope: 1e-4,
+                floor: 1e-6,
+            };
+            gemm_into(&a, &b, scheme, &[], Dest::None, &mut ws);
+        };
+        for lanes in [
+            Redundancy::None,
+            Redundancy::GlobalSums,
+            Redundancy::ColumnChecksum,
+            Redundancy::ShadowExact,
+        ] {
+            run(lanes);
+        }
+        assert!(b.b_chk.get().is_none());
+        run(Redundancy::TileChecksum);
+        // Three column groups of K = 24 steps, a pair each.
+        assert_eq!(b.b_chk.get().map(Vec::len), Some(3 * 24 * 2));
     }
 }

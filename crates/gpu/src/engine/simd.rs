@@ -751,7 +751,9 @@ unsafe fn fill_simd<V: Vector, F: Format, const LANES: u8>(f: Fill<'_>) {
     assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
     assert!(b.panels().len() >= (g0 + groups) * group_bytes);
     assert!(LANES == LANES_NONE || a.a_chk.len() >= (s0 + strips) * k * 2);
-    assert!(LANES != LANES_TILE || b.b_chk().len() >= (g0 + groups) * k * 2);
+    // Only a two-sided tile reads (and so sums) the B checksum columns.
+    let b_chk = if LANES == LANES_TILE { b.b_chk() } else { &[] };
+    assert!(LANES != LANES_TILE || b_chk.len() >= (g0 + groups) * k * 2);
     // One lane per column under LANES_COLUMN, per group under LANES_TILE.
     let (lane_row, lane_group) = match LANES {
         LANES_COLUMN => (bn, MICRO_NR),
@@ -776,7 +778,7 @@ unsafe fn fill_simd<V: Vector, F: Format, const LANES: u8>(f: Fill<'_>) {
                     a_strip: a.a_pack.as_ptr().add((s0 + s) * MICRO_MR * k),
                     a_sum: a.a_chk.as_ptr().wrapping_add((s0 + s) * k * 2),
                     b_panels: b.panels().as_ptr().add((g0 + g) * group_bytes),
-                    b_sum: b.b_chk().as_ptr().wrapping_add((g0 + g) * k * 2),
+                    b_sum: b_chk.as_ptr().wrapping_add((g0 + g) * k * 2),
                     out: block.as_mut_ptr().add(s * MICRO_MR * bn + g * MICRO_NR),
                     bn,
                     chk: chk.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
@@ -1014,7 +1016,7 @@ mod tests {
             k.next_multiple_of(8),
             strips,
         );
-        (p, PackedWeights::pack(&b, lanes), a, b)
+        (p, PackedWeights::pack(&b), a, b)
     }
 
     #[test]
@@ -1071,6 +1073,16 @@ mod tests {
                     assert_eq!(stored, code, "{dtype} ({kk},{c})");
                 }
             }
+            // Row by row, a block of rows at a time: the same values, in
+            // source order, the last block ragged.
+            let mut kk = 0;
+            w.for_each_row(|row| {
+                let want: Vec<u32> = (0..n).map(|c| b.get_f32(kk, c).to_bits()).collect();
+                let got: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{dtype} row {kk}");
+                kk += 1;
+            });
+            assert_eq!(kk, k);
             // Checksum rows: plain sums and sums of magnitudes, pairwise in
             // f32, per strip and per register-tile column group.
             for s in 0..m.div_ceil(MICRO_MR) {
@@ -1104,11 +1116,6 @@ mod tests {
                     );
                 }
             }
-            // Only two-sided ABFT pays for the checksum columns.
-            let plain = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
-            assert!(w.has_tile_checksums() && !plain.has_tile_checksums());
-            assert!(plain.b_chk().is_empty());
-            assert_eq!(plain.panels(), w.panels());
             // A NaN weight of any payload or sign reads back as the
             // decode's NaN (fp16 keeps one NaN code resident).
             if dtype.decode(dtype.encode(f32::NAN)).is_nan() {
@@ -1116,10 +1123,20 @@ mod tests {
                 for (c, code) in [nan, nan | 1, nan | 0x8000].into_iter().enumerate() {
                     b.set(3, c, F16::from_bits(code));
                 }
-                let w = PackedWeights::pack(&b, Redundancy::None);
-                for c in 0..3 {
+                let w = PackedWeights::pack(&b);
+                let mut row3 = Vec::new();
+                let mut kk = 0;
+                w.for_each_row(|row| {
+                    if kk == 3 {
+                        row3 = row.to_vec();
+                    }
+                    kk += 1;
+                });
+                for (c, from_row) in row3[..3].iter().enumerate() {
+                    let want = b.get_f32(3, c).to_bits();
                     let got = w.col(c).nth(3).expect("k > 3");
-                    assert_eq!(got.to_bits(), b.get_f32(3, c).to_bits(), "{dtype} NaN {c}");
+                    assert_eq!(got.to_bits(), want, "{dtype} NaN {c}");
+                    assert_eq!(from_row.to_bits(), want, "{dtype} NaN {c}");
                 }
             }
         }

@@ -292,7 +292,7 @@ fn workspace_path_is_byte_identical_to_the_allocating_path() {
         for faults in [&[][..], &[fault][..]] {
             for lanes in ALL_LANES {
                 let alloc = gemm(&a, &b, loose(lanes), faults);
-                let packed = PackedWeights::pack(&b, lanes);
+                let packed = PackedWeights::pack(&b);
                 let into = gemm_into(&a, &packed, loose(lanes), faults, Dest::None, &mut ws);
                 assert_eq!(alloc.c, into.c);
                 assert_eq!(alloc.detections, into.detections);
@@ -312,7 +312,7 @@ fn at_every_team_width(
     scheme: TileScheme,
     faults: &[FaultPlan],
 ) -> GemmOutput {
-    let packed = PackedWeights::pack(b, scheme.lanes);
+    let packed = PackedWeights::pack(b);
     // One workspace across the widths: a member's scratch left by a
     // narrower run must not matter to a wider one.
     let mut ws = Workspace::new();
@@ -443,7 +443,7 @@ fn a_run_seats_one_member_per_floor_of_work_beyond_its_caller() {
         (128, 256, 128, 5),
         (256, 256, 256, 8),
     ] {
-        let packed = PackedWeights::pack(&Matrix::random(k, n, 77), Redundancy::None);
+        let packed = PackedWeights::pack(&Matrix::random(k, n, 77));
         let mut ws = Workspace::new();
         aiga_util::team::with_width(8, || {
             gemm_into(
@@ -499,7 +499,7 @@ fn stale_scratch_never_reaches_a_result() {
                     scr.panels.a_pack.fill(f32::NAN);
                     scr.panels.a_chk.fill(f32::NAN);
                 }
-                let packed = PackedWeights::pack(&b, lanes);
+                let packed = PackedWeights::pack(&b);
                 let reused = aiga_util::team::with_width(width, || {
                     report(gemm_into(
                         &a,
@@ -560,7 +560,7 @@ fn mixed_dtype_operands_are_rejected() {
 #[test]
 fn workspace_take_output_leaves_a_reusable_workspace() {
     let a = Matrix::random(16, 16, 50);
-    let b = PackedWeights::pack(&Matrix::random(16, 16, 51), Redundancy::None);
+    let b = PackedWeights::pack(&Matrix::random(16, 16, 51));
     let mut ws = Workspace::new();
     gemm_into(&a, &b, TileScheme::NONE, &[], Dest::None, &mut ws);
     let first = ws.take_output();
@@ -791,7 +791,7 @@ fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
             ];
             for lanes in ALL_LANES {
                 let scheme = loose(lanes);
-                let packed = PackedWeights::pack(&b, lanes);
+                let packed = PackedWeights::pack(&b);
                 let mut ws = Workspace::new();
                 let mut clean = None;
                 for (set, faults) in fault_sets.iter().enumerate() {
@@ -853,7 +853,7 @@ fn one_live_row_strips_match_the_oracle(dtype: Dtype) {
                 b.set(k - 2, n - 1, F16::from_bits(code));
                 for lanes in [Redundancy::ColumnChecksum, Redundancy::TileChecksum] {
                     let ctx = format!("{dtype} {m}x{n} {lanes:?} weight {value}");
-                    let packed = PackedWeights::pack(&b, lanes);
+                    let packed = PackedWeights::pack(&b);
                     let mut ws = Workspace::new();
                     let runs = on_each_path(|_| {
                         let lazy = report(gemm_into(
@@ -971,7 +971,7 @@ fn faults_in_either_strip_of_a_pair_flag_with_pinned_bits() {
     ];
     assert_eq!(nan_bits, 0x7ff8000000000000);
     for (lanes, faults, want) in cases {
-        let packed = PackedWeights::pack(&b, lanes);
+        let packed = PackedWeights::pack(&b);
         let mut ws = Workspace::new();
         let runs = on_each_path(|_| {
             report(gemm_into(
@@ -1014,7 +1014,7 @@ fn a_destination_holds_what_emitting_the_finished_output_would() {
         for dtype in Dtype::ALL {
             let a = Matrix::random_dtype(m, k, 5, dtype);
             let b = Matrix::random_dtype(k, n, 6, dtype);
-            let packed = PackedWeights::pack(&b, Redundancy::ColumnChecksum);
+            let packed = PackedWeights::pack(&b);
             let scheme = loose(Redundancy::ColumnChecksum);
             for (conv_spatial, relu) in [(None, true), (Some(53), true), (Some(53), false)] {
                 let layout = EmitLayout { conv_spatial, relu };
@@ -1092,7 +1092,7 @@ fn in_task_global_partials_equal_the_serial_reference() {
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
     let mut ws = Workspace::new();
     let mut run = |a: MatrixView<'_>, b: &Matrix, faults: &[FaultPlan], ctx: &str| {
-        let packed = PackedWeights::pack(b, scheme.lanes);
+        let packed = PackedWeights::pack(b);
         for width in [1usize, 2, 3] {
             aiga_util::team::with_width(width, || {
                 gemm_into(a, &packed, scheme, faults, Dest::None, &mut ws);

@@ -294,6 +294,14 @@ impl Network {
     /// of the `Model → ModelPlan → CompiledModel` compilation path; the
     /// plan's per-layer schemes apply to the GEMM nodes in this order.
     pub fn to_model(&self) -> Model {
+        self.to_model_at(self.batch)
+    }
+
+    /// [`Self::to_model`] at another batch: the layer shapes this
+    /// network's nodes have when `batch` images run through them — a
+    /// shape projection, nothing rebuilt. How one network is planned at
+    /// every batch it serves.
+    pub fn to_model_at(&self, batch: usize) -> Model {
         let layers = self
             .nodes
             .iter()
@@ -302,7 +310,7 @@ impl Network {
                     let (c, h, w) = self.dims_of(node.inputs[0]);
                     let (layer, _, _) = LinearLayer::conv(
                         node.name.clone(),
-                        self.batch as u64,
+                        batch as u64,
                         c as u64,
                         h as u64,
                         w as u64,
@@ -315,7 +323,7 @@ impl Network {
                 }
                 NodeOp::Fc { weights, .. } => Some(LinearLayer::fc(
                     node.name.clone(),
-                    self.batch as u64,
+                    batch as u64,
                     weights.rows as u64,
                     weights.cols as u64,
                 )),

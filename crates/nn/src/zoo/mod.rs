@@ -96,6 +96,55 @@ mod tests {
     }
 
     #[test]
+    fn executable_families_hold_the_same_weights_at_every_batch() {
+        use crate::graph::{Network, NodeOp};
+        // Every weight and table code a network holds, in node order.
+        fn codes(net: &Network) -> Vec<u16> {
+            let bits = |data: &[aiga_dtype::F16]| data.iter().map(|v| v.to_bits()).collect();
+            let per_node = net.nodes.iter().map(|node| match &node.op {
+                NodeOp::Conv { weights, .. } => bits(&weights.data),
+                NodeOp::Fc { weights, .. } => bits(&weights.data),
+                NodeOp::EmbeddingBag { tables } => {
+                    tables.iter().flat_map(|t| bits(&t.data)).collect()
+                }
+                _ => Vec::new(),
+            });
+            per_node.flatten().collect()
+        }
+        type Family = fn(u64) -> Network;
+        let families: [(&str, Family); 6] = [
+            ("squeezenet_net", |b| squeezenet_net(b, 32, 32, 7)),
+            ("squeezenet_v11_net", |b| squeezenet_v11_net(b, 64, 64, 7)),
+            ("resnet_block_net", |b| resnet_block_net(b, 8, 8, 7)),
+            ("dlrm_net", |b| dlrm_net(b, 8, 100, 64, 11)),
+            ("dlrm_mlp_bottom", |b| {
+                Network::from_mlp(&dlrm_mlp_bottom(b), 0)
+            }),
+            ("dlrm_mlp_top", |b| Network::from_mlp(&dlrm_mlp_top(b), 0)),
+        ];
+        for (name, family) in families {
+            let one = family(1);
+            for batch in [1, 8, 32] {
+                let net = family(batch);
+                assert_eq!(codes(&net), codes(&one), "{name} weights at batch {batch}");
+                // The batch-1 network projected to `batch` is the
+                // batch-`batch` network's own analytic view.
+                let (at, own) = (one.to_model_at(batch as usize), net.to_model());
+                assert_eq!(at.name, own.name);
+                assert_eq!(at.layers.len(), own.layers.len(), "{name}");
+                for (a, o) in at.layers.iter().zip(&own.layers) {
+                    let ctx = format!("{name} {} at batch {batch}", o.name);
+                    assert_eq!(
+                        (&a.name, a.kind, a.shape),
+                        (&o.name, o.kind, o.shape),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn all_models_have_nonempty_layer_lists() {
         for m in figure8_models() {
             assert!(!m.layers.is_empty(), "{}", m.name);

@@ -60,8 +60,9 @@
 //! assert!(plan.intensity_guided_s() <= plan.fixed_scheme_s(Scheme::GlobalAbft));
 //!
 //! // Serve many requests: batch-bucket dispatch + plan caching. An
-//! // analytic MLP family is lowered per bucket to an executable
-//! // `Network` (`Network::from_mlp`), the one form sessions compile.
+//! // analytic MLP family is lowered once, at the largest bucket, to an
+//! // executable `Network` (`Network::from_mlp`), the one form sessions
+//! // compile; every bucket's plan binds over its packed weights.
 //! let session = Session::builder(planner, "dlrm-bottom", zoo::dlrm_mlp_bottom)
 //!     .buckets([8, 32])
 //!     .build();

@@ -139,7 +139,7 @@ fn steady_state_hot_paths_do_not_allocate() {
 
     // Raw engine entry under a lane-carrying scheme, same guarantee.
     let one_sided = Scheme::ThreadLevelOneSided.tile_scheme(56);
-    let packed = PackedWeights::pack(&b, one_sided.lanes);
+    let packed = PackedWeights::pack(&b);
     let mut ws = Workspace::new();
     gemm_into(&a, &packed, one_sided, &[], Dest::None, &mut ws);
     let n = allocs_during(|| {
@@ -252,10 +252,10 @@ fn steady_state_hot_paths_do_not_allocate() {
     // the per-member scratch; after it a run allocates nothing, on this
     // host's team and at a forced width of three.
     {
-        use aiga_gpu::engine::{Redundancy, TileScheme};
+        use aiga_gpu::engine::TileScheme;
         for (m, n, k) in [(256usize, 256usize, 256usize), (169, 1000, 512)] {
             let big_a = Matrix::random(m, k, 61);
-            let big_b = PackedWeights::pack(&Matrix::random(k, n, 62), Redundancy::None);
+            let big_b = PackedWeights::pack(&Matrix::random(k, n, 62));
             for width in [None, Some(3)] {
                 let mut ws = Workspace::new();
                 let mut run = || {

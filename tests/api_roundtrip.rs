@@ -100,7 +100,8 @@ fn every_scheme_id_that_parses_plans_compiles_and_runs() {
         let shipped = planner.plan(&net.to_model()).to_json();
         let schemes = ModelPlan::from_json(&shipped).unwrap().chosen_schemes();
         assert_eq!(schemes, vec![scheme; net.gemm_count()]);
-        let compiled = CompiledModel::compile(&planner, &net, Some(&schemes));
+        let compiled = CompiledModel::compile(&planner, &net);
+        assert_eq!(compiled.schemes()[..], schemes[..]);
         let clean = compiled.infer(&Matrix::random(2, 16 * 8 * 8, 1), None);
         assert!(!clean.fault_detected(), "{scheme}");
 

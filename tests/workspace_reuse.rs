@@ -32,7 +32,7 @@ fn no_stale_cell_survives_a_change_of_shape() {
             let a = Matrix::random(m, k, 7 + i as u64);
             let b = Matrix::random(k, n, 8 + i as u64);
             let tile = scheme.tile_scheme(k.next_multiple_of(8));
-            let packed = PackedWeights::pack(&b, tile.lanes);
+            let packed = PackedWeights::pack(&b);
             let fault = FaultPlan {
                 row: m - 1,
                 col: n - 1,
