@@ -391,8 +391,9 @@ impl BoundGemm {
             }
             // Row localization via the Vandermonde weights: a single
             // fault `δ` in row `ρ` leaves signed residual `w_r(ρ)·δ =
-            // (ρ+1)^r·δ` in every round, so round 1 over round 0 recovers
-            // `ρ+1` exactly. Needs two rounds; a non-integral ratio
+            // ((ρ+1)/u)^r·δ` in every round (`u` the power-of-two row
+            // unit), so round 1 over round 0, times `u`, recovers `ρ+1`
+            // exactly. Needs two rounds; a non-integral ratio
             // (several faulted rows, or a round-0 cancellation) leaves
             // the verdict unrepaired. Repaired rows re-verify through
             // every round before the verdict upgrades.
@@ -404,7 +405,7 @@ impl BoundGemm {
                     let output = ws.output();
                     let res0 = abft.round_residual_signed(activations, output, 0);
                     let res1 = abft.round_residual_signed(activations, output, 1);
-                    let ratio = res1 / res0;
+                    let ratio = res1 / res0 * MultiChecksumAbft::row_unit(output.m);
                     if !ratio.is_finite() || !(0.5..output.m as f64 + 0.5).contains(&ratio) {
                         return verdict;
                     }

@@ -62,7 +62,9 @@ impl ModelPlan {
 
     /// Loads a plan serialized by [`Self::to_json`]. The device is
     /// resolved by name against [`DeviceSpec::all`]; plans for unknown
-    /// devices are rejected.
+    /// devices are rejected, as are layers with an empty dimension or
+    /// a chosen scheme outside their candidates, so every aggregate of
+    /// a plan that loads can be priced.
     pub fn from_json(text: &str) -> Result<ModelPlan, PlanIoError> {
         let doc = Json::parse(text)?;
         let version = doc.field("version")?.as_u64()?;
@@ -103,7 +105,7 @@ fn layer_to_json(l: &LayerPlan) -> Json {
 }
 
 fn layer_from_json(j: &Json) -> Result<LayerPlan, PlanIoError> {
-    Ok(LayerPlan {
+    let layer = LayerPlan {
         name: j.field("name")?.as_str()?.to_string(),
         shape: shape_from_json(j.field("shape")?)?,
         intensity: j.field("intensity")?.as_f64()?,
@@ -115,7 +117,15 @@ fn layer_from_json(j: &Json) -> Result<LayerPlan, PlanIoError> {
             .iter()
             .map(timing_from_json)
             .collect::<Result<Vec<_>, _>>()?,
-    })
+    };
+    // Every aggregate prices a layer at its chosen scheme's timing.
+    if layer.try_time_under(layer.chosen).is_none() {
+        return Err(bad(format!(
+            "layer `{}` chose `{}`, which is not among its candidates",
+            layer.name, layer.chosen
+        )));
+    }
+    Ok(layer)
 }
 
 fn scheme_from_json(j: &Json) -> Result<Scheme, PlanIoError> {
@@ -133,11 +143,17 @@ fn shape_to_json(s: GemmShape) -> Json {
 }
 
 fn shape_from_json(j: &Json) -> Result<GemmShape, PlanIoError> {
-    Ok(GemmShape::new(
+    let (m, n, k) = (
         j.field("m")?.as_u64()?,
         j.field("n")?.as_u64()?,
         j.field("k")?.as_u64()?,
-    ))
+    );
+    if m == 0 || n == 0 || k == 0 {
+        return Err(bad(format!(
+            "layer shape {m}x{n}x{k} has an empty dimension"
+        )));
+    }
+    Ok(GemmShape::new(m, n, k))
 }
 
 fn timing_to_json(t: &SchemeTiming) -> Json {

@@ -6,15 +6,23 @@
 //! invisible to it. §2.4: *"To do so, ABFT generates multiple checksum
 //! columns and rows based on independent linear combinations of
 //! columns/rows."* This module implements that scheme with the classical
-//! Vandermonde-style weights `w_r(i) = (i+1)^r` for rounds `r = 0..R`:
+//! Vandermonde-style weights `w_r(i) = ((i+1)/u)^r` for rounds `r =
+//! 0..R`, where `u` is the output's row count rounded up to a power of
+//! two:
 //!
 //! - round 0 is ordinary global ABFT (all-ones combination);
-//! - round `r` compares `Σ_ij (i+1)^r · C[i][j]` against
-//!   `(Σ_i (i+1)^r · A[i,:]) · (B · 1)`.
+//! - round `r` compares `Σ_ij w_r(i) · C[i][j]` against
+//!   `(Σ_i w_r(i) · A[i,:]) · (B · 1)`.
 //!
 //! Any `e ≤ R` faults confined to `e` distinct rows produce a nonzero
 //! residual in at least one round, because the errors would otherwise
 //! have to be a nonzero kernel vector of an `R × e` Vandermonde system.
+//! The `1/u` keeps every weight at most 1: unscaled, `(i+1)^r` overflows
+//! f64 once `r·log₂ m` passes 1024 (64 rows at 255 rounds), and the
+//! check flags clean data. A power of two scales exactly, so round `r`'s
+//! residual and magnitude are the unscaled ones times `u^-r` wherever
+//! nothing underflows (a row whose weight does drops out of that round;
+//! round 0, all ones, sees every row).
 //! Checksums are carried in FP64 here (the weighted sums grow with `M`,
 //! so a production kernel would use wider accumulation for the weighted
 //! rounds too); the comparison still uses the analytical tolerance
@@ -83,10 +91,18 @@ impl MultiChecksumAbft {
         self.rounds
     }
 
-    /// Weight of row `i` in round `r`: `(i+1)^r`, with `r = 0` the plain
-    /// all-ones checksum.
-    fn weight(i: usize, r: usize) -> f64 {
-        (i as f64 + 1.0).powi(r as i32)
+    /// `m` rounded up to a power of two: what an `m`-row output's row
+    /// numbers are divided by. A single fault in row `ρ` leaves round 1
+    /// ÷ round 0 = `(ρ+1) / row_unit(m)`.
+    pub(crate) fn row_unit(m: usize) -> f64 {
+        m.next_power_of_two() as f64
+    }
+
+    /// Weight of row `i` in round `r`, `scale` being `1 / row_unit(m)`
+    /// of the output's `m` rows: `((i+1)·scale)^r`, with `r = 0` the
+    /// plain all-ones checksum.
+    fn weight(i: usize, scale: f64, r: usize) -> f64 {
+        ((i as f64 + 1.0) * scale).powi(r as i32)
     }
 
     /// Runs all checksum rounds for one layer.
@@ -105,13 +121,14 @@ impl MultiChecksumAbft {
         assert_eq!(a.cols, self.weight_checksum.len(), "K mismatch");
         assert!(r < self.rounds, "round out of range");
         // Weighted activation checksum: u_k = Σ_i w_r(i)·A[i][k].
+        let scale = 1.0 / Self::row_unit(a.rows);
         let mut dot = 0.0f64;
         let mut magnitude = 0.0f64;
         for k in 0..a.cols {
             let mut u = 0.0f64;
             let mut u_abs = 0.0f64;
             for i in 0..a.rows {
-                let w = Self::weight(i, r);
+                let w = Self::weight(i, scale, r);
                 let v = a.get_f64(i, k);
                 u += w * v;
                 u_abs += w * v.abs();
@@ -121,7 +138,7 @@ impl MultiChecksumAbft {
         }
         let mut c_sum = 0.0f64;
         for i in 0..out.m {
-            let w = Self::weight(i, r);
+            let w = Self::weight(i, scale, r);
             for j in 0..out.n {
                 c_sum += w * out.get(i, j) as f64;
             }
@@ -137,8 +154,9 @@ impl MultiChecksumAbft {
         let residual = (dot - c_sum).abs();
         // C is FP32: each element carries FP32 accumulation error
         // scaled by its weight; the FP64 checksum arithmetic adds
-        // nothing material.
-        let rounds32 = (a.cols as f64).log2().ceil() + 24.0;
+        // nothing material. An empty inner dimension adds no level
+        // (`log₂ 0` would make the threshold NaN, and flag).
+        let rounds32 = (a.cols.max(1) as f64).log2().ceil() + 24.0;
         let threshold = tolerance::threshold(rounds32, magnitude);
         GlobalVerdict {
             fault_detected: exceeds(residual, threshold),
@@ -152,10 +170,11 @@ impl MultiChecksumAbft {
     ///
     /// For a single fault `δ` confined to row `ρ` every round sees
     /// exactly `w_r(ρ)·δ`, so the ratio of round 1's signed residual to
-    /// round 0's recovers the faulted row: `res₁/res₀ = ρ+1`. This is
-    /// the localization primitive behind the correction path — the
-    /// signs must survive, which is why [`Self::verify_round`]'s
-    /// absolute residual cannot serve.
+    /// round 0's recovers the faulted row of an `m`-row output:
+    /// `res₁/res₀ = (ρ+1)/u`, `u` being `m` rounded up to a power of
+    /// two. This is the localization primitive behind the correction
+    /// path — the signs must survive, which is why
+    /// [`Self::verify_round`]'s absolute residual cannot serve.
     pub fn round_residual_signed(&self, a: MatrixView<'_>, out: &GemmOutput, r: usize) -> f64 {
         let (dot, _, c_sum) = self.round_sums(a, out, r);
         c_sum - dot
@@ -226,9 +245,10 @@ mod tests {
         let v2 = dual.verify(&a, &out);
         assert!(v2.fault_detected());
         // Round 0 stays silent; round 1's row weighting breaks the
-        // cancellation: residual ≈ |w(3) − w(20)|·250 = 17·250.
+        // cancellation: residual ≈ |w(3) − w(20)|·250 = 17·250 / 64, the
+        // 48 rows' unit.
         assert_eq!(v2.first_failing_round(), Some(1));
-        assert!((v2.rounds[1].residual - 17.0 * 250.0).abs() < 10.0);
+        assert!((v2.rounds[1].residual - 17.0 * 250.0 / 64.0).abs() < 10.0 / 64.0);
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! row is a function of its own input row alone (the engine's
 //! accumulators are row-independent), so a coalesced reply is
 //! byte-identical to a direct `Session::serve` of the same request —
-//! `tests/serve_concurrent.rs` asserts this under multi-client stress.
+//! `tests/serve_concurrent.rs` asserts this under multi-client stress,
+//! and `tests/differential.rs` for every member of a coalesced pass over
+//! generated networks, in every dtype.
 //!
 //! Backpressure is explicit: the queue is bounded, and the submit
 //! family maps the three admission policies onto it —

@@ -5,15 +5,19 @@
 //! pooled or interacted, and staged again as the next GEMM's A operand.
 //! The library moves those bytes in blocks and slices — the write-back
 //! from inside the engine's tasks, pooling a few planes to a team
-//! member — and this file keeps the old per-element formulations — one
-//! `(n, c_out, pixel)` walk with a scalar `Dtype::encode` per element,
-//! one bounds-tested tap loop per pooled output, one codec call per
-//! interaction operand — as oracles, and requires the slots a pass
-//! leaves behind to equal them exactly: every conv geometry of the
-//! zoo's stems and fire modules at widths divisible by neither 4 nor 8,
-//! batch 1 and 2, ReLU on and off, all four storage dtypes, inputs
-//! seeded with −0.0, ±Inf and NaN; and, at sizes where the stages fan
-//! out, at team widths 1, 2 and 3 on every `GemmPath` the host runs
+//! member — and the old per-element formulations — one `(n, c_out,
+//! pixel)` walk with a scalar `Dtype::encode` per element, one
+//! bounds-tested tap loop per pooled output (both in `common`, which
+//! `tests/differential.rs` checks every generated conv → pool against,
+//! in every dtype, on every path, at every team width), one codec call
+//! per interaction operand — are the oracles the slots a pass leaves
+//! behind must equal exactly. Here: every conv geometry of the zoo's
+//! stems and fire modules at widths divisible by neither 4 nor 8, batch
+//! 1 and 2, ReLU on and off, all four storage dtypes, inputs seeded with
+//! −0.0 and NaN; at sizes where the stages fan out, team widths 1, 2 and
+//! 3 on every `GemmPath` the host runs; cells struck to −0.0, ±Inf and
+//! NaN through the ReLU write-back; pools and the global average over
+//! inputs dense in specials; and the interaction
 //! (the `AIGA_FORCE_SCALAR=1` CI leg repeats all of it with the scalar
 //! oracle and codecs ambient).
 //! (The staged strips and checksum rows themselves are crate-private;
@@ -25,12 +29,14 @@
 //! conv must flag, and `Workspace::recompute` must repair them to the clean
 //! bytes.
 
+mod common;
+
 use aiga::dtype::F16;
-use aiga::gpu::engine::{simd, Im2colView, MatrixView};
-use aiga::nn::conv::filters_to_matrix;
-use aiga::nn::graph::{NodeOp, PoolKind, PoolParams};
+use aiga::gpu::engine::simd;
+use aiga::nn::graph::{PoolKind, PoolParams};
 use aiga::prelude::*;
 use aiga::util::team;
+use common::{assert_slots_hold_the_oracles, pool_oracle};
 
 /// `(kernel, stride, padding)` of the conv under test: pointwise, the
 /// fire modules' 3×3, a strided unpadded 3×3, SqueezeNet-1.0's stem.
@@ -143,130 +149,21 @@ fn request(shape: Shape, batch: usize, dt: Dtype) -> Matrix {
     m
 }
 
-/// The conv stage's GEMM output, computed apart from the pipeline: the
-/// lowered matrix materialized element by element through
-/// `MatrixView::get`, times the stage's weight matrix, through the same
-/// engine (fused ≡ materialized is `fused_conv_equivalence.rs`'s pin),
-/// struck by `faults`.
-fn conv_gemm(
-    shape: Shape,
+/// [`assert_slots_hold_the_oracles`] over [`net`] of `shape` under
+/// `conv`, whose output pixel count must leave strips straddling images.
+fn assert_straddling_slots_hold_the_oracles(
+    (shape, conv): (Shape, (usize, usize, usize)),
     net: &Network,
     input: &Matrix,
-    faults: &[FaultPlan],
-) -> (Vec<f32>, Im2colView) {
-    let NodeOp::Conv {
-        params, weights, ..
-    } = &net.nodes[0].op
-    else {
-        panic!("stage 0 is the conv");
-    };
-    let dt = net.dtype;
-    let geom = params.im2col_view(shape.channels, shape.hw.0, shape.hw.1);
-    let view = MatrixView::im2col_lowered(input.rows, geom, &input.data, dt);
-    let lowered = Matrix::from_fn(view.rows, view.cols, |r, c| view.get(r, c)).with_dtype(dt);
-    let w = filters_to_matrix(weights);
-    let w = Matrix::from_fn(w.rows, w.cols, |r, c| {
-        F16::from_bits(dt.encode(w.get(r, c).to_f32()))
-    })
-    .with_dtype(dt);
-    let out = aiga::gpu::engine::gemm(&lowered, &w, TileScheme::NONE, faults);
-    (out.c, geom)
-}
-
-/// The old write-back: one strided walk in NCHW order, one scalar
-/// encode per element.
-fn writeback_oracle(
-    c: &[f32],
-    images: usize,
-    c_out: usize,
-    spatial: usize,
-    relu: bool,
-    dt: Dtype,
-) -> Vec<F16> {
-    let mut slot = Vec::new();
-    for n in 0..images {
-        for co in 0..c_out {
-            for s in 0..spatial {
-                let v = c[(n * spatial + s) * c_out + co];
-                let v = if relu { v.max(0.0) } else { v };
-                slot.push(F16::from_bits(dt.encode(v)));
-            }
-        }
-    }
-    slot
-}
-
-/// The old pooling stage: a bounds-tested, table-decoded tap loop per
-/// output.
-fn pool_oracle(
-    src: &[F16],
-    planes: usize,
-    (h, w): (usize, usize),
-    p: &PoolParams,
-    dt: Dtype,
-) -> Vec<F16> {
-    let (ho, wo) = (p.out_extent(h), p.out_extent(w));
-    let mut out = Vec::new();
-    for plane in src.chunks_exact(h * w).take(planes) {
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let (mut best, mut acc, mut cells) = (f32::NEG_INFINITY, 0.0f32, 0u32);
-                for ky in 0..p.kernel {
-                    for kx in 0..p.kernel {
-                        let iy = (oy * p.stride + ky) as isize - p.padding as isize;
-                        let ix = (ox * p.stride + kx) as isize - p.padding as isize;
-                        if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-                            continue;
-                        }
-                        let v = dt.decode(plane[iy as usize * w + ix as usize].to_bits());
-                        best = best.max(v);
-                        acc += v;
-                        cells += 1;
-                    }
-                }
-                let v = match p.kind {
-                    _ if cells == 0 => 0.0,
-                    PoolKind::Max => best,
-                    PoolKind::Avg => acc / cells as f32,
-                };
-                out.push(F16::from_bits(dt.encode(v)));
-            }
-        }
-    }
-    out
-}
-
-/// Runs [`net`] twice through one workspace (the second pass writes
-/// every slot by index over the first pass's bytes) and requires slot 0
-/// to hold the write-back oracle's bytes of the conv's GEMM output —
-/// struck by `fault`, if any — and slot 1 the pooling oracle's.
-fn assert_slots_hold_the_oracles(
-    shape: Shape,
-    net: &Network,
-    input: &Matrix,
-    (relu, kind): (bool, PoolKind),
     scheme: Scheme,
     fault: Option<FaultPlan>,
     what: &str,
 ) {
-    let dt = net.dtype;
-    let pipeline = ProtectedPipeline::compile(net, &vec![scheme; net.gemm_count()]);
-    let fault = fault.map(|fault| PipelineFault { layer: 0, fault });
-    let mut ws = Workspace::new();
-    pipeline.infer_into(input, fault, &mut ws);
-    pipeline.infer_into(input, fault, &mut ws);
-
-    let struck: Vec<FaultPlan> = fault.iter().map(|f| f.fault).collect();
-    let (c, geom) = conv_gemm(shape, net, input, &struck);
-    let spatial = geom.out_h * geom.out_w;
+    let (k, s, p) = conv;
+    let extent = |x: usize| (x + 2 * p - k) / s + 1;
+    let spatial = extent(shape.hw.0) * extent(shape.hw.1);
     assert_ne!(spatial % 4, 0, "{what}: strips must straddle images");
-    let want = writeback_oracle(&c, input.rows, shape.c_out, spatial, relu, dt);
-    assert_eq!(ws.slot(0).data, want, "{what}: write-back");
-
-    let p = pool_params(kind);
-    let planes = input.rows * shape.c_out;
-    let pooled = pool_oracle(&want, planes, (geom.out_h, geom.out_w), &p, dt);
-    assert_eq!(ws.slot(1).data, pooled, "{what}: pooled");
+    assert_slots_hold_the_oracles(net, input, scheme, fault, what);
 }
 
 #[test]
@@ -279,11 +176,10 @@ fn slots_hold_the_per_element_oracles_bytes() {
                     let net = net(SMALL, batch, conv, relu, kind, dt);
                     let input = request(SMALL, batch, dt);
                     let scheme = Scheme::ThreadLevelOneSided;
-                    assert_slots_hold_the_oracles(
-                        SMALL,
+                    assert_straddling_slots_hold_the_oracles(
+                        (SMALL, conv),
                         &net,
                         &input,
-                        (relu, kind),
                         scheme,
                         None,
                         &what,
@@ -311,11 +207,10 @@ fn fanned_out_stages_hold_the_oracles_bytes_at_every_width_on_every_path() {
             for width in [1usize, 2, 3] {
                 let what = format!("{dt} relu={relu} {kind:?} {} width {width}", path.as_str());
                 team::with_width(width, || {
-                    assert_slots_hold_the_oracles(
-                        WIDE,
+                    assert_straddling_slots_hold_the_oracles(
+                        (WIDE, CONVS[1]),
                         &net,
                         &input,
-                        (relu, kind),
                         Scheme::ThreadLevelOneSided,
                         None,
                         &what,
@@ -356,11 +251,10 @@ fn struck_cells_cross_the_relu_write_back_as_the_oracle_encodes_them() {
             for width in [1usize, 3] {
                 let what = format!("relu={relu} {value} at ({row},{col}) width {width}");
                 team::with_width(width, || {
-                    assert_slots_hold_the_oracles(
-                        WIDE,
+                    assert_straddling_slots_hold_the_oracles(
+                        (WIDE, CONVS[1]),
                         &net,
                         &input,
-                        (relu, PoolKind::Max),
                         Scheme::Unprotected,
                         Some(fault),
                         &what,
