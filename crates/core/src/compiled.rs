@@ -9,9 +9,9 @@
 //! workspace-threaded im2col; pooling/ReLU/concat/residual epilogues
 //! execute between the protected GEMMs).
 //!
-//! `CompiledModel` is what a [`crate::session::Session`] caches per
-//! batch bucket — each bucket's plan over one compiled network's
-//! weights; it can also be used directly for single-caller inference:
+//! A [`crate::session::Session`] returns one as its view of a batch
+//! bucket — the bucket's plan and that plan's pass from the session's
+//! pass table; it can also be used directly for single-caller inference:
 //!
 //! ```
 //! use aiga_core::{CompiledModel, Planner};
@@ -36,8 +36,8 @@ use std::sync::Arc;
 
 /// An executable network compiled against an intensity-guided plan.
 pub struct CompiledModel {
-    plan: ModelPlan,
-    pipeline: ProtectedPipeline,
+    pub(crate) plan: Arc<ModelPlan>,
+    pub(crate) pipeline: Arc<ProtectedPipeline>,
 }
 
 impl CompiledModel {
@@ -50,15 +50,10 @@ impl CompiledModel {
         // so scheme selection must see the dtype the executor runs.
         let plan = planner.clone().dtype(net.dtype).plan(&net.to_model());
         let pipeline = ProtectedPipeline::compile(net, &plan.chosen_schemes());
-        CompiledModel { plan, pipeline }
-    }
-
-    /// `plan`'s chosen schemes over `pipeline`'s packed weights
-    /// ([`ProtectedPipeline::rebind`]): a plan for another batch of the
-    /// same network, served without compiling it again.
-    pub(crate) fn rebind(pipeline: &ProtectedPipeline, plan: ModelPlan) -> Self {
-        let pipeline = pipeline.rebind(&plan.chosen_schemes());
-        CompiledModel { plan, pipeline }
+        CompiledModel {
+            plan: Arc::new(plan),
+            pipeline: Arc::new(pipeline),
+        }
     }
 
     /// The intensity-guided plan this model was compiled against.

@@ -32,7 +32,7 @@
 //! intensity-guided ABFT (§5.3): configure device, calibration,
 //! candidates, and mode; call [`Planner::plan`] for a [`ModelPlan`]
 //! (one per input size — the §7.3 dispatch among them is
-//! [`Session`]'s bucket cache).
+//! [`Session`]'s pass table).
 //!
 //! **Compilation** — [`compiled::CompiledModel`] is the typed path
 //! `Model → ModelPlan → CompiledModel`: an executable `aiga_nn::Network`
