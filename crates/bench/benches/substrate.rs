@@ -459,12 +459,12 @@ fn main() {
     // kernel, not about who else was on the second core. The overheads
     // are recorded per SIMD path and gated on the active one (the scalar
     // oracle is not a performance path), whose rows also keep the
-    // unsuffixed names. On the zmm tile the one-sided row is over its
-    // limit (1.55–1.61×: the clean K loop sits at the port roof, so the
-    // lanes cost their full 1.5× before the strip sums and the
-    // epilogue) and this gate fails there until ROADMAP item 5 step 2
-    // moves it; it passed only while 35–75 µs of thread spawn and join
-    // sat in both terms of the ratio.
+    // unsuffixed names. One-sided ABFT carries only its checksum lanes
+    // (1.25× the clean K loop's FMAs on the zmm tile, which sits at its
+    // port roof) and takes a column's magnitude in the epilogue only
+    // where the compare at |checksum| fails — 86 of 16,384 strip
+    // columns here — so the row reads 1.32–1.41× on the zmm tile, where
+    // it read 1.47–1.61× while the tiles carried magnitude lanes.
     {
         let size = 256usize;
         let a = Matrix::random(size, size, 1);

@@ -10,12 +10,14 @@
 //! `s[k] = Σ_i a[i][k]` (summed once at staging) rides as a fifth
 //! broadcast row against the two B vectors the tile already loaded.
 //! Per K element that is [`MICRO_NR`] checksum FMAs beside
-//! `MICRO_MR·MICRO_NR` data FMAs (¼ more), plus the same again for the
-//! magnitude lanes `Σ_k s_abs[k]·|b[k][j]|` with
-//! `s_abs[k] = Σ_i |a[i][k]|` — and no memory traffic the data walk
-//! does not already make (the §3.5 design principle). The epilogue
-//! compares each column sum of the stored tile against its checksum
-//! lane, so a detection names one strip column: `MICRO_MR` cells.
+//! `MICRO_MR·MICRO_NR` data FMAs (¼ more), and no memory traffic the
+//! data walk does not already make (the §3.5 design principle). The
+//! epilogue compares each column sum of the stored tile against its
+//! checksum lane, so a detection names one strip column: `MICRO_MR`
+//! cells. The threshold's magnitude `Σ_k s_abs[k]·|b[k][j]|` with
+//! `s_abs[k] = Σ_i |a[i][k]|` is not carried: `|checksum|` bounds it
+//! from below bit for bit, so the engine takes it only for a column
+//! whose compare fails at `|checksum|`.
 //!
 //! [`MICRO_NR`]: aiga_gpu::engine::MICRO_NR
 
@@ -33,7 +35,7 @@ use aiga_gpu::engine::{Redundancy, TileScheme, MICRO_MR};
 /// - the checksum lane is a `k`-step FMA chain over `s[k]`, itself a
 ///   pairwise sum of `MICRO_MR` values (2 roundings): `γ_{k+2}·M`;
 /// - the epilogue's pairwise column sum of the tile: `γ_2·M`;
-/// - the magnitude lane is a chain of non-negative terms, so it
+/// - the magnitude chain is one of non-negative terms, so it
 ///   under-reads `M` by at most `γ_{k+2}`.
 ///
 /// `n = 2k + 4·MICRO_MR` roundings cover the first three with slack, and

@@ -259,6 +259,10 @@ pub(crate) struct Panels {
     pub(crate) k: usize,
     /// Whether the last staging wrote the checksum rows.
     pub(crate) sums: bool,
+    /// Under one-sided ABFT, bit `s` set when staged strip `s`'s checksum
+    /// row holds `+∞` — a sum of magnitudes that reached infinity, where
+    /// the bound `|chk| ≤ mag` can fail (see `walk`).
+    pub(crate) infinite_sums: u64,
 }
 
 impl Panels {
@@ -287,10 +291,23 @@ impl Panels {
         strips: std::ops::Range<usize>,
     ) {
         self.reserve(lanes, k, a.cols, strips.len());
+        self.infinite_sums = 0;
         // An empty inner dimension stages nothing (and has no chunk
         // size to stage by).
         if k > 0 {
+            let (first, staged) = (strips.start, strips.len());
             simd::stage_a(path, a, self, strips);
+            if lanes == Redundancy::ColumnChecksum {
+                assert!(staged <= 64, "one bit per strip");
+                // One live row sums its magnitudes to `|a|`, infinite only
+                // where its plain sum is too: only a wider strip can fail.
+                let wide = |&(s, _): &(usize, &[f32])| a.rows - (first + s) * MICRO_MR > 1;
+                let rows = self.a_chk[..staged * k * 2].chunks_exact(k * 2);
+                for (s, row) in rows.enumerate().filter(wide) {
+                    let infinite = row.iter().fold(false, |inf, &v| inf | (v == f32::INFINITY));
+                    self.infinite_sums |= u64::from(infinite) << s;
+                }
+            }
         }
     }
 
@@ -318,7 +335,9 @@ pub(crate) struct BlockScratch {
     /// col`), one per register tile for [`Redundancy::TileChecksum`]
     /// (`strip·bn/NR + group`).
     pub(crate) chk: Vec<f32>,
-    /// Magnitude lanes, laid out like `chk`.
+    /// Magnitudes, laid out like `chk`: two-sided ABFT's corner lanes,
+    /// and the columns one-sided ABFT's epilogue opened (written and read
+    /// only there).
     pub(crate) mag: Vec<f32>,
     /// The second copy of the tile for the replication schemes.
     pub(crate) shadow: Vec<f32>,

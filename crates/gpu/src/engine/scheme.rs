@@ -29,7 +29,10 @@ pub enum Redundancy {
     GlobalSums,
     /// One-sided ABFT: a checksum accumulator per tile column,
     /// `Σ_k s[k]·b[k][j]` with `s[k] = Σ_i a[i][k]` the strip's column
-    /// sum, compared against the column sum of the stored tile.
+    /// sum, compared against the column sum of the stored tile. No
+    /// magnitude rides beside it: `|checksum|` bounds the column's
+    /// magnitude `Σ_k Σ_i |a[i][k]|·|b[k][j]|` from below, and the
+    /// epilogue takes the magnitude only for a column that fails there.
     ColumnChecksum,
     /// Two-sided ABFT: one scalar chain per tile, `Σ_k s[k]·t[k]` with
     /// `t[k] = Σ_j b[k][j]` the tile's B row sum, compared against the
@@ -50,7 +53,8 @@ impl Redundancy {
     /// ABFT's checksum row is a quarter of a full tile's work and as
     /// much again as a one-row tile's — replication-priced there, and
     /// still free, because that tile waits on its weight stream.
-    /// Magnitude lanes (the running error bound) are bookkeeping, not
+    /// Magnitudes (the running error bound: two-sided's corner carries
+    /// one, one-sided takes its few on demand) are bookkeeping, not
     /// redundancy, and are not counted.
     pub fn checksum_fmas_per_step(self, tile_rows: usize) -> u64 {
         match self {
@@ -61,8 +65,9 @@ impl Redundancy {
         }
     }
 
-    /// Checksum (and magnitude) lane values one `bm × bn` block tile
-    /// produces: one per strip column, or one per register tile.
+    /// Checksum lane values one `bm × bn` block tile produces, and the
+    /// magnitudes its check reads: one per strip column, or one per
+    /// register tile.
     pub(crate) fn lane_len(self, bm: usize, bn: usize) -> usize {
         match self {
             Redundancy::ColumnChecksum => bm / MICRO_MR * bn,
@@ -123,14 +128,5 @@ impl TileScheme {
     #[inline(always)]
     pub(crate) fn threshold(&self, magnitude: f64) -> f64 {
         self.slope * magnitude + self.floor
-    }
-
-    /// Whether a residual of exactly zero passes at *every* magnitude —
-    /// the threshold is linear, so non-negative at both ends of
-    /// `[0, ∞]` is non-negative throughout. True of every scheme
-    /// `aiga-core` derives (positive slope, non-negative floor); where
-    /// it holds, a compare that came out exact needs no magnitude.
-    pub(crate) fn passes_zero_residual(&self) -> bool {
-        !self.flags(0.0, 0.0) && !self.flags(0.0, f64::INFINITY)
     }
 }

@@ -14,8 +14,10 @@
 //!   member about to walk it, in `Panels::stage`);
 //! - `fill_block_tile` computes the live register tiles of one
 //!   block tile — and, when the run's scheme asks for them, their
-//!   checksum and magnitude lanes — through the register-tiled
-//!   microkernel at the host's vector width or the scalar oracle;
+//!   checksum lanes — through the register-tiled microkernel at the
+//!   host's vector width or the scalar oracle; `group_magnitudes` takes
+//!   one-sided ABFT's magnitudes for the column groups whose compare
+//!   needs them;
 //! - [`active_path`] picks between them at runtime
 //!   (`is_x86_feature_detected!`), honouring the `AIGA_FORCE_SCALAR=1`
 //!   override so CI can exercise the oracle on any machine.
@@ -63,14 +65,15 @@
 //! Checksum and magnitude lanes obey the same contract: each is one
 //! more in-order FMA chain (`chk = fma(s[kk], b[kk][col], chk)`,
 //! `mag = fma(s_abs[kk], |b[kk][col]|, mag)`, and the two-sided corner
-//! `fma(s[kk], t[kk], corner)`), mirrored operation for operation by
-//! `chk_dot`/`corner_dot` on the scalar path — so residuals and
-//! thresholds, not just outputs, are byte-identical across paths. Lanes
-//! are per strip and corners per (strip, column group) whatever tile
-//! computed them. The one-row tile carries one-sided ABFT's checksum
-//! chains and leaves that strip's column magnitudes to the epilogue,
-//! which takes them from the same mirror where it needs them (see
-//! `walk`).
+//! `fma(s[kk], t[kk], corner)` beside its magnitude), mirrored operation
+//! for operation by `dot_generic`/`corner_dot` on the scalar path — so
+//! residuals and thresholds, not just outputs, are byte-identical across
+//! paths. Lanes are per strip and corners per (strip, column group)
+//! whatever tile computed them. One-sided ABFT's tiles carry only the
+//! checksum chains: `|chk|` bounds a column's magnitude from below, so
+//! the epilogue takes the magnitude only for the column groups whose
+//! compare depends on it, through `group_magnitudes` — one pass of those
+//! same chains (see `walk`).
 
 use super::matrix::{MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
@@ -380,40 +383,55 @@ fn dot_generic(a: impl Iterator<Item = f32>, b: impl Iterator<Item = f32>) -> f3
     s
 }
 
-/// The scalar mirror of one column's checksum and magnitude lanes
-/// ([`Redundancy::ColumnChecksum`]): `a_chk` is one strip's
-/// checksum row ([`stage_a`]), `b` one output column's K walk.
-#[inline(always)]
-fn chk_dot(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32) {
-    let (mut chk, mut mag) = (0.0f32, 0.0f32);
-    for (s, v) in a_chk.chunks_exact(2).zip(b) {
-        chk = s[0].mul_add(v, chk);
-        mag = s[1].mul_add(v.abs(), mag);
-    }
-    (chk, mag)
-}
-
-/// [`chk_dot`] compiled with the FMA target feature (see [`dot_fma`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-unsafe fn chk_dot_fma(a_chk: &[f32], b: impl Iterator<Item = f32>) -> (f32, f32) {
-    chk_dot(a_chk, b)
-}
-
-/// The magnitude lane of staged strip `strip`, global column `col`
-/// under [`Redundancy::ColumnChecksum`], taken on demand with the
-/// scalar mirror — bit for bit the value the four-row microkernel
-/// carries for that column. The tile epilogue calls this for the
-/// columns of a one-live-row strip whose compare did not come out
-/// exact.
+/// The magnitude of staged strip `strip`, global column `col` under
+/// [`Redundancy::ColumnChecksum`]: the chain `fma(s_abs[kk],
+/// |b[kk][col]|, mag)` in K order over the strip's checksum row
+/// ([`stage_a`]) — the scalar mirror [`group_magnitudes`] matches bit for
+/// bit.
 pub(crate) fn column_magnitude(a: &Panels, b: &PackedWeights, strip: usize, col: usize) -> f32 {
-    let a_chk = &a.a_chk[strip * a.k * 2..][..a.k * 2];
-    #[cfg(target_arch = "x86_64")]
-    if detect_path().is_simd() {
-        // SAFETY: FMA support was verified by detect_path.
-        return unsafe { chk_dot_fma(a_chk, b.col(col)) }.1;
+    let a_abs = a.a_chk[strip * a.k * 2..][..a.k * 2].iter().skip(1);
+    dot(a_abs.step_by(2).copied(), b.col(col).map(f32::abs))
+}
+
+/// The magnitudes of the staged strips' column groups `opened`, each a
+/// `(strip, group)` pair with groups counted from global column `col0`,
+/// into `mag` (strip `s`'s column `col0 + j` at `s·bn + j`): each column
+/// [`column_magnitude`] bit for bit. A SIMD path runs the opened groups
+/// four at a time in one pass over K, so their independent chains hide
+/// the FMA latency; the scalar path is the mirror itself.
+pub(crate) fn group_magnitudes(
+    path: GemmPath,
+    a: &Panels,
+    b: &PackedWeights,
+    col0: usize,
+    bn: usize,
+    opened: &[(usize, usize)],
+    mag: &mut [f32],
+) {
+    let groups = b.cols().div_ceil(MICRO_NR) - col0 / MICRO_NR;
+    assert!(col0.is_multiple_of(MICRO_NR) && bn.is_multiple_of(MICRO_NR));
+    for &(s, g) in opened {
+        assert!(g < groups && (g + 1) * MICRO_NR <= bn && (s + 1) * bn <= mag.len());
+        assert!(a.a_chk.len() >= (s + 1) * a.k * 2);
     }
-    chk_dot(a_chk, b.col(col)).1
+    assert_eq!(a.k, b.k(), "operands staged for different K");
+    #[cfg(target_arch = "x86_64")]
+    if path.is_simd() {
+        type Pass = unsafe fn(&Panels, &PackedWeights, usize, usize, &[(usize, usize)], &mut [f32]);
+        let pass: Pass = with_format!(b.dtype(), F => match path {
+            GemmPath::Avx512 => magnitudes_avx512::<F>,
+            _ => magnitudes_avx2::<F>,
+        });
+        // SAFETY: the dispatcher only selects a SIMD path the host
+        // supports; the asserts above bound every pointer offset.
+        return unsafe { pass(a, b, col0, bn, opened, mag) };
+    }
+    assert_eq!(path, GemmPath::Scalar, "SIMD path dispatched off x86_64");
+    for &(s, g) in opened {
+        for j in g * MICRO_NR..(g + 1) * MICRO_NR {
+            mag[s * bn + j] = column_magnitude(a, b, s, col0 + j);
+        }
+    }
 }
 
 /// The scalar mirror of one register tile's corner chain and its
@@ -433,7 +451,7 @@ fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
 /// Whether strip `strip` of a block with `rows` live rows holds exactly
 /// one of them — the strips every path runs as one-row tiles.
 #[inline(always)]
-pub(crate) fn one_live_row(rows: usize, strip: usize) -> bool {
+fn one_live_row(rows: usize, strip: usize) -> bool {
     rows - strip * MICRO_MR == 1
 }
 
@@ -442,16 +460,16 @@ pub(crate) fn one_live_row(rows: usize, strip: usize) -> bool {
 /// `(row0, col0)`, the ones that cover a row of the request or a column
 /// of the weights — through the dispatched microkernel, leaving the data
 /// in `tile` (row stride `bn`, the block width) and — for the two ABFT
-/// lane kinds — every live register tile's checksum and magnitude lanes
-/// in `chk`/`mag` (laid out as `BlockScratch` documents). Cells of
-/// `tile` outside the live extent are left as they were. Within a live
-/// register tile, rows and columns past the operands' edges are zero in
-/// the panels, so computing them is harmless and branch-free — except
-/// in a strip with [`one_live_row`], whose three dead rows are not
-/// computed but stored as `+0.0`, and whose [`Redundancy::ColumnChecksum`]
-/// magnitude lanes are not written ([`column_magnitude`] gives them on
-/// demand). Any other `lanes` runs the plain kernel — the replication
-/// kinds call this twice, once per copy.
+/// lane kinds — every live register tile's checksum lanes in `chk`, and
+/// under [`Redundancy::TileChecksum`] its corner's magnitude in `mag`
+/// (laid out as `BlockScratch` documents; [`Redundancy::ColumnChecksum`]
+/// carries no magnitude, [`group_magnitudes`] takes it on demand). Cells
+/// of `tile` outside the live extent are left as they were. Within a
+/// live register tile, rows and columns past the operands' edges are
+/// zero in the panels, so computing them is harmless and branch-free —
+/// except in a strip with [`one_live_row`], whose three dead rows are
+/// not computed but stored as `+0.0`. Any other `lanes` runs the plain
+/// kernel — the replication kinds call this twice, once per copy.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_block_tile(
     path: GemmPath,
@@ -563,11 +581,8 @@ fn fill_scalar(
         match lanes {
             Redundancy::ColumnChecksum => {
                 for lc in 0..cols {
-                    let lane = chk_dot(a_chk(), b.col(col0 + lc));
-                    chk[s * bn + lc] = lane.0;
-                    if !one_row {
-                        mag[s * bn + lc] = lane.1;
-                    }
+                    let sums = a_chk().iter().step_by(2).copied();
+                    chk[s * bn + lc] = dot_generic(sums, b.col(col0 + lc));
                 }
             }
             Redundancy::TileChecksum => {
@@ -683,9 +698,10 @@ struct TileArgs {
     /// The tile's first cell in the block tile, row stride `bn`.
     out: *mut f32,
     bn: usize,
-    /// The tile's first checksum and magnitude lane — per column under
-    /// `LANES_COLUMN`, per column group under `LANES_TILE` — and the
-    /// distance to the next strip's.
+    /// The tile's first checksum lane — per column under `LANES_COLUMN`,
+    /// per column group under `LANES_TILE`, where the corner's magnitude
+    /// beside it is the only magnitude lane — and the distance to the
+    /// next strip's.
     chk: *mut f32,
     mag: *mut f32,
     lane_row: usize,
@@ -851,13 +867,14 @@ unsafe fn store_pair(corner: std::arch::x86_64::__m128, chk: *mut f32, mag: *mut
 /// the two halves of one column group on ymm, two groups on zmm.
 ///
 /// `LANES_COLUMN` adds per strip, on the two B vectors already loaded, a
-/// checksum accumulator pair fed by the strip's column sum and a
-/// magnitude pair fed by its magnitude sum and `|b|` (2 broadcasts and
-/// 4 FMAs a strip — 12 of 16 ymm live at `S = 1`, 29 of 32 zmm at
-/// `S = 2`). `LANES_TILE` adds one xmm FMA per (strip, column group)
-/// whose low two lanes are that 4×16 tile's corner chain and its
-/// magnitude (two 8-byte loads). Neither touches memory the data walk
-/// does not already stream except those few floats per step.
+/// checksum accumulator pair fed by the strip's column sum (1 broadcast
+/// and 2 FMAs a strip — 10 accumulators, 13 of 16 ymm live at `S = 1`;
+/// 20 accumulators, 23 of 32 zmm at `S = 2`); the columns' magnitudes
+/// are not carried ([`group_magnitudes`]). `LANES_TILE` adds one xmm
+/// FMA per (strip, column group) whose low two lanes are that 4×16
+/// tile's corner chain and its magnitude (two 8-byte loads). Neither
+/// touches memory the data walk does not already stream except those
+/// few floats per step.
 ///
 /// # Safety
 /// As [`fill_simd`], which built `t`; the host supports `V`.
@@ -873,7 +890,6 @@ unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArg
         let pair = |at: *const f32| _mm_castpd_ps(_mm_load_sd(at.cast()));
         let mut acc = [[[V::splat(0.0); 2]; MICRO_MR]; S];
         let mut chk = [[V::splat(0.0); 2]; S];
-        let mut mag = [[V::splat(0.0); 2]; S];
         let mut corner = [[_mm_setzero_ps(); 2]; S];
         for kk in 0..t.k {
             let vb: [V; 2] = [0, 1].map(|j| V::widen::<F>(t.b_at::<F>(j * V::LANES, kk)));
@@ -886,14 +902,9 @@ unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArg
                 }
                 let a_sum = t.a_sum.wrapping_add((s * t.k + kk) * 2);
                 if LANES == LANES_COLUMN {
-                    // One broadcast live at a time: sixteen ymm hold
-                    // twelve accumulators, the sign mask and three more.
                     let vs = V::splat(*a_sum);
                     chk[s][0] = V::fma(vs, vb[0], chk[s][0]);
                     chk[s][1] = V::fma(vs, vb[1], chk[s][1]);
-                    let vm = V::splat(*a_sum.add(1));
-                    mag[s][0] = V::fma(vm, vb[0].abs(), mag[s][0]);
-                    mag[s][1] = V::fma(vm, vb[1].abs(), mag[s][1]);
                 }
                 if LANES == LANES_TILE {
                     let st = pair(a_sum);
@@ -913,9 +924,8 @@ unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArg
             let chk_at = t.chk.wrapping_add(s * t.lane_row);
             let mag_at = t.mag.wrapping_add(s * t.lane_row);
             if LANES == LANES_COLUMN {
-                for j in 0..2 {
-                    chk[s][j].store(chk_at.add(j * V::LANES));
-                    mag[s][j].store(mag_at.add(j * V::LANES));
+                for (j, chk) in chk[s].iter().enumerate() {
+                    chk.store(chk_at.add(j * V::LANES));
                 }
             }
             if LANES == LANES_TILE {
@@ -936,9 +946,8 @@ unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArg
 /// FMAs, and no FMA is spent on the strip's three rows of zeros.
 ///
 /// `LANES_COLUMN` adds `NV` checksum chains on the same B vectors, fed
-/// by the strip's column sum; the strip's magnitude lanes are not
-/// carried (see [`column_magnitude`]). `LANES_TILE` adds each column
-/// group's xmm corner chain, as [`tile`] does.
+/// by the strip's column sum, as [`tile`] does. `LANES_TILE` adds each
+/// column group's xmm corner chain, as [`tile`] does.
 ///
 /// # Safety
 /// As [`fill_simd`], which built `t`; the host supports `V`.
@@ -985,6 +994,120 @@ unsafe fn tile_1xn<V: Vector, F: Format, const LANES: u8, const NV: usize>(t: Ti
         if LANES == LANES_TILE {
             for (g, &corner) in corner.iter().enumerate().take(groups) {
                 store_pair(corner, t.chk.add(g), t.mag.add(g));
+            }
+        }
+    }
+}
+
+/// # Safety
+/// The host must support AVX2, FMA and F16C; the arguments are
+/// [`group_magnitudes`]'s, which bounds them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn magnitudes_avx2<F: Format>(
+    a: &Panels,
+    b: &PackedWeights,
+    col0: usize,
+    bn: usize,
+    opened: &[(usize, usize)],
+    mag: &mut [f32],
+) {
+    // SAFETY: the caller's guarantees.
+    unsafe { magnitudes::<std::arch::x86_64::__m256, F>(a, b, col0, bn, opened, mag) }
+}
+
+/// # Safety
+/// As [`magnitudes_avx2`], and the host must support AVX-512 F and VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
+unsafe fn magnitudes_avx512<F: Format>(
+    a: &Panels,
+    b: &PackedWeights,
+    col0: usize,
+    bn: usize,
+    opened: &[(usize, usize)],
+    mag: &mut [f32],
+) {
+    // SAFETY: the caller's guarantees.
+    unsafe { magnitudes::<std::arch::x86_64::__m512, F>(a, b, col0, bn, opened, mag) }
+}
+
+/// [`group_magnitudes`] at vector width `V`, up to four opened groups a
+/// pass.
+///
+/// # Safety
+/// As [`magnitudes_avx2`]; the host supports `V`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn magnitudes<V: Vector, F: Format>(
+    a: &Panels,
+    b: &PackedWeights,
+    col0: usize,
+    bn: usize,
+    opened: &[(usize, usize)],
+    mag: &mut [f32],
+) {
+    let k = a.k;
+    let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
+    // SAFETY: `group_magnitudes` asserted every strip's checksum row,
+    // every group's panel and every `mag` cell in bounds.
+    unsafe {
+        let mag = mag.as_mut_ptr();
+        let chain = |(s, g): (usize, usize)| Chain {
+            a_abs: a.a_chk.as_ptr().add(s * k * 2 + 1),
+            b_panel: b.panels().as_ptr().add((col0 / MICRO_NR + g) * group_bytes),
+            mag: mag.add(s * bn + g * MICRO_NR),
+        };
+        for pass in opened.chunks(4) {
+            match *pass {
+                [p] => magnitude_pass::<V, F, 1>(k, [p].map(&chain)),
+                [p, q] => magnitude_pass::<V, F, 2>(k, [p, q].map(&chain)),
+                [p, q, r] => magnitude_pass::<V, F, 3>(k, [p, q, r].map(&chain)),
+                [p, q, r, t] => magnitude_pass::<V, F, 4>(k, [p, q, r, t].map(&chain)),
+                _ => unreachable!("passes of one to four groups"),
+            }
+        }
+    }
+}
+
+/// Where one opened column group's magnitude chains read and write.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Chain {
+    /// The strip's first magnitude sum; one every two floats.
+    a_abs: *const f32,
+    /// The group's B panel (resident codes).
+    b_panel: *const u8,
+    /// The group's first magnitude cell.
+    mag: *mut f32,
+}
+
+/// `N` opened groups' magnitudes in one walk over K: each group
+/// `MICRO_NR / V::LANES` accumulators, each lane the chain
+/// `fma(s_abs, |b|, mag)` per K step on the widened B vector.
+///
+/// # Safety
+/// As [`magnitudes`], which built `chains`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn magnitude_pass<V: Vector, F: Format, const N: usize>(k: usize, chains: [Chain; N]) {
+    let per_group = MICRO_NR / V::LANES;
+    let mut acc = [[V::splat(0.0); 2]; N];
+    // SAFETY: see `magnitudes`.
+    unsafe {
+        for kk in 0..k {
+            for (c, acc) in chains.iter().zip(&mut acc) {
+                let vm = V::splat(*c.a_abs.add(kk * 2));
+                for (h, acc) in acc.iter_mut().enumerate().take(per_group) {
+                    let code = kk * MICRO_NR + h * V::LANES;
+                    let vb = V::widen::<F>(c.b_panel.add(code * F::RESIDENT_BYTES));
+                    *acc = V::fma(vm, vb.abs(), *acc);
+                }
+            }
+        }
+        for (c, acc) in chains.iter().zip(&acc) {
+            for (h, acc) in acc.iter().enumerate().take(per_group) {
+                acc.store(c.mag.add(h * V::LANES));
             }
         }
     }
@@ -1227,6 +1350,137 @@ mod tests {
                             want,
                             "{path:?} {dtype} {lanes:?} bm={bm} bn={bn} k={k} live={live:?}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `m × k` activations and `k × n` weights in `dtype` with a fifth of
+    /// their cells replaced by the format's finite specials — ±0, its
+    /// smallest subnormal, its largest value — and about one cell in
+    /// `2k` of a column by ±Inf where the format has it, staged for
+    /// one-sided ABFT.
+    fn staged_specials(
+        m: usize,
+        n: usize,
+        k: usize,
+        seed: u64,
+        dtype: Dtype,
+    ) -> (Panels, PackedWeights) {
+        let values = (0..1u32 << dtype.bits()).map(|c| dtype.decode(c as u16));
+        let finite = values.filter(|v| v.is_finite() && *v > 0.0);
+        let (tiny, huge) = finite.fold((f32::MAX, 0.0f32), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        let specials = [0.0, -0.0, tiny, -tiny, huge, -huge];
+        let mut rng = aiga_util::Rng64::seed_from_u64(seed);
+        let mut spice = |mut x: Matrix| {
+            for r in 0..x.rows {
+                for c in 0..x.cols {
+                    let v = if rng.gen_bool(0.5 / (2 * k) as f64) {
+                        f32::INFINITY * [1.0, -1.0][rng.range_usize(0, 2)]
+                    } else if rng.gen_bool(0.2) {
+                        specials[rng.range_usize(0, specials.len())]
+                    } else {
+                        continue;
+                    };
+                    x.set(r, c, F16(dtype.encode(v)));
+                }
+            }
+            x
+        };
+        let a = spice(Matrix::random_dtype(m, k, seed, dtype));
+        let b = spice(Matrix::random_dtype(k, n, seed + 1, dtype));
+        let mut p = Panels::default();
+        let (lanes, kp) = (Redundancy::ColumnChecksum, k.next_multiple_of(8));
+        p.stage(a.view(), lanes, detect_path(), kp, 0..m.div_ceil(MICRO_MR));
+        (p, PackedWeights::pack(&b))
+    }
+
+    #[test]
+    fn a_columns_checksum_never_exceeds_its_magnitude() {
+        // The lemma the one-sided epilogue skips magnitudes by: the
+        // checksum lane the microkernel carries is bounded bit for bit by
+        // the magnitude chain, `|chk| <= mag` wherever `mag` is a number,
+        // and — in a strip whose magnitude sums are finite — a NaN
+        // magnitude comes with a NaN checksum. Over specials and overflow
+        // to ±Inf, at every K the engine walks in one step, a few, or
+        // many. (A magnitude sum that overflowed where the plain sum did
+        // not meets a zero weight as `∞·0`, which the checksum does not
+        // share: the epilogue opens such a strip whole.)
+        let (m, n) = (13, 48);
+        let groups = n / MICRO_NR;
+        for dtype in Dtype::ALL {
+            for k in [0, 1, 7, 64, 1152] {
+                let (p, w) = staged_specials(m, n, k, 11 + k as u64, dtype);
+                let (mut tile, mut chk) = (vec![0.0; 16 * n], vec![0.0; 4 * n]);
+                let mut mag = chk.clone();
+                fill_block_tile(
+                    detect_path(),
+                    &p,
+                    &w,
+                    Redundancy::ColumnChecksum,
+                    0,
+                    0,
+                    m,
+                    groups,
+                    n,
+                    &mut tile,
+                    &mut chk,
+                    &mut mag,
+                );
+                let mut bounded = 0;
+                for s in 0..m.div_ceil(MICRO_MR) {
+                    let sums = &p.a_chk[s * p.k * 2..][..p.k * 2];
+                    let finite = !sums.contains(&f32::INFINITY);
+                    // Flagged at staging where two live rows or more can
+                    // have overflowed.
+                    let (flagged, wide) = (p.infinite_sums >> s & 1 == 1, m - s * MICRO_MR > 1);
+                    assert_eq!(flagged, wide && !finite, "{dtype} k={k} strip {s}");
+                    for col in 0..n {
+                        let (chk, mag) = (chk[s * n + col], column_magnitude(&p, &w, s, col));
+                        let ctx = format!("{dtype} k={k} strip {s} col {col}: {chk} vs {mag}");
+                        assert!(!finite || !mag.is_nan() || chk.is_nan(), "{ctx}");
+                        assert!(chk.is_nan() || mag.is_nan() || chk.abs() <= mag, "{ctx}");
+                        bounded += !chk.is_nan() as usize;
+                    }
+                }
+                assert!(bounded > 0, "{dtype} k={k}: every checksum was NaN");
+            }
+        }
+    }
+
+    #[test]
+    fn group_magnitudes_match_the_scalar_mirror_on_every_path() {
+        // The magnitude-only pass against `column_magnitude`, bit for
+        // bit, on every path the host runs: one to six opened groups (a
+        // pass of four, then one to two), strips with one to four live
+        // rows, a block origin away from column zero, specials in both
+        // operands. Cells of groups not opened are not written.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let (m, n, bn, col0) = (13, 112, 96, 16);
+        let pairs: Vec<(usize, usize)> = (0..4).flat_map(|s| (0..6).map(move |g| (s, g))).collect();
+        for dtype in Dtype::ALL {
+            for k in [0, 1, 7, 64, 300] {
+                let (p, w) = staged_specials(m, n, k, 29 + k as u64, dtype);
+                for count in 1..=6 {
+                    // A spread of opened sets: every strip, every group.
+                    let opened: Vec<_> = pairs
+                        .iter()
+                        .copied()
+                        .skip(count * 3)
+                        .step_by(count)
+                        .take(count)
+                        .collect();
+                    let mut want = vec![f32::NAN; 4 * bn];
+                    for &(s, g) in &opened {
+                        for j in g * MICRO_NR..(g + 1) * MICRO_NR {
+                            want[s * bn + j] = column_magnitude(&p, &w, s, col0 + j);
+                        }
+                    }
+                    for &path in supported_paths() {
+                        let mut got = vec![f32::NAN; 4 * bn];
+                        group_magnitudes(path, &p, &w, col0, bn, &opened, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "{path:?} {dtype} k={k} {opened:?}");
                     }
                 }
             }

@@ -12,32 +12,46 @@
 //!
 //! The epilogue is ordinary Rust shared by every [`GemmPath`] — only
 //! correctly-rounded adds, multiplies and compares, which Rust never
-//! contracts or reorders — so detections (coordinates, residuals,
-//! thresholds) are byte-identical across the SIMD and scalar paths
-//! whenever the lanes are, which [`super::simd`] guarantees.
+//! contracts or reorders, compiled once per path for its vector width —
+//! so detections (coordinates, residuals, thresholds) are byte-identical
+//! across the SIMD and scalar paths whenever the lanes are, which
+//! [`super::simd`] guarantees.
 //!
-//! # The magnitude of a one-live-row strip is taken lazily
+//! # One-sided ABFT takes a column's magnitude only where it decides
 //!
 //! Under one-sided ABFT a column's compare is
-//! `!(|Σ_rows c − chk| <= slope·mag + floor)`. With one live row the
-//! strip's column sum *is* that row (`(a + 0) + (0 + 0)`; only a `−0`
-//! becomes `+0`, and `fma(±0, b, acc)` leaves the same `acc`), so the
-//! checksum chain repeats the data chain operation for operation and a
-//! clean column's residual is exactly `0.0` — which passes at every
-//! magnitude under any scheme with
-//! [`TileScheme::passes_zero_residual`]. Carrying the magnitude chains
-//! in the one-row tile would double its FMAs to compute thresholds that
-//! are then never the deciding operand, so that tile does not carry
-//! them, and the epilogue takes `mag` — with the scalar mirror, bit for
-//! bit the lane the four-row tile carries — only for a column whose
-//! residual is not `<= 0.0`: a fault, or a non-finite value. Those are
-//! the only columns whose verdict depends on the threshold, so no
-//! verdict, residual or reported threshold changes: a NaN magnitude
-//! needs a NaN or `0·∞` product in `Σ|s|·|b|`, the same product makes
-//! the data chain NaN and the residual with it, and that column takes
-//! the lazy path too. A scheme whose threshold can go negative (tests
-//! build them to make every compare report) gets every column's
-//! magnitude, as before.
+//! `!(|Σ_rows c − chk| <= slope·mag + floor)`, with `chk` the checksum
+//! chain `fma(s_k, b, chk)` and `mag` the magnitude chain
+//! `fma(S_k, |b|, mag)` over the strip's sums `s_k = (a0+a1)+(a2+a3)`
+//! and `S_k = (|a0|+|a1|)+(|a2|+|a3|)`. The tiles carry only `chk`,
+//! because `|chk| ≤ mag` holds bit for bit:
+//!
+//! - `|s_k| ≤ S_k` in f32: round-to-nearest is monotone and odd, so
+//!   `|fl(x+y)| = fl(|x+y|) ≤ fl(|x|+|y|)` at every add;
+//! - by the same argument each step keeps `|fma(s_k, b, chk)| ≤
+//!   fma(S_k, |b|, mag)` when `|chk| ≤ mag`, from `0 ≤ 0`;
+//! - a NaN magnitude needs a NaN or `0·∞` product in `Σ S_k·|b|`, and
+//!   the same product makes `chk` NaN — unless `S_k` overflowed to `∞`
+//!   over finite values while `s_k` cancelled (bf16 activations near the
+//!   top of the f32 range) and meets a zero weight. Staging flags a strip
+//!   of two live rows or more with an infinite `S_k`
+//!   (`Panels::infinite_sums`), and such a strip is taken as unbounded;
+//!   with one live row `S_k = |a|` is infinite only where `s_k` is.
+//!
+//! The threshold `slope·m + floor` does not decrease as `m` grows when
+//! `slope > 0`, so in a bounded strip a column whose residual passes at
+//! `|chk|` passes at `mag`, and is not flagged. Only the other columns —
+//! faults, non-finite values and a sliver of clean columns whose
+//! checksum cancelled — are *opened*: the block's opened column groups
+//! get their exact magnitudes from [`simd::group_magnitudes`], the same
+//! chains run four groups at a time, and the ordinary compare decides.
+//! No verdict, residual or reported threshold changes. In a strip with
+//! one live row the checksum chain repeats the data chain operation for
+//! operation, so a clean column's residual is exactly `0.0` and only
+//! faults and non-finite values open. An unbounded strip, and every
+//! strip under a scheme whose threshold does not grow with the magnitude
+//! (`slope <= 0`, where `0·∞` is NaN too; tests build them to make every
+//! compare report), opens every column.
 //!
 //! Everything here reads the stripe its team member staged and writes
 //! into that member's scratch ([`StripeScratch`]) — nothing allocates,
@@ -134,14 +148,15 @@ pub(crate) fn run_block(run: &Run<'_>, br: usize, bc: usize, scr: &mut StripeScr
         }
     }
 
-    check_block(
-        run,
-        panels,
-        (row0, col0),
-        (rows, groups),
-        scratch,
-        detections,
-    );
+    let live = ((row0, col0), (rows, groups));
+    #[cfg(target_arch = "x86_64")]
+    match run.path {
+        // SAFETY: the dispatcher only selects a path the host supports.
+        GemmPath::Avx512 => return unsafe { check_avx512(run, panels, live, scratch, detections) },
+        GemmPath::Avx2Fma => return unsafe { check_avx2(run, panels, live, scratch, detections) },
+        GemmPath::Scalar => {}
+    }
+    check_block(run, panels, live, scratch, detections);
 }
 
 /// The cold walk for a faulted accumulator: the canonical FMA chain
@@ -195,17 +210,50 @@ fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f3
     lane[0]
 }
 
+/// [`check_block`] at the AVX2 path's vector width.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn check_avx2(
+    run: &Run<'_>,
+    panels: &Panels,
+    live: ((usize, usize), (usize, usize)),
+    scratch: &mut BlockScratch,
+    detections: &mut Vec<Detection>,
+) {
+    check_block(run, panels, live, scratch, detections)
+}
+
+/// [`check_block`] at the AVX-512 path's vector width.
+///
+/// # Safety
+/// The host must support AVX2 and AVX-512 F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+unsafe fn check_avx512(
+    run: &Run<'_>,
+    panels: &Panels,
+    live: ((usize, usize), (usize, usize)),
+    scratch: &mut BlockScratch,
+    detections: &mut Vec<Detection>,
+) {
+    check_block(run, panels, live, scratch, detections)
+}
+
 /// The tile epilogue: compares every live register tile of the block
 /// (`live` = live rows × column groups from `origin`) against its
 /// redundant lanes. Each arm first reduces a strip (or the block) to
 /// one flag with a branch-free loop the compiler vectorizes, and only
-/// walks cells again to build [`Detection`]s when something flagged.
+/// walks cells again — to take one-sided ABFT's opened magnitudes and
+/// build [`Detection`]s — when something flagged or opened.
+#[inline(always)]
 fn check_block(
     run: &Run<'_>,
     panels: &Panels,
-    origin: (usize, usize),
-    live: (usize, usize),
-    scratch: &BlockScratch,
+    (origin, live): ((usize, usize), (usize, usize)),
+    scratch: &mut BlockScratch,
     detections: &mut Vec<Detection>,
 ) {
     let BlockScratch {
@@ -214,6 +262,7 @@ fn check_block(
         mag,
         shadow,
     } = scratch;
+    let (tile, chk, shadow) = (&**tile, &**chk, &**shadow);
     let scheme = run.scheme;
     let (live_rows, groups) = live;
     let strips = live_rows.div_ceil(MICRO_MR);
@@ -231,31 +280,49 @@ fn check_block(
     match scheme.lanes {
         Redundancy::None | Redundancy::GlobalSums => {}
         Redundancy::ColumnChecksum => {
+            // In a bounded strip `|chk|` bounds each column's magnitude
+            // from below (see the module docs), so only a column failing
+            // there is opened; the block's opened column groups then take
+            // their magnitudes in one pass.
+            let grows = scheme.slope > 0.0;
+            let fails = |rows: [&[f32]; MICRO_MR], chk: &[f32]| {
+                let [r0, r1, r2, r3] = rows;
+                let cells = r0.iter().zip(r1).zip(r2).zip(r3).zip(chk);
+                cells.fold(false, |any, ((((a, b), c), d), &chk)| {
+                    let residual = (((a + b) + (c + d)) as f64 - chk as f64).abs();
+                    any | scheme.flags(residual, chk.abs() as f64)
+                })
+            };
+            let mut open = [(0, 0); (BLOCK_M / MICRO_MR) * (BLOCK_N / MICRO_NR)];
+            let mut count = 0;
             for s in 0..strips {
-                let rows = strip_rows(tile, s);
-                let (chk, mag) = (&chk[s * BLOCK_N..][..cols], &mag[s * BLOCK_N..][..cols]);
-                let residual = |j: usize| (col_sum(&rows, j, |v| v) as f64 - chk[j] as f64).abs();
-                if simd::one_live_row(live_rows, s) {
-                    // No magnitude lane was carried (see the module
-                    // docs): an exact compare needs none.
-                    let exact = scheme.passes_zero_residual();
-                    let inexact = |j: usize| !(exact && residual(j) <= 0.0);
-                    if (0..cols).fold(false, |any, j| any | inexact(j)) {
-                        for j in (0..cols).filter(|&j| inexact(j)) {
-                            let mag = simd::column_magnitude(panels, run.b, s, origin.1 + j);
-                            if scheme.flags(residual(j), mag as f64) {
-                                flag(s, j, 1, residual(j), scheme.threshold(mag as f64));
-                            }
-                        }
-                    }
+                let bounded = grows && panels.infinite_sums >> s & 1 == 0;
+                let rows = strip_rows(tile, s).map(|row| &row[..cols]);
+                let chk = &chk[s * BLOCK_N..][..cols];
+                if bounded && !fails(rows, chk) {
                     continue;
                 }
-                let any = (0..cols).fold(false, |any, j| {
-                    any | scheme.flags(residual(j), mag[j] as f64)
-                });
-                if any {
-                    for j in (0..cols).filter(|&j| scheme.flags(residual(j), mag[j] as f64)) {
-                        flag(s, j, 1, residual(j), scheme.threshold(mag[j] as f64));
+                for g in 0..groups {
+                    let group = g * MICRO_NR..(g + 1) * MICRO_NR;
+                    if !bounded || fails(rows.map(|row| &row[group.clone()]), &chk[group]) {
+                        open[count] = (s, g);
+                        count += 1;
+                    }
+                }
+            }
+            let open = &open[..count];
+            if open.is_empty() {
+                return;
+            }
+            simd::group_magnitudes(run.path, panels, run.b, origin.1, BLOCK_N, open, mag);
+            for &(s, g) in open {
+                let rows = strip_rows(tile, s);
+                for j in g * MICRO_NR..(g + 1) * MICRO_NR {
+                    let residual =
+                        (col_sum(&rows, j, |v| v) as f64 - chk[s * BLOCK_N + j] as f64).abs();
+                    let mag = mag[s * BLOCK_N + j] as f64;
+                    if scheme.flags(residual, mag) {
+                        flag(s, j, 1, residual, scheme.threshold(mag));
                     }
                 }
             }

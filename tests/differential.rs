@@ -520,6 +520,198 @@ fn generated_gemms_match_the_f64_reference_and_every_execution_variant() {
     println!("{cases} GEMM cases, paths {paths:?}, widths {WIDTHS:?} ({took:.1?})");
 }
 
+/// Strip `row0`'s checksum rows, taken without the engine: per K step
+/// `s_k = (a0+a1)+(a2+a3)` and `S_k = (|a0|+|a1|)+(|a2|+|a3|)`, rows
+/// past `m` zero.
+fn strip_sums(a: MatrixView<'_>, row0: usize) -> Vec<(f32, f32)> {
+    let v = |i: usize, kk: usize| match row0 + i < a.rows {
+        true => a.get_f32(row0 + i, kk),
+        false => 0.0,
+    };
+    let sum =
+        |kk: usize, f: fn(f32) -> f32| (f(v(0, kk)) + f(v(1, kk))) + (f(v(2, kk)) + f(v(3, kk)));
+    (0..a.cols)
+        .map(|kk| (sum(kk, |x| x), sum(kk, f32::abs)))
+        .collect()
+}
+
+/// Column `col`'s checksum and magnitude chains over a strip's
+/// [`strip_sums`]: `fma(s_k, b, chk)` and `fma(S_k, |b|, mag)` in f32 in
+/// K order (a column past `n` has zero weights).
+fn one_sided_lanes(sums: &[(f32, f32)], b: &Matrix, col: usize) -> (f32, f32) {
+    let w = |kk: usize| {
+        if col < b.cols {
+            b.get_f32(kk, col)
+        } else {
+            0.0
+        }
+    };
+    let step = |(chk, mag): (f32, f32), (kk, &(s, abs)): (usize, &(f32, f32))| {
+        (s.mul_add(w(kk), chk), abs.mul_add(w(kk).abs(), mag))
+    };
+    sums.iter().enumerate().fold((0.0, 0.0), step)
+}
+
+/// The detections one-sided ABFT owes `out`: [`one_sided_lanes`] and the
+/// eager compare `!(|Σ c − chk| <= slope·mag + floor)` on every column —
+/// what the engine's checks must equal whichever columns it took a
+/// magnitude for. Every column of a live register tile is checked, the
+/// zero-weight padding columns past `n` included; rows past `m` are the
+/// zero rows the engine computes, except that a strip with one live row
+/// stores its dead rows as `+0.0`.
+fn one_sided_oracle(
+    a: MatrixView<'_>,
+    b: &Matrix,
+    out: &GemmOutput,
+) -> Vec<(usize, usize, u64, u64)> {
+    let (m, n, k) = (a.rows, b.cols, a.cols);
+    let tile = Scheme::ThreadLevelOneSided.tile_scheme(k.next_multiple_of(8));
+    let mut want = Vec::new();
+    for row0 in (0..m).step_by(MICRO_MR) {
+        let (live, sums) = ((m - row0).min(MICRO_MR), strip_sums(a, row0));
+        for col in 0..n.next_multiple_of(MICRO_NR) {
+            let (chk, mag) = one_sided_lanes(&sums, b, col);
+            let computed = |i: usize| {
+                let w = |kk: usize| if col < n { b.get_f32(kk, col) } else { 0.0 };
+                let v = |kk: usize| {
+                    if row0 + i < m {
+                        a.get_f32(row0 + i, kk)
+                    } else {
+                        0.0
+                    }
+                };
+                (0..k).fold(0.0f32, |acc, kk| v(kk).mul_add(w(kk), acc))
+            };
+            let c = |i: usize| match (i < live, col < n) {
+                (true, true) => out.c[(row0 + i) * n + col],
+                (false, _) if live == 1 => 0.0,
+                _ => computed(i),
+            };
+            let sum = (c(0) + c(1)) + (c(2) + c(3));
+            let residual = (sum as f64 - chk as f64).abs();
+            let threshold = tile.slope * mag as f64 + tile.floor;
+            if exceeds(residual, threshold) {
+                want.push((row0, col, residual.to_bits(), threshold.to_bits()));
+            }
+        }
+    }
+    want
+}
+
+/// Runs `a × b` with `faults` under one-sided ABFT on every path — the
+/// same bytes and detections on each — and holds the detections to
+/// [`one_sided_oracle`]'s; returns them.
+fn one_sided_against_the_oracle(
+    case: &Case,
+    a: MatrixView<'_>,
+    b: &Matrix,
+    faults: &[FaultPlan],
+) -> Vec<(usize, usize, u64, u64)> {
+    let bound = Scheme::ThreadLevelOneSided.bind(b);
+    let mut legs = simd::on_each_path(|_| {
+        let mut ws = Workspace::new();
+        bound.run_into(a, faults, Dest::None, &mut ws);
+        let out = ws.output().clone();
+        let mut got: Vec<_> = (out.detections.iter())
+            .map(|d| (d.row, d.col, d.residual.to_bits(), d.threshold.to_bits()))
+            .collect();
+        got.sort();
+        case.holds(
+            out.detections.iter().all(|d| d.cols == 1),
+            "one column a check",
+        );
+        (got, out)
+    });
+    let (got, out) = legs.swap_remove(0);
+    for (other, other_out) in &legs {
+        case.holds(
+            (other, bits(&other_out.c)) == (&got, bits(&out.c)),
+            "a path",
+        );
+    }
+    let want = one_sided_oracle(a, b, &out);
+    case.holds(got == want, &format!("detections {got:?} against {want:?}"));
+    want
+}
+
+#[test]
+fn generated_one_sided_gemms_flag_exactly_the_eager_rule() {
+    // Every generated GEMM case's operands and fault under one-sided
+    // ABFT, on every path: the engine's detection list is the eager
+    // rule's, coordinates, residual bits and threshold bits — a column
+    // the engine skipped without its magnitude was one the eager compare
+    // passes. Each row-major case runs again *spiked*: its first two rows
+    // open with the format's largest value and its negation, over a zero
+    // weight in every other column — in bf16 a magnitude sum that
+    // overflows while the plain sum cancels, so those columns' magnitudes
+    // are `∞·0 = NaN` beside a finite checksum, and the eager rule flags
+    // them against a NaN threshold.
+    let (mut cases, mut flagged, mut nan_thresholds) = (0, 0, 0);
+    let mut near = [0, 0];
+    for seed in seeds(false) {
+        run_case("gemm_case", seed, || {
+            let g = gemm_case(seed);
+            let (a, b) = (g.a(&g.src), &g.b);
+            let want = one_sided_against_the_oracle(&g.case, a, b, g.fault.as_slice());
+            flagged += !want.is_empty() as usize;
+            let (m, n, k, dt) = (a.rows, b.cols, a.cols, b.dtype);
+            // A fault sized at the eager threshold of the cell it
+            // strikes, a half to twice it: wherever the engine skips a
+            // column it should not have, such a fault escapes.
+            if m > 0 && k > 0 {
+                let mut d = Draw::new(seed ^ 0x7e57);
+                let (row, col) = (d.int(0, m), d.int(0, n));
+                let sums = strip_sums(a, row / MICRO_MR * MICRO_MR);
+                let (_, mag) = one_sided_lanes(&sums, b, col);
+                let tile = Scheme::ThreadLevelOneSided.tile_scheme(k.next_multiple_of(8));
+                let scale = d.pick(&[0.5, 0.9, 1.1, 2.0]) * d.pick(&[1.0, -1.0]);
+                let kind =
+                    FaultKind::AddValue(((tile.slope * mag as f64 + tile.floor) * scale) as f32);
+                let fault = FaultPlan {
+                    row,
+                    col,
+                    after_step: u64::MAX,
+                    kind,
+                };
+                let case = Case(format!("{}, near-threshold {fault:?}", g.case.0));
+                let got = one_sided_against_the_oracle(&case, a, b, &[fault]);
+                near[got
+                    .iter()
+                    .any(|d| (d.0, d.1) == (row / MICRO_MR * MICRO_MR, col))
+                    as usize] += 1;
+            }
+            if g.lowering.is_some() || m < 2 || k == 0 {
+                return;
+            }
+            let codes = (0..1u32 << dt.bits()).map(|c| dt.decode(c as u16));
+            let max = codes.filter(|v| v.is_finite()).fold(0.0, f32::max);
+            let (mut src, mut b) = (g.src.clone(), b.clone());
+            src.set(0, 0, F16(dt.encode(max)));
+            src.set(1, 0, F16(dt.encode(-max)));
+            for col in (0..b.cols).step_by(2) {
+                b.set(0, col, F16(dt.encode(0.0)));
+            }
+            let case = Case(format!("{}, spiked", g.case.0));
+            let want = one_sided_against_the_oracle(&case, src.view(), &b, g.fault.as_slice());
+            nan_thresholds += want.iter().any(|d| f64::from_bits(d.3).is_nan()) as usize;
+        });
+        cases += 1;
+    }
+    assert!(nan_thresholds > 0, "no spiked case reached a NaN magnitude");
+    assert!(
+        near[0] > 0 && near[1] > 0,
+        "near-threshold faults all on one side: {near:?}"
+    );
+    println!(
+        "{cases} one-sided GEMM cases against the eager rule, {flagged} flagged, \
+         near-threshold faults {} passed and {} flagged, {nan_thresholds} spiked with NaN \
+         thresholds, paths {:?}",
+        near[0],
+        near[1],
+        paths()
+    );
+}
+
 // --- Network cases ----------------------------------------------------------
 
 /// Appends a random pool to `b`, if one fits its cursor.
