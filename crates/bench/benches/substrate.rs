@@ -620,7 +620,9 @@ fn main() {
     // Each row is ns per element moved (per input element for the
     // pool). These are memory movers: on a SIMD path with F16C the
     // write-back must stay under 2 ns/element (it was ~9 as a
-    // per-element walk); elsewhere the fallback is logged, not gated.
+    // per-element walk) and the stem's staging under 1.5 (3.2–5.3 when
+    // each of its strips gathered four rows); elsewhere the fallback is
+    // logged, not gated.
     {
         use aiga_core::ProtectedPipeline;
         use aiga_gpu::engine::{
@@ -711,6 +713,46 @@ fn main() {
                 black_box(&ws);
             },
         );
+        // The stem's lowering (224², 3 channels, 3×3 stride 2: every
+        // tap a stride-2 run) and fire9's 3×3 expand at 13² (64
+        // channels, K = 576: 13-pixel rows, so a stripe crosses five).
+        let mut stage_conv = |rec: &mut Recorder, name: &str, geom: Im2colView, seed| {
+            let input = Matrix::random(1, geom.channels * geom.height * geom.width, seed);
+            let view = MatrixView::im2col_lowered(1, geom, &input.data, Dtype::F16);
+            let k = view.cols.next_multiple_of(8);
+            per_elem(rec, name, view.rows * view.cols, &mut || {
+                for stripe in 0..view.rows.div_ceil(64) {
+                    ws.stage_stripe(view, lanes, k, stripe);
+                }
+                black_box(&ws);
+            })
+        };
+        let stem = Im2colView {
+            channels: 3,
+            height: 224,
+            width: 224,
+            kernel: 3,
+            stride: 2,
+            padding: 0,
+            out_h: 111,
+            out_w: 111,
+        };
+        let ns = stage_conv(&mut rec, "stage_a_im2col3x3s2_12321x27", stem, 7);
+        rec.gate(
+            !f16c || ns <= 1.5,
+            format!(
+                "the stem's A staging costs {ns:.2} ns/element on the SIMD+F16C path (limit 1.5)"
+            ),
+        );
+        let fire9 = Im2colView {
+            channels: 64,
+            height: 13,
+            width: 13,
+            out_h: 13,
+            out_w: 13,
+            ..geom
+        };
+        stage_conv(&mut rec, "stage_a_im2col3x3_169x576", fire9, 8);
 
         // A network needs a GEMM layer: a 1-channel 1×1 conv over the
         // pooled 55×55 planes rides along (≈10% of the row).

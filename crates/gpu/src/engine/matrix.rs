@@ -68,29 +68,71 @@ impl Im2colView {
     #[inline]
     fn tap(&self, r: usize, c: usize) -> Option<usize> {
         let (image, iy, ix) = self.origin(r);
-        let k = self.kernel;
-        let (ch, ky, kx) = (c / k / k, c / k % k, c % k);
+        let (ch, ky, kx) = self.filter_tap(c);
         let (iy, ix) = (iy + ky as isize, ix + kx as isize);
         let inside =
             iy >= 0 && ix >= 0 && (iy as usize) < self.height && (ix as usize) < self.width;
         inside.then(|| image + (ch * self.height + iy as usize) * self.width + ix as usize)
     }
 
-    /// When the `lanes` lowered rows from `r` on are consecutive pixels
-    /// of one output row at stride 1 with their windows inside the
-    /// image, each tap of theirs is `lanes` *contiguous* elements:
-    /// returns the index of row `r`'s tap `(0, 0, 0)`; tap `(ch, ky,
-    /// kx)` sits at `+ (ch·height + ky)·width + kx`.
+    /// Splits lowered rows `rows` into *segments* — maximal runs of
+    /// consecutive pixels of one output row of one image — calling
+    /// `f(first row, pixels, origin)` for each in row order, `origin` the
+    /// first pixel's as [`Self::tap_run`] takes it. Within a segment every
+    /// tap is one run of codes at the conv's stride.
+    pub(crate) fn segments(
+        &self,
+        rows: std::ops::Range<usize>,
+        mut f: impl FnMut(usize, usize, (usize, isize, isize)),
+    ) {
+        let mut r = rows.start;
+        while r < rows.end {
+            let len = (self.out_w - r % self.out_w).min(rows.end - r);
+            f(r, len, self.origin(r));
+            r += len;
+        }
+    }
+
+    /// Column `c`'s filter tap `(channel, ky, kx)`.
     #[inline]
-    pub(crate) fn contiguous_window(&self, r: usize, lanes: usize) -> Option<usize> {
-        let (image, iy, ix) = self.origin(r);
-        let fits = self.stride == 1
-            && r % self.out_w + lanes <= self.out_w
-            && iy >= 0
-            && ix >= 0
-            && iy as usize + self.kernel <= self.height
-            && ix as usize + self.kernel - 1 + lanes <= self.width;
-        fits.then(|| image + iy as usize * self.width + ix as usize)
+    pub(crate) fn filter_tap(&self, c: usize) -> (usize, usize, usize) {
+        let k = self.kernel;
+        (c / k / k, c / k % k, c % k)
+    }
+
+    /// Where filter tap `(ch, ky, kx)` ([`Self::filter_tap`]) of a
+    /// segment of `len` pixels from `origin` reads: `(at, lo, hi)` —
+    /// pixels `lo..hi` are the codes at `at`, `at + stride`, …; the
+    /// pixels before `lo` and from `hi` on are padding taps (zero).
+    /// `lo == hi` when the tap's input row is padding.
+    #[inline]
+    pub(crate) fn tap_run(
+        &self,
+        (image, iy, ix): (usize, isize, isize),
+        len: usize,
+        (ch, ky, kx): (usize, usize, usize),
+    ) -> (usize, usize, usize) {
+        let (iy, first) = (iy + ky as isize, ix + kx as isize);
+        if iy < 0 || iy as usize >= self.height {
+            return (0, 0, 0);
+        }
+        // Pixel `j` reads input column `first + j·stride`: the pixels
+        // from `lo` on are right of the left edge, those before `hi`
+        // left of the right one.
+        let (before, inside) = (
+            (-first).max(0) as usize,
+            (self.width as isize - first).max(0) as usize,
+        );
+        let (lo, hi) = match self.stride {
+            1 => (before, inside),
+            s => (before.div_ceil(s), inside.div_ceil(s)),
+        };
+        let (lo, hi) = (lo.min(len), hi.min(len));
+        if lo >= hi {
+            return (0, 0, 0);
+        }
+        let row = image + (ch * self.height + iy as usize) * self.width;
+        (row + (first + (lo * self.stride) as isize) as usize, lo, hi)
     }
 
     /// Rows of the lowered matrix for `images` images.
@@ -231,25 +273,16 @@ impl<'a> MatrixView<'a> {
 
     /// Row `r`'s `cols` storage codes: borrowed in place from a
     /// row-major buffer, gathered into `scratch` (at least `cols` long)
-    /// from a conv lowering, each `(channel, ky)` tap run as a run,
-    /// padding taps the zero code. The row gather behind strip staging.
+    /// tap by tap from a conv lowering, padding taps the zero code.
+    /// Strip staging reads fc rows through it; a conv lowering it stages
+    /// a segment at a time (`Im2colView::segments`), never a row.
     pub fn row_codes<'s>(&'s self, r: usize, scratch: &'s mut [F16]) -> &'s [F16] {
-        let MatrixLayout::Im2col(v) = self.layout else {
+        if self.layout == MatrixLayout::RowMajor {
             return &self.data[r * self.cols..][..self.cols];
-        };
+        }
         let out = &mut scratch[..self.cols];
-        let (image, iy0, ix0) = v.origin(r);
-        // The in-bounds kx range is the same for every (channel, ky).
-        let kx0 = (-ix0).clamp(0, v.kernel as isize) as usize;
-        let kx1 = (v.width as isize - ix0).clamp(kx0 as isize, v.kernel as isize) as usize;
-        for (run, dst) in out.chunks_exact_mut(v.kernel).enumerate() {
-            let (ch, iy) = (run / v.kernel, iy0 + (run % v.kernel) as isize);
-            dst.fill(F16::ZERO);
-            if iy >= 0 && (iy as usize) < v.height && kx0 < kx1 {
-                let row = image + (ch * v.height + iy as usize) * v.width;
-                let src = &self.data[(row as isize + ix0 + kx0 as isize) as usize..];
-                dst[kx0..kx1].iter_mut().zip(src).for_each(|(d, s)| *d = *s);
-            }
+        for (c, code) in out.iter_mut().enumerate() {
+            *code = self.get(r, c);
         }
         out
     }

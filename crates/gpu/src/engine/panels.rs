@@ -18,7 +18,9 @@
 //!   and keeps them.
 //! - **A (activations)** is the request. `Panels` holds one block-row
 //!   *stripe* of it at a time — [`BLOCK_M`] rows gathered, decoded,
-//!   strip-packed and checksummed in one pass — in the scratch of the
+//!   strip-packed and checksummed in one pass (a conv lowering straight
+//!   from its NCHW slot, a segment of one output row at a time; see
+//!   [`simd`]) — in the scratch of the
 //!   team member that walks that stripe (`StripeScratch`): at most
 //!   `64·K` f32 and their strip sums, restaged when the member's next
 //!   task is another stripe and otherwise resident in its L2. No buffer
@@ -240,7 +242,11 @@ fn grow<T: Clone>(v: &mut Vec<T>, len: usize, zero: T) {
 /// and the cold readers take one row of them ([`Self::row`]) as they
 /// take a B column out of [`PackedWeights`]. The engine stages a
 /// block-row stripe at a time ([`Self::stage`]); strips and rows are
-/// numbered from the first staged one.
+/// numbered from the first staged one. The bytes are the same whichever
+/// path staged them, and whether a conv's operand is viewed in place or
+/// lowered first: a conv lowering's stripe is decoded column by column
+/// through a stack block and lane-transposed into `a_pack`, an fc
+/// operand's strips are walked row by row.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Panels {
     /// A decoded to f32 in [`MICRO_MR`]-row strips: staged strip `s`
@@ -253,7 +259,8 @@ pub(crate) struct Panels {
     /// for the two ABFT lane kinds and global ABFT's partials
     /// ([`Self::sums`]), whose stripe fold consumes them.
     pub(crate) a_chk: Vec<f32>,
-    /// One strip's rows gathered as row-major codes ([`simd::stage_a`]).
+    /// Zero codes for the rows an fc strip has past the request
+    /// ([`simd::stage_a`]); a conv lowering's stripe needs none.
     pub(crate) rows: Vec<F16>,
     /// Shared inner dimension (the engine's padded K).
     pub(crate) k: usize,

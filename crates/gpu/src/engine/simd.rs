@@ -11,7 +11,13 @@
 //!   decodes and lays a run of the request's rows into microkernel
 //!   strips, with the checksum rows a thread-level ABFT scheme
 //!   multiplies, in one pass (once per block-row stripe, by the team
-//!   member about to walk it, in `Panels::stage`);
+//!   member about to walk it, in `Panels::stage`). A conv lowering is
+//!   staged by one body for every geometry, generic over the vector
+//!   like the tile bodies: the stripe's rows split into segments on one
+//!   output row, so a lowered column is one strided run of codes per
+//!   segment, widened sixteen fp16 codes at a time on zmm and laid
+//!   into the strips by a 4×4 lane transpose; fc rows are walked a strip
+//!   at a time;
 //! - `fill_block_tile` computes the live register tiles of one
 //!   block tile — and, when the run's scheme asks for them, their
 //!   checksum lanes — through the register-tiled microkernel at the
@@ -75,10 +81,10 @@
 //! compare depends on it, through `group_magnitudes` — one pass of those
 //! same chains (see `walk`).
 
-use super::matrix::{MatrixLayout, MatrixView};
+use super::matrix::{Im2colView, MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
 use super::scheme::Redundancy;
-use super::{MICRO_MR, MICRO_NR};
+use super::{BLOCK_M, MICRO_MR, MICRO_NR};
 use aiga_dtype::{with_format, Dtype, Format, F16};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -227,26 +233,32 @@ pub fn on_each_path<T>(mut f: impl FnMut(GemmPath) -> T) -> Vec<T> {
 /// Stages strips `strips` of the activation operand `a` into `p`
 /// (sized by [`Panels::stage`]; the first staged strip lands at the
 /// start of its buffers) in one pass over their codes: each
-/// [`MICRO_MR`]-row strip is gathered, decoded to f32 and written
+/// [`MICRO_MR`]-row strip's values are decoded to f32 and written
 /// straight into the strip layout, K steps past the operand
 /// zero-filled, and — when `p.sums` — each step's
 /// `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` is taken from the same four values,
-/// pairwise in f32. The second is the *sum of magnitudes*, not the
-/// magnitude of the sum: the error bound it feeds must cover the data
-/// accumulators' rounding even where the strip's values cancel.
+/// pairwise in f32: `(v0+v1)+(v2+v3)`. The second is the *sum of
+/// magnitudes*, not the magnitude of the sum: the error bound it feeds
+/// must cover the data accumulators' rounding even where the strip's
+/// values cancel.
 ///
-/// An NCHW source is already K-major: where a strip's rows are
-/// consecutive pixels of one output row with their windows inside the
-/// image, each K step is [`MICRO_MR`] contiguous codes. Any other strip
-/// (fc rows, image edges, strided convs, the ragged last strip) gathers
-/// its rows through [`MatrixView::row_codes`] and walks them in
-/// lockstep. The format dispatch is outside every loop.
+/// A conv lowering is staged by one body for every geometry,
+/// [`stage_stripes`], up to a block-row stripe at a time: the stripe's
+/// rows split into segments (pixels of one output row of one image), so
+/// each lowered column is one run of codes per segment at the conv's
+/// stride, and four columns decoded into a block are laid into the
+/// strips by a 4×4 lane transpose. Row-major rows (fc) are gathered a
+/// strip at a time and walked in lockstep. The format dispatch is
+/// outside every loop.
 pub(crate) fn stage_a(
     path: GemmPath,
     a: MatrixView<'_>,
     p: &mut Panels,
     strips: std::ops::Range<usize>,
 ) {
+    if let MatrixLayout::Im2col(view) = a.layout {
+        return stage_conv(path, a, view, p, strips);
+    }
     #[cfg(target_arch = "x86_64")]
     if path.is_simd() && a.dtype == Dtype::F16 && aiga_dtype::f16c_active() {
         // SAFETY: the SIMD path implies AVX2+FMA; F16C was just checked.
@@ -293,8 +305,10 @@ unsafe fn stage_strips_f16c(a: MatrixView<'_>, p: &mut Panels, strips: std::ops:
     })
 }
 
-/// The body of [`stage_a`], generic over `put`: decode one step's codes
-/// into its strip slot and, when given one, its checksum pair.
+/// The row-major body of [`stage_a`], generic over `put`: decode one
+/// step's codes into its strip slot and, when given one, its checksum
+/// pair. Each strip gathers its rows through [`MatrixView::row_codes`]
+/// and walks them in lockstep.
 #[inline(always)]
 fn stage_strips(
     a: MatrixView<'_>,
@@ -316,34 +330,460 @@ fn stage_strips(
         pad.fill(0.0);
         let (mut pack, mut sums) = (pack.chunks_exact_mut(MICRO_MR), sums.chunks_exact_mut(2));
         let mut put = |c| put(c, pack.next().expect("one slot per K step"), sums.next());
-        let window = match a.layout {
-            MatrixLayout::Im2col(v) => Some(v).zip(v.contiguous_window(r0, MICRO_MR)),
-            MatrixLayout::RowMajor => None,
+        let live = (a.rows - r0).min(MICRO_MR);
+        let mut scratch = p.rows.chunks_exact_mut(cols.max(1));
+        let lane: [&[F16]; MICRO_MR] = std::array::from_fn(|i| {
+            let scratch = scratch.next().expect("one scratch row per strip row");
+            if i < live {
+                a.row_codes(r0 + i, scratch)
+            } else {
+                scratch.fill(F16::ZERO);
+                &*scratch
+            }
+        });
+        let [l0, l1, l2, l3] = lane;
+        for (((&a, &b), &c), &d) in l0.iter().zip(l1).zip(l2).zip(l3) {
+            put([a, b, c, d]);
+        }
+    }
+}
+
+/// Rows the conv body stages at once: a block-row stripe, what a team
+/// member stages before it walks.
+const STRIPE_ROWS: usize = BLOCK_M;
+
+/// Lowered columns the conv body decodes before it lays them: with a
+/// strip's [`MICRO_MR`] rows, one 4×4 lane transpose — one zmm per strip.
+const GROUP: usize = 4;
+
+/// [`GROUP`] lowered columns of a stripe, decoded: column `c`'s row `r`
+/// (counted from the stripe's first) at `[c][r]`.
+type Block = [[f32; STRIPE_ROWS]; GROUP];
+
+/// A maximal run of a stripe's rows on one output row of one image
+/// ([`Im2colView::segments`]).
+#[derive(Clone, Copy, Default)]
+struct Segment {
+    /// The first row, counted from the stripe's first.
+    row: usize,
+    /// Pixels.
+    len: usize,
+    /// The first pixel's origin, as [`Im2colView::tap_run`] takes it.
+    origin: (usize, isize, isize),
+}
+
+/// A conv lowering's [`stage_a`]: [`stage_stripes`] at the path's lane
+/// width, widening fp16 runs by F16C where the host's slice codecs do
+/// ([`aiga_dtype::f16c_active`]).
+fn stage_conv(
+    path: GemmPath,
+    a: MatrixView<'_>,
+    view: Im2colView,
+    p: &mut Panels,
+    strips: std::ops::Range<usize>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if path.is_simd() {
+        let f16c = a.dtype == Dtype::F16 && aiga_dtype::f16c_active();
+        // SAFETY: the dispatcher only selects a SIMD path the host
+        // supports, and F16C is only used where it was checked.
+        return unsafe {
+            match path {
+                GemmPath::Avx512 => stripes_avx512(a, view, p, strips, f16c),
+                _ => stripes_avx2(a, view, p, strips, f16c),
+            }
         };
-        if let Some((v, tap0)) = window {
-            for plane_row in (0..v.channels * v.height).step_by(v.height) {
-                for ky in 0..v.kernel {
-                    let taps = &a.data[tap0 + (plane_row + ky) * v.width..];
-                    for step in taps[..v.kernel - 1 + MICRO_MR].windows(MICRO_MR) {
-                        put(step.try_into().expect("MICRO_MR-wide window"));
+    }
+    assert_eq!(path, GemmPath::Scalar, "SIMD path dispatched off x86_64");
+    // SAFETY: the plain loop needs nothing of the host.
+    unsafe { stage_stripes::<Plain>(a, view, p, strips, false) }
+}
+
+/// # Safety
+/// The host must support AVX2, FMA and F16C.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn stripes_avx2(
+    a: MatrixView<'_>,
+    view: Im2colView,
+    p: &mut Panels,
+    strips: std::ops::Range<usize>,
+    f16c: bool,
+) {
+    // SAFETY: the caller's guarantees.
+    unsafe { stage_stripes::<std::arch::x86_64::__m256>(a, view, p, strips, f16c) }
+}
+
+/// # Safety
+/// As [`stripes_avx2`], and the host must support AVX-512 F and VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
+unsafe fn stripes_avx512(
+    a: MatrixView<'_>,
+    view: Im2colView,
+    p: &mut Panels,
+    strips: std::ops::Range<usize>,
+    f16c: bool,
+) {
+    // SAFETY: the caller's guarantees.
+    unsafe { stage_stripes::<std::arch::x86_64::__m512>(a, view, p, strips, f16c) }
+}
+
+/// The conv body of [`stage_a`], one for every geometry and format,
+/// generic over the lane width `L` it lays strips at. Up to a
+/// stripe at a time: the stripe's live rows are split into segments;
+/// [`GROUP`] columns at a time, each column's run in each segment —
+/// stride 1 or the conv's, padding taps zero — is decoded into the
+/// block ([`decode_run`]), and the block is laid into the strips with
+/// their sums ([`Stripe::lay`]). Rows past the request stay zero in the
+/// block, and K steps past the operand are zero-filled.
+///
+/// # Safety
+/// The host must support `L`'s instructions, and F16C where `f16c`.
+#[inline(always)]
+unsafe fn stage_stripes<L: Stripe>(
+    a: MatrixView<'_>,
+    view: Im2colView,
+    p: &mut Panels,
+    strips: std::ops::Range<usize>,
+    f16c: bool,
+) {
+    const _: () = assert!(MICRO_MR == 4 && STRIPE_ROWS.is_multiple_of(16));
+    let (k, cols, per_stripe) = (p.k, a.cols, STRIPE_ROWS / MICRO_MR);
+    let pack = &mut p.a_pack[..strips.len() * MICRO_MR * k];
+    let sums = &mut p.a_chk[..strips.len() * 2 * k * p.sums as usize];
+    let mut segments = [Segment::default(); STRIPE_ROWS];
+    let mut block: Block = [[0.0; STRIPE_ROWS]; GROUP];
+    for first in strips.clone().step_by(per_stripe) {
+        let (at, count) = (first - strips.start, per_stripe.min(strips.end - first));
+        let r0 = first * MICRO_MR;
+        let live = a.rows.min(r0 + count * MICRO_MR) - r0;
+        let mut n = 0;
+        view.segments(r0..r0 + live, |r, len, origin| {
+            segments[n] = Segment {
+                row: r - r0,
+                len,
+                origin,
+            };
+            n += 1;
+        });
+        // No run writes a row past the request.
+        block.iter_mut().for_each(|col| col[live..].fill(0.0));
+        let pack = &mut pack[at * MICRO_MR * k..][..count * MICRO_MR * k];
+        let sums = match p.sums {
+            true => &mut sums[at * 2 * k..][..count * 2 * k],
+            false => &mut [][..],
+        };
+        for kk0 in (0..cols).step_by(GROUP) {
+            for (c, col) in (kk0..).zip(&mut block) {
+                if c >= cols {
+                    col[..live].fill(0.0);
+                    continue;
+                }
+                let tap = view.filter_tap(c);
+                for seg in &segments[..n] {
+                    let (src, lo, hi) = view.tap_run(seg.origin, seg.len, tap);
+                    let run = &mut col[seg.row..][..seg.len];
+                    // Most runs have no padding tap: no fill call.
+                    if lo > 0 {
+                        run[..lo].fill(0.0);
+                    }
+                    if hi < seg.len {
+                        run[hi..].fill(0.0);
+                    }
+                    let run = &mut run[lo..hi];
+                    // SAFETY: the caller's guarantees.
+                    unsafe { decode_run::<L>(a.data, a.dtype, src, view.stride, run, f16c) };
+                }
+            }
+            let sums = sums.get_mut(kk0 * 2..).unwrap_or_default();
+            // SAFETY: the caller's guarantees.
+            unsafe { L::lay(&block, count, &mut pack[kk0 * MICRO_MR..], sums, k) };
+        }
+        let tail = cols.next_multiple_of(GROUP);
+        for strip in pack.chunks_exact_mut(MICRO_MR * k) {
+            strip[tail * MICRO_MR..].fill(0.0);
+        }
+        for strip in sums.chunks_exact_mut(2 * k) {
+            strip[tail * 2..].fill(0.0);
+        }
+    }
+}
+
+/// Decodes the `dtype` codes at `at`, `at + stride`, … into `run`:
+/// widened by `L` where `f16c` and the stride is 1 or 2, through the
+/// format's slice codec where the run is contiguous, code by code
+/// otherwise.
+///
+/// # Safety
+/// As [`stage_stripes`].
+#[inline(always)]
+unsafe fn decode_run<L: Stripe>(
+    codes: &[F16],
+    dtype: Dtype,
+    at: usize,
+    stride: usize,
+    run: &mut [f32],
+    f16c: bool,
+) {
+    // A stride-2 vector also reads the code after the run's last one.
+    if f16c && stride <= 2 && at + run.len() * stride <= codes.len() {
+        // SAFETY: F16C and `L`'s instructions are the caller's; every
+        // read ends inside `codes`, as just checked.
+        return unsafe { L::widen_f16(codes[at..].as_ptr(), stride, run) };
+    }
+    decode_codes(codes, dtype, at, stride, run);
+}
+
+/// The runs [`decode_run`] widens no vector of: a contiguous one through
+/// the format's slice codec, a strided one code by code. Out of line, so
+/// the fp16 widening's loop stays small.
+#[inline(never)]
+fn decode_codes(codes: &[F16], dtype: Dtype, at: usize, stride: usize, run: &mut [f32]) {
+    match stride {
+        1 => dtype.decode_slice(&codes[at..][..run.len()], run),
+        _ => {
+            let codes = codes[at..].iter().step_by(stride);
+            run.iter_mut()
+                .zip(codes)
+                .for_each(|(v, c)| *v = dtype.decode(c.to_bits()));
+        }
+    }
+}
+
+/// The lane width [`stage_stripes`] lays strips at: [`Plain`] on the
+/// scalar path, ymm or zmm on a SIMD path.
+trait Stripe {
+    /// Widens the fp16 codes at `codes`, `stride` (1 or 2) apart, into
+    /// `run`, NaNs canonicalised as the scalar decode does.
+    ///
+    /// # Safety
+    /// The host must support F16C and the width's instructions, and
+    /// `codes` must be valid for reads of `run.len() · stride` codes.
+    unsafe fn widen_f16(codes: *const F16, stride: usize, run: &mut [f32]);
+
+    /// Lays the block's first `strips` strips into `pack` — strip `t`'s
+    /// [`GROUP`] columns at `t·MR·k`, as `Panels::a_pack` lays them — and,
+    /// unless `sums` is empty, each column's pair at `t·2k` in `sums`,
+    /// `(v0+v1)+(v2+v3)` as [`stage_a`] sums.
+    ///
+    /// # Safety
+    /// The host must support the width's instructions.
+    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize);
+}
+
+/// The scalar path's [`Stripe`]: one value at a time.
+struct Plain;
+
+impl Stripe for Plain {
+    unsafe fn widen_f16(_: *const F16, _: usize, _: &mut [f32]) {
+        unreachable!("the scalar path decodes every run through its format")
+    }
+
+    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize) {
+        for t in 0..strips {
+            for (c, col) in block.iter().enumerate() {
+                let v = &col[t * MICRO_MR..][..MICRO_MR];
+                pack[t * MICRO_MR * k + c * MICRO_MR..][..MICRO_MR].copy_from_slice(v);
+                if !sums.is_empty() {
+                    let pair = &mut sums[t * 2 * k + c * 2..][..2];
+                    pair[0] = (v[0] + v[1]) + (v[2] + v[3]);
+                    pair[1] = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
+                }
+            }
+        }
+    }
+}
+
+/// Asserts what [`Stripe::lay`]'s vector bodies store through.
+#[cfg(target_arch = "x86_64")]
+fn assert_lay_bounds(strips: usize, pack: &[f32], sums: &[f32], k: usize) {
+    assert!(strips * MICRO_MR <= STRIPE_ROWS && GROUP <= k);
+    let last = strips.saturating_sub(1);
+    assert!(pack.len() >= last * MICRO_MR * k + GROUP * MICRO_MR);
+    assert!(sums.is_empty() || sums.len() >= last * 2 * k + GROUP * 2);
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Stripe for std::arch::x86_64::__m256 {
+    /// Eight codes a step (a stride-2 step keeps the even codes of
+    /// sixteen), the last step overlapping the one before it; a run
+    /// shorter than a step decodes code by code.
+    #[inline(always)]
+    unsafe fn widen_f16(codes: *const F16, stride: usize, run: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let n = run.len();
+        if n < 8 {
+            for (j, v) in run.iter_mut().enumerate() {
+                // SAFETY: `j·stride` is inside the caller's bound.
+                *v = unsafe { *codes.add(j * stride) }.to_f32();
+            }
+            return;
+        }
+        let mut j = 0;
+        loop {
+            // SAFETY: `j + 8 <= n`, so the reads end inside the caller's
+            // bound and the store inside `run`.
+            unsafe {
+                let h = match stride {
+                    1 => _mm_loadu_si128(codes.add(j).cast()),
+                    _ => {
+                        let even = _mm256_setr_epi8(
+                            0, 1, 4, 5, 8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1, 0, 1, 4, 5,
+                            8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1,
+                        );
+                        let x =
+                            _mm256_shuffle_epi8(_mm256_loadu_si256(codes.add(2 * j).cast()), even);
+                        _mm256_castsi256_si128(_mm256_permute4x64_epi64::<0b10_00>(x))
+                    }
+                };
+                let v = _mm256_cvtph_ps(h);
+                let v = _mm256_blendv_ps(
+                    v,
+                    _mm256_set1_ps(f32::NAN),
+                    _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v),
+                );
+                _mm256_storeu_ps(run.as_mut_ptr().add(j), v);
+            }
+            if j + 8 == n {
+                break;
+            }
+            j = (j + 8).min(n - 8);
+        }
+    }
+
+    /// Two strips a vector: each strip's four columns are two ymm.
+    #[inline(always)]
+    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize) {
+        use std::arch::x86_64::*;
+        assert_lay_bounds(strips, pack, sums, k);
+        for u in 0..strips.div_ceil(2) {
+            // SAFETY: rows `8u..8u+8` are inside the block; the stores
+            // are inside the bounds asserted above.
+            unsafe {
+                let x: [__m256; GROUP] =
+                    std::array::from_fn(|c| _mm256_loadu_ps(block[c][8 * u..].as_ptr()));
+                let halves = [
+                    [
+                        _mm256_permute2f128_ps::<0x20>(x[0], x[1]),
+                        _mm256_permute2f128_ps::<0x20>(x[2], x[3]),
+                    ],
+                    [
+                        _mm256_permute2f128_ps::<0x31>(x[0], x[1]),
+                        _mm256_permute2f128_ps::<0x31>(x[2], x[3]),
+                    ],
+                ];
+                for (t, [lo, hi]) in (2 * u..strips).zip(halves) {
+                    let at = pack.as_mut_ptr().add(t * MICRO_MR * k);
+                    _mm256_storeu_ps(at, lo);
+                    _mm256_storeu_ps(at.add(8), hi);
+                    if !sums.is_empty() {
+                        let pairs = _mm256_unpacklo_pd(pair_sums_ymm(lo), pair_sums_ymm(hi));
+                        let pairs = _mm256_permute4x64_pd::<0b11_01_10_00>(pairs);
+                        _mm256_storeu_pd(sums.as_mut_ptr().add(t * 2 * k).cast(), pairs);
                     }
                 }
             }
-        } else {
-            let live = (a.rows - r0).min(MICRO_MR);
-            let mut scratch = p.rows.chunks_exact_mut(cols.max(1));
-            let lane: [&[F16]; MICRO_MR] = std::array::from_fn(|i| {
-                let scratch = scratch.next().expect("one scratch row per strip row");
-                if i < live {
-                    a.row_codes(r0 + i, scratch)
-                } else {
-                    scratch.fill(F16::ZERO);
-                    &*scratch
+        }
+    }
+}
+
+/// The `(Σ, Σ|·|)` pair of each 128-bit lane's four values — one column
+/// of a strip — in its low two floats, `(v0+v1)+(v2+v3)` left to right.
+///
+/// # Safety
+/// The host must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn pair_sums_ymm(s: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    // SAFETY: the caller's guarantee.
+    unsafe {
+        let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), s);
+        // [v0, |v0|, v2, |v2|] + [v1, |v1|, v3, |v3|]
+        let left = _mm256_blend_ps::<0b1010_1010>(s, _mm256_moveldup_ps(abs));
+        let right = _mm256_blend_ps::<0b1010_1010>(_mm256_movehdup_ps(s), abs);
+        let pairs = _mm256_add_ps(left, right);
+        _mm256_castps_pd(_mm256_add_ps(
+            pairs,
+            _mm256_permute_ps::<0b11_10_11_10>(pairs),
+        ))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Stripe for std::arch::x86_64::__m512 {
+    /// Sixteen codes a step (a stride-2 step keeps each dword's low code
+    /// by `vpmovdw`), the last step overlapping the one before it; a
+    /// run shorter than a step takes the ymm body.
+    #[inline(always)]
+    unsafe fn widen_f16(codes: *const F16, stride: usize, run: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let n = run.len();
+        if n < 16 {
+            // SAFETY: the caller's guarantees, which cover AVX2.
+            return unsafe { __m256::widen_f16(codes, stride, run) };
+        }
+        let mut j = 0;
+        loop {
+            // SAFETY: `j + 16 <= n`, so the reads end inside the caller's
+            // bound and the store inside `run`.
+            unsafe {
+                let h = match stride {
+                    1 => _mm256_loadu_si256(codes.add(j).cast()),
+                    _ => _mm512_cvtepi32_epi16(_mm512_loadu_si512(codes.add(2 * j).cast())),
+                };
+                let v = _mm512_cvtph_ps(h);
+                let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+                let v = _mm512_mask_mov_ps(v, nan, _mm512_set1_ps(f32::NAN));
+                _mm512_storeu_ps(run.as_mut_ptr().add(j), v);
+            }
+            if j + 16 == n {
+                break;
+            }
+            j = (j + 16).min(n - 16);
+        }
+    }
+
+    /// Four strips a vector, laid by a 4×4 transpose of 128-bit lanes:
+    /// one 64-byte store per strip.
+    #[inline(always)]
+    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize) {
+        use std::arch::x86_64::*;
+        assert_lay_bounds(strips, pack, sums, k);
+        for u in 0..strips.div_ceil(4) {
+            // SAFETY: rows `16u..16u+16` are inside the block; the stores
+            // are inside the bounds asserted above.
+            unsafe {
+                let x: [__m512; GROUP] =
+                    std::array::from_fn(|c| _mm512_loadu_ps(block[c][16 * u..].as_ptr()));
+                // [x0.0, x0.1, x1.0, x1.1], [x0.2, x0.3, x1.2, x1.3], and
+                // the same of x2 and x3.
+                let lo01 = _mm512_shuffle_f32x4::<0b01_00_01_00>(x[0], x[1]);
+                let hi01 = _mm512_shuffle_f32x4::<0b11_10_11_10>(x[0], x[1]);
+                let lo23 = _mm512_shuffle_f32x4::<0b01_00_01_00>(x[2], x[3]);
+                let hi23 = _mm512_shuffle_f32x4::<0b11_10_11_10>(x[2], x[3]);
+                let lanes = [
+                    _mm512_shuffle_f32x4::<0b10_00_10_00>(lo01, lo23),
+                    _mm512_shuffle_f32x4::<0b11_01_11_01>(lo01, lo23),
+                    _mm512_shuffle_f32x4::<0b10_00_10_00>(hi01, hi23),
+                    _mm512_shuffle_f32x4::<0b11_01_11_01>(hi01, hi23),
+                ];
+                for (t, s) in (4 * u..strips).zip(lanes) {
+                    _mm512_storeu_ps(pack.as_mut_ptr().add(t * MICRO_MR * k), s);
+                    if !sums.is_empty() {
+                        let abs = _mm512_abs_ps(s);
+                        // [v0, |v0|, v2, |v2|] + [v1, |v1|, v3, |v3|]
+                        let left = _mm512_mask_moveldup_ps(s, 0xaaaa, abs);
+                        let right = _mm512_mask_movehdup_ps(abs, 0x5555, s);
+                        let pairs = _mm512_add_ps(left, right);
+                        let pairs = _mm512_add_ps(pairs, _mm512_permute_ps::<0b11_10_11_10>(pairs));
+                        let low = _mm512_setr_epi64(0, 2, 4, 6, 0, 2, 4, 6);
+                        let pairs = _mm512_permutexvar_pd(low, _mm512_castps_pd(pairs));
+                        let at = sums.as_mut_ptr().add(t * 2 * k);
+                        _mm256_storeu_pd(at.cast(), _mm512_castpd512_pd256(pairs));
+                    }
                 }
-            });
-            let [l0, l1, l2, l3] = lane;
-            for (((&a, &b), &c), &d) in l0.iter().zip(l1).zip(l2).zip(l3) {
-                put([a, b, c, d]);
             }
         }
     }

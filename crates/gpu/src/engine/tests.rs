@@ -697,6 +697,96 @@ fn one_pass_staging_matches_the_three_pass_oracle_bit_for_bit() {
     }
 }
 
+#[test]
+fn stripe_staging_matches_the_oracle_at_real_conv_geometries() {
+    use crate::engine::panels::Panels;
+    // (images, channels, h, w, kernel, stride, padding, ceil-mode): the
+    // shapes a conv pass stages, which reach the 16-code run tails and
+    // stripes of several segments the small geometries above do not —
+    // SqueezeNet-1.1's stem (224², stride 2, and its ceil-mode edge);
+    // pointwise 55² at K = 64 and 128; 3×3 s1 p1 at 55², 27² and 13²
+    // (13-pixel rows: a stripe crosses five of them); stride 3; and two
+    // images whose boundary falls inside a stripe (169 rows each, and
+    // 81). Five channels make K = 45, a ragged last column group.
+    let geometries = [
+        (1, 3, 224, 224, 3, 2, 0, false),
+        (1, 3, 224, 224, 3, 2, 0, true),
+        (1, 64, 55, 55, 1, 1, 0, false),
+        (1, 128, 55, 55, 1, 1, 0, false),
+        (1, 5, 55, 55, 3, 1, 1, false),
+        (1, 5, 27, 27, 3, 1, 1, false),
+        (1, 5, 13, 13, 3, 1, 1, false),
+        (1, 3, 31, 29, 5, 3, 2, true),
+        (2, 5, 13, 13, 3, 1, 1, false),
+        (2, 16, 9, 9, 1, 1, 0, false),
+    ];
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let specials = [-0.0f32, f32::NAN, -f32::NAN, f32::INFINITY, -f32::INFINITY];
+    for dtype in Dtype::ALL {
+        for (images, channels, h, w, kernel, stride, padding, ceil) in geometries {
+            let mut tensor = Matrix::random_dtype(1, images * channels * h * w, 53, dtype);
+            for (i, code) in tensor.data.iter_mut().enumerate().step_by(101) {
+                *code = F16::from_bits(dtype.encode(specials[i / 101 % specials.len()]));
+            }
+            let out = |x: usize| match ceil {
+                true => (x + 2 * padding - kernel).div_ceil(stride) + 1,
+                false => (x + 2 * padding - kernel) / stride + 1,
+            };
+            let geom = Im2colView {
+                channels,
+                height: h,
+                width: w,
+                kernel,
+                stride,
+                padding,
+                out_h: out(h),
+                out_w: out(w),
+            };
+            let view = MatrixView::im2col_lowered(images, geom, &tensor.data, dtype);
+            let k = view.cols.next_multiple_of(8);
+            let (want_pack, want_chk) = stage_oracle(view, k);
+            // Every stripe as the engine's members stage them, then a
+            // lone strip (as a repair restages) and a stripe's worth off
+            // the stripe grid.
+            let strips = view.rows.div_ceil(MICRO_MR);
+            let per_stripe = BLOCK_M / MICRO_MR;
+            let mut ranges: Vec<_> = (0..strips)
+                .step_by(per_stripe)
+                .map(|s| s..strips.min(s + per_stripe))
+                .collect();
+            ranges.push(strips - 1..strips);
+            ranges.push(strips / 3..strips.min(strips / 3 + per_stripe));
+            for &path in simd::supported_paths() {
+                // Sums first, so the unsummed runs have a buffer to leave alone.
+                let mut p = Panels::default();
+                for lanes in [Redundancy::ColumnChecksum, Redundancy::None] {
+                    for strips in ranges.iter().cloned() {
+                        let want_pack =
+                            &want_pack[strips.start * MICRO_MR * k..strips.end * MICRO_MR * k];
+                        let want_chk = &want_chk[strips.start * k * 2..strips.end * k * 2];
+                        // Whatever the last range left is overwritten.
+                        p.a_pack.fill(f32::NAN);
+                        p.a_chk.fill(f32::NAN);
+                        p.stage(view, lanes, path, k, strips.clone());
+                        let what = format!(
+                            "{dtype} x{images} c{channels} {h}x{w} k{kernel}s{stride}p{padding} \
+                             ceil={ceil} {path:?} {lanes:?} strips {strips:?}"
+                        );
+                        let pack = &p.a_pack[..want_pack.len()];
+                        assert_eq!(bits(pack), bits(want_pack), "a_pack {what}");
+                        if lanes == Redundancy::None {
+                            assert!(p.a_chk.iter().all(|v| v.is_nan()), "a_chk {what}");
+                        } else {
+                            let chk = &p.a_chk[..want_chk.len()];
+                            assert_eq!(bits(chk), bits(want_chk), "a_chk {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Everything a run reports, with floats as bits so NaN compares.
 type Report = (
     Vec<u32>,
