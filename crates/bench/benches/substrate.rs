@@ -196,18 +196,23 @@ fn fork_join_rows(rec: &mut Recorder) {
 }
 
 /// One member against all of them, per shape: the SqueezeNet-224 GEMMs
-/// (`m × n × k`, row-major activations) and the two fc1024 layers,
+/// (`m × n × k`, row-major activations) and the three fc1024 layers,
 /// clean and under one-sided ABFT — and `fc1024_b256`'s layer under
-/// global ABFT too, engine and check — fastest of interleaved rounds,
-/// each run as its pipeline stage runs it: through the bound layer, the
-/// conv shapes with their write-back in the tasks (`Dest::Codes`: NCHW
-/// and ReLU), the fc shapes without (an fc's slot is encoded after the
-/// walk, on the caller). These are the rows `BLOCK_PAR_MIN_FLOPS`
-/// points at: every shape here clears it, and the all-member time
-/// should beat the one-member time on each. Gate: global ABFT within
-/// 1.15× of clean at 256×1024×1024 on all members — its sums ride in
-/// the tasks, and its check combines their partials.
+/// global ABFT too, engine and check — fastest of 16 rounds, each run as
+/// its pipeline stage runs it: through the bound layer, the conv shapes
+/// with their write-back in the tasks (`Dest::Codes`: NCHW and ReLU),
+/// the fc shapes without (an fc's slot is encoded after the walk, on
+/// the caller). These are the rows the engine's two fan-out floors point
+/// at: every shape here clears `BLOCK_PAR_MIN_FLOPS` but fc1024's last
+/// layer (1×1000×1024), which clears `BLOCK_PAR_MIN_BYTES`, and the
+/// all-member time should beat the one-member time on each. A round
+/// times every scheme on one member and on all, so a slow phase of the
+/// host lands on all of them alike, as [`fastest_interleaved`]'s rounds
+/// do. Gate: global ABFT within 1.15× of clean at 256×1024×1024 on all
+/// members — its sums ride in the tasks, and its check combines their
+/// partials.
 fn team_shape_rows(rec: &mut Recorder) {
+    use aiga_core::BoundGemm;
     use aiga_gpu::engine::Dtype;
     for (m, n, k) in [
         (12321usize, 64usize, 27usize),
@@ -217,6 +222,7 @@ fn team_shape_rows(rec: &mut Recorder) {
         (169, 256, 576),
         (169, 1000, 512),
         (1, 1024, 1024),
+        (1, 1000, 1024),
         (256, 1024, 1024),
     ] {
         let a = Matrix::random(m, k, 1);
@@ -224,50 +230,51 @@ fn team_shape_rows(rec: &mut Recorder) {
         let mut ws = Workspace::new();
         let mut slot = vec![F16::ZERO; m * n];
         let conv = k != 1024;
-        let mut all_us = Vec::new();
-        for (name, scheme) in [
+        let schemes: Vec<_> = [
             ("clean", Scheme::Unprotected),
             ("one_sided", Scheme::ThreadLevelOneSided),
             ("global", Scheme::GlobalAbft),
-        ] {
-            if scheme == Scheme::GlobalAbft && (m, n, k) != (256, 1024, 1024) {
-                continue;
-            }
-            let bound = scheme.bind(&b);
-            let mut timed = |members| {
-                let dest = match conv {
-                    false => Dest::None,
-                    true => Dest::Codes {
-                        codes: &mut slot,
-                        dtype: Dtype::F16,
-                        spatial: m,
-                        relu: true,
-                    },
-                };
-                let t = std::time::Instant::now();
-                let run = || {
-                    black_box(bound.run_into(a.view(), &[], dest, &mut ws));
-                };
-                match members {
-                    Members::One => aiga_util::as_worker(run),
-                    Members::All => run(),
-                }
-                t.elapsed().as_secs_f64() * 1e9
+        ]
+        .into_iter()
+        .filter(|&(_, scheme)| scheme != Scheme::GlobalAbft || (m, n, k) == (256, 1024, 1024))
+        .map(|(name, scheme)| (name, scheme.bind(&b)))
+        .collect();
+        let mut timed = |bound: &BoundGemm, members| {
+            let dest = match conv {
+                false => Dest::None,
+                true => Dest::Codes {
+                    codes: &mut slot,
+                    dtype: Dtype::F16,
+                    spatial: m,
+                    relu: true,
+                },
             };
-            let mut best = [f64::INFINITY; 2];
-            for _ in 0..16 {
+            let t = std::time::Instant::now();
+            let run = || {
+                black_box(bound.run_into(a.view(), &[], dest, &mut ws));
+            };
+            match members {
+                Members::One => aiga_util::as_worker(run),
+                Members::All => run(),
+            }
+            t.elapsed().as_secs_f64() * 1e9
+        };
+        let mut best = vec![[f64::INFINITY; 2]; schemes.len()];
+        for _ in 0..16 {
+            for ((_, bound), best) in schemes.iter().zip(&mut best) {
                 for (best, members) in best.iter_mut().zip([Members::One, Members::All]) {
-                    *best = best.min(timed(members));
+                    *best = best.min(timed(bound, members));
                 }
             }
-            let row = format!("engine/team_{m}x{n}x{k}_{name}");
-            rec.record_value(&format!("{row}_one_us"), best[0] / 1e3, "us");
-            rec.record_value(&format!("{row}_all_us"), best[1] / 1e3, "us");
-            rec.record_value(&format!("{row}_speedup"), best[0] / best[1], "x");
-            all_us.push(best[1]);
         }
-        if let [clean, _, global] = all_us[..] {
-            let x = global / clean;
+        for ((name, _), &[one, all]) in schemes.iter().zip(&best) {
+            let row = format!("engine/team_{m}x{n}x{k}_{name}");
+            rec.record_value(&format!("{row}_one_us"), one / 1e3, "us");
+            rec.record_value(&format!("{row}_all_us"), all / 1e3, "us");
+            rec.record_value(&format!("{row}_speedup"), one / all, "x");
+        }
+        if let [clean, _, global] = best[..] {
+            let x = global[1] / clean[1];
             rec.record_value(&format!("engine/team_{m}x{n}x{k}_global_x"), x, "x");
             rec.gate(
                 x <= 1.15,

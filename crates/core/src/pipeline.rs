@@ -23,8 +23,9 @@
 //! A pass is a plain loop over the stages in stage order (a
 //! topological order of the graph): one stage at a time, never two side
 //! by side. What fans out is *inside* a stage, as a region of the
-//! process's fork-join team (`aiga_util::team`): a GEMM heavy enough to
-//! pay for it (`aiga_gpu::engine::BLOCK_PAR_MIN_FLOPS`) runs its stripe
+//! process's fork-join team (`aiga_util::team`): a GEMM whose one-core
+//! time pays for it — enough FLOPs or enough streamed weight bytes
+//! (`aiga_gpu::engine::BLOCK_PAR_MIN_{FLOPS,BYTES}`) — runs its stripe
 //! and block tasks there — because the paper selects a scheme *per
 //! layer GEMM*, so the GEMM is the unit that owns the cores — and a
 //! conv's tasks also write their blocks of the stage's slot (the NCHW

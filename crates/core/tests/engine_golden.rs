@@ -118,9 +118,10 @@ fn simd_and_scalar_paths_agree_byte_for_byte_across_all_schemes() {
         for &scheme in &ALL_SCHEMES {
             let bound = scheme.bind(&b);
             for faults in [&[][..], &[fault][..]] {
-                // Checksum and magnitude lanes obey the same order
-                // contract, so detections agree to the bit: coordinates,
-                // residuals, thresholds.
+                // One-sided tiles carry only checksum lanes, and the
+                // magnitudes of opened columns are taken lazily, both in
+                // the same order contract, so detections agree to the
+                // bit: coordinates, residuals, thresholds.
                 let key = |d: &aiga_gpu::engine::Detection| {
                     (
                         d.row,

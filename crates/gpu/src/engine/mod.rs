@@ -60,12 +60,14 @@
 //! whichever member takes a task stages that stripe's rows of A into
 //! its own scratch, walks it, and writes each block back — into the f32
 //! output, and into the run's [`Dest`] as the next reader's codes. A
-//! run asks for one member beyond its
-//! caller per [`BLOCK_PAR_MIN_FLOPS`] of live work and the team's
-//! inline rule decides what it gets: a run below the floor, or one
-//! opened where its owner already spread requests across cores (a
-//! multi-worker server, a campaign under `par_map`), is the same tasks
-//! in order on the calling thread. [`gemm`] is the allocating
+//! run asks for one member beyond its caller per [`BLOCK_PAR_MIN_FLOPS`]
+//! of live work or per [`BLOCK_PAR_MIN_BYTES`] of weight panels it
+//! streams, whichever asks for more — its one-core roofline time, the
+//! slower of computing and streaming — and the team's inline rule
+//! decides what it gets: a run below both floors, or one opened where
+//! its owner already spread requests across cores (a multi-worker
+//! server, a campaign under `par_map`), is the same tasks in order on
+//! the calling thread. [`gemm`] is the allocating
 //! convenience: it packs a plain [`Matrix`] of weights and makes the
 //! same call on a throwaway workspace, returning the owned output.
 //! Results are byte-identical at every team width;
@@ -117,21 +119,38 @@ pub const BLOCK_N: usize = 64;
 const _: () = assert!(BLOCK_M.is_multiple_of(MICRO_MR) && BLOCK_N.is_multiple_of(MICRO_NR));
 
 /// Live FLOPs (`2·m·n·k` over whole register tiles) a run must bring
-/// per team member beyond its caller: [`gemm_into`] offers its tasks to
-/// `flops / BLOCK_PAR_MIN_FLOPS` more members, so below the floor a run
-/// is the caller's alone and a small layer wakes one worker however
+/// per team member beyond its caller, unless its weight stream asks for
+/// more ([`BLOCK_PAR_MIN_BYTES`]): [`gemm_into`] offers its tasks to
+/// `flops / BLOCK_PAR_MIN_FLOPS` more members, so below both floors a
+/// run is the caller's alone and a small layer wakes one worker however
 /// wide the host. A hot fork-join costs 1.1–1.6 µs and a parked
 /// member's wake-up 55–95 (`BENCH_engine.json`
 /// `team/fork_join_{hot,parked}_us`), so the floor sits where the
 /// caller alone would finish inside a wake-up: 2 MFLOP is 17 µs of this
 /// host's dense one-core kernel (`engine/gemm_256_clean_best`, 272 µs
-/// for 33.5 MFLOP) and 50–56 µs of a batch-1 layer's weight stream
-/// (`engine/team_1x1024x1024_clean_one_us`). Every SqueezeNet GEMM and
-/// the 1×1024×1024 layer clear it, and their all-member rows beat their
-/// one-member rows 1.6–1.9× on two members (`engine/team_*_speedup`;
-/// 1.3–2.0 over four recordings, once 1.0 on a row a neighbour's burst
-/// landed on). Tuned at width 2 only.
+/// for 33.5 MFLOP). Every SqueezeNet GEMM, every batch-256 fc1024 layer
+/// and the 1×1024×1024 layer clear it, and their all-member rows beat
+/// their one-member rows 1.6–1.9× on two members
+/// (`engine/team_*_speedup`; 1.3–2.0 over four recordings, once 1.0 on
+/// a row a neighbour's burst landed on). fc1024's last layer
+/// (1×1000×1024, 2,064,384 FLOP) falls 1.6 % short of it; the byte
+/// floor seats it. Tuned at width 2 only.
 pub const BLOCK_PAR_MIN_FLOPS: u128 = 2 * 1024 * 1024;
+
+/// Resident weight-panel bytes ([`PackedWeights::panel_bytes`]) a run
+/// must stream per team member beyond its caller, unless its FLOPs ask
+/// for more ([`BLOCK_PAR_MIN_FLOPS`]). A batch-1 layer is bound by its
+/// weight stream, not its FMAs: one core streams the 2 MiB of f16
+/// panels of a 1×1024×1024 layer in 80–87 µs
+/// (`engine/team_1x1024x1024_clean_one_us`, the last two recordings),
+/// 24–26 GB/s, so the FLOP floor's 17 µs is 410–440 KB of panels; the
+/// floor is the power of two above it. fc1024's last layer (1×1000×1024,
+/// 2,064,384 B of f16 panels) clears it where it missed the FLOP floor,
+/// and runs in 41.8 µs on two members against 79.4 on one
+/// (`engine/team_1x1000x1024_clean_{all,one}_us`). DLRM's widest panels
+/// (512×256 f16, 256 KiB) stay under it, on the caller. Measured at
+/// width 2 only.
+pub const BLOCK_PAR_MIN_BYTES: usize = 512 * 1024;
 
 /// A task is a whole block-row stripe once every member has this many
 /// to take: each stripe is then staged once, by one member, which also
@@ -281,12 +300,14 @@ impl<T> Cells<T> {
 /// scratch (unless its last task left it there), fills and checks the
 /// task's blocks, and scatters them into the output (blocks are
 /// disjoint, so members share only the read-only operands). The tasks
-/// are a region of the process's fork-join team, sized by the work:
-/// one member beyond the caller per [`BLOCK_PAR_MIN_FLOPS`], at most
-/// the team's width. Whether the region gets them is the team's inline
-/// rule (`aiga_util::team`), not a choice made here — under a
-/// multi-worker server or a `par_map` campaign it is the calling
-/// thread alone, as it is below the floor. Results are byte-identical
+/// are a region of the process's fork-join team, sized by the run's
+/// one-core roofline time: one member beyond the caller per
+/// [`BLOCK_PAR_MIN_FLOPS`] of live FLOPs or per [`BLOCK_PAR_MIN_BYTES`]
+/// of weight panels, whichever gives more, at most the team's width.
+/// Whether the region gets them is the team's inline rule
+/// (`aiga_util::team`), not a choice made here — under a multi-worker
+/// server or a `par_map` campaign it is the calling thread alone, as it
+/// is below both floors. Results are byte-identical
 /// whoever ran which task, detections in the same block-major order.
 /// Any number of simultaneous `faults` may be injected (the
 /// multi-checksum extension of §2.4 needs more than one); one aimed
@@ -361,8 +382,9 @@ pub fn gemm_into<'w, 'a>(
         checksum_fmas: full.1 + one_row.1,
     };
 
-    let flops = 2 * ws.out.counters.data_fmas as u128;
-    let width = aiga_util::team::width().min((flops / BLOCK_PAR_MIN_FLOPS) as usize + 1);
+    let by_flops = (2 * ws.out.counters.data_fmas as u128 / BLOCK_PAR_MIN_FLOPS) as usize;
+    let by_bytes = b.panel_bytes() / BLOCK_PAR_MIN_BYTES;
+    let width = aiga_util::team::width().min(1 + by_flops.max(by_bytes));
     let by_block = stripes < STRIPES_PER_MEMBER * width;
     let tasks = stripes * if by_block { col_blocks } else { 1 };
     let members = width.min(tasks);

@@ -162,6 +162,13 @@ impl PackedWeights {
         &self.panels
     }
 
+    /// Bytes every run streams from the panels: the padded K by the
+    /// padded N, at the format's resident width (one byte for fp8 and
+    /// int8, two for f16 and bf16).
+    pub fn panel_bytes(&self) -> usize {
+        self.panels.len()
+    }
+
     /// The B checksum columns two-sided ABFT's corner chain multiplies,
     /// summed by the first caller from the rows read back
     /// ([`Self::for_each_row`]), each group's in column order, in f32,

@@ -412,9 +412,10 @@ fn block_parallel_stripes_restage_between_column_block_tasks() {
 
 #[test]
 fn block_parallel_stripes_split_a_batch_1_layer_by_column_block() {
-    // One row, one strip, one stripe: exactly BLOCK_PAR_MIN_FLOPS (the
-    // caller and one member, at widths 2 and 3 alike), and sixteen
-    // one-block tasks whose members each stage the same strip.
+    // One row, one strip, one stripe: exactly BLOCK_PAR_MIN_FLOPS and
+    // four BLOCK_PAR_MIN_BYTES of panels (every member at widths 2 and
+    // 3), and sixteen one-block tasks whose members each stage the same
+    // strip.
     let (a, b) = (Matrix::random(1, 1024, 74), Matrix::random(1024, 1024, 75));
     let fault = FaultPlan {
         row: 0,
@@ -434,12 +435,15 @@ fn block_parallel_stripes_split_a_batch_1_layer_by_column_block() {
 
 #[test]
 fn a_run_seats_one_member_per_floor_of_work_beyond_its_caller() {
-    // However wide the team: below BLOCK_PAR_MIN_FLOPS the caller
-    // alone, at the floor (1 × 1024 × 1024) one more, at 128 × 256 × 128
-    // (four floors, eight block tasks) five, and a 256³ run all eight.
+    // However wide the team: one more member per floor of FLOPs or of
+    // panel bytes, whichever counts more. Batch 1 is the bytes' case: 1
+    // MiB of f16 panels (1 × 1024 × 512, half a FLOP floor) seats two
+    // more, 2 MiB (1 × 1024 × 1024, one FLOP floor) four more. At
+    // 128 × 256 × 128 (four FLOP floors, 64 KiB of panels, eight block
+    // tasks) five, and a 256³ run all eight.
     for (m, n, k, seats) in [
-        (1usize, 1024usize, 512usize, 1usize),
-        (1, 1024, 1024, 2),
+        (1usize, 1024usize, 512usize, 3usize),
+        (1, 1024, 1024, 5),
         (128, 256, 128, 5),
         (256, 256, 256, 8),
     ] {
@@ -457,6 +461,81 @@ fn a_run_seats_one_member_per_floor_of_work_beyond_its_caller() {
         });
         assert_eq!(ws.stripe_pool.len(), seats, "{m}x{n}x{k}");
     }
+}
+
+#[test]
+fn a_batch_1_layer_seats_members_by_the_bytes_it_streams() {
+    // One row is a few MFLOP at most but streams all of the panels, so
+    // a batch-1 run seats one member beyond its caller per
+    // BLOCK_PAR_MIN_BYTES of resident panels where that beats the FLOP
+    // floor's count. fc1024's last layer (1 × 1000 × 1024: 2,064,384 B
+    // of f16 panels, 1.6 % under the FLOP floor) and its k = 1000 twin
+    // (2,048,000 B) seat four; an int8 1 × 1024 × 1024 layer three: its
+    // 1 MiB resident panels, not the 2 MiB its f16 view would be, and
+    // one FLOP floor. DLRM's widest panels (1 × 256 × 512, 256 KiB; and
+    // 1 × 512 × 100, 104 KiB) stay on the caller. The team's width
+    // caps them all.
+    for (m, n, k, dtype, seats) in [
+        (1usize, 1000usize, 1024usize, Dtype::F16, 4usize),
+        (1, 1024, 1000, Dtype::F16, 4),
+        (1, 1024, 1024, Dtype::Int8, 3),
+        (1, 256, 512, Dtype::F16, 1),
+        (1, 512, 100, Dtype::F16, 1),
+    ] {
+        let packed = PackedWeights::pack(&Matrix::random_dtype(k, n, 79, dtype));
+        let a = Matrix::random_dtype(m, k, 78, dtype);
+        for width in [2usize, 8] {
+            let mut ws = Workspace::new();
+            aiga_util::team::with_width(width, || {
+                gemm_into(&a, &packed, TileScheme::NONE, &[], Dest::None, &mut ws);
+            });
+            let ctx = format!("{dtype} {m}x{n}x{k} at width {width}");
+            assert_eq!(ws.stripe_pool.len(), seats.min(width), "{ctx}");
+        }
+    }
+    // The seats the bytes bought change no byte: fc1024's last layer at
+    // widths 1, 2 and 3 (one, two and three members), with one fault in
+    // column 999 of the ragged last block, flags once under each
+    // thread-level scheme; every tile column flags in block order; and
+    // global ABFT's partials are the serial reference's bits.
+    let (a, b) = (Matrix::random(1, 1024, 80), Matrix::random(1024, 1000, 81));
+    let fault = FaultPlan {
+        row: 0,
+        col: 999,
+        after_step: 9,
+        kind: FaultKind::AddValue(96.0),
+    };
+    let packed = PackedWeights::pack(&b);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    on_each_path(|path| {
+        for lanes in [Redundancy::ColumnChecksum, Redundancy::TileChecksum] {
+            let out = at_every_team_width(&a, &b, loose(lanes), &[fault]);
+            let flagged: Vec<_> = out
+                .detections
+                .iter()
+                .map(|d| d.col..d.col + d.cols)
+                .collect();
+            assert!(
+                matches!(&flagged[..], [cols] if cols.contains(&999)),
+                "{lanes:?} {path:?}: {flagged:?}"
+            );
+        }
+        let all = at_every_team_width(&a, &b, FLAG_ALL, &[]);
+        assert_eq!(all.detections.len(), 1008, "{path:?}");
+        let global = loose(Redundancy::GlobalSums);
+        at_every_team_width(&a, &b, global, &[fault]);
+        let mut ws = Workspace::new();
+        for width in [1usize, 2, 3] {
+            aiga_util::team::with_width(width, || {
+                gemm_into(&a, &packed, global, &[fault], Dest::None, &mut ws);
+            });
+            let (out, got) = ws.output_and_check();
+            let want = CheckScratch::sum_serially(a.view(), out);
+            let ctx = format!("width {width} {path:?}");
+            assert_eq!(bits(got.stripe_sums()), bits(want.stripe_sums()), "{ctx}");
+            assert_eq!(bits(got.block_sums()), bits(want.block_sums()), "{ctx}");
+        }
+    });
 }
 
 #[test]
@@ -827,8 +906,9 @@ fn report(out: &GemmOutput) -> Report {
 ///   and the counters are equal on every path;
 /// - detections and outputs equal those of the same operands with the
 ///   strip's three dead rows made explicit zero rows — four live rows,
-///   so the four-row tile and its eagerly carried magnitude lanes: the
-///   lazily taken threshold is the carried one, bit for bit;
+///   so the four-row tile. Both tiles carry only the checksum lanes and
+///   take the magnitude of an opened column lazily, so the one-row
+///   tile's threshold is the four-row tile's, bit for bit;
 /// - faults in the live row at the first and last column flag (mid-walk
 ///   and epilogue, finite, NaN and ±Inf), a fault aimed at a dead row
 ///   is a no-op, and a non-finite weight still flags.

@@ -22,8 +22,9 @@
 //!    (conv stages, pooling/concat/residual epilogues, value slots)
 //!    stays at the same small report-only constant;
 //!
-//! 4. problems large enough to fan out (≥ `BLOCK_PAR_MIN_FLOPS`) are
-//!    exactly zero-alloc once warm too: the per-member stripe scratch
+//! 4. problems large enough to fan out (≥ `BLOCK_PAR_MIN_FLOPS`, or
+//!    ≥ `BLOCK_PAR_MIN_BYTES` of weight panels) are exactly zero-alloc
+//!    once warm too: the per-member stripe scratch
 //!    ratchets once and a team region allocates nothing — on a
 //!    multicore runner as a real region, and at a forced team width of
 //!    three on any runner. Most shapes in sections 1–3 sit below the
@@ -114,7 +115,7 @@ fn steady_state_hot_paths_do_not_allocate() {
     for scheme in [
         Scheme::Unprotected,            // plain microkernel
         Scheme::GlobalAbft,             // plain microkernel + checksum verification
-        Scheme::ThreadLevelOneSided,    // column checksum + magnitude lanes
+        Scheme::ThreadLevelOneSided,    // checksum lanes; opened columns' magnitudes taken lazily
         Scheme::ThreadLevelTwoSided,    // corner chain, B tile sums staged per run
         Scheme::ReplicationSingleAcc,   // shadow tile, sum compare
         Scheme::ReplicationTraditional, // shadow tile, bitwise compare
