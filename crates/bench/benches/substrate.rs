@@ -615,9 +615,10 @@ fn main() {
     }
     // The between-GEMM movers at SqueezeNet-224's largest shapes: the
     // conv write-back of the stem's 111×111×64 output (the rectangle
-    // body the engine's tasks emit their blocks through — transpose +
-    // ReLU + slice encode into a slot — looped over the whole output
-    // as a repaired stage's re-emission does), A staging of
+    // body the engine's tasks emit their blocks through — a register
+    // transpose with the ReLU and the F16C narrowing into a slot on a
+    // SIMD path — looped over the whole output as a repaired stage's
+    // re-emission does, `encode_output`), A staging of
     // fire2's squeeze (pointwise, K=64) and 3×3 expand (im2col, K=144)
     // over 55×55 pixels with one-sided ABFT's checksum rows — every
     // stripe of the layer in turn into one member's stripe buffer, as a
@@ -627,13 +628,14 @@ fn main() {
     // Each row is ns per element moved (per input element for the
     // pool). These are memory movers: on a SIMD path with F16C the
     // write-back must stay under 2 ns/element (it was ~9 as a
-    // per-element walk) and the stem's staging under 1.5 (3.2–5.3 when
-    // each of its strips gathered four rows); elsewhere the fallback is
-    // logged, not gated.
+    // per-element walk), the stem's staging under 1.5 (3.2–5.3 when
+    // each of its strips gathered four rows) and the pool under 1.0
+    // (1.3–1.4 while each of its taps was a call over a row of
+    // outputs); elsewhere the fallback is logged, not gated.
     {
         use aiga_core::ProtectedPipeline;
         use aiga_gpu::engine::{
-            emit_output, Dtype, EmitLayout, GemmOutput, Im2colView, MatrixView,
+            encode_output, Dtype, EmitLayout, GemmOutput, Im2colView, MatrixView,
         };
         use aiga_nn::graph::NetworkBuilder;
         let f16c = simd::active_path().is_simd() && aiga_dtype::f16c_active();
@@ -671,9 +673,7 @@ fn main() {
             "emit_conv_12321x64_f16",
             spatial * chans,
             &mut || {
-                emit_output(&out, layout, |at, run| {
-                    Dtype::F16.encode_slice(run, &mut slot[at..at + run.len()])
-                });
+                encode_output(&out, layout, Dtype::F16, &mut slot);
                 black_box(&slot);
             },
         );
@@ -768,13 +768,17 @@ fn main() {
         net.conv("tail", 1, 1, 1, 0, false);
         let pool = ProtectedPipeline::compile(&net.build(), &[Scheme::Unprotected]);
         let input = Matrix::random(1, 64 * 111 * 111, 6);
-        per_elem(
+        let ns = per_elem(
             &mut rec,
             "pool3x3s2_64x111x111",
             64 * 111 * 111,
             &mut || {
                 black_box(pool.infer_into(&input, None, &mut ws));
             },
+        );
+        rec.gate(
+            !f16c || ns <= 1.0,
+            format!("the stem's max-pool costs {ns:.2} ns/element on the SIMD+F16C path (limit 1)"),
         );
         // The same pool on one member against all of them — the stage
         // alone (`StageTimes::pool_ns`), fastest of interleaved rounds:

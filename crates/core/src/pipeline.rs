@@ -76,8 +76,8 @@ use crate::kernel::{BoundGemm, FaultSite, Verdict};
 use crate::schemes::Scheme;
 use aiga_dtype::{Dtype, F16};
 use aiga_gpu::engine::{
-    emit_output, encode_output, Dest, EmitLayout, FaultPlan, GemmOutput, Im2colView, Matrix,
-    MatrixView, Workspace,
+    emit, emit_output, encode_output, pool, simd, Dest, EmitLayout, FaultPlan, GemmOutput,
+    Im2colView, Matrix, MatrixView, Workspace,
 };
 use aiga_nn::conv::filters_to_matrix;
 use aiga_nn::graph::{embedding_index, Network, NodeOp, NodeRef, PoolKind, PoolParams};
@@ -778,10 +778,11 @@ impl ProtectedPipeline {
                         pool_scratch_len(params, (h, w)),
                     );
                     let chunk = POOL_PLANES_PER_TASK * per_plane;
+                    let path = simd::active_path();
                     team::run_chunks(scratch, &mut dst.data, chunk, &|scratch, task, out| {
                         let first = task * POOL_PLANES_PER_TASK * h * w;
                         let codes = &src.data[first..][..out.len() / per_plane * h * w];
-                        pool_planes(codes, dt, (h, w), params, out, scratch);
+                        pool_planes(codes, dt, (h, w), params, out, scratch, path);
                     });
                 }
                 StageOp::GlobalAvgPool { in_dims } => {
@@ -813,7 +814,7 @@ impl ProtectedPipeline {
                     dt.decode_slice(&a.data, sum);
                     dt.decode_slice(&b.data, rhs);
                     for (x, y) in sum.iter_mut().zip(rhs.iter()) {
-                        *x = if *relu { (*x + y).max(0.0) } else { *x + y };
+                        *x = if *relu { emit::relu(*x + y) } else { *x + y };
                     }
                     dst.data.resize(n, F16::ZERO);
                     dt.encode_slice(sum, &mut dst.data);
@@ -930,18 +931,23 @@ fn record_gemm_outcome(
 /// own costs many times over yet leave each member several to take, so
 /// a slowed member holds the region for one short task at most (the
 /// reasoning behind the engine's `STRIPES_PER_MEMBER`): SqueezeNet-224's
-/// pools are 64–256 planes of 2–14 µs each (`BENCH_engine.json`
-/// `engine/pool3x3s2_64x111x111_one_us` / 64), so eight planes are 8, 16
-/// and 32 tasks of 20–110 µs. The four pooling stages of a pass read
-/// 1.47–1.51 ms at 4, 8 and 16 planes a task on two members (twelve
-/// interleaved rounds of medians), 1.56–1.68 at 1–2, 2.76 on one.
+/// pools are 64–256 planes of 0.7–9 µs each (`BENCH_engine.json`
+/// `engine/pool3x3s2_64x111x111_one_us` / 64: 340–620 µs over seventeen
+/// uncapped recordings), so eight planes are 8, 16 and 32 tasks of
+/// 6–70 µs, still dozens of hot fork-joins each. The four pooling stages
+/// of a pass read 1.47–1.51 ms at 4, 8 and 16 planes a task on two
+/// members (twelve interleaved rounds of medians), 1.56–1.68 at 1–2,
+/// 2.76 on one — measured while each tap was a call over a row of
+/// outputs, and not re-tuned since the taps fold in registers.
 const POOL_PLANES_PER_TASK: usize = 8;
 
 /// Input elements under which a pooling stage stays on its caller. A
-/// pool costs 1.1–1.4 ns an input element on one member
-/// (`engine/pool3x3s2_64x111x111_one_us` over 788,544 elements), and a
-/// parked member's wake-up 55–95 µs (`team/fork_join_parked_us`) — so
-/// below 64 Ki elements the caller alone is done inside one wake-up.
+/// max pool costs 0.45–0.8 ns an input element on one member
+/// (`engine/pool3x3s2_64x111x111_one_us` over 788,544 elements; 1.1–1.4
+/// while each tap was a call over a row of outputs), and a parked
+/// member's wake-up 55–95 µs (`team/fork_join_parked_us`) — so below
+/// 64 Ki elements (30–52 µs) the caller alone is done inside one
+/// wake-up.
 /// Every pool of SqueezeNet-224 (169 k elements and up) clears it; the
 /// 32×32 test nets' do not.
 const POOL_PAR_MIN_ELEMS: usize = 64 * 1024;
@@ -992,19 +998,22 @@ fn interact_dots(vectors: &[f32], dim: usize, dots: &mut [f32]) {
 }
 
 /// f32 of scratch [`pool_planes`] needs for planes of `h × w`: one
-/// decoded plane (padded: the last tap heads a whole chunk), one row of
-/// outputs, each output column's in-bounds tap count along x.
+/// decoded plane and its outputs.
 fn pool_scratch_len(p: &PoolParams, (h, w): (usize, usize)) -> usize {
-    h * w + p.stride + 2 * p.out_extent(w)
+    h * w + p.out_extent(h) * p.out_extent(w)
 }
 
 /// Pools the `h × w` planes in `codes` into `dst`, plane by plane (max
 /// skips out-of-bounds cells; avg divides by the in-bounds cell count —
 /// mirrored exactly by `Network::reference_f64`): one task's share of a
-/// pooling stage, or all of it. Each plane is decoded once as a slice,
-/// and each output row folds its taps in `(ky, kx)` order *across* its
-/// columns, so every output sees the `max`/`+` sequence of a per-output
-/// tap loop, −0.0 and NaN included.
+/// pooling stage, or all of it. Each plane is decoded once as a slice
+/// and its outputs encoded as one. A max pool's windows that lie
+/// wholly inside a row are pooled in registers ([`pool::max_row`], on
+/// `path`); the windows that cross an edge, and every average, are
+/// folded a window at a time. Both fold in `(ky, kx)` order — the max
+/// by [`pool::max_fold`] from `−∞`, the average by `+` from zero — so
+/// every output sees the sequence of a per-output tap loop, −0.0 and
+/// NaN included.
 fn pool_planes(
     codes: &[F16],
     dt: Dtype,
@@ -1012,10 +1021,10 @@ fn pool_planes(
     p: &PoolParams,
     dst: &mut [F16],
     scratch: &mut [f32],
+    path: simd::GemmPath,
 ) {
     let (ho, wo) = (p.out_extent(h), p.out_extent(w));
-    let (plane, rest) = scratch[..pool_scratch_len(p, (h, w))].split_at_mut(h * w + p.stride);
-    let (out, nx) = rest.split_at_mut(wo);
+    let (plane, outs) = scratch[..pool_scratch_len(p, (h, w))].split_at_mut(h * w);
     // The in-bounds taps `lo..hi` of output `o` along an axis of extent
     // `len`, and the input coordinate of its tap 0.
     let taps = |o: usize, len: usize| {
@@ -1024,64 +1033,54 @@ fn pool_planes(
         let hi = (len as isize - first).clamp(lo, p.kernel as isize);
         (first, lo as usize, hi as usize)
     };
-    for (ox, n) in nx.iter_mut().enumerate() {
-        let (_, kx0, kx1) = taps(ox, w);
-        *n = (kx1 - kx0) as f32;
-    }
+    // The outputs whose windows lie wholly inside a row: in registers.
+    let inside = match p.kind {
+        PoolKind::Max => {
+            let first = p.padding.div_ceil(p.stride).min(wo);
+            let end = (w + p.padding)
+                .checked_sub(p.kernel)
+                .map_or(0, |x| x / p.stride + 1);
+            first..end.clamp(first, wo)
+        }
+        PoolKind::Avg => 0..0,
+    };
     let planes = codes.chunks_exact(h * w);
     for (codes, dst) in planes.zip(dst.chunks_exact_mut(ho * wo)) {
-        dt.decode_slice(codes, &mut plane[..h * w]);
-        for (oy, dst) in dst.chunks_exact_mut(wo).enumerate() {
+        dt.decode_slice(codes, plane);
+        for (oy, out) in outs.chunks_exact_mut(wo).enumerate() {
             let (iy0, ky0, ky1) = taps(oy, h);
-            out.fill(match p.kind {
-                PoolKind::Max => f32::NEG_INFINITY,
-                PoolKind::Avg => 0.0,
-            });
-            for ky in ky0..ky1 {
-                let row = &plane[(iy0 + ky as isize) as usize * w..];
-                for kx in 0..p.kernel {
-                    // Outputs whose tap `kx` lands inside the row.
-                    let ox0 = p.padding.saturating_sub(kx).div_ceil(p.stride);
-                    let ox1 = ((w + p.padding).saturating_sub(kx).div_ceil(p.stride)).min(wo);
-                    if ox0 < ox1 {
-                        let taps = &row[ox0 * p.stride + kx - p.padding..];
-                        fold_taps(&mut out[ox0..ox1], taps, p.stride, p.kind);
+            let rows = (iy0 + ky0 as isize) as usize..(iy0 + ky1 as isize) as usize;
+            let window = |ox: usize| {
+                let (ix0, kx0, kx1) = taps(ox, w);
+                let (mut best, mut sum) = (f32::NEG_INFINITY, 0.0f32);
+                for iy in rows.clone() {
+                    let row = &plane[iy * w..];
+                    for &v in &row[(ix0 + kx0 as isize) as usize..(ix0 + kx1 as isize) as usize] {
+                        best = pool::max_fold(best, v);
+                        sum += v;
                     }
                 }
-            }
-            for (o, nx) in out.iter_mut().zip(nx.iter()) {
                 // Small integers: the product is the exact cell count.
-                let cells = (ky1 - ky0) as f32 * nx;
-                *o = match p.kind {
+                let cells = (ky1 - ky0) as f32 * (kx1 - kx0) as f32;
+                match p.kind {
                     _ if cells == 0.0 => 0.0,
-                    PoolKind::Max => *o,
-                    PoolKind::Avg => *o / cells,
-                };
-            }
-            dt.encode_slice(out, dst);
-        }
-    }
-}
-
-/// Folds one filter tap into a run of pooling outputs: output `j` takes
-/// `taps[j · stride]`. A call of its own, so the compiler sees `out` and
-/// `taps` cannot alias, with the loop inlined per literal stride: the
-/// common strides compile to unit- and two-strided vector loops.
-#[inline(never)]
-fn fold_taps(out: &mut [f32], taps: &[f32], stride: usize, kind: PoolKind) {
-    #[inline(always)]
-    fn fold(out: &mut [f32], taps: &[f32], stride: usize, kind: PoolKind) {
-        for (o, tap) in out.iter_mut().zip(taps.chunks_exact(stride)) {
-            *o = match kind {
-                PoolKind::Max => o.max(tap[0]),
-                PoolKind::Avg => *o + tap[0],
+                    PoolKind::Max => best,
+                    PoolKind::Avg => sum / cells,
+                }
             };
+            for ox in (0..inside.start).chain(inside.end..wo) {
+                out[ox] = window(ox);
+            }
+            if rows.is_empty() {
+                // No cell: as `window` has it.
+                out[inside.clone()].fill(0.0);
+            } else if !inside.is_empty() {
+                let x0 = inside.start * p.stride - p.padding;
+                let row = &mut out[inside.clone()];
+                pool::max_row(path, plane, w, rows, (p.kernel, p.stride), x0, row);
+            }
         }
-    }
-    match stride {
-        1 => fold(out, taps, 1, kind),
-        2 => fold(out, taps, 2, kind),
-        s => fold(out, taps, s, kind),
+        dt.encode_slice(outs, dst);
     }
 }
 

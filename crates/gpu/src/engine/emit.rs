@@ -3,24 +3,32 @@
 //!
 //! The engine's own output ([`super::GemmOutput::c`]) is row-major f32.
 //! A graph executor's next stage wants storage codes, a convolution's in
-//! NCHW, with the layer's ReLU applied. Producing them is a transpose
-//! bound by strided stores — a millisecond and a half of a SqueezeNet
-//! pass if one thread does it after the walk while the others wait — so
-//! a run takes a [`Dest`]: with [`Dest::Codes`] every task of
-//! [`super::gemm_into`] emits its own block's live cells through
-//! [`emit_rect`], from the tile, right after the tile check and the
-//! scatter, and the write-back is spread over the members with the
-//! walk. (Spread, not cheapened: a member spends as much on a block's
-//! codes inside its task as a loop over the finished output does —
-//! 10–30 % more on the stem's K = 27 layer, whose blocks are 2 µs of
-//! arithmetic between 3 µs emissions. Two members still finish that
-//! layer 150–330 µs sooner. A row-major destination is a straight
-//! encode with nothing to share — in the tasks it measured slower — so
-//! [`Dest::Codes`] is a convolution's and has no row-major form.) The
-//! same body over a whole output ([`emit_output`]) is for the callers
-//! that come after the walk: an fc stage's slot, a stage whose cells
-//! were repaired, a final stage's f32 reply.
+//! NCHW, with the layer's ReLU applied. Producing them is a transpose,
+//! so a run takes a [`Dest`]: with [`Dest::Codes`] every task of
+//! [`super::gemm_into`] encodes its own block's live cells, from the
+//! tile, right after the tile check and the scatter, and the write-back
+//! is spread over the members with the walk. A row-major destination is
+//! a straight encode with nothing to share — in the tasks it measured
+//! slower — so [`Dest::Codes`] is a convolution's and has no row-major
+//! form. [`encode_output`] is the same body over a whole output, for the
+//! callers that come after the walk: an fc stage's slot, a stage whose
+//! cells were repaired.
+//!
+//! A lowered convolution's fp16 codes on a SIMD path are transposed in
+//! registers: a square of pixels × channels (8×8 on ymm, 16×16 on zmm)
+//! is loaded a pixel row at a time, transposed, passed through the ReLU
+//! and narrowed by F16C straight into each channel's run of codes
+//! (`transpose_rect`). Every other format, and the scalar path, run the
+//! scalar body, [`emit_rect`]: the rectangle transposed through a
+//! staging block into per-channel runs of f32, then encoded a run at a
+//! time — which is also what hands a final stage's f32 reply over
+//! ([`emit_output`]). The two give the same bytes.
+//!
+//! The ReLU is [`relu`], never `f32::max`, whose sign at `max(−0.0,
+//! +0.0)` Rust leaves open (`v.max(0.0)` keeps −0.0 in a debug build and
+//! gives +0.0 in a release one).
 
+use super::simd::{self, GemmPath};
 use super::{Cells, GemmOutput, BLOCK_M, BLOCK_N};
 use aiga_dtype::{Dtype, F16};
 
@@ -32,8 +40,21 @@ pub struct EmitLayout {
     /// its rows are `(n, oy, ox)`-major and its columns `c_out`, and the
     /// consumer reads NCHW. `None` is row-major, as computed.
     pub conv_spatial: Option<usize>,
-    /// Whether `max(v, 0)` is applied on the way.
+    /// Whether [`relu`] is applied on the way.
     pub relu: bool,
+}
+
+/// The ReLU of the write-back: `v` where `v >= 0` (so `−0.0` stays
+/// `−0.0`), else `+0.0` (NaN included). Spelled out rather than
+/// `v.max(0.0)`, whose sign at `±0.0` Rust leaves unspecified; the
+/// vector bodies compute the same compare-and-select.
+#[inline(always)]
+pub fn relu(v: f32) -> f32 {
+    if v >= 0.0 {
+        v
+    } else {
+        0.0
+    }
 }
 
 /// Where a run's cells go besides [`super::GemmOutput::c`].
@@ -50,7 +71,7 @@ pub enum Dest<'a> {
         dtype: Dtype,
         /// Output pixels per image ([`EmitLayout::conv_spatial`]).
         spatial: usize,
-        /// Whether `max(v, 0)` is applied on the way.
+        /// Whether [`relu`] is applied on the way.
         relu: bool,
     },
 }
@@ -98,7 +119,7 @@ impl CodeCells {
     }
 
     /// Encodes the `rows × cols` rectangle at `(row0, col0)` of an
-    /// output `out_n` wide, read from `src` ([`emit_rect`]).
+    /// output `out_n` wide, read from `src` ([`encode_rect`]).
     ///
     /// # Safety
     /// No other reference to the codes of those cells may be live: the
@@ -111,13 +132,62 @@ impl CodeCells {
         cols: (usize, usize),
         out_n: usize,
     ) {
-        emit_rect(src, stride, rows, cols, out_n, self.layout, |at, run| {
-            // SAFETY: the codes of cells inside the caller's rectangle
-            // (distinct cells have distinct codes).
-            let codes = unsafe { self.codes.run(at, run.len()) };
-            self.dtype.encode_slice(run, codes);
-        });
+        let rect = Rect {
+            src,
+            stride,
+            rows,
+            cols,
+            out_n,
+        };
+        // SAFETY: the caller's contract.
+        unsafe { encode_rect(rect, self.layout, self.dtype, &self.codes) }
     }
+}
+
+/// A rectangle of a GEMM output as [`emit_rect`] reads it: `rows.1 ×
+/// cols.1` cells at `(rows.0, cols.0)` of an output `out_n` columns
+/// wide, its row `r` starting at `src[r·stride]`.
+#[derive(Clone, Copy)]
+struct Rect<'a> {
+    src: &'a [f32],
+    stride: usize,
+    rows: (usize, usize),
+    cols: (usize, usize),
+    out_n: usize,
+}
+
+/// The rectangle's codes in `layout`'s order and `dtype`: a lowered
+/// convolution's fp16 codes transposed in registers on a SIMD path
+/// ([`transpose_rect`]), everything else through [`emit_rect`], a run
+/// at a time. The one body of [`CodeCells::emit`] and [`encode_output`].
+///
+/// # Safety
+/// No other reference to the codes of the rectangle's cells may be live.
+unsafe fn encode_rect(rect: Rect<'_>, layout: EmitLayout, dtype: Dtype, codes: &Cells<F16>) {
+    #[cfg(target_arch = "x86_64")]
+    if let (Some(spatial), Dtype::F16) = (layout.conv_spatial, dtype) {
+        // SAFETY: the path is one the host runs (`simd::force_path`
+        // admits no other), so it has AVX2, FMA and F16C, and AVX-512 F
+        // and VL on `Avx512`; the codes are the caller's.
+        match simd::active_path() {
+            GemmPath::Avx512 => return unsafe { transpose_avx512(rect, spatial, layout, codes) },
+            GemmPath::Avx2Fma => return unsafe { transpose_avx2(rect, spatial, layout, codes) },
+            GemmPath::Scalar => {}
+        }
+    }
+    let Rect {
+        src,
+        stride,
+        rows,
+        cols,
+        out_n,
+    } = rect;
+    emit_rect(src, stride, rows, cols, out_n, layout, |at, run| {
+        // SAFETY: the codes of cells inside the caller's rectangle
+        // (distinct cells have distinct codes).
+        let codes = unsafe { codes.run(at, run.len()) };
+        dtype.encode_slice(run, codes);
+    });
 }
 
 /// Rows a transposed segment holds — a block's worth, so a task's tile
@@ -148,7 +218,7 @@ pub fn emit_rect(
     layout: EmitLayout,
     mut sink: impl FnMut(usize, &[f32]),
 ) {
-    let relu = |v: f32| if layout.relu { v.max(0.0) } else { v };
+    let relu = |v: f32| if layout.relu { relu(v) } else { v };
     let Some(spatial) = layout.conv_spatial else {
         let mut staged = [0.0f32; BLOCK_N];
         for r in 0..rows {
@@ -181,10 +251,10 @@ pub fn emit_rect(
 }
 
 /// [`emit_rect`] over all of `out`, from its f32 cells — block by block
-/// where there is a transpose to do — what a run with [`Dest::Codes`]
-/// emitted task by task, for the callers that come after the walk: a
-/// final stage's f32 reply, and the re-emission of a stage whose cells a
-/// repair rewrote.
+/// where there is a transpose to do — in the order a run with
+/// [`Dest::Codes`] lays its codes out, for a caller that wants the f32
+/// runs themselves: a final stage's reply. Codes come from
+/// [`encode_output`].
 pub fn emit_output(out: &GemmOutput, layout: EmitLayout, mut sink: impl FnMut(usize, &[f32])) {
     if layout.conv_spatial.is_none() {
         // Nothing to transpose: one rectangle, walked in storage order.
@@ -208,11 +278,281 @@ pub fn emit_output(out: &GemmOutput, layout: EmitLayout, mut sink: impl FnMut(us
     }
 }
 
-/// [`emit_output`] into storage codes: every cell of `out` encoded into
-/// `codes` in `layout`'s order — a [`Dest::Codes`] filled after the walk
-/// instead of during it.
+/// Every cell of `out` encoded into `codes` in `layout`'s order — a
+/// [`Dest::Codes`] filled after the walk instead of during it, block by
+/// block through the same body as a run's tasks.
 pub fn encode_output(out: &GemmOutput, layout: EmitLayout, dtype: Dtype, codes: &mut [F16]) {
-    emit_output(out, layout, |at, run| {
-        dtype.encode_slice(run, &mut codes[at..at + run.len()])
-    });
+    assert_eq!(codes.len(), out.m * out.n, "one code per output cell");
+    if layout.conv_spatial.is_none() {
+        return emit_output(out, layout, |at, run| {
+            dtype.encode_slice(run, &mut codes[at..at + run.len()])
+        });
+    }
+    let cells = Cells::new(codes);
+    for row0 in (0..out.m).step_by(BLOCK_M) {
+        let rows = BLOCK_M.min(out.m - row0);
+        for col0 in (0..out.n).step_by(BLOCK_N) {
+            let rect = Rect {
+                src: &out.c[row0 * out.n + col0..],
+                stride: out.n,
+                rows: (row0, rows),
+                cols: (col0, BLOCK_N.min(out.n - col0)),
+                out_n: out.n,
+            };
+            // SAFETY: `codes` is borrowed mutably for the loop and each
+            // block's codes are written once, by this call alone.
+            unsafe { encode_rect(rect, layout, dtype, &cells) };
+        }
+    }
+}
+
+/// What [`transpose_rect`] needs of an f32 vector, for ymm and zmm.
+/// Every method is one or two instructions the host must support (each
+/// caller's `# Safety`).
+#[cfg(target_arch = "x86_64")]
+trait Square: Copy {
+    /// f32 lanes: a square is `LANES` pixels by `LANES` channels.
+    const LANES: usize;
+    unsafe fn zero() -> Self;
+    /// The first `live` lanes from `at`, zeros beyond (nothing past
+    /// them is read).
+    unsafe fn load(at: *const f32, live: usize) -> Self;
+    /// Transposes the square held in `rows[..LANES]`.
+    unsafe fn transpose(rows: &mut [Self; 16]);
+    /// [`relu`] per lane: `v >= 0 ? v : +0.0`.
+    unsafe fn relu(self) -> Self;
+    unsafe fn has_nan(self) -> bool;
+    /// All `LANES` narrowed to fp16 codes at `at` (round to nearest
+    /// even, as the scalar encoder for every non-NaN value).
+    unsafe fn store_codes(self, at: *mut F16);
+    unsafe fn store(self, at: *mut f32);
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Square for std::arch::x86_64::__m256 {
+    const LANES: usize = 8;
+    // SAFETY (each body): the caller's guarantees are the intrinsics'.
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        unsafe { std::arch::x86_64::_mm256_setzero_ps() }
+    }
+    #[inline(always)]
+    unsafe fn load(at: *const f32, live: usize) -> Self {
+        use std::arch::x86_64::*;
+        unsafe {
+            if live == 8 {
+                return _mm256_loadu_ps(at);
+            }
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_maskload_ps(at, _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lane))
+        }
+    }
+    #[inline(always)]
+    unsafe fn transpose(r: &mut [Self; 16]) {
+        use std::arch::x86_64::*;
+        unsafe {
+            let mut t = [_mm256_setzero_ps(); 8];
+            for i in 0..4 {
+                t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+                t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+            }
+            // `u[4i + j]`, 128-bit lane `l`: column `4l + j`, rows
+            // `4i..4i + 4`.
+            let mut u = [_mm256_setzero_ps(); 8];
+            for i in 0..2 {
+                u[4 * i] = _mm256_shuffle_ps::<0x44>(t[4 * i], t[4 * i + 2]);
+                u[4 * i + 1] = _mm256_shuffle_ps::<0xee>(t[4 * i], t[4 * i + 2]);
+                u[4 * i + 2] = _mm256_shuffle_ps::<0x44>(t[4 * i + 1], t[4 * i + 3]);
+                u[4 * i + 3] = _mm256_shuffle_ps::<0xee>(t[4 * i + 1], t[4 * i + 3]);
+            }
+            for j in 0..4 {
+                r[j] = _mm256_permute2f128_ps::<0x20>(u[j], u[4 + j]);
+                r[4 + j] = _mm256_permute2f128_ps::<0x31>(u[j], u[4 + j]);
+            }
+        }
+    }
+    #[inline(always)]
+    unsafe fn relu(self) -> Self {
+        use std::arch::x86_64::*;
+        unsafe { _mm256_and_ps(self, _mm256_cmp_ps::<_CMP_GE_OQ>(self, _mm256_setzero_ps())) }
+    }
+    #[inline(always)]
+    unsafe fn has_nan(self) -> bool {
+        use std::arch::x86_64::*;
+        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(self, self)) != 0 }
+    }
+    #[inline(always)]
+    unsafe fn store_codes(self, at: *mut F16) {
+        use std::arch::x86_64::*;
+        unsafe {
+            let codes = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(self);
+            _mm_storeu_si128(at.cast(), codes)
+        }
+    }
+    #[inline(always)]
+    unsafe fn store(self, at: *mut f32) {
+        unsafe { std::arch::x86_64::_mm256_storeu_ps(at, self) }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Square for std::arch::x86_64::__m512 {
+    const LANES: usize = 16;
+    // SAFETY (each body): the caller's guarantees are the intrinsics'.
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        unsafe { std::arch::x86_64::_mm512_setzero_ps() }
+    }
+    #[inline(always)]
+    unsafe fn load(at: *const f32, live: usize) -> Self {
+        use std::arch::x86_64::*;
+        unsafe {
+            if live == 16 {
+                return _mm512_loadu_ps(at);
+            }
+            _mm512_maskz_loadu_ps(((1u32 << live) - 1) as u16, at)
+        }
+    }
+    #[inline(always)]
+    unsafe fn transpose(r: &mut [Self; 16]) {
+        use std::arch::x86_64::*;
+        unsafe {
+            let mut t = [_mm512_setzero_ps(); 16];
+            for i in 0..8 {
+                t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+                t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+            }
+            // `u[4i + j]`, 128-bit lane `l`: column `4l + j`, rows
+            // `4i..4i + 4`.
+            let mut u = [_mm512_setzero_ps(); 16];
+            for i in 0..4 {
+                u[4 * i] = _mm512_shuffle_ps::<0x44>(t[4 * i], t[4 * i + 2]);
+                u[4 * i + 1] = _mm512_shuffle_ps::<0xee>(t[4 * i], t[4 * i + 2]);
+                u[4 * i + 2] = _mm512_shuffle_ps::<0x44>(t[4 * i + 1], t[4 * i + 3]);
+                u[4 * i + 3] = _mm512_shuffle_ps::<0xee>(t[4 * i + 1], t[4 * i + 3]);
+            }
+            // Lanes of rows 0–7 (`v[j]`, `v[4 + j]`) and 8–15
+            // (`v[8 + j]`, `v[12 + j]`): even lanes of the columns
+            // `4l + j` in the first, odd in the second.
+            let mut v = [_mm512_setzero_ps(); 16];
+            for j in 0..4 {
+                v[j] = _mm512_shuffle_f32x4::<0x88>(u[j], u[4 + j]);
+                v[4 + j] = _mm512_shuffle_f32x4::<0xdd>(u[j], u[4 + j]);
+                v[8 + j] = _mm512_shuffle_f32x4::<0x88>(u[8 + j], u[12 + j]);
+                v[12 + j] = _mm512_shuffle_f32x4::<0xdd>(u[8 + j], u[12 + j]);
+            }
+            for j in 0..4 {
+                r[j] = _mm512_shuffle_f32x4::<0x88>(v[j], v[8 + j]);
+                r[8 + j] = _mm512_shuffle_f32x4::<0xdd>(v[j], v[8 + j]);
+                r[4 + j] = _mm512_shuffle_f32x4::<0x88>(v[4 + j], v[12 + j]);
+                r[12 + j] = _mm512_shuffle_f32x4::<0xdd>(v[4 + j], v[12 + j]);
+            }
+        }
+    }
+    #[inline(always)]
+    unsafe fn relu(self) -> Self {
+        use std::arch::x86_64::*;
+        unsafe {
+            let keep = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(self, _mm512_setzero_ps());
+            _mm512_maskz_mov_ps(keep, self)
+        }
+    }
+    #[inline(always)]
+    unsafe fn has_nan(self) -> bool {
+        use std::arch::x86_64::*;
+        unsafe { _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(self, self) != 0 }
+    }
+    #[inline(always)]
+    unsafe fn store_codes(self, at: *mut F16) {
+        use std::arch::x86_64::*;
+        unsafe {
+            let codes = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(self);
+            _mm256_storeu_si256(at.cast(), codes)
+        }
+    }
+    #[inline(always)]
+    unsafe fn store(self, at: *mut f32) {
+        unsafe { std::arch::x86_64::_mm512_storeu_ps(at, self) }
+    }
+}
+
+/// # Safety
+/// The host must support AVX2, FMA and F16C; the rest is
+/// [`transpose_rect`]'s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c")]
+unsafe fn transpose_avx2(rect: Rect<'_>, spatial: usize, layout: EmitLayout, codes: &Cells<F16>) {
+    // SAFETY: the caller's guarantees.
+    unsafe { transpose_rect::<std::arch::x86_64::__m256>(rect, spatial, layout, codes) }
+}
+
+/// # Safety
+/// As [`transpose_avx2`], and the host must support AVX-512 F and VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
+unsafe fn transpose_avx512(rect: Rect<'_>, spatial: usize, layout: EmitLayout, codes: &Cells<F16>) {
+    // SAFETY: the caller's guarantees.
+    unsafe { transpose_rect::<std::arch::x86_64::__m512>(rect, spatial, layout, codes) }
+}
+
+/// A lowered convolution's rectangle (at most [`BLOCK_N`] columns) into
+/// its fp16 codes in NCHW, one `V::LANES`-square at a time: the square's
+/// pixel rows loaded (masked past the last live channel, zero past the
+/// last pixel of the rectangle or of its image), transposed in
+/// registers, ReLU'd and narrowed into each live channel's run of
+/// codes. A run that is short or holds a NaN (whose payload F16C keeps
+/// and the scalar encoder does not) goes through the slice encoder from
+/// a stack copy, as [`emit_rect`]'s would.
+///
+/// # Safety
+/// The host must support `V`'s instructions and F16C, and no other
+/// reference to the codes of the rectangle's cells may be live.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn transpose_rect<V: Square>(
+    rect: Rect<'_>,
+    spatial: usize,
+    layout: EmitLayout,
+    codes: &Cells<F16>,
+) {
+    let Rect {
+        src,
+        stride,
+        rows: (row0, rows),
+        cols: (col0, cols),
+        out_n,
+    } = rect;
+    assert!(cols <= BLOCK_N, "a transposed rectangle is a block wide");
+    let lanes = V::LANES;
+    let mut r = 0;
+    while r < rows {
+        let (n, s) = ((row0 + r) / spatial, (row0 + r) % spatial);
+        let pixels = lanes.min(rows - r).min(spatial - s);
+        for c in (0..cols).step_by(lanes) {
+            let live = lanes.min(cols - c);
+            // SAFETY (the block): the host's instructions are the
+            // caller's guarantee; every load is inside a bounds-checked
+            // slice of `src`, every store inside a checked run of codes
+            // or the stack buffer.
+            unsafe {
+                let mut square = [V::zero(); 16];
+                for (i, row) in square[..pixels].iter_mut().enumerate() {
+                    *row = V::load(src[(r + i) * stride + c..][..live].as_ptr(), live);
+                }
+                V::transpose(&mut square);
+                for (co, &channel) in square[..live].iter().enumerate() {
+                    let channel = if layout.relu { channel.relu() } else { channel };
+                    let run = codes.run((n * out_n + col0 + c + co) * spatial + s, pixels);
+                    if pixels == lanes && !channel.has_nan() {
+                        channel.store_codes(run.as_mut_ptr());
+                    } else {
+                        let mut staged = [0.0f32; 16];
+                        channel.store(staged.as_mut_ptr());
+                        Dtype::F16.encode_slice(&staged[..pixels], run);
+                    }
+                }
+            }
+        }
+        r += pixels;
+    }
 }

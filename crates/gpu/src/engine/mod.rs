@@ -78,13 +78,14 @@ pub mod emit;
 pub mod fault_inject;
 pub mod matrix;
 pub mod panels;
+pub mod pool;
 pub mod scheme;
 pub mod simd;
 pub mod sums;
 mod walk;
 
 pub use aiga_dtype::Dtype;
-pub use emit::{emit_output, emit_rect, encode_output, Dest, EmitLayout};
+pub use emit::{emit_output, emit_rect, encode_output, relu, Dest, EmitLayout};
 pub use fault_inject::{Detection, FaultKind, FaultPlan};
 pub use matrix::{gemm_reference_f64, Im2colView, Matrix, MatrixLayout, MatrixView};
 pub use panels::{PackedWeights, Workspace};
@@ -155,21 +156,25 @@ pub const BLOCK_PAR_MIN_BYTES: usize = 512 * 1024;
 /// A task is a whole block-row stripe once every member has this many
 /// to take: each stripe is then staged once, by one member, which also
 /// leaves whole 64-row runs of the output in one core's cache for the
-/// reductions and the write-back that read it next. Below it (a 169-row
-/// layer's three stripes, a batch-256 layer's four, a batch-1 layer's
-/// one) a task is one block, and the members that share a stripe each
-/// stage it. The number buys steadiness, not speed: the counter gives
-/// the last task to whoever asks first, so a region ends up to one task
-/// late, and on a shared host the members do not run equally fast (a
-/// vCPU here runs at a quarter to a half of its speed for hundreds of
-/// milliseconds at a time) — a slowed member that takes the last of
-/// four 1.5 ms stripes holds the region for all of it. At two stripes a
-/// member `fc1024_b256` (256×1024×1024: four stripes, two members) was
-/// 5 % faster on a quiet host, 7.0 ms a pass against 7.6 as 64 blocks
-/// (each member stages every stripe), and twice as scattered: twelve
-/// interleaved pairs of 6 s benchmark runs read 93–116 req/s,
-/// inter-quartile 13.0, against 98–108 and 5.2; with one vCPU throttled
-/// to half speed 69 against 72–74.
+/// reductions and the write-back that read it next — and, as a member
+/// takes a contiguous range of a region's tasks (`aiga_util::team`),
+/// the next layer's stripes over the same rows mostly go to the member
+/// that wrote them. Below it (a 169-row layer's three stripes, a
+/// batch-256 layer's four, a batch-1 layer's one) a task is one block,
+/// and the members that share a stripe each stage it. The number buys
+/// steadiness, not speed: a member done with its range steals single
+/// tasks from the back of the fullest other range, so a region ends at
+/// most one task after its members run dry, and on a shared host the
+/// members do not run equally fast (a vCPU here runs at a quarter to a
+/// half of its speed for hundreds of milliseconds at a time) — a slowed
+/// member in the middle of the last of four 1.5 ms stripes holds the
+/// region for the rest of it. At two stripes a member `fc1024_b256`
+/// (256×1024×1024: four stripes, two members) was 5 % faster on a
+/// quiet host, 7.0 ms a pass against 7.6 as 64 blocks (each member
+/// stages every stripe), and twice as scattered: twelve interleaved
+/// pairs of 6 s benchmark runs read 93–116 req/s, inter-quartile 13.0,
+/// against 98–108 and 5.2; with one vCPU throttled to half speed 69
+/// against 72–74 (measured while one shared counter dealt the tasks).
 const STRIPES_PER_MEMBER: usize = 4;
 
 /// Host work of one engine run, in the scalar FMAs it executed.
@@ -436,37 +441,46 @@ pub fn gemm_into<'w, 'a>(
             // SAFETY: stripe `br`'s partial, which this task alone writes.
             unsafe { p.stripes.run(br * row, row) }.copy_from_slice(sums);
         }
+        let flagged = scr.detections.len();
         for bc in blocks {
             walk::run_block(run, br, bc, scr);
             // SAFETY: the cells of block `(br, bc)`, which this task
             // alone executes.
             unsafe { write_back(&mut scr.block.tile, run, br, bc, c, dest, partials) };
         }
-        if scr.flagged.last().map_or(0, |&(_, end)| end) < scr.detections.len() {
-            scr.flagged.push((task, scr.detections.len()));
+        if flagged < scr.detections.len() {
+            scr.flagged.push((task, flagged..scr.detections.len()));
         }
+        #[cfg(test)]
+        tests::pace(task, run as *const walk::Run<'_> as usize);
     });
     merge_detections(pool, &mut ws.out.detections);
     &ws.out
 }
 
 /// Moves the members' detections into `out` in task order — the
-/// block-major order a lone walker flags in, whatever the team's width.
-/// Each member's flagged tasks ascend, so the highest task among the
-/// members' last runs is the last of all: runs are popped latest first
-/// (the pop is the cursor; nothing is allocated) and the whole reversed.
+/// block-major order a lone walker flags in — whoever ran which task,
+/// in whatever order (a member runs its own range ascending, then what
+/// it steals descending). Each member's flagged runs are sorted latest
+/// task first, in place, and the lowest task among the members' last
+/// runs is taken until none is left: the pop is the cursor, and nothing
+/// is allocated.
 fn merge_detections(pool: &mut [panels::StripeScratch], out: &mut Vec<Detection>) {
-    let last_task = |scr: &panels::StripeScratch| scr.flagged.last().map(|&(task, _)| task);
+    for scr in pool.iter_mut() {
+        scr.flagged
+            .sort_unstable_by_key(|&(task, _)| std::cmp::Reverse(task));
+    }
     while let Some(scr) = pool
         .iter_mut()
         .filter(|scr| !scr.flagged.is_empty())
-        .max_by_key(|scr| last_task(scr))
+        .min_by_key(|scr| scr.flagged.last().map(|&(task, _)| task))
     {
-        scr.flagged.pop();
-        let start = scr.flagged.last().map_or(0, |&(_, end)| end);
-        out.extend(scr.detections.drain(start..).rev());
+        let (_, run) = scr.flagged.pop().expect("a member with a flagged run");
+        out.extend_from_slice(&scr.detections[run]);
     }
-    out.reverse();
+    for scr in pool {
+        scr.detections.clear();
+    }
 }
 
 /// Global ABFT's partials as a region's tasks write them (see [`sums`]):

@@ -391,10 +391,11 @@ pub(crate) struct StripeScratch {
     /// Detections flagged by this member's tasks, in the order it ran
     /// them.
     pub(crate) detections: Vec<Detection>,
-    /// `(task, detections.len() after it)` for each task that flagged,
-    /// ascending in both: the output takes the members' runs back in
-    /// task order, which is the block-major order of a lone walker.
-    pub(crate) flagged: Vec<(usize, usize)>,
+    /// `(task, its run of detections)` for each task that flagged, in
+    /// the order the member ran them: the output takes the members' runs
+    /// back in task order, which is the block-major order of a lone
+    /// walker.
+    pub(crate) flagged: Vec<(usize, std::ops::Range<usize>)>,
 }
 
 impl StripeScratch {

@@ -377,7 +377,7 @@ fn block_parallel_stripes_are_byte_identical_to_sequential() {
 #[test]
 fn block_parallel_stripes_restage_between_column_block_tasks() {
     // SqueezeNet's conv10: three stripes by sixteen column blocks, so a
-    // task is one block and a member restages whenever the counter hands
+    // task is one block and a member restages whenever the team hands
     // it a block of another stripe. Two epilogue faults in different
     // tasks and one mid-walk fault in the last block of the last (ragged)
     // stripe flag in task order at every width, under every lane kind.
@@ -430,6 +430,117 @@ fn block_parallel_stripes_split_a_batch_1_layer_by_column_block() {
         }
         let all = at_every_team_width(&a, &b, FLAG_ALL, &[]);
         assert_eq!(all.detections.len(), 1024);
+    });
+}
+
+std::thread_local! {
+    /// Armed by [`with_slowed_caller`] on the thread that opens the run:
+    /// the size of its range, and the tasks it ran, in order.
+    static SLOWED: std::cell::RefCell<Option<(usize, Vec<usize>)>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// `(run, task)` for each task a team worker ran while a caller was
+/// slowed (`Some` then); `run` names the region (the address of its
+/// `walk::Run`).
+static WORKERS_RAN: std::sync::Mutex<Option<Vec<(usize, usize)>>> = std::sync::Mutex::new(None);
+
+/// Called by every task of [`gemm_into`] after it ran. A team worker's
+/// task is recorded in [`WORKERS_RAN`] while a caller is slowed; on the
+/// thread [`with_slowed_caller`] armed, the task is recorded and, after
+/// its first, the caller waits until a worker has run a task of its
+/// range — one it stole.
+pub(super) fn pace(task: usize, run: usize) {
+    let caller = SLOWED.with_borrow_mut(|slowed| {
+        let (range, ran) = slowed.as_mut()?;
+        ran.push(task);
+        Some((*range, ran.len()))
+    });
+    let Some((range, 1)) = caller else {
+        let worker = std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("aiga-team-"));
+        if worker && caller.is_none() {
+            if let Some(ran) = WORKERS_RAN.lock().unwrap().as_mut() {
+                ran.push((run, task));
+            }
+        }
+        return;
+    };
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let stolen = || {
+        let ran = WORKERS_RAN.lock().unwrap();
+        let ran = ran.as_ref().expect("armed by the slowed caller");
+        ran.iter().any(|&(r, t)| r == run && t < range)
+    };
+    while !stolen() && std::time::Instant::now() < deadline {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// Runs `f` with this thread — member 0 of any region it opens, whose
+/// range is `range` tasks long — held after its first task until
+/// another member has stolen from the back of its range. Returns `f`'s
+/// result and the tasks this thread ran.
+fn with_slowed_caller<R>(range: usize, f: impl FnOnce() -> R) -> (R, Vec<usize>) {
+    static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    *WORKERS_RAN.lock().unwrap() = Some(Vec::new());
+    SLOWED.set(Some((range, Vec::new())));
+    let out = f();
+    let (_, ran) = SLOWED.take().expect("armed above");
+    *WORKERS_RAN.lock().unwrap() = None;
+    (out, ran)
+}
+
+#[test]
+fn detections_stay_in_block_major_order_when_members_steal() {
+    // 1024 × 128 × 32 is sixteen whole-stripe tasks at widths 2 and 3
+    // (8.4 MFLOP seats every member). The caller is held after its
+    // first task until another member, done with its own range, has
+    // taken the tail of the caller's, back to front: the flagged tasks
+    // of a member stop ascending. Faults sit in five stripes, in both
+    // the caller's range and the others'.
+    let (m, n, k) = (1024, 128, 32);
+    let (a, b) = (Matrix::random(m, k, 76), Matrix::random(k, n, 77));
+    let packed = PackedWeights::pack(&b);
+    let faults: Vec<FaultPlan> = [(5, 3), (130, 70), (448, 127), (700, 0), (1023, 64)]
+        .into_iter()
+        .map(|(row, col)| FaultPlan {
+            row,
+            col,
+            after_step: 7,
+            kind: FaultKind::AddValue(96.0),
+        })
+        .collect();
+    let mut ws = Workspace::new();
+    on_each_path(|path| {
+        for (scheme, faults) in [
+            (FLAG_ALL, &[][..]),
+            (loose(Redundancy::ColumnChecksum), &faults[..]),
+        ] {
+            let mut run = || gemm_into(&a, &packed, scheme, faults, Dest::None, &mut ws).clone();
+            let lone = aiga_util::team::with_width(1, &mut run);
+            let flagged = lone.detections.len();
+            assert!(flagged == faults.len() || faults.is_empty(), "{flagged}");
+            for width in [2usize, 3] {
+                let range = 16 / width;
+                let (out, ran) =
+                    with_slowed_caller(range, || aiga_util::team::with_width(width, &mut run));
+                let ctx = format!(
+                    "{path:?} {:?} {} faults width {width}",
+                    scheme.lanes,
+                    faults.len()
+                );
+                assert_eq!(report(&out), report(&lone), "{ctx}");
+                // The caller ran its range's head, in order, and lost
+                // the rest of it to the others; then it may have stolen
+                // from theirs.
+                let own = ran.iter().take_while(|&&task| task < range).count();
+                assert!(own < range, "{ctx}: the caller ran {ran:?}");
+                assert_eq!(ran[..own], (0..own).collect::<Vec<_>>(), "{ctx}");
+            }
+        }
     });
 }
 
@@ -1211,7 +1322,7 @@ fn a_destination_holds_what_emitting_the_finished_output_would() {
                         let mut scalar = vec![F16::ZERO; m * n];
                         for (r, c) in (0..m).flat_map(|r| (0..n).map(move |c| (r, c))) {
                             let v = if relu {
-                                out.get(r, c).max(0.0)
+                                emit::relu(out.get(r, c))
                             } else {
                                 out.get(r, c)
                             };

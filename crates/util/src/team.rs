@@ -1,14 +1,32 @@
 //! The process-wide fork-join team: the one owner of compute threads
 //! below the serving front-end.
 //!
-//! A *region* is `tasks` calls of one closure, handed out from one
-//! atomic counter to the team's *members*: the calling thread (member 0)
-//! and up to `hardware parallelism − 1` long-lived worker threads that
-//! wait between regions. [`run_with`] opens a region, lends each member
-//! its own entry of a caller-owned slice, and returns once every task
-//! has run and every member has left it. A region allocates nothing,
-//! and a task's panic resurfaces on the caller after the region has
-//! drained.
+//! A *region* is `tasks` calls of one closure, spread over the team's
+//! *members*: the calling thread (member 0) and up to `hardware
+//! parallelism − 1` long-lived worker threads that wait between
+//! regions. [`run_with`] opens a region, lends each member its own entry
+//! of a caller-owned slice, and returns once every task has run and
+//! every member has left it. A region allocates nothing, and a task's
+//! panic resurfaces on the caller after the region has drained.
+//!
+//! # Who runs which task
+//!
+//! Member `i` of `members` owns the contiguous range of tasks
+//! `[i·count/members, (i+1)·count/members)` and claims it from the
+//! front, one task at a time. A member whose range is empty steals
+//! single tasks from the back of the fullest other range, until every
+//! range is empty. Each range is one packed front/back word, moved by
+//! compare-and-swap from either end, so a task is claimed once. This is
+//! the one claiming rule of every region (engine stripes and blocks,
+//! pooling planes, `par_map`). Its point is locality: consecutive
+//! regions over the same rows give a member the same rows, so the
+//! member that wrote rows `[a, b)` of an activation usually reads them
+//! next, from its own cache. A counter shared by all members deals
+//! neighbouring tasks to alternating members instead, and each then
+//! reads lines the other core wrote (SqueezeNet-224: A staging 5.0 and
+//! write-back 3.9 member-ms a pass on two members under the counter,
+//! 3.0 and 2.1–2.7 on one). Stealing from the back keeps a slowed or
+//! late member from holding the region: the others take its tail.
 //!
 //! # The inline rule
 //!
@@ -153,14 +171,81 @@ type Tasks<'a> = dyn Fn(usize, usize) + Sync + 'a;
 #[derive(Clone, Copy)]
 struct Job {
     tasks: *const Tasks<'static>,
-    count: usize,
+    /// The members' ranges, `members` of them (`Lead::ranges`).
+    ranges: *const Range,
     members: usize,
 }
 
-/// A value on its own cache lines, so the task counter every member
-/// hammers and the region word every waiter polls do not share one.
+/// A value on its own cache lines, so the range words the members
+/// claim from and the region word every waiter polls do not share one.
 #[repr(align(128))]
 struct Padded<T>(T);
+
+/// One member's unclaimed tasks `[front, back)`, packed into one word
+/// (front in the low half) so the owner's claim at the front and a
+/// thief's at the back are each one compare-and-swap of the same word.
+/// `front` only rises and `back` only falls, so no value of the word
+/// repeats within a region.
+type Range = Padded<AtomicU64>;
+
+fn pack(front: usize, back: usize) -> u64 {
+    front as u64 | (back as u64) << 32
+}
+
+fn unpack(word: u64) -> (usize, usize) {
+    ((word & u64::from(u32::MAX)) as usize, (word >> 32) as usize)
+}
+
+/// Tasks left in a range word.
+fn left(word: u64) -> usize {
+    let (front, back) = unpack(word);
+    back.saturating_sub(front)
+}
+
+/// Claims the next task at the front of `range` (`None` once empty).
+fn claim_front(range: &Range) -> Option<usize> {
+    // Relaxed: the words only hand out indices; what a task reads was
+    // published by the `open` store, which also published the words.
+    let mut word = range.0.load(Ordering::Relaxed);
+    loop {
+        let (front, back) = unpack(word);
+        if front >= back {
+            return None;
+        }
+        match range.0.compare_exchange_weak(
+            word,
+            pack(front + 1, back),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => return Some(front),
+            Err(now) => word = now,
+        }
+    }
+}
+
+/// Steals the last task of the fullest range in `ranges` (`None` once
+/// every range is empty).
+fn steal(ranges: &[Range]) -> Option<usize> {
+    loop {
+        let (victim, word) = ranges
+            .iter()
+            .map(|range| (range, range.0.load(Ordering::Relaxed)))
+            .max_by_key(|&(_, word)| left(word))?;
+        if left(word) == 0 {
+            return None;
+        }
+        let (front, back) = unpack(word);
+        let stolen = pack(front, back - 1);
+        let swapped =
+            victim
+                .0
+                .compare_exchange_weak(word, stolen, Ordering::Relaxed, Ordering::Relaxed);
+        if swapped.is_ok() {
+            return Some(back - 1);
+        }
+    }
+}
 
 /// One worker thread, as the team's holder sees it.
 struct Worker {
@@ -173,6 +258,9 @@ struct Worker {
 /// What only the thread holding the team touches.
 struct Lead {
     workers: Vec<Worker>,
+    /// One range per member (the caller's first), read by the members
+    /// of the open region through its job; resized only between regions.
+    ranges: Vec<Range>,
     /// Regions opened so far; a region's number is never 0.
     regions: u64,
 }
@@ -181,8 +269,6 @@ struct Team {
     lead: Mutex<Lead>,
     /// The open region's number, 0 between regions.
     open: Padded<AtomicU64>,
-    /// The next task of the open region.
-    next: Padded<AtomicUsize>,
     /// Workers inside the open region (or checking whether it still is).
     inside: Padded<AtomicUsize>,
     /// The open region's job (`None` until the first region).
@@ -194,22 +280,23 @@ struct Team {
     started: AtomicUsize,
 }
 
-// SAFETY: every field but `job` is `Sync` by itself. `job` is read only
-// by a worker that raised `inside` and *then* found `open` still at the
-// region it read it for (see `worker_loop`), and the holder's close
-// stores `open = 0` and then waits for `inside` to drain. It is written
-// only by the thread holding `lead`, between that wait and the next
-// `open` store: every worker that passed the check has left, and none
-// passes it again before it sees the store that follows the write.
+// SAFETY: every field but `job` is `Sync` by itself. `job` (and the
+// ranges it points to) is read only by a worker that raised `inside`
+// and *then* found `open` still at the region it read it for (see
+// `worker_loop`), and the holder's close stores `open = 0` and then
+// waits for `inside` to drain. It is written (and `Lead::ranges`
+// resized) only by the thread holding `lead`, between that wait and the
+// next `open` store: every worker that passed the check has left, and
+// none passes it again before it sees the store that follows the write.
 unsafe impl Sync for Team {}
 
 static TEAM: Team = Team {
     lead: Mutex::new(Lead {
         workers: Vec::new(),
+        ranges: Vec::new(),
         regions: 0,
     }),
     open: Padded(AtomicU64::new(0)),
-    next: Padded(AtomicUsize::new(0)),
     inside: Padded(AtomicUsize::new(0)),
     job: UnsafeCell::new(None),
     panic: Mutex::new(None),
@@ -240,19 +327,22 @@ fn poll<T>(give_up: bool, mut ready: impl FnMut() -> Option<T>) -> Option<T> {
     }
 }
 
-/// Claims and runs tasks of the open region until none is left.
+/// Runs `member`'s range of the open region from the front, then
+/// steals from the back of the others' until every range is empty.
 fn work(member: usize, job: Job) {
     // SAFETY: `job` is the open region's (see `Team`'s `Sync` note), so
-    // the closure outlives this call: `run_on` does not return before
-    // every member has left the region.
-    let tasks = unsafe { &*job.tasks };
-    loop {
-        // Relaxed: the counter only hands out indices; what a task reads
-        // was published by the `open` store.
-        let task = TEAM.next.0.fetch_add(1, Ordering::Relaxed);
-        if task >= job.count {
-            return;
-        }
+    // the closure and the ranges outlive this call: `run_on` does not
+    // return, nor the ranges move, before every member has left.
+    let (tasks, ranges) = unsafe {
+        (
+            &*job.tasks,
+            std::slice::from_raw_parts(job.ranges, job.members),
+        )
+    };
+    while let Some(task) = claim_front(&ranges[member]) {
+        tasks(member, task);
+    }
+    while let Some(task) = steal(ranges) {
         tasks(member, task);
     }
 }
@@ -313,8 +403,13 @@ fn worker_loop(member: usize, parked: &'static AtomicBool) {
 }
 
 impl Lead {
-    /// Starts workers until there are `want` of them.
+    /// Starts workers until there are `want` of them, and keeps a range
+    /// for each member.
     fn grow(&mut self, want: usize) {
+        if self.ranges.len() < want + 1 {
+            self.ranges
+                .resize_with(want + 1, || Padded(AtomicU64::new(0)));
+        }
         while self.workers.len() < want {
             let member = self.workers.len() + 1;
             let parked: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
@@ -364,21 +459,30 @@ fn run_on(max_members: usize, count: usize, tasks: &Tasks<'_>) {
     let Some(mut lead) = lead else {
         return (0..count).for_each(|task| tasks(0, task));
     };
+    assert!(
+        count <= u32::MAX as usize,
+        "a range word holds 32-bit task indices"
+    );
     lead.grow(members - 1);
     lead.regions += 1;
     let region = lead.regions;
+    for (i, range) in lead.ranges[..members].iter().enumerate() {
+        let word = pack(i * count / members, (i + 1) * count / members);
+        range.0.store(word, Ordering::Relaxed);
+    }
     let job = Job {
         // SAFETY: the lifetime is erased only until this function
         // returns, which it does not before every member has left the
         // region.
         tasks: unsafe { std::mem::transmute::<*const Tasks<'_>, *const Tasks<'static>>(tasks) },
-        count,
+        ranges: lead.ranges.as_ptr(),
         members,
     };
     // SAFETY: this thread holds `lead` and no region is open (the last
     // one's close waited for its members), so nothing reads the job.
     unsafe { *TEAM.job.get() = Some(job) };
-    TEAM.next.0.store(0, Ordering::Relaxed);
+    // Publishes the job and the range words to every member that sees
+    // the region open.
     TEAM.open.0.store(region, Ordering::SeqCst);
     for worker in &lead.workers[..members - 1] {
         if worker.parked.load(Ordering::SeqCst) {

@@ -193,3 +193,40 @@ fn a_task_panic_surfaces_after_the_region_drained_and_the_team_survives() {
         assert_eq!(arrived.load(Ordering::SeqCst), 3);
     }
 }
+
+#[test]
+fn a_member_runs_its_range_from_the_front_and_steals_from_the_back() {
+    // Two members, 64 tasks: the caller owns 0..32, the worker 32..64.
+    // The caller is held after its first task until the worker, done
+    // with its own range, has stolen from the back of the caller's; then
+    // the two meet in the middle of it.
+    let caller = here();
+    let ran = std::sync::Mutex::new(Vec::new());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    team::with_width(2, || {
+        team::run_with(&mut [(), ()], 64, &|_, task| {
+            ran.lock().unwrap().push((here(), task));
+            if here() == caller && task == 0 {
+                let stolen = || {
+                    ran.lock()
+                        .unwrap()
+                        .iter()
+                        .any(|&(t, task)| t != caller && task < 32)
+                };
+                while !stolen() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        });
+    });
+    let ran = ran.into_inner().unwrap();
+    let of = |mine: bool| -> Vec<usize> {
+        let tasks = ran.iter().filter(|&&(t, _)| (t == caller) == mine);
+        tasks.map(|&(_, task)| task).collect()
+    };
+    let (front, back) = (of(true), of(false));
+    let met = front.len();
+    assert!((1..32).contains(&met), "the caller ran {front:?}");
+    assert_eq!(front, (0..met).collect::<Vec<_>>());
+    assert_eq!(back, (32..64).chain((met..32).rev()).collect::<Vec<_>>());
+}

@@ -51,7 +51,13 @@ pub fn writeback_oracle(
         for co in 0..c_out {
             for s in 0..spatial {
                 let v = c[(n * spatial + s) * c_out + co];
-                let v = if relu { v.max(0.0) } else { v };
+                // Spelled out: `v.max(0.0)` keeps −0.0 in a debug build
+                // and gives +0.0 in a release one.
+                let v = match relu {
+                    true if v >= 0.0 => v,
+                    true => 0.0,
+                    false => v,
+                };
                 slot.push(F16::from_bits(dt.encode(v)));
             }
         }
