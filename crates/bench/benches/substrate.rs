@@ -247,6 +247,7 @@ fn team_shape_rows(rec: &mut Recorder) {
                     dtype: Dtype::F16,
                     spatial: m,
                     relu: true,
+                    stride: m * n,
                 },
             };
             let t = std::time::Instant::now();

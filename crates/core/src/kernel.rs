@@ -240,11 +240,14 @@ impl BoundGemm {
     /// `faults`, entirely inside `ws`. The (possibly corrupted) output —
     /// including per-tile detections for thread-level schemes — is left
     /// in `ws` for the caller to read; the returned [`Verdict`] is the
-    /// scheme's overall judgement. `dest` is where the engine's tasks
-    /// also hand the cells as they compute them (see
-    /// [`engine::gemm_into`]; [`Dest::None`] for nowhere): the cells of
-    /// this run, so a caller that goes on to [`Self::correct_into`]
-    /// re-emits what the repair rewrote.
+    /// scheme's overall judgement. `dest` is where the cells go (see
+    /// [`engine::gemm_into`]): [`Dest::None`] keeps the f32 output, which
+    /// [`Self::correct_into`] repairs, so a caller that may repair runs
+    /// with it; with [`Dest::Codes`] the engine's tasks write the codes
+    /// instead and the f32 output stays empty — but for multi-checksum,
+    /// whose rounds read the output back: it runs with [`Dest::None`]
+    /// and fills the codes after its check ([`Dest::encode`]), the same
+    /// codes.
     pub fn run_into(
         &self,
         activations: MatrixView<'_>,
@@ -252,8 +255,12 @@ impl BoundGemm {
         dest: Dest<'_>,
         ws: &mut Workspace,
     ) -> Verdict {
+        let (dest, after) = match self.check {
+            Check::MultiChecksum(_) => (Dest::None, dest),
+            _ => (dest, Dest::None),
+        };
         let output = engine::gemm_into(activations, &self.weights, self.tile, faults, dest, ws);
-        match &self.check {
+        let verdict = match &self.check {
             Check::Tile => match output.detections.first() {
                 Some(d) => Verdict::Detected {
                     residual: d.residual,
@@ -268,21 +275,18 @@ impl BoundGemm {
                 let (output, sums) = ws.output_and_check();
                 verdict_from_global(abft.check(sums, output.m, output.n))
             }
-            Check::MultiChecksum(abft) => {
-                // Walk the rounds directly (no collected MultiVerdict) so
-                // the hot path honors the zero-allocation contract.
-                for r in 0..abft.rounds() {
-                    let v = abft.verify_round(activations, output, r);
-                    if v.fault_detected {
-                        return Verdict::Detected {
-                            residual: v.residual,
-                            threshold: v.threshold,
-                        };
-                    }
-                }
-                Verdict::Clean
-            }
-        }
+            // Walk the rounds directly (no collected MultiVerdict) so the
+            // hot path honors the zero-allocation contract.
+            Check::MultiChecksum(abft) => (0..abft.rounds())
+                .map(|r| abft.verify_round(activations, output, r))
+                .find(|v| v.fault_detected)
+                .map_or(Verdict::Clean, |v| Verdict::Detected {
+                    residual: v.residual,
+                    threshold: v.threshold,
+                }),
+        };
+        after.encode(ws.output());
+        verdict
     }
 
     /// Attempts to localize and repair the fault behind a `Detected`

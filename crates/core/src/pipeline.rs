@@ -29,13 +29,15 @@
 //! and block tasks there — because the paper selects a scheme *per
 //! layer GEMM*, so the GEMM is the unit that owns the cores — and a
 //! conv's tasks also write their blocks of the stage's slot (the NCHW
-//! transpose, fused ReLU, encode) as they finish them; a pooling stage
-//! large enough spreads its planes the same way (`pool_members`). An
-//! fc's write-back (a straight encode), concat, slice, gather, add and
-//! the interaction are copies and a few thousand flops, and stay on the
-//! calling thread. Running independent branches
-//! (a Fire module's 1×1/3×3 expand pair) side by side instead measured
-//! slower than this loop: the pair shares `m` and `n` with `k = s`
+//! transpose, fused ReLU, encode) as they finish them — the output's
+//! only copy, and for a Fire module's expands straight into their
+//! concat's value, so that concat runs as no stage (`concat_places`); a
+//! pooling stage large enough spreads its planes the same way
+//! (`pool_members`). An fc's write-back (a straight encode), any other
+//! concat, slice, gather, add and the interaction are copies and a few
+//! thousand flops, and stay on the calling thread. Running independent
+//! branches (a Fire module's 1×1/3×3 expand pair) side by side instead
+//! measured slower than this loop: the pair shares `m` and `n` with `k = s`
 //! against `9s`, so overlapping them caps at 1.11×, and it took the
 //! stripe fan-out away from the 3×3, the layer large enough to use it.
 //!
@@ -170,7 +172,8 @@ pub struct StageTimes {
     pub pool_ns: u64,
     /// Embedding gathers and the pairwise interaction.
     pub gather_ns: u64,
-    /// Concat, slice and residual add.
+    /// Concat, slice and residual add. A concat its producers write in
+    /// place (a Fire module's) runs as no stage and adds nothing here.
     pub other_ns: u64,
 }
 
@@ -254,8 +257,17 @@ struct Stage {
     name: String,
     op: StageOp,
     srcs: Vec<Src>,
-    /// Flattened per-image output width.
+    /// Flattened per-image width of the value this stage writes: its
+    /// own, or for a conv that writes its channels into a concat's
+    /// value ([`concat_places`]) the concat's.
     out_features: usize,
+    /// Codes of each image of that value before this stage's first: a
+    /// conv's channel offset in the concat it writes into, times its
+    /// pixels; 0 for every other stage.
+    offset: usize,
+    /// For a conv that writes into a concat's value after the concat's
+    /// first producer has: that producer's stage, whose slot it shares.
+    joins: Option<usize>,
     /// Physical workspace slot this stage writes (assigned by
     /// [`assign_slots`]; slots are reused once every consumer has run).
     out_slot: usize,
@@ -289,8 +301,12 @@ impl Stage {
 /// footprint) instead of one resident activation per stage; branchy
 /// graphs keep exactly the values that are still live. A stage's
 /// output slot is always allocated *before* its sources are freed, so
-/// a stage never reads and writes the same slot. Returns the number of
-/// physical slots needed.
+/// a stage never reads and writes the same slot. A concat written in
+/// place is its first producer's value (its readers name that stage),
+/// so that stage's slot lives until the concat's last reader; a later
+/// producer ([`Stage::joins`]) writes its channels into the same slot,
+/// which none of its own sources can hold — they are live while the
+/// slot is. Returns the number of physical slots needed.
 fn assign_slots(stages: &mut [Stage]) -> usize {
     // Last stage that reads each stage's output (0 = never read:
     // consumers are strictly later than their producers).
@@ -311,11 +327,18 @@ fn assign_slots(stages: &mut [Stage]) -> usize {
                 *src = Src::Stage(phys_of[*j]);
             }
         }
-        let slot = free.pop().unwrap_or_else(|| {
-            count += 1;
-            count - 1
-        });
-        phys_of[si] = slot;
+        let slot = match stages[si].joins {
+            Some(owner) => phys_of[owner],
+            None => {
+                let slot = free.pop().unwrap_or_else(|| {
+                    count += 1;
+                    count - 1
+                });
+                phys_of[si] = slot;
+                slot
+            }
+        };
+        assert_ne!(slot, usize::MAX, "a concat's slot outlives its producers");
         stages[si].out_slot = slot;
         // Free every value whose last consumer was this stage.
         for j in 0..si {
@@ -326,6 +349,61 @@ fn assign_slots(stages: &mut [Stage]) -> usize {
         }
     }
     count
+}
+
+/// The convs that write their channels straight into a concat's value,
+/// per node: `(concat node, codes of each image before the conv's
+/// first)`. A concat qualifies — and then runs as no stage, like a
+/// flatten — when every input is a conv that nothing else reads and a
+/// stage follows it (the last stage's value is the reply, which a
+/// concat stage writes). A Fire module's expands are such convs; a
+/// concat of anything else keeps its copy.
+fn concat_places(net: &Network) -> Vec<Option<(usize, usize)>> {
+    let mut readers = vec![0usize; net.nodes.len()];
+    for r in net.nodes.iter().flat_map(|node| &node.inputs) {
+        if let NodeRef::Node(j) = *r {
+            readers[j] += 1;
+        }
+    }
+    let mut places = vec![None; net.nodes.len()];
+    for (ci, node) in net.nodes.iter().enumerate() {
+        let only_reader_of_a_conv = |r: &NodeRef| match *r {
+            NodeRef::Node(j) => readers[j] == 1 && matches!(net.nodes[j].op, NodeOp::Conv { .. }),
+            NodeRef::Input => false,
+        };
+        let followed = net.nodes[ci + 1..]
+            .iter()
+            .any(|n| !matches!(n.op, NodeOp::Flatten));
+        if !matches!(node.op, NodeOp::Concat)
+            || !followed
+            || !node.inputs.iter().all(only_reader_of_a_conv)
+        {
+            continue;
+        }
+        let mut offset = 0;
+        for &r in &node.inputs {
+            if let NodeRef::Node(j) = r {
+                places[j] = Some((ci, offset));
+            }
+            let (c, h, w) = net.dims_of(r);
+            offset += c * h * w;
+        }
+    }
+    places
+}
+
+/// Shapes `slot` for a `rows × cols` value of `dtype` and returns that
+/// value's codes: the first `rows · cols` of the slot's buffer (what
+/// `Workspace::slot` reads), which grows only past the longest value it
+/// has held, so a pass refills no code (every stage writes each of its
+/// codes).
+fn fit(slot: &mut Matrix, rows: usize, cols: usize, dtype: Dtype) -> &mut [F16] {
+    let len = rows * cols;
+    if slot.data.len() < len {
+        slot.data.resize(len, F16::ZERO);
+    }
+    (slot.rows, slot.cols, slot.dtype) = (rows, cols, dtype);
+    &mut slot.data[..len]
 }
 
 /// A protected inference pipeline over GEMM and epilogue stages. A
@@ -376,6 +454,9 @@ impl ProtectedPipeline {
             }
             m.with_dtype(dtype)
         };
+        let places = concat_places(net);
+        // Per concat written in place: the stage of its first producer.
+        let mut owners: Vec<Option<usize>> = vec![None; net.nodes.len()];
         let mut node_src: Vec<Src> = Vec::with_capacity(net.nodes.len());
         let mut stages: Vec<Stage> = Vec::new();
         let mut next_layer = 0usize;
@@ -389,7 +470,7 @@ impl ProtectedPipeline {
                 layer,
             })
         };
-        for node in &net.nodes {
+        for (ni, node) in net.nodes.iter().enumerate() {
             let srcs: Vec<Src> = node
                 .inputs
                 .iter()
@@ -399,6 +480,11 @@ impl ProtectedPipeline {
                 })
                 .collect();
             let out_features = node.out_dims.0 * node.out_dims.1 * node.out_dims.2;
+            if let Some(owner) = owners[ni] {
+                // A concat its producers wrote into the first one's slot.
+                node_src.push(Src::Stage(owner));
+                continue;
+            }
             let op = match &node.op {
                 // Flatten is zero-copy: the NCHW slot layout is already
                 // flat per image, so the node aliases its input.
@@ -460,11 +546,22 @@ impl ProtectedPipeline {
                     }
                 }
             };
+            let (out_features, offset, joins) = match places[ni] {
+                Some((concat, offset)) => {
+                    let joins = owners[concat];
+                    owners[concat].get_or_insert(stages.len());
+                    let (c, h, w) = net.nodes[concat].out_dims;
+                    (c * h * w, offset, joins)
+                }
+                None => (out_features, 0, None),
+            };
             stages.push(Stage {
                 name: node.name.clone(),
                 op,
                 srcs,
                 out_features,
+                offset,
+                joins,
                 out_slot: 0,
             });
             node_src.push(Src::Stage(stages.len() - 1));
@@ -647,15 +744,18 @@ impl ProtectedPipeline {
         // source's slot) — while the engine works in the child
         // workspace.
         let mut dst = ws.take_slot(stage.out_slot);
-        let (slots, child) = ws.slots_and_child();
-        let src = match stage.srcs[0] {
-            Src::Input => input,
-            Src::Stage(j) => &slots[j],
-        };
+        let (held, child) = ws.slot_and_child(match stage.srcs[0] {
+            Src::Input => None,
+            Src::Stage(j) => Some(j),
+        });
+        let src = held.unwrap_or_else(|| input.view());
         // The final stage's output is read raw off the workspace.
         let is_last = si + 1 == self.stages.len();
-        let encoded = (!is_last).then_some(&mut dst);
-        let verdict = self.run_gemm(stage, src, fault, child, encoded);
+        let codes = (!is_last).then(|| {
+            let value = fit(&mut dst, src.rows, stage.out_features, self.dtype);
+            &mut value[stage.offset..]
+        });
+        let verdict = self.run_gemm(stage, src, fault, child, codes);
         record_gemm_outcome(g, &stage.name, child.output(), verdict, report);
         if is_last {
             // The final output stays raw f32 (ReLU only if the layer
@@ -676,37 +776,40 @@ impl ProtectedPipeline {
     /// implicit-GEMM lowering of the NCHW slot (the engine's A-panel
     /// staging gathers straight from it,
     /// so the lowered matrix never exists; padding taps are the zero
-    /// code in every dtype). `dst`, when given, receives the encoded
-    /// output with the ReLU epilogue fused into the down-conversion: a
-    /// conv's from the engine's tasks, block by block as they finish
-    /// each one (`Dest::Codes`); an fc's as one loop after the walk. In
-    /// recovery mode a detected fault is repaired in place, and — the
-    /// repair having rewritten cells after the walk emitted them — the
-    /// stage is emitted (again) from the repaired output, through the
-    /// same body.
+    /// code in every dtype). `codes`, when given, receives the encoded
+    /// output with the ReLU epilogue fused into the down-conversion — a
+    /// conv's at the stage's image stride, so an expand lands in its
+    /// concat's channels — and the run then keeps no f32 copy of it: a
+    /// conv's codes come from the engine's tasks, block by block as they
+    /// finish each one (`Dest::Codes`), and an fc's from one loop after
+    /// the walk. The f32 output is asked for only where it is read: by
+    /// the final stage, by a multi-checksum check (`BoundGemm::run_into`
+    /// fills the codes after it), and in recovery mode, where a detected
+    /// fault is repaired in the f32 cells and every stage's codes are
+    /// encoded after the walk (and the repair), through the same body.
     fn run_gemm(
         &self,
         stage: &Stage,
-        src: &Matrix,
+        src: MatrixView<'_>,
         fault: Option<PipelineFault>,
         ws: &mut Workspace,
-        mut dst: Option<&mut Matrix>,
+        codes: Option<&mut [F16]>,
     ) -> Verdict {
         let g = stage.gemm().expect("GEMM stage");
         let a = match g.lowering {
-            None => src.view(),
-            Some(view) => MatrixView::im2col_lowered(src.rows, view, &src.data, self.dtype),
+            None => src,
+            Some(view) => MatrixView::im2col_lowered(src.rows, view, src.data, self.dtype),
         };
         let layer_fault = fault.and_then(|f| (f.layer == g.layer).then_some(f.fault));
         let faults = layer_fault.as_slice();
         let (dtype, layout) = (self.dtype, g.layout());
-        if let Some(dst) = dst.as_deref_mut() {
-            dst.rows = src.rows;
-            dst.cols = stage.out_features;
-            dst.dtype = dtype;
-            // Sized once, written by index: every code is overwritten.
-            dst.data.resize(src.rows * stage.out_features, F16::ZERO);
-        }
+        let conv = |codes, spatial| Dest::Codes {
+            codes,
+            dtype,
+            spatial,
+            relu: layout.relu,
+            stride: stage.out_features,
+        };
         // Who writes the slot. A conv's write-back is a transpose, bound
         // by strided stores, and sharing it among the engine's tasks is
         // worth 1.07–1.13× of a SqueezeNet pass. An fc's is a straight
@@ -715,24 +818,20 @@ impl ProtectedPipeline {
         // interleaved rounds, ahead in 2 and 4) — the slot's lines end up
         // spread over both caches for the checksum and the staging that
         // read it next — so it stays a loop on the caller, after the
-        // walk.
-        let dest = match (dst.as_deref_mut(), layout.conv_spatial) {
-            (Some(dst), Some(spatial)) => Dest::Codes {
-                codes: &mut dst.data,
-                dtype,
-                spatial,
-                relu: layout.relu,
-            },
-            _ => Dest::None,
+        // walk. In recovery mode a conv's codes come after the walk too:
+        // a repair rewrites the f32 cells.
+        let (dest, after) = match (codes, layout.conv_spatial) {
+            (Some(codes), Some(spatial)) if !self.recovery => (conv(codes, spatial), None),
+            (codes, _) => (Dest::None, codes),
         };
-        let mut emitted = matches!(dest, Dest::Codes { .. });
         let mut verdict = g.bound.run_into(a, faults, dest, ws);
         if self.recovery && verdict.is_detected() {
             verdict = g.bound.correct_into(a, ws, verdict);
-            emitted = false;
         }
-        if let Some(dst) = dst.filter(|_| !emitted) {
-            encode_output(ws.output(), layout, dtype, &mut dst.data);
+        match (after, layout.conv_spatial) {
+            (Some(codes), Some(spatial)) => conv(codes, spatial).encode(ws.output()),
+            (Some(codes), None) => encode_output(ws.output(), layout, dtype, codes),
+            (None, _) => {}
         }
         verdict
     }
@@ -755,14 +854,12 @@ impl ProtectedPipeline {
         let rows = input.rows;
         let mut dst = ws.take_slot(stage.out_slot);
         let mut glue = ws.take_glue();
-        dst.rows = rows;
-        dst.cols = stage.out_features;
-        dst.dtype = dt;
-        dst.data.clear();
+        // Every stage below writes each of these codes.
+        let out = fit(&mut dst, rows, stage.out_features, dt);
         {
-            let get = |r: Src| -> &Matrix {
+            let get = |r: Src| -> MatrixView<'_> {
                 match r {
-                    Src::Input => input,
+                    Src::Input => input.view(),
                     Src::Stage(j) => ws.slot(j),
                 }
             };
@@ -770,8 +867,6 @@ impl ProtectedPipeline {
                 StageOp::Pool { params, in_dims } => {
                     let (src, (_, h, w)) = (get(stage.srcs[0]), *in_dims);
                     let per_plane = params.out_extent(h) * params.out_extent(w);
-                    // Every code is overwritten.
-                    dst.data.resize(rows * stage.out_features, F16::ZERO);
                     let scratch = sized(
                         &mut glue,
                         pool_members(src.data.len()),
@@ -779,7 +874,7 @@ impl ProtectedPipeline {
                     );
                     let chunk = POOL_PLANES_PER_TASK * per_plane;
                     let path = simd::active_path();
-                    team::run_chunks(scratch, &mut dst.data, chunk, &|scratch, task, out| {
+                    team::run_chunks(scratch, out, chunk, &|scratch, task, out| {
                         let first = task * POOL_PLANES_PER_TASK * h * w;
                         let codes = &src.data[first..][..out.len() / per_plane * h * w];
                         pool_planes(codes, dt, (h, w), params, out, scratch, path);
@@ -787,23 +882,23 @@ impl ProtectedPipeline {
                 }
                 StageOp::GlobalAvgPool { in_dims } => {
                     let (src, hw) = (get(stage.srcs[0]), in_dims.1 * in_dims.2);
-                    dst.data.resize(rows * stage.out_features, F16::ZERO);
                     let scratch = sized(
                         &mut glue,
                         pool_members(src.data.len()),
                         hw + POOL_PLANES_PER_TASK,
                     );
                     let chunk = POOL_PLANES_PER_TASK;
-                    team::run_chunks(scratch, &mut dst.data, chunk, &|scratch, task, out| {
+                    team::run_chunks(scratch, out, chunk, &|scratch, task, out| {
                         let codes = &src.data[task * chunk * hw..][..out.len() * hw];
                         global_avg_planes(codes, dt, hw, out, scratch);
                     });
                 }
                 StageOp::Concat { part_features } => {
+                    let mut at = 0;
                     for n in 0..rows {
                         for (&r, &f) in stage.srcs.iter().zip(part_features) {
-                            let src = get(r);
-                            dst.data.extend_from_slice(&src.data[n * f..(n + 1) * f]);
+                            out[at..at + f].copy_from_slice(&get(r).data[n * f..][..f]);
+                            at += f;
                         }
                     }
                 }
@@ -811,35 +906,33 @@ impl ProtectedPipeline {
                     let (a, b) = (get(stage.srcs[0]), get(stage.srcs[1]));
                     let n = a.data.len();
                     let (sum, rhs) = sized(&mut glue, 1, 2 * n)[0][..2 * n].split_at_mut(n);
-                    dt.decode_slice(&a.data, sum);
-                    dt.decode_slice(&b.data, rhs);
+                    dt.decode_slice(a.data, sum);
+                    dt.decode_slice(b.data, rhs);
                     for (x, y) in sum.iter_mut().zip(rhs.iter()) {
                         *x = if *relu { emit::relu(*x + y) } else { *x + y };
                     }
-                    dst.data.resize(n, F16::ZERO);
-                    dt.encode_slice(sum, &mut dst.data);
+                    dt.encode_slice(sum, out);
                 }
                 StageOp::Slice { offset } => {
                     let src = get(stage.srcs[0]);
                     let f = src.cols;
-                    for n in 0..rows {
-                        dst.data.extend_from_slice(
-                            &src.data[n * f + offset..n * f + offset + stage.out_features],
-                        );
+                    for (n, out) in out.chunks_exact_mut(stage.out_features).enumerate() {
+                        out.copy_from_slice(&src.data[n * f + offset..][..stage.out_features]);
                     }
                 }
                 StageOp::EmbeddingBag { tables } => {
                     let src = get(stage.srcs[0]);
                     let t_count = tables.len();
+                    let mut at = 0;
                     for n in 0..rows {
                         for (t, table) in tables.iter().enumerate() {
                             let idx = embedding_index(
                                 dt.decode(src.data[n * t_count + t].to_bits()),
                                 table.rows,
                             );
-                            dst.data.extend_from_slice(
-                                &table.data[idx * table.cols..(idx + 1) * table.cols],
-                            );
+                            out[at..at + table.cols]
+                                .copy_from_slice(&table.data[idx * table.cols..][..table.cols]);
+                            at += table.cols;
                         }
                     }
                 }
@@ -851,8 +944,7 @@ impl ProtectedPipeline {
                     // inputs, decoded once — then its pair products.
                     let scratch = &mut sized(&mut glue, 1, total + pairs)[0];
                     let (vectors, dots) = scratch[..total + pairs].split_at_mut(total);
-                    dst.data.resize(rows * stage.out_features, F16::ZERO);
-                    for (n, out) in dst.data.chunks_exact_mut(stage.out_features).enumerate() {
+                    for (n, out) in out.chunks_exact_mut(stage.out_features).enumerate() {
                         let mut at = 0;
                         for (&r, &pf) in stage.srcs.iter().zip(part_features) {
                             let codes = &get(r).data[n * pf..(n + 1) * pf];
@@ -871,8 +963,8 @@ impl ProtectedPipeline {
             }
         }
         if is_last {
-            final_output.resize(dst.data.len(), 0.0);
-            dt.decode_slice(&dst.data, final_output);
+            final_output.resize(out.len(), 0.0);
+            dt.decode_slice(out, final_output);
         }
         ws.put_glue(glue);
         ws.put_slot(stage.out_slot, dst);
@@ -1327,12 +1419,16 @@ pub(crate) mod tests {
             let chain = uniform(&zoo::dlrm_mlp_bottom(8), Scheme::GlobalAbft, 1);
             assert_eq!(chain.slot_count, 2);
             // Branchy graphs keep only the values that are still live:
-            // SqueezeNet's 34 stages need three slots (a Fire module
-            // holds its squeeze output and both expands, and the concat
-            // takes over the squeeze's; the count may only fall).
+            // SqueezeNet's stages need two slots (a Fire module holds
+            // its squeeze output and the concat both expands write in
+            // place; the count may only fall).
             let net = zoo::squeezenet_net(1, 32, 32, 3);
             let p = ProtectedPipeline::compile(&net, &vec![Scheme::GlobalAbft; net.gemm_count()]);
-            assert_eq!(p.slot_count, 3, "fire modules should recycle dead slots");
+            assert_eq!(p.slot_count, 2, "fire modules should recycle dead slots");
+            assert!(p
+                .stages
+                .iter()
+                .all(|s| !matches!(s.op, StageOp::Concat { .. })));
             // A stage never reads the physical slot it writes.
             for s in &p.stages {
                 for src in &s.srcs {
@@ -1541,6 +1637,40 @@ pub(crate) mod tests {
             assert_eq!(b.detections[0].layer, target);
             assert_eq!(a.detections[0].name, b.detections[0].name);
             assert_eq!(bits(&a.output), bits(&b.output));
+        }
+
+        #[test]
+        fn a_warm_pass_holds_no_f32_output_but_for_what_it_reads() {
+            // Every conv of SqueezeNet hands its cells to the next stage
+            // as codes only, and its last stage is a pool: a warm pass
+            // leaves no f32 output in the workspace under any scheme
+            // whose check reads none. Multi-checksum reads it, and so
+            // does a repair: those keep one, the largest conv's.
+            let net = zoo::squeezenet_v11_net(1, 32, 32, 3);
+            let input = input(1, net.input_features());
+            let layers = net.to_model().layers;
+            let largest = layers.iter().map(|l| l.shape.m * l.shape.n).max();
+            let largest = largest.expect("convs") as usize;
+            for (scheme, recovery, reads) in [
+                (Scheme::Unprotected, false, false),
+                (Scheme::ThreadLevelOneSided, false, false),
+                (Scheme::ThreadLevelTwoSided, false, false),
+                (Scheme::GlobalAbft, false, false),
+                (Scheme::ReplicationTraditional, false, false),
+                (Scheme::MultiChecksum(2), false, true),
+                (Scheme::GlobalAbft, true, true),
+            ] {
+                let schemes = vec![scheme; net.gemm_count()];
+                let p = ProtectedPipeline::compile(&net, &schemes).with_recovery(recovery);
+                let mut ws = Workspace::new();
+                for _ in 0..2 {
+                    p.infer_into(&input, None, &mut ws);
+                }
+                let held = ws.slot_and_child(None).1.output().c.capacity();
+                let what = format!("{scheme} recovery {recovery}: {held} f32");
+                assert_eq!(held >= largest, reads, "{what}");
+                assert_eq!(held == 0, !reads, "{what}");
+            }
         }
 
         #[test]

@@ -6,13 +6,19 @@
 //! NCHW, with the layer's ReLU applied. Producing them is a transpose,
 //! so a run takes a [`Dest`]: with [`Dest::Codes`] every task of
 //! [`super::gemm_into`] encodes its own block's live cells, from the
-//! tile, right after the tile check and the scatter, and the write-back
-//! is spread over the members with the walk. A row-major destination is
-//! a straight encode with nothing to share — in the tasks it measured
-//! slower — so [`Dest::Codes`] is a convolution's and has no row-major
-//! form. [`encode_output`] is the same body over a whole output, for the
-//! callers that come after the walk: an fc stage's slot, a stage whose
-//! cells were repaired.
+//! tile, right after the tile check, and the write-back is spread over
+//! the members with the walk. The codes are then the cells' only copy:
+//! the run writes no f32 output beside them, so a convolution's output
+//! is stored once, as what its reader stages. The codes of one image
+//! start [`Dest::Codes`]'s `stride` apart, so two convolutions can write
+//! their channels side by side into one concatenated value. A row-major
+//! destination is a straight encode with nothing to share — in the
+//! tasks it measured slower — so [`Dest::Codes`] is a convolution's and
+//! has no row-major form. [`Dest::encode`] is the same body over a whole
+//! finished output, for the callers that need the f32 cells too and so
+//! fill the codes after the walk (a check that reads C, a repair), and
+//! [`encode_output`] its form for a slot of the output's own (an fc
+//! stage's, row-major).
 //!
 //! A lowered convolution's fp16 codes on a SIMD path are transposed in
 //! registers: a square of pixels × channels (8×8 on ymm, 16×16 on zmm)
@@ -57,15 +63,17 @@ pub fn relu(v: f32) -> f32 {
     }
 }
 
-/// Where a run's cells go besides [`super::GemmOutput::c`].
+/// Where a run's cells go: the f32 output or the next reader's codes,
+/// never both.
 #[derive(Debug)]
 pub enum Dest<'a> {
-    /// Nowhere: the caller reads the f32 output.
+    /// The f32 output ([`super::GemmOutput::c`]), for a caller that reads
+    /// it: a final stage, a check or a repair that reads the cells.
     None,
-    /// A lowered convolution's storage codes in NCHW, `m·n` of them,
-    /// every one written.
+    /// A lowered convolution's storage codes in NCHW, every one of its
+    /// cells written, instead of the f32 output.
     Codes {
-        /// The destination.
+        /// The destination, from the convolution's first code on.
         codes: &'a mut [F16],
         /// The format encoded into.
         dtype: Dtype,
@@ -73,6 +81,11 @@ pub enum Dest<'a> {
         spatial: usize,
         /// Whether [`relu`] is applied on the way.
         relu: bool,
+        /// Codes from one image's first to the next's: `n·spatial` when
+        /// the convolution fills the codes alone, a concatenation's
+        /// per-image width when it writes its channels into one (`codes`
+        /// then starts at its first channel of image 0).
+        stride: usize,
     },
 }
 
@@ -82,26 +95,30 @@ pub(super) struct CodeCells {
     codes: Cells<F16>,
     dtype: Dtype,
     layout: EmitLayout,
+    stride: usize,
 }
 
-impl<'a> Dest<'a> {
-    /// The codes, their format and their layout (`None` for
-    /// [`Dest::None`]).
-    pub(super) fn codes(self) -> Option<(&'a mut [F16], Dtype, EmitLayout)> {
-        let Dest::Codes {
-            codes,
-            dtype,
-            spatial,
-            relu,
-        } = self
-        else {
-            return None;
+impl Dest<'_> {
+    /// Fills the destination from a finished output's f32 cells, block
+    /// by block through the body a run's tasks emit with, so the codes
+    /// are the ones a run with this destination would have written: for
+    /// a caller that needs the f32 output as well (a check or a repair
+    /// that reads it) and so runs with [`Dest::None`]. Nothing to do for
+    /// [`Dest::None`].
+    pub fn encode(self, out: &GemmOutput) {
+        let Some(cells) = CodeCells::new(self, out.m, out.n) else {
+            return;
         };
-        let layout = EmitLayout {
-            conv_spatial: Some(spatial),
-            relu,
-        };
-        Some((codes, dtype, layout))
+        for row0 in (0..out.m).step_by(BLOCK_M) {
+            let rows = BLOCK_M.min(out.m - row0);
+            for col0 in (0..out.n).step_by(BLOCK_N) {
+                let cols = BLOCK_N.min(out.n - col0);
+                let src = &out.c[row0 * out.n + col0..];
+                // SAFETY: the codes are borrowed mutably for the loop and
+                // each block's are written once, by this call alone.
+                unsafe { cells.emit(src, out.n, (row0, rows), (col0, cols)) };
+            }
+        }
     }
 }
 
@@ -109,17 +126,36 @@ impl CodeCells {
     /// The shared form of `dest` for an `m × n` run (`None` for
     /// [`Dest::None`]).
     pub(super) fn new(dest: Dest<'_>, m: usize, n: usize) -> Option<Self> {
-        let (codes, dtype, layout) = dest.codes()?;
-        assert_eq!(codes.len(), m * n, "one code per output cell");
+        let Dest::Codes {
+            codes,
+            dtype,
+            spatial,
+            relu,
+            stride,
+        } = dest
+        else {
+            return None;
+        };
+        let images = m / spatial;
+        assert_eq!(images * spatial, m, "whole images");
+        assert!(stride >= n * spatial, "an image's channels fit its stride");
+        let last = images
+            .checked_sub(1)
+            .map_or(0, |i| i * stride + n * spatial);
+        assert!(codes.len() >= last, "one code per output cell");
         Some(CodeCells {
             codes: Cells::new(codes),
             dtype,
-            layout,
+            layout: EmitLayout {
+                conv_spatial: Some(spatial),
+                relu,
+            },
+            stride,
         })
     }
 
-    /// Encodes the `rows × cols` rectangle at `(row0, col0)` of an
-    /// output `out_n` wide, read from `src` ([`encode_rect`]).
+    /// Encodes the `rows × cols` rectangle at `(row0, col0)` of the
+    /// output, read from `src` ([`encode_rect`]).
     ///
     /// # Safety
     /// No other reference to the codes of those cells may be live: the
@@ -130,30 +166,43 @@ impl CodeCells {
         stride: usize,
         rows: (usize, usize),
         cols: (usize, usize),
-        out_n: usize,
     ) {
         let rect = Rect {
             src,
             stride,
             rows,
             cols,
-            out_n,
+            image: self.stride,
         };
         // SAFETY: the caller's contract.
         unsafe { encode_rect(rect, self.layout, self.dtype, &self.codes) }
     }
+
+    /// Writes the codes of an output whose every cell is zero — a run
+    /// with no inner dimension — through the same body.
+    pub(super) fn zeros(self, m: usize, n: usize) {
+        let zeros = [0.0f32; BLOCK_M * BLOCK_N];
+        for row0 in (0..m).step_by(BLOCK_M) {
+            for col0 in (0..n).step_by(BLOCK_N) {
+                let (rows, cols) = (BLOCK_M.min(m - row0), BLOCK_N.min(n - col0));
+                // SAFETY: the run's codes, written by this loop alone.
+                unsafe { self.emit(&zeros, BLOCK_N, (row0, rows), (col0, cols)) };
+            }
+        }
+    }
 }
 
 /// A rectangle of a GEMM output as [`emit_rect`] reads it: `rows.1 ×
-/// cols.1` cells at `(rows.0, cols.0)` of an output `out_n` columns
-/// wide, its row `r` starting at `src[r·stride]`.
+/// cols.1` cells at `(rows.0, cols.0)`, its row `r` starting at
+/// `src[r·stride]`, laid out for a reader whose images start `image`
+/// codes apart.
 #[derive(Clone, Copy)]
 struct Rect<'a> {
     src: &'a [f32],
     stride: usize,
     rows: (usize, usize),
     cols: (usize, usize),
-    out_n: usize,
+    image: usize,
 }
 
 /// The rectangle's codes in `layout`'s order and `dtype`: a lowered
@@ -180,9 +229,9 @@ unsafe fn encode_rect(rect: Rect<'_>, layout: EmitLayout, dtype: Dtype, codes: &
         stride,
         rows,
         cols,
-        out_n,
+        image,
     } = rect;
-    emit_rect(src, stride, rows, cols, out_n, layout, |at, run| {
+    emit_rect(src, stride, rows, cols, image, layout, |at, run| {
         // SAFETY: the codes of cells inside the caller's rectangle
         // (distinct cells have distinct codes).
         let codes = unsafe { codes.run(at, run.len()) };
@@ -202,19 +251,22 @@ unsafe fn encode_rect(rect: Rect<'_>, layout: EmitLayout, dtype: Dtype, codes: &
 const SEGMENT: usize = BLOCK_M;
 
 /// Hands the `rows.1 × cols.1` rectangle at `(rows.0, cols.0)` of a GEMM
-/// output `out_n` columns wide — read from `src`, where the rectangle's
-/// row `r` starts at `src[r·stride]` (a block tile, or the output
-/// itself) — to `sink(offset, run)` as contiguous runs of `layout`'s
-/// order, ReLU applied: a row-major rectangle a row at a time; a lowered
+/// output — read from `src`, where the rectangle's row `r` starts at
+/// `src[r·stride]` (a block tile, or the output itself) — to
+/// `sink(offset, run)` as contiguous runs of `layout`'s order, ReLU
+/// applied: a row-major rectangle a row at a time; a lowered
 /// convolution's (at most [`BLOCK_N`] columns of it) transposed into
-/// per-channel runs of pixels, cut where an image ends. The one place
-/// the GEMM → NCHW transpose lives.
+/// per-channel runs of pixels, cut where an image ends. `image` is the
+/// offset from one image's first cell to the next's: the output's width
+/// for row-major (an image is a row), `n·spatial` for a convolution's
+/// own NCHW codes, wider when they sit inside a concatenation. The one
+/// place the GEMM → NCHW transpose lives.
 pub fn emit_rect(
     src: &[f32],
     stride: usize,
     (row0, rows): (usize, usize),
     (col0, cols): (usize, usize),
-    out_n: usize,
+    image: usize,
     layout: EmitLayout,
     mut sink: impl FnMut(usize, &[f32]),
 ) {
@@ -226,7 +278,7 @@ pub fn emit_rect(
             for (i, live) in live.chunks(BLOCK_N).enumerate() {
                 let staged = &mut staged[..live.len()];
                 staged.iter_mut().zip(live).for_each(|(d, &v)| *d = relu(v));
-                sink((row0 + r) * out_n + col0 + i * BLOCK_N, staged);
+                sink((row0 + r) * image + col0 + i * BLOCK_N, staged);
             }
         }
         return;
@@ -244,7 +296,7 @@ pub fn emit_rect(
             }
         }
         for (co, run) in block.chunks_exact(SEGMENT).take(cols).enumerate() {
-            sink((n * out_n + col0 + co) * spatial + s, &run[..seg]);
+            sink(n * image + (col0 + co) * spatial + s, &run[..seg]);
         }
         r += seg;
     }
@@ -256,21 +308,22 @@ pub fn emit_rect(
 /// runs themselves: a final stage's reply. Codes come from
 /// [`encode_output`].
 pub fn emit_output(out: &GemmOutput, layout: EmitLayout, mut sink: impl FnMut(usize, &[f32])) {
-    if layout.conv_spatial.is_none() {
+    let Some(spatial) = layout.conv_spatial else {
         // Nothing to transpose: one rectangle, walked in storage order.
         return emit_rect(&out.c, out.n, (0, out.m), (0, out.n), out.n, layout, sink);
-    }
+    };
     for row0 in (0..out.m).step_by(BLOCK_M) {
         let rows = BLOCK_M.min(out.m - row0);
         for col0 in (0..out.n).step_by(BLOCK_N) {
             let cols = BLOCK_N.min(out.n - col0);
             let src = &out.c[row0 * out.n + col0..];
+            let image = out.n * spatial;
             emit_rect(
                 src,
                 out.n,
                 (row0, rows),
                 (col0, cols),
-                out.n,
+                image,
                 layout,
                 &mut sink,
             );
@@ -278,32 +331,24 @@ pub fn emit_output(out: &GemmOutput, layout: EmitLayout, mut sink: impl FnMut(us
     }
 }
 
-/// Every cell of `out` encoded into `codes` in `layout`'s order — a
-/// [`Dest::Codes`] filled after the walk instead of during it, block by
-/// block through the same body as a run's tasks.
+/// Every cell of `out` encoded into `codes` in `layout`'s order: a
+/// row-major output's slot, or a lowered convolution's codes as
+/// [`Dest::encode`] writes them when they fill `codes` alone.
 pub fn encode_output(out: &GemmOutput, layout: EmitLayout, dtype: Dtype, codes: &mut [F16]) {
     assert_eq!(codes.len(), out.m * out.n, "one code per output cell");
-    if layout.conv_spatial.is_none() {
+    let Some(spatial) = layout.conv_spatial else {
         return emit_output(out, layout, |at, run| {
             dtype.encode_slice(run, &mut codes[at..at + run.len()])
         });
-    }
-    let cells = Cells::new(codes);
-    for row0 in (0..out.m).step_by(BLOCK_M) {
-        let rows = BLOCK_M.min(out.m - row0);
-        for col0 in (0..out.n).step_by(BLOCK_N) {
-            let rect = Rect {
-                src: &out.c[row0 * out.n + col0..],
-                stride: out.n,
-                rows: (row0, rows),
-                cols: (col0, BLOCK_N.min(out.n - col0)),
-                out_n: out.n,
-            };
-            // SAFETY: `codes` is borrowed mutably for the loop and each
-            // block's codes are written once, by this call alone.
-            unsafe { encode_rect(rect, layout, dtype, &cells) };
-        }
-    }
+    };
+    let dest = Dest::Codes {
+        codes,
+        dtype,
+        spatial,
+        relu: layout.relu,
+        stride: out.n * spatial,
+    };
+    dest.encode(out);
 }
 
 /// What [`transpose_rect`] needs of an f32 vector, for ymm and zmm.
@@ -520,7 +565,7 @@ unsafe fn transpose_rect<V: Square>(
         stride,
         rows: (row0, rows),
         cols: (col0, cols),
-        out_n,
+        image,
     } = rect;
     assert!(cols <= BLOCK_N, "a transposed rectangle is a block wide");
     let lanes = V::LANES;
@@ -542,7 +587,7 @@ unsafe fn transpose_rect<V: Square>(
                 V::transpose(&mut square);
                 for (co, &channel) in square[..live].iter().enumerate() {
                     let channel = if layout.relu { channel.relu() } else { channel };
-                    let run = codes.run((n * out_n + col0 + c + co) * spatial + s, pixels);
+                    let run = codes.run(n * image + (col0 + c + co) * spatial + s, pixels);
                     if pixels == lanes && !channel.has_nan() {
                         channel.store_codes(run.as_mut_ptr());
                     } else {

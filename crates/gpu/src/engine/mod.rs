@@ -37,9 +37,10 @@
 //!   `AIGA_FORCE_SCALAR`);
 //! - `walk` (private) — block execution over the live extent:
 //!   microkernel fill, targeted fault injection, tile epilogue;
-//! - [`emit`] — write-back: where a run's cells go besides the f32
-//!   output ([`Dest`]), and the one body that lays a rectangle of them
-//!   out for the next reader (NCHW transpose, fused ReLU, encode);
+//! - [`emit`] — write-back: where a run's cells go, the f32 output or
+//!   the next reader's codes ([`Dest`]), and the one body that lays a
+//!   rectangle of them out for that reader (NCHW transpose, fused ReLU,
+//!   encode);
 //! - [`sums`] — global ABFT's partials ([`CheckScratch`]): `Σ C` per
 //!   block and `Σ A` per stripe, taken by the tasks from the tile and
 //!   the staged strip sums, and the serial reference for their order;
@@ -58,8 +59,8 @@
 //! the process's fork-join team (`aiga_util::team`): its tasks are
 //! block-row stripes — single blocks when there are few stripes — and
 //! whichever member takes a task stages that stripe's rows of A into
-//! its own scratch, walks it, and writes each block back — into the f32
-//! output, and into the run's [`Dest`] as the next reader's codes. A
+//! its own scratch, walks it, and writes each block back once, where
+//! the run's [`Dest`] says: the f32 output, or the next reader's codes. A
 //! run asks for one member beyond its caller per [`BLOCK_PAR_MIN_FLOPS`]
 //! of live work or per [`BLOCK_PAR_MIN_BYTES`] of weight panels it
 //! streams, whichever asks for more — its one-core roofline time, the
@@ -202,7 +203,8 @@ pub struct EngineCounters {
 /// Output of one engine run.
 #[derive(Clone, Debug, Default)]
 pub struct GemmOutput {
-    /// Row-major FP32 pre-activation output, `m × n` (unpadded).
+    /// Row-major FP32 pre-activation output, `m × n` (unpadded) — empty
+    /// after a run whose cells went to a [`Dest::Codes`] instead.
     pub c: Vec<f32>,
     /// Output rows.
     pub m: usize,
@@ -226,13 +228,18 @@ impl GemmOutput {
         !self.detections.is_empty()
     }
 
-    /// Re-arms this output for a fresh `m × n` run, reusing its buffers.
-    /// The cells keep what the last run left: a run scatters every live
-    /// cell, so only a buffer that grows is filled (with zeros).
-    fn reset(&mut self, m: usize, n: usize) {
+    /// Re-arms this output for a fresh `m × n` run, reusing its buffers:
+    /// `m × n` f32 cells when the run writes them (`cells`), none when
+    /// its cells go to a destination's codes instead. The cells keep
+    /// what the last run left: a run scatters every live cell, so only a
+    /// buffer that grows is filled (with zeros).
+    fn reset(&mut self, m: usize, n: usize, cells: bool) {
         self.m = m;
         self.n = n;
-        self.c.resize(m * n, 0.0);
+        match cells {
+            true => self.c.resize(m * n, 0.0),
+            false => self.c.clear(),
+        }
         self.detections.clear();
         self.counters = EngineCounters::default();
     }
@@ -253,7 +260,7 @@ pub fn gemm<'a>(
     ws.take_output()
 }
 
-/// A buffer as a region's tasks write it — the f32 output, a
+/// A buffer as a region's tasks write it — the f32 output or a
 /// destination's codes: each task writes the cells of its own blocks,
 /// which no other task touches.
 struct Cells<T> {
@@ -321,15 +328,20 @@ impl<T> Cells<T> {
 /// an `m × 0` / `0 × n` output, an empty inner dimension an `m × n`
 /// output of zeros, and none of them a detection.
 ///
-/// `dest` is where the cells go besides the f32 output: [`Dest::None`]
-/// for nowhere; for [`Dest::Codes`] each task hands its blocks' live
-/// cells to the consumer's storage codes — transposed to NCHW for a
-/// lowered convolution and with the ReLU fused, encoded from the tile
-/// as the task that computed it leaves it (see [`emit`]). The codes are
-/// those of the cells as the walk left them, injected faults included;
-/// a caller that repairs cells afterwards re-emits ([`emit_output`]).
-/// The f32 output is complete either way: repairs and the caller's own
-/// reads go there. Under [`Redundancy::GlobalSums`] the tasks also
+/// `dest` is where the cells go, and they go to one place.
+/// [`Dest::None`] leaves them in the f32 output ([`GemmOutput::c`],
+/// `m × n`): what a caller that reads them asks for — a final stage, a
+/// check that reads C, a repair. With [`Dest::Codes`] each task hands
+/// its blocks' live cells to the consumer's storage codes instead —
+/// transposed to NCHW for a lowered convolution, at the destination's
+/// image stride, with the ReLU fused, encoded from the tile as the task
+/// that computed it leaves it (see [`emit`]) — and the f32 output stays
+/// empty: it is neither filled nor grown, while `m`, `n`, the
+/// detections and the counters are the same as a [`Dest::None`] run's.
+/// The codes are those of the cells as the walk left them, injected
+/// faults included; a caller that needs both runs with [`Dest::None`]
+/// and fills the codes afterwards ([`Dest::encode`]), through the same
+/// body. Under [`Redundancy::GlobalSums`] the tasks also
 /// leave global ABFT's partials in the workspace's [`CheckScratch`]
 /// ([`Workspace::output_and_check`]): each block's `Σ C`, summed from
 /// its tile after the write-back, and each stripe's column sums of `a`,
@@ -349,7 +361,8 @@ pub fn gemm_into<'w, 'a>(
     let (out_m, out_n) = (a.rows, b.cols());
     let (stripes, col_blocks) = (out_m.div_ceil(BLOCK_M), out_n.div_ceil(BLOCK_N));
     let global = scheme.lanes == Redundancy::GlobalSums;
-    ws.out.reset(out_m, out_n);
+    let dest = emit::CodeCells::new(dest, out_m, out_n);
+    ws.out.reset(out_m, out_n, dest.is_none());
     if global {
         ws.check.arm(stripes, a.cols, col_blocks);
     }
@@ -360,12 +373,11 @@ pub fn gemm_into<'w, 'a>(
         if global {
             ws.check.zero();
         }
-        if let Some((codes, dtype, layout)) = dest.codes() {
-            emit::encode_output(&ws.out, layout, dtype, codes);
+        if let Some(dest) = dest {
+            dest.zeros(out_m, out_n);
         }
         return &ws.out;
     }
-    let dest = emit::CodeCells::new(dest, out_m, out_n);
     // Blocks are whole strips, so only the request's last strip can be
     // ragged; one live row there runs the one-row register tile.
     let (strips, groups) = (out_m.div_ceil(MICRO_MR), out_n.div_ceil(MICRO_NR));
@@ -492,9 +504,9 @@ struct Partials {
     col_blocks: usize,
 }
 
-/// Copies one block tile's live cells into the output and, from the
-/// same tile, hands them to the run's destination and — last, since it
-/// consumes the tile — sums them into the block's partial.
+/// Writes one block tile's live cells where the run's destination wants
+/// them — the f32 output, or the codes — and then, since it consumes
+/// the tile, sums them into the block's partial.
 ///
 /// # Safety
 /// The caller is the only task writing block `(br, bc)`'s cells.
@@ -509,14 +521,16 @@ unsafe fn write_back(
 ) {
     let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
     let (rows, cols) = (BLOCK_M.min(run.out_m - row0), BLOCK_N.min(run.out_n - col0));
-    for lr in 0..rows {
-        // SAFETY: cells of the caller's block.
-        let cells = unsafe { c.run((row0 + lr) * run.out_n + col0, cols) };
-        cells.copy_from_slice(&tile[lr * BLOCK_N..][..cols]);
-    }
-    if let Some(dest) = dest {
+    match dest {
         // SAFETY: the codes of the caller's block.
-        unsafe { dest.emit(tile, BLOCK_N, (row0, rows), (col0, cols), run.out_n) };
+        Some(dest) => unsafe { dest.emit(tile, BLOCK_N, (row0, rows), (col0, cols)) },
+        None => {
+            for lr in 0..rows {
+                // SAFETY: cells of the caller's block.
+                let cells = unsafe { c.run((row0 + lr) * run.out_n + col0, cols) };
+                cells.copy_from_slice(&tile[lr * BLOCK_N..][..cols]);
+            }
+        }
     }
     if let Some(p) = partials {
         // SAFETY: the caller's block's partial.

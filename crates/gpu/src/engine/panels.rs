@@ -444,9 +444,12 @@ pub struct Workspace {
     /// Staging for convolution lowering (the im2col activation matrix).
     pub(crate) lowering: Matrix,
     /// Per-stage value slots lent to graph executors (compiled models
-    /// park every stage's output here). The vector length and each
-    /// slot's capacity only ratchet up, so steady-state graph execution
-    /// allocates nothing.
+    /// park every stage's output here): each holds its last writer's
+    /// `rows × cols` value in the first `rows · cols` codes of `data`,
+    /// which only grows — it keeps the longest value the slot has held,
+    /// so a stage writing a slot a shorter one wrote last refills
+    /// nothing. The vector length and each slot's length only ratchet
+    /// up, so steady-state graph execution allocates nothing.
     pub(crate) slots: Vec<Matrix>,
     /// Per-member scratch of the engine's stripe walk: entry 0 serves
     /// the calling thread (and the cold readers below), the rest the
@@ -536,14 +539,17 @@ impl Workspace {
         }
     }
 
-    /// Reads value slot `i` (in range after [`Self::ensure_slots`]).
-    pub fn slot(&self, i: usize) -> &Matrix {
-        &self.slots[i]
+    /// Reads value slot `i` (in range after [`Self::ensure_slots`]): its
+    /// last writer's `rows × cols` value, row-major.
+    pub fn slot(&self, i: usize) -> MatrixView<'_> {
+        held(&self.slots[i])
     }
 
     /// Moves value slot `i` out of the workspace (growing the table if
     /// needed). Graph executors take a stage's output slot, compute
     /// into it, and [`Self::put_slot`] it back — moves, never copies.
+    /// Its `data` may run past `rows · cols`: the slot's high-water
+    /// length, which a writer keeps (see [`Self::slot`]).
     pub fn take_slot(&mut self, i: usize) -> Matrix {
         self.ensure_slots(i + 1);
         std::mem::take(&mut self.slots[i])
@@ -567,13 +573,15 @@ impl Workspace {
         self.glue = glue;
     }
 
-    /// Split borrow for graph execution: the value slots, read-only, so
-    /// a GEMM stage can view a producer's slot in place as the engine
-    /// operand, together with the child workspace the stage runs in
-    /// (engine scratch and output). The child is allocated once, so
-    /// steady-state execution does not allocate here.
-    pub fn slots_and_child(&mut self) -> (&[Matrix], &mut Workspace) {
-        (&self.slots, self.child.get_or_insert_with(Box::default))
+    /// Split borrow for graph execution: value slot `i`, if any, read
+    /// as [`Self::slot`] reads it, so a GEMM stage can view a producer's
+    /// slot in place as the engine operand, together with the child
+    /// workspace the stage runs in (engine scratch and output). The
+    /// child is allocated once, so steady-state execution does not
+    /// allocate here.
+    pub fn slot_and_child(&mut self, i: Option<usize>) -> (Option<MatrixView<'_>>, &mut Workspace) {
+        let child = self.child.get_or_insert_with(Box::default);
+        (i.map(|i| held(&self.slots[i])), child)
     }
 
     /// Arms the stripe scratch pool for `n` members under `lanes`: grows
@@ -619,6 +627,11 @@ impl Workspace {
             (self.out.m, b.rows()),
             "not this run's operands"
         );
+        assert_eq!(
+            self.out.c.len(),
+            self.out.m * self.out.n,
+            "a repair rewrites f32 cells: the run must keep them (Dest::None)"
+        );
         let (rows, cols) = (
             rows.start..rows.end.min(self.out.m),
             cols.start..cols.end.min(self.out.n),
@@ -639,6 +652,15 @@ impl Workspace {
             }
         }
         (rows.len() * cols.len()) as u32
+    }
+}
+
+/// The value a slot holds: the first `rows · cols` codes of its buffer,
+/// which may run longer (see [`Workspace::slots`]).
+fn held(slot: &Matrix) -> MatrixView<'_> {
+    MatrixView {
+        data: &slot.data[..slot.rows * slot.cols],
+        ..slot.into()
     }
 }
 

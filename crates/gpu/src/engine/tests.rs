@@ -1303,18 +1303,23 @@ fn a_destination_holds_what_emitting_the_finished_output_would() {
                     let mut ws = Workspace::new();
                     for width in [1usize, 2, 3] {
                         let mut codes = vec![F16::from_bits(0xffff); m * n];
-                        let dest = match conv_spatial {
-                            None => Dest::None,
-                            Some(spatial) => Dest::Codes {
+                        let mut run = |dest| {
+                            aiga_util::team::with_width(width, || {
+                                gemm_into(&a, &packed, scheme, &[fault], dest, &mut ws).clone()
+                            })
+                        };
+                        // The finished output is the `Dest::None` run's: a
+                        // codes run keeps no f32 copy.
+                        let out = run(Dest::None);
+                        if let Some(spatial) = conv_spatial {
+                            run(Dest::Codes {
                                 codes: &mut codes,
                                 dtype,
                                 spatial,
                                 relu,
-                            },
-                        };
-                        let out = aiga_util::team::with_width(width, || {
-                            gemm_into(&a, &packed, scheme, &[fault], dest, &mut ws).clone()
-                        });
+                                stride: n * spatial,
+                            });
+                        }
                         let mut looped = vec![F16::from_bits(0xffff); m * n];
                         emit_output(&out, layout, |at, run| {
                             dtype.encode_slice(run, &mut looped[at..at + run.len()])
@@ -1344,6 +1349,91 @@ fn a_destination_holds_what_emitting_the_finished_output_would() {
                 });
             }
         }
+    }
+}
+
+#[test]
+fn a_codes_run_keeps_no_f32_output_and_checks_as_a_plain_run() {
+    // With `Dest::Codes` the cells go to the codes alone: the f32 output
+    // stays empty and its capacity is not grown — none on a fresh
+    // workspace, the plain run's after one — while `m`, `n`, the
+    // detections (order, residual and threshold bits), the counters and
+    // global ABFT's partials are the `Dest::None` run's, under global
+    // and tile lanes and with every tile flagging (`FLAG_ALL`), at team
+    // widths 1, 2 and 3 on every path. The same run into a wider image
+    // — a concat's channels at an offset — writes the same codes at its
+    // stride and leaves the codes around them alone.
+    let (m, n, k, spatial) = (265usize, 250usize, 64usize, 53usize);
+    let a = Matrix::random(m, k, 15);
+    let packed = PackedWeights::pack(&Matrix::random(k, n, 16));
+    let faults = [
+        FaultPlan {
+            row: 211,
+            col: 249,
+            after_step: u64::MAX,
+            kind: FaultKind::AddValue(300.0),
+        },
+        FaultPlan {
+            row: 3,
+            col: 70,
+            after_step: 5,
+            kind: FaultKind::AddValue(-300.0),
+        },
+    ];
+    let checks = |ws: &mut Workspace| {
+        let (out, sums) = ws.output_and_check();
+        let (_, detections, counters) = report(out);
+        let sums = [sums.stripe_sums(), sums.block_sums()].map(|v| {
+            let bits = v.iter().map(|x| x.to_bits());
+            bits.collect::<Vec<u32>>()
+        });
+        (out.m, out.n, detections, counters, sums)
+    };
+    let (before, after) = (3 * spatial, 5 * spatial);
+    let stride = before + n * spatial + after;
+    fn dest(codes: &mut [F16], spatial: usize, stride: usize) -> Dest<'_> {
+        Dest::Codes {
+            codes,
+            dtype: Dtype::F16,
+            spatial,
+            relu: true,
+            stride,
+        }
+    }
+    let lanes = [Redundancy::GlobalSums, Redundancy::TileChecksum];
+    for scheme in lanes.map(loose).into_iter().chain([FLAG_ALL]) {
+        on_each_path(|path| {
+            for width in [1usize, 2, 3] {
+                let what = format!("{scheme:?} {} width {width}", path.as_str());
+                let run = |dest: Dest<'_>, ws: &mut Workspace| {
+                    aiga_util::team::with_width(width, || {
+                        gemm_into(&a, &packed, scheme, &faults, dest, ws);
+                    });
+                };
+                let mut ws = Workspace::new();
+                let mut codes = vec![F16::ZERO; m * n];
+                run(dest(&mut codes, spatial, n * spatial), &mut ws);
+                assert_eq!(ws.output().c.capacity(), 0, "{what}: fresh");
+                let coded = checks(&mut ws);
+                run(Dest::None, &mut ws);
+                let (plain, capacity) = (checks(&mut ws), ws.output().c.capacity());
+                assert_eq!(coded, plain, "{what}");
+                run(dest(&mut codes, spatial, n * spatial), &mut ws);
+                assert!(ws.output().c.is_empty(), "{what}: warm");
+                assert_eq!(ws.output().c.capacity(), capacity, "{what}: warm");
+                assert_eq!(checks(&mut ws), plain, "{what}: warm");
+
+                let mut wide = vec![F16::from_bits(0x7e00); m / spatial * stride];
+                run(dest(&mut wide[before..], spatial, stride), &mut ws);
+                for (image, want) in wide.chunks(stride).zip(codes.chunks(n * spatial)) {
+                    let (head, rest) = image.split_at(before);
+                    let (own, tail) = rest.split_at(n * spatial);
+                    assert_eq!(own, want, "{what}: in a wider image");
+                    let untouched = |c: &F16| c.to_bits() == 0x7e00;
+                    assert!(head.iter().chain(tail).all(untouched), "{what}");
+                }
+            }
+        });
     }
 }
 

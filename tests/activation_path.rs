@@ -298,7 +298,7 @@ fn pools_fold_special_values_in_the_per_output_tap_order() {
                     let mut ws = Workspace::new();
                     team::with_width(width, || pipeline.infer_into(&input, None, &mut ws));
                     assert_eq!(
-                        nan_blind(&ws.slot(0).data, dt),
+                        nan_blind(ws.slot(0).data, dt),
                         nan_blind(&want, dt),
                         "{dt} {planes} planes {kind:?} k{kernel} s{stride} p{padding} width {width}"
                     );
@@ -371,7 +371,7 @@ fn global_average_of_special_dense_planes_is_nan_where_its_oracle_is() {
             let mut ws = Workspace::new();
             team::with_width(width, || pipeline.infer_into(&input, None, &mut ws));
             assert_eq!(
-                nan_blind(&ws.slot(0).data, dt),
+                nan_blind(ws.slot(0).data, dt),
                 nan_blind(&want, dt),
                 "{dt} width {width}"
             );
@@ -423,7 +423,7 @@ fn interaction_matches_its_per_element_oracle() {
             // The two slices take slots 0 and 1, the interaction 2.
             let want = interact_oracle(&request, vectors, dim, dt);
             assert_eq!(
-                nan_blind(&ws.slot(2).data, dt),
+                nan_blind(ws.slot(2).data, dt),
                 nan_blind(&want, dt),
                 "{dt} {vectors} vectors"
             );

@@ -11,7 +11,9 @@
 //! im2col view; and a fault that is absent, mid-walk, in the epilogue,
 //! non-finite or past the output. A *network case* is a random
 //! `NetworkBuilder` graph — convs, ceil-mode max and average pools,
-//! fire concats, residual adds, global average pooling, slices, fc — or
+//! fire concats (written in place by two expands, or copied where a
+//! pool sits beside the 3×3 expand), residual adds, global average
+//! pooling, slices, fc — or
 //! `zoo::dlrm_net` at a random size, in a random dtype with a random
 //! scheme per layer, serving `0..=batch` rows with such a fault aimed at
 //! a random layer.
@@ -26,7 +28,7 @@
 //!   rebound from `Unprotected` — whose bytes no scheme moves; fused and
 //!   materialized (a network's conv → pool prefix against the
 //!   per-element oracles in `common`); `Dest::Codes` against
-//!   `emit_output`; global ABFT's partials against
+//!   encoding the `Dest::None` run's output; global ABFT's partials against
 //!   `CheckScratch::sum_serially`;
 //! - a request's own rows are the zero-extended batch's first rows;
 //! - solo, split and `Server`-coalesced serves are identical;
@@ -464,7 +466,8 @@ fn check_gemm(seed: u64, dirty: &mut Workspace) {
         c.same(&base, &got, "the lowering materialized");
     }
 
-    // The tasks' write-back against one encode of the f32 output.
+    // The tasks' write-back against one encode of the `Dest::None` run's
+    // f32 output (a codes run keeps none), with the same checks.
     let spatial = g.lowering.map_or(m.max(1), |(_, v)| v.out_h * v.out_w);
     let (relu, mut codes) = (g.relu, vec![F16::ZERO; m * n]);
     let dest = Dest::Codes {
@@ -472,15 +475,19 @@ fn check_gemm(seed: u64, dirty: &mut Workspace) {
         dtype: dt,
         spatial,
         relu,
+        stride: n * spatial,
     };
     let verdict = bound.run_into(a, faults, dest, &mut ws);
-    c.same(&base, &Outcome::gemm(verdict, ws.output()), "Dest::Codes");
+    let coded = Outcome::gemm(verdict, ws.output());
+    c.holds(coded.checks == base.checks, "Dest::Codes: checks");
     let mut want = vec![F16::ZERO; m * n];
     let layout = EmitLayout {
         conv_spatial: Some(spatial),
         relu,
     };
-    encode_output(ws.output(), layout, dt, &mut want);
+    let finished = &mut fresh();
+    bound.run_into(a, faults, Dest::None, finished);
+    encode_output(finished.output(), layout, dt, &mut want);
     c.holds(codes == want, "Dest::Codes against emit_output");
 
     // A repair: the clean bytes, at the site the localizer names, at
@@ -737,6 +744,9 @@ fn pool(b: &mut NetworkBuilder, d: &mut Draw, name: &str) {
 /// both their slots standing: the shape `common`'s oracles read.
 fn network(seed: u64, batch: Option<usize>, prefix: bool) -> Network {
     let mut d = Draw::new(seed);
+    // Draws added since seeds were pinned come from here, so they leave
+    // every earlier network as it was.
+    let mut side = Draw::new(seed ^ 0xF1AE);
     let (_family, dt, drawn) = (d.int(0, 5), d.pick(&Dtype::ALL), d.int(1, 4));
     let batch = batch.unwrap_or(drawn);
     if d.coin(0.2) {
@@ -771,7 +781,12 @@ fn network(seed: u64, batch: Option<usize>, prefix: bool) -> Network {
             }
             1 => {
                 let squeeze = b.conv(format!("fire{i}"), width / 2 + 1, 1, 1, 0, true);
-                let e1 = b.conv_on(squeeze, format!("fire{i}.e1"), width, 1, 1, 0, relu);
+                // Two expands are a concat written in place; a pool
+                // beside the 3×3 one makes a concat that keeps its copy.
+                let e1 = match side.coin(0.3) {
+                    true => b.max_pool(format!("fire{i}.p1"), 3, 1, 1),
+                    false => b.conv_on(squeeze, format!("fire{i}.e1"), width, 1, 1, 0, relu),
+                };
                 let e3 = b.conv_on(squeeze, format!("fire{i}.e3"), width, 3, 1, 1, relu);
                 b.concat(format!("fire{i}.cat"), vec![e1, e3]);
             }
@@ -875,6 +890,39 @@ fn net_case(seed: u64) -> NetCase {
 }
 
 fn check_network(seed: u64, dirty: &mut Workspace) {
+    let case = net_case(seed);
+    check_pass(&case, dirty);
+
+    // The stem conv and its pool against the per-element oracles (the
+    // lowering materialized, one encode per element, one tap loop per
+    // pooled output) over a request salted with −0.0 and NaN. (Of NaNs
+    // of both signs meeting in one sum, which survives is unspecified.)
+    let NetCase {
+        case: c,
+        net,
+        schemes,
+        req,
+        fault,
+        live,
+    } = case;
+    let (dt, rows) = (net.dtype, req.rows);
+    let prefix = network(seed, None, true);
+    let pooled = matches!(prefix.nodes[1].op, NodeOp::Pool(_));
+    if rows > 0 && pooled {
+        let mut salted = req.clone();
+        for (i, v) in [-0.0f32, f32::NAN, -0.0, f32::NAN].into_iter().enumerate() {
+            if let Some(code) = salted.data.get_mut(5 + 37 * i) {
+                *code = F16(dt.encode(v));
+            }
+        }
+        let struck = fault.filter(|f| live && f.layer == 0).map(|f| f.fault);
+        common::assert_slots_hold_the_oracles(&prefix, &salted, schemes[0], struck, &c.0);
+    }
+}
+
+/// Every property of a network case but the stem's oracles, which need
+/// the seed's prefix network.
+fn check_pass(case: &NetCase, dirty: &mut Workspace) {
     let NetCase {
         case,
         net,
@@ -882,23 +930,24 @@ fn check_network(seed: u64, dirty: &mut Workspace) {
         req,
         fault,
         live,
-    } = net_case(seed);
-    let (c, p) = (&case, ProtectedPipeline::compile(&net, &schemes));
-    let (dt, batch, rows) = (net.dtype, net.batch, req.rows);
+    } = case;
+    let (fault, live) = (*fault, *live);
+    let (c, p) = (case, ProtectedPipeline::compile(net, schemes));
+    let (dt, batch) = (net.dtype, net.batch);
     let layer = fault.map_or(0, |f| f.layer);
     let slots = net.nodes.len();
     let pass = |p: &ProtectedPipeline, ws: &mut Workspace| {
-        Outcome::pass(&p.infer_into(&req, fault, ws)).with_slots(ws, slots)
+        Outcome::pass(&p.infer_into(req, fault, ws)).with_slots(ws, slots)
     };
     let mut ws = Workspace::new();
-    let report = p.infer_into(&req, fault, &mut ws);
+    let report = p.infer_into(req, fault, &mut ws);
     let reply = Outcome::pass(&report);
     let base = Outcome::pass(&report).with_slots(&mut ws, slots);
 
     // The clean pass flags nothing, within tolerance of the reference.
-    let clean = p.infer(&req, None);
+    let clean = p.infer(req, None);
     c.holds(clean.detections.is_empty(), "a clean pass flagged");
-    let want = net.reference_f64(&req);
+    let want = net.reference_f64(req);
     c.holds(clean.output.len() == want.len(), "the reply's length");
     for (i, (&got, &want)) in clean.output.iter().zip(&want).enumerate() {
         let off = (got as f64 - want).abs() > tolerance(dt) * (1.0 + want.abs());
@@ -922,12 +971,12 @@ fn check_network(seed: u64, dirty: &mut Workspace) {
         let got = team::with_width(width, || pass(&p, &mut Workspace::new()));
         c.same(&base, &got, &format!("width {width}"));
     }
-    let got = Outcome::pass(&p.infer_into(&req, fault, dirty));
+    let got = Outcome::pass(&p.infer_into(req, fault, dirty));
     c.same(&reply, &got, "a dirty workspace");
-    let bare = ProtectedPipeline::compile(&net, &vec![Scheme::Unprotected; schemes.len()]);
+    let bare = ProtectedPipeline::compile(net, &vec![Scheme::Unprotected; schemes.len()]);
     let unprotected = pass(&bare, &mut Workspace::new());
     c.holds(unprotected.bits == base.bits, "the schemes moved bytes");
-    let rebound = pass(&bare.rebind(&schemes), &mut Workspace::new());
+    let rebound = pass(&bare.rebind(schemes), &mut Workspace::new());
     c.same(&base, &rebound, "rebound");
 
     // The request's own rows are the zero-extended batch's first rows,
@@ -936,14 +985,14 @@ fn check_network(seed: u64, dirty: &mut Workspace) {
     whole.rows = batch;
     whole.data.resize(batch * req.cols, F16::ZERO);
     let struck = fault.filter(|_| live);
-    let (own, whole) = (p.infer(&req, struck), p.infer(&whole, struck));
+    let (own, whole) = (p.infer(req, struck), p.infer(&whole, struck));
     let prefix = &whole.output[..own.output.len()];
     c.holds(bits(&own.output) == bits(prefix), "own rows");
     c.holds(flagged(&own) == flagged(&whole), "own rows' detections");
 
     // In recovery mode: the clean bytes wherever the layer's scheme
     // can localize the fault.
-    let repaired = p.clone().with_recovery(true).infer(&req, fault);
+    let repaired = p.clone().with_recovery(true).infer(req, fault);
     let fixed: Vec<usize> = repaired.corrections.iter().map(|c| c.layer).collect();
     match fault {
         Some(f) if live && localizes(schemes[layer], f.fault.kind) => {
@@ -954,22 +1003,59 @@ fn check_network(seed: u64, dirty: &mut Workspace) {
         _ if live => c.holds(!fixed.contains(&layer), "repaired unrepairably"),
         _ => c.same(&clean, &Outcome::pass(&repaired), "a recovery of nothing"),
     }
+}
 
-    // The stem conv and its pool against the per-element oracles (the
-    // lowering materialized, one encode per element, one tap loop per
-    // pooled output) over a request salted with −0.0 and NaN. (Of NaNs
-    // of both signs meeting in one sum, which survives is unspecified.)
-    let prefix = network(seed, None, true);
-    let pooled = matches!(prefix.nodes[1].op, NodeOp::Pool(_));
-    if rows > 0 && pooled {
-        let mut salted = req.clone();
-        for (i, v) in [-0.0f32, f32::NAN, -0.0, f32::NAN].into_iter().enumerate() {
-            if let Some(code) = salted.data.get_mut(5 + 37 * i) {
-                *code = F16(dt.encode(v));
-            }
+#[test]
+fn fires_hold_every_network_property_in_recovery_and_under_multi_checksum() {
+    // Two Fire modules, one whose concat the expands write in place and
+    // one whose concat keeps its copy (a pool beside the 3×3 expand),
+    // under multi-checksum — whose check reads the f32 output, so its
+    // codes are filled after it — one-sided and global ABFT, struck in
+    // each expand: every property of a generated case, recovery mode
+    // among them.
+    use aiga::nn::graph::NetworkBuilder;
+    let mut b = NetworkBuilder::new("fires", 2, 3, 9, 9, 0xF1);
+    b.conv("stem", 8, 3, 1, 1, true);
+    let s = b.conv("fire0", 4, 1, 1, 0, true);
+    let e1 = b.conv_on(s, "fire0.e1", 6, 1, 1, 0, true);
+    let e3 = b.conv_on(s, "fire0.e3", 6, 3, 1, 1, false);
+    b.concat("fire0.cat", vec![e1, e3]);
+    let s = b.conv("fire1", 4, 1, 1, 0, true);
+    let p1 = b.max_pool("fire1.p1", 3, 1, 1);
+    let e3 = b.conv_on(s, "fire1.e3", 6, 3, 1, 1, true);
+    b.concat("fire1.cat", vec![p1, e3]);
+    b.global_avg_pool("gap");
+    b.fc("fc", 5, false);
+    let net = b.build();
+    let mut dirty = Workspace::new();
+    for scheme in [
+        Scheme::MultiChecksum(2),
+        Scheme::ThreadLevelOneSided,
+        Scheme::GlobalAbft,
+    ] {
+        // fire0.e1, fire0.e3 and fire1.e3.
+        for layer in [2, 3, 5] {
+            let fault = FaultPlan {
+                row: 85,
+                col: 4,
+                after_step: u64::MAX,
+                kind: FaultKind::AddValue(LARGE),
+            };
+            let schemes = vec![scheme; net.gemm_count()];
+            let case = Case(format!("fires, {scheme} at layer {layer}"));
+            let fault = Some(PipelineFault { layer, fault });
+            let (net, req) = (net.clone(), request(&net, 2, 0xF1));
+            let live = true;
+            let case = NetCase {
+                case,
+                net,
+                schemes,
+                req,
+                fault,
+                live,
+            };
+            check_pass(&case, &mut dirty);
         }
-        let struck = fault.filter(|f| live && f.layer == 0).map(|f| f.fault);
-        common::assert_slots_hold_the_oracles(&prefix, &salted, schemes[0], struck, &c.0);
     }
 }
 

@@ -267,11 +267,18 @@ fn recovery_pipeline_is_inert_on_clean_traffic() {
 /// of each cell of its GEMM output, ReLU applied, NCHW for a conv — with
 /// `fault` struck into that output: `src` is stage 0's slot, the GEMM
 /// runs apart from any pipeline.
-fn struck_slot_oracle(net: &Network, src: &Matrix, fault: FaultPlan) -> Vec<aiga::dtype::F16> {
+fn struck_slot_oracle(
+    net: &Network,
+    src: aiga::gpu::engine::MatrixView<'_>,
+    fault: FaultPlan,
+) -> Vec<aiga::dtype::F16> {
     use aiga::gpu::engine::{gemm, MatrixView};
     use aiga::nn::graph::NodeOp;
+    // The pipeline's ReLU: `v` where `v >= 0` (−0.0 kept), else +0.0
+    // (NaN included) — not `f32::max`, whose sign at ±0 Rust leaves open.
+    let rectify = |v: f32| if v >= 0.0 { v } else { 0.0 };
     let encode = |v: f32, relu: bool| {
-        let v = if relu { v.max(0.0) } else { v };
+        let v = if relu { rectify(v) } else { v };
         aiga::dtype::F16::from_bits(Dtype::F16.encode(v))
     };
     let none = TileScheme::NONE;
@@ -283,7 +290,7 @@ fn struck_slot_oracle(net: &Network, src: &Matrix, fault: FaultPlan) -> Vec<aiga
         } => {
             let (c, h, w) = net.dims_of(net.nodes[1].inputs[0]);
             let geom = params.im2col_view(c, h, w);
-            let a = MatrixView::im2col_lowered(src.rows, geom, &src.data, Dtype::F16);
+            let a = MatrixView::im2col_lowered(src.rows, geom, src.data, Dtype::F16);
             let weights = aiga::nn::conv::filters_to_matrix(weights);
             let out = gemm(a, &weights, none, &[fault]);
             let spatial = geom.out_h * geom.out_w;
