@@ -21,10 +21,11 @@
 //! stage's, row-major).
 //!
 //! A lowered convolution's fp16 codes on a SIMD path are transposed in
-//! registers: a square of pixels × channels (8×8 on ymm, 16×16 on zmm)
-//! is loaded a pixel row at a time, transposed, passed through the ReLU
-//! and narrowed by F16C straight into each channel's run of codes
-//! (`transpose_rect`). Every other format, and the scalar path, run the
+//! registers, by one body written over the engine's lane type (the
+//! `Transpose` kernel): a square of pixels × channels (8×8 on ymm, 16×16
+//! on zmm) is loaded a pixel row at a time, transposed, passed through
+//! the ReLU and narrowed by F16C straight into each channel's run of
+//! codes. Every other format, and the scalar path, run the
 //! scalar body, [`emit_rect`]: the rectangle transposed through a
 //! staging block into per-channel runs of f32, then encoded a run at a
 //! time — which is also what hands a final stage's f32 reply over
@@ -34,6 +35,7 @@
 //! +0.0)` Rust leaves open (`v.max(0.0)` keeps −0.0 in a debug build and
 //! gives +0.0 in a release one).
 
+use super::lanes::{on_path, Kernel, Lanes};
 use super::simd::{self, GemmPath};
 use super::{Cells, GemmOutput, BLOCK_M, BLOCK_N};
 use aiga_dtype::{Dtype, F16};
@@ -94,8 +96,11 @@ pub enum Dest<'a> {
 pub(super) struct CodeCells {
     codes: Cells<F16>,
     dtype: Dtype,
-    layout: EmitLayout,
+    spatial: usize,
+    relu: bool,
     stride: usize,
+    /// The run's path, which every task encodes on.
+    path: GemmPath,
 }
 
 impl Dest<'_> {
@@ -106,7 +111,7 @@ impl Dest<'_> {
     /// that reads it) and so runs with [`Dest::None`]. Nothing to do for
     /// [`Dest::None`].
     pub fn encode(self, out: &GemmOutput) {
-        let Some(cells) = CodeCells::new(self, out.m, out.n) else {
+        let Some(cells) = CodeCells::new(self, out.m, out.n, simd::active_path()) else {
             return;
         };
         for row0 in (0..out.m).step_by(BLOCK_M) {
@@ -123,9 +128,9 @@ impl Dest<'_> {
 }
 
 impl CodeCells {
-    /// The shared form of `dest` for an `m × n` run (`None` for
-    /// [`Dest::None`]).
-    pub(super) fn new(dest: Dest<'_>, m: usize, n: usize) -> Option<Self> {
+    /// The shared form of `dest` for an `m × n` run on `path` (`None`
+    /// for [`Dest::None`]).
+    pub(super) fn new(dest: Dest<'_>, m: usize, n: usize, path: GemmPath) -> Option<Self> {
         let Dest::Codes {
             codes,
             dtype,
@@ -146,16 +151,18 @@ impl CodeCells {
         Some(CodeCells {
             codes: Cells::new(codes),
             dtype,
-            layout: EmitLayout {
-                conv_spatial: Some(spatial),
-                relu,
-            },
+            spatial,
+            relu,
             stride,
+            path,
         })
     }
 
     /// Encodes the `rows × cols` rectangle at `(row0, col0)` of the
-    /// output, read from `src` ([`encode_rect`]).
+    /// output, read from `src` (its row `r` at `src[r·stride]`): fp16
+    /// codes transposed in registers on a SIMD path ([`Transpose`]), every
+    /// other format, and the scalar path, through [`emit_rect`] a run at a
+    /// time. The one body of [`Dest::encode`] and a run's tasks.
     ///
     /// # Safety
     /// No other reference to the codes of those cells may be live: the
@@ -167,15 +174,31 @@ impl CodeCells {
         rows: (usize, usize),
         cols: (usize, usize),
     ) {
-        let rect = Rect {
-            src,
-            stride,
-            rows,
-            cols,
-            image: self.stride,
+        if self.dtype == Dtype::F16 {
+            let transpose = Transpose {
+                cells: self,
+                src,
+                stride,
+                rows,
+                cols,
+            };
+            // SAFETY: the caller's contract, and the run's path is one the
+            // host runs (`simd::force_path` admits no other), so it has
+            // F16C.
+            if unsafe { on_path(self.path, transpose) }.is_ok() {
+                return;
+            }
+        }
+        let layout = EmitLayout {
+            conv_spatial: Some(self.spatial),
+            relu: self.relu,
         };
-        // SAFETY: the caller's contract.
-        unsafe { encode_rect(rect, self.layout, self.dtype, &self.codes) }
+        emit_rect(src, stride, rows, cols, self.stride, layout, |at, run| {
+            // SAFETY: the codes of cells inside the caller's rectangle
+            // (distinct cells have distinct codes).
+            let codes = unsafe { self.codes.run(at, run.len()) };
+            self.dtype.encode_slice(run, codes);
+        });
     }
 
     /// Writes the codes of an output whose every cell is zero — a run
@@ -190,53 +213,6 @@ impl CodeCells {
             }
         }
     }
-}
-
-/// A rectangle of a GEMM output as [`emit_rect`] reads it: `rows.1 ×
-/// cols.1` cells at `(rows.0, cols.0)`, its row `r` starting at
-/// `src[r·stride]`, laid out for a reader whose images start `image`
-/// codes apart.
-#[derive(Clone, Copy)]
-struct Rect<'a> {
-    src: &'a [f32],
-    stride: usize,
-    rows: (usize, usize),
-    cols: (usize, usize),
-    image: usize,
-}
-
-/// The rectangle's codes in `layout`'s order and `dtype`: a lowered
-/// convolution's fp16 codes transposed in registers on a SIMD path
-/// ([`transpose_rect`]), everything else through [`emit_rect`], a run
-/// at a time. The one body of [`CodeCells::emit`] and [`encode_output`].
-///
-/// # Safety
-/// No other reference to the codes of the rectangle's cells may be live.
-unsafe fn encode_rect(rect: Rect<'_>, layout: EmitLayout, dtype: Dtype, codes: &Cells<F16>) {
-    #[cfg(target_arch = "x86_64")]
-    if let (Some(spatial), Dtype::F16) = (layout.conv_spatial, dtype) {
-        // SAFETY: the path is one the host runs (`simd::force_path`
-        // admits no other), so it has AVX2, FMA and F16C, and AVX-512 F
-        // and VL on `Avx512`; the codes are the caller's.
-        match simd::active_path() {
-            GemmPath::Avx512 => return unsafe { transpose_avx512(rect, spatial, layout, codes) },
-            GemmPath::Avx2Fma => return unsafe { transpose_avx2(rect, spatial, layout, codes) },
-            GemmPath::Scalar => {}
-        }
-    }
-    let Rect {
-        src,
-        stride,
-        rows,
-        cols,
-        image,
-    } = rect;
-    emit_rect(src, stride, rows, cols, image, layout, |at, run| {
-        // SAFETY: the codes of cells inside the caller's rectangle
-        // (distinct cells have distinct codes).
-        let codes = unsafe { codes.run(at, run.len()) };
-        dtype.encode_slice(run, codes);
-    });
 }
 
 /// Rows a transposed segment holds — a block's worth, so a task's tile
@@ -351,253 +327,70 @@ pub fn encode_output(out: &GemmOutput, layout: EmitLayout, dtype: Dtype, codes: 
     dest.encode(out);
 }
 
-/// What [`transpose_rect`] needs of an f32 vector, for ymm and zmm.
-/// Every method is one or two instructions the host must support (each
-/// caller's `# Safety`).
-#[cfg(target_arch = "x86_64")]
-trait Square: Copy {
-    /// f32 lanes: a square is `LANES` pixels by `LANES` channels.
-    const LANES: usize;
-    unsafe fn zero() -> Self;
-    /// The first `live` lanes from `at`, zeros beyond (nothing past
-    /// them is read).
-    unsafe fn load(at: *const f32, live: usize) -> Self;
-    /// Transposes the square held in `rows[..LANES]`.
-    unsafe fn transpose(rows: &mut [Self; 16]);
-    /// [`relu`] per lane: `v >= 0 ? v : +0.0`.
-    unsafe fn relu(self) -> Self;
-    unsafe fn has_nan(self) -> bool;
-    /// All `LANES` narrowed to fp16 codes at `at` (round to nearest
-    /// even, as the scalar encoder for every non-NaN value).
-    unsafe fn store_codes(self, at: *mut F16);
-    unsafe fn store(self, at: *mut f32);
+/// A lowered convolution's rectangle (at most [`BLOCK_N`] columns) as
+/// [`CodeCells::emit`] hands it to the lanes: into its fp16 codes in
+/// NCHW, one `L::LANES`-square at a time. The square's pixel rows are
+/// loaded (masked past the last live channel, zero past the last pixel
+/// of the rectangle or of its image), transposed in registers, ReLU'd and
+/// narrowed into each live channel's run of codes. A run that is short
+/// or holds a NaN (whose payload F16C keeps and the scalar encoder does
+/// not) goes through the slice encoder from a stack copy, as
+/// [`emit_rect`]'s would.
+struct Transpose<'a> {
+    cells: &'a CodeCells,
+    src: &'a [f32],
+    stride: usize,
+    rows: (usize, usize),
+    cols: (usize, usize),
 }
 
-#[cfg(target_arch = "x86_64")]
-impl Square for std::arch::x86_64::__m256 {
-    const LANES: usize = 8;
-    // SAFETY (each body): the caller's guarantees are the intrinsics'.
-    #[inline(always)]
-    unsafe fn zero() -> Self {
-        unsafe { std::arch::x86_64::_mm256_setzero_ps() }
-    }
-    #[inline(always)]
-    unsafe fn load(at: *const f32, live: usize) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            if live == 8 {
-                return _mm256_loadu_ps(at);
-            }
-            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            _mm256_maskload_ps(at, _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lane))
-        }
-    }
-    #[inline(always)]
-    unsafe fn transpose(r: &mut [Self; 16]) {
-        use std::arch::x86_64::*;
-        unsafe {
-            let mut t = [_mm256_setzero_ps(); 8];
-            for i in 0..4 {
-                t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
-                t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
-            }
-            // `u[4i + j]`, 128-bit lane `l`: column `4l + j`, rows
-            // `4i..4i + 4`.
-            let mut u = [_mm256_setzero_ps(); 8];
-            for i in 0..2 {
-                u[4 * i] = _mm256_shuffle_ps::<0x44>(t[4 * i], t[4 * i + 2]);
-                u[4 * i + 1] = _mm256_shuffle_ps::<0xee>(t[4 * i], t[4 * i + 2]);
-                u[4 * i + 2] = _mm256_shuffle_ps::<0x44>(t[4 * i + 1], t[4 * i + 3]);
-                u[4 * i + 3] = _mm256_shuffle_ps::<0xee>(t[4 * i + 1], t[4 * i + 3]);
-            }
-            for j in 0..4 {
-                r[j] = _mm256_permute2f128_ps::<0x20>(u[j], u[4 + j]);
-                r[4 + j] = _mm256_permute2f128_ps::<0x31>(u[j], u[4 + j]);
-            }
-        }
-    }
-    #[inline(always)]
-    unsafe fn relu(self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { _mm256_and_ps(self, _mm256_cmp_ps::<_CMP_GE_OQ>(self, _mm256_setzero_ps())) }
-    }
-    #[inline(always)]
-    unsafe fn has_nan(self) -> bool {
-        use std::arch::x86_64::*;
-        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(self, self)) != 0 }
-    }
-    #[inline(always)]
-    unsafe fn store_codes(self, at: *mut F16) {
-        use std::arch::x86_64::*;
-        unsafe {
-            let codes = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(self);
-            _mm_storeu_si128(at.cast(), codes)
-        }
-    }
-    #[inline(always)]
-    unsafe fn store(self, at: *mut f32) {
-        unsafe { std::arch::x86_64::_mm256_storeu_ps(at, self) }
-    }
-}
+impl Kernel for Transpose<'_> {
+    type Out = ();
 
-#[cfg(target_arch = "x86_64")]
-impl Square for std::arch::x86_64::__m512 {
-    const LANES: usize = 16;
-    // SAFETY (each body): the caller's guarantees are the intrinsics'.
     #[inline(always)]
-    unsafe fn zero() -> Self {
-        unsafe { std::arch::x86_64::_mm512_setzero_ps() }
-    }
-    #[inline(always)]
-    unsafe fn load(at: *const f32, live: usize) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            if live == 16 {
-                return _mm512_loadu_ps(at);
-            }
-            _mm512_maskz_loadu_ps(((1u32 << live) - 1) as u16, at)
-        }
-    }
-    #[inline(always)]
-    unsafe fn transpose(r: &mut [Self; 16]) {
-        use std::arch::x86_64::*;
-        unsafe {
-            let mut t = [_mm512_setzero_ps(); 16];
-            for i in 0..8 {
-                t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
-                t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
-            }
-            // `u[4i + j]`, 128-bit lane `l`: column `4l + j`, rows
-            // `4i..4i + 4`.
-            let mut u = [_mm512_setzero_ps(); 16];
-            for i in 0..4 {
-                u[4 * i] = _mm512_shuffle_ps::<0x44>(t[4 * i], t[4 * i + 2]);
-                u[4 * i + 1] = _mm512_shuffle_ps::<0xee>(t[4 * i], t[4 * i + 2]);
-                u[4 * i + 2] = _mm512_shuffle_ps::<0x44>(t[4 * i + 1], t[4 * i + 3]);
-                u[4 * i + 3] = _mm512_shuffle_ps::<0xee>(t[4 * i + 1], t[4 * i + 3]);
-            }
-            // Lanes of rows 0–7 (`v[j]`, `v[4 + j]`) and 8–15
-            // (`v[8 + j]`, `v[12 + j]`): even lanes of the columns
-            // `4l + j` in the first, odd in the second.
-            let mut v = [_mm512_setzero_ps(); 16];
-            for j in 0..4 {
-                v[j] = _mm512_shuffle_f32x4::<0x88>(u[j], u[4 + j]);
-                v[4 + j] = _mm512_shuffle_f32x4::<0xdd>(u[j], u[4 + j]);
-                v[8 + j] = _mm512_shuffle_f32x4::<0x88>(u[8 + j], u[12 + j]);
-                v[12 + j] = _mm512_shuffle_f32x4::<0xdd>(u[8 + j], u[12 + j]);
-            }
-            for j in 0..4 {
-                r[j] = _mm512_shuffle_f32x4::<0x88>(v[j], v[8 + j]);
-                r[8 + j] = _mm512_shuffle_f32x4::<0xdd>(v[j], v[8 + j]);
-                r[4 + j] = _mm512_shuffle_f32x4::<0x88>(v[4 + j], v[12 + j]);
-                r[12 + j] = _mm512_shuffle_f32x4::<0xdd>(v[4 + j], v[12 + j]);
-            }
-        }
-    }
-    #[inline(always)]
-    unsafe fn relu(self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            let keep = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(self, _mm512_setzero_ps());
-            _mm512_maskz_mov_ps(keep, self)
-        }
-    }
-    #[inline(always)]
-    unsafe fn has_nan(self) -> bool {
-        use std::arch::x86_64::*;
-        unsafe { _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(self, self) != 0 }
-    }
-    #[inline(always)]
-    unsafe fn store_codes(self, at: *mut F16) {
-        use std::arch::x86_64::*;
-        unsafe {
-            let codes = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(self);
-            _mm256_storeu_si256(at.cast(), codes)
-        }
-    }
-    #[inline(always)]
-    unsafe fn store(self, at: *mut f32) {
-        unsafe { std::arch::x86_64::_mm512_storeu_ps(at, self) }
-    }
-}
-
-/// # Safety
-/// The host must support AVX2, FMA and F16C; the rest is
-/// [`transpose_rect`]'s.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn transpose_avx2(rect: Rect<'_>, spatial: usize, layout: EmitLayout, codes: &Cells<F16>) {
-    // SAFETY: the caller's guarantees.
-    unsafe { transpose_rect::<std::arch::x86_64::__m256>(rect, spatial, layout, codes) }
-}
-
-/// # Safety
-/// As [`transpose_avx2`], and the host must support AVX-512 F and VL.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
-unsafe fn transpose_avx512(rect: Rect<'_>, spatial: usize, layout: EmitLayout, codes: &Cells<F16>) {
-    // SAFETY: the caller's guarantees.
-    unsafe { transpose_rect::<std::arch::x86_64::__m512>(rect, spatial, layout, codes) }
-}
-
-/// A lowered convolution's rectangle (at most [`BLOCK_N`] columns) into
-/// its fp16 codes in NCHW, one `V::LANES`-square at a time: the square's
-/// pixel rows loaded (masked past the last live channel, zero past the
-/// last pixel of the rectangle or of its image), transposed in
-/// registers, ReLU'd and narrowed into each live channel's run of
-/// codes. A run that is short or holds a NaN (whose payload F16C keeps
-/// and the scalar encoder does not) goes through the slice encoder from
-/// a stack copy, as [`emit_rect`]'s would.
-///
-/// # Safety
-/// The host must support `V`'s instructions and F16C, and no other
-/// reference to the codes of the rectangle's cells may be live.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn transpose_rect<V: Square>(
-    rect: Rect<'_>,
-    spatial: usize,
-    layout: EmitLayout,
-    codes: &Cells<F16>,
-) {
-    let Rect {
-        src,
-        stride,
-        rows: (row0, rows),
-        cols: (col0, cols),
-        image,
-    } = rect;
-    assert!(cols <= BLOCK_N, "a transposed rectangle is a block wide");
-    let lanes = V::LANES;
-    let mut r = 0;
-    while r < rows {
-        let (n, s) = ((row0 + r) / spatial, (row0 + r) % spatial);
-        let pixels = lanes.min(rows - r).min(spatial - s);
-        for c in (0..cols).step_by(lanes) {
-            let live = lanes.min(cols - c);
-            // SAFETY (the block): the host's instructions are the
-            // caller's guarantee; every load is inside a bounds-checked
-            // slice of `src`, every store inside a checked run of codes
-            // or the stack buffer.
-            unsafe {
-                let mut square = [V::zero(); 16];
-                for (i, row) in square[..pixels].iter_mut().enumerate() {
-                    *row = V::load(src[(r + i) * stride + c..][..live].as_ptr(), live);
-                }
-                V::transpose(&mut square);
-                for (co, &channel) in square[..live].iter().enumerate() {
-                    let channel = if layout.relu { channel.relu() } else { channel };
-                    let run = codes.run(n * image + (col0 + c + co) * spatial + s, pixels);
-                    if pixels == lanes && !channel.has_nan() {
-                        channel.store_codes(run.as_mut_ptr());
-                    } else {
-                        let mut staged = [0.0f32; 16];
-                        channel.store(staged.as_mut_ptr());
-                        Dtype::F16.encode_slice(&staged[..pixels], run);
+    unsafe fn run<L: Lanes>(self) {
+        let Transpose {
+            cells,
+            src,
+            stride,
+            rows: (row0, rows),
+            cols: (col0, cols),
+        } = self;
+        let (spatial, image) = (cells.spatial, cells.stride);
+        assert!(cols <= BLOCK_N, "a transposed rectangle is a block wide");
+        let lanes = L::LANES;
+        let mut r = 0;
+        while r < rows {
+            let (n, s) = ((row0 + r) / spatial, (row0 + r) % spatial);
+            let pixels = lanes.min(rows - r).min(spatial - s);
+            for c in (0..cols).step_by(lanes) {
+                let live = lanes.min(cols - c);
+                // SAFETY (the block): the host's instructions are the
+                // caller's guarantee; every load is inside a bounds-checked
+                // slice of `src`, every store inside a checked run of codes
+                // or the stack buffer.
+                unsafe {
+                    let mut square = [L::splat(0.0); 16];
+                    for (i, row) in square[..pixels].iter_mut().enumerate() {
+                        *row = L::load(src[(r + i) * stride + c..][..live].as_ptr(), live);
+                    }
+                    L::transpose(&mut square);
+                    for (co, &channel) in square[..live].iter().enumerate() {
+                        let channel = if cells.relu { channel.relu() } else { channel };
+                        let run = cells
+                            .codes
+                            .run(n * image + (col0 + c + co) * spatial + s, pixels);
+                        if pixels == lanes && !channel.has_nan() {
+                            channel.narrow_f16(run.as_mut_ptr());
+                        } else {
+                            let mut staged = [0.0f32; 16];
+                            channel.store(staged.as_mut_ptr(), lanes);
+                            Dtype::F16.encode_slice(&staged[..pixels], run);
+                        }
                     }
                 }
             }
+            r += pixels;
         }
-        r += pixels;
     }
 }

@@ -30,11 +30,13 @@
 //!   staged stripe, block tile and lanes; output, global ABFT's
 //!   partials);
 //! - [`simd`] — the register-tiled microkernel (one multi-row and one
-//!   one-row tile body, generic over the vector width — ymm on AVX2,
-//!   zmm on AVX-512 — the format's B widening and the checksum lanes),
-//!   the scalar oracle, the canonical accumulation-order contract, and
-//!   the runtime dispatch between them ([`GemmPath`],
-//!   `AIGA_FORCE_SCALAR`);
+//!   one-row tile body, generic over the lanes — ymm on AVX2, zmm on
+//!   AVX-512 — the format's B widening and the checksum lanes), the
+//!   scalar oracle, the canonical accumulation-order contract, and the
+//!   runtime choice between them ([`GemmPath`], `AIGA_FORCE_SCALAR`);
+//! - `lanes` (private) — the one lane type every SIMD body is written
+//!   over (`Lanes`, ymm and zmm) and the one seam that enters a body at
+//!   a path's width (`Kernel`, `on_path`);
 //! - `walk` (private) — block execution over the live extent:
 //!   microkernel fill, targeted fault injection, tile epilogue;
 //! - [`emit`] — write-back: where a run's cells go, the f32 output or
@@ -77,6 +79,7 @@
 
 pub mod emit;
 pub mod fault_inject;
+mod lanes;
 pub mod matrix;
 pub mod panels;
 pub mod pool;
@@ -361,7 +364,9 @@ pub fn gemm_into<'w, 'a>(
     let (out_m, out_n) = (a.rows, b.cols());
     let (stripes, col_blocks) = (out_m.div_ceil(BLOCK_M), out_n.div_ceil(BLOCK_N));
     let global = scheme.lanes == Redundancy::GlobalSums;
-    let dest = emit::CodeCells::new(dest, out_m, out_n);
+    // Read once: every kernel of the run enters its lanes on this path.
+    let path = simd::active_path();
+    let dest = emit::CodeCells::new(dest, out_m, out_n, path);
     ws.out.reset(out_m, out_n, dest.is_none());
     if global {
         ws.check.arm(stripes, a.cols, col_blocks);
@@ -411,7 +416,7 @@ pub fn gemm_into<'w, 'a>(
         scr.panels.reserve(scheme.lanes, k, a.cols, strips);
     }
     let run = &walk::Run {
-        path: simd::active_path(),
+        path,
         a,
         b,
         scheme,

@@ -4,13 +4,15 @@
 //! A vector of outputs takes every tap of its `k × k` windows in
 //! registers — a stride-1 tap is one load, a stride-2 tap two loads
 //! de-interleaved by a permute — and is stored once; the last vector of
-//! a row is masked. The fold is `(ky, kx)`-ordered from `−∞`, each step
+//! a row is masked. The body is written once over the engine's lane
+//! type, ymm on AVX2 and zmm on AVX-512. The fold is `(ky, kx)`-ordered from `−∞`, each step
 //! [`max_fold`], so every path gives the bytes of a per-output scalar
 //! loop: a NaN tap is skipped and, among equal values (`−0.0` and
 //! `+0.0`), the first tap wins. The caller pools the windows that cross
 //! the plane's edge, and average pooling, a window at a time
 //! (`aiga-core`'s `pool_planes`).
 
+use super::lanes::{on_path, Kernel, Lanes};
 use super::simd::GemmPath;
 use std::ops::Range;
 
@@ -53,28 +55,26 @@ pub fn max_row(
     let row = Row {
         plane,
         w,
-        rows,
+        rows: rows.clone(),
         kernel,
         x0,
+        out: &mut *out,
     };
     // SAFETY: the path is one the host runs (`simd::force_path` admits
-    // no other): AVX2 on both, AVX-512 F and VL on `Avx512`. Every tap
-    // is in bounds (asserted above).
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        match (path, stride) {
-            (GemmPath::Avx512, 1) => return max_row_avx512::<1>(row, out),
-            (GemmPath::Avx512, 2) => return max_row_avx512::<2>(row, out),
-            (GemmPath::Avx2Fma, 1) => return max_row_avx2::<1>(row, out),
-            (GemmPath::Avx2Fma, 2) => return max_row_avx2::<2>(row, out),
-            _ => {}
+    // no other), and every tap is in bounds (asserted above).
+    let vector = unsafe {
+        match stride {
+            1 => on_path(path, Strided::<1>(row)).is_ok(),
+            2 => on_path(path, Strided::<2>(row)).is_ok(),
+            _ => false,
         }
+    };
+    if vector {
+        return;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = path;
     for (j, o) in out.iter_mut().enumerate() {
         *o = f32::NEG_INFINITY;
-        for iy in row.rows.clone() {
+        for iy in rows.clone() {
             let taps = &plane[iy * w + x0 + j * stride..][..kernel];
             *o = taps.iter().fold(*o, |o, &tap| max_fold(o, tap));
         }
@@ -82,218 +82,65 @@ pub fn max_row(
 }
 
 /// [`max_row`]'s operands.
-#[derive(Clone)]
 struct Row<'a> {
     plane: &'a [f32],
     w: usize,
     rows: Range<usize>,
     kernel: usize,
     x0: usize,
+    out: &'a mut [f32],
 }
 
-/// What the pooling body needs of an f32 vector, for ymm and zmm. Every
-/// method is one or two instructions the host must support (each
-/// caller's `# Safety`).
-#[cfg(target_arch = "x86_64")]
-trait Taps: Copy {
-    const LANES: usize;
-    unsafe fn splat(x: f32) -> Self;
-    /// The first `live` lanes from `at`, zeros beyond (nothing past them
-    /// is read).
-    unsafe fn load(at: *const f32, live: usize) -> Self;
-    /// Lanes `0, 2, 4, ..` of the `2·LANES` values `lo ++ hi`.
-    unsafe fn evens(lo: Self, hi: Self) -> Self;
-    /// Lanes `1, 3, 5, ..` of them.
-    unsafe fn odds(lo: Self, hi: Self) -> Self;
-    /// [`max_fold`] per lane: `tap > o ? tap : o`.
-    unsafe fn fold(o: Self, tap: Self) -> Self;
-    /// The first `live` lanes to `at`.
-    unsafe fn store(self, at: *mut f32, live: usize);
-}
+/// [`max_row`] in vectors at stride `STRIDE` (1 or 2): each vector of
+/// outputs folds its windows' taps in registers and is stored once. A
+/// load near the plane's end is masked to the plane, so nothing past it
+/// is read. Every tap of every output lies inside the plane, as
+/// [`max_row`] asserts.
+struct Strided<'a, const STRIDE: usize>(Row<'a>);
 
-#[cfg(target_arch = "x86_64")]
-impl Taps for std::arch::x86_64::__m256 {
-    const LANES: usize = 8;
-    // SAFETY (each body): the caller's guarantees are the intrinsics'.
+impl<const STRIDE: usize> Kernel for Strided<'_, STRIDE> {
+    type Out = ();
+
     #[inline(always)]
-    unsafe fn splat(x: f32) -> Self {
-        unsafe { std::arch::x86_64::_mm256_set1_ps(x) }
-    }
-    #[inline(always)]
-    unsafe fn load(at: *const f32, live: usize) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            if live >= 8 {
-                return _mm256_loadu_ps(at);
+    unsafe fn run<L: Lanes>(self) {
+        let Row {
+            plane,
+            w,
+            rows,
+            kernel,
+            x0,
+            out,
+        } = self.0;
+        let lanes = L::LANES;
+        // The furthest a row's loads reach past its first tap.
+        let reach = kernel + (STRIDE - 1) * lanes + lanes;
+        for j in (0..out.len()).step_by(lanes) {
+            let live = lanes.min(out.len() - j);
+            // SAFETY (the block): the host's instructions are the caller's
+            // guarantee; a load is whole only where all of it is inside the
+            // plane, else masked to it; the store covers `out[j..j + live]`.
+            unsafe {
+                let mut o = L::splat(f32::NEG_INFINITY);
+                for iy in rows.clone() {
+                    let at = iy * w + x0 + j * STRIDE;
+                    let first = plane.as_ptr().add(at);
+                    // Each row folds from −∞ on its own chain, and the rows'
+                    // maxima fold in row order: the first of equal values
+                    // still wins, NaN is still skipped, and the chains
+                    // overlap.
+                    let row = L::splat(f32::NEG_INFINITY);
+                    let row = if at + reach <= plane.len() {
+                        fold_row::<L, STRIDE>(row, kernel, |d| L::load(first.add(d), lanes))
+                    } else {
+                        fold_row::<L, STRIDE>(row, kernel, |d| match plane.len() - at {
+                            left if left > d => L::load(first.add(d), left - d),
+                            _ => L::splat(0.0),
+                        })
+                    };
+                    o = L::max_fold(o, row);
+                }
+                o.store(out[j..].as_mut_ptr(), live);
             }
-            _mm256_maskload_ps(at, mask8(live))
-        }
-    }
-    #[inline(always)]
-    unsafe fn evens(lo: Self, hi: Self) -> Self {
-        use std::arch::x86_64::*;
-        // Per 128-bit lane `lo0 lo2 hi0 hi2`, then the middle quarters
-        // swapped.
-        unsafe {
-            let mixed = _mm256_castps_pd(_mm256_shuffle_ps::<0x88>(lo, hi));
-            _mm256_castpd_ps(_mm256_permute4x64_pd::<0xd8>(mixed))
-        }
-    }
-    #[inline(always)]
-    unsafe fn odds(lo: Self, hi: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            let mixed = _mm256_castps_pd(_mm256_shuffle_ps::<0xdd>(lo, hi));
-            _mm256_castpd_ps(_mm256_permute4x64_pd::<0xd8>(mixed))
-        }
-    }
-    #[inline(always)]
-    unsafe fn fold(o: Self, tap: Self) -> Self {
-        // `vmaxps` returns its second operand unless the first is greater.
-        unsafe { std::arch::x86_64::_mm256_max_ps(tap, o) }
-    }
-    #[inline(always)]
-    unsafe fn store(self, at: *mut f32, live: usize) {
-        use std::arch::x86_64::*;
-        unsafe {
-            if live >= 8 {
-                return _mm256_storeu_ps(at, self);
-            }
-            _mm256_maskstore_ps(at, mask8(live), self)
-        }
-    }
-}
-
-/// The ymm lane mask of the first `live` lanes.
-///
-/// # Safety
-/// The host must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn mask8(live: usize) -> std::arch::x86_64::__m256i {
-    use std::arch::x86_64::*;
-    unsafe {
-        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lane)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Taps for std::arch::x86_64::__m512 {
-    const LANES: usize = 16;
-    // SAFETY (each body): the caller's guarantees are the intrinsics'.
-    #[inline(always)]
-    unsafe fn splat(x: f32) -> Self {
-        unsafe { std::arch::x86_64::_mm512_set1_ps(x) }
-    }
-    #[inline(always)]
-    unsafe fn load(at: *const f32, live: usize) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            if live >= 16 {
-                return _mm512_loadu_ps(at);
-            }
-            _mm512_maskz_loadu_ps(((1u32 << live) - 1) as u16, at)
-        }
-    }
-    #[inline(always)]
-    unsafe fn evens(lo: Self, hi: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            let at = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-            _mm512_permutex2var_ps(lo, at, hi)
-        }
-    }
-    #[inline(always)]
-    unsafe fn odds(lo: Self, hi: Self) -> Self {
-        use std::arch::x86_64::*;
-        unsafe {
-            let at = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
-            _mm512_permutex2var_ps(lo, at, hi)
-        }
-    }
-    #[inline(always)]
-    unsafe fn fold(o: Self, tap: Self) -> Self {
-        // `vmaxps` returns its second operand unless the first is greater.
-        unsafe { std::arch::x86_64::_mm512_max_ps(tap, o) }
-    }
-    #[inline(always)]
-    unsafe fn store(self, at: *mut f32, live: usize) {
-        use std::arch::x86_64::*;
-        unsafe {
-            if live >= 16 {
-                return _mm512_storeu_ps(at, self);
-            }
-            _mm512_mask_storeu_ps(at, ((1u32 << live) - 1) as u16, self)
-        }
-    }
-}
-
-/// # Safety
-/// The host must support AVX2; the rest is [`max_row_simd`]'s.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn max_row_avx2<const STRIDE: usize>(row: Row<'_>, out: &mut [f32]) {
-    // SAFETY: the caller's guarantees.
-    unsafe { max_row_simd::<std::arch::x86_64::__m256, STRIDE>(row, out) }
-}
-
-/// # Safety
-/// As [`max_row_avx2`], and the host must support AVX-512 F and VL.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
-unsafe fn max_row_avx512<const STRIDE: usize>(row: Row<'_>, out: &mut [f32]) {
-    // SAFETY: the caller's guarantees.
-    unsafe { max_row_simd::<std::arch::x86_64::__m512, STRIDE>(row, out) }
-}
-
-/// [`max_row`] at vector width `V` and stride `STRIDE` (1 or 2): each
-/// vector of outputs folds its windows' taps in registers and is stored
-/// once. A load near the plane's end is masked to the plane, so nothing
-/// past it is read.
-///
-/// # Safety
-/// The host must support `V`'s instructions, and every tap of every
-/// output must lie inside `row.plane` (as [`max_row`] asserts).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn max_row_simd<V: Taps, const STRIDE: usize>(row: Row<'_>, out: &mut [f32]) {
-    let Row {
-        plane,
-        w,
-        rows,
-        kernel,
-        x0,
-    } = row;
-    let lanes = V::LANES;
-    // The furthest a row's loads reach past its first tap.
-    let reach = kernel + (STRIDE - 1) * lanes + lanes;
-    for j in (0..out.len()).step_by(lanes) {
-        let live = lanes.min(out.len() - j);
-        // SAFETY (the block): the host's instructions are the caller's
-        // guarantee; a load is whole only where all of it is inside the
-        // plane, else masked to it; the store covers `out[j..j + live]`.
-        unsafe {
-            let mut o = V::splat(f32::NEG_INFINITY);
-            for iy in rows.clone() {
-                let at = iy * w + x0 + j * STRIDE;
-                let first = plane.as_ptr().add(at);
-                // Each row folds from −∞ on its own chain, and the rows'
-                // maxima fold in row order: the first of equal values
-                // still wins, NaN is still skipped, and the chains
-                // overlap.
-                let row = V::splat(f32::NEG_INFINITY);
-                let row = if at + reach <= plane.len() {
-                    fold_row::<V, STRIDE>(row, kernel, |d| V::load(first.add(d), lanes))
-                } else {
-                    fold_row::<V, STRIDE>(row, kernel, |d| match plane.len() - at {
-                        left if left > d => V::load(first.add(d), left - d),
-                        _ => V::splat(0.0),
-                    })
-                };
-                o = V::fold(o, row);
-            }
-            o.store(out[j..].as_mut_ptr(), live);
         }
     }
 }
@@ -305,28 +152,27 @@ unsafe fn max_row_simd<V: Taps, const STRIDE: usize>(row: Row<'_>, out: &mut [f3
 /// `kx`, loaded once for both.
 ///
 /// # Safety
-/// The host must support `V`'s instructions, and `load` must be safe to
+/// The host must support `L`'s instructions, and `load` must be safe to
 /// call at every offset below `kernel + LANES` (`2·LANES` at stride 2).
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn fold_row<V: Taps, const STRIDE: usize>(
-    mut o: V,
+unsafe fn fold_row<L: Lanes, const STRIDE: usize>(
+    mut o: L,
     kernel: usize,
-    load: impl Fn(usize) -> V,
-) -> V {
+    load: impl Fn(usize) -> L,
+) -> L {
     // SAFETY: the caller's guarantees.
     unsafe {
         if STRIDE == 1 {
             for kx in 0..kernel {
-                o = V::fold(o, load(kx));
+                o = L::max_fold(o, load(kx));
             }
             return o;
         }
         for kx in (0..kernel).step_by(2) {
-            let (lo, hi) = (load(kx), load(kx + V::LANES));
-            o = V::fold(o, V::evens(lo, hi));
+            let (lo, hi) = (load(kx), load(kx + L::LANES));
+            o = L::max_fold(o, L::evens(lo, hi));
             if kx + 1 < kernel {
-                o = V::fold(o, V::odds(lo, hi));
+                o = L::max_fold(o, L::odds(lo, hi));
             }
         }
     }

@@ -12,7 +12,7 @@
 //!   strips, with the checksum rows a thread-level ABFT scheme
 //!   multiplies, in one pass (once per block-row stripe, by the team
 //!   member about to walk it, in `Panels::stage`). A conv lowering is
-//!   staged by one body for every geometry, generic over the vector
+//!   staged by one body for every geometry, generic over the lanes
 //!   like the tile bodies: the stripe's rows split into segments on one
 //!   output row, so a lowered column is one strided run of codes per
 //!   segment, widened sixteen fp16 codes at a time on zmm and laid
@@ -48,8 +48,13 @@
 //!
 //! The register tile's shape — a tile family times a vector width —
 //! decides which chains share a loop, never a chain. Each family is one
-//! body generic over the vector (`Vector`: ymm on [`GemmPath::Avx2Fma`],
-//! zmm on [`GemmPath::Avx512`]), the format's B widening and the lane kind.
+//! body generic over the lanes, the format's B widening and the lane
+//! kind. The lanes are the engine's one lane type (`Lanes`, ymm on
+//! [`GemmPath::Avx2Fma`], zmm on [`GemmPath::Avx512`]): every SIMD body
+//! of the engine — the conv staging, the tile walk, the magnitude pass,
+//! the write-back transpose, the max-pool row, the tile check — is
+//! written once over it and entered through one dispatch seam, which
+//! compiles it under each path's target features.
 //!
 //! - A strip with several live rows runs the multi-row `tile`:
 //!   [`MICRO_MR`] broadcast rows per strip against two B vectors — 4×16
@@ -81,11 +86,13 @@
 //! compare depends on it, through `group_magnitudes` — one pass of those
 //! same chains (see `walk`).
 
+use super::lanes::{on_path, Kernel, Lanes};
 use super::matrix::{Im2colView, MatrixLayout, MatrixView};
 use super::panels::{PackedWeights, Panels};
 use super::scheme::Redundancy;
 use super::{BLOCK_M, MICRO_MR, MICRO_NR};
 use aiga_dtype::{with_format, Dtype, Format, F16};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -257,7 +264,21 @@ pub(crate) fn stage_a(
     strips: std::ops::Range<usize>,
 ) {
     if let MatrixLayout::Im2col(view) = a.layout {
-        return stage_conv(path, a, view, p, strips);
+        let f16c = a.dtype == Dtype::F16 && aiga_dtype::f16c_active();
+        let stripes = Stripes {
+            a,
+            view,
+            p,
+            strips,
+            f16c,
+        };
+        // SAFETY: the path is one the host runs, and F16C is only used
+        // where it was checked.
+        if let Err(stripes) = unsafe { on_path(path, stripes) } {
+            let widen = None::<fn(&[F16], usize, &mut [f32])>;
+            stage_stripes(stripes, widen, lay_plain);
+        }
+        return;
     }
     #[cfg(target_arch = "x86_64")]
     if path.is_simd() && a.dtype == Dtype::F16 && aiga_dtype::f16c_active() {
@@ -350,15 +371,15 @@ fn stage_strips(
 
 /// Rows the conv body stages at once: a block-row stripe, what a team
 /// member stages before it walks.
-const STRIPE_ROWS: usize = BLOCK_M;
+pub(super) const STRIPE_ROWS: usize = BLOCK_M;
 
 /// Lowered columns the conv body decodes before it lays them: with a
 /// strip's [`MICRO_MR`] rows, one 4×4 lane transpose — one zmm per strip.
-const GROUP: usize = 4;
+pub(super) const GROUP: usize = 4;
 
 /// [`GROUP`] lowered columns of a stripe, decoded: column `c`'s row `r`
 /// (counted from the stripe's first) at `[c][r]`.
-type Block = [[f32; STRIPE_ROWS]; GROUP];
+pub(super) type Block = [[f32; STRIPE_ROWS]; GROUP];
 
 /// A maximal run of a stripe's rows on one output row of one image
 /// ([`Im2colView::segments`]).
@@ -372,82 +393,55 @@ struct Segment {
     origin: (usize, isize, isize),
 }
 
-/// A conv lowering's [`stage_a`]: [`stage_stripes`] at the path's lane
-/// width, widening fp16 runs by F16C where the host's slice codecs do
-/// ([`aiga_dtype::f16c_active`]).
-fn stage_conv(
-    path: GemmPath,
-    a: MatrixView<'_>,
+/// A conv lowering's [`stage_a`] operands, and [`stage_stripes`] as a
+/// [`Kernel`]: its fp16 runs widened where `f16c` (F16C, where the host's
+/// slice codecs use it: [`aiga_dtype::f16c_active`]) and its blocks laid
+/// by the lanes it runs at.
+struct Stripes<'a> {
+    a: MatrixView<'a>,
     view: Im2colView,
-    p: &mut Panels,
+    p: &'a mut Panels,
     strips: std::ops::Range<usize>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if path.is_simd() {
-        let f16c = a.dtype == Dtype::F16 && aiga_dtype::f16c_active();
-        // SAFETY: the dispatcher only selects a SIMD path the host
-        // supports, and F16C is only used where it was checked.
-        return unsafe {
-            match path {
-                GemmPath::Avx512 => stripes_avx512(a, view, p, strips, f16c),
-                _ => stripes_avx2(a, view, p, strips, f16c),
-            }
-        };
+    /// Whether fp16 runs widen by F16C.
+    f16c: bool,
+}
+
+impl Kernel for Stripes<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        // SAFETY (both closures): the caller's guarantees; `decode_run`
+        // hands `widen` the codes it reads.
+        let widen = self
+            .f16c
+            .then_some(|codes: &[F16], stride, run: &mut [f32]| unsafe {
+                L::widen_f16(codes.as_ptr(), stride, run)
+            });
+        stage_stripes(self, widen, |block, n, pack, sums, k| unsafe {
+            L::lay(block, n, pack, sums, k)
+        });
     }
-    assert_eq!(path, GemmPath::Scalar, "SIMD path dispatched off x86_64");
-    // SAFETY: the plain loop needs nothing of the host.
-    unsafe { stage_stripes::<Plain>(a, view, p, strips, false) }
 }
 
-/// # Safety
-/// The host must support AVX2, FMA and F16C.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn stripes_avx2(
-    a: MatrixView<'_>,
-    view: Im2colView,
-    p: &mut Panels,
-    strips: std::ops::Range<usize>,
-    f16c: bool,
-) {
-    // SAFETY: the caller's guarantees.
-    unsafe { stage_stripes::<std::arch::x86_64::__m256>(a, view, p, strips, f16c) }
-}
-
-/// # Safety
-/// As [`stripes_avx2`], and the host must support AVX-512 F and VL.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
-unsafe fn stripes_avx512(
-    a: MatrixView<'_>,
-    view: Im2colView,
-    p: &mut Panels,
-    strips: std::ops::Range<usize>,
-    f16c: bool,
-) {
-    // SAFETY: the caller's guarantees.
-    unsafe { stage_stripes::<std::arch::x86_64::__m512>(a, view, p, strips, f16c) }
-}
-
-/// The conv body of [`stage_a`], one for every geometry and format,
-/// generic over the lane width `L` it lays strips at. Up to a
-/// stripe at a time: the stripe's live rows are split into segments;
-/// [`GROUP`] columns at a time, each column's run in each segment —
-/// stride 1 or the conv's, padding taps zero — is decoded into the
-/// block ([`decode_run`]), and the block is laid into the strips with
-/// their sums ([`Stripe::lay`]). Rows past the request stay zero in the
-/// block, and K steps past the operand are zero-filled.
-///
-/// # Safety
-/// The host must support `L`'s instructions, and F16C where `f16c`.
+/// The conv body of [`stage_a`], one for every geometry, format and
+/// path (on the scalar path with [`lay_plain`] and every run through its
+/// format). Up to a stripe at a time: the stripe's live rows are split into
+/// segments; [`GROUP`] columns at a time, each column's run in each
+/// segment — stride 1 or the conv's, padding taps zero — is decoded into
+/// the block ([`decode_run`], through `widen` where given), and the block
+/// is laid into the strips with their sums by `lay` ([`Lanes::lay`], or
+/// [`lay_plain`]). Rows past the request stay zero in the block, and K
+/// steps past the operand are zero-filled.
 #[inline(always)]
-unsafe fn stage_stripes<L: Stripe>(
-    a: MatrixView<'_>,
-    view: Im2colView,
-    p: &mut Panels,
-    strips: std::ops::Range<usize>,
-    f16c: bool,
+fn stage_stripes(
+    stripes: Stripes<'_>,
+    widen: Option<impl Fn(&[F16], usize, &mut [f32])>,
+    lay: impl Fn(&Block, usize, &mut [f32], &mut [f32], usize),
 ) {
+    let Stripes {
+        a, view, p, strips, ..
+    } = stripes;
     const _: () = assert!(MICRO_MR == 4 && STRIPE_ROWS.is_multiple_of(16));
     let (k, cols, per_stripe) = (p.k, a.cols, STRIPE_ROWS / MICRO_MR);
     let pack = &mut p.a_pack[..strips.len() * MICRO_MR * k];
@@ -492,13 +486,11 @@ unsafe fn stage_stripes<L: Stripe>(
                         run[hi..].fill(0.0);
                     }
                     let run = &mut run[lo..hi];
-                    // SAFETY: the caller's guarantees.
-                    unsafe { decode_run::<L>(a.data, a.dtype, src, view.stride, run, f16c) };
+                    decode_run(a.data, a.dtype, src, view.stride, run, widen.as_ref());
                 }
             }
             let sums = sums.get_mut(kk0 * 2..).unwrap_or_default();
-            // SAFETY: the caller's guarantees.
-            unsafe { L::lay(&block, count, &mut pack[kk0 * MICRO_MR..], sums, k) };
+            lay(&block, count, &mut pack[kk0 * MICRO_MR..], sums, k);
         }
         let tail = cols.next_multiple_of(GROUP);
         for strip in pack.chunks_exact_mut(MICRO_MR * k) {
@@ -511,28 +503,26 @@ unsafe fn stage_stripes<L: Stripe>(
 }
 
 /// Decodes the `dtype` codes at `at`, `at + stride`, … into `run`:
-/// widened by `L` where `f16c` and the stride is 1 or 2, through the
-/// format's slice codec where the run is contiguous, code by code
-/// otherwise.
-///
-/// # Safety
-/// As [`stage_stripes`].
+/// widened by `widen` (fp16, F16C) where it is given and the stride is 1
+/// or 2, handed the codes it reads; through the format's slice codec
+/// where the run is contiguous, code by code otherwise.
 #[inline(always)]
-unsafe fn decode_run<L: Stripe>(
+fn decode_run(
     codes: &[F16],
     dtype: Dtype,
     at: usize,
     stride: usize,
     run: &mut [f32],
-    f16c: bool,
+    widen: Option<&impl Fn(&[F16], usize, &mut [f32])>,
 ) {
     // A stride-2 vector also reads the code after the run's last one.
-    if f16c && stride <= 2 && at + run.len() * stride <= codes.len() {
-        // SAFETY: F16C and `L`'s instructions are the caller's; every
-        // read ends inside `codes`, as just checked.
-        return unsafe { L::widen_f16(codes[at..].as_ptr(), stride, run) };
+    let reach = run.len() * stride;
+    match widen {
+        Some(widen) if stride <= 2 && at + reach <= codes.len() => {
+            widen(&codes[at..][..reach], stride, run)
+        }
+        _ => decode_codes(codes, dtype, at, stride, run),
     }
-    decode_codes(codes, dtype, at, stride, run);
 }
 
 /// The runs [`decode_run`] widens no vector of: a contiguous one through
@@ -551,239 +541,16 @@ fn decode_codes(codes: &[F16], dtype: Dtype, at: usize, stride: usize, run: &mut
     }
 }
 
-/// The lane width [`stage_stripes`] lays strips at: [`Plain`] on the
-/// scalar path, ymm or zmm on a SIMD path.
-trait Stripe {
-    /// Widens the fp16 codes at `codes`, `stride` (1 or 2) apart, into
-    /// `run`, NaNs canonicalised as the scalar decode does.
-    ///
-    /// # Safety
-    /// The host must support F16C and the width's instructions, and
-    /// `codes` must be valid for reads of `run.len() · stride` codes.
-    unsafe fn widen_f16(codes: *const F16, stride: usize, run: &mut [f32]);
-
-    /// Lays the block's first `strips` strips into `pack` — strip `t`'s
-    /// [`GROUP`] columns at `t·MR·k`, as `Panels::a_pack` lays them — and,
-    /// unless `sums` is empty, each column's pair at `t·2k` in `sums`,
-    /// `(v0+v1)+(v2+v3)` as [`stage_a`] sums.
-    ///
-    /// # Safety
-    /// The host must support the width's instructions.
-    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize);
-}
-
-/// The scalar path's [`Stripe`]: one value at a time.
-struct Plain;
-
-impl Stripe for Plain {
-    unsafe fn widen_f16(_: *const F16, _: usize, _: &mut [f32]) {
-        unreachable!("the scalar path decodes every run through its format")
-    }
-
-    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize) {
-        for t in 0..strips {
-            for (c, col) in block.iter().enumerate() {
-                let v = &col[t * MICRO_MR..][..MICRO_MR];
-                pack[t * MICRO_MR * k + c * MICRO_MR..][..MICRO_MR].copy_from_slice(v);
-                if !sums.is_empty() {
-                    let pair = &mut sums[t * 2 * k + c * 2..][..2];
-                    pair[0] = (v[0] + v[1]) + (v[2] + v[3]);
-                    pair[1] = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
-                }
-            }
-        }
-    }
-}
-
-/// Asserts what [`Stripe::lay`]'s vector bodies store through.
-#[cfg(target_arch = "x86_64")]
-fn assert_lay_bounds(strips: usize, pack: &[f32], sums: &[f32], k: usize) {
-    assert!(strips * MICRO_MR <= STRIPE_ROWS && GROUP <= k);
-    let last = strips.saturating_sub(1);
-    assert!(pack.len() >= last * MICRO_MR * k + GROUP * MICRO_MR);
-    assert!(sums.is_empty() || sums.len() >= last * 2 * k + GROUP * 2);
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Stripe for std::arch::x86_64::__m256 {
-    /// Eight codes a step (a stride-2 step keeps the even codes of
-    /// sixteen), the last step overlapping the one before it; a run
-    /// shorter than a step decodes code by code.
-    #[inline(always)]
-    unsafe fn widen_f16(codes: *const F16, stride: usize, run: &mut [f32]) {
-        use std::arch::x86_64::*;
-        let n = run.len();
-        if n < 8 {
-            for (j, v) in run.iter_mut().enumerate() {
-                // SAFETY: `j·stride` is inside the caller's bound.
-                *v = unsafe { *codes.add(j * stride) }.to_f32();
-            }
-            return;
-        }
-        let mut j = 0;
-        loop {
-            // SAFETY: `j + 8 <= n`, so the reads end inside the caller's
-            // bound and the store inside `run`.
-            unsafe {
-                let h = match stride {
-                    1 => _mm_loadu_si128(codes.add(j).cast()),
-                    _ => {
-                        let even = _mm256_setr_epi8(
-                            0, 1, 4, 5, 8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1, 0, 1, 4, 5,
-                            8, 9, 12, 13, -1, -1, -1, -1, -1, -1, -1, -1,
-                        );
-                        let x =
-                            _mm256_shuffle_epi8(_mm256_loadu_si256(codes.add(2 * j).cast()), even);
-                        _mm256_castsi256_si128(_mm256_permute4x64_epi64::<0b10_00>(x))
-                    }
-                };
-                let v = _mm256_cvtph_ps(h);
-                let v = _mm256_blendv_ps(
-                    v,
-                    _mm256_set1_ps(f32::NAN),
-                    _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v),
-                );
-                _mm256_storeu_ps(run.as_mut_ptr().add(j), v);
-            }
-            if j + 8 == n {
-                break;
-            }
-            j = (j + 8).min(n - 8);
-        }
-    }
-
-    /// Two strips a vector: each strip's four columns are two ymm.
-    #[inline(always)]
-    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize) {
-        use std::arch::x86_64::*;
-        assert_lay_bounds(strips, pack, sums, k);
-        for u in 0..strips.div_ceil(2) {
-            // SAFETY: rows `8u..8u+8` are inside the block; the stores
-            // are inside the bounds asserted above.
-            unsafe {
-                let x: [__m256; GROUP] =
-                    std::array::from_fn(|c| _mm256_loadu_ps(block[c][8 * u..].as_ptr()));
-                let halves = [
-                    [
-                        _mm256_permute2f128_ps::<0x20>(x[0], x[1]),
-                        _mm256_permute2f128_ps::<0x20>(x[2], x[3]),
-                    ],
-                    [
-                        _mm256_permute2f128_ps::<0x31>(x[0], x[1]),
-                        _mm256_permute2f128_ps::<0x31>(x[2], x[3]),
-                    ],
-                ];
-                for (t, [lo, hi]) in (2 * u..strips).zip(halves) {
-                    let at = pack.as_mut_ptr().add(t * MICRO_MR * k);
-                    _mm256_storeu_ps(at, lo);
-                    _mm256_storeu_ps(at.add(8), hi);
-                    if !sums.is_empty() {
-                        let pairs = _mm256_unpacklo_pd(pair_sums_ymm(lo), pair_sums_ymm(hi));
-                        let pairs = _mm256_permute4x64_pd::<0b11_01_10_00>(pairs);
-                        _mm256_storeu_pd(sums.as_mut_ptr().add(t * 2 * k).cast(), pairs);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The `(Σ, Σ|·|)` pair of each 128-bit lane's four values — one column
-/// of a strip — in its low two floats, `(v0+v1)+(v2+v3)` left to right.
-///
-/// # Safety
-/// The host must support AVX.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn pair_sums_ymm(s: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256d {
-    use std::arch::x86_64::*;
-    // SAFETY: the caller's guarantee.
-    unsafe {
-        let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), s);
-        // [v0, |v0|, v2, |v2|] + [v1, |v1|, v3, |v3|]
-        let left = _mm256_blend_ps::<0b1010_1010>(s, _mm256_moveldup_ps(abs));
-        let right = _mm256_blend_ps::<0b1010_1010>(_mm256_movehdup_ps(s), abs);
-        let pairs = _mm256_add_ps(left, right);
-        _mm256_castps_pd(_mm256_add_ps(
-            pairs,
-            _mm256_permute_ps::<0b11_10_11_10>(pairs),
-        ))
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Stripe for std::arch::x86_64::__m512 {
-    /// Sixteen codes a step (a stride-2 step keeps each dword's low code
-    /// by `vpmovdw`), the last step overlapping the one before it; a
-    /// run shorter than a step takes the ymm body.
-    #[inline(always)]
-    unsafe fn widen_f16(codes: *const F16, stride: usize, run: &mut [f32]) {
-        use std::arch::x86_64::*;
-        let n = run.len();
-        if n < 16 {
-            // SAFETY: the caller's guarantees, which cover AVX2.
-            return unsafe { __m256::widen_f16(codes, stride, run) };
-        }
-        let mut j = 0;
-        loop {
-            // SAFETY: `j + 16 <= n`, so the reads end inside the caller's
-            // bound and the store inside `run`.
-            unsafe {
-                let h = match stride {
-                    1 => _mm256_loadu_si256(codes.add(j).cast()),
-                    _ => _mm512_cvtepi32_epi16(_mm512_loadu_si512(codes.add(2 * j).cast())),
-                };
-                let v = _mm512_cvtph_ps(h);
-                let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
-                let v = _mm512_mask_mov_ps(v, nan, _mm512_set1_ps(f32::NAN));
-                _mm512_storeu_ps(run.as_mut_ptr().add(j), v);
-            }
-            if j + 16 == n {
-                break;
-            }
-            j = (j + 16).min(n - 16);
-        }
-    }
-
-    /// Four strips a vector, laid by a 4×4 transpose of 128-bit lanes:
-    /// one 64-byte store per strip.
-    #[inline(always)]
-    unsafe fn lay(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize) {
-        use std::arch::x86_64::*;
-        assert_lay_bounds(strips, pack, sums, k);
-        for u in 0..strips.div_ceil(4) {
-            // SAFETY: rows `16u..16u+16` are inside the block; the stores
-            // are inside the bounds asserted above.
-            unsafe {
-                let x: [__m512; GROUP] =
-                    std::array::from_fn(|c| _mm512_loadu_ps(block[c][16 * u..].as_ptr()));
-                // [x0.0, x0.1, x1.0, x1.1], [x0.2, x0.3, x1.2, x1.3], and
-                // the same of x2 and x3.
-                let lo01 = _mm512_shuffle_f32x4::<0b01_00_01_00>(x[0], x[1]);
-                let hi01 = _mm512_shuffle_f32x4::<0b11_10_11_10>(x[0], x[1]);
-                let lo23 = _mm512_shuffle_f32x4::<0b01_00_01_00>(x[2], x[3]);
-                let hi23 = _mm512_shuffle_f32x4::<0b11_10_11_10>(x[2], x[3]);
-                let lanes = [
-                    _mm512_shuffle_f32x4::<0b10_00_10_00>(lo01, lo23),
-                    _mm512_shuffle_f32x4::<0b11_01_11_01>(lo01, lo23),
-                    _mm512_shuffle_f32x4::<0b10_00_10_00>(hi01, hi23),
-                    _mm512_shuffle_f32x4::<0b11_01_11_01>(hi01, hi23),
-                ];
-                for (t, s) in (4 * u..strips).zip(lanes) {
-                    _mm512_storeu_ps(pack.as_mut_ptr().add(t * MICRO_MR * k), s);
-                    if !sums.is_empty() {
-                        let abs = _mm512_abs_ps(s);
-                        // [v0, |v0|, v2, |v2|] + [v1, |v1|, v3, |v3|]
-                        let left = _mm512_mask_moveldup_ps(s, 0xaaaa, abs);
-                        let right = _mm512_mask_movehdup_ps(abs, 0x5555, s);
-                        let pairs = _mm512_add_ps(left, right);
-                        let pairs = _mm512_add_ps(pairs, _mm512_permute_ps::<0b11_10_11_10>(pairs));
-                        let low = _mm512_setr_epi64(0, 2, 4, 6, 0, 2, 4, 6);
-                        let pairs = _mm512_permutexvar_pd(low, _mm512_castps_pd(pairs));
-                        let at = sums.as_mut_ptr().add(t * 2 * k);
-                        _mm256_storeu_pd(at.cast(), _mm512_castpd512_pd256(pairs));
-                    }
-                }
+/// The scalar path's [`Lanes::lay`]: one value at a time.
+fn lay_plain(block: &Block, strips: usize, pack: &mut [f32], sums: &mut [f32], k: usize) {
+    for t in 0..strips {
+        for (c, col) in block.iter().enumerate() {
+            let v = &col[t * MICRO_MR..][..MICRO_MR];
+            pack[t * MICRO_MR * k + c * MICRO_MR..][..MICRO_MR].copy_from_slice(v);
+            if !sums.is_empty() {
+                let pair = &mut sums[t * 2 * k + c * 2..][..2];
+                pair[0] = (v[0] + v[1]) + (v[2] + v[3]);
+                pair[1] = (v[0].abs() + v[1].abs()) + (v[2].abs() + v[3].abs());
             }
         }
     }
@@ -837,8 +604,9 @@ pub(crate) fn column_magnitude(a: &Panels, b: &PackedWeights, strip: usize, col:
 /// `(strip, group)` pair with groups counted from global column `col0`,
 /// into `mag` (strip `s`'s column `col0 + j` at `s·bn + j`): each column
 /// [`column_magnitude`] bit for bit. A SIMD path runs the opened groups
-/// four at a time in one pass over K, so their independent chains hide
-/// the FMA latency; the scalar path is the mirror itself.
+/// four at a time in one pass over K ([`Magnitudes`]), so their
+/// independent chains hide the FMA latency; the scalar path is the
+/// mirror itself.
 pub(crate) fn group_magnitudes(
     path: GemmPath,
     a: &Panels,
@@ -855,18 +623,15 @@ pub(crate) fn group_magnitudes(
         assert!(a.a_chk.len() >= (s + 1) * a.k * 2);
     }
     assert_eq!(a.k, b.k(), "operands staged for different K");
-    #[cfg(target_arch = "x86_64")]
-    if path.is_simd() {
-        type Pass = unsafe fn(&Panels, &PackedWeights, usize, usize, &[(usize, usize)], &mut [f32]);
-        let pass: Pass = with_format!(b.dtype(), F => match path {
-            GemmPath::Avx512 => magnitudes_avx512::<F>,
-            _ => magnitudes_avx2::<F>,
-        });
-        // SAFETY: the dispatcher only selects a SIMD path the host
-        // supports; the asserts above bound every pointer offset.
-        return unsafe { pass(a, b, col0, bn, opened, mag) };
+    // SAFETY: the path is one the host runs; the asserts above bound
+    // every pointer offset.
+    let pass = with_format!(b.dtype(), F => unsafe {
+        let pass = Magnitudes::<F> { a, b, col0, bn, opened, mag: &mut *mag, format: PhantomData };
+        on_path(path, pass).is_ok()
+    });
+    if pass {
+        return;
     }
-    assert_eq!(path, GemmPath::Scalar, "SIMD path dispatched off x86_64");
     for &(s, g) in opened {
         for j in g * MICRO_NR..(g + 1) * MICRO_NR {
             mag[s * bn + j] = column_magnitude(a, b, s, col0 + j);
@@ -931,54 +696,36 @@ pub(crate) fn fill_block_tile(
     let lane_len = lanes.lane_len(strips * MICRO_MR, bn);
     assert!(chk.len() >= lane_len && mag.len() >= lane_len);
     assert_eq!(a.k, b.k(), "operands staged for different K");
+    #[rustfmt::skip]
+    let f = Fill { a, b, row0, col0, rows, groups, bn, tile, chk, mag };
     #[cfg(target_arch = "x86_64")]
-    if path.is_simd() {
-        use {GemmPath::Avx512, Redundancy::ColumnChecksum, Redundancy::TileChecksum};
-        #[rustfmt::skip]
-        let f = Fill { a, b, row0, col0, rows, groups, bn, tile, chk, mag };
-        let fill: unsafe fn(Fill<'_>) = with_format!(b.dtype(), F => match (path, lanes) {
-            (Avx512, ColumnChecksum) => fill_avx512::<F, LANES_COLUMN>,
-            (Avx512, TileChecksum) => fill_avx512::<F, LANES_TILE>,
-            (Avx512, _) => fill_avx512::<F, LANES_NONE>,
-            (_, ColumnChecksum) => fill_avx2::<F, LANES_COLUMN>,
-            (_, TileChecksum) => fill_avx2::<F, LANES_TILE>,
-            (_, _) => fill_avx2::<F, LANES_NONE>,
-        });
-        // SAFETY: the dispatcher only selects a SIMD path the host
-        // supports (detect_path / force_path enforce it); the asserts
-        // above and in the callee bound every pointer offset.
-        return unsafe { fill(f) };
-    }
-    assert_eq!(path, GemmPath::Scalar, "SIMD path dispatched off x86_64");
+    // SAFETY: the path is one the host runs (detect_path / force_path
+    // enforce it); the asserts above and in the walk bound every pointer
+    // offset.
+    let Err(f) = with_format!(b.dtype(), F => unsafe {
+        use Redundancy::{ColumnChecksum, TileChecksum};
+        match lanes {
+            ColumnChecksum => on_path(path, Walk::<F, LANES_COLUMN>(f, PhantomData)).map_err(|w| w.0),
+            TileChecksum => on_path(path, Walk::<F, LANES_TILE>(f, PhantomData)).map_err(|w| w.0),
+            _ => on_path(path, Walk::<F, LANES_NONE>(f, PhantomData)).map_err(|w| w.0),
+        }
+    }) else {
+        return;
+    };
     #[cfg(target_arch = "x86_64")]
     if detect_path().is_simd() {
         // SAFETY: FMA support was verified by detect_path.
-        return unsafe {
-            fill_scalar_fma(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
-        };
+        return unsafe { fill_scalar_fma(f, lanes) };
     }
-    fill_scalar(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
+    fill_scalar(f, lanes)
 }
 
 /// [`fill_scalar`] compiled with the FMA target feature (see
 /// [`dot_fma`]) — same bytes, hardware `mul_add`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fill_scalar_fma(
-    a: &Panels,
-    b: &PackedWeights,
-    lanes: Redundancy,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    groups: usize,
-    bn: usize,
-    tile: &mut [f32],
-    chk: &mut [f32],
-    mag: &mut [f32],
-) {
-    fill_scalar(a, b, lanes, row0, col0, rows, groups, bn, tile, chk, mag)
+unsafe fn fill_scalar_fma(f: Fill<'_>, lanes: Redundancy) {
+    fill_scalar(f, lanes)
 }
 
 /// The scalar oracle: every data cell and every lane is its own
@@ -987,20 +734,9 @@ unsafe fn fill_scalar_fma(
 /// decoded code by code. It makes the same exception the microkernel
 /// does for a strip with one live row.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fill_scalar(
-    a: &Panels,
-    b: &PackedWeights,
-    lanes: Redundancy,
-    row0: usize,
-    col0: usize,
-    rows: usize,
-    groups: usize,
-    bn: usize,
-    tile: &mut [f32],
-    chk: &mut [f32],
-    mag: &mut [f32],
-) {
+fn fill_scalar(f: Fill<'_>, lanes: Redundancy) {
+    #[rustfmt::skip]
+    let Fill { a, b, row0, col0, rows, groups, bn, tile, chk, mag } = f;
     let k = a.k;
     let cols = groups * MICRO_NR;
     let per_row = bn / MICRO_NR;
@@ -1042,69 +778,7 @@ const LANES_COLUMN: u8 = 1;
 #[cfg(target_arch = "x86_64")]
 const LANES_TILE: u8 = 2;
 
-/// The vector a register tile is made of: what the tile bodies need of
-/// an f32 SIMD register, implemented for ymm and zmm. Every method is
-/// one instruction the host must support (each caller's `# Safety`),
-/// except [`Self::widen`], which is the format's.
-#[cfg(target_arch = "x86_64")]
-trait Vector: Copy {
-    /// f32 lanes.
-    const LANES: usize;
-    /// Whether a multi-row tile takes two strips per B load while two
-    /// remain: that is 16 accumulators, so 32 registers.
-    const PAIRS_STRIPS: bool;
-    unsafe fn splat(x: f32) -> Self;
-    /// [`Self::LANES`] resident codes at `codes`, widened exactly.
-    unsafe fn widen<F: Format>(codes: *const u8) -> Self;
-    /// `a · b + c`, fused.
-    unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
-    unsafe fn abs(self) -> Self;
-    unsafe fn store(self, at: *mut f32);
-}
-
-/// [`Vector`] for `$ty`, each method one intrinsic call.
-#[cfg(target_arch = "x86_64")]
-macro_rules! impl_vector {
-    ($ty:ident: $lanes:literal lanes, pairs strips: $pairs:literal, $splat:ident,
-     $widen:ident, $fma:ident, |$v:ident| $abs:expr, $store:ident) => {
-        impl Vector for std::arch::x86_64::$ty {
-            const LANES: usize = $lanes;
-            const PAIRS_STRIPS: bool = $pairs;
-            // SAFETY (each body): the caller's guarantee is the intrinsic's.
-            #[inline(always)]
-            unsafe fn splat(x: f32) -> Self {
-                unsafe { std::arch::x86_64::$splat(x) }
-            }
-            #[inline(always)]
-            unsafe fn widen<F: Format>(codes: *const u8) -> Self {
-                unsafe { F::$widen(codes) }
-            }
-            #[inline(always)]
-            unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
-                unsafe { std::arch::x86_64::$fma(a, b, c) }
-            }
-            #[inline(always)]
-            unsafe fn abs(self) -> Self {
-                use std::arch::x86_64::*;
-                let $v = self;
-                unsafe { $abs }
-            }
-            #[inline(always)]
-            unsafe fn store(self, at: *mut f32) {
-                unsafe { std::arch::x86_64::$store(at, self) }
-            }
-        }
-    };
-}
-#[cfg(target_arch = "x86_64")]
-impl_vector!(__m256: 8 lanes, pairs strips: false, _mm256_set1_ps, widen,
-    _mm256_fmadd_ps, |v| _mm256_andnot_ps(_mm256_set1_ps(-0.0), v), _mm256_storeu_ps);
-#[cfg(target_arch = "x86_64")]
-impl_vector!(__m512: 16 lanes, pairs strips: true, _mm512_set1_ps, widen16,
-    _mm512_fmadd_ps, |v| _mm512_abs_ps(v), _mm512_storeu_ps);
-
-/// [`fill_block_tile`]'s parameters, as it hands them to a SIMD walk.
-#[cfg(target_arch = "x86_64")]
+/// [`fill_block_tile`]'s parameters, as it hands them to the walk.
 struct Fill<'a> {
     a: &'a Panels,
     b: &'a PackedWeights,
@@ -1118,9 +792,14 @@ struct Fill<'a> {
     mag: &'a mut [f32],
 }
 
+/// The register-tiled microkernel walk over a [`Fill`], for format `F`
+/// and lane kind `LANES`.
+#[cfg(target_arch = "x86_64")]
+struct Walk<'a, F, const LANES: u8>(Fill<'a>, PhantomData<F>);
+
 /// Where one register tile reads its operands and leaves its results:
-/// what [`fill_simd`] hands the tile bodies. A tile's strips are
-/// consecutive in every buffer, and so are its column groups.
+/// what [`Walk`] hands the tile bodies. A tile's strips are consecutive
+/// in every buffer, and so are its column groups.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct TileArgs {
@@ -1153,7 +832,7 @@ impl TileArgs {
     /// `col / NR`, code `col % NR` of its 16.
     ///
     /// # Safety
-    /// As [`fill_simd`], which built `self`.
+    /// As [`Walk`]'s, which built `self`.
     #[inline(always)]
     unsafe fn b_at<F: Format>(&self, col: usize, kk: usize) -> *const u8 {
         let code = (col / MICRO_NR * self.k + kk) * MICRO_NR + col % MICRO_NR;
@@ -1162,123 +841,107 @@ impl TileArgs {
     }
 }
 
-/// # Safety
-/// The host must support AVX2, FMA and F16C; `f` is [`fill_simd`]'s.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn fill_avx2<F: Format, const LANES: u8>(f: Fill<'_>) {
-    // SAFETY: the caller's guarantees.
-    unsafe { fill_simd::<std::arch::x86_64::__m256, F, LANES>(f) }
-}
-
-/// # Safety
-/// As [`fill_avx2`], and the host must support AVX-512 F and VL.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
-unsafe fn fill_avx512<F: Format, const LANES: u8>(f: Fill<'_>) {
-    // SAFETY: the caller's guarantees.
-    unsafe { fill_simd::<std::arch::x86_64::__m512, F, LANES>(f) }
-}
-
-/// The register-tiled microkernel walk at vector width `V`: covers the
+/// The register-tiled microkernel walk at lane width `L`: covers the
 /// block tile's live register tiles with the widest tile that fits what
-/// is left, widening B from its resident codes in the load (`V::widen`
+/// is left, widening B from its resident codes in the load (`L::widen`
 /// — the one line that differs between formats). Strips with several
-/// live rows run [`tile`] — two at once where [`Vector::PAIRS_STRIPS`]
-/// and two remain — over as many column groups as two vectors span; a strip
-/// with [`one_live_row`] runs [`tile_1xn`] over four vectors' groups,
-/// then two, and has `+0.0` stored in its dead rows. An odd last column
-/// group runs the ymm instance of the same body.
+/// live rows run [`tile`] — two at once where [`Lanes::PAIRS_STRIPS`]
+/// and two remain — over as many column groups as two vectors span; a
+/// strip with [`one_live_row`] runs [`tile_1xn`] over four vectors'
+/// groups, then two, and has `+0.0` stored in its dead rows. An odd last
+/// column group runs the ymm instance of the same body.
 ///
-/// # Safety
-/// The host must support AVX2, FMA and F16C, and `V`'s instruction set.
 /// Every pointer offset is bounded by the asserts below and in
 /// [`fill_block_tile`].
 #[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn fill_simd<V: Vector, F: Format, const LANES: u8>(f: Fill<'_>) {
-    use std::arch::x86_64::__m256;
-    #[rustfmt::skip]
-    let Fill { a, b, row0, col0, rows, groups, bn, tile: block, chk, mag } = f;
-    let k = a.k;
-    let strips = rows.div_ceil(MICRO_MR);
-    let (s0, g0) = (row0 / MICRO_MR, col0 / MICRO_NR);
-    let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
-    assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
-    assert!(b.panels().len() >= (g0 + groups) * group_bytes);
-    assert!(LANES == LANES_NONE || a.a_chk.len() >= (s0 + strips) * k * 2);
-    // Only a two-sided tile reads (and so sums) the B checksum columns.
-    let b_chk = if LANES == LANES_TILE { b.b_chk() } else { &[] };
-    assert!(LANES != LANES_TILE || b_chk.len() >= (g0 + groups) * k * 2);
-    // One lane per column under LANES_COLUMN, per group under LANES_TILE.
-    let (lane_row, lane_group) = match LANES {
-        LANES_COLUMN => (bn, MICRO_NR),
-        _ => (bn / MICRO_NR, 1),
-    };
-    // Column groups under two vectors of `V`.
-    let wide = 2 * V::LANES / MICRO_NR;
-    let mut s = 0;
-    while s < strips {
-        let one_row = one_live_row(rows, s);
-        let pair = V::PAIRS_STRIPS && s + 1 < strips && !one_live_row(rows, s + 1);
-        let mut g = 0;
-        while g < groups {
-            let left = groups - g;
-            // SAFETY: the asserts above and in `fill_block_tile` keep
-            // every offset inside its buffer (the lane and sum pointers
-            // are formed with wrapping arithmetic and only dereferenced
-            // under the `LANES` that sized them).
-            unsafe {
-                let t = TileArgs {
-                    k,
-                    a_strip: a.a_pack.as_ptr().add((s0 + s) * MICRO_MR * k),
-                    a_sum: a.a_chk.as_ptr().wrapping_add((s0 + s) * k * 2),
-                    b_panels: b.panels().as_ptr().add((g0 + g) * group_bytes),
-                    b_sum: b_chk.as_ptr().wrapping_add((g0 + g) * k * 2),
-                    out: block.as_mut_ptr().add(s * MICRO_MR * bn + g * MICRO_NR),
-                    bn,
-                    chk: chk.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
-                    mag: mag.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
-                    lane_row,
-                };
-                g += match (one_row, pair) {
-                    (true, _) if left >= 2 * wide => {
-                        tile_1xn::<V, F, LANES, 4>(t);
-                        2 * wide
-                    }
-                    (true, _) if left >= wide => {
-                        tile_1xn::<V, F, LANES, 2>(t);
-                        wide
-                    }
-                    (true, _) => {
-                        tile_1xn::<__m256, F, LANES, 2>(t);
-                        1
-                    }
-                    (false, true) if left >= wide => {
-                        tile::<V, F, LANES, 2>(t);
-                        wide
-                    }
-                    (false, false) if left >= wide => {
-                        tile::<V, F, LANES, 1>(t);
-                        wide
-                    }
-                    (false, true) => {
-                        tile::<__m256, F, LANES, 2>(t);
-                        1
-                    }
-                    (false, false) => {
-                        tile::<__m256, F, LANES, 1>(t);
-                        1
-                    }
-                };
+impl<F: Format, const LANES: u8> Kernel for Walk<'_, F, LANES> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        use std::arch::x86_64::__m256;
+        #[rustfmt::skip]
+        let Fill { a, b, row0, col0, rows, groups, bn, tile: block, chk, mag } = self.0;
+        let k = a.k;
+        let strips = rows.div_ceil(MICRO_MR);
+        let (s0, g0) = (row0 / MICRO_MR, col0 / MICRO_NR);
+        let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
+        assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
+        assert!(b.panels().len() >= (g0 + groups) * group_bytes);
+        assert!(LANES == LANES_NONE || a.a_chk.len() >= (s0 + strips) * k * 2);
+        // Only a two-sided tile reads (and so sums) the B checksum columns.
+        let b_chk = if LANES == LANES_TILE { b.b_chk() } else { &[] };
+        assert!(LANES != LANES_TILE || b_chk.len() >= (g0 + groups) * k * 2);
+        // One lane per column under LANES_COLUMN, per group under LANES_TILE.
+        let (lane_row, lane_group) = match LANES {
+            LANES_COLUMN => (bn, MICRO_NR),
+            _ => (bn / MICRO_NR, 1),
+        };
+        // Column groups under two vectors of `L`.
+        let wide = 2 * L::LANES / MICRO_NR;
+        let mut s = 0;
+        while s < strips {
+            let one_row = one_live_row(rows, s);
+            let pair = L::PAIRS_STRIPS && s + 1 < strips && !one_live_row(rows, s + 1);
+            let mut g = 0;
+            while g < groups {
+                let left = groups - g;
+                // SAFETY: the asserts above and in `fill_block_tile` keep
+                // every offset inside its buffer (the lane and sum pointers
+                // are formed with wrapping arithmetic and only dereferenced
+                // under the `LANES` that sized them).
+                unsafe {
+                    let t = TileArgs {
+                        k,
+                        a_strip: a.a_pack.as_ptr().add((s0 + s) * MICRO_MR * k),
+                        a_sum: a.a_chk.as_ptr().wrapping_add((s0 + s) * k * 2),
+                        b_panels: b.panels().as_ptr().add((g0 + g) * group_bytes),
+                        b_sum: b_chk.as_ptr().wrapping_add((g0 + g) * k * 2),
+                        out: block.as_mut_ptr().add(s * MICRO_MR * bn + g * MICRO_NR),
+                        bn,
+                        chk: chk.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
+                        mag: mag.as_mut_ptr().wrapping_add(s * lane_row + g * lane_group),
+                        lane_row,
+                    };
+                    g += match (one_row, pair) {
+                        (true, _) if left >= 2 * wide => {
+                            tile_1xn::<L, F, LANES, 4>(t);
+                            2 * wide
+                        }
+                        (true, _) if left >= wide => {
+                            tile_1xn::<L, F, LANES, 2>(t);
+                            wide
+                        }
+                        (true, _) => {
+                            tile_1xn::<__m256, F, LANES, 2>(t);
+                            1
+                        }
+                        (false, true) if left >= wide => {
+                            tile::<L, F, LANES, 2>(t);
+                            wide
+                        }
+                        (false, false) if left >= wide => {
+                            tile::<L, F, LANES, 1>(t);
+                            wide
+                        }
+                        (false, true) => {
+                            tile::<__m256, F, LANES, 2>(t);
+                            1
+                        }
+                        (false, false) => {
+                            tile::<__m256, F, LANES, 1>(t);
+                            1
+                        }
+                    };
+                }
             }
-        }
-        if one_row {
-            for dead in s * MICRO_MR + 1..(s + 1) * MICRO_MR {
-                block[dead * bn..][..groups * MICRO_NR].fill(0.0);
+            if one_row {
+                for dead in s * MICRO_MR + 1..(s + 1) * MICRO_MR {
+                    block[dead * bn..][..groups * MICRO_NR].fill(0.0);
+                }
             }
+            s += 1 + usize::from(pair);
         }
-        s += 1 + usize::from(pair);
     }
 }
 
@@ -1299,11 +962,11 @@ unsafe fn store_pair(corner: std::arch::x86_64::__m128, chk: *mut f32, mag: *mut
 }
 
 /// The multi-row register tile: `S` strips of [`MICRO_MR`] broadcast
-/// rows against two B vectors of `V` — `8·S` data accumulators live
+/// rows against two B vectors of `L` — `8·S` data accumulators live
 /// across the *entire* K extent. Accumulators never spill, so each
 /// output element is one in-order FMA chain, exactly the canonical
 /// order. Per K step: 2 widening loads of B, `4·S` broadcasts of A,
-/// `8·S` FMAs. Vector `j` covers the tile's columns `j·V::LANES ..`:
+/// `8·S` FMAs. Vector `j` covers the tile's columns `j·L::LANES ..`:
 /// the two halves of one column group on ymm, two groups on zmm.
 ///
 /// `LANES_COLUMN` adds per strip, on the two B vectors already loaded, a
@@ -1317,34 +980,34 @@ unsafe fn store_pair(corner: std::arch::x86_64::__m128, chk: *mut f32, mag: *mut
 /// few floats per step.
 ///
 /// # Safety
-/// As [`fill_simd`], which built `t`; the host supports `V`.
+/// As [`Walk`]'s, which built `t`; the host supports `L`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArgs) {
+unsafe fn tile<L: Lanes, F: Format, const LANES: u8, const S: usize>(t: TileArgs) {
     use std::arch::x86_64::*;
-    let groups = 2 * V::LANES / MICRO_NR;
-    // SAFETY: see `fill_simd`.
+    let groups = 2 * L::LANES / MICRO_NR;
+    // SAFETY: see `Walk`.
     unsafe {
         // A `(sum, magnitude sum)` pair in the low two lanes of an xmm;
         // the upper lanes of a corner chain stay `0·0 + 0`.
         let pair = |at: *const f32| _mm_castpd_ps(_mm_load_sd(at.cast()));
-        let mut acc = [[[V::splat(0.0); 2]; MICRO_MR]; S];
-        let mut chk = [[V::splat(0.0); 2]; S];
+        let mut acc = [[[L::splat(0.0); 2]; MICRO_MR]; S];
+        let mut chk = [[L::splat(0.0); 2]; S];
         let mut corner = [[_mm_setzero_ps(); 2]; S];
         for kk in 0..t.k {
-            let vb: [V; 2] = [0, 1].map(|j| V::widen::<F>(t.b_at::<F>(j * V::LANES, kk)));
+            let vb: [L; 2] = [0, 1].map(|j| L::widen::<F>(t.b_at::<F>(j * L::LANES, kk)));
             for s in 0..S {
                 let a_step = t.a_strip.add((s * t.k + kk) * MICRO_MR);
                 for (i, acc) in acc[s].iter_mut().enumerate() {
-                    let va = V::splat(*a_step.add(i));
-                    acc[0] = V::fma(va, vb[0], acc[0]);
-                    acc[1] = V::fma(va, vb[1], acc[1]);
+                    let va = L::splat(*a_step.add(i));
+                    acc[0] = L::fma(va, vb[0], acc[0]);
+                    acc[1] = L::fma(va, vb[1], acc[1]);
                 }
                 let a_sum = t.a_sum.wrapping_add((s * t.k + kk) * 2);
                 if LANES == LANES_COLUMN {
-                    let vs = V::splat(*a_sum);
-                    chk[s][0] = V::fma(vs, vb[0], chk[s][0]);
-                    chk[s][1] = V::fma(vs, vb[1], chk[s][1]);
+                    let vs = L::splat(*a_sum);
+                    chk[s][0] = L::fma(vs, vb[0], chk[s][0]);
+                    chk[s][1] = L::fma(vs, vb[1], chk[s][1]);
                 }
                 if LANES == LANES_TILE {
                     let st = pair(a_sum);
@@ -1358,14 +1021,14 @@ unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArg
         for s in 0..S {
             for (i, acc) in acc[s].iter().enumerate() {
                 let row = t.out.add((s * MICRO_MR + i) * t.bn);
-                acc[0].store(row);
-                acc[1].store(row.add(V::LANES));
+                acc[0].store(row, L::LANES);
+                acc[1].store(row.add(L::LANES), L::LANES);
             }
             let chk_at = t.chk.wrapping_add(s * t.lane_row);
             let mag_at = t.mag.wrapping_add(s * t.lane_row);
             if LANES == LANES_COLUMN {
                 for (j, chk) in chk[s].iter().enumerate() {
-                    chk.store(chk_at.add(j * V::LANES));
+                    chk.store(chk_at.add(j * L::LANES), L::LANES);
                 }
             }
             if LANES == LANES_TILE {
@@ -1378,7 +1041,7 @@ unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArg
 }
 
 /// The register tile of a strip with one live row: that row against
-/// `NV` B vectors of `V` (`NV·V::LANES / 16` column groups) — per K
+/// `NV` B vectors of `L` (`NV·L::LANES / 16` column groups) — per K
 /// step one broadcast of A, `NV` widening loads of B, `NV` FMAs, each
 /// accumulator one in-order chain over the whole K extent as in
 /// [`tile`]. This is the shape of a batch-1 layer, whose time is its
@@ -1390,31 +1053,31 @@ unsafe fn tile<V: Vector, F: Format, const LANES: u8, const S: usize>(t: TileArg
 /// column group's xmm corner chain, as [`tile`] does.
 ///
 /// # Safety
-/// As [`fill_simd`], which built `t`; the host supports `V`.
+/// As [`Walk`]'s, which built `t`; the host supports `L`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn tile_1xn<V: Vector, F: Format, const LANES: u8, const NV: usize>(t: TileArgs) {
+unsafe fn tile_1xn<L: Lanes, F: Format, const LANES: u8, const NV: usize>(t: TileArgs) {
     use std::arch::x86_64::*;
-    let groups = NV * V::LANES / MICRO_NR;
-    // SAFETY: see `fill_simd`.
+    let groups = NV * L::LANES / MICRO_NR;
+    // SAFETY: see `Walk`.
     unsafe {
         let pair = |at: *const f32| _mm_castpd_ps(_mm_load_sd(at.cast()));
-        let mut acc = [V::splat(0.0); NV];
-        let mut chk = [V::splat(0.0); NV];
+        let mut acc = [L::splat(0.0); NV];
+        let mut chk = [L::splat(0.0); NV];
         let mut corner = [_mm_setzero_ps(); NV];
         for kk in 0..t.k {
-            let mut vb = [V::splat(0.0); NV];
+            let mut vb = [L::splat(0.0); NV];
             for (j, vb) in vb.iter_mut().enumerate() {
-                *vb = V::widen::<F>(t.b_at::<F>(j * V::LANES, kk));
+                *vb = L::widen::<F>(t.b_at::<F>(j * L::LANES, kk));
             }
-            let va = V::splat(*t.a_strip.add(kk * MICRO_MR));
+            let va = L::splat(*t.a_strip.add(kk * MICRO_MR));
             for j in 0..NV {
-                acc[j] = V::fma(va, vb[j], acc[j]);
+                acc[j] = L::fma(va, vb[j], acc[j]);
             }
             if LANES == LANES_COLUMN {
-                let vs = V::splat(*t.a_sum.add(kk * 2));
+                let vs = L::splat(*t.a_sum.add(kk * 2));
                 for j in 0..NV {
-                    chk[j] = V::fma(vs, vb[j], chk[j]);
+                    chk[j] = L::fma(vs, vb[j], chk[j]);
                 }
             }
             if LANES == LANES_TILE {
@@ -1426,9 +1089,9 @@ unsafe fn tile_1xn<V: Vector, F: Format, const LANES: u8, const NV: usize>(t: Ti
             }
         }
         for j in 0..NV {
-            acc[j].store(t.out.add(j * V::LANES));
+            acc[j].store(t.out.add(j * L::LANES), L::LANES);
             if LANES == LANES_COLUMN {
-                chk[j].store(t.chk.add(j * V::LANES));
+                chk[j].store(t.chk.add(j * L::LANES), L::LANES);
             }
         }
         if LANES == LANES_TILE {
@@ -1439,79 +1102,57 @@ unsafe fn tile_1xn<V: Vector, F: Format, const LANES: u8, const NV: usize>(t: Ti
     }
 }
 
-/// # Safety
-/// The host must support AVX2, FMA and F16C; the arguments are
-/// [`group_magnitudes`]'s, which bounds them.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c")]
-unsafe fn magnitudes_avx2<F: Format>(
-    a: &Panels,
-    b: &PackedWeights,
+/// [`group_magnitudes`]' operands, bounded by its asserts, for format
+/// `F`: up to four opened groups a [`magnitude_pass`].
+struct Magnitudes<'a, F> {
+    a: &'a Panels,
+    b: &'a PackedWeights,
     col0: usize,
     bn: usize,
-    opened: &[(usize, usize)],
-    mag: &mut [f32],
-) {
-    // SAFETY: the caller's guarantees.
-    unsafe { magnitudes::<std::arch::x86_64::__m256, F>(a, b, col0, bn, opened, mag) }
+    opened: &'a [(usize, usize)],
+    mag: &'a mut [f32],
+    format: PhantomData<F>,
 }
 
-/// # Safety
-/// As [`magnitudes_avx2`], and the host must support AVX-512 F and VL.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma,f16c,avx512f,avx512vl")]
-unsafe fn magnitudes_avx512<F: Format>(
-    a: &Panels,
-    b: &PackedWeights,
-    col0: usize,
-    bn: usize,
-    opened: &[(usize, usize)],
-    mag: &mut [f32],
-) {
-    // SAFETY: the caller's guarantees.
-    unsafe { magnitudes::<std::arch::x86_64::__m512, F>(a, b, col0, bn, opened, mag) }
-}
+impl<F: Format> Kernel for Magnitudes<'_, F> {
+    type Out = ();
 
-/// [`group_magnitudes`] at vector width `V`, up to four opened groups a
-/// pass.
-///
-/// # Safety
-/// As [`magnitudes_avx2`]; the host supports `V`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn magnitudes<V: Vector, F: Format>(
-    a: &Panels,
-    b: &PackedWeights,
-    col0: usize,
-    bn: usize,
-    opened: &[(usize, usize)],
-    mag: &mut [f32],
-) {
-    let k = a.k;
-    let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
-    // SAFETY: `group_magnitudes` asserted every strip's checksum row,
-    // every group's panel and every `mag` cell in bounds.
-    unsafe {
-        let mag = mag.as_mut_ptr();
-        let chain = |(s, g): (usize, usize)| Chain {
-            a_abs: a.a_chk.as_ptr().add(s * k * 2 + 1),
-            b_panel: b.panels().as_ptr().add((col0 / MICRO_NR + g) * group_bytes),
-            mag: mag.add(s * bn + g * MICRO_NR),
-        };
-        for pass in opened.chunks(4) {
-            match *pass {
-                [p] => magnitude_pass::<V, F, 1>(k, [p].map(&chain)),
-                [p, q] => magnitude_pass::<V, F, 2>(k, [p, q].map(&chain)),
-                [p, q, r] => magnitude_pass::<V, F, 3>(k, [p, q, r].map(&chain)),
-                [p, q, r, t] => magnitude_pass::<V, F, 4>(k, [p, q, r, t].map(&chain)),
-                _ => unreachable!("passes of one to four groups"),
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        let Magnitudes {
+            a,
+            b,
+            col0,
+            bn,
+            opened,
+            mag,
+            ..
+        } = self;
+        let k = a.k;
+        let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
+        // SAFETY: `group_magnitudes` asserted every strip's checksum row,
+        // every group's panel and every `mag` cell in bounds.
+        unsafe {
+            let mag = mag.as_mut_ptr();
+            let chain = |(s, g): (usize, usize)| Chain {
+                a_abs: a.a_chk.as_ptr().add(s * k * 2 + 1),
+                b_panel: b.panels().as_ptr().add((col0 / MICRO_NR + g) * group_bytes),
+                mag: mag.add(s * bn + g * MICRO_NR),
+            };
+            for pass in opened.chunks(4) {
+                match *pass {
+                    [p] => magnitude_pass::<L, F, 1>(k, [p].map(&chain)),
+                    [p, q] => magnitude_pass::<L, F, 2>(k, [p, q].map(&chain)),
+                    [p, q, r] => magnitude_pass::<L, F, 3>(k, [p, q, r].map(&chain)),
+                    [p, q, r, t] => magnitude_pass::<L, F, 4>(k, [p, q, r, t].map(&chain)),
+                    _ => unreachable!("passes of one to four groups"),
+                }
             }
         }
     }
 }
 
 /// Where one opened column group's magnitude chains read and write.
-#[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct Chain {
     /// The strip's first magnitude sum; one every two floats.
@@ -1523,31 +1164,30 @@ struct Chain {
 }
 
 /// `N` opened groups' magnitudes in one walk over K: each group
-/// `MICRO_NR / V::LANES` accumulators, each lane the chain
+/// `MICRO_NR / L::LANES` accumulators, each lane the chain
 /// `fma(s_abs, |b|, mag)` per K step on the widened B vector.
 ///
 /// # Safety
-/// As [`magnitudes`], which built `chains`.
-#[cfg(target_arch = "x86_64")]
+/// As [`Magnitudes`]', which built `chains`; the host supports `L`.
 #[inline(always)]
-unsafe fn magnitude_pass<V: Vector, F: Format, const N: usize>(k: usize, chains: [Chain; N]) {
-    let per_group = MICRO_NR / V::LANES;
-    let mut acc = [[V::splat(0.0); 2]; N];
-    // SAFETY: see `magnitudes`.
+unsafe fn magnitude_pass<L: Lanes, F: Format, const N: usize>(k: usize, chains: [Chain; N]) {
+    let per_group = MICRO_NR / L::LANES;
+    let mut acc = [[L::splat(0.0); 2]; N];
+    // SAFETY: see `Magnitudes`.
     unsafe {
         for kk in 0..k {
             for (c, acc) in chains.iter().zip(&mut acc) {
-                let vm = V::splat(*c.a_abs.add(kk * 2));
+                let vm = L::splat(*c.a_abs.add(kk * 2));
                 for (h, acc) in acc.iter_mut().enumerate().take(per_group) {
-                    let code = kk * MICRO_NR + h * V::LANES;
-                    let vb = V::widen::<F>(c.b_panel.add(code * F::RESIDENT_BYTES));
-                    *acc = V::fma(vm, vb.abs(), *acc);
+                    let code = kk * MICRO_NR + h * L::LANES;
+                    let vb = L::widen::<F>(c.b_panel.add(code * F::RESIDENT_BYTES));
+                    *acc = L::fma(vm, vb.abs(), *acc);
                 }
             }
         }
         for (c, acc) in chains.iter().zip(&acc) {
             for (h, acc) in acc.iter().enumerate().take(per_group) {
-                acc.store(c.mag.add(h * V::LANES));
+                acc.store(c.mag.add(h * L::LANES), L::LANES);
             }
         }
     }

@@ -59,6 +59,7 @@
 //! allocation-free after warmup, fanned out or not.
 
 use super::fault_inject::{Detection, FaultPlan, STEP_K};
+use super::lanes::{on_path, Kernel, Lanes};
 use super::matrix::MatrixView;
 use super::panels::{BlockScratch, PackedWeights, Panels, StripeScratch};
 use super::scheme::{Redundancy, TileScheme};
@@ -148,15 +149,17 @@ pub(crate) fn run_block(run: &Run<'_>, br: usize, bc: usize, scr: &mut StripeScr
         }
     }
 
-    let live = ((row0, col0), (rows, groups));
-    #[cfg(target_arch = "x86_64")]
-    match run.path {
-        // SAFETY: the dispatcher only selects a path the host supports.
-        GemmPath::Avx512 => return unsafe { check_avx512(run, panels, live, scratch, detections) },
-        GemmPath::Avx2Fma => return unsafe { check_avx2(run, panels, live, scratch, detections) },
-        GemmPath::Scalar => {}
+    let check = Check {
+        run,
+        panels,
+        live: ((row0, col0), (rows, groups)),
+        scratch,
+        detections,
+    };
+    // SAFETY: the run's path is one the host runs.
+    if let Err(c) = unsafe { on_path(run.path, check) } {
+        check_block(c.run, c.panels, c.live, c.scratch, c.detections);
     }
-    check_block(run, panels, live, scratch, detections);
 }
 
 /// The cold walk for a faulted accumulator: the canonical FMA chain
@@ -210,36 +213,30 @@ fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f3
     lane[0]
 }
 
-/// [`check_block`] at the AVX2 path's vector width.
-///
-/// # Safety
-/// The host must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn check_avx2(
-    run: &Run<'_>,
-    panels: &Panels,
+/// [`check_block`]'s operands.
+struct Check<'a> {
+    run: &'a Run<'a>,
+    panels: &'a Panels,
     live: ((usize, usize), (usize, usize)),
-    scratch: &mut BlockScratch,
-    detections: &mut Vec<Detection>,
-) {
-    check_block(run, panels, live, scratch, detections)
+    scratch: &'a mut BlockScratch,
+    detections: &'a mut Vec<Detection>,
 }
 
-/// [`check_block`] at the AVX-512 path's vector width.
-///
-/// # Safety
-/// The host must support AVX2 and AVX-512 F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
-unsafe fn check_avx512(
-    run: &Run<'_>,
-    panels: &Panels,
-    live: ((usize, usize), (usize, usize)),
-    scratch: &mut BlockScratch,
-    detections: &mut Vec<Detection>,
-) {
-    check_block(run, panels, live, scratch, detections)
+/// [`check_block`] compiled for the lanes' width: its loops are plain
+/// Rust the compiler vectorizes.
+impl Kernel for Check<'_> {
+    type Out = ();
+
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        check_block(
+            self.run,
+            self.panels,
+            self.live,
+            self.scratch,
+            self.detections,
+        )
+    }
 }
 
 /// The tile epilogue: compares every live register tile of the block
