@@ -684,7 +684,11 @@ fn main() {
         );
 
         let mut ws = Workspace::new();
-        let lanes = Redundancy::ColumnChecksum;
+        // Global ABFT's lanes: the staging that still takes the strips'
+        // sums (one-sided ABFT stages none since its wide strips are
+        // checked by rows), so the rows and the stem's gate keep
+        // measuring the summed stripe body.
+        let lanes = Redundancy::GlobalSums;
         let squeeze = Matrix::random(1, 64 * 3025, 4);
         let view = MatrixView::nchw_lowered(1, 64, 3025, &squeeze.data, Dtype::F16);
         per_elem(
@@ -724,7 +728,7 @@ fn main() {
         // The stem's lowering (224², 3 channels, 3×3 stride 2: every
         // tap a stride-2 run) and fire9's 3×3 expand at 13² (64
         // channels, K = 576: 13-pixel rows, so a stripe crosses five).
-        let mut stage_conv = |rec: &mut Recorder, name: &str, geom: Im2colView, seed| {
+        let mut stage_conv = |rec: &mut Recorder, name: &str, geom: Im2colView, seed, lanes| {
             let input = Matrix::random(1, geom.channels * geom.height * geom.width, seed);
             let view = MatrixView::im2col_lowered(1, geom, &input.data, Dtype::F16);
             let k = view.cols.next_multiple_of(8);
@@ -745,7 +749,16 @@ fn main() {
             out_h: 111,
             out_w: 111,
         };
-        let ns = stage_conv(&mut rec, "stage_a_im2col3x3s2_12321x27", stem, 7);
+        let ns = stage_conv(&mut rec, "stage_a_im2col3x3s2_12321x27", stem, 7, lanes);
+        // The same stem as one-sided ABFT stages it: no sums.
+        let one_sided = Redundancy::ColumnChecksum;
+        stage_conv(
+            &mut rec,
+            "stage_a_im2col3x3s2_12321x27_one_sided",
+            stem,
+            7,
+            one_sided,
+        );
         rec.gate(
             !f16c || ns <= 1.5,
             format!(
@@ -760,7 +773,7 @@ fn main() {
             out_w: 13,
             ..geom
         };
-        stage_conv(&mut rec, "stage_a_im2col3x3_169x576", fire9, 8);
+        stage_conv(&mut rec, "stage_a_im2col3x3_169x576", fire9, 8, lanes);
 
         // A network needs a GEMM layer: a 1-channel 1×1 conv over the
         // pooled 55×55 planes rides along (≈10% of the row).

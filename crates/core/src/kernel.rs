@@ -32,7 +32,6 @@
 use crate::schemes::{GlobalAbft, MultiChecksumAbft, Scheme};
 use aiga_gpu::engine::{
     self, Dest, FaultPlan, GemmOutput, Matrix, MatrixView, PackedWeights, TileScheme, Workspace,
-    MICRO_MR,
 };
 use aiga_gpu::timing::{AuxKernel, Calibration, KernelProfile};
 use std::sync::Arc;
@@ -49,16 +48,17 @@ pub const FLOPS_PER_CHECKSUM_OP: u64 = 1;
 /// Where a localizing scheme pinned a detected fault.
 ///
 /// Each checksum scheme localizes at the granularity its redundancy
-/// affords: a thread-level detection names the register tile (or the
-/// one column of it) whose check failed; global ABFT's per-column
+/// affords: a thread-level detection names the cells its failed compare
+/// covered (a register tile, one column of a strip, or one row's column
+/// group); global ABFT's per-column
 /// residual comparison names one output column; the multi-checksum
 /// round-residual ratio names one output row.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultSite {
-    /// A register tile's check flagged; the cells it compared are
-    /// suspect (see `aiga_gpu::engine::Detection`).
+    /// A tile check flagged; the cells it compared are suspect (see
+    /// `aiga_gpu::engine::Detection`).
     Tile {
-        /// First global row of the flagged `MICRO_MR`-row strip.
+        /// First flagged global row.
         row: usize,
         /// First flagged global column.
         col: usize,
@@ -315,8 +315,8 @@ impl BoundGemm {
             return verdict;
         };
         let site = match &self.check {
-            // Tile localization: every detection names the strip rows
-            // and columns its failed compare covered, so repair
+            // Tile localization: every detection names the rows and
+            // columns its failed compare covered, so repair
             // recomputes exactly those cells from the activations (their
             // strip staged again) and the packed weights. For the
             // replication schemes this is the majority-vote resolution —
@@ -335,7 +335,7 @@ impl BoundGemm {
                 // cells.
                 for i in 0..ws.output().detections.len() {
                     let d = &ws.output().detections[i];
-                    let (rows, cols) = (d.row..d.row + MICRO_MR, d.col..d.col + d.cols);
+                    let (rows, cols) = (d.row..d.row + d.rows, d.col..d.col + d.cols);
                     ws.recompute(activations, &self.weights, rows, cols);
                 }
                 ws.output_mut().detections.clear();

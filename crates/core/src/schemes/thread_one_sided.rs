@@ -4,49 +4,58 @@
 //! On the GPU a thread checksums its `Bt` chunk per K-step and
 //! multiplies its whole `At` chunk by that checksum on Tensor Cores
 //! (`Mt/2` extra MMAs, `O(Nt)` checksum ops — Table 1), reusing loads it
-//! already made. The host's "thread" is the `MICRO_MR × MICRO_NR`
-//! register tile, whose cheap side is the other one: the A strip is
-//! broadcast a scalar at a time, so the strip's column sum
-//! `s[k] = Σ_i a[i][k]` (summed once at staging) rides as a fifth
-//! broadcast row against the two B vectors the tile already loaded.
-//! Per K element that is [`MICRO_NR`] checksum FMAs beside
-//! `MICRO_MR·MICRO_NR` data FMAs (¼ more), and no memory traffic the
-//! data walk does not already make (the §3.5 design principle). The
-//! epilogue compares each column sum of the stored tile against its
-//! checksum lane, so a detection names one strip column: `MICRO_MR`
-//! cells. The threshold's magnitude `Σ_k s_abs[k]·|b[k][j]|` with
-//! `s_abs[k] = Σ_i |a[i][k]|` is not carried: `|checksum|` bounds it
-//! from below bit for bit, so the engine takes it only for a column
-//! whose compare fails at `|checksum|`.
-//!
-//! [`MICRO_NR`]: aiga_gpu::engine::MICRO_NR
+//! already made. The host keeps that form. The weights are static, so
+//! the B checksum — each 16-column group's `t_g[k] = Σ_{j∈g} b[k][j]`,
+//! beside `Σ_{j∈g} |b[k][j]|` for the error bound — is summed once per
+//! layer, at the first run that needs it, and kept with the packed
+//! weights. A strip of two or more live rows walks clean; after the walk
+//! a small pass over the strips its team member just staged takes each
+//! row's check `Σ_k a[i][k]·t_g[k]`, one FMA a K step for a strip's
+//! four rows against a vector's groups — a sixteenth of the data FMAs —
+//! and the epilogue compares it with `Σ_{j∈g} c[i][j]` of the stored
+//! tile, so a detection names one row × one column group. A strip with
+//! one live row (a batch-1 request, the ragged last strip of an
+//! `m ≡ 1 (mod 4)` layer) checks the other way round, as a chain per
+//! column on the B vectors its one-row tile already loads: at batch 1
+//! the weight-side check would stream the sums through a layer whose
+//! time is its weight stream, while these FMAs cost no byte. Neither
+//! check carries its magnitude: `|checksum|` bounds it from below bit
+//! for bit, so the engine takes it only where a compare fails at
+//! `|checksum|` (see `aiga_gpu::engine`'s `walk` module).
 
 use super::{analytical, gamma_rounds};
-use aiga_gpu::engine::{Redundancy, TileScheme, MICRO_MR};
+use aiga_gpu::engine::{Redundancy, TileScheme, MICRO_NR};
 
 /// The engine-side scheme for a GEMM whose padded inner dimension is
 /// `k`.
 ///
-/// Threshold derivation, all in f32 (`u = 2⁻²⁴`), against the magnitude
-/// `M = Σ_k s_abs[k]·|b[k][j]|`, which bounds every partial sum below:
+/// Threshold derivation, all in f32 (`u = 2⁻²⁴`), for a row check
+/// against the magnitude `M = Σ_k |a[i][k]|·t_abs[k]`, where the computed
+/// `t_abs[k]` bounds the exact `Σ_j |b[k][j]|` from below by at most
+/// `γ_15` and `M` every partial sum of the check below:
 ///
-/// - each of the `MICRO_MR` data accumulators is a `k`-step FMA chain:
-///   together at most `γ_k·M`;
-/// - the checksum lane is a `k`-step FMA chain over `s[k]`, itself a
-///   pairwise sum of `MICRO_MR` values (2 roundings): `γ_{k+2}·M`;
-/// - the epilogue's pairwise column sum of the tile: `γ_2·M`;
-/// - the magnitude chain is one of non-negative terms, so it
-///   under-reads `M` by at most `γ_{k+2}`.
+/// - each of a row group's [`MICRO_NR`] data accumulators is a `k`-step
+///   FMA chain: together at most `γ_k·M`;
+/// - the epilogue's pairwise sum of those [`MICRO_NR`] cells: `γ_4·M`;
+/// - each `t[k]` is a serial sum of [`MICRO_NR`] weights from zero
+///   (15 roundings): `γ_15·M` through the check;
+/// - the check chain's `k` FMAs, in four sub-chains joined by two adds:
+///   `γ_k·M`;
+/// - the magnitude is taken by non-negative chains in the same order
+///   over the computed `t_abs`, so it under-reads the exact magnitude by
+///   at most `γ_{k+15}`.
 ///
-/// `n = 2k + 4·MICRO_MR` roundings cover the first three with slack, and
-/// `n/(1 − n·u)` (Higham's `γ_n`) absorbs the fourth and every
-/// second-order term — a worst-case forward bound, so a clean run can
-/// never flag, with every rounding charged at `2⁻²⁴` where the modelled
-/// fp16 HADD2 chain charged `2⁻¹¹`.
+/// `n = 2k + 2·MICRO_NR` roundings cover the first four (`2k + 19`)
+/// with slack, and `n/(1 − n·u)` (Higham's `γ_n`) absorbs the fifth and
+/// every second-order term — a worst-case forward bound, so a clean run
+/// can never flag, with every rounding charged at `2⁻²⁴` where the
+/// modelled fp16 HADD2 chain charged `2⁻¹¹`. A strip with one live row
+/// compares a column's chain with a stored cell that ran the same chain,
+/// a tighter case under the same threshold.
 pub fn tile_scheme(k: usize) -> TileScheme {
     analytical(
         Redundancy::ColumnChecksum,
-        gamma_rounds(2 * k + 4 * MICRO_MR),
+        gamma_rounds(2 * k + 2 * MICRO_NR),
     )
 }
 
@@ -77,7 +86,7 @@ mod tests {
         };
         let out = gemm(&a, &b, tile_scheme(64), &[fault]);
         assert!(out.fault_detected());
-        // Exactly one strip column owns the element, so exactly one
+        // Exactly one row group owns the element, so exactly one
         // detection.
         assert_eq!(out.detections.len(), 1);
         assert!(out.detections[0].residual > out.detections[0].threshold);
@@ -102,8 +111,8 @@ mod tests {
     #[test]
     fn counters_match_table_1() {
         // Table 1's per-thread counts are the analytic model's; the
-        // engine reports what the host ran instead — a quarter more
-        // FMAs than the data walk.
+        // engine reports what the host ran instead — one row check FMA
+        // per row and K step, a sixteenth of the data walk.
         let t = TilingConfig::candidates()[2];
         let one = Scheme::ThreadLevelOneSided;
         assert_eq!(one.extra_mmas_per_step(&t), t.thread_mt() / 2);
@@ -112,13 +121,13 @@ mod tests {
         let b = Matrix::random(64, 32, 28);
         let c = gemm(&a, &b, tile_scheme(64), &[]).counters;
         assert_eq!(c.data_fmas, 32 * 32 * 64);
-        assert_eq!(c.checksum_fmas * 4, c.data_fmas);
+        assert_eq!(c.checksum_fmas * 16, c.data_fmas);
     }
 
     #[test]
     fn detection_localizes_to_the_owning_thread_rows() {
-        // One-sided ABFT checks per strip column: a fault at (r, c) is
-        // flagged by the register tile owning it, at exactly column c.
+        // One-sided ABFT checks a wide strip per row and column group: a
+        // fault at (r, c) is flagged at exactly row r, in c's group.
         let a = Matrix::random(32, 64, 29);
         let b = Matrix::random(64, 32, 30);
         let fault = FaultPlan {
@@ -130,6 +139,6 @@ mod tests {
         let out = gemm(&a, &b, tile_scheme(64), &[fault]);
         assert_eq!(out.detections.len(), 1);
         let d = &out.detections[0];
-        assert_eq!((d.row, d.col, d.cols), (8, 20, 1));
+        assert_eq!((d.row, d.rows, d.col, d.cols), (9, 1, 16, 16));
     }
 }

@@ -70,9 +70,11 @@ fn reporting(scheme: TileScheme) -> TileScheme {
 fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
     // Every output cell × {AddValue, BitFlip, SetValue} × {mid-walk,
     // epilogue}, on a ragged shape and an aligned one, under one-sided
-    // ABFT. A fault moves its column sum by exactly `delta`, so with the
-    // column's clean residual `r0` known the verdict is determined
-    // outside the band `threshold ± r0`.
+    // ABFT. A fault moves the sum its check compares — its row's column
+    // group, or in a strip with one live row (33 rows end in one) its
+    // column — by `delta` up to that sum's rounding, so with the check's
+    // clean residual `r0` known the verdict is determined outside the
+    // band `threshold ± r0`.
     for &(m, n, k, seed) in &[(33usize, 65usize, 40usize, 5u64), (32, 32, 32, 6)] {
         let a = Matrix::random(m, k, seed);
         let b = Matrix::random(k, n, seed + 1);
@@ -82,26 +84,31 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
 
         let clean = gemm(&a, &b, scheme, &[]);
         assert!(!clean.fault_detected());
-        // Clean residual and magnitude of every (strip, column).
-        let probe = gemm(&a, &b, reporting(scheme), &[]);
-        let strips = m.div_ceil(MICRO_MR);
-        let mut r0 = vec![f64::NAN; strips * n];
-        for d in &probe.detections {
-            if d.row < m && d.col < n {
-                r0[d.row / MICRO_MR * n + d.col] = d.residual;
+        // The compare covering a cell: `(row, rows, col, cols)`.
+        let check = |row: usize, col: usize| {
+            let strip = row / MICRO_MR * MICRO_MR;
+            match m - strip {
+                1 => (strip, MICRO_MR, col, 1),
+                _ => (row, 1, col / MICRO_NR * MICRO_NR, MICRO_NR),
             }
+        };
+        // Clean residual of every compare.
+        let probe = gemm(&a, &b, reporting(scheme), &[]);
+        let mut r0 = std::collections::HashMap::new();
+        for d in &probe.detections {
+            r0.insert((d.row, d.col), d.residual);
         }
         // Thresholds are not reported for compares that pass; recompute
-        // them from the definition (f64 magnitude; the engine's f32 lane
-        // differs in the last digits, well inside the band).
+        // them from the definition (f64 magnitude; the engine's f32
+        // chains differ in the last digits, well inside the band).
         let threshold = |row: usize, col: usize| {
-            let strip = row / MICRO_MR * MICRO_MR;
+            let (_, _, col0, cols) = check(row, col);
             let magnitude: f64 = (0..k)
                 .map(|kk| {
-                    let s_abs: f64 = (strip..(strip + MICRO_MR).min(m))
-                        .map(|i| a.get_f64(i, kk).abs())
+                    let b_abs: f64 = (col0..(col0 + cols).min(n))
+                        .map(|j| b.get_f64(kk, j).abs())
                         .sum();
-                    s_abs * b.get_f64(kk, col).abs()
+                    a.get_f64(row, kk).abs() * b_abs
                 })
                 .sum();
             scheme.slope * magnitude + scheme.floor
@@ -127,7 +134,8 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
                         };
                         let out = gemm_into(&a, &packed, scheme, &[fault], Dest::None, &mut ws);
                         let delta = (out.get(row, col) as f64 - clean.get(row, col) as f64).abs();
-                        let (thr, noise) = (threshold(row, col), r0[row / MICRO_MR * n + col]);
+                        let (at_row, _, at_col, _) = check(row, col);
+                        let (thr, noise) = (threshold(row, col), r0[&(at_row, at_col)]);
                         let ctx = format!("{m}x{n}x{k} {fault:?}: delta {delta:e}, thr {thr:e}");
                         if delta.is_nan() || delta > thr + noise + 1e-9 * thr {
                             assert_eq!(out.detections.len(), 1, "missed {ctx}");
@@ -138,10 +146,7 @@ fn single_faults_flag_iff_they_exceed_the_threshold_and_name_their_column() {
                             [] => passed += 1,
                             [d] => {
                                 flagged += 1;
-                                assert_eq!(
-                                    (d.row, d.col, d.cols),
-                                    (row / MICRO_MR * MICRO_MR, col, 1)
-                                );
+                                assert_eq!((d.row, d.rows, d.col, d.cols), check(row, col));
                                 assert!((d.threshold - thr).abs() <= 1e-5 * thr, "{ctx}");
                                 assert!(exceeds(d.residual, d.threshold), "{ctx}");
                             }

@@ -45,19 +45,24 @@ pub struct FaultPlan {
     pub kind: FaultKind,
 }
 
-/// One register tile's positive detection, in tile coordinates: the
-/// flagged cells are rows `row..row + MICRO_MR`, columns
-/// `col..col + cols` of the output (global indices; cells beyond the
-/// cropped output are grid padding).
+/// One failed compare of a tile check, and the cells it covered: rows
+/// `row..row + rows`, columns `col..col + cols` of the output (global
+/// indices; cells beyond the cropped output are grid padding) — the
+/// rectangle a repair recomputes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Detection {
-    /// First global row of the flagged `MICRO_MR`-row strip.
+    /// First flagged global row.
     pub row: usize,
+    /// Flagged rows: 1 when the check compares one row (one-sided ABFT
+    /// over a strip of two live rows or more), `MICRO_MR` when it
+    /// compares a strip's column or register tile.
+    pub rows: usize,
     /// First flagged global column.
     pub col: usize,
     /// Flagged columns: 1 when the check compares one tile column
-    /// (one-sided ABFT, traditional replication), `MICRO_NR` when it
-    /// compares the whole register tile.
+    /// (one-sided ABFT over a strip with one live row, traditional
+    /// replication), `MICRO_NR` when it compares a row's column group or
+    /// the whole register tile.
     pub cols: usize,
     /// Check residual that tripped the detection.
     pub residual: f64,

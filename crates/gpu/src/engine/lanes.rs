@@ -1,8 +1,9 @@
 //! One lane type for every SIMD kernel, and one seam to enter them.
 //!
 //! [`Lanes`] is what the engine's vector bodies need of an f32 register
-//! — the conv A staging, the tile walk and its magnitude pass, the
-//! write-back transpose, the max-pool row — implemented once for ymm
+//! — the conv A staging, the tile walk and its magnitude pass, one-sided
+//! ABFT's row checks, the write-back transpose, the max-pool row —
+//! implemented once for ymm
 //! ([`GemmPath::Avx2Fma`]) and once for zmm ([`GemmPath::Avx512`]). Each
 //! body is written once, generic over `L: Lanes`, as a [`Kernel`], and
 //! [`on_path`] compiles and enters it at the path's width through one of
@@ -40,7 +41,19 @@ pub(crate) trait Lanes: Copy {
     unsafe fn store(self, at: *mut f32, live: usize);
     /// `a · b + c`, fused.
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    unsafe fn sub(a: Self, b: Self) -> Self;
     unsafe fn abs(self) -> Self;
+    /// Bit `i` set where lane `i` of `a` is not `<=` that of `b` (a NaN
+    /// sets it).
+    unsafe fn not_le(a: Self, b: Self) -> u32;
+    /// The sums of a strip's four rows over `LANES / 4` column groups of
+    /// [`MICRO_NR`](super::MICRO_NR) from `at` (rows `stride` apart):
+    /// lane `4g + r` holds row `r`'s group `g`, each a pairwise tree —
+    /// columns `j` and `j + w` added for `w` = 8, 4, 2, 1.
+    unsafe fn group_sums(at: *const f32, stride: usize) -> Self;
+    /// Lanes `4i..4i + 4` hold `at[2i]`, for each `i < LANES / 4`:
+    /// every other float of the `LANES / 2` from `at`, four times.
+    unsafe fn spread_pairs(at: *const f32) -> Self;
     /// [`super::relu`] per lane: `v >= 0 ? v : +0.0`.
     unsafe fn relu(self) -> Self;
     /// [`super::pool::max_fold`] per lane: `tap > o ? tap : o`.
@@ -175,6 +188,62 @@ impl Lanes for __m256 {
     #[inline(always)]
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
         unsafe { _mm256_fmadd_ps(a, b, c) }
+    }
+    #[inline(always)]
+    unsafe fn sub(a: Self, b: Self) -> Self {
+        unsafe { _mm256_sub_ps(a, b) }
+    }
+    #[inline(always)]
+    unsafe fn not_le(a: Self, b: Self) -> u32 {
+        unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NLE_UQ>(a, b)) as u32 }
+    }
+
+    /// Per row and group the two halves added (`w` = 8), then the
+    /// eight partial vectors — row `r`, group `g` at `2r + g` — folded
+    /// in three rounds of two shuffles and an add: round `w` adds lanes
+    /// `w` apart within each row-group's partials while pairing vectors,
+    /// which leaves row-group `2r + g`'s sum in lane `4g + r`.
+    #[inline(always)]
+    unsafe fn group_sums(at: *const f32, stride: usize) -> Self {
+        // Plain loops, not closures: a closure's body would not be
+        // compiled with the caller's target features.
+        unsafe {
+            let mut u = [_mm256_setzero_ps(); 8];
+            for (i, u) in u.iter_mut().enumerate() {
+                let row = at.add(i / 2 * stride + i % 2 * 16);
+                *u = _mm256_add_ps(_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)));
+            }
+            // w = 4: [x.lo, y.lo] + [x.hi, y.hi].
+            let mut v = [_mm256_setzero_ps(); 4];
+            for (i, v) in v.iter_mut().enumerate() {
+                let (x, y) = (u[2 * i], u[2 * i + 1]);
+                *v = _mm256_add_ps(
+                    _mm256_permute2f128_ps::<0x20>(x, y),
+                    _mm256_permute2f128_ps::<0x31>(x, y),
+                );
+            }
+            // w = 2, then w = 1, within 128-bit lanes.
+            let mut w = [_mm256_setzero_ps(); 2];
+            for (i, w) in w.iter_mut().enumerate() {
+                let (x, y) = (v[2 * i], v[2 * i + 1]);
+                *w = _mm256_add_ps(
+                    _mm256_shuffle_ps::<0b01_00_01_00>(x, y),
+                    _mm256_shuffle_ps::<0b11_10_11_10>(x, y),
+                );
+            }
+            _mm256_add_ps(
+                _mm256_shuffle_ps::<0b10_00_10_00>(w[0], w[1]),
+                _mm256_shuffle_ps::<0b11_01_11_01>(w[0], w[1]),
+            )
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn spread_pairs(at: *const f32) -> Self {
+        unsafe {
+            let pairs = _mm256_castps128_ps256(_mm_loadu_ps(at));
+            _mm256_permutevar8x32_ps(pairs, _mm256_setr_epi32(0, 0, 0, 0, 2, 2, 2, 2))
+        }
     }
     #[inline(always)]
     unsafe fn abs(self) -> Self {
@@ -368,6 +437,69 @@ impl Lanes for __m512 {
     #[inline(always)]
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
         unsafe { _mm512_fmadd_ps(a, b, c) }
+    }
+    #[inline(always)]
+    unsafe fn sub(a: Self, b: Self) -> Self {
+        unsafe { _mm512_sub_ps(a, b) }
+    }
+    #[inline(always)]
+    unsafe fn not_le(a: Self, b: Self) -> u32 {
+        unsafe { _mm512_cmp_ps_mask::<_CMP_NLE_UQ>(a, b) as u32 }
+    }
+
+    /// The sixteen row-groups — row `r`, group `g` at `4r + g` — folded
+    /// in four rounds of two shuffles and an add: round `w` adds lanes
+    /// `w` apart within each row-group's partials while pairing vectors,
+    /// which leaves row-group `4r + g`'s sum in lane `4g + r`.
+    #[inline(always)]
+    unsafe fn group_sums(at: *const f32, stride: usize) -> Self {
+        // Plain loops, not closures (see the ymm body).
+        unsafe {
+            let mut u = [_mm512_setzero_ps(); 16];
+            for (i, u) in u.iter_mut().enumerate() {
+                *u = _mm512_loadu_ps(at.add(i / 4 * stride + i % 4 * 16));
+            }
+            // w = 8: 256-bit halves.
+            let mut v = [_mm512_setzero_ps(); 8];
+            for (i, v) in v.iter_mut().enumerate() {
+                let (x, y) = (u[2 * i], u[2 * i + 1]);
+                *v = _mm512_add_ps(
+                    _mm512_shuffle_f32x4::<0b01_00_01_00>(x, y),
+                    _mm512_shuffle_f32x4::<0b11_10_11_10>(x, y),
+                );
+            }
+            // w = 4: 128-bit quarters.
+            let mut w = [_mm512_setzero_ps(); 4];
+            for (i, w) in w.iter_mut().enumerate() {
+                let (x, y) = (v[2 * i], v[2 * i + 1]);
+                *w = _mm512_add_ps(
+                    _mm512_shuffle_f32x4::<0b10_00_10_00>(x, y),
+                    _mm512_shuffle_f32x4::<0b11_01_11_01>(x, y),
+                );
+            }
+            // w = 2, then w = 1, within 128-bit lanes.
+            let mut x = [_mm512_setzero_ps(); 2];
+            for (i, x) in x.iter_mut().enumerate() {
+                let (p, q) = (w[2 * i], w[2 * i + 1]);
+                *x = _mm512_add_ps(
+                    _mm512_shuffle_ps::<0b01_00_01_00>(p, q),
+                    _mm512_shuffle_ps::<0b11_10_11_10>(p, q),
+                );
+            }
+            _mm512_add_ps(
+                _mm512_shuffle_ps::<0b10_00_10_00>(x[0], x[1]),
+                _mm512_shuffle_ps::<0b11_01_11_01>(x[0], x[1]),
+            )
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn spread_pairs(at: *const f32) -> Self {
+        unsafe {
+            let pairs = _mm512_castps256_ps512(_mm256_loadu_ps(at));
+            let at = _mm512_setr_epi32(0, 0, 0, 0, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 6, 6);
+            _mm512_permutexvar_ps(at, pairs)
+        }
     }
     #[inline(always)]
     unsafe fn abs(self) -> Self {

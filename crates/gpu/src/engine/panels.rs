@@ -13,9 +13,9 @@
 //!   built once — `aiga-core`'s `Scheme::bind` does it — and shared
 //!   read-only by every run, worker, shard and scheme bound to the
 //!   layer. A pass over a layer therefore reads the layer's storage
-//!   bytes, not four per weight. The first two-sided ABFT run over it
-//!   also sums the per-tile B checksum columns that scheme multiplies,
-//!   and keeps them.
+//!   bytes, not four per weight. The first run that needs them — two-
+//!   sided ABFT, or one-sided over a strip of two live rows or more —
+//!   also sums the weights' column-group sums, and keeps them.
 //! - **A (activations)** is the request. `Panels` holds one block-row
 //!   *stripe* of it at a time — [`BLOCK_M`] rows gathered, decoded,
 //!   strip-packed and checksummed in one pass (a conv lowering straight
@@ -72,13 +72,20 @@ pub struct PackedWeights {
     dtype: Dtype,
     /// The resident codes, `Format::RESIDENT_BYTES` of `dtype` each.
     panels: Vec<u8>,
-    /// Per-column-group B checksum columns for
-    /// [`Redundancy::TileChecksum`]: group `g` (columns
-    /// `g·NR..g·NR+NR`), step `kk` holds
-    /// `(Σ_j b[kk][j], Σ_j |b[kk][j]|)` at `(g·k + kk)·2`, summed in
-    /// column order in f32. Summed from the panels on first use, so
-    /// weights no two-sided run reads never hold them.
-    b_chk: OnceLock<Vec<f32>>,
+    /// The weights' column-group sums ([`Self::b_chk`]) and whether one
+    /// of their magnitude sums overflowed. Summed from the panels on
+    /// first use, so weights no checked run reads never hold them.
+    b_chk: OnceLock<GroupSums>,
+}
+
+/// [`PackedWeights::b_chk`] and the flag derived with it.
+#[derive(Clone, Debug)]
+struct GroupSums {
+    sums: Vec<f32>,
+    /// Some `Σ|b|` is `+∞` beside a finite `Σ b`: sixteen finite bf16
+    /// weights near the top of the f32 range, where `|t| ≤ t_abs` no
+    /// longer bounds a row's magnitude (see `walk`).
+    overflowed: bool,
 }
 
 /// One resident code from its little-endian bytes (one or two).
@@ -169,26 +176,52 @@ impl PackedWeights {
         self.panels.len()
     }
 
-    /// The B checksum columns two-sided ABFT's corner chain multiplies,
-    /// summed by the first caller from the rows read back
-    /// ([`Self::for_each_row`]), each group's in column order, in f32,
-    /// from zero. Padding adds `+0.0` to a sum that cannot be `-0.0`, so
-    /// the live columns alone give the same bits.
+    /// The weights' column-group sums: group `g` (columns
+    /// `g·NR..g·NR+NR`), step `kk` holds `(Σ_j b[kk][j], Σ_j |b[kk][j]|)`
+    /// at `(g·k + kk)·2` — one group's K walk is contiguous. Two-sided
+    /// ABFT's corner chain multiplies them, one-sided ABFT's row check and
+    /// its magnitude.
+    /// Summed by the first caller from the panels, each group's codes
+    /// decoded in column order and added in f32 from zero — the values
+    /// the source matrix decodes to. Padding adds `+0.0` to a sum that
+    /// cannot be `-0.0`, so the live columns alone give the same bits.
     pub(crate) fn b_chk(&self) -> &[f32] {
+        &self.group_sums().sums
+    }
+
+    /// Whether some `Σ|b|` of [`Self::b_chk`] overflowed to `+∞` while
+    /// its `Σ b` is finite — only bf16 weights can, sixteen finite values
+    /// near the top of the f32 range. Derived with the sums, once.
+    pub(crate) fn b_chk_overflowed(&self) -> bool {
+        self.group_sums().overflowed
+    }
+
+    fn group_sums(&self) -> &GroupSums {
         self.b_chk.get_or_init(|| {
-            let mut b_chk = vec![0.0f32; self.cols.div_ceil(MICRO_NR) * self.k * 2];
-            let mut kk = 0;
-            self.for_each_row(|row| {
-                for (g, run) in row.chunks(MICRO_NR).enumerate() {
-                    let d = &mut b_chk[(g * self.k + kk) * 2..];
-                    for &v in run {
-                        d[0] += v;
-                        d[1] += v.abs();
+            let groups = self.cols.div_ceil(MICRO_NR);
+            let mut sums = vec![0.0f32; self.k * groups * 2];
+            // Straight from the panels: a group's K step is its sixteen
+            // codes, padding columns' `+0.0` last.
+            with_format!(self.dtype, F => {
+                let step = MICRO_NR * F::RESIDENT_BYTES;
+                // No inner dimension: no sums (and no chunk size).
+                let panels = self.panels.chunks_exact((self.k * step).max(1)).take(groups * (self.k > 0) as usize);
+                for (g, panel) in panels.enumerate() {
+                    for (kk, codes) in panel.chunks_exact(step).take(self.rows).enumerate() {
+                        let (mut t, mut abs) = (0.0f32, 0.0f32);
+                        for code in codes.chunks_exact(F::RESIDENT_BYTES) {
+                            let v = F::decode_resident(resident_code(code));
+                            t += v;
+                            abs += v.abs();
+                        }
+                        sums[(g * self.k + kk) * 2..][..2].copy_from_slice(&[t, abs]);
                     }
                 }
-                kk += 1;
             });
-            b_chk
+            let overflowed = sums
+                .chunks_exact(2)
+                .any(|p| p[1] == f32::INFINITY && p[0].is_finite());
+            GroupSums { sums, overflowed }
         })
     }
 
@@ -263,7 +296,7 @@ pub(crate) struct Panels {
     pub(crate) a_pack: Vec<f32>,
     /// Per-strip A checksum rows: strip `s`, step `kk` holds
     /// `(Σ_i a[i][kk], Σ_i |a[i][kk]|)` at `(s·k + kk)·2`. Staged only
-    /// for the two ABFT lane kinds and global ABFT's partials
+    /// for two-sided ABFT's corner chain and global ABFT's partials
     /// ([`Self::sums`]), whose stripe fold consumes them.
     pub(crate) a_chk: Vec<f32>,
     /// Zero codes for the rows an fc strip has past the request
@@ -273,10 +306,6 @@ pub(crate) struct Panels {
     pub(crate) k: usize,
     /// Whether the last staging wrote the checksum rows.
     pub(crate) sums: bool,
-    /// Under one-sided ABFT, bit `s` set when staged strip `s`'s checksum
-    /// row holds `+∞` — a sum of magnitudes that reached infinity, where
-    /// the bound `|chk| ≤ mag` can fail (see `walk`).
-    pub(crate) infinite_sums: u64,
 }
 
 impl Panels {
@@ -305,23 +334,10 @@ impl Panels {
         strips: std::ops::Range<usize>,
     ) {
         self.reserve(lanes, k, a.cols, strips.len());
-        self.infinite_sums = 0;
         // An empty inner dimension stages nothing (and has no chunk
         // size to stage by).
         if k > 0 {
-            let (first, staged) = (strips.start, strips.len());
             simd::stage_a(path, a, self, strips);
-            if lanes == Redundancy::ColumnChecksum {
-                assert!(staged <= 64, "one bit per strip");
-                // One live row sums its magnitudes to `|a|`, infinite only
-                // where its plain sum is too: only a wider strip can fail.
-                let wide = |&(s, _): &(usize, &[f32])| a.rows - (first + s) * MICRO_MR > 1;
-                let rows = self.a_chk[..staged * k * 2].chunks_exact(k * 2);
-                for (s, row) in rows.enumerate().filter(wide) {
-                    let infinite = row.iter().fold(false, |inf, &v| inf | (v == f32::INFINITY));
-                    self.infinite_sums |= u64::from(infinite) << s;
-                }
-            }
         }
     }
 
@@ -344,14 +360,16 @@ impl Panels {
 pub(crate) struct BlockScratch {
     /// [`BLOCK_M`]` × `[`BLOCK_N`] FP32 accumulator tile.
     pub(crate) tile: Vec<f32>,
-    /// Checksum lanes as the microkernel left them: one value per
-    /// (strip, column) for [`Redundancy::ColumnChecksum`] (`strip·bn +
-    /// col`), one per register tile for [`Redundancy::TileChecksum`]
-    /// (`strip·bn/NR + group`).
+    /// Checksum lanes as the fill left them. Under
+    /// [`Redundancy::ColumnChecksum`] a strip with one live row holds
+    /// one per column (`strip·bn + col`), a wider strip one per (column
+    /// group, row) (`strip·bn + group·MR + row`); under
+    /// [`Redundancy::TileChecksum`] one per register tile (`strip·bn/NR +
+    /// group`).
     pub(crate) chk: Vec<f32>,
     /// Magnitudes, laid out like `chk`: two-sided ABFT's corner lanes,
-    /// and the columns one-sided ABFT's epilogue opened (written and read
-    /// only there).
+    /// and the columns and rows one-sided ABFT's epilogue opened (written
+    /// and read only there).
     pub(crate) mag: Vec<f32>,
     /// The second copy of the tile for the replication schemes.
     pub(crate) shadow: Vec<f32>,
@@ -671,16 +689,18 @@ mod tests {
 
     #[test]
     fn only_a_two_sided_run_sums_the_checksum_columns() {
-        let a = Matrix::random(8, 24, 1);
+        // A batch-1 request: one-sided ABFT checks its one live row by
+        // column chains in the walk, and never needs the group sums.
+        let a = Matrix::random(1, 24, 1);
         let b = PackedWeights::pack(&Matrix::random(24, 40, 2));
         let mut ws = Workspace::new();
-        let mut run = |lanes| {
+        let mut run = |a: &Matrix, lanes| {
             let scheme = TileScheme {
                 lanes,
                 slope: 1e-4,
                 floor: 1e-6,
             };
-            gemm_into(&a, &b, scheme, &[], Dest::None, &mut ws);
+            gemm_into(a, &b, scheme, &[], Dest::None, &mut ws);
         };
         for lanes in [
             Redundancy::None,
@@ -688,11 +708,47 @@ mod tests {
             Redundancy::ColumnChecksum,
             Redundancy::ShadowExact,
         ] {
-            run(lanes);
+            run(&a, lanes);
         }
         assert!(b.b_chk.get().is_none());
-        run(Redundancy::TileChecksum);
+        run(&a, Redundancy::TileChecksum);
         // Three column groups of K = 24 steps, a pair each.
-        assert_eq!(b.b_chk.get().map(Vec::len), Some(3 * 24 * 2));
+        assert_eq!(b.b_chk.get().map(|s| s.sums.len()), Some(3 * 24 * 2));
+    }
+
+    #[test]
+    fn a_one_sided_run_over_two_live_rows_sums_the_checksum_columns() {
+        let b = PackedWeights::pack(&Matrix::random(24, 40, 2));
+        let mut ws = Workspace::new();
+        let scheme = TileScheme {
+            lanes: Redundancy::ColumnChecksum,
+            slope: 1e-4,
+            floor: 1e-6,
+        };
+        gemm_into(
+            &Matrix::random(5, 24, 1),
+            &b,
+            scheme,
+            &[],
+            Dest::None,
+            &mut ws,
+        );
+        // Five rows: a full strip, then one live row.
+        assert!(b.b_chk.get().is_some());
+        assert!(!b.b_chk_overflowed());
+    }
+
+    #[test]
+    fn a_strip_under_one_sided_stages_no_sums() {
+        let a = Matrix::random(13, 24, 3);
+        let mut p = Panels::default();
+        for &path in simd::supported_paths() {
+            p.stage(a.view(), Redundancy::GlobalSums, path, 24, 0..4);
+            assert!(p.sums);
+            p.a_chk.fill(f32::NAN);
+            p.stage(a.view(), Redundancy::ColumnChecksum, path, 24, 0..4);
+            assert!(!p.sums, "{path:?}");
+            assert!(p.a_chk.iter().all(|v| v.is_nan()), "{path:?}: sums written");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! (`aiga-core`'s `pool_planes`).
 
 use super::lanes::{on_path, Kernel, Lanes};
-use super::simd::GemmPath;
+use super::simd::{self, GemmPath};
 use std::ops::Range;
 
 /// One step of the max fold: `tap` where it is greater than `o`, else
@@ -44,6 +44,11 @@ pub fn max_row(
     x0: usize,
     out: &mut [f32],
 ) {
+    assert!(
+        simd::supported_paths().contains(&path),
+        "this host cannot run the {} path",
+        path.as_str()
+    );
     if out.is_empty() {
         return;
     }

@@ -27,12 +27,16 @@ pub enum Redundancy {
     /// per stripe, folded from the strip sums staging takes (see
     /// [`super::sums`]).
     GlobalSums,
-    /// One-sided ABFT: a checksum accumulator per tile column,
-    /// `Σ_k s[k]·b[k][j]` with `s[k] = Σ_i a[i][k]` the strip's column
-    /// sum, compared against the column sum of the stored tile. No
-    /// magnitude rides beside it: `|checksum|` bounds the column's
-    /// magnitude `Σ_k Σ_i |a[i][k]|·|b[k][j]|` from below, and the
-    /// epilogue takes the magnitude only for a column that fails there.
+    /// One-sided ABFT, checked on the side that streams nothing new. A
+    /// strip with two or more live rows checks each row against the
+    /// weights' column-group sums: `Σ_k a[i][k]·t_g[k]`, with `t_g[k] =
+    /// Σ_{j∈g} b[k][j]` summed once per layer, against `Σ_{j∈g} c[i][j]`
+    /// of the stored tile — taken by a small pass over the staged strips
+    /// after the clean walk. A strip with one live row carries one
+    /// checksum chain per column, `Σ_k a[k]·b[k][j]` on the B vectors the
+    /// tile already loaded, against the column of the stored tile. No
+    /// magnitude rides beside either: `|checksum|` bounds it from below,
+    /// and the epilogue takes it only where a compare fails there.
     ColumnChecksum,
     /// Two-sided ABFT: one scalar chain per tile, `Σ_k s[k]·t[k]` with
     /// `t[k] = Σ_j b[k][j]` the tile's B row sum, compared against the
@@ -50,24 +54,26 @@ impl Redundancy {
     /// Redundant-value FMAs per K step of one register tile computing
     /// `tile_rows` rows ([`MICRO_MR`], or 1 for a strip with one live
     /// row), next to its `tile_rows·MICRO_NR` data FMAs: one-sided
-    /// ABFT's checksum row is a quarter of a full tile's work and as
-    /// much again as a one-row tile's — replication-priced there, and
-    /// still free, because that tile waits on its weight stream.
-    /// Magnitudes (the running error bound: two-sided's corner carries
-    /// one, one-sided takes its few on demand) are bookkeeping, not
-    /// redundancy, and are not counted.
+    /// ABFT's row check is one FMA per row — a sixteenth of the data's —
+    /// and a one-row tile's column chain is as much again as its data,
+    /// replication-priced there and still free, because that tile waits
+    /// on its weight stream. Magnitudes (the running error bound:
+    /// two-sided's corner carries one, one-sided takes its few on demand)
+    /// are bookkeeping, not redundancy, and are not counted.
     pub fn checksum_fmas_per_step(self, tile_rows: usize) -> u64 {
         match self {
             Redundancy::None | Redundancy::GlobalSums => 0,
-            Redundancy::ColumnChecksum => MICRO_NR as u64,
+            Redundancy::ColumnChecksum if tile_rows == 1 => MICRO_NR as u64,
+            Redundancy::ColumnChecksum => tile_rows as u64,
             Redundancy::TileChecksum => 1,
             Redundancy::ShadowExact | Redundancy::ShadowSum => (tile_rows * MICRO_NR) as u64,
         }
     }
 
     /// Checksum lane values one `bm × bn` block tile produces, and the
-    /// magnitudes its check reads: one per strip column, or one per
-    /// register tile.
+    /// magnitudes its check reads: `bn` a strip under one-sided ABFT (a
+    /// one-row strip's columns; a wider strip uses the first `bn/MR`, one
+    /// per (column group, row)), one per register tile under two-sided.
     pub(crate) fn lane_len(self, bm: usize, bn: usize) -> usize {
         match self {
             Redundancy::ColumnChecksum => bm / MICRO_MR * bn,
@@ -76,13 +82,11 @@ impl Redundancy {
         }
     }
 
-    /// Whether A's staging takes the strips' column sums: the two ABFT
-    /// lane kinds multiply them, global ABFT's stripe fold adds them up.
+    /// Whether A's staging takes the strips' column sums: two-sided
+    /// ABFT's corner chain multiplies them, global ABFT's stripe fold adds
+    /// them up. One-sided ABFT reads the staged rows themselves.
     pub(crate) fn stages_sums(self) -> bool {
-        matches!(
-            self,
-            Redundancy::ColumnChecksum | Redundancy::TileChecksum | Redundancy::GlobalSums
-        )
+        matches!(self, Redundancy::TileChecksum | Redundancy::GlobalSums)
     }
 
     /// True for the two replication variants (a second microkernel pass

@@ -590,18 +590,18 @@ fn dot_generic(a: impl Iterator<Item = f32>, b: impl Iterator<Item = f32>) -> f3
     s
 }
 
-/// The magnitude of staged strip `strip`, global column `col` under
-/// [`Redundancy::ColumnChecksum`]: the chain `fma(s_abs[kk],
-/// |b[kk][col]|, mag)` in K order over the strip's checksum row
-/// ([`stage_a`]) — the scalar mirror [`group_magnitudes`] matches bit for
-/// bit.
+/// The magnitude of staged strip `strip`'s one live row at global
+/// column `col` under [`Redundancy::ColumnChecksum`]: the chain
+/// `fma(|a[kk]|, |b[kk][col]|, mag)` in K order over the strip's first
+/// row — the scalar mirror [`group_magnitudes`] matches bit for bit.
 pub(crate) fn column_magnitude(a: &Panels, b: &PackedWeights, strip: usize, col: usize) -> f32 {
-    let a_abs = a.a_chk[strip * a.k * 2..][..a.k * 2].iter().skip(1);
-    dot(a_abs.step_by(2).copied(), b.col(col).map(f32::abs))
+    let a_abs = a.row(strip * MICRO_MR).map(f32::abs);
+    dot(a_abs, b.col(col).map(f32::abs))
 }
 
-/// The magnitudes of the staged strips' column groups `opened`, each a
-/// `(strip, group)` pair with groups counted from global column `col0`,
+/// The magnitudes of the staged one-live-row strips' column groups
+/// `opened`, each a `(strip, group)` pair with groups counted from
+/// global column `col0`,
 /// into `mag` (strip `s`'s column `col0 + j` at `s·bn + j`): each column
 /// [`column_magnitude`] bit for bit. A SIMD path runs the opened groups
 /// four at a time in one pass over K ([`Magnitudes`]), so their
@@ -620,7 +620,7 @@ pub(crate) fn group_magnitudes(
     assert!(col0.is_multiple_of(MICRO_NR) && bn.is_multiple_of(MICRO_NR));
     for &(s, g) in opened {
         assert!(g < groups && (g + 1) * MICRO_NR <= bn && (s + 1) * bn <= mag.len());
-        assert!(a.a_chk.len() >= (s + 1) * a.k * 2);
+        assert!(a.a_pack.len() >= (s + 1) * a.k * MICRO_MR);
     }
     assert_eq!(a.k, b.k(), "operands staged for different K");
     // SAFETY: the path is one the host runs; the asserts above bound
@@ -653,6 +653,256 @@ fn corner_dot(a_chk: &[f32], b_chk: &[f32]) -> (f32, f32) {
     (chk, mag)
 }
 
+/// The sub-chains one-sided ABFT's row check splits its K walk into:
+/// sub-chain `q` takes the steps `kk ≡ q (mod ROW_CHAINS)` in order,
+/// and the check is `(c0 + c1) + (c2 + c3)` — so a block with one or two
+/// strips still has chains enough to hide the FMA latency. Padded K is
+/// a multiple of 8, so every sub-chain has as many steps.
+const ROW_CHAINS: usize = 4;
+
+/// One-sided ABFT's row check of staged strip `strip`'s row `r` against
+/// global column group `g` — `Σ_k a[r][kk]·t_g[kk]` over the weights'
+/// group sums `sums` (`PackedWeights::b_chk`) in [`ROW_CHAINS`]
+/// sub-chains — or, with `abs`, its magnitude `Σ_k |a[r][kk]|·t_abs_g[kk]`
+/// in the same order: the scalar mirror of [`row_checks`], bit for bit.
+#[inline(always)]
+fn row_check(a: &Panels, sums: &[f32], strip: usize, r: usize, g: usize, abs: bool) -> f32 {
+    let k = a.k;
+    let mut acc = [0.0f32; ROW_CHAINS];
+    let t = sums[g * k * 2 + usize::from(abs)..].iter().step_by(2);
+    for (kk, (v, &t)) in a.row(strip * MICRO_MR + r).zip(t).enumerate() {
+        let v = if abs { v.abs() } else { v };
+        acc[kk % ROW_CHAINS] = v.mul_add(t, acc[kk % ROW_CHAINS]);
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// One-sided ABFT's row checks ([`row_check`]) — or, with `abs`, their
+/// magnitudes — of staged strips `s0 + s` for each `s` in `strips`, all
+/// `MICRO_MR` rows of each, against the `groups` column groups from
+/// global group `g0`, into `out`: strip `s`'s row `r` against group
+/// `g0 + g` at `s·bn + g·MR + r`. A SIMD path runs [`RowChecks`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn row_checks(
+    path: GemmPath,
+    a: &Panels,
+    b: &PackedWeights,
+    s0: usize,
+    strips: &[usize],
+    g0: usize,
+    groups: usize,
+    bn: usize,
+    abs: bool,
+    out: &mut [f32],
+) {
+    let sums = b.b_chk();
+    assert_eq!(a.k, b.k(), "operands staged for different K");
+    assert!(a.k.is_multiple_of(ROW_CHAINS) && sums.len() >= (g0 + groups) * a.k * 2);
+    for &s in strips {
+        assert!(a.a_pack.len() >= (s0 + s + 1) * a.k * MICRO_MR);
+        assert!(groups * MICRO_MR <= bn && (s + 1) * bn <= out.len());
+    }
+    #[rustfmt::skip]
+    let pass = RowChecks { a, sums, s0, strips, g0, groups, bn, abs, out: &mut *out };
+    // SAFETY: the path is one the host runs; the asserts above bound
+    // every pointer offset.
+    if unsafe { on_path(path, pass) }.is_ok() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if detect_path().is_simd() {
+        // SAFETY: FMA support was verified by detect_path.
+        return unsafe { row_checks_fma(a, sums, s0, strips, g0, groups, bn, abs, out) };
+    }
+    row_checks_scalar(a, sums, s0, strips, g0, groups, bn, abs, out)
+}
+
+/// [`row_checks_scalar`] compiled with the FMA target feature (see
+/// [`dot_fma`]) — same bytes, hardware `mul_add`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn row_checks_fma(
+    a: &Panels,
+    sums: &[f32],
+    s0: usize,
+    strips: &[usize],
+    g0: usize,
+    groups: usize,
+    bn: usize,
+    abs: bool,
+    out: &mut [f32],
+) {
+    row_checks_scalar(a, sums, s0, strips, g0, groups, bn, abs, out)
+}
+
+/// The scalar path's [`row_checks`]: [`row_check`] per (strip, group,
+/// row).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn row_checks_scalar(
+    a: &Panels,
+    sums: &[f32],
+    s0: usize,
+    strips: &[usize],
+    g0: usize,
+    groups: usize,
+    bn: usize,
+    abs: bool,
+    out: &mut [f32],
+) {
+    for &s in strips {
+        for g in 0..groups {
+            for r in 0..MICRO_MR {
+                out[s * bn + g * MICRO_MR + r] = row_check(a, sums, s0 + s, r, g0 + g, abs);
+            }
+        }
+    }
+}
+
+/// [`row_checks`]' operands, bounded by its asserts.
+struct RowChecks<'a> {
+    a: &'a Panels,
+    sums: &'a [f32],
+    s0: usize,
+    strips: &'a [usize],
+    g0: usize,
+    groups: usize,
+    bn: usize,
+    abs: bool,
+    out: &'a mut [f32],
+}
+
+impl Kernel for RowChecks<'_> {
+    type Out = ();
+
+    /// A vector's lanes are `L::LANES / MR` consecutive K steps × a
+    /// strip's `MR` rows (`q·MR + r`) — the strip's staged values as they
+    /// lie, so the A operand is a plain load — against one column group's
+    /// sums, each spread over four lanes. The lanes of step `kk` belong to
+    /// sub-chain `kk mod 4`, so each (strip, group) keeps its
+    /// [`ROW_CHAINS`] chains in `4·MR / L::LANES` accumulators, joined
+    /// once at the end. Up to four strips by four groups run together
+    /// (two by two on ymm).
+    #[inline(always)]
+    unsafe fn run<L: Lanes>(self) {
+        #[rustfmt::skip]
+        let RowChecks { a, sums, s0, strips, g0, groups, bn, abs, out } = self;
+        let (k, half) = (a.k, usize::from(abs));
+        let wide = if L::PAIRS_STRIPS { 4 } else { 2 };
+        // SAFETY: `row_checks` asserted every strip, every group's sums
+        // and every `out` cell in bounds.
+        unsafe {
+            for gw in (0..groups).step_by(wide) {
+                let live = (groups - gw).min(wide);
+                // Pointers past the live groups are never read.
+                let t: [*const f32; 4] = std::array::from_fn(|g| {
+                    let g = g0 + gw + g.min(live - 1);
+                    sums.as_ptr().add(g * k * 2 + half)
+                });
+                let p = RowPass {
+                    k,
+                    a: a.a_pack.as_ptr().add(s0 * k * MICRO_MR),
+                    t,
+                    abs,
+                    out: out.as_mut_ptr().add(gw * MICRO_MR),
+                    bn,
+                };
+                for chunk in strips.chunks(wide) {
+                    match live {
+                        1 => strips_pass::<L, 1>(p, chunk),
+                        2 => strips_pass::<L, 2>(p, chunk),
+                        3 => strips_pass::<L, 3>(p, chunk),
+                        _ => strips_pass::<L, 4>(p, chunk),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Where one window of column groups of a [`RowChecks`] pass reads and
+/// writes.
+#[derive(Clone, Copy)]
+struct RowPass {
+    k: usize,
+    /// The block's first staged strip.
+    a: *const f32,
+    /// Each group's first sum (or magnitude sum), one every two floats.
+    t: [*const f32; 4],
+    abs: bool,
+    /// The window's first cell of strip 0, row 0.
+    out: *mut f32,
+    bn: usize,
+}
+
+/// [`row_pass`] over one chunk of strips, at its length.
+///
+/// # Safety
+/// As [`row_pass`]'s.
+#[inline(always)]
+unsafe fn strips_pass<L: Lanes, const G: usize>(p: RowPass, chunk: &[usize]) {
+    // SAFETY: the caller's guarantees.
+    unsafe {
+        match *chunk {
+            [s0, s1, s2, s3] => row_pass::<L, 4, G>(p, [s0, s1, s2, s3]),
+            [s0, s1, s2] => row_pass::<L, 3, G>(p, [s0, s1, s2]),
+            [s0, s1] => row_pass::<L, 2, G>(p, [s0, s1]),
+            [s0] => row_pass::<L, 1, G>(p, [s0]),
+            _ => unreachable!("chunks of one to four strips"),
+        }
+    }
+}
+
+/// `N` strips' row checks against a window of `G` live column groups, in
+/// one walk over K, [`ROW_CHAINS`] steps at a time.
+///
+/// # Safety
+/// As [`RowChecks`]', which built `p`; the host supports `L`.
+#[inline(always)]
+unsafe fn row_pass<L: Lanes, const N: usize, const G: usize>(p: RowPass, strips: [usize; N]) {
+    // Vectors a strip's four steps span: one zmm, two ymm.
+    const { assert!(G <= 4) };
+    let per = ROW_CHAINS * MICRO_MR / L::LANES;
+    let steps = L::LANES / MICRO_MR;
+    let mut acc = [[[L::splat(0.0); 2]; G]; N];
+    // SAFETY: see `RowChecks`.
+    unsafe {
+        for kk0 in (0..p.k).step_by(ROW_CHAINS) {
+            let mut t = [[L::splat(0.0); 2]; G];
+            for (g, t) in t.iter_mut().enumerate() {
+                for (v, t) in t.iter_mut().enumerate().take(per) {
+                    *t = L::spread_pairs(p.t[g].add((kk0 + v * steps) * 2));
+                }
+            }
+            for (acc, &s) in acc.iter_mut().zip(&strips) {
+                for v in 0..per {
+                    let at = p.a.add((s * p.k + kk0) * MICRO_MR + v * L::LANES);
+                    let va = L::load(at, L::LANES);
+                    let va = if p.abs { va.abs() } else { va };
+                    for (acc, t) in acc.iter_mut().zip(&t) {
+                        acc[v] = L::fma(va, t[v], acc[v]);
+                    }
+                }
+            }
+        }
+        for (acc, &s) in acc.iter().zip(&strips) {
+            for (g, acc) in acc.iter().enumerate() {
+                // Lane `q·MR + r` of the four steps: chain `q`, row `r`.
+                let mut lanes = [0.0f32; ROW_CHAINS * MICRO_MR];
+                for (v, acc) in acc.iter().enumerate().take(per) {
+                    acc.store(lanes.as_mut_ptr().add(v * L::LANES), L::LANES);
+                }
+                let out = p.out.add(s * p.bn + g * MICRO_MR);
+                for r in 0..MICRO_MR {
+                    let c = |q: usize| lanes[q * MICRO_MR + r];
+                    *out.add(r) = (c(0) + c(1)) + (c(2) + c(3));
+                }
+            }
+        }
+    }
+}
+
 /// Whether strip `strip` of a block with `rows` live rows holds exactly
 /// one of them — the strips every path runs as one-row tiles.
 #[inline(always)]
@@ -664,17 +914,20 @@ fn one_live_row(rows: usize, strip: usize) -> bool {
 /// `rows` live rows by `groups` register-tile columns from global origin
 /// `(row0, col0)`, the ones that cover a row of the request or a column
 /// of the weights — through the dispatched microkernel, leaving the data
-/// in `tile` (row stride `bn`, the block width) and — for the two ABFT
-/// lane kinds — every live register tile's checksum lanes in `chk`, and
-/// under [`Redundancy::TileChecksum`] its corner's magnitude in `mag`
-/// (laid out as `BlockScratch` documents; [`Redundancy::ColumnChecksum`]
-/// carries no magnitude, [`group_magnitudes`] takes it on demand). Cells
-/// of `tile` outside the live extent are left as they were. Within a
-/// live register tile, rows and columns past the operands' edges are
-/// zero in the panels, so computing them is harmless and branch-free —
-/// except in a strip with [`one_live_row`], whose three dead rows are
-/// not computed but stored as `+0.0`. Any other `lanes` runs the plain
-/// kernel — the replication kinds call this twice, once per copy.
+/// in `tile` (row stride `bn`, the block width) and the checks the run's
+/// lanes ask for in `chk` — and, under [`Redundancy::TileChecksum`],
+/// each corner's magnitude in `mag` — laid out as `BlockScratch`
+/// documents. Under [`Redundancy::ColumnChecksum`] a strip with
+/// [`one_live_row`] carries its column chains through the walk, and the
+/// wider strips walk clean and take their row checks after it
+/// ([`row_checks`]); no magnitude is carried ([`group_magnitudes`] and
+/// [`row_checks`] take them on demand). Cells of `tile` outside the live
+/// extent are left as they were. Within a live register tile, rows and
+/// columns past the operands' edges are zero in the panels, so computing
+/// them is harmless and branch-free — except in a strip with
+/// [`one_live_row`], whose three dead rows are not computed but stored
+/// as `+0.0`. Any other `lanes` runs the plain kernel — the replication
+/// kinds call this twice, once per copy.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fill_block_tile(
     path: GemmPath,
@@ -696,6 +949,16 @@ pub(crate) fn fill_block_tile(
     let lane_len = lanes.lane_len(strips * MICRO_MR, bn);
     assert!(chk.len() >= lane_len && mag.len() >= lane_len);
     assert_eq!(a.k, b.k(), "operands staged for different K");
+    if lanes == Redundancy::ColumnChecksum {
+        // Only the last strip can have one live row; the others are
+        // checked by rows.
+        let wide = strips - usize::from(strips > 0 && one_live_row(rows, strips - 1));
+        if wide > 0 {
+            let list: [usize; BLOCK_M / MICRO_MR] = std::array::from_fn(|s| s);
+            let (s0, g0) = (row0 / MICRO_MR, col0 / MICRO_NR);
+            row_checks(path, a, b, s0, &list[..wide], g0, groups, bn, false, chk);
+        }
+    }
     #[rustfmt::skip]
     let f = Fill { a, b, row0, col0, rows, groups, bn, tile, chk, mag };
     #[cfg(target_arch = "x86_64")]
@@ -752,19 +1015,20 @@ fn fill_scalar(f: Fill<'_>, lanes: Redundancy) {
                 *out = dot_generic(a.row(row0 + lr), b.col(col0 + lc));
             }
         }
-        // Read under the two ABFT lane kinds only, which stage it.
-        let a_chk = || &a.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
         match lanes {
-            Redundancy::ColumnChecksum => {
+            // The one-row strip's column chains; `row_checks` took the
+            // wider strips'.
+            Redundancy::ColumnChecksum if one_row => {
                 for lc in 0..cols {
-                    let sums = a_chk().iter().step_by(2).copied();
-                    chk[s * bn + lc] = dot_generic(sums, b.col(col0 + lc));
+                    let row = a.row(row0 + s * MICRO_MR);
+                    chk[s * bn + lc] = dot_generic(row, b.col(col0 + lc));
                 }
             }
             Redundancy::TileChecksum => {
+                let a_chk = &a.a_chk[(row0 / MICRO_MR + s) * k * 2..][..k * 2];
                 for g in 0..groups {
                     let b_chk = &b.b_chk()[(col0 / MICRO_NR + g) * k * 2..][..k * 2];
-                    (chk[s * per_row + g], mag[s * per_row + g]) = corner_dot(a_chk(), b_chk);
+                    (chk[s * per_row + g], mag[s * per_row + g]) = corner_dot(a_chk, b_chk);
                 }
             }
             _ => {}
@@ -817,10 +1081,10 @@ struct TileArgs {
     /// The tile's first cell in the block tile, row stride `bn`.
     out: *mut f32,
     bn: usize,
-    /// The tile's first checksum lane — per column under `LANES_COLUMN`,
-    /// per column group under `LANES_TILE`, where the corner's magnitude
-    /// beside it is the only magnitude lane — and the distance to the
-    /// next strip's.
+    /// The tile's first checksum lane — per column of a one-row strip
+    /// under `LANES_COLUMN`, per column group under `LANES_TILE`, where
+    /// the corner's magnitude beside it is the only magnitude lane — and
+    /// the distance to the next strip's.
     chk: *mut f32,
     mag: *mut f32,
     lane_row: usize,
@@ -868,8 +1132,8 @@ impl<F: Format, const LANES: u8> Kernel for Walk<'_, F, LANES> {
         let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
         assert!(a.a_pack.len() >= (s0 + strips) * MICRO_MR * k);
         assert!(b.panels().len() >= (g0 + groups) * group_bytes);
-        assert!(LANES == LANES_NONE || a.a_chk.len() >= (s0 + strips) * k * 2);
-        // Only a two-sided tile reads (and so sums) the B checksum columns.
+        assert!(LANES != LANES_TILE || a.a_chk.len() >= (s0 + strips) * k * 2);
+        // Only a two-sided tile reads the group sums in the walk.
         let b_chk = if LANES == LANES_TILE { b.b_chk() } else { &[] };
         assert!(LANES != LANES_TILE || b_chk.len() >= (g0 + groups) * k * 2);
         // One lane per column under LANES_COLUMN, per group under LANES_TILE.
@@ -969,15 +1233,12 @@ unsafe fn store_pair(corner: std::arch::x86_64::__m128, chk: *mut f32, mag: *mut
 /// `8·S` FMAs. Vector `j` covers the tile's columns `j·L::LANES ..`:
 /// the two halves of one column group on ymm, two groups on zmm.
 ///
-/// `LANES_COLUMN` adds per strip, on the two B vectors already loaded, a
-/// checksum accumulator pair fed by the strip's column sum (1 broadcast
-/// and 2 FMAs a strip — 10 accumulators, 13 of 16 ymm live at `S = 1`;
-/// 20 accumulators, 23 of 32 zmm at `S = 2`); the columns' magnitudes
-/// are not carried ([`group_magnitudes`]). `LANES_TILE` adds one xmm
-/// FMA per (strip, column group) whose low two lanes are that 4×16
-/// tile's corner chain and its magnitude (two 8-byte loads). Neither
-/// touches memory the data walk does not already stream except those
-/// few floats per step.
+/// `LANES_TILE` adds one xmm FMA per (strip, column group) whose low two
+/// lanes are that 4×16 tile's corner chain and its magnitude (two 8-byte
+/// loads), touching no memory the data walk does not already stream
+/// but those few floats per step. Under `LANES_COLUMN` the tile is the
+/// clean walk: its strips are checked by rows after it
+/// ([`row_checks`]).
 ///
 /// # Safety
 /// As [`Walk`]'s, which built `t`; the host supports `L`.
@@ -992,7 +1253,6 @@ unsafe fn tile<L: Lanes, F: Format, const LANES: u8, const S: usize>(t: TileArgs
         // the upper lanes of a corner chain stay `0·0 + 0`.
         let pair = |at: *const f32| _mm_castpd_ps(_mm_load_sd(at.cast()));
         let mut acc = [[[L::splat(0.0); 2]; MICRO_MR]; S];
-        let mut chk = [[L::splat(0.0); 2]; S];
         let mut corner = [[_mm_setzero_ps(); 2]; S];
         for kk in 0..t.k {
             let vb: [L; 2] = [0, 1].map(|j| L::widen::<F>(t.b_at::<F>(j * L::LANES, kk)));
@@ -1003,14 +1263,8 @@ unsafe fn tile<L: Lanes, F: Format, const LANES: u8, const S: usize>(t: TileArgs
                     acc[0] = L::fma(va, vb[0], acc[0]);
                     acc[1] = L::fma(va, vb[1], acc[1]);
                 }
-                let a_sum = t.a_sum.wrapping_add((s * t.k + kk) * 2);
-                if LANES == LANES_COLUMN {
-                    let vs = L::splat(*a_sum);
-                    chk[s][0] = L::fma(vs, vb[0], chk[s][0]);
-                    chk[s][1] = L::fma(vs, vb[1], chk[s][1]);
-                }
                 if LANES == LANES_TILE {
-                    let st = pair(a_sum);
+                    let st = pair(t.a_sum.add((s * t.k + kk) * 2));
                     for (g, corner) in corner[s].iter_mut().enumerate().take(groups) {
                         let tt = pair(t.b_sum.add((g * t.k + kk) * 2));
                         *corner = _mm_fmadd_ps(st, tt, *corner);
@@ -1026,11 +1280,6 @@ unsafe fn tile<L: Lanes, F: Format, const LANES: u8, const S: usize>(t: TileArgs
             }
             let chk_at = t.chk.wrapping_add(s * t.lane_row);
             let mag_at = t.mag.wrapping_add(s * t.lane_row);
-            if LANES == LANES_COLUMN {
-                for (j, chk) in chk[s].iter().enumerate() {
-                    chk.store(chk_at.add(j * L::LANES), L::LANES);
-                }
-            }
             if LANES == LANES_TILE {
                 for (g, &corner) in corner[s].iter().enumerate().take(groups) {
                     store_pair(corner, chk_at.add(g), mag_at.add(g));
@@ -1049,8 +1298,15 @@ unsafe fn tile<L: Lanes, F: Format, const LANES: u8, const S: usize>(t: TileArgs
 /// FMAs, and no FMA is spent on the strip's three rows of zeros.
 ///
 /// `LANES_COLUMN` adds `NV` checksum chains on the same B vectors, fed
-/// by the strip's column sum, as [`tile`] does. `LANES_TILE` adds each
-/// column group's xmm corner chain, as [`tile`] does.
+/// by the live row itself: a second, independent run of the data chains
+/// that the epilogue compares column by column. At batch 1 a check
+/// against the weights' group sums would stream those sums — 8 bytes a
+/// K step per 16-column group beside the group's 32 bytes of f16
+/// codes, 12.5 % more for the 4-byte sum alone — through a layer whose
+/// time is its weight stream, while these FMAs ride loads the tile
+/// makes anyway: the check stays on the side that streams nothing, as
+/// in the paper. `LANES_TILE` adds each column group's xmm corner
+/// chain, as [`tile`] does.
 ///
 /// # Safety
 /// As [`Walk`]'s, which built `t`; the host supports `L`.
@@ -1075,9 +1331,8 @@ unsafe fn tile_1xn<L: Lanes, F: Format, const LANES: u8, const NV: usize>(t: Til
                 acc[j] = L::fma(va, vb[j], acc[j]);
             }
             if LANES == LANES_COLUMN {
-                let vs = L::splat(*t.a_sum.add(kk * 2));
                 for j in 0..NV {
-                    chk[j] = L::fma(vs, vb[j], chk[j]);
+                    chk[j] = L::fma(va, vb[j], chk[j]);
                 }
             }
             if LANES == LANES_TILE {
@@ -1130,12 +1385,12 @@ impl<F: Format> Kernel for Magnitudes<'_, F> {
         } = self;
         let k = a.k;
         let group_bytes = MICRO_NR * k * F::RESIDENT_BYTES;
-        // SAFETY: `group_magnitudes` asserted every strip's checksum row,
-        // every group's panel and every `mag` cell in bounds.
+        // SAFETY: `group_magnitudes` asserted every strip, every group's
+        // panel and every `mag` cell in bounds.
         unsafe {
             let mag = mag.as_mut_ptr();
             let chain = |(s, g): (usize, usize)| Chain {
-                a_abs: a.a_chk.as_ptr().add(s * k * 2 + 1),
+                a_row: a.a_pack.as_ptr().add(s * k * MICRO_MR),
                 b_panel: b.panels().as_ptr().add((col0 / MICRO_NR + g) * group_bytes),
                 mag: mag.add(s * bn + g * MICRO_NR),
             };
@@ -1155,8 +1410,8 @@ impl<F: Format> Kernel for Magnitudes<'_, F> {
 /// Where one opened column group's magnitude chains read and write.
 #[derive(Clone, Copy)]
 struct Chain {
-    /// The strip's first magnitude sum; one every two floats.
-    a_abs: *const f32,
+    /// The strip's live row; one value every `MICRO_MR` floats.
+    a_row: *const f32,
     /// The group's B panel (resident codes).
     b_panel: *const u8,
     /// The group's first magnitude cell.
@@ -1165,7 +1420,7 @@ struct Chain {
 
 /// `N` opened groups' magnitudes in one walk over K: each group
 /// `MICRO_NR / L::LANES` accumulators, each lane the chain
-/// `fma(s_abs, |b|, mag)` per K step on the widened B vector.
+/// `fma(|a|, |b|, mag)` per K step on the widened B vector.
 ///
 /// # Safety
 /// As [`Magnitudes`]', which built `chains`; the host supports `L`.
@@ -1177,7 +1432,7 @@ unsafe fn magnitude_pass<L: Lanes, F: Format, const N: usize>(k: usize, chains: 
     unsafe {
         for kk in 0..k {
             for (c, acc) in chains.iter().zip(&mut acc) {
-                let vm = L::splat(*c.a_abs.add(kk * 2));
+                let vm = L::splat((*c.a_row.add(kk * MICRO_MR)).abs());
                 for (h, acc) in acc.iter_mut().enumerate().take(per_group) {
                     let code = kk * MICRO_NR + h * L::LANES;
                     let vb = L::widen::<F>(c.b_panel.add(code * F::RESIDENT_BYTES));
@@ -1312,11 +1567,9 @@ mod tests {
                         want += v;
                         want_abs += v.abs();
                     }
-                    assert_eq!(w.b_chk()[(g * kp + kk) * 2].to_bits(), want.to_bits());
-                    assert_eq!(
-                        w.b_chk()[(g * kp + kk) * 2 + 1].to_bits(),
-                        want_abs.to_bits()
-                    );
+                    let at = (g * kp + kk) * 2;
+                    assert_eq!(w.b_chk()[at].to_bits(), want.to_bits());
+                    assert_eq!(w.b_chk()[at + 1].to_bits(), want_abs.to_bits());
                 }
             }
             // A NaN weight of any payload or sign reads back as the
@@ -1478,15 +1731,15 @@ mod tests {
 
     #[test]
     fn a_columns_checksum_never_exceeds_its_magnitude() {
-        // The lemma the one-sided epilogue skips magnitudes by: the
-        // checksum lane the microkernel carries is bounded bit for bit by
-        // the magnitude chain, `|chk| <= mag` wherever `mag` is a number,
-        // and — in a strip whose magnitude sums are finite — a NaN
-        // magnitude comes with a NaN checksum. Over specials and overflow
-        // to ±Inf, at every K the engine walks in one step, a few, or
-        // many. (A magnitude sum that overflowed where the plain sum did
-        // not meets a zero weight as `∞·0`, which the checksum does not
-        // share: the epilogue opens such a strip whole.)
+        // The lemma the one-sided epilogue skips magnitudes by, for both
+        // checks: the one-row strip's column chain the microkernel
+        // carries and a wider strip's row checks are bounded bit for bit
+        // by their magnitude chains, `|chk| <= mag` wherever `mag` is a
+        // number, and — over weights whose group magnitude sums did not
+        // overflow — a NaN magnitude comes with a NaN checksum. Over
+        // specials and overflow to ±Inf, at every K the engine walks in
+        // one step, a few, or many; 13 rows are three wide strips and a
+        // one-row strip.
         let (m, n) = (13, 48);
         let groups = n / MICRO_NR;
         for dtype in Dtype::ALL {
@@ -1508,17 +1761,34 @@ mod tests {
                     &mut chk,
                     &mut mag,
                 );
+                row_checks(
+                    detect_path(),
+                    &p,
+                    &w,
+                    0,
+                    &[0, 1, 2],
+                    0,
+                    groups,
+                    n,
+                    true,
+                    &mut mag,
+                );
+                let overflowed = w.b_chk_overflowed();
                 let mut bounded = 0;
-                for s in 0..m.div_ceil(MICRO_MR) {
-                    let sums = &p.a_chk[s * p.k * 2..][..p.k * 2];
-                    let finite = !sums.contains(&f32::INFINITY);
-                    // Flagged at staging where two live rows or more can
-                    // have overflowed.
-                    let (flagged, wide) = (p.infinite_sums >> s & 1 == 1, m - s * MICRO_MR > 1);
-                    assert_eq!(flagged, wide && !finite, "{dtype} k={k} strip {s}");
-                    for col in 0..n {
-                        let (chk, mag) = (chk[s * n + col], column_magnitude(&p, &w, s, col));
-                        let ctx = format!("{dtype} k={k} strip {s} col {col}: {chk} vs {mag}");
+                let mut pairs = vec![(
+                    chk[3 * n..].to_vec(),
+                    (0..n).map(|col| column_magnitude(&p, &w, 3, col)).collect(),
+                )];
+                pairs.extend((0..3).map(|s| {
+                    (
+                        chk[s * n..][..groups * MICRO_MR].to_vec(),
+                        mag[s * n..][..groups * MICRO_MR].to_vec(),
+                    )
+                }));
+                for (s, (chk, mag)) in pairs.into_iter().enumerate() {
+                    for (i, (&chk, &mag)) in chk.iter().zip(&mag).enumerate() {
+                        let ctx = format!("{dtype} k={k} check {s}/{i}: {chk} vs {mag}");
+                        let finite = s == 0 || !overflowed;
                         assert!(!finite || !mag.is_nan() || chk.is_nan(), "{ctx}");
                         assert!(chk.is_nan() || mag.is_nan() || chk.abs() <= mag, "{ctx}");
                         bounded += !chk.is_nan() as usize;
@@ -1526,6 +1796,59 @@ mod tests {
                 }
                 assert!(bounded > 0, "{dtype} k={k}: every checksum was NaN");
             }
+        }
+    }
+
+    #[test]
+    fn a_rows_check_never_exceeds_its_magnitude() {
+        // The row check's lemma at its edges, on every path: a `-0.0`
+        // activation, and a bf16 weight group whose `Σ|b|` overflows to
+        // `+∞` while `Σ b` cancels — the weights report it once, and a
+        // zero activation over it makes the magnitude `0·∞ = NaN` beside
+        // a finite check, which is why such a layer opens every row: an
+        // engine run flags exactly those rows, against NaN thresholds.
+        let (m, n, k) = (8, 32, 16);
+        let dtype = Dtype::Bf16;
+        let mut a = Matrix::random_dtype(m, k, 5, dtype);
+        let mut b = Matrix::random_dtype(k, n, 6, dtype);
+        let huge = f32::from_bits(0x7f7f_0000);
+        for (col, v) in [huge, -huge, huge, -huge].into_iter().enumerate() {
+            b.set(3, col, F16(dtype.encode(v)));
+        }
+        a.set(2, 3, F16(dtype.encode(-0.0)));
+        a.set(5, 3, F16(dtype.encode(0.0)));
+        let w = PackedWeights::pack(&b);
+        let clean = PackedWeights::pack(&Matrix::random_dtype(k, n, 6, dtype));
+        assert!(w.b_chk_overflowed() && !clean.b_chk_overflowed());
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let mut want = None;
+        for &path in supported_paths() {
+            let mut p = Panels::default();
+            p.stage(a.view(), Redundancy::ColumnChecksum, path, k, 0..2);
+            let (mut chk, mut mag) = (vec![0.0; 2 * n], vec![0.0; 2 * n]);
+            row_checks(path, &p, &w, 0, &[0, 1], 0, 2, n, false, &mut chk);
+            row_checks(path, &p, &w, 0, &[0, 1], 0, 2, n, true, &mut mag);
+            for s in 0..2 {
+                for g in 0..2 {
+                    for r in 0..MICRO_MR {
+                        let at = s * n + g * MICRO_MR + r;
+                        let (c, mg) = (chk[at], mag[at]);
+                        let sums = w.b_chk();
+                        assert_eq!(c.to_bits(), row_check(&p, sums, s, r, g, false).to_bits());
+                        assert_eq!(mg.to_bits(), row_check(&p, sums, s, r, g, true).to_bits());
+                        assert!(
+                            mg.is_nan() || c.abs() <= mg,
+                            "{path:?} {s}/{g}/{r}: {c} vs {mg}"
+                        );
+                        // Only the overflowed group meets `0·∞`.
+                        let zero = s * MICRO_MR + r == 2 || s * MICRO_MR + r == 5;
+                        assert_eq!(mg.is_nan(), zero && g == 0, "{path:?} {s}/{g}/{r}");
+                        assert!(c.is_finite(), "{path:?} {s}/{g}/{r}");
+                    }
+                }
+            }
+            let got = (bits(&chk), bits(&mag));
+            assert_eq!(want.get_or_insert(got.clone()), &got, "{path:?}");
         }
     }
 

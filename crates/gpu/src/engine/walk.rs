@@ -17,41 +17,49 @@
 //! across the SIMD and scalar paths whenever the lanes are, which
 //! [`super::simd`] guarantees.
 //!
-//! # One-sided ABFT takes a column's magnitude only where it decides
+//! # One-sided ABFT takes a magnitude only where it decides
 //!
-//! Under one-sided ABFT a column's compare is
-//! `!(|Σ_rows c − chk| <= slope·mag + floor)`, with `chk` the checksum
-//! chain `fma(s_k, b, chk)` and `mag` the magnitude chain
-//! `fma(S_k, |b|, mag)` over the strip's sums `s_k = (a0+a1)+(a2+a3)`
-//! and `S_k = (|a0|+|a1|)+(|a2|+|a3|)`. The tiles carry only `chk`,
-//! because `|chk| ≤ mag` holds bit for bit:
+//! One-sided ABFT checks a strip of two live rows or more row by row
+//! against the weights: row `i`'s check against column group `g` is
+//! `!(|Σ_{j∈g} c[i][j] − chk| <= slope·M + floor)`, with `chk = Σ_k
+//! a[i][k]·t_g[k]` and `M = Σ_k |a[i][k]|·t_abs_g[k]` over the weights'
+//! group sums `(t_g[k], t_abs_g[k]) = (Σ_{j∈g} b[k][j], Σ_{j∈g}
+//! |b[k][j]|)` (`PackedWeights::b_chk`), both chains run in the same
+//! order ([`simd::row_checks`]). A strip with one live row keeps a chain
+//! per column, `chk = Σ_k a[k]·b[k][j]` against the stored column, with
+//! `M = Σ_k |a[k]|·|b[k][j]|`. Neither `M` is carried, because `|chk| ≤
+//! M` holds bit for bit:
 //!
-//! - `|s_k| ≤ S_k` in f32: round-to-nearest is monotone and odd, so
-//!   `|fl(x+y)| = fl(|x+y|) ≤ fl(|x|+|y|)` at every add;
-//! - by the same argument each step keeps `|fma(s_k, b, chk)| ≤
-//!   fma(S_k, |b|, mag)` when `|chk| ≤ mag`, from `0 ≤ 0`;
-//! - a NaN magnitude needs a NaN or `0·∞` product in `Σ S_k·|b|`, and
-//!   the same product makes `chk` NaN — unless `S_k` overflowed to `∞`
-//!   over finite values while `s_k` cancelled (bf16 activations near the
-//!   top of the f32 range) and meets a zero weight. Staging flags a strip
-//!   of two live rows or more with an infinite `S_k`
-//!   (`Panels::infinite_sums`), and such a strip is taken as unbounded;
-//!   with one live row `S_k = |a|` is infinite only where `s_k` is.
+//! - `|t| ≤ t_abs` in f32: both sums add the same values in the same
+//!   order, and round-to-nearest is monotone and odd, so `|fl(x+y)| =
+//!   fl(|x+y|) ≤ fl(|x|+|y|)` at every add;
+//! - by the same argument each step keeps `|fma(a, t, chk)| ≤
+//!   fma(|a|, t_abs, M)` when `|chk| ≤ M`, from `0 ≤ 0`, and each of the
+//!   final adds of the sub-chains keeps it too;
+//! - a NaN `M` needs a NaN or `0·∞` product, and the same product makes
+//!   `chk` NaN — unless `t_abs` overflowed to `∞` over finite weights
+//!   while `t` stayed finite (sixteen bf16 weights near the top of the f32
+//!   range) and meets a zero activation. That is a property of the static
+//!   weights, found once when their sums are derived
+//!   (`PackedWeights::b_chk_overflowed`); every row of such a layer is
+//!   taken as unbounded. In the one-row chain `|a|` and `|b|` are
+//!   infinite only where `a` and `b` are.
 //!
-//! The threshold `slope·m + floor` does not decrease as `m` grows when
-//! `slope > 0`, so in a bounded strip a column whose residual passes at
-//! `|chk|` passes at `mag`, and is not flagged. Only the other columns —
-//! faults, non-finite values and a sliver of clean columns whose
-//! checksum cancelled — are *opened*: the block's opened column groups
-//! get their exact magnitudes from [`simd::group_magnitudes`], the same
-//! chains run four groups at a time, and the ordinary compare decides.
-//! No verdict, residual or reported threshold changes. In a strip with
-//! one live row the checksum chain repeats the data chain operation for
+//! The threshold `slope·M + floor` does not decrease as `M` grows when
+//! `slope > 0`, so where the bound holds a compare that passes at
+//! `|chk|` passes at `M`, and is not flagged. Only the others — faults,
+//! non-finite values and a sliver of clean rows or columns whose
+//! checksum cancelled — are *opened*: a wide strip with an opened row
+//! takes the magnitudes of all its rows ([`simd::row_checks`] over `|a|`
+//! and `t_abs`), a one-row strip those of its opened column groups
+//! ([`simd::group_magnitudes`]), and the ordinary compare decides. No
+//! verdict, residual or reported threshold changes. In a strip with one
+//! live row the checksum chain repeats the data chain operation for
 //! operation, so a clean column's residual is exactly `0.0` and only
-//! faults and non-finite values open. An unbounded strip, and every
+//! faults and non-finite values open. An unbounded layer, and every
 //! strip under a scheme whose threshold does not grow with the magnitude
 //! (`slope <= 0`, where `0·∞` is NaN too; tests build them to make every
-//! compare report), opens every column.
+//! compare report), opens everything.
 //!
 //! Everything here reads the stripe its team member staged and writes
 //! into that member's scratch ([`StripeScratch`]) — nothing allocates,
@@ -65,6 +73,7 @@ use super::panels::{BlockScratch, PackedWeights, Panels, StripeScratch};
 use super::scheme::{Redundancy, TileScheme};
 use super::simd::{self, GemmPath};
 use super::{BLOCK_M, BLOCK_N, MICRO_MR, MICRO_NR};
+use std::marker::PhantomData;
 
 /// What every block of one engine run shares, read-only.
 pub(crate) struct Run<'a> {
@@ -84,8 +93,8 @@ pub(crate) struct Run<'a> {
 
 /// Executes block `(br, bc)` of `run` into `scr.block.tile` from the
 /// stripe staged in `scr.panels` (block row `br`'s) and appends the
-/// tiles the scheme flags to `scr.detections` (strip-major, then by
-/// column).
+/// compares the scheme flags to `scr.detections` (strip-major, then by
+/// row, then by column).
 pub(crate) fn run_block(run: &Run<'_>, br: usize, bc: usize, scr: &mut StripeScratch) {
     let (row0, col0) = (br * BLOCK_M, bc * BLOCK_N);
     let rows = (run.out_m - row0).min(BLOCK_M);
@@ -158,7 +167,8 @@ pub(crate) fn run_block(run: &Run<'_>, br: usize, bc: usize, scr: &mut StripeScr
     };
     // SAFETY: the run's path is one the host runs.
     if let Err(c) = unsafe { on_path(run.path, check) } {
-        check_block(c.run, c.panels, c.live, c.scratch, c.detections);
+        // SAFETY: the exact screen runs anywhere.
+        unsafe { check_block::<Exact>(c.run, c.panels, c.live, c.scratch, c.detections) };
     }
 }
 
@@ -197,12 +207,11 @@ fn col_sum(rows: &[&[f32]; MICRO_MR], j: usize, f: impl Fn(f32) -> f32) -> f32 {
     (f(rows[0][j]) + f(rows[1][j])) + (f(rows[2][j]) + f(rows[3][j]))
 }
 
-/// Sum of `f` over one register tile's cells: column sums first, then a
-/// pairwise tree across the [`MICRO_NR`] columns — a fixed order with
-/// short dependency chains.
+/// The sum of one register-tile row's [`MICRO_NR`] values, a pairwise
+/// tree: lanes `j` and `j + w` added for `w` = 8, 4, 2, 1 — a fixed
+/// order with short dependency chains.
 #[inline(always)]
-fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f32 {
-    let mut lane: [f32; MICRO_NR] = std::array::from_fn(|j| col_sum(rows, col + j, &f));
+fn halve(mut lane: [f32; MICRO_NR]) -> f32 {
     let mut width = MICRO_NR;
     while width > 1 {
         width /= 2;
@@ -211,6 +220,20 @@ fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f3
         }
     }
     lane[0]
+}
+
+/// [`halve`] of the first [`MICRO_NR`] values of `row`: a row's column
+/// group, as one-sided ABFT's row check sums it.
+#[inline(always)]
+fn group_sum(row: &[f32]) -> f32 {
+    halve(std::array::from_fn(|j| row[j]))
+}
+
+/// Sum of `f` over one register tile's cells: column sums first, then
+/// [`halve`] across the [`MICRO_NR`] columns.
+#[inline(always)]
+fn tile_sum(rows: &[&[f32]; MICRO_MR], col: usize, f: impl Fn(f32) -> f32) -> f32 {
+    halve(std::array::from_fn(|j| col_sum(rows, col + j, &f)))
 }
 
 /// [`check_block`]'s operands.
@@ -229,14 +252,139 @@ impl Kernel for Check<'_> {
 
     #[inline(always)]
     unsafe fn run<L: Lanes>(self) {
-        check_block(
-            self.run,
-            self.panels,
-            self.live,
-            self.scratch,
-            self.detections,
-        )
+        // SAFETY: the caller's guarantees, which cover `L`.
+        unsafe {
+            check_block::<Screened<L>>(
+                self.run,
+                self.panels,
+                self.live,
+                self.scratch,
+                self.detections,
+            )
+        }
     }
+}
+
+/// A block tile, its checksum lanes and the magnitudes a row screen
+/// compares them at (the lanes themselves, or the opened magnitudes).
+type RowLanes<'a> = (&'a [f32], &'a [f32], &'a [f32]);
+
+/// How the epilogue finds the row checks of a wide strip that fail
+/// against `magnitude` (its `|chk|`, or the opened strip's magnitudes):
+/// a mask laid out as `chk`, bit `g·MR + r` for row `r < live` against
+/// group `g < groups`, holding at least every compare that fails in f64.
+trait RowScreen {
+    /// # Safety
+    /// The host supports the implementation's lanes.
+    unsafe fn rows_failing(
+        scheme: TileScheme,
+        lanes: RowLanes<'_>,
+        s: usize,
+        live: usize,
+        groups: usize,
+    ) -> u32;
+}
+
+/// [`RowScreen`] by the compare itself, in f64: the scalar path's.
+struct Exact;
+
+/// [`RowScreen`] at the width of `L`, in f32 (see
+/// [`rows_failing_screened`]): a SIMD path's.
+struct Screened<L>(PhantomData<L>);
+
+impl RowScreen for Exact {
+    #[inline(always)]
+    unsafe fn rows_failing(
+        scheme: TileScheme,
+        lanes: RowLanes<'_>,
+        s: usize,
+        live: usize,
+        groups: usize,
+    ) -> u32 {
+        rows_failing_exactly(scheme, lanes, s, live, groups)
+    }
+}
+
+impl<L: Lanes> RowScreen for Screened<L> {
+    #[inline(always)]
+    unsafe fn rows_failing(
+        scheme: TileScheme,
+        lanes: RowLanes<'_>,
+        s: usize,
+        live: usize,
+        groups: usize,
+    ) -> u32 {
+        // SAFETY: the caller's guarantee.
+        unsafe { rows_failing_screened::<L>(scheme, lanes, s, live, groups) }
+    }
+}
+
+/// The row checks of wide strip `s` that fail against `magnitude`, as
+/// [`RowScreen`] lays them out — the compare itself, in f64.
+#[inline(always)]
+fn rows_failing_exactly(
+    scheme: TileScheme,
+    (tile, chk, magnitude): RowLanes<'_>,
+    s: usize,
+    live: usize,
+    groups: usize,
+) -> u32 {
+    let mut fails = 0;
+    for r in 0..live {
+        let row = &tile[(s * MICRO_MR + r) * BLOCK_N..];
+        for g in 0..groups {
+            let at = s * BLOCK_N + g * MICRO_MR + r;
+            let residual = (group_sum(&row[g * MICRO_NR..]) as f64 - chk[at] as f64).abs();
+            let fail = scheme.flags(residual, magnitude[at].abs() as f64);
+            fails |= u32::from(fail) << (g * MICRO_MR + r);
+        }
+    }
+    fails
+}
+
+/// [`rows_failing_exactly`] screened at the width of `L`, in f32: each
+/// vector's row sums come from [`Lanes::group_sums`] (the bits of
+/// [`group_sum`]), and a lane is set where its f32 residual is over its
+/// f32 threshold less `2⁻²⁰` of it and the smallest normal — at least
+/// every bit the f64 compare sets, whatever the roundings of either (the
+/// scheme's slope is in `(0, 1)` and its floor in `[0, f32::MAX / 4]`,
+/// which the caller checks); the few lanes in between are decided
+/// exactly after.
+///
+/// # Safety
+/// The host supports `L`.
+#[inline(always)]
+unsafe fn rows_failing_screened<L: Lanes>(
+    scheme: TileScheme,
+    (tile, chk, magnitude): RowLanes<'_>,
+    s: usize,
+    live: usize,
+    groups: usize,
+) -> u32 {
+    let per = L::LANES / MICRO_MR;
+    assert!(tile.len() >= (s + 1) * MICRO_MR * BLOCK_N && groups * MICRO_NR <= BLOCK_N);
+    assert!(chk.len() >= (s + 1) * BLOCK_N && magnitude.len() >= (s + 1) * BLOCK_N);
+    assert!(live <= MICRO_MR);
+    let rows = (1u32 << live) - 1;
+    let mut fails = 0;
+    // SAFETY: the caller's guarantees; the asserts above keep every read
+    // inside the strip's rows of the block and its lanes.
+    unsafe {
+        let slope = L::splat(scheme.slope as f32);
+        let floor = L::splat(scheme.floor as f32);
+        let (keep, less) = (L::splat(1.0 - 2f32.powi(-20)), L::splat(-f32::MIN_POSITIVE));
+        for gw in (0..groups).step_by(per) {
+            let at = tile.as_ptr().add(s * MICRO_MR * BLOCK_N + gw * MICRO_NR);
+            let lane = s * BLOCK_N + gw * MICRO_MR;
+            let chk = L::load(chk.as_ptr().add(lane), L::LANES);
+            let magnitude = L::load(magnitude.as_ptr().add(lane), L::LANES).abs();
+            let residual = L::sub(L::group_sums(at, BLOCK_N), chk).abs();
+            let threshold = L::fma(L::fma(magnitude, slope, floor), keep, less);
+            let live = (0..(groups - gw).min(per)).fold(0, |m, g| m | rows << (g * MICRO_MR));
+            fails |= (L::not_le(residual, threshold) & live) << (gw * MICRO_MR);
+        }
+    }
+    fails
 }
 
 /// The tile epilogue: compares every live register tile of the block
@@ -245,8 +393,11 @@ impl Kernel for Check<'_> {
 /// one flag with a branch-free loop the compiler vectorizes, and only
 /// walks cells again — to take one-sided ABFT's opened magnitudes and
 /// build [`Detection`]s — when something flagged or opened.
+///
+/// # Safety
+/// The host supports `S`'s lanes.
 #[inline(always)]
-fn check_block(
+unsafe fn check_block<S: RowScreen>(
     run: &Run<'_>,
     panels: &Panels,
     (origin, live): ((usize, usize), (usize, usize)),
@@ -265,9 +416,12 @@ fn check_block(
     let strips = live_rows.div_ceil(MICRO_MR);
     let cols = groups * MICRO_NR;
     let per_row = BLOCK_N / MICRO_NR;
-    let mut flag = |s: usize, col: usize, cols: usize, residual: f64, threshold: f64| {
+    // A failed compare over block rows `row..row + rows` and columns
+    // `col..col + cols`.
+    let mut flag = |(row, rows), (col, cols), residual: f64, threshold: f64| {
         detections.push(Detection {
-            row: origin.0 + s * MICRO_MR,
+            row: origin.0 + row,
+            rows,
             col: origin.1 + col,
             cols,
             residual,
@@ -277,11 +431,32 @@ fn check_block(
     match scheme.lanes {
         Redundancy::None | Redundancy::GlobalSums => {}
         Redundancy::ColumnChecksum => {
-            // In a bounded strip `|chk|` bounds each column's magnitude
-            // from below (see the module docs), so only a column failing
-            // there is opened; the block's opened column groups then take
-            // their magnitudes in one pass.
+            // Where `|chk|` bounds the magnitude from below (see the module
+            // docs), only a compare failing there is opened; the opened
+            // strips and column groups then take their magnitudes.
             let grows = scheme.slope > 0.0;
+            let one_row =
+                (strips > 0 && live_rows - (strips - 1) * MICRO_MR == 1).then(|| strips - 1);
+            let wide = strips - usize::from(one_row.is_some());
+            // The row screen's f32 margin holds for these schemes (see
+            // `rows_failing_screened`); under any other, and over weights
+            // whose group sums overflowed, every row is opened.
+            let screened = (0.0..1.0).contains(&scheme.slope)
+                && grows
+                && (0.0..=f32::MAX as f64 / 4.0).contains(&scheme.floor)
+                && (wide == 0 || !run.b.b_chk_overflowed());
+            let live = |s: usize| (live_rows - s * MICRO_MR).min(MICRO_MR);
+
+            let mut opened = [0; BLOCK_M / MICRO_MR];
+            let mut count = 0;
+            for s in 0..wide {
+                if !screened
+                    || unsafe { S::rows_failing(scheme, (tile, chk, chk), s, live(s), groups) } != 0
+                {
+                    opened[count] = s;
+                    count += 1;
+                }
+            }
             let fails = |rows: [&[f32]; MICRO_MR], chk: &[f32]| {
                 let [r0, r1, r2, r3] = rows;
                 let cells = r0.iter().zip(r1).zip(r2).zip(r3).zip(chk);
@@ -290,28 +465,58 @@ fn check_block(
                     any | scheme.flags(residual, chk.abs() as f64)
                 })
             };
-            let mut open = [(0, 0); (BLOCK_M / MICRO_MR) * (BLOCK_N / MICRO_NR)];
-            let mut count = 0;
-            for s in 0..strips {
-                let bounded = grows && panels.infinite_sums >> s & 1 == 0;
+            let mut open = [(0, 0); BLOCK_N / MICRO_NR];
+            let mut columns = 0;
+            if let Some(s) = one_row {
                 let rows = strip_rows(tile, s).map(|row| &row[..cols]);
                 let chk = &chk[s * BLOCK_N..][..cols];
-                if bounded && !fails(rows, chk) {
-                    continue;
-                }
-                for g in 0..groups {
-                    let group = g * MICRO_NR..(g + 1) * MICRO_NR;
-                    if !bounded || fails(rows.map(|row| &row[group.clone()]), &chk[group]) {
-                        open[count] = (s, g);
-                        count += 1;
+                if !grows || fails(rows, chk) {
+                    for g in 0..groups {
+                        let group = g * MICRO_NR..(g + 1) * MICRO_NR;
+                        if !grows || fails(rows.map(|row| &row[group.clone()]), &chk[group]) {
+                            open[columns] = (s, g);
+                            columns += 1;
+                        }
                     }
                 }
             }
-            let open = &open[..count];
-            if open.is_empty() {
-                return;
+            let (opened, open) = (&opened[..count], &open[..columns]);
+            if !opened.is_empty() {
+                let g0 = origin.1 / MICRO_NR;
+                simd::row_checks(
+                    run.path, panels, run.b, 0, opened, g0, groups, BLOCK_N, true, mag,
+                );
             }
-            simd::group_magnitudes(run.path, panels, run.b, origin.1, BLOCK_N, open, mag);
+            if !open.is_empty() {
+                simd::group_magnitudes(run.path, panels, run.b, origin.1, BLOCK_N, open, mag);
+            }
+            let mag = &**mag;
+            for &s in opened {
+                // Only the compares the screen at the magnitudes lets
+                // through are taken in f64: the rest pass there.
+                let candidates = match screened {
+                    true => unsafe {
+                        S::rows_failing(scheme, (tile, chk, mag), s, live(s), groups)
+                    },
+                    false => u32::MAX,
+                };
+                for r in 0..live(s) {
+                    let row = &tile[(s * MICRO_MR + r) * BLOCK_N..];
+                    for g in 0..groups {
+                        let at = s * BLOCK_N + g * MICRO_MR + r;
+                        if candidates >> (g * MICRO_MR + r) & 1 == 0 {
+                            continue;
+                        }
+                        let sum = group_sum(&row[g * MICRO_NR..]);
+                        let residual = (sum as f64 - chk[at] as f64).abs();
+                        let mag = mag[at] as f64;
+                        if scheme.flags(residual, mag) {
+                            let (row, col) = (s * MICRO_MR + r, g * MICRO_NR);
+                            flag((row, 1), (col, MICRO_NR), residual, scheme.threshold(mag));
+                        }
+                    }
+                }
+            }
             for &(s, g) in open {
                 let rows = strip_rows(tile, s);
                 for j in g * MICRO_NR..(g + 1) * MICRO_NR {
@@ -319,7 +524,8 @@ fn check_block(
                         (col_sum(&rows, j, |v| v) as f64 - chk[s * BLOCK_N + j] as f64).abs();
                     let mag = mag[s * BLOCK_N + j] as f64;
                     if scheme.flags(residual, mag) {
-                        flag(s, j, 1, residual, scheme.threshold(mag));
+                        let threshold = scheme.threshold(mag);
+                        flag((s * MICRO_MR, MICRO_MR), (j, 1), residual, threshold);
                     }
                 }
             }
@@ -332,13 +538,9 @@ fn check_block(
                     let residual = (sum as f64 - chk[s * per_row + g] as f64).abs();
                     let magnitude = mag[s * per_row + g] as f64;
                     if scheme.flags(residual, magnitude) {
-                        flag(
-                            s,
-                            g * MICRO_NR,
-                            MICRO_NR,
-                            residual,
-                            scheme.threshold(magnitude),
-                        );
+                        let threshold = scheme.threshold(magnitude);
+                        let strip = (s * MICRO_MR, MICRO_MR);
+                        flag(strip, (g * MICRO_NR, MICRO_NR), residual, threshold);
                     }
                 }
             }
@@ -369,7 +571,7 @@ fn check_block(
                             .map(|i| (rows[i][j] as f64 - twin[i][j] as f64).abs())
                             .reduce(f64::max);
                         if let Some(residual) = residual {
-                            flag(s, j, 1, residual, 0.0);
+                            flag((s * MICRO_MR, MICRO_MR), (j, 1), residual, 0.0);
                         }
                     }
                 } else {
@@ -380,7 +582,9 @@ fn check_block(
                             .abs();
                         let magnitude = tile_sum(&twin, col, f32::abs) as f64;
                         if scheme.flags(residual, magnitude) {
-                            flag(s, col, MICRO_NR, residual, scheme.threshold(magnitude));
+                            let threshold = scheme.threshold(magnitude);
+                            let strip = (s * MICRO_MR, MICRO_MR);
+                            flag(strip, (col, MICRO_NR), residual, threshold);
                         }
                     }
                 }

@@ -173,10 +173,11 @@ fn localizes(scheme: Scheme, kind: FaultKind) -> bool {
     }
 }
 
-/// Where `scheme`'s localizer pins fault `f` — a column, a row, or the
-/// register tile (or its one column) whose compare failed — and whether
-/// it repairs by replication's vote.
-fn site(scheme: Scheme, f: &FaultPlan) -> (FaultSite, bool) {
+/// Where `scheme`'s localizer pins fault `f` in an `m`-row output — a
+/// column, a row, or the cells of the tile compare that failed (for
+/// one-sided ABFT a row's column group, or in a strip with one live row
+/// a strip column) — and whether it repairs by replication's vote.
+fn site(scheme: Scheme, f: &FaultPlan, m: usize) -> (FaultSite, bool) {
     let (row, col) = (f.row / MICRO_MR * MICRO_MR, f.col);
     let tile = |cols: usize| FaultSite::Tile {
         row,
@@ -185,7 +186,14 @@ fn site(scheme: Scheme, f: &FaultPlan) -> (FaultSite, bool) {
     match scheme {
         Scheme::GlobalAbft => (FaultSite::Column { col }, false),
         Scheme::MultiChecksum(_) => (FaultSite::Row { row: f.row }, false),
-        Scheme::ThreadLevelOneSided => (tile(1), false),
+        Scheme::ThreadLevelOneSided if m - row == 1 => (tile(1), false),
+        Scheme::ThreadLevelOneSided => (
+            FaultSite::Tile {
+                row: f.row,
+                col: col / MICRO_NR * MICRO_NR,
+            },
+            false,
+        ),
         Scheme::ThreadLevelTwoSided => (tile(MICRO_NR), false),
         Scheme::ReplicationTraditional => (tile(1), true),
         Scheme::ReplicationSingleAcc => (tile(MICRO_NR), true),
@@ -503,7 +511,10 @@ fn check_gemm(seed: u64, dirty: &mut Workspace) {
             let Verdict::Corrected { site: at, vote, .. } = repaired else {
                 return c.holds(false, &format!("not repaired: {repaired:?}"));
             };
-            c.holds((at, vote) == site(scheme, &f), &format!("repaired {at:?}"));
+            c.holds(
+                (at, vote) == site(scheme, &f, m),
+                &format!("repaired {at:?}"),
+            );
             c.holds(fixed.bits == clean.bits, "repaired bytes");
             // The verdict's `}`, then no detections.
             c.holds(fixed.checks.contains("} [] "), "detections left");
@@ -527,25 +538,42 @@ fn generated_gemms_match_the_f64_reference_and_every_execution_variant() {
     println!("{cases} GEMM cases, paths {paths:?}, widths {WIDTHS:?} ({took:.1?})");
 }
 
-/// Strip `row0`'s checksum rows, taken without the engine: per K step
-/// `s_k = (a0+a1)+(a2+a3)` and `S_k = (|a0|+|a1|)+(|a2|+|a3|)`, rows
-/// past `m` zero.
-fn strip_sums(a: MatrixView<'_>, row0: usize) -> Vec<(f32, f32)> {
-    let v = |i: usize, kk: usize| match row0 + i < a.rows {
-        true => a.get_f32(row0 + i, kk),
+/// `a[r][kk]`, zero past the operand (rows past `m`, K padding).
+fn a_at(a: MatrixView<'_>, r: usize, kk: usize) -> f32 {
+    match r < a.rows && kk < a.cols {
+        true => a.get_f32(r, kk),
         false => 0.0,
-    };
-    let sum =
-        |kk: usize, f: fn(f32) -> f32| (f(v(0, kk)) + f(v(1, kk))) + (f(v(2, kk)) + f(v(3, kk)));
-    (0..a.cols)
-        .map(|kk| (sum(kk, |x| x), sum(kk, f32::abs)))
-        .collect()
+    }
 }
 
-/// Column `col`'s checksum and magnitude chains over a strip's
-/// [`strip_sums`]: `fma(s_k, b, chk)` and `fma(S_k, |b|, mag)` in f32 in
-/// K order (a column past `n` has zero weights).
-fn one_sided_lanes(sums: &[(f32, f32)], b: &Matrix, col: usize) -> (f32, f32) {
+/// Column group `g`'s weight sums at step `kk`, taken without the
+/// engine: `(Σ_j b[kk][j], Σ_j |b[kk][j]|)` over its live columns in
+/// column order, in f32, from zero; zero past the operand.
+fn group_sums(b: &Matrix, g: usize, kk: usize) -> (f32, f32) {
+    let cols = g * MICRO_NR..((g + 1) * MICRO_NR).min(b.cols);
+    let live = cols.filter(|_| kk < b.rows).map(|c| b.get_f32(kk, c));
+    live.fold((0.0, 0.0), |(t, abs), v| (t + v, abs + v.abs()))
+}
+
+/// One-sided ABFT's check of row `row` against column group `g` and its
+/// magnitude, as the oracle takes them: `fma(a, t, chk)` and `fma(|a|,
+/// t_abs, mag)` over the padded K in four sub-chains by `kk mod 4`,
+/// joined as `(c0 + c1) + (c2 + c3)`.
+fn row_lanes(a: MatrixView<'_>, b: &Matrix, row: usize, g: usize) -> (f32, f32) {
+    let (mut chk, mut mag) = ([0.0f32; 4], [0.0f32; 4]);
+    for kk in 0..a.cols.next_multiple_of(8) {
+        let (v, (t, abs)) = (a_at(a, row, kk), group_sums(b, g, kk));
+        chk[kk % 4] = v.mul_add(t, chk[kk % 4]);
+        mag[kk % 4] = v.abs().mul_add(abs, mag[kk % 4]);
+    }
+    let join = |c: [f32; 4]| (c[0] + c[1]) + (c[2] + c[3]);
+    (join(chk), join(mag))
+}
+
+/// A strip with one live row's check of column `col` and its magnitude:
+/// `fma(a, b, chk)` and `fma(|a|, |b|, mag)` in f32 in K order over the
+/// row itself (a column past `n` has zero weights).
+fn column_lanes(a: MatrixView<'_>, b: &Matrix, row: usize, col: usize) -> (f32, f32) {
     let w = |kk: usize| {
         if col < b.cols {
             b.get_f32(kk, col)
@@ -553,123 +581,197 @@ fn one_sided_lanes(sums: &[(f32, f32)], b: &Matrix, col: usize) -> (f32, f32) {
             0.0
         }
     };
-    let step = |(chk, mag): (f32, f32), (kk, &(s, abs)): (usize, &(f32, f32))| {
-        (s.mul_add(w(kk), chk), abs.mul_add(w(kk).abs(), mag))
+    let step = |(chk, mag): (f32, f32), kk: usize| {
+        let v = a_at(a, row, kk);
+        (v.mul_add(w(kk), chk), v.abs().mul_add(w(kk).abs(), mag))
     };
-    sums.iter().enumerate().fold((0.0, 0.0), step)
+    (0..a.cols).fold((0.0, 0.0), step)
 }
 
-/// The detections one-sided ABFT owes `out`: [`one_sided_lanes`] and the
-/// eager compare `!(|Σ c − chk| <= slope·mag + floor)` on every column —
-/// what the engine's checks must equal whichever columns it took a
-/// magnitude for. Every column of a live register tile is checked, the
-/// zero-weight padding columns past `n` included; rows past `m` are the
-/// zero rows the engine computes, except that a strip with one live row
-/// stores its dead rows as `+0.0`.
-fn one_sided_oracle(
-    a: MatrixView<'_>,
-    b: &Matrix,
-    out: &GemmOutput,
-) -> Vec<(usize, usize, u64, u64)> {
+/// A detection as the one-sided tests compare them: `(row, rows, col,
+/// cols, residual bits, threshold bits)`.
+type Flag = (usize, usize, usize, usize, u64, u64);
+
+/// The detections one-sided ABFT owes `out`: the eager compare
+/// `!(|Σ c − chk| <= slope·mag + floor)` on every live row's column
+/// groups ([`row_lanes`], the cells summed pairwise: lanes `j` and
+/// `j + w` for `w` = 8, 4, 2, 1), and in a strip with one live row on
+/// every column ([`column_lanes`]) — what the engine's checks must equal
+/// whichever it took a magnitude for. The zero-weight padding columns
+/// past `n` are checked too (the engine computes them), and a strip with
+/// one live row stores its dead rows as `+0.0`.
+fn one_sided_oracle(a: MatrixView<'_>, b: &Matrix, out: &GemmOutput) -> Vec<Flag> {
     let (m, n, k) = (a.rows, b.cols, a.cols);
     let tile = Scheme::ThreadLevelOneSided.tile_scheme(k.next_multiple_of(8));
+    let cell = |row: usize, col: usize| match col < n {
+        true => out.c[row * n + col],
+        false => (0..k).fold(0.0f32, |acc, kk| a_at(a, row, kk).mul_add(0.0, acc)),
+    };
     let mut want = Vec::new();
-    for row0 in (0..m).step_by(MICRO_MR) {
-        let (live, sums) = ((m - row0).min(MICRO_MR), strip_sums(a, row0));
-        for col in 0..n.next_multiple_of(MICRO_NR) {
-            let (chk, mag) = one_sided_lanes(&sums, b, col);
-            let computed = |i: usize| {
-                let w = |kk: usize| if col < n { b.get_f32(kk, col) } else { 0.0 };
-                let v = |kk: usize| {
-                    if row0 + i < m {
-                        a.get_f32(row0 + i, kk)
-                    } else {
-                        0.0
-                    }
-                };
-                (0..k).fold(0.0f32, |acc, kk| v(kk).mul_add(w(kk), acc))
-            };
-            let c = |i: usize| match (i < live, col < n) {
-                (true, true) => out.c[(row0 + i) * n + col],
-                (false, _) if live == 1 => 0.0,
-                _ => computed(i),
-            };
-            let sum = (c(0) + c(1)) + (c(2) + c(3));
+    let mut push =
+        |rows: (usize, usize), cols: (usize, usize), sum: f32, (chk, mag): (f32, f32)| {
             let residual = (sum as f64 - chk as f64).abs();
             let threshold = tile.slope * mag as f64 + tile.floor;
             if exceeds(residual, threshold) {
-                want.push((row0, col, residual.to_bits(), threshold.to_bits()));
+                want.push((
+                    rows.0,
+                    rows.1,
+                    cols.0,
+                    cols.1,
+                    residual.to_bits(),
+                    threshold.to_bits(),
+                ));
+            }
+        };
+    for row0 in (0..m).step_by(MICRO_MR) {
+        if m - row0 == 1 {
+            for col in 0..n.next_multiple_of(MICRO_NR) {
+                let sum = (cell(row0, col) + 0.0) + (0.0 + 0.0);
+                push(
+                    (row0, MICRO_MR),
+                    (col, 1),
+                    sum,
+                    column_lanes(a, b, row0, col),
+                );
+            }
+            continue;
+        }
+        for row in row0..m.min(row0 + MICRO_MR) {
+            for g in 0..n.div_ceil(MICRO_NR) {
+                let mut lane: [f32; MICRO_NR] =
+                    std::array::from_fn(|j| cell(row, g * MICRO_NR + j));
+                for width in [8, 4, 2, 1] {
+                    for j in 0..width {
+                        lane[j] += lane[j + width];
+                    }
+                }
+                push(
+                    (row, 1),
+                    (g * MICRO_NR, MICRO_NR),
+                    lane[0],
+                    row_lanes(a, b, row, g),
+                );
             }
         }
     }
     want
 }
 
-/// Runs `a × b` with `faults` under one-sided ABFT on every path — the
-/// same bytes and detections on each — and holds the detections to
-/// [`one_sided_oracle`]'s; returns them.
+/// Runs `a × b` with `faults` under one-sided ABFT on every path and at
+/// every team width — the same bytes and detections on each — and holds
+/// the detections to [`one_sided_oracle`]'s. Where the faults are
+/// `large` (every drawn fault: far over any threshold, or non-finite), a
+/// fault that moves its cell's bytes must be flagged by a detection whose
+/// cells cover it, and repairing the run must restore the clean bytes.
+/// Returns the detections and the live rows of each struck strip whose
+/// fault moved bytes.
 fn one_sided_against_the_oracle(
     case: &Case,
     a: MatrixView<'_>,
     b: &Matrix,
     faults: &[FaultPlan],
-) -> Vec<(usize, usize, u64, u64)> {
+    large: bool,
+) -> (Vec<Flag>, Vec<usize>) {
     let bound = Scheme::ThreadLevelOneSided.bind(b);
-    let mut legs = simd::on_each_path(|_| {
+    let flags = |out: &GemmOutput| {
+        let flags = out.detections.iter();
+        let flags = flags.map(|d| {
+            (
+                d.row,
+                d.rows,
+                d.col,
+                d.cols,
+                d.residual.to_bits(),
+                d.threshold.to_bits(),
+            )
+        });
+        let mut flags: Vec<Flag> = flags.collect();
+        flags.sort();
+        flags
+    };
+    let run = |faults: &[FaultPlan]| {
         let mut ws = Workspace::new();
         bound.run_into(a, faults, Dest::None, &mut ws);
         let out = ws.output().clone();
-        let mut got: Vec<_> = (out.detections.iter())
-            .map(|d| (d.row, d.col, d.residual.to_bits(), d.threshold.to_bits()))
-            .collect();
-        got.sort();
-        case.holds(
-            out.detections.iter().all(|d| d.cols == 1),
-            "one column a check",
-        );
-        (got, out)
-    });
+        (flags(&out), out)
+    };
+    let mut legs = simd::on_each_path(|_| run(faults));
+    legs.extend(WIDTHS.map(|width| team::with_width(width, || run(faults))));
     let (got, out) = legs.swap_remove(0);
     for (other, other_out) in &legs {
         case.holds(
             (other, bits(&other_out.c)) == (&got, bits(&out.c)),
-            "a path",
+            "a path or team width",
         );
     }
     let want = one_sided_oracle(a, b, &out);
     case.holds(got == want, &format!("detections {got:?} against {want:?}"));
-    want
+    let clean = bits(&run(&[]).1.c);
+    let mut struck = Vec::new();
+    for f in faults
+        .iter()
+        .filter(|f| large && f.row < a.rows && f.col < b.cols)
+    {
+        let at = f.row * b.cols + f.col;
+        if clean[at] == bits(&out.c)[at] {
+            continue;
+        }
+        struck.push((a.rows - f.row / MICRO_MR * MICRO_MR).min(MICRO_MR));
+        let covers =
+            |d: &&Flag| (d.0..d.0 + d.1).contains(&f.row) && (d.2..d.2 + d.3).contains(&f.col);
+        case.holds(
+            got.iter().any(|d| covers(&d)),
+            &format!("{f:?} moved bytes unflagged"),
+        );
+    }
+    if !struck.is_empty() {
+        let mut ws = Workspace::new();
+        let verdict = bound.run_into(a, faults, Dest::None, &mut ws);
+        let repaired = bound.correct_into(a, &mut ws, verdict);
+        case.holds(
+            matches!(repaired, Verdict::Corrected { .. }),
+            &format!("{repaired:?}"),
+        );
+        case.holds(bits(&ws.output().c) == clean, "repaired bytes");
+    }
+    (want, struck)
 }
 
 #[test]
 fn generated_one_sided_gemms_flag_exactly_the_eager_rule() {
     // Every generated GEMM case's operands and fault under one-sided
-    // ABFT, on every path: the engine's detection list is the eager
-    // rule's, coordinates, residual bits and threshold bits — a column
-    // the engine skipped without its magnitude was one the eager compare
-    // passes. Each row-major case runs again *spiked*: its first two rows
-    // open with the format's largest value and its negation, over a zero
-    // weight in every other column — in bf16 a magnitude sum that
-    // overflows while the plain sum cancels, so those columns' magnitudes
-    // are `∞·0 = NaN` beside a finite checksum, and the eager rule flags
-    // them against a NaN threshold.
+    // ABFT, on every path and team width: the engine's detection list is
+    // the eager rule's, coordinates, residual bits and threshold bits — a
+    // check the engine skipped without its magnitude was one the eager
+    // compare passes; a fault that moves bytes is flagged over its cell,
+    // and repaired to the clean bytes, in strips of one to four live
+    // rows. Each row-major case runs again *spiked*: its first weight row
+    // opens with the format's largest value, negated, again and negated,
+    // over a zero and a `-0.0` activation — in bf16 a group magnitude sum
+    // that overflows while the plain sum cancels, so those rows'
+    // magnitudes are `∞·0 = NaN` beside a finite check, and the eager
+    // rule flags them against a NaN threshold.
     let (mut cases, mut flagged, mut nan_thresholds) = (0, 0, 0);
-    let mut near = [0, 0];
+    let (mut near, mut struck) = ([0, 0], [0; MICRO_MR]);
     for seed in seeds(false) {
         run_case("gemm_case", seed, || {
             let g = gemm_case(seed);
             let (a, b) = (g.a(&g.src), &g.b);
-            let want = one_sided_against_the_oracle(&g.case, a, b, g.fault.as_slice());
+            let (want, hit) = one_sided_against_the_oracle(&g.case, a, b, g.fault.as_slice(), true);
             flagged += !want.is_empty() as usize;
+            hit.iter().for_each(|&live| struck[live - 1] += 1);
             let (m, n, k, dt) = (a.rows, b.cols, a.cols, b.dtype);
-            // A fault sized at the eager threshold of the cell it
-            // strikes, a half to twice it: wherever the engine skips a
-            // column it should not have, such a fault escapes.
+            // A fault sized at the eager threshold of the check over the
+            // cell it strikes, a half to twice it: wherever the engine
+            // skips a check it should not have, such a fault escapes.
             if m > 0 && k > 0 {
                 let mut d = Draw::new(seed ^ 0x7e57);
                 let (row, col) = (d.int(0, m), d.int(0, n));
-                let sums = strip_sums(a, row / MICRO_MR * MICRO_MR);
-                let (_, mag) = one_sided_lanes(&sums, b, col);
+                let one_row = m - row / MICRO_MR * MICRO_MR == 1;
+                let (_, mag) = match one_row {
+                    true => column_lanes(a, b, row, col),
+                    false => row_lanes(a, b, row, col / MICRO_NR),
+                };
                 let tile = Scheme::ThreadLevelOneSided.tile_scheme(k.next_multiple_of(8));
                 let scale = d.pick(&[0.5, 0.9, 1.1, 2.0]) * d.pick(&[1.0, -1.0]);
                 let kind =
@@ -681,11 +783,10 @@ fn generated_one_sided_gemms_flag_exactly_the_eager_rule() {
                     kind,
                 };
                 let case = Case(format!("{}, near-threshold {fault:?}", g.case.0));
-                let got = one_sided_against_the_oracle(&case, a, b, &[fault]);
-                near[got
-                    .iter()
-                    .any(|d| (d.0, d.1) == (row / MICRO_MR * MICRO_MR, col))
-                    as usize] += 1;
+                let (got, _) = one_sided_against_the_oracle(&case, a, b, &[fault], false);
+                let covers =
+                    |d: &Flag| (d.0..d.0 + d.1).contains(&row) && (d.2..d.2 + d.3).contains(&col);
+                near[got.iter().any(covers) as usize] += 1;
             }
             if g.lowering.is_some() || m < 2 || k == 0 {
                 return;
@@ -693,14 +794,17 @@ fn generated_one_sided_gemms_flag_exactly_the_eager_rule() {
             let codes = (0..1u32 << dt.bits()).map(|c| dt.decode(c as u16));
             let max = codes.filter(|v| v.is_finite()).fold(0.0, f32::max);
             let (mut src, mut b) = (g.src.clone(), b.clone());
-            src.set(0, 0, F16(dt.encode(max)));
-            src.set(1, 0, F16(dt.encode(-max)));
-            for col in (0..b.cols).step_by(2) {
-                b.set(0, col, F16(dt.encode(0.0)));
+            for (col, v) in [max, -max, max, -max].into_iter().enumerate().take(n) {
+                b.set(0, col, F16(dt.encode(v)));
             }
+            src.set(0, 0, F16(dt.encode(0.0)));
+            src.set(1, 0, F16(dt.encode(-0.0)));
             let case = Case(format!("{}, spiked", g.case.0));
-            let want = one_sided_against_the_oracle(&case, src.view(), &b, g.fault.as_slice());
-            nan_thresholds += want.iter().any(|d| f64::from_bits(d.3).is_nan()) as usize;
+            // Spiked magnitudes are `∞` wherever they are numbers: the
+            // bound covers any finite fault there.
+            let faults = g.fault.as_slice();
+            let (want, _) = one_sided_against_the_oracle(&case, src.view(), &b, faults, false);
+            nan_thresholds += want.iter().any(|d| f64::from_bits(d.5).is_nan()) as usize;
         });
         cases += 1;
     }
@@ -709,17 +813,20 @@ fn generated_one_sided_gemms_flag_exactly_the_eager_rule() {
         near[0] > 0 && near[1] > 0,
         "near-threshold faults all on one side: {near:?}"
     );
+    assert!(
+        struck.iter().all(|&s| s > 0),
+        "strips of 1..=4 live rows struck: {struck:?}"
+    );
     println!(
         "{cases} one-sided GEMM cases against the eager rule, {flagged} flagged, \
          near-threshold faults {} passed and {} flagged, {nan_thresholds} spiked with NaN \
-         thresholds, paths {:?}",
+         thresholds, faults that moved bytes in strips of 1/2/3/4 live rows {struck:?}, \
+         paths {:?}, widths {WIDTHS:?}",
         near[0],
         near[1],
         paths()
     );
 }
-
-// --- Network cases ----------------------------------------------------------
 
 /// Appends a random pool to `b`, if one fits its cursor.
 fn pool(b: &mut NetworkBuilder, d: &mut Draw, name: &str) {

@@ -165,12 +165,14 @@ fn corrected_verdicts_carry_the_right_site_family() {
     let (site, vote) = site_of(Scheme::MultiChecksum(2));
     assert_eq!(site, FaultSite::Row { row: 3 });
     assert!(!vote);
-    // Tile localizers name the strip and column(s) whose compare failed
-    // — the fault at (3, 5) sits in strip row 0; per-column checks pin
-    // column 5, per-tile checks the tile's first column — and
-    // replication resolves by vote.
+    // Tile localizers name the cells whose compare failed — the fault at
+    // (3, 5) sits in strip row 0; per-column checks pin column 5,
+    // per-tile checks the tile's first column, one-sided ABFT's row
+    // check row 3 and the first column of its group — and replication
+    // resolves by vote.
     let tile = |col| FaultSite::Tile { row: 0, col };
-    assert_eq!(site_of(Scheme::ThreadLevelOneSided), (tile(5), false));
+    let row_group = FaultSite::Tile { row: 3, col: 0 };
+    assert_eq!(site_of(Scheme::ThreadLevelOneSided), (row_group, false));
     assert_eq!(site_of(Scheme::ThreadLevelTwoSided), (tile(0), false));
     assert_eq!(site_of(Scheme::ReplicationTraditional), (tile(5), true));
     assert_eq!(site_of(Scheme::ReplicationSingleAcc), (tile(0), true));
