@@ -51,9 +51,10 @@ pub(crate) trait Lanes: Copy {
     /// lane `4g + r` holds row `r`'s group `g`, each a pairwise tree —
     /// columns `j` and `j + w` added for `w` = 8, 4, 2, 1.
     unsafe fn group_sums(at: *const f32, stride: usize) -> Self;
-    /// Lanes `4i..4i + 4` hold `at[2i]`, for each `i < LANES / 4`:
-    /// every other float of the `LANES / 2` from `at`, four times.
-    unsafe fn spread_pairs(at: *const f32) -> Self;
+    /// Lanes `4i..4i + 4` hold `at[2i + odd]`, for each `i < LANES / 4`:
+    /// one float of each pair of the `LANES / 2` from `at`, four times.
+    /// It reads no float past those.
+    unsafe fn spread_pairs(at: *const f32, odd: bool) -> Self;
     /// [`super::relu`] per lane: `v >= 0 ? v : +0.0`.
     unsafe fn relu(self) -> Self;
     /// [`super::pool::max_fold`] per lane: `tap > o ? tap : o`.
@@ -239,10 +240,12 @@ impl Lanes for __m256 {
     }
 
     #[inline(always)]
-    unsafe fn spread_pairs(at: *const f32) -> Self {
+    unsafe fn spread_pairs(at: *const f32, odd: bool) -> Self {
         unsafe {
             let pairs = _mm256_castps128_ps256(_mm_loadu_ps(at));
-            _mm256_permutevar8x32_ps(pairs, _mm256_setr_epi32(0, 0, 0, 0, 2, 2, 2, 2))
+            let at = _mm256_setr_epi32(0, 0, 0, 0, 2, 2, 2, 2);
+            let at = _mm256_add_epi32(at, _mm256_set1_epi32(i32::from(odd)));
+            _mm256_permutevar8x32_ps(pairs, at)
         }
     }
     #[inline(always)]
@@ -494,10 +497,11 @@ impl Lanes for __m512 {
     }
 
     #[inline(always)]
-    unsafe fn spread_pairs(at: *const f32) -> Self {
+    unsafe fn spread_pairs(at: *const f32, odd: bool) -> Self {
         unsafe {
             let pairs = _mm512_castps256_ps512(_mm256_loadu_ps(at));
             let at = _mm512_setr_epi32(0, 0, 0, 0, 2, 2, 2, 2, 4, 4, 4, 4, 6, 6, 6, 6);
+            let at = _mm512_add_epi32(at, _mm512_set1_epi32(i32::from(odd)));
             _mm512_permutexvar_ps(at, pairs)
         }
     }

@@ -9,8 +9,8 @@
 //!   to f32 in the microkernel's B load (`Format::widen`/`widen16`) — a
 //!   weight is read at its resident width every pass; `stage_a` gathers,
 //!   decodes and lays a run of the request's rows into microkernel
-//!   strips, with the checksum rows a thread-level ABFT scheme
-//!   multiplies, in one pass (once per block-row stripe, by the team
+//!   strips, with the column sums two-sided ABFT's corners multiply
+//!   and global ABFT's fold adds up, in one pass (once per block-row stripe, by the team
 //!   member about to walk it, in `Panels::stage`). A conv lowering is
 //!   staged by one body for every geometry, generic over the lanes
 //!   like the tile bodies: the stripe's rows split into segments on one
@@ -21,9 +21,10 @@
 //! - `fill_block_tile` computes the live register tiles of one
 //!   block tile — and, when the run's scheme asks for them, their
 //!   checksum lanes — through the register-tiled microkernel at the
-//!   host's vector width or the scalar oracle; `group_magnitudes` takes
-//!   one-sided ABFT's magnitudes for the column groups whose compare
-//!   needs them;
+//!   host's vector width or the scalar oracle; `row_checks` takes
+//!   one-sided ABFT's row checks of the wide strips against the weights'
+//!   column-group sums, and their magnitudes where a compare needs them,
+//!   `group_magnitudes` a one-row strip's column magnitudes;
 //! - [`active_path`] picks between them at runtime
 //!   (`is_x86_feature_detected!`), honouring the `AIGA_FORCE_SCALAR=1`
 //!   override so CI can exercise the oracle on any machine.
@@ -51,8 +52,8 @@
 //! body generic over the lanes, the format's B widening and the lane
 //! kind. The lanes are the engine's one lane type (`Lanes`, ymm on
 //! [`GemmPath::Avx2Fma`], zmm on [`GemmPath::Avx512`]): every SIMD body
-//! of the engine — the conv staging, the tile walk, the magnitude pass,
-//! the write-back transpose, the max-pool row, the tile check — is
+//! of the engine — the conv staging, the tile walk, the row checks, the
+//! magnitude pass, the write-back transpose, the max-pool row, the tile check — is
 //! written once over it and entered through one dispatch seam, which
 //! compiles it under each path's target features.
 //!
@@ -73,18 +74,23 @@
 //!   the same chains for that row, none for the three dead rows, which
 //!   are stored as the `+0.0` their chains of `0·b` would have left.
 //!
-//! Checksum and magnitude lanes obey the same contract: each is one
-//! more in-order FMA chain (`chk = fma(s[kk], b[kk][col], chk)`,
-//! `mag = fma(s_abs[kk], |b[kk][col]|, mag)`, and the two-sided corner
-//! `fma(s[kk], t[kk], corner)` beside its magnitude), mirrored operation
-//! for operation by `dot_generic`/`corner_dot` on the scalar path — so
-//! residuals and thresholds, not just outputs, are byte-identical across
-//! paths. Lanes are per strip and corners per (strip, column group)
-//! whatever tile computed them. One-sided ABFT's tiles carry only the
-//! checksum chains: `|chk|` bounds a column's magnitude from below, so
-//! the epilogue takes the magnitude only for the column groups whose
-//! compare depends on it, through `group_magnitudes` — one pass of those
-//! same chains (see `walk`).
+//! Checksums and magnitudes obey the same contract: each is a fixed
+//! sequence of correctly-rounded operations, mirrored operation for
+//! operation on the scalar path — so residuals and thresholds, not just
+//! outputs, are byte-identical across paths. Two-sided ABFT's corner
+//! `fma(s[kk], t[kk], corner)` and its magnitude ride the tile (mirror:
+//! `corner_dot`). One-sided ABFT checks the paper's way round: a strip
+//! of two or more live rows walks clean, and `row_checks` then takes
+//! each row's `Σ_k a[i][kk]·t_g[kk]` against the weights' column-group
+//! sums `t_g` in four sub-chains by `kk mod 4`, joined `(c0 + c1) + (c2
+//! + c3)` (mirror: `row_check`), one FMA per K step for a strip's four
+//! rows against a vector's groups. A strip with one live row keeps a
+//! checksum chain per column in the one-row tile, `fma(a[kk],
+//! b[kk][col], chk)` fed by the row itself (mirror: `dot_generic`). No
+//! magnitude is carried: `|chk|` bounds it from below, so the epilogue
+//! takes it only where a compare depends on it — `row_checks` over `|a|`
+//! and `Σ|b|`, or `group_magnitudes` for a one-row strip's columns (see
+//! `walk`).
 
 use super::lanes::{on_path, Kernel, Lanes};
 use super::matrix::{Im2colView, MatrixLayout, MatrixView};
@@ -709,30 +715,6 @@ pub(crate) fn row_checks(
     if unsafe { on_path(path, pass) }.is_ok() {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if detect_path().is_simd() {
-        // SAFETY: FMA support was verified by detect_path.
-        return unsafe { row_checks_fma(a, sums, s0, strips, g0, groups, bn, abs, out) };
-    }
-    row_checks_scalar(a, sums, s0, strips, g0, groups, bn, abs, out)
-}
-
-/// [`row_checks_scalar`] compiled with the FMA target feature (see
-/// [`dot_fma`]) — same bytes, hardware `mul_add`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn row_checks_fma(
-    a: &Panels,
-    sums: &[f32],
-    s0: usize,
-    strips: &[usize],
-    g0: usize,
-    groups: usize,
-    bn: usize,
-    abs: bool,
-    out: &mut [f32],
-) {
     row_checks_scalar(a, sums, s0, strips, g0, groups, bn, abs, out)
 }
 
@@ -788,7 +770,7 @@ impl Kernel for RowChecks<'_> {
     unsafe fn run<L: Lanes>(self) {
         #[rustfmt::skip]
         let RowChecks { a, sums, s0, strips, g0, groups, bn, abs, out } = self;
-        let (k, half) = (a.k, usize::from(abs));
+        let k = a.k;
         let wide = if L::PAIRS_STRIPS { 4 } else { 2 };
         // SAFETY: `row_checks` asserted every strip, every group's sums
         // and every `out` cell in bounds.
@@ -798,7 +780,7 @@ impl Kernel for RowChecks<'_> {
                 // Pointers past the live groups are never read.
                 let t: [*const f32; 4] = std::array::from_fn(|g| {
                     let g = g0 + gw + g.min(live - 1);
-                    sums.as_ptr().add(g * k * 2 + half)
+                    sums.as_ptr().add(g * k * 2)
                 });
                 let p = RowPass {
                     k,
@@ -828,7 +810,7 @@ struct RowPass {
     k: usize,
     /// The block's first staged strip.
     a: *const f32,
-    /// Each group's first sum (or magnitude sum), one every two floats.
+    /// Each group's first pair of sums: the sum, then the magnitude sum.
     t: [*const f32; 4],
     abs: bool,
     /// The window's first cell of strip 0, row 0.
@@ -872,7 +854,7 @@ unsafe fn row_pass<L: Lanes, const N: usize, const G: usize>(p: RowPass, strips:
             let mut t = [[L::splat(0.0); 2]; G];
             for (g, t) in t.iter_mut().enumerate() {
                 for (v, t) in t.iter_mut().enumerate().take(per) {
-                    *t = L::spread_pairs(p.t[g].add((kk0 + v * steps) * 2));
+                    *t = L::spread_pairs(p.t[g].add((kk0 + v * steps) * 2), p.abs);
                 }
             }
             for (acc, &s) in acc.iter_mut().zip(&strips) {
@@ -1849,6 +1831,74 @@ mod tests {
             }
             let got = (bits(&chk), bits(&mag));
             assert_eq!(want.get_or_insert(got.clone()), &got, "{path:?}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn row_checks_read_no_sum_past_the_last_group() {
+        // The layer's group sums copied to end where a page the process
+        // may not read begins: a load one float past them faults. Both
+        // passes, every path, the last group in every window position.
+        extern "C" {
+            fn mmap(at: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
+            fn mprotect(at: *mut u8, len: usize, prot: i32) -> i32;
+            fn munmap(at: *mut u8, len: usize) -> i32;
+        }
+        const GUARD: usize = 1 << 16; // a multiple of any page size
+        const READ_WRITE: i32 = 3;
+        const PRIVATE_ANONYMOUS: i32 = 0x22;
+        for (n, k) in [(16, 8), (48, 16), (64, 24), (112, 40)] {
+            let (p, w, _, _) = staged(8, n, k, 61, Redundancy::None, Dtype::F16);
+            let sums = w.b_chk();
+            let groups = n / MICRO_NR;
+            assert_eq!(sums.len(), groups * w.k() * 2);
+            let bytes = std::mem::size_of_val(sums).next_multiple_of(GUARD);
+            // SAFETY: a fresh private mapping, its last `GUARD` bytes made
+            // unreadable; `guarded` ends where they begin and is unmapped
+            // after its last use.
+            unsafe {
+                let base = mmap(
+                    std::ptr::null_mut(),
+                    bytes + GUARD,
+                    READ_WRITE,
+                    PRIVATE_ANONYMOUS,
+                    -1,
+                    0,
+                );
+                assert!(!base.is_null() && base as isize != -1, "mmap");
+                assert_eq!(mprotect(base.add(bytes), GUARD, 0), 0, "mprotect");
+                let at = base.add(bytes - std::mem::size_of_val(sums)) as *mut f32;
+                let guarded = std::slice::from_raw_parts_mut(at, sums.len());
+                guarded.copy_from_slice(sums);
+                for g0 in 0..groups {
+                    for abs in [false, true] {
+                        let mut want = vec![0.0f32; 2 * n];
+                        row_checks_scalar(
+                            &p,
+                            guarded,
+                            0,
+                            &[0, 1],
+                            g0,
+                            groups - g0,
+                            n,
+                            abs,
+                            &mut want,
+                        );
+                        for &path in supported_paths() {
+                            let mut out = vec![0.0f32; 2 * n];
+                            #[rustfmt::skip]
+                            let pass = RowChecks { a: &p, sums: guarded, s0: 0, strips: &[0, 1], g0, groups: groups - g0, bn: n, abs, out: &mut out };
+                            if on_path(path, pass).is_ok() {
+                                let bits =
+                                    |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                assert_eq!(bits(&out), bits(&want), "{path:?} {n}x{k} from {g0}");
+                            }
+                        }
+                    }
+                }
+                assert_eq!(munmap(base, bytes + GUARD), 0, "munmap");
+            }
         }
     }
 

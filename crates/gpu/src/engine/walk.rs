@@ -289,7 +289,11 @@ trait RowScreen {
 struct Exact;
 
 /// [`RowScreen`] at the width of `L`, in f32 (see
-/// [`rows_failing_screened`]): a SIMD path's.
+/// [`rows_failing_screened`]): a SIMD path's. It is kept beside
+/// [`Exact`] because the f64 compare, run on every row of every wide
+/// strip, is most of the stem's check: one member, 150 interleaved
+/// rounds, one-sided ÷ clean read 1.13 screened and 1.50 exact at
+/// 12321×64×27, 1.10 and 1.17 at 256³ (AVX-512 host).
 struct Screened<L>(PhantomData<L>);
 
 impl RowScreen for Exact {
@@ -346,10 +350,19 @@ fn rows_failing_exactly(
 /// vector's row sums come from [`Lanes::group_sums`] (the bits of
 /// [`group_sum`]), and a lane is set where its f32 residual is over its
 /// f32 threshold less `2⁻²⁰` of it and the smallest normal — at least
-/// every bit the f64 compare sets, whatever the roundings of either (the
-/// scheme's slope is in `(0, 1)` and its floor in `[0, f32::MAX / 4]`,
-/// which the caller checks); the few lanes in between are decided
-/// exactly after.
+/// every bit the f64 compare sets; the few lanes in between are decided
+/// exactly after. The caller checks the scheme's range ([`screens`]).
+///
+/// Why a set bit covers the f64 compare, for a finite magnitude `m`:
+/// the f32 slope and floor are rounded down, so with `E = slope·m +
+/// floor` the f32 threshold is at most `E·(1+2⁻²⁴)²·(1−2⁻²⁰) − 2⁻¹²⁶`
+/// plus a few `2⁻¹⁵⁰`, and it cannot overflow (`slope·m ≤ f32::MAX / 2`,
+/// `floor ≤ f32::MAX / 4`); a residual that passes there is, in f64,
+/// at most `(1+2⁻²⁴)·(1+2⁻⁵³)` of it — below `E·(1−2⁻⁵²)`, which the f64
+/// threshold is at least. An f32 residual that overflows is `∞` over a
+/// finite threshold and sets its bit. An infinite `m` makes the f64
+/// threshold `∞`, which only a NaN residual fails — and a NaN residual,
+/// or a NaN `m`, sets the bit in f32 too.
 ///
 /// # Safety
 /// The host supports `L`.
@@ -370,8 +383,8 @@ unsafe fn rows_failing_screened<L: Lanes>(
     // SAFETY: the caller's guarantees; the asserts above keep every read
     // inside the strip's rows of the block and its lanes.
     unsafe {
-        let slope = L::splat(scheme.slope as f32);
-        let floor = L::splat(scheme.floor as f32);
+        let slope = L::splat(f32_at_most(scheme.slope));
+        let floor = L::splat(f32_at_most(scheme.floor));
         let (keep, less) = (L::splat(1.0 - 2f32.powi(-20)), L::splat(-f32::MIN_POSITIVE));
         for gw in (0..groups).step_by(per) {
             let at = tile.as_ptr().add(s * MICRO_MR * BLOCK_N + gw * MICRO_NR);
@@ -385,6 +398,26 @@ unsafe fn rows_failing_screened<L: Lanes>(
         }
     }
     fails
+}
+
+/// Whether [`rows_failing_screened`]'s margin holds under `scheme`:
+/// slope in `(0, 1/2]`, floor in `[0, f32::MAX / 4]`.
+#[inline(always)]
+fn screens(scheme: TileScheme) -> bool {
+    scheme.slope > 0.0
+        && scheme.slope <= 0.5
+        && (0.0..=f32::MAX as f64 / 4.0).contains(&scheme.floor)
+}
+
+/// The largest f32 not above `v` (finite, non-negative).
+#[inline(always)]
+fn f32_at_most(v: f64) -> f32 {
+    let r = v as f32;
+    if r as f64 > v {
+        r.next_down()
+    } else {
+        r
+    }
 }
 
 /// The tile epilogue: compares every live register tile of the block
@@ -441,10 +474,7 @@ unsafe fn check_block<S: RowScreen>(
             // The row screen's f32 margin holds for these schemes (see
             // `rows_failing_screened`); under any other, and over weights
             // whose group sums overflowed, every row is opened.
-            let screened = (0.0..1.0).contains(&scheme.slope)
-                && grows
-                && (0.0..=f32::MAX as f64 / 4.0).contains(&scheme.floor)
-                && (wide == 0 || !run.b.b_chk_overflowed());
+            let screened = screens(scheme) && (wide == 0 || !run.b.b_chk_overflowed());
             let live = |s: usize| (live_rows - s * MICRO_MR).min(MICRO_MR);
 
             let mut opened = [0; BLOCK_M / MICRO_MR];
@@ -590,5 +620,135 @@ unsafe fn check_block<S: RowScreen>(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// [`rows_failing_screened`] of strip 0's four rows, on `L`.
+    struct Screen<'a> {
+        scheme: TileScheme,
+        lanes: RowLanes<'a>,
+        groups: usize,
+    }
+
+    impl Kernel for Screen<'_> {
+        type Out = u32;
+
+        unsafe fn run<L: Lanes>(self) -> u32 {
+            // SAFETY: the caller's guarantees.
+            unsafe { rows_failing_screened::<L>(self.scheme, self.lanes, 0, MICRO_MR, self.groups) }
+        }
+    }
+
+    #[test]
+    fn row_screen_sets_every_bit_the_exact_compare_does() {
+        // The margin at its edges, on every SIMD path: slopes and floors
+        // at the ends of the screened range and below f32's normals,
+        // magnitudes and sums up to `f32::MAX` (the screen's residual
+        // overflows where the f64 one does not), specials, and residuals
+        // a few ulps either side of the f64 threshold.
+        let groups = BLOCK_N / MICRO_NR;
+        let mut rng = aiga_util::Rng64::seed_from_u64(48);
+        let value = |rng: &mut aiga_util::Rng64| -> f32 {
+            let sign = [1.0, -1.0][rng.range_usize(0, 2)];
+            let v = match rng.range_usize(0, 10) {
+                0 => [0.0, f32::MAX, f32::INFINITY, f32::NAN, 1e-45][rng.range_usize(0, 5)],
+                1 => rng.range_f32(1.0, 2.0) * 2f32.powi(rng.range_usize(0, 254) as i32 - 126),
+                _ => rng.range_f32(0.0, 4.0),
+            };
+            sign * v
+        };
+        // Compares the screen sets beyond the exact ones, and those that
+        // pass exactly, summed over the paths.
+        let (mut extra, mut passes) = (0u32, 0u32);
+        for slope in [1e-50, 1e-40, 1e-7 + 1e-16, 2f64.powi(-20), 0.3, 0.5] {
+            for floor in [0.0, 1e-45, 1e-39, 1.0, 3.3, f32::MAX as f64 / 4.0] {
+                let scheme = TileScheme {
+                    lanes: Redundancy::ColumnChecksum,
+                    slope,
+                    floor,
+                };
+                assert!(screens(scheme));
+                for _ in 0..60 {
+                    let mut tile = vec![0.0f32; MICRO_MR * BLOCK_N];
+                    let (mut chk, mut mag) = (vec![0.0f32; BLOCK_N], vec![0.0f32; BLOCK_N]);
+                    for r in 0..MICRO_MR {
+                        for g in 0..groups {
+                            let row = &mut tile[r * BLOCK_N + g * MICRO_NR..][..MICRO_NR];
+                            for (j, v) in row.iter_mut().enumerate() {
+                                *v = if j == 0 || rng.gen_bool(0.3) {
+                                    value(&mut rng)
+                                } else {
+                                    0.0
+                                };
+                            }
+                            let sum = group_sum(row);
+                            let m = value(&mut rng).abs();
+                            let at = g * MICRO_MR + r;
+                            mag[at] = m;
+                            chk[at] = match rng.range_usize(0, 4) {
+                                0 => value(&mut rng),
+                                k => {
+                                    let t = scheme.threshold(m as f64);
+                                    let mut c = (sum as f64 + [-t, t][k % 2]) as f32;
+                                    for _ in 0..rng.range_usize(0, 4) {
+                                        c = [c.next_up(), c.next_down()][rng.range_usize(0, 2)];
+                                    }
+                                    c
+                                }
+                            };
+                        }
+                    }
+                    let lanes = (&tile[..], &chk[..], &mag[..]);
+                    let exact = rows_failing_exactly(scheme, lanes, 0, MICRO_MR, groups);
+                    for &path in simd::supported_paths() {
+                        let screen = Screen {
+                            scheme,
+                            lanes,
+                            groups,
+                        };
+                        // SAFETY: the host runs `path`.
+                        let Ok(screened) = (unsafe { on_path(path, screen) }) else {
+                            continue;
+                        };
+                        assert_eq!(exact & !screened, 0, "{path:?} {slope} {floor}");
+                        extra += (screened & !exact).count_ones();
+                        passes += (!exact & 0xffff).count_ones();
+                    }
+                }
+            }
+        }
+        // Not every bit is set: the screen passes compares itself, even
+        // among these residuals, half of them aimed within a few ulps of
+        // the threshold, inside the screen's margin.
+        assert!(extra < passes * 3 / 4, "{extra} of {passes}");
+    }
+
+    #[test]
+    fn row_screen_leaves_schemes_it_cannot_bound_to_the_exact_compare() {
+        // At slope 0.9 a magnitude near `f32::MAX` overflows the f32
+        // threshold to `∞`, which an overflowed residual would pass.
+        let scheme = |slope, floor| TileScheme {
+            lanes: Redundancy::ColumnChecksum,
+            slope,
+            floor,
+        };
+        assert!(screens(scheme(0.5, f32::MAX as f64 / 4.0)));
+        for (slope, floor) in [
+            (0.9, 0.0),
+            (0.0, 1.0),
+            (-1.0, 1.0),
+            (0.5, f32::MAX as f64),
+            (0.1, -1.0),
+        ] {
+            assert!(!screens(scheme(slope, floor)), "{slope} {floor}");
+        }
+        assert!(!screens(scheme(f64::NAN, 0.0)) && !screens(scheme(0.1, f64::NAN)));
+        assert_eq!(f32_at_most(0.1), 0.1f32.next_down());
+        assert_eq!(f32_at_most(0.5), 0.5);
+        assert_eq!(f32_at_most(1e-50), 0.0);
     }
 }
