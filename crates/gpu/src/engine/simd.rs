@@ -82,15 +82,15 @@
 //! `corner_dot`). One-sided ABFT checks the paper's way round: a strip
 //! of two or more live rows walks clean, and `row_checks` then takes
 //! each row's `Σ_k a[i][kk]·t_g[kk]` against the weights' column-group
-//! sums `t_g` in four sub-chains by `kk mod 4`, joined `(c0 + c1) + (c2
-//! + c3)` (mirror: `row_check`), one FMA per K step for a strip's four
-//! rows against a vector's groups. A strip with one live row keeps a
-//! checksum chain per column in the one-row tile, `fma(a[kk],
-//! b[kk][col], chk)` fed by the row itself (mirror: `dot_generic`). No
-//! magnitude is carried: `|chk|` bounds it from below, so the epilogue
-//! takes it only where a compare depends on it — `row_checks` over `|a|`
-//! and `Σ|b|`, or `group_magnitudes` for a one-row strip's columns (see
-//! `walk`).
+//! sums `t_g` in four sub-chains by `kk mod 4`, joined as
+//! `(c0 + c1) + (c2 + c3)` (mirror: `row_check`), one FMA per K step
+//! for a strip's four rows against a vector's groups. A strip with one
+//! live row keeps a checksum chain per column in the one-row tile,
+//! `fma(a[kk], b[kk][col], chk)` fed by the row itself (mirror:
+//! `dot_generic`). No magnitude is carried: `|chk|` bounds it from
+//! below, so the epilogue takes it only where a compare depends on it —
+//! `row_checks` over `|a|` and `Σ|b|`, or `group_magnitudes` for a
+//! one-row strip's columns (see `walk`).
 
 use super::lanes::{on_path, Kernel, Lanes};
 use super::matrix::{Im2colView, MatrixLayout, MatrixView};
